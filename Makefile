@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race bench smoke smoke-http smoke-crash smoke-shard
+.PHONY: all build vet test race bench bench-test perf perf-quick smoke smoke-http smoke-crash smoke-shard
 
 all: build vet test
 
@@ -35,6 +35,23 @@ bench:
 	$(GO) test -run '^$$' -bench 'MixedIngestP99' -benchtime=1x ./internal/serve/
 	$(GO) test -run '^$$' -bench 'ServeHTTPQuery|MetricsScrape' -benchtime=100x ./internal/httpserve/
 	$(GO) test -run '^$$' -bench 'ScatterGather|SingleNode|WireQueryResult' -benchtime=50x ./internal/shard/
+
+# bench/ is a module of its own (it requires this one through a replace
+# directive), so `go test ./...` at the root never reaches it.  Its tests run
+# skyperf -quick traced and untraced against the engine in this checkout and
+# check the emitted workload and metric names against BENCHMARK.json.
+bench-test:
+	cd bench && $(GO) test ./...
+
+# The repository's benchmark (BENCHMARK.json): all five workloads end to end.
+# Arguments pass through, e.g. `make perf ARGS="-workload ingest-bulk -seed 7"`
+# or `ARGS="-trace 1"` for the per-layer run; perf-quick is the 1/20-size
+# smoke run.  Build outputs, inputs and results stay under .bench_build/.
+perf:
+	bash bench/run.sh $(ARGS)
+
+perf-quick:
+	bash bench/run.sh -quick $(ARGS)
 
 smoke:
 	$(GO) run ./cmd/skyserve -smoke

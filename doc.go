@@ -10,8 +10,11 @@
 //   - internal/arrayset   — the array-set buffering structure (§4.3)
 //   - internal/parallel   — the cluster coordinator with dynamic assignment (§4.4)
 //   - internal/tuning     — the §4.5 database and system tuning profiles
+//   - internal/loadconfig — JSON campaign configuration files (the paper's §7 future work)
+//   - internal/baseline   — the comparison loaders: non-bulk singleton inserts (Figure 4)
+//     and an SDSS-style two-phase loader
 //   - internal/relstore   — the embedded relational engine standing in for Oracle 10g,
-//     safe for concurrent writer transactions
+//     safe for concurrent writer transactions, with a durable WAL, checkpoints and recovery
 //   - internal/sqlbatch   — the JDBC-like batch client/server with the calibrated cost model
 //   - internal/catalog    — the Palomar-Quest data model, file format, parser and generator
 //   - internal/htm        — Hierarchical Triangular Mesh ids for object positions
@@ -19,29 +22,44 @@
 //   - internal/exec       — the execution abstraction (Scheduler/Worker/Resource) with a
 //     DES implementation and a goroutine-backed realtime implementation
 //   - internal/experiments — regeneration of every figure of §5 plus ablations
+//   - internal/metrics    — result tables, histograms and the Prometheus text writer/validator
 //   - internal/queries    — the science-query side (cone search via HTM trixel ranges,
 //     lookups, histograms) behind a Query interface with per-query work stats
 //   - internal/serve      — the concurrent query-serving subsystem: worker pool on
 //     exec.Scheduler, bounded admission with deadlines, sharded LRU result cache
 //     invalidated by relstore commit epochs, per-class latency histograms, and the
 //     mixed load+serve scenario
+//   - internal/httpserve  — the HTTP front door over internal/serve: /v1 query API,
+//     /metrics, /healthz, /debug/traces, for a single node or a shard fleet
+//   - internal/trace      — per-request stage tracing published into a fixed ring
+//   - internal/shard      — the distributed layer: HTM-partitioned coordinator and agents
+//     with scatter-gather serving; internal/shard/wire is its framed message protocol
 //
 // The benchmarks in bench_test.go regenerate the paper's evaluation; the
-// binaries under cmd/ (skygen, skyload, skybench, skyserve) expose the same
-// functionality on the command line, and examples/ contains runnable
-// walk-throughs.  See README.md, DESIGN.md and EXPERIMENTS.md.
+// binaries under cmd/ (skygen, skyload, skybench, skyserve, skystorm,
+// skyshard) expose the same functionality on the command line, and examples/
+// contains runnable walk-throughs.  bench/ is the repository's benchmark
+// (BENCHMARK.json, `make perf`), a module of its own.  See README.md,
+// PERFORMANCE.md and bench/README.md.
 //
-// # Row representation and the zero-allocation insert path
+// # Row representation: values in flight, packed bytes at rest
 //
-// Column values move through the system as relstore.Value, a compact tagged
-// struct (kind tag + int64 + float64 + string fields) rather than a boxed
-// interface, so building and storing a row performs no per-value heap
-// allocation.  Composite keys are encoded with relstore.AppendKey into
-// reusable scratch buffers following the strconv append convention; hash-map
-// probes use m[string(buf)], which the compiler evaluates without copying,
-// and only keys that are actually stored materialize a string.  PERFORMANCE.md
-// describes the conventions and records the measured effect (BENCH_rowpath.json
-// holds the before/after numbers).
+// Column values move through the client side — parser, transformer,
+// array-set, batch statements — as relstore.Value, a compact tagged struct
+// (kind tag + int64 + float64 + string fields) rather than a boxed interface,
+// so building and buffering a row performs no per-value heap allocation.
+// Value is the transport type only.  A table stores each row as a packed
+// record in a slotted byte page: a NULL bitmap, an 8-byte slot per column and
+// the row's string bytes, derived from the column kinds alone, so the resident
+// repository holds no pointers for the collector to follow.  Readers that do
+// not need a copy (DB.ScanRef, RangeIndexedRef, LookupByPKRef) receive a
+// relstore.RowView with typed getters over the page bytes, valid only inside
+// the visitor call; Scan, LookupByPK, RangeIndexed and friends materialise a
+// Row the caller owns.  Primary-key and unique hash indexes are keyed by the
+// int64 payload when the key is one integer column and by the
+// relstore.AppendKey encoding (built in reusable scratch buffers, probed as
+// m[string(buf)] without copying) otherwise.  PERFORMANCE.md describes the
+// layout, the ownership and lifetime rules, and the measured footprint.
 //
 // # Execution modes
 //

@@ -252,9 +252,7 @@ func (l *TwoPhaseLoader) publishTable(table string) error {
 	ts := l.taskSchema.Table(table)
 	cols := ts.ColumnNames()
 	var rows []relstore.Row
-	// ScanRef is safe here: the rows are read-only until the task database is
-	// discarded, and AddBatch copies the values it queues.
-	if err := l.task.ScanRef(table, func(r relstore.Row) bool {
+	if err := l.task.Scan(table, func(r relstore.Row) bool {
 		rows = append(rows, r)
 		return true
 	}); err != nil {

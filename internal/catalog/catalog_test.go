@@ -149,7 +149,7 @@ func TestRecordFormatParseRoundTrip(t *testing.T) {
 		}, s)
 		rec := Record{Tag: TagPRM, Fields: []string{i2s(int64(a)), i2s(int64(b)), "name", s}}
 		parsed, err := ParseLine(rec.Format(), 1)
-		if err != nil {
+		if err != nil || rec.Bytes() != len(rec.Format())+1 {
 			return false
 		}
 		if parsed.Tag != rec.Tag || len(parsed.Fields) != len(rec.Fields) {
@@ -164,6 +164,12 @@ func TestRecordFormatParseRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+	// Bytes counts the line without rendering it, for any field count.
+	for _, rec := range []Record{{Tag: TagOBS}, {Tag: TagOBS, Fields: []string{""}}, {Tag: TagOBS, Fields: []string{"", "x", ""}}} {
+		if rec.Bytes() != len(rec.Format())+1 {
+			t.Errorf("%q: Bytes() = %d, want %d", rec.Format(), rec.Bytes(), len(rec.Format())+1)
+		}
 	}
 }
 
@@ -399,18 +405,52 @@ func TestTransformObjectDerivedColumns(t *testing.T) {
 func TestTransformErrors(t *testing.T) {
 	s := NewSchema()
 	tr := NewTransformer(s)
-	cases := []Record{
-		{Tag: Tag("XXX"), Fields: []string{"1"}},
-		{Tag: TagFNG, Fields: []string{"1", "2"}},                                   // wrong arity
-		{Tag: TagFNG, Fields: []string{"1", "2", "1", "N/A", "0.1", "3.0"}},         // malformed float
-		{Tag: TagOBJ, Fields: []string{"x", "2", "10", "10", "18", "", "", "", ""}}, // malformed int
-		{Tag: TagOBJ, Fields: []string{"1", "2", "", "2.05", "18", "", "", "", ""}}, // missing ra
-		{Tag: TagOBJ, Fields: []string{"1", "2", "10", "", "18", "", "", "", ""}},   // missing dec
+	cases := []struct {
+		rec  Record
+		want string // the loader prints these; the text is part of the tool's output
+	}{
+		{Record{Tag: Tag("XXX"), Fields: []string{"1"}, Line: 3},
+			`catalog: line 3 (XXX) field "": unknown tag`},
+		{Record{Tag: TagFNG, Fields: []string{"1", "2"}, Line: 4}, // wrong arity
+			`catalog: line 4 (FNG) field "": expected 6 fields, got 2`},
+		{Record{Tag: TagFNG, Fields: []string{"1", "2", "1", "N/A", "0.1", "3.0"}, Line: 5}, // malformed float
+			`catalog: line 5 (FNG) field "flux": not a float: "N/A"`},
+		{Record{Tag: TagOBJ, Fields: []string{"x", "2", "10", "10", "18", "", "", "", ""}, Line: 6}, // malformed int
+			`catalog: line 6 (OBJ) field "object_id": not an integer: "x"`},
+		{Record{Tag: TagOBJ, Fields: []string{"1", "2", "", "2.05", "18", "", "", "", ""}, Line: 7}, // missing ra
+			`catalog: line 7 (OBJ) field "ra/dec": object position missing, cannot compute htmid`},
+		{Record{Tag: TagOBJ, Fields: []string{"1", "2", "10", "", "18", "", "", "", ""}}, // missing dec
+			`catalog: line 0 (OBJ) field "ra/dec": object position missing, cannot compute htmid`},
 	}
-	for i, rec := range cases {
-		if _, err := tr.Transform(rec); err == nil {
-			t.Errorf("case %d: expected transform error", i)
+	for i, c := range cases {
+		if _, err := tr.Transform(c.rec); err == nil || err.Error() != c.want {
+			t.Errorf("case %d: error %v, want %s", i, err, c.want)
 		}
+	}
+
+	// A schema that lacks a tag's table, or a field's column, fails the
+	// records that need them — and only those: an empty field never consults
+	// its column.
+	small, err := relstore.NewSchema(&relstore.TableSchema{
+		Name:       TObjectFingers,
+		Columns:    []relstore.Column{{Name: "finger_id", Type: relstore.TypeInt}, {Name: "flux", Type: relstore.TypeFloat, Precision: 2}},
+		PrimaryKey: []string{"finger_id"},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	partial := NewTransformer(small)
+	if _, err := partial.Transform(Record{Tag: TagOBS, Fields: []string{"1"}, Line: 9}); err == nil ||
+		err.Error() != `catalog: line 9 (OBS) field "": schema has no table "observations"` {
+		t.Errorf("missing table: %v", err)
+	}
+	if _, err := partial.Transform(Record{Tag: TagFNG, Fields: []string{"1", "2", "1", "2.345", "0.1", "3.0"}, Line: 10}); err == nil ||
+		err.Error() != `catalog: line 10 (FNG) field "object_id": table "object_fingers" has no column "object_id"` {
+		t.Errorf("missing column: %v", err)
+	}
+	got, err := partial.Transform(Record{Tag: TagFNG, Fields: []string{"1", "", "", "2.345", "", ""}, Line: 11})
+	if err != nil || got.Values[0] != relstore.Int(1) || got.Values[3] != relstore.Float(2.35) || !got.Values[1].IsNull() {
+		t.Errorf("empty fields over missing columns: %+v, %v", got, err)
 	}
 	// Out-of-range coordinates survive the transform (the database check
 	// constraint rejects them later) but produce a NULL htmid.

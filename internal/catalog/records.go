@@ -93,9 +93,19 @@ func (r Record) Format() string {
 	return string(r.Tag) + FieldSep + strings.Join(r.Fields, FieldSep)
 }
 
-// Bytes returns the serialized length of the record including the newline,
-// which is what the generator uses to account catalog-file volume.
-func (r Record) Bytes() int { return len(r.Format()) + 1 }
+// Bytes returns the serialized length of the record including the newline
+// (len(r.Format())+1, without rendering the line), which is what the
+// generator uses to account catalog-file volume.
+func (r Record) Bytes() int {
+	n := len(r.Tag) + len(FieldSep) + 1
+	for i, f := range r.Fields {
+		if i > 0 {
+			n += len(FieldSep)
+		}
+		n += len(f)
+	}
+	return n
+}
 
 // ParseLine parses one catalog file line into a Record.  It validates that
 // the tag is known and the field count matches the tag's layout; it does not

@@ -29,18 +29,57 @@ func (e *TransformError) Error() string {
 // type conversion, precision adjustment, and computation of derived values
 // such as the HTM id and unit-sphere coordinates of each object.
 type Transformer struct {
-	schema *relstore.Schema
 	// HTMDepth is the mesh depth used for object htmids.
 	HTMDepth int
 
+	plans      map[Tag]*tagPlan
 	objColumns []string
+}
+
+// tagPlan is everything Transform needs to know about one tag, resolved
+// against the schema once in NewTransformer: the per-record work is then one
+// plan lookup and the field conversions themselves.
+type tagPlan struct {
+	layout TagLayout
+	// hasTable is false when the schema lacks the destination table.
+	hasTable bool
+	fields   []fieldPlan
+	// raIdx and decIdx are the positions of the ra and dec fields (OBJ only).
+	raIdx, decIdx int
+}
+
+// fieldPlan is the destination column of one raw field.
+type fieldPlan struct {
+	known     bool // the table has a column of the field's name
+	typ       relstore.ColType
+	precision int
 }
 
 // NewTransformer creates a transformer for the given repository schema.
 func NewTransformer(schema *relstore.Schema) *Transformer {
-	t := &Transformer{schema: schema, HTMDepth: htm.DefaultDepth}
-	layout, _ := LayoutFor(TagOBJ)
-	t.objColumns = append(append([]string{}, layout.Fields...), "htmid", "cx", "cy", "cz")
+	t := &Transformer{HTMDepth: htm.DefaultDepth, plans: make(map[Tag]*tagPlan, len(Layouts))}
+	for _, layout := range Layouts {
+		p := &tagPlan{layout: layout, fields: make([]fieldPlan, len(layout.Fields)), raIdx: -1, decIdx: -1}
+		ts := schema.Table(layout.Table)
+		p.hasTable = ts != nil
+		for i, f := range layout.Fields {
+			switch f {
+			case "ra":
+				p.raIdx = i
+			case "dec":
+				p.decIdx = i
+			}
+			if ts == nil {
+				continue
+			}
+			if idx := ts.ColumnIndex(f); idx >= 0 {
+				col := ts.Columns[idx]
+				p.fields[i] = fieldPlan{known: true, typ: col.Type, precision: col.Precision}
+			}
+		}
+		t.plans[layout.Tag] = p
+	}
+	t.objColumns = append(append([]string{}, t.plans[TagOBJ].layout.Fields...), "htmid", "cx", "cy", "cz")
 	return t
 }
 
@@ -54,14 +93,18 @@ type TransformedRow struct {
 	Bytes int
 }
 
+// derivedObjectColumns is the number of columns Transform appends to an OBJ
+// record's own fields (htmid, cx, cy, cz).
+const derivedObjectColumns = 4
+
 // Transform converts a record into a database row.
 func (t *Transformer) Transform(rec Record) (TransformedRow, error) {
-	layout, ok := LayoutFor(rec.Tag)
+	p, ok := t.plans[rec.Tag]
 	if !ok {
 		return TransformedRow{}, &TransformError{Line: rec.Line, Tag: rec.Tag, Reason: "unknown tag"}
 	}
-	ts := t.schema.Table(layout.Table)
-	if ts == nil {
+	layout := &p.layout
+	if !p.hasTable {
 		return TransformedRow{}, &TransformError{Line: rec.Line, Tag: rec.Tag,
 			Reason: fmt.Sprintf("schema has no table %q", layout.Table)}
 	}
@@ -70,11 +113,15 @@ func (t *Transformer) Transform(rec Record) (TransformedRow, error) {
 			Reason: fmt.Sprintf("expected %d fields, got %d", len(layout.Fields), len(rec.Fields))}
 	}
 
-	values := make([]relstore.Value, len(layout.Fields))
-	for i, colName := range layout.Fields {
-		v, err := t.convertField(ts, colName, rec.Fields[i])
+	n := len(layout.Fields)
+	if rec.Tag == TagOBJ {
+		n += derivedObjectColumns
+	}
+	values := make([]relstore.Value, len(layout.Fields), n)
+	for i := range p.fields {
+		v, err := convertField(&p.fields[i], layout.Table, layout.Fields[i], rec.Fields[i])
 		if err != nil {
-			return TransformedRow{}, &TransformError{Line: rec.Line, Tag: rec.Tag, Field: colName, Reason: err.Error()}
+			return TransformedRow{}, &TransformError{Line: rec.Line, Tag: rec.Tag, Field: layout.Fields[i], Reason: err.Error()}
 		}
 		values[i] = v
 	}
@@ -87,29 +134,26 @@ func (t *Transformer) Transform(rec Record) (TransformedRow, error) {
 	}
 
 	if rec.Tag == TagOBJ {
-		derived, err := t.deriveObjectColumns(rec, layout, values)
-		if err != nil {
+		var err error
+		if row.Values, err = t.appendObjectColumns(rec, p, values); err != nil {
 			return TransformedRow{}, err
 		}
 		row.Columns = t.objColumns
-		row.Values = append(values, derived...)
 	}
 	return row, nil
 }
 
 // convertField converts one raw field to the typed value of the destination
 // column, applying precision rounding for floats.  Empty fields become NULL.
-func (t *Transformer) convertField(ts *relstore.TableSchema, colName, raw string) (relstore.Value, error) {
+func convertField(f *fieldPlan, table, colName, raw string) (relstore.Value, error) {
 	raw = strings.TrimSpace(raw)
 	if raw == "" {
 		return relstore.Null, nil
 	}
-	idx := ts.ColumnIndex(colName)
-	if idx < 0 {
-		return relstore.Null, fmt.Errorf("table %q has no column %q", ts.Name, colName)
+	if !f.known {
+		return relstore.Null, fmt.Errorf("table %q has no column %q", table, colName)
 	}
-	col := ts.Columns[idx]
-	switch col.Type {
+	switch f.typ {
 	case relstore.TypeInt:
 		n, err := strconv.ParseInt(raw, 10, 64)
 		if err != nil {
@@ -117,14 +161,14 @@ func (t *Transformer) convertField(ts *relstore.TableSchema, colName, raw string
 		}
 		return relstore.Int(n), nil
 	case relstore.TypeFloat:
-		f, err := strconv.ParseFloat(raw, 64)
+		x, err := strconv.ParseFloat(raw, 64)
 		if err != nil {
 			return relstore.Null, fmt.Errorf("not a float: %q", raw)
 		}
-		if col.Precision > 0 {
-			f = relstore.RoundTo(f, col.Precision)
+		if f.precision > 0 {
+			x = relstore.RoundTo(x, f.precision)
 		}
-		return relstore.Float(f), nil
+		return relstore.Float(x), nil
 	case relstore.TypeBool:
 		b, err := strconv.ParseBool(raw)
 		if err != nil {
@@ -136,19 +180,10 @@ func (t *Transformer) convertField(ts *relstore.TableSchema, colName, raw string
 	}
 }
 
-// deriveObjectColumns computes the htmid and unit-sphere coordinates for an
-// OBJ record from its ra/dec fields.
-func (t *Transformer) deriveObjectColumns(rec Record, layout TagLayout, values []relstore.Value) ([]relstore.Value, error) {
-	raIdx, decIdx := -1, -1
-	for i, f := range layout.Fields {
-		switch f {
-		case "ra":
-			raIdx = i
-		case "dec":
-			decIdx = i
-		}
-	}
-	raV, decV := values[raIdx], values[decIdx]
+// appendObjectColumns appends the htmid and unit-sphere coordinates of an OBJ
+// record, computed from its ra/dec fields, to values.
+func (t *Transformer) appendObjectColumns(rec Record, p *tagPlan, values []relstore.Value) ([]relstore.Value, error) {
+	raV, decV := values[p.raIdx], values[p.decIdx]
 	if raV.Kind != relstore.KindFloat || decV.Kind != relstore.KindFloat {
 		return nil, &TransformError{Line: rec.Line, Tag: rec.Tag, Field: "ra/dec",
 			Reason: "object position missing, cannot compute htmid"}
@@ -164,10 +199,10 @@ func (t *Transformer) deriveObjectColumns(rec Record, layout TagLayout, values [
 		}
 	}
 	vec := htm.FromRaDec(ra, dec)
-	return []relstore.Value{htmVal,
+	return append(values, htmVal,
 		relstore.Float(relstore.RoundTo(vec.X, 8)),
 		relstore.Float(relstore.RoundTo(vec.Y, 8)),
-		relstore.Float(relstore.RoundTo(vec.Z, 8))}, nil
+		relstore.Float(relstore.RoundTo(vec.Z, 8))), nil
 }
 
 // ObjectColumns returns the full column list used for object inserts

@@ -202,6 +202,7 @@ func TestMetricsScrape(t *testing.T) {
 		"sky_wal_records_total", "sky_wal_syncs_total", "sky_wal_auto_syncs_total",
 		"sky_wal_group_commits_total",
 		"sky_buffer_cache_hits_total", "sky_index_key_bytes", "sky_index_ready",
+		"sky_relstore_resident_bytes",
 		// serving
 		"sky_serve_requests_total", "sky_serve_served_total", "sky_serve_shed_total",
 		"sky_result_cache_hits_total", "sky_serve_class_requests_total",
@@ -218,6 +219,10 @@ func TestMetricsScrape(t *testing.T) {
 	// Spot-check a value: rows inserted must be positive after the load.
 	if !strings.Contains(string(body), "sky_db_rows_inserted_total ") {
 		t.Error("no sky_db_rows_inserted_total sample")
+	}
+
+	if !strings.Contains(string(body), `sky_relstore_resident_bytes{table="objects"} `) {
+		t.Error("no sky_relstore_resident_bytes sample for the objects table")
 	}
 
 	// The per-class latency family must expose every class from the first

@@ -142,6 +142,12 @@ func (s *Server) WriteMetrics(out io.Writer) error {
 	p.Metric("sky_buffer_cache_scan_work_total", "LRU scan steps.", "counter")
 	p.SampleInt("sky_buffer_cache_scan_work_total", nil, snap.Cache.ScanWork)
 
+	// --- relstore: per-table memory footprint ---
+	p.Metric("sky_relstore_resident_bytes", "Memory held for stored rows (page data, slot and row directories, key-index entries), by table.", "gauge")
+	for _, ts := range snap.Tables {
+		p.SampleInt("sky_relstore_resident_bytes", tableLabels(ts.Name), ts.ResidentBytes)
+	}
+
 	// --- relstore: per-index memory footprint ---
 	p.Metric("sky_index_key_bytes", "Encoded key bytes stored, by index.", "gauge")
 	for _, ix := range snap.Indexes {
@@ -266,6 +272,10 @@ func (s *Server) WriteMetrics(out io.Writer) error {
 
 func indexLabels(table, index string) []metrics.Label {
 	return []metrics.Label{{Name: "table", Value: table}, {Name: "index", Value: index}}
+}
+
+func tableLabels(table string) []metrics.Label {
+	return []metrics.Label{{Name: "table", Value: table}}
 }
 
 func classLabels(class string) []metrics.Label {

@@ -82,10 +82,10 @@ func randomCatalog(t testing.TB, rng *rand.Rand, n int, raBase, decBase, spread 
 // distance filter and result ordering the indexed path uses.
 func bruteForceCone(t testing.TB, db *relstore.DB, ra, dec, radius float64) []Object {
 	t.Helper()
-	ts := db.Schema().Table(catalog.TObjects)
+	cols := newObjectCols(db.Schema().Table(catalog.TObjects))
 	var out []Object
-	err := db.ScanRef(catalog.TObjects, func(r relstore.Row) bool {
-		obj := decodeObject(ts, r)
+	err := db.ScanRef(catalog.TObjects, func(r relstore.RowView) bool {
+		obj := cols.decode(r)
 		if angularDistanceDeg(ra, dec, obj.RA, obj.Dec) <= radius {
 			out = append(out, obj)
 		}

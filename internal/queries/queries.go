@@ -45,29 +45,34 @@ type Object struct {
 	Mag      float64
 }
 
-// decodeObject converts a raw objects row.
-func decodeObject(ts *relstore.TableSchema, r relstore.Row) Object {
-	get := func(col string) relstore.Value { return r[ts.ColumnIndex(col)] }
-	obj := Object{}
-	if v := get("object_id"); v.Kind == relstore.KindInt {
-		obj.ObjectID = v.I
+// objectCols holds the positions of the columns an Object is decoded from,
+// resolved against the schema once per query rather than once per row.
+type objectCols struct {
+	objectID, frameID, ra, dec, htmID, mag int
+}
+
+func newObjectCols(ts *relstore.TableSchema) objectCols {
+	return objectCols{
+		objectID: ts.ColumnIndex("object_id"),
+		frameID:  ts.ColumnIndex("frame_id"),
+		ra:       ts.ColumnIndex("ra"),
+		dec:      ts.ColumnIndex("dec"),
+		htmID:    ts.ColumnIndex("htmid"),
+		mag:      ts.ColumnIndex("mag"),
 	}
-	if v := get("frame_id"); v.Kind == relstore.KindInt {
-		obj.FrameID = v.I
+}
+
+// decode reads an Object straight from a stored objects row; a NULL column
+// decodes as zero.
+func (c objectCols) decode(r relstore.RowView) Object {
+	return Object{
+		ObjectID: r.Int(c.objectID),
+		FrameID:  r.Int(c.frameID),
+		RA:       r.Float(c.ra),
+		Dec:      r.Float(c.dec),
+		HTMID:    r.Int(c.htmID),
+		Mag:      r.Float(c.mag),
 	}
-	if v := get("ra"); v.Kind == relstore.KindFloat {
-		obj.RA = v.F
-	}
-	if v := get("dec"); v.Kind == relstore.KindFloat {
-		obj.Dec = v.F
-	}
-	if v := get("htmid"); v.Kind == relstore.KindInt {
-		obj.HTMID = v.I
-	}
-	if v := get("mag"); v.Kind == relstore.KindFloat {
-		obj.Mag = v.F
-	}
-	return obj
 }
 
 // angularDistanceDeg returns the angular separation of two positions.
@@ -111,12 +116,13 @@ func ConeSearch(db *relstore.DB, raDeg, decDeg, radiusDeg float64) ([]Object, St
 	// fullScan is the index-free path: it answers when the index is absent,
 	// or when it exists under the deferred policy mid-load (suspended until
 	// Seal) and is missing the rows loaded so far.
+	cols := newObjectCols(ts)
 	fullScan := func() ([]Object, Stats, error) {
 		var stats Stats
 		var out []Object
-		err := db.ScanRef(catalog.TObjects, func(r relstore.Row) bool {
+		err := db.ScanRef(catalog.TObjects, func(r relstore.RowView) bool {
 			stats.RowsExamined++
-			obj := decodeObject(ts, r)
+			obj := cols.decode(r)
 			if angularDistanceDeg(raDeg, decDeg, obj.RA, obj.Dec) <= radiusDeg {
 				out = append(out, obj)
 			}
@@ -147,8 +153,20 @@ func ConeSearch(db *relstore.DB, raDeg, decDeg, radiusDeg float64) ([]Object, St
 		// trixels it spans — TrixelsScanned prices probes, not area.
 		stats.TrixelsScanned++
 		ids := rg.DescendantRange(htm.DefaultDepth - depth)
-		rows, err := db.RangeIndexed(catalog.TObjects, tuning.HTMIDIndexName,
-			[]relstore.Value{relstore.Int(ids.Lo)}, []relstore.Value{relstore.Int(ids.Hi)}, 0)
+		err := db.RangeIndexedRef(catalog.TObjects, tuning.HTMIDIndexName,
+			[]relstore.Value{relstore.Int(ids.Lo)}, []relstore.Value{relstore.Int(ids.Hi)},
+			func(r relstore.RowView) bool {
+				obj := cols.decode(r)
+				if seen[obj.ObjectID] {
+					return true
+				}
+				seen[obj.ObjectID] = true
+				stats.RowsExamined++
+				if angularDistanceDeg(raDeg, decDeg, obj.RA, obj.Dec) <= radiusDeg {
+					out = append(out, obj)
+				}
+				return true
+			})
 		if errors.Is(err, relstore.ErrIndexNotReady) {
 			// The index passed the Ready check above but a load phase opened
 			// mid-query and suspended it (real-concurrency engine).  Restart
@@ -158,17 +176,6 @@ func ConeSearch(db *relstore.DB, raDeg, decDeg, radiusDeg float64) ([]Object, St
 		}
 		if err != nil {
 			return nil, stats, err
-		}
-		for _, r := range rows {
-			obj := decodeObject(ts, r)
-			if seen[obj.ObjectID] {
-				continue
-			}
-			seen[obj.ObjectID] = true
-			stats.RowsExamined++
-			if angularDistanceDeg(raDeg, decDeg, obj.RA, obj.Dec) <= radiusDeg {
-				out = append(out, obj)
-			}
 		}
 	}
 	sortObjects(out)
@@ -184,25 +191,25 @@ func sortObjects(objs []Object) {
 
 // ObjectByID returns the object with the given primary key, or nil.
 func ObjectByID(db *relstore.DB, objectID int64) (*Object, error) {
-	ts := db.Schema().Table(catalog.TObjects)
-	row, err := db.LookupByPK(catalog.TObjects, []relstore.Value{relstore.Int(objectID)})
-	if err != nil || row == nil {
+	cols := newObjectCols(db.Schema().Table(catalog.TObjects))
+	var obj Object
+	found, err := db.LookupByPKRef(catalog.TObjects, []relstore.Value{relstore.Int(objectID)},
+		func(r relstore.RowView) { obj = cols.decode(r) })
+	if err != nil || !found {
 		return nil, err
 	}
-	obj := decodeObject(ts, row)
 	return &obj, nil
 }
 
 // ObjectsOnFrame returns every object detected on the given frame.
 func ObjectsOnFrame(db *relstore.DB, frameID int64) ([]Object, Stats, error) {
-	ts := db.Schema().Table(catalog.TObjects)
-	frameIdx := ts.ColumnIndex("frame_id")
+	cols := newObjectCols(db.Schema().Table(catalog.TObjects))
 	var out []Object
 	var stats Stats
-	err := db.ScanRef(catalog.TObjects, func(r relstore.Row) bool {
+	err := db.ScanRef(catalog.TObjects, func(r relstore.RowView) bool {
 		stats.RowsExamined++
-		if v := r[frameIdx]; v.Kind == relstore.KindInt && v.I == frameID {
-			out = append(out, decodeObject(ts, r))
+		if !r.IsNull(cols.frameID) && r.Int(cols.frameID) == frameID {
+			out = append(out, cols.decode(r))
 		}
 		return true
 	})
@@ -226,9 +233,9 @@ func MagnitudeHistogram(db *relstore.DB, binWidth float64) ([]MagnitudeBin, erro
 	ts := db.Schema().Table(catalog.TObjects)
 	magIdx := ts.ColumnIndex("mag")
 	counts := map[int64]int64{}
-	err := db.ScanRef(catalog.TObjects, func(r relstore.Row) bool {
-		if v := r[magIdx]; v.Kind == relstore.KindFloat {
-			counts[int64(math.Floor(v.F/binWidth))]++
+	err := db.ScanRef(catalog.TObjects, func(r relstore.RowView) bool {
+		if !r.IsNull(magIdx) {
+			counts[int64(math.Floor(r.Float(magIdx)/binWidth))]++
 		}
 		return true
 	})
@@ -264,10 +271,7 @@ func VariabilityCandidates(db *relstore.DB, matchDepth int) (map[int64][]int64, 
 	if matchDepth <= 0 || matchDepth > htm.DefaultDepth {
 		return nil, fmt.Errorf("queries: match depth %d out of range", matchDepth)
 	}
-	ts := db.Schema().Table(catalog.TObjects)
-	htmIdx := ts.ColumnIndex("htmid")
-	idIdx := ts.ColumnIndex("object_id")
-	frameIdx := ts.ColumnIndex("frame_id")
+	cols := newObjectCols(db.Schema().Table(catalog.TObjects))
 	shift := uint(2 * (htm.DefaultDepth - matchDepth))
 
 	type member struct {
@@ -275,14 +279,12 @@ func VariabilityCandidates(db *relstore.DB, matchDepth int) (map[int64][]int64, 
 		frameID  int64
 	}
 	groups := map[int64][]member{}
-	err := db.ScanRef(catalog.TObjects, func(r relstore.Row) bool {
-		hv, ov, fv := r[htmIdx], r[idIdx], r[frameIdx]
-		if hv.Kind != relstore.KindInt || ov.Kind != relstore.KindInt || fv.Kind != relstore.KindInt {
+	err := db.ScanRef(catalog.TObjects, func(r relstore.RowView) bool {
+		if r.IsNull(cols.htmID) || r.IsNull(cols.objectID) || r.IsNull(cols.frameID) {
 			return true
 		}
-		id, oid, fid := hv.I, ov.I, fv.I
-		key := id >> shift
-		groups[key] = append(groups[key], member{objectID: oid, frameID: fid})
+		key := r.Int(cols.htmID) >> shift
+		groups[key] = append(groups[key], member{objectID: r.Int(cols.objectID), frameID: r.Int(cols.frameID)})
 		return true
 	})
 	if err != nil {

@@ -51,11 +51,11 @@ func loadedRepo(t *testing.T, policy tuning.IndexPolicy) *relstore.DB {
 // anyObject returns one loaded object for use as a query target.
 func anyObject(t *testing.T, db *relstore.DB) Object {
 	t.Helper()
-	ts := db.Schema().Table(catalog.TObjects)
+	cols := newObjectCols(db.Schema().Table(catalog.TObjects))
 	var obj Object
 	found := false
-	_ = db.Scan(catalog.TObjects, func(r relstore.Row) bool {
-		obj = decodeObject(ts, r)
+	_ = db.ScanRef(catalog.TObjects, func(r relstore.RowView) bool {
+		obj = cols.decode(r)
 		found = true
 		return false
 	})

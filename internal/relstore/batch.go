@@ -138,10 +138,10 @@ func (db *DB) insertBatch(txn *Txn, tableName string, columns []string, rows [][
 
 // buildRowsBatch resolves the column list once and coerces every row of the
 // batch onto full schema-ordered rows.  The returned rows are carved out of
-// one arena allocation, since the heap retains them for the life of the
-// table; a per-row allocation here would put the n mallocs the batch path
-// exists to amortize right back.  On error the returned prefix holds the
-// rows built before the failure (its length is the failing index).
+// the transaction scratch's arena: the heap packs them into its pages and the
+// log encodes them before InsertBatch returns, so nothing keeps them and the
+// next batch reuses the memory.  On error the returned prefix holds the rows
+// built before the failure (its length is the failing index).
 func (t *Table) buildRowsBatch(sc *scratch, columns []string, rows [][]Value) ([]Row, error) {
 	ncols := len(t.schema.Columns)
 	colIdxs := make([]int, len(columns))
@@ -158,7 +158,7 @@ func (t *Table) buildRowsBatch(sc *scratch, columns []string, rows [][]Value) ([
 		kinds[i] = canonicalKind(t.schema.Columns[idx].Type)
 	}
 	built := sc.batchRows(len(rows))
-	arena := make([]Value, len(rows)*ncols)
+	arena := sc.batchArena(len(rows) * ncols)
 	for _, vals := range rows {
 		if len(vals) != len(columns) {
 			return built, &ConstraintError{Kind: KindArity, Table: t.schema.Name,
@@ -223,16 +223,15 @@ func canonicalKind(t ColType) ValueKind {
 func (t *Table) insertBatchLocked(db *DB, txn *Txn, built []Row, rep *OpReport) (inserted, firstPage, lastPage int, err error) {
 	sc := txn.sc
 
-	// Intern the primary-key and unique-constraint encodings of the whole
-	// batch into one string before locking anything: the row loop probes and
-	// stores substrings of it, so the n pk-string and n×uniques allocations
-	// of the per-row path collapse into one.
+	// Intern the encodings of the whole batch's encoded-representation keys
+	// (see keyIndex) into one string before locking anything: the row loop
+	// probes and stores substrings of it, so the per-key string allocations of
+	// the per-row path collapse into one.  Integer keys need no encoding.
 	blob, offs := t.encodeBatchKeys(sc, built)
-	stride := 1 + len(t.uniqueCols)
 
 	chunk := db.cfg.BatchLockChunk
 	if chunk <= 0 || chunk >= len(built) {
-		return t.applyBatchChunk(db, txn, built, 0, blob, offs, stride, rep)
+		return t.applyBatchChunk(db, txn, built, 0, blob, offs, rep)
 	}
 	firstPage, lastPage = -1, -1
 	for start := 0; start < len(built); start += chunk {
@@ -240,7 +239,7 @@ func (t *Table) insertBatchLocked(db *DB, txn *Txn, built []Row, rep *OpReport) 
 		if end > len(built) {
 			end = len(built)
 		}
-		n, fp, lp, cerr := t.applyBatchChunk(db, txn, built[start:end], start, blob, offs, stride, rep)
+		n, fp, lp, cerr := t.applyBatchChunk(db, txn, built[start:end], start, blob, offs, rep)
 		inserted += n
 		if fp >= 0 && firstPage < 0 {
 			firstPage = fp
@@ -274,15 +273,22 @@ func (t *Table) insertBatchLocked(db *DB, txn *Txn, built []Row, rep *OpReport) 
 // releases parent locks together with the table lock between chunks — keeping
 // a parent read lock across a re-acquisition of the child lock would invert
 // the nesting order against a concurrent batch and could deadlock.
-func (t *Table) applyBatchChunk(db *DB, txn *Txn, built []Row, base int, blob string, offs []int, stride int, rep *OpReport) (inserted, firstPage, lastPage int, err error) {
+func (t *Table) applyBatchChunk(db *DB, txn *Txn, built []Row, base int, blob string, offs []int, rep *OpReport) (inserted, firstPage, lastPage int, err error) {
 	sc := txn.sc
-	encAt := func(idx int) string {
+	// encAt returns the interned encoding of row ri's key in k, or "" for an
+	// integer key.
+	encAt := func(k *keyIndex, ri int) string {
+		if !k.encoded() {
+			return ""
+		}
+		idx := ri*t.encodedKeys + k.encSlot
 		start := 0
 		if idx > 0 {
 			start = offs[idx-1]
 		}
 		return blob[start:offs[idx]]
 	}
+	uniqueEncs := sc.uniqueEncs(len(t.uniques))
 
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -318,19 +324,17 @@ func (t *Table) applyBatchChunk(db *DB, txn *Txn, built []Row, base int, blob st
 				Column: t.schema.PrimaryKey[0], Detail: "NULL in primary key"}
 			break
 		}
-		pkEnc := encAt(ri * stride)
-		if _, dup := t.pkIndex[pkEnc]; dup {
-			firstErr = &ConstraintError{Kind: KindPrimaryKey, Table: t.schema.Name,
-				Constraint: "pk_" + t.schema.Name, Detail: "duplicate key " + pkEnc}
+		pkEnc := encAt(t.pk, ri)
+		if t.pk.has(row, pkEnc) {
+			firstErr = t.dupKeyError(sc, KindPrimaryKey, "pk_"+t.schema.Name, row, t.pkCols)
 			break
 		}
 
-		for i := range t.uniqueCols {
+		for i, u := range t.uniques {
 			rep.ConstraintChecks++
-			uEnc := encAt(ri*stride + 1 + i)
-			if _, dup := t.uniqueMaps[i][uEnc]; dup {
-				firstErr = &ConstraintError{Kind: KindUnique, Table: t.schema.Name,
-					Constraint: t.uniqueNames[i], Detail: "duplicate key " + uEnc}
+			uniqueEncs[i] = encAt(u, ri)
+			if u.has(row, uniqueEncs[i]) {
+				firstErr = t.dupKeyError(sc, KindUnique, t.uniqueNames[i], row, u.cols)
 				break
 			}
 		}
@@ -346,10 +350,7 @@ func (t *Table) applyBatchChunk(db *DB, txn *Txn, built []Row, base int, blob st
 		t.nextRow++
 		loc, newPage, rb := t.heap.append(row)
 		t.rows.append(loc)
-		t.pkIndex[pkEnc] = id
-		for i := range t.uniqueCols {
-			t.uniqueMaps[i][encAt(ri*stride+1+i)] = id
-		}
+		t.putKeys(row, pkEnc, uniqueEncs, id)
 
 		rep.RowsInserted++
 		rep.RowBytes += rb
@@ -358,9 +359,9 @@ func (t *Table) applyBatchChunk(db *DB, txn *Txn, built []Row, base int, blob st
 			rep.CacheMisses++ // a fresh block is always a cache miss
 		}
 		if len(ids) == 0 {
-			firstPage = loc.pageIdx
+			firstPage = int(loc.page)
 		}
-		lastPage = loc.pageIdx
+		lastPage = int(loc.page)
 		ids = append(ids, id)
 	}
 
@@ -484,20 +485,28 @@ func (t *Table) bulkIndexInsertInt64(sc *scratch, ix *Index, rows []Row, ids []i
 	return true
 }
 
-// encodeBatchKeys interns the primary-key and unique-constraint encodings of
-// every built row into a single string, returning it together with the flat
-// end-offset table ((1 + len(uniqueCols)) entries per row, in row order).
-// It reads only the immutable schema and the built rows, so it runs before
-// any lock is taken.
+// encodeBatchKeys interns the encodings of every built row's
+// encoded-representation keys (primary key first, then the unique
+// constraints; integer keys are skipped) into a single string, returning it
+// with the flat end-offset table — t.encodedKeys entries per row, in row order,
+// a key's position within its row being keyIndex.encSlot.  It reads only the
+// immutable schema and the built rows, so it runs before any lock is taken.
 func (t *Table) encodeBatchKeys(sc *scratch, built []Row) (string, []int) {
+	if t.encodedKeys == 0 {
+		return "", nil
+	}
 	buf := sc.encBuf[:0]
 	offs := sc.encOffs[:0]
 	for _, row := range built {
-		buf = AppendKey(buf, sc.keyOf(row, t.pkCols))
-		offs = append(offs, len(buf))
-		for _, cols := range t.uniqueCols {
-			buf = AppendKey(buf, sc.keyOf(row, cols))
+		if t.pk.encoded() {
+			buf = AppendKey(buf, sc.keyOf(row, t.pkCols))
 			offs = append(offs, len(buf))
+		}
+		for _, u := range t.uniques {
+			if u.encoded() {
+				buf = AppendKey(buf, sc.keyOf(row, u.cols))
+				offs = append(offs, len(buf))
+			}
 		}
 	}
 	sc.encBuf = buf

@@ -112,7 +112,7 @@ func TestInsertBatchChunkBoundaryVisibility(t *testing.T) {
 				epochBefore := db.TableEpoch("objects")
 				_, stable, err := db.SnapshotRead("objects", func() error {
 					n = 0
-					return db.ScanRef("objects", func(Row) bool {
+					return db.ScanRef("objects", func(RowView) bool {
 						n++
 						return true
 					})

@@ -33,9 +33,9 @@ func engineState(t *testing.T, db *DB) string {
 		tbl := db.Table(name)
 		fmt.Fprintf(&b, "table %s rows=%d epoch=%d pending=%d\n",
 			name, tbl.RowCount(), tbl.CommitEpoch(), tbl.UncommittedRows())
-		if err := db.ScanRef(name, func(r Row) bool {
-			for _, v := range r {
-				b.WriteString(FormatValue(v))
+		if err := db.ScanRef(name, func(r RowView) bool {
+			for c := 0; c < r.Len(); c++ {
+				b.WriteString(FormatValue(r.Value(c)))
 				b.WriteByte('|')
 			}
 			b.WriteByte('\n')
@@ -82,8 +82,62 @@ func statsFingerprint(db *DB) string {
 // foreign keys to point at.
 func batchPropertyDB(t *testing.T, extra ...Option) *DB {
 	t.Helper()
+	return batchPropertyDBOn(t, testSchema(t), extra...)
+}
+
+// keyShapes are the primary-key shapes of objects the insert-path properties
+// run over, covering both keyIndex representations.
+var keyShapes = []struct {
+	name    string
+	encoded bool // the representation the shape must select
+}{
+	{"int", false},      // object_id INTEGER: keyed by the int64 payload
+	{"composite", true}, // (object_id, frame_id): keyed by the encoding
+	{"string", true},    // object_id VARCHAR: keyed by the encoding
+}
+
+// keyShapeSchema is testSchema's frames and objects tables with the objects
+// primary key in the named shape.  Rows keep arriving as (Int id, Int frame,
+// Float mag); the string shape coerces the id to text.
+func keyShapeSchema(t testing.TB, shape string) *Schema {
+	t.Helper()
+	objects := &TableSchema{
+		Name: "objects",
+		Columns: []Column{
+			{Name: "object_id", Type: TypeInt},
+			{Name: "frame_id", Type: TypeInt},
+			{Name: "mag", Type: TypeFloat},
+		},
+		PrimaryKey: []string{"object_id"},
+		ForeignKeys: []ForeignKey{
+			{Name: "fk_obj_frame", Columns: []string{"frame_id"}, RefTable: "frames", RefColumns: []string{"frame_id"}},
+		},
+		Checks: []CheckConstraint{{Name: "ck_mag", Column: "mag", Min: fp(0), Max: fp(40)}},
+	}
+	switch shape {
+	case "composite":
+		objects.PrimaryKey = []string{"object_id", "frame_id"}
+	case "string":
+		objects.Columns[0].Type = TypeString
+	}
+	s, err := NewSchema(&TableSchema{
+		Name: "frames",
+		Columns: []Column{
+			{Name: "frame_id", Type: TypeInt},
+			{Name: "exposure", Type: TypeFloat, Nullable: true},
+		},
+		PrimaryKey: []string{"frame_id"},
+	}, objects)
+	if err != nil {
+		t.Fatalf("NewSchema: %v", err)
+	}
+	return s
+}
+
+func batchPropertyDBOn(t *testing.T, schema *Schema, extra ...Option) *DB {
+	t.Helper()
 	opts := append([]Option{WithBTreeDegree(3), WithCache(64), WithDirtyFlushPages(8)}, extra...)
-	db := MustOpen(testSchema(t), opts...)
+	db := MustOpen(schema, opts...)
 	// ix_mag exercises the float comparator, ix_frame the raw-int64 sort
 	// path (both duplicate-heavy), and the composite index the generic one.
 	if _, err := db.CreateIndex("objects", "ix_mag", []string{"mag"}, false); err != nil {
@@ -151,15 +205,29 @@ func randomObjectBatch(rng *rand.Rand, base int64, nextID *int64, size int) [][]
 // per-row reference loop — across mid-transaction checks, commits and
 // rollbacks.  The same batches also run through a chunked-lock database
 // (WithBatchLockChunk), which must be indistinguishable from the monolithic
-// path at every observation point.
+// path at every observation point.  It runs once per primary-key shape, so
+// both key-index representations answer the same duplicate, NULL-key and
+// rollback cases.
 func TestInsertBatchMatchesPerRow(t *testing.T) {
+	for _, shape := range keyShapes {
+		t.Run(shape.name, func(t *testing.T) {
+			schema := keyShapeSchema(t, shape.name)
+			if got := batchPropertyDBOn(t, schema).Table("objects").pk.encoded(); got != shape.encoded {
+				t.Fatalf("objects primary key: encoded representation = %v, want %v", got, shape.encoded)
+			}
+			insertBatchMatchesPerRow(t, schema)
+		})
+	}
+}
+
+func insertBatchMatchesPerRow(t *testing.T, schema *Schema) {
 	rng := rand.New(rand.NewSource(20051112))
 	cols := []string{"object_id", "frame_id", "mag"}
 
 	for trial := 0; trial < 60; trial++ {
-		ref := batchPropertyDB(t)                           // per-row reference
-		got := batchPropertyDB(t)                           // batch-apply path
-		chk := batchPropertyDB(t, WithBatchLockChunk(7))    // chunked-lock batch apply
+		ref := batchPropertyDBOn(t, schema)                        // per-row reference
+		got := batchPropertyDBOn(t, schema)                        // batch-apply path
+		chk := batchPropertyDBOn(t, schema, WithBatchLockChunk(7)) // chunked-lock batch apply
 		base := int64(trial * 1000)
 		nextRef, nextGot, nextChk := base, base, base
 
@@ -208,6 +276,9 @@ func TestInsertBatchMatchesPerRow(t *testing.T) {
 					t.Fatalf("trial %d batch %d: violation kinds diverge: %s vs %s vs %s (%v vs %v vs %v)",
 						trial, bi, rk, gk, ck, refErr, gotErr, chkErr)
 				}
+				if refErr.Error() != gotErr.Error() || refErr.Error() != chkErr.Error() {
+					t.Fatalf("trial %d batch %d: violation text diverges:\n%v\n%v\n%v", trial, bi, refErr, gotErr, chkErr)
+				}
 			}
 			// Mid-transaction: rows applied so far and pending counters agree.
 			rs := engineState(t, ref)
@@ -246,6 +317,11 @@ func TestInsertBatchMatchesPerRow(t *testing.T) {
 		}
 		if cf := statsFingerprint(chk); rf != cf {
 			t.Fatalf("trial %d: stats diverge:\n--- per-row ---\n%s--- chunked ---\n%s", trial, rf, cf)
+		}
+		for _, db := range []*DB{ref, got, chk} {
+			if err := db.VerifyPrimaryKeys(); err != nil {
+				t.Fatalf("trial %d: %v", trial, err)
+			}
 		}
 	}
 }

@@ -191,24 +191,19 @@ func encodeCheckpoint(seq, boundary, maxTxn int64, tables []*Table) []byte {
 			count = 0
 			rowsPayload = rowsPayload[:0]
 		}
-		for id, loc := range t.rows.locs {
-			if loc.pageIdx < 0 {
-				continue
-			}
-			row := t.heap.get(loc)
-			if row == nil {
-				continue
-			}
+		t.scanRowsByID(func(id int64, row RowView) {
 			rowsPayload = binary.LittleEndian.AppendUint64(rowsPayload, uint64(id))
 			lenAt := len(rowsPayload)
 			rowsPayload = append(rowsPayload, 0, 0, 0, 0)
-			rowsPayload = appendWALRow(rowsPayload, row)
+			for c := 0; c < row.Len(); c++ {
+				rowsPayload = appendWALValue(rowsPayload, row.val(c))
+			}
 			binary.LittleEndian.PutUint32(rowsPayload[lenAt:lenAt+4], uint32(len(rowsPayload)-lenAt-4))
 			count++
 			if count >= ckptRowsPerRecord {
 				flush()
 			}
-		}
+		})
 		flush()
 	}
 	buf = appendWALFrame(buf, []byte{ckptRecEnd})

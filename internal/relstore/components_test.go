@@ -150,13 +150,13 @@ func TestLockManagerTableWriters(t *testing.T) {
 }
 
 func TestHeapStorePaging(t *testing.T) {
-	h := newHeapStore()
+	h := newHeapStore(newRowLayout([]Column{{Name: "blob", Type: TypeString}}))
 	// Rows of ~1 KB should produce multiple 8 KB pages.
 	big := make(Row, 1)
 	big[0] = Str(string(make([]byte, 1000)))
 	var newPages int
 	for i := 0; i < 30; i++ {
-		_, fresh, _ := h.append(big.Clone())
+		_, fresh, _ := h.append(big)
 		if fresh {
 			newPages++
 		}
@@ -168,7 +168,10 @@ func TestHeapStorePaging(t *testing.T) {
 		t.Fatalf("rowCount = %d", h.rowCount)
 	}
 	var visited int
-	h.scan(func(_ int64, r Row) bool {
+	h.scan(func(r RowView) bool {
+		if len(r.val(0).S) != 1000 {
+			t.Fatalf("row %d: stored string of %d bytes, want 1000", visited, len(r.val(0).S))
+		}
 		visited++
 		return true
 	})

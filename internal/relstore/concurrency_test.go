@@ -171,7 +171,7 @@ func TestConcurrentReadersAndWriters(t *testing.T) {
 				default:
 				}
 				n := int64(0)
-				_ = db.ScanRef("objects", func(Row) bool { n++; return true })
+				_ = db.ScanRef("objects", func(RowView) bool { n++; return true })
 				if _, err := db.Aggregate("objects", "mag"); err != nil {
 					t.Errorf("aggregate: %v", err)
 					return

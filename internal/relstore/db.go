@@ -378,7 +378,7 @@ func (db *DB) insert(txn *Txn, tableName string, columns []string, values []Valu
 		return rep, &ConstraintError{Kind: KindUnknownTable, Table: tableName}
 	}
 	sc := txn.sc
-	row, err := t.buildRow(columns, values)
+	row, err := t.buildRow(sc, columns, values)
 	if err != nil {
 		db.recordViolation(err)
 		return rep, err
@@ -415,7 +415,7 @@ func (db *DB) insert(txn *Txn, tableName string, columns []string, values []Valu
 	if dev := db.wal.dev.Load(); dev != nil {
 		dev.logInsert(t.tid, txn.id, id, []Row{row})
 	}
-	miss, _ := db.cache.Touch(tableName, loc.pageIdx, true)
+	miss, _ := db.cache.Touch(tableName, int(loc.page), true)
 	if miss {
 		rep.CacheMisses++
 	}

@@ -70,33 +70,21 @@ func (db *DB) Count(table string) (int64, error) {
 // held for the duration of the scan, so the visitor must not call write
 // operations on the same table.
 func (db *DB) Scan(table string, visit func(Row) bool) error {
-	t, ok := db.tables[table]
-	if !ok {
-		return ErrNoSuchTable
-	}
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	t.heap.scan(func(_ int64, r Row) bool {
-		return visit(r.Clone())
-	})
-	return nil
+	return db.ScanRef(table, func(v RowView) bool { return visit(v.Row()) })
 }
 
-// ScanRef is Scan without the per-row copy: visit receives the stored row
-// itself.  It exists for read-only consumers on hot paths (query decoding,
-// bulk publishing); the visitor must not mutate the row or retain it across
-// writes to the table.  Like Scan, it holds the table's read lock while the
-// visitor runs.
-func (db *DB) ScanRef(table string, visit func(Row) bool) error {
+// ScanRef is Scan without the per-row copy: visit receives a view of the
+// stored row (see RowView for its lifetime rule).  It exists for read-only
+// consumers on hot paths (query decoding).  Like Scan, it holds the table's
+// read lock while the visitor runs.
+func (db *DB) ScanRef(table string, visit func(RowView) bool) error {
 	t, ok := db.tables[table]
 	if !ok {
 		return ErrNoSuchTable
 	}
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	t.heap.scan(func(_ int64, r Row) bool {
-		return visit(r)
-	})
+	t.heap.scan(visit)
 	return nil
 }
 
@@ -118,17 +106,32 @@ func (db *DB) SelectWhere(table string, pred func(Row) bool, limit int) ([]Row, 
 
 // LookupByPK returns the row whose primary key equals key, or nil.
 func (db *DB) LookupByPK(table string, key []Value) (Row, error) {
+	var row Row
+	_, err := db.LookupByPKRef(table, key, func(v RowView) { row = v.Row() })
+	return row, err
+}
+
+// LookupByPKRef is LookupByPK without the row copy: when a row with the given
+// primary key exists, visit receives a view of it under the table's read
+// lock and found is true.
+func (db *DB) LookupByPKRef(table string, key []Value, visit func(RowView)) (found bool, err error) {
 	t, ok := db.tables[table]
 	if !ok {
-		return nil, ErrNoSuchTable
+		return false, ErrNoSuchTable
 	}
 	sc := db.scratchPool.Get().(*scratch)
-	id, ok := t.pkRowID(sc, key)
-	db.scratchPool.Put(sc)
+	defer db.scratchPool.Put(sc)
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	id, ok := t.pk.lookup(sc, key)
 	if !ok {
-		return nil, nil
+		return false, nil
 	}
-	return t.getRow(id), nil
+	v, ok := t.viewLocked(id)
+	if ok {
+		visit(v)
+	}
+	return ok, nil
 }
 
 // SelectEqualIndexed returns rows whose indexed columns equal key, using the
@@ -152,26 +155,38 @@ func (db *DB) SelectEqualIndexed(table, index string, key []Value) ([]Row, int, 
 	db.scratchPool.Put(sc)
 	out := make([]Row, 0, len(ids))
 	for _, id := range ids {
-		if r := t.getRowLocked(id); r != nil {
-			out = append(out, r.Clone())
+		if v, ok := t.viewLocked(id); ok {
+			out = append(out, v.Row())
 		}
 	}
 	return out, visited, nil
 }
 
 // RangeIndexed returns rows whose indexed key lies in [from, to] using the
-// named secondary index.
+// named secondary index, up to limit rows (limit <= 0 means no limit).
 func (db *DB) RangeIndexed(table, index string, from, to []Value, limit int) ([]Row, error) {
+	var out []Row
+	err := db.RangeIndexedRef(table, index, from, to, func(v RowView) bool {
+		out = append(out, v.Row())
+		return limit <= 0 || len(out) < limit
+	})
+	return out, err
+}
+
+// RangeIndexedRef is RangeIndexed without the row copies: visit receives a
+// view of each row whose indexed key lies in [from, to], in index order, under
+// the table's read lock; it returns false to stop.
+func (db *DB) RangeIndexedRef(table, index string, from, to []Value, visit func(RowView) bool) error {
 	t, ok := db.tables[table]
 	if !ok {
-		return nil, ErrNoSuchTable
+		return ErrNoSuchTable
 	}
 	ix := t.Index(index)
 	if ix == nil {
-		return nil, ErrNoSuchIndex
+		return ErrNoSuchIndex
 	}
 	if !ix.Ready() {
-		return nil, ErrIndexNotReady
+		return ErrIndexNotReady
 	}
 	// Encode both bounds into one pooled buffer and slice it afterwards, so
 	// growth between the two appends cannot invalidate the first bound.  A
@@ -195,19 +210,15 @@ func (db *DB) RangeIndexed(table, index string, from, to []Value, limit int) ([]
 	}
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	var out []Row
 	ix.tree.AscendRange(fromB, toB, func(_ []byte, ids []int64) bool {
 		for _, id := range ids {
-			if r := t.getRowLocked(id); r != nil {
-				out = append(out, r.Clone())
-				if limit > 0 && len(out) >= limit {
-					return false
-				}
+			if v, ok := t.viewLocked(id); ok && !visit(v) {
+				return false
 			}
 		}
 		return true
 	})
-	return out, nil
+	return nil
 }
 
 // AggregateResult summarizes a numeric column.
@@ -233,10 +244,9 @@ func (db *DB) Aggregate(table, column string) (AggregateResult, error) {
 	res := AggregateResult{Min: math.Inf(1), Max: math.Inf(-1)}
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	t.heap.scan(func(_ int64, r Row) bool {
-		v := r[idx]
+	t.heap.scan(func(r RowView) bool {
 		var f float64
-		switch v.Kind {
+		switch v := r.val(idx); v.Kind {
 		case KindInt:
 			f = float64(v.I)
 		case KindFloat:
@@ -279,10 +289,18 @@ func (db *DB) VerifyIntegrity() (orphans int64, err error) {
 		if len(ts.ForeignKeys) == 0 {
 			continue
 		}
+		// Only the foreign-key columns of each stored row are read out, into
+		// one reused row; the others stay NULL and are never looked at.
+		row := make(Row, len(ts.Columns))
 		t.mu.RLock()
-		t.heap.scan(func(_ int64, r Row) bool {
+		t.heap.scan(func(v RowView) bool {
+			for _, cols := range t.fkColIdxs {
+				for _, c := range cols {
+					row[c] = v.val(c)
+				}
+			}
 			var rep OpReport
-			if e := db.checkForeignKeys(&sc, t, r, &rep, t, false); e != nil {
+			if e := db.checkForeignKeys(&sc, t, row, &rep, t, false); e != nil {
 				orphans++
 			}
 			return true
@@ -298,29 +316,38 @@ func (db *DB) VerifyPrimaryKeys() error {
 	var sc scratch
 	for _, name := range db.schema.TableNames() {
 		t := db.tables[name]
-		seen := make(map[string]bool)
-		var dup error
+		seen := t.pk.emptyLike()
+		// Only the key columns of each stored row are read out, into one
+		// reused row, the shape the key index probes take.
+		row := make(Row, len(t.schema.Columns))
+		var bad error
 		t.mu.RLock()
-		t.heap.scan(func(_ int64, r Row) bool {
-			enc := EncodeKey(sc.keyOf(r, t.pkCols))
-			if seen[enc] {
-				dup = fmt.Errorf("relstore: duplicate primary key %s in table %q", enc, name)
+		t.heap.scan(func(v RowView) bool {
+			for _, c := range t.pkCols {
+				row[c] = v.val(c)
+			}
+			enc := seen.encOf(&sc, row)
+			if seen.has(row, enc) {
+				bad = fmt.Errorf("relstore: duplicate primary key %s in table %q", EncodeKey(sc.keyOf(row, t.pkCols)), name)
 				return false
 			}
-			seen[enc] = true
-			if _, ok := t.pkIndex[enc]; !ok {
-				dup = fmt.Errorf("relstore: primary key %s of table %q missing from index", enc, name)
+			seen.put(row, enc, 0)
+			if !t.pk.has(row, enc) {
+				bad = fmt.Errorf("relstore: primary key %s of table %q missing from index", EncodeKey(sc.keyOf(row, t.pkCols)), name)
 				return false
 			}
 			return true
 		})
-		rows := t.heap.rowCount
+		rows, keys := t.heap.rowCount, int64(t.pk.len())
 		t.mu.RUnlock()
-		if dup != nil {
-			return dup
+		if bad != nil {
+			return bad
 		}
-		if int64(len(seen)) != rows {
-			return fmt.Errorf("relstore: table %q has %d rows but %d distinct keys", name, rows, len(seen))
+		if int64(seen.len()) != rows {
+			return fmt.Errorf("relstore: table %q has %d rows but %d distinct keys", name, rows, seen.len())
+		}
+		if keys != rows {
+			return fmt.Errorf("relstore: table %q has %d rows but its primary-key index holds %d keys", name, rows, keys)
 		}
 	}
 	return nil

@@ -411,41 +411,53 @@ func (t *Table) replayContiguous(sc *scratch, firstID int64, rows []Row) error {
 // secondary indexes.  Gaps below id are tombstoned (rollbacks punched holes
 // in the original id sequence); an id may also land in an existing tombstone,
 // because concurrent writers can append their records to the log out of id
-// order.  t.mu must be write-held.
+// order.  The log is outside input: a row the insert path could not have
+// stored (wrong width, a value of another kind than its column, NULL in the
+// primary key) is corruption, not a panic.  t.mu must be write-held.
 func (t *Table) replayOneLocked(sc *scratch, id int64, row Row) error {
 	if len(row) != len(t.schema.Columns) {
 		return fmt.Errorf("%w: row width %d for table %q", ErrWALCorrupt, len(row), t.schema.Name)
 	}
-	if id < int64(len(t.rows.locs)) {
-		if t.rows.locs[id].pageIdx >= 0 {
-			return fmt.Errorf("%w: duplicate row id %d in table %q", ErrWALCorrupt, id, t.schema.Name)
+	for i := range row {
+		if k := row[i].Kind; k != KindNull && k != t.heap.lay.kinds[i] {
+			return fmt.Errorf("%w: %s value in column %q of table %q", ErrWALCorrupt, k, t.schema.Columns[i].Name, t.schema.Name)
 		}
-		loc, _, _ := t.heap.append(row)
+	}
+	for _, c := range t.pkCols {
+		if row[c].IsNull() {
+			return fmt.Errorf("%w: NULL primary key in table %q during replay", ErrWALCorrupt, t.schema.Name)
+		}
+	}
+	if id < int64(len(t.rows.locs)) && t.rows.locs[id] != noLoc {
+		return fmt.Errorf("%w: duplicate row id %d in table %q", ErrWALCorrupt, id, t.schema.Name)
+	}
+	pkEnc := t.pk.encOf(sc, row)
+	if t.pk.has(row, pkEnc) {
+		return fmt.Errorf("%w: duplicate primary key in table %q during replay", ErrWALCorrupt, t.schema.Name)
+	}
+	uniqueEncs := sc.uniqueEncs(len(t.uniques))
+	for i, u := range t.uniques {
+		uniqueEncs[i] = u.encOf(sc, row)
+		if u.has(row, uniqueEncs[i]) {
+			return fmt.Errorf("%w: duplicate unique key %q in table %q during replay",
+				ErrWALCorrupt, t.uniqueNames[i], t.schema.Name)
+		}
+	}
+
+	for int64(len(t.rows.locs)) < id {
+		t.rows.locs = append(t.rows.locs, noLoc)
+	}
+	loc, _, _ := t.heap.append(row)
+	if id < int64(len(t.rows.locs)) {
 		t.rows.locs[id] = loc
 		t.rows.live++
 	} else {
-		for int64(len(t.rows.locs)) < id {
-			t.rows.locs = append(t.rows.locs, rowLoc{pageIdx: -1})
-		}
-		loc, _, _ := t.heap.append(row)
 		t.rows.append(loc)
 	}
 	if id >= t.nextRow {
 		t.nextRow = id + 1
 	}
-	pkEnc := string(sc.encodeKey(sc.keyOf(row, t.pkCols)))
-	if _, dup := t.pkIndex[pkEnc]; dup {
-		return fmt.Errorf("%w: duplicate primary key in table %q during replay", ErrWALCorrupt, t.schema.Name)
-	}
-	t.pkIndex[pkEnc] = id
-	for i, cols := range t.uniqueCols {
-		enc := string(sc.encodeKey(sc.keyOf(row, cols)))
-		if _, dup := t.uniqueMaps[i][enc]; dup {
-			return fmt.Errorf("%w: duplicate unique key %q in table %q during replay",
-				ErrWALCorrupt, t.uniqueNames[i], t.schema.Name)
-		}
-		t.uniqueMaps[i][enc] = id
-	}
+	t.putKeys(row, pkEnc, uniqueEncs, id)
 	for _, ix := range t.liveList {
 		ix.tree.Insert(sc.ordKey(sc.keyOf(row, ix.colIdxs)), id)
 	}
@@ -463,6 +475,6 @@ func (t *Table) setNextRowFloor(n int64) {
 		t.nextRow = n
 	}
 	for int64(len(t.rows.locs)) < t.nextRow {
-		t.rows.locs = append(t.rows.locs, rowLoc{pageIdx: -1})
+		t.rows.locs = append(t.rows.locs, noLoc)
 	}
 }

@@ -73,18 +73,18 @@ func assertSameState(t *testing.T, want, got *DB) {
 		}
 		var wrows []idrow
 		for id := range wt.rows.locs {
-			if r := wt.getRowLocked(int64(id)); r != nil {
-				wrows = append(wrows, idrow{int64(id), EncodeKey(r)})
+			if r, ok := wt.viewLocked(int64(id)); ok {
+				wrows = append(wrows, idrow{int64(id), EncodeKey(r.Row())})
 			}
 		}
 		var mismatch string
 		for _, wr := range wrows {
-			gr := gt.getRowLocked(wr.id)
-			if gr == nil {
+			gr, ok := gt.viewLocked(wr.id)
+			if !ok {
 				mismatch = fmt.Sprintf("row %d missing after recovery", wr.id)
 				break
 			}
-			if EncodeKey(gr) != wr.enc {
+			if EncodeKey(gr.Row()) != wr.enc {
 				mismatch = fmt.Sprintf("row %d differs after recovery", wr.id)
 				break
 			}

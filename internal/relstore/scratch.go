@@ -16,21 +16,26 @@ import "bytes"
 // the next call of the same method; consumers must encode or copy them first
 // (BTree.Insert clones stored keys, hash-map probes use m[string(buf)]).
 type scratch struct {
-	key  []Value
+	key []Value
+	// row is the built row of a per-row insert: coerced here, checked, packed
+	// into the heap and logged before the insert returns, never retained.
+	row  []Value
 	enc  []byte
 	ord  []byte
 	uniq []string
 	fk   []Value
 
 	// Batch-apply buffers (Txn.InsertBatch).  rows stages the built rows of a
-	// batch and ids the row ids assigned to the applied prefix; kvs collects
-	// one secondary index's (key, row id) pairs for the sorted bulk merge,
-	// with karena as the flat encoded-key arena the kv key slices point into,
-	// so a batch costs O(1) scratch allocations per index rather than O(rows).
-	// All are reset per batch (per index for the sort buffers); nothing stored
-	// in the engine aliases them — heap rows come from a dedicated per-batch
-	// arena and the B-tree clones stored keys into its own arena.
+	// batch, carved out of arena, and ids the row ids assigned to the applied
+	// prefix; kvs collects one secondary index's (key, row id) pairs for the
+	// sorted bulk merge, with karena as the flat encoded-key arena the kv key
+	// slices point into, so a batch costs O(1) scratch allocations per index
+	// rather than O(rows).  All are reset per batch (per index for the sort
+	// buffers); nothing stored in the engine aliases them — the heap packs
+	// rows into its own pages and the B-tree clones stored keys into its own
+	// arena.
 	rows   []Row
+	arena  []Value
 	ids    []int64
 	kvs    []idxKV
 	karena []byte
@@ -88,14 +93,47 @@ func (sc *scratch) batchIDs(n int) []int64 {
 	return sc.ids[:0]
 }
 
+// rowBuf returns the n-column built-row buffer, all NULL.
+func (sc *scratch) rowBuf(n int) Row { return nullValues(&sc.row, n) }
+
+// batchArena returns an n-value arena for the built rows of a batch, all
+// NULL.
+func (sc *scratch) batchArena(n int) []Value { return nullValues(&sc.arena, n) }
+
+// nullValues resizes *buf to n values, growing it when too small, and clears
+// them.
+func nullValues(buf *[]Value, n int) []Value {
+	if cap(*buf) < n {
+		*buf = make([]Value, n)
+	}
+	vals := (*buf)[:n]
+	clear(vals)
+	return vals
+}
+
+func (sc *scratch) keyBuf(n int) []Value {
+	if cap(sc.key) < n {
+		sc.key = make([]Value, n)
+	}
+	return sc.key[:n]
+}
+
 // keyOf fills the key buffer with the key columns of row.
 func (sc *scratch) keyOf(row Row, cols []int) []Value {
-	if cap(sc.key) < len(cols) {
-		sc.key = make([]Value, len(cols))
-	}
-	key := sc.key[:len(cols)]
+	key := sc.keyBuf(len(cols))
 	for i, c := range cols {
 		key[i] = row[c]
+	}
+	return key
+}
+
+// keyOfView is keyOf over a stored row.  String components alias the page
+// bytes (RowView.val), so the key must be encoded before the table lock is
+// released.
+func (sc *scratch) keyOfView(v RowView, cols []int) []Value {
+	key := sc.keyBuf(len(cols))
+	for i, c := range cols {
+		key[i] = v.val(c)
 	}
 	return key
 }

@@ -150,12 +150,9 @@ func (t *Table) sealIndexes(rep *SealReport) {
 // Unlike a heap scan plus a location→id inversion map, the row directory is
 // indexed by id already, so the seal path reads (id, row) pairs with two
 // array lookups per row and no per-table map.
-func (t *Table) scanRowsByID(visit func(id int64, r Row)) {
+func (t *Table) scanRowsByID(visit func(id int64, r RowView)) {
 	for id, loc := range t.rows.locs {
-		if loc.pageIdx < 0 {
-			continue
-		}
-		if r := t.heap.get(loc); r != nil {
+		if r, ok := t.heap.view(loc); ok {
 			visit(int64(id), r)
 		}
 	}
@@ -182,11 +179,12 @@ func (t *Table) rebuildIndexLocked(ix *Index) IndexBuildReport {
 	karena := make([]byte, 0, n*k*9) // exact for numeric kinds; strings grow it
 	kvs := make([]idxKV, 0, n)
 	sorted := true
-	t.scanRowsByID(func(id int64, r Row) {
+	t.scanRowsByID(func(id int64, r RowView) {
 		start := len(karena)
 		for _, c := range ix.colIdxs {
-			karena = appendOrderedValue(karena, r[c])
-			rep.EntryBytes += ValueSize(r[c])
+			v := r.val(c)
+			karena = appendOrderedValue(karena, v)
+			rep.EntryBytes += valueSizeRef(&v)
 		}
 		rep.EntryBytes += 8 // row id pointer
 		key := karena[start:len(karena):len(karena)]
@@ -222,19 +220,19 @@ func (t *Table) rebuildIndexInt64Locked(ix *Index, rep *IndexBuildReport) bool {
 	vs := make([]int64, 0, n)
 	sorted := true
 	null := false
-	t.scanRowsByID(func(id int64, r Row) {
+	t.scanRowsByID(func(id int64, r RowView) {
 		if null {
 			return
 		}
-		v := r[c]
-		if v.Kind == KindNull {
+		if r.IsNull(c) {
 			null = true
 			return
 		}
-		if sorted && len(ks) > 0 && ks[len(ks)-1] > v.I {
+		k := r.Int(c)
+		if sorted && len(ks) > 0 && ks[len(ks)-1] > k {
 			sorted = false
 		}
-		ks = append(ks, v.I)
+		ks = append(ks, k)
 		vs = append(vs, id)
 	})
 	if null {

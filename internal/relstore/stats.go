@@ -14,6 +14,23 @@ type IndexStat struct {
 	KeyBytes, ArenaBytes int64
 }
 
+// TableStat is the per-table slice of a StatsSnapshot: what the table stores
+// and the memory it holds to store it.
+type TableStat struct {
+	Name string
+	// Rows is the live row count and NominalBytes the nominal stored volume
+	// (Table.ByteSize, the sum of RowSize over live rows — the figure page
+	// fill and the cost model use).
+	Rows, NominalBytes int64
+	// ResidentBytes is the memory the table holds for its rows, counted where
+	// it is held: heap page data and slot directories at their allocated
+	// capacity, the row directory, and the entries of the primary-key and
+	// unique hash indexes (a map's load-factor slack is not visible from
+	// outside the runtime and is left out).  Secondary B-tree indexes report
+	// their own memory in IndexStat.
+	ResidentBytes int64
+}
+
 // StatsSnapshot is the one-call statistics surface of a database: engine
 // counters, redo-log counters, buffer-cache counters and per-index memory in
 // a single struct, taken as close together as the component locks allow.
@@ -28,6 +45,8 @@ type StatsSnapshot struct {
 	WAL     WALStats
 	Cache   CacheStats
 	Indexes []IndexStat
+	// Tables reports every table in schema declaration order.
+	Tables []TableStat
 	// TotalRows is the live row count summed over all tables.
 	TotalRows int64
 	// Loading reports whether the database is inside a BeginLoad/Seal window
@@ -52,6 +71,9 @@ func (db *DB) StatsSnapshot() StatsSnapshot {
 	// would silently skew every §4.5.2 figure, so tests fail loudly instead.
 	if debugChecks && out.WAL.Syncs < out.WAL.AutoSyncs+out.WAL.GroupCommits {
 		panic("relstore: WALStats invariant violated: Syncs < AutoSyncs + GroupCommits")
+	}
+	for _, t := range db.tablesByID {
+		out.Tables = append(out.Tables, t.stat())
 	}
 	for _, ix := range db.AllIndexes() {
 		out.Indexes = append(out.Indexes, IndexStat{

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 )
 
 // Index is a secondary index over one or more columns of a table.
@@ -56,7 +57,7 @@ func (ix *Index) Ready() bool { return !ix.suspended.Load() }
 // rowDir maps row ids to heap locations.  Ids are allocated densely
 // (t.nextRow++, one append per insert), so a slice indexed by id replaces the
 // hash map the directory used to be: the insert paths append instead of
-// hashing, and only rollback punches holes (pageIdx -1 tombstones).
+// hashing, and only rollback punches holes (noLoc tombstones).
 type rowDir struct {
 	locs []rowLoc
 	live int
@@ -70,7 +71,7 @@ func (d *rowDir) append(loc rowLoc) {
 
 // get returns the location of a live row id.
 func (d *rowDir) get(id int64) (rowLoc, bool) {
-	if id < 0 || id >= int64(len(d.locs)) || d.locs[id].pageIdx < 0 {
+	if id < 0 || id >= int64(len(d.locs)) || d.locs[id] == noLoc {
 		return rowLoc{}, false
 	}
 	return d.locs[id], true
@@ -78,14 +79,16 @@ func (d *rowDir) get(id int64) (rowLoc, bool) {
 
 // remove tombstones a row id (transaction rollback only).
 func (d *rowDir) remove(id int64) {
-	if id >= 0 && id < int64(len(d.locs)) && d.locs[id].pageIdx >= 0 {
-		d.locs[id] = rowLoc{pageIdx: -1}
+	if id >= 0 && id < int64(len(d.locs)) && d.locs[id] != noLoc {
+		d.locs[id] = noLoc
 		d.live--
 	}
 }
 
 // Table is the runtime state of one table: schema, heap storage, primary-key
 // hash index, unique-constraint hash indexes and secondary B-tree indexes.
+// Rows, the row directory and integer-keyed hash indexes hold no pointers, so
+// the collector's work does not grow with the rows loaded.
 //
 // Concurrency: mu guards all mutable state (heap, row map, hash indexes,
 // B-trees, index list, pre-population counters).  Writers (insertPrepared,
@@ -106,17 +109,21 @@ type Table struct {
 	rows    rowDir
 	nextRow int64
 
-	pkCols  []int
-	pkIndex map[string]int64
+	pkCols []int
+	pk     *keyIndex
 
 	// fkColIdxs[i] holds the resolved column positions of schema.ForeignKeys[i],
-	// so per-row FK probes index the row directly instead of re-resolving
-	// column names through the schema map.
+	// and checkCols[i] that of schema.Checks[i].Column (-1 when the check names
+	// none), so the per-row probes index the row directly instead of
+	// re-resolving column names through the schema map.
 	fkColIdxs [][]int
+	checkCols []int
 
-	uniqueCols  [][]int
-	uniqueMaps  []map[string]int64
+	uniques     []*keyIndex
 	uniqueNames []string
+	// encodedKeys counts the key indexes (pk and uniques) in the encoded
+	// representation.
+	encodedKeys int
 
 	indexes map[string]*Index
 	// indexList is the name-sorted snapshot of indexes, rebuilt eagerly on
@@ -156,8 +163,7 @@ type Table struct {
 func newTable(schema *TableSchema, btreeDegree int, loading *atomic.Bool) (*Table, error) {
 	t := &Table{
 		schema:      schema,
-		heap:        newHeapStore(),
-		pkIndex:     make(map[string]int64),
+		heap:        newHeapStore(newRowLayout(schema.Columns)),
 		indexes:     make(map[string]*Index),
 		indexList:   []*Index{},
 		btreeDegree: btreeDegree,
@@ -170,6 +176,7 @@ func newTable(schema *TableSchema, btreeDegree int, loading *atomic.Bool) (*Tabl
 		}
 		t.pkCols = append(t.pkCols, idx)
 	}
+	t.pk = newKeyIndex(schema, t.pkCols, true)
 	for _, fk := range schema.ForeignKeys {
 		cols := make([]int, len(fk.Columns))
 		for i, c := range fk.Columns {
@@ -181,18 +188,34 @@ func newTable(schema *TableSchema, btreeDegree int, loading *atomic.Bool) (*Tabl
 		}
 		t.fkColIdxs = append(t.fkColIdxs, cols)
 	}
+	for _, ck := range schema.Checks {
+		idx := -1
+		if ck.Column != "" {
+			if idx = schema.ColumnIndex(ck.Column); idx < 0 {
+				return nil, fmt.Errorf("relstore: table %q: check column %q missing", schema.Name, ck.Column)
+			}
+		}
+		t.checkCols = append(t.checkCols, idx)
+	}
 	for _, u := range schema.Uniques {
 		var cols []int
+		notNull := true
 		for _, c := range u.Columns {
 			idx := schema.ColumnIndex(c)
 			if idx < 0 {
 				return nil, fmt.Errorf("relstore: table %q: unique column %q missing", schema.Name, c)
 			}
 			cols = append(cols, idx)
+			notNull = notNull && !schema.Columns[idx].Nullable
 		}
-		t.uniqueCols = append(t.uniqueCols, cols)
-		t.uniqueMaps = append(t.uniqueMaps, make(map[string]int64))
+		t.uniques = append(t.uniques, newKeyIndex(schema, cols, notNull))
 		t.uniqueNames = append(t.uniqueNames, u.Name)
+	}
+	for _, k := range append([]*keyIndex{t.pk}, t.uniques...) {
+		if k.encoded() {
+			k.encSlot = t.encodedKeys
+			t.encodedKeys++
+		}
 	}
 	return t, nil
 }
@@ -229,6 +252,17 @@ func (t *Table) LogicalByteSize() int64 {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	return t.heap.bytes + t.prePopulatedBytes
+}
+
+// stat returns the table's TableStat.
+func (t *Table) stat() TableStat {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	resident := t.heap.residentBytes() + int64(cap(t.rows.locs))*int64(unsafe.Sizeof(rowLoc{})) + t.pk.residentBytes()
+	for _, u := range t.uniques {
+		resident += u.residentBytes()
+	}
+	return TableStat{Name: t.schema.Name, Rows: t.heap.rowCount, NominalBytes: t.heap.bytes, ResidentBytes: resident}
 }
 
 // PageCount returns the number of heap pages allocated.
@@ -284,13 +318,14 @@ func (t *Table) Index(name string) *Index {
 
 // buildRow maps (columns, values) onto a full row in schema order, coercing
 // values to their declared types.  Missing columns become NULL.  It touches
-// only the immutable schema, so it runs without the table lock.
-func (t *Table) buildRow(columns []string, values []Value) (Row, error) {
+// only the immutable schema, so it runs without the table lock.  The row lives
+// in the transaction scratch: it is valid until the scratch builds the next.
+func (t *Table) buildRow(sc *scratch, columns []string, values []Value) (Row, error) {
 	if len(columns) != len(values) {
 		return nil, &ConstraintError{Kind: KindArity, Table: t.schema.Name,
 			Detail: fmt.Sprintf("%d columns but %d values", len(columns), len(values))}
 	}
-	row := make(Row, len(t.schema.Columns))
+	row := sc.rowBuf(len(t.schema.Columns))
 	for i, col := range columns {
 		idx := t.schema.ColumnIndex(col)
 		if idx < 0 {
@@ -318,10 +353,10 @@ func (t *Table) checkRow(row Row) (int, error) {
 			}
 		}
 	}
-	for _, ck := range t.schema.Checks {
+	for ci := range t.schema.Checks {
+		ck := &t.schema.Checks[ci]
 		checks++
-		if ck.Column != "" {
-			idx := t.schema.ColumnIndex(ck.Column)
+		if idx := t.checkCols[ci]; idx >= 0 {
 			v := row[idx]
 			if !v.IsNull() && (ck.Min != nil || ck.Max != nil) {
 				var f float64
@@ -353,11 +388,27 @@ func (t *Table) checkRow(row Row) (int, error) {
 	return checks, nil
 }
 
+// dupKeyError is the violation for a key already present in the primary-key
+// or a unique index.
+func (t *Table) dupKeyError(sc *scratch, kind ConstraintKind, constraint string, row Row, cols []int) error {
+	return &ConstraintError{Kind: kind, Table: t.schema.Name, Constraint: constraint,
+		Detail: "duplicate key " + EncodeKey(sc.keyOf(row, cols))}
+}
+
+// putKeys enters a stored row into the primary-key and unique indexes under
+// the encodings its probes used.
+func (t *Table) putKeys(row Row, pkEnc string, uniqueEncs []string, id int64) {
+	t.pk.put(row, pkEnc, id)
+	for i, u := range t.uniques {
+		u.put(row, uniqueEncs[i], id)
+	}
+}
+
 // insertPrepared validates uniqueness constraints and stores the row under
 // the table's write lock.  The caller (DB.insert) has already coerced values
 // and checked foreign keys.  It returns the new row id, the heap location of
 // the stored row and the physical-work report.  sc is the caller's
-// per-goroutine scratch.
+// per-goroutine scratch.  The row is packed into the heap, not retained.
 func (t *Table) insertPrepared(sc *scratch, row Row) (int64, rowLoc, OpReport, error) {
 	var rep OpReport
 
@@ -367,10 +418,9 @@ func (t *Table) insertPrepared(sc *scratch, row Row) (int64, rowLoc, OpReport, e
 		return 0, rowLoc{}, rep, err
 	}
 
-	pkKey := sc.keyOf(row, t.pkCols)
 	rep.ConstraintChecks++
-	for _, v := range pkKey {
-		if v.IsNull() {
+	for _, c := range t.pkCols {
+		if row[c].IsNull() {
 			return 0, rowLoc{}, rep, &ConstraintError{Kind: KindNotNull, Table: t.schema.Name,
 				Column: t.schema.PrimaryKey[0], Detail: "NULL in primary key"}
 		}
@@ -379,22 +429,18 @@ func (t *Table) insertPrepared(sc *scratch, row Row) (int64, rowLoc, OpReport, e
 	t.mu.Lock()
 	defer t.mu.Unlock()
 
-	pkBuf := sc.encodeKey(pkKey)
-	if _, dup := t.pkIndex[string(pkBuf)]; dup {
-		return 0, rowLoc{}, rep, &ConstraintError{Kind: KindPrimaryKey, Table: t.schema.Name,
-			Constraint: "pk_" + t.schema.Name, Detail: "duplicate key " + string(pkBuf)}
+	pkEnc := t.pk.encOf(sc, row)
+	if t.pk.has(row, pkEnc) {
+		return 0, rowLoc{}, rep, t.dupKeyError(sc, KindPrimaryKey, "pk_"+t.schema.Name, row, t.pkCols)
 	}
-	pkEnc := string(pkBuf)
 
-	uniqueEncs := sc.uniqueEncs(len(t.uniqueCols))
-	for i, cols := range t.uniqueCols {
+	uniqueEncs := sc.uniqueEncs(len(t.uniques))
+	for i, u := range t.uniques {
 		rep.ConstraintChecks++
-		buf := sc.encodeKey(sc.keyOf(row, cols))
-		if _, dup := t.uniqueMaps[i][string(buf)]; dup {
-			return 0, rowLoc{}, rep, &ConstraintError{Kind: KindUnique, Table: t.schema.Name,
-				Constraint: t.uniqueNames[i], Detail: "duplicate key " + string(buf)}
+		uniqueEncs[i] = u.encOf(sc, row)
+		if u.has(row, uniqueEncs[i]) {
+			return 0, rowLoc{}, rep, t.dupKeyError(sc, KindUnique, t.uniqueNames[i], row, u.cols)
 		}
-		uniqueEncs[i] = string(buf)
 	}
 
 	// All constraints satisfied: store the row.
@@ -402,10 +448,7 @@ func (t *Table) insertPrepared(sc *scratch, row Row) (int64, rowLoc, OpReport, e
 	t.nextRow++
 	loc, newPage, rb := t.heap.append(row)
 	t.rows.append(loc)
-	t.pkIndex[pkEnc] = id
-	for i, enc := range uniqueEncs {
-		t.uniqueMaps[i][enc] = id
-	}
+	t.putKeys(row, pkEnc, uniqueEncs, id)
 
 	rep.RowsInserted = 1
 	rep.RowBytes = rb
@@ -441,13 +484,13 @@ func (t *Table) deleteRow(sc *scratch, id int64) {
 	if !ok {
 		return
 	}
-	row := t.heap.get(loc)
-	if row == nil {
+	row, ok := t.heap.view(loc)
+	if !ok {
 		return
 	}
-	delete(t.pkIndex, string(sc.encodeKey(sc.keyOf(row, t.pkCols))))
-	for i, cols := range t.uniqueCols {
-		delete(t.uniqueMaps[i], string(sc.encodeKey(sc.keyOf(row, cols))))
+	t.pk.remove(sc, row)
+	for _, u := range t.uniques {
+		u.remove(sc, row)
 	}
 	// Suspended indexes hold no entries for rows inserted during the load
 	// phase, so rollback skips them; Seal later rebuilds from the surviving
@@ -455,7 +498,7 @@ func (t *Table) deleteRow(sc *scratch, id int64) {
 	// tombstones the entry — the key's arena bytes stay owned by the tree —
 	// so a rollback neither allocates per index nor re-copies arena chunks.
 	for _, ix := range t.liveList {
-		ix.tree.Delete(sc.ordKey(sc.keyOf(row, ix.colIdxs)), id)
+		ix.tree.Delete(sc.ordKey(sc.keyOfView(row, ix.colIdxs)), id)
 	}
 	t.heap.markDeleted(loc)
 	t.rows.remove(id)
@@ -464,38 +507,19 @@ func (t *Table) deleteRow(sc *scratch, id int64) {
 // lookupPK returns whether a row with the given primary-key values exists.
 // The caller must hold t.mu (read or write).
 func (t *Table) lookupPK(sc *scratch, key []Value) bool {
-	_, ok := t.pkIndex[string(sc.encodeKey(key))]
+	_, ok := t.pk.lookup(sc, key)
 	return ok
 }
 
-// pkRowID returns the row id stored under the given primary key.
-func (t *Table) pkRowID(sc *scratch, key []Value) (int64, bool) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	id, ok := t.pkIndex[string(sc.encodeKey(key))]
-	return id, ok
-}
-
-// getRow returns a copy of the row with the given id, or nil.
-func (t *Table) getRow(id int64) Row {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	r := t.getRowLocked(id)
-	if r == nil {
-		return nil
-	}
-	return r.Clone()
-}
-
-// getRowLocked returns the stored row with the given id without copying, or
-// nil.  The caller must hold t.mu and must not mutate the result or retain it
-// past the lock.
-func (t *Table) getRowLocked(id int64) Row {
+// viewLocked returns the stored row with the given id; ok is false when the
+// id is not live.  The caller must hold t.mu and must not use the view past
+// the lock.
+func (t *Table) viewLocked(id int64) (RowView, bool) {
 	loc, ok := t.rows.get(id)
 	if !ok {
-		return nil
+		return RowView{}, false
 	}
-	return t.heap.get(loc)
+	return t.heap.view(loc)
 }
 
 // createIndex builds a secondary index over the named columns, populating it
@@ -539,8 +563,8 @@ func (t *Table) createIndex(name string, columns []string, unique bool, policy I
 		// instead of re-deriving each id through a primary-key encoding.
 		var sc scratch
 		idByLoc := t.idByLocLocked()
-		t.heap.scanLoc(func(loc rowLoc, r Row) bool {
-			ix.tree.Insert(sc.ordKey(sc.keyOf(r, ix.colIdxs)), idByLoc[loc])
+		t.heap.scanLoc(func(loc rowLoc, r RowView) bool {
+			ix.tree.Insert(sc.ordKey(sc.keyOfView(r, ix.colIdxs)), idByLoc[loc])
 			return true
 		})
 	}
@@ -554,7 +578,7 @@ func (t *Table) createIndex(name string, columns []string, unique bool, policy I
 func (t *Table) idByLocLocked() map[rowLoc]int64 {
 	idByLoc := make(map[rowLoc]int64, t.rows.live)
 	for id, loc := range t.rows.locs {
-		if loc.pageIdx >= 0 {
+		if loc != noLoc {
 			idByLoc[loc] = int64(id)
 		}
 	}

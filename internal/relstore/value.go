@@ -97,7 +97,9 @@ func (k ValueKind) String() string {
 
 // Value is a single column value, represented as a compact tagged union
 // instead of a boxed interface so that rows move through the insert hot path
-// without per-value heap allocations.  The zero Value is SQL NULL.
+// without per-value heap allocations.  The zero Value is SQL NULL.  It is the
+// type rows travel in — into the engine and out of its queries — not the one
+// tables store them in (see page.go).
 //
 // Integers and booleans live in I (booleans as 0/1), floats in F, strings in
 // S, and timestamps as Unix nanoseconds in I.  Consumers on hot paths read
@@ -419,6 +421,18 @@ func RoundTo(x float64, places int) float64 {
 	if places < 0 {
 		return x
 	}
-	p := math.Pow(10, float64(places))
+	var p float64
+	if places < len(pow10) {
+		p = pow10[places]
+	} else {
+		p = math.Pow(10, float64(places))
+	}
 	return math.Round(x*p) / p
+}
+
+// pow10 holds the powers of ten a float64 represents exactly; each equals
+// math.Pow(10, n) bit for bit (TestRoundToPowTable).
+var pow10 = [...]float64{
+	1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11,
+	1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22,
 }

@@ -199,6 +199,21 @@ func TestRoundTo(t *testing.T) {
 	if RoundTo(1.23456, -1) != 1.23456 {
 		t.Error("negative places should be a no-op")
 	}
+	// The power-of-ten table is math.Pow(10, n) bit for bit, so rounding is
+	// unchanged by it; past the table RoundTo still computes the power.
+	for n, p := range pow10 {
+		if math.Float64bits(p) != math.Float64bits(math.Pow(10, float64(n))) {
+			t.Errorf("pow10[%d] = %v differs from math.Pow(10, %d) = %v", n, p, n, math.Pow(10, float64(n)))
+		}
+	}
+	for _, places := range []int{0, 1, 8, 22, 23, 30} {
+		p := math.Pow(10, float64(places))
+		for _, x := range []float64{math.Pi, -2.5e-7, 123456.789, 0.1 + 0.2} {
+			if got, want := RoundTo(x, places), math.Round(x*p)/p; math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("RoundTo(%v, %d) = %v, want %v", x, places, got, want)
+			}
+		}
+	}
 }
 
 func TestFormatValue(t *testing.T) {

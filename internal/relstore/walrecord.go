@@ -153,14 +153,18 @@ func appendWALMarker(dst []byte, typ byte, lsn, txnID int64) []byte {
 // value encoding, extended with the NaN tag.
 func appendWALRow(dst []byte, row Row) []byte {
 	for _, v := range row {
-		if v.Kind == KindFloat && math.IsNaN(v.F) {
-			dst = append(dst, walTagNaN)
-			dst = appendOrderedUint64(dst, math.Float64bits(v.F))
-			continue
-		}
-		dst = appendOrderedValue(dst, v)
+		dst = appendWALValue(dst, v)
 	}
 	return dst
+}
+
+// appendWALValue encodes one value of a row payload.
+func appendWALValue(dst []byte, v Value) []byte {
+	if v.Kind == KindFloat && math.IsNaN(v.F) {
+		dst = append(dst, walTagNaN)
+		return appendOrderedUint64(dst, math.Float64bits(v.F))
+	}
+	return appendOrderedValue(dst, v)
 }
 
 // decodeWALRow decodes a row payload; wantCols is the owning table's column
