@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race bench bench-test perf perf-quick smoke smoke-http smoke-crash smoke-shard
+.PHONY: all build vet test race fuzz bench bench-test perf perf-quick smoke smoke-http smoke-crash smoke-shard
 
 all: build vet test
 
@@ -20,11 +20,24 @@ test:
 race:
 	$(GO) test -race ./...
 
+# Time-boxed fuzzing of the four total decoders (wire frames, WAL records,
+# order-preserving keys, packed row views): 10 s each, one target and one
+# package per invocation as `go test -fuzz` requires.  An input that fails is
+# written to the package's testdata/fuzz/<target>/; check it in, it is then a
+# regression seed every plain `go test` replays.
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzWireDecode$$' -fuzztime 10s ./internal/shard/wire/
+	$(GO) test -run '^$$' -fuzz '^FuzzWALRecordDecode$$' -fuzztime 10s ./internal/relstore/
+	$(GO) test -run '^$$' -fuzz '^FuzzOrderedKeyOrder$$' -fuzztime 10s ./internal/relstore/
+	$(GO) test -run '^$$' -fuzz '^FuzzRowViewDecode$$' -fuzztime 10s ./internal/relstore/
+
 # Batch-apply + index-build benchmark smoke: exercises the per-row loop,
 # Txn.InsertBatch, the sorted bulk B-tree pass, the Seal bulk leaf build, the
 # encoded-key comparator, the immediate-vs-deferred load policy comparison,
-# the group-commit queue and the mixed-ingest read-p99 scenario so none of
-# those paths can silently regress or break.  -benchtime=100x (1x for the
+# the group-commit queue, the mixed-ingest read-p99 scenario, the one HTTP
+# front door (query path and /metrics render, over a database) and the fleet's
+# scatter-gather path under it, so none of those can silently regress or
+# break.  -benchtime=100x (1x for the
 # whole-run benches) keeps it a smoke test (counts, not timings); real
 # measurements live in BENCH_batchapply.json, BENCH_indexbuild.json,
 # BENCH_btreekeys.json and BENCH_groupcommit.json and need a quiet host.
@@ -75,7 +88,8 @@ smoke-crash:
 # Distributed shard smoke: a real 3-agent TCP fleet loaded through the
 # coordinator and verified byte-for-byte against a single-node oracle, one
 # agent killed and restored from the coordinator's replay log mid-run, the
-# /v1 front door and its sky_shard_* scrape validated, and the DES topology
-# sim run twice to prove determinism.
+# /v1 front door (the same httpserve.Server as smoke-http, over the
+# coordinator) and its sky_shard_* + sky_serve_* scrape validated, and the DES
+# topology sim run twice to prove determinism.
 smoke-shard:
 	$(GO) run ./cmd/skyshard -smoke

@@ -2,20 +2,15 @@ package main
 
 import (
 	"fmt"
-	"io"
-	"net/http"
 	"os"
 	"os/signal"
 	"syscall"
-	"time"
 
 	"skyloader/internal/catalog"
 	"skyloader/internal/core"
 	"skyloader/internal/exec"
 	"skyloader/internal/httpserve"
-	"skyloader/internal/metrics"
 	"skyloader/internal/parallel"
-	"skyloader/internal/queries"
 	"skyloader/internal/relstore"
 	"skyloader/internal/serve"
 	"skyloader/internal/tuning"
@@ -55,7 +50,10 @@ func runHTTP(addr string, seed int64, prof tuning.Profile, files []*catalog.File
 		httpserve.PathMetrics, httpserve.PathHealthz, httpserve.PathTraces)
 
 	if smoke {
-		if err := httpSmoke("http://" + bound.String()); err != nil {
+		err := httpserve.Smoke("http://"+bound.String(),
+			"sky_db_rows_inserted_total", "sky_wal_syncs_total", "sky_buffer_cache_hits_total",
+			"sky_serve_requests_total", "sky_serve_latency_seconds", "sky_http_requests_total")
+		if err != nil {
 			fmt.Fprintln(os.Stderr, "skyserve: http smoke failed:", err)
 			os.Exit(1)
 		}
@@ -71,60 +69,4 @@ func runHTTP(addr string, seed int64, prof tuning.Profile, files []*catalog.File
 	if err := rep.Render(os.Stdout); err != nil {
 		fatal(err)
 	}
-}
-
-// httpSmoke drives one request per query class against a running front door
-// and validates the /metrics scrape — the CI check that the wire API and the
-// exporter actually work end to end, not just in-process.
-func httpSmoke(base string) error {
-	client := &http.Client{Timeout: 10 * time.Second}
-	get := func(path string) (int, []byte, error) {
-		resp, err := client.Get(base + path)
-		if err != nil {
-			return 0, nil, err
-		}
-		defer resp.Body.Close()
-		body, err := io.ReadAll(resp.Body)
-		return resp.StatusCode, body, err
-	}
-
-	if status, body, err := get(httpserve.PathHealthz); err != nil || status != http.StatusOK {
-		return fmt.Errorf("healthz: status %d err %v body %s", status, err, body)
-	}
-	for _, q := range []queries.Query{
-		queries.Cone{RA: 30, Dec: -10, RadiusDeg: 2},
-		queries.ObjectLookup{ObjectID: 100_000_010},
-		queries.FrameObjects{FrameID: 3},
-		queries.MagHistogram{BinWidth: 0.5},
-	} {
-		u, err := httpserve.QueryURL(q)
-		if err != nil {
-			return err
-		}
-		status, body, err := get(u)
-		if err != nil {
-			return fmt.Errorf("%s: %v", u, err)
-		}
-		if status != http.StatusOK {
-			return fmt.Errorf("%s: status %d body %s", u, status, body)
-		}
-	}
-	status, body, err := get(httpserve.PathMetrics)
-	if err != nil || status != http.StatusOK {
-		return fmt.Errorf("metrics: status %d err %v", status, err)
-	}
-	families, err := metrics.PromValid(string(body))
-	if err != nil {
-		return fmt.Errorf("invalid /metrics payload: %v", err)
-	}
-	for _, want := range []string{
-		"sky_db_rows_inserted_total", "sky_wal_syncs_total", "sky_buffer_cache_hits_total",
-		"sky_serve_requests_total", "sky_serve_latency_seconds", "sky_http_requests_total",
-	} {
-		if !families[want] {
-			return fmt.Errorf("scrape missing metric family %s", want)
-		}
-	}
-	fmt.Printf("http smoke: %d metric families valid\n", len(families))
-	return nil
 }

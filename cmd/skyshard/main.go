@@ -15,7 +15,7 @@
 // Topology:
 //
 //	            ┌────────────┐   /v1/cone /v1/object /v1/frame /v1/maghist
-//	   HTTP ───►│ coordinator│   /healthz (fleet-wide)  /metrics (sky_shard_*)
+//	   HTTP ───►│ coordinator│   /healthz (fleet-wide)  /metrics (sky_shard_* + sky_serve_*)
 //	            └─────┬──────┘
 //	      framed TCP  │  scatter to trixel-overlapping shards only
 //	        ┌─────────┼─────────┐
@@ -39,8 +39,6 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
-	"net/http"
 	"os"
 	"os/signal"
 	"reflect"
@@ -52,7 +50,6 @@ import (
 	"skyloader/internal/core"
 	"skyloader/internal/exec"
 	"skyloader/internal/httpserve"
-	"skyloader/internal/metrics"
 	"skyloader/internal/parallel"
 	"skyloader/internal/queries"
 	"skyloader/internal/relstore"
@@ -300,7 +297,7 @@ func runSmoke() error {
 	fmt.Println("smoke: shard 1 killed, restored from the coordinator's replay log, re-verified")
 
 	// The HTTP front door over the same fleet: one query per class and a
-	// valid scrape carrying the sky_shard_* families.
+	// valid scrape carrying the fleet's families.
 	front, err := httpserve.NewShard(co, httpserve.Config{})
 	if err != nil {
 		return err
@@ -310,10 +307,10 @@ func runSmoke() error {
 		return err
 	}
 	defer front.Close()
-	if err := checkHTTP("http://" + addr.String()); err != nil {
+	if err := httpserve.Smoke("http://"+addr.String(), httpserve.FleetFamilies...); err != nil {
 		return fmt.Errorf("http front: %w", err)
 	}
-	fmt.Println("smoke: /v1 front door served all classes; /metrics scrape valid with sky_shard_* families")
+	fmt.Println("smoke: /v1 front door served all classes; /metrics scrape valid with sky_shard_* and sky_serve_* families")
 
 	// Sim determinism: the same config twice must render byte-identically.
 	var out [2]bytes.Buffer
@@ -427,62 +424,6 @@ func verifyAgainstOracle(co *shard.Coordinator, inline exec.InlineRunner, oracle
 	}
 	if nonEmpty == 0 {
 		return fmt.Errorf("all %d queries returned empty results", len(qs))
-	}
-	return nil
-}
-
-// checkHTTP drives one query per class through the front door and validates
-// the /metrics scrape.
-func checkHTTP(base string) error {
-	client := &http.Client{Timeout: 10 * time.Second}
-	for _, q := range []queries.Query{
-		queries.Cone{RA: 30, Dec: -10, RadiusDeg: 2},
-		queries.ObjectLookup{ObjectID: 100_000_010},
-		queries.FrameObjects{FrameID: 3},
-		queries.MagHistogram{BinWidth: 0.5},
-	} {
-		u, err := httpserve.QueryURL(q)
-		if err != nil {
-			return err
-		}
-		resp, err := client.Get(base + u)
-		if err != nil {
-			return err
-		}
-		body, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			return fmt.Errorf("%s: status %d: %s", u, resp.StatusCode, body)
-		}
-	}
-	resp, err := client.Get(base + httpserve.PathHealthz)
-	if err != nil {
-		return err
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("healthz: status %d", resp.StatusCode)
-	}
-	resp, err = client.Get(base + httpserve.PathMetrics)
-	if err != nil {
-		return err
-	}
-	scrape, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("metrics: status %d", resp.StatusCode)
-	}
-	families, err := metrics.PromValid(string(scrape))
-	if err != nil {
-		return fmt.Errorf("metrics: invalid exposition: %w", err)
-	}
-	for _, want := range []string{
-		"sky_shard_count", "sky_shard_fanout_total", "sky_shard_requests_total",
-		"sky_shard_gather_seconds", "sky_shard_wire_bytes_total", "sky_shard_ready",
-	} {
-		if !families[want] {
-			return fmt.Errorf("metrics: scrape missing family %s", want)
-		}
 	}
 	return nil
 }

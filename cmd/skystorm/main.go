@@ -50,7 +50,7 @@ func main() {
 
 		rate     = flag.Float64("rate", 0, "paced arrival rate in qps across all clients (0 = closed loop, as fast as possible)")
 		scrapeIv = flag.Duration("scrape-interval", 500*time.Millisecond, "background /metrics validation interval (0 disables)")
-		shard    = flag.Bool("shard", false, "target a skyshard coordinator: every scrape must carry the sky_shard_* families and /v1/stats is read in the shard envelope")
+		shard    = flag.Bool("shard", false, "target a skyshard coordinator: every scrape must carry the fleet families (sky_shard_* and sky_serve_*)")
 	)
 	flag.Parse()
 
@@ -95,9 +95,12 @@ func main() {
 						continue
 					}
 					if *shard {
-						if missing := missingShardFamilies(families); len(missing) > 0 {
-							badScrapes.Add(1)
-							fmt.Fprintln(os.Stderr, "skystorm: scrape missing shard families:", missing)
+						for _, want := range httpserve.FleetFamilies {
+							if !families[want] {
+								badScrapes.Add(1)
+								fmt.Fprintln(os.Stderr, "skystorm: scrape missing fleet family", want)
+								break
+							}
 						}
 					}
 				}
@@ -168,11 +171,7 @@ func main() {
 	}
 
 	// The server-side view of the same window, from /v1/stats.
-	if *shard {
-		printShardSide(base)
-	} else {
-		printServerSide(base)
-	}
+	printServerSide(base)
 
 	if *scrapeIv > 0 {
 		fmt.Printf("scrapes: %d valid, %d invalid\n", scrapes.Load()-badScrapes.Load(), badScrapes.Load())
@@ -296,7 +295,9 @@ func waitHealthy(base string, timeout time.Duration) error {
 }
 
 // printServerSide fetches /v1/stats and prints the server-side class
-// percentiles in the same shape as the client-side block above it.
+// percentiles in the same shape as the client-side block above it, and, when
+// the server fronts a fleet, the coordinator's scatter-gather counters and
+// each shard's self-reported state.
 func printServerSide(base string) {
 	client := &http.Client{Timeout: 10 * time.Second}
 	body, err := fetch(client, base+httpserve.PathStats)
@@ -316,45 +317,15 @@ func printServerSide(base string) {
 		fmt.Printf("  %-8s p50 %.3fms  p95 %.3fms  p99 %.3fms  (%d)\n",
 			cls.Class, ms(cls.Latency.P50), ms(cls.Latency.P95), ms(cls.Latency.P99), cls.Served)
 	}
-}
-
-// missingShardFamilies returns the coordinator metric families absent from a
-// scrape — against a skyshard front these must all be exported mid-run.
-func missingShardFamilies(families map[string]bool) []string {
-	var missing []string
-	for _, want := range []string{
-		"sky_shard_count", "sky_shard_queries_total", "sky_shard_fanout_total",
-		"sky_shard_requests_total", "sky_shard_gather_seconds",
-		"sky_shard_wire_bytes_total", "sky_shard_ready",
-	} {
-		if !families[want] {
-			missing = append(missing, want)
+	if fl := stats.Fleet; fl != nil {
+		fmt.Printf("coordinator-side: %d shards, %d queries, %d errors, gather p50 %.3fms p99 %.3fms, wire %d B out / %d B in\n",
+			fl.Shards, fl.Queries, fl.QueryErrors,
+			float64(fl.GatherP50NS)/1e6, float64(fl.GatherP99NS)/1e6,
+			fl.BytesSent, fl.BytesReceived)
+		for _, st := range fl.ShardStats {
+			fmt.Printf("  shard %3d: ready=%v  %7d rows  %6d queries served\n",
+				st.ShardID, st.Ready, st.Rows, st.QueriesServed)
 		}
-	}
-	return missing
-}
-
-// printShardSide fetches the coordinator's /v1/stats envelope: scatter-gather
-// counters and each shard's self-reported state.
-func printShardSide(base string) {
-	client := &http.Client{Timeout: 10 * time.Second}
-	body, err := fetch(client, base+httpserve.PathStats)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "skystorm: stats fetch failed:", err)
-		return
-	}
-	var stats httpserve.ShardStatsResponse
-	if err := json.Unmarshal(body, &stats); err != nil {
-		fmt.Fprintln(os.Stderr, "skystorm: shard stats decode failed:", err)
-		return
-	}
-	fmt.Printf("coordinator-side: %d shards, %d queries, %d errors, gather p50 %.3fms p99 %.3fms, wire %d B out / %d B in\n",
-		stats.Shards, stats.Queries, stats.QueryErrors,
-		float64(stats.GatherP50NS)/1e6, float64(stats.GatherP99NS)/1e6,
-		stats.BytesSent, stats.BytesReceived)
-	for _, st := range stats.ShardStats {
-		fmt.Printf("  shard %3d: ready=%v  %7d rows  %6d queries served\n",
-			st.ShardID, st.Ready, st.Rows, st.QueriesServed)
 	}
 }
 

@@ -29,8 +29,9 @@
 //     exec.Scheduler, bounded admission with deadlines, sharded LRU result cache
 //     invalidated by relstore commit epochs, per-class latency histograms, and the
 //     mixed load+serve scenario
-//   - internal/httpserve  — the HTTP front door over internal/serve: /v1 query API,
-//     /metrics, /healthz, /debug/traces, for a single node or a shard fleet
+//   - internal/httpserve  — the one HTTP front door over internal/serve: /v1 query API,
+//     /metrics, /healthz, /debug/traces; a database and a shard fleet are two
+//     serve.Engine implementations behind the same serve.Server and httpserve.Server
 //   - internal/trace      — per-request stage tracing published into a fixed ring
 //   - internal/shard      — the distributed layer: HTM-partitioned coordinator and agents
 //     with scatter-gather serving; internal/shard/wire is its framed message protocol
@@ -88,11 +89,8 @@
 // functional options (WithCache, WithMaxConcurrentTxns, WithBTreeDegree,
 // WithDirtyFlushPages, WithWALSync, WithIndexPolicy, WithConfig) subsume the
 // positional Config struct and carry the load-lifecycle policies that Config
-// cannot express.  relstore.NewDB and MustNewDB remain as deprecated
-// wrappers: migrate NewDB(schema, cfg) to Open(schema, WithConfig(cfg)), or
-// to the individual options when the config is built in place — zero-valued
-// knobs keep their defaults either way, so the rewrite is mechanical.  New
-// engine knobs are added as options only; Config is frozen.
+// cannot express.  New engine knobs are added as options only; Config is
+// frozen.
 //
 // Every secondary index carries an IndexPolicy.  IndexImmediate (the
 // default) maintains the index on every insert.  IndexDeferred participates

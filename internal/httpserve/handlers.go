@@ -92,11 +92,13 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, path string
 	}
 }
 
-// StatsResponse is the JSON envelope of /v1/stats: the serving report and
-// the unified engine snapshot, the same structs the in-process reports use.
+// StatsResponse is the JSON envelope of /v1/stats: the serving report always,
+// and exactly one of Engine (a database behind the front door) and Fleet (a
+// shard coordinator) — the same structs the in-process reports use.
 type StatsResponse struct {
-	Server serve.Report           `json:"server"`
-	Engine relstore.StatsSnapshot `json:"engine"`
+	Server serve.Report            `json:"server"`
+	Engine *relstore.StatsSnapshot `json:"engine,omitempty"`
+	Fleet  *FleetStats             `json:"fleet,omitempty"`
 	// TracesPublished counts traces captured into the ring since start.
 	TracesPublished uint64 `json:"traces_published"`
 	UptimeNS        int64  `json:"uptime_ns"`
@@ -108,10 +110,10 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request, path string
 	began := time.Now()
 	resp := StatsResponse{
 		Server:          s.qs.Report(s.qs.Scheduler().Now()),
-		Engine:          s.db.StatsSnapshot(),
 		TracesPublished: s.tracer.Published(),
 		UptimeNS:        int64(time.Since(s.start)),
 	}
+	s.backend.stats(&resp)
 	w.Header().Set("Content-Type", "application/json")
 	if err := json.NewEncoder(w).Encode(resp); err != nil {
 		s.observe(path, http.StatusInternalServerError, time.Since(began))
@@ -120,22 +122,35 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request, path string
 	s.observe(path, http.StatusOK, time.Since(began))
 }
 
-// handleHealthz is the readiness probe: 200 once every index is ready (no
-// open BeginLoad/Seal window) and no crash recovery is replaying, 503 while
-// a deferred-policy load or a StartRecover WAL replay is in flight.  Load
-// balancers use it to keep latency-expecting traffic away until indexed
-// reads are possible.
+// handleHealthz is the readiness probe: 200 when the backend can serve, 503
+// with the backend's reason otherwise.  Load balancers use it to keep
+// latency-expecting traffic away until indexed reads are possible.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request, path string) {
 	began := time.Now()
-	if s.db.Ready() {
-		w.WriteHeader(http.StatusOK)
-		_, _ = w.Write([]byte("ok\n"))
-		s.observe(path, http.StatusOK, time.Since(began))
-		return
+	status, body := http.StatusOK, "ok\n"
+	if why := s.backend.unready(); why != "" {
+		status, body = http.StatusServiceUnavailable, why
 	}
-	w.WriteHeader(http.StatusServiceUnavailable)
-	_, _ = w.Write([]byte("loading: indexes not ready\n"))
-	s.observe(path, http.StatusServiceUnavailable, time.Since(began))
+	w.WriteHeader(status)
+	_, _ = w.Write([]byte(body))
+	s.observe(path, status, time.Since(began))
+}
+
+// dbBackend is a single database behind the front door.
+type dbBackend struct{ db *relstore.DB }
+
+// unready reports a database not ready while any index is suspended (an open
+// BeginLoad/Seal window) or a StartRecover WAL replay is in flight.
+func (b dbBackend) unready() string {
+	if b.db.Ready() {
+		return ""
+	}
+	return "loading: indexes not ready\n"
+}
+
+func (b dbBackend) stats(resp *StatsResponse) {
+	snap := b.db.StatsSnapshot()
+	resp.Engine = &snap
 }
 
 // TraceDump is the JSON shape of one dumped trace.

@@ -22,15 +22,124 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request, path stri
 // WriteMetrics writes the exposition payload for one scrape.  It is exported
 // so the -smoke path and tests can validate a scrape without a socket.
 //
-// Catalog layout: engine first (rows, WAL, buffer cache, per-index memory),
-// then the serving layer (admission counters, result cache, per-class latency
+// Catalog layout: the backend's own families first (a database's rows, WAL,
+// buffer cache and per-index memory, or a fleet's sky_shard_*), then the
+// serving layer (admission counters, result cache, per-class latency
 // histograms, queue wait, worker pool), then the transport (per-endpoint
 // counters, request latency) and the trace ring.  Every counter that exists
 // in the engine's snapshot structs is exported — the scrape is the superset
 // of every in-process report.
 func (s *Server) WriteMetrics(out io.Writer) error {
 	p := metrics.NewPromWriter(out)
-	snap := s.db.StatsSnapshot()
+	s.backend.writeMetrics(p)
+
+	// --- serve: admission counters ---
+	c := s.qs.Counters()
+	p.Metric("sky_serve_requests_total", "Query requests admitted or shed.", "counter")
+	p.SampleInt("sky_serve_requests_total", nil, c.Requests)
+	p.Metric("sky_serve_served_total", "Requests answered (cache hits included).", "counter")
+	p.SampleInt("sky_serve_served_total", nil, c.Served)
+	p.Metric("sky_serve_shed_total", "Requests shed at the full admission queue.", "counter")
+	p.SampleInt("sky_serve_shed_total", nil, c.Shed)
+	p.Metric("sky_serve_expired_total", "Requests abandoned past their queue-wait deadline.", "counter")
+	p.SampleInt("sky_serve_expired_total", nil, c.Expired)
+	p.Metric("sky_serve_errors_total", "Requests that failed in the engine.", "counter")
+	p.SampleInt("sky_serve_errors_total", nil, c.Errors)
+	p.Metric("sky_serve_unstable_total", "Answers computed over in-flight loader writes (served, never cached).", "counter")
+	p.SampleInt("sky_serve_unstable_total", nil, c.Unstable)
+	p.Metric("sky_serve_during_ingest_served_total", "Requests served while loaders were active.", "counter")
+	p.SampleInt("sky_serve_during_ingest_served_total", nil, c.DuringIngestServed)
+	p.Metric("sky_serve_during_ingest_shed_total", "Requests shed while loaders were active.", "counter")
+	p.SampleInt("sky_serve_during_ingest_shed_total", nil, c.DuringIngestShed)
+	p.Metric("sky_serve_during_ingest_expired_total", "Requests expired while loaders were active.", "counter")
+	p.SampleInt("sky_serve_during_ingest_expired_total", nil, c.DuringIngestExpired)
+
+	// --- serve: result cache ---
+	if cache := s.qs.Cache(); cache != nil {
+		cs := cache.Stats()
+		p.Metric("sky_result_cache_hits_total", "Result cache hits.", "counter")
+		p.SampleInt("sky_result_cache_hits_total", nil, cs.Hits)
+		p.Metric("sky_result_cache_misses_total", "Result cache misses.", "counter")
+		p.SampleInt("sky_result_cache_misses_total", nil, cs.Misses)
+		p.Metric("sky_result_cache_stale_hits_total", "Lookups that found an epoch-invalidated entry.", "counter")
+		p.SampleInt("sky_result_cache_stale_hits_total", nil, cs.StaleHits)
+		p.Metric("sky_result_cache_evictions_total", "Capacity evictions.", "counter")
+		p.SampleInt("sky_result_cache_evictions_total", nil, cs.Evictions)
+		p.Metric("sky_result_cache_stores_total", "Results stored.", "counter")
+		p.SampleInt("sky_result_cache_stores_total", nil, cs.Stores)
+		p.Metric("sky_result_cache_entries", "Entries currently cached.", "gauge")
+		p.SampleInt("sky_result_cache_entries", nil, int64(cs.Entries))
+	}
+
+	// --- serve: per-class counters and latency histograms ---
+	p.Metric("sky_serve_class_requests_total", "Requests by query class.", "counter")
+	classes := s.qs.Classes()
+	for _, cl := range classes {
+		p.SampleInt("sky_serve_class_requests_total", classLabels(cl.Class), cl.Requests)
+	}
+	p.Metric("sky_serve_class_served_total", "Served requests by query class.", "counter")
+	for _, cl := range classes {
+		p.SampleInt("sky_serve_class_served_total", classLabels(cl.Class), cl.Served)
+	}
+	p.Metric("sky_serve_class_cache_hits_total", "Result-cache hits by query class.", "counter")
+	for _, cl := range classes {
+		p.SampleInt("sky_serve_class_cache_hits_total", classLabels(cl.Class), cl.CacheHits)
+	}
+	p.Metric("sky_serve_latency_seconds", "Served-request latency by query class.", "histogram")
+	for _, cl := range classes {
+		p.Histogram("sky_serve_latency_seconds", classLabels(cl.Class), cl.Latency)
+	}
+	p.Metric("sky_serve_queue_wait_seconds", "Admission queue wait of executed requests.", "histogram")
+	p.Histogram("sky_serve_queue_wait_seconds", nil, s.qs.QueueWait())
+	p.Metric("sky_serve_during_ingest_latency_seconds", "Served-request latency while loaders were active.", "histogram")
+	p.Histogram("sky_serve_during_ingest_latency_seconds", nil, s.qs.DuringIngestLatency())
+
+	// --- serve: worker pool saturation ---
+	workers := s.qs.Workers()
+	ws := workers.Stats()
+	p.Metric("sky_workers_capacity", "Query worker pool size.", "gauge")
+	p.SampleInt("sky_workers_capacity", nil, int64(ws.Capacity))
+	p.Metric("sky_workers_in_use", "Workers currently executing.", "gauge")
+	p.SampleInt("sky_workers_in_use", nil, int64(workers.InUse()))
+	p.Metric("sky_workers_queue_len", "Requests waiting for a worker.", "gauge")
+	p.SampleInt("sky_workers_queue_len", nil, int64(workers.QueueLen()))
+	p.Metric("sky_workers_grants_total", "Worker-slot grants.", "counter")
+	p.SampleInt("sky_workers_grants_total", nil, int64(ws.Grants))
+	p.Metric("sky_workers_waits_total", "Worker-slot acquisitions that had to queue.", "counter")
+	p.SampleInt("sky_workers_waits_total", nil, int64(ws.Waits))
+	p.Metric("sky_workers_wait_seconds_total", "Cumulative time spent waiting for a worker slot.", "counter")
+	p.Sample("sky_workers_wait_seconds_total", nil, ws.TotalWait.Seconds())
+	p.Metric("sky_workers_max_queue_depth", "High-water mark of the worker queue.", "gauge")
+	p.SampleInt("sky_workers_max_queue_depth", nil, int64(ws.MaxQueueDepth))
+
+	// --- transport ---
+	p.Metric("sky_http_requests_total", "HTTP requests by endpoint.", "counter")
+	for _, path := range s.paths {
+		p.SampleInt("sky_http_requests_total", pathLabels(path), s.reqs[path].Load())
+	}
+	p.Metric("sky_http_errors_total", "HTTP 4xx/5xx responses by endpoint.", "counter")
+	for _, path := range s.paths {
+		p.SampleInt("sky_http_errors_total", pathLabels(path), s.errs[path].Load())
+	}
+	p.Metric("sky_http_request_seconds", "HTTP request handling latency, all endpoints.", "histogram")
+	p.Histogram("sky_http_request_seconds", nil, s.latency)
+	p.Metric("sky_http_open_conns_limit", "Listener connection cap (0 before Start).", "gauge")
+	p.SampleInt("sky_http_open_conns_limit", nil, int64(s.maxConns()))
+	p.Metric("sky_http_uptime_seconds", "Seconds since the front door was built.", "gauge")
+	p.Sample("sky_http_uptime_seconds", nil, time.Since(s.start).Seconds())
+
+	// --- trace ring ---
+	p.Metric("sky_trace_published_total", "Requests sampled into the trace ring.", "counter")
+	p.SampleInt("sky_trace_published_total", nil, int64(s.tracer.Published()))
+	p.Metric("sky_trace_sample_interval", "One request in N is traced.", "gauge")
+	p.SampleInt("sky_trace_sample_interval", nil, int64(s.cfg.TraceEvery))
+
+	return p.Err()
+}
+
+// writeMetrics renders every engine counter of the database.
+func (b dbBackend) writeMetrics(p *metrics.PromWriter) {
+	snap := b.db.StatsSnapshot()
 
 	// --- relstore: row and transaction counters ---
 	p.Metric("sky_db_rows_inserted_total", "Rows inserted into the store.", "counter")
@@ -165,109 +274,6 @@ func (s *Server) WriteMetrics(out io.Writer) error {
 		}
 		p.SampleInt("sky_index_ready", indexLabels(ix.Table, ix.Name), ready)
 	}
-
-	// --- serve: admission counters ---
-	c := s.qs.Counters()
-	p.Metric("sky_serve_requests_total", "Query requests admitted or shed.", "counter")
-	p.SampleInt("sky_serve_requests_total", nil, c.Requests)
-	p.Metric("sky_serve_served_total", "Requests answered (cache hits included).", "counter")
-	p.SampleInt("sky_serve_served_total", nil, c.Served)
-	p.Metric("sky_serve_shed_total", "Requests shed at the full admission queue.", "counter")
-	p.SampleInt("sky_serve_shed_total", nil, c.Shed)
-	p.Metric("sky_serve_expired_total", "Requests abandoned past their queue-wait deadline.", "counter")
-	p.SampleInt("sky_serve_expired_total", nil, c.Expired)
-	p.Metric("sky_serve_errors_total", "Requests that failed in the engine.", "counter")
-	p.SampleInt("sky_serve_errors_total", nil, c.Errors)
-	p.Metric("sky_serve_unstable_total", "Answers computed over in-flight loader writes (served, never cached).", "counter")
-	p.SampleInt("sky_serve_unstable_total", nil, c.Unstable)
-	p.Metric("sky_serve_during_ingest_served_total", "Requests served while loaders were active.", "counter")
-	p.SampleInt("sky_serve_during_ingest_served_total", nil, c.DuringIngestServed)
-	p.Metric("sky_serve_during_ingest_shed_total", "Requests shed while loaders were active.", "counter")
-	p.SampleInt("sky_serve_during_ingest_shed_total", nil, c.DuringIngestShed)
-	p.Metric("sky_serve_during_ingest_expired_total", "Requests expired while loaders were active.", "counter")
-	p.SampleInt("sky_serve_during_ingest_expired_total", nil, c.DuringIngestExpired)
-
-	// --- serve: result cache ---
-	if cache := s.qs.Cache(); cache != nil {
-		cs := cache.Stats()
-		p.Metric("sky_result_cache_hits_total", "Result cache hits.", "counter")
-		p.SampleInt("sky_result_cache_hits_total", nil, cs.Hits)
-		p.Metric("sky_result_cache_misses_total", "Result cache misses.", "counter")
-		p.SampleInt("sky_result_cache_misses_total", nil, cs.Misses)
-		p.Metric("sky_result_cache_stale_hits_total", "Lookups that found an epoch-invalidated entry.", "counter")
-		p.SampleInt("sky_result_cache_stale_hits_total", nil, cs.StaleHits)
-		p.Metric("sky_result_cache_evictions_total", "Capacity evictions.", "counter")
-		p.SampleInt("sky_result_cache_evictions_total", nil, cs.Evictions)
-		p.Metric("sky_result_cache_stores_total", "Results stored.", "counter")
-		p.SampleInt("sky_result_cache_stores_total", nil, cs.Stores)
-		p.Metric("sky_result_cache_entries", "Entries currently cached.", "gauge")
-		p.SampleInt("sky_result_cache_entries", nil, int64(cs.Entries))
-	}
-
-	// --- serve: per-class counters and latency histograms ---
-	p.Metric("sky_serve_class_requests_total", "Requests by query class.", "counter")
-	classes := s.qs.Classes()
-	for _, cl := range classes {
-		p.SampleInt("sky_serve_class_requests_total", classLabels(cl.Class), cl.Requests)
-	}
-	p.Metric("sky_serve_class_served_total", "Served requests by query class.", "counter")
-	for _, cl := range classes {
-		p.SampleInt("sky_serve_class_served_total", classLabels(cl.Class), cl.Served)
-	}
-	p.Metric("sky_serve_class_cache_hits_total", "Result-cache hits by query class.", "counter")
-	for _, cl := range classes {
-		p.SampleInt("sky_serve_class_cache_hits_total", classLabels(cl.Class), cl.CacheHits)
-	}
-	p.Metric("sky_serve_latency_seconds", "Served-request latency by query class.", "histogram")
-	for _, cl := range classes {
-		p.Histogram("sky_serve_latency_seconds", classLabels(cl.Class), cl.Latency)
-	}
-	p.Metric("sky_serve_queue_wait_seconds", "Admission queue wait of executed requests.", "histogram")
-	p.Histogram("sky_serve_queue_wait_seconds", nil, s.qs.QueueWait())
-	p.Metric("sky_serve_during_ingest_latency_seconds", "Served-request latency while loaders were active.", "histogram")
-	p.Histogram("sky_serve_during_ingest_latency_seconds", nil, s.qs.DuringIngestLatency())
-
-	// --- serve: worker pool saturation ---
-	workers := s.qs.Workers()
-	ws := workers.Stats()
-	p.Metric("sky_workers_capacity", "Query worker pool size.", "gauge")
-	p.SampleInt("sky_workers_capacity", nil, int64(ws.Capacity))
-	p.Metric("sky_workers_in_use", "Workers currently executing.", "gauge")
-	p.SampleInt("sky_workers_in_use", nil, int64(workers.InUse()))
-	p.Metric("sky_workers_queue_len", "Requests waiting for a worker.", "gauge")
-	p.SampleInt("sky_workers_queue_len", nil, int64(workers.QueueLen()))
-	p.Metric("sky_workers_grants_total", "Worker-slot grants.", "counter")
-	p.SampleInt("sky_workers_grants_total", nil, int64(ws.Grants))
-	p.Metric("sky_workers_waits_total", "Worker-slot acquisitions that had to queue.", "counter")
-	p.SampleInt("sky_workers_waits_total", nil, int64(ws.Waits))
-	p.Metric("sky_workers_wait_seconds_total", "Cumulative time spent waiting for a worker slot.", "counter")
-	p.Sample("sky_workers_wait_seconds_total", nil, ws.TotalWait.Seconds())
-	p.Metric("sky_workers_max_queue_depth", "High-water mark of the worker queue.", "gauge")
-	p.SampleInt("sky_workers_max_queue_depth", nil, int64(ws.MaxQueueDepth))
-
-	// --- transport ---
-	p.Metric("sky_http_requests_total", "HTTP requests by endpoint.", "counter")
-	for _, path := range s.paths {
-		p.SampleInt("sky_http_requests_total", pathLabels(path), s.reqs[path].Load())
-	}
-	p.Metric("sky_http_errors_total", "HTTP 4xx/5xx responses by endpoint.", "counter")
-	for _, path := range s.paths {
-		p.SampleInt("sky_http_errors_total", pathLabels(path), s.errs[path].Load())
-	}
-	p.Metric("sky_http_request_seconds", "HTTP request handling latency, all endpoints.", "histogram")
-	p.Histogram("sky_http_request_seconds", nil, s.latency)
-	p.Metric("sky_http_open_conns_limit", "Listener connection cap (0 before Start).", "gauge")
-	p.SampleInt("sky_http_open_conns_limit", nil, int64(s.maxConns()))
-	p.Metric("sky_http_uptime_seconds", "Seconds since the front door was built.", "gauge")
-	p.Sample("sky_http_uptime_seconds", nil, time.Since(s.start).Seconds())
-
-	// --- trace ring ---
-	p.Metric("sky_trace_published_total", "Requests sampled into the trace ring.", "counter")
-	p.SampleInt("sky_trace_published_total", nil, int64(s.tracer.Published()))
-	p.Metric("sky_trace_sample_interval", "One request in N is traced.", "gauge")
-	p.SampleInt("sky_trace_sample_interval", nil, int64(s.cfg.TraceEvery))
-
-	return p.Err()
 }
 
 func indexLabels(table, index string) []metrics.Label {

@@ -5,7 +5,13 @@
 // The paper's repository is dual-purpose — a warehouse loaded in bulk and "a
 // query engine to support scientific research" (§4.5.1) — and the ROADMAP's
 // million-user north star needs that query half reachable over a wire, not
-// by function call.  This package adds exactly the transport layer:
+// by function call.  This package adds exactly the transport layer, once:
+// Server is the only HTTP type, and it fronts either a single database (New)
+// or a shard fleet (NewShard).  Both are a serve.Server underneath — the
+// coordinator is a serve.Engine — so a fleet query is admitted, shed and
+// deadlined exactly like a single-node one.  It is never cached: no shard
+// commit epoch crosses the wire yet, so the fleet's serve.Server runs with
+// its result cache off.
 //
 //   - /v1/cone, /v1/object, /v1/frame, /v1/maghist: the science queries as
 //     JSON endpoints.  Every request goes through the SAME serve.Server the
@@ -13,14 +19,20 @@
 //     shedding, queue-wait deadlines, epoch-invalidated result cache — via
 //     exec.InlineRunner, so a socket client and a replayed trace contend on
 //     identical machinery and are throttled by identical policies.
-//   - /metrics: every engine counter (relstore.StatsSnapshot: DBStats,
-//     WALStats, buffer cache, per-index memory), the serving counters and
-//     latency histograms (cumulative le-buckets), HTTP transport counters
-//     and trace-layer counters, in hand-rolled Prometheus text format
-//     (internal/metrics PromWriter, no client-library dependency).
+//   - /v1/stats: one envelope — "server" (the serve.Report) always, and
+//     exactly one of "engine" (relstore.StatsSnapshot) or "fleet" (the
+//     coordinator's scatter/gather counters and each shard's own stats).
+//   - /metrics: the serving counters and latency histograms (sky_serve_*,
+//     sky_workers_*, cumulative le-buckets), HTTP transport counters
+//     (sky_http_*) and trace-layer counters (sky_trace_*) for both, plus the
+//     backend's own families: every engine counter (sky_db_*, sky_wal_*,
+//     buffer cache, per-index memory) for a database, sky_shard_* for a
+//     fleet.  Hand-rolled Prometheus text format (internal/metrics
+//     PromWriter, no client-library dependency).
 //   - /healthz: readiness gated on relstore.DB.Ready() — a deferred-policy
 //     load phase reports 503 until Seal, so a fronting load balancer keeps
-//     latency-sensitive traffic away while indexes are suspended.
+//     latency-sensitive traffic away while indexes are suspended — or, for
+//     a fleet, on every shard answering Ready.
 //   - /debug/traces: the structured per-request trace ring (internal/trace);
 //     /debug/pprof: the runtime profiler mux.
 //
@@ -40,7 +52,6 @@ import (
 
 	"skyloader/internal/exec"
 	"skyloader/internal/metrics"
-	"skyloader/internal/relstore"
 	"skyloader/internal/serve"
 	"skyloader/internal/trace"
 )
@@ -63,14 +74,26 @@ type Config struct {
 	ReadTimeout, WriteTimeout time.Duration
 }
 
+// backend is the part of the front door that differs between a database and
+// a shard fleet; everything else in this package is shared.
+type backend interface {
+	// unready is the /healthz probe: "" when traffic can be served, the 503
+	// body otherwise.
+	unready() string
+	// stats fills exactly one of resp.Engine and resp.Fleet.
+	stats(resp *StatsResponse)
+	// writeMetrics renders the backend's own metric families.
+	writeMetrics(p *metrics.PromWriter)
+}
+
 // Server is the HTTP front door over one serve.Server.
 type Server struct {
-	qs     *serve.Server
-	db     *relstore.DB
-	inline exec.InlineRunner
-	tracer *trace.Tracer
-	cfg    Config
-	mux    *http.ServeMux
+	qs      *serve.Server
+	backend backend
+	inline  exec.InlineRunner
+	tracer  *trace.Tracer
+	cfg     Config
+	mux     *http.ServeMux
 
 	httpSrv  *http.Server
 	listener net.Listener
@@ -86,10 +109,18 @@ type Server struct {
 	latency *metrics.Histogram
 }
 
-// New builds a front door over qs.  The server's scheduler must support
-// inline execution (the realtime engine does; DES cannot serve sockets —
-// virtual time has no meaning for a wall-clock client).
+// New builds a front door over qs, a serve.Server over a database.  The
+// server's scheduler must support inline execution (the realtime engine does;
+// DES cannot serve sockets — virtual time has no meaning for a wall-clock
+// client).
 func New(qs *serve.Server, cfg Config) (*Server, error) {
+	if qs.DB() == nil {
+		return nil, fmt.Errorf("httpserve: New needs a serve.Server over a database (NewShard fronts a fleet)")
+	}
+	return newServer(qs, dbBackend{qs.DB()}, cfg)
+}
+
+func newServer(qs *serve.Server, b backend, cfg Config) (*Server, error) {
 	inline, ok := qs.Scheduler().(exec.InlineRunner)
 	if !ok {
 		return nil, fmt.Errorf("httpserve: scheduler %T cannot run inline workers (use the realtime engine)", qs.Scheduler())
@@ -108,7 +139,7 @@ func New(qs *serve.Server, cfg Config) (*Server, error) {
 	}
 	s := &Server{
 		qs:      qs,
-		db:      qs.DB(),
+		backend: b,
 		inline:  inline,
 		tracer:  trace.NewTracer(cfg.TraceRing, cfg.TraceEvery),
 		cfg:     cfg,
@@ -160,9 +191,6 @@ func (s *Server) Start(addr string) (net.Addr, error) {
 	maxConns := s.cfg.MaxConns
 	if maxConns <= 0 {
 		maxConns = 4 * s.qs.ServeConfig().QueueDepth
-		if maxConns <= 0 {
-			maxConns = 256
-		}
 	}
 	s.listener = limitListener(ln, maxConns)
 	s.httpSrv = &http.Server{

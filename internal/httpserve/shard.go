@@ -1,205 +1,72 @@
 package httpserve
 
 import (
-	"encoding/json"
-	"fmt"
-	"io"
-	"net"
-	"net/http"
 	"strconv"
-	"sync/atomic"
-	"time"
 
 	"skyloader/internal/exec"
 	"skyloader/internal/metrics"
+	"skyloader/internal/serve"
 	"skyloader/internal/shard"
 	"skyloader/internal/shard/wire"
-	"skyloader/internal/trace"
 )
 
-// ShardFront is the HTTP front door over a shard.Coordinator: the same
-// /v1/* query API, /healthz, /metrics and /debug/traces surface as the
-// single-node Server, but every query scatters across the fleet and
-// /healthz aggregates agent readiness (503 until every shard reports Ready
-// — one agent replaying a WAL or mid-Seal keeps the whole fleet unready).
-type ShardFront struct {
-	co     *shard.Coordinator
-	inline exec.InlineRunner
-	tracer *trace.Tracer
-	cfg    Config
-	mux    *http.ServeMux
+// ShardFront is the front door over a fleet.  It is the same type as the
+// single-node one; the name remains for callers that predate the merge.
+type ShardFront = Server
 
-	httpSrv  *http.Server
-	listener net.Listener
-
-	reqID atomic.Uint64
-	start time.Time
-
-	paths   []string
-	reqs    map[string]*atomic.Int64
-	errs    map[string]*atomic.Int64
-	latency *metrics.Histogram
+// NewShard builds a front door over a coordinator: the same /v1/* query API,
+// /healthz, /metrics and /debug/* surface as New, with the coordinator as the
+// serve.Engine.  Its serve.Server has serve.DefaultConfig's admission bounds
+// and no result cache — no shard commit epoch crosses the wire, so nothing
+// could invalidate a cached fleet answer.  The coordinator's scheduler must
+// support inline execution (the realtime engine; a DES coordinator is driven
+// by the simulator, not by sockets).
+func NewShard(co *shard.Coordinator, cfg Config) (*Server, error) {
+	scfg := serve.DefaultConfig()
+	scfg.CacheShards = -1
+	return newServer(serve.NewEngineServer(co.Scheduler(), co, scfg), fleetBackend{co}, cfg)
 }
 
-// NewShard builds a front door over a coordinator.  The coordinator's
-// scheduler must support inline execution (the realtime engine; a DES
-// coordinator is driven by the simulator, not by sockets).
-func NewShard(co *shard.Coordinator, cfg Config) (*ShardFront, error) {
-	inline, ok := co.Scheduler().(exec.InlineRunner)
-	if !ok {
-		return nil, fmt.Errorf("httpserve: scheduler %T cannot run inline workers (use the realtime engine)", co.Scheduler())
-	}
-	if cfg.TraceEvery == 0 {
-		cfg.TraceEvery = 16
-	}
-	if cfg.TraceRing == 0 {
-		cfg.TraceRing = 512
-	}
-	if cfg.ReadTimeout == 0 {
-		cfg.ReadTimeout = 10 * time.Second
-	}
-	if cfg.WriteTimeout == 0 {
-		cfg.WriteTimeout = 30 * time.Second
-	}
-	s := &ShardFront{
-		co:      co,
-		inline:  inline,
-		tracer:  trace.NewTracer(cfg.TraceRing, cfg.TraceEvery),
-		cfg:     cfg,
-		mux:     http.NewServeMux(),
-		start:   time.Now(),
-		reqs:    make(map[string]*atomic.Int64),
-		errs:    make(map[string]*atomic.Int64),
-		latency: metrics.NewHistogram(),
-	}
-	s.route(PathCone, s.handleQuery)
-	s.route(PathObject, s.handleQuery)
-	s.route(PathFrame, s.handleQuery)
-	s.route(PathMagHist, s.handleQuery)
-	s.route(PathStats, s.handleStats)
-	s.route(PathMetrics, s.handleMetrics)
-	s.route(PathHealthz, s.handleHealthz)
-	s.route(PathTraces, s.handleTraces)
-	return s, nil
+// FleetFamilies are the metric families every fleet scrape must carry: the
+// coordinator's own and the serving layer's it now runs behind.  skyshard
+// -smoke and skystorm -shard both check a live scrape against this list.
+var FleetFamilies = []string{
+	"sky_shard_count", "sky_shard_queries_total", "sky_shard_fanout_total",
+	"sky_shard_requests_total", "sky_shard_gather_seconds",
+	"sky_shard_wire_bytes_total", "sky_shard_ready",
+	"sky_serve_requests_total", "sky_serve_shed_total", "sky_serve_latency_seconds",
 }
 
-func (s *ShardFront) route(path string, h func(http.ResponseWriter, *http.Request, string)) {
-	s.paths = append(s.paths, path)
-	s.reqs[path] = new(atomic.Int64)
-	s.errs[path] = new(atomic.Int64)
-	s.mux.HandleFunc(path, func(w http.ResponseWriter, r *http.Request) {
-		h(w, r, path)
-	})
+// fleetBackend is a shard coordinator behind the front door.
+type fleetBackend struct{ co *shard.Coordinator }
+
+// inline runs fn on a worker of the coordinator's scheduler, which newServer
+// has checked is an exec.InlineRunner.
+func (b fleetBackend) inline(fn func(exec.Worker)) {
+	b.co.Scheduler().(exec.InlineRunner).RunInline("shard-probe", fn)
 }
 
-// Handler returns the root handler (tests drive it without a socket).
-func (s *ShardFront) Handler() http.Handler { return s.mux }
-
-// Tracer exposes the trace ring.
-func (s *ShardFront) Tracer() *trace.Tracer { return s.tracer }
-
-// Start listens on addr and serves until Close.
-func (s *ShardFront) Start(addr string) (net.Addr, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	maxConns := s.cfg.MaxConns
-	if maxConns <= 0 {
-		maxConns = 256
-	}
-	s.listener = limitListener(ln, maxConns)
-	s.httpSrv = &http.Server{
-		Handler:      s.mux,
-		ReadTimeout:  s.cfg.ReadTimeout,
-		WriteTimeout: s.cfg.WriteTimeout,
-	}
-	go func() {
-		_ = s.httpSrv.Serve(s.listener)
-	}()
-	return ln.Addr(), nil
+// probe asks every shard for its current stats.
+func (b fleetBackend) probe() (stats []wire.Stats, err error) {
+	b.inline(func(wk exec.Worker) { stats, err = b.co.ShardStats(wk) })
+	return stats, err
 }
 
-// Close stops the listener and in-flight connections.
-func (s *ShardFront) Close() error {
-	if s.httpSrv == nil {
-		return nil
+// unready aggregates fleet readiness: every shard must answer Ready — one
+// agent replaying a WAL, mid-Seal or unreachable keeps the whole fleet
+// unready.
+func (b fleetBackend) unready() string {
+	ready := false
+	b.inline(func(wk exec.Worker) { ready = b.co.Ready(wk) })
+	if ready {
+		return ""
 	}
-	return s.httpSrv.Close()
+	return "sharding: fleet not ready\n"
 }
 
-func (s *ShardFront) observe(path string, status int, elapsed time.Duration) {
-	if c := s.reqs[path]; c != nil {
-		c.Add(1)
-	}
-	if status >= 400 {
-		if c := s.errs[path]; c != nil {
-			c.Add(1)
-		}
-	}
-	s.latency.Observe(elapsed)
-}
-
-func (s *ShardFront) fail(w http.ResponseWriter, path string, status int, elapsed time.Duration, err error) {
-	msg := http.StatusText(status)
-	if err != nil {
-		msg = err.Error()
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(map[string]string{"error": msg})
-	s.observe(path, status, elapsed)
-}
-
-// handleQuery scatters one query across the fleet and returns the merged
-// result in the same QueryResponse envelope as the single-node API, so
-// clients (and skystorm) work against either unchanged.  Sampled requests
-// carry StageScatter/StageGather cross-node spans in the trace ring.
-func (s *ShardFront) handleQuery(w http.ResponseWriter, r *http.Request, path string) {
-	q, err := parseQuery(path, r.URL.Query())
-	if err != nil {
-		s.fail(w, path, http.StatusBadRequest, 0, err)
-		return
-	}
-	id := s.reqID.Add(1)
-	var tr *trace.Req
-	if s.tracer.Sample() {
-		tr = new(trace.Req)
-	}
-	s.inline.RunInline("shard-http-"+q.Class(), func(wk exec.Worker) {
-		began := wk.Now()
-		tr.Begin(id, q.Class(), began)
-		res, execErr := s.co.Execute(wk, q, tr)
-		resp := QueryResponse{
-			RequestID: id,
-			Outcome:   "served",
-			Objects:   res.Objects,
-			Bins:      res.Bins,
-			Stats:     res.Stats,
-		}
-		status := http.StatusOK
-		if execErr != nil {
-			resp.Outcome = "error"
-			resp.Error = execErr.Error()
-			status = http.StatusInternalServerError
-		}
-		resp.ElapsedNS = int64(wk.Now() - began)
-		w.Header().Set("Content-Type", "application/json")
-		w.Header().Set("X-Request-ID", strconv.FormatUint(id, 10))
-		w.WriteHeader(status)
-		_ = json.NewEncoder(w).Encode(resp)
-		tr.Finish(resp.Outcome, trace.StageEncode, wk.Now())
-		s.observe(path, status, wk.Now()-began)
-	})
-	if tr != nil {
-		s.tracer.Publish(tr)
-	}
-}
-
-// ShardStatsResponse is the JSON envelope of /v1/stats on a shard
-// coordinator: the coordinator's scatter/gather counters plus each shard's
-// self-reported stats.
-type ShardStatsResponse struct {
+// FleetStats is the fleet half of /v1/stats: the coordinator's scatter/gather
+// counters plus each shard's self-reported stats.
+type FleetStats struct {
 	Shards          int          `json:"shards"`
 	Queries         int64        `json:"queries"`
 	QueryErrors     int64        `json:"query_errors"`
@@ -209,99 +76,32 @@ type ShardStatsResponse struct {
 	GatherP99NS     int64        `json:"gather_p99_ns"`
 	ShardStats      []wire.Stats `json:"shard_stats,omitempty"`
 	ShardStatsError string       `json:"shard_stats_error,omitempty"`
-	TracesPublished uint64       `json:"traces_published"`
-	UptimeNS        int64        `json:"uptime_ns"`
 }
 
-func (s *ShardFront) handleStats(w http.ResponseWriter, r *http.Request, path string) {
-	began := time.Now()
-	snap := s.co.Snapshot()
-	resp := ShardStatsResponse{
-		Shards:          snap.Shards,
-		Queries:         snap.Queries,
-		QueryErrors:     snap.QueryErrors,
-		BytesSent:       snap.BytesSent,
-		BytesReceived:   snap.BytesReceived,
-		GatherP50NS:     int64(snap.Gather.P50),
-		GatherP99NS:     int64(snap.Gather.P99),
-		TracesPublished: s.tracer.Published(),
-		UptimeNS:        int64(time.Since(s.start)),
+func (b fleetBackend) stats(resp *StatsResponse) {
+	snap := b.co.Snapshot()
+	fs := &FleetStats{
+		Shards:        snap.Shards,
+		Queries:       snap.Queries,
+		QueryErrors:   snap.QueryErrors,
+		BytesSent:     snap.BytesSent,
+		BytesReceived: snap.BytesReceived,
+		GatherP50NS:   int64(snap.Gather.P50),
+		GatherP99NS:   int64(snap.Gather.P99),
 	}
-	s.inline.RunInline("shard-stats", func(wk exec.Worker) {
-		stats, err := s.co.ShardStats(wk)
-		if err != nil {
-			resp.ShardStatsError = err.Error()
-			return
-		}
-		resp.ShardStats = stats
-	})
-	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(resp); err != nil {
-		s.observe(path, http.StatusInternalServerError, time.Since(began))
-		return
-	}
-	s.observe(path, http.StatusOK, time.Since(began))
-}
-
-// handleHealthz aggregates fleet readiness: 200 only when every shard
-// reports Ready.
-func (s *ShardFront) handleHealthz(w http.ResponseWriter, r *http.Request, path string) {
-	began := time.Now()
-	ready := false
-	s.inline.RunInline("shard-healthz", func(wk exec.Worker) {
-		ready = s.co.Ready(wk)
-	})
-	if ready {
-		w.WriteHeader(http.StatusOK)
-		_, _ = w.Write([]byte("ok\n"))
-		s.observe(path, http.StatusOK, time.Since(began))
-		return
-	}
-	w.WriteHeader(http.StatusServiceUnavailable)
-	_, _ = w.Write([]byte("sharding: fleet not ready\n"))
-	s.observe(path, http.StatusServiceUnavailable, time.Since(began))
-}
-
-func (s *ShardFront) handleTraces(w http.ResponseWriter, r *http.Request, path string) {
-	began := time.Now()
-	var reqs []trace.Req
-	if raw := r.URL.Query().Get("n"); raw != "" {
-		n, err := strconv.Atoi(raw)
-		if err != nil || n <= 0 {
-			s.fail(w, path, http.StatusBadRequest, time.Since(began), err)
-			return
-		}
-		reqs = s.tracer.Slowest(n)
+	if stats, err := b.probe(); err != nil {
+		fs.ShardStatsError = err.Error()
 	} else {
-		reqs = s.tracer.Snapshot()
+		fs.ShardStats = stats
 	}
-	out := make([]TraceDump, 0, len(reqs))
-	for i := range reqs {
-		out = append(out, dumpTrace(&reqs[i]))
-	}
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(out)
-	s.observe(path, http.StatusOK, time.Since(began))
+	resp.Fleet = fs
 }
 
-func (s *ShardFront) handleMetrics(w http.ResponseWriter, r *http.Request, path string) {
-	began := time.Now()
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	if err := s.WriteMetrics(w); err != nil {
-		s.observe(path, http.StatusInternalServerError, time.Since(began))
-		return
-	}
-	s.observe(path, http.StatusOK, time.Since(began))
-}
-
-// WriteMetrics renders the coordinator scrape: the sky_shard_* families
-// (fan-out, per-shard traffic, gather latency, bytes on the wire, per-shard
-// readiness/rows from a live probe) plus the HTTP transport counters and
-// the trace ring.  Exported so smoke paths and tests can validate a scrape
-// without a socket.
-func (s *ShardFront) WriteMetrics(out io.Writer) error {
-	p := metrics.NewPromWriter(out)
-	snap := s.co.Snapshot()
+// writeMetrics renders the sky_shard_* families: fan-out, per-shard traffic,
+// gather latency, bytes on the wire, and per-shard readiness/rows from a live
+// probe.
+func (b fleetBackend) writeMetrics(p *metrics.PromWriter) {
+	snap := b.co.Snapshot()
 
 	p.Metric("sky_shard_count", "Number of shards in the fleet.", "gauge")
 	p.SampleInt("sky_shard_count", nil, int64(snap.Shards))
@@ -330,11 +130,7 @@ func (s *ShardFront) WriteMetrics(out io.Writer) error {
 
 	// Live per-shard state; a probe failure leaves the families out of this
 	// scrape rather than failing it (the fleet may be mid-restart).
-	var stats []wire.Stats
-	var statsErr error
-	s.inline.RunInline("shard-metrics", func(wk exec.Worker) {
-		stats, statsErr = s.co.ShardStats(wk)
-	})
+	stats, statsErr := b.probe()
 	p.Metric("sky_shard_probe_failed", "1 when the last per-shard stats probe failed.", "gauge")
 	failed := int64(0)
 	if statsErr != nil {
@@ -359,22 +155,6 @@ func (s *ShardFront) WriteMetrics(out io.Writer) error {
 			p.SampleInt("sky_shard_queries_served_total", shardLabels(int(st.ShardID)), st.QueriesServed)
 		}
 	}
-
-	// --- transport ---
-	p.Metric("sky_http_requests_total", "HTTP requests by endpoint.", "counter")
-	for _, path := range s.paths {
-		p.SampleInt("sky_http_requests_total", pathLabels(path), s.reqs[path].Load())
-	}
-	p.Metric("sky_http_errors_total", "HTTP error responses by endpoint.", "counter")
-	for _, path := range s.paths {
-		p.SampleInt("sky_http_errors_total", pathLabels(path), s.errs[path].Load())
-	}
-	p.Metric("sky_http_request_seconds", "Server-side request latency.", "histogram")
-	p.Histogram("sky_http_request_seconds", nil, s.latency)
-
-	p.Metric("sky_trace_published_total", "Requests captured into the trace ring.", "counter")
-	p.SampleInt("sky_trace_published_total", nil, int64(s.tracer.Published()))
-	return p.Err()
 }
 
 func shardLabels(i int) []metrics.Label {

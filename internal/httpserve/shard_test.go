@@ -1,126 +1,27 @@
 package httpserve
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
-	"skyloader/internal/catalog"
-	"skyloader/internal/des"
 	"skyloader/internal/exec"
-	"skyloader/internal/metrics"
 	"skyloader/internal/queries"
+	"skyloader/internal/serve"
 	"skyloader/internal/shard"
 	"skyloader/internal/shard/wire"
 )
 
-// shardEnv is a loaded 3-shard fleet behind a ShardFront, driven through the
-// handler directly (no socket).
-type shardEnv struct {
-	agents []*shard.Agent
-	co     *shard.Coordinator
-	inline exec.InlineRunner
-	front  *ShardFront
-}
-
-func newShardEnv(t testing.TB, n int, cfg Config) *shardEnv {
-	t.Helper()
-	sched := exec.NewRealtime(exec.RealtimeConfig{Seed: 11})
-	inline := exec.InlineRunner(sched)
-	files := catalog.GenerateNight(catalog.NightSpec{TotalMB: 2, Files: 3, RowsPerMB: 120, Seed: 11})
-	agents := make([]*shard.Agent, n)
-	clients := make([]shard.Client, n)
-	for i := range agents {
-		a, err := shard.NewAgent(sched, shard.DefaultAgentConfig())
-		if err != nil {
-			t.Fatal(err)
-		}
-		agents[i] = a
-		clients[i] = shard.NewMemClient(sched, a, shard.NetModel{})
-	}
-	pm, err := shard.PartitionFromFiles(files, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	co, err := shard.New(sched, pm, clients, shard.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { co.Close() })
-	inline.RunInline("shard-env-setup", func(w exec.Worker) {
-		if err := co.Hello(w); err != nil {
-			t.Error(err)
-			return
-		}
-		if _, err := co.LoadFiles(w, files); err != nil {
-			t.Error(err)
-		}
-	})
-	if t.Failed() {
-		t.FailNow()
-	}
-	front, err := NewShard(co, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return &shardEnv{agents: agents, co: co, inline: inline, front: front}
-}
-
-func (e *shardEnv) get(t testing.TB, path string) (int, []byte) {
-	t.Helper()
-	rec := httptest.NewRecorder()
-	e.front.Handler().ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
-	return rec.Code, rec.Body.Bytes()
-}
-
-func TestShardQueryEndpoints(t *testing.T) {
-	env := newShardEnv(t, 3, Config{})
-	reqs := []queries.Query{
-		queries.Cone{RA: 30, Dec: -10, RadiusDeg: 2},
-		queries.ObjectLookup{ObjectID: 100_000_010},
-		queries.FrameObjects{FrameID: 3},
-		queries.MagHistogram{BinWidth: 0.5},
-	}
-	rows := 0
-	for _, q := range reqs {
-		u, err := QueryURL(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		status, body := env.get(t, u)
-		if status != http.StatusOK {
-			t.Fatalf("%s: status %d, body %s", u, status, body)
-		}
-		var resp QueryResponse
-		if err := json.Unmarshal(body, &resp); err != nil {
-			t.Fatalf("%s: bad JSON %v in %s", u, err, body)
-		}
-		if resp.Outcome != "served" {
-			t.Fatalf("%s: outcome %q", u, resp.Outcome)
-		}
-		if resp.RequestID == 0 {
-			t.Fatalf("%s: no request id", u)
-		}
-		rows += len(resp.Objects) + len(resp.Bins)
-	}
-	if rows == 0 {
-		t.Fatal("no endpoint returned any rows — fleet is serving empty shards")
-	}
-
-	// Same bad-request discipline as the single-node front.
-	for _, path := range []string{
-		PathCone + "?ra=1&dec=2",
-		PathObject + "?id=abc",
-		PathMagHist + "?bin=-1",
-	} {
-		if status, _ := env.get(t, path); status != http.StatusBadRequest {
-			t.Errorf("%s: status %d, want 400", path, status)
-		}
-	}
-}
+// What only a fleet does.  Everything a fleet front shares with a database
+// front — envelope, 400s, traces, the common metric families, /v1/stats — is
+// in contract_test.go.
 
 // TestShardHealthzAggregation is the lagging-agent contract: /healthz must
 // stay 503 until EVERY shard reports Ready — two sealed shards and one still
@@ -202,136 +103,207 @@ func TestShardHealthzAggregation(t *testing.T) {
 	}
 }
 
-func TestShardMetricsScrape(t *testing.T) {
-	env := newShardEnv(t, 3, Config{})
-	for i := 0; i < 10; i++ {
+// TestShardMetricValues checks the values of the fleet's own families and
+// that every /v1 request went through serve.Server: the serving layer and
+// the coordinator count the same queries.
+func TestShardMetricValues(t *testing.T) {
+	env := newShardEnv(t, Config{})
+	const lookups = 10
+	for i := 0; i < lookups; i++ {
 		u, _ := QueryURL(queries.ObjectLookup{ObjectID: int64(100_000_000 + i)})
 		env.get(t, u)
 	}
 	u, _ := QueryURL(queries.Cone{RA: 30, Dec: -10, RadiusDeg: 2})
 	env.get(t, u)
 
-	status, body := env.get(t, PathMetrics)
-	if status != http.StatusOK {
-		t.Fatalf("scrape status %d", status)
-	}
-	families, err := metrics.PromValid(string(body))
-	if err != nil {
-		t.Fatalf("invalid exposition: %v\n%s", err, body)
-	}
-	for _, want := range []string{
-		"sky_shard_count", "sky_shard_queries_total", "sky_shard_query_errors_total",
-		"sky_shard_fanout_total", "sky_shard_requests_total", "sky_shard_load_tasks_total",
-		"sky_shard_gather_seconds", "sky_shard_wire_bytes_total",
-		"sky_shard_ready", "sky_shard_rows", "sky_shard_queries_served_total",
-		"sky_http_requests_total", "sky_http_request_seconds",
-		"sky_trace_published_total",
-	} {
-		if !families[want] {
-			t.Errorf("scrape missing family %s", want)
-		}
-	}
+	_, body := env.get(t, PathMetrics)
 	text := string(body)
-	if !strings.Contains(text, "sky_shard_count 3") {
-		t.Error("sky_shard_count != 3")
+	want := []string{
+		"sky_shard_count 3",
+		fmt.Sprintf("sky_shard_queries_total %d", lookups+1),
+		fmt.Sprintf("sky_serve_requests_total %d", lookups+1),
+		fmt.Sprintf("sky_serve_served_total %d", lookups+1),
+		"sky_shard_query_errors_total 0",
+		"sky_shard_probe_failed 0",
+		// Lookups broadcast: one call per shard each.
+		fmt.Sprintf(`sky_shard_fanout_total{class="lookup"} %d`, 3*lookups),
+		// NewShard's serve.Server: DefaultConfig's pool.
+		fmt.Sprintf("sky_workers_capacity %d", serve.DefaultConfig().Workers),
 	}
 	for s := 0; s < 3; s++ {
-		if !strings.Contains(text, fmt.Sprintf(`sky_shard_ready{shard="%d"} 1`, s)) {
-			t.Errorf("shard %d not exported ready", s)
+		want = append(want, fmt.Sprintf(`sky_shard_ready{shard="%d"} 1`, s))
+	}
+	for _, line := range want {
+		if !containsLine(text, line) {
+			t.Errorf("scrape has no line %q", line)
 		}
 	}
-	if !strings.Contains(text, `sky_shard_fanout_total{class="lookup"}`) {
-		t.Error("no lookup fan-out series")
+	for _, prefix := range []string{
+		`sky_shard_wire_bytes_total{direction="sent"} `,
+		`sky_shard_wire_bytes_total{direction="received"} `,
+		`sky_shard_fanout_total{class="cone"} `,
+	} {
+		if !containsLine(text, prefix) || strings.Contains(text, prefix+"0\n") {
+			t.Errorf("scrape has no moving series %q", prefix)
+		}
 	}
-	if !strings.Contains(text, `sky_shard_wire_bytes_total{direction="sent"}`) {
-		t.Error("no wire byte accounting")
+	if cfg := env.front.qs.ServeConfig(); cfg.QueueDepth != serve.DefaultConfig().QueueDepth ||
+		cfg.Deadline != serve.DefaultConfig().Deadline || env.front.qs.Cache() != nil {
+		t.Errorf("NewShard's serve config %+v, cache %v: want DefaultConfig bounds and no cache", cfg, env.front.qs.Cache())
 	}
 }
 
-func TestShardStatsEndpoint(t *testing.T) {
-	env := newShardEnv(t, 3, Config{})
-	u, _ := QueryURL(queries.Cone{RA: 30, Dec: -10, RadiusDeg: 2})
-	env.get(t, u)
-
-	status, body := env.get(t, PathStats)
-	if status != http.StatusOK {
-		t.Fatalf("stats status %d", status)
+// TestFleetMatchesOracleThroughFront: the rows a fleet returns through the
+// unified front door are byte-identical to a single-node database's over the
+// same catalog, for all four query classes.
+func TestFleetMatchesOracleThroughFront(t *testing.T) {
+	env := newShardEnv(t, Config{})
+	oracle := loadDB(t, exec.NewRealtime(exec.RealtimeConfig{Seed: 5}), testNight())
+	rows := func(objs []queries.Object, bins []queries.MagnitudeBin) []byte {
+		js, err := json.Marshal(struct {
+			Objects []queries.Object
+			Bins    []queries.MagnitudeBin
+		}{objs, bins})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return js
 	}
-	var resp ShardStatsResponse
-	if err := json.Unmarshal(body, &resp); err != nil {
-		t.Fatalf("stats JSON: %v", err)
-	}
-	if resp.Shards != 3 {
-		t.Fatalf("stats shards = %d", resp.Shards)
-	}
-	if resp.Queries == 0 {
-		t.Error("stats report zero queries after traffic")
-	}
-	if len(resp.ShardStats) != 3 {
-		t.Fatalf("shard stats entries = %d", len(resp.ShardStats))
-	}
-	var rows int64
-	for _, st := range resp.ShardStats {
-		rows += st.Rows
-	}
-	if rows == 0 {
-		t.Error("fleet reports zero resident rows after load")
+	qs := append([]queries.Query{
+		queries.Cone{RA: 200, Dec: -75, RadiusDeg: 0.2}, // empty
+		queries.ObjectLookup{ObjectID: 42},              // miss
+	}, classQueries()...)
+	for _, q := range qs {
+		want, err := q.Run(oracle)
+		if err != nil {
+			t.Fatal(err)
+		}
+		u, _ := QueryURL(q)
+		status, body := env.get(t, u)
+		if status != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", u, status, body)
+		}
+		var got QueryResponse
+		if err := json.Unmarshal(body, &got); err != nil {
+			t.Fatal(err)
+		}
+		if g, w := rows(got.Objects, got.Bins), rows(want.Objects, want.Bins); !bytes.Equal(g, w) {
+			t.Errorf("%s: fleet differs from oracle\n got %s\nwant %s", u, g, w)
+		}
+		if got.Stats.RowsReturned != want.Stats.RowsReturned {
+			t.Errorf("%s: rows returned %d, oracle %d", u, got.Stats.RowsReturned, want.Stats.RowsReturned)
+		}
 	}
 }
 
-func TestShardTraceSpans(t *testing.T) {
-	env := newShardEnv(t, 3, Config{TraceEvery: 1})
-	const n = 20
-	for i := 0; i < n; i++ {
-		u, _ := QueryURL(queries.Cone{RA: 30, Dec: -10, RadiusDeg: 2})
-		env.get(t, u)
-	}
-	traces := env.front.Tracer().Snapshot()
-	if len(traces) < n {
-		t.Fatalf("published %d traces, want >= %d", len(traces), n)
-	}
-	sawScatter := false
-	for _, tr := range traces {
-		if tr.Total() <= 0 {
-			t.Fatalf("trace %d: non-positive total", tr.ID)
-		}
-		d := dumpTrace(&tr)
-		if ns, ok := d.Stages["scatter"]; ok && ns > 0 {
-			sawScatter = true
-		}
-	}
-	if !sawScatter {
-		t.Fatal("no trace carried a cross-node scatter span")
-	}
-
-	status, body := env.get(t, PathTraces+"?n=5")
-	if status != http.StatusOK {
-		t.Fatalf("traces status %d", status)
-	}
-	var dump []TraceDump
-	if err := json.Unmarshal(body, &dump); err != nil {
-		t.Fatalf("traces JSON: %v", err)
-	}
-	if len(dump) != 5 {
-		t.Fatalf("asked for 5 slowest, got %d", len(dump))
-	}
+// gatedClient is a shard that answers a query only when released.
+type gatedClient struct {
+	entered chan struct{} // one send per query that reached the shard
+	release chan struct{} // closed to let queries answer
 }
 
-func TestShardDESSchedulerRejected(t *testing.T) {
-	sched := exec.NewDES(des.NewKernel(5))
-	a, err := shard.NewAgent(sched, shard.DefaultAgentConfig())
-	if err != nil {
-		t.Fatal(err)
+func (c *gatedClient) Call(_ exec.Worker, m wire.Msg) (wire.Msg, error) {
+	switch m.(type) {
+	case wire.Query:
+		c.entered <- struct{}{}
+		<-c.release
+		return wire.QueryResult{}, nil
+	case wire.Stats:
+		return wire.Stats{Ready: true}, nil
 	}
+	return wire.Ready{Ready: true}, nil
+}
+
+func (c *gatedClient) Bytes() (int64, int64) { return 0, 0 }
+func (c *gatedClient) Close() error          { return nil }
+
+// TestFleetAdmission: a fleet front sheds and deadlines like a database
+// front.  With every worker busy in a shard call and the admission queue
+// full, the next request is shed with 503 + Retry-After; the queued requests
+// out-wait the deadline and come back 504 without reaching the shard.
+func TestFleetAdmission(t *testing.T) {
+	const workers, queue = 2, 3
+	sched := exec.NewRealtime(exec.RealtimeConfig{Seed: 13})
 	pm, err := shard.NewUniformPartition(1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	co, err := shard.New(sched, pm, []shard.Client{shard.NewMemClient(sched, a, shard.NetModel{})}, shard.Config{})
+	// entered is buffered to the number of queries that can reach the shard.
+	gate := &gatedClient{entered: make(chan struct{}, workers), release: make(chan struct{})}
+	co, err := shard.New(sched, pm, []shard.Client{gate}, shard.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewShard(co, Config{}); err == nil {
-		t.Fatal("NewShard accepted a DES scheduler; sockets need wall-clock workers")
+	// NewShard with smaller bounds and a deadline the test can out-wait.
+	deadline := 50 * time.Millisecond
+	qs := serve.NewEngineServer(sched, co, serve.Config{Workers: workers, QueueDepth: queue, Deadline: deadline, CacheShards: -1})
+	front, err := newServer(qs, fleetBackend{co}, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	u, _ := QueryURL(queries.ObjectLookup{ObjectID: 7})
+	codes := make(chan int, workers+queue)
+	var wg sync.WaitGroup
+	fire := func() {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rec := httptest.NewRecorder()
+			front.Handler().ServeHTTP(rec, httptest.NewRequest("GET", u, nil))
+			codes <- rec.Code
+		}()
+	}
+	for i := 0; i < workers; i++ {
+		fire()
+	}
+	for i := 0; i < workers; i++ {
+		<-gate.entered
+	}
+	for i := 0; i < queue; i++ {
+		fire()
+	}
+	for waitUntil := time.Now().Add(10 * time.Second); qs.Workers().QueueLen() < queue; {
+		if time.Now().After(waitUntil) {
+			t.Fatalf("admission queue reached %d of %d", qs.Workers().QueueLen(), queue)
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	rec := httptest.NewRecorder()
+	front.Handler().ServeHTTP(rec, httptest.NewRequest("GET", u, nil))
+	if rec.Code != http.StatusServiceUnavailable || rec.Header().Get("Retry-After") == "" {
+		t.Fatalf("request over the queue bound: status %d, Retry-After %q", rec.Code, rec.Header().Get("Retry-After"))
+	}
+	var shed QueryResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &shed); err != nil || shed.Outcome != "shed" {
+		t.Fatalf("shed envelope %s (%v)", rec.Body, err)
+	}
+
+	time.Sleep(2 * deadline) // the queued requests have now out-waited it
+	close(gate.release)
+	wg.Wait()
+	close(codes)
+	got := map[int]int{}
+	for code := range codes {
+		got[code]++
+	}
+	if got[http.StatusOK] != workers || got[http.StatusGatewayTimeout] != queue {
+		t.Fatalf("statuses %v, want %d×200 and %d×504", got, workers, queue)
+	}
+
+	var scrape strings.Builder
+	if err := front.WriteMetrics(&scrape); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range []string{
+		"sky_serve_shed_total 1",
+		"sky_serve_expired_total " + strconv.Itoa(queue),
+		"sky_serve_served_total " + strconv.Itoa(workers),
+		// Shed and expired requests never reached the coordinator.
+		"sky_shard_queries_total " + strconv.Itoa(workers),
+	} {
+		if !containsLine(scrape.String(), line) {
+			t.Errorf("scrape has no line %q", line)
+		}
 	}
 }

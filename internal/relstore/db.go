@@ -71,7 +71,7 @@ func DefaultConfig() Config {
 // DB is an embedded relational database instance.
 //
 // Concurrency: the engine is safe for concurrent transactions on separate
-// goroutines.  The table set is immutable after NewDB; each Table carries its
+// goroutines.  The table set is immutable after Open; each Table carries its
 // own lock, the lock manager, WAL and buffer cache carry theirs, and the
 // engine-wide counters are atomics, so writers to different tables proceed in
 // parallel and writers to the same table serialize only for the in-memory
@@ -142,8 +142,7 @@ type dbCounters struct {
 	violations map[ConstraintKind]int64
 }
 
-// open builds the database from a resolved option set; Open and NewDB both
-// land here.
+// open builds the database from a resolved option set.
 func open(schema *Schema, oc openConfig) (*DB, error) {
 	if schema == nil {
 		return nil, fmt.Errorf("relstore: nil schema")
@@ -205,26 +204,6 @@ func (db *DB) Close() error {
 		return nil
 	}
 	return dev.close()
-}
-
-// NewDB creates a database for the given schema.
-//
-// Deprecated: use Open with functional options; NewDB(schema, cfg) is
-// equivalent to Open(schema, WithConfig(cfg)).  NewDB predates load policies
-// and cannot express them.
-func NewDB(schema *Schema, cfg Config) (*DB, error) {
-	return open(schema, openConfig{cfg: cfg, indexPolicy: IndexImmediate})
-}
-
-// MustNewDB is NewDB that panics on error.
-//
-// Deprecated: use MustOpen.
-func MustNewDB(schema *Schema, cfg Config) *DB {
-	db, err := NewDB(schema, cfg)
-	if err != nil {
-		panic(err)
-	}
-	return db
 }
 
 // Schema returns the database schema.

@@ -66,8 +66,9 @@ type openConfig struct {
 	recovering bool
 }
 
-// WithConfig adopts a legacy Config wholesale.  It exists so NewDB callers
-// can migrate mechanically; new code should prefer the individual options.
+// WithConfig adopts a Config wholesale, for callers that build one in place
+// (tuning profiles, the benchmark); new code should prefer the individual
+// options.
 func WithConfig(cfg Config) Option {
 	return func(o *openConfig) { o.cfg = cfg }
 }
@@ -185,7 +186,7 @@ func WithWALSegmentBytes(n int64) Option {
 
 // Open creates a database for the given schema, configured by functional
 // options.  Zero-valued knobs fall back to DefaultConfig values.  Open is the
-// engine's constructor; NewDB remains as a deprecated positional wrapper.
+// engine's constructor.
 func Open(schema *Schema, opts ...Option) (*DB, error) {
 	oc := openConfig{indexPolicy: IndexImmediate}
 	for _, opt := range opts {

@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 
 	"skyloader/internal/queries"
-	"skyloader/internal/relstore"
 )
 
 // Cache is a sharded LRU result cache keyed by query signature and
@@ -14,10 +13,11 @@ import (
 //
 // Ownership rules (see PERFORMANCE.md, "Result-cache ownership"):
 //
-//   - An entry may only be stored with an epoch obtained from
-//     relstore.DB.SnapshotRead reporting stable — a result computed while a
-//     loader transaction was in flight, or across a commit, must never be
-//     memoized, because the engine makes rows visible at insert time.
+//   - An entry may only be stored with an epoch obtained from Engine.Read
+//     reporting cacheable (for a database: relstore.DB.SnapshotRead reporting
+//     stable) — a result computed while a loader transaction was in flight,
+//     or across a commit, must never be memoized, because the engine makes
+//     rows visible at insert time.
 //   - Get re-validates the entry's epoch against the table's current commit
 //     epoch on every hit and evicts on mismatch, so a commit (or rollback)
 //     anywhere in the loading pipeline invalidates every affected result at
@@ -36,6 +36,11 @@ type Cache struct {
 	evictions  atomic.Int64
 	stores     atomic.Int64
 	overwrites atomic.Int64
+}
+
+// Epochs reports a table's current commit epoch: a relstore.DB, or any Engine.
+type Epochs interface {
+	TableEpoch(table string) int64
 }
 
 type cacheShard struct {
@@ -113,7 +118,7 @@ func (c *Cache) shardFor(key string) *cacheShard {
 // Get returns the cached result for the key if present and still valid for
 // the current commit epoch of its table.  A stale entry is evicted and
 // reported as a miss.
-func (c *Cache) Get(db *relstore.DB, key string) (queries.Result, bool) {
+func (c *Cache) Get(db Epochs, key string) (queries.Result, bool) {
 	s := c.shardFor(key)
 	s.mu.Lock()
 	el, ok := s.entries[key]
@@ -140,11 +145,11 @@ func (c *Cache) Get(db *relstore.DB, key string) (queries.Result, bool) {
 }
 
 // Put stores a result computed at the given stable epoch of the table.  The
-// caller must have obtained (epoch, stable=true) from DB.SnapshotRead; Put
+// caller must have obtained (epoch, cacheable=true) from Engine.Read; Put
 // double-checks that the epoch is still current and refuses the store
 // otherwise, so a result that went stale between computation and store never
 // enters the cache.
-func (c *Cache) Put(db *relstore.DB, key, table string, epoch int64, res queries.Result) bool {
+func (c *Cache) Put(db Epochs, key, table string, epoch int64, res queries.Result) bool {
 	if db.TableEpoch(table) != epoch {
 		return false
 	}

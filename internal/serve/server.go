@@ -124,12 +124,37 @@ type classState struct {
 	latency  *metrics.Histogram
 }
 
+// Engine is what a Server executes against once a request is admitted and
+// has missed the cache.  Read runs q and reports the commit epoch of q's table
+// the answer was computed at, and whether the answer may be memoized under
+// that epoch; TableEpoch is the table's current epoch, which the result cache
+// re-validates every hit against.  A single database (NewServer) and a
+// shard.Coordinator (NewEngineServer) are the two implementations.
+type Engine interface {
+	Epochs
+	Read(w exec.Worker, q queries.Query, tr *trace.Req) (res queries.Result, epoch int64, cacheable bool, err error)
+}
+
+// dbEngine is the single-node Engine: q.Run inside DB.SnapshotRead, cacheable
+// exactly when the read saw a stable committed snapshot.
+type dbEngine struct{ *relstore.DB }
+
+func (e dbEngine) Read(_ exec.Worker, q queries.Query, _ *trace.Req) (res queries.Result, epoch int64, cacheable bool, err error) {
+	epoch, cacheable, err = e.SnapshotRead(q.Table(), func() error {
+		r, err := q.Run(e.DB)
+		res = r
+		return err
+	})
+	return res, epoch, cacheable, err
+}
+
 // Server is the query-serving layer on one execution scheduler.
 type Server struct {
-	sched exec.Scheduler
-	db    *relstore.DB
-	cfg   Config
-	cache *Cache
+	sched  exec.Scheduler
+	engine Engine
+	db     *relstore.DB // nil unless built by NewServer
+	cfg    Config
+	cache  *Cache
 
 	workers exec.Resource
 
@@ -162,6 +187,15 @@ type Server struct {
 // NewServer creates a serving layer for db on sched.  The scheduler must be
 // the one every co-scheduled workload (e.g. a concurrent bulk load) uses.
 func NewServer(sched exec.Scheduler, db *relstore.DB, cfg Config) *Server {
+	s := NewEngineServer(sched, dbEngine{db}, cfg)
+	s.db = db
+	return s
+}
+
+// NewEngineServer creates a serving layer over any Engine: the same
+// admission, deadline, cache and accounting path as NewServer, executing
+// against engine instead of a local database.
+func NewEngineServer(sched exec.Scheduler, engine Engine, cfg Config) *Server {
 	if cfg.Workers <= 0 {
 		cfg.Workers = DefaultConfig().Workers
 	}
@@ -179,7 +213,7 @@ func NewServer(sched exec.Scheduler, db *relstore.DB, cfg Config) *Server {
 	}
 	s := &Server{
 		sched:   sched,
-		db:      db,
+		engine:  engine,
 		cfg:     cfg,
 		workers: sched.NewResource("query-workers", cfg.Workers),
 		classes: make(map[string]*classState, 4),
@@ -195,7 +229,8 @@ func NewServer(sched exec.Scheduler, db *relstore.DB, cfg Config) *Server {
 	return s
 }
 
-// DB returns the served database.
+// DB returns the served database (nil when the engine is not a local
+// database).
 func (s *Server) DB() *relstore.DB { return s.db }
 
 // Cache returns the result cache (nil when disabled).
@@ -350,7 +385,7 @@ func (s *Server) Execute(w exec.Worker, q queries.Query, tr *trace.Req) (queries
 	var sig string
 	if s.cache != nil {
 		sig = q.Signature()
-		if res, ok := s.cache.Get(s.db, sig); ok {
+		if res, ok := s.cache.Get(s.engine, sig); ok {
 			w.Sleep(s.cfg.Cost.CacheHit)
 			cls.hits.Add(1)
 			cls.served.Add(1)
@@ -366,12 +401,7 @@ func (s *Server) Execute(w exec.Worker, q queries.Query, tr *trace.Req) (queries
 		tr.Mark(trace.StageCache, w.Now())
 	}
 
-	var res queries.Result
-	epoch, stable, err := s.db.SnapshotRead(q.Table(), func() error {
-		r, err := q.Run(s.db)
-		res = r
-		return err
-	})
+	res, epoch, stable, err := s.engine.Read(w, q, tr)
 	if err != nil {
 		s.errors.Add(1)
 		if tr != nil {
@@ -382,7 +412,7 @@ func (s *Server) Execute(w exec.Worker, q queries.Query, tr *trace.Req) (queries
 	w.Sleep(s.cfg.Cost.QueryCost(res.Stats))
 	if s.cache != nil {
 		if stable {
-			s.cache.Put(s.db, sig, q.Table(), epoch, res)
+			s.cache.Put(s.engine, sig, q.Table(), epoch, res)
 		} else {
 			// The read overlapped in-flight loader transactions: the answer
 			// is returned to this client but never memoized.

@@ -274,6 +274,18 @@ func (c *Coordinator) Execute(w exec.Worker, q queries.Query, tr *trace.Req) (qu
 	return merged, nil
 }
 
+// Read and TableEpoch make the coordinator a serve.Engine, so a serve.Server
+// admits, sheds and deadlines fleet queries exactly as it does a database's.
+// No shard commit epoch crosses the wire, so a fleet answer is never
+// cacheable and the epoch is a constant; the fleet's serve.Server is built
+// with its result cache disabled.
+func (c *Coordinator) Read(w exec.Worker, q queries.Query, tr *trace.Req) (queries.Result, int64, bool, error) {
+	res, err := c.Execute(w, q, tr)
+	return res, 0, false, err
+}
+
+func (c *Coordinator) TableEpoch(string) int64 { return 0 }
+
 // merge combines per-shard partial results into the single-node answer.
 func (c *Coordinator) merge(q queries.Query, replies []wire.QueryResult) queries.Result {
 	var out queries.Result

@@ -7,6 +7,7 @@ import (
 	"net"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"skyloader/internal/exec"
 	"skyloader/internal/shard/wire"
@@ -117,24 +118,35 @@ func (s *AgentServer) Close() error {
 	return err
 }
 
+// callTimeout bounds one Hello, Query or Stats round trip on a TCP client.
+// An agent that accepts and never answers would otherwise block the read
+// forever with the client mutex held, and every later query to that shard —
+// and /healthz and /metrics, which probe it — would hang behind it.  Agents
+// answer these in milliseconds; LoadTask calls, which legitimately run for
+// seconds, carry no deadline.
+const callTimeout = 5 * time.Second
+
 // tcpClient is the coordinator side of one agent connection.  One request
 // is outstanding at a time (the scatter path runs one worker per shard);
-// a failed call closes the connection and the next call re-dials, so a
-// restarted agent is picked up transparently.
+// a failed or timed-out call closes the connection and the next call
+// re-dials, so a restarted agent is picked up transparently.
 type tcpClient struct {
-	addr string
-	mu   sync.Mutex
-	conn net.Conn
-	br   *bufio.Reader
-	sent atomic.Int64
-	recv atomic.Int64
-	shut atomic.Bool
+	addr    string
+	timeout time.Duration // callTimeout, shorter only in tests
+	mu      sync.Mutex
+	conn    net.Conn
+	br      *bufio.Reader
+	sent    atomic.Int64
+	recv    atomic.Int64
+	shut    atomic.Bool
 }
 
 // DialShard connects to an agent server.  The initial dial is eager so
 // configuration errors surface immediately; later reconnects are lazy.
-func DialShard(addr string) (Client, error) {
-	c := &tcpClient{addr: addr}
+func DialShard(addr string) (Client, error) { return dialShard(addr, callTimeout) }
+
+func dialShard(addr string, timeout time.Duration) (Client, error) {
+	c := &tcpClient{addr: addr, timeout: timeout}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if err := c.ensureConn(); err != nil {
@@ -174,6 +186,14 @@ func (c *tcpClient) Call(_ exec.Worker, m wire.Msg) (wire.Msg, error) {
 	defer c.mu.Unlock()
 	if err := c.ensureConn(); err != nil {
 		return nil, err
+	}
+	var deadline time.Time // zero clears the previous call's
+	if _, load := m.(wire.LoadTask); !load {
+		deadline = time.Now().Add(c.timeout)
+	}
+	if err := c.conn.SetDeadline(deadline); err != nil {
+		c.dropConn()
+		return nil, fmt.Errorf("shard: set deadline on %s: %w", c.addr, err)
 	}
 	n, err := wire.WriteMsg(c.conn, m)
 	c.sent.Add(int64(n))
