@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race fuzz bench bench-test perf perf-quick smoke smoke-http smoke-crash smoke-shard
+.PHONY: all build vet fmt-check test race fuzz bench bench-test perf perf-quick smoke smoke-http smoke-crash smoke-shard
 
 all: build vet test
 
@@ -13,6 +13,12 @@ build:
 
 vet:
 	$(GO) vet ./...
+
+# Fails when gofmt would change any file (the benchmark's build directory,
+# which holds a module cache, is not ours to format).
+fmt-check:
+	@out="$$(gofmt -l . | grep -v '^\.bench_build/' || true)"; \
+	if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
 
 test:
 	$(GO) test ./...
@@ -34,18 +40,14 @@ fuzz:
 # Batch-apply + index-build benchmark smoke: exercises the per-row loop,
 # Txn.InsertBatch, the sorted bulk B-tree pass, the Seal bulk leaf build, the
 # encoded-key comparator, the immediate-vs-deferred load policy comparison,
-# the group-commit queue, the mixed-ingest read-p99 scenario, the one HTTP
-# front door (query path and /metrics render, over a database) and the fleet's
-# scatter-gather path under it, so none of those can silently regress or
-# break.  -benchtime=100x (1x for the
-# whole-run benches) keeps it a smoke test (counts, not timings); real
-# measurements live in BENCH_batchapply.json, BENCH_indexbuild.json,
-# BENCH_btreekeys.json and BENCH_groupcommit.json and need a quiet host.
+# the one HTTP front door (query path and /metrics render, over a database)
+# and the fleet's scatter-gather path under it, so none of those can silently
+# regress or break.  -benchtime=100x (1x for the whole-run bench) keeps it a
+# smoke test (counts, not timings); measurements come from `make perf`
+# (bench/README.md).
 bench:
 	$(GO) test -run '^$$' -bench 'InsertBatch|InsertPrepared|BTreeInsertSorted|SealBulkBuild|BTreeEncodedCompare' -benchtime=100x ./internal/relstore/
 	$(GO) test -run '^$$' -bench 'IndexLoadPolicy' -benchtime=1x ./internal/relstore/
-	$(GO) test -run '^$$' -bench 'GroupCommit' -benchtime=20x ./internal/relstore/
-	$(GO) test -run '^$$' -bench 'MixedIngestP99' -benchtime=1x ./internal/serve/
 	$(GO) test -run '^$$' -bench 'ServeHTTPQuery|MetricsScrape' -benchtime=100x ./internal/httpserve/
 	$(GO) test -run '^$$' -bench 'ScatterGather|SingleNode|WireQueryResult' -benchtime=50x ./internal/shard/
 

@@ -68,9 +68,7 @@ func main() {
 		wallclock  = flag.Bool("wallclock", false, "run loaders as real goroutines and report real elapsed time")
 		timescale  = flag.Float64("timescale", 0, "with -wallclock: multiply simulated service costs into real sleeps (0 = skip them)")
 
-		groupCommit  = flag.Duration("group-commit", 0, "with -wallclock: group-commit window (0 disables; e.g. 200us)")
-		groupWaiters = flag.Int("group-waiters", 0, "with -wallclock: max transactions per commit group (0 = default)")
-		lockChunk    = flag.Int("lock-chunk", 0, "with -wallclock: InsertBatch lock-chunk rows (0 = one lock hold per batch)")
+		lockChunk = flag.Int("lock-chunk", 0, "with -wallclock: InsertBatch lock-chunk rows (0 = one lock hold per batch)")
 
 		crash = flag.Bool("crash", false, "run the kill/recover durability scenario: WAL-backed load killed at a random append (derived from -seed), recovered, resumed, and verified byte-identical to an uninterrupted run")
 	)
@@ -212,11 +210,8 @@ func main() {
 	}
 
 	// The real run: loader goroutines against the concurrent engine.  The
-	// ingest-mode flags apply here only.
+	// ingest-mode flag applies here only.
 	var ingestOpts []relstore.Option
-	if *groupCommit > 0 {
-		ingestOpts = append(ingestOpts, relstore.WithGroupCommit(*groupCommit, *groupWaiters))
-	}
 	if *lockChunk > 0 {
 		ingestOpts = append(ingestOpts, relstore.WithBatchLockChunk(*lockChunk))
 	}
@@ -254,10 +249,6 @@ func reportWallclock(rt, sim parallel.Result, db *relstore.DB, loaders int, verb
 		}
 		fmt.Printf("  node %d: files=%d rows=%d elapsed=%s (%.3f MB/s)\n",
 			n.Node, len(n.FilesDone), n.Stats.RowsLoaded, el.Round(1e6), mbps)
-	}
-	if st := db.StatsSnapshot(); st.WAL.GroupCommits > 0 {
-		fmt.Printf("group commit:        %d groups covering %d commits (largest group %d)\n",
-			st.WAL.GroupCommits, st.WAL.GroupedCommits, st.WAL.MaxGroupSize)
 	}
 	fmt.Printf("virtual-time prediction (paper hardware): %s\n", sim.WallTime)
 	if rt.WallTime > 0 {

@@ -85,9 +85,7 @@ func main() {
 		fig8   = flag.Bool("fig8", false, "sweep index policies over the mixed workload (DES)")
 		smoke  = flag.Bool("smoke", false, "tiny end-to-end run for CI; nonzero exit on failure")
 
-		groupCommit  = flag.Duration("group-commit", 0, "group-commit window (0 disables; e.g. 200us)")
-		groupWaiters = flag.Int("group-waiters", 0, "max transactions per commit group (0 = default)")
-		lockChunk    = flag.Int("lock-chunk", 0, "InsertBatch lock-chunk rows (0 = one lock hold per batch)")
+		lockChunk = flag.Int("lock-chunk", 0, "InsertBatch lock-chunk rows (0 = one lock hold per batch)")
 	)
 	flag.Parse()
 
@@ -132,14 +130,10 @@ func main() {
 		serveCfg.CacheShards = -1
 	}
 
-	// Ingest-mode options ride along with the profile's: group commit
-	// coalesces WAL syncs across concurrent committers, chunked locking lets
-	// readers in between batch sub-chunks (see PERFORMANCE.md, "Ingest
-	// modes").
+	// The ingest-mode option rides along with the profile's: chunked locking
+	// lets readers in between batch sub-chunks (see PERFORMANCE.md,
+	// "Chunk-boundary visibility").
 	var ingestOpts []relstore.Option
-	if *groupCommit > 0 {
-		ingestOpts = append(ingestOpts, relstore.WithGroupCommit(*groupCommit, *groupWaiters))
-	}
 	if *lockChunk > 0 {
 		ingestOpts = append(ingestOpts, relstore.WithBatchLockChunk(*lockChunk))
 	}

@@ -14,16 +14,16 @@
 //
 // Topology:
 //
-//	            ┌────────────┐   /v1/cone /v1/object /v1/frame /v1/maghist
-//	   HTTP ───►│ coordinator│   /healthz (fleet-wide)  /metrics (sky_shard_* + sky_serve_*)
-//	            └─────┬──────┘
-//	      framed TCP  │  scatter to trixel-overlapping shards only
-//	        ┌─────────┼─────────┐
-//	        ▼         ▼         ▼
-//	   ┌────────┐ ┌────────┐ ┌────────┐
-//	   │agent 0 │ │agent 1 │ │agent 2 │   each: private relstore.DB owning
-//	   │[lo..a] │ │[a+1..b]│ │[b+1..hi]│  one contiguous HTM trixel range
-//	   └────────┘ └────────┘ └────────┘
+//	         ┌────────────┐   /v1/cone /v1/object /v1/frame /v1/maghist
+//	HTTP ───►│ coordinator│   /healthz (fleet-wide)  /metrics (sky_shard_* + sky_serve_*)
+//	         └─────┬──────┘
+//	   framed TCP  │  scatter to trixel-overlapping shards only
+//	     ┌─────────┼─────────┐
+//	     ▼         ▼         ▼
+//	┌────────┐ ┌────────┐ ┌────────┐
+//	│agent 0 │ │agent 1 │ │agent 2 │   each: private relstore.DB owning
+//	│[lo..a] │ │[a+1..b]│ │[b+1..hi]│  one contiguous HTM trixel range
+//	└────────┘ └────────┘ └────────┘
 //
 // -sim N runs the same coordinator/agent code over the in-process simulated
 // transport on the DES kernel: N shards with modeled network latency and

@@ -81,16 +81,18 @@
 //
 // PERFORMANCE.md documents when to use which mode and the scratch-buffer
 // ownership rules that keep the insert path allocation-lean under
-// concurrency; BENCH_concurrency.json records the measured numbers.
+// concurrency; `make perf` (bench/README.md) measures both.
 //
 // # Load policies and the Open options API
 //
-// The storage engine is constructed with relstore.Open(schema, ...Option);
-// functional options (WithCache, WithMaxConcurrentTxns, WithBTreeDegree,
-// WithDirtyFlushPages, WithWALSync, WithIndexPolicy, WithConfig) subsume the
-// positional Config struct and carry the load-lifecycle policies that Config
-// cannot express.  New engine knobs are added as options only; Config is
-// frozen.
+// The storage engine is constructed with relstore.Open(schema, ...Option).
+// Nine options set one Config field each (WithCache, WithMaxConcurrentTxns,
+// WithBTreeDegree, WithDirtyFlushPages, WithWALSync, WithBatchLockChunk,
+// WithWALDir, WithCheckpointEvery, WithWALSegmentBytes), WithConfig adopts a
+// whole Config, and WithIndexPolicy and the test-only WithFaultHook carry
+// what Config does not hold.  PERFORMANCE.md ("Knob audit") lists who sets
+// each one and what it measured; relstore's TestConfigSurface pins the field
+// set so a new knob is a visible decision.
 //
 // Every secondary index carries an IndexPolicy.  IndexImmediate (the
 // default) maintains the index on every insert.  IndexDeferred participates
@@ -99,8 +101,8 @@
 // leaves left to right (BTree.BuildFromSorted) — which is the paper's
 // Figure 8 drop-indexes-while-loading lever as a supported engine mode.
 // README.md ("Load policies") shows the workflow end to end, PERFORMANCE.md
-// states the Seal ownership rules, and BENCH_indexbuild.json records the
-// measured immediate-vs-deferred numbers.
+// states the Seal ownership rules, and bench/README.md's ingest-bulk and
+// ingest-durable workloads measure the two policies.
 package skyloader
 
 // Version identifies this reproduction release.

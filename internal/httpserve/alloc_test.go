@@ -8,10 +8,11 @@ import (
 )
 
 // TestQueryPathAllocGuard pins the allocation count of the hot HTTP query
-// path (cache-hit object lookup, untraced).  BENCH_http.json records the
-// measured allocs/op; this guard fails CI if a change pushes the path past
-// the budget — the JSON-encode + mux path runs ~34 allocs/op today, and the
-// budget leaves headroom for stdlib drift, not for a new per-request layer.
+// path (cache-hit object lookup, untraced).  A traced `make perf` run reports
+// the measured httpserve.allocs_per_query; this guard fails CI if a change
+// pushes the path past the budget — the JSON-encode + mux path runs ~34
+// allocs/op today, and the budget leaves headroom for stdlib drift, not for a
+// new per-request layer.
 func TestQueryPathAllocGuard(t *testing.T) {
 	const budget = 60
 	env := newHTTPEnv(t, Config{TraceEvery: 1 << 30})
@@ -28,7 +29,7 @@ func TestQueryPathAllocGuard(t *testing.T) {
 		}
 	})
 	if allocs > budget {
-		t.Fatalf("hot query path allocates %.1f/op, budget %d (see BENCH_http.json)", allocs, budget)
+		t.Fatalf("hot query path allocates %.1f/op, budget %d", allocs, budget)
 	}
 
 	// Sampled tracing must stay ~1 extra allocation (the published Req).

@@ -11,8 +11,9 @@ import (
 // BenchmarkServeHTTPQuery measures one query request through the whole HTTP
 // path — mux, parse, inline worker admission, cache, execute, JSON encode —
 // without socket noise (in-process handler dispatch).  The ReportAllocs
-// output is the tracked number: BENCH_http.json records allocs/op, and the
-// sampled-tracing variant bounds the trace layer's overhead.
+// output is the tracked number (httpserve.allocs_per_query in a traced
+// `make perf` run), and the sampled-tracing variant bounds the trace layer's
+// overhead.
 func BenchmarkServeHTTPQuery(b *testing.B) {
 	bench := func(b *testing.B, cfg Config) {
 		env := newHTTPEnv(b, cfg)

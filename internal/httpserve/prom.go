@@ -194,18 +194,12 @@ func (b dbBackend) writeMetrics(p *metrics.PromWriter) {
 	p.SampleInt("sky_wal_bytes_total", nil, snap.WAL.Bytes)
 	p.Metric("sky_wal_commits_total", "Commit records appended.", "counter")
 	p.SampleInt("sky_wal_commits_total", nil, snap.WAL.Commits)
-	// The sync family: syncs >= auto_syncs + group_commits always holds; the
-	// difference is plain per-commit syncs.
-	p.Metric("sky_wal_syncs_total", "Log syncs from every cause (per-commit, threshold, group).", "counter")
+	// The sync family: syncs >= auto_syncs always holds; the difference is
+	// the per-commit syncs.
+	p.Metric("sky_wal_syncs_total", "Log syncs from every cause (per-commit, threshold).", "counter")
 	p.SampleInt("sky_wal_syncs_total", nil, snap.WAL.Syncs)
 	p.Metric("sky_wal_auto_syncs_total", "Syncs forced by the unsynced-bytes threshold.", "counter")
 	p.SampleInt("sky_wal_auto_syncs_total", nil, snap.WAL.AutoSyncs)
-	p.Metric("sky_wal_group_commits_total", "Group syncs, each covering one commit group.", "counter")
-	p.SampleInt("sky_wal_group_commits_total", nil, snap.WAL.GroupCommits)
-	p.Metric("sky_wal_grouped_commits_total", "Commits covered by group syncs.", "counter")
-	p.SampleInt("sky_wal_grouped_commits_total", nil, snap.WAL.GroupedCommits)
-	p.Metric("sky_wal_max_group_size", "Largest single commit group.", "gauge")
-	p.SampleInt("sky_wal_max_group_size", nil, snap.WAL.MaxGroupSize)
 	p.Metric("sky_wal_max_unsynced_bytes", "High-water mark of unsynced WAL bytes.", "gauge")
 	p.SampleInt("sky_wal_max_unsynced_bytes", nil, snap.WAL.MaxUnsyncedBytes)
 

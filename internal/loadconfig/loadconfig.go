@@ -17,7 +17,6 @@ import (
 	"io"
 	"os"
 	"strings"
-	"time"
 
 	"skyloader/internal/core"
 	"skyloader/internal/parallel"
@@ -50,15 +49,12 @@ type FileConfig struct {
 	CachePages   int    `json:"cache_pages"`
 	SeparateRAID *bool  `json:"separate_raid,omitempty"`
 
-	// Ingest modes (§4.5.2 analogue; see PERFORMANCE.md, "Ingest modes").
-	// GroupCommitWindowMS > 0 enables group commit: concurrent committers
-	// share one WAL sync per window.  BatchLockChunk > 0 makes InsertBatch
-	// apply its rows in sub-chunks of that many rows, yielding the table
-	// write lock between chunks so readers are not starved.  Both default to
-	// off, which preserves the seed's commit and locking behavior exactly.
-	GroupCommitWindowMS   float64 `json:"group_commit_window_ms,omitempty"`
-	GroupCommitMaxWaiters int     `json:"group_commit_max_waiters,omitempty"`
-	BatchLockChunk        int     `json:"batch_lock_chunk,omitempty"`
+	// Ingest mode (see PERFORMANCE.md, "Chunk-boundary visibility").
+	// BatchLockChunk > 0 makes InsertBatch apply its rows in sub-chunks of
+	// that many rows, yielding the table write lock between chunks so readers
+	// are not starved.  It defaults to off, which preserves the seed's
+	// locking behavior exactly.
+	BatchLockChunk int `json:"batch_lock_chunk,omitempty"`
 
 	// Simulation scale.
 	RowsPerMB int   `json:"rows_per_mb,omitempty"`
@@ -92,6 +88,11 @@ func Parse(r io.Reader) (FileConfig, error) {
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&cfg); err != nil {
 		return FileConfig{}, fmt.Errorf("loadconfig: %w", err)
+	}
+	// One JSON value is the whole campaign: a second object or stray bytes
+	// after it would otherwise be ignored silently.
+	if _, err := dec.Token(); err != io.EOF {
+		return FileConfig{}, fmt.Errorf("loadconfig: trailing data after the configuration object")
 	}
 	if err := cfg.Validate(); err != nil {
 		return FileConfig{}, err
@@ -153,12 +154,6 @@ func (c FileConfig) Validate() error {
 	}
 	if c.CachePages < 0 {
 		problems = append(problems, "cache_pages must not be negative")
-	}
-	if c.GroupCommitWindowMS < 0 {
-		problems = append(problems, "group_commit_window_ms must not be negative")
-	}
-	if c.GroupCommitMaxWaiters < 0 {
-		problems = append(problems, "group_commit_max_waiters must not be negative")
 	}
 	if c.BatchLockChunk < 0 {
 		problems = append(problems, "batch_lock_chunk must not be negative")
@@ -248,10 +243,6 @@ func (c FileConfig) DBConfig() relstore.Config {
 	cfg := relstore.DefaultConfig()
 	if c.CachePages > 0 {
 		cfg.CachePages = c.CachePages
-	}
-	if c.GroupCommitWindowMS > 0 {
-		cfg.GroupCommitWindow = time.Duration(c.GroupCommitWindowMS * float64(time.Millisecond))
-		cfg.GroupCommitMaxWaiters = c.GroupCommitMaxWaiters
 	}
 	if c.BatchLockChunk > 0 {
 		cfg.BatchLockChunk = c.BatchLockChunk

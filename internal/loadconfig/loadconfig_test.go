@@ -68,23 +68,32 @@ func TestParseOverridesAndDefaults(t *testing.T) {
 }
 
 func TestParseRejectsUnknownFieldsAndBadValues(t *testing.T) {
-	cases := []string{
-		`{"no_such_field": 1}`,
-		`{"batch_size": 0}`,
-		`{"batch_size": -3}`,
-		`{"array_size": 0}`,
-		`{"batch_size": 5000, "array_size": 1000}`,
-		`{"loaders": 0}`,
-		`{"assignment": "round-robin"}`,
-		`{"index_policy": "everything"}`,
-		`{"per_table_array_size": {"objects": -1}}`,
-		`{"commit_every_batches": -1}`,
-		`{"cache_pages": -5}`,
-		`not json at all`,
+	// want, when set, is a substring the error must carry.
+	cases := []struct{ doc, want string }{
+		{doc: `{"no_such_field": 1}`},
+		{doc: `{"batch_size": 0}`},
+		{doc: `{"batch_size": -3}`},
+		{doc: `{"array_size": 0}`},
+		{doc: `{"batch_size": 5000, "array_size": 1000}`},
+		{doc: `{"loaders": 0}`},
+		{doc: `{"assignment": "round-robin"}`},
+		{doc: `{"index_policy": "everything"}`},
+		{doc: `{"per_table_array_size": {"objects": -1}}`},
+		{doc: `{"commit_every_batches": -1}`},
+		{doc: `{"cache_pages": -5}`},
+		{doc: `not json at all`},
+		// Anything after the first value is rejected, not ignored.
+		{doc: `{"loaders":2}{"loaders":99}`, want: "trailing data"},
+		{doc: `{"loaders":2} garbage`, want: "trailing data"},
+		// A campaign that still names a removed knob fails closed.
+		{doc: `{"group_commit_window_ms": 0.2}`, want: `unknown field "group_commit_window_ms"`},
 	}
-	for i, doc := range cases {
-		if _, err := Parse(strings.NewReader(doc)); err == nil {
-			t.Errorf("case %d (%s): expected an error", i, doc)
+	for i, c := range cases {
+		_, err := Parse(strings.NewReader(c.doc))
+		if err == nil {
+			t.Errorf("case %d (%s): expected an error", i, c.doc)
+		} else if !strings.Contains(err.Error(), c.want) {
+			t.Errorf("case %d (%s): error %q does not mention %q", i, c.doc, err, c.want)
 		}
 	}
 }

@@ -127,7 +127,7 @@ func TestWallclockNonBulk(t *testing.T) {
 // point should come in well under half the single-loader time (the §5.3
 // scaling claim, now measured on real hardware rather than predicted); on a
 // single-core host it degenerates to ~1× and measures locking overhead.
-// Numbers are recorded in BENCH_concurrency.json.
+// The measured figure is parallel.speedup in a traced `make perf` run.
 func BenchmarkParallelLoadWallclock(b *testing.B) {
 	for _, loaders := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("loaders=%d", loaders), func(b *testing.B) {

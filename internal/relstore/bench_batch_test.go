@@ -90,7 +90,8 @@ func objRows(buf [][]Value, rng *rand.Rand, start int64) {
 // transaction loop (one table-lock round trip, WAL append, lock-manager call
 // and index descent per row — what the DES cost model charges for) against
 // Txn.InsertBatch at batch size 1000 (each of those paid once per batch).
-// The reported ns/row metric is the headline number for BENCH_batchapply.json.
+// ns/row is a smoke figure; relstore.apply_ns_per_row in a traced `make perf`
+// run is the measured one.
 func BenchmarkInsertBatch(b *testing.B) {
 	const batchSize = 1000
 	cols := []string{"object_id", "frame_id", "htmid", "ra", "dec", "mag"}

@@ -11,7 +11,7 @@ import (
 // over []Value columns, a kind switch per element) versus the way it does now
 // (a single bytes.Compare over order-preserving encodings).  Shapes mirror
 // the two Figure 8 indexes (one int64 htmid column; three float columns) plus
-// a mixed string shape.  ns/cmp lands in BENCH_btreekeys.json.
+// a mixed string shape.
 func BenchmarkBTreeEncodedCompare(b *testing.B) {
 	shapes := []struct {
 		name  string

@@ -9,8 +9,8 @@ import (
 // same presorted key stream, construct the tree by packing leaves left to
 // right (BuildFromSorted, what Seal does), by the leaf-aware sequential
 // insert pass (InsertSorted, what per-batch maintenance does at best), and by
-// one descent per key (Insert, the per-row path).  ns/key is the headline
-// metric for BENCH_indexbuild.json.
+// one descent per key (Insert, the per-row path).  ns/key here is a smoke
+// figure; relstore.seal_ns_per_key in a traced `make perf` run is measured.
 func BenchmarkSealBulkBuild(b *testing.B) {
 	const n = 100_000
 	keys := make([][]byte, n)
@@ -59,8 +59,8 @@ func BenchmarkSealBulkBuild(b *testing.B) {
 // maintains both indexes on every batch; Deferred loads inside
 // BeginLoad/Seal, skipping per-batch maintenance, and pays the bulk rebuild
 // at the end.  Each iteration loads a fresh database; the deferred time
-// includes Seal, so ns/row is a true end-to-end comparison and the ratio is
-// what BENCH_indexbuild.json records.
+// includes Seal, so ns/row is a true end-to-end comparison; ingest-bulk
+// against ingest-durable in bench/README.md is the measured form of it.
 func BenchmarkIndexLoadPolicy(b *testing.B) {
 	const (
 		batchSize = 40 // the paper's batch-size optimum (Figure 5)

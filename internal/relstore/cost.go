@@ -82,18 +82,14 @@ type DBStats struct {
 	IndexesCreated   int64
 	IndexesDropped   int64
 	IndexDDLFailures int64
-	// WALSyncs is the total number of redo-log syncs (per-commit, threshold
-	// and group); GroupCommits counts group syncs, GroupedCommits the commits
-	// they covered, MaxGroupSize the largest single group (see WALStats).
-	WALSyncs       int64
-	GroupCommits   int64
-	GroupedCommits int64
-	MaxGroupSize   int64
+	// WALSyncs is the total number of redo-log syncs (per-commit and
+	// threshold; see WALStats).
+	WALSyncs int64
 	// IndexKeyBytes is the summed length of the encoded keys stored across
 	// every secondary-index B-tree; IndexArenaBytes is the capacity their key
 	// arenas reserve.  The difference is arena overhead (chunk headroom plus
 	// duplicate-key bytes bulk builds skip over) — the node-memory footprint
-	// numbers BENCH_btreekeys.json tracks across the encoded-key refactor.
+	// behind relstore.index_arena_bytes_per_key_byte in bench/README.md.
 	IndexKeyBytes   int64
 	IndexArenaBytes int64
 }

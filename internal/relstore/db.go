@@ -5,7 +5,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Config controls engine-level knobs that the paper tunes in §4.5.
@@ -28,24 +27,12 @@ type Config struct {
 	// tail exceeds it the log syncs without waiting for a commit.  0 (the
 	// default) syncs only at commit.  See WithWALSync.
 	WALSyncBytes int64
-	// GroupCommitWindow enables group commit when > 0: committing
-	// transactions enqueue and one leader syncs the log for the whole group,
-	// gathering waiters for up to this long (§4.5.2).  See WithGroupCommit.
-	GroupCommitWindow time.Duration
-	// GroupCommitMaxWaiters caps the commit-group size; a group that fills
-	// syncs before its window expires.  <= 0 means DefaultGroupCommitWaiters.
-	GroupCommitMaxWaiters int
 	// BatchLockChunk, when > 0, makes InsertBatch apply its rows in
 	// sub-chunks of this many rows, releasing the table write lock between
 	// chunks so concurrent readers are never blocked behind a whole batch.
 	// 0 (the default) holds the lock once for the whole batch.  See
 	// WithBatchLockChunk.
 	BatchLockChunk int
-	// WALSyncDelay models the redo-device fsync latency in wall-clock mode:
-	// every commit-driven sync holds the (single) log device for this long.
-	// 0 (the default) keeps syncs free — the only setting the virtual-time
-	// figures use.  See WithWALSyncDelay.
-	WALSyncDelay time.Duration
 	// WALDir, when non-empty, makes the WAL durable: records are persisted to
 	// segmented log files under this directory and syncs are real fsyncs.
 	// Empty (the default) keeps the WAL counters-only.  See WithWALDir.
@@ -87,9 +74,6 @@ type DB struct {
 	locks  *LockManager
 	wal    *WAL
 	cache  *BufferCache
-	// group is the commit queue backing WithGroupCommit, or nil when every
-	// commit syncs for itself (the default).
-	group *groupCommitter
 
 	// loading marks the window between BeginLoad and Seal, during which
 	// deferred-policy indexes are suspended.  Tables read it when an index is
@@ -166,10 +150,6 @@ func open(schema *Schema, oc openConfig) (*DB, error) {
 		wal:         NewWAL(cfg.WALSyncBytes),
 		cache:       NewBufferCache(cfg.CachePages),
 	}
-	db.wal.syncDelay = cfg.WALSyncDelay
-	if cfg.GroupCommitWindow > 0 {
-		db.group = newGroupCommitter(db.wal, cfg.GroupCommitWindow, cfg.GroupCommitMaxWaiters)
-	}
 	db.counters.violations = make(map[ConstraintKind]int64)
 	db.scratchPool.New = func() any { return new(scratch) }
 	db.faultHook = oc.faultHook
@@ -224,10 +204,6 @@ func (db *DB) WAL() *WAL { return db.wal }
 // Cache returns the buffer cache.
 func (db *DB) Cache() *BufferCache { return db.cache }
 
-// GroupCommitEnabled reports whether the database commits through the group
-// commit queue (WithGroupCommit).
-func (db *DB) GroupCommitEnabled() bool { return db.group != nil }
-
 // Stats returns a snapshot of the engine-wide counters.  Derived quantities
 // (pages allocated, log bytes) are computed at snapshot time from their
 // owning components rather than being re-derived on every insert.
@@ -247,9 +223,6 @@ func (db *DB) Stats() DBStats {
 		PagesAllocated:   db.pagesAllocated(),
 		LogBytes:         ws.Bytes,
 		WALSyncs:         ws.Syncs,
-		GroupCommits:     ws.GroupCommits,
-		GroupedCommits:   ws.GroupedCommits,
-		MaxGroupSize:     ws.MaxGroupSize,
 	}
 	db.counters.violMu.Lock()
 	out.ConstraintViolations = make(map[ConstraintKind]int64, len(db.counters.violations))

@@ -2,6 +2,8 @@ package relstore
 
 import (
 	"errors"
+	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -426,5 +428,24 @@ func TestTotalsAndRowCounts(t *testing.T) {
 	}
 	if db.TotalBytes() == 0 {
 		t.Fatal("TotalBytes = 0")
+	}
+}
+
+// TestConfigSurface pins the exact field set of Config, so a new engine knob
+// (or a removed one) is a visible decision rather than a quiet diff.
+func TestConfigSurface(t *testing.T) {
+	want := []string{
+		"CachePages", "MaxConcurrentTxns", "BTreeDegree", "DirtyFlushPages",
+		"WALSyncBytes", "BatchLockChunk", "WALDir", "CheckpointEveryBytes",
+		"WALSegmentBytes",
+	}
+	var got []string
+	for _, f := range reflect.VisibleFields(reflect.TypeOf(Config{})) {
+		got = append(got, f.Name)
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("relstore.Config fields changed:\n got  %v\n want %v\n"+
+			"update the Knob audit table in PERFORMANCE.md (who sets the field, and its measured verdict), then this list",
+			got, want)
 	}
 }

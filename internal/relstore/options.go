@@ -1,9 +1,6 @@
 package relstore
 
-import (
-	"fmt"
-	"time"
-)
+import "fmt"
 
 // IndexPolicy selects when a secondary index is maintained relative to a bulk
 // load.  It is the engine-level expression of the paper's biggest loading
@@ -50,8 +47,8 @@ func ParseIndexPolicy(s string) (IndexPolicy, error) {
 }
 
 // Option configures a database opened with Open.  Options subsume the fields
-// of the positional Config struct and add the load-lifecycle policies that
-// have no Config equivalent; new engine knobs are added here, not to Config.
+// of the Config struct and add the load-lifecycle policies that have no
+// Config equivalent.
 type Option func(*openConfig)
 
 // openConfig is the resolved option set.
@@ -107,25 +104,6 @@ func WithWALSync(bytes int64) Option {
 	return func(o *openConfig) { o.cfg.WALSyncBytes = bytes }
 }
 
-// WithGroupCommit enables group commit (§4.5.2): committing transactions
-// enqueue on a commit queue, one leader performs a single WAL sync for the
-// whole group, and the waiters ride that sync instead of forcing the log
-// themselves.  window is how long a leader gathers waiters before syncing;
-// maxWaiters caps the group size (a full group syncs early; <= 0 means
-// DefaultGroupCommitWaiters).  window <= 0 leaves group commit off.
-//
-// The queue blocks committers on real timers and channels, so it is a
-// wall-clock-engine feature; DES-mode cost accounting charges the same
-// coalesced sync cost through Txn.CommitUnsynced + WAL.SyncGroup instead
-// (sqlbatch.Server does this automatically when it sees group commit on a
-// deterministic scheduler).
-func WithGroupCommit(window time.Duration, maxWaiters int) Option {
-	return func(o *openConfig) {
-		o.cfg.GroupCommitWindow = window
-		o.cfg.GroupCommitMaxWaiters = maxWaiters
-	}
-}
-
 // WithBatchLockChunk makes InsertBatch reader-friendly: the batch is applied
 // in sub-chunks of n rows, releasing and re-acquiring the table write lock
 // between chunks with a scheduling yield, so concurrent readers wait for at
@@ -135,17 +113,6 @@ func WithGroupCommit(window time.Duration, maxWaiters int) Option {
 // default) applies the batch under one lock hold.
 func WithBatchLockChunk(n int) Option {
 	return func(o *openConfig) { o.cfg.BatchLockChunk = n }
-}
-
-// WithWALSyncDelay models the redo-device fsync latency in wall-clock mode:
-// every commit-driven log sync holds the single log device for d.  It exists
-// so the §4.5.2 commit-frequency trade-off is measurable in real time on an
-// engine whose log is otherwise free in-memory bookkeeping — with a real
-// per-sync latency, group commit's one-force-per-window shows up as commit
-// throughput.  0 (the default) keeps syncs free; DES runs should leave it 0
-// (virtual sync cost comes from the cost model, not real sleeps).
-func WithWALSyncDelay(d time.Duration) Option {
-	return func(o *openConfig) { o.cfg.WALSyncDelay = d }
 }
 
 // WithIndexPolicy sets the default maintenance policy for indexes created by

@@ -65,12 +65,12 @@ func (db *DB) StatsSnapshot() StatsSnapshot {
 		TotalRows: db.TotalRows(),
 		Loading:   db.loading.Load(),
 	}
-	// Sync accounting invariant: every sync is a per-commit sync, a threshold
-	// auto-sync or a group sync, so the total can never undercut the latter
-	// two.  Checked only under the skydebug build tag — counter drift here
-	// would silently skew every §4.5.2 figure, so tests fail loudly instead.
-	if debugChecks && out.WAL.Syncs < out.WAL.AutoSyncs+out.WAL.GroupCommits {
-		panic("relstore: WALStats invariant violated: Syncs < AutoSyncs + GroupCommits")
+	// Sync accounting invariant: every sync is a per-commit sync or a
+	// threshold auto-sync, so the total can never undercut the latter.
+	// Checked only under the skydebug build tag — counter drift here would
+	// silently skew every §4.5.2 figure, so tests fail loudly instead.
+	if debugChecks && out.WAL.Syncs < out.WAL.AutoSyncs {
+		panic("relstore: WALStats invariant violated: Syncs < AutoSyncs")
 	}
 	for _, t := range db.tablesByID {
 		out.Tables = append(out.Tables, t.stat())

@@ -121,9 +121,7 @@ func (t *Txn) Insert(table string, columns []string, values []Value) (OpReport, 
 
 // CommitReport describes the physical work performed by a commit.
 type CommitReport struct {
-	// LogBytesForced is the redo volume the commit had to sync.  Under group
-	// commit only the group leader carries forced bytes; a waiter's sync cost
-	// rode the leader's force, so it reports 0.
+	// LogBytesForced is the redo volume the commit had to sync.
 	LogBytesForced int64
 	// DirtyPagesWritten is the number of dirty cache pages flushed.
 	DirtyPagesWritten int
@@ -132,76 +130,27 @@ type CommitReport struct {
 	CacheScanPages int
 	// UndoRecordsDiscarded is the length of the undo log released.
 	UndoRecordsDiscarded int
-	// GroupSize is the number of commits that shared this commit's log sync
-	// (including this one); 0 when the commit synced outside group commit.
-	// GroupLeader reports whether this commit performed the group's sync.
-	GroupSize   int
-	GroupLeader bool
 }
 
 // Commit makes the transaction's inserts durable and ends the transaction.
-//
-// With group commit enabled (WithGroupCommit) the commit marker is appended
-// without an immediate sync, the transaction's effects are published (epochs
-// settled, locks released) and THEN the call blocks until a group leader's
-// shared sync covers the marker — so other transactions and readers are never
-// held up by the durability wait, only the committing caller is.  This is a
-// wall-clock-engine feature: DES-mode cost accounting uses CommitUnsynced
-// plus an explicit WAL.SyncGroup instead (see sqlbatch.Server).
 func (t *Txn) Commit() (CommitReport, error) {
 	if !t.active {
 		return CommitReport{}, ErrTxnNotActive
 	}
-	group := t.db.group
 	dev := t.db.wal.dev.Load()
-	var forced int64
 	// The durable commit marker is appended BEFORE finishCommit settles epochs
 	// and pending counts: a checkpoint that observes no pending rows can then
 	// rely on every settled transaction's marker being below its LSN boundary.
-	if group != nil {
-		if dev != nil {
-			dev.logMarker(walRecCommit, t.id)
-		}
-		t.db.wal.AppendCommitNoSync()
-	} else {
-		if dev != nil {
-			dev.logMarker(walRecCommit, t.id)
-		}
-		forced = t.db.wal.AppendCommit()
-		if dev != nil {
-			// Commit acknowledgement means the marker is on disk.
-			dev.sync()
-		}
-	}
-	rep := t.finishCommit(forced)
-	if group != nil {
-		// The group leader's SyncGroup fsyncs the device for the whole group.
-		rep.LogBytesForced, rep.GroupSize, rep.GroupLeader = group.commit()
-	}
 	if dev != nil {
-		t.db.maybeAutoCheckpoint()
-	}
-	return rep, nil
-}
-
-// CommitUnsynced is Commit without the log sync: the commit marker is
-// appended to the unsynced tail and the transaction ends immediately.  The
-// caller owns durability — a later WAL.SyncGroup (or any commit's sync) must
-// cover the marker.  It exists for cost-model callers that coalesce syncs
-// themselves: the DES engine's group-commit analogue commits transactions
-// this way and charges one SyncGroup per virtual window, giving virtual-time
-// figures the same §4.5.2 coalescing the goroutine engine gets from the real
-// commit queue.
-func (t *Txn) CommitUnsynced() (CommitReport, error) {
-	if !t.active {
-		return CommitReport{}, ErrTxnNotActive
-	}
-	if dev := t.db.wal.dev.Load(); dev != nil {
 		dev.logMarker(walRecCommit, t.id)
 	}
-	t.db.wal.AppendCommitNoSync()
-	rep := t.finishCommit(0)
-	if t.db.wal.dev.Load() != nil {
+	forced := t.db.wal.AppendCommit()
+	if dev != nil {
+		// Commit acknowledgement means the marker is on disk.
+		dev.sync()
+	}
+	rep := t.finishCommit(forced)
+	if dev != nil {
 		t.db.maybeAutoCheckpoint()
 	}
 	return rep, nil

@@ -3,7 +3,6 @@ package relstore
 import (
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // WAL models the redo log.  The engine is in-memory, so the log exists for
@@ -21,15 +20,6 @@ type WAL struct {
 	// behaviour: the log syncs only at commit).  Immutable after creation.
 	syncThreshold int64
 
-	// syncDelay models the redo-device fsync latency in wall-clock mode: every
-	// commit-driven sync (AppendCommit, SyncGroup) holds the device for this
-	// long.  The log device is one spindle, so concurrent syncs serialize on
-	// syncMu — which is exactly the serialization group commit exists to
-	// amortize.  0 (the default, and the only value the §5 DES figures use)
-	// makes syncs free, as before.  Immutable after creation.
-	syncDelay time.Duration
-	syncMu    sync.Mutex
-
 	// dev is the durable half of the log (WithWALDir): the real byte stream
 	// whose syncs are fsyncs.  nil (the default) keeps the WAL counters-only;
 	// every durable call site is gated on the nil check, so the cost model and
@@ -46,9 +36,6 @@ type WAL struct {
 	commits        int64
 	syncs          int64
 	autoSyncs      int64
-	groupSyncs     int64
-	groupedCommits int64
-	maxGroupSize   int64
 	bytesSinceSync int64
 	maxUnsynced    int64
 }
@@ -121,61 +108,7 @@ func (w *WAL) AppendCommit() int64 {
 	forced := w.bytesSinceSync + commitMarker
 	w.bytesSinceSync = 0
 	w.mu.Unlock()
-	w.syncDevice()
 	return forced
-}
-
-// AppendCommitNoSync records a commit marker WITHOUT syncing the log, leaving
-// the marker in the unsynced tail, and returns the tail's current size.  It is
-// the enqueue half of group commit: the committer appends its marker here and
-// then waits for a leader's SyncGroup to cover it (the goroutine-engine queue
-// in groupcommit.go, or the DES engine's virtual group in sqlbatch).  Until
-// that sync runs the commit is not durable.
-func (w *WAL) AppendCommitNoSync() int64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.records++
-	w.bytes += commitMarker
-	w.commits++
-	w.advanceUnsyncedLocked(commitMarker)
-	return w.bytesSinceSync
-}
-
-// SyncGroup performs one log sync on behalf of a group of `commits` commit
-// markers already appended via AppendCommitNoSync, and returns the number of
-// unsynced bytes it forced.  One SyncGroup call replaces `commits` per-commit
-// syncs — the whole point of group commit (§4.5.2: fewer, larger forces).
-func (w *WAL) SyncGroup(commits int) int64 {
-	w.mu.Lock()
-	forced := w.bytesSinceSync
-	w.bytesSinceSync = 0
-	w.syncs++
-	w.groupSyncs++
-	w.groupedCommits += int64(commits)
-	if int64(commits) > w.maxGroupSize {
-		w.maxGroupSize = int64(commits)
-	}
-	w.mu.Unlock()
-	if dev := w.dev.Load(); dev != nil {
-		// The leader's single durable fsync covers every marker the group
-		// appended via AppendCommitNoSync — the durable form of group commit.
-		dev.sync()
-	}
-	w.syncDevice()
-	return forced
-}
-
-// syncDevice holds the (single) log device for the configured fsync latency.
-// Counter updates happen before the hold, outside w.mu, so appends from other
-// writers are not blocked while the device is busy — only other syncs are,
-// which is the real serialization group commit amortizes.
-func (w *WAL) syncDevice() {
-	if w.syncDelay <= 0 {
-		return
-	}
-	w.syncMu.Lock()
-	time.Sleep(w.syncDelay)
-	w.syncMu.Unlock()
 }
 
 // WALStats is a snapshot of redo-log counters.
@@ -186,20 +119,12 @@ type WALStats struct {
 	Bytes        int64
 	Commits      int64
 	// Syncs is the total number of log syncs from every cause: per-commit
-	// syncs (AppendCommit), threshold syncs (AutoSyncs) and group-commit
-	// syncs (GroupCommits).  Syncs >= AutoSyncs + GroupCommits always holds;
-	// the difference is the plain per-commit syncs.
+	// syncs (AppendCommit) and threshold syncs (AutoSyncs).  Syncs >=
+	// AutoSyncs always holds; the difference is the per-commit syncs.
 	Syncs int64
 	// AutoSyncs counts syncs forced by the WithWALSync threshold rather than
 	// by a commit.
-	AutoSyncs int64
-	// GroupCommits counts group syncs: SyncGroup calls, each covering one
-	// whole commit group.  GroupedCommits is the total number of commits those
-	// groups contained and MaxGroupSize the largest single group, so
-	// GroupedCommits/GroupCommits is the mean coalescing factor.
-	GroupCommits     int64
-	GroupedCommits   int64
-	MaxGroupSize     int64
+	AutoSyncs        int64
 	MaxUnsyncedBytes int64
 
 	// Durable-log counters, all zero unless the database was opened with
@@ -242,9 +167,6 @@ func (w *WAL) statsCounters() WALStats {
 		Commits:          w.commits,
 		Syncs:            w.syncs,
 		AutoSyncs:        w.autoSyncs,
-		GroupCommits:     w.groupSyncs,
-		GroupedCommits:   w.groupedCommits,
-		MaxGroupSize:     w.maxGroupSize,
 		MaxUnsyncedBytes: w.maxUnsynced,
 	}
 }

@@ -47,9 +47,8 @@ func TestWALAppendAccounting(t *testing.T) {
 	if st.Syncs != 1 {
 		t.Fatalf("Syncs = %d, want 1 (the commit's sync)", st.Syncs)
 	}
-	if st.Syncs < st.AutoSyncs+st.GroupCommits {
-		t.Fatalf("sync accounting broken: Syncs %d < AutoSyncs %d + GroupCommits %d",
-			st.Syncs, st.AutoSyncs, st.GroupCommits)
+	if st.Syncs < st.AutoSyncs {
+		t.Fatalf("sync accounting broken: Syncs %d < AutoSyncs %d", st.Syncs, st.AutoSyncs)
 	}
 	// The high-water mark survives the sync.
 	if st.MaxUnsyncedBytes != wantBytes {
@@ -161,15 +160,14 @@ func TestWALConcurrentWriters(t *testing.T) {
 	if st.Commits != commitMarkers.Load() {
 		t.Fatalf("Commits = %d, want %d", st.Commits, commitMarkers.Load())
 	}
-	// Every AppendCommit syncs on this path (no auto-sync threshold, no group
-	// commit), so the sync total is exactly the commit count — and the general
-	// invariant Syncs >= AutoSyncs + GroupCommits must hold.
+	// Every AppendCommit syncs on this path (no auto-sync threshold), so the
+	// sync total is exactly the commit count — and the general invariant
+	// Syncs >= AutoSyncs must hold.
 	if st.Syncs != commitMarkers.Load() {
 		t.Fatalf("Syncs = %d, want %d (one per commit)", st.Syncs, commitMarkers.Load())
 	}
-	if st.Syncs < st.AutoSyncs+st.GroupCommits {
-		t.Fatalf("sync accounting broken: Syncs %d < AutoSyncs %d + GroupCommits %d",
-			st.Syncs, st.AutoSyncs, st.GroupCommits)
+	if st.Syncs < st.AutoSyncs {
+		t.Fatalf("sync accounting broken: Syncs %d < AutoSyncs %d", st.Syncs, st.AutoSyncs)
 	}
 	if st.MaxUnsyncedBytes < lastMax {
 		t.Fatalf("final MaxUnsyncedBytes %d below observed %d", st.MaxUnsyncedBytes, lastMax)

@@ -20,11 +20,11 @@ import (
 //   - The device owns every "wal-*.seg" and "checkpoint-*.ckpt" file in its
 //     directory.  Exactly one DB may have the directory open at a time;
 //     nothing else may write there.
-//   - Appends buffer in memory; only sync() — reached from commit syncs,
-//     group-commit SyncGroup, the auto-sync threshold and segment rotation —
-//     writes buffered bytes to the OS and fsyncs.  A process kill therefore
-//     loses at most the records appended since the last sync, which is
-//     exactly the durability contract commit acknowledgement makes.
+//   - Appends buffer in memory; only sync() — reached from commit syncs, the
+//     auto-sync threshold and segment rotation — writes buffered bytes to
+//     the OS and fsyncs.  A process kill therefore loses at most the
+//     records appended since the last sync, which is exactly the durability
+//     contract commit acknowledgement makes.
 //   - Segments are immutable once rotated away from.  Only Recover may
 //     truncate (a torn tail off the newest segment) and only a completed
 //     checkpoint may delete (whole segments older than the checkpoint LSN).
@@ -276,8 +276,8 @@ func (d *walDevice) syncLocked() {
 	d.unsynced = 0
 }
 
-// sync makes every appended record durable (the real fsync that syncDevice
-// and SyncGroup map to when a WAL directory is configured).
+// sync makes every appended record durable (the real fsync a commit's log
+// sync maps to when a WAL directory is configured).
 func (d *walDevice) sync() {
 	d.mu.Lock()
 	defer d.mu.Unlock()

@@ -30,7 +30,8 @@ func benchTrace(n int, coneFrac float64) []Request {
 // BenchmarkConeSearchServe serves a cone-heavy trace on the realtime engine
 // with 1/2/4/8 query workers over a pre-loaded repository.  On a 1-CPU host
 // the worker counts timeshare one core and measure handoff/locking overhead,
-// not parallel speedup (see BENCH_serve.json).
+// not parallel speedup; serve-hot and serve-mixed in bench/README.md are
+// the measured workloads (make perf).
 func BenchmarkConeSearchServe(b *testing.B) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers_%d", workers), func(b *testing.B) {

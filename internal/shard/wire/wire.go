@@ -36,13 +36,13 @@ const MaxMessageBytes = 64 << 20
 
 // Message type bytes (first payload byte).
 const (
-	TypeHello      byte = 0x01
-	TypeReady      byte = 0x02
-	TypeLoadTask   byte = 0x03
-	TypeLoadResult byte = 0x04
-	TypeQuery      byte = 0x05
+	TypeHello       byte = 0x01
+	TypeReady       byte = 0x02
+	TypeLoadTask    byte = 0x03
+	TypeLoadResult  byte = 0x04
+	TypeQuery       byte = 0x05
 	TypeQueryResult byte = 0x06
-	TypeStats      byte = 0x07
+	TypeStats       byte = 0x07
 )
 
 // Query kind bytes inside a Query message.
@@ -73,10 +73,10 @@ type Msg interface {
 // contiguous depth-20 trixel range it owns.  Sent by the coordinator as the
 // first message on a connection; the agent replies with Ready.
 type Hello struct {
-	ShardID  uint32
-	Shards   uint32
-	RangeLo  int64
-	RangeHi  int64
+	ShardID uint32
+	Shards  uint32
+	RangeLo int64
+	RangeHi int64
 	// Deferred tells the agent the coordinator will drive an explicit
 	// BeginLoad/Seal window around the load tasks (deferred index build).
 	Deferred bool
@@ -159,7 +159,7 @@ func (Stats) Type() byte       { return TypeStats }
 
 // ---- encoding helpers -------------------------------------------------
 
-func appendU8(dst []byte, v byte) []byte  { return append(dst, v) }
+func appendU8(dst []byte, v byte) []byte { return append(dst, v) }
 func appendBool(dst []byte, v bool) []byte {
 	if v {
 		return append(dst, 1)

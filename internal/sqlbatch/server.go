@@ -2,7 +2,6 @@ package sqlbatch
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -61,19 +60,6 @@ type Server struct {
 	logDisk  exec.Resource
 
 	stats serverCounters
-
-	// gc is the DES-mode group-commit analogue: when the hosted database has
-	// group commit enabled and the scheduler is deterministic, commits append
-	// their marker without syncing and this virtual group charges one
-	// coalesced WAL.SyncGroup when the group fills or its window passes in
-	// virtual time.  The goroutine engine never uses it — there the real
-	// commit queue in relstore blocks committers and the leader's
-	// CommitReport carries the forced bytes.
-	gc struct {
-		mu      sync.Mutex
-		pending int           // commits waiting for the group's sync
-		start   time.Duration // virtual time the open group's first commit arrived
-	}
 }
 
 // ServerStats aggregates server-side counters for reporting.
@@ -237,30 +223,12 @@ func (s *Server) begin(w exec.Worker) (*relstore.Txn, error) {
 }
 
 // finish ends a transaction (commit or rollback) and frees its slot.
-//
-// Committing under group commit takes one of two engine-specific shapes with
-// the same accounting: on the goroutine engine txn.Commit blocks in the real
-// commit queue and only a group leader's report carries forced log bytes (so
-// waiters charge ~no log time here); on the DES engine the commit is appended
-// unsynced and commitGroupedDES charges one coalesced SyncGroup per virtual
-// window — deterministic, because the single-runner discipline makes the
-// group counter race-free in virtual time.
 func (s *Server) finish(w exec.Worker, txn *relstore.Txn, commit bool) (relstore.CommitReport, error) {
 	defer s.txnSlots.Release(w, 1)
 	if commit {
-		grouped := s.sched.Deterministic() && s.db.GroupCommitEnabled()
-		var rep relstore.CommitReport
-		var err error
-		if grouped {
-			rep, err = txn.CommitUnsynced()
-		} else {
-			rep, err = txn.Commit()
-		}
+		rep, err := txn.Commit()
 		if err != nil {
 			return rep, err
-		}
-		if grouped {
-			rep = s.commitGroupedDES(w, rep)
 		}
 		s.stats.commits.Add(1)
 		// Commit processing: fixed CPU cost plus the database-writer cache
@@ -313,39 +281,6 @@ func (s *Server) Seal(w exec.Worker) (relstore.SealReport, error) {
 	s.stats.seals.Add(1)
 	s.stats.sealNs.Add(int64(charged))
 	return rep, nil
-}
-
-// commitGroupedDES folds an unsynced DES-mode commit into the virtual commit
-// group.  The commit whose arrival fills the group to the configured waiter
-// cap — or lands a full window after the group opened — becomes the leader:
-// it performs the group's one WAL.SyncGroup and its report carries the forced
-// bytes (charged as log time by finish), exactly mirroring the goroutine
-// engine's queue where waiters report 0 forced bytes.  A run's final partial
-// group stays unsynced, like a real group-commit system stopped mid-window.
-func (s *Server) commitGroupedDES(w exec.Worker, rep relstore.CommitReport) relstore.CommitReport {
-	cfg := s.db.Config()
-	maxWaiters := cfg.GroupCommitMaxWaiters
-	if maxWaiters <= 0 {
-		maxWaiters = relstore.DefaultGroupCommitWaiters
-	}
-	now := w.Now()
-	size := 0
-	s.gc.mu.Lock()
-	s.gc.pending++
-	if s.gc.pending == 1 {
-		s.gc.start = now
-	}
-	if s.gc.pending >= maxWaiters || now-s.gc.start >= cfg.GroupCommitWindow {
-		size = s.gc.pending
-		s.gc.pending = 0
-	}
-	s.gc.mu.Unlock()
-	if size > 0 {
-		rep.LogBytesForced = s.db.WAL().SyncGroup(size)
-		rep.GroupSize = size
-		rep.GroupLeader = true
-	}
-	return rep
 }
 
 func (s *Server) useCPU(w exec.Worker, d time.Duration) {
