@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt-check test race fuzz bench bench-test perf perf-quick smoke smoke-http smoke-crash smoke-shard
+.PHONY: all build vet fmt-check test race fuzz oracles bench bench-test perf perf-quick smoke smoke-http smoke-crash smoke-shard
 
 all: build vet test
 
@@ -26,16 +26,24 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Time-boxed fuzzing of the four total decoders (wire frames, WAL records,
-# order-preserving keys, packed row views): 10 s each, one target and one
-# package per invocation as `go test -fuzz` requires.  An input that fails is
-# written to the package's testdata/fuzz/<target>/; check it in, it is then a
-# regression seed every plain `go test` replays.
+# Time-boxed fuzzing of the five total decoders (the shared frame, wire
+# payloads, WAL record payloads, order-preserving keys, packed row views): 10 s
+# each, one target and one package per invocation as `go test -fuzz` requires.
+# An input that fails is written to the package's testdata/fuzz/<target>/;
+# check it in, it is then a regression seed every plain `go test` replays.
 fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzFrame$$' -fuzztime 10s ./internal/frame/
 	$(GO) test -run '^$$' -fuzz '^FuzzWireDecode$$' -fuzztime 10s ./internal/shard/wire/
 	$(GO) test -run '^$$' -fuzz '^FuzzWALRecordDecode$$' -fuzztime 10s ./internal/relstore/
 	$(GO) test -run '^$$' -fuzz '^FuzzOrderedKeyOrder$$' -fuzztime 10s ./internal/relstore/
 	$(GO) test -run '^$$' -fuzz '^FuzzRowViewDecode$$' -fuzztime 10s ./internal/relstore/
+
+# The byte-identity oracles a behaviour-preserving change must leave alone:
+# the twelve skybench CSVs, skyload (DES and both -crash seeds), the three
+# skyserve DES outputs and skyshard -sim 100, run on REF and on this tree and
+# diffed.  `make oracles REF=HEAD` checks uncommitted work against its base.
+oracles:
+	bash scripts/oracles.sh $(REF)
 
 # Batch-apply + index-build benchmark smoke: exercises the per-row loop,
 # Txn.InsertBatch, the sorted bulk B-tree pass, the Seal bulk leaf build, the

@@ -141,26 +141,8 @@ func runCrash(seed int64, sizeMB float64, batchRows int, verbose bool) {
 // openCrashDB builds the store the way the bulk loader does: production
 // tuning, reference tables seeded, secondary indexes applied.
 func openCrashDB(extra []relstore.Option) *relstore.DB {
-	prof := tuning.ProductionLoading()
-	opts := append([]relstore.Option{
-		relstore.WithConfig(prof.DBConfig()),
-		relstore.WithIndexPolicy(relstore.IndexImmediate),
-	}, extra...)
-	db, err := relstore.Open(catalog.NewSchema(), opts...)
+	db, err := tuning.ProductionLoading().Open(extra...)
 	if err != nil {
-		fatal(err)
-	}
-	txn, err := db.Begin()
-	if err != nil {
-		fatal(err)
-	}
-	if err := catalog.SeedReference(txn, 32); err != nil {
-		fatal(err)
-	}
-	if _, err := txn.Commit(); err != nil {
-		fatal(err)
-	}
-	if err := tuning.ApplyIndexPolicyWith(db, prof.Indexes, relstore.IndexImmediate); err != nil {
 		fatal(err)
 	}
 	return db

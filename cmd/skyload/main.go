@@ -109,7 +109,7 @@ func main() {
 			*rowsPerMB = campaign.RowsPerMB
 		}
 	} else {
-		prof, err := profileByName(*profile)
+		prof, err := tuning.ProfileByName(*profile)
 		if err != nil {
 			fatal(err)
 		}
@@ -177,21 +177,8 @@ func main() {
 	buildEnv := func(sched exec.Scheduler, extra ...relstore.Option) (*sqlbatch.Server, *relstore.DB) {
 		opts := append([]relstore.Option{
 			relstore.WithConfig(dbCfg), relstore.WithIndexPolicy(buildPolicy)}, extra...)
-		db, err := relstore.Open(catalog.NewSchema(), opts...)
+		db, err := tuning.OpenRepository(indexPolicy, opts...)
 		if err != nil {
-			fatal(err)
-		}
-		txn, err := db.Begin()
-		if err != nil {
-			fatal(err)
-		}
-		if err := catalog.SeedReference(txn, 32); err != nil {
-			fatal(err)
-		}
-		if _, err := txn.Commit(); err != nil {
-			fatal(err)
-		}
-		if err := tuning.ApplyIndexPolicyWith(db, indexPolicy, buildPolicy); err != nil {
 			fatal(err)
 		}
 		return sqlbatch.NewServerOn(sched, db, srvCfg, sqlbatch.DefaultCostModel()), db
@@ -282,19 +269,6 @@ func checkIntegrity(db *relstore.DB) {
 		os.Exit(1)
 	}
 	fmt.Println("referential integrity: OK")
-}
-
-func profileByName(name string) (tuning.Profile, error) {
-	switch name {
-	case "production", "prod":
-		return tuning.ProductionLoading(), nil
-	case "untuned":
-		return tuning.Untuned(), nil
-	case "query", "query-serving":
-		return tuning.QueryServing(), nil
-	default:
-		return tuning.Profile{}, fmt.Errorf("unknown profile %q (want production|untuned|query)", name)
-	}
 }
 
 func readCatalogFile(path string, idx int64) (*catalog.File, error) {

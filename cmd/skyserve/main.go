@@ -106,7 +106,7 @@ func main() {
 		}
 	}
 
-	prof, err := profileByName(*profile)
+	prof, err := tuning.ProfileByName(*profile)
 	if err != nil {
 		fatal(err)
 	}
@@ -198,21 +198,8 @@ func buildTrace(path string, n int, seed int64, zipfS, coneFrac, rate, sizeMB fl
 		}
 		rate = float64(n) / window
 	}
-	// Objects per file ≈ rows/file × the generator's object share (~1/8).
-	objects := int64(sizeMB*float64(rowsPerMB)) / 8 / int64(len(files))
-	if objects < 64 {
-		objects = 64
-	}
-	spec := serve.TraceSpec{
-		Queries:    n,
-		Seed:       seed + 1000,
-		ZipfS:      zipfS,
-		ConeFrac:   coneFrac,
-		Objects:    objects,
-		IDBase:     100_000_000, // GenerateNight file 1
-		Frames:     objects / 12,
-		RatePerSec: rate,
-	}.WithFootprint(files) // aim cones at the sky the files actually cover
+	spec := serve.NightTraceSpec(sizeMB, rowsPerMB, files)
+	spec.Queries, spec.Seed, spec.ZipfS, spec.ConeFrac, spec.RatePerSec = n, seed+1000, zipfS, coneFrac, rate
 	return serve.GenTrace(spec), nil
 }
 
@@ -232,21 +219,8 @@ func enginesFor(s string) ([]string, error) {
 // scheduler.  extra options (ingest-mode flags) are applied after the
 // profile's so they win on conflict.
 func buildEnv(sched exec.Scheduler, prof tuning.Profile, serveCfg serve.Config, extra []relstore.Option) (*sqlbatch.Server, *serve.Server, *relstore.DB) {
-	db, err := relstore.Open(catalog.NewSchema(), append(prof.Options(), extra...)...)
+	db, err := prof.Open(extra...)
 	if err != nil {
-		fatal(err)
-	}
-	txn, err := db.Begin()
-	if err != nil {
-		fatal(err)
-	}
-	if err := catalog.SeedReference(txn, 32); err != nil {
-		fatal(err)
-	}
-	if _, err := txn.Commit(); err != nil {
-		fatal(err)
-	}
-	if err := prof.Apply(db); err != nil {
 		fatal(err)
 	}
 	load := sqlbatch.NewServerOn(sched, db, prof.ServerConfig(), sqlbatch.DefaultCostModel())
@@ -355,19 +329,6 @@ func runFig8(files []*catalog.File, trace []serve.Request, serveCfg serve.Config
 	}
 	if err := t.Render(os.Stdout); err != nil {
 		fatal(err)
-	}
-}
-
-func profileByName(name string) (tuning.Profile, error) {
-	switch name {
-	case "production", "prod":
-		return tuning.ProductionLoading(), nil
-	case "untuned":
-		return tuning.Untuned(), nil
-	case "query", "query-serving":
-		return tuning.QueryServing(), nil
-	default:
-		return tuning.Profile{}, fmt.Errorf("unknown profile %q (want production|untuned|query)", name)
 	}
 }
 

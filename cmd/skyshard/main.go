@@ -333,21 +333,8 @@ func runSmoke() error {
 func buildOracle(files []*catalog.File) (*relstore.DB, error) {
 	sched := exec.NewRealtime(exec.RealtimeConfig{Seed: 1})
 	prof := tuning.ProductionLoading()
-	db, err := relstore.Open(catalog.NewSchema(), prof.Options()...)
+	db, err := prof.Open()
 	if err != nil {
-		return nil, err
-	}
-	txn, err := db.Begin()
-	if err != nil {
-		return nil, err
-	}
-	if err := catalog.SeedReference(txn, 32); err != nil {
-		return nil, err
-	}
-	if _, err := txn.Commit(); err != nil {
-		return nil, err
-	}
-	if err := prof.Apply(db); err != nil {
 		return nil, err
 	}
 	srv := sqlbatch.NewServerOn(sched, db, prof.ServerConfig(), sqlbatch.DefaultCostModel())

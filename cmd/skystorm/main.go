@@ -254,24 +254,11 @@ func buildClientTrace(path string, n int, seed int64, zipfS, coneFrac, rate, siz
 	files := catalog.GenerateNight(catalog.NightSpec{
 		TotalMB: sizeMB, Files: nfiles, RowsPerMB: rowsPerMB, Seed: seed, RunID: 1,
 	})
-	objects := int64(sizeMB*float64(rowsPerMB)) / 8 / int64(len(files))
-	if objects < 64 {
-		objects = 64
+	if rate <= 0 {
+		rate = 1000 // closed loop ignores arrivals; any positive rate works
 	}
-	genRate := rate
-	if genRate <= 0 {
-		genRate = 1000 // closed loop ignores arrivals; any positive rate works
-	}
-	spec := serve.TraceSpec{
-		Queries:    n,
-		Seed:       seed + 1000,
-		ZipfS:      zipfS,
-		ConeFrac:   coneFrac,
-		Objects:    objects,
-		IDBase:     100_000_000, // GenerateNight file 1
-		Frames:     objects / 12,
-		RatePerSec: genRate,
-	}.WithFootprint(files)
+	spec := serve.NightTraceSpec(sizeMB, rowsPerMB, files)
+	spec.Queries, spec.Seed, spec.ZipfS, spec.ConeFrac, spec.RatePerSec = n, seed+1000, zipfS, coneFrac, rate
 	return serve.GenTrace(spec), nil
 }
 

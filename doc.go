@@ -15,6 +15,8 @@
 //     and an SDSS-style two-phase loader
 //   - internal/relstore   — the embedded relational engine standing in for Oracle 10g,
 //     safe for concurrent writer transactions, with a durable WAL, checkpoints and recovery
+//   - internal/frame      — the one byte layer: the length+CRC32 frame and the field cursor
+//     under WAL segments, checkpoint files and the shard wire
 //   - internal/sqlbatch   — the JDBC-like batch client/server with the calibrated cost model
 //   - internal/catalog    — the Palomar-Quest data model, file format, parser and generator
 //   - internal/htm        — Hierarchical Triangular Mesh ids for object positions
@@ -34,7 +36,7 @@
 //     serve.Engine implementations behind the same serve.Server and httpserve.Server
 //   - internal/trace      — per-request stage tracing published into a fixed ring
 //   - internal/shard      — the distributed layer: HTM-partitioned coordinator and agents
-//     with scatter-gather serving; internal/shard/wire is its framed message protocol
+//     with scatter-gather serving; internal/shard/wire is its message protocol, on internal/frame
 //
 // The benchmarks in bench_test.go regenerate the paper's evaluation; the
 // binaries under cmd/ (skygen, skyload, skybench, skyserve, skystorm,

@@ -20,18 +20,12 @@ import (
 	"skyloader/internal/exec"
 	"skyloader/internal/relstore"
 	"skyloader/internal/sqlbatch"
+	"skyloader/internal/tuning"
 )
 
 func load(errorRate float64) (core.Stats, *relstore.DB) {
-	db, err := relstore.Open(catalog.NewSchema(), relstore.WithConfig(relstore.DefaultConfig()))
+	db, err := tuning.OpenRepository(tuning.NoIndexes)
 	if err != nil {
-		log.Fatal(err)
-	}
-	txn, _ := db.Begin()
-	if err := catalog.SeedReference(txn, 16); err != nil {
-		log.Fatal(err)
-	}
-	if _, err := txn.Commit(); err != nil {
 		log.Fatal(err)
 	}
 	sched := exec.NewDES(des.NewKernel(9))

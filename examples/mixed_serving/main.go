@@ -19,7 +19,6 @@ import (
 	"skyloader/internal/des"
 	"skyloader/internal/exec"
 	"skyloader/internal/parallel"
-	"skyloader/internal/relstore"
 	"skyloader/internal/serve"
 	"skyloader/internal/sqlbatch"
 	"skyloader/internal/tuning"
@@ -49,18 +48,8 @@ func main() {
 	//    pool, admission queue and epoch-invalidated result cache.
 	sched := exec.NewDES(des.NewKernel(seed))
 	prof := tuning.ProductionLoading() // htmid index only: the Figure 8 choice
-	db := relstore.MustOpen(catalog.NewSchema(), prof.Options()...)
-	txn, err := db.Begin()
+	db, err := prof.Open()
 	if err != nil {
-		log.Fatal(err)
-	}
-	if err := catalog.SeedReference(txn, 16); err != nil {
-		log.Fatal(err)
-	}
-	if _, err := txn.Commit(); err != nil {
-		log.Fatal(err)
-	}
-	if err := prof.Apply(db); err != nil {
 		log.Fatal(err)
 	}
 	loadServer := sqlbatch.NewServerOn(sched, db, prof.ServerConfig(), sqlbatch.DefaultCostModel())

@@ -16,7 +16,6 @@ import (
 	"skyloader/internal/core"
 	"skyloader/internal/des"
 	"skyloader/internal/parallel"
-	"skyloader/internal/relstore"
 	"skyloader/internal/sqlbatch"
 	"skyloader/internal/tuning"
 )
@@ -24,21 +23,8 @@ import (
 // newRepository builds a fresh simulated repository and server.
 func newRepository(seed int64) (*sqlbatch.Server, error) {
 	kernel := des.NewKernel(seed)
-	db, err := relstore.Open(catalog.NewSchema(), relstore.WithConfig(relstore.DefaultConfig()))
+	db, err := tuning.OpenRepository(tuning.HTMIDOnly)
 	if err != nil {
-		return nil, err
-	}
-	txn, err := db.Begin()
-	if err != nil {
-		return nil, err
-	}
-	if err := catalog.SeedReference(txn, 16); err != nil {
-		return nil, err
-	}
-	if _, err := txn.Commit(); err != nil {
-		return nil, err
-	}
-	if err := tuning.ApplyIndexPolicy(db, tuning.HTMIDOnly); err != nil {
 		return nil, err
 	}
 	return sqlbatch.NewServer(kernel, db, sqlbatch.DefaultServerConfig(), sqlbatch.DefaultCostModel()), nil

@@ -37,21 +37,8 @@ func main() {
 	// 2. The repository: the 23-table Palomar-Quest data model hosted by the
 	//    embedded engine, with reference data seeded and the production
 	//    index policy (htmid only) applied.
-	db, err := relstore.Open(catalog.NewSchema(), relstore.WithConfig(relstore.DefaultConfig()))
+	db, err := tuning.OpenRepository(tuning.HTMIDOnly)
 	if err != nil {
-		log.Fatal(err)
-	}
-	txn, err := db.Begin()
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := catalog.SeedReference(txn, 16); err != nil {
-		log.Fatal(err)
-	}
-	if _, err := txn.Commit(); err != nil {
-		log.Fatal(err)
-	}
-	if err := tuning.ApplyIndexPolicy(db, tuning.HTMIDOnly); err != nil {
 		log.Fatal(err)
 	}
 

@@ -18,7 +18,6 @@ import (
 	"skyloader/internal/des"
 	"skyloader/internal/exec"
 	"skyloader/internal/metrics"
-	"skyloader/internal/relstore"
 	"skyloader/internal/sqlbatch"
 	"skyloader/internal/tuning"
 )
@@ -26,18 +25,8 @@ import (
 // runOnce loads a 200 MB file under the given tuning profile and returns the
 // loader statistics.
 func runOnce(prof tuning.Profile) core.Stats {
-	db, err := relstore.Open(catalog.NewSchema(), prof.Options()...)
+	db, err := prof.Open()
 	if err != nil {
-		log.Fatal(err)
-	}
-	txn, _ := db.Begin()
-	if err := catalog.SeedReference(txn, 16); err != nil {
-		log.Fatal(err)
-	}
-	if _, err := txn.Commit(); err != nil {
-		log.Fatal(err)
-	}
-	if err := prof.Apply(db); err != nil {
 		log.Fatal(err)
 	}
 	sched := exec.NewDES(des.NewKernel(4))

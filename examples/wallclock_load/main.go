@@ -27,7 +27,6 @@ import (
 	"skyloader/internal/des"
 	"skyloader/internal/exec"
 	"skyloader/internal/parallel"
-	"skyloader/internal/relstore"
 	"skyloader/internal/sqlbatch"
 	"skyloader/internal/tuning"
 )
@@ -93,21 +92,8 @@ func main() {
 // runCluster builds a fresh repository on sched and loads the night with n
 // loaders.
 func runCluster(sched exec.Scheduler, files []*catalog.File, n int) parallel.Result {
-	db, err := relstore.Open(catalog.NewSchema(), relstore.WithConfig(relstore.DefaultConfig()))
+	db, err := tuning.OpenRepository(tuning.HTMIDOnly)
 	if err != nil {
-		log.Fatal(err)
-	}
-	txn, err := db.Begin()
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := catalog.SeedReference(txn, 16); err != nil {
-		log.Fatal(err)
-	}
-	if _, err := txn.Commit(); err != nil {
-		log.Fatal(err)
-	}
-	if err := tuning.ApplyIndexPolicy(db, tuning.HTMIDOnly); err != nil {
 		log.Fatal(err)
 	}
 	server := sqlbatch.NewServerOn(sched, db, sqlbatch.DefaultServerConfig(), sqlbatch.DefaultCostModel())

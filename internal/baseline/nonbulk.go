@@ -5,7 +5,6 @@ package baseline
 
 import (
 	"fmt"
-	"time"
 
 	"skyloader/internal/catalog"
 	"skyloader/internal/core"
@@ -149,10 +148,4 @@ func (l *NonBulkLoader) commit() error {
 	l.stats.Commits++
 	l.rowsSinceCommit = 0
 	return nil
-}
-
-// ElapsedSince is a small helper returning the virtual time since start for
-// callers composing their own timing windows.
-func ElapsedSince(conn *sqlbatch.Conn, start time.Duration) time.Duration {
-	return conn.Worker().Now() - start
 }

@@ -204,7 +204,3 @@ func (t *Transformer) appendObjectColumns(rec Record, p *tagPlan, values []relst
 		relstore.Float(relstore.RoundTo(vec.Y, 8)),
 		relstore.Float(relstore.RoundTo(vec.Z, 8))), nil
 }
-
-// ObjectColumns returns the full column list used for object inserts
-// (raw fields plus derived htmid/cx/cy/cz).
-func (t *Transformer) ObjectColumns() []string { return t.objColumns }

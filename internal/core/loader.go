@@ -199,15 +199,6 @@ func NewLoader(conn *sqlbatch.Conn, cfg Config) (*Loader, error) {
 	return l, nil
 }
 
-// MustNewLoader is NewLoader that panics on error.
-func MustNewLoader(conn *sqlbatch.Conn, cfg Config) *Loader {
-	l, err := NewLoader(conn, cfg)
-	if err != nil {
-		panic(err)
-	}
-	return l
-}
-
 // Stats returns the loader's accumulated statistics.
 func (l *Loader) Stats() Stats { return l.stats }
 

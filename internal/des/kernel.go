@@ -184,6 +184,3 @@ func (k *Kernel) Stuck() []*Proc {
 	}
 	return out
 }
-
-// Procs returns all processes ever spawned on this kernel, in spawn order.
-func (k *Kernel) Procs() []*Proc { return k.procs }

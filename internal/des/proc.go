@@ -23,8 +23,6 @@ type Proc struct {
 	startedAt  time.Duration
 	finishedAt time.Duration
 
-	// waitTotal accumulates virtual time spent waiting on resources.
-	waitTotal time.Duration
 	// holdTotal accumulates virtual time spent in explicit Hold calls.
 	holdTotal time.Duration
 
@@ -57,10 +55,6 @@ func (p *Proc) StartedAt() time.Duration { return p.startedAt }
 // It is meaningful only once Finished reports true.
 func (p *Proc) FinishedAt() time.Duration { return p.finishedAt }
 
-// WaitTime returns the total virtual time this process spent blocked on
-// resources.
-func (p *Proc) WaitTime() time.Duration { return p.waitTotal }
-
 // HoldTime returns the total virtual time this process spent in Hold calls.
 func (p *Proc) HoldTime() time.Duration { return p.holdTotal }
 
@@ -85,17 +79,12 @@ func (p *Proc) Hold(d time.Duration) {
 	p.park()
 }
 
-// Yield gives other runnable processes and events scheduled at the current
-// instant a chance to run, without advancing virtual time.
-func (p *Proc) Yield() { p.Hold(0) }
-
 // Signal is a simple one-shot wait/notify primitive between processes on the
 // same kernel.
 type Signal struct {
 	k       *Kernel
 	fired   bool
 	waiters []*Proc
-	firedAt time.Duration
 	payload any
 }
 
@@ -110,9 +99,7 @@ func (s *Signal) Wait(p *Proc) any {
 		return s.payload
 	}
 	s.waiters = append(s.waiters, p)
-	start := p.k.now
 	p.park()
-	p.waitTotal += p.k.now - start
 	return s.payload
 }
 
@@ -124,7 +111,6 @@ func (s *Signal) Fire(payload any) {
 		return
 	}
 	s.fired = true
-	s.firedAt = s.k.now
 	s.payload = payload
 	for _, w := range s.waiters {
 		w := w
@@ -132,9 +118,3 @@ func (s *Signal) Fire(payload any) {
 	}
 	s.waiters = nil
 }
-
-// Fired reports whether the signal has fired.
-func (s *Signal) Fired() bool { return s.fired }
-
-// FiredAt returns the virtual time at which the signal fired.
-func (s *Signal) FiredAt() time.Duration { return s.firedAt }

@@ -91,9 +91,7 @@ func (r *Resource) Acquire(p *Proc, n int) {
 	r.waitCount++
 	p.park()
 	// When the process resumes, the grant has already been applied by Release.
-	wait := r.k.now - w.since
-	r.totalWait += wait
-	p.waitTotal += wait
+	r.totalWait += r.k.now - w.since
 }
 
 // Release returns n units of the resource and grants as many queued requests

@@ -37,6 +37,21 @@ func (s *desScheduler) RandFloat64() float64 { return s.k.Rand().Float64() }
 
 func (s *desScheduler) Deterministic() bool { return true }
 
+func (s *desScheduler) forkJoin(w Worker, names []string, fn func(Worker, int)) {
+	self := mustProc(w, "fork-join")
+	sigs := make([]*des.Signal, len(names))
+	for i, name := range names {
+		sigs[i] = des.NewSignal(s.k)
+		s.Spawn(name, func(fw Worker) {
+			fn(fw, i)
+			sigs[i].Fire(nil)
+		})
+	}
+	for _, sig := range sigs {
+		sig.Wait(self)
+	}
+}
+
 // Kernel returns the wrapped kernel (used by callers that drive the kernel
 // directly, e.g. experiments that schedule bare events).
 func (s *desScheduler) Kernel() *des.Kernel { return s.k }

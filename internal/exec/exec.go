@@ -114,4 +114,22 @@ type Scheduler interface {
 	// given seed (true for DES, false for realtime).  Layers that must keep
 	// figure outputs byte-identical use it to pick deterministic code paths.
 	Deterministic() bool
+	// forkJoin is the engine half of Fanout: run fn(worker, i) once per name
+	// on workers of their own and block w until all have returned.
+	forkJoin(w Worker, names []string, fn func(Worker, int))
+}
+
+// Fanout runs fn(worker, i) once per name, in parallel, and blocks the calling
+// worker w until every branch has returned — the one fork-join both engines
+// implement: kernel processes joined by signals under DES, goroutines on
+// inline workers joined by a wait group under realtime.  A single branch runs
+// on w itself.
+func Fanout(s Scheduler, w Worker, names []string, fn func(Worker, int)) {
+	switch len(names) {
+	case 0:
+	case 1:
+		fn(w, 0)
+	default:
+		s.forkJoin(w, names, fn)
+	}
 }

@@ -206,3 +206,48 @@ func TestRealtimeTimeScale(t *testing.T) {
 		t.Fatalf("Sleep with TimeScale 1 returned too early (%s)", el)
 	}
 }
+
+// TestFanoutBothEngines: on either engine Fanout runs every branch on a
+// worker carrying its name, overlaps them (three 10 ms sleeps cost 10 ms of
+// virtual time, not 30), blocks the caller until the slowest has returned,
+// and runs a lone branch on the caller's own worker.
+func TestFanoutBothEngines(t *testing.T) {
+	for name, s := range map[string]Scheduler{
+		"des":      NewDES(des.NewKernel(1)),
+		"realtime": NewRealtime(RealtimeConfig{}),
+	} {
+		t.Run(name, func(t *testing.T) {
+			names := []string{"b0", "b1", "b2"}
+			var (
+				ran      [3]atomic.Int32
+				joinedAt time.Duration
+				alone    string
+			)
+			s.Spawn("caller", func(w Worker) {
+				start := w.Now()
+				Fanout(s, w, names, func(fw Worker, i int) {
+					if fw.Name() != names[i] {
+						t.Errorf("branch %d runs on worker %q", i, fw.Name())
+					}
+					fw.Sleep(10 * time.Millisecond)
+					ran[i].Add(1)
+				})
+				for i := range ran {
+					if ran[i].Load() != 1 {
+						t.Errorf("branch %d ran %d times before the join returned", i, ran[i].Load())
+					}
+				}
+				joinedAt = w.Now() - start
+				Fanout(s, w, names[:1], func(fw Worker, _ int) { alone = fw.Name() })
+				Fanout(s, w, nil, func(Worker, int) { t.Error("branch of an empty fan-out ran") })
+			})
+			s.Run()
+			if alone != "caller" {
+				t.Errorf("single branch ran on %q, want the caller's worker", alone)
+			}
+			if s.Deterministic() && joinedAt != 10*time.Millisecond {
+				t.Errorf("join took %s of virtual time, want 10ms", joinedAt)
+			}
+		})
+	}
+}

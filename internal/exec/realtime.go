@@ -103,6 +103,18 @@ func (rt *Realtime) RandFloat64() float64 {
 // runtime and the host.
 func (rt *Realtime) Deterministic() bool { return false }
 
+func (rt *Realtime) forkJoin(w Worker, names []string, fn func(Worker, int)) {
+	var wg sync.WaitGroup
+	for i, name := range names {
+		wg.Add(1)
+		go rt.RunInline(name, func(fw Worker) {
+			defer wg.Done()
+			fn(fw, i)
+		})
+	}
+	wg.Wait()
+}
+
 func (rt *Realtime) sleepScaled(d time.Duration) {
 	if rt.cfg.TimeScale <= 0 || d <= 0 {
 		return

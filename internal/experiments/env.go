@@ -10,8 +10,6 @@
 package experiments
 
 import (
-	"fmt"
-
 	"skyloader/internal/baseline"
 	"skyloader/internal/catalog"
 	"skyloader/internal/core"
@@ -93,21 +91,8 @@ func NewEnv(opt EnvOptions) (*Env, error) {
 		opt.DBConfig = relstore.DefaultConfig()
 	}
 	kernel := des.NewKernel(opt.Seed)
-	db, err := relstore.Open(catalog.NewSchema(), relstore.WithConfig(opt.DBConfig))
+	db, err := tuning.OpenRepository(opt.IndexPolicy, relstore.WithConfig(opt.DBConfig))
 	if err != nil {
-		return nil, err
-	}
-	txn, err := db.Begin()
-	if err != nil {
-		return nil, err
-	}
-	if err := catalog.SeedReference(txn, 32); err != nil {
-		return nil, fmt.Errorf("experiments: seed reference data: %w", err)
-	}
-	if _, err := txn.Commit(); err != nil {
-		return nil, err
-	}
-	if err := tuning.ApplyIndexPolicy(db, opt.IndexPolicy); err != nil {
 		return nil, err
 	}
 	if opt.PrePopulateGB > 0 {

@@ -9,8 +9,8 @@
 // whichever exec.Scheduler the server was built with.  On the DES scheduler
 // the loaders are simulation processes sharing one virtual clock (the mode
 // every §5 figure uses); on the realtime scheduler each loader is a real
-// goroutine and the dynamic queue becomes a channel, so the load genuinely
-// runs in parallel and WallTime is real elapsed time.
+// goroutine, so the load genuinely runs in parallel and WallTime is real
+// elapsed time.
 package parallel
 
 import (
@@ -99,51 +99,25 @@ type Result struct {
 	Server sqlbatch.ServerStats
 }
 
-// fileQueue is the dynamic-assignment work queue.  Under the deterministic
-// scheduler it is a plain cursor (only one process runs at a time, and the
-// take order must replay identically for byte-identical figures); under the
-// realtime scheduler it is a pre-filled closed channel, the idiomatic dynamic
-// handoff between real loader goroutines.
+// fileQueue is the dynamic-assignment work queue: a mutex-guarded cursor.
+// It needs no fork by engine — under the deterministic scheduler only one
+// process runs at a time, so the take order replays identically, and between
+// real loader goroutines the lock makes it first come, first served.
 type fileQueue struct {
-	deterministic bool
-
 	mu   sync.Mutex
 	list []*catalog.File
 	next int
-
-	ch chan *catalog.File
-}
-
-func newFileQueue(files []*catalog.File, deterministic bool) *fileQueue {
-	q := &fileQueue{deterministic: deterministic}
-	if deterministic {
-		q.list = files
-		return q
-	}
-	q.ch = make(chan *catalog.File, len(files))
-	for _, f := range files {
-		q.ch <- f
-	}
-	close(q.ch)
-	return q
 }
 
 // take returns the next unloaded file, or nil when the queue is drained.
 func (q *fileQueue) take() *catalog.File {
-	if q.deterministic {
-		q.mu.Lock()
-		defer q.mu.Unlock()
-		if q.next >= len(q.list) {
-			return nil
-		}
-		f := q.list[q.next]
-		q.next++
-		return f
-	}
-	f, ok := <-q.ch
-	if !ok {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if q.next >= len(q.list) {
 		return nil
 	}
+	f := q.list[q.next]
+	q.next++
 	return f
 }
 
@@ -162,9 +136,6 @@ type Cluster struct {
 	// during-ingest p99 headline).
 	active atomic.Int64
 }
-
-// ActiveLoaders returns the number of loader workers currently running.
-func (c *Cluster) ActiveLoaders() int { return int(c.active.Load()) }
 
 // Busy reports whether any loader node is still running.  It is exact on the
 // DES engine (single runner) and a momentary gauge under real concurrency —
@@ -249,7 +220,7 @@ func Spawn(server *sqlbatch.Server, files []*catalog.File, cfg Config) (*Cluster
 	}
 	sched := server.Scheduler()
 
-	queue := newFileQueue(append([]*catalog.File{}, files...), sched.Deterministic())
+	queue := &fileQueue{list: append([]*catalog.File{}, files...)}
 
 	// Static pre-partition: files are dealt round-robin, which is how an
 	// even split is usually done when sizes are unknown.

@@ -149,21 +149,15 @@ type InsertStats struct {
 // The tree copies the key into its arena when it stores a new entry, so
 // callers may pass a reusable scratch buffer: inserts under an existing key
 // never copy, and new keys cost an amortized fraction of one chunk allocation.
+//
+// It is a one-key sorted pass: the same proactive-split descent InsertSorted
+// falls back to, so the two cannot drift.
 func (t *BTree) Insert(key []byte, rowID int64) InsertStats {
-	var st InsertStats
-	if len(t.root.entries) == 2*t.degree-1 {
-		old := t.root
-		t.root = &btreeNode{children: []*btreeNode{old}}
-		t.nodes++
-		t.height++
-		t.splitChild(t.root, 0)
-		st.Splits++
-	}
-	t.insertNonFull(t.root, key, rowID, &st)
-	if st.NewKey {
-		t.size++
-	}
-	return st
+	before := t.size
+	si := sortedInserter{t: t}
+	si.descendInsert(key, rowID)
+	si.st.NewKey = t.size > before
+	return si.st
 }
 
 func (t *BTree) splitChild(parent *btreeNode, i int) {
@@ -185,33 +179,6 @@ func (t *BTree) splitChild(parent *btreeNode, i int) {
 	parent.entries = append(parent.entries, btreeEntry{})
 	copy(parent.entries[i+1:], parent.entries[i:])
 	parent.entries[i] = median
-}
-
-func (t *BTree) insertNonFull(n *btreeNode, key []byte, rowID int64, st *InsertStats) {
-	st.NodesVisited++
-	i, found := n.find(key)
-	if found {
-		n.entries[i].rowIDs = append(n.entries[i].rowIDs, rowID)
-		return
-	}
-	if n.leaf() {
-		n.entries = append(n.entries, btreeEntry{})
-		copy(n.entries[i+1:], n.entries[i:])
-		n.entries[i] = btreeEntry{key: t.copyKey(key), rowIDs: t.idSlice(rowID)}
-		st.NewKey = true
-		return
-	}
-	if len(n.children[i].entries) == 2*t.degree-1 {
-		t.splitChild(n, i)
-		st.Splits++
-		if c := bytes.Compare(key, n.entries[i].key); c == 0 {
-			n.entries[i].rowIDs = append(n.entries[i].rowIDs, rowID)
-			return
-		} else if c > 0 {
-			i++
-		}
-	}
-	t.insertNonFull(n.children[i], key, rowID, st)
 }
 
 // find returns the index of the first entry >= key and whether it equals key.

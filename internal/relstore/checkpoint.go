@@ -7,6 +7,8 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+
+	"skyloader/internal/frame"
 )
 
 // Checkpoints bound replay time: DB.Checkpoint snapshots the committed table
@@ -29,8 +31,8 @@ import (
 //  4. Only after the rename is durable are dead segments deleted.  A crash
 //     between 3 and 4 leaves stale segments that Recover skips by LSN.
 //
-// Checkpoint files reuse the WAL record framing (length + CRC32 + payload)
-// after an 8-byte magic, with their own payload types.
+// A checkpoint file is an 8-byte magic followed by internal/frame frames (the
+// framing WAL segments share) with their own payload types.
 
 const (
 	ckptMagic = "SKYCKPT1"
@@ -168,14 +170,14 @@ func encodeCheckpoint(seq, boundary, maxTxn int64, tables []*Table) []byte {
 	payload = binary.LittleEndian.AppendUint64(payload, uint64(boundary))
 	payload = binary.LittleEndian.AppendUint64(payload, uint64(maxTxn))
 	payload = binary.LittleEndian.AppendUint32(payload, uint32(len(tables)))
-	buf = appendWALFrame(buf, payload)
+	buf = frame.Append(buf, payload)
 
 	for tid, t := range tables {
 		payload = append(payload[:0], ckptRecTable)
 		payload = binary.LittleEndian.AppendUint32(payload, uint32(tid))
 		payload = binary.LittleEndian.AppendUint64(payload, uint64(t.nextRow))
 		payload = binary.LittleEndian.AppendUint64(payload, uint64(t.rows.live))
-		buf = appendWALFrame(buf, payload)
+		buf = frame.Append(buf, payload)
 
 		count := 0
 		var rowsPayload []byte
@@ -187,7 +189,7 @@ func encodeCheckpoint(seq, boundary, maxTxn int64, tables []*Table) []byte {
 			payload = binary.LittleEndian.AppendUint32(payload, uint32(tid))
 			payload = binary.LittleEndian.AppendUint32(payload, uint32(count))
 			payload = append(payload, rowsPayload...)
-			buf = appendWALFrame(buf, payload)
+			buf = frame.Append(buf, payload)
 			count = 0
 			rowsPayload = rowsPayload[:0]
 		}
@@ -206,7 +208,7 @@ func encodeCheckpoint(seq, boundary, maxTxn int64, tables []*Table) []byte {
 		})
 		flush()
 	}
-	buf = appendWALFrame(buf, []byte{ckptRecEnd})
+	buf = frame.Append(buf, []byte{ckptRecEnd})
 	return buf
 }
 
@@ -282,25 +284,21 @@ func readCheckpointFile(path string, widthOf walRowWidth) (*checkpointState, err
 	st := &checkpointState{}
 	sawHeader, sawEnd := false, false
 	for len(buf) > 0 && !sawEnd {
-		payload, rest, ok := nextWALFrame(buf)
-		if !ok {
+		payload, rest, fst := frame.Next(buf)
+		if fst != frame.OK {
 			return nil, fmt.Errorf("%w: torn checkpoint record", ErrWALCorrupt)
 		}
 		buf = rest
-		if len(payload) == 0 {
-			return nil, fmt.Errorf("%w: empty checkpoint record", ErrWALCorrupt)
+		c := frame.NewCursor(payload, ErrWALCorrupt)
+		typ := c.U8()
+		if (typ == ckptRecHeader) == sawHeader {
+			return nil, fmt.Errorf("%w: checkpoint record type 0x%02x out of place", ErrWALCorrupt, typ)
 		}
-		typ, body := payload[0], payload[1:]
 		switch typ {
 		case ckptRecHeader:
-			if sawHeader || len(body) != 28 {
-				return nil, fmt.Errorf("%w: checkpoint header", ErrWALCorrupt)
-			}
 			sawHeader = true
-			st.seq = int64(binary.LittleEndian.Uint64(body[0:8]))
-			st.lsn = int64(binary.LittleEndian.Uint64(body[8:16]))
-			st.maxTxn = int64(binary.LittleEndian.Uint64(body[16:24]))
-			n := binary.LittleEndian.Uint32(body[24:28])
+			st.seq, st.lsn, st.maxTxn = c.I64(), c.I64(), c.I64()
+			n := c.U32()
 			if n > 1<<16 {
 				return nil, fmt.Errorf("%w: checkpoint table count %d", ErrWALCorrupt, n)
 			}
@@ -309,63 +307,38 @@ func readCheckpointFile(path string, widthOf walRowWidth) (*checkpointState, err
 			st.ids = make([][]int64, n)
 			st.data = make([][]Row, n)
 		case ckptRecTable:
-			if !sawHeader || len(body) != 20 {
-				return nil, fmt.Errorf("%w: checkpoint table record", ErrWALCorrupt)
-			}
-			tid := binary.LittleEndian.Uint32(body[0:4])
+			tid, nextRow, rows := c.U32(), c.I64(), c.I64()
 			if int(tid) >= len(st.nextRow) {
 				return nil, fmt.Errorf("%w: checkpoint table id %d", ErrWALCorrupt, tid)
 			}
-			st.nextRow[tid] = int64(binary.LittleEndian.Uint64(body[4:12]))
-			st.rows[tid] = int64(binary.LittleEndian.Uint64(body[12:20]))
+			st.nextRow[tid], st.rows[tid] = nextRow, rows
 		case ckptRecRows:
-			if !sawHeader || len(body) < 8 {
-				return nil, fmt.Errorf("%w: checkpoint rows record", ErrWALCorrupt)
-			}
-			tid := binary.LittleEndian.Uint32(body[0:4])
+			tid := c.U32()
 			if int(tid) >= len(st.ids) {
 				return nil, fmt.Errorf("%w: checkpoint rows table id %d", ErrWALCorrupt, tid)
 			}
-			count := binary.LittleEndian.Uint32(body[4:8])
-			body = body[8:]
-			want := -1
-			if widthOf != nil {
-				w, ok := widthOf(tid)
-				if !ok {
-					return nil, fmt.Errorf("%w: checkpoint rows unknown table %d", ErrWALCorrupt, tid)
-				}
-				want = w
-			}
-			for i := uint32(0); i < count; i++ {
-				if len(body) < 12 {
-					return nil, fmt.Errorf("%w: truncated checkpoint row", ErrWALCorrupt)
-				}
-				id := int64(binary.LittleEndian.Uint64(body[0:8]))
-				rl := binary.LittleEndian.Uint32(body[8:12])
-				body = body[12:]
-				if uint32(len(body)) < rl || id < 0 {
-					return nil, fmt.Errorf("%w: truncated checkpoint row payload", ErrWALCorrupt)
-				}
-				var row Row
-				if want >= 0 {
-					row, err = decodeWALRow(body[:rl], want)
-				} else {
-					row, err = decodeWALRowAnyWidth(body[:rl])
+			count := c.Count(12) // each row carries at least its id and length prefix
+			want := widthOf.widthFor(c, tid)
+			for i := 0; i < count; i++ {
+				id := c.I64()
+				row, err := decodeWALRow(c.Bytes(int(c.U32())), want)
+				if id < 0 {
+					err = fmt.Errorf("%w: negative checkpoint row id", ErrWALCorrupt)
 				}
 				if err != nil {
-					return nil, err
+					c.Fail(err)
+					break
 				}
 				st.ids[tid] = append(st.ids[tid], id)
 				st.data[tid] = append(st.data[tid], row)
-				body = body[rl:]
-			}
-			if len(body) != 0 {
-				return nil, fmt.Errorf("%w: trailing checkpoint row bytes", ErrWALCorrupt)
 			}
 		case ckptRecEnd:
 			sawEnd = true
 		default:
 			return nil, fmt.Errorf("%w: checkpoint record type 0x%02x", ErrWALCorrupt, typ)
+		}
+		if err := c.Done(); err != nil {
+			return nil, err
 		}
 	}
 	if !sawHeader || !sawEnd {

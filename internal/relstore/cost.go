@@ -93,8 +93,3 @@ type DBStats struct {
 	IndexKeyBytes   int64
 	IndexArenaBytes int64
 }
-
-// newDBStats returns a zeroed stats structure with the violation map ready.
-func newDBStats() DBStats {
-	return DBStats{ConstraintViolations: make(map[ConstraintKind]int64)}
-}

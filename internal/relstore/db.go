@@ -195,9 +195,6 @@ func (db *DB) Config() Config { return db.cfg }
 // Table returns the named table, or nil.
 func (db *DB) Table(name string) *Table { return db.tables[name] }
 
-// Locks returns the lock manager.
-func (db *DB) Locks() *LockManager { return db.locks }
-
 // WAL returns the redo log.
 func (db *DB) WAL() *WAL { return db.wal }
 

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+
+	"skyloader/internal/frame"
 )
 
 // Crash recovery.  Recover rebuilds a database from a WAL directory written
@@ -227,8 +229,8 @@ func (db *DB) recoverReplay(dir string) (RecoveryReport, error) {
 		}
 		off := 0
 		for len(buf) > 0 {
-			payload, rest, ok := nextWALFrame(buf)
-			if !ok {
+			payload, rest, fst := frame.Next(buf)
+			if fst != frame.OK {
 				if i != scan[len(scan)-1] {
 					// Only the newest segment may be torn: rotation seals every
 					// earlier one with a flush+fsync before opening the next.
@@ -251,7 +253,7 @@ func (db *DB) recoverReplay(dir string) (RecoveryReport, error) {
 					ErrWALCorrupt, rec.lsn, wantLSN, segNames[i])
 			}
 			wantLSN++
-			off += walFrameHeader + len(payload)
+			off += frame.HeaderSize + len(payload)
 			if rec.txnID > maxTxn {
 				maxTxn = rec.txnID
 			}
@@ -296,8 +298,8 @@ func (db *DB) recoverReplay(dir string) (RecoveryReport, error) {
 			buf = buf[:tornOffset]
 		}
 		for len(buf) > 0 {
-			payload, rest, ok := nextWALFrame(buf)
-			if !ok {
+			payload, rest, fst := frame.Next(buf)
+			if fst != frame.OK {
 				return rep, fmt.Errorf("%w: frame changed under replay in %q", ErrWALCorrupt, segNames[i])
 			}
 			rec, err := decodeWALRecord(payload, false, widthOf)
@@ -309,7 +311,7 @@ func (db *DB) recoverReplay(dir string) (RecoveryReport, error) {
 				continue
 			}
 			rep.ReplayedRecords++
-			rep.ReplayedBytes += int64(walFrameHeader + len(payload))
+			rep.ReplayedBytes += int64(frame.HeaderSize + len(payload))
 			if rec.typ != walRecInsert || !committed[rec.txnID] || rec.rowCount == 0 {
 				continue
 			}

@@ -223,35 +223,90 @@ func TestRecoverToleratesTornTail(t *testing.T) {
 	}
 }
 
-func TestRecoverCorruptMidLogFails(t *testing.T) {
+// TestRecoverZeroFilledTail: a crash between write and fsync leaves, on common
+// filesystems, a file extended with zeros.  CRC32 of an empty payload is zero,
+// so eight zero bytes are a frame that "checks out" unless the empty payload
+// itself is refused — no writer emits one.  The zeros after the last
+// acknowledged commit are a torn tail: truncated, and nothing acknowledged is
+// lost.
+func TestRecoverZeroFilledTail(t *testing.T) {
 	db, dir := durableDB(t)
-	loadFramesObjects(t, db, 0, 2, 50)
-	// Force a rotation so at least two segments exist.
-	dev := db.wal.dev.Load()
-	dev.mu.Lock()
-	dev.rotateLocked()
-	dev.mu.Unlock()
-	loadFramesObjects(t, db, 10, 1, 0)
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
+	loadFramesObjects(t, db, 0, 3, 5)
+	// Crash here: every commit above was acknowledged (fsynced); no Close.
+
+	segs, err := listWALSegments(dir)
+	if err != nil || len(segs) == 0 {
+		t.Fatalf("segments: %v %v", segs, err)
 	}
-	segs, _ := listWALSegments(dir)
-	if len(segs) < 2 {
-		t.Fatalf("expected >=2 segments, got %d", len(segs))
-	}
-	// Flip a byte in the middle of the FIRST segment: corruption that is not
-	// a tail must fail recovery loudly, not be silently skipped.
-	first := filepath.Join(dir, segs[0])
-	buf, err := os.ReadFile(first)
+	f, err := os.OpenFile(filepath.Join(dir, segs[len(segs)-1]), os.O_WRONLY|os.O_APPEND, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	buf[len(buf)/2] ^= 0xff
-	if err := os.WriteFile(first, buf, 0o644); err != nil {
+	if _, err := f.Write(make([]byte, 4096)); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := Recover(testSchema(t), dir); err == nil {
-		t.Fatal("Recover succeeded over mid-log corruption")
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	got, rep, err := Recover(testSchema(t), dir)
+	if err != nil {
+		t.Fatalf("zero-filled tail not treated as torn: %v", err)
+	}
+	if rep.TornTailRecords != 1 || rep.TornTailBytes != 4096 {
+		t.Fatalf("torn tail = %d records / %d bytes, want 1 / 4096", rep.TornTailRecords, rep.TornTailBytes)
+	}
+	assertSameState(t, db, got)
+
+	got2, rep2, err := Recover(testSchema(t), dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep2.TornTailRecords != 0 {
+		t.Fatalf("tail still torn after truncation: %+v", rep2)
+	}
+	assertSameState(t, db, got2)
+}
+
+// TestRecoverCorruptMidLogFails: damage that is not the tail of the newest
+// segment must fail recovery loudly, not be silently skipped — rotation seals
+// every earlier segment with a flush+fsync, so nothing there can be torn.
+func TestRecoverCorruptMidLogFails(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		damage func(buf []byte) []byte
+	}{
+		{"byte flip", func(buf []byte) []byte { buf[len(buf)/2] ^= 0xff; return buf }},
+		{"zero-filled tail", func(buf []byte) []byte { return append(buf, make([]byte, 4096)...) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			db, dir := durableDB(t)
+			loadFramesObjects(t, db, 0, 2, 50)
+			// Force a rotation so at least two segments exist.
+			dev := db.wal.dev.Load()
+			dev.mu.Lock()
+			dev.rotateLocked()
+			dev.mu.Unlock()
+			loadFramesObjects(t, db, 10, 1, 0)
+			if err := db.Close(); err != nil {
+				t.Fatal(err)
+			}
+			segs, _ := listWALSegments(dir)
+			if len(segs) < 2 {
+				t.Fatalf("expected >=2 segments, got %d", len(segs))
+			}
+			first := filepath.Join(dir, segs[0])
+			buf, err := os.ReadFile(first)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(first, tc.damage(buf), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := Recover(testSchema(t), dir); !errors.Is(err, ErrWALCorrupt) {
+				t.Fatalf("Recover over mid-log damage: got %v, want ErrWALCorrupt", err)
+			}
+		})
 	}
 }
 

@@ -147,9 +147,9 @@ func (t *Table) sealIndexes(rep *SealReport) {
 }
 
 // scanRowsByID visits every live row in row-id order; t.mu must be held.
-// Unlike a heap scan plus a location→id inversion map, the row directory is
-// indexed by id already, so the seal path reads (id, row) pairs with two
-// array lookups per row and no per-table map.
+// The row directory is indexed by id, so index builds and the checkpoint read
+// (id, row) pairs with two array lookups per row — ids stay right across the
+// gaps rollbacks leave, which heap scan positions do not.
 func (t *Table) scanRowsByID(visit func(id int64, r RowView)) {
 	for id, loc := range t.rows.locs {
 		if r, ok := t.heap.view(loc); ok {

@@ -300,6 +300,43 @@ func TestSealAfterRollback(t *testing.T) {
 	}
 }
 
+// TestCreateIndexBackfillMatchesMaintained: an index created after the load —
+// a load whose rollbacks left id gaps, so heap positions and row ids disagree
+// — iterates (key, row ids) exactly like one maintained from the first row,
+// and keeps doing so when inserts continue on the bulk-built tree.
+func TestCreateIndexBackfillMatchesMaintained(t *testing.T) {
+	maintained := MustOpen(testSchema(t), WithBTreeDegree(2))
+	sealTestIndexes(t, maintained, IndexImmediate)
+	runSealWorkload(t, maintained, 5)
+
+	backfilled := MustOpen(testSchema(t), WithBTreeDegree(2))
+	runSealWorkload(t, backfilled, 5)
+	if objs := backfilled.Table("objects"); objs.nextRow == objs.RowCount() {
+		t.Fatal("workload left no id gaps; the test no longer covers them")
+	}
+	sealTestIndexes(t, backfilled, IndexImmediate)
+
+	check := func(when string) {
+		t.Helper()
+		want := dumpIndexes(maintained.Table("objects"))
+		got := dumpIndexes(backfilled.Table("objects"))
+		for name := range want {
+			if got[name] != want[name] {
+				t.Fatalf("%s: index %s differs from the maintained one:\ngot:\n%s\nwant:\n%s", when, name, got[name], want[name])
+			}
+		}
+		for _, ix := range backfilled.Table("objects").Indexes() {
+			if err := ix.tree.CheckInvariants(); err != nil {
+				t.Fatalf("%s: index %s: %v", when, ix.Name, err)
+			}
+		}
+	}
+	check("after backfill")
+	runPostSealInserts(t, maintained)
+	runPostSealInserts(t, backfilled)
+	check("after further inserts")
+}
+
 // TestLoadLifecycle covers the state machine: double BeginLoad fails, Seal is
 // idempotent, InLoadPhase tracks the window, and a deferred index created
 // mid-load starts suspended and is populated by Seal.

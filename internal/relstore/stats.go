@@ -19,8 +19,8 @@ type IndexStat struct {
 type TableStat struct {
 	Name string
 	// Rows is the live row count and NominalBytes the nominal stored volume
-	// (Table.ByteSize, the sum of RowSize over live rows — the figure page
-	// fill and the cost model use).
+	// (the sum of RowSize over live rows — the figure page fill and the cost
+	// model use).
 	Rows, NominalBytes int64
 	// ResidentBytes is the memory the table holds for its rows, counted where
 	// it is held: heap page data and slot directories at their allocated

@@ -240,13 +240,6 @@ func (t *Table) LogicalRowCount() int64 {
 	return t.heap.rowCount + t.prePopulatedRows
 }
 
-// ByteSize returns the number of bytes physically stored.
-func (t *Table) ByteSize() int64 {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.heap.bytes
-}
-
 // LogicalByteSize returns stored plus pre-populated bytes.
 func (t *Table) LogicalByteSize() int64 {
 	t.mu.RLock()
@@ -558,31 +551,13 @@ func (t *Table) createIndex(name string, columns []string, unique bool, policy I
 		// Mid-load creation of a deferred index: no backfill, Seal builds it.
 		ix.suspended.Store(true)
 	} else if t.heap.rowCount > 0 {
-		// Backfill in one heap pass.  Heap scan positions do not match table
-		// row ids when rollbacks occurred, so invert the row directory once
-		// instead of re-deriving each id through a primary-key encoding.
-		var sc scratch
-		idByLoc := t.idByLocLocked()
-		t.heap.scanLoc(func(loc rowLoc, r RowView) bool {
-			ix.tree.Insert(sc.ordKey(sc.keyOfView(r, ix.colIdxs)), idByLoc[loc])
-			return true
-		})
+		// Backfill is the bulk build Seal uses: (id, row) pairs straight off
+		// the row directory, sorted once, leaves packed left to right.
+		t.rebuildIndexLocked(ix)
 	}
 	t.indexes[name] = ix
 	t.rebuildIndexList()
 	return ix, nil
-}
-
-// idByLocLocked inverts the row directory (heap location -> row id) for
-// index backfills and bulk rebuilds; t.mu must be held.
-func (t *Table) idByLocLocked() map[rowLoc]int64 {
-	idByLoc := make(map[rowLoc]int64, t.rows.live)
-	for id, loc := range t.rows.locs {
-		if loc != noLoc {
-			idByLoc[loc] = int64(id)
-		}
-	}
-	return idByLoc
 }
 
 // dropIndex removes the named index.

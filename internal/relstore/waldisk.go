@@ -8,6 +8,8 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+
+	"skyloader/internal/frame"
 )
 
 // walDevice is the durable half of the WAL: an append-only sequence of
@@ -223,11 +225,11 @@ func (d *walDevice) callFault(p FaultPoint) error {
 // through; LSNs are assigned here, so record order in the files matches LSN
 // order by construction.
 func (d *walDevice) appendLocked(payload []byte) {
-	frameLen := int64(walFrameHeader + len(payload))
+	frameLen := int64(frame.HeaderSize + len(payload))
 	if d.written+int64(len(d.buf))+frameLen > d.segmentBytes && d.written+int64(len(d.buf)) > 0 {
 		d.rotateLocked()
 	}
-	d.buf = appendWALFrame(d.buf, payload)
+	d.buf = frame.Append(d.buf, payload)
 	d.appendedBytes += frameLen
 	d.bytesSinceCkpt += frameLen
 	d.unsynced += frameLen

@@ -4,16 +4,15 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"math"
+
+	"skyloader/internal/frame"
 )
 
-// Durable WAL record format.  Every record on disk is framed as
-//
-//	[u32 payload length][u32 CRC32-IEEE of payload][payload]
-//
-// (little-endian), and every payload starts with a one-byte record type and
-// the record's LSN:
+// Durable WAL record format.  Every record on disk is one internal/frame
+// frame (length, CRC32, payload — the framing checkpoint files and the shard
+// wire share), and every payload starts with a one-byte record type and the
+// record's LSN, all little-endian:
 //
 //	insert   = 0x01 | lsn u64 | tableID u32 | txnID u64 | firstID u64 |
 //	           rowCount u32 | rowCount x (rowLen u32 | row bytes)
@@ -30,9 +29,10 @@ import (
 //
 // The decoder is total: decodeWALRecord returns an error (never panics) for
 // any byte string that is not a canonical encoding, which FuzzWALRecordDecode
-// exercises.  Framing errors — short header, oversized length, truncated
-// payload, CRC mismatch — are how torn tails present; they are distinguished
-// from post-CRC semantic corruption by the segment reader in recover.go.
+// exercises.  Framing damage — anything frame.Next does not report OK: short
+// header, zero or oversized length, truncated payload, CRC mismatch — is how
+// a torn tail presents; the segment reader in recover.go distinguishes it
+// from post-CRC semantic corruption.
 
 const (
 	walRecInsert   = 0x01
@@ -43,21 +43,13 @@ const (
 	// not collide with the ordkey tag space (0x00-0x05) and never appears in
 	// index keys.
 	walTagNaN = 0x06
-
-	// walFrameHeader is the length+CRC framing prefix of every record.
-	walFrameHeader = 8
-
-	// maxWALRecordBytes bounds a single record's payload; a length prefix
-	// above it is treated as a torn/corrupt tail rather than honored as an
-	// allocation request.
-	maxWALRecordBytes = 64 << 20
 )
 
 // walInsertRecordLimit is the payload budget the append path chunks insert
 // records under, so nothing legitimately written is later rejected by
-// nextWALFrame's maxWALRecordBytes check.  A variable only so tests can
-// exercise the chunking without building multi-megabyte rows.
-var walInsertRecordLimit = maxWALRecordBytes
+// frame.Next's MaxPayload check.  A variable only so tests can exercise the
+// chunking without building multi-megabyte rows.
+var walInsertRecordLimit = frame.MaxPayload
 
 // ErrWALCorrupt reports a WAL or checkpoint byte string that is not a
 // canonical record encoding.
@@ -76,33 +68,6 @@ type walRecord struct {
 	// rowCount is the row count of an insert record, valid even when rows
 	// were skipped.
 	rowCount int
-}
-
-// appendWALFrame frames a payload (length prefix + CRC) onto dst.
-func appendWALFrame(dst, payload []byte) []byte {
-	var h [walFrameHeader]byte
-	binary.LittleEndian.PutUint32(h[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(h[4:8], crc32.ChecksumIEEE(payload))
-	dst = append(dst, h[:]...)
-	return append(dst, payload...)
-}
-
-// appendWALInsert encodes an insert record payload covering rows stored with
-// contiguous ids starting at firstID.
-func appendWALInsert(dst []byte, lsn int64, tableID uint32, txnID, firstID int64, rows []Row) []byte {
-	dst = append(dst, walRecInsert)
-	dst = binary.LittleEndian.AppendUint64(dst, uint64(lsn))
-	dst = binary.LittleEndian.AppendUint32(dst, tableID)
-	dst = binary.LittleEndian.AppendUint64(dst, uint64(txnID))
-	dst = binary.LittleEndian.AppendUint64(dst, uint64(firstID))
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(rows)))
-	for _, row := range rows {
-		lenAt := len(dst)
-		dst = append(dst, 0, 0, 0, 0)
-		dst = appendWALRow(dst, row)
-		binary.LittleEndian.PutUint32(dst[lenAt:lenAt+4], uint32(len(dst)-lenAt-4))
-	}
-	return dst
 }
 
 // appendWALInsertBounded encodes an insert record payload covering as many
@@ -168,9 +133,9 @@ func appendWALValue(dst []byte, v Value) []byte {
 }
 
 // decodeWALRow decodes a row payload; wantCols is the owning table's column
-// count (decoded rows must match it exactly).
+// count (decoded rows must match it exactly), or negative to accept any width.
 func decodeWALRow(enc []byte, wantCols int) (Row, error) {
-	row := make(Row, 0, wantCols)
+	row := make(Row, 0, max(wantCols, 0))
 	for len(enc) > 0 {
 		if enc[0] == walTagNaN {
 			if len(enc) < 9 {
@@ -191,7 +156,7 @@ func decodeWALRow(enc []byte, wantCols int) (Row, error) {
 		row = append(row, v)
 		enc = rest
 	}
-	if len(row) != wantCols {
+	if wantCols >= 0 && len(row) != wantCols {
 		return nil, fmt.Errorf("%w: row has %d values, table has %d columns", ErrWALCorrupt, len(row), wantCols)
 	}
 	return row, nil
@@ -202,139 +167,58 @@ func decodeWALRow(enc []byte, wantCols int) (Row, error) {
 // (any width accepted).
 type walRowWidth func(tableID uint32) (int, bool)
 
+// widthFor resolves the row width to enforce for a table id: -1 (any) without
+// a schema, and a latched cursor error for an id the schema does not know.
+func (widthOf walRowWidth) widthFor(c *frame.Cursor, tableID uint32) int {
+	if widthOf == nil {
+		return -1
+	}
+	w, ok := widthOf(tableID)
+	if !ok {
+		c.Fail(fmt.Errorf("%w: unknown table id %d", ErrWALCorrupt, tableID))
+	}
+	return w
+}
+
 // decodeWALRecord decodes one framed-and-verified payload.  With decodeRows
 // false the row payloads of insert records are counted but not materialized —
 // the cheap first pass that only collects txn outcomes.  widthOf, when
 // non-nil, validates table ids and row widths against the schema.
 func decodeWALRecord(payload []byte, decodeRows bool, widthOf walRowWidth) (walRecord, error) {
-	var rec walRecord
-	if len(payload) < 9 {
-		return rec, fmt.Errorf("%w: %d-byte payload", ErrWALCorrupt, len(payload))
-	}
-	rec.typ = payload[0]
-	rec.lsn = int64(binary.LittleEndian.Uint64(payload[1:9]))
+	c := frame.NewCursor(payload, ErrWALCorrupt)
+	rec := walRecord{typ: c.U8(), lsn: c.I64()}
 	if rec.lsn < 0 {
-		return rec, fmt.Errorf("%w: negative LSN", ErrWALCorrupt)
+		c.Fail(fmt.Errorf("%w: negative LSN", ErrWALCorrupt))
 	}
-	body := payload[9:]
 	switch rec.typ {
 	case walRecCommit, walRecRollback:
-		if len(body) != 8 {
-			return rec, fmt.Errorf("%w: marker body %d bytes", ErrWALCorrupt, len(body))
-		}
-		rec.txnID = int64(binary.LittleEndian.Uint64(body))
-		return rec, nil
+		rec.txnID = c.I64()
 	case walRecInsert:
-		if len(body) < 24 {
-			return rec, fmt.Errorf("%w: insert body %d bytes", ErrWALCorrupt, len(body))
-		}
-		rec.tableID = binary.LittleEndian.Uint32(body[0:4])
-		rec.txnID = int64(binary.LittleEndian.Uint64(body[4:12]))
-		rec.firstID = int64(binary.LittleEndian.Uint64(body[12:20]))
-		n := binary.LittleEndian.Uint32(body[20:24])
-		if n > maxWALRecordBytes/4 {
-			return rec, fmt.Errorf("%w: insert row count %d", ErrWALCorrupt, n)
-		}
+		rec.tableID = c.U32()
+		rec.txnID = c.I64()
+		rec.firstID = c.I64()
 		if rec.firstID < 0 {
-			return rec, fmt.Errorf("%w: negative first row id", ErrWALCorrupt)
+			c.Fail(fmt.Errorf("%w: negative first row id", ErrWALCorrupt))
 		}
-		rec.rowCount = int(n)
-		wantCols := -1
-		if widthOf != nil {
-			w, ok := widthOf(rec.tableID)
-			if !ok {
-				return rec, fmt.Errorf("%w: unknown table id %d", ErrWALCorrupt, rec.tableID)
-			}
-			wantCols = w
-		}
-		body = body[24:]
+		rec.rowCount = c.Count(4) // each row carries at least its length prefix
+		wantCols := widthOf.widthFor(c, rec.tableID)
 		if decodeRows {
-			rec.rows = make([]Row, 0, n)
+			rec.rows = make([]Row, 0, rec.rowCount)
 		}
-		for i := uint32(0); i < n; i++ {
-			if len(body) < 4 {
-				return rec, fmt.Errorf("%w: truncated row length", ErrWALCorrupt)
+		for i := 0; i < rec.rowCount; i++ {
+			enc := c.Bytes(int(c.U32()))
+			if !decodeRows {
+				continue
 			}
-			rl := binary.LittleEndian.Uint32(body[0:4])
-			body = body[4:]
-			if uint32(len(body)) < rl {
-				return rec, fmt.Errorf("%w: row payload %d bytes, want %d", ErrWALCorrupt, len(body), rl)
+			row, err := decodeWALRow(enc, wantCols)
+			if err != nil {
+				c.Fail(err)
+				break
 			}
-			if decodeRows {
-				want := wantCols
-				if want < 0 {
-					// No schema (fuzz target): accept any width by decoding
-					// first and trusting the count.
-					row, err := decodeWALRowAnyWidth(body[:rl])
-					if err != nil {
-						return rec, err
-					}
-					rec.rows = append(rec.rows, row)
-				} else {
-					row, err := decodeWALRow(body[:rl], want)
-					if err != nil {
-						return rec, err
-					}
-					rec.rows = append(rec.rows, row)
-				}
-			}
-			body = body[rl:]
+			rec.rows = append(rec.rows, row)
 		}
-		if len(body) != 0 {
-			return rec, fmt.Errorf("%w: %d trailing bytes after insert rows", ErrWALCorrupt, len(body))
-		}
-		return rec, nil
 	default:
-		return rec, fmt.Errorf("%w: unknown record type 0x%02x", ErrWALCorrupt, rec.typ)
+		c.Fail(fmt.Errorf("%w: unknown record type 0x%02x", ErrWALCorrupt, rec.typ))
 	}
-}
-
-// decodeWALRowAnyWidth decodes a row without a schema width to enforce.
-func decodeWALRowAnyWidth(enc []byte) (Row, error) {
-	var row Row
-	for len(enc) > 0 {
-		if enc[0] == walTagNaN {
-			if len(enc) < 9 {
-				return nil, fmt.Errorf("%w: truncated NaN payload", ErrWALCorrupt)
-			}
-			f := math.Float64frombits(decodeOrderedUint64(enc[1:9]))
-			if !math.IsNaN(f) {
-				return nil, fmt.Errorf("%w: non-NaN bits under NaN tag", ErrWALCorrupt)
-			}
-			row = append(row, Value{Kind: KindFloat, F: f})
-			enc = enc[9:]
-			continue
-		}
-		v, rest, err := decodeOrderedValue(enc)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrWALCorrupt, err)
-		}
-		row = append(row, v)
-		enc = rest
-	}
-	return row, nil
-}
-
-// nextWALFrame parses one framed record off the front of buf.  It returns the
-// payload and the remaining bytes, or ok == false when buf ends in a torn or
-// corrupt frame (short header, oversized length, truncated payload, CRC
-// mismatch) — the conditions a crash mid-append produces.
-func nextWALFrame(buf []byte) (payload, rest []byte, ok bool) {
-	if len(buf) < walFrameHeader {
-		return nil, buf, false
-	}
-	n := binary.LittleEndian.Uint32(buf[0:4])
-	if n > maxWALRecordBytes {
-		return nil, buf, false
-	}
-	crc := binary.LittleEndian.Uint32(buf[4:8])
-	body := buf[walFrameHeader:]
-	if uint32(len(body)) < n {
-		return nil, buf, false
-	}
-	payload = body[:n]
-	if crc32.ChecksumIEEE(payload) != crc {
-		return nil, buf, false
-	}
-	return payload, body[n:], true
+	return rec, c.Done()
 }

@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"testing"
 	"time"
+
+	"skyloader/internal/frame"
 )
 
 // randWALValue draws one Value covering every kind the row codec must carry,
@@ -85,15 +87,15 @@ func TestWALRecordRoundTrip(t *testing.T) {
 				}
 				wantRows[i] = row
 			}
-			payload = appendWALInsert(nil, lsn, tableID, txn, firstID, wantRows)
+			payload, _ = appendWALInsertBounded(nil, lsn, tableID, txn, firstID, wantRows)
 		default:
 			payload = appendWALMarker(nil, typ, lsn, txn)
 		}
-		frame := appendWALFrame(nil, payload)
+		framed := frame.Append(nil, payload)
 
-		got, rest, ok := nextWALFrame(frame)
-		if !ok || len(rest) != 0 {
-			t.Fatalf("iter %d: framing round-trip failed (ok=%v rest=%d)", iter, ok, len(rest))
+		got, rest, st := frame.Next(framed)
+		if st != frame.OK || len(rest) != 0 {
+			t.Fatalf("iter %d: framing round-trip failed (status=%v rest=%d)", iter, st, len(rest))
 		}
 		rec, err := decodeWALRecord(got, true, nil)
 		if err != nil {
@@ -119,17 +121,17 @@ func TestWALRecordRoundTrip(t *testing.T) {
 		}
 
 		// Torn-tail property: no strict prefix of the frame parses.
-		for cut := 0; cut < len(frame); cut++ {
-			if _, _, ok := nextWALFrame(frame[:cut]); ok {
-				t.Fatalf("iter %d: %d-byte prefix of a %d-byte frame parsed as a record", iter, cut, len(frame))
+		for cut := 0; cut < len(framed); cut++ {
+			if _, _, st := frame.Next(framed[:cut]); st == frame.OK {
+				t.Fatalf("iter %d: %d-byte prefix of a %d-byte frame parsed as a record", iter, cut, len(framed))
 			}
 		}
 		// Corruption property: no single flipped byte passes the CRC.
-		if len(frame) > 0 {
-			pos := rng.Intn(len(frame))
-			mut := append([]byte(nil), frame...)
+		if len(framed) > 0 {
+			pos := rng.Intn(len(framed))
+			mut := append([]byte(nil), framed...)
 			mut[pos] ^= 1 << uint(rng.Intn(8))
-			if p, _, ok := nextWALFrame(mut); ok {
+			if p, _, st := frame.Next(mut); st == frame.OK {
 				// A flip inside the length prefix can still frame a shorter,
 				// CRC-valid record only if the CRC happens to match — with
 				// CRC32 over these payloads it must not.
@@ -139,32 +141,36 @@ func TestWALRecordRoundTrip(t *testing.T) {
 	}
 }
 
-// FuzzWALRecordDecode asserts the decoder is total: arbitrary bytes never
-// panic the frame parser or the record decoder, and valid frames that decode
-// re-encode into a frame the parser accepts.
+// FuzzWALRecordDecode asserts the record decoder is total: arbitrary payload
+// bytes never panic it, with or without a schema to enforce and with or
+// without materializing rows.  The framing half — lengths, CRCs, truncation —
+// is internal/frame's FuzzFrame; here a seed's frames are peeled off and every
+// other input is decoded as one bare payload, so mutations reach the field
+// decoders instead of dying at the CRC.
 func FuzzWALRecordDecode(f *testing.F) {
+	insert, _ := appendWALInsertBounded(nil, 3, 0, 7, 100,
+		[]Row{{Int(1), Float(math.NaN()), Str("x"), Value{}}})
 	f.Add([]byte{})
-	f.Add(appendWALFrame(nil, appendWALMarker(nil, walRecCommit, 1, 7)))
-	f.Add(appendWALFrame(nil, appendWALMarker(nil, walRecRollback, 2, 7)))
-	f.Add(appendWALFrame(nil, appendWALInsert(nil, 3, 0, 7, 100,
-		[]Row{{Int(1), Float(math.NaN()), Str("x"), Value{}}})))
+	f.Add(frame.Append(nil, appendWALMarker(nil, walRecCommit, 1, 7)))
+	f.Add(frame.Append(nil, appendWALMarker(nil, walRecRollback, 2, 7)))
+	f.Add(frame.Append(nil, insert))
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		buf := data
-		for {
-			payload, rest, ok := nextWALFrame(buf)
-			if !ok {
-				break
-			}
-			if _, err := decodeWALRecord(payload, true, nil); err == nil {
-				// Valid records must survive a re-encode of their frame.
-				if _, _, ok := nextWALFrame(appendWALFrame(nil, payload)); !ok {
-					t.Fatal("re-framed valid payload rejected")
-				}
+		decode := func(payload []byte) {
+			if rec, err := decodeWALRecord(payload, true, nil); err == nil && rec.typ == walRecInsert && len(rec.rows) != rec.rowCount {
+				t.Fatalf("insert record decoded %d rows, header says %d", len(rec.rows), rec.rowCount)
 			}
 			// Width enforcement must be just as total.
 			_, _ = decodeWALRecord(payload, true, func(uint32) (int, bool) { return 3, true })
 			_, _ = decodeWALRecord(payload, false, nil)
+		}
+		decode(data)
+		for buf := data; ; {
+			payload, rest, st := frame.Next(buf)
+			if st != frame.OK {
+				break
+			}
+			decode(payload)
 			buf = rest
 		}
 	})

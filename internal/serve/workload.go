@@ -95,6 +95,22 @@ func (s TraceSpec) WithFootprint(files []*catalog.File) TraceSpec {
 	return s
 }
 
+// NightTraceSpec returns the part of a trace spec that must match a night
+// generated by catalog.GenerateNight from the same size and rows per MB, so
+// the tools that load a night and the ones that only query it aim at the same
+// rows: the per-file object-id universe, file 1's IDBase, the frame universe
+// and the files' sky footprint.  The caller sets Queries, Seed, the mix and
+// the rate.
+func NightTraceSpec(sizeMB float64, rowsPerMB int, files []*catalog.File) TraceSpec {
+	// Objects per file ≈ rows/file × the generator's object share (~1/8).
+	objects := max(int64(sizeMB*float64(rowsPerMB))/8/int64(len(files)), 64)
+	return TraceSpec{
+		Objects: objects,
+		IDBase:  100_000_000, // GenerateNight file 1
+		Frames:  objects / 12,
+	}.WithFootprint(files) // aim cones at the sky the files actually cover
+}
+
 func (s TraceSpec) withDefaults() TraceSpec {
 	if s.Queries <= 0 {
 		s.Queries = 1000

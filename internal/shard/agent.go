@@ -71,22 +71,9 @@ type Agent struct {
 // NewAgent opens a fresh shard database (schema + reference rows + profile)
 // on the scheduler.  The agent has no identity until it receives Hello.
 func NewAgent(sched exec.Scheduler, cfg AgentConfig) (*Agent, error) {
-	db, err := relstore.Open(catalog.NewSchema(), append(cfg.Profile.Options(), cfg.DBOptions...)...)
+	db, err := cfg.Profile.Open(cfg.DBOptions...)
 	if err != nil {
 		return nil, fmt.Errorf("shard: open agent db: %w", err)
-	}
-	txn, err := db.Begin()
-	if err != nil {
-		return nil, err
-	}
-	if err := catalog.SeedReference(txn, 32); err != nil {
-		return nil, err
-	}
-	if _, err := txn.Commit(); err != nil {
-		return nil, err
-	}
-	if err := cfg.Profile.Apply(db); err != nil {
-		return nil, err
 	}
 	return &Agent{
 		sched: sched,

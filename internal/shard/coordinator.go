@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"skyloader/internal/catalog"
-	"skyloader/internal/des"
 	"skyloader/internal/exec"
 	"skyloader/internal/metrics"
 	"skyloader/internal/queries"
@@ -41,6 +40,8 @@ type Coordinator struct {
 	sched exec.Scheduler
 	pm    *PartitionMap
 	cfg   Config
+	// scatterNames[s] names the fan-out worker of shard s.
+	scatterNames []string
 
 	mu      sync.Mutex
 	clients []Client
@@ -64,7 +65,12 @@ func New(sched exec.Scheduler, pm *PartitionMap, clients []Client, cfg Config) (
 	if len(clients) != pm.Shards() {
 		return nil, fmt.Errorf("shard: %d clients for %d shards", len(clients), pm.Shards())
 	}
+	names := make([]string, pm.Shards())
+	for s := range names {
+		names[s] = fmt.Sprintf("scatter-%d", s)
+	}
 	return &Coordinator{
+		scatterNames:  names,
 		sched:         sched,
 		pm:            pm,
 		cfg:           cfg,
@@ -75,9 +81,6 @@ func New(sched exec.Scheduler, pm *PartitionMap, clients []Client, cfg Config) (
 		gather:        metrics.NewHistogram(),
 	}, nil
 }
-
-// Partition returns the coordinator's partition map.
-func (c *Coordinator) Partition() *PartitionMap { return c.pm }
 
 // Scheduler returns the scheduler the coordinator fans out on.
 func (c *Coordinator) Scheduler() exec.Scheduler { return c.sched }
@@ -439,54 +442,18 @@ func (c *Coordinator) Close() error {
 	return first
 }
 
-// fanout runs fn once per target shard, in parallel, and returns per-target
-// errors.  Under DES it spawns kernel processes and joins them with
-// signals; under realtime it requires the scheduler's InlineRunner and uses
-// plain goroutines.  Both paths block the calling worker until every branch
-// finishes.
+// fanout runs fn once per target shard, in parallel (exec.Fanout), blocks
+// the calling worker until every branch finishes and returns per-target
+// errors.
 func (c *Coordinator) fanout(w exec.Worker, targets []int, fn func(exec.Worker, int) error) []error {
 	errs := make([]error, len(targets))
-	if len(targets) == 0 {
-		return errs
-	}
-	if len(targets) == 1 {
-		errs[0] = fn(w, targets[0])
-		return errs
-	}
-	if k := exec.KernelOf(c.sched); k != nil {
-		self := exec.ProcOf(w)
-		sigs := make([]*des.Signal, len(targets))
-		for i, s := range targets {
-			i, s := i, s
-			sigs[i] = des.NewSignal(k)
-			c.sched.Spawn(fmt.Sprintf("scatter-%d", s), func(fw exec.Worker) {
-				errs[i] = fn(fw, s)
-				sigs[i].Fire(nil)
-			})
-		}
-		for _, sig := range sigs {
-			sig.Wait(self)
-		}
-		return errs
-	}
-	inline, ok := c.sched.(exec.InlineRunner)
-	if !ok {
-		// No parallel capability: degrade to sequential calls.
-		for i, s := range targets {
-			errs[i] = fn(w, s)
-		}
-		return errs
-	}
-	var wg sync.WaitGroup
+	names := make([]string, len(targets))
 	for i, s := range targets {
-		i, s := i, s
-		wg.Add(1)
-		go inline.RunInline(fmt.Sprintf("scatter-%d", s), func(fw exec.Worker) {
-			defer wg.Done()
-			errs[i] = fn(fw, s)
-		})
+		names[i] = c.scatterNames[s]
 	}
-	wg.Wait()
+	exec.Fanout(c.sched, w, names, func(fw exec.Worker, i int) {
+		errs[i] = fn(fw, targets[i])
+	})
 	return errs
 }
 

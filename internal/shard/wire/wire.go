@@ -1,13 +1,10 @@
 // Package wire is the framed, typed message protocol between the shard
 // coordinator and its agents.
 //
-// Framing follows the WAL-record discipline from internal/relstore: every
-// message travels as
-//
-//	[u32 LE payload length][u32 LE CRC32-IEEE of payload][payload]
-//
-// and the payload starts with a one-byte message type followed by
-// fixed-width little-endian fields and length-prefixed strings.  The decoder
+// Every message travels in one internal/frame frame (length, CRC32, payload
+// — the framing WAL segments and checkpoint files share), and the payload
+// starts with a one-byte message type followed by fixed-width little-endian
+// fields and length-prefixed strings read through a frame.Cursor.  The decoder
 // is total: arbitrary bytes produce an error, never a panic, and a frame
 // whose bytes were flipped in transit fails the CRC before any field is
 // interpreted.  ErrShort (incomplete frame — wait for more bytes) is
@@ -19,20 +16,19 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"math"
 
+	"skyloader/internal/frame"
 	"skyloader/internal/queries"
 )
 
 // FrameHeader is the fixed byte size of the length+CRC frame prefix.
-const FrameHeader = 8
+const FrameHeader = frame.HeaderSize
 
-// MaxMessageBytes bounds a single framed payload, mirroring the WAL's
-// record cap.  A length prefix beyond it is treated as corruption rather
-// than an allocation request.
-const MaxMessageBytes = 64 << 20
+// MaxMessageBytes bounds a single framed payload.  A length prefix beyond it
+// is treated as corruption rather than an allocation request.
+const MaxMessageBytes = frame.MaxPayload
 
 // Message type bytes (first payload byte).
 const (
@@ -177,95 +173,6 @@ func appendString(dst []byte, s string) []byte {
 	return append(dst, s...)
 }
 
-// reader is a bounds-checked cursor over one payload.  The first failed
-// read latches err; subsequent reads return zero values, so decode methods
-// can read every field unconditionally and check err once.
-type reader struct {
-	b   []byte
-	off int
-	err error
-}
-
-func (r *reader) need(n int) bool {
-	if r.err != nil {
-		return false
-	}
-	if len(r.b)-r.off < n {
-		r.err = fmt.Errorf("%w: truncated payload at offset %d", ErrCorrupt, r.off)
-		return false
-	}
-	return true
-}
-
-func (r *reader) u8() byte {
-	if !r.need(1) {
-		return 0
-	}
-	v := r.b[r.off]
-	r.off++
-	return v
-}
-
-func (r *reader) boolean() bool {
-	switch r.u8() {
-	case 0:
-		return false
-	case 1:
-		return true
-	default:
-		if r.err == nil {
-			r.err = fmt.Errorf("%w: bad bool byte", ErrCorrupt)
-		}
-		return false
-	}
-}
-
-func (r *reader) u32() uint32 {
-	if !r.need(4) {
-		return 0
-	}
-	v := binary.LittleEndian.Uint32(r.b[r.off:])
-	r.off += 4
-	return v
-}
-
-func (r *reader) u64() uint64 {
-	if !r.need(8) {
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(r.b[r.off:])
-	r.off += 8
-	return v
-}
-
-func (r *reader) i64() int64   { return int64(r.u64()) }
-func (r *reader) f64() float64 { return math.Float64frombits(r.u64()) }
-
-func (r *reader) str() string {
-	n := int(r.u32())
-	if r.err != nil || !r.need(n) {
-		return ""
-	}
-	s := string(r.b[r.off : r.off+n])
-	r.off += n
-	return s
-}
-
-// count reads a u32 element count and validates it against the bytes left,
-// given a minimum encoded size per element, so a corrupt count can never
-// drive a huge allocation.
-func (r *reader) count(minElem int) int {
-	n := int(r.u32())
-	if r.err != nil {
-		return 0
-	}
-	if n < 0 || n*minElem > len(r.b)-r.off {
-		r.err = fmt.Errorf("%w: element count %d exceeds payload", ErrCorrupt, n)
-		return 0
-	}
-	return n
-}
-
 // ---- per-message payloads ---------------------------------------------
 
 func (m Hello) appendPayload(dst []byte) []byte {
@@ -365,13 +272,8 @@ func (m Stats) appendPayload(dst []byte) []byte {
 // Append appends the framed encoding of m to dst and returns the extended
 // slice.
 func Append(dst []byte, m Msg) []byte {
-	start := len(dst)
-	dst = append(dst, 0, 0, 0, 0, 0, 0, 0, 0) // frame header placeholder
-	dst = m.appendPayload(dst)
-	payload := dst[start+FrameHeader:]
-	binary.LittleEndian.PutUint32(dst[start:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(dst[start+4:], crc32.ChecksumIEEE(payload))
-	return dst
+	dst, mark := frame.Begin(dst)
+	return frame.Finish(m.appendPayload(dst), mark)
 }
 
 // Decode decodes one framed message from the head of buf.  It returns the
@@ -379,173 +281,149 @@ func Append(dst []byte, m Msg) []byte {
 // the frame does (read more and retry); ErrCorrupt means the frame or its
 // payload is damaged.
 func Decode(buf []byte) (Msg, int, error) {
-	if len(buf) < FrameHeader {
+	payload, _, st := frame.Next(buf)
+	switch st {
+	case frame.Short:
 		return nil, 0, ErrShort
-	}
-	n := binary.LittleEndian.Uint32(buf)
-	if n == 0 || n > MaxMessageBytes {
-		return nil, 0, fmt.Errorf("%w: payload length %d", ErrCorrupt, n)
-	}
-	if len(buf) < FrameHeader+int(n) {
-		return nil, 0, ErrShort
-	}
-	want := binary.LittleEndian.Uint32(buf[4:])
-	payload := buf[FrameHeader : FrameHeader+int(n)]
-	if got := crc32.ChecksumIEEE(payload); got != want {
-		return nil, 0, fmt.Errorf("%w: CRC mismatch (got %08x want %08x)", ErrCorrupt, got, want)
+	case frame.Corrupt:
+		return nil, 0, fmt.Errorf("%w: bad payload length or CRC mismatch", ErrCorrupt)
 	}
 	m, err := DecodePayload(payload)
 	if err != nil {
 		return nil, 0, err
 	}
-	return m, FrameHeader + int(n), nil
+	return m, FrameHeader + len(payload), nil
 }
+
+// str reads a u32-length-prefixed string.
+func str(c *frame.Cursor) string { return string(c.Bytes(int(c.U32()))) }
 
 // DecodePayload decodes one CRC-verified payload (type byte + fields).
 // Trailing bytes after the last field are corruption: the encoding is
 // canonical, so a valid payload is consumed exactly.
 func DecodePayload(payload []byte) (Msg, error) {
-	r := &reader{b: payload}
-	typ := r.u8()
+	r := frame.NewCursor(payload, ErrCorrupt)
+	typ := r.U8()
 	var m Msg
 	switch typ {
 	case TypeHello:
 		m = Hello{
-			ShardID:  r.u32(),
-			Shards:   r.u32(),
-			RangeLo:  r.i64(),
-			RangeHi:  r.i64(),
-			Deferred: r.boolean(),
+			ShardID:  r.U32(),
+			Shards:   r.U32(),
+			RangeLo:  r.I64(),
+			RangeHi:  r.I64(),
+			Deferred: r.Bool(),
 		}
 	case TypeReady:
-		m = Ready{ShardID: r.u32(), Ready: r.boolean(), Rows: r.i64()}
+		m = Ready{ShardID: r.U32(), Ready: r.Bool(), Rows: r.I64()}
 	case TypeLoadTask:
 		t := LoadTask{
-			TaskID:       r.u64(),
-			Seal:         r.boolean(),
-			Home:         r.boolean(),
-			Name:         r.str(),
-			RABase:       r.f64(),
-			DecBase:      r.f64(),
-			NominalBytes: r.i64(),
+			TaskID:       r.U64(),
+			Seal:         r.Bool(),
+			Home:         r.Bool(),
+			Name:         str(r),
+			RABase:       r.F64(),
+			DecBase:      r.F64(),
+			NominalBytes: r.I64(),
 		}
-		n := r.count(4) // each line carries at least its length prefix
-		if r.err == nil && n > 0 {
+		// Each line carries at least its length prefix.
+		if n := r.Count(4); n > 0 {
 			t.Lines = make([]string, 0, n)
-			for i := 0; i < n && r.err == nil; i++ {
-				t.Lines = append(t.Lines, r.str())
+			for i := 0; i < n; i++ {
+				t.Lines = append(t.Lines, str(r))
 			}
 		}
 		m = t
 	case TypeLoadResult:
 		m = LoadResult{
-			TaskID:      r.u64(),
-			ShardID:     r.u32(),
-			RowsLoaded:  r.i64(),
-			RowsSkipped: r.i64(),
-			Err:         r.str(),
+			TaskID:      r.U64(),
+			ShardID:     r.U32(),
+			RowsLoaded:  r.I64(),
+			RowsSkipped: r.I64(),
+			Err:         str(r),
 		}
 	case TypeQuery:
 		q := Query{
-			QueryID: r.u64(),
-			Kind:    r.u8(),
-			RA:      r.f64(),
-			Dec:     r.f64(),
-			Radius:  r.f64(),
-			ID:      r.i64(),
-			Bin:     r.f64(),
+			QueryID: r.U64(),
+			Kind:    r.U8(),
+			RA:      r.F64(),
+			Dec:     r.F64(),
+			Radius:  r.F64(),
+			ID:      r.I64(),
+			Bin:     r.F64(),
 		}
-		if r.err == nil && (q.Kind < KindCone || q.Kind > KindMagHist) {
-			return nil, fmt.Errorf("%w: unknown query kind %d", ErrCorrupt, q.Kind)
+		if q.Kind < KindCone || q.Kind > KindMagHist {
+			r.Fail(fmt.Errorf("%w: unknown query kind %d", ErrCorrupt, q.Kind))
 		}
 		m = q
 	case TypeQueryResult:
-		res := QueryResult{QueryID: r.u64(), Err: r.str()}
-		res.Stats.RowsExamined = int(r.i64())
-		res.Stats.RowsReturned = int(r.i64())
-		res.Stats.UsedIndex = r.boolean()
-		res.Stats.TrixelsScanned = int(r.i64())
-		n := r.count(objectWireBytes)
-		if r.err == nil && n > 0 {
+		res := QueryResult{QueryID: r.U64(), Err: str(r)}
+		res.Stats.RowsExamined = int(r.I64())
+		res.Stats.RowsReturned = int(r.I64())
+		res.Stats.UsedIndex = r.Bool()
+		res.Stats.TrixelsScanned = int(r.I64())
+		if n := r.Count(objectWireBytes); n > 0 {
 			res.Objects = make([]queries.Object, 0, n)
-			for i := 0; i < n && r.err == nil; i++ {
+			for i := 0; i < n; i++ {
 				res.Objects = append(res.Objects, queries.Object{
-					ObjectID: r.i64(),
-					FrameID:  r.i64(),
-					RA:       r.f64(),
-					Dec:      r.f64(),
-					HTMID:    r.i64(),
-					Mag:      r.f64(),
+					ObjectID: r.I64(),
+					FrameID:  r.I64(),
+					RA:       r.F64(),
+					Dec:      r.F64(),
+					HTMID:    r.I64(),
+					Mag:      r.F64(),
 				})
 			}
 		}
-		n = r.count(binWireBytes)
-		if r.err == nil && n > 0 {
+		if n := r.Count(binWireBytes); n > 0 {
 			res.Bins = make([]queries.MagnitudeBin, 0, n)
-			for i := 0; i < n && r.err == nil; i++ {
+			for i := 0; i < n; i++ {
 				res.Bins = append(res.Bins, queries.MagnitudeBin{
-					Low:   r.f64(),
-					High:  r.f64(),
-					Count: r.i64(),
+					Low:   r.F64(),
+					High:  r.F64(),
+					Count: r.I64(),
 				})
 			}
 		}
 		m = res
 	case TypeStats:
 		m = Stats{
-			ShardID:       r.u32(),
-			Ready:         r.boolean(),
-			Rows:          r.i64(),
-			RowsLoaded:    r.i64(),
-			QueriesServed: r.i64(),
+			ShardID:       r.U32(),
+			Ready:         r.Bool(),
+			Rows:          r.I64(),
+			RowsLoaded:    r.I64(),
+			QueriesServed: r.I64(),
 		}
 	default:
-		return nil, fmt.Errorf("%w: unknown message type 0x%02x", ErrCorrupt, typ)
+		r.Fail(fmt.Errorf("%w: unknown message type 0x%02x", ErrCorrupt, typ))
 	}
-	if r.err != nil {
-		return nil, r.err
-	}
-	if r.off != len(payload) {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(payload)-r.off)
+	if err := r.Done(); err != nil {
+		return nil, err
 	}
 	return m, nil
 }
 
 // WriteMsg frames and writes one message to w, returning the bytes written.
 func WriteMsg(w io.Writer, m Msg) (int, error) {
-	buf := Append(nil, m)
-	n, err := w.Write(buf)
-	return n, err
+	return w.Write(Append(nil, m))
 }
 
 // ReadMsg reads one framed message from r, returning the bytes consumed.
 // An EOF cleanly between frames surfaces as io.EOF; mid-frame it becomes
 // io.ErrUnexpectedEOF.
 func ReadMsg(r io.Reader) (Msg, int, error) {
-	var hdr [FrameHeader]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	payload, err := frame.Read(r)
+	if errors.Is(err, frame.ErrCorrupt) {
+		err = fmt.Errorf("%w: %v", ErrCorrupt, err)
+	}
+	if err != nil {
 		return nil, 0, err
-	}
-	n := binary.LittleEndian.Uint32(hdr[:])
-	if n == 0 || n > MaxMessageBytes {
-		return nil, 0, fmt.Errorf("%w: payload length %d", ErrCorrupt, n)
-	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
-		return nil, 0, err
-	}
-	want := binary.LittleEndian.Uint32(hdr[4:])
-	if got := crc32.ChecksumIEEE(payload); got != want {
-		return nil, 0, fmt.Errorf("%w: CRC mismatch (got %08x want %08x)", ErrCorrupt, got, want)
 	}
 	m, err := DecodePayload(payload)
 	if err != nil {
 		return nil, 0, err
 	}
-	return m, FrameHeader + int(n), nil
+	return m, FrameHeader + len(payload), nil
 }
 
 // FromQuery converts a queries.Query into its wire form.

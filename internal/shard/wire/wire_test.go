@@ -2,15 +2,14 @@ package wire
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
-	"hash/crc32"
 	"io"
 	"math"
 	"math/rand"
 	"reflect"
 	"testing"
 
+	"skyloader/internal/frame"
 	"skyloader/internal/queries"
 )
 
@@ -110,14 +109,10 @@ func TestShortFrames(t *testing.T) {
 
 func TestTrailingGarbageRejected(t *testing.T) {
 	buf := Append(nil, Ready{ShardID: 1, Ready: true, Rows: 1})
-	// Extend the payload (and fix length+CRC) so fields decode but bytes
-	// remain: a non-canonical frame must be corrupt, not silently accepted.
+	// Extend the payload (and re-frame it) so fields decode but bytes remain:
+	// a non-canonical frame must be corrupt, not silently accepted.
 	payload := append(append([]byte(nil), buf[FrameHeader:]...), 0xAB)
-	reframed := make([]byte, FrameHeader, FrameHeader+len(payload))
-	reframed = append(reframed, payload...)
-	binary.LittleEndian.PutUint32(reframed, uint32(len(payload)))
-	binary.LittleEndian.PutUint32(reframed[4:], crc32.ChecksumIEEE(payload))
-	if _, _, err := Decode(reframed); !errors.Is(err, ErrCorrupt) {
+	if _, _, err := Decode(frame.Append(nil, payload)); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("trailing byte: got %v, want ErrCorrupt", err)
 	}
 }
@@ -166,9 +161,12 @@ func TestQueryConversionRoundTrip(t *testing.T) {
 	}
 }
 
-// FuzzWireDecode exercises the total decoder on arbitrary bytes: it must
-// never panic, and anything it accepts must re-encode to an identical
-// frame (canonical encoding).
+// FuzzWireDecode exercises the total payload decoder on arbitrary bytes: it
+// must never panic, and anything it accepts must re-encode to identical bytes
+// (canonical encoding).  The framing half — lengths, CRCs, truncation — is
+// internal/frame's FuzzFrame; here a seed's frame is peeled off and every
+// other input is decoded as a bare payload, so mutations reach the field
+// decoders instead of dying at the CRC.
 func FuzzWireDecode(f *testing.F) {
 	for _, m := range sampleMessages() {
 		f.Add(Append(nil, m))
@@ -180,16 +178,16 @@ func FuzzWireDecode(f *testing.F) {
 	rng.Read(junk)
 	f.Add(junk)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		m, n, err := Decode(data)
+		payload := data
+		if p, _, st := frame.Next(data); st == frame.OK {
+			payload = p
+		}
+		m, err := DecodePayload(payload)
 		if err != nil {
 			return
 		}
-		if n <= 0 || n > len(data) {
-			t.Fatalf("consumed %d of %d bytes", n, len(data))
-		}
-		re := Append(nil, m)
-		if !bytes.Equal(re, data[:n]) {
-			t.Fatalf("accepted frame is not canonical:\n in  %x\n out %x", data[:n], re)
+		if re := Append(nil, m); !bytes.Equal(re[FrameHeader:], payload) {
+			t.Fatalf("accepted payload is not canonical:\n in  %x\n out %x", payload, re[FrameHeader:])
 		}
 	})
 }

@@ -174,9 +174,6 @@ func (s *Stmt) Table() string { return s.table }
 // Columns returns the statement's column list.
 func (s *Stmt) Columns() []string { return s.columns }
 
-// BatchLen returns the number of rows currently queued in the batch.
-func (s *Stmt) BatchLen() int { return len(s.batch) }
-
 // AddBatch queues one row of values (matching the statement's column list)
 // for the next ExecuteBatch call.
 func (s *Stmt) AddBatch(values []relstore.Value) {
@@ -184,9 +181,6 @@ func (s *Stmt) AddBatch(values []relstore.Value) {
 	copy(row, values)
 	s.batch = append(s.batch, row)
 }
-
-// ClearBatch discards any queued rows.
-func (s *Stmt) ClearBatch() { s.batch = nil }
 
 // ExecuteBatch sends the queued rows to the server in one database call and
 // clears the batch.  See BatchResult for the error semantics.

@@ -182,12 +182,6 @@ func (s *Server) Config() ServerConfig { return s.cfg }
 // Stats returns a snapshot of the server counters.
 func (s *Server) Stats() ServerStats { return s.stats.snapshot() }
 
-// CPUUtilization returns the mean utilization of the server CPUs so far.
-func (s *Server) CPUUtilization() float64 { return s.cpus.Stats().Utilization }
-
-// ActiveLoadTxns returns the number of transactions currently admitted.
-func (s *Server) ActiveLoadTxns() int { return s.txnSlots.InUse() }
-
 // Connect opens a connection for the simulation process p.  It exists for
 // DES-mode callers that spawn kernel processes directly; scheduler-spawned
 // workers use ConnectWorker.

@@ -74,11 +74,6 @@ func (s Stage) String() string {
 	return "unknown"
 }
 
-// StageNames lists the stage labels in order, for table headers.
-func StageNames() [NumStages]string {
-	return [NumStages]string{"admission", "cache", "execute", "encode", "scatter", "gather"}
-}
-
 // Req is one request's in-flight trace.  The transport allocates it on the
 // request's stack, Begin stamps the start, the serving path calls Mark at
 // each stage boundary, Finish stamps the outcome, and Publish copies it into

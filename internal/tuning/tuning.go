@@ -89,6 +89,32 @@ func ApplyIndexPolicyWith(db *relstore.DB, policy IndexPolicy, build relstore.In
 	}
 }
 
+// OpenRepository opens a fresh repository database the way every tool does:
+// the catalog schema under opts, the reference tables seeded in one
+// transaction (32 observing runs), then the secondary indices the policy
+// requires, maintained under the database's default index policy (immediate
+// unless opts carry relstore.WithIndexPolicy).
+func OpenRepository(indexes IndexPolicy, opts ...relstore.Option) (*relstore.DB, error) {
+	db, err := relstore.Open(catalog.NewSchema(), opts...)
+	if err != nil {
+		return nil, err
+	}
+	txn, err := db.Begin()
+	if err != nil {
+		return nil, err
+	}
+	if err := catalog.SeedReference(txn, 32); err != nil {
+		return nil, fmt.Errorf("tuning: seed reference data: %w", err)
+	}
+	if _, err := txn.Commit(); err != nil {
+		return nil, err
+	}
+	if err := ApplyIndexPolicyWith(db, indexes, db.IndexPolicyDefault()); err != nil {
+		return nil, err
+	}
+	return db, nil
+}
+
 // Profile bundles the tuning decisions of §4.5 into one named configuration.
 type Profile struct {
 	Name string
@@ -108,6 +134,20 @@ type Profile struct {
 	// indices are bulk-built at Seal instead of per batch (Figure 8's
 	// drop-and-rebuild lever).  False keeps immediate maintenance.
 	DeferredIndexBuild bool
+}
+
+// ProfileByName resolves the -profile flag value the tools share.
+func ProfileByName(name string) (Profile, error) {
+	switch name {
+	case "production", "prod":
+		return ProductionLoading(), nil
+	case "untuned":
+		return Untuned(), nil
+	case "query", "query-serving":
+		return QueryServing(), nil
+	default:
+		return Profile{}, fmt.Errorf("unknown profile %q (want production|untuned|query)", name)
+	}
 }
 
 // ProductionLoading is the configuration the paper converged on for the
@@ -173,6 +213,13 @@ func (p Profile) Options() []relstore.Option {
 		relstore.WithConfig(p.DBConfig()),
 		relstore.WithIndexPolicy(p.BuildPolicy()),
 	}
+}
+
+// Open is OpenRepository under the profile: its database configuration, index
+// set and build policy; extra options are applied after the profile's, so
+// they win on conflict.
+func (p Profile) Open(extra ...relstore.Option) (*relstore.DB, error) {
+	return OpenRepository(p.Indexes, append(p.Options(), extra...)...)
 }
 
 // ServerConfig returns the sqlbatch server configuration implied by the

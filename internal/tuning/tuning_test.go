@@ -138,3 +138,46 @@ func TestApplyIndexPolicyKeepsDDLStatsClean(t *testing.T) {
 		t.Fatalf("IndexDDLFailures = %d after policy switches, want 0", st.IndexDDLFailures)
 	}
 }
+
+// TestOpenRepository: the one constructor the tools share seeds the reference
+// tables (32 observing runs) and creates the policy's indices under the
+// database's default maintenance policy; Profile.Open is the same thing under
+// a profile, with extra options winning over the profile's.
+func TestOpenRepository(t *testing.T) {
+	db, err := OpenRepository(HTMIDPlusComposite, relstore.WithIndexPolicy(relstore.IndexDeferred))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := db.Table(catalog.TObservingRuns).RowCount(); n != 32 {
+		t.Fatalf("observing runs = %d, want 32", n)
+	}
+	if n := db.Table(catalog.TCCDs).RowCount(); n != catalog.NumCCDsPerInstrument {
+		t.Fatalf("ccds = %d, want %d", n, catalog.NumCCDsPerInstrument)
+	}
+	if got := indexNames(db); len(got) != 2 {
+		t.Fatalf("indices = %v, want htmid + composite", got)
+	}
+	for _, ix := range db.AllIndexes() {
+		if ix.Policy() != relstore.IndexDeferred {
+			t.Fatalf("index %s policy = %v, want the database default (deferred)", ix.Name, ix.Policy())
+		}
+	}
+
+	prof, err := ProfileByName("prod")
+	if err != nil || prof.Name != ProductionLoading().Name {
+		t.Fatalf("ProfileByName(prod) = %+v, %v", prof, err)
+	}
+	if _, err := ProfileByName("nope"); err == nil {
+		t.Fatal("unknown profile name accepted")
+	}
+	pdb, err := prof.Open(relstore.WithBatchLockChunk(16))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := indexNames(pdb); len(got) != 1 || got[0] != HTMIDIndexName {
+		t.Fatalf("production profile indices = %v", got)
+	}
+	if cfg := pdb.Config(); cfg.CachePages != prof.CachePages || cfg.BatchLockChunk != 16 {
+		t.Fatalf("config = %+v: want the profile's cache and the extra option's lock chunk", cfg)
+	}
+}

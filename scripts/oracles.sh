@@ -1,0 +1,46 @@
+#!/usr/bin/env bash
+# The byte-identity oracles that fence every behaviour-preserving change:
+# builds the CLIs of a reference revision and of the working tree, runs the
+# deterministic (virtual-time, fixed-seed) commands on both and diffs every
+# byte they print or write.  Exits non-zero on any difference.
+#
+#   scripts/oracles.sh <rev>        (or: make oracles REF=<rev>)
+#
+# The reference is exported with `git archive` into .bench_build/oracle-ref
+# (not a worktree), and every output stays under .bench_build/.
+set -euo pipefail
+
+ref="${1:?usage: scripts/oracles.sh <rev>}"
+root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
+out="$root/.bench_build"
+export GOTOOLCHAIN=local GOWORK=off GOPROXY=off GOFLAGS=
+
+rm -rf "$out/oracle-ref" "$out/oracle-bin" "$out/oracle-out"
+mkdir -p "$out/oracle-ref" "$out/oracle-bin/ref" "$out/oracle-bin/head"
+git -C "$root" archive "$ref" | tar -x -C "$out/oracle-ref"
+(cd "$out/oracle-ref" && go build -o "$out/oracle-bin/ref/" ./cmd/skybench ./cmd/skyload ./cmd/skyserve ./cmd/skyshard)
+(cd "$root" && go build -o "$out/oracle-bin/head/" ./cmd/skybench ./cmd/skyload ./cmd/skyserve ./cmd/skyshard)
+
+for side in ref head; do
+	bin="$out/oracle-bin/$side"
+	dir="$out/oracle-out/$side"
+	mkdir -p "$dir"
+	(
+		cd "$dir"
+		"$bin/skybench" -all -quick -csv csv >skybench.txt
+		"$bin/skyload" -loaders 4 -size 20 -files 8 -v >skyload.txt
+		"$bin/skyload" -crash -seed 7 -size 2 >skyload-crash-7.txt
+		"$bin/skyload" -crash -seed 42 -size 2 >skyload-crash-42.txt
+		"$bin/skyserve" -engine des >skyserve.txt
+		"$bin/skyserve" -engine des -mixed >skyserve-mixed.txt
+		"$bin/skyserve" -fig8 >skyserve-fig8.txt
+		"$bin/skyshard" -sim 100 >skyshard-sim100.txt
+	)
+done
+
+if diff -r "$out/oracle-out/ref" "$out/oracle-out/head"; then
+	echo "oracles: no difference against $ref ($(ls "$out/oracle-out/head/csv" | wc -l) CSVs and 8 command outputs)"
+else
+	echo "oracles: outputs differ from $ref" >&2
+	exit 1
+fi
