@@ -27,8 +27,8 @@ race:
 	$(GO) test -race ./...
 
 # Time-boxed fuzzing of the five total decoders (the shared frame, wire
-# payloads, WAL record payloads, order-preserving keys, packed row views): 10 s
-# each, one target and one package per invocation as `go test -fuzz` requires.
+# payloads, WAL record payloads, order-preserving keys, packed row views) and
+# of the key index against its key-storing oracle: 10 s each, one target and one package per invocation as `go test -fuzz` requires.
 # An input that fails is written to the package's testdata/fuzz/<target>/;
 # check it in, it is then a regression seed every plain `go test` replays.
 fuzz:
@@ -37,6 +37,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzWALRecordDecode$$' -fuzztime 10s ./internal/relstore/
 	$(GO) test -run '^$$' -fuzz '^FuzzOrderedKeyOrder$$' -fuzztime 10s ./internal/relstore/
 	$(GO) test -run '^$$' -fuzz '^FuzzRowViewDecode$$' -fuzztime 10s ./internal/relstore/
+	$(GO) test -run '^$$' -fuzz '^FuzzKeyIndexOps$$' -fuzztime 10s ./internal/relstore/
 
 # The byte-identity oracles a behaviour-preserving change must leave alone:
 # the twelve skybench CSVs, skyload (DES and both -crash seeds), the three

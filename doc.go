@@ -58,11 +58,11 @@
 // not need a copy (DB.ScanRef, RangeIndexedRef, LookupByPKRef) receive a
 // relstore.RowView with typed getters over the page bytes, valid only inside
 // the visitor call; Scan, LookupByPK, RangeIndexed and friends materialise a
-// Row the caller owns.  Primary-key and unique hash indexes are keyed by the
-// int64 payload when the key is one integer column and by the
-// relstore.AppendKey encoding (built in reusable scratch buffers, probed as
-// m[string(buf)] without copying) otherwise.  PERFORMANCE.md describes the
-// layout, the ownership and lifetime rules, and the measured footprint.
+// Row the caller owns.  Primary-key and unique hash indexes store no keys: a
+// slot is a 32-bit hash tag and a row id, and a probe that matches a tag
+// settles equality by reading the key columns of the stored row in place.
+// PERFORMANCE.md describes the layout, the ownership and lifetime rules, and
+// the measured footprint.
 //
 // # Execution modes
 //

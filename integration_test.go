@@ -218,15 +218,17 @@ func TestDeterministicReplay(t *testing.T) {
 
 // TestResidentBytesCeiling loads a generated 20k-row night and holds the
 // engine to its footprint: the bytes the tables report holding (page data,
-// slot and row directories, key-index entries) per nominal stored byte, and
+// slot and row directories, key-index slots) per nominal stored byte, and
 // the live heap the loaded database actually pins, stay under stated
-// ceilings.  The packed pages measure 1.98 and 2.63 here (the same night held
-// as 40-byte values behind per-row slices pinned 7.49 heap bytes per nominal
-// byte).  A change that moves either ceiling up must say why.
+// ceilings.  Packed pages under key indexes of 8-byte row-id slots measure
+// 1.68 and 1.88 here (the same pages under Go-map key indexes that stored
+// every key a second time: 1.98 and 2.56; the same night held as 40-byte
+// values behind per-row slices pinned 7.49 heap bytes per nominal byte).  A
+// change that moves either ceiling up must say why.
 func TestResidentBytesCeiling(t *testing.T) {
 	const (
-		residentCeiling = 2.2 // reported resident bytes / nominal bytes
-		heapCeiling     = 3.0 // live heap held by the database / nominal bytes
+		residentCeiling = 1.8 // reported resident bytes / nominal bytes
+		heapCeiling     = 2.1 // live heap held by the database / nominal bytes
 	)
 	night := catalog.GenerateNight(catalog.NightSpec{
 		TotalMB: 200, RowsPerMB: 100, Seed: 17, ErrorRate: 0, RunID: 1, Files: 4,
@@ -290,8 +292,8 @@ func TestResidentBytesCeiling(t *testing.T) {
 	}
 	// The accounting must not drift from the heap it describes: what the
 	// tables report is most of what the database pins (the rest is B-tree
-	// nodes, map slack and fixed overhead).
-	if float64(resident) < 0.5*float64(held) {
+	// nodes and fixed overhead).
+	if float64(resident) < 0.8*float64(held) {
 		t.Errorf("tables report %d resident bytes but the database pins %d", resident, held)
 	}
 	runtime.KeepAlive(db)

@@ -21,9 +21,8 @@ var backends = []struct {
 	// answers from its result cache, the fleet executes again.
 	repeat string
 	// families are the backend's own metric families; absent are families it
-	// must not export; series is one labelled sample a loaded backend has.
-	families, absent []string
-	series           string
+	// must not export; series are labelled samples a loaded backend has.
+	families, absent, series []string
 	// stage is a span every traced request of this backend carries beyond
 	// the common admission/cache/execute/encode ones.
 	stage string
@@ -34,10 +33,13 @@ var backends = []struct {
 			"sky_db_rows_inserted_total", "sky_db_commits_total", "sky_db_total_rows",
 			"sky_wal_records_total", "sky_wal_syncs_total", "sky_wal_auto_syncs_total",
 			"sky_buffer_cache_hits_total", "sky_index_key_bytes", "sky_index_ready",
-			"sky_relstore_resident_bytes", "sky_result_cache_hits_total",
+			"sky_relstore_resident_bytes", "sky_relstore_keyindex_bytes", "sky_result_cache_hits_total",
 		},
 		absent: []string{"sky_shard_count"},
-		series: `sky_relstore_resident_bytes{table="objects"} `,
+		series: []string{
+			`sky_relstore_resident_bytes{table="objects"} `,
+			`sky_relstore_keyindex_bytes{table="objects"} `,
+		},
 	},
 	{
 		name: "fleet", start: newShardEnv, repeat: "served",
@@ -48,7 +50,7 @@ var backends = []struct {
 			"sky_shard_ready", "sky_shard_rows", "sky_shard_queries_served_total",
 		},
 		absent: []string{"sky_db_rows_inserted_total", "sky_result_cache_hits_total"},
-		series: `sky_shard_rows{shard="0"} `,
+		series: []string{`sky_shard_rows{shard="0"} `},
 		stage:  "scatter",
 	},
 }
@@ -256,12 +258,11 @@ func TestContractMetricsScrape(t *testing.T) {
 					t.Errorf("scrape carries family %s", not)
 				}
 			}
-			for _, want := range []string{
-				b.series,
+			for _, want := range append([]string{
 				fmt.Sprintf("sky_serve_requests_total %d", lookups),
 				fmt.Sprintf(`sky_serve_class_requests_total{class="lookup"} %d`, lookups),
 				fmt.Sprintf(`sky_http_requests_total{path=%q} %d`, PathObject, lookups),
-			} {
+			}, b.series...) {
 				if !containsLine(text, want) {
 					t.Errorf("scrape has no line %q", want)
 				}

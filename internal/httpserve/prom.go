@@ -246,9 +246,13 @@ func (b dbBackend) writeMetrics(p *metrics.PromWriter) {
 	p.SampleInt("sky_buffer_cache_scan_work_total", nil, snap.Cache.ScanWork)
 
 	// --- relstore: per-table memory footprint ---
-	p.Metric("sky_relstore_resident_bytes", "Memory held for stored rows (page data, slot and row directories, key-index entries), by table.", "gauge")
+	p.Metric("sky_relstore_resident_bytes", "Memory held for stored rows (page data, slot and row directories, key-index slots), by table.", "gauge")
 	for _, ts := range snap.Tables {
 		p.SampleInt("sky_relstore_resident_bytes", tableLabels(ts.Name), ts.ResidentBytes)
+	}
+	p.Metric("sky_relstore_keyindex_bytes", "Slots of the primary-key and unique hash indexes (part of the resident bytes), by table.", "gauge")
+	for _, ts := range snap.Tables {
+		p.SampleInt("sky_relstore_keyindex_bytes", tableLabels(ts.Name), ts.KeyIndexBytes)
 	}
 
 	// --- relstore: per-index memory footprint ---

@@ -221,17 +221,9 @@ func canonicalKind(t ColType) ValueKind {
 // rather than one per batch: ids are only guaranteed contiguous within a
 // chunk, because another writer may interleave between lock holds.
 func (t *Table) insertBatchLocked(db *DB, txn *Txn, built []Row, rep *OpReport) (inserted, firstPage, lastPage int, err error) {
-	sc := txn.sc
-
-	// Intern the encodings of the whole batch's encoded-representation keys
-	// (see keyIndex) into one string before locking anything: the row loop
-	// probes and stores substrings of it, so the per-key string allocations of
-	// the per-row path collapse into one.  Integer keys need no encoding.
-	blob, offs := t.encodeBatchKeys(sc, built)
-
 	chunk := db.cfg.BatchLockChunk
 	if chunk <= 0 || chunk >= len(built) {
-		return t.applyBatchChunk(db, txn, built, 0, blob, offs, rep)
+		return t.applyBatchChunk(db, txn, built, rep)
 	}
 	firstPage, lastPage = -1, -1
 	for start := 0; start < len(built); start += chunk {
@@ -239,7 +231,7 @@ func (t *Table) insertBatchLocked(db *DB, txn *Txn, built []Row, rep *OpReport) 
 		if end > len(built) {
 			end = len(built)
 		}
-		n, fp, lp, cerr := t.applyBatchChunk(db, txn, built[start:end], start, blob, offs, rep)
+		n, fp, lp, cerr := t.applyBatchChunk(db, txn, built[start:end], rep)
 		inserted += n
 		if fp >= 0 && firstPage < 0 {
 			firstPage = fp
@@ -261,8 +253,7 @@ func (t *Table) insertBatchLocked(db *DB, txn *Txn, built []Row, rep *OpReport) 
 }
 
 // applyBatchChunk applies one contiguous run of built rows (a whole batch, or
-// one chunk of it) under a single write-lock hold.  base is the run's offset
-// within the full batch, used to address the batch-wide key encodings.
+// one chunk of it) under a single write-lock hold.
 //
 // Locking: the table's own write lock and a read lock on every distinct
 // foreign-key parent are taken once for the whole run (a self-referential
@@ -273,22 +264,8 @@ func (t *Table) insertBatchLocked(db *DB, txn *Txn, built []Row, rep *OpReport) 
 // releases parent locks together with the table lock between chunks — keeping
 // a parent read lock across a re-acquisition of the child lock would invert
 // the nesting order against a concurrent batch and could deadlock.
-func (t *Table) applyBatchChunk(db *DB, txn *Txn, built []Row, base int, blob string, offs []int, rep *OpReport) (inserted, firstPage, lastPage int, err error) {
+func (t *Table) applyBatchChunk(db *DB, txn *Txn, built []Row, rep *OpReport) (inserted, firstPage, lastPage int, err error) {
 	sc := txn.sc
-	// encAt returns the interned encoding of row ri's key in k, or "" for an
-	// integer key.
-	encAt := func(k *keyIndex, ri int) string {
-		if !k.encoded() {
-			return ""
-		}
-		idx := ri*t.encodedKeys + k.encSlot
-		start := 0
-		if idx > 0 {
-			start = offs[idx-1]
-		}
-		return blob[start:offs[idx]]
-	}
-	uniqueEncs := sc.uniqueEncs(len(t.uniques))
 
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -298,8 +275,7 @@ func (t *Table) applyBatchChunk(db *DB, txn *Txn, built []Row, base int, blob st
 	ids := sc.batchIDs(len(built))
 	var firstErr error
 	firstPage, lastPage = -1, -1
-	for ri, row := range built {
-		ri := base + ri
+	for _, row := range built {
 		if err := db.checkForeignKeys(sc, t, row, rep, nil, true); err != nil {
 			firstErr = err
 			break
@@ -324,21 +300,7 @@ func (t *Table) applyBatchChunk(db *DB, txn *Txn, built []Row, base int, blob st
 				Column: t.schema.PrimaryKey[0], Detail: "NULL in primary key"}
 			break
 		}
-		pkEnc := encAt(t.pk, ri)
-		if t.pk.has(row, pkEnc) {
-			firstErr = t.dupKeyError(sc, KindPrimaryKey, "pk_"+t.schema.Name, row, t.pkCols)
-			break
-		}
-
-		for i, u := range t.uniques {
-			rep.ConstraintChecks++
-			uniqueEncs[i] = encAt(u, ri)
-			if u.has(row, uniqueEncs[i]) {
-				firstErr = t.dupKeyError(sc, KindUnique, t.uniqueNames[i], row, u.cols)
-				break
-			}
-		}
-		if firstErr != nil {
+		if firstErr = t.checkKeys(sc, row, rep); firstErr != nil {
 			break
 		}
 
@@ -350,7 +312,7 @@ func (t *Table) applyBatchChunk(db *DB, txn *Txn, built []Row, base int, blob st
 		t.nextRow++
 		loc, newPage, rb := t.heap.append(row)
 		t.rows.append(loc)
-		t.putKeys(row, pkEnc, uniqueEncs, id)
+		t.putKeys(row, id)
 
 		rep.RowsInserted++
 		rep.RowBytes += rb
@@ -483,35 +445,6 @@ func (t *Table) bulkIndexInsertInt64(sc *scratch, ix *Index, rows []Row, ids []i
 	rep.IndexFloatColNodeVisits += si.st.NodesVisited * ix.floatCols
 	rep.IndexIntColNodeVisits += si.st.NodesVisited * ix.otherCols
 	return true
-}
-
-// encodeBatchKeys interns the encodings of every built row's
-// encoded-representation keys (primary key first, then the unique
-// constraints; integer keys are skipped) into a single string, returning it
-// with the flat end-offset table — t.encodedKeys entries per row, in row order,
-// a key's position within its row being keyIndex.encSlot.  It reads only the
-// immutable schema and the built rows, so it runs before any lock is taken.
-func (t *Table) encodeBatchKeys(sc *scratch, built []Row) (string, []int) {
-	if t.encodedKeys == 0 {
-		return "", nil
-	}
-	buf := sc.encBuf[:0]
-	offs := sc.encOffs[:0]
-	for _, row := range built {
-		if t.pk.encoded() {
-			buf = AppendKey(buf, sc.keyOf(row, t.pkCols))
-			offs = append(offs, len(buf))
-		}
-		for _, u := range t.uniques {
-			if u.encoded() {
-				buf = AppendKey(buf, sc.keyOf(row, u.cols))
-				offs = append(offs, len(buf))
-			}
-		}
-	}
-	sc.encBuf = buf
-	sc.encOffs = offs
-	return string(buf), offs
 }
 
 // lockParentsForBatch read-locks every distinct foreign-key parent of the

@@ -303,7 +303,7 @@ func (db *DB) checkForeignKeys(sc *scratch, t *Table, row Row, rep *OpReport, he
 			if lock {
 				parent.mu.RLock()
 			}
-			found = parent.lookupPK(sc, key)
+			found = parent.lookupPK(key)
 			if lock {
 				parent.mu.RUnlock()
 			}

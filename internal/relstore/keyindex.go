@@ -1,140 +1,222 @@
 package relstore
 
+import (
+	"fmt"
+	"math"
+)
+
 // keyIndex is the hash index behind a primary key or a unique constraint:
-// key -> row id.  It has two representations, chosen once from the schema:
+// key -> row id.  It stores no keys: every key is already in the packed row
+// its id points at, so the index is one open-addressing, linear-probing table
+// of pointer-free 8-byte slots — a 32-bit hash tag and the row id.  A probe
+// hashes the key columns with a fixed integer mix, walks the occupied run
+// from the tag's home slot, and on a tag match settles equality by reading
+// the stored row's key columns in place (rowDir -> heapStore.view ->
+// RowView).  A tag match alone never answers a probe.
 //
-//   - a single integer or timestamp column that cannot hold NULL (every
-//     primary key and foreign-key target of the catalog schema) is keyed by
-//     the value's int64 payload: no text encoding, no string hash, and no
-//     pointers in the map's buckets for the collector to follow;
-//   - anything else — composite keys, string, float and boolean keys, unique
-//     constraints over nullable columns — is keyed by the AppendKey encoding.
+// Equality is exact and typed, column by column: NULL equals NULL (a key like
+// any other for unique constraints over nullable columns; primary keys reject
+// it before probing), integers, timestamps and booleans by payload, floats by
+// bits with all NaNs equal, strings by bytes.  A probe key of the wrong arity
+// or kind matches nothing.
 //
-// All methods require the owning table's lock.
+// All methods require the owning table's lock: readers only read the slots
+// under RLock, growth and shifts happen under the write lock.  A row must be
+// in the heap and the row directory before put enters it and still there when
+// remove takes it out.
 type keyIndex struct {
-	cols []int
-	// kind is the key column's value kind in the integer representation and
-	// KindNull in the encoded one.
-	kind ValueKind
-	ints map[int64]int64
-	strs map[string]int64
-	// strBytes sums the key text the encoded representation holds.
-	strBytes int64
-	// encSlot is the index's position among its table's encoded keys (primary
-	// key first): where InsertBatch's interned encodings keep its key.
-	encSlot int
+	t *Table
+	// name is the constraint's name, for violation and verification errors.
+	name string
+	// cols are the key columns' positions in a row; seq, 0..len(cols)-1, is
+	// where the same values sit in a probe key.
+	cols, seq []int
+	// slots has power-of-two length (or none) and is at most 3/4 full, so a
+	// probe always ends at an empty slot.
+	slots []keySlot
+	n     int
 }
 
-// newKeyIndex builds the index over the given column positions.  notNull
-// states that NULL never reaches the index in any key column (primary keys
-// reject it before probing; a unique constraint needs NOT NULL columns).
-func newKeyIndex(schema *TableSchema, cols []int, notNull bool) *keyIndex {
-	kind := KindNull
-	if len(cols) == 1 && notNull {
-		switch schema.Columns[cols[0]].Type {
-		case TypeInt:
-			kind = KindInt
-		case TypeTime:
-			kind = KindTime
-		}
+// keySlot is one table entry; home slot tag & mask.  ref is the row id plus
+// one, zero marking the slot empty.
+type keySlot struct {
+	tag, ref uint32
+}
+
+// maxKeyRowID is the largest row id a slot can hold.
+const maxKeyRowID = math.MaxUint32 - 1
+
+// checkRowID fails an insert whose row id does not fit a key-index slot.
+func (t *Table) checkRowID(id int64) error {
+	if id > maxKeyRowID {
+		return fmt.Errorf("relstore: table %q is full: row id %d exceeds the key index's %d", t.schema.Name, id, int64(maxKeyRowID))
 	}
-	return makeKeyIndex(cols, kind)
+	return nil
 }
 
-func makeKeyIndex(cols []int, kind ValueKind) *keyIndex {
-	k := &keyIndex{cols: cols, kind: kind}
-	if kind != KindNull {
-		k.ints = make(map[int64]int64)
-	} else {
-		k.strs = make(map[string]int64)
+func newKeyIndex(t *Table, name string, cols []int) *keyIndex {
+	k := &keyIndex{t: t, name: name, cols: cols, seq: make([]int, len(cols))}
+	for i := range k.seq {
+		k.seq[i] = i
 	}
 	return k
 }
 
-// emptyLike returns an empty index of the same shape.
-func (k *keyIndex) emptyLike() *keyIndex { return makeKeyIndex(k.cols, k.kind) }
-
-// encoded reports whether keys are looked up by their AppendKey encoding; the
-// batch path interns those encodings once per batch.
-func (k *keyIndex) encoded() bool { return k.strs != nil }
-
-// lookup returns the row id stored under the key values.  A key of the wrong
-// arity or kind matches nothing, as its encoding would not.
-func (k *keyIndex) lookup(sc *scratch, key []Value) (int64, bool) {
-	if k.ints != nil {
-		if len(key) != 1 || key[0].Kind != k.kind {
-			return 0, false
+// hash returns the tag of the key whose i-th column value is vals[at[i]]: at
+// is cols for a row and seq for a probe key.
+func (k *keyIndex) hash(vals []Value, at []int) uint32 {
+	h := uint64(0x9e3779b97f4a7c15)
+	for _, i := range at {
+		v := &vals[i]
+		var x uint64
+		switch v.Kind {
+		case KindNull:
+			x = 0x2545f4914f6cdd1d
+		case KindFloat:
+			x = math.Float64bits(v.F)
+			if v.F != v.F {
+				x = math.Float64bits(math.NaN())
+			}
+		case KindString:
+			x = 14695981039346656037 // FNV-1a
+			for j := 0; j < len(v.S); j++ {
+				x = (x ^ uint64(v.S[j])) * 1099511628211
+			}
+		default:
+			x = uint64(v.I)
 		}
-		id, ok := k.ints[key[0].I]
-		return id, ok
+		h = (h ^ x) * 0xff51afd7ed558ccd
+		h ^= h >> 33
 	}
-	id, ok := k.strs[string(sc.encodeKey(key))]
-	return id, ok
+	return uint32(h * 0xc4ceb9fe1a85ec53 >> 32)
 }
 
-// encOf returns the key encoding of a built row in the form has and put take
-// it: a string of its own in the encoded representation (the one allocation a
-// stored encoded key costs), "" in the integer one.
-func (k *keyIndex) encOf(sc *scratch, row Row) string {
-	if k.ints != nil {
-		return ""
+// sameKeyValue is key-column equality.
+func sameKeyValue(a, b *Value) bool {
+	if a.Kind != b.Kind {
+		return false
 	}
-	return string(sc.encodeKey(sc.keyOf(row, k.cols)))
+	switch a.Kind {
+	case KindNull:
+		return true
+	case KindFloat:
+		return math.Float64bits(a.F) == math.Float64bits(b.F) || (a.F != a.F && b.F != b.F)
+	case KindString:
+		return a.S == b.S
+	default:
+		return a.I == b.I
+	}
 }
 
-// has reports whether the row's key is present.  row is a built row (values
-// coerced, key columns not NULL in the integer representation); enc is its
-// key encoding (encOf, or InsertBatch's interned one), read only by the
-// encoded representation.
-func (k *keyIndex) has(row Row, enc string) bool {
-	if k.ints != nil {
-		_, ok := k.ints[row[k.cols[0]].I]
-		return ok
+// find returns the position of the slot whose row holds the key (values as
+// for hash), or -1.
+func (k *keyIndex) find(vals []Value, at []int) int {
+	if k.n == 0 {
+		return -1
 	}
-	_, ok := k.strs[enc]
-	return ok
+	tag := k.hash(vals, at)
+	mask := len(k.slots) - 1
+probe:
+	for i := int(tag) & mask; ; i = (i + 1) & mask {
+		s := k.slots[i]
+		if s.ref == 0 {
+			return -1
+		}
+		if s.tag != tag {
+			continue
+		}
+		row, ok := k.t.viewLocked(int64(s.ref) - 1)
+		if !ok {
+			continue
+		}
+		for j, c := range k.cols {
+			if stored := row.val(c); !sameKeyValue(&stored, &vals[at[j]]) {
+				continue probe
+			}
+		}
+		return i
+	}
 }
 
-// put stores id under the row's key, which must be absent; arguments as for
-// has.
-func (k *keyIndex) put(row Row, enc string, id int64) {
-	if k.ints != nil {
-		k.ints[row[k.cols[0]].I] = id
+// has reports whether the built row's key is present.
+func (k *keyIndex) has(row Row) bool { return k.find(row, k.cols) >= 0 }
+
+// lookup returns the row id stored under the key values.
+func (k *keyIndex) lookup(key []Value) (int64, bool) {
+	if len(key) != len(k.cols) {
+		return 0, false
+	}
+	i := k.find(key, k.seq)
+	if i < 0 {
+		return 0, false
+	}
+	return int64(k.slots[i].ref) - 1, true
+}
+
+// put stores id under the built row's key, which must be absent.
+func (k *keyIndex) put(row Row, id int64) {
+	k.reserve(k.n + 1)
+	k.place(keySlot{tag: k.hash(row, k.cols), ref: uint32(id + 1)})
+	k.n++
+}
+
+// place puts s in the first empty slot from its home.
+func (k *keyIndex) place(s keySlot) {
+	mask := len(k.slots) - 1
+	i := int(s.tag) & mask
+	for k.slots[i].ref != 0 {
+		i = (i + 1) & mask
+	}
+	k.slots[i] = s
+}
+
+// reserve grows the table to hold n keys, re-placing the slots from their
+// tags alone; a loader that knows its row count calls it once up front.
+func (k *keyIndex) reserve(n int) {
+	size := len(k.slots)
+	if n*4 <= size*3 {
 		return
 	}
-	k.strs[enc] = id
-	k.strBytes += int64(len(enc))
+	for size = max(size, 8); n*4 > size*3; size *= 2 {
+	}
+	old := k.slots
+	k.slots = make([]keySlot, size)
+	for _, s := range old {
+		if s.ref != 0 {
+			k.place(s)
+		}
+	}
 }
 
-// remove deletes the entry of a stored row.
-func (k *keyIndex) remove(sc *scratch, v RowView) {
-	if k.ints != nil {
-		delete(k.ints, v.Int(k.cols[0]))
+// remove deletes the entry of stored row id, whose key values are key.  The
+// slot is found by id and the gap closed by shifting the run behind it back
+// (homes come from the tags), so the table never holds tombstones.
+func (k *keyIndex) remove(key []Value, id int64) {
+	if k.n == 0 {
 		return
 	}
-	enc := sc.encodeKey(sc.keyOfView(v, k.cols))
-	if _, ok := k.strs[string(enc)]; ok {
-		delete(k.strs, string(enc))
-		k.strBytes -= int64(len(enc))
+	mask := len(k.slots) - 1
+	i := int(k.hash(key, k.seq)) & mask
+	for k.slots[i].ref != uint32(id+1) {
+		if k.slots[i].ref == 0 {
+			return
+		}
+		i = (i + 1) & mask
 	}
+	for j := (i + 1) & mask; k.slots[j].ref != 0; j = (j + 1) & mask {
+		// The entry at j may move back to the gap unless its home lies
+		// after the gap.
+		if (j-int(k.slots[j].tag))&mask >= (j-i)&mask {
+			k.slots[i] = k.slots[j]
+			i = j
+		}
+	}
+	k.slots[i] = keySlot{}
+	k.n--
 }
 
 // len returns the number of keys held.
-func (k *keyIndex) len() int { return len(k.ints) + len(k.strs) }
+func (k *keyIndex) len() int { return k.n }
 
-// Entry sizes for the resident-bytes accounting: a map slot's key and value
-// plus its control byte.
-const (
-	intKeyEntryBytes = 8 + 8 + 1
-	strKeyEntryBytes = 16 + 8 + 1
-)
-
-// residentBytes is the memory of the entries held: slots at their size, and
-// the key text behind encoded slots.  The map's load-factor slack is not
-// visible from outside the runtime and is not counted.
-func (k *keyIndex) residentBytes() int64 {
-	if k.ints != nil {
-		return int64(len(k.ints)) * intKeyEntryBytes
-	}
-	return int64(len(k.strs))*strKeyEntryBytes + k.strBytes
-}
+// residentBytes is the memory the index holds: its slots.
+func (k *keyIndex) residentBytes() int64 { return int64(cap(k.slots)) * 8 }

@@ -1,0 +1,97 @@
+package relstore_test
+
+import (
+	"testing"
+
+	"skyloader/internal/catalog"
+	"skyloader/internal/relstore"
+	"skyloader/internal/tuning"
+)
+
+// TestKeyIndexGuards pins, on the fixed-seed 20k-row night the root package's
+// TestResidentBytesCeiling loads, what the row-id key index claims in
+// numbers that repeat exactly: its bytes per key, how far keys sit from their
+// home slots, and that a probe for an absent key — every insert of a clean
+// load makes one per key index — reads no stored row.  Nothing here is counted
+// on the hot path; the geometry is computed from the slot tags.
+func TestKeyIndexGuards(t *testing.T) {
+	const (
+		bytesPerKeyCeiling   = 22.0 // slot bytes per stored key, all tables
+		meanDisplacementCeil = 1.5
+		maxDisplacementCeil  = 64
+		absentProbesPerTable = 1000
+	)
+	night := catalog.GenerateNight(catalog.NightSpec{
+		TotalMB: 200, RowsPerMB: 100, Seed: 17, ErrorRate: 0, RunID: 1, Files: 4,
+	})
+	schema := catalog.NewSchema()
+	tr := catalog.NewTransformer(schema)
+	db, err := relstore.Open(schema, relstore.WithConfig(tuning.ProductionLoading().DBConfig()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	txn, err := db.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := catalog.SeedReference(txn, 16); err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range night {
+		for _, rec := range f.Records {
+			row, err := tr.Transform(rec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := txn.Insert(row.Table, row.Columns, row.Values); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if _, err := txn.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.VerifyPrimaryKeys(); err != nil {
+		t.Fatal(err)
+	}
+
+	var all relstore.KeyIndexGeometry
+	var keyBytes int64
+	probes, compares := 0, 0
+	for _, ts := range db.StatsSnapshot().Tables {
+		tbl := db.Table(ts.Name)
+		g := tbl.KeyIndexGeometry()
+		if int64(g.Slots)*8 != ts.KeyIndexBytes {
+			t.Errorf("%s: %d slots but KeyIndexBytes %d", ts.Name, g.Slots, ts.KeyIndexBytes)
+		}
+		if want := int(ts.Rows) * (1 + len(tbl.Schema().Uniques)); g.Keys != want {
+			t.Errorf("%s: %d keys held, want %d", ts.Name, g.Keys, want)
+		}
+		all.Keys += g.Keys
+		all.DisplacementSum += g.DisplacementSum
+		all.DisplacementMax = max(all.DisplacementMax, g.DisplacementMax)
+		keyBytes += ts.KeyIndexBytes
+		// Every catalog primary key is one integer column; ids this large
+		// are never generated.
+		for i := 0; i < absentProbesPerTable; i++ {
+			compares += tbl.AbsentKeyRowCompares([]relstore.Value{relstore.Int(1<<40 + int64(i)*7919)})
+			probes++
+		}
+	}
+	if all.Keys < 20_000 {
+		t.Fatalf("night stored %d keys, want at least 20000", all.Keys)
+	}
+	perKey := float64(keyBytes) / float64(all.Keys)
+	mean := float64(all.DisplacementSum) / float64(all.Keys)
+	t.Logf("%d keys: %.2f slot bytes per key, displacement mean %.3f max %d, %d row compares in %d absent probes",
+		all.Keys, perKey, mean, all.DisplacementMax, compares, probes)
+	if perKey > bytesPerKeyCeiling {
+		t.Errorf("key indexes hold %.2f bytes per key, ceiling %.0f", perKey, bytesPerKeyCeiling)
+	}
+	if mean > meanDisplacementCeil || all.DisplacementMax > maxDisplacementCeil {
+		t.Errorf("displacement mean %.3f max %d, ceilings %.1f and %d", mean, all.DisplacementMax, meanDisplacementCeil, maxDisplacementCeil)
+	}
+	if compares*1000 > probes {
+		t.Errorf("%d row compares in %d absent-key probes, ceiling 1 per 1000", compares, probes)
+	}
+}

@@ -1,39 +1,238 @@
 package relstore
 
 import (
+	"errors"
+	"math"
+	"math/rand"
 	"strings"
 	"testing"
 )
 
-// TestKeyIndexRepresentation pins which shapes take the integer
-// representation: one INTEGER or TIMESTAMP column that cannot hold NULL.
-func TestKeyIndexRepresentation(t *testing.T) {
-	schema := &TableSchema{Name: "t", Columns: []Column{
-		{Name: "i", Type: TypeInt},
-		{Name: "ni", Type: TypeInt, Nullable: true},
-		{Name: "ts", Type: TypeTime},
-		{Name: "s", Type: TypeString},
-		{Name: "f", Type: TypeFloat},
-		{Name: "b", Type: TypeBool},
-	}}
-	for _, c := range []struct {
-		cols    []int
-		notNull bool
-		encoded bool
-	}{
-		{[]int{0}, true, false},
-		{[]int{2}, true, false},
-		{[]int{1}, true, false}, // a primary key: NULL is rejected before the probe
-		{[]int{1}, false, true}, // a unique constraint over a nullable column
-		{[]int{0, 2}, true, true},
-		{[]int{3}, true, true},
-		{[]int{4}, true, true},
-		{[]int{5}, true, true},
-	} {
-		if got := newKeyIndex(schema, c.cols, c.notNull).encoded(); got != c.encoded {
-			t.Errorf("columns %v notNull %v: encoded = %v, want %v", c.cols, c.notNull, got, c.encoded)
+// The key index is tested against an oracle that does store keys: a
+// map[string]int64 over EncodeKey, the representation the index replaced.  A
+// stream of operations drives both and every answer must agree.  The oracle's
+// encoding has one known flaw — it joins columns with an unescaped 0x1f, so
+// two distinct composite string keys can encode alike — which the harness's
+// string pool avoids and TestCompositeStringKeysDoNotCollide pins.
+
+// keyOracleShapes are the key shapes the stream runs over, as column
+// positions in keyOracleSchema's table.
+var keyOracleShapes = []struct {
+	name string
+	cols []int
+}{
+	{"single-int", []int{0}},
+	{"two-int", []int{0, 1}},
+	{"int+string", []int{1, 2}},
+	{"nullable-unique", []int{3}},
+	{"float", []int{4}},
+}
+
+func keyOracleTable(t testing.TB) *Table {
+	t.Helper()
+	s, err := NewSchema(&TableSchema{
+		Name: "t",
+		Columns: []Column{
+			{Name: "a", Type: TypeInt},
+			{Name: "b", Type: TypeInt},
+			{Name: "s", Type: TypeString},
+			{Name: "n", Type: TypeInt, Nullable: true},
+			{Name: "f", Type: TypeFloat, Nullable: true},
+		},
+		PrimaryKey: []string{"a"},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl, err := newTable(s.Table("t"), 32, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tbl
+}
+
+// keyOracleFloats are the float keys the stream draws from besides a grid:
+// NULL, both zeros, two NaNs of different payload (one key, as 'g' renders
+// them), infinities.
+var keyOracleFloats = []Value{
+	Null, Float(0), Float(math.Copysign(0, -1)), Float(math.NaN()),
+	Float(math.Float64frombits(0x7ff8000000000123)), Float(math.Inf(1)), Float(math.Inf(-1)),
+}
+
+// opStream hands a byte string out as small integers; exhausted, it yields
+// zeros and reports done.
+type opStream struct {
+	data []byte
+	pos  int
+}
+
+func (o *opStream) done() bool { return o.pos >= len(o.data) }
+
+func (o *opStream) next(n int) int {
+	if o.pos+2 > len(o.data) {
+		o.pos = len(o.data)
+		return 0
+	}
+	v := int(o.data[o.pos]) | int(o.data[o.pos+1])<<8
+	o.pos += 2
+	return v % n
+}
+
+// row draws a row over small domains, so keys repeat.
+func (o *opStream) row() Row {
+	row := Row{Int(int64(o.next(3000))), Int(int64(o.next(7))), Str(strings.Repeat("k", o.next(4)) + string(rune('a'+o.next(5)))), Null, Null}
+	if n := o.next(600); n > 0 {
+		row[3] = Int(int64(n))
+	}
+	if f := o.next(400); f < len(keyOracleFloats) {
+		row[4] = keyOracleFloats[f]
+	} else {
+		row[4] = Float(float64(f) / 4)
+	}
+	return row
+}
+
+// runKeyIndexOps drives one key index over cols and its oracle with the
+// operations data spells: check-then-insert, lookup (of present, absent,
+// wrong-arity and wrong-kind keys), and removal of a stored row the way
+// rollback does it.  It fails the test on the first disagreement.
+func runKeyIndexOps(t testing.TB, cols []int, data []byte) {
+	tbl := keyOracleTable(t)
+	k := newKeyIndex(tbl, "k", cols)
+	oracle := map[string]int64{}
+	var live []int64
+	var sc scratch
+	o := &opStream{data: data}
+	for !o.done() {
+		switch op := o.next(8); {
+		case op < 4: // has, then put when absent
+			row := o.row()
+			enc := EncodeKey(sc.keyOf(row, cols))
+			_, want := oracle[enc]
+			if got := k.has(row); got != want {
+				t.Fatalf("has(%q) = %v, oracle says %v", enc, got, want)
+			}
+			if want {
+				continue
+			}
+			id := tbl.nextRow
+			tbl.nextRow++
+			loc, _, _ := tbl.heap.append(row)
+			tbl.rows.append(loc)
+			k.put(row, id)
+			oracle[enc] = id
+			live = append(live, id)
+		case op < 6: // lookup
+			key := append([]Value(nil), sc.keyOf(o.row(), cols)...)
+			switch o.next(8) {
+			case 0:
+				key = append(key, Int(1))
+			case 1:
+				key = key[:len(key)-1]
+			case 2:
+				key[0] = Bool(true)
+			}
+			wantID, want := oracle[EncodeKey(key)]
+			if id, ok := k.lookup(key); ok != want || (ok && id != wantID) {
+				t.Fatalf("lookup(%q) = %d, %v; oracle says %d, %v", EncodeKey(key), id, ok, wantID, want)
+			}
+		case len(live) > 0: // remove
+			i := o.next(len(live))
+			id := live[i]
+			live[i] = live[len(live)-1]
+			live = live[:len(live)-1]
+			loc, _ := tbl.rows.get(id)
+			v, ok := tbl.heap.view(loc)
+			if !ok {
+				t.Fatalf("live row %d has no view", id)
+			}
+			key := sc.keyOfView(v, cols)
+			delete(oracle, EncodeKey(key))
+			k.remove(key, id)
+			tbl.heap.markDeleted(loc)
+			tbl.rows.remove(id)
+		}
+		if k.len() != len(oracle) {
+			t.Fatalf("index holds %d keys, oracle %d", k.len(), len(oracle))
 		}
 	}
+
+	// Every stored row's key finds its own id, and the table is well formed:
+	// at most 3/4 full, as many occupied slots as keys, and no empty slot
+	// between an entry and its home.
+	for _, id := range live {
+		loc, _ := tbl.rows.get(id)
+		v, _ := tbl.heap.view(loc)
+		if got, ok := k.lookup(sc.keyOfView(v, cols)); !ok || got != id {
+			t.Fatalf("row %d's key looks up to %d, %v", id, got, ok)
+		}
+	}
+	occupied := 0
+	mask := len(k.slots) - 1
+	for i, s := range k.slots {
+		if s.ref == 0 {
+			continue
+		}
+		occupied++
+		for j := int(s.tag) & mask; j != i; j = (j + 1) & mask {
+			if k.slots[j].ref == 0 {
+				t.Fatalf("slot %d (home %d) is cut off by the empty slot %d", i, int(s.tag)&mask, j)
+			}
+		}
+	}
+	if occupied != k.len() || k.len()*4 > len(k.slots)*3 {
+		t.Fatalf("%d occupied slots of %d for %d keys", occupied, len(k.slots), k.len())
+	}
+}
+
+// TestKeyIndexMatchesOracle runs a seeded operation stream, long enough to
+// take the larger key domains through several growth steps, over every shape.
+func TestKeyIndexMatchesOracle(t *testing.T) {
+	for i, shape := range keyOracleShapes {
+		t.Run(shape.name, func(t *testing.T) {
+			data := make([]byte, 1<<17)
+			rand.New(rand.NewSource(int64(2005 + i))).Read(data)
+			runKeyIndexOps(t, shape.cols, data)
+		})
+	}
+}
+
+// TestKeyIndexReserve: a loader that states its row count up front (the
+// checkpoint load does) never rehashes.
+func TestKeyIndexReserve(t *testing.T) {
+	tbl := keyOracleTable(t)
+	k := newKeyIndex(tbl, "k", []int{0})
+	k.reserve(1000)
+	first, size := &k.slots[0], len(k.slots)
+	for i := int64(0); i < 1000; i++ {
+		row := Row{Int(i), Int(0), Str(""), Null, Null}
+		loc, _, _ := tbl.heap.append(row)
+		tbl.rows.append(loc)
+		k.put(row, i)
+	}
+	if &k.slots[0] != first || len(k.slots) != size || size != 2048 {
+		t.Fatalf("1000 keys after reserve(1000): %d slots (was %d), moved %v", len(k.slots), size, &k.slots[0] != first)
+	}
+	if id, ok := k.lookup([]Value{Int(999)}); !ok || id != 999 {
+		t.Fatalf("lookup(999) = %d, %v", id, ok)
+	}
+}
+
+// FuzzKeyIndexOps is the same harness over fuzzer-chosen operation streams;
+// the first byte picks the key shape.
+func FuzzKeyIndexOps(f *testing.F) {
+	seed := make([]byte, 512)
+	for i := range keyOracleShapes {
+		rand.New(rand.NewSource(int64(i))).Read(seed)
+		seed[0] = byte(i)
+		f.Add(append([]byte(nil), seed...))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		runKeyIndexOps(t, keyOracleShapes[int(data[0])%len(keyOracleShapes)].cols, data[1:])
+	})
 }
 
 // TestKeyShapesRollbackAndLookup runs the rollback, lookup and duplicate
@@ -141,9 +340,9 @@ func TestKeyShapesRollbackAndLookup(t *testing.T) {
 	}
 }
 
-// TestUniqueOverNullableColumn: a unique constraint over a nullable integer
-// column stays in the encoded representation, where NULL is a key like any
-// other — two NULLs collide, as they always have in this engine.
+// TestUniqueOverNullableColumn: in a unique constraint over a nullable
+// integer column NULL is a key like any other — two NULLs collide, as they
+// always have in this engine.
 func TestUniqueOverNullableColumn(t *testing.T) {
 	schema, err := NewSchema(&TableSchema{
 		Name: "t",
@@ -163,9 +362,6 @@ func TestUniqueOverNullableColumn(t *testing.T) {
 	}
 	db := MustOpen(schema)
 	tbl := db.Table("t")
-	if !tbl.uniques[0].encoded() || tbl.uniques[1].encoded() {
-		t.Fatalf("uq_serial encoded %v, uq_tag encoded %v; want true and false", tbl.uniques[0].encoded(), tbl.uniques[1].encoded())
-	}
 	cols := []string{"id", "serial", "tag"}
 	txn, _ := db.Begin()
 	const accepted ConstraintKind = -1
@@ -177,7 +373,7 @@ func TestUniqueOverNullableColumn(t *testing.T) {
 		{[]Value{Int(2), Null, Int(101)}, accepted},
 		{[]Value{Int(3), Int(7), Int(102)}, KindUnique}, // uq_serial
 		{[]Value{Int(4), Null, Int(103)}, KindUnique},   // uq_serial: NULL collides
-		{[]Value{Int(5), Int(8), Int(100)}, KindUnique}, // uq_tag, integer representation
+		{[]Value{Int(5), Int(8), Int(100)}, KindUnique}, // uq_tag
 		{[]Value{Int(6), Int(9), Null}, KindNotNull},    // tag is NOT NULL
 		{[]Value{Int(7), Int(10), Int(104)}, accepted},
 	} {
@@ -200,8 +396,159 @@ func TestUniqueOverNullableColumn(t *testing.T) {
 	if err := txn.Rollback(); err != nil {
 		t.Fatal(err)
 	}
-	if tbl.pk.len() != 0 || tbl.uniques[0].len() != 0 || tbl.uniques[1].len() != 0 || tbl.uniques[0].strBytes != 0 {
-		t.Fatalf("rollback left keys behind: pk %d uq_serial %d (%d bytes) uq_tag %d",
-			tbl.pk.len(), tbl.uniques[0].len(), tbl.uniques[0].strBytes, tbl.uniques[1].len())
+	if tbl.pk.len() != 0 || tbl.uniques[0].len() != 0 || tbl.uniques[1].len() != 0 {
+		t.Fatalf("rollback left keys behind: pk %d uq_serial %d uq_tag %d",
+			tbl.pk.len(), tbl.uniques[0].len(), tbl.uniques[1].len())
+	}
+}
+
+// TestCompositeStringKeysDoNotCollide: ("a\x1fsb","c") and ("a","b\x1fsc")
+// are distinct keys.  The stored AppendKey encodings, which join columns with
+// an unescaped 0x1f, made them one key and rejected the second row; the row
+// comparison keeps them apart, in the primary key and in a unique
+// constraint, on the per-row and the batch path.
+func TestCompositeStringKeysDoNotCollide(t *testing.T) {
+	schema, err := NewSchema(&TableSchema{
+		Name: "t",
+		Columns: []Column{
+			{Name: "p", Type: TypeString}, {Name: "q", Type: TypeString},
+			{Name: "u", Type: TypeString}, {Name: "v", Type: TypeString},
+		},
+		PrimaryKey: []string{"p", "q"},
+		Uniques:    []UniqueConstraint{{Name: "uq_uv", Columns: []string{"u", "v"}}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cols := []string{"p", "q", "u", "v"}
+	x, y := []Value{Str("a\x1fsb"), Str("c")}, []Value{Str("a"), Str("b\x1fsc")}
+	if EncodeKey(x) != EncodeKey(y) {
+		t.Fatal("the pair no longer encodes alike; pick another")
+	}
+	rows := [][]Value{
+		{x[0], x[1], Str("1"), Str("1")},
+		{y[0], y[1], Str("2"), Str("2")}, // primary keys encode alike
+		{Str("3"), Str("3"), x[0], x[1]},
+		{Str("4"), Str("4"), y[0], y[1]}, // unique keys encode alike
+	}
+	for _, batch := range []bool{false, true} {
+		db := MustOpen(schema)
+		txn, _ := db.Begin()
+		if batch {
+			if _, err := txn.InsertBatch("t", cols, rows); err != nil {
+				t.Fatalf("InsertBatch: %v", err)
+			}
+		} else {
+			for _, row := range rows {
+				if _, err := txn.Insert("t", cols, row); err != nil {
+					t.Fatalf("Insert %v: %v", row, err)
+				}
+			}
+		}
+		// A true duplicate of either is still one, reported as before.
+		for i, dup := range [][]Value{
+			{y[0], y[1], Str("5"), Str("5")},
+			{Str("6"), Str("6"), y[0], y[1]},
+		} {
+			_, rowErr := txn.Insert("t", cols, dup)
+			_, batchErr := txn.InsertBatch("t", cols, [][]Value{dup})
+			want := []ConstraintKind{KindPrimaryKey, KindUnique}[i]
+			for _, err := range []error{rowErr, batchErr} {
+				if k, _ := ViolationKind(err); k != want || !strings.HasSuffix(err.Error(), "duplicate key "+EncodeKey(y)) {
+					t.Fatalf("duplicate %v reported as %v", dup, err)
+				}
+			}
+		}
+		if _, err := txn.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.VerifyPrimaryKeys(); err != nil {
+			t.Fatal(err)
+		}
+		for _, key := range [][]Value{x, y} {
+			if row, err := db.LookupByPK("t", key); err != nil || row == nil || row[0] != key[0] || row[1] != key[1] {
+				t.Fatalf("LookupByPK(%q): row %v err %v", EncodeKey(key), row, err)
+			}
+		}
+	}
+}
+
+// TestVerifyPrimaryKeysCoversUniques corrupts a unique index three ways — an
+// entry dropped, an entry pointing at another row, a stale entry left behind
+// — and expects VerifyPrimaryKeys to name the index each time.
+func TestVerifyPrimaryKeysCoversUniques(t *testing.T) {
+	load := func() (*DB, *keyIndex) {
+		db, err := Open(testSchema(t))
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Straight into the table: the foreign key to objects is not the
+		// subject here.
+		tbl := db.Table("fingers")
+		var sc scratch
+		for i := int64(0); i < 100; i++ {
+			if _, _, _, err := tbl.insertPrepared(&sc, Row{Int(i), Int(i / 4), Float(float64(i % 4))}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := db.VerifyPrimaryKeys(); err != nil {
+			t.Fatal(err)
+		}
+		return db, tbl.uniques[0]
+	}
+	slotOf := func(k *keyIndex, id int64) *keySlot {
+		for i := range k.slots {
+			if k.slots[i].ref == uint32(id+1) {
+				return &k.slots[i]
+			}
+		}
+		t.Fatalf("row %d has no slot", id)
+		return nil
+	}
+	for name, corrupt := range map[string]func(db *DB, k *keyIndex){
+		"dropped": func(db *DB, k *keyIndex) {
+			v, _ := k.t.viewLocked(7)
+			var sc scratch
+			k.remove(sc.keyOfView(v, k.cols), 7)
+		},
+		"misdirected": func(db *DB, k *keyIndex) { slotOf(k, 7).ref = 9 + 1 },
+		"stale": func(db *DB, k *keyIndex) {
+			k.put(Row{Int(1000), Int(1000), Float(1000)}, 7)
+		},
+	} {
+		db, k := load()
+		corrupt(db, k)
+		if err := db.VerifyPrimaryKeys(); err == nil || !strings.Contains(err.Error(), k.name) {
+			t.Errorf("%s unique entry: VerifyPrimaryKeys = %v, want an error naming %q", name, err, k.name)
+		}
+	}
+}
+
+// TestRowIDBeyondKeySlot: a table whose next row id does not fit a slot's 32
+// bits refuses the insert on every path and stores nothing; it never wraps.
+func TestRowIDBeyondKeySlot(t *testing.T) {
+	db := batchPropertyDB(t)
+	tbl := db.Table("frames")
+	rows := tbl.RowCount()
+	tbl.nextRow = maxKeyRowID + 1
+	cols, row := []string{"frame_id", "exposure"}, []Value{Int(100), Float(1)}
+	txn, _ := db.Begin()
+	_, rowErr := txn.Insert("frames", cols, row)
+	br, batchErr := txn.InsertBatch("frames", cols, [][]Value{row})
+	for _, err := range []error{rowErr, batchErr} {
+		if err == nil || !strings.Contains(err.Error(), `table "frames" is full`) {
+			t.Fatalf("insert at row id %d: %v, want a table-full error", tbl.nextRow, err)
+		}
+	}
+	var sc scratch
+	if err := tbl.replayContiguous(&sc, maxKeyRowID+1, []Row{row}); !errors.Is(err, ErrWALCorrupt) {
+		t.Fatalf("replay at row id %d: %v, want ErrWALCorrupt", int64(maxKeyRowID+1), err)
+	}
+	if br.RowsInserted != 0 || tbl.RowCount() != rows || tbl.pk.len() != int(rows) {
+		t.Fatalf("a refused insert stored something: %d rows, %d keys, want %d", tbl.RowCount(), tbl.pk.len(), rows)
+	}
+	tbl.nextRow = rows
+	if err := txn.Rollback(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -383,10 +383,15 @@ func (db *DB) recoverReplay(dir string) (RecoveryReport, error) {
 }
 
 // replayRowsAt stores rows at explicit (possibly non-contiguous) ids — the
-// checkpoint-snapshot load path.
+// checkpoint-snapshot load path.  The snapshot knows its row count, so the
+// key indexes are sized once and never rehash.
 func (t *Table) replayRowsAt(sc *scratch, ids []int64, rows []Row) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	t.pk.reserve(t.pk.len() + len(rows))
+	for _, u := range t.uniques {
+		u.reserve(u.len() + len(rows))
+	}
 	for i := range rows {
 		if err := t.replayOneLocked(sc, ids[i], rows[i]); err != nil {
 			return err
@@ -433,16 +438,16 @@ func (t *Table) replayOneLocked(sc *scratch, id int64, row Row) error {
 	if id < int64(len(t.rows.locs)) && t.rows.locs[id] != noLoc {
 		return fmt.Errorf("%w: duplicate row id %d in table %q", ErrWALCorrupt, id, t.schema.Name)
 	}
-	pkEnc := t.pk.encOf(sc, row)
-	if t.pk.has(row, pkEnc) {
+	if id < 0 || id > maxKeyRowID {
+		return fmt.Errorf("%w: row id %d in table %q", ErrWALCorrupt, id, t.schema.Name)
+	}
+	if t.pk.has(row) {
 		return fmt.Errorf("%w: duplicate primary key in table %q during replay", ErrWALCorrupt, t.schema.Name)
 	}
-	uniqueEncs := sc.uniqueEncs(len(t.uniques))
-	for i, u := range t.uniques {
-		uniqueEncs[i] = u.encOf(sc, row)
-		if u.has(row, uniqueEncs[i]) {
+	for _, u := range t.uniques {
+		if u.has(row) {
 			return fmt.Errorf("%w: duplicate unique key %q in table %q during replay",
-				ErrWALCorrupt, t.uniqueNames[i], t.schema.Name)
+				ErrWALCorrupt, u.name, t.schema.Name)
 		}
 	}
 
@@ -459,7 +464,7 @@ func (t *Table) replayOneLocked(sc *scratch, id int64, row Row) error {
 	if id >= t.nextRow {
 		t.nextRow = id + 1
 	}
-	t.putKeys(row, pkEnc, uniqueEncs, id)
+	t.putKeys(row, id)
 	for _, ix := range t.liveList {
 		ix.tree.Insert(sc.ordKey(sc.keyOf(row, ix.colIdxs)), id)
 	}

@@ -3,8 +3,8 @@ package relstore
 import "bytes"
 
 // scratch holds the reusable buffers of the insert hot path: composite-key
-// extraction, key encoding, per-insert unique-key strings and foreign-key
-// probes.  PR 1 kept these buffers on the Table, which was safe under the
+// extraction, B-tree key encoding and foreign-key probes.  PR 1 kept these
+// buffers on the Table, which was safe under the
 // discrete-event simulation's single-runner discipline; with real concurrent
 // writers (the exec.Realtime scheduler) a shared per-table buffer would be a
 // data race, so each transaction now owns a scratch for the goroutine driving
@@ -14,16 +14,14 @@ import "bytes"
 // Ownership rule: a scratch is used only by the goroutine that owns the
 // transaction holding it.  Buffers returned by its methods are valid until
 // the next call of the same method; consumers must encode or copy them first
-// (BTree.Insert clones stored keys, hash-map probes use m[string(buf)]).
+// (BTree.Insert clones stored keys).
 type scratch struct {
 	key []Value
 	// row is the built row of a per-row insert: coerced here, checked, packed
 	// into the heap and logged before the insert returns, never retained.
-	row  []Value
-	enc  []byte
-	ord  []byte
-	uniq []string
-	fk   []Value
+	row []Value
+	ord []byte
+	fk  []Value
 
 	// Batch-apply buffers (Txn.InsertBatch).  rows stages the built rows of a
 	// batch, carved out of arena, and ids the row ids assigned to the applied
@@ -42,11 +40,8 @@ type scratch struct {
 	sortK  []int64
 	sortID []int64
 
-	// encBuf/encOffs back the per-batch interning of primary-key and
-	// unique-constraint encodings (Table.encodeBatchKeys); parents is the
-	// per-batch foreign-key parent lock set (Table.lockParentsForBatch).
-	encBuf  []byte
-	encOffs []int
+	// parents is the per-batch foreign-key parent lock set
+	// (Table.lockParentsForBatch).
 	parents []*Table
 }
 
@@ -128,7 +123,7 @@ func (sc *scratch) keyOf(row Row, cols []int) []Value {
 }
 
 // keyOfView is keyOf over a stored row.  String components alias the page
-// bytes (RowView.val), so the key must be encoded before the table lock is
+// bytes (RowView.val), so the key must be consumed before the table lock is
 // released.
 func (sc *scratch) keyOfView(v RowView, cols []int) []Value {
 	key := sc.keyBuf(len(cols))
@@ -138,15 +133,6 @@ func (sc *scratch) keyOfView(v RowView, cols []int) []Value {
 	return key
 }
 
-// encodeKey encodes key into the reusable byte buffer.  The result is valid
-// until the next encodeKey call on this scratch; hash lookups use
-// m[string(buf)] (compiled without copying) and only keys that are stored pay
-// a string allocation.
-func (sc *scratch) encodeKey(key []Value) []byte {
-	sc.enc = AppendKey(sc.enc[:0], key)
-	return sc.enc
-}
-
 // ordKey encodes key with the order-preserving B-tree encoding into the
 // reusable ordered-key buffer.  The result is valid until the next ordKey
 // call on this scratch; the B-tree copies stored keys into its own arena, so
@@ -154,14 +140,6 @@ func (sc *scratch) encodeKey(key []Value) []byte {
 func (sc *scratch) ordKey(key []Value) []byte {
 	sc.ord = AppendOrderedKey(sc.ord[:0], key)
 	return sc.ord
-}
-
-// uniqueEncs returns an n-element buffer for encoded unique-constraint keys.
-func (sc *scratch) uniqueEncs(n int) []string {
-	if cap(sc.uniq) < n {
-		sc.uniq = make([]string, n)
-	}
-	return sc.uniq[:n]
 }
 
 // fkKey returns an n-element buffer for a foreign-key probe.

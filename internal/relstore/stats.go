@@ -24,11 +24,12 @@ type TableStat struct {
 	Rows, NominalBytes int64
 	// ResidentBytes is the memory the table holds for its rows, counted where
 	// it is held: heap page data and slot directories at their allocated
-	// capacity, the row directory, and the entries of the primary-key and
-	// unique hash indexes (a map's load-factor slack is not visible from
-	// outside the runtime and is left out).  Secondary B-tree indexes report
-	// their own memory in IndexStat.
+	// capacity, the row directory, and the slots of the primary-key and
+	// unique hash indexes.  Secondary B-tree indexes report their own memory
+	// in IndexStat.
 	ResidentBytes int64
+	// KeyIndexBytes is the hash indexes' share of ResidentBytes.
+	KeyIndexBytes int64
 }
 
 // StatsSnapshot is the one-call statistics surface of a database: engine

@@ -87,8 +87,8 @@ func (d *rowDir) remove(id int64) {
 
 // Table is the runtime state of one table: schema, heap storage, primary-key
 // hash index, unique-constraint hash indexes and secondary B-tree indexes.
-// Rows, the row directory and integer-keyed hash indexes hold no pointers, so
-// the collector's work does not grow with the rows loaded.
+// Rows, the row directory and the hash indexes hold no pointers, so the
+// collector's work does not grow with the rows loaded.
 //
 // Concurrency: mu guards all mutable state (heap, row map, hash indexes,
 // B-trees, index list, pre-population counters).  Writers (insertPrepared,
@@ -119,11 +119,7 @@ type Table struct {
 	fkColIdxs [][]int
 	checkCols []int
 
-	uniques     []*keyIndex
-	uniqueNames []string
-	// encodedKeys counts the key indexes (pk and uniques) in the encoded
-	// representation.
-	encodedKeys int
+	uniques []*keyIndex
 
 	indexes map[string]*Index
 	// indexList is the name-sorted snapshot of indexes, rebuilt eagerly on
@@ -176,7 +172,7 @@ func newTable(schema *TableSchema, btreeDegree int, loading *atomic.Bool) (*Tabl
 		}
 		t.pkCols = append(t.pkCols, idx)
 	}
-	t.pk = newKeyIndex(schema, t.pkCols, true)
+	t.pk = newKeyIndex(t, "pk_"+schema.Name, t.pkCols)
 	for _, fk := range schema.ForeignKeys {
 		cols := make([]int, len(fk.Columns))
 		for i, c := range fk.Columns {
@@ -199,23 +195,14 @@ func newTable(schema *TableSchema, btreeDegree int, loading *atomic.Bool) (*Tabl
 	}
 	for _, u := range schema.Uniques {
 		var cols []int
-		notNull := true
 		for _, c := range u.Columns {
 			idx := schema.ColumnIndex(c)
 			if idx < 0 {
 				return nil, fmt.Errorf("relstore: table %q: unique column %q missing", schema.Name, c)
 			}
 			cols = append(cols, idx)
-			notNull = notNull && !schema.Columns[idx].Nullable
 		}
-		t.uniques = append(t.uniques, newKeyIndex(schema, cols, notNull))
-		t.uniqueNames = append(t.uniqueNames, u.Name)
-	}
-	for _, k := range append([]*keyIndex{t.pk}, t.uniques...) {
-		if k.encoded() {
-			k.encSlot = t.encodedKeys
-			t.encodedKeys++
-		}
+		t.uniques = append(t.uniques, newKeyIndex(t, u.Name, cols))
 	}
 	return t, nil
 }
@@ -251,11 +238,13 @@ func (t *Table) LogicalByteSize() int64 {
 func (t *Table) stat() TableStat {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	resident := t.heap.residentBytes() + int64(cap(t.rows.locs))*int64(unsafe.Sizeof(rowLoc{})) + t.pk.residentBytes()
+	keys := t.pk.residentBytes()
 	for _, u := range t.uniques {
-		resident += u.residentBytes()
+		keys += u.residentBytes()
 	}
-	return TableStat{Name: t.schema.Name, Rows: t.heap.rowCount, NominalBytes: t.heap.bytes, ResidentBytes: resident}
+	resident := t.heap.residentBytes() + int64(cap(t.rows.locs))*int64(unsafe.Sizeof(rowLoc{})) + keys
+	return TableStat{Name: t.schema.Name, Rows: t.heap.rowCount, NominalBytes: t.heap.bytes,
+		ResidentBytes: resident, KeyIndexBytes: keys}
 }
 
 // PageCount returns the number of heap pages allocated.
@@ -383,17 +372,32 @@ func (t *Table) checkRow(row Row) (int, error) {
 
 // dupKeyError is the violation for a key already present in the primary-key
 // or a unique index.
-func (t *Table) dupKeyError(sc *scratch, kind ConstraintKind, constraint string, row Row, cols []int) error {
-	return &ConstraintError{Kind: kind, Table: t.schema.Name, Constraint: constraint,
-		Detail: "duplicate key " + EncodeKey(sc.keyOf(row, cols))}
+func (t *Table) dupKeyError(sc *scratch, kind ConstraintKind, k *keyIndex, row Row) error {
+	return &ConstraintError{Kind: kind, Table: t.schema.Name, Constraint: k.name,
+		Detail: "duplicate key " + EncodeKey(sc.keyOf(row, k.cols))}
 }
 
-// putKeys enters a stored row into the primary-key and unique indexes under
-// the encodings its probes used.
-func (t *Table) putKeys(row Row, pkEnc string, uniqueEncs []string, id int64) {
-	t.pk.put(row, pkEnc, id)
-	for i, u := range t.uniques {
-		u.put(row, uniqueEncs[i], id)
+// checkKeys probes the primary-key and unique indexes for the built row's
+// keys and checks that the next row id fits them; t.mu must be held.
+func (t *Table) checkKeys(sc *scratch, row Row, rep *OpReport) error {
+	if t.pk.has(row) {
+		return t.dupKeyError(sc, KindPrimaryKey, t.pk, row)
+	}
+	for _, u := range t.uniques {
+		rep.ConstraintChecks++
+		if u.has(row) {
+			return t.dupKeyError(sc, KindUnique, u, row)
+		}
+	}
+	return t.checkRowID(t.nextRow)
+}
+
+// putKeys enters a row already in the heap and the row directory into the
+// primary-key and unique indexes.
+func (t *Table) putKeys(row Row, id int64) {
+	t.pk.put(row, id)
+	for _, u := range t.uniques {
+		u.put(row, id)
 	}
 }
 
@@ -422,18 +426,8 @@ func (t *Table) insertPrepared(sc *scratch, row Row) (int64, rowLoc, OpReport, e
 	t.mu.Lock()
 	defer t.mu.Unlock()
 
-	pkEnc := t.pk.encOf(sc, row)
-	if t.pk.has(row, pkEnc) {
-		return 0, rowLoc{}, rep, t.dupKeyError(sc, KindPrimaryKey, "pk_"+t.schema.Name, row, t.pkCols)
-	}
-
-	uniqueEncs := sc.uniqueEncs(len(t.uniques))
-	for i, u := range t.uniques {
-		rep.ConstraintChecks++
-		uniqueEncs[i] = u.encOf(sc, row)
-		if u.has(row, uniqueEncs[i]) {
-			return 0, rowLoc{}, rep, t.dupKeyError(sc, KindUnique, t.uniqueNames[i], row, u.cols)
-		}
+	if err := t.checkKeys(sc, row, &rep); err != nil {
+		return 0, rowLoc{}, rep, err
 	}
 
 	// All constraints satisfied: store the row.
@@ -441,7 +435,7 @@ func (t *Table) insertPrepared(sc *scratch, row Row) (int64, rowLoc, OpReport, e
 	t.nextRow++
 	loc, newPage, rb := t.heap.append(row)
 	t.rows.append(loc)
-	t.putKeys(row, pkEnc, uniqueEncs, id)
+	t.putKeys(row, id)
 
 	rep.RowsInserted = 1
 	rep.RowBytes = rb
@@ -481,9 +475,9 @@ func (t *Table) deleteRow(sc *scratch, id int64) {
 	if !ok {
 		return
 	}
-	t.pk.remove(sc, row)
+	t.pk.remove(sc.keyOfView(row, t.pkCols), id)
 	for _, u := range t.uniques {
-		u.remove(sc, row)
+		u.remove(sc.keyOfView(row, u.cols), id)
 	}
 	// Suspended indexes hold no entries for rows inserted during the load
 	// phase, so rollback skips them; Seal later rebuilds from the surviving
@@ -499,8 +493,8 @@ func (t *Table) deleteRow(sc *scratch, id int64) {
 
 // lookupPK returns whether a row with the given primary-key values exists.
 // The caller must hold t.mu (read or write).
-func (t *Table) lookupPK(sc *scratch, key []Value) bool {
-	_, ok := t.pk.lookup(sc, key)
+func (t *Table) lookupPK(key []Value) bool {
+	_, ok := t.pk.lookup(key)
 	return ok
 }
 

@@ -304,15 +304,15 @@ func CompareKeys(a, b []Value) int {
 	return 0
 }
 
-// AppendKey appends the unique string encoding of a composite key to dst and
+// AppendKey appends the string rendering of a composite key to dst and
 // returns the extended buffer, following the append convention of the
-// standard library (strconv.AppendInt and friends).  Callers on the insert
-// hot path keep a reusable scratch buffer and look keys up in their hash maps
-// via m[string(buf)], which the compiler compiles without copying the bytes;
-// the one final string allocation happens only when a key is actually stored.
+// standard library (strconv.AppendInt and friends).  It is what violation
+// details display; the hash indexes compare stored rows, not renderings
+// (columns are joined with an unescaped 0x1f, so two distinct composite
+// string keys can render alike).
 //
 // The encoding is not order preserving; ordered access goes through the
-// B-tree, which compares typed values.
+// B-tree, which compares order-preserving encodings.
 func AppendKey(dst []byte, vals []Value) []byte {
 	for i, v := range vals {
 		if i > 0 {
@@ -346,9 +346,7 @@ func AppendKey(dst []byte, vals []Value) []byte {
 	return dst
 }
 
-// EncodeKey renders a composite key as a unique string suitable for use as a
-// hash-map key (primary-key lookups).  It is the allocating convenience form
-// of AppendKey.
+// EncodeKey is the allocating convenience form of AppendKey.
 func EncodeKey(vals []Value) string {
 	return string(AppendKey(nil, vals))
 }
