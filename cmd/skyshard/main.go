@@ -175,7 +175,7 @@ func runCoordinator(agentList, httpAddr string, size float64, nfiles, rowsPerMB 
 			loadErr = err
 			return
 		}
-		fmt.Printf("fleet load: %d rows across %d files to %d shards in %s (%d tasks, %d rows filtered to peers)\n",
+		fmt.Printf("fleet load: %d rows across %d files to %d shards in %s (%d tasks, %d rows skipped)\n",
 			rep.RowsLoaded, rep.Files, len(addrs), time.Since(start).Round(time.Millisecond), rep.Tasks, rep.RowsSkipped)
 	})
 	if loadErr != nil {
@@ -264,7 +264,8 @@ func runSmoke() error {
 	fmt.Printf("smoke: %d queries byte-identical to single-node oracle\n", len(qs))
 
 	// Kill shard 1 and confirm the fleet reads unready, then restore onto a
-	// fresh agent and re-verify.
+	// fresh agent from the files this run still holds (the coordinator kept
+	// none of them) and re-verify.
 	if err := servers[1].Close(); err != nil {
 		return err
 	}
@@ -287,14 +288,14 @@ func runSmoke() error {
 		return err
 	}
 	var restoreErr error
-	inline.RunInline("smoke-restore", func(w exec.Worker) { restoreErr = co.RestoreShard(w, 1, cl) })
+	inline.RunInline("smoke-restore", func(w exec.Worker) { restoreErr = co.RestoreShard(w, 1, cl, files) })
 	if restoreErr != nil {
 		return fmt.Errorf("restore: %w", restoreErr)
 	}
 	if err := verifyAgainstOracle(co, inline, oracle, qs); err != nil {
 		return fmt.Errorf("post-restore verify: %w", err)
 	}
-	fmt.Println("smoke: shard 1 killed, restored from the coordinator's replay log, re-verified")
+	fmt.Println("smoke: shard 1 killed, restored from the caller's files, re-verified")
 
 	// The HTTP front door over the same fleet: one query per class and a
 	// valid scrape carrying the fleet's families.

@@ -47,6 +47,9 @@ var backends = []struct {
 			"sky_shard_count", "sky_shard_queries_total", "sky_shard_query_errors_total",
 			"sky_shard_fanout_total", "sky_shard_requests_total", "sky_shard_load_tasks_total",
 			"sky_shard_gather_seconds", "sky_shard_wire_bytes_total",
+			"sky_shard_directory_runs",
+			"sky_shard_directory_bytes",
+			"sky_shard_directory_misses_total",
 			"sky_shard_ready", "sky_shard_rows", "sky_shard_queries_served_total",
 		},
 		absent: []string{"sky_db_rows_inserted_total", "sky_result_cache_hits_total"},
@@ -312,7 +315,8 @@ func TestContractStatsEnvelope(t *testing.T) {
 					t.Fatalf("fleet envelope: engine %v fleet %v", resp.Engine, resp.Fleet)
 				}
 				fl := resp.Fleet
-				if fl.Shards != 3 || fl.Queries != 1 || len(fl.ShardStats) != 3 || fl.ShardStatsError != "" {
+				if fl.Shards != 3 || fl.Queries != 1 || len(fl.ShardStats) != 3 || fl.ShardStatsError != "" ||
+					fl.DirectoryRuns == 0 || fl.DirectoryBytes == 0 {
 					t.Fatalf("fleet stats: %+v", fl)
 				}
 				var rows int64

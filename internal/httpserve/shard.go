@@ -34,6 +34,7 @@ var FleetFamilies = []string{
 	"sky_shard_count", "sky_shard_queries_total", "sky_shard_fanout_total",
 	"sky_shard_requests_total", "sky_shard_gather_seconds",
 	"sky_shard_wire_bytes_total", "sky_shard_ready",
+	"sky_shard_directory_runs", "sky_shard_directory_bytes", "sky_shard_directory_misses_total",
 	"sky_serve_requests_total", "sky_serve_shed_total", "sky_serve_latency_seconds",
 }
 
@@ -65,7 +66,8 @@ func (b fleetBackend) unready() string {
 }
 
 // FleetStats is the fleet half of /v1/stats: the coordinator's scatter/gather
-// counters plus each shard's self-reported stats.
+// counters, the size of its object directory and the lookups that missed it,
+// plus each shard's self-reported stats.
 type FleetStats struct {
 	Shards          int          `json:"shards"`
 	Queries         int64        `json:"queries"`
@@ -74,6 +76,9 @@ type FleetStats struct {
 	BytesReceived   int64        `json:"bytes_received"`
 	GatherP50NS     int64        `json:"gather_p50_ns"`
 	GatherP99NS     int64        `json:"gather_p99_ns"`
+	DirectoryRuns   int          `json:"directory_runs"`
+	DirectoryBytes  int64        `json:"directory_bytes"`
+	DirectoryMisses int64        `json:"directory_misses"`
 	ShardStats      []wire.Stats `json:"shard_stats,omitempty"`
 	ShardStatsError string       `json:"shard_stats_error,omitempty"`
 }
@@ -88,6 +93,10 @@ func (b fleetBackend) stats(resp *StatsResponse) {
 		BytesReceived: snap.BytesReceived,
 		GatherP50NS:   int64(snap.Gather.P50),
 		GatherP99NS:   int64(snap.Gather.P99),
+
+		DirectoryRuns:   snap.DirectoryRuns,
+		DirectoryBytes:  snap.DirectoryBytes,
+		DirectoryMisses: snap.DirectoryMisses,
 	}
 	if stats, err := b.probe(); err != nil {
 		fs.ShardStatsError = err.Error()
@@ -98,7 +107,8 @@ func (b fleetBackend) stats(resp *StatsResponse) {
 }
 
 // writeMetrics renders the sky_shard_* families: fan-out, per-shard traffic,
-// gather latency, bytes on the wire, and per-shard readiness/rows from a live
+// gather latency, bytes on the wire, the object directory (a lookup that
+// broadcast shows up in its misses), and per-shard readiness/rows from a live
 // probe.
 func (b fleetBackend) writeMetrics(p *metrics.PromWriter) {
 	snap := b.co.Snapshot()
@@ -127,6 +137,13 @@ func (b fleetBackend) writeMetrics(p *metrics.PromWriter) {
 	p.Metric("sky_shard_wire_bytes_total", "Framed protocol bytes, by direction.", "counter")
 	p.SampleInt("sky_shard_wire_bytes_total", []metrics.Label{{Name: "direction", Value: "sent"}}, snap.BytesSent)
 	p.SampleInt("sky_shard_wire_bytes_total", []metrics.Label{{Name: "direction", Value: "received"}}, snap.BytesReceived)
+
+	p.Metric("sky_shard_directory_runs", "Object-id runs in the coordinator's object directory.", "gauge")
+	p.SampleInt("sky_shard_directory_runs", nil, int64(snap.DirectoryRuns))
+	p.Metric("sky_shard_directory_bytes", "Bytes held by the coordinator's object directory.", "gauge")
+	p.SampleInt("sky_shard_directory_bytes", nil, snap.DirectoryBytes)
+	p.Metric("sky_shard_directory_misses_total", "Object lookups the directory could not place on one shard, which broadcast.", "counter")
+	p.SampleInt("sky_shard_directory_misses_total", nil, snap.DirectoryMisses)
 
 	// Live per-shard state; a probe failure leaves the families out of this
 	// scrape rather than failing it (the fleet may be mid-restart).

@@ -108,6 +108,8 @@ func TestShardHealthzAggregation(t *testing.T) {
 // the coordinator count the same queries.
 func TestShardMetricValues(t *testing.T) {
 	env := newShardEnv(t, Config{})
+	// Object ids count up from 100_000_001: nine lookups the directory sends
+	// to one shard each, and one of an id nobody loaded, which broadcasts.
 	const lookups = 10
 	for i := 0; i < lookups; i++ {
 		u, _ := QueryURL(queries.ObjectLookup{ObjectID: int64(100_000_000 + i)})
@@ -125,8 +127,8 @@ func TestShardMetricValues(t *testing.T) {
 		fmt.Sprintf("sky_serve_served_total %d", lookups+1),
 		"sky_shard_query_errors_total 0",
 		"sky_shard_probe_failed 0",
-		// Lookups broadcast: one call per shard each.
-		fmt.Sprintf(`sky_shard_fanout_total{class="lookup"} %d`, 3*lookups),
+		fmt.Sprintf(`sky_shard_fanout_total{class="lookup"} %d`, lookups-1+3),
+		"sky_shard_directory_misses_total 1",
 		// NewShard's serve.Server: DefaultConfig's pool.
 		fmt.Sprintf("sky_workers_capacity %d", serve.DefaultConfig().Workers),
 	}
@@ -142,6 +144,8 @@ func TestShardMetricValues(t *testing.T) {
 		`sky_shard_wire_bytes_total{direction="sent"} `,
 		`sky_shard_wire_bytes_total{direction="received"} `,
 		`sky_shard_fanout_total{class="cone"} `,
+		"sky_shard_directory_runs ",
+		"sky_shard_directory_bytes ",
 	} {
 		if !containsLine(text, prefix) || strings.Contains(text, prefix+"0\n") {
 			t.Errorf("scrape has no moving series %q", prefix)

@@ -9,7 +9,6 @@ import (
 	"skyloader/internal/catalog"
 	"skyloader/internal/core"
 	"skyloader/internal/exec"
-	"skyloader/internal/htm"
 	"skyloader/internal/queries"
 	"skyloader/internal/relstore"
 	"skyloader/internal/serve"
@@ -43,9 +42,10 @@ func DefaultAgentConfig() AgentConfig {
 
 // Agent owns one shard: a private relstore.DB holding the rows of one
 // contiguous trixel range, fed through the same sqlbatch/core bulk-load path
-// the single-node system uses.  The agent is the DB's single owner — every
-// access arrives as a wire message through Handle; nothing else touches the
-// database.
+// the single-node system uses.  Which rows those are is the coordinator's
+// decision: an agent loads every line it is sent.  The agent is the DB's
+// single owner — every access arrives as a wire message through Handle;
+// nothing else touches the database.
 type Agent struct {
 	sched exec.Scheduler
 	cfg   AgentConfig
@@ -60,7 +60,6 @@ type Agent struct {
 	// identity, assigned by Hello.
 	idMu     sync.Mutex
 	shardID  uint32
-	rng      htm.Range
 	deferred bool
 	hello    bool
 
@@ -128,7 +127,6 @@ func (a *Agent) Handle(w exec.Worker, m wire.Msg) wire.Msg {
 func (a *Agent) handleHello(h wire.Hello) wire.Msg {
 	a.idMu.Lock()
 	a.shardID = h.ShardID
-	a.rng = htm.Range{Lo: h.RangeLo, Hi: h.RangeHi}
 	a.deferred = h.Deferred
 	a.hello = true
 	a.idMu.Unlock()
@@ -160,10 +158,27 @@ func (a *Agent) handleLoad(w exec.Worker, t wire.LoadTask) wire.Msg {
 		}
 		return res
 	}
-	f, skipped, err := a.fileFromTask(t)
-	if err != nil {
-		res.Err = err.Error()
+	a.idMu.Lock()
+	hello := a.hello
+	a.idMu.Unlock()
+	if !hello {
+		res.Err = "shard: load task before Hello"
 		return res
+	}
+	// The lines are this shard's share of the file, already routed: parse and
+	// load them all.  A line that is not a record is skipped, like a row the
+	// transformer or the database rejects, as on a single node.
+	f := &catalog.File{
+		Name:         t.Name,
+		Records:      make([]catalog.Record, 0, len(t.Lines)),
+		RABase:       t.RABase,
+		DecBase:      t.DecBase,
+		NominalBytes: t.NominalBytes,
+	}
+	for i, line := range t.Lines {
+		if rec, err := catalog.ParseLine(line, i+1); err == nil {
+			f.Records = append(f.Records, rec)
+		}
 	}
 	before := a.db.TotalRows()
 	conn := a.srv.ConnectWorker(w)
@@ -179,43 +194,9 @@ func (a *Agent) handleLoad(w exec.Worker, t wire.LoadTask) wire.Msg {
 	loaded := a.db.TotalRows() - before
 	a.rowsLoaded.Add(loaded)
 	res.RowsLoaded = loaded
-	res.RowsSkipped = int64(skipped)
+	stats := loader.Stats()
+	res.RowsSkipped = int64(len(t.Lines) - len(f.Records) + stats.ParseErrors + stats.RowsSkipped)
 	return res
-}
-
-// fileFromTask parses the wire lines back into records and keeps only this
-// shard's slice of the file.  skipped counts records filtered to other
-// shards (not parse errors — those reproduce the single-node error path on
-// the home shard).
-func (a *Agent) fileFromTask(t wire.LoadTask) (*catalog.File, int, error) {
-	a.idMu.Lock()
-	rng := a.rng
-	hello := a.hello
-	a.idMu.Unlock()
-	if !hello {
-		return nil, 0, fmt.Errorf("shard: load task before Hello")
-	}
-	records := make([]catalog.Record, 0, len(t.Lines))
-	for i, line := range t.Lines {
-		rec, err := catalog.ParseLine(line, i+1)
-		if err != nil {
-			if errors.Is(err, catalog.ErrSkipLine) {
-				continue
-			}
-			// Unparseable lines cannot be routed; the home shard keeps the
-			// single-node behaviour of skipping them during load.
-			continue
-		}
-		records = append(records, rec)
-	}
-	filtered := filterRecords(records, rng, t.Home)
-	return &catalog.File{
-		Name:         t.Name,
-		Records:      filtered,
-		RABase:       t.RABase,
-		DecBase:      t.DecBase,
-		NominalBytes: t.NominalBytes,
-	}, len(records) - len(filtered), nil
 }
 
 func (a *Agent) handleQuery(w exec.Worker, q wire.Query) wire.Msg {

@@ -58,6 +58,27 @@ func BenchmarkScatterGather(b *testing.B) {
 			}
 		})
 	}
+	// Lookups only, over every object of the night in turn rather than one
+	// hot id: the coordinator's per-request bookkeeping is what is left once a
+	// lookup is one round trip, so allocs/op is the figure to read.
+	ids := objectIDs(files...)
+	b.Run("lookups", func(b *testing.B) {
+		var sink int
+		inline.RunInline("bench", func(w exec.Worker) {
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				res, err := co.Execute(w, queries.ObjectLookup{ObjectID: ids[i%len(ids)]}, nil)
+				if err != nil {
+					b.Fatal(err)
+				}
+				sink += res.Stats.RowsReturned
+			}
+		})
+		if sink != b.N {
+			b.Fatalf("%d of %d lookups found their object", sink, b.N)
+		}
+	})
 }
 
 // BenchmarkSingleNode is the same probes against one database holding the

@@ -24,28 +24,28 @@ type Config struct {
 	Deferred bool
 }
 
-// dispatch records one file handed to one shard, so a restarted shard can
-// be replayed from the coordinator's copy of the catalog.
-type dispatch struct {
-	file *catalog.File
-	home bool
-}
-
 // Coordinator fronts a fleet of shard agents: it owns the partition map,
-// hands catalog files to the shards whose trixel ranges they overlap, and
+// routes every record of a catalog file to the shard that loads it, and
 // serves queries by scattering to the owning shards and merging the sorted
-// partial results.  It never reads a shard's rows directly — all state
-// flows through wire messages.
+// partial results.  Of a loaded night it keeps the object directory and
+// nothing else; it never reads a shard's rows directly — all state flows
+// through wire messages.
 type Coordinator struct {
 	sched exec.Scheduler
 	pm    *PartitionMap
 	cfg   Config
-	// scatterNames[s] names the fan-out worker of shard s.
+	// all is every shard index — a broadcast's targets and, sliced, one
+	// owner's — and scatterNames[s] names the fan-out worker of shard s.
+	all          []int
 	scatterNames []string
 
 	mu      sync.Mutex
 	clients []Client
-	plans   [][]dispatch // per-shard replay log
+
+	// dir is the published object directory; routeMu orders its writers.
+	dir       atomic.Pointer[directory]
+	dirMisses atomic.Int64
+	routeMu   sync.Mutex
 
 	queryID atomic.Uint64
 	taskID  atomic.Uint64
@@ -65,21 +65,26 @@ func New(sched exec.Scheduler, pm *PartitionMap, clients []Client, cfg Config) (
 	if len(clients) != pm.Shards() {
 		return nil, fmt.Errorf("shard: %d clients for %d shards", len(clients), pm.Shards())
 	}
-	names := make([]string, pm.Shards())
-	for s := range names {
-		names[s] = fmt.Sprintf("scatter-%d", s)
+	if pm.Shards() >= int(routeAll) {
+		return nil, fmt.Errorf("shard: %d shards exceed the %d a record route can name", pm.Shards(), routeAll-1)
 	}
-	return &Coordinator{
-		scatterNames:  names,
+	c := &Coordinator{
+		all:           make([]int, pm.Shards()),
+		scatterNames:  make([]string, pm.Shards()),
 		sched:         sched,
 		pm:            pm,
 		cfg:           cfg,
 		clients:       clients,
-		plans:         make([][]dispatch, pm.Shards()),
 		shardRequests: make([]atomic.Int64, pm.Shards()),
 		shardLoads:    make([]atomic.Int64, pm.Shards()),
 		gather:        metrics.NewHistogram(),
-	}, nil
+	}
+	for s := range c.all {
+		c.all[s] = s
+		c.scatterNames[s] = fmt.Sprintf("scatter-%d", s)
+	}
+	c.dir.Store(&directory{})
+	return c, nil
 }
 
 // Scheduler returns the scheduler the coordinator fans out on.
@@ -92,31 +97,38 @@ func (c *Coordinator) client(s int) Client {
 	return c.clients[s]
 }
 
+// call sends m to shard s and requires a reply of type T.
+func call[T wire.Msg](c *Coordinator, w exec.Worker, s int, what string, m wire.Msg) (T, error) {
+	reply, err := c.client(s).Call(w, m)
+	if err != nil {
+		var none T
+		return none, fmt.Errorf("shard %d: %s: %w", s, what, err)
+	}
+	t, ok := reply.(T)
+	if !ok {
+		return t, fmt.Errorf("shard %d: %s: reply type 0x%02x", s, what, reply.Type())
+	}
+	return t, nil
+}
+
 // Hello introduces the coordinator to every shard, assigning identities and
 // trixel ranges.  It must run before LoadFiles or Execute.
 func (c *Coordinator) Hello(w exec.Worker) error {
-	errs := c.fanout(w, allShards(c.pm.Shards()), func(fw exec.Worker, s int) error {
+	return c.fanout(w, c.all, func(fw exec.Worker, _, s int) error {
 		return c.hello(fw, s)
 	})
-	return firstError(errs)
 }
 
 func (c *Coordinator) hello(w exec.Worker, s int) error {
 	rng := c.pm.Range(s)
-	reply, err := c.client(s).Call(w, wire.Hello{
+	_, err := call[wire.Ready](c, w, s, "hello", wire.Hello{
 		ShardID:  uint32(s),
 		Shards:   uint32(c.pm.Shards()),
 		RangeLo:  rng.Lo,
 		RangeHi:  rng.Hi,
 		Deferred: c.cfg.Deferred,
 	})
-	if err != nil {
-		return fmt.Errorf("shard %d: hello: %w", s, err)
-	}
-	if _, ok := reply.(wire.Ready); !ok {
-		return fmt.Errorf("shard %d: hello reply type 0x%02x", s, reply.Type())
-	}
-	return nil
+	return err
 }
 
 // LoadReport summarizes a fleet load.
@@ -128,100 +140,106 @@ type LoadReport struct {
 	Elapsed     time.Duration
 }
 
-// LoadFiles distributes catalog files across the fleet: each file goes to
-// every shard owning at least one of its object trixels (plus its home
-// shard), agents filter to their range, and — under Deferred — a final Seal
-// task closes every shard's load window.  Shards load their queues in
-// parallel; files within one shard's queue load in order.
+// LoadFiles distributes catalog files across the fleet.  One pass routes
+// every record (routeFile) and extends the object directory; each shard is
+// then sent, file by file, only the lines it loads and — under Deferred — a
+// final Seal task.  Shards load their queues in parallel, files within one
+// shard's queue in order.  Nothing of files is retained once it returns.
 func (c *Coordinator) LoadFiles(w exec.Worker, files []*catalog.File) (LoadReport, error) {
+	return c.load(w, files, c.all)
+}
+
+// load routes files — per file the route of each record, per shard the
+// indices of the files it receives — and sends the queues of shards.
+func (c *Coordinator) load(w exec.Worker, files []*catalog.File, shards []int) (LoadReport, error) {
 	start := w.Now()
-	queues := make([][]dispatch, c.pm.Shards())
-	for _, f := range files {
-		targets, home := fileOwners(c.pm, f)
+	routes := make([][]uint16, len(files))
+	queues := make([][]int, c.pm.Shards())
+	c.routeMu.Lock()
+	dir := c.dir.Load().clone()
+	for i, f := range files {
+		var targets []int
+		routes[i], targets = routeFile(c.pm, dir, f)
 		for _, s := range targets {
-			queues[s] = append(queues[s], dispatch{file: f, home: s == home})
+			queues[s] = append(queues[s], i)
 		}
 	}
-	c.mu.Lock()
-	for s := range queues {
-		c.plans[s] = append(c.plans[s], queues[s]...)
-	}
-	c.mu.Unlock()
+	c.dir.Store(dir)
+	c.routeMu.Unlock()
 
-	rep := LoadReport{Files: len(files)}
-	var repMu sync.Mutex
-	errs := c.fanout(w, allShards(c.pm.Shards()), func(fw exec.Worker, s int) error {
-		loaded, skipped, tasks, err := c.loadQueue(fw, s, queues[s], c.cfg.Deferred)
-		repMu.Lock()
-		rep.RowsLoaded += loaded
-		rep.RowsSkipped += skipped
-		rep.Tasks += tasks
-		repMu.Unlock()
-		return err
+	reps := make([]LoadReport, len(shards))
+	err := c.fanout(w, shards, func(fw exec.Worker, i, s int) error {
+		return c.loadQueue(fw, s, files, routes, queues[s], &reps[i])
 	})
-	rep.Elapsed = w.Now() - start
-	return rep, firstError(errs)
+	rep := LoadReport{Files: len(files), Elapsed: w.Now() - start}
+	for _, r := range reps {
+		rep.Tasks += r.Tasks
+		rep.RowsLoaded += r.RowsLoaded
+		rep.RowsSkipped += r.RowsSkipped
+	}
+	return rep, err
 }
 
-// loadQueue sends one shard its file queue (and closing Seal) in order.
-func (c *Coordinator) loadQueue(w exec.Worker, s int, queue []dispatch, seal bool) (loaded, skipped int64, tasks int, err error) {
-	for _, d := range queue {
-		res, err := c.sendLoad(w, s, d)
-		if err != nil {
-			return loaded, skipped, tasks, err
+// loadQueue sends shard s, in order, the lines routed to it of each queued
+// file (and the closing Seal), adding the results to rep.
+func (c *Coordinator) loadQueue(w exec.Worker, s int, files []*catalog.File, routes [][]uint16, queue []int, rep *LoadReport) error {
+	for _, i := range queue {
+		f := files[i]
+		task := wire.LoadTask{
+			Name:         f.Name,
+			RABase:       f.RABase,
+			DecBase:      f.DecBase,
+			NominalBytes: f.NominalBytes,
+			Lines:        make([]string, 0, len(routes[i])),
 		}
-		tasks++
-		loaded += res.RowsLoaded
-		skipped += res.RowsSkipped
-	}
-	if seal {
-		if _, err := c.client(s).Call(w, wire.LoadTask{TaskID: c.taskID.Add(1), Seal: true}); err != nil {
-			return loaded, skipped, tasks, fmt.Errorf("shard %d: seal: %w", s, err)
+		for j, r := range routes[i] {
+			if r == uint16(s) || r == routeAll {
+				task.Lines = append(task.Lines, f.Records[j].Format())
+			}
 		}
-		tasks++
+		if err := c.loadTask(w, s, "load "+f.Name, task, rep); err != nil {
+			return err
+		}
 	}
-	return loaded, skipped, tasks, nil
+	if c.cfg.Deferred {
+		return c.loadTask(w, s, "seal", wire.LoadTask{Seal: true}, rep)
+	}
+	return nil
 }
 
-func (c *Coordinator) sendLoad(w exec.Worker, s int, d dispatch) (wire.LoadResult, error) {
-	f := d.file
-	lines := make([]string, len(f.Records))
-	for i, rec := range f.Records {
-		lines[i] = rec.Format()
-	}
-	task := wire.LoadTask{
-		TaskID:       c.taskID.Add(1),
-		Home:         d.home,
-		Name:         f.Name,
-		RABase:       f.RABase,
-		DecBase:      f.DecBase,
-		NominalBytes: f.NominalBytes,
-		Lines:        lines,
-	}
-	reply, err := c.client(s).Call(w, task)
+func (c *Coordinator) loadTask(w exec.Worker, s int, what string, task wire.LoadTask, rep *LoadReport) error {
+	task.TaskID = c.taskID.Add(1)
+	res, err := call[wire.LoadResult](c, w, s, what, task)
 	if err != nil {
-		return wire.LoadResult{}, fmt.Errorf("shard %d: load %s: %w", s, f.Name, err)
-	}
-	res, ok := reply.(wire.LoadResult)
-	if !ok {
-		return wire.LoadResult{}, fmt.Errorf("shard %d: load reply type 0x%02x", s, reply.Type())
+		return err
 	}
 	if res.Err != "" {
-		return wire.LoadResult{}, fmt.Errorf("shard %d: load %s: %s", s, f.Name, res.Err)
+		return fmt.Errorf("shard %d: %s: %s", s, what, res.Err)
 	}
 	c.shardLoads[s].Add(1)
-	return res, nil
+	rep.Tasks++
+	rep.RowsLoaded += res.RowsLoaded
+	rep.RowsSkipped += res.RowsSkipped
+	return nil
 }
 
-// Targets returns the scatter set for a query: cone searches go only to
-// shards whose ranges overlap the cone cover; everything else (point
-// lookups could be routed narrower only with an object-id→trixel map the
-// coordinator deliberately does not keep) fans out to all shards.
+// Targets returns the scatter set for a query: a cone search goes to the
+// shards whose ranges overlap its cover, an object lookup to the one shard
+// the directory routed that id to, everything else to all shards — as does a
+// lookup the directory cannot place (an id it never routed or routed to two
+// shards, a coordinator started over a loaded fleet): a miss must not read
+// as "not found".  The slice is shared; callers must not modify it.
 func (c *Coordinator) Targets(q queries.Query) ([]int, error) {
-	if cone, ok := q.(queries.Cone); ok {
-		return c.pm.ConeTargets(cone.RA, cone.Dec, cone.RadiusDeg)
+	switch t := q.(type) {
+	case queries.Cone:
+		return c.pm.ConeTargets(t.RA, t.Dec, t.RadiusDeg)
+	case queries.ObjectLookup:
+		if s, ok := c.dir.Load().owner(t.ObjectID); ok {
+			return c.all[s : s+1 : s+1], nil
+		}
+		c.dirMisses.Add(1)
 	}
-	return allShards(c.pm.Shards()), nil
+	return c.all, nil
 }
 
 // Execute scatters one query to its owning shards, gathers and merges the
@@ -244,28 +262,20 @@ func (c *Coordinator) Execute(w exec.Worker, q queries.Query, tr *trace.Req) (qu
 
 	replies := make([]wire.QueryResult, len(targets))
 	scatterStart := w.Now()
-	errs := c.fanout(w, targets, func(fw exec.Worker, s int) error {
+	err = c.fanout(w, targets, func(fw exec.Worker, i, s int) error {
 		c.shardRequests[s].Add(1)
-		reply, err := c.client(s).Call(fw, wq)
+		res, err := call[wire.QueryResult](c, fw, s, "query", wq)
 		if err != nil {
-			return fmt.Errorf("shard %d: %w", s, err)
-		}
-		res, ok := reply.(wire.QueryResult)
-		if !ok {
-			return fmt.Errorf("shard %d: query reply type 0x%02x", s, reply.Type())
+			return err
 		}
 		if res.Err != "" {
 			return fmt.Errorf("shard %d: %s", s, res.Err)
 		}
-		for i, t := range targets {
-			if t == s {
-				replies[i] = res
-			}
-		}
+		replies[i] = res
 		return nil
 	})
 	tr.Mark(trace.StageScatter, w.Now())
-	if err := firstError(errs); err != nil {
+	if err != nil {
 		c.queryErrors.Add(1)
 		return queries.Result{}, err
 	}
@@ -395,29 +405,22 @@ func (c *Coordinator) Ready(w exec.Worker) bool {
 // ShardStats probes every shard for its current stats.
 func (c *Coordinator) ShardStats(w exec.Worker) ([]wire.Stats, error) {
 	out := make([]wire.Stats, c.pm.Shards())
-	errs := c.fanout(w, allShards(c.pm.Shards()), func(fw exec.Worker, s int) error {
-		reply, err := c.client(s).Call(fw, wire.Stats{})
-		if err != nil {
-			return fmt.Errorf("shard %d: stats: %w", s, err)
-		}
-		st, ok := reply.(wire.Stats)
-		if !ok {
-			return fmt.Errorf("shard %d: stats reply type 0x%02x", s, reply.Type())
-		}
+	err := c.fanout(w, c.all, func(fw exec.Worker, _, s int) error {
+		st, err := call[wire.Stats](c, fw, s, "stats", wire.Stats{})
 		out[s] = st
-		return nil
+		return err
 	})
-	return out, firstError(errs)
+	return out, err
 }
 
 // RestoreShard swaps in a replacement client for shard s (a restarted or
-// re-dialed agent), re-introduces it with Hello, and replays every file the
-// shard was originally dealt.  The old client is closed.
-func (c *Coordinator) RestoreShard(w exec.Worker, s int, replacement Client) error {
+// re-dialed agent), re-introduces it with Hello, and loads into it shard s's
+// share of files — the night re-read from where nights live; the coordinator
+// keeps no copy — through LoadFiles' routing pass.  The old client is closed.
+func (c *Coordinator) RestoreShard(w exec.Worker, s int, replacement Client, files []*catalog.File) error {
 	c.mu.Lock()
 	old := c.clients[s]
 	c.clients[s] = replacement
-	queue := append([]dispatch(nil), c.plans[s]...)
 	c.mu.Unlock()
 	if old != nil {
 		old.Close()
@@ -425,7 +428,7 @@ func (c *Coordinator) RestoreShard(w exec.Worker, s int, replacement Client) err
 	if err := c.hello(w, s); err != nil {
 		return err
 	}
-	_, _, _, err := c.loadQueue(w, s, queue, c.cfg.Deferred)
+	_, err := c.load(w, files, c.all[s:s+1])
 	return err
 }
 
@@ -442,19 +445,30 @@ func (c *Coordinator) Close() error {
 	return first
 }
 
-// fanout runs fn once per target shard, in parallel (exec.Fanout), blocks
-// the calling worker until every branch finishes and returns per-target
-// errors.
-func (c *Coordinator) fanout(w exec.Worker, targets []int, fn func(exec.Worker, int) error) []error {
-	errs := make([]error, len(targets))
-	names := make([]string, len(targets))
-	for i, s := range targets {
-		names[i] = c.scatterNames[s]
+// fanout runs fn(worker, i, targets[i]) once per target shard, in parallel
+// (exec.Fanout), blocks the calling worker until every branch finishes and
+// returns the first target's error.  A single target runs on w itself.
+func (c *Coordinator) fanout(w exec.Worker, targets []int, fn func(fw exec.Worker, i, s int) error) error {
+	if len(targets) == 1 {
+		return fn(w, 0, targets[0])
 	}
+	names := c.scatterNames
+	if len(targets) != len(names) {
+		names = make([]string, len(targets))
+		for i, s := range targets {
+			names[i] = c.scatterNames[s]
+		}
+	}
+	errs := make([]error, len(targets))
 	exec.Fanout(c.sched, w, names, func(fw exec.Worker, i int) {
-		errs[i] = fn(fw, targets[i])
+		errs[i] = fn(fw, i, targets[i])
 	})
-	return errs
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Snapshot is the coordinator's metrics snapshot for /metrics exposition.
@@ -469,6 +483,11 @@ type Snapshot struct {
 	GatherHist    *metrics.Histogram
 	BytesSent     int64
 	BytesReceived int64
+	// The object directory's size (bytes estimated for ids held outside
+	// runs) and the lookups it could not place on one shard, which broadcast.
+	DirectoryRuns   int
+	DirectoryBytes  int64
+	DirectoryMisses int64
 }
 
 // Snapshot captures the coordinator-side metrics.
@@ -489,6 +508,10 @@ func (c *Coordinator) Snapshot() Snapshot {
 		snap.ShardRequests[s] = c.shardRequests[s].Load()
 		snap.ShardLoads[s] = c.shardLoads[s].Load()
 	}
+	dir := c.dir.Load()
+	snap.DirectoryRuns = len(dir.runs)
+	snap.DirectoryBytes = int64(cap(dir.runs)*24 + len(dir.odd)*32) // sizeof(dirRun); a map entry, roughly
+	snap.DirectoryMisses = c.dirMisses.Load()
 	snap.Gather = c.gather.Summary()
 	snap.GatherHist = c.gather
 	c.mu.Lock()
@@ -507,21 +530,4 @@ func (c *Coordinator) classFanout(class string) *atomic.Int64 {
 	}
 	v, _ := c.fanoutByClass.LoadOrStore(class, &atomic.Int64{})
 	return v.(*atomic.Int64)
-}
-
-func allShards(n int) []int {
-	out := make([]int, n)
-	for i := range out {
-		out[i] = i
-	}
-	return out
-}
-
-func firstError(errs []error) error {
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -1,12 +1,13 @@
 // Package shard is the distributed layer: a coordinator that partitions the
-// sky across agents by HTM trixel range, hands catalog files to the owning
-// agents, and serves queries by scattering to only the trixel-overlapping
-// shards and merge-gathering sorted results.
+// sky across agents by HTM trixel range, routes each record of a catalog file
+// to the agent that loads it, and serves queries by scattering to only the
+// owning shards and merge-gathering sorted results.
 //
-// Ownership rules (see PERFORMANCE.md "Distributed mode"): the partition map
-// is immutable after construction; each agent is the single owner of its
-// relstore.DB (the coordinator never reads rows directly, only wire
-// messages); gather buffers live per-request on the coordinator worker.
+// Ownership rules (see PERFORMANCE.md "Shard ownership rules"): the
+// partition map is immutable after construction; each agent is the single
+// owner of its relstore.DB (the coordinator never reads rows directly, only
+// wire messages, and keeps of a loaded night only the object directory);
+// gather buffers live per-request on the coordinator worker.
 package shard
 
 import (

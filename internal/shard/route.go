@@ -1,7 +1,6 @@
 package shard
 
 import (
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -98,63 +97,66 @@ func childTag(tag catalog.Tag) bool {
 	return false
 }
 
-// filterRecords returns the subset of a file's records one shard should
-// load: OBJ rows whose trixel falls in rng (plus unresolvable rows on the
-// home shard), their children, and every non-object record (frames,
-// observations, calibration — duplicated to each overlapping shard so
-// foreign keys resolve locally).  Original record order is preserved.
-func filterRecords(records []catalog.Record, rng htm.Range, home bool) []catalog.Record {
-	f := objLayout()
-	kept := make(map[string]bool)
-	for _, rec := range records {
+// routeAll marks a record every shard receiving its file loads: frames,
+// observations, calibration — duplicated so foreign keys resolve locally.
+const routeAll = ^uint16(0)
+
+// routeFile decides, once for the whole fleet, where each record of f loads:
+// an OBJ row on the shard owning its trixel (an unresolvable position on the
+// file's home shard, the owner of the footprint centre), a child row where
+// its object went — in this file or, through the directory, an earlier one —
+// or else on the home shard, where loading it reproduces the single-node
+// outcome, and every other record on all of targets.  route[i] is that shard
+// or routeAll; targets are the shards with a record of their own plus home.
+// Object ids are recorded in dir as they are placed.
+func routeFile(pm *PartitionMap, dir *directory, f *catalog.File) (route []uint16, targets []int) {
+	l := objLayout()
+	home := pm.Owner(fileCenterTrixel(f))
+	route = make([]uint16, len(f.Records))
+	receives := make([]bool, pm.Shards())
+	receives[home] = true
+	for i, rec := range f.Records {
 		if rec.Tag != catalog.TagOBJ {
 			continue
 		}
-		keep := home
-		if id, ok := objectTrixel(rec); ok {
-			keep = id >= rng.Lo && id <= rng.Hi
+		s := home
+		if trixel, ok := objectTrixel(rec); ok {
+			s = pm.Owner(trixel)
 		}
-		if keep {
-			kept[strings.TrimSpace(rec.Fields[f.idIdx])] = true
+		route[i] = uint16(s)
+		receives[s] = true
+		if id, ok := objectID(rec.Fields[l.idIdx]); ok {
+			dir.add(id, s)
 		}
 	}
-	out := make([]catalog.Record, 0, len(records))
-	for _, rec := range records {
+	for i, rec := range f.Records {
 		switch {
 		case rec.Tag == catalog.TagOBJ:
-			if !kept[strings.TrimSpace(rec.Fields[f.idIdx])] {
-				continue
-			}
 		case childTag(rec.Tag):
-			if len(rec.Fields) <= f.childIdx || !kept[strings.TrimSpace(rec.Fields[f.childIdx])] {
-				continue
+			s := home
+			if len(rec.Fields) > l.childIdx {
+				if id, ok := objectID(rec.Fields[l.childIdx]); ok {
+					if owner, ok := dir.first(id); ok {
+						s = owner
+					}
+				}
 			}
+			route[i] = uint16(s)
+			receives[s] = true
+		default:
+			route[i] = routeAll
 		}
-		out = append(out, rec)
 	}
-	return out
+	for s, ok := range receives {
+		if ok {
+			targets = append(targets, s)
+		}
+	}
+	return route, targets
 }
 
-// fileOwners returns the shard indices that must receive a file: every
-// shard owning at least one of its object trixels, plus the home shard
-// (owner of the footprint centre), which also absorbs rows whose position
-// cannot be resolved.
-func fileOwners(pm *PartitionMap, f *catalog.File) (targets []int, home int) {
-	home = pm.Owner(fileCenterTrixel(f))
-	seen := make(map[int]bool)
-	seen[home] = true
-	for _, rec := range f.Records {
-		if rec.Tag != catalog.TagOBJ {
-			continue
-		}
-		if id, ok := objectTrixel(rec); ok {
-			seen[pm.Owner(id)] = true
-		}
-	}
-	targets = make([]int, 0, len(seen))
-	for s := range seen {
-		targets = append(targets, s)
-	}
-	sort.Ints(targets)
-	return targets, home
+// objectID parses an object_id field as the transformer does.
+func objectID(raw string) (int64, bool) {
+	id, err := strconv.ParseInt(strings.TrimSpace(raw), 10, 64)
+	return id, err == nil
 }

@@ -163,9 +163,9 @@ func buildOracle(t testing.TB, files []*catalog.File, prof tuning.Profile) *rels
 	return db
 }
 
-// buildFleet assembles n in-process agents behind mem clients on a realtime
-// scheduler and loads the files through the coordinator.
-func buildFleet(t testing.TB, files []*catalog.File, n int, deferred bool) (*Coordinator, []*Agent, exec.InlineRunner) {
+// startFleet assembles n in-process agents behind mem clients on a realtime
+// scheduler, partitioned for the files, and says Hello.
+func startFleet(t testing.TB, files []*catalog.File, n int, deferred bool) (*Coordinator, []*Agent, exec.InlineRunner) {
 	t.Helper()
 	sched := exec.NewRealtime(exec.RealtimeConfig{Seed: 2})
 	inline := exec.InlineRunner(sched)
@@ -189,17 +189,21 @@ func buildFleet(t testing.TB, files []*catalog.File, n int, deferred bool) (*Coo
 	if err != nil {
 		t.Fatal(err)
 	}
-	inline.RunInline("fleet-setup", func(w exec.Worker) {
-		if err := co.Hello(w); err != nil {
-			t.Error(err)
-			return
-		}
-		if _, err := co.LoadFiles(w, files); err != nil {
-			t.Error(err)
-		}
-	})
-	if t.Failed() {
-		t.FailNow()
+	inline.RunInline("fleet-hello", func(w exec.Worker) { err = co.Hello(w) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	return co, agents, inline
+}
+
+// buildFleet is startFleet plus loading the files through the coordinator.
+func buildFleet(t testing.TB, files []*catalog.File, n int, deferred bool) (*Coordinator, []*Agent, exec.InlineRunner) {
+	t.Helper()
+	co, agents, inline := startFleet(t, files, n, deferred)
+	var err error
+	inline.RunInline("fleet-load", func(w exec.Worker) { _, err = co.LoadFiles(w, files) })
+	if err != nil {
+		t.Fatal(err)
 	}
 	return co, agents, inline
 }
@@ -231,6 +235,27 @@ func testQueries(files []*catalog.File, n int) []queries.Query {
 	return out
 }
 
+// resultBytes is the part of an answer that must be byte-identical.
+func resultBytes(r queries.Result) []byte {
+	b, _ := json.Marshal(struct {
+		O []queries.Object
+		B []queries.MagnitudeBin
+	}{r.Objects, r.Bins})
+	return b
+}
+
+// objectIDs returns the object ids of the files' OBJ records, in file order.
+func objectIDs(files ...*catalog.File) (ids []int64) {
+	for _, f := range files {
+		for _, rec := range f.Records {
+			if id, ok := objectID(rec.Fields[objLayout().idIdx]); ok && rec.Tag == catalog.TagOBJ {
+				ids = append(ids, id)
+			}
+		}
+	}
+	return ids
+}
+
 // assertOracleIdentical runs every query against both the fleet and the
 // single-node oracle and requires byte-identical Objects/Bins.
 func assertOracleIdentical(t testing.TB, co *Coordinator, inline exec.InlineRunner, oracle *relstore.DB, qs []queries.Query) {
@@ -249,14 +274,7 @@ func assertOracleIdentical(t testing.TB, co *Coordinator, inline exec.InlineRunn
 		if execErr != nil {
 			t.Fatalf("query %d (%s): fleet: %v", i, q.Signature(), execErr)
 		}
-		wantJSON, _ := json.Marshal(struct {
-			O []queries.Object
-			B []queries.MagnitudeBin
-		}{want.Objects, want.Bins})
-		gotJSON, _ := json.Marshal(struct {
-			O []queries.Object
-			B []queries.MagnitudeBin
-		}{got.Objects, got.Bins})
+		wantJSON, gotJSON := resultBytes(want), resultBytes(got)
 		if !bytes.Equal(wantJSON, gotJSON) {
 			t.Fatalf("query %d (%s): fleet result differs from oracle\n got %s\nwant %s",
 				i, q.Signature(), gotJSON, wantJSON)
@@ -321,7 +339,7 @@ func TestByteIdentityDeferredSeal(t *testing.T) {
 }
 
 // TestRestoreShard kills one shard's agent and client, brings up a fresh
-// agent, replays its file queue through RestoreShard, and requires the
+// agent, hands RestoreShard the files again, and requires the
 // fleet to be byte-identical to the oracle again.
 func TestRestoreShard(t *testing.T) {
 	files := catalog.GenerateNight(catalog.NightSpec{TotalMB: 2, Files: 3, RowsPerMB: 150, Seed: 11})
@@ -335,7 +353,7 @@ func TestRestoreShard(t *testing.T) {
 		t.Fatal(err)
 	}
 	inline.RunInline("restore", func(w exec.Worker) {
-		if err := co.RestoreShard(w, 1, NewMemClient(sched, replacementAgent, NetModel{})); err != nil {
+		if err := co.RestoreShard(w, 1, NewMemClient(sched, replacementAgent, NetModel{}), files); err != nil {
 			t.Error(err)
 		}
 	})

@@ -72,7 +72,7 @@ func TestTCPFleetKillRestart(t *testing.T) {
 		t.Fatal("fleet reported ready with a dead shard")
 	}
 
-	// Bring up a replacement on a new port and replay its share.
+	// Bring up a replacement on a new port and load its share again.
 	replacement, err := NewAgent(sched, DefaultAgentConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -87,7 +87,7 @@ func TestTCPFleetKillRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	inline.RunInline("restore", func(w exec.Worker) {
-		if err := co.RestoreShard(w, 1, cl); err != nil {
+		if err := co.RestoreShard(w, 1, cl, files); err != nil {
 			t.Error(err)
 		}
 	})

@@ -87,15 +87,13 @@ type Ready struct {
 	Rows    int64
 }
 
-// LoadTask carries one catalog file to an agent, or — when Seal is set —
-// asks the agent to close its load window and rebuild deferred indexes.
-// The full file travels as raw catalog lines; the agent parses and keeps
-// only the rows in its trixel range (plus, on the file's home shard, rows
-// whose position cannot be resolved, so error-path rows land exactly once).
+// LoadTask carries one shard's share of a catalog file to its agent, or —
+// when Seal is set — asks the agent to close its load window and rebuild
+// deferred indexes.  Lines are raw catalog lines the coordinator has already
+// routed: the agent parses and loads every one of them.
 type LoadTask struct {
 	TaskID       uint64
 	Seal         bool
-	Home         bool
 	Name         string
 	RABase       float64
 	DecBase      float64
@@ -195,7 +193,6 @@ func (m LoadTask) appendPayload(dst []byte) []byte {
 	dst = appendU8(dst, TypeLoadTask)
 	dst = appendU64(dst, m.TaskID)
 	dst = appendBool(dst, m.Seal)
-	dst = appendBool(dst, m.Home)
 	dst = appendString(dst, m.Name)
 	dst = appendF64(dst, m.RABase)
 	dst = appendF64(dst, m.DecBase)
@@ -320,7 +317,6 @@ func DecodePayload(payload []byte) (Msg, error) {
 		t := LoadTask{
 			TaskID:       r.U64(),
 			Seal:         r.Bool(),
-			Home:         r.Bool(),
 			Name:         str(r),
 			RABase:       r.F64(),
 			DecBase:      r.F64(),

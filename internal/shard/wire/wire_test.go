@@ -22,8 +22,8 @@ func sampleMessages() []Msg {
 		Ready{ShardID: 7, Ready: true, Rows: 123456},
 		Ready{},
 		LoadTask{TaskID: 42, Name: "mega_0001.cat", RABase: 187.25, DecBase: -12.5,
-			NominalBytes: 1 << 20, Home: true,
-			Lines: []string{"OBJ|1|2|3.5|4.5|18.2|0.01|1.1|0.2|0", "", "# comment"}},
+			NominalBytes: 1 << 20,
+			Lines:        []string{"OBJ|1|2|3.5|4.5|18.2|0.01|1.1|0.2|0", "", "# comment"}},
 		LoadTask{TaskID: 43, Seal: true},
 		LoadResult{TaskID: 42, ShardID: 2, RowsLoaded: 99, RowsSkipped: 7, Err: "boom"},
 		Query{QueryID: 1, Kind: KindCone, RA: 123.456, Dec: -45.5, Radius: 0.25},
