@@ -27,8 +27,10 @@ race:
 	$(GO) test -race ./...
 
 # Time-boxed fuzzing of the five total decoders (the shared frame, wire
-# payloads, WAL record payloads, order-preserving keys, packed row views) and
-# of the key index against its key-storing oracle: 10 s each, one target and one package per invocation as `go test -fuzz` requires.
+# payloads, WAL record payloads, order-preserving keys, packed row views), of
+# the key index against its key-storing oracle and of the catalog splitter
+# against its Scanner oracle: 10 s each, one target and one package per
+# invocation as `go test -fuzz` requires.
 # An input that fails is written to the package's testdata/fuzz/<target>/;
 # check it in, it is then a regression seed every plain `go test` replays.
 fuzz:
@@ -38,6 +40,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzOrderedKeyOrder$$' -fuzztime 10s ./internal/relstore/
 	$(GO) test -run '^$$' -fuzz '^FuzzRowViewDecode$$' -fuzztime 10s ./internal/relstore/
 	$(GO) test -run '^$$' -fuzz '^FuzzKeyIndexOps$$' -fuzztime 10s ./internal/relstore/
+	$(GO) test -run '^$$' -fuzz '^FuzzReadRecords$$' -fuzztime 10s ./internal/catalog/
 
 # The byte-identity oracles a behaviour-preserving change must leave alone:
 # the twelve skybench CSVs, skyload (DES and both -crash seeds), the three
@@ -52,9 +55,10 @@ oracles:
 # Batch-apply + index-build benchmark smoke: exercises the per-row loop,
 # Txn.InsertBatch, the sorted bulk B-tree pass, the Seal bulk leaf build, the
 # encoded-key comparator, the immediate-vs-deferred load policy comparison,
-# the one HTTP front door (query path and /metrics render, over a database)
-# and the fleet's scatter-gather path under it, so none of those can silently
-# regress or break.  -benchtime=100x (1x for the whole-run bench) keeps it a
+# the one HTTP front door (query path and /metrics render, over a database),
+# the fleet's scatter-gather path under it and the whole ingest path on the
+# wall clock (ReadRecords + parallel.Run, the region every skyperf workload
+# times), so none of those can silently regress or break.  -benchtime=100x (1x for the whole-run bench) keeps it a
 # smoke test (counts, not timings); measurements come from `make perf`
 # (bench/README.md).
 bench:
@@ -62,6 +66,7 @@ bench:
 	$(GO) test -run '^$$' -bench 'IndexLoadPolicy' -benchtime=1x ./internal/relstore/
 	$(GO) test -run '^$$' -bench 'ServeHTTPQuery|MetricsScrape' -benchtime=100x ./internal/httpserve/
 	$(GO) test -run '^$$' -bench 'ScatterGather|SingleNode|WireQueryResult' -benchtime=50x ./internal/shard/
+	$(GO) test -run '^$$' -bench 'IngestNight' -benchtime=1x .
 
 # bench/ is a module of its own (it requires this one through a replace
 # directive), so `go test ./...` at the root never reaches it.  Its tests run

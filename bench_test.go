@@ -11,17 +11,22 @@
 package skyloader_test
 
 import (
+	"bytes"
+	"strings"
 	"testing"
 
 	"skyloader/internal/arrayset"
 	"skyloader/internal/catalog"
 	"skyloader/internal/core"
 	"skyloader/internal/des"
+	"skyloader/internal/exec"
 	"skyloader/internal/experiments"
 	"skyloader/internal/htm"
 	"skyloader/internal/metrics"
+	"skyloader/internal/parallel"
 	"skyloader/internal/relstore"
 	"skyloader/internal/sqlbatch"
+	"skyloader/internal/tuning"
 )
 
 // benchCfg is the reduced configuration used by the experiment benchmarks.
@@ -353,6 +358,52 @@ func BenchmarkLoaderEndToEnd(b *testing.B) {
 		}
 		b.ReportMetric(stats.Elapsed.Seconds(), "vsec_per_10MB")
 	}
+}
+
+// BenchmarkIngestNight is the timed region of every skyperf workload on the
+// wall clock: a 100k-row night as catalog text, catalog.ReadRecords on every
+// file, then parallel.Run with two loaders on the realtime scheduler into a
+// production-tuned database with the benchmark's immediate indexes.  It is
+// where an ingest profile comes from:
+//
+//	go test -run '^$' -bench IngestNight -benchtime 5x -cpuprofile cpu.prof .
+func BenchmarkIngestNight(b *testing.B) {
+	night := catalog.GenerateNight(catalog.NightSpec{
+		TotalMB: 1000, RowsPerMB: 100, Seed: 7, ErrorRate: 0.002, RunID: 1, Files: 8,
+	})
+	texts := make([]string, len(night))
+	for i, f := range night {
+		var buf bytes.Buffer
+		if _, err := f.WriteTo(&buf); err != nil {
+			b.Fatal(err)
+		}
+		texts[i] = buf.String()
+	}
+	prof := tuning.ProductionLoading()
+	rows := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		db, err := tuning.OpenRepository(tuning.HTMIDPlusComposite, relstore.WithConfig(prof.DBConfig()))
+		if err != nil {
+			b.Fatal(err)
+		}
+		srv := sqlbatch.NewServerOn(exec.NewRealtime(exec.RealtimeConfig{Seed: 7}), db, prof.ServerConfig(), sqlbatch.DefaultCostModel())
+		b.StartTimer()
+
+		files := make([]*catalog.File, len(texts))
+		for j, text := range texts {
+			recs, _ := catalog.ReadRecords(strings.NewReader(text))
+			files[j] = &catalog.File{Name: night[j].Name, Records: recs, NominalBytes: night[j].NominalBytes, DataRows: len(recs)}
+		}
+		res, err := parallel.Run(srv, files, parallel.Config{Loaders: 2, Loader: core.Config{BatchSize: 40, ArraySize: 1000}})
+		if err != nil {
+			b.Fatal(err)
+		}
+		rows += res.Total.RowsRead
+	}
+	b.ReportMetric(float64(rows)/b.Elapsed().Seconds(), "rows/s")
 }
 
 // BenchmarkDESEventThroughput measures raw simulation kernel throughput

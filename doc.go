@@ -65,6 +65,21 @@
 // PERFORMANCE.md describes the layout, the ownership and lifetime rules, and
 // the measured footprint.
 //
+// # Ingest memory traffic
+//
+// The ingest client allocates per file, per array and per chunk, not per
+// line and per row.  catalog.ReadRecords reads a file into one string and
+// cuts every record out of it: fields alias the text and every Record.Fields
+// is a window of one arena, so a record keeps its whole file alive.  The
+// loader transforms each record into one scratch row
+// (Transformer.TransformInto), ArraySet.Add copies it into the table's value
+// slab, and after a flush cycle ArraySet.Recycle hands the cleared buffers to
+// the next; arrays a caller keeps after Drain and never recycles stay intact.
+// DB.Checkpoint encodes the snapshot into 1 MiB chunks, frames built in
+// place, and writes them once the table locks are released.  PERFORMANCE.md
+// ("Ingest memory traffic") has the ownership rules and the measured
+// counters.
+//
 // # Execution modes
 //
 // Everything above the storage engine runs against internal/exec's Scheduler

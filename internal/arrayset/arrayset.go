@@ -23,9 +23,11 @@ import (
 // Array buffers pending rows for one destination table.
 //
 // Rows is handed to the batch-apply path by reference (sub-slices go straight
-// into Stmt.ExecuteBatchRows): the buffer is stable from the moment a row is
-// added until the flush cycle that drains it completes, and nothing mutates
-// buffered rows in between, so the flush path performs no per-row copies.
+// into Stmt.ExecuteBatchRows): every row is a capacity-clipped window of a
+// value slab the array owns, stable from the moment the row is added until
+// the array is passed to Recycle (for ever, if it never is), and nothing
+// mutates buffered rows in between, so the flush path performs no per-row
+// copies.
 type Array struct {
 	Table   string
 	Columns []string
@@ -35,8 +37,18 @@ type Array struct {
 	// load errors can be reported against the input file.
 	SourceLines []int
 
+	// slab is the newest block of row values.  A full block is not grown:
+	// the rows that window it keep it alive and a block twice its size takes
+	// over, so rows never move and only the newest block is there to reuse.
+	slab []relstore.Value
+
 	bytes int64
 }
+
+// minSlabValues is the capacity of an array's first value slab; the slab
+// doubles from there to whatever one flush cycle of the table needs and is
+// then reused, so it is never sized from ArraySize (which may be millions).
+const minSlabValues = 256
 
 // Len returns the number of buffered rows.
 func (a *Array) Len() int { return len(a.Rows) }
@@ -72,7 +84,7 @@ type ArraySet struct {
 	cfg    Config
 	order  map[string]int // table -> topological position (parents first)
 	arrays map[string]*Array
-	active []string // creation order, for deterministic iteration
+	free   map[string]*Array // recycled arrays, emptied, awaiting their table's next cycle
 
 	totalRows  int
 	totalBytes int64
@@ -100,6 +112,7 @@ func New(schema *relstore.Schema, cfg Config) (*ArraySet, error) {
 		cfg:    cfg,
 		order:  order,
 		arrays: make(map[string]*Array),
+		free:   make(map[string]*Array),
 	}, nil
 }
 
@@ -124,9 +137,11 @@ func (s *ArraySet) sizeFor(table string) int {
 }
 
 // Add buffers one row destined for table, creating the table's array on
-// first use.  It reports whether the addition filled any array (or crossed
-// the memory high-water mark), i.e. whether the caller should flush now.
-// created reports whether a new array had to be allocated for this row.
+// first use.  The values are copied into the array's slab: the caller may
+// reuse or change values as soon as Add returns.  It reports whether the
+// addition filled any array (or crossed the memory high-water mark), i.e.
+// whether the caller should flush now.  created reports whether the table's
+// array joined the cycle with this row (newly allocated or recycled).
 func (s *ArraySet) Add(table string, columns []string, values []relstore.Value, sourceLine int) (full, created bool, err error) {
 	arr, ok := s.arrays[table]
 	if !ok {
@@ -136,22 +151,32 @@ func (s *ArraySet) Add(table string, columns []string, values []relstore.Value, 
 		if _, known := s.order[table]; !known {
 			return false, false, fmt.Errorf("arrayset: table %q is not part of the schema", table)
 		}
-		// Pre-size the buffers to the flush threshold: an array almost always
-		// fills to exactly that size before the set is drained, so reserving
-		// it up front removes the append regrowth copies from the add path.
-		size := s.sizeFor(table)
-		arr = &Array{
-			Table:       table,
-			Columns:     columns,
-			Rows:        make([][]relstore.Value, 0, size),
-			SourceLines: make([]int, 0, size),
+		if arr = s.free[table]; arr != nil {
+			delete(s.free, table)
+			arr.Columns = columns
+		} else {
+			// Pre-size the row buffers to the flush threshold: an array
+			// almost always fills to exactly that size before the set is
+			// drained, so reserving it up front removes the append regrowth
+			// copies from the add path.
+			size := s.sizeFor(table)
+			arr = &Array{
+				Table:       table,
+				Columns:     columns,
+				Rows:        make([][]relstore.Value, 0, size),
+				SourceLines: make([]int, 0, size),
+			}
 		}
 		s.arrays[table] = arr
-		s.active = append(s.active, table)
 		s.arraysCreated++
 		created = true
 	}
-	arr.Rows = append(arr.Rows, values)
+	if len(arr.slab)+len(values) > cap(arr.slab) {
+		arr.slab = make([]relstore.Value, 0, max(2*cap(arr.slab), minSlabValues, len(values)))
+	}
+	start := len(arr.slab)
+	arr.slab = append(arr.slab, values...)
+	arr.Rows = append(arr.Rows, arr.slab[start:len(arr.slab):len(arr.slab)])
 	arr.SourceLines = append(arr.SourceLines, sourceLine)
 	rb := int64(relstore.RowSize(values) + s.cfg.RowOverheadBytes)
 	arr.bytes += rb
@@ -177,8 +202,8 @@ func (s *ArraySet) MemoryBytes() int64 { return s.totalBytes }
 // NumArrays returns the number of arrays currently maintained.
 func (s *ArraySet) NumArrays() int { return len(s.arrays) }
 
-// ArraysCreated returns the cumulative number of arrays allocated over the
-// lifetime of the set (across flush cycles).
+// ArraysCreated returns the cumulative number of arrays that joined a flush
+// cycle over the lifetime of the set, newly allocated or recycled.
 func (s *ArraySet) ArraysCreated() int { return s.arraysCreated }
 
 // CyclesFlushed returns how many flush cycles have completed.
@@ -211,7 +236,9 @@ func (s *ArraySet) FlushOrder() []string {
 // Drain returns the arrays in flush order and resets the set: the arrays are
 // handed to the caller and the set is left empty, matching the paper's
 // "at the end of the bulk-loading cycle, the arrays in array-set are
-// destroyed and their memory released".
+// destroyed and their memory released".  The caller owns what it gets — the
+// set keeps no reference, and later Adds and Drains never touch it — until
+// and unless it gives the arrays back with Recycle.
 func (s *ArraySet) Drain() []*Array {
 	order := s.FlushOrder()
 	out := make([]*Array, 0, len(order))
@@ -223,10 +250,24 @@ func (s *ArraySet) Drain() []*Array {
 	return out
 }
 
+// Recycle gives drained arrays back to the set, which empties them and
+// reuses their row buffers and slab the next time their table is added to.
+// The caller must be done with them: Rows, SourceLines and every row of the
+// arrays are invalid from here on.  The buffers are cleared, so a recycled
+// array pins none of the strings its rows held.
+func (s *ArraySet) Recycle(arrays []*Array) {
+	for _, arr := range arrays {
+		clear(arr.Rows)
+		clear(arr.slab)
+		arr.Rows, arr.SourceLines, arr.slab = arr.Rows[:0], arr.SourceLines[:0], arr.slab[:0]
+		arr.bytes = 0
+		s.free[arr.Table] = arr
+	}
+}
+
 // Reset discards all buffered rows and arrays without returning them.
 func (s *ArraySet) Reset() {
-	s.arrays = make(map[string]*Array)
-	s.active = nil
+	clear(s.arrays)
 	s.totalRows = 0
 	s.totalBytes = 0
 }

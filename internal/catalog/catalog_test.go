@@ -1,7 +1,11 @@
 package catalog
 
 import (
+	"bufio"
 	"bytes"
+	"fmt"
+	"io"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -472,6 +476,259 @@ func TestGeneratedFilesTransformCleanly(t *testing.T) {
 	for _, rec := range f.Records {
 		if _, err := tr.Transform(rec); err != nil {
 			t.Fatalf("record %q failed: %v", rec.Format(), err)
+		}
+	}
+}
+
+// scannerReadRecords is the line-at-a-time parser ReadRecords replaced
+// (bufio.Scanner, one string per line, strings.Split per record), kept as the
+// oracle the arena splitter is compared against.
+func scannerReadRecords(r io.Reader) ([]Record, []error) {
+	parseLine := func(line string, lineNo int) (Record, error) {
+		line = strings.TrimRight(line, "\r\n")
+		if line == "" || strings.HasPrefix(line, "#") {
+			return Record{}, ErrSkipLine
+		}
+		parts := strings.Split(line, FieldSep)
+		tag := Tag(strings.TrimSpace(parts[0]))
+		layout, ok := layoutByTag[tag]
+		if !ok {
+			return Record{}, &ParseError{Line: lineNo, Reason: fmt.Sprintf("unknown tag %q", parts[0])}
+		}
+		fields := parts[1:]
+		if len(fields) != len(layout.Fields) {
+			return Record{}, &ParseError{Line: lineNo, Tag: tag,
+				Reason: fmt.Sprintf("expected %d fields, got %d", len(layout.Fields), len(fields))}
+		}
+		return Record{Tag: tag, Fields: fields, Line: lineNo}, nil
+	}
+	var recs []Record
+	var errs []error
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 0, 64*1024), maxLineBytes)
+	lineNo := 0
+	for sc.Scan() {
+		lineNo++
+		rec, err := parseLine(sc.Text(), lineNo)
+		if err != nil {
+			if err != ErrSkipLine {
+				errs = append(errs, err)
+			}
+			continue
+		}
+		recs = append(recs, rec)
+	}
+	if err := sc.Err(); err != nil {
+		errs = append(errs, err)
+	}
+	return recs, errs
+}
+
+// sameParse reports the first difference between two parses of one text:
+// records (tag, every field, line number) and error strings, in order.
+func sameParse(gotRecs []Record, gotErrs []error, wantRecs []Record, wantErrs []error) error {
+	if len(gotRecs) != len(wantRecs) {
+		return fmt.Errorf("%d records, oracle %d", len(gotRecs), len(wantRecs))
+	}
+	for i, want := range wantRecs {
+		got := gotRecs[i]
+		if got.Tag != want.Tag || got.Line != want.Line || len(got.Fields) != len(want.Fields) {
+			return fmt.Errorf("record %d: %+v, oracle %+v", i, got, want)
+		}
+		for j := range want.Fields {
+			if got.Fields[j] != want.Fields[j] {
+				return fmt.Errorf("record %d field %d: %q, oracle %q", i, j, got.Fields[j], want.Fields[j])
+			}
+		}
+	}
+	if len(gotErrs) != len(wantErrs) {
+		return fmt.Errorf("%d errors %v, oracle %d %v", len(gotErrs), gotErrs, len(wantErrs), wantErrs)
+	}
+	for i, want := range wantErrs {
+		if gotErrs[i].Error() != want.Error() {
+			return fmt.Errorf("error %d: %q, oracle %q", i, gotErrs[i], want)
+		}
+	}
+	return nil
+}
+
+// nightText serialises a generated night into one text per file.
+func nightText(t testing.TB, spec NightSpec) []string {
+	t.Helper()
+	var texts []string
+	for _, f := range GenerateNight(spec) {
+		var buf bytes.Buffer
+		if _, err := f.WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		texts = append(texts, buf.String())
+	}
+	return texts
+}
+
+// parserCases are the inputs on which the line rules differ from "split at
+// every | and newline": each must parse exactly as the Scanner version does.
+var parserCases = map[string]string{
+	"empty file":          "",
+	"only a newline":      "\n",
+	"no trailing newline": "PRM|1|2|name|value",
+	"CRLF":                "PRM|1|2|name|value\r\nPRM|3|4|n|v\r\n",
+	"CR only inside":      "PRM|1|2|na\rme|value\nPRM|3|4|n|v\r\r\n",
+	"blank and comments":  "\n# header\n\nPRM|1|2|name|value\n#PRM|1|2|n|v\n \n\r\n",
+	"comment after space": " # not a comment\n",
+	"unknown tag":         "ZZZ|1|2\nprm|1|2|n|v\n|1|2\n",
+	"short field count":   "OBJ|1|2\nPRM\nPRM|\n",
+	"long field count":    "PRM|1|2|name|value|extra\n",
+	"separator at end":    "PRM|1|2|name|\nPRM|1|2|name|value|\n",
+	"spaces around tag":   " PRM |1|2|name|value\n\tFNG\t|1|2|3|4|5|6\n",
+	"NUL bytes":           "PRM|1|\x00|na\x00me|value\n\x00\nPRM\x00|1|2|n|v\n",
+	"invalid UTF-8":       "PRM|\xff|\xfe|n|v\n\xff\xfe|1\n",
+	"many empty lines":    "\n\n\n\nPRM|1|2|n|v\n\n\n",
+}
+
+// TestReadRecordsMatchesScanner holds the arena splitter to the parser it
+// replaced: identical records, line numbers and error strings on a generated
+// night with corrupted rows and on every edge of the line format.
+func TestReadRecordsMatchesScanner(t *testing.T) {
+	for name, text := range parserCases {
+		gotRecs, gotErrs := ReadRecords(strings.NewReader(text))
+		wantRecs, wantErrs := scannerReadRecords(strings.NewReader(text))
+		if err := sameParse(gotRecs, gotErrs, wantRecs, wantErrs); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+	}
+	for i, text := range nightText(t, NightSpec{TotalMB: 40, Seed: 5, ErrorRate: 0.02, RunID: 1, Files: 4}) {
+		// Damage a few lines the way a truncated or mis-joined file would, so
+		// the night also carries parse errors.
+		lines := strings.SplitAfter(text, "\n")
+		for j := 7; j < len(lines); j += 97 {
+			switch j % 3 {
+			case 0:
+				lines[j] = "XX" + lines[j]
+			case 1:
+				lines[j] = strings.Replace(lines[j], "|", "", 1)
+			default:
+				lines[j] = strings.TrimSuffix(lines[j], "\n") + "|\r\n"
+			}
+		}
+		text = strings.Join(lines, "")
+		gotRecs, gotErrs := ReadRecords(strings.NewReader(text))
+		wantRecs, wantErrs := scannerReadRecords(strings.NewReader(text))
+		if len(wantRecs) == 0 || len(wantErrs) == 0 {
+			t.Fatalf("file %d: oracle gave %d records and %d errors; the input exercises nothing", i, len(wantRecs), len(wantErrs))
+		}
+		if err := sameParse(gotRecs, gotErrs, wantRecs, wantErrs); err != nil {
+			t.Errorf("file %d: %v", i, err)
+		}
+	}
+}
+
+// FuzzReadRecords: on any bytes whose lines stay under the length limit the
+// arena splitter and the Scanner oracle agree.
+func FuzzReadRecords(f *testing.F) {
+	for _, text := range parserCases {
+		f.Add([]byte(text))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		gotRecs, gotErrs := ReadRecords(bytes.NewReader(data))
+		wantRecs, wantErrs := scannerReadRecords(bytes.NewReader(data))
+		if err := sameParse(gotRecs, gotErrs, wantRecs, wantErrs); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// TestParseLinesMatchesParseLine: the fleet's entry point gives each listed
+// line the record, line number and error ParseLine gives it alone.
+func TestParseLinesMatchesParseLine(t *testing.T) {
+	var lines []string
+	for _, text := range parserCases {
+		lines = append(lines, strings.Split(text, "\n")...)
+	}
+	lines = append(lines, "PRM|1|2|two\nlines|v") // a listed line is one line whatever it holds
+	var wantRecs []Record
+	var wantErrs []error
+	for i, line := range lines {
+		rec, err := ParseLine(line, i+1)
+		if err == nil {
+			wantRecs = append(wantRecs, rec)
+		} else if err != ErrSkipLine {
+			wantErrs = append(wantErrs, err)
+		}
+	}
+	gotRecs, gotErrs := ParseLines(lines)
+	if err := sameParse(gotRecs, gotErrs, wantRecs, wantErrs); err != nil {
+		t.Fatal(err)
+	}
+	if len(wantRecs) == 0 || len(wantErrs) == 0 {
+		t.Fatalf("%d records and %d errors: the input exercises nothing", len(wantRecs), len(wantErrs))
+	}
+}
+
+// TestReadRecordsLongLine: a line at or over the length limit is one
+// ParseError with its line number, and the lines after it still parse (the
+// Scanner version stopped there and dropped the rest of the file).
+func TestReadRecordsLongLine(t *testing.T) {
+	before := strings.Repeat("PRM|1|2|name|value\n", 3)
+	long := "PRM|1|2|name|" + strings.Repeat("x", 5<<20) + "\n"
+	after := strings.Repeat("FNG|1|2|3|4|5|6\n", 4)
+	recs, errs := ReadRecords(strings.NewReader(before + long + after))
+	if len(recs) != 7 {
+		t.Fatalf("%d records, want the 3 before and the 4 after the long line", len(recs))
+	}
+	for i, rec := range recs {
+		wantTag, wantLine := TagPRM, i+1
+		if i >= 3 {
+			wantTag, wantLine = TagFNG, i+2
+		}
+		if rec.Tag != wantTag || rec.Line != wantLine {
+			t.Errorf("record %d: tag %s line %d, want %s line %d", i, rec.Tag, rec.Line, wantTag, wantLine)
+		}
+	}
+	if len(errs) != 1 {
+		t.Fatalf("%d errors, want exactly one: %v", len(errs), errs)
+	}
+	if pe, ok := errs[0].(*ParseError); !ok || pe.Line != 4 {
+		t.Fatalf("error %v, want a *ParseError at line 4", errs[0])
+	}
+	// One byte under the limit is an ordinary line.
+	ok := "PRM|1|2|name|" + strings.Repeat("x", maxLineBytes-1-len("PRM|1|2|name|"))
+	if recs, errs := ReadRecords(strings.NewReader(ok + "\n" + after)); len(recs) != 5 || len(errs) != 0 {
+		t.Fatalf("line of %d bytes: %d records, errors %v", len(ok), len(recs), errs)
+	}
+}
+
+// TestReadRecordsAllocs pins what the arena splitter is for: a file costs a
+// fixed number of allocations whatever its length, and few bytes beyond its
+// text, its records and their field headers.  The Scanner version made 2.0
+// allocations a line (50,406 on the larger file here) and allocated 8.70
+// bytes per text byte.
+func TestReadRecordsAllocs(t *testing.T) {
+	const (
+		mallocCeiling = 16
+		bytesCeiling  = 5.0 // bytes allocated per byte of text
+	)
+	measure := func(text string) (mallocs uint64, bytesPerByte float64, lines int) {
+		r := strings.NewReader(text)
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		recs, errs := ReadRecords(r)
+		runtime.ReadMemStats(&after)
+		if len(errs) != 0 {
+			t.Fatalf("parse errors: %v", errs)
+		}
+		return after.Mallocs - before.Mallocs, float64(after.TotalAlloc-before.TotalAlloc) / float64(len(text)), len(recs)
+	}
+	for _, mb := range []float64{25, 250} {
+		text := nightText(t, NightSpec{TotalMB: mb, Seed: 7, ErrorRate: 0.02, RunID: 1, Files: 1})[0]
+		mallocs, ratio, lines := measure(text)
+		t.Logf("%d lines, %d text bytes: %d mallocs, %.2f bytes allocated per text byte", lines, len(text), mallocs, ratio)
+		if mallocs > mallocCeiling {
+			t.Errorf("%d lines cost %d allocations, ceiling %d", lines, mallocs, mallocCeiling)
+		}
+		if ratio > bytesCeiling {
+			t.Errorf("%.2f bytes allocated per text byte, ceiling %.1f", ratio, bytesCeiling)
 		}
 	}
 }

@@ -402,31 +402,6 @@ func (f *File) WriteTo(w io.Writer) (int64, error) {
 	return n, bw.Flush()
 }
 
-// ReadRecords parses catalog ASCII from r, returning the parsed records and
-// any per-line parse errors (malformed lines are skipped, not fatal).
-func ReadRecords(r io.Reader) ([]Record, []error) {
-	var recs []Record
-	var errs []error
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		rec, err := ParseLine(sc.Text(), lineNo)
-		if err != nil {
-			if err != ErrSkipLine {
-				errs = append(errs, err)
-			}
-			continue
-		}
-		recs = append(recs, rec)
-	}
-	if err := sc.Err(); err != nil {
-		errs = append(errs, err)
-	}
-	return recs, errs
-}
-
 // FilesPerObservation is the number of catalog files the pipeline produces
 // per observation (28, one per group of 4 CCDs; §4.4).
 const FilesPerObservation = 28

@@ -2,6 +2,8 @@ package catalog
 
 import (
 	"fmt"
+	"io"
+	"os"
 	"strings"
 )
 
@@ -110,23 +112,129 @@ func (r Record) Bytes() int {
 // ParseLine parses one catalog file line into a Record.  It validates that
 // the tag is known and the field count matches the tag's layout; it does not
 // validate field contents (that is the transformer's and the database's job).
+// The record's fields alias line.
 func ParseLine(line string, lineNo int) (Record, error) {
+	_, rec, err := splitLine(make([]string, 0, strings.Count(line, FieldSep)), line, lineNo)
+	return rec, err
+}
+
+// maxLineBytes is the length from which ReadRecords refuses a line (counted
+// without its newline) instead of parsing it.
+const maxLineBytes = 4 << 20
+
+// ReadRecords parses catalog ASCII from r, returning the parsed records and
+// any per-line parse errors (malformed lines, and lines of 4 MiB or more, are
+// skipped and reported, not fatal; an error reading r comes last, after
+// whatever was read is parsed).
+//
+// The file is read once into one string, and the records are cut from two
+// allocations sized by counting its newlines and separators: every field of
+// every record aliases that string and every Record.Fields is a window of one
+// shared arena, so holding one record holds the file's text and the arena.
+// Appending to a record's Fields copies them (the windows are clipped to
+// their length); nothing may write through them.
+func ReadRecords(r io.Reader) ([]Record, []error) {
+	text, readErr := readText(r)
+	s := newSplitter(strings.Count(text, "\n")+1, strings.Count(text, FieldSep))
+	for lineNo := 1; text != ""; lineNo++ {
+		line := text
+		if i := strings.IndexByte(text, '\n'); i >= 0 {
+			line, text = text[:i], text[i+1:]
+		} else {
+			text = ""
+		}
+		s.add(line, lineNo)
+	}
+	if readErr != nil {
+		s.errs = append(s.errs, readErr)
+	}
+	return s.recs, s.errs
+}
+
+// ParseLines is ReadRecords over lines already cut (the fleet's load tasks
+// carry them that way): lines[i] is line i+1 whatever bytes it holds, and the
+// records alias the lines and one arena per call.
+func ParseLines(lines []string) ([]Record, []error) {
+	seps := 0
+	for _, line := range lines {
+		seps += strings.Count(line, FieldSep)
+	}
+	s := newSplitter(len(lines), seps)
+	for i, line := range lines {
+		s.add(line, i+1)
+	}
+	return s.recs, s.errs
+}
+
+// splitter collects the records of one file or one load task.
+type splitter struct {
+	recs  []Record
+	arena []string // every Record.Fields is a window of it
+	errs  []error
+}
+
+// newSplitter allocates for at most maxLines records of maxFields fields in
+// all, so neither slice grows while lines are added.
+func newSplitter(maxLines, maxFields int) *splitter {
+	return &splitter{recs: make([]Record, 0, maxLines), arena: make([]string, 0, maxFields)}
+}
+
+func (s *splitter) add(line string, lineNo int) {
+	if len(line) >= maxLineBytes {
+		s.errs = append(s.errs, &ParseError{Line: lineNo,
+			Reason: fmt.Sprintf("line of %d bytes exceeds the %d-byte limit", len(line), maxLineBytes-1)})
+		return
+	}
+	arena, rec, err := splitLine(s.arena, line, lineNo)
+	s.arena = arena
+	if err == nil {
+		s.recs = append(s.recs, rec)
+	} else if err != ErrSkipLine {
+		s.errs = append(s.errs, err)
+	}
+}
+
+// readText reads r to its end into one string, sized up front when r can say
+// how much it holds.
+func readText(r io.Reader) (string, error) {
+	var sb strings.Builder
+	switch src := r.(type) {
+	case interface{ Len() int }:
+		sb.Grow(src.Len())
+	case *os.File:
+		if info, err := src.Stat(); err == nil && info.Mode().IsRegular() {
+			sb.Grow(int(info.Size()))
+		}
+	}
+	_, err := io.Copy(&sb, r)
+	return sb.String(), err
+}
+
+// splitLine is the one line parser: it cuts line at every FieldSep, appends
+// the fields to arena and returns the grown arena with a record whose Fields
+// is the capacity-clipped window just appended.  A line that yields no record
+// leaves arena as it was.
+func splitLine(arena []string, line string, lineNo int) ([]string, Record, error) {
 	line = strings.TrimRight(line, "\r\n")
-	if line == "" || strings.HasPrefix(line, "#") {
-		return Record{}, ErrSkipLine
+	if line == "" || line[0] == '#' {
+		return arena, Record{}, ErrSkipLine
 	}
-	parts := strings.Split(line, FieldSep)
-	tag := Tag(strings.TrimSpace(parts[0]))
-	layout, ok := layoutByTag[tag]
+	head, rest, more := strings.Cut(line, FieldSep)
+	layout, ok := layoutByTag[Tag(strings.TrimSpace(head))]
 	if !ok {
-		return Record{}, &ParseError{Line: lineNo, Reason: fmt.Sprintf("unknown tag %q", parts[0])}
+		return arena, Record{}, &ParseError{Line: lineNo, Reason: fmt.Sprintf("unknown tag %q", head)}
 	}
-	fields := parts[1:]
-	if len(fields) != len(layout.Fields) {
-		return Record{}, &ParseError{Line: lineNo, Tag: tag,
-			Reason: fmt.Sprintf("expected %d fields, got %d", len(layout.Fields), len(fields))}
+	start := len(arena)
+	for more {
+		var field string
+		field, rest, more = strings.Cut(rest, FieldSep)
+		arena = append(arena, field)
 	}
-	return Record{Tag: tag, Fields: fields, Line: lineNo}, nil
+	if got := len(arena) - start; got != len(layout.Fields) {
+		return arena[:start], Record{}, &ParseError{Line: lineNo, Tag: layout.Tag,
+			Reason: fmt.Sprintf("expected %d fields, got %d", len(layout.Fields), got)}
+	}
+	return arena, Record{Tag: layout.Tag, Fields: arena[start:len(arena):len(arena)], Line: lineNo}, nil
 }
 
 // ErrSkipLine is returned by ParseLine for blank and comment lines.

@@ -34,6 +34,7 @@ type Transformer struct {
 
 	plans      map[Tag]*tagPlan
 	objColumns []string
+	maxValues  int
 }
 
 // tagPlan is everything Transform needs to know about one tag, resolved
@@ -78,6 +79,7 @@ func NewTransformer(schema *relstore.Schema) *Transformer {
 			}
 		}
 		t.plans[layout.Tag] = p
+		t.maxValues = max(t.maxValues, len(layout.Fields)+derivedObjectColumns)
 	}
 	t.objColumns = append(append([]string{}, t.plans[TagOBJ].layout.Fields...), "htmid", "cx", "cy", "cz")
 	return t
@@ -97,8 +99,26 @@ type TransformedRow struct {
 // record's own fields (htmid, cx, cy, cz).
 const derivedObjectColumns = 4
 
-// Transform converts a record into a database row.
+// Transform converts a record into a database row whose Values are freshly
+// allocated and the caller's to keep.
 func (t *Transformer) Transform(rec Record) (TransformedRow, error) {
+	n := len(rec.Fields)
+	if rec.Tag == TagOBJ {
+		n += derivedObjectColumns
+	}
+	return t.TransformInto(make([]relstore.Value, 0, n), rec)
+}
+
+// MaxRowValues bounds the width of a row TransformInto produces (the widest
+// layout plus the derived object columns): a scratch slice of that capacity
+// is never outgrown.
+func (t *Transformer) MaxRowValues() int { return t.maxValues }
+
+// TransformInto is Transform writing the row's Values into scratch (from its
+// start, growing it only when its capacity is too small): the returned row is
+// valid until scratch is next written, so a caller that passes the same
+// scratch for every record copies the values it keeps (ArraySet.Add does).
+func (t *Transformer) TransformInto(scratch []relstore.Value, rec Record) (TransformedRow, error) {
 	p, ok := t.plans[rec.Tag]
 	if !ok {
 		return TransformedRow{}, &TransformError{Line: rec.Line, Tag: rec.Tag, Reason: "unknown tag"}
@@ -113,17 +133,13 @@ func (t *Transformer) Transform(rec Record) (TransformedRow, error) {
 			Reason: fmt.Sprintf("expected %d fields, got %d", len(layout.Fields), len(rec.Fields))}
 	}
 
-	n := len(layout.Fields)
-	if rec.Tag == TagOBJ {
-		n += derivedObjectColumns
-	}
-	values := make([]relstore.Value, len(layout.Fields), n)
+	values := scratch[:0]
 	for i := range p.fields {
 		v, err := convertField(&p.fields[i], layout.Table, layout.Fields[i], rec.Fields[i])
 		if err != nil {
 			return TransformedRow{}, &TransformError{Line: rec.Line, Tag: rec.Tag, Field: layout.Fields[i], Reason: err.Error()}
 		}
-		values[i] = v
+		values = append(values, v)
 	}
 
 	row := TransformedRow{

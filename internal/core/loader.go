@@ -160,8 +160,11 @@ type Loader struct {
 	cost   sqlbatch.CostModel
 	xform  *catalog.Transformer
 
-	set   *arrayset.ArraySet
-	stats Stats
+	set *arrayset.ArraySet
+	// rowScratch is where every record is transformed; the array-set copies
+	// the row out of it.
+	rowScratch []relstore.Value
+	stats      Stats
 
 	batchesSinceCommit int
 	nextLoadRunID      int64
@@ -190,6 +193,7 @@ func NewLoader(conn *sqlbatch.Conn, cfg Config) (*Loader, error) {
 		xform:  catalog.NewTransformer(schema),
 		set:    set,
 	}
+	l.rowScratch = make([]relstore.Value, 0, l.xform.MaxRowValues())
 	l.stats.RowsLoadedByTable = make(map[string]int)
 	l.stats.SkippedByTable = make(map[string]int)
 	// Provenance ids are derived from the loader node to stay unique across
@@ -290,7 +294,7 @@ func (l *Loader) processRecord(rec catalog.Record) error {
 	// charged as a single hold per row to keep the simulation fast.
 	clientWork := l.cost.ParseRowCost + l.cost.TransformRowCost
 
-	row, err := l.xform.Transform(rec)
+	row, err := l.xform.TransformInto(l.rowScratch, rec)
 	if err != nil {
 		// Validation failure on the client: the row never reaches the
 		// database (the paper's validation step filters errors and
@@ -326,7 +330,8 @@ func (l *Loader) processRecord(rec catalog.Record) error {
 }
 
 // flushArraySet is lines 5-12 of Figure 3: bulk-load every array, parents
-// before children, then release the arrays.
+// before children, then release the arrays (back to the set: the engine
+// copied every row it took, so their buffers serve the next cycle).
 func (l *Loader) flushArraySet() error {
 	if l.set.Len() == 0 {
 		return nil
@@ -338,6 +343,7 @@ func (l *Loader) flushArraySet() error {
 			return err
 		}
 	}
+	l.set.Recycle(arrays)
 	return nil
 }
 

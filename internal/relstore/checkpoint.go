@@ -45,6 +45,10 @@ const (
 	// ckptRowsPerRecord chunks table rows so no single record outgrows the
 	// frame limit.
 	ckptRowsPerRecord = 512
+
+	// ckptChunkBytes is the size of the buffers the snapshot is encoded into.
+	// The file is their concatenation; where one ends is invisible in it.
+	ckptChunkBytes = 1 << 20
 )
 
 // ErrNoWALDir reports a durability operation on a database opened without
@@ -95,13 +99,13 @@ func (db *DB) Checkpoint() error {
 	// here puts the whole snapshot's history at or below the boundary.
 	boundary, covered := dev.rotateForCheckpoint()
 	seq := db.ckptSeq + 1
-	buf := encodeCheckpoint(seq, boundary, db.nextTxn.Load(), db.tablesByID)
+	chunks := encodeCheckpoint(seq, boundary, db.nextTxn.Load(), db.tablesByID)
 	unlock()
 
 	if err := dev.callFault(FPCheckpointSave); err != nil {
 		return fmt.Errorf("relstore: checkpoint save: %w", err)
 	}
-	if err := writeCheckpointFile(db.cfg.WALDir, seq, buf); err != nil {
+	if err := writeCheckpointFile(db.cfg.WALDir, seq, chunks); err != nil {
 		return err
 	}
 	db.ckptSeq = seq
@@ -159,58 +163,110 @@ func (db *DB) tablesLockOrder() []*Table {
 	return out
 }
 
-// encodeCheckpoint renders the snapshot into framed checkpoint records.  The
-// caller holds every table's write lock.
-func encodeCheckpoint(seq, boundary, maxTxn int64, tables []*Table) []byte {
-	var buf, payload []byte
-	buf = append(buf, ckptMagic...)
+// ckptEncoder assembles a checkpoint file as a list of fixed-size chunks, so
+// that encoding — which runs under every table's write lock — allocates each
+// byte of the file once and never copies what it has already encoded.  Frames
+// are built in place in the open chunk (frame.Begin/Finish).
+type ckptEncoder struct {
+	chunks [][]byte // closed chunks, in file order
+	buf    []byte   // the open chunk
+	mark   int      // where the frame being assembled starts in buf
+}
 
-	payload = append(payload[:0], ckptRecHeader)
-	payload = binary.LittleEndian.AppendUint64(payload, uint64(seq))
-	payload = binary.LittleEndian.AppendUint64(payload, uint64(boundary))
-	payload = binary.LittleEndian.AppendUint64(payload, uint64(maxTxn))
-	payload = binary.LittleEndian.AppendUint32(payload, uint32(len(tables)))
-	buf = frame.Append(buf, payload)
+// reserve makes room for n more bytes of the frame being assembled.  When the
+// open chunk cannot take them it is closed in front of the frame, and the
+// frame's bytes so far (less than one frame, once per chunk) move to a new
+// chunk: a frame never spans two chunks and no chunk ever grows.
+func (e *ckptEncoder) reserve(n int) {
+	if len(e.buf)+n <= cap(e.buf) {
+		return
+	}
+	partial := e.buf[e.mark:]
+	next := make([]byte, 0, max(ckptChunkBytes, len(partial)+n))
+	if e.mark > 0 {
+		e.chunks = append(e.chunks, e.buf[:e.mark])
+	}
+	e.buf, e.mark = append(next, partial...), 0
+}
+
+// begin opens a frame whose first n payload bytes the caller appends to e.buf
+// next; finish closes it.
+func (e *ckptEncoder) begin(n int) {
+	e.mark = len(e.buf)
+	e.reserve(frame.HeaderSize + n)
+	e.buf, e.mark = frame.Begin(e.buf)
+}
+
+func (e *ckptEncoder) finish() { e.buf = frame.Finish(e.buf, e.mark) }
+
+// encodeCheckpoint renders the snapshot into framed checkpoint records and
+// returns the file's bytes as consecutive chunks.  The caller holds every
+// table's write lock.
+func encodeCheckpoint(seq, boundary, maxTxn int64, tables []*Table) [][]byte {
+	e := &ckptEncoder{}
+	e.reserve(len(ckptMagic))
+	e.buf = append(e.buf, ckptMagic...)
+
+	e.begin(1 + 8 + 8 + 8 + 4)
+	e.buf = append(e.buf, ckptRecHeader)
+	e.buf = binary.LittleEndian.AppendUint64(e.buf, uint64(seq))
+	e.buf = binary.LittleEndian.AppendUint64(e.buf, uint64(boundary))
+	e.buf = binary.LittleEndian.AppendUint64(e.buf, uint64(maxTxn))
+	e.buf = binary.LittleEndian.AppendUint32(e.buf, uint32(len(tables)))
+	e.finish()
 
 	for tid, t := range tables {
-		payload = append(payload[:0], ckptRecTable)
-		payload = binary.LittleEndian.AppendUint32(payload, uint32(tid))
-		payload = binary.LittleEndian.AppendUint64(payload, uint64(t.nextRow))
-		payload = binary.LittleEndian.AppendUint64(payload, uint64(t.rows.live))
-		buf = frame.Append(buf, payload)
+		e.begin(1 + 4 + 8 + 8)
+		e.buf = append(e.buf, ckptRecTable)
+		e.buf = binary.LittleEndian.AppendUint32(e.buf, uint32(tid))
+		e.buf = binary.LittleEndian.AppendUint64(e.buf, uint64(t.nextRow))
+		e.buf = binary.LittleEndian.AppendUint64(e.buf, uint64(t.rows.live))
+		e.finish()
 
+		// A rows record is open from its first row to its ckptRowsPerRecord-th
+		// (or the table's last); its row count is filled in when it closes.
 		count := 0
-		var rowsPayload []byte
-		flush := func() {
+		closeRows := func() {
 			if count == 0 {
 				return
 			}
-			payload = append(payload[:0], ckptRecRows)
-			payload = binary.LittleEndian.AppendUint32(payload, uint32(tid))
-			payload = binary.LittleEndian.AppendUint32(payload, uint32(count))
-			payload = append(payload, rowsPayload...)
-			buf = frame.Append(buf, payload)
+			binary.LittleEndian.PutUint32(e.buf[e.mark+frame.HeaderSize+1+4:], uint32(count))
+			e.finish()
 			count = 0
-			rowsPayload = rowsPayload[:0]
 		}
 		t.scanRowsByID(func(id int64, row RowView) {
-			rowsPayload = binary.LittleEndian.AppendUint64(rowsPayload, uint64(id))
-			lenAt := len(rowsPayload)
-			rowsPayload = append(rowsPayload, 0, 0, 0, 0)
-			for c := 0; c < row.Len(); c++ {
-				rowsPayload = appendWALValue(rowsPayload, row.val(c))
+			if count == 0 {
+				e.begin(1 + 4 + 4)
+				e.buf = append(e.buf, ckptRecRows)
+				e.buf = binary.LittleEndian.AppendUint32(e.buf, uint32(tid))
+				e.buf = append(e.buf, 0, 0, 0, 0)
 			}
-			binary.LittleEndian.PutUint32(rowsPayload[lenAt:lenAt+4], uint32(len(rowsPayload)-lenAt-4))
+			e.reserve(8 + 4 + maxWALRowBytes(row))
+			e.buf = binary.LittleEndian.AppendUint64(e.buf, uint64(id))
+			lenAt := len(e.buf)
+			e.buf = append(e.buf, 0, 0, 0, 0)
+			for c := 0; c < row.Len(); c++ {
+				e.buf = appendWALValue(e.buf, row.val(c))
+			}
+			binary.LittleEndian.PutUint32(e.buf[lenAt:], uint32(len(e.buf)-lenAt-4))
 			count++
 			if count >= ckptRowsPerRecord {
-				flush()
+				closeRows()
 			}
 		})
-		flush()
+		closeRows()
 	}
-	buf = frame.Append(buf, []byte{ckptRecEnd})
-	return buf
+	e.begin(1)
+	e.buf = append(e.buf, ckptRecEnd)
+	e.finish()
+	return append(e.chunks, e.buf)
 }
+
+// maxWALRowBytes bounds the appendWALValue encoding of a stored row from the
+// size of its packed record: a fixed-width value takes a tag byte and at most
+// its 8-byte slot, a string a tag, a two-byte terminator and at most two
+// bytes per byte of text.
+func maxWALRowBytes(row RowView) int { return 3*row.Len() + 2*len(row.rec) }
 
 // removeStaleCkptTemps deletes checkpoint temp files left behind by a crash
 // between create and rename.  Recovery never reads them (a checkpoint exists
@@ -229,17 +285,19 @@ func removeStaleCkptTemps(dir string) {
 	}
 }
 
-// writeCheckpointFile persists the encoded snapshot atomically: temp file,
-// fsync, rename, directory fsync.
-func writeCheckpointFile(dir string, seq int64, buf []byte) error {
+// writeCheckpointFile persists the encoded snapshot (the chunks, end to end)
+// atomically: temp file, fsync, rename, directory fsync.
+func writeCheckpointFile(dir string, seq int64, chunks [][]byte) error {
 	tmp := filepath.Join(dir, ckptName(seq)+".tmp")
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
 	if err != nil {
 		return fmt.Errorf("relstore: checkpoint: %w", err)
 	}
-	if _, err := f.Write(buf); err != nil {
-		f.Close()
-		return fmt.Errorf("relstore: checkpoint: %w", err)
+	for _, chunk := range chunks {
+		if _, err := f.Write(chunk); err != nil {
+			f.Close()
+			return fmt.Errorf("relstore: checkpoint: %w", err)
+		}
 	}
 	if err := f.Sync(); err != nil {
 		f.Close()

@@ -168,17 +168,13 @@ func (a *Agent) handleLoad(w exec.Worker, t wire.LoadTask) wire.Msg {
 	// The lines are this shard's share of the file, already routed: parse and
 	// load them all.  A line that is not a record is skipped, like a row the
 	// transformer or the database rejects, as on a single node.
+	recs, _ := catalog.ParseLines(t.Lines)
 	f := &catalog.File{
 		Name:         t.Name,
-		Records:      make([]catalog.Record, 0, len(t.Lines)),
+		Records:      recs,
 		RABase:       t.RABase,
 		DecBase:      t.DecBase,
 		NominalBytes: t.NominalBytes,
-	}
-	for i, line := range t.Lines {
-		if rec, err := catalog.ParseLine(line, i+1); err == nil {
-			f.Records = append(f.Records, rec)
-		}
 	}
 	before := a.db.TotalRows()
 	conn := a.srv.ConnectWorker(w)
