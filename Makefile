@@ -67,6 +67,7 @@ bench:
 	$(GO) test -run '^$$' -bench 'ServeHTTPQuery|MetricsScrape' -benchtime=100x ./internal/httpserve/
 	$(GO) test -run '^$$' -bench 'ScatterGather|SingleNode|WireQueryResult' -benchtime=50x ./internal/shard/
 	$(GO) test -run '^$$' -bench 'IngestNight' -benchtime=1x .
+	$(GO) test -run '^$$' -bench 'DurableCommit' -benchtime=200x .
 
 # bench/ is a module of its own (it requires this one through a replace
 # directive), so `go test ./...` at the root never reaches it.  Its tests run

@@ -406,6 +406,89 @@ func BenchmarkIngestNight(b *testing.B) {
 	b.ReportMetric(float64(rows)/b.Elapsed().Seconds(), "rows/s")
 }
 
+// BenchmarkDurableCommit is the log pipeline on its own: two committers on a
+// WAL-backed database, each filling 25-batch transactions of observations
+// (the shape of an ingest-durable loader between two commit points) and
+// committing the way core.Loader does — start the commit, fill the next
+// transaction, retire the commit when the next one starts.  One iteration is
+// one commit.  Beside commits/s it reports what the committers paid for
+// durability: fsyncs per commit (below 1 when a flush served a neighbour's
+// marker too) and the time per commit spent waiting for the log.
+func BenchmarkDurableCommit(b *testing.B) {
+	const committers, batches, batchRows = 2, 25, 40
+	db, err := relstore.Open(catalog.NewSchema(), relstore.WithWALDir(b.TempDir()))
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer db.Close()
+	seed, err := db.Begin()
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := catalog.SeedReference(seed, 8); err != nil {
+		b.Fatal(err)
+	}
+	if _, err := seed.Commit(); err != nil {
+		b.Fatal(err)
+	}
+	cols := []string{"obs_id", "run_id", "telescope_id", "mjd_start", "ra_center", "dec_center", "airmass", "filter_set", "exposure_s"}
+	commit := func(w, txns int) error {
+		rows := make([][]relstore.Value, batchRows)
+		next := int64(w+1) << 40
+		var pending *relstore.PendingCommit
+		for j := 0; j < txns; j++ {
+			txn, err := db.BeginBlocking()
+			if err != nil {
+				return err
+			}
+			for k := 0; k < batches; k++ {
+				for i := range rows {
+					next++
+					rows[i] = []relstore.Value{relstore.Int(next), relstore.Int(1), relstore.Int(1), relstore.Float(53600.5),
+						relstore.Float(120.0), relstore.Float(10.0), relstore.Float(1.2), relstore.Str("R"), relstore.Float(140.0)}
+				}
+				if _, err := txn.InsertBatch(catalog.TObservations, cols, rows); err != nil {
+					return err
+				}
+			}
+			if pending != nil {
+				if _, err := pending.Wait(); err != nil {
+					return err
+				}
+			}
+			if pending, err = txn.CommitStart(); err != nil {
+				return err
+			}
+		}
+		if pending != nil {
+			_, err = pending.Wait()
+		}
+		return err
+	}
+
+	before := db.WAL().Stats()
+	b.ResetTimer()
+	errs := make(chan error, committers)
+	for w := 0; w < committers; w++ {
+		txns := b.N / committers
+		if w < b.N%committers {
+			txns++
+		}
+		go func(w int) { errs <- commit(w, txns) }(w)
+	}
+	for w := 0; w < committers; w++ {
+		if err := <-errs; err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	after := db.WAL().Stats()
+	n := float64(b.N)
+	b.ReportMetric(n/b.Elapsed().Seconds(), "commits/s")
+	b.ReportMetric(float64(after.DurableSyncs-before.DurableSyncs)/n, "fsyncs/commit")
+	b.ReportMetric(float64(after.CommitWaitNs-before.CommitWaitNs)/n, "wait-ns/commit")
+}
+
 // BenchmarkDESEventThroughput measures raw simulation kernel throughput
 // (events per second of host time).
 func BenchmarkDESEventThroughput(b *testing.B) {

@@ -112,6 +112,15 @@
 // each one and what it measured; relstore's TestConfigSurface pins the field
 // set so a new knob is a visible decision.
 //
+// With WithWALDir a commit has two halves: Txn.CommitStart appends the commit
+// marker and starts the log flush beside the caller, PendingCommit.Wait
+// returns once the marker is durable and settles the commit, and Txn.Commit is
+// the two composed.  core.Loader overlaps its CommitEveryBatches commits with
+// the next transaction's work through sqlbatch.Conn.CommitStart/Retire;
+// without a WAL directory CommitStart is Commit.  PERFORMANCE.md ("Durable
+// WAL ownership rules", "Log pipeline") has the locks, the acknowledgement
+// rule and the measurements.
+//
 // Every secondary index carries an IndexPolicy.  IndexImmediate (the
 // default) maintains the index on every insert.  IndexDeferred participates
 // in the load lifecycle — DB.BeginLoad suspends it, inserts skip it, and

@@ -167,9 +167,12 @@ type Loader struct {
 	stats      Stats
 
 	batchesSinceCommit int
-	nextLoadRunID      int64
-	nextLoadErrID      int64
-	currentFile        string
+	// connCommits is the connection's commit count when the loader took it
+	// over; Stats.Commits is what it has retired since.
+	connCommits   int64
+	nextLoadRunID int64
+	nextLoadErrID int64
+	currentFile   string
 }
 
 // NewLoader creates a loader over an open connection.
@@ -193,6 +196,7 @@ func NewLoader(conn *sqlbatch.Conn, cfg Config) (*Loader, error) {
 		xform:  catalog.NewTransformer(schema),
 		set:    set,
 	}
+	l.connCommits = conn.Stats().Commits
 	l.rowScratch = make([]relstore.Value, 0, l.xform.MaxRowValues())
 	l.stats.RowsLoadedByTable = make(map[string]int)
 	l.stats.SkippedByTable = make(map[string]int)
@@ -428,7 +432,12 @@ func (l *Loader) recordSkip(arr *arrayset.Array, idx int, cause error) {
 	}
 }
 
-// maybeCommit enforces the CommitEveryBatches policy.
+// maybeCommit enforces the CommitEveryBatches policy.  These commits are
+// pipelined: the transaction's commit is started, the next transaction begins
+// and fills while the log device makes the marker durable, and the commit is
+// retired — only then acknowledged and counted — when the next one starts.
+// Without a durable log there is nothing to wait for and each is an ordinary
+// commit (sqlbatch.Conn.CommitStart).
 func (l *Loader) maybeCommit() error {
 	if l.cfg.CommitEveryBatches <= 0 {
 		return nil
@@ -437,21 +446,27 @@ func (l *Loader) maybeCommit() error {
 	if l.batchesSinceCommit < l.cfg.CommitEveryBatches {
 		return nil
 	}
-	if err := l.commit(); err != nil {
+	if err := l.committed(l.conn.CommitStart()); err != nil {
 		return err
 	}
 	return l.conn.Begin()
 }
 
-// commit commits the current transaction if one is active.
+// commit commits the current transaction if one is active and waits for it:
+// when LoadFile returns, the file is on disk.
 func (l *Loader) commit() error {
 	if !l.conn.InTransaction() {
 		return nil
 	}
-	if err := l.conn.Commit(); err != nil {
+	return l.committed(l.conn.Commit())
+}
+
+// committed accounts for a commit call on the connection that returned err.
+func (l *Loader) committed(err error) error {
+	if err != nil {
 		return fmt.Errorf("core: commit: %w", err)
 	}
-	l.stats.Commits++
+	l.stats.Commits = int(l.conn.Stats().Commits - l.connCommits)
 	l.batchesSinceCommit = 0
 	return nil
 }

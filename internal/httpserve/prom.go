@@ -214,6 +214,13 @@ func (b dbBackend) writeMetrics(p *metrics.PromWriter) {
 	p.SampleInt("sky_wal_durable_bytes_total", nil, snap.WAL.DurableBytes)
 	p.Metric("sky_wal_durable_syncs_total", "fsync batches issued against the WAL.", "counter")
 	p.SampleInt("sky_wal_durable_syncs_total", nil, snap.WAL.DurableSyncs)
+	// With the two above these answer "is this load waiting on the log?":
+	// seconds committers spent blocked on durability, and how many of them a
+	// flush someone else had issued served.
+	p.Metric("sky_wal_commit_wait_seconds_total", "Time committers spent waiting for their commit marker to become durable, summed.", "counter")
+	p.Sample("sky_wal_commit_wait_seconds_total", nil, float64(snap.WAL.CommitWaitNs)/1e9)
+	p.Metric("sky_wal_shared_flushes_total", "Commits made durable by a flush they did not issue.", "counter")
+	p.SampleInt("sky_wal_shared_flushes_total", nil, snap.WAL.SharedFlushes)
 	p.Metric("sky_wal_segments_created_total", "WAL segment files created.", "counter")
 	p.SampleInt("sky_wal_segments_created_total", nil, snap.WAL.SegmentsCreated)
 	p.Metric("sky_wal_segments_deleted_total", "WAL segment files deleted by checkpoint truncation.", "counter")

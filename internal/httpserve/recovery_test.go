@@ -91,6 +91,8 @@ func TestHealthzDuringRecovery(t *testing.T) {
 		"sky_wal_replay_rows_total",
 		"sky_wal_replay_torn_tail_total 0",
 		"sky_wal_checkpoints_total",
+		"sky_wal_commit_wait_seconds_total",
+		"sky_wal_shared_flushes_total",
 	} {
 		if !containsLine(string(metricsBody), want) {
 			t.Fatalf("metrics scrape missing %q", want)

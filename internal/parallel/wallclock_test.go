@@ -3,6 +3,7 @@ package parallel
 import (
 	"fmt"
 	"testing"
+	"time"
 
 	"skyloader/internal/catalog"
 	"skyloader/internal/core"
@@ -146,6 +147,82 @@ func BenchmarkParallelLoadWallclock(b *testing.B) {
 				if res.Total.RowsLoaded == 0 {
 					b.Fatal("nothing loaded")
 				}
+			}
+		})
+	}
+}
+
+// TestWallclockPipelinedCommitsAtAdmissionLimits: N loaders, each pipelining
+// its CommitEveryBatches commits (a started commit plus the transaction being
+// filled: two engine transactions per loader), against exactly N server
+// transaction slots and an engine limit of N concurrent transactions.  A
+// pending commit holds no slot of its own and a Begin the engine limit would
+// block retires it first, so the load completes — if either rule broke, every
+// loader would end up waiting for a slot only another waiting loader can
+// free.  Under -race this is also the concurrency test of the log pipeline
+// beneath real loaders.
+func TestWallclockPipelinedCommitsAtAdmissionLimits(t *testing.T) {
+	for _, n := range []int{2, 4} {
+		t.Run(fmt.Sprintf("loaders=%d", n), func(t *testing.T) {
+			db, err := relstore.Open(catalog.NewSchema(), relstore.WithWALDir(t.TempDir()), relstore.WithMaxConcurrentTxns(n))
+			if err != nil {
+				t.Fatal(err)
+			}
+			txn, err := db.Begin()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := catalog.SeedReference(txn, 8); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := txn.Commit(); err != nil {
+				t.Fatal(err)
+			}
+			srvCfg := sqlbatch.DefaultServerConfig()
+			srvCfg.TxnSlots = n
+			srv := sqlbatch.NewServerOn(exec.NewRealtime(exec.RealtimeConfig{Seed: 5}), db, srvCfg, sqlbatch.DefaultCostModel())
+
+			files := testNight(20, 8)
+			loader := core.DefaultConfig()
+			loader.CommitEveryBatches = 3
+			type outcome struct {
+				res Result
+				err error
+			}
+			done := make(chan outcome, 1)
+			go func() {
+				res, err := Run(srv, files, Config{Loaders: n, Assignment: Dynamic, Loader: loader})
+				done <- outcome{res, err}
+			}()
+			var out outcome
+			select {
+			case out = <-done:
+			case <-time.After(2 * time.Minute):
+				t.Fatal("the load did not complete: loaders are waiting on each other's pending commits")
+			}
+			if out.err != nil {
+				t.Fatal(out.err)
+			}
+			for _, node := range out.res.Nodes {
+				if node.Err != nil {
+					t.Errorf("node %d: %v", node.Node, node.Err)
+				}
+			}
+			total := out.res.Total
+			if total.RowsLoaded+total.RowsSkipped+total.ParseErrors != totalRows(files) {
+				t.Fatalf("row accounting: %+v vs %d generated", total, totalRows(files))
+			}
+			if got := db.Stats().Commits - 1; got != int64(total.Commits) || total.Commits < 3*n {
+				t.Fatalf("engine settled %d loader commits, loaders retired %d", got, total.Commits)
+			}
+			if st := db.Stats(); st.Transactions != st.Commits+st.Rollbacks {
+				t.Fatalf("%d transactions begun, %d committed, %d rolled back", st.Transactions, st.Commits, st.Rollbacks)
+			}
+			if orphans, _ := db.VerifyIntegrity(); orphans != 0 {
+				t.Fatalf("orphans: %d", orphans)
+			}
+			if err := db.VerifyPrimaryKeys(); err != nil {
+				t.Fatal(err)
 			}
 		})
 	}

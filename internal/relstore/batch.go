@@ -103,7 +103,8 @@ func (db *DB) insertBatch(txn *Txn, tableName string, columns []string, rows [][
 		err = buildErr
 	}
 	res.RowsInserted = inserted
-	if err != nil {
+	if IsConstraintViolation(err) {
+		// Anything else is the log device's failure: no row was at fault.
 		res.FailedIndex = inserted
 		db.recordViolation(err)
 	}
@@ -335,7 +336,12 @@ func (t *Table) applyBatchChunk(db *DB, txn *Txn, built []Row, rep *OpReport) (i
 			// Durable record(s) appended while the id run is still protected,
 			// so records for the same table land in the log in id order; the
 			// device splits a run whose encoding would exceed the record limit.
-			dev.logInsert(t.tid, txn.id, ids[0], built[:len(ids)])
+			// A failed device refuses them: the rows are stored and in the undo
+			// log, the caller gets the device's error in place of a constraint
+			// violation and must roll back.
+			if err := dev.logInsert(sc, t.tid, txn.id, ids[0], built[:len(ids)]); err != nil {
+				firstErr = err
+			}
 		}
 		txn.recordInsertRange(t.schema.Name, ids[0], int64(len(ids)))
 		rep.UndoRecords++

@@ -97,7 +97,11 @@ func (db *DB) Checkpoint() error {
 	// With no rows pending, every row in the heaps is committed and its commit
 	// marker is already appended (markers precede epoch settling), so rotating
 	// here puts the whole snapshot's history at or below the boundary.
-	boundary, covered := dev.rotateForCheckpoint()
+	boundary, covered, err := dev.rotateForCheckpoint()
+	if err != nil {
+		unlock()
+		return fmt.Errorf("relstore: checkpoint rotate: %w", err)
+	}
 	seq := db.ckptSeq + 1
 	chunks := encodeCheckpoint(seq, boundary, db.nextTxn.Load(), db.tablesByID)
 	unlock()
@@ -142,7 +146,10 @@ func (db *DB) maybeAutoCheckpoint() {
 	if dev == nil || !dev.shouldCheckpoint(db.cfg.CheckpointEveryBytes) {
 		return
 	}
-	if err := db.Checkpoint(); err != nil && !errors.Is(err, ErrCheckpointBusy) {
+	// A failed device fails its checkpoints too; that is not a second problem
+	// to report here — the device's error reaches the caller at its next
+	// append or commit.
+	if err := db.Checkpoint(); err != nil && !errors.Is(err, ErrCheckpointBusy) && dev.poison(nil) == nil {
 		panic(fmt.Sprintf("relstore: auto checkpoint: %v", err))
 	}
 }

@@ -177,7 +177,7 @@ func open(schema *Schema, oc openConfig) (*DB, error) {
 // Close flushes and closes the durable log device, if any.  It does not wait
 // for open transactions; in-memory state remains usable but no further
 // durable appends may happen.  A nil error is returned for a counters-only
-// database.
+// database, and a device that failed earlier returns that failure.
 func (db *DB) Close() error {
 	dev := db.wal.dev.Load()
 	if dev == nil {
@@ -361,8 +361,9 @@ func (db *DB) insert(txn *Txn, tableName string, columns []string, values []Valu
 		db.counters.lockConflicts.Add(1)
 	}
 	rep.LogBytes += db.wal.AppendInsert(rep.RowBytes + rep.IndexEntryBytes)
+	var logErr error
 	if dev := db.wal.dev.Load(); dev != nil {
-		dev.logInsert(t.tid, txn.id, id, []Row{row})
+		logErr = dev.logInsert(sc, t.tid, txn.id, id, []Row{row})
 	}
 	miss, _ := db.cache.Touch(tableName, int(loc.page), true)
 	if miss {
@@ -380,7 +381,9 @@ func (db *DB) insert(txn *Txn, tableName string, columns []string, values []Valu
 	rep.UndoRecords++
 	db.counters.rowsInserted.Add(1)
 	db.counters.indexSplits.Add(int64(insRep.IndexSplits))
-	return rep, nil
+	// A failed log device: the row is stored and in the undo log, and the
+	// caller must roll back.
+	return rep, logErr
 }
 
 func (db *DB) recordViolation(err error) {

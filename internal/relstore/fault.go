@@ -15,6 +15,16 @@ package relstore
 // "Before" placement means a panic at the point proves the preceding records
 // are recoverable and the current one is not — the property the kill/recover
 // tests assert.
+//
+// Which goroutine: FPWALAppend always fires on the goroutine appending the
+// record, with no device lock held.  FPWALSync fires on whichever goroutine
+// runs the flush, holding the device's flush lock and not its append lock:
+// the committer's own inside Commit (and inside a CommitStart that finds a
+// checkpoint due), an appender's for a rotation or
+// auto-sync flush, and a flush goroutine's after CommitStart — whose panic is
+// carried to PendingCommit.Wait and raised there, where the owner can recover
+// it.  An error returned at FPWALSync fails the device for good, as a real
+// fsync error does.
 
 // FaultPoint identifies one instrumented point on the durability paths.
 type FaultPoint int
@@ -24,8 +34,8 @@ const (
 	// insert-group, commit and rollback markers), before the record is
 	// buffered.
 	FPWALAppend FaultPoint = iota
-	// FPWALSync fires at the top of every durable sync, before buffered
-	// records are written to the OS and fsynced.
+	// FPWALSync fires before every fsync of the log, before the buffered
+	// records it covers are written to the OS.
 	FPWALSync
 	// FPCheckpointSave fires before the checkpoint snapshot file is written.
 	FPCheckpointSave

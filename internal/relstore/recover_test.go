@@ -3,6 +3,7 @@ package relstore
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -146,7 +147,9 @@ func TestRecoverDiscardsUncommittedTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	insertFrame(t, txn, 99)
-	db.wal.dev.Load().sync() // rows durable, commit not
+	if _, err := db.wal.dev.Load().flush(math.MaxInt64, false); err != nil { // rows durable, commit not
+		t.Fatal(err)
+	}
 	// Crash here: no Commit, no Close.
 
 	got, rep, err := Recover(testSchema(t), dir)
@@ -283,10 +286,9 @@ func TestRecoverCorruptMidLogFails(t *testing.T) {
 			db, dir := durableDB(t)
 			loadFramesObjects(t, db, 0, 2, 50)
 			// Force a rotation so at least two segments exist.
-			dev := db.wal.dev.Load()
-			dev.mu.Lock()
-			dev.rotateLocked()
-			dev.mu.Unlock()
+			if _, _, err := db.wal.dev.Load().rotateForCheckpoint(); err != nil {
+				t.Fatal(err)
+			}
 			loadFramesObjects(t, db, 10, 1, 0)
 			if err := db.Close(); err != nil {
 				t.Fatal(err)

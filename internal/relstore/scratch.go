@@ -43,6 +43,14 @@ type scratch struct {
 	// parents is the per-batch foreign-key parent lock set
 	// (Table.lockParentsForBatch).
 	parents []*Table
+
+	// wal is where this transaction's durable log records are encoded before
+	// the device's append lock is taken (walDevice.logInsert/logMarker):
+	// payloads laid end to end, walEnds[i] the end of the i-th.  The device
+	// copies them into its buffer under the lock, so the bytes are dead once
+	// the append returns.
+	wal     []byte
+	walEnds []int
 }
 
 // idxKV pairs one encoded secondary-index key with the row id it points at

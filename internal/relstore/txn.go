@@ -1,5 +1,7 @@
 package relstore
 
+import "time"
+
 // Txn is a database transaction.  The loading workload is insert-only, so the
 // undo log records inserted row ids; rollback removes them and commit simply
 // truncates the undo and forces the redo log.
@@ -90,9 +92,8 @@ func (t *Txn) ID() int64 { return t.id }
 // Active reports whether the transaction can still accept work.
 func (t *Txn) Active() bool { return t.active }
 
-// RowsInserted returns the number of rows inserted in this transaction so far
-// (since Begin, including rows already made durable by an intermediate
-// Commit-and-continue is not supported: commit ends the transaction).
+// RowsInserted returns the number of rows inserted in this transaction since
+// Begin.  Commit ends the transaction, so the count never spans a commit.
 func (t *Txn) RowsInserted() int { return t.rowsInserted }
 
 func (t *Txn) recordInsert(table string, rowID int64) {
@@ -132,33 +133,165 @@ type CommitReport struct {
 	UndoRecordsDiscarded int
 }
 
-// Commit makes the transaction's inserts durable and ends the transaction.
+// Commit makes the transaction's inserts durable and ends the transaction.  It
+// is CommitStart and Wait on the calling goroutine with the log flush run
+// there too: no goroutine is started, and fault hooks fire — and panic — on
+// the caller.
 func (t *Txn) Commit() (CommitReport, error) {
+	var pc PendingCommit
+	if err := t.startCommit(&pc); err != nil {
+		return CommitReport{}, err
+	}
+	pc.flush()
+	return pc.Wait()
+}
+
+// CommitStart is the first half of a commit: it appends the commit marker to
+// the durable log and starts making it durable beside the caller, who may
+// begin and fill its next transaction meanwhile.  Nothing is acknowledged
+// until Wait returns nil.  Until then the transaction accepts no more work
+// but is otherwise exactly a transaction inside Commit: its rows stay pending
+// (readers, SnapshotRead and Checkpoint treat them as uncommitted) and it
+// keeps its locks and its admission slot — a caller working under
+// WithMaxConcurrentTxns must be ready to Wait before a Begin that would
+// block.
+//
+// The returned commit is already settled — Settled reports it, Wait returns
+// at once — when there is nothing to overlap or overlapping would cost a
+// checkpoint: without a durable log the commit completes here, exactly as
+// Commit does; and when an automatic checkpoint is due the flush runs inline,
+// so the checkpoint finds this caller with no rows pending.
+//
+// If the log device has failed, CommitStart (like Commit and Wait) returns
+// its error and the transaction has been rolled back.
+func (t *Txn) CommitStart() (*PendingCommit, error) {
+	pc := new(PendingCommit)
+	if err := t.startCommit(pc); err != nil {
+		return nil, err
+	}
+	switch {
+	case pc.dev == nil:
+	case pc.dev.shouldCheckpoint(t.db.cfg.CheckpointEveryBytes):
+		pc.flush()
+		_, _ = pc.Wait() // kept in pc; the caller's Wait returns it again
+	default:
+		pc.done = make(chan struct{})
+		go pc.flushAsync()
+	}
+	return pc, nil
+}
+
+// PendingCommit is a commit whose marker is appended and whose durability is
+// being established.  It belongs to the goroutine that owns the transaction.
+type PendingCommit struct {
+	t *Txn
+	// dev is nil without a durable log: the commit settled in CommitStart.
+	dev    *walDevice
+	lsn    int64 // the commit marker's LSN
+	forced int64
+
+	// done is closed when the flush goroutine has ended; nil when the flush
+	// ran on the owner's goroutine.  The flush's results below are the
+	// goroutine's until then.
+	done   chan struct{}
+	waited time.Duration // how long the owner waited for durability
+	shared bool          // an earlier flush had covered the marker
+	killed any           // a fault hook's panic, re-raised in Wait
+	err    error
+
+	settled bool
+	rep     CommitReport
+}
+
+// startCommit appends the commit marker.  The durable marker goes in BEFORE
+// anything settles epochs and pending counts: a checkpoint that observes no
+// pending rows can then rely on every settled transaction's marker being
+// below its LSN boundary.
+func (t *Txn) startCommit(pc *PendingCommit) error {
 	if !t.active {
-		return CommitReport{}, ErrTxnNotActive
+		return ErrTxnNotActive
 	}
-	dev := t.db.wal.dev.Load()
-	// The durable commit marker is appended BEFORE finishCommit settles epochs
-	// and pending counts: a checkpoint that observes no pending rows can then
-	// rely on every settled transaction's marker being below its LSN boundary.
-	if dev != nil {
-		dev.logMarker(walRecCommit, t.id)
+	pc.t = t
+	if dev := t.db.wal.dev.Load(); dev != nil {
+		lsn, err := dev.logMarker(t.sc, walRecCommit, t.id)
+		if err != nil {
+			t.rollback()
+			return err
+		}
+		pc.dev, pc.lsn = dev, lsn
+		t.active = false
 	}
-	forced := t.db.wal.AppendCommit()
-	if dev != nil {
-		// Commit acknowledgement means the marker is on disk.
-		dev.sync()
+	pc.forced = t.db.wal.AppendCommit()
+	if pc.dev == nil {
+		pc.rep = t.finishCommit(pc.forced)
+		pc.settled = true
 	}
-	rep := t.finishCommit(forced)
-	if dev != nil {
-		t.db.maybeAutoCheckpoint()
+	return nil
+}
+
+// flush makes the marker durable on the calling goroutine.  waited is the
+// owner's wait when this is the owner's goroutine; Wait replaces it with the
+// time it blocked otherwise.
+func (pc *PendingCommit) flush() {
+	if pc.dev == nil {
+		return
 	}
-	return rep, nil
+	start := time.Now()
+	pc.shared, pc.err = pc.dev.flush(pc.lsn, false)
+	pc.waited = time.Since(start)
+}
+
+// flushAsync is flush on a goroutine of its own, which ends with the flush:
+// nothing outlives the commit it serves and an abandoned database handle
+// leaves nothing to stop.  A fault hook's panic (a simulated kill) must not
+// take the process down from a goroutine nobody can recover on, so it is
+// carried to Wait and raised there.
+func (pc *PendingCommit) flushAsync() {
+	defer close(pc.done)
+	defer func() { pc.killed = recover() }()
+	pc.flush()
+}
+
+// Settled reports whether the commit is already acknowledged (or failed) and
+// settled, so that Wait will not block.
+func (pc *PendingCommit) Settled() bool { return pc.settled }
+
+// Wait is the second half of a commit: it returns once the commit marker is
+// durable and the commit is settled — dirty pages accounted, the rows
+// committed for readers, locks and the admission slot released, an automatic
+// checkpoint taken if one is due.  A nil error is the acknowledgement.  If
+// the log could not be made durable the transaction is rolled back and the
+// device's error returned; the device stays failed.  Wait may be called
+// again and returns the same result.
+func (pc *PendingCommit) Wait() (CommitReport, error) {
+	if pc.settled {
+		return pc.rep, pc.err
+	}
+	if pc.done != nil {
+		start := time.Now()
+		<-pc.done
+		pc.waited = time.Since(start)
+	}
+	if pc.killed != nil {
+		panic(pc.killed)
+	}
+	pc.settled = true
+	pc.dev.commitWaitNs.Add(int64(pc.waited))
+	if pc.shared {
+		pc.dev.sharedFlushes.Add(1)
+	}
+	if pc.err != nil {
+		pc.t.rollback()
+		return CommitReport{}, pc.err
+	}
+	pc.rep = pc.t.finishCommit(pc.forced)
+	pc.t.db.maybeAutoCheckpoint()
+	return pc.rep, nil
 }
 
 // finishCommit performs the engine-side half of a commit — dirty-page flush,
-// epoch settling, lock release, counters — after the caller has appended the
-// commit marker.  It ends the transaction.
+// epoch settling, lock release, counters — once the commit marker is appended
+// and, with a durable log, on disk.  It ends the transaction.
 func (t *Txn) finishCommit(forced int64) CommitReport {
 	written, scanned := t.db.cache.FlushDirty()
 	rep := CommitReport{
@@ -219,12 +352,20 @@ func (t *Txn) Rollback() error {
 	if !t.active {
 		return ErrTxnNotActive
 	}
+	t.rollback()
+	return nil
+}
+
+// rollback is Rollback without the activity check, shared with the commit
+// paths that end a transaction whose marker could not be made durable.
+func (t *Txn) rollback() {
 	// The rollback marker needs no sync: a transaction with neither marker on
 	// disk is discarded by replay anyway, and one with only its inserts
 	// durable is discarded the same way.  The marker exists so replay can
-	// account rolled-back transactions explicitly.
+	// account rolled-back transactions explicitly — which is also why a
+	// failed device's refusal to take it changes nothing.
 	if dev := t.db.wal.dev.Load(); dev != nil {
-		dev.logMarker(walRecRollback, t.id)
+		_, _ = dev.logMarker(t.sc, walRecRollback, t.id)
 	}
 	// Undo in reverse order so children are removed before parents and the
 	// foreign-key invariant never observes an orphan (within a range record,
@@ -243,5 +384,4 @@ func (t *Txn) Rollback() error {
 	t.db.locks.ReleaseAll(t.id)
 	t.db.counters.rollbacks.Add(1)
 	t.end()
-	return nil
 }

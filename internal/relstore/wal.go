@@ -5,13 +5,16 @@ import (
 	"sync/atomic"
 )
 
-// WAL models the redo log.  The engine is in-memory, so the log exists for
-// cost accounting and for reasoning about the commit-frequency trade-off the
-// paper describes in §4.5.2: committing rarely avoids per-commit processing
-// but lets redo/undo volume grow between commits.
+// WAL is the redo log, in two halves.  The counters in this file are the cost
+// model: they price redo volume and syncs for the virtual-time figures and for
+// reasoning about the commit-frequency trade-off the paper describes in
+// §4.5.2 (committing rarely avoids per-commit processing but lets redo/undo
+// volume grow between commits), and they run for every database.  The durable
+// half (dev, waldisk.go) exists only under WithWALDir: real segment files,
+// real fsyncs, and the byte stream Recover replays.
 //
-// Like the single redo stream of the production database, the log is one
-// shared structure: concurrent writers serialize on its mutex for the few
+// Like the single redo stream of the production database, the counter half is
+// one shared structure: concurrent writers serialize on its mutex for the few
 // nanoseconds of counter arithmetic.
 type WAL struct {
 	// syncThreshold is the auto-sync high-water mark in bytes: when the
@@ -134,9 +137,16 @@ type WALStats struct {
 	// Replay counters describe the recovery that produced this database (set
 	// once by Recover, including ReplayTornTail — the torn/corrupt trailing
 	// records tolerated and discarded).
-	Durable         bool
-	DurableBytes    int64
-	DurableSyncs    int64
+	Durable      bool
+	DurableBytes int64
+	DurableSyncs int64
+	// CommitWaitNs sums the time committers spent waiting for their marker to
+	// become durable (inside Commit, or blocked in PendingCommit.Wait);
+	// SharedFlushes counts the commits that a flush they did not issue made
+	// durable.  Together with DurableSyncs they answer "is this load waiting
+	// on the log?".
+	CommitWaitNs    int64
+	SharedFlushes   int64
 	SegmentsCreated int64
 	SegmentsDeleted int64
 	Checkpoints     int64

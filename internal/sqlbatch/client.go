@@ -46,7 +46,10 @@ type Conn struct {
 	server *Server
 	worker exec.Worker
 	txn    *relstore.Txn
-	closed bool
+	// pending is the one commit this connection has started and not yet
+	// retired (CommitStart); nil otherwise.
+	pending *relstore.PendingCommit
+	closed  bool
 
 	stats ConnStats
 }
@@ -76,12 +79,33 @@ func (c *Conn) InTransaction() bool { return c.txn != nil && c.txn.Active() }
 
 // Begin starts a transaction, waiting for a server transaction slot if the
 // concurrent-transaction limit has been reached.
+//
+// A connection whose last commit is still pending (CommitStart) takes no
+// second slot: a pending commit holds none of its own, the connection's slot
+// passes to the transaction begun here, so N pipelining connections need N
+// slots, not 2N, and cannot deadlock on them.  The engine's own limit
+// (relstore.WithMaxConcurrentTxns) does count the pending transaction until
+// it retires; a Begin that limit would block retires the pending commit
+// first.
 func (c *Conn) Begin() error {
 	if c.closed {
 		return fmt.Errorf("sqlbatch: connection closed")
 	}
 	if c.InTransaction() {
 		return fmt.Errorf("sqlbatch: transaction already active")
+	}
+	if c.pending != nil {
+		txn, err := c.server.db.Begin()
+		if err == nil {
+			c.txn = txn
+			return nil
+		}
+		if !errors.Is(err, relstore.ErrTooManyTransactions) {
+			return err
+		}
+		if err := c.Retire(); err != nil {
+			return err
+		}
 	}
 	txn, err := c.server.begin(c.worker)
 	if err != nil {
@@ -91,10 +115,15 @@ func (c *Conn) Begin() error {
 	return nil
 }
 
-// Commit makes the current transaction durable.
+// Commit makes the current transaction durable: when it returns nil, this
+// transaction and every one committed before it on the connection are
+// acknowledged.
 func (c *Conn) Commit() error {
 	if !c.InTransaction() {
 		return ErrNoTransaction
+	}
+	if err := c.Retire(); err != nil {
+		return err
 	}
 	_, err := c.server.finish(c.worker, c.txn, true)
 	c.txn = nil
@@ -104,20 +133,69 @@ func (c *Conn) Commit() error {
 	return err
 }
 
-// Rollback abandons the current transaction.
+// CommitStart commits the current transaction without waiting for the log:
+// the commit is started (relstore.Txn.CommitStart) and the connection may
+// Begin and fill its next transaction while the log device makes the marker
+// durable.  Nothing is acknowledged until the commit retires — at the next
+// CommitStart (a connection holds at most one pending commit, so commits
+// retire in order), Commit, Rollback, Seal or Close, or an explicit Retire.
+// When the engine has nothing to overlap (no durable log) or wants a quiet
+// point (an automatic checkpoint is due) the commit retires here and
+// CommitStart is Commit.
+func (c *Conn) CommitStart() error {
+	if !c.InTransaction() {
+		return ErrNoTransaction
+	}
+	if err := c.Retire(); err != nil {
+		return err
+	}
+	pc, err := c.server.commitStart(c.worker, c.txn)
+	c.txn = nil
+	if err != nil {
+		return err
+	}
+	c.pending = pc
+	if pc.Settled() {
+		return c.Retire()
+	}
+	return nil
+}
+
+// Retire waits for the pending commit, if any: a nil return acknowledges it.
+func (c *Conn) Retire() error {
+	pc := c.pending
+	if pc == nil {
+		return nil
+	}
+	c.pending = nil
+	err := c.server.retire(c.worker, pc, c.txn == nil)
+	if err == nil {
+		c.stats.Commits++
+	}
+	return err
+}
+
+// Rollback abandons the current transaction, after retiring a pending commit.
 func (c *Conn) Rollback() error {
 	if !c.InTransaction() {
 		return ErrNoTransaction
+	}
+	if err := c.Retire(); err != nil {
+		return err
 	}
 	_, err := c.server.finish(c.worker, c.txn, false)
 	c.txn = nil
 	return err
 }
 
-// Close releases the connection; an active transaction is rolled back.
+// Close releases the connection; a pending commit is retired and an active
+// transaction is rolled back.
 func (c *Conn) Close() error {
 	if c.closed {
 		return nil
+	}
+	if err := c.Retire(); err != nil {
+		return err
 	}
 	if c.InTransaction() {
 		if err := c.Rollback(); err != nil {
@@ -142,13 +220,17 @@ func (c *Conn) BeginLoad() error {
 // Seal closes the load phase: deferred indexes are bulk-rebuilt and their
 // build cost is charged to this connection's worker in virtual (or scaled
 // real) time.  The connection must not hold an open transaction — Seal runs
-// after every loader transaction has finished.
+// after every loader transaction has finished; a pending commit is retired
+// first.
 func (c *Conn) Seal() (relstore.SealReport, error) {
 	if c.closed {
 		return relstore.SealReport{}, fmt.Errorf("sqlbatch: connection closed")
 	}
 	if c.InTransaction() {
 		return relstore.SealReport{}, fmt.Errorf("sqlbatch: seal with a transaction still active")
+	}
+	if err := c.Retire(); err != nil {
+		return relstore.SealReport{}, err
 	}
 	return c.server.Seal(c.worker)
 }
@@ -212,13 +294,7 @@ func (s *Stmt) ExecuteBatchRows(rows [][]relstore.Value) (BatchResult, error) {
 	res := s.conn.server.execBatch(s.conn.worker, s.conn.txn, s.table, s.columns, rows)
 	s.conn.stats.Calls++
 	s.conn.stats.Batches++
-	s.conn.stats.RowsInserted += int64(res.RowsInserted)
-	s.conn.stats.LockWaits += int64(res.LockWaits)
-	s.conn.stats.LongStalls += int64(res.LongStalls)
-	if res.Err != nil {
-		s.conn.stats.RowsFailed++
-	}
-	return res, nil
+	return res, s.conn.account(res)
 }
 
 // ExecuteSingle inserts one row in its own database call (the non-bulk
@@ -231,13 +307,25 @@ func (s *Stmt) ExecuteSingle(values []relstore.Value) (BatchResult, error) {
 	copy(row, values)
 	res := s.conn.server.execBatch(s.conn.worker, s.conn.txn, s.table, s.columns, [][]relstore.Value{row})
 	s.conn.stats.Calls++
-	s.conn.stats.RowsInserted += int64(res.RowsInserted)
-	s.conn.stats.LockWaits += int64(res.LockWaits)
-	s.conn.stats.LongStalls += int64(res.LongStalls)
-	if res.Err != nil {
-		s.conn.stats.RowsFailed++
+	return res, s.conn.account(res)
+}
+
+// account adds one call's outcome to the connection counters.  A rejected row
+// is part of the result; anything else the engine failed with — its log
+// device's error — is the call's error, so that no loader takes a dead log
+// for a row to skip.
+func (c *Conn) account(res BatchResult) error {
+	c.stats.RowsInserted += int64(res.RowsInserted)
+	c.stats.LockWaits += int64(res.LockWaits)
+	c.stats.LongStalls += int64(res.LongStalls)
+	if res.Err == nil {
+		return nil
 	}
-	return res, nil
+	if !relstore.IsConstraintViolation(res.Err) {
+		return res.Err
+	}
+	c.stats.RowsFailed++
+	return nil
 }
 
 // ChargeClientCPU charges d of client-side (cluster node) processing time to

@@ -216,7 +216,8 @@ func (s *Server) begin(w exec.Worker) (*relstore.Txn, error) {
 	return txn, nil
 }
 
-// finish ends a transaction (commit or rollback) and frees its slot.
+// finish ends a transaction (commit or rollback) on the caller's goroutine
+// and frees its slot.
 func (s *Server) finish(w exec.Worker, txn *relstore.Txn, commit bool) (relstore.CommitReport, error) {
 	defer s.txnSlots.Release(w, 1)
 	if commit {
@@ -224,19 +225,50 @@ func (s *Server) finish(w exec.Worker, txn *relstore.Txn, commit bool) (relstore
 		if err != nil {
 			return rep, err
 		}
-		s.stats.commits.Add(1)
-		// Commit processing: fixed CPU cost plus the database-writer cache
-		// scan, then a forced log write.
-		cpu := s.cost.CommitCost + time.Duration(rep.CacheScanPages)*s.cost.CacheScanCostPerPage
-		s.useCPU(w, cpu)
-		logT := s.cost.LogTime(int(rep.LogBytesForced)) + time.Duration(rep.DirtyPagesWritten)*s.cost.PageWriteCost
-		s.useDisk(w, s.logDisk, logT, &s.stats.logIONs)
+		s.chargeCommit(w, rep)
 		return rep, nil
 	}
 	s.stats.rollbacks.Add(1)
 	err := txn.Rollback()
 	s.useCPU(w, s.cost.CommitCost)
 	return relstore.CommitReport{}, err
+}
+
+// commitStart starts txn's commit (relstore.Txn.CommitStart).  The slot stays
+// with the connection: it goes on to the transaction the connection begins
+// next, or is freed by retire when none was begun.  If the engine could not
+// start the commit it has rolled the transaction back, and the slot is freed
+// here.
+func (s *Server) commitStart(w exec.Worker, txn *relstore.Txn) (*relstore.PendingCommit, error) {
+	pc, err := txn.CommitStart()
+	if err != nil {
+		s.txnSlots.Release(w, 1)
+	}
+	return pc, err
+}
+
+// retire waits until a started commit is durable and settled and charges it;
+// freeSlot says the connection began nothing after it, so its slot goes back.
+func (s *Server) retire(w exec.Worker, pc *relstore.PendingCommit, freeSlot bool) error {
+	if freeSlot {
+		defer s.txnSlots.Release(w, 1)
+	}
+	rep, err := pc.Wait()
+	if err != nil {
+		return err
+	}
+	s.chargeCommit(w, rep)
+	return nil
+}
+
+// chargeCommit counts a commit and charges its processing: fixed CPU cost
+// plus the database-writer cache scan, then a forced log write.
+func (s *Server) chargeCommit(w exec.Worker, rep relstore.CommitReport) {
+	s.stats.commits.Add(1)
+	cpu := s.cost.CommitCost + time.Duration(rep.CacheScanPages)*s.cost.CacheScanCostPerPage
+	s.useCPU(w, cpu)
+	logT := s.cost.LogTime(int(rep.LogBytesForced)) + time.Duration(rep.DirtyPagesWritten)*s.cost.PageWriteCost
+	s.useDisk(w, s.logDisk, logT, &s.stats.logIONs)
 }
 
 // BeginLoad opens the engine's load phase: deferred-policy indexes stop
