@@ -68,8 +68,6 @@ func main() {
 		wallclock  = flag.Bool("wallclock", false, "run loaders as real goroutines and report real elapsed time")
 		timescale  = flag.Float64("timescale", 0, "with -wallclock: multiply simulated service costs into real sleeps (0 = skip them)")
 
-		lockChunk = flag.Int("lock-chunk", 0, "with -wallclock: InsertBatch lock-chunk rows (0 = one lock hold per batch)")
-
 		crash = flag.Bool("crash", false, "run the kill/recover durability scenario: WAL-backed load killed at a random append (derived from -seed), recovered, resumed, and verified byte-identical to an uninterrupted run")
 	)
 	flag.Parse()
@@ -171,13 +169,9 @@ func main() {
 	}
 
 	// Build a fresh environment (database + server) on the given scheduler.
-	// extra options carry the wall-clock-only ingest-mode flags; the DES run
-	// stays on campaign/profile settings so virtual-time figures are
-	// unaffected.
-	buildEnv := func(sched exec.Scheduler, extra ...relstore.Option) (*sqlbatch.Server, *relstore.DB) {
-		opts := append([]relstore.Option{
-			relstore.WithConfig(dbCfg), relstore.WithIndexPolicy(buildPolicy)}, extra...)
-		db, err := tuning.OpenRepository(indexPolicy, opts...)
+	buildEnv := func(sched exec.Scheduler) (*sqlbatch.Server, *relstore.DB) {
+		db, err := tuning.OpenRepository(indexPolicy,
+			relstore.WithConfig(dbCfg), relstore.WithIndexPolicy(buildPolicy))
 		if err != nil {
 			fatal(err)
 		}
@@ -196,13 +190,8 @@ func main() {
 		return
 	}
 
-	// The real run: loader goroutines against the concurrent engine.  The
-	// ingest-mode flag applies here only.
-	var ingestOpts []relstore.Option
-	if *lockChunk > 0 {
-		ingestOpts = append(ingestOpts, relstore.WithBatchLockChunk(*lockChunk))
-	}
-	rtServer, rtDB := buildEnv(exec.NewRealtime(exec.RealtimeConfig{Seed: *seed, TimeScale: *timescale}), ingestOpts...)
+	// The real run: loader goroutines against the concurrent engine.
+	rtServer, rtDB := buildEnv(exec.NewRealtime(exec.RealtimeConfig{Seed: *seed, TimeScale: *timescale}))
 	rtRes, err := parallel.Run(rtServer, files, clusterCfg)
 	if err != nil {
 		fatal(err)

@@ -11,7 +11,6 @@ import (
 	"skyloader/internal/exec"
 	"skyloader/internal/httpserve"
 	"skyloader/internal/parallel"
-	"skyloader/internal/relstore"
 	"skyloader/internal/serve"
 	"skyloader/internal/tuning"
 )
@@ -19,9 +18,9 @@ import (
 // runHTTP loads the catalog on the realtime engine and serves the query API
 // over HTTP until interrupted (or, with -smoke, self-checks and exits).
 func runHTTP(addr string, seed int64, prof tuning.Profile, files []*catalog.File,
-	serveCfg serve.Config, loaders int, ingestOpts []relstore.Option, traceEvery int, smoke bool) {
+	serveCfg serve.Config, loaders int, traceEvery int, smoke bool) {
 	sched := exec.NewRealtime(exec.RealtimeConfig{Seed: seed})
-	load, qs, db := buildEnv(sched, prof, serveCfg, ingestOpts)
+	load, qs, db := buildEnv(sched, prof, serveCfg)
 
 	loadRes, err := parallel.Run(load, files, parallel.Config{
 		Loaders:       loaders,

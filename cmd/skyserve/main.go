@@ -84,8 +84,6 @@ func main() {
 		engine = flag.String("engine", "", "des|realtime|both (default: des, or both with -mixed/-smoke)")
 		fig8   = flag.Bool("fig8", false, "sweep index policies over the mixed workload (DES)")
 		smoke  = flag.Bool("smoke", false, "tiny end-to-end run for CI; nonzero exit on failure")
-
-		lockChunk = flag.Int("lock-chunk", 0, "InsertBatch lock-chunk rows (0 = one lock hold per batch)")
 	)
 	flag.Parse()
 
@@ -130,16 +128,8 @@ func main() {
 		serveCfg.CacheShards = -1
 	}
 
-	// The ingest-mode option rides along with the profile's: chunked locking
-	// lets readers in between batch sub-chunks (see PERFORMANCE.md,
-	// "Chunk-boundary visibility").
-	var ingestOpts []relstore.Option
-	if *lockChunk > 0 {
-		ingestOpts = append(ingestOpts, relstore.WithBatchLockChunk(*lockChunk))
-	}
-
 	if *httpAddr != "" {
-		runHTTP(*httpAddr, *seed, prof, files, serveCfg, *loaders, ingestOpts, *traceEvery, *smoke)
+		runHTTP(*httpAddr, *seed, prof, files, serveCfg, *loaders, *traceEvery, *smoke)
 		return
 	}
 
@@ -154,7 +144,7 @@ func main() {
 	}
 	failed := false
 	for _, eng := range engines {
-		rep, loadRes, ingestRPS, err := runOne(eng, *seed, prof, files, trace, serveCfg, *loaders, *mixed, ingestOpts)
+		rep, loadRes, ingestRPS, err := runOne(eng, *seed, prof, files, trace, serveCfg, *loaders, *mixed)
 		if err != nil {
 			fatal(err)
 		}
@@ -216,10 +206,9 @@ func enginesFor(s string) ([]string, error) {
 }
 
 // buildEnv assembles a fresh database, load server and query server on a
-// scheduler.  extra options (ingest-mode flags) are applied after the
-// profile's so they win on conflict.
-func buildEnv(sched exec.Scheduler, prof tuning.Profile, serveCfg serve.Config, extra []relstore.Option) (*sqlbatch.Server, *serve.Server, *relstore.DB) {
-	db, err := prof.Open(extra...)
+// scheduler.
+func buildEnv(sched exec.Scheduler, prof tuning.Profile, serveCfg serve.Config) (*sqlbatch.Server, *serve.Server, *relstore.DB) {
+	db, err := prof.Open()
 	if err != nil {
 		fatal(err)
 	}
@@ -231,14 +220,14 @@ func buildEnv(sched exec.Scheduler, prof tuning.Profile, serveCfg serve.Config, 
 // mixed mode, the load result and ingest throughput (rows/s over the load
 // window).
 func runOne(engine string, seed int64, prof tuning.Profile, files []*catalog.File, trace []serve.Request,
-	serveCfg serve.Config, loaders int, mixed bool, ingestOpts []relstore.Option) (serve.Report, *parallel.Result, float64, error) {
+	serveCfg serve.Config, loaders int, mixed bool) (serve.Report, *parallel.Result, float64, error) {
 	var sched exec.Scheduler
 	if engine == "des" {
 		sched = exec.NewDES(des.NewKernel(seed))
 	} else {
 		sched = exec.NewRealtime(exec.RealtimeConfig{Seed: seed})
 	}
-	load, qs, db := buildEnv(sched, prof, serveCfg, ingestOpts)
+	load, qs, db := buildEnv(sched, prof, serveCfg)
 	loadCfg := parallel.Config{
 		Loaders:       loaders,
 		Loader:        core.Config{BatchSize: 40, ArraySize: 1000, ChargeStaging: true},
@@ -312,7 +301,7 @@ func runFig8(files []*catalog.File, trace []serve.Request, serveCfg serve.Config
 		prof := tuning.ProductionLoading()
 		prof.Indexes = pt.indexes
 		prof.DeferredIndexBuild = pt.deferred
-		rep, loadRes, _, err := runOne("des", seed, prof, files, trace, serveCfg, loaders, true, nil)
+		rep, loadRes, _, err := runOne("des", seed, prof, files, trace, serveCfg, loaders, true)
 		if err != nil {
 			fatal(err)
 		}

@@ -104,13 +104,13 @@
 // # Load policies and the Open options API
 //
 // The storage engine is constructed with relstore.Open(schema, ...Option).
-// Nine options set one Config field each (WithCache, WithMaxConcurrentTxns,
-// WithBTreeDegree, WithDirtyFlushPages, WithWALSync, WithBatchLockChunk,
-// WithWALDir, WithCheckpointEvery, WithWALSegmentBytes), WithConfig adopts a
-// whole Config, and WithIndexPolicy and the test-only WithFaultHook carry
-// what Config does not hold.  PERFORMANCE.md ("Knob audit") lists who sets
-// each one and what it measured; relstore's TestConfigSurface pins the field
-// set so a new knob is a visible decision.
+// Seven options set one Config field each (WithCache, WithMaxConcurrentTxns,
+// WithBTreeDegree, WithDirtyFlushPages, WithWALDir, WithCheckpointEvery,
+// WithWALSegmentBytes), WithConfig adopts a whole Config, and WithIndexPolicy
+// and the test-only WithFaultHook carry what Config does not hold.
+// PERFORMANCE.md ("Knob audit") lists who sets each one and what it measured;
+// relstore's TestConfigSurface pins the field set so a new knob is a visible
+// decision.
 //
 // With WithWALDir a commit has two halves: Txn.CommitStart appends the commit
 // marker and starts the log flush beside the caller, PendingCommit.Wait

@@ -108,14 +108,6 @@ type Stats struct {
 	Skipped           []SkippedRow
 }
 
-// MBPerSecond returns nominal megabytes loaded per virtual second.
-func (s Stats) MBPerSecond() float64 {
-	if s.Elapsed <= 0 {
-		return 0
-	}
-	return float64(s.NominalBytes) / 1e6 / s.Elapsed.Seconds()
-}
-
 // Merge accumulates other into s (used to combine per-node statistics).
 func (s *Stats) Merge(other Stats) {
 	s.Files += other.Files

@@ -60,9 +60,6 @@ func TestProcHoldAdvancesTime(t *testing.T) {
 			t.Fatalf("observed[%d] = %v, want %v", i, observed[i], w)
 		}
 	}
-	if p.HoldTime() != 7*time.Second {
-		t.Fatalf("HoldTime = %v, want 7s", p.HoldTime())
-	}
 	if p.FinishedAt() != 7*time.Second {
 		t.Fatalf("FinishedAt = %v, want 7s", p.FinishedAt())
 	}
@@ -161,9 +158,14 @@ func TestResourceUse(t *testing.T) {
 	k := NewKernel(1)
 	res := NewResource(k, "disk", 1)
 	var done time.Duration
-	k.Spawn("a", func(p *Proc) { res.Use(p, 1, 3*time.Second) })
+	use := func(p *Proc) {
+		res.Acquire(p, 1)
+		p.Hold(3 * time.Second)
+		res.Release(p, 1)
+	}
+	k.Spawn("a", use)
 	k.Spawn("b", func(p *Proc) {
-		res.Use(p, 1, 3*time.Second)
+		use(p)
 		done = p.Now()
 	})
 	k.Run()
@@ -180,31 +182,6 @@ func TestAcquireMoreThanCapacityPanics(t *testing.T) {
 	if p.Err() == nil {
 		t.Fatal("expected the process to record a panic error")
 	}
-}
-
-func TestStuckDetection(t *testing.T) {
-	k := NewKernel(1)
-	res := NewResource(k, "r", 1)
-	k.Spawn("holder", func(p *Proc) {
-		res.Acquire(p, 1)
-		// Never releases.
-	})
-	k.Spawn("waiter", func(p *Proc) {
-		res.Acquire(p, 1)
-	})
-	k.Run()
-	stuck := k.Stuck()
-	if len(stuck) != 1 || stuck[0].Name() != "waiter" {
-		t.Fatalf("stuck = %v, want [waiter]", names(stuck))
-	}
-}
-
-func names(ps []*Proc) []string {
-	var out []string
-	for _, p := range ps {
-		out = append(out, p.Name())
-	}
-	return out
 }
 
 func TestSignalWaitAndFire(t *testing.T) {

@@ -59,7 +59,6 @@ type Kernel struct {
 	seq     int64
 	events  eventHeap
 	procSeq int
-	procs   []*Proc
 	rng     *rand.Rand
 	running bool
 
@@ -111,14 +110,12 @@ func (k *Kernel) SpawnAt(d time.Duration, name string, fn func(*Proc)) *Proc {
 		name:   name,
 		resume: make(chan struct{}),
 	}
-	k.procs = append(k.procs, p)
 	k.Schedule(d, func() { k.startProc(p, fn) })
 	return p
 }
 
 // startProc launches the process goroutine and waits for it to yield.
 func (k *Kernel) startProc(p *Proc, fn func(*Proc)) {
-	p.started = true
 	p.startedAt = k.now
 	go func() {
 		defer func() {
@@ -171,16 +168,4 @@ func (k *Kernel) RunUntil(limit time.Duration) time.Duration {
 		e.fn()
 	}
 	return k.now
-}
-
-// Stuck returns the processes that have started but neither finished nor have
-// a pending wake-up event — typically processes blocked forever on a resource.
-func (k *Kernel) Stuck() []*Proc {
-	var out []*Proc
-	for _, p := range k.procs {
-		if p.started && !p.finished && p.waiting {
-			out = append(out, p)
-		}
-	}
-	return out
 }

@@ -17,14 +17,9 @@ type Proc struct {
 
 	resume chan struct{}
 
-	started    bool
 	finished   bool
-	waiting    bool
 	startedAt  time.Duration
 	finishedAt time.Duration
-
-	// holdTotal accumulates virtual time spent in explicit Hold calls.
-	holdTotal time.Duration
 
 	err error
 }
@@ -55,16 +50,11 @@ func (p *Proc) StartedAt() time.Duration { return p.startedAt }
 // It is meaningful only once Finished reports true.
 func (p *Proc) FinishedAt() time.Duration { return p.finishedAt }
 
-// HoldTime returns the total virtual time this process spent in Hold calls.
-func (p *Proc) HoldTime() time.Duration { return p.holdTotal }
-
 // park yields control to the kernel and blocks until the kernel resumes this
 // process.
 func (p *Proc) park() {
-	p.waiting = true
 	p.k.parked <- struct{}{}
 	<-p.resume
-	p.waiting = false
 }
 
 // Hold advances this process's virtual time by d: the process sleeps for d
@@ -74,7 +64,6 @@ func (p *Proc) Hold(d time.Duration) {
 	if d < 0 {
 		d = 0
 	}
-	p.holdTotal += d
 	p.k.Schedule(d, func() { p.k.resumeProc(p) })
 	p.park()
 }

@@ -128,14 +128,6 @@ func (r *Resource) grantWaiters() {
 	}
 }
 
-// Use acquires n units, runs fn, and releases the units, charging the process
-// d of virtual service time while the units are held.
-func (r *Resource) Use(p *Proc, n int, d time.Duration) {
-	r.Acquire(p, n)
-	p.Hold(d)
-	r.Release(p, n)
-}
-
 // Stats reports usage statistics for the resource.
 type ResourceStats struct {
 	Name          string

@@ -30,8 +30,8 @@ var backends = []struct {
 	{
 		name: "database", start: newHTTPEnv, repeat: "cache_hit",
 		families: []string{
-			"sky_db_rows_inserted_total", "sky_db_commits_total", "sky_db_total_rows",
-			"sky_wal_records_total", "sky_wal_syncs_total", "sky_wal_auto_syncs_total",
+			"sky_db_rows_inserted_total", "sky_db_commits_total", "sky_db_total_rows", "sky_db_batch_yields_total",
+			"sky_wal_records_total", "sky_wal_syncs_total",
 			"sky_wal_durable_syncs_total", "sky_wal_commit_wait_seconds_total", "sky_wal_shared_flushes_total",
 			"sky_buffer_cache_hits_total", "sky_index_key_bytes", "sky_index_ready",
 			"sky_relstore_resident_bytes", "sky_relstore_keyindex_bytes", "sky_result_cache_hits_total",

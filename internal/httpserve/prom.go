@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"skyloader/internal/metrics"
+	"skyloader/internal/relstore"
 )
 
 // handleMetrics renders the full metric catalog in Prometheus text format.
@@ -35,40 +36,25 @@ func (s *Server) WriteMetrics(out io.Writer) error {
 
 	// --- serve: admission counters ---
 	c := s.qs.Counters()
-	p.Metric("sky_serve_requests_total", "Query requests admitted or shed.", "counter")
-	p.SampleInt("sky_serve_requests_total", nil, c.Requests)
-	p.Metric("sky_serve_served_total", "Requests answered (cache hits included).", "counter")
-	p.SampleInt("sky_serve_served_total", nil, c.Served)
-	p.Metric("sky_serve_shed_total", "Requests shed at the full admission queue.", "counter")
-	p.SampleInt("sky_serve_shed_total", nil, c.Shed)
-	p.Metric("sky_serve_expired_total", "Requests abandoned past their queue-wait deadline.", "counter")
-	p.SampleInt("sky_serve_expired_total", nil, c.Expired)
-	p.Metric("sky_serve_errors_total", "Requests that failed in the engine.", "counter")
-	p.SampleInt("sky_serve_errors_total", nil, c.Errors)
-	p.Metric("sky_serve_unstable_total", "Answers computed over in-flight loader writes (served, never cached).", "counter")
-	p.SampleInt("sky_serve_unstable_total", nil, c.Unstable)
-	p.Metric("sky_serve_during_ingest_served_total", "Requests served while loaders were active.", "counter")
-	p.SampleInt("sky_serve_during_ingest_served_total", nil, c.DuringIngestServed)
-	p.Metric("sky_serve_during_ingest_shed_total", "Requests shed while loaders were active.", "counter")
-	p.SampleInt("sky_serve_during_ingest_shed_total", nil, c.DuringIngestShed)
-	p.Metric("sky_serve_during_ingest_expired_total", "Requests expired while loaders were active.", "counter")
-	p.SampleInt("sky_serve_during_ingest_expired_total", nil, c.DuringIngestExpired)
+	p.Counter("sky_serve_requests_total", "Query requests admitted or shed.", c.Requests)
+	p.Counter("sky_serve_served_total", "Requests answered (cache hits included).", c.Served)
+	p.Counter("sky_serve_shed_total", "Requests shed at the full admission queue.", c.Shed)
+	p.Counter("sky_serve_expired_total", "Requests abandoned past their queue-wait deadline.", c.Expired)
+	p.Counter("sky_serve_errors_total", "Requests that failed in the engine.", c.Errors)
+	p.Counter("sky_serve_unstable_total", "Answers computed over in-flight loader writes (served, never cached).", c.Unstable)
+	p.Counter("sky_serve_during_ingest_served_total", "Requests served while loaders were active.", c.DuringIngestServed)
+	p.Counter("sky_serve_during_ingest_shed_total", "Requests shed while loaders were active.", c.DuringIngestShed)
+	p.Counter("sky_serve_during_ingest_expired_total", "Requests expired while loaders were active.", c.DuringIngestExpired)
 
 	// --- serve: result cache ---
 	if cache := s.qs.Cache(); cache != nil {
 		cs := cache.Stats()
-		p.Metric("sky_result_cache_hits_total", "Result cache hits.", "counter")
-		p.SampleInt("sky_result_cache_hits_total", nil, cs.Hits)
-		p.Metric("sky_result_cache_misses_total", "Result cache misses.", "counter")
-		p.SampleInt("sky_result_cache_misses_total", nil, cs.Misses)
-		p.Metric("sky_result_cache_stale_hits_total", "Lookups that found an epoch-invalidated entry.", "counter")
-		p.SampleInt("sky_result_cache_stale_hits_total", nil, cs.StaleHits)
-		p.Metric("sky_result_cache_evictions_total", "Capacity evictions.", "counter")
-		p.SampleInt("sky_result_cache_evictions_total", nil, cs.Evictions)
-		p.Metric("sky_result_cache_stores_total", "Results stored.", "counter")
-		p.SampleInt("sky_result_cache_stores_total", nil, cs.Stores)
-		p.Metric("sky_result_cache_entries", "Entries currently cached.", "gauge")
-		p.SampleInt("sky_result_cache_entries", nil, int64(cs.Entries))
+		p.Counter("sky_result_cache_hits_total", "Result cache hits.", cs.Hits)
+		p.Counter("sky_result_cache_misses_total", "Result cache misses.", cs.Misses)
+		p.Counter("sky_result_cache_stale_hits_total", "Lookups that found an epoch-invalidated entry.", cs.StaleHits)
+		p.Counter("sky_result_cache_evictions_total", "Capacity evictions.", cs.Evictions)
+		p.Counter("sky_result_cache_stores_total", "Results stored.", cs.Stores)
+		p.Gauge("sky_result_cache_entries", "Entries currently cached.", int64(cs.Entries))
 	}
 
 	// --- serve: per-class counters and latency histograms ---
@@ -97,20 +83,13 @@ func (s *Server) WriteMetrics(out io.Writer) error {
 	// --- serve: worker pool saturation ---
 	workers := s.qs.Workers()
 	ws := workers.Stats()
-	p.Metric("sky_workers_capacity", "Query worker pool size.", "gauge")
-	p.SampleInt("sky_workers_capacity", nil, int64(ws.Capacity))
-	p.Metric("sky_workers_in_use", "Workers currently executing.", "gauge")
-	p.SampleInt("sky_workers_in_use", nil, int64(workers.InUse()))
-	p.Metric("sky_workers_queue_len", "Requests waiting for a worker.", "gauge")
-	p.SampleInt("sky_workers_queue_len", nil, int64(workers.QueueLen()))
-	p.Metric("sky_workers_grants_total", "Worker-slot grants.", "counter")
-	p.SampleInt("sky_workers_grants_total", nil, int64(ws.Grants))
-	p.Metric("sky_workers_waits_total", "Worker-slot acquisitions that had to queue.", "counter")
-	p.SampleInt("sky_workers_waits_total", nil, int64(ws.Waits))
-	p.Metric("sky_workers_wait_seconds_total", "Cumulative time spent waiting for a worker slot.", "counter")
-	p.Sample("sky_workers_wait_seconds_total", nil, ws.TotalWait.Seconds())
-	p.Metric("sky_workers_max_queue_depth", "High-water mark of the worker queue.", "gauge")
-	p.SampleInt("sky_workers_max_queue_depth", nil, int64(ws.MaxQueueDepth))
+	p.Gauge("sky_workers_capacity", "Query worker pool size.", int64(ws.Capacity))
+	p.Gauge("sky_workers_in_use", "Workers currently executing.", int64(workers.InUse()))
+	p.Gauge("sky_workers_queue_len", "Requests waiting for a worker.", int64(workers.QueueLen()))
+	p.Counter("sky_workers_grants_total", "Worker-slot grants.", int64(ws.Grants))
+	p.Counter("sky_workers_waits_total", "Worker-slot acquisitions that had to queue.", int64(ws.Waits))
+	p.CounterFloat("sky_workers_wait_seconds_total", "Cumulative time spent waiting for a worker slot.", ws.TotalWait.Seconds())
+	p.Gauge("sky_workers_max_queue_depth", "High-water mark of the worker queue.", int64(ws.MaxQueueDepth))
 
 	// --- transport ---
 	p.Metric("sky_http_requests_total", "HTTP requests by endpoint.", "counter")
@@ -123,35 +102,29 @@ func (s *Server) WriteMetrics(out io.Writer) error {
 	}
 	p.Metric("sky_http_request_seconds", "HTTP request handling latency, all endpoints.", "histogram")
 	p.Histogram("sky_http_request_seconds", nil, s.latency)
-	p.Metric("sky_http_open_conns_limit", "Listener connection cap (0 before Start).", "gauge")
-	p.SampleInt("sky_http_open_conns_limit", nil, int64(s.maxConns()))
-	p.Metric("sky_http_uptime_seconds", "Seconds since the front door was built.", "gauge")
-	p.Sample("sky_http_uptime_seconds", nil, time.Since(s.start).Seconds())
+	p.Gauge("sky_http_open_conns_limit", "Listener connection cap (0 before Start).", int64(s.maxConns()))
+	p.GaugeFloat("sky_http_uptime_seconds", "Seconds since the front door was built.", time.Since(s.start).Seconds())
 
 	// --- trace ring ---
-	p.Metric("sky_trace_published_total", "Requests sampled into the trace ring.", "counter")
-	p.SampleInt("sky_trace_published_total", nil, int64(s.tracer.Published()))
-	p.Metric("sky_trace_sample_interval", "One request in N is traced.", "gauge")
-	p.SampleInt("sky_trace_sample_interval", nil, int64(s.cfg.TraceEvery))
+	p.Counter("sky_trace_published_total", "Requests sampled into the trace ring.", int64(s.tracer.Published()))
+	p.Gauge("sky_trace_sample_interval", "One request in N is traced.", int64(s.cfg.TraceEvery))
 
 	return p.Err()
 }
 
 // writeMetrics renders every engine counter of the database.
 func (b dbBackend) writeMetrics(p *metrics.PromWriter) {
-	snap := b.db.StatsSnapshot()
+	writeDBMetrics(p, b.db.StatsSnapshot())
+}
 
+// writeDBMetrics renders one statistics snapshot of a database.
+func writeDBMetrics(p *metrics.PromWriter, snap relstore.StatsSnapshot) {
 	// --- relstore: row and transaction counters ---
-	p.Metric("sky_db_rows_inserted_total", "Rows inserted into the store.", "counter")
-	p.SampleInt("sky_db_rows_inserted_total", nil, snap.DB.RowsInserted)
-	p.Metric("sky_db_rows_rejected_total", "Rows rejected by constraint checks.", "counter")
-	p.SampleInt("sky_db_rows_rejected_total", nil, snap.DB.RowsRejected)
-	p.Metric("sky_db_transactions_total", "Transactions begun.", "counter")
-	p.SampleInt("sky_db_transactions_total", nil, snap.DB.Transactions)
-	p.Metric("sky_db_commits_total", "Transactions committed.", "counter")
-	p.SampleInt("sky_db_commits_total", nil, snap.DB.Commits)
-	p.Metric("sky_db_rollbacks_total", "Transactions rolled back.", "counter")
-	p.SampleInt("sky_db_rollbacks_total", nil, snap.DB.Rollbacks)
+	p.Counter("sky_db_rows_inserted_total", "Rows inserted into the store.", snap.DB.RowsInserted)
+	p.Counter("sky_db_rows_rejected_total", "Rows rejected by constraint checks.", snap.DB.RowsRejected)
+	p.Counter("sky_db_transactions_total", "Transactions begun.", snap.DB.Transactions)
+	p.Counter("sky_db_commits_total", "Transactions committed.", snap.DB.Commits)
+	p.Counter("sky_db_rollbacks_total", "Transactions rolled back.", snap.DB.Rollbacks)
 	p.Metric("sky_db_constraint_violations_total", "Constraint violations by kind.", "counter")
 	byKind := make(map[string]int64, len(snap.DB.ConstraintViolations))
 	for kind, n := range snap.DB.ConstraintViolations {
@@ -160,97 +133,51 @@ func (b dbBackend) writeMetrics(p *metrics.PromWriter) {
 	for _, kind := range metrics.SortedLabelNames(byKind) {
 		p.SampleInt("sky_db_constraint_violations_total", []metrics.Label{{Name: "kind", Value: kind}}, byKind[kind])
 	}
-	p.Metric("sky_db_pages_allocated_total", "Heap pages allocated.", "counter")
-	p.SampleInt("sky_db_pages_allocated_total", nil, snap.DB.PagesAllocated)
-	p.Metric("sky_db_log_bytes_total", "Redo-log bytes written (cost model).", "counter")
-	p.SampleInt("sky_db_log_bytes_total", nil, snap.DB.LogBytes)
-	p.Metric("sky_db_index_splits_total", "B-tree node splits.", "counter")
-	p.SampleInt("sky_db_index_splits_total", nil, snap.DB.IndexSplits)
-	p.Metric("sky_db_lock_conflicts_total", "Row-lock conflicts.", "counter")
-	p.SampleInt("sky_db_lock_conflicts_total", nil, snap.DB.LockConflicts)
-	p.Metric("sky_db_indexes_created_total", "Successful CREATE INDEX operations.", "counter")
-	p.SampleInt("sky_db_indexes_created_total", nil, snap.DB.IndexesCreated)
-	p.Metric("sky_db_indexes_dropped_total", "Successful DROP INDEX operations.", "counter")
-	p.SampleInt("sky_db_indexes_dropped_total", nil, snap.DB.IndexesDropped)
-	p.Metric("sky_db_index_ddl_failures_total", "Failed index DDL operations.", "counter")
-	p.SampleInt("sky_db_index_ddl_failures_total", nil, snap.DB.IndexDDLFailures)
-	p.Metric("sky_db_total_rows", "Rows currently resident across all tables.", "gauge")
-	p.SampleInt("sky_db_total_rows", nil, snap.TotalRows)
-	p.Metric("sky_db_loading", "1 while a BeginLoad/Seal window is open.", "gauge")
-	loading := int64(0)
-	if snap.Loading {
-		loading = 1
-	}
-	p.SampleInt("sky_db_loading", nil, loading)
+	p.Counter("sky_db_pages_allocated_total", "Heap pages allocated.", snap.DB.PagesAllocated)
+	p.Counter("sky_db_log_bytes_total", "Redo-log bytes written (cost model).", snap.DB.LogBytes)
+	p.Counter("sky_db_index_splits_total", "B-tree node splits.", snap.DB.IndexSplits)
+	p.Counter("sky_db_lock_conflicts_total", "Row-lock conflicts.", snap.DB.LockConflicts)
+	p.Counter("sky_db_batch_yields_total", "Batch runs closed early to let a waiting reader in.", snap.DB.BatchYields)
+	p.Counter("sky_db_indexes_created_total", "Successful CREATE INDEX operations.", snap.DB.IndexesCreated)
+	p.Counter("sky_db_indexes_dropped_total", "Successful DROP INDEX operations.", snap.DB.IndexesDropped)
+	p.Counter("sky_db_index_ddl_failures_total", "Failed index DDL operations.", snap.DB.IndexDDLFailures)
+	p.Gauge("sky_db_total_rows", "Rows currently resident across all tables.", snap.TotalRows)
+	p.Gauge("sky_db_loading", "1 while a BeginLoad/Seal window is open.", boolInt(snap.Loading))
 
 	// --- relstore: WAL ---
-	p.Metric("sky_wal_records_total", "WAL records appended.", "counter")
-	p.SampleInt("sky_wal_records_total", nil, snap.WAL.Records)
-	p.Metric("sky_wal_group_records_total", "Batched multi-row WAL records.", "counter")
-	p.SampleInt("sky_wal_group_records_total", nil, snap.WAL.GroupRecords)
-	p.Metric("sky_wal_grouped_rows_total", "Rows covered by batched WAL records.", "counter")
-	p.SampleInt("sky_wal_grouped_rows_total", nil, snap.WAL.GroupedRows)
-	p.Metric("sky_wal_bytes_total", "WAL bytes appended.", "counter")
-	p.SampleInt("sky_wal_bytes_total", nil, snap.WAL.Bytes)
-	p.Metric("sky_wal_commits_total", "Commit records appended.", "counter")
-	p.SampleInt("sky_wal_commits_total", nil, snap.WAL.Commits)
-	// The sync family: syncs >= auto_syncs always holds; the difference is
-	// the per-commit syncs.
-	p.Metric("sky_wal_syncs_total", "Log syncs from every cause (per-commit, threshold).", "counter")
-	p.SampleInt("sky_wal_syncs_total", nil, snap.WAL.Syncs)
-	p.Metric("sky_wal_auto_syncs_total", "Syncs forced by the unsynced-bytes threshold.", "counter")
-	p.SampleInt("sky_wal_auto_syncs_total", nil, snap.WAL.AutoSyncs)
-	p.Metric("sky_wal_max_unsynced_bytes", "High-water mark of unsynced WAL bytes.", "gauge")
-	p.SampleInt("sky_wal_max_unsynced_bytes", nil, snap.WAL.MaxUnsyncedBytes)
+	p.Counter("sky_wal_records_total", "WAL records appended.", snap.WAL.Records)
+	p.Counter("sky_wal_group_records_total", "Batched multi-row WAL records.", snap.WAL.GroupRecords)
+	p.Counter("sky_wal_grouped_rows_total", "Rows covered by batched WAL records.", snap.WAL.GroupedRows)
+	p.Counter("sky_wal_bytes_total", "WAL bytes appended.", snap.WAL.Bytes)
+	p.Counter("sky_wal_commits_total", "Commit records appended.", snap.WAL.Commits)
+	p.Counter("sky_wal_syncs_total", "Log syncs counted by the cost model, one per commit.", snap.WAL.Syncs)
+	p.Gauge("sky_wal_max_unsynced_bytes", "High-water mark of unsynced WAL bytes.", snap.WAL.MaxUnsyncedBytes)
 
 	// --- relstore: durable WAL, checkpoints, crash recovery ---
-	p.Metric("sky_wal_durable", "1 when records are persisted to a WAL directory.", "gauge")
-	durable := int64(0)
-	if snap.WAL.Durable {
-		durable = 1
-	}
-	p.SampleInt("sky_wal_durable", nil, durable)
-	p.Metric("sky_wal_durable_bytes_total", "Bytes appended to on-disk WAL segments.", "counter")
-	p.SampleInt("sky_wal_durable_bytes_total", nil, snap.WAL.DurableBytes)
-	p.Metric("sky_wal_durable_syncs_total", "fsync batches issued against the WAL.", "counter")
-	p.SampleInt("sky_wal_durable_syncs_total", nil, snap.WAL.DurableSyncs)
+	p.Gauge("sky_wal_durable", "1 when records are persisted to a WAL directory.", boolInt(snap.WAL.Durable))
+	p.Counter("sky_wal_durable_bytes_total", "Bytes appended to on-disk WAL segments.", snap.WAL.DurableBytes)
+	p.Counter("sky_wal_durable_syncs_total", "fsync batches issued against the WAL.", snap.WAL.DurableSyncs)
 	// With the two above these answer "is this load waiting on the log?":
 	// seconds committers spent blocked on durability, and how many of them a
 	// flush someone else had issued served.
-	p.Metric("sky_wal_commit_wait_seconds_total", "Time committers spent waiting for their commit marker to become durable, summed.", "counter")
-	p.Sample("sky_wal_commit_wait_seconds_total", nil, float64(snap.WAL.CommitWaitNs)/1e9)
-	p.Metric("sky_wal_shared_flushes_total", "Commits made durable by a flush they did not issue.", "counter")
-	p.SampleInt("sky_wal_shared_flushes_total", nil, snap.WAL.SharedFlushes)
-	p.Metric("sky_wal_segments_created_total", "WAL segment files created.", "counter")
-	p.SampleInt("sky_wal_segments_created_total", nil, snap.WAL.SegmentsCreated)
-	p.Metric("sky_wal_segments_deleted_total", "WAL segment files deleted by checkpoint truncation.", "counter")
-	p.SampleInt("sky_wal_segments_deleted_total", nil, snap.WAL.SegmentsDeleted)
-	p.Metric("sky_wal_checkpoints_total", "Checkpoints taken (manual and automatic).", "counter")
-	p.SampleInt("sky_wal_checkpoints_total", nil, snap.WAL.Checkpoints)
-	p.Metric("sky_wal_replay_records_total", "WAL records applied by crash recovery.", "counter")
-	p.SampleInt("sky_wal_replay_records_total", nil, snap.WAL.ReplayRecords)
-	p.Metric("sky_wal_replay_rows_total", "Rows restored from the log by crash recovery.", "counter")
-	p.SampleInt("sky_wal_replay_rows_total", nil, snap.WAL.ReplayRows)
-	p.Metric("sky_wal_replay_bytes_total", "Log bytes scanned by crash recovery.", "counter")
-	p.SampleInt("sky_wal_replay_bytes_total", nil, snap.WAL.ReplayBytes)
-	p.Metric("sky_wal_replay_torn_tail_total", "Torn trailing records discarded by crash recovery.", "counter")
-	p.SampleInt("sky_wal_replay_torn_tail_total", nil, snap.WAL.ReplayTornTail)
+	p.CounterFloat("sky_wal_commit_wait_seconds_total", "Time committers spent waiting for their commit marker to become durable, summed.", float64(snap.WAL.CommitWaitNs)/1e9)
+	p.Counter("sky_wal_shared_flushes_total", "Commits made durable by a flush they did not issue.", snap.WAL.SharedFlushes)
+	p.Counter("sky_wal_segments_created_total", "WAL segment files created.", snap.WAL.SegmentsCreated)
+	p.Counter("sky_wal_segments_deleted_total", "WAL segment files deleted by checkpoint truncation.", snap.WAL.SegmentsDeleted)
+	p.Counter("sky_wal_checkpoints_total", "Checkpoints taken (manual and automatic).", snap.WAL.Checkpoints)
+	p.Counter("sky_wal_replay_records_total", "WAL records applied by crash recovery.", snap.WAL.ReplayRecords)
+	p.Counter("sky_wal_replay_rows_total", "Rows restored from the log by crash recovery.", snap.WAL.ReplayRows)
+	p.Counter("sky_wal_replay_bytes_total", "Log bytes scanned by crash recovery.", snap.WAL.ReplayBytes)
+	p.Counter("sky_wal_replay_torn_tail_total", "Torn trailing records discarded by crash recovery.", snap.WAL.ReplayTornTail)
 
 	// --- relstore: buffer cache ---
-	p.Metric("sky_buffer_cache_capacity_pages", "Buffer cache capacity.", "gauge")
-	p.SampleInt("sky_buffer_cache_capacity_pages", nil, int64(snap.Cache.Capacity))
-	p.Metric("sky_buffer_cache_resident_pages", "Pages currently resident.", "gauge")
-	p.SampleInt("sky_buffer_cache_resident_pages", nil, int64(snap.Cache.Resident))
-	p.Metric("sky_buffer_cache_hits_total", "Buffer cache hits.", "counter")
-	p.SampleInt("sky_buffer_cache_hits_total", nil, snap.Cache.Hits)
-	p.Metric("sky_buffer_cache_misses_total", "Buffer cache misses.", "counter")
-	p.SampleInt("sky_buffer_cache_misses_total", nil, snap.Cache.Misses)
-	p.Metric("sky_buffer_cache_evicts_total", "Buffer cache evictions.", "counter")
-	p.SampleInt("sky_buffer_cache_evicts_total", nil, snap.Cache.Evicts)
-	p.Metric("sky_buffer_cache_flushes_total", "Dirty-page flushes.", "counter")
-	p.SampleInt("sky_buffer_cache_flushes_total", nil, snap.Cache.Flushes)
-	p.Metric("sky_buffer_cache_scan_work_total", "LRU scan steps.", "counter")
-	p.SampleInt("sky_buffer_cache_scan_work_total", nil, snap.Cache.ScanWork)
+	p.Gauge("sky_buffer_cache_capacity_pages", "Buffer cache capacity.", int64(snap.Cache.Capacity))
+	p.Gauge("sky_buffer_cache_resident_pages", "Pages currently resident.", int64(snap.Cache.Resident))
+	p.Counter("sky_buffer_cache_hits_total", "Buffer cache hits.", snap.Cache.Hits)
+	p.Counter("sky_buffer_cache_misses_total", "Buffer cache misses.", snap.Cache.Misses)
+	p.Counter("sky_buffer_cache_evicts_total", "Buffer cache evictions.", snap.Cache.Evicts)
+	p.Counter("sky_buffer_cache_flushes_total", "Dirty-page flushes.", snap.Cache.Flushes)
+	p.Counter("sky_buffer_cache_scan_work_total", "LRU scan steps.", snap.Cache.ScanWork)
 
 	// --- relstore: per-table memory footprint ---
 	p.Metric("sky_relstore_resident_bytes", "Memory held for stored rows (page data, slot and row directories, key-index slots), by table.", "gauge")
@@ -273,12 +200,16 @@ func (b dbBackend) writeMetrics(p *metrics.PromWriter) {
 	}
 	p.Metric("sky_index_ready", "1 when the index is maintained and queryable.", "gauge")
 	for _, ix := range snap.Indexes {
-		ready := int64(0)
-		if ix.Ready {
-			ready = 1
-		}
-		p.SampleInt("sky_index_ready", indexLabels(ix.Table, ix.Name), ready)
+		p.SampleInt("sky_index_ready", indexLabels(ix.Table, ix.Name), boolInt(ix.Ready))
 	}
+}
+
+// boolInt is the 0/1 sample of a boolean gauge.
+func boolInt(b bool) int64 {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 func indexLabels(table, index string) []metrics.Label {

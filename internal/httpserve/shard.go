@@ -112,13 +112,15 @@ func (b fleetBackend) stats(resp *StatsResponse) {
 // probe.
 func (b fleetBackend) writeMetrics(p *metrics.PromWriter) {
 	snap := b.co.Snapshot()
+	stats, statsErr := b.probe()
+	writeFleetMetrics(p, snap, stats, statsErr)
+}
 
-	p.Metric("sky_shard_count", "Number of shards in the fleet.", "gauge")
-	p.SampleInt("sky_shard_count", nil, int64(snap.Shards))
-	p.Metric("sky_shard_queries_total", "Queries scattered by the coordinator.", "counter")
-	p.SampleInt("sky_shard_queries_total", nil, snap.Queries)
-	p.Metric("sky_shard_query_errors_total", "Scatter-gather queries that failed.", "counter")
-	p.SampleInt("sky_shard_query_errors_total", nil, snap.QueryErrors)
+// writeFleetMetrics renders one coordinator snapshot and one per-shard probe.
+func writeFleetMetrics(p *metrics.PromWriter, snap shard.Snapshot, stats []wire.Stats, statsErr error) {
+	p.Gauge("sky_shard_count", "Number of shards in the fleet.", int64(snap.Shards))
+	p.Counter("sky_shard_queries_total", "Queries scattered by the coordinator.", snap.Queries)
+	p.Counter("sky_shard_query_errors_total", "Scatter-gather queries that failed.", snap.QueryErrors)
 
 	p.Metric("sky_shard_fanout_total", "Per-shard calls issued, by query class.", "counter")
 	for _, class := range metrics.SortedLabelNames(snap.FanoutByClass) {
@@ -138,30 +140,17 @@ func (b fleetBackend) writeMetrics(p *metrics.PromWriter) {
 	p.SampleInt("sky_shard_wire_bytes_total", []metrics.Label{{Name: "direction", Value: "sent"}}, snap.BytesSent)
 	p.SampleInt("sky_shard_wire_bytes_total", []metrics.Label{{Name: "direction", Value: "received"}}, snap.BytesReceived)
 
-	p.Metric("sky_shard_directory_runs", "Object-id runs in the coordinator's object directory.", "gauge")
-	p.SampleInt("sky_shard_directory_runs", nil, int64(snap.DirectoryRuns))
-	p.Metric("sky_shard_directory_bytes", "Bytes held by the coordinator's object directory.", "gauge")
-	p.SampleInt("sky_shard_directory_bytes", nil, snap.DirectoryBytes)
-	p.Metric("sky_shard_directory_misses_total", "Object lookups the directory could not place on one shard, which broadcast.", "counter")
-	p.SampleInt("sky_shard_directory_misses_total", nil, snap.DirectoryMisses)
+	p.Gauge("sky_shard_directory_runs", "Object-id runs in the coordinator's object directory.", int64(snap.DirectoryRuns))
+	p.Gauge("sky_shard_directory_bytes", "Bytes held by the coordinator's object directory.", snap.DirectoryBytes)
+	p.Counter("sky_shard_directory_misses_total", "Object lookups the directory could not place on one shard, which broadcast.", snap.DirectoryMisses)
 
 	// Live per-shard state; a probe failure leaves the families out of this
 	// scrape rather than failing it (the fleet may be mid-restart).
-	stats, statsErr := b.probe()
-	p.Metric("sky_shard_probe_failed", "1 when the last per-shard stats probe failed.", "gauge")
-	failed := int64(0)
-	if statsErr != nil {
-		failed = 1
-	}
-	p.SampleInt("sky_shard_probe_failed", nil, failed)
+	p.Gauge("sky_shard_probe_failed", "1 when the last per-shard stats probe failed.", boolInt(statsErr != nil))
 	if statsErr == nil {
 		p.Metric("sky_shard_ready", "Per-shard readiness (1 serving, 0 loading/replaying).", "gauge")
 		for _, st := range stats {
-			v := int64(0)
-			if st.Ready {
-				v = 1
-			}
-			p.SampleInt("sky_shard_ready", shardLabels(int(st.ShardID)), v)
+			p.SampleInt("sky_shard_ready", shardLabels(int(st.ShardID)), boolInt(st.Ready))
 		}
 		p.Metric("sky_shard_rows", "Rows resident on each shard.", "gauge")
 		for _, st := range stats {

@@ -49,13 +49,6 @@ type FileConfig struct {
 	CachePages   int    `json:"cache_pages"`
 	SeparateRAID *bool  `json:"separate_raid,omitempty"`
 
-	// Ingest mode (see PERFORMANCE.md, "Chunk-boundary visibility").
-	// BatchLockChunk > 0 makes InsertBatch apply its rows in sub-chunks of
-	// that many rows, yielding the table write lock between chunks so readers
-	// are not starved.  It defaults to off, which preserves the seed's
-	// locking behavior exactly.
-	BatchLockChunk int `json:"batch_lock_chunk,omitempty"`
-
 	// Simulation scale.
 	RowsPerMB int   `json:"rows_per_mb,omitempty"`
 	Seed      int64 `json:"seed,omitempty"`
@@ -155,9 +148,6 @@ func (c FileConfig) Validate() error {
 	if c.CachePages < 0 {
 		problems = append(problems, "cache_pages must not be negative")
 	}
-	if c.BatchLockChunk < 0 {
-		problems = append(problems, "batch_lock_chunk must not be negative")
-	}
 	if c.RowsPerMB < 0 {
 		problems = append(problems, "rows_per_mb must not be negative")
 	}
@@ -243,9 +233,6 @@ func (c FileConfig) DBConfig() relstore.Config {
 	cfg := relstore.DefaultConfig()
 	if c.CachePages > 0 {
 		cfg.CachePages = c.CachePages
-	}
-	if c.BatchLockChunk > 0 {
-		cfg.BatchLockChunk = c.BatchLockChunk
 	}
 	return cfg
 }

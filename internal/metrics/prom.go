@@ -13,10 +13,11 @@ import (
 // PromWriter emits metrics in the Prometheus text exposition format
 // (version 0.0.4) without depending on a client library: the /metrics
 // endpoint of the HTTP front door hand-rolls its catalog through this
-// writer.  Usage is two-phase per metric family: Metric writes the
-// # HELP / # TYPE header, then one or more Sample/Histogram calls write the
-// series.  Errors are sticky — the first write error suppresses all later
-// output and is reported by Err, so call sites don't need per-line checks.
+// writer.  An unlabeled scalar family is one Counter/Gauge call; a labeled
+// family or a histogram is two-phase: Metric writes the # HELP / # TYPE
+// header, then one or more Sample/Histogram calls write the series.  Errors
+// are sticky — the first write error suppresses all later output and is
+// reported by Err, so call sites don't need per-line checks.
 //
 // The writer is not safe for concurrent use; the exporter builds one per
 // scrape.  Values are read from live atomics by the caller, so a scrape
@@ -80,6 +81,33 @@ func (p *PromWriter) SampleInt(name string, labels []Label, value int64) {
 	p.buf = strconv.AppendInt(p.buf, value, 10)
 	p.buf = append(p.buf, '\n')
 	_, p.err = p.w.Write(p.buf)
+}
+
+// Counter writes a whole unlabeled counter family — the header and its one
+// sample — so the name is written once.  Gauge, CounterFloat and GaugeFloat
+// are the same for the other kind and for non-integer values; labeled
+// families and histograms keep the two-phase Metric + Sample form.
+func (p *PromWriter) Counter(name, help string, value int64) {
+	p.Metric(name, help, "counter")
+	p.SampleInt(name, nil, value)
+}
+
+// Gauge writes a whole unlabeled integer gauge family.
+func (p *PromWriter) Gauge(name, help string, value int64) {
+	p.Metric(name, help, "gauge")
+	p.SampleInt(name, nil, value)
+}
+
+// CounterFloat writes a whole unlabeled counter family with a float value.
+func (p *PromWriter) CounterFloat(name, help string, value float64) {
+	p.Metric(name, help, "counter")
+	p.Sample(name, nil, value)
+}
+
+// GaugeFloat writes a whole unlabeled gauge family with a float value.
+func (p *PromWriter) GaugeFloat(name, help string, value float64) {
+	p.Metric(name, help, "gauge")
+	p.Sample(name, nil, value)
 }
 
 // Histogram writes a latency histogram as cumulative le-bucket series in

@@ -262,45 +262,3 @@ func MagnitudeHistogram(db *relstore.DB, binWidth float64) ([]MagnitudeBin, erro
 	}
 	return out, nil
 }
-
-// VariabilityCandidates returns object ids observed on more than one frame at
-// (approximately) the same position — the time-domain science the synoptic
-// Palomar-Quest survey exists for.  Positions are matched by sharing an HTM
-// trixel at matchDepth.
-func VariabilityCandidates(db *relstore.DB, matchDepth int) (map[int64][]int64, error) {
-	if matchDepth <= 0 || matchDepth > htm.DefaultDepth {
-		return nil, fmt.Errorf("queries: match depth %d out of range", matchDepth)
-	}
-	cols := newObjectCols(db.Schema().Table(catalog.TObjects))
-	shift := uint(2 * (htm.DefaultDepth - matchDepth))
-
-	type member struct {
-		objectID int64
-		frameID  int64
-	}
-	groups := map[int64][]member{}
-	err := db.ScanRef(catalog.TObjects, func(r relstore.RowView) bool {
-		if r.IsNull(cols.htmID) || r.IsNull(cols.objectID) || r.IsNull(cols.frameID) {
-			return true
-		}
-		key := r.Int(cols.htmID) >> shift
-		groups[key] = append(groups[key], member{objectID: r.Int(cols.objectID), frameID: r.Int(cols.frameID)})
-		return true
-	})
-	if err != nil {
-		return nil, err
-	}
-	out := map[int64][]int64{}
-	for key, members := range groups {
-		frames := map[int64]bool{}
-		var ids []int64
-		for _, m := range members {
-			frames[m.frameID] = true
-			ids = append(ids, m.objectID)
-		}
-		if len(frames) > 1 {
-			out[key] = ids
-		}
-	}
-	return out, nil
-}

@@ -222,30 +222,6 @@ func TestMagnitudeHistogram(t *testing.T) {
 	}
 }
 
-func TestVariabilityCandidates(t *testing.T) {
-	db := loadedRepo(t, tuning.HTMIDOnly)
-	// At a very coarse match depth many objects share a trixel across
-	// frames, so candidates must exist; at full depth there should be far
-	// fewer (usually none).
-	coarse, err := VariabilityCandidates(db, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(coarse) == 0 {
-		t.Fatal("no candidates at coarse depth")
-	}
-	fine, err := VariabilityCandidates(db, 20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(fine) > len(coarse) {
-		t.Fatalf("finer matching produced more groups (%d) than coarse (%d)", len(fine), len(coarse))
-	}
-	if _, err := VariabilityCandidates(db, 0); err == nil {
-		t.Fatal("invalid depth should be rejected")
-	}
-}
-
 func TestConeCoverDepth(t *testing.T) {
 	if d := coneCoverDepth(45); d != 0 {
 		t.Fatalf("depth for 45 deg = %d", d)

@@ -16,9 +16,9 @@ import (
 // path pays each of those once per batch instead:
 //
 //   - every row is coerced up front, before any lock is taken;
-//   - the table's write lock is taken once for the whole batch (or once per
-//     sub-chunk under WithBatchLockChunk's reader-friendly mode, which trades
-//     a few extra lock round trips for bounded reader wait);
+//   - the table's write lock is taken once for the whole batch, unless a
+//     reader queues on it meanwhile: then the batch yields the table at the
+//     next 16-row boundary and relocks (see insertBatchLocked);
 //   - one group WAL record (WAL.AppendInsertGroup) replaces n mutexed appends;
 //   - lock-manager row locks are registered in one LockRows call;
 //   - secondary indexes are maintained by a sorted bulk merge: the batch's
@@ -205,66 +205,63 @@ func canonicalKind(t ColType) ValueKind {
 	}
 }
 
-// insertBatchLocked validates and stores the built rows under write-lock
-// holds, deferring secondary-index maintenance to sorted bulk passes over the
-// applied prefix.  It returns the number of rows applied and the first
+// batchYieldRows is how many rows the batch-apply loop stores under one lock
+// hold between looks at the table's waiting-reader count: the longest a
+// queued reader waits behind a batch, and the run length PERFORMANCE.md's
+// "Chunk-boundary visibility" table was measured at.
+const batchYieldRows = 16
+
+// insertBatchLocked validates and stores the built rows under the table's
+// write lock, deferring secondary-index maintenance to sorted bulk passes over
+// the applied prefix.  It returns the number of rows applied and the first
 // constraint violation (nil when every row applied).
 //
-// With Config.BatchLockChunk == 0 (the default) the whole batch is applied
-// under one table-lock hold.  With BatchLockChunk == n > 0 the batch is
-// applied in sub-chunks of n rows, releasing the table write lock and every
-// parent lock between chunks and yielding the processor, so concurrent
-// readers wait for at most one chunk's critical section instead of the whole
-// batch.  Either way, rows are applied in order with identical first-failure
-// semantics; readers can only observe whole-chunk boundaries (the write lock
-// covers each chunk), and the batch-level epoch/pending accounting in
-// insertBatch is unchanged.  Chunked mode records one undo range per chunk
-// rather than one per batch: ids are only guaranteed contiguous within a
-// chunk, because another writer may interleave between lock holds.
+// With no reader waiting the whole batch is one run: one lock hold, one undo
+// range, one log record.  When a reader queues on the table (Table.rlock) the
+// run in progress closes at its next batchYieldRows boundary, the table lock
+// and every parent lock are released, the processor is yielded, and the rest
+// of the batch continues as a new run (DBStats.BatchYields counts these).
+// Either way rows are applied in order with identical first-failure
+// semantics; readers can only observe whole runs (the write lock covers each
+// one), and the batch-level epoch/pending accounting in insertBatch is
+// unchanged.  Each run records its own undo range: ids are only guaranteed
+// contiguous within a run, because another writer may interleave between lock
+// holds.
 func (t *Table) insertBatchLocked(db *DB, txn *Txn, built []Row, rep *OpReport) (inserted, firstPage, lastPage int, err error) {
-	chunk := db.cfg.BatchLockChunk
-	if chunk <= 0 || chunk >= len(built) {
-		return t.applyBatchChunk(db, txn, built, rep)
-	}
 	firstPage, lastPage = -1, -1
-	for start := 0; start < len(built); start += chunk {
-		end := start + chunk
-		if end > len(built) {
-			end = len(built)
-		}
-		n, fp, lp, cerr := t.applyBatchChunk(db, txn, built[start:end], rep)
+	for {
+		n, fp, lp, runErr := t.applyBatchChunk(db, txn, built[inserted:], rep)
 		inserted += n
-		if fp >= 0 && firstPage < 0 {
+		if firstPage < 0 {
 			firstPage = fp
 		}
 		if lp >= 0 {
 			lastPage = lp
 		}
-		if cerr != nil {
-			return inserted, firstPage, lastPage, cerr
+		if runErr != nil || inserted == len(built) {
+			return inserted, firstPage, lastPage, runErr
 		}
-		if end < len(built) {
-			// Reader-yield point: the table lock is free here; hand the
-			// processor to any reader (or writer) queued behind this batch
-			// before taking the lock again for the next chunk.
-			runtime.Gosched()
-		}
+		// The run stopped for a waiting reader.  The table lock is free here:
+		// hand the processor to whoever is queued behind this batch before
+		// taking the lock again.
+		db.counters.batchYields.Add(1)
+		runtime.Gosched()
 	}
-	return inserted, firstPage, lastPage, nil
 }
 
-// applyBatchChunk applies one contiguous run of built rows (a whole batch, or
-// one chunk of it) under a single write-lock hold.
+// applyBatchChunk applies a contiguous run of built rows under a single
+// write-lock hold: all of them, or — when a reader is waiting on the table —
+// a whole multiple of batchYieldRows, leaving the rest to the caller.
 //
 // Locking: the table's own write lock and a read lock on every distinct
 // foreign-key parent are taken once for the whole run (a self-referential
 // parent reuses the held write lock, and thereby sees parent rows stored
 // earlier in this same batch, exactly as the per-row loop would).  Parent
 // locks nest inside child locks along foreign-key edges only, and the FK
-// graph is acyclic, so the nested acquisition cannot deadlock.  Chunked mode
-// releases parent locks together with the table lock between chunks — keeping
-// a parent read lock across a re-acquisition of the child lock would invert
-// the nesting order against a concurrent batch and could deadlock.
+// graph is acyclic, so the nested acquisition cannot deadlock.  A yield
+// releases parent locks together with the table lock — keeping a parent read
+// lock across a re-acquisition of the child lock would invert the nesting
+// order against a concurrent batch and could deadlock.
 func (t *Table) applyBatchChunk(db *DB, txn *Txn, built []Row, rep *OpReport) (inserted, firstPage, lastPage int, err error) {
 	sc := txn.sc
 
@@ -276,7 +273,10 @@ func (t *Table) applyBatchChunk(db *DB, txn *Txn, built []Row, rep *OpReport) (i
 	ids := sc.batchIDs(len(built))
 	var firstErr error
 	firstPage, lastPage = -1, -1
-	for _, row := range built {
+	for i, row := range built {
+		if i > 0 && i%batchYieldRows == 0 && t.waitingReaders.Load() != 0 {
+			break
+		}
 		if err := db.checkForeignKeys(sc, t, row, rep, nil, true); err != nil {
 			firstErr = err
 			break
@@ -329,8 +329,8 @@ func (t *Table) applyBatchChunk(db *DB, txn *Txn, built []Row, rep *OpReport) (i
 	}
 
 	// One undo record covers the whole contiguous id run applied under this
-	// lock hold (the full batch in monolithic mode, one chunk in chunked
-	// mode; ids are allocated under the held lock, so the run is contiguous).
+	// lock hold (ids are allocated under the held lock, so the run is
+	// contiguous).
 	if len(ids) > 0 {
 		if dev := db.wal.dev.Load(); dev != nil {
 			// Durable record(s) appended while the id run is still protected,

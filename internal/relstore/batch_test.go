@@ -168,6 +168,12 @@ func batchPropertyDBOn(t *testing.T, schema *Schema, extra ...Option) *DB {
 // foreign keys, out-of-range check values, NULL primary keys and uncoercible
 // values.
 func randomObjectBatch(rng *rand.Rand, base int64, nextID *int64, size int) [][]Value {
+	return randomObjectBatchRate(rng, base, nextID, size, 12)
+}
+
+// randomObjectBatchRate is randomObjectBatch with five bad rows in every
+// oneIn instead of five in twelve, for batches meant to get somewhere.
+func randomObjectBatchRate(rng *rand.Rand, base int64, nextID *int64, size, oneIn int) [][]Value {
 	rows := make([][]Value, 0, size)
 	for i := 0; i < size; i++ {
 		id := *nextID
@@ -175,7 +181,7 @@ func randomObjectBatch(rng *rand.Rand, base int64, nextID *int64, size int) [][]
 		frame := Int(rng.Int63n(8))
 		mag := Float(float64(rng.Intn(16))) // few distinct values -> duplicate index keys
 		row := []Value{Int(id), frame, mag}
-		switch rng.Intn(12) {
+		switch rng.Intn(oneIn) {
 		case 0: // duplicate PK: reuse an id handed out earlier this trial
 			// (it may sit in a committed row, earlier in this same batch, or
 			// in a row that was never applied — all three must agree with the
@@ -200,9 +206,9 @@ func randomObjectBatch(rng *rand.Rand, base int64, nextID *int64, size int) [][]
 // NULL-PK and type-error rows, InsertBatch must produce exactly the table
 // state, FailedIndex, violation kind and epoch/pending counters of the
 // per-row reference loop — across mid-transaction checks, commits and
-// rollbacks.  The same batches also run through a chunked-lock database
-// (WithBatchLockChunk), which must be indistinguishable from the monolithic
-// path at every observation point.  It runs once per primary-key shape, so
+// rollbacks.  The same batches also run through a database whose batches
+// yield at every boundary (forceBatchYields), which must be indistinguishable
+// from the one-hold path at every observation point.  It runs once per primary-key shape, so
 // integer, composite and string keys answer the same duplicate, NULL-key and
 // rollback cases.
 func TestInsertBatchMatchesPerRow(t *testing.T) {
@@ -218,9 +224,10 @@ func insertBatchMatchesPerRow(t *testing.T, schema *Schema) {
 	cols := []string{"object_id", "frame_id", "mag"}
 
 	for trial := 0; trial < 60; trial++ {
-		ref := batchPropertyDBOn(t, schema)                        // per-row reference
-		got := batchPropertyDBOn(t, schema)                        // batch-apply path
-		chk := batchPropertyDBOn(t, schema, WithBatchLockChunk(7)) // chunked-lock batch apply
+		ref := batchPropertyDBOn(t, schema) // per-row reference
+		got := batchPropertyDBOn(t, schema) // batch-apply path
+		chk := batchPropertyDBOn(t, schema) // batch apply yielding at every boundary
+		forceBatchYields(chk)
 		base := int64(trial * 1000)
 		nextRef, nextGot, nextChk := base, base, base
 

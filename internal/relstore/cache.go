@@ -175,14 +175,3 @@ func (c *BufferCache) Stats() CacheStats {
 		ScanWork: c.scanWork,
 	}
 }
-
-// HitRatio returns hits / (hits+misses), or 0 when there were no accesses.
-func (c *BufferCache) HitRatio() float64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	total := c.hits + c.misses
-	if total == 0 {
-		return 0
-	}
-	return float64(c.hits) / float64(total)
-}

@@ -68,7 +68,7 @@ func TestBufferCacheMinimumCapacity(t *testing.T) {
 }
 
 func TestWAL(t *testing.T) {
-	w := NewWAL(0)
+	w := NewWAL()
 	n := w.AppendInsert(100)
 	if n != 128 {
 		t.Fatalf("AppendInsert returned %d, want 128", n)

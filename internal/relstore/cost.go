@@ -75,6 +75,10 @@ type DBStats struct {
 	LogBytes             int64
 	IndexSplits          int64
 	LockConflicts        int64
+	// BatchYields counts the times an InsertBatch closed its run early and
+	// released the table because a reader was waiting on it; 0 means every
+	// batch was one lock hold.
+	BatchYields int64
 	// IndexesCreated/IndexesDropped count successful index DDL operations;
 	// IndexDDLFailures counts failed ones (unknown table/column, duplicate or
 	// missing index).  CreateIndexWith and DropIndex update them
@@ -82,8 +86,7 @@ type DBStats struct {
 	IndexesCreated   int64
 	IndexesDropped   int64
 	IndexDDLFailures int64
-	// WALSyncs is the total number of redo-log syncs (per-commit and
-	// threshold; see WALStats).
+	// WALSyncs is the number of redo-log syncs (see WALStats.Syncs).
 	WALSyncs int64
 	// IndexKeyBytes is the summed length of the encoded keys stored across
 	// every secondary-index B-tree; IndexArenaBytes is the capacity their key

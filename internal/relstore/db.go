@@ -23,16 +23,6 @@ type Config struct {
 	// database writer runs, searching the whole allocated cache (the §4.5.5
 	// effect); 0 uses the default of 32.
 	DirtyFlushPages int
-	// WALSyncBytes is the redo-log auto-sync threshold: once the unsynced
-	// tail exceeds it the log syncs without waiting for a commit.  0 (the
-	// default) syncs only at commit.  See WithWALSync.
-	WALSyncBytes int64
-	// BatchLockChunk, when > 0, makes InsertBatch apply its rows in
-	// sub-chunks of this many rows, releasing the table write lock between
-	// chunks so concurrent readers are never blocked behind a whole batch.
-	// 0 (the default) holds the lock once for the whole batch.  See
-	// WithBatchLockChunk.
-	BatchLockChunk int
 	// WALDir, when non-empty, makes the WAL durable: records are persisted to
 	// segmented log files under this directory and syncs are real fsyncs.
 	// Empty (the default) keeps the WAL counters-only.  See WithWALDir.
@@ -117,6 +107,7 @@ type dbCounters struct {
 	rollbacks     atomic.Int64
 	indexSplits   atomic.Int64
 	lockConflicts atomic.Int64
+	batchYields   atomic.Int64
 
 	indexesCreated atomic.Int64
 	indexesDropped atomic.Int64
@@ -147,7 +138,7 @@ func open(schema *Schema, oc openConfig) (*DB, error) {
 		indexPolicy: oc.indexPolicy,
 		tables:      make(map[string]*Table, schema.NumTables()),
 		locks:       NewLockManager(cfg.MaxConcurrentTxns),
-		wal:         NewWAL(cfg.WALSyncBytes),
+		wal:         NewWAL(),
 		cache:       NewBufferCache(cfg.CachePages),
 	}
 	db.counters.violations = make(map[ConstraintKind]int64)
@@ -165,7 +156,7 @@ func open(schema *Schema, oc openConfig) (*DB, error) {
 		db.tablesByID = append(db.tablesByID, t)
 	}
 	if cfg.WALDir != "" && !oc.recovering {
-		dev, err := openWALDevice(cfg.WALDir, cfg.WALSegmentBytes, cfg.WALSyncBytes, oc.faultHook)
+		dev, err := openWALDevice(cfg.WALDir, cfg.WALSegmentBytes, oc.faultHook)
 		if err != nil {
 			return nil, err
 		}
@@ -214,6 +205,7 @@ func (db *DB) Stats() DBStats {
 		Rollbacks:        db.counters.rollbacks.Load(),
 		IndexSplits:      db.counters.indexSplits.Load(),
 		LockConflicts:    db.counters.lockConflicts.Load(),
+		BatchYields:      db.counters.batchYields.Load(),
 		IndexesCreated:   db.counters.indexesCreated.Load(),
 		IndexesDropped:   db.counters.indexesDropped.Load(),
 		IndexDDLFailures: db.counters.indexDDLFailed.Load(),
@@ -228,7 +220,7 @@ func (db *DB) Stats() DBStats {
 	}
 	db.counters.violMu.Unlock()
 	for _, t := range db.tables {
-		t.mu.RLock()
+		t.rlock()
 		for _, ix := range t.indexList {
 			out.IndexKeyBytes += int64(ix.tree.KeyBytes())
 			out.IndexArenaBytes += int64(ix.tree.ArenaBytes())
@@ -243,16 +235,6 @@ func (db *DB) TotalRows() int64 {
 	var n int64
 	for _, t := range db.tables {
 		n += t.RowCount()
-	}
-	return n
-}
-
-// TotalBytes returns the number of live bytes summed over all tables,
-// including pre-populated (simulated pre-existing) bytes.
-func (db *DB) TotalBytes() int64 {
-	var n int64
-	for _, t := range db.tables {
-		n += t.LogicalByteSize()
 	}
 	return n
 }

@@ -94,27 +94,6 @@ func WithDirtyFlushPages(n int) Option {
 	return func(o *openConfig) { o.cfg.DirtyFlushPages = n }
 }
 
-// WithWALSync sets the redo-log auto-sync threshold in bytes: once the
-// unsynced tail of the log exceeds it, the log syncs without waiting for a
-// commit, bounding the redo volume a crash could lose and the volume a
-// commit must force (the §4.5.2 commit-frequency trade-off, decoupled from
-// transaction boundaries).  0 (the default) syncs only at commit, the
-// engine's historical behaviour.
-func WithWALSync(bytes int64) Option {
-	return func(o *openConfig) { o.cfg.WALSyncBytes = bytes }
-}
-
-// WithBatchLockChunk makes InsertBatch reader-friendly: the batch is applied
-// in sub-chunks of n rows, releasing and re-acquiring the table write lock
-// between chunks with a scheduling yield, so concurrent readers wait for at
-// most one chunk instead of a whole ~1000-row batch.  Batch-level semantics
-// (first-failure FailedIndex, epoch movement, WAL group record, rollback) are
-// unchanged; readers observe only whole-chunk boundaries.  n <= 0 (the
-// default) applies the batch under one lock hold.
-func WithBatchLockChunk(n int) Option {
-	return func(o *openConfig) { o.cfg.BatchLockChunk = n }
-}
-
 // WithIndexPolicy sets the default maintenance policy for indexes created by
 // CreateIndex.  Individual indexes can override it via CreateIndexWith.
 func WithIndexPolicy(p IndexPolicy) Option {

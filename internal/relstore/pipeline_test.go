@@ -281,15 +281,14 @@ func walFiles(t *testing.T, dir string) map[string][]byte {
 
 // TestPipelinedLogByteIdentical: one loader is one append order, so the
 // segment files a pipelined loader leaves are the files the same input leaves
-// through synchronous commits — same names, same bytes — whether flushes come
-// from commits and rotation alone or from the auto-sync threshold too.
+// through synchronous commits — same names, same bytes — with flushes coming
+// from commits and from rotation.
 func TestPipelinedLogByteIdentical(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		opts []Option
 	}{
 		{"rotation", []Option{WithWALSegmentBytes(8 << 10)}},
-		{"rotation+autosync", []Option{WithWALSegmentBytes(8 << 10), WithWALSync(2 << 10)}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var files [2]map[string][]byte

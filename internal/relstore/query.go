@@ -82,26 +82,10 @@ func (db *DB) ScanRef(table string, visit func(RowView) bool) error {
 	if !ok {
 		return ErrNoSuchTable
 	}
-	t.mu.RLock()
+	t.rlock()
 	defer t.mu.RUnlock()
 	t.heap.scan(visit)
 	return nil
-}
-
-// SelectWhere returns the rows of table for which pred returns true, up to
-// limit rows (limit <= 0 means no limit).
-func (db *DB) SelectWhere(table string, pred func(Row) bool, limit int) ([]Row, error) {
-	var out []Row
-	err := db.Scan(table, func(r Row) bool {
-		if pred == nil || pred(r) {
-			out = append(out, r)
-			if limit > 0 && len(out) >= limit {
-				return false
-			}
-		}
-		return true
-	})
-	return out, err
 }
 
 // LookupByPK returns the row whose primary key equals key, or nil.
@@ -119,7 +103,7 @@ func (db *DB) LookupByPKRef(table string, key []Value, visit func(RowView)) (fou
 	if !ok {
 		return false, ErrNoSuchTable
 	}
-	t.mu.RLock()
+	t.rlock()
 	defer t.mu.RUnlock()
 	id, ok := t.pk.lookup(key)
 	if !ok {
@@ -147,7 +131,7 @@ func (db *DB) SelectEqualIndexed(table, index string, key []Value) ([]Row, int, 
 		return nil, 0, ErrIndexNotReady
 	}
 	sc := db.scratchPool.Get().(*scratch)
-	t.mu.RLock()
+	t.rlock()
 	defer t.mu.RUnlock()
 	ids, visited := ix.tree.Search(sc.ordKey(key))
 	db.scratchPool.Put(sc)
@@ -206,7 +190,7 @@ func (db *DB) RangeIndexedRef(table, index string, from, to []Value, visit func(
 	if to != nil {
 		toB = sc.ord[fl:]
 	}
-	t.mu.RLock()
+	t.rlock()
 	defer t.mu.RUnlock()
 	ix.tree.AscendRange(fromB, toB, func(_ []byte, ids []int64) bool {
 		for _, id := range ids {
@@ -240,7 +224,7 @@ func (db *DB) Aggregate(table, column string) (AggregateResult, error) {
 		return AggregateResult{}, fmt.Errorf("relstore: table %q has no column %q", table, column)
 	}
 	res := AggregateResult{Min: math.Inf(1), Max: math.Inf(-1)}
-	t.mu.RLock()
+	t.rlock()
 	defer t.mu.RUnlock()
 	t.heap.scan(func(r RowView) bool {
 		var f float64
@@ -290,7 +274,7 @@ func (db *DB) VerifyIntegrity() (orphans int64, err error) {
 		// Only the foreign-key columns of each stored row are read out, into
 		// one reused row; the others stay NULL and are never looked at.
 		row := make(Row, len(ts.Columns))
-		t.mu.RLock()
+		t.rlock()
 		t.heap.scan(func(v RowView) bool {
 			for _, cols := range t.fkColIdxs {
 				for _, c := range cols {
@@ -318,7 +302,7 @@ func (db *DB) VerifyPrimaryKeys() error {
 	for _, name := range db.schema.TableNames() {
 		t := db.tables[name]
 		var bad error
-		t.mu.RLock()
+		t.rlock()
 		keys := append([]*keyIndex{t.pk}, t.uniques...)
 		t.scanRowsByID(func(id int64, v RowView) {
 			for _, k := range keys {

@@ -364,7 +364,7 @@ func (db *DB) recoverReplay(dir string) (RecoveryReport, error) {
 	// would otherwise be resurrected by a recycled id's commit marker.
 	db.nextTxn.Store(maxTxn)
 
-	dev, err := startWALDevice(dir, db.cfg.WALSegmentBytes, db.cfg.WALSyncBytes, db.faultHook, nextLSN)
+	dev, err := startWALDevice(dir, db.cfg.WALSegmentBytes, db.faultHook, nextLSN)
 	if err != nil {
 		return rep, err
 	}

@@ -493,9 +493,14 @@ func TestRecoverBatchPath(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for _, chunk := range []int{0, 64} {
+	// chunk is the run length: the whole batch, or batchYieldRows with a
+	// yield forced at every boundary.
+	for _, chunk := range []int{0, batchYieldRows} {
 		t.Run(fmt.Sprintf("chunk=%d", chunk), func(t *testing.T) {
-			db, dir := durableDB(t, WithBatchLockChunk(chunk))
+			db, dir := durableDB(t)
+			if chunk > 0 {
+				forceBatchYields(db)
+			}
 			run(db)
 			if err := db.Close(); err != nil {
 				t.Fatal(err)

@@ -66,13 +66,6 @@ func (db *DB) StatsSnapshot() StatsSnapshot {
 		TotalRows: db.TotalRows(),
 		Loading:   db.loading.Load(),
 	}
-	// Sync accounting invariant: every sync is a per-commit sync or a
-	// threshold auto-sync, so the total can never undercut the latter.
-	// Checked only under the skydebug build tag — counter drift here would
-	// silently skew every §4.5.2 figure, so tests fail loudly instead.
-	if debugChecks && out.WAL.Syncs < out.WAL.AutoSyncs {
-		panic("relstore: WALStats invariant violated: Syncs < AutoSyncs")
-	}
 	for _, t := range db.tablesByID {
 		out.Tables = append(out.Tables, t.stat())
 	}
@@ -102,7 +95,7 @@ func (db *DB) Ready() bool {
 		return false
 	}
 	for _, t := range db.tables {
-		t.mu.RLock()
+		t.rlock()
 		for _, ix := range t.indexList {
 			if !ix.Ready() {
 				t.mu.RUnlock()

@@ -93,7 +93,8 @@ func (d *rowDir) remove(id int64) {
 // Concurrency: mu guards all mutable state (heap, row map, hash indexes,
 // B-trees, index list, pre-population counters).  Writers (insertPrepared,
 // deleteRow, createIndex, dropIndex, prePopulate) take the write lock; the
-// exported read accessors take the read lock.  Key/encoding scratch buffers
+// exported read accessors take the read lock through rlock, which lets a
+// batch see that a reader is queued behind it.  Key/encoding scratch buffers
 // are NOT table state — they travel with the transaction (see scratch.go) so
 // concurrent writers on different goroutines never share them.
 type Table struct {
@@ -104,6 +105,10 @@ type Table struct {
 	tid uint32
 
 	mu sync.RWMutex
+	// waitingReaders counts the readers currently blocked in rlock behind a
+	// writer.  The batch-apply loop polls it to decide whether to yield the
+	// table mid-batch (see insertBatchLocked).
+	waitingReaders atomic.Int32
 
 	heap    *heapStore
 	rows    rowDir
@@ -207,6 +212,20 @@ func newTable(schema *TableSchema, btreeDegree int, loading *atomic.Bool) (*Tabl
 	return t, nil
 }
 
+// rlock takes the table's read lock on behalf of a reader the batch-apply
+// path should yield to: when a writer holds (or is queued for) the lock, the
+// wait is counted in waitingReaders.  The uncontended side is one TryRLock.
+// A loader probing a foreign-key parent takes mu.RLock directly instead — it
+// is not a reader to yield to.
+func (t *Table) rlock() {
+	if t.mu.TryRLock() {
+		return
+	}
+	t.waitingReaders.Add(1)
+	t.mu.RLock()
+	t.waitingReaders.Add(-1)
+}
+
 // Schema returns the table's schema.
 func (t *Table) Schema() *TableSchema { return t.schema }
 
@@ -215,28 +234,28 @@ func (t *Table) Name() string { return t.schema.Name }
 
 // RowCount returns the number of live rows physically stored.
 func (t *Table) RowCount() int64 {
-	t.mu.RLock()
+	t.rlock()
 	defer t.mu.RUnlock()
 	return t.heap.rowCount
 }
 
 // LogicalRowCount returns stored plus pre-populated rows.
 func (t *Table) LogicalRowCount() int64 {
-	t.mu.RLock()
+	t.rlock()
 	defer t.mu.RUnlock()
 	return t.heap.rowCount + t.prePopulatedRows
 }
 
 // LogicalByteSize returns stored plus pre-populated bytes.
 func (t *Table) LogicalByteSize() int64 {
-	t.mu.RLock()
+	t.rlock()
 	defer t.mu.RUnlock()
 	return t.heap.bytes + t.prePopulatedBytes
 }
 
 // stat returns the table's TableStat.
 func (t *Table) stat() TableStat {
-	t.mu.RLock()
+	t.rlock()
 	defer t.mu.RUnlock()
 	keys := t.pk.residentBytes()
 	for _, u := range t.uniques {
@@ -249,7 +268,7 @@ func (t *Table) stat() TableStat {
 
 // PageCount returns the number of heap pages allocated.
 func (t *Table) PageCount() int {
-	t.mu.RLock()
+	t.rlock()
 	defer t.mu.RUnlock()
 	return t.heap.pageCount()
 }
@@ -257,7 +276,7 @@ func (t *Table) PageCount() int {
 // Indexes returns the table's secondary indexes sorted by name.  The slice is
 // an immutable snapshot rebuilt on create/drop; callers must not mutate it.
 func (t *Table) Indexes() []*Index {
-	t.mu.RLock()
+	t.rlock()
 	defer t.mu.RUnlock()
 	return t.indexList
 }
@@ -293,7 +312,7 @@ func (t *Table) UncommittedRows() int64 { return t.pendingRows.Load() }
 
 // Index returns the named index or nil.
 func (t *Table) Index(name string) *Index {
-	t.mu.RLock()
+	t.rlock()
 	defer t.mu.RUnlock()
 	return t.indexes[name]
 }

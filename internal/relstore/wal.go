@@ -17,12 +17,6 @@ import (
 // one shared structure: concurrent writers serialize on its mutex for the few
 // nanoseconds of counter arithmetic.
 type WAL struct {
-	// syncThreshold is the auto-sync high-water mark in bytes: when the
-	// unsynced tail reaches it, the append that crossed it counts a sync
-	// without waiting for a commit.  0 disables auto-sync (the historical
-	// behaviour: the log syncs only at commit).  Immutable after creation.
-	syncThreshold int64
-
 	// dev is the durable half of the log (WithWALDir): the real byte stream
 	// whose syncs are fsyncs.  nil (the default) keeps the WAL counters-only;
 	// every durable call site is gated on the nil check, so the cost model and
@@ -38,14 +32,12 @@ type WAL struct {
 	bytes          int64
 	commits        int64
 	syncs          int64
-	autoSyncs      int64
 	bytesSinceSync int64
 	maxUnsynced    int64
 }
 
-// NewWAL returns an empty redo log with the given auto-sync threshold in
-// bytes (0 = sync only at commit; see WithWALSync).
-func NewWAL(syncThreshold int64) *WAL { return &WAL{syncThreshold: syncThreshold} }
+// NewWAL returns an empty redo log.
+func NewWAL() *WAL { return &WAL{} }
 
 // AppendInsert records a redo entry of the given payload size and returns the
 // number of log bytes written (payload plus a fixed record header).
@@ -60,17 +52,12 @@ func (w *WAL) AppendInsert(payloadBytes int) int {
 	return n
 }
 
-// advanceUnsyncedLocked grows the unsynced tail by n bytes, updates the
-// high-water mark, and applies the auto-sync threshold; w.mu must be held.
+// advanceUnsyncedLocked grows the unsynced tail by n bytes and updates the
+// high-water mark; w.mu must be held.
 func (w *WAL) advanceUnsyncedLocked(n int64) {
 	w.bytesSinceSync += n
 	if w.bytesSinceSync > w.maxUnsynced {
 		w.maxUnsynced = w.bytesSinceSync
-	}
-	if w.syncThreshold > 0 && w.bytesSinceSync >= w.syncThreshold {
-		w.autoSyncs++
-		w.syncs++
-		w.bytesSinceSync = 0
 	}
 }
 
@@ -121,13 +108,11 @@ type WALStats struct {
 	GroupedRows  int64
 	Bytes        int64
 	Commits      int64
-	// Syncs is the total number of log syncs from every cause: per-commit
-	// syncs (AppendCommit) and threshold syncs (AutoSyncs).  Syncs >=
-	// AutoSyncs always holds; the difference is the per-commit syncs.
+	// Syncs is the number of log syncs the cost model counts: one per commit
+	// (AppendCommit).
 	Syncs int64
-	// AutoSyncs counts syncs forced by the WithWALSync threshold rather than
-	// by a commit.
-	AutoSyncs        int64
+	// MaxUnsyncedBytes is the high-water mark of the redo bytes appended
+	// since the last sync.
 	MaxUnsyncedBytes int64
 
 	// Durable-log counters, all zero unless the database was opened with
@@ -176,7 +161,6 @@ func (w *WAL) statsCounters() WALStats {
 		Bytes:            w.bytes,
 		Commits:          w.commits,
 		Syncs:            w.syncs,
-		AutoSyncs:        w.autoSyncs,
 		MaxUnsyncedBytes: w.maxUnsynced,
 	}
 }

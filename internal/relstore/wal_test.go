@@ -9,7 +9,7 @@ import (
 // TestWALAppendAccounting checks the byte and record arithmetic of the three
 // append paths against hand-computed values.
 func TestWALAppendAccounting(t *testing.T) {
-	w := NewWAL(0)
+	w := NewWAL()
 
 	if got := w.AppendInsert(100); got != 128 {
 		t.Fatalf("AppendInsert(100) = %d, want 128 (payload+28 header)", got)
@@ -47,9 +47,6 @@ func TestWALAppendAccounting(t *testing.T) {
 	if st.Syncs != 1 {
 		t.Fatalf("Syncs = %d, want 1 (the commit's sync)", st.Syncs)
 	}
-	if st.Syncs < st.AutoSyncs {
-		t.Fatalf("sync accounting broken: Syncs %d < AutoSyncs %d", st.Syncs, st.AutoSyncs)
-	}
 	// The high-water mark survives the sync.
 	if st.MaxUnsyncedBytes != wantBytes {
 		t.Fatalf("MaxUnsyncedBytes = %d after sync, want %d", st.MaxUnsyncedBytes, wantBytes)
@@ -61,8 +58,8 @@ func TestWALAppendAccounting(t *testing.T) {
 // worth of overhead difference — the amortization the batch path relies on.
 func TestWALGroupEquivalentVolume(t *testing.T) {
 	const n, payloadPerRow = 40, 97
-	perRow := NewWAL(0)
-	grouped := NewWAL(0)
+	perRow := NewWAL()
+	grouped := NewWAL()
 	var perRowBytes, groupBytes int
 	for i := 0; i < n; i++ {
 		perRowBytes += perRow.AppendInsert(payloadPerRow)
@@ -94,7 +91,7 @@ func TestWALConcurrentWriters(t *testing.T) {
 		groupEvery    = 3
 		rowsPerGroup  = 16
 	)
-	w := NewWAL(0)
+	w := NewWAL()
 	var wg sync.WaitGroup
 	var bytesWritten, commitMarkers, recordsWritten, groupsWritten, rowsGrouped atomic.Int64
 
@@ -160,14 +157,9 @@ func TestWALConcurrentWriters(t *testing.T) {
 	if st.Commits != commitMarkers.Load() {
 		t.Fatalf("Commits = %d, want %d", st.Commits, commitMarkers.Load())
 	}
-	// Every AppendCommit syncs on this path (no auto-sync threshold), so the
-	// sync total is exactly the commit count — and the general invariant
-	// Syncs >= AutoSyncs must hold.
+	// Commits are the only thing that syncs the log.
 	if st.Syncs != commitMarkers.Load() {
 		t.Fatalf("Syncs = %d, want %d (one per commit)", st.Syncs, commitMarkers.Load())
-	}
-	if st.Syncs < st.AutoSyncs {
-		t.Fatalf("sync accounting broken: Syncs %d < AutoSyncs %d", st.Syncs, st.AutoSyncs)
 	}
 	if st.MaxUnsyncedBytes < lastMax {
 		t.Fatalf("final MaxUnsyncedBytes %d below observed %d", st.MaxUnsyncedBytes, lastMax)
@@ -175,57 +167,5 @@ func TestWALConcurrentWriters(t *testing.T) {
 	// The mark can never exceed the total volume ever written.
 	if st.MaxUnsyncedBytes > st.Bytes {
 		t.Fatalf("MaxUnsyncedBytes %d exceeds total bytes %d", st.MaxUnsyncedBytes, st.Bytes)
-	}
-}
-
-// TestWALAutoSyncThreshold pins the WithWALSync semantics: with a threshold
-// the unsynced tail never exceeds it for long (the crossing append syncs),
-// AutoSyncs counts those syncs, and commit forces only the remainder.
-// Threshold 0 keeps the historical sync-only-at-commit behaviour.
-func TestWALAutoSyncThreshold(t *testing.T) {
-	w := NewWAL(100)
-	for i := 0; i < 10; i++ {
-		w.AppendInsert(22) // 50 log bytes per record with the header
-	}
-	st := w.Stats()
-	if st.AutoSyncs != 5 {
-		t.Fatalf("AutoSyncs = %d, want 5 (every second 50-byte record crosses 100)", st.AutoSyncs)
-	}
-	if st.MaxUnsyncedBytes > 100 {
-		t.Fatalf("MaxUnsyncedBytes = %d, want <= threshold 100", st.MaxUnsyncedBytes)
-	}
-	forced := w.AppendCommit()
-	if forced != 48 {
-		t.Fatalf("commit forced %d bytes, want only the marker (48) after an auto-sync", forced)
-	}
-	if st := w.Stats(); st.Syncs != st.AutoSyncs+1 {
-		t.Fatalf("Syncs = %d, want AutoSyncs %d + the commit's sync", st.Syncs, st.AutoSyncs)
-	}
-
-	w0 := NewWAL(0)
-	for i := 0; i < 10; i++ {
-		w0.AppendInsert(22)
-	}
-	if st := w0.Stats(); st.AutoSyncs != 0 || st.MaxUnsyncedBytes != 500 {
-		t.Fatalf("threshold 0: AutoSyncs=%d MaxUnsynced=%d, want 0/500", st.AutoSyncs, st.MaxUnsyncedBytes)
-	}
-
-	// The option threads through Open to the engine's WAL.
-	db := MustOpen(testSchema(t), WithWALSync(64))
-	if db.Config().WALSyncBytes != 64 {
-		t.Fatalf("WALSyncBytes = %d, want 64", db.Config().WALSyncBytes)
-	}
-	txn, _ := db.Begin()
-	insertFrame(t, txn, 1)
-	for i := int64(1); i <= 50; i++ {
-		if err := insertObject(t, txn, i, 1, float64(i%30)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := txn.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	if st := db.WAL().Stats(); st.AutoSyncs == 0 || st.MaxUnsyncedBytes > 64+128 {
-		t.Fatalf("engine WAL did not auto-sync: %+v", st)
 	}
 }

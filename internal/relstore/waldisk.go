@@ -62,10 +62,7 @@ import (
 type walDevice struct {
 	dir          string
 	segmentBytes int64
-	// syncThreshold flushes the device once this many bytes are buffered
-	// unsynced (the durable analogue of Config.WALSyncBytes); 0 disables.
-	syncThreshold int64
-	fault         FaultHook
+	fault        FaultHook
 
 	// The append lock and what it guards.
 	mu      sync.Mutex
@@ -75,7 +72,6 @@ type walDevice struct {
 	// segBytes is the size of the newest segment counting active's bytes
 	// after the last cut — what the rotation predicate compares.
 	segBytes int64
-	unsynced int64 // bytes appended since the last flush
 	err      error // the poison: first I/O failure, sticky
 
 	// Counters surfaced through WALStats.  The append-side ones are guarded by
@@ -199,7 +195,7 @@ func listCheckpoints(dir string) ([]int64, error) {
 // openWALDevice creates the durable log in dir for a FRESH database.  A
 // directory already holding segments or checkpoints is refused: existing state
 // must go through Recover, which resumes the device itself.
-func openWALDevice(dir string, segmentBytes, syncThreshold int64, hook FaultHook) (*walDevice, error) {
+func openWALDevice(dir string, segmentBytes int64, hook FaultHook) (*walDevice, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("relstore: wal dir: %w", err)
 	}
@@ -214,23 +210,22 @@ func openWALDevice(dir string, segmentBytes, syncThreshold int64, hook FaultHook
 	if len(segs) > 0 || len(ckpts) > 0 {
 		return nil, fmt.Errorf("relstore: wal dir %q already holds log state (%d segments, %d checkpoints); use Recover", dir, len(segs), len(ckpts))
 	}
-	return startWALDevice(dir, segmentBytes, syncThreshold, hook, 0)
+	return startWALDevice(dir, segmentBytes, hook, 0)
 }
 
 // startWALDevice opens a device whose next record will carry firstLSN, in a
 // fresh segment.  Shared by openWALDevice (LSN 0) and Recover (last replayed
 // LSN + 1).
-func startWALDevice(dir string, segmentBytes, syncThreshold int64, hook FaultHook, firstLSN int64) (*walDevice, error) {
+func startWALDevice(dir string, segmentBytes int64, hook FaultHook, firstLSN int64) (*walDevice, error) {
 	if segmentBytes <= 0 {
 		segmentBytes = defaultWALSeg
 	}
 	d := &walDevice{
-		dir:           dir,
-		segmentBytes:  segmentBytes,
-		syncThreshold: syncThreshold,
-		fault:         hook,
-		nextLSN:       firstLSN,
-		writtenLSN:    firstLSN,
+		dir:          dir,
+		segmentBytes: segmentBytes,
+		fault:        hook,
+		nextLSN:      firstLSN,
+		writtenLSN:   firstLSN,
 	}
 	d.durableLSN.Store(firstLSN - 1)
 	if err := d.openSegment(firstLSN); err != nil {
@@ -331,8 +326,7 @@ func (d *walDevice) poison(err error) error {
 // next segment.  The appender then flushes up to the cut before it returns
 // (with the append lock released, so only this caller waits), which seals
 // the old segment where the parent design sealed it and keeps the buffer
-// under one segment in size however rarely anyone commits.  The auto-sync
-// threshold flushes the same way.
+// under one segment in size however rarely anyone commits.
 func (d *walDevice) appendRecords(buf []byte, ends []int) (int64, error) {
 	d.mu.Lock()
 	if err := d.err; err != nil {
@@ -354,31 +348,23 @@ func (d *walDevice) appendRecords(buf []byte, ends []int) (int64, error) {
 		d.segBytes += frameLen
 		d.appendedBytes += frameLen
 		d.bytesSinceCkpt += frameLen
-		d.unsynced += frameLen
 		d.nextLSN++
 	}
 	lsn := d.nextLSN - 1
-	auto := d.syncThreshold > 0 && d.unsynced >= d.syncThreshold
 	d.mu.Unlock()
 
 	var err error
-	switch {
-	case auto:
-		_, err = d.flush(lsn, false)
-	case sealed >= 0:
+	if sealed >= 0 {
 		_, err = d.flush(sealed, true)
 	}
 	return lsn, err
 }
 
 // cutLocked records a rotation at the end of the active buffer: the next
-// record appended opens a new segment.  mu must be held.  The flush that
-// follows makes everything before the cut durable, so the unsynced count
-// restarts here.
+// record appended opens a new segment.  mu must be held.
 func (d *walDevice) cutLocked() {
 	d.cuts = append(d.cuts, segCut{off: len(d.active), lsn: d.nextLSN})
 	d.segBytes = 0
-	d.unsynced = 0
 }
 
 // flush makes every record with LSN <= upTo durable and reports whether an
@@ -443,7 +429,6 @@ func (d *walDevice) flushLocked(sealedOnly bool) error {
 	}
 	d.active = append(d.spare[:0], buf[len(buf)-keep:]...)
 	d.cuts = d.spareCuts[:0]
-	d.unsynced = int64(keep)
 	d.mu.Unlock()
 	// The spare arrays are the active ones now; they come back below only if
 	// every byte taken reached the disk.

@@ -170,14 +170,14 @@ func TestOpenRepository(t *testing.T) {
 	if _, err := ProfileByName("nope"); err == nil {
 		t.Fatal("unknown profile name accepted")
 	}
-	pdb, err := prof.Open(relstore.WithBatchLockChunk(16))
+	pdb, err := prof.Open(relstore.WithBTreeDegree(16))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := indexNames(pdb); len(got) != 1 || got[0] != HTMIDIndexName {
 		t.Fatalf("production profile indices = %v", got)
 	}
-	if cfg := pdb.Config(); cfg.CachePages != prof.CachePages || cfg.BatchLockChunk != 16 {
-		t.Fatalf("config = %+v: want the profile's cache and the extra option's lock chunk", cfg)
+	if cfg := pdb.Config(); cfg.CachePages != prof.CachePages || cfg.BTreeDegree != 16 {
+		t.Fatalf("config = %+v: want the profile's cache and the extra option's B-tree degree", cfg)
 	}
 }
