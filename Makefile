@@ -28,9 +28,12 @@ race:
 
 # Time-boxed fuzzing of the five total decoders (the shared frame, wire
 # payloads, WAL record payloads, order-preserving keys, packed row views), of
-# the key index against its key-storing oracle and of the catalog splitter
-# against its Scanner oracle: 10 s each, one target and one package per
-# invocation as `go test -fuzz` requires.
+# the key index against its key-storing oracle, of the B-tree against its
+# sorted-slice oracle (seed corpus in testdata/fuzz/FuzzBTreeOps; its inputs
+# are long op streams, so minimizing each new one is capped at ten runs or the
+# ten seconds go to the minimizer) and of the catalog splitter against its
+# Scanner oracle: 10 s each, one target and one package per invocation as
+# `go test -fuzz` requires.
 # An input that fails is written to the package's testdata/fuzz/<target>/;
 # check it in, it is then a regression seed every plain `go test` replays.
 fuzz:
@@ -40,6 +43,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzOrderedKeyOrder$$' -fuzztime 10s ./internal/relstore/
 	$(GO) test -run '^$$' -fuzz '^FuzzRowViewDecode$$' -fuzztime 10s ./internal/relstore/
 	$(GO) test -run '^$$' -fuzz '^FuzzKeyIndexOps$$' -fuzztime 10s ./internal/relstore/
+	$(GO) test -run '^$$' -fuzz '^FuzzBTreeOps$$' -fuzztime 10s -fuzzminimizetime 10x ./internal/relstore/
 	$(GO) test -run '^$$' -fuzz '^FuzzReadRecords$$' -fuzztime 10s ./internal/catalog/
 
 # The byte-identity oracles a behaviour-preserving change must leave alone:

@@ -32,17 +32,41 @@ func TestConeCoverFullSphere(t *testing.T) {
 	}
 }
 
+// TestConeCoverRangesSortedDisjoint pins the contract queries.ConeSearch
+// leans on to visit no object twice without remembering which it has seen:
+// over random cones, radii and depths (and the poles, the RA wrap and a
+// hemisphere), the ranges are well-formed, ascending, non-overlapping and
+// non-adjacent — and so are their descendant ranges at the index depth.
 func TestConeCoverRangesSortedDisjoint(t *testing.T) {
-	rs, err := ConeCover(120, -40, 2.5, 8)
-	if err != nil {
-		t.Fatal(err)
+	rng := rand.New(rand.NewSource(11))
+	type cone struct{ ra, dec, radius float64 }
+	cones := []cone{{120, -40, 2.5}, {0, 90, 1}, {0, -90, 30}, {359.99, 0, 0.5}, {180, 0, 90}, {10, 10, 179.9}}
+	for len(cones) < 300 {
+		cones = append(cones, cone{rng.Float64() * 360, rng.Float64()*180 - 90, math.Pow(10, rng.Float64()*4-2.5)})
 	}
-	if len(rs) == 0 {
-		t.Fatal("empty cover")
-	}
-	for i := 1; i < len(rs); i++ {
-		if rs[i].Lo <= rs[i-1].Hi+1 {
-			t.Fatalf("ranges %d and %d not disjoint/merged: %+v %+v", i-1, i, rs[i-1], rs[i])
+	for _, c := range cones {
+		for _, depth := range []int{0, 1 + rng.Intn(6), 7 + rng.Intn(6)} {
+			rs, err := ConeCover(c.ra, c.dec, c.radius, depth)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(rs) == 0 {
+				t.Fatalf("cone %+v depth %d: empty cover", c, depth)
+			}
+			for i, r := range rs {
+				if r.Lo > r.Hi {
+					t.Fatalf("cone %+v depth %d: range %d inverted: %+v", c, depth, i, r)
+				}
+				if i == 0 {
+					continue
+				}
+				if r.Lo <= rs[i-1].Hi+1 {
+					t.Fatalf("cone %+v depth %d: ranges %d and %d not disjoint/merged: %+v %+v", c, depth, i-1, i, rs[i-1], r)
+				}
+				if d, prev := r.DescendantRange(DefaultDepth-depth), rs[i-1].DescendantRange(DefaultDepth-depth); d.Lo <= prev.Hi {
+					t.Fatalf("cone %+v depth %d: descendant ranges overlap: %+v %+v", c, depth, prev, d)
+				}
+			}
 		}
 	}
 }

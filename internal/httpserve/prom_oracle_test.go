@@ -247,11 +247,15 @@ func oracleDBMetrics(p *metrics.PromWriter, snap relstore.StatsSnapshot) {
 	}
 
 	// --- relstore: per-index memory footprint ---
+	p.Metric("sky_relstore_index_resident_bytes", "Memory held by a secondary index's B-tree (node headers, slots, children, reserved key bytes, duplicate-id lists), by index.", "gauge")
+	for _, ix := range snap.Indexes {
+		p.SampleInt("sky_relstore_index_resident_bytes", indexLabels(ix.Table, ix.Name), ix.ResidentBytes)
+	}
 	p.Metric("sky_index_key_bytes", "Encoded key bytes stored, by index.", "gauge")
 	for _, ix := range snap.Indexes {
 		p.SampleInt("sky_index_key_bytes", indexLabels(ix.Table, ix.Name), ix.KeyBytes)
 	}
-	p.Metric("sky_index_arena_bytes", "Key arena capacity reserved, by index.", "gauge")
+	p.Metric("sky_index_arena_bytes", "Key bytes reserved by the B-tree nodes (part of the resident bytes), by index.", "gauge")
 	for _, ix := range snap.Indexes {
 		p.SampleInt("sky_index_arena_bytes", indexLabels(ix.Table, ix.Name), ix.ArenaBytes)
 	}

@@ -6,8 +6,16 @@ import (
 	"sync"
 	"testing"
 
+	"skyloader/internal/catalog"
+	"skyloader/internal/core"
+	"skyloader/internal/exec"
 	"skyloader/internal/metrics"
+	"skyloader/internal/parallel"
 	"skyloader/internal/queries"
+	"skyloader/internal/relstore"
+	"skyloader/internal/serve"
+	"skyloader/internal/sqlbatch"
+	"skyloader/internal/tuning"
 )
 
 // TestScrapeUnderQueryLoad races /metrics scrapes against query traffic and
@@ -59,4 +67,60 @@ func TestScrapeUnderQueryLoad(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// TestScrapeUnderIngest races /metrics and /v1/stats against a bulk load that
+// maintains both secondary indexes — first per batch, then suspended by
+// BeginLoad and swapped in whole by Seal.  The per-index figures come from
+// B-trees the loaders write under the table lock, so the snapshot has to read
+// them under it; under -race this is the test that says it does.
+func TestScrapeUnderIngest(t *testing.T) {
+	night := catalog.GenerateNight(catalog.NightSpec{TotalMB: 120, Files: 6, RowsPerMB: 100, Seed: 9, RunID: 1})
+	for _, build := range []relstore.IndexPolicy{relstore.IndexImmediate, relstore.IndexDeferred} {
+		db, err := tuning.OpenRepository(tuning.HTMIDPlusComposite, relstore.WithIndexPolicy(build))
+		if err != nil {
+			t.Fatal(err)
+		}
+		front, err := New(serve.NewServer(exec.NewRealtime(exec.RealtimeConfig{Seed: 5}), db, serve.Config{Workers: 2, QueueDepth: 100}), Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := front.Handler()
+		loaded := make(chan error, 1)
+		go func() {
+			load := sqlbatch.NewServerOn(exec.NewRealtime(exec.RealtimeConfig{Seed: 6}), db, sqlbatch.DefaultServerConfig(), sqlbatch.DefaultCostModel())
+			_, err := parallel.Run(load, night, parallel.Config{
+				Loaders: 2, Loader: core.Config{BatchSize: 40, ArraySize: 1000},
+				SealAfterLoad: build == relstore.IndexDeferred,
+			})
+			loaded <- err
+		}()
+		for scrapes, done := 0, false; !done || scrapes < 3; scrapes++ {
+			select {
+			case err := <-loaded:
+				if err != nil {
+					t.Fatal(err)
+				}
+				done = true
+			default:
+			}
+			var sb strings.Builder
+			if err := front.WriteMetrics(&sb); err != nil {
+				t.Fatalf("%v scrape %d: %v", build, scrapes, err)
+			}
+			if _, err := metrics.PromValid(sb.String()); err != nil {
+				t.Fatalf("%v scrape %d invalid under ingest: %v", build, scrapes, err)
+			}
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest("GET", PathStats, nil))
+			if rec.Code != 200 {
+				t.Fatalf("%v /v1/stats under ingest: %d", build, rec.Code)
+			}
+		}
+		for _, ix := range db.StatsSnapshot().Indexes {
+			if !ix.Ready || ix.KeyBytes == 0 || ix.ResidentBytes < ix.ArenaBytes || ix.ArenaBytes < ix.KeyBytes {
+				t.Fatalf("%v: after the load index %s reports %+v", build, ix.Name, ix)
+			}
+		}
+	}
 }

@@ -251,6 +251,16 @@ func Spawn(server *sqlbatch.Server, files []*catalog.File, cfg Config) (*Cluster
 			loaderCfg := cfg.Loader
 			loaderCfg.LoaderNode = n + 1
 
+			// One bulk loader for the node's whole run: provenance ids keep
+			// counting across files (a loader per file restarted them, and the
+			// duplicate load_runs/load_errors rows were dropped), and the
+			// array-set's slabs and the transformer serve every file.
+			var ld *core.Loader
+			defer func() {
+				if ld != nil {
+					res.Stats.Merge(ld.Stats())
+				}
+			}()
 			loadOne := func(f *catalog.File) error {
 				if cfg.NonBulk {
 					nb := baseline.NewNonBulkLoader(conn, baseline.NonBulkConfig{
@@ -267,15 +277,13 @@ func Spawn(server *sqlbatch.Server, files []*catalog.File, cfg Config) (*Cluster
 					res.Stats.Merge(nb.Stats())
 					return nil
 				}
-				ld, err := core.NewLoader(conn, loaderCfg)
-				if err != nil {
-					return err
+				if ld == nil {
+					var err error
+					if ld, err = core.NewLoader(conn, loaderCfg); err != nil {
+						return err
+					}
 				}
-				if err := ld.LoadFile(f); err != nil {
-					return err
-				}
-				res.Stats.Merge(ld.Stats())
-				return nil
+				return ld.LoadFile(f)
 			}
 
 			if cfg.Assignment == Static {

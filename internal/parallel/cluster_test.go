@@ -205,3 +205,46 @@ func TestAssignmentString(t *testing.T) {
 		t.Fatal("Assignment.String broken")
 	}
 }
+
+// TestProvenanceAcrossFiles loads eight files on two nodes with provenance on:
+// every file leaves its load_runs row and every skipped row its load_errors
+// row, which takes provenance ids that keep counting from one file of a node
+// to the next (a loader per file restarted them and the engine rejected the
+// duplicates, silently), in ranges the nodes do not share.
+func TestProvenanceAcrossFiles(t *testing.T) {
+	srv := testServer(t)
+	files := testNight(30, 8)
+	cfg := core.DefaultConfig()
+	cfg.RecordProvenance = true
+	res, err := Run(srv, files, Config{Loaders: 2, Loader: cfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Total.RowsSkipped == 0 || len(res.Nodes[0].FilesDone) < 2 || len(res.Nodes[1].FilesDone) < 2 {
+		t.Fatalf("want skipped rows and several files per node: %d skipped, files %v and %v",
+			res.Total.RowsSkipped, res.Nodes[0].FilesDone, res.Nodes[1].FilesDone)
+	}
+	db := srv.DB()
+	if runs := db.Table(catalog.TLoadRuns).RowCount(); runs != int64(len(files)) {
+		t.Errorf("%d load_runs rows for %d files", runs, len(files))
+	}
+	if errs := db.Table(catalog.TLoadErrors).RowCount(); errs != int64(res.Total.RowsSkipped) {
+		t.Errorf("%d load_errors rows for %d skipped rows", errs, res.Total.RowsSkipped)
+	}
+	if err := db.ScanRef(catalog.TLoadRuns, func(r relstore.RowView) bool {
+		if id, node := r.Value(0).Int(), r.Value(2).Int(); id/1_000_000 != node+1 {
+			t.Errorf("load run %d recorded by node %d is outside the node's id range", id, node)
+		}
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.ScanRef(catalog.TLoadErrors, func(r relstore.RowView) bool {
+		if id, run := r.Value(0).Int(), r.Value(1).Int(); id/10_000_000 != run/1_000_000 {
+			t.Errorf("load error %d names load run %d of another node", id, run)
+		}
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -6,10 +6,12 @@ import (
 )
 
 // TestConeSearchCandidatesDoNotAllocate pins the decode-on-read path: a cone
-// search reads its candidates straight from the page bytes, so allocations
-// grow with the answer (the result slice and the duplicate filter double a
-// logarithmic number of times), never with the candidates examined.  Before
-// row views every candidate cost a copied row.
+// search reads its candidates straight from the page bytes and trusts the
+// cover's disjoint ranges instead of remembering every object it has seen, so
+// allocations grow with the answer (the result slice doubles a logarithmic
+// number of times) and the cover's ranges (one id buffer per index probe),
+// never with the candidates examined: 28 here for 4000 candidates, 74 with the
+// seen-map.  Before row views every candidate cost a copied row.
 func TestConeSearchCandidatesDoNotAllocate(t *testing.T) {
 	const spread = 2.0
 	db := randomCatalog(t, rand.New(rand.NewSource(3)), 4000, 180, 10, spread)
@@ -24,7 +26,7 @@ func TestConeSearchCandidatesDoNotAllocate(t *testing.T) {
 		t.Fatalf("cone examined %d rows (index used: %v); the test needs an indexed cone with many candidates",
 			stats.RowsExamined, stats.UsedIndex)
 	}
-	if budget := float64(stats.RowsExamined) / 10; allocs > budget {
+	if budget := float64(stats.RowsExamined) / 100; allocs > budget {
 		t.Errorf("ConeSearch allocates %.0f times for %d candidates, budget %.0f", allocs, stats.RowsExamined, budget)
 	}
 	t.Logf("%.0f allocations, %d candidates examined, %d returned", allocs, stats.RowsExamined, stats.RowsReturned)

@@ -147,7 +147,8 @@ func ConeSearch(db *relstore.DB, raDeg, decDeg, radiusDeg float64) ([]Object, St
 		return nil, stats, err
 	}
 
-	seen := map[int64]bool{}
+	// The cover's ranges are sorted and disjoint by htm.ConeCover's contract
+	// and an object has one index entry, so no row is visited twice.
 	for _, rg := range cover {
 		// One merged range is one B-tree range probe, however many coarse
 		// trixels it spans — TrixelsScanned prices probes, not area.
@@ -157,10 +158,6 @@ func ConeSearch(db *relstore.DB, raDeg, decDeg, radiusDeg float64) ([]Object, St
 			[]relstore.Value{relstore.Int(ids.Lo)}, []relstore.Value{relstore.Int(ids.Hi)},
 			func(r relstore.RowView) bool {
 				obj := cols.decode(r)
-				if seen[obj.ObjectID] {
-					return true
-				}
-				seen[obj.ObjectID] = true
 				stats.RowsExamined++
 				if angularDistanceDeg(raDeg, decDeg, obj.RA, obj.Dec) <= radiusDeg {
 					out = append(out, obj)

@@ -376,7 +376,7 @@ func (t *Table) bulkIndexInsert(sc *scratch, ix *Index, rows []Row, ids []int64,
 	// check, the sort and every tree comparison below are single memcmps.
 	// Growing the arena may reallocate it, leaving earlier kv keys pointing
 	// into the retired backing array — which stays intact and is only read
-	// until the tree copies stored keys into its own arena.
+	// until the tree copies stored keys into its nodes.
 	sc.karena = sc.karena[:0]
 	sc.kvs = sc.kvs[:0]
 	sorted := true
@@ -398,7 +398,15 @@ func (t *Table) bulkIndexInsert(sc *scratch, ix *Index, rows []Row, ids []int64,
 		// Equal keys need no reordering: ids ascend with row order already.
 		slices.SortFunc(sc.kvs, cmpKV)
 	}
-	st := ix.tree.insertSortedKVs(sc.kvs)
+	si := sortedInserter{t: ix.tree}
+	for i := range sc.kvs {
+		si.insert(sc.kvs[i].key, sc.kvs[i].id)
+	}
+	ix.chargeInserts(rep, si.st)
+}
+
+// chargeInserts adds one index's share of a batch to the report.
+func (ix *Index) chargeInserts(rep *OpReport, st InsertStats) {
 	rep.IndexNodesVisited += st.NodesVisited
 	rep.IndexSplits += st.Splits
 	rep.IndexFloatColNodeVisits += st.NodesVisited * ix.floatCols
@@ -440,16 +448,13 @@ func (t *Table) bulkIndexInsertInt64(sc *scratch, ix *Index, rows []Row, ids []i
 	rep.IndexEntryBytes += len(rows) * (ValueSize(Value{Kind: ix.keyKind}) + 8)
 
 	// Stream the sorted keys into the tree, re-encoding each into a reused
-	// stack buffer; the inserter copies stored keys into the tree's arena.
+	// stack buffer; the inserter copies stored keys into the tree's nodes.
 	var kb [10]byte
 	si := sortedInserter{t: ix.tree}
 	for i := range ks {
 		si.insert(appendOrderedValue(kb[:0], Value{Kind: ix.keyKind, I: ks[i]}), vs[i])
 	}
-	rep.IndexNodesVisited += si.st.NodesVisited
-	rep.IndexSplits += si.st.Splits
-	rep.IndexFloatColNodeVisits += si.st.NodesVisited * ix.floatCols
-	rep.IndexIntColNodeVisits += si.st.NodesVisited * ix.otherCols
+	ix.chargeInserts(rep, si.st)
 	return true
 }
 

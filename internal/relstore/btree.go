@@ -3,6 +3,9 @@ package relstore
 import (
 	"bytes"
 	"fmt"
+	"math"
+	"slices"
+	"unsafe"
 )
 
 // BTree is an in-memory B-tree mapping order-preserving encoded keys to row
@@ -15,10 +18,9 @@ import (
 // Keys are the AppendOrderedKey encoding of the indexed column values, so
 // every comparison on the descent path is a single bytes.Compare instead of
 // the per-element kind switch of CompareKeys.  The tree owns the bytes it
-// stores: new entries' keys are copied into per-tree arena chunks (one
-// allocation per chunk, not per key), so callers may pass reusable encode
-// buffers.  Callers that need column values back decode with DecodeOrderedKey;
-// the hot paths never do.
+// stores — every node keeps its keys packed in its own byte slice — so callers
+// may pass reusable encode buffers.  Callers that need column values back
+// decode with DecodeOrderedKey; the hot paths never do.
 type BTree struct {
 	degree int
 	root   *btreeNode
@@ -27,37 +29,86 @@ type BTree struct {
 	splits int
 	height int
 
-	// keyArena is the current key-copy chunk; stored keys are full-cap
-	// sub-slices of retired and current chunks.  idArena backs the initial
-	// one-element row-id slice of each new entry.  keyBytes sums the lengths
-	// of stored keys and arenaBytes the capacities of all key chunks ever
-	// allocated (retired chunks stay reachable through the keys carved from
-	// them), so the two together report footprint and arena overhead.
-	keyArena   []byte
-	idArena    []int64
+	// keyLen is the longest key stored so far.  A node's key bytes are
+	// reserved once, at (2*degree-1)*keyLen: exact for numeric columns (9
+	// bytes each), a floor that append-growth tops up for strings.
+	keyLen int
+	// keyBytes sums the lengths of stored keys, arenaBytes the capacities of
+	// the nodes' key slices and dupBytes what the duplicate-id side slots
+	// hold; with nodes and internals (the nodes that carry children) they give
+	// ResidentBytes without a walk.
 	keyBytes   int
 	arenaBytes int
+	dupBytes   int
+	internals  int
 }
 
-type btreeEntry struct {
-	key    []byte
-	rowIDs []int64
-}
-
+// btreeNode is one node at rest: no pointer per entry.  Entry i's key is
+// keys[slots[i-1].end:slots[i].end] and its row ids are slots[i].id followed
+// by more[i].  An end offset per entry rather than a fixed stride, because a
+// NULL encodes to one byte and a string to any number, and one layout serves
+// every index; the offset costs four bytes and a 16-bit one would cap a node
+// at 64 KiB of keys.
 type btreeNode struct {
-	entries  []btreeEntry
+	keys  []byte
+	slots []btreeSlot
+	// more holds the ids after the first of entries stored under duplicate
+	// keys, parallel to slots; nil while no entry of the node has needed one.
+	more     [][]uint32
 	children []*btreeNode // nil for leaves
+}
+
+// btreeSlot is the fixed part of an entry.  Row ids fit 32 bits because
+// Table.checkRowID refuses an insert past maxKeyRowID; id is noRowID for a
+// tombstone (every id deleted, key kept).
+type btreeSlot struct {
+	end uint32
+	id  uint32
+}
+
+const noRowID = math.MaxUint32
+
+// rowID32 narrows a row id the table layer has already range-checked.
+func rowID32(id int64) uint32 {
+	if id < 0 || id > maxKeyRowID {
+		panic(fmt.Sprintf("relstore: row id %d outside the B-tree's range", id))
+	}
+	return uint32(id)
 }
 
 func (n *btreeNode) leaf() bool { return len(n.children) == 0 }
 
-// Key-arena chunk sizing: chunks double from 256 B up to 64 KiB, so small
-// trees stay small while bulk-loaded trees amortize one allocation across
-// thousands of keys.
-const (
-	btreeKeyChunkMin = 1 << 8
-	btreeKeyChunkMax = 1 << 16
-)
+// start returns the offset in keys at which entry i's key begins.
+func (n *btreeNode) start(i int) int {
+	if i == 0 {
+		return 0
+	}
+	return int(n.slots[i-1].end)
+}
+
+// key returns entry i's key; it aliases the node and moves with the next
+// insert into it.
+func (n *btreeNode) key(i int) []byte { return n.keys[n.start(i):n.slots[i].end] }
+
+// rest returns entry i's ids after the first.
+func (n *btreeNode) rest(i int) []uint32 {
+	if n.more == nil {
+		return nil
+	}
+	return n.more[i]
+}
+
+// appendIDs appends entry i's row ids to dst in insertion order.
+func (n *btreeNode) appendIDs(dst []int64, i int) []int64 {
+	if n.slots[i].id == noRowID {
+		return dst
+	}
+	dst = append(dst, int64(n.slots[i].id))
+	for _, id := range n.rest(i) {
+		dst = append(dst, int64(id))
+	}
+	return dst
+}
 
 // NewBTree creates a B-tree with the given minimum degree (every node except
 // the root holds between degree-1 and 2*degree-1 entries).  Degrees below 2
@@ -66,12 +117,21 @@ func NewBTree(degree int) *BTree {
 	if degree < 2 {
 		degree = 2
 	}
-	return &BTree{
-		degree: degree,
-		root:   &btreeNode{},
-		nodes:  1,
-		height: 1,
+	t := &BTree{degree: degree, height: 1}
+	t.root = t.newNode(false)
+	return t
+}
+
+// newNode allocates a node with its slots (and children) at full capacity;
+// its key bytes are reserved by the first insert into it.
+func (t *BTree) newNode(internal bool) *btreeNode {
+	n := &btreeNode{slots: make([]btreeSlot, 0, 2*t.degree-1)}
+	if internal {
+		n.children = make([]*btreeNode, 0, 2*t.degree)
+		t.internals++
 	}
+	t.nodes++
+	return n
 }
 
 // Len returns the number of distinct keys stored.
@@ -90,49 +150,17 @@ func (t *BTree) Height() int { return t.height }
 // tombstoned entries (rollback leaves keys in place).
 func (t *BTree) KeyBytes() int { return t.keyBytes }
 
-// ArenaBytes returns the total capacity reserved by the tree's key arena
-// chunks.  ArenaBytes - KeyBytes is the arena overhead: chunk headroom plus
-// bytes occupied by duplicate-key copies the bulk-build paths skip over.
+// ArenaBytes returns the bytes the nodes reserve for keys.  ArenaBytes -
+// KeyBytes is the room nodes below capacity keep for later inserts.
 func (t *BTree) ArenaBytes() int { return t.arenaBytes }
 
-// copyKey copies key into the tree's arena and returns the stored sub-slice.
-// Sub-slices are full (len == cap), so appending to one reallocates instead of
-// overwriting a neighbour.
-func (t *BTree) copyKey(key []byte) []byte {
-	if cap(t.keyArena)-len(t.keyArena) < len(key) {
-		n := cap(t.keyArena) * 2
-		if n < btreeKeyChunkMin {
-			n = btreeKeyChunkMin
-		}
-		if n > btreeKeyChunkMax {
-			n = btreeKeyChunkMax
-		}
-		if n < len(key) {
-			n = len(key)
-		}
-		t.keyArena = make([]byte, 0, n)
-		t.arenaBytes += n
-	}
-	start := len(t.keyArena)
-	t.keyArena = append(t.keyArena, key...)
-	t.keyBytes += len(key)
-	return t.keyArena[start:len(t.keyArena):len(t.keyArena)]
-}
-
-// idSlice returns a one-element row-id slice carved from the id arena.
-func (t *BTree) idSlice(id int64) []int64 {
-	if len(t.idArena) == cap(t.idArena) {
-		n := cap(t.idArena) * 2
-		if n < 64 {
-			n = 64
-		}
-		if n > 8192 {
-			n = 8192
-		}
-		t.idArena = make([]int64, 0, n)
-	}
-	t.idArena = append(t.idArena, id)
-	return t.idArena[len(t.idArena)-1 : len(t.idArena) : len(t.idArena)]
+// ResidentBytes returns the memory the tree holds, counted where it is held:
+// node headers, slot and child arrays at their allocated capacity, reserved
+// key bytes and the duplicate-id side slots.
+func (t *BTree) ResidentBytes() int64 {
+	perNode := int(unsafe.Sizeof(btreeNode{})) + (2*t.degree-1)*int(unsafe.Sizeof(btreeSlot{}))
+	perInternal := 2 * t.degree * int(unsafe.Sizeof((*btreeNode)(nil)))
+	return int64(t.nodes*perNode + t.internals*perInternal + t.arenaBytes + t.dupBytes)
 }
 
 // InsertStats reports the physical work performed by one Insert call.
@@ -146,53 +174,130 @@ type InsertStats struct {
 // accumulate row ids (non-unique index semantics); unique enforcement is done
 // by the table layer before the index is touched.
 //
-// The tree copies the key into its arena when it stores a new entry, so
-// callers may pass a reusable scratch buffer: inserts under an existing key
-// never copy, and new keys cost an amortized fraction of one chunk allocation.
+// The tree copies the key into the leaf when it stores a new entry, so callers
+// may pass a reusable scratch buffer; inserts under an existing key never copy.
 //
 // It is a one-key sorted pass: the same proactive-split descent InsertSorted
 // falls back to, so the two cannot drift.
 func (t *BTree) Insert(key []byte, rowID int64) InsertStats {
 	before := t.size
 	si := sortedInserter{t: t}
-	si.descendInsert(key, rowID)
+	si.descendInsert(key, rowID32(rowID))
 	si.st.NewKey = t.size > before
 	return si.st
+}
+
+// reserve makes room for extra more key bytes in n.
+func (t *BTree) reserve(n *btreeNode, extra int) {
+	need := len(n.keys) + extra
+	if need <= cap(n.keys) {
+		return
+	}
+	grown := make([]byte, len(n.keys), max(need, 2*cap(n.keys), (2*t.degree-1)*t.keyLen))
+	copy(grown, n.keys)
+	t.arenaBytes += cap(grown) - cap(n.keys)
+	n.keys = grown
+}
+
+// insertAt opens entry i of n for (key, id): one move of the key bytes behind
+// it and one pass over the slots behind it.  The caller guarantees room.
+func (t *BTree) insertAt(n *btreeNode, i int, key []byte, id uint32) {
+	t.reserve(n, len(key))
+	at, old, kl := n.start(i), len(n.keys), uint32(len(key))
+	n.keys = n.keys[:old+len(key)]
+	copy(n.keys[at+len(key):], n.keys[at:old])
+	copy(n.keys[at:], key)
+	n.slots = n.slots[:len(n.slots)+1]
+	for j := len(n.slots) - 1; j > i; j-- {
+		s := n.slots[j-1]
+		n.slots[j] = btreeSlot{end: s.end + kl, id: s.id}
+	}
+	n.slots[i] = btreeSlot{end: uint32(at) + kl, id: id}
+	if n.more != nil {
+		n.more = n.more[:len(n.slots)]
+		copy(n.more[i+1:], n.more[i:])
+		n.more[i] = nil
+	}
+}
+
+// addEntry stores a key the tree does not hold yet as entry i of n.
+func (t *BTree) addEntry(n *btreeNode, i int, key []byte, id uint32) {
+	t.keyLen = max(t.keyLen, len(key))
+	t.insertAt(n, i, key, id)
+	t.keyBytes += len(key)
+	t.size++
+}
+
+// setMore installs entry i's duplicate-id list, creating the node's side slot
+// on first use.
+func (t *BTree) setMore(n *btreeNode, i int, ids []uint32) {
+	if n.more == nil {
+		n.more = make([][]uint32, len(n.slots), cap(n.slots))
+		t.dupBytes += cap(n.more) * int(unsafe.Sizeof([]uint32(nil)))
+	}
+	n.more[i] = ids
+}
+
+// addID appends id to entry i's row ids; a tombstone comes back to life.
+func (t *BTree) addID(n *btreeNode, i int, id uint32) {
+	if n.slots[i].id == noRowID {
+		n.slots[i].id = id
+		return
+	}
+	ids := n.rest(i)
+	t.dupBytes -= cap(ids) * 4
+	ids = append(ids, id)
+	t.dupBytes += cap(ids) * 4
+	t.setMore(n, i, ids)
 }
 
 func (t *BTree) splitChild(parent *btreeNode, i int) {
 	t.splits++
 	child := parent.children[i]
 	mid := t.degree - 1
-	right := &btreeNode{}
-	t.nodes++
-	right.entries = append(right.entries, child.entries[mid+1:]...)
-	median := child.entries[mid]
-	child.entries = child.entries[:mid]
+	right := t.newNode(!child.leaf())
+	cut := child.slots[mid].end
+	t.reserve(right, len(child.keys)-int(cut))
+	right.keys = append(right.keys, child.keys[cut:]...)
+	right.slots = right.slots[:len(child.slots)-mid-1]
+	for j, s := range child.slots[mid+1:] {
+		right.slots[j] = btreeSlot{end: s.end - cut, id: s.id}
+		if ids := child.rest(mid + 1 + j); ids != nil {
+			t.setMore(right, j, ids)
+		}
+	}
+	t.insertAt(parent, i, child.key(mid), child.slots[mid].id)
+	if ids := child.rest(mid); ids != nil {
+		t.setMore(parent, i, ids) // an emptied list moves too: dupBytes counts its capacity
+	}
+	if child.more != nil {
+		clear(child.more[mid:])
+		child.more = child.more[:mid]
+	}
+	child.keys = child.keys[:child.start(mid)]
+	child.slots = child.slots[:mid]
 	if !child.leaf() {
 		right.children = append(right.children, child.children[mid+1:]...)
+		clear(child.children[mid+1:])
 		child.children = child.children[:mid+1]
 	}
 	parent.children = append(parent.children, nil)
 	copy(parent.children[i+2:], parent.children[i+1:])
 	parent.children[i+1] = right
-	parent.entries = append(parent.entries, btreeEntry{})
-	copy(parent.entries[i+1:], parent.entries[i:])
-	parent.entries[i] = median
 }
 
 // find returns the index of the first entry >= key and whether it equals key.
 func (n *btreeNode) find(key []byte) (int, bool) {
-	lo, hi := 0, len(n.entries)
+	lo, hi := 0, len(n.slots)
 	for lo < hi {
 		mid := (lo + hi) / 2
-		if bytes.Compare(n.entries[mid].key, key) < 0 {
+		if bytes.Compare(n.key(mid), key) < 0 {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	if lo < len(n.entries) && bytes.Equal(n.entries[lo].key, key) {
+	if lo < len(n.slots) && bytes.Equal(n.key(lo), key) {
 		return lo, true
 	}
 	return lo, false
@@ -208,13 +313,11 @@ func (n *btreeNode) find(key []byte) (int, bool) {
 // above.  While subsequent keys stay below that separator and the leaf has
 // room, they are placed with a single node visit instead of a fresh descent —
 // for in-order key runs (the common case during a bulk load, where batch keys
-// are collected and sorted first) index maintenance degrades from
-// O(height) comparisons per row to amortized O(1) node visits per row.
-// Runs of equal keys short-circuit even earlier: the row id is appended to
-// the entry stored by the previous iteration without touching the leaf
-// search.  Keys that fall outside the cached window fall back to the normal
-// proactive-split descent, so the result is identical to calling Insert once
-// per pair (up to B-tree shape, which depends on insertion order).
+// are collected and sorted first) index maintenance drops from O(height)
+// comparisons per row to amortized O(1) node visits per row.  A run of equal
+// keys appends to the entry the previous iteration stored without a leaf
+// search, and a key outside the cached window takes the normal proactive-split
+// descent, so the result is what one Insert per pair would leave.
 func (t *BTree) InsertSorted(keys [][]byte, rowIDs []int64) InsertStats {
 	si := sortedInserter{t: t}
 	for pos := range keys {
@@ -223,18 +326,10 @@ func (t *BTree) InsertSorted(keys [][]byte, rowIDs []int64) InsertStats {
 	return si.st
 }
 
-// insertSortedKVs is InsertSorted over the batch path's pooled kv pairs.
-func (t *BTree) insertSortedKVs(kvs []idxKV) InsertStats {
-	si := sortedInserter{t: t}
-	for i := range kvs {
-		si.insert(kvs[i].key, kvs[i].id)
-	}
-	return si.st
-}
-
 // sortedInserter carries the state of one InsertSorted pass: the cached leaf
-// window and the previously inserted entry for equal-key runs.  New entries'
-// stored keys and row-id slices come from the tree's arenas.
+// window and the previously inserted entry for equal-key runs.  upper aliases
+// an ancestor's key bytes, which stay put while the window is valid: in-window
+// inserts touch only the leaf, and every descent refreshes the window.
 type sortedInserter struct {
 	t  *BTree
 	st InsertStats
@@ -247,25 +342,26 @@ type sortedInserter struct {
 
 // insert places one (key, id) pair, which must not sort below the previous
 // pair of this pass.
-func (si *sortedInserter) insert(key []byte, id int64) {
+func (si *sortedInserter) insert(key []byte, rowID int64) {
+	id := rowID32(rowID)
 	// Equal-key run: append to the entry the previous iteration stored.
-	if si.last != nil && bytes.Equal(key, si.last.entries[si.lasti].key) {
-		si.last.entries[si.lasti].rowIDs = append(si.last.entries[si.lasti].rowIDs, id)
+	if si.last != nil && bytes.Equal(key, si.last.key(si.lasti)) {
+		si.t.addID(si.last, si.lasti, id)
 		si.st.NodesVisited++
 		return
 	}
 	// In-window key: place it in the cached leaf without a descent.  The
 	// strict < keeps keys equal to the ancestor separator on the descent
 	// path, where they find the separator entry itself.
-	if si.leaf != nil && len(si.leaf.entries) < 2*si.t.degree-1 && (si.upper == nil || bytes.Compare(key, si.upper) < 0) {
+	if si.leaf != nil && len(si.leaf.slots) < 2*si.t.degree-1 && (si.upper == nil || bytes.Compare(key, si.upper) < 0) {
 		leaf := si.leaf
 		var i int
 		var found bool
-		if si.last == leaf && si.lasti+1 < len(leaf.entries) {
+		if si.last == leaf && si.lasti+1 < len(leaf.slots) {
 			// Sequential hint: a sorted stream's next key usually lands
-			// right after the previous position (key > entries[lasti] is
+			// right after the previous position (key > entry lasti is
 			// guaranteed — an equal key took the run branch above).
-			if c := bytes.Compare(key, leaf.entries[si.lasti+1].key); c < 0 {
+			if c := bytes.Compare(key, leaf.key(si.lasti+1)); c < 0 {
 				i, found = si.lasti+1, false
 			} else if c == 0 {
 				i, found = si.lasti+1, true
@@ -274,18 +370,15 @@ func (si *sortedInserter) insert(key []byte, id int64) {
 			}
 		} else if si.last == leaf {
 			// Previous entry is the leaf's last: the new, larger key appends.
-			i, found = len(leaf.entries), false
+			i, found = len(leaf.slots), false
 		} else {
 			i, found = leaf.find(key)
 		}
 		si.st.NodesVisited++
 		if found {
-			leaf.entries[i].rowIDs = append(leaf.entries[i].rowIDs, id)
+			si.t.addID(leaf, i, id)
 		} else {
-			leaf.entries = append(leaf.entries, btreeEntry{})
-			copy(leaf.entries[i+1:], leaf.entries[i:])
-			leaf.entries[i] = btreeEntry{key: si.t.copyKey(key), rowIDs: si.t.idSlice(id)}
-			si.t.size++
+			si.t.addEntry(leaf, i, key, id)
 		}
 		si.last, si.lasti = leaf, i
 		return
@@ -297,12 +390,12 @@ func (si *sortedInserter) insert(key []byte, id int64) {
 // and refreshes the cached window: the leaf the entry landed in and its
 // tightest ancestor upper bound (no leaf window when the key matched an
 // internal-node entry), plus the entry itself for equal-key runs.
-func (si *sortedInserter) descendInsert(key []byte, id int64) {
+func (si *sortedInserter) descendInsert(key []byte, id uint32) {
 	t := si.t
-	if len(t.root.entries) == 2*t.degree-1 {
+	if len(t.root.slots) == 2*t.degree-1 {
 		old := t.root
-		t.root = &btreeNode{children: []*btreeNode{old}}
-		t.nodes++
+		t.root = t.newNode(true)
+		t.root.children = append(t.root.children, old)
 		t.height++
 		t.splitChild(t.root, 0)
 		si.st.Splits++
@@ -313,7 +406,7 @@ func (si *sortedInserter) descendInsert(key []byte, id int64) {
 		si.st.NodesVisited++
 		i, found := n.find(key)
 		if found {
-			n.entries[i].rowIDs = append(n.entries[i].rowIDs, id)
+			t.addID(n, i, id)
 			if n.leaf() {
 				si.leaf, si.upper = n, ub
 			} else {
@@ -323,19 +416,16 @@ func (si *sortedInserter) descendInsert(key []byte, id int64) {
 			return
 		}
 		if n.leaf() {
-			n.entries = append(n.entries, btreeEntry{})
-			copy(n.entries[i+1:], n.entries[i:])
-			n.entries[i] = btreeEntry{key: t.copyKey(key), rowIDs: t.idSlice(id)}
-			t.size++
+			t.addEntry(n, i, key, id)
 			si.leaf, si.upper = n, ub
 			si.last, si.lasti = n, i
 			return
 		}
-		if len(n.children[i].entries) == 2*t.degree-1 {
+		if len(n.children[i].slots) == 2*t.degree-1 {
 			t.splitChild(n, i)
 			si.st.Splits++
-			if c := bytes.Compare(key, n.entries[i].key); c == 0 {
-				n.entries[i].rowIDs = append(n.entries[i].rowIDs, id)
+			if c := bytes.Compare(key, n.key(i)); c == 0 {
+				t.addID(n, i, id)
 				si.leaf, si.upper = nil, nil
 				si.last, si.lasti = n, i
 				return
@@ -343,230 +433,197 @@ func (si *sortedInserter) descendInsert(key []byte, id int64) {
 				i++
 			}
 		}
-		if i < len(n.entries) {
-			ub = n.entries[i].key
+		if i < len(n.slots) {
+			ub = n.key(i)
 		}
 		n = n.children[i]
 	}
 }
 
-// BuildStats reports the work performed by one BuildFromSorted call.
+// BuildStats reports the work performed by one bulk build.
 type BuildStats struct {
-	// Rows is the number of (key, rowID) pairs consumed.
-	Rows int
-	// Entries is the number of distinct keys stored.
-	Entries int
-	// NodesBuilt is the number of B-tree nodes constructed.
-	NodesBuilt int
-	// Height is the height of the finished tree.
-	Height int
+	Rows       int // (key, rowID) pairs consumed
+	Entries    int // distinct keys stored
+	NodesBuilt int // B-tree nodes constructed
+	Height     int // height of the finished tree
 }
 
 // BuildFromSorted replaces the tree's contents with the (keys[i], rowIDs[i])
 // pairs, which the caller guarantees to be sorted ascending by (key, rowID).
 // Duplicate keys must be adjacent; their row ids accumulate into one entry in
 // input order, exactly as repeated Insert calls would leave them.
-//
-// The construction is the cheapest possible for a B-tree: leaves are packed
-// left to right from the sorted stream, separators are promoted to build each
-// internal level the same way, and no key comparison happens beyond the
-// adjacent-duplicate check — there is no per-row root-to-leaf descent at all,
-// which is what makes an end-of-load bulk rebuild (DB.Seal) cheaper than even
-// the leaf-aware InsertSorted path.  Nodes are packed full (2*degree-1
-// entries) except the rightmost node of each level, which keeps at least
-// degree-1 entries by borrowing from its left neighbour's share; the result
-// always satisfies CheckInvariants.
 func (t *BTree) BuildFromSorted(keys [][]byte, rowIDs []int64) BuildStats {
-	// Stored keys and initial row-id slices are carved from two fresh arenas
-	// (one allocation each) instead of two allocations per entry; id
-	// sub-slices are full (len == cap), so a later append to an entry's
-	// rowIDs reallocates instead of overwriting a neighbour.
-	total := 0
+	kvs := make([]idxKV, len(keys))
 	for i := range keys {
-		total += len(keys[i])
+		kvs[i] = idxKV{key: keys[i], id: rowIDs[i]}
 	}
-	arena := make([]byte, 0, total)
-	idArena := make([]int64, 0, len(rowIDs))
-	entries := make([]btreeEntry, 0, len(keys))
-	for i := range keys {
-		if n := len(entries); n > 0 && bytes.Equal(entries[n-1].key, keys[i]) {
-			entries[n-1].rowIDs = append(entries[n-1].rowIDs, rowIDs[i])
-			continue
-		}
-		start := len(arena)
-		arena = append(arena, keys[i]...)
-		idArena = append(idArena, rowIDs[i])
-		entries = append(entries, btreeEntry{
-			key:    arena[start:len(arena):len(arena)],
-			rowIDs: idArena[len(idArena)-1 : len(idArena) : len(idArena)],
-		})
-	}
-	t.keyArena = arena
-	t.idArena = idArena
-	t.keyBytes = len(arena)
-	t.arenaBytes = cap(arena)
-	return t.buildFromEntries(entries, len(keys))
+	return t.buildFromKVs(kvs)
 }
 
-// buildFromEntries assembles the tree bottom-up from merged, sorted entries.
-// Callers own key storage and must set keyBytes/arenaBytes accordingly.
-func (t *BTree) buildFromEntries(entries []btreeEntry, rows int) BuildStats {
-	t.root = &btreeNode{}
-	t.nodes = 1
-	t.height = 1
-	t.splits = 0
-	t.size = len(entries)
-	st := BuildStats{Rows: rows, Entries: len(entries)}
-	if len(entries) == 0 {
-		st.NodesBuilt, st.Height = 1, 1
-		return st
+// buildFromKVs is BuildFromSorted over kv pairs, packed straight into the
+// nodes of a fresh tree.  The construction is the cheapest possible for a
+// B-tree: leaves fill left to right, the entry that arrives when a node is
+// full is promoted as the separator into the level above, which fills the same
+// way, and no key comparison happens beyond the adjacent-duplicate check —
+// there is no per-row root-to-leaf descent at all, which is what makes an
+// end-of-load bulk rebuild (DB.Seal) cheaper than even the leaf-aware
+// InsertSorted path.  Nodes are packed full (2*degree-1 entries) except the
+// rightmost node of each level, which keeps at least degree-1 entries by
+// borrowing from its left neighbour's share; the result always satisfies
+// CheckInvariants.
+func (t *BTree) buildFromKVs(kvs []idxKV) BuildStats {
+	*t = BTree{degree: t.degree}
+	maxE, minE := 2*t.degree-1, t.degree-1
+	// levels are the build's cursors, leaves first: the node being filled,
+	// the entries it still takes, and the entries of the level not yet placed
+	// in it or promoted out of it.  A level of n entries makes
+	// ceil((n+1)/(maxE+1)) nodes with one separator between each pair, and
+	// the separators are the level above.
+	type level struct {
+		node       *btreeNode
+		room, left int
 	}
-	level := entries
-	var children []*btreeNode // nil while building the leaf level
-	nodesBuilt := 0
-	height := 0
-	for {
-		height++
-		nodes, seps := t.chunkLevel(level, children)
-		nodesBuilt += len(nodes)
-		if len(seps) == 0 {
-			t.root = nodes[0]
+	var levels []level
+	distinct := 0
+	for i := range kvs {
+		if i == 0 || !bytes.Equal(kvs[i-1].key, kvs[i].key) {
+			distinct++
+		}
+	}
+	for n := distinct; ; n = (n+1+maxE)/(maxE+1) - 1 {
+		levels = append(levels, level{left: n})
+		if n <= maxE {
 			break
 		}
-		level, children = seps, nodes
 	}
-	t.nodes = nodesBuilt
-	t.height = height
-	st.NodesBuilt, st.Height = nodesBuilt, height
-	return st
+	// start opens a level's next node under the current node of the level
+	// above and sizes its share: greedy, shrunk for the second-to-last node so
+	// the final node never drops below minE entries.
+	start := func(l int) {
+		lv := &levels[l]
+		lv.node = t.newNode(l > 0)
+		if l+1 < len(levels) {
+			parent := levels[l+1].node
+			parent.children = append(parent.children, lv.node)
+		}
+		lv.room = min(lv.left, maxE)
+		if lv.left > maxE && lv.left-maxE-1 < minE {
+			lv.room = lv.left - 1 - minE
+		}
+	}
+	for l := len(levels) - 1; l >= 0; l-- {
+		start(l)
+	}
+	t.root, t.height = levels[len(levels)-1].node, len(levels)
+	var last *btreeNode // holds the previous pair's entry, as its last
+	for i := range kvs {
+		id := rowID32(kvs[i].id)
+		if i > 0 && bytes.Equal(kvs[i-1].key, kvs[i].key) {
+			t.addID(last, len(last.slots)-1, id)
+			continue
+		}
+		// The entry lands in the lowest level whose node has room; for every
+		// full level below, it is the separator after that level's node.
+		l := 0
+		for levels[l].room == 0 {
+			l++
+		}
+		for j := 0; j <= l; j++ {
+			levels[j].left--
+		}
+		last = levels[l].node
+		t.addEntry(last, len(last.slots), kvs[i].key, id)
+		levels[l].room--
+		for j := l - 1; j >= 0; j-- {
+			start(j)
+		}
+	}
+	return BuildStats{Rows: len(kvs), Entries: t.size, NodesBuilt: t.nodes, Height: t.height}
 }
 
-// chunkLevel packs one level's entries into nodes of at most 2*degree-1
-// entries, promoting one separator entry between consecutive nodes.  children
-// (nil for the leaf level) are distributed in order, one more per node than
-// its entry count.  The greedy fill shrinks the second-to-last node's take so
-// the final node never drops below degree-1 entries.
-func (t *BTree) chunkLevel(entries []btreeEntry, children []*btreeNode) (nodes []*btreeNode, seps []btreeEntry) {
-	maxE := 2*t.degree - 1
-	minE := t.degree - 1
-	n := len(entries)
-	nodeOf := func(es []btreeEntry, ch []*btreeNode) *btreeNode {
-		node := &btreeNode{entries: make([]btreeEntry, len(es))}
-		copy(node.entries, es)
-		if ch != nil {
-			node.children = make([]*btreeNode, len(ch))
-			copy(node.children, ch)
-		}
-		return node
-	}
-	if n <= maxE {
-		return []*btreeNode{nodeOf(entries, children)}, nil
-	}
-	i, ci := 0, 0
-	for {
-		remaining := n - i
-		if remaining <= maxE {
-			var ch []*btreeNode
-			if children != nil {
-				ch = children[ci:]
-			}
-			nodes = append(nodes, nodeOf(entries[i:], ch))
-			return nodes, seps
-		}
-		take := maxE
-		if remaining-take-1 < minE {
-			take = remaining - 1 - minE
-		}
-		var ch []*btreeNode
-		if children != nil {
-			ch = children[ci : ci+take+1]
-		}
-		nodes = append(nodes, nodeOf(entries[i:i+take], ch))
-		seps = append(seps, entries[i+take])
-		i += take + 1
-		ci += take + 1
-	}
-}
-
-// Search returns the row ids stored under key (nil if absent) and the number
-// of nodes visited.
-func (t *BTree) Search(key []byte) ([]int64, int) {
-	n := t.root
-	visited := 0
-	for {
+// locate descends to the entry stored under key, counting the nodes visited.
+func (t *BTree) locate(key []byte) (n *btreeNode, i, visited int, found bool) {
+	for n = t.root; ; n = n.children[i] {
 		visited++
-		i, found := n.find(key)
-		if found {
-			return n.entries[i].rowIDs, visited
+		if i, found = n.find(key); found || n.leaf() {
+			return n, i, visited, found
 		}
-		if n.leaf() {
-			return nil, visited
-		}
-		n = n.children[i]
 	}
+}
+
+// Search returns a copy of the row ids stored under key (nil if absent) and
+// the number of nodes visited.
+func (t *BTree) Search(key []byte) ([]int64, int) {
+	n, i, visited, found := t.locate(key)
+	if !found {
+		return nil, visited
+	}
+	return n.appendIDs([]int64{}, i), visited
 }
 
 // Delete removes rowID from the ids stored under key.  When the last id for a
-// key is removed the key remains as a tombstone (empty id list); the loading
-// workload is insert-only, so full B-tree deletion/rebalancing is not needed —
-// tombstones only arise from transaction rollback undo.  The tombstoned key
-// stays in the tree's arena: a later re-insert of the same key appends to the
-// existing entry without re-copying it, so an insert/rollback/insert cycle
-// neither leaks nor duplicates arena bytes.
+// key is removed the key remains as a tombstone (no ids): the loading workload
+// is insert-only and tombstones only arise from transaction rollback undo, so
+// there is no B-tree deletion or rebalancing.  A later re-insert of the key
+// revives the entry without re-copying it, so an insert/rollback/insert cycle
+// neither leaks nor duplicates key bytes.
 func (t *BTree) Delete(key []byte, rowID int64) bool {
-	n := t.root
-	for {
-		i, found := n.find(key)
-		if found {
-			ids := n.entries[i].rowIDs
-			for j, id := range ids {
-				if id == rowID {
-					n.entries[i].rowIDs = append(ids[:j], ids[j+1:]...)
-					return true
-				}
-			}
+	n, i, _, found := t.locate(key)
+	return found && n.removeID(i, rowID)
+}
+
+// removeID deletes rowID from entry i's ids, keeping the others in order and
+// the side list's capacity.
+func (n *btreeNode) removeID(i int, rowID int64) bool {
+	s, ids, j := &n.slots[i], n.rest(i), 0
+	switch {
+	case s.id == noRowID:
+		return false
+	case int64(s.id) != rowID:
+		if j = slices.IndexFunc(ids, func(id uint32) bool { return int64(id) == rowID }); j < 0 {
 			return false
 		}
-		if n.leaf() {
-			return false
-		}
-		n = n.children[i]
+	case len(ids) == 0:
+		s.id = noRowID
+		return true
+	default:
+		s.id = ids[0] // the next id moves up
 	}
+	n.more[i] = slices.Delete(ids, j, j+1)
+	return true
 }
 
 // AscendRange visits every (key, rowIDs) pair with from <= key <= to in key
 // order; a nil bound is unbounded.  Bounds are AppendOrderedKey encodings;
 // because the encoding is order-preserving and orders a prefix before its
 // extensions exactly as CompareKeys does, range semantics match the former
-// []Value bounds.  The visitor receives the stored encoded key (valid for the
-// life of the tree; decode with DecodeOrderedKey if values are needed) and
-// returns false to stop early.
+// []Value bounds.  The visitor receives the stored encoded key (decode with
+// DecodeOrderedKey if values are needed) and the entry's ids; both are valid
+// only inside the call, like a RowView — the key aliases the node and the ids
+// a buffer the walk reuses.  It returns false to stop early.
 func (t *BTree) AscendRange(from, to []byte, visit func(key []byte, rowIDs []int64) bool) {
-	t.ascend(t.root, from, to, visit)
+	var ids []int64
+	t.root.ascend(from, to, &ids, visit)
 }
 
-func (t *BTree) ascend(n *btreeNode, from, to []byte, visit func([]byte, []int64) bool) bool {
+func (n *btreeNode) ascend(from, to []byte, ids *[]int64, visit func([]byte, []int64) bool) bool {
 	start := 0
 	if from != nil {
 		start, _ = n.find(from)
 	}
-	for i := start; i <= len(n.entries); i++ {
-		if !n.leaf() {
-			if !t.ascend(n.children[i], from, to, visit) {
-				return false
-			}
-		}
-		if i == len(n.entries) {
-			break
-		}
-		e := n.entries[i]
-		if to != nil && bytes.Compare(e.key, to) > 0 {
+	for i := start; i <= len(n.slots); i++ {
+		if !n.leaf() && !n.children[i].ascend(from, to, ids, visit) {
 			return false
 		}
-		if len(e.rowIDs) > 0 {
-			if !visit(e.key, e.rowIDs) {
-				return false
-			}
+		if i == len(n.slots) {
+			break
+		}
+		key := n.key(i)
+		if to != nil && bytes.Compare(key, to) > 0 {
+			return false
+		}
+		if *ids = n.appendIDs((*ids)[:0], i); len(*ids) > 0 && !visit(key, *ids) {
+			return false
 		}
 		// After the first subtree the lower bound no longer prunes.
 		from = nil
@@ -574,67 +631,70 @@ func (t *BTree) ascend(n *btreeNode, from, to []byte, visit func([]byte, []int64
 	return true
 }
 
-// Keys returns all encoded keys in order; intended for tests and small
-// indexes.
-func (t *BTree) Keys() [][]byte {
-	var out [][]byte
-	t.AscendRange(nil, nil, func(key []byte, _ []int64) bool {
-		out = append(out, key)
-		return true
-	})
-	return out
-}
-
 // CheckInvariants verifies B-tree structural invariants: key ordering within
-// and across nodes, node fill bounds, uniform leaf depth, well-formed stored
-// keys (every key must be a valid AppendOrderedKey encoding) and arena
-// accounting (KeyBytes equals the summed stored key lengths and never exceeds
-// ArenaBytes plus externally owned build arenas).  It returns a descriptive
-// error when an invariant is violated.  Used by property tests.
+// and across nodes, node fill bounds and capacity, uniform leaf depth,
+// well-formed stored keys (every key must be a valid AppendOrderedKey
+// encoding), the packed layout (end offsets monotone and covering the key
+// bytes, side slots parallel to the entries, a tombstone holding no ids) and
+// the counters behind KeyBytes, ArenaBytes and ResidentBytes.  It returns a
+// descriptive error when an invariant is violated.  Used by property tests.
 func (t *BTree) CheckInvariants() error {
-	depths := map[int]bool{}
-	keyBytes := 0
+	leafDepth := 0
+	acct := BTree{degree: t.degree, root: t.root, size: t.size, splits: t.splits, height: t.height, keyLen: t.keyLen}
 	var walk func(n *btreeNode, depth int, min, max []byte) error
 	walk = func(n *btreeNode, depth int, min, max []byte) error {
-		if n != t.root {
-			if len(n.entries) < t.degree-1 || len(n.entries) > 2*t.degree-1 {
-				return fmt.Errorf("node at depth %d has %d entries, want [%d,%d]", depth, len(n.entries), t.degree-1, 2*t.degree-1)
-			}
+		acct.nodes++
+		acct.arenaBytes += cap(n.keys)
+		if n != t.root && len(n.slots) < t.degree-1 || cap(n.slots) != 2*t.degree-1 {
+			return fmt.Errorf("node at depth %d has %d entries in %d slots, want [%d,%d]", depth, len(n.slots), cap(n.slots), t.degree-1, 2*t.degree-1)
 		}
-		for i := 0; i < len(n.entries); i++ {
-			k := n.entries[i].key
+		if n.more != nil {
+			if len(n.more) != len(n.slots) {
+				return fmt.Errorf("node at depth %d has %d side slots for %d entries", depth, len(n.more), len(n.slots))
+			}
+			acct.dupBytes += cap(n.more) * int(unsafe.Sizeof([]uint32(nil)))
+		}
+		for i := range n.slots {
+			acct.dupBytes += cap(n.rest(i)) * 4
+			if n.slots[i].id == noRowID && len(n.rest(i)) > 0 {
+				return fmt.Errorf("tombstone at depth %d holds ids %v", depth, n.rest(i))
+			}
+			if n.start(i) > int(n.slots[i].end) || int(n.slots[i].end) > len(n.keys) {
+				return fmt.Errorf("offsets not monotone at depth %d entry %d", depth, i)
+			}
+			k := n.key(i)
 			if _, err := DecodeOrderedKey(k); err != nil {
 				return fmt.Errorf("malformed stored key %x at depth %d: %v", k, depth, err)
 			}
-			keyBytes += len(k)
-			if i > 0 && bytes.Compare(n.entries[i-1].key, k) >= 0 {
+			acct.keyBytes += len(k)
+			if i > 0 && bytes.Compare(n.key(i-1), k) >= 0 {
 				return fmt.Errorf("entries out of order at depth %d", depth)
 			}
-			if min != nil && bytes.Compare(k, min) <= 0 {
-				return fmt.Errorf("entry below subtree lower bound at depth %d", depth)
+			if min != nil && bytes.Compare(k, min) <= 0 || max != nil && bytes.Compare(k, max) >= 0 {
+				return fmt.Errorf("entry outside its subtree's bounds at depth %d", depth)
 			}
-			if max != nil && bytes.Compare(k, max) >= 0 {
-				return fmt.Errorf("entry above subtree upper bound at depth %d", depth)
-			}
+		}
+		if n.start(len(n.slots)) != len(n.keys) {
+			return fmt.Errorf("node at depth %d: offsets end at %d of %d key bytes", depth, n.start(len(n.slots)), len(n.keys))
 		}
 		if n.leaf() {
-			depths[depth] = true
+			if leafDepth != 0 && leafDepth != depth {
+				return fmt.Errorf("leaves at depths %d and %d", leafDepth, depth)
+			}
+			leafDepth = depth
 			return nil
 		}
-		if len(n.children) != len(n.entries)+1 {
-			return fmt.Errorf("internal node at depth %d has %d children for %d entries", depth, len(n.children), len(n.entries))
+		acct.internals++
+		if len(n.children) != len(n.slots)+1 || cap(n.children) != 2*t.degree {
+			return fmt.Errorf("internal node at depth %d has %d of %d children for %d entries", depth, len(n.children), cap(n.children), len(n.slots))
 		}
 		for i, c := range n.children {
-			var lo, hi []byte
+			lo, hi := min, max
 			if i > 0 {
-				lo = n.entries[i-1].key
-			} else {
-				lo = min
+				lo = n.key(i - 1)
 			}
-			if i < len(n.entries) {
-				hi = n.entries[i].key
-			} else {
-				hi = max
+			if i < len(n.slots) {
+				hi = n.key(i)
 			}
 			if err := walk(c, depth+1, lo, hi); err != nil {
 				return err
@@ -645,14 +705,8 @@ func (t *BTree) CheckInvariants() error {
 	if err := walk(t.root, 1, nil, nil); err != nil {
 		return err
 	}
-	if len(depths) > 1 {
-		return fmt.Errorf("leaves at multiple depths: %v", depths)
-	}
-	if keyBytes != t.keyBytes {
-		return fmt.Errorf("KeyBytes accounting drift: stored %d bytes, counter says %d", keyBytes, t.keyBytes)
-	}
-	if t.keyBytes > t.arenaBytes {
-		return fmt.Errorf("KeyBytes %d exceeds ArenaBytes %d", t.keyBytes, t.arenaBytes)
+	if acct != *t {
+		return fmt.Errorf("accounting drift: the walk found %+v, the counters say %+v", acct, *t)
 	}
 	return nil
 }

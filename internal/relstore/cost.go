@@ -89,10 +89,10 @@ type DBStats struct {
 	// WALSyncs is the number of redo-log syncs (see WALStats.Syncs).
 	WALSyncs int64
 	// IndexKeyBytes is the summed length of the encoded keys stored across
-	// every secondary-index B-tree; IndexArenaBytes is the capacity their key
-	// arenas reserve.  The difference is arena overhead (chunk headroom plus
-	// duplicate-key bytes bulk builds skip over) — the node-memory footprint
-	// behind relstore.index_arena_bytes_per_key_byte in bench/README.md.
+	// every secondary-index B-tree; IndexArenaBytes is the bytes their nodes
+	// reserve for keys.  The difference is the room nodes below capacity keep
+	// for later inserts — the fill figure behind
+	// relstore.index_arena_bytes_per_key_byte in bench/README.md.
 	IndexKeyBytes   int64
 	IndexArenaBytes int64
 }

@@ -1,5 +1,7 @@
 package relstore
 
+import "bytes"
+
 // Test-only views of the key indexes for the external guard test
 // (keyindex_guard_test.go), which needs internal/catalog and so cannot live
 // in this package.
@@ -53,4 +55,14 @@ func (t *Table) AbsentKeyRowCompares(key []Value) int {
 		}
 	}
 	return n
+}
+
+// Keys returns a copy of all encoded keys in order.
+func (t *BTree) Keys() [][]byte {
+	var out [][]byte
+	t.AscendRange(nil, nil, func(key []byte, _ []int64) bool {
+		out = append(out, bytes.Clone(key))
+		return true
+	})
+	return out
 }

@@ -21,36 +21,7 @@ func TestKeyIndexGuards(t *testing.T) {
 		maxDisplacementCeil  = 64
 		absentProbesPerTable = 1000
 	)
-	night := catalog.GenerateNight(catalog.NightSpec{
-		TotalMB: 200, RowsPerMB: 100, Seed: 17, ErrorRate: 0, RunID: 1, Files: 4,
-	})
-	schema := catalog.NewSchema()
-	tr := catalog.NewTransformer(schema)
-	db, err := relstore.Open(schema, relstore.WithConfig(tuning.ProductionLoading().DBConfig()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	txn, err := db.Begin()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := catalog.SeedReference(txn, 16); err != nil {
-		t.Fatal(err)
-	}
-	for _, f := range night {
-		for _, rec := range f.Records {
-			row, err := tr.Transform(rec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := txn.Insert(row.Table, row.Columns, row.Values); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	if _, err := txn.Commit(); err != nil {
-		t.Fatal(err)
-	}
+	db := loadGuardNight(t, tuning.NoIndexes, relstore.IndexImmediate)
 	if err := db.VerifyPrimaryKeys(); err != nil {
 		t.Fatal(err)
 	}
@@ -93,5 +64,106 @@ func TestKeyIndexGuards(t *testing.T) {
 	}
 	if compares*1000 > probes {
 		t.Errorf("%d row compares in %d absent-key probes, ceiling 1 per 1000", compares, probes)
+	}
+}
+
+// loadGuardNight loads the guards' fixed-seed 20k-row night, row by row in one
+// transaction, into a production-profile database that maintains the given
+// secondary indexes under the given policy (a deferred policy loads inside
+// BeginLoad/Seal).
+func loadGuardNight(t *testing.T, indexes tuning.IndexPolicy, build relstore.IndexPolicy) *relstore.DB {
+	t.Helper()
+	night := catalog.GenerateNight(catalog.NightSpec{
+		TotalMB: 200, RowsPerMB: 100, Seed: 17, ErrorRate: 0, RunID: 1, Files: 4,
+	})
+	schema := catalog.NewSchema()
+	tr := catalog.NewTransformer(schema)
+	db, err := relstore.Open(schema, relstore.WithConfig(tuning.ProductionLoading().DBConfig()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tuning.ApplyIndexPolicyWith(db, indexes, build); err != nil {
+		t.Fatal(err)
+	}
+	if build == relstore.IndexDeferred {
+		if err := db.BeginLoad(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	txn, err := db.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := catalog.SeedReference(txn, 16); err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range night {
+		for _, rec := range f.Records {
+			row, err := tr.Transform(rec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := txn.Insert(row.Table, row.Columns, row.Values); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if _, err := txn.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	return db
+}
+
+// TestBTreeGuards pins what the packed B-tree nodes claim, on the same night:
+// the bytes each secondary index holds per entry — grown by per-row inserts
+// (nodes between half and all full) and bulk-built by Seal (nodes full) — and
+// that a sorted batch allocates nodes, never per key.  The counts come from
+// the trees' own accounting, which CheckInvariants ties to a walk.
+func TestBTreeGuards(t *testing.T) {
+	ceilings := map[relstore.IndexPolicy]map[string]float64{
+		relstore.IndexImmediate: {tuning.HTMIDIndexName: 36, tuning.CompositeIndexName: 64},
+		relstore.IndexDeferred:  {tuning.HTMIDIndexName: 24, tuning.CompositeIndexName: 44},
+	}
+	for build, ceiling := range ceilings {
+		db := loadGuardNight(t, tuning.HTMIDPlusComposite, build)
+		stats := db.StatsSnapshot().Indexes
+		if len(stats) != len(ceiling) {
+			t.Fatalf("%d index stats, want %d", len(stats), len(ceiling))
+		}
+		for _, st := range stats {
+			tree := db.Table(st.Table).Index(st.Name).Tree()
+			if err := tree.CheckInvariants(); err != nil {
+				t.Fatalf("%s: %v", st.Name, err)
+			}
+			if tree.Len() < 2_000 || st.ResidentBytes != tree.ResidentBytes() {
+				t.Fatalf("%s: %d entries, snapshot says %d resident bytes and the tree %d", st.Name, tree.Len(), st.ResidentBytes, tree.ResidentBytes())
+			}
+			perEntry := float64(st.ResidentBytes) / float64(tree.Len())
+			t.Logf("%v %s: %d entries in %d nodes, %.1f resident bytes per entry (%d key bytes of %d reserved)",
+				build, st.Name, tree.Len(), tree.NodeCount(), perEntry, st.KeyBytes, st.ArenaBytes)
+			if perEntry > ceiling[st.Name] {
+				t.Errorf("%v %s holds %.1f bytes per entry, ceiling %.0f", build, st.Name, perEntry, ceiling[st.Name])
+			}
+		}
+	}
+
+	const batch = 1000
+	keys, ids := make([][]byte, batch), make([]int64, batch)
+	for i := range keys {
+		keys[i], ids[i] = relstore.EncodeOrderedKey([]relstore.Value{relstore.Int(int64(i) * 3)}), int64(i)
+	}
+	nodes := 0
+	allocs := testing.AllocsPerRun(20, func() {
+		tree := relstore.NewBTree(32)
+		tree.InsertSorted(keys, ids)
+		nodes = tree.NodeCount()
+	})
+	// A node is its header, its slots, its key bytes and, above the leaves,
+	// its children; the tree is one more.
+	if budget := float64(4*nodes + 1); allocs > budget {
+		t.Errorf("a sorted %d-key batch allocates %.0f times for %d nodes, budget %.0f", batch, allocs, nodes, budget)
 	}
 }

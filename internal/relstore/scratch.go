@@ -30,8 +30,8 @@ type scratch struct {
 	// slices point into, so a batch costs O(1) scratch allocations per index
 	// rather than O(rows).  All are reset per batch (per index for the sort
 	// buffers); nothing stored in the engine aliases them — the heap packs
-	// rows into its own pages and the B-tree clones stored keys into its own
-	// arena.
+	// rows into its own pages and the B-tree copies stored keys into its own
+	// nodes.
 	rows   []Row
 	arena  []Value
 	ids    []int64
@@ -143,7 +143,7 @@ func (sc *scratch) keyOfView(v RowView, cols []int) []Value {
 
 // ordKey encodes key with the order-preserving B-tree encoding into the
 // reusable ordered-key buffer.  The result is valid until the next ordKey
-// call on this scratch; the B-tree copies stored keys into its own arena, so
+// call on this scratch; the B-tree copies stored keys into its own nodes, so
 // passing the shared buffer to Insert/Delete/Search is safe.
 func (sc *scratch) ordKey(key []Value) []byte {
 	sc.ord = AppendOrderedKey(sc.ord[:0], key)

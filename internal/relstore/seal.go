@@ -98,7 +98,7 @@ func (db *DB) BeginLoad() error {
 func (db *DB) InLoadPhase() bool { return db.loading.Load() }
 
 // Seal closes the load phase: every suspended index is rebuilt from the live
-// heap rows in one presorted bulk pass (BTree.BuildFromSorted) and normal
+// heap rows in one presorted bulk pass (BTree.buildFromKVs) and normal
 // maintenance resumes.  Tables are processed in schema name order, each under
 // its write lock.  Seal is idempotent — with no load phase open and nothing
 // suspended it returns an empty report.
@@ -158,25 +158,34 @@ func (t *Table) scanRowsByID(visit func(id int64, r RowView)) {
 	}
 }
 
-// rebuildIndexLocked collects the table's live (key, row id) pairs for the
-// index, encodes the keys into one flat arena, sorts the pairs by (encoded
-// key, id) — a memcmp-driven sort, which is why the float-surrogate sort the
-// []Value layout needed is gone — and replaces the index's tree with a fresh
-// bulk-built one that retains the arena; t.mu must be write-held.
-// Single-column integer-kinded indexes (the htmid shape) take a raw-int64
-// fast path mirroring the batch path's bulkIndexInsertInt64: extract
-// payloads, pair-sort without a comparator, build directly.
+// rebuildIndexLocked replaces the index's tree with one bulk-built from the
+// table's live (key, row id) pairs, sorted by (encoded key, id); the pairs and
+// the flat arena their keys point into are garbage once the nodes hold their
+// own copies.  t.mu must be write-held.
 func (t *Table) rebuildIndexLocked(ix *Index) IndexBuildReport {
 	rep := IndexBuildReport{
 		Table: t.schema.Name, Index: ix.Name,
 		IntCols: ix.otherCols, FloatCols: ix.floatCols,
 	}
-	if ix.int64Keyed && t.rebuildIndexInt64Locked(ix, &rep) {
-		return rep
+	kvs, ok := []idxKV(nil), false
+	if ix.int64Keyed {
+		kvs, ok = t.sortedInt64KVs(ix, &rep)
 	}
-	k := len(ix.colIdxs)
+	if !ok {
+		kvs = t.sortedKVs(ix, &rep)
+	}
+	ix.tree = NewBTree(t.btreeDegree)
+	st := ix.tree.buildFromKVs(kvs)
+	rep.Rows, rep.DistinctKeys, rep.NodesBuilt, rep.Height = st.Rows, st.Entries, st.NodesBuilt, st.Height
+	return rep
+}
+
+// sortedKVs encodes every live row's index key into one flat arena and sorts
+// the pairs — a memcmp-driven sort, which is why the float-surrogate sort the
+// []Value layout needed is gone.
+func (t *Table) sortedKVs(ix *Index, rep *IndexBuildReport) []idxKV {
 	n := int(t.heap.rowCount)
-	karena := make([]byte, 0, n*k*9) // exact for numeric kinds; strings grow it
+	karena := make([]byte, 0, n*len(ix.colIdxs)*9) // exact for numeric kinds; strings grow it
 	kvs := make([]idxKV, 0, n)
 	sorted := true
 	t.scanRowsByID(func(id int64, r RowView) {
@@ -198,22 +207,15 @@ func (t *Table) rebuildIndexLocked(ix *Index) IndexBuildReport {
 		// the id tie-break reproduces per-row insertion order.
 		slices.SortFunc(kvs, cmpKV)
 	}
-	tree := NewBTree(t.btreeDegree)
-	st := tree.buildFromKVs(kvs, cap(karena))
-	ix.tree = tree
-	rep.Rows = st.Rows
-	rep.DistinctKeys = st.Entries
-	rep.NodesBuilt = st.NodesBuilt
-	rep.Height = st.Height
-	return rep
+	return kvs
 }
 
-// rebuildIndexInt64Locked is rebuildIndexLocked for single-column
-// integer-kinded indexes with no NULL keys: raw int64 extraction, the
-// specialized pair sort, and a direct bulk build of one-element keys carved
-// from a flat arena.  It reports false — having done nothing — when a NULL
-// key means the generic path must handle the rebuild.
-func (t *Table) rebuildIndexInt64Locked(ix *Index, rep *IndexBuildReport) bool {
+// sortedInt64KVs is sortedKVs for single-column integer-kinded indexes (the
+// htmid shape) with no NULL keys, mirroring the batch path's
+// bulkIndexInsertInt64: raw int64 extraction, the specialized pair sort with
+// no comparator, and the keys encoded once they are in order.  It reports
+// false when a NULL key means the generic path must handle the rebuild.
+func (t *Table) sortedInt64KVs(ix *Index, rep *IndexBuildReport) ([]idxKV, bool) {
 	c := ix.colIdxs[0]
 	n := int(t.heap.rowCount)
 	ks := make([]int64, 0, n)
@@ -221,10 +223,7 @@ func (t *Table) rebuildIndexInt64Locked(ix *Index, rep *IndexBuildReport) bool {
 	sorted := true
 	null := false
 	t.scanRowsByID(func(id int64, r RowView) {
-		if null {
-			return
-		}
-		if r.IsNull(c) {
+		if null || r.IsNull(c) {
 			null = true
 			return
 		}
@@ -236,73 +235,19 @@ func (t *Table) rebuildIndexInt64Locked(ix *Index, rep *IndexBuildReport) bool {
 		vs = append(vs, id)
 	})
 	if null {
-		return false
+		return nil, false
 	}
 	if !sorted {
 		// Row-id order is insertion order, so ids ascend within equal keys.
 		sortInt64Pairs(ks, vs)
 	}
 	rep.EntryBytes += len(ks) * (ValueSize(Value{Kind: ix.keyKind}) + 8)
-
-	// Build entries straight from the raw keys: adjacent duplicates merge on
-	// an int64 compare, encoded keys are carved from one flat byte arena, and
-	// the initial one-id slices are full-cap sub-slices of a second arena.
 	karena := make([]byte, 0, len(ks)*9)
-	idArena := make([]int64, 0, len(ks))
-	entries := make([]btreeEntry, 0, len(ks))
-	var prev int64
+	kvs := make([]idxKV, len(ks))
 	for i := range ks {
-		if n := len(entries); n > 0 && prev == ks[i] {
-			entries[n-1].rowIDs = append(entries[n-1].rowIDs, vs[i])
-			continue
-		}
-		prev = ks[i]
 		start := len(karena)
 		karena = appendOrderedValue(karena, Value{Kind: ix.keyKind, I: ks[i]})
-		idArena = append(idArena, vs[i])
-		entries = append(entries, btreeEntry{
-			key:    karena[start:len(karena):len(karena)],
-			rowIDs: idArena[len(idArena)-1 : len(idArena) : len(idArena)],
-		})
+		kvs[i] = idxKV{key: karena[start:], id: vs[i]}
 	}
-	tree := NewBTree(t.btreeDegree)
-	st := tree.buildFromEntries(entries, len(ks))
-	tree.keyArena = karena
-	tree.idArena = idArena
-	tree.keyBytes = len(karena)
-	tree.arenaBytes = cap(karena)
-	ix.tree = tree
-	rep.Rows = st.Rows
-	rep.DistinctKeys = st.Entries
-	rep.NodesBuilt = st.NodesBuilt
-	rep.Height = st.Height
-	return true
-}
-
-// buildFromKVs is BuildFromSorted over idxKV pairs (the seal path's layout).
-// Unlike the exported entry point it does not clone keys: rebuildIndexLocked
-// encodes into a fresh key arena per rebuild and never reuses it, so the tree
-// may retain the kv key slices directly; arenaCap is that arena's capacity,
-// recorded for the ArenaBytes accounting.  Initial row-id slices are carved
-// full (len == cap) from one arena, so later appends reallocate instead of
-// overwriting a neighbour.
-func (t *BTree) buildFromKVs(kvs []idxKV, arenaCap int) BuildStats {
-	idArena := make([]int64, 0, len(kvs))
-	entries := make([]btreeEntry, 0, len(kvs))
-	keyBytes := 0
-	for i := range kvs {
-		if n := len(entries); n > 0 && bytes.Equal(entries[n-1].key, kvs[i].key) {
-			entries[n-1].rowIDs = append(entries[n-1].rowIDs, kvs[i].id)
-			continue
-		}
-		keyBytes += len(kvs[i].key)
-		idArena = append(idArena, kvs[i].id)
-		entries = append(entries, btreeEntry{key: kvs[i].key,
-			rowIDs: idArena[len(idArena)-1 : len(idArena) : len(idArena)]})
-	}
-	t.keyArena = nil
-	t.idArena = idArena
-	t.keyBytes = keyBytes
-	t.arenaBytes = arenaCap
-	return t.buildFromEntries(entries, len(kvs))
+	return kvs, true
 }

@@ -1,8 +1,10 @@
 package relstore
 
-// IndexStat is the per-index slice of a StatsSnapshot: the key/arena memory
-// accounting DBStats aggregates, broken out by index, plus the readiness the
-// health probe gates on.
+import "sort"
+
+// IndexStat is the per-index slice of a StatsSnapshot: the key memory
+// accounting DBStats aggregates, broken out by index, what the whole B-tree
+// holds, and the readiness the health probe gates on.
 type IndexStat struct {
 	Table, Name string
 	Unique      bool
@@ -10,8 +12,11 @@ type IndexStat struct {
 	// BeginLoad and Seal.
 	Ready bool
 	// KeyBytes is the summed length of the encoded keys the index stores;
-	// ArenaBytes the capacity its key arenas reserve (see DBStats).
+	// ArenaBytes the capacity its nodes reserve for keys (see DBStats).
 	KeyBytes, ArenaBytes int64
+	// ResidentBytes is the memory the index's B-tree holds (see
+	// BTree.ResidentBytes); ArenaBytes is part of it.
+	ResidentBytes int64
 }
 
 // TableStat is the per-table slice of a StatsSnapshot: what the table stores
@@ -69,15 +74,10 @@ func (db *DB) StatsSnapshot() StatsSnapshot {
 	for _, t := range db.tablesByID {
 		out.Tables = append(out.Tables, t.stat())
 	}
-	for _, ix := range db.AllIndexes() {
-		out.Indexes = append(out.Indexes, IndexStat{
-			Table:      ix.Table,
-			Name:       ix.Name,
-			Unique:     ix.Unique,
-			Ready:      ix.Ready(),
-			KeyBytes:   int64(ix.Tree().KeyBytes()),
-			ArenaBytes: int64(ix.Tree().ArenaBytes()),
-		})
+	names := db.schema.TableNames()
+	sort.Strings(names)
+	for _, name := range names {
+		out.Indexes = db.tables[name].appendIndexStats(out.Indexes)
 	}
 	return out
 }

@@ -42,7 +42,9 @@ type Index struct {
 	suspended atomic.Bool
 }
 
-// Tree exposes the underlying B-tree (read-only use by tests and queries).
+// Tree exposes the underlying B-tree (read-only use by tests and tools).  A
+// load writes the tree, and Seal replaces it, under the table's write lock, so
+// beside either read StatsSnapshot instead.
 func (ix *Index) Tree() *BTree { return ix.tree }
 
 // Policy returns the index's maintenance policy.
@@ -266,6 +268,20 @@ func (t *Table) stat() TableStat {
 		ResidentBytes: resident, KeyIndexBytes: keys}
 }
 
+// appendIndexStats appends the IndexStat of each of the table's indexes, in
+// name order.  The trees are read under the table lock: loaders write their
+// counters, and Seal replaces them, under its write side.
+func (t *Table) appendIndexStats(out []IndexStat) []IndexStat {
+	t.rlock()
+	defer t.mu.RUnlock()
+	for _, ix := range t.indexList {
+		out = append(out, IndexStat{Table: ix.Table, Name: ix.Name, Unique: ix.Unique, Ready: ix.Ready(),
+			KeyBytes: int64(ix.tree.KeyBytes()), ArenaBytes: int64(ix.tree.ArenaBytes()),
+			ResidentBytes: ix.tree.ResidentBytes()})
+	}
+	return out
+}
+
 // PageCount returns the number of heap pages allocated.
 func (t *Table) PageCount() int {
 	t.rlock()
@@ -465,15 +481,11 @@ func (t *Table) insertPrepared(sc *scratch, row Row) (int64, rowLoc, OpReport, e
 
 	for _, ix := range t.liveList {
 		// Encode once into the transaction scratch; the tree copies stored
-		// keys into its arena, so the shared buffer is safe to reuse.  Entry
+		// keys into its nodes, so the shared buffer is safe to reuse.  Entry
 		// volume stays priced from the column values (the cost model charges
 		// logical entry bytes, not the encoding's framing).
 		key := sc.keyOf(row, ix.colIdxs)
-		st := ix.tree.Insert(sc.ordKey(key), id)
-		rep.IndexNodesVisited += st.NodesVisited
-		rep.IndexSplits += st.Splits
-		rep.IndexFloatColNodeVisits += st.NodesVisited * ix.floatCols
-		rep.IndexIntColNodeVisits += st.NodesVisited * ix.otherCols
+		ix.chargeInserts(&rep, ix.tree.Insert(sc.ordKey(key), id))
 		for _, v := range key {
 			rep.IndexEntryBytes += ValueSize(v)
 		}
@@ -501,8 +513,8 @@ func (t *Table) deleteRow(sc *scratch, id int64) {
 	// Suspended indexes hold no entries for rows inserted during the load
 	// phase, so rollback skips them; Seal later rebuilds from the surviving
 	// heap rows only.  The encode reuses the scratch buffer and Delete only
-	// tombstones the entry — the key's arena bytes stay owned by the tree —
-	// so a rollback neither allocates per index nor re-copies arena chunks.
+	// tombstones the entry — the key's bytes stay in its node — so a rollback
+	// neither allocates per index nor moves key bytes.
 	for _, ix := range t.liveList {
 		ix.tree.Delete(sc.ordKey(sc.keyOfView(row, ix.colIdxs)), id)
 	}
