@@ -28,12 +28,12 @@ race:
 
 # Time-boxed fuzzing of the five total decoders (the shared frame, wire
 # payloads, WAL record payloads, order-preserving keys, packed row views), of
-# the key index against its key-storing oracle, of the B-tree against its
-# sorted-slice oracle (seed corpus in testdata/fuzz/FuzzBTreeOps; its inputs
-# are long op streams, so minimizing each new one is capped at ten runs or the
-# ten seconds go to the minimizer) and of the catalog splitter against its
-# Scanner oracle: 10 s each, one target and one package per invocation as
-# `go test -fuzz` requires.
+# the key index against its key-storing oracle, of the row directory against
+# its location-per-id oracle, of the B-tree against its sorted-slice oracle
+# (seed corpora in testdata/fuzz/<target>; the last two take long op streams,
+# so minimizing each new one is capped at ten runs or the ten seconds go to
+# the minimizer) and of the catalog splitter against its Scanner oracle: 10 s
+# each, one target and one package per invocation as `go test -fuzz` requires.
 # An input that fails is written to the package's testdata/fuzz/<target>/;
 # check it in, it is then a regression seed every plain `go test` replays.
 fuzz:
@@ -43,6 +43,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzOrderedKeyOrder$$' -fuzztime 10s ./internal/relstore/
 	$(GO) test -run '^$$' -fuzz '^FuzzRowViewDecode$$' -fuzztime 10s ./internal/relstore/
 	$(GO) test -run '^$$' -fuzz '^FuzzKeyIndexOps$$' -fuzztime 10s ./internal/relstore/
+	$(GO) test -run '^$$' -fuzz '^FuzzRowDirOps$$' -fuzztime 10s -fuzzminimizetime 10x ./internal/relstore/
 	$(GO) test -run '^$$' -fuzz '^FuzzBTreeOps$$' -fuzztime 10s -fuzzminimizetime 10x ./internal/relstore/
 	$(GO) test -run '^$$' -fuzz '^FuzzReadRecords$$' -fuzztime 10s ./internal/catalog/
 
@@ -58,7 +59,9 @@ oracles:
 
 # Batch-apply + index-build benchmark smoke: exercises the per-row loop,
 # Txn.InsertBatch, the sorted bulk B-tree pass, the Seal bulk leaf build, the
-# encoded-key comparator, the immediate-vs-deferred load policy comparison,
+# encoded-key comparator, the two row paths under every query (a primary-key
+# probe and an index range: where a row directory that went back to searching
+# would show), the immediate-vs-deferred load policy comparison,
 # the one HTTP front door (query path and /metrics render, over a database),
 # the fleet's scatter-gather path under it and the whole ingest path on the
 # wall clock (ReadRecords + parallel.Run, the region every skyperf workload
@@ -66,7 +69,7 @@ oracles:
 # smoke test (counts, not timings); measurements come from `make perf`
 # (bench/README.md).
 bench:
-	$(GO) test -run '^$$' -bench 'InsertBatch|InsertPrepared|BTreeInsertSorted|SealBulkBuild|BTreeEncodedCompare' -benchtime=100x ./internal/relstore/
+	$(GO) test -run '^$$' -bench 'InsertBatch|InsertPrepared|BTreeInsertSorted|SealBulkBuild|BTreeEncodedCompare|LookupByPKRef|RangeIndexedRef' -benchtime=100x ./internal/relstore/
 	$(GO) test -run '^$$' -bench 'IndexLoadPolicy' -benchtime=1x ./internal/relstore/
 	$(GO) test -run '^$$' -bench 'ServeHTTPQuery|MetricsScrape' -benchtime=100x ./internal/httpserve/
 	$(GO) test -run '^$$' -bench 'ScatterGather|SingleNode|WireQueryResult' -benchtime=50x ./internal/shard/

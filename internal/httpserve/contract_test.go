@@ -35,12 +35,14 @@ var backends = []struct {
 			"sky_wal_durable_syncs_total", "sky_wal_commit_wait_seconds_total", "sky_wal_shared_flushes_total",
 			"sky_buffer_cache_hits_total", "sky_index_key_bytes", "sky_index_ready",
 			"sky_relstore_resident_bytes", "sky_relstore_keyindex_bytes", "sky_relstore_index_resident_bytes",
-			"sky_result_cache_hits_total",
+			"sky_relstore_rowdir_bytes", "sky_relstore_rowdir_runs", "sky_result_cache_hits_total",
 		},
 		absent: []string{"sky_shard_count"},
 		series: []string{
 			`sky_relstore_resident_bytes{table="objects"} `,
 			`sky_relstore_keyindex_bytes{table="objects"} `,
+			`sky_relstore_rowdir_bytes{table="objects"} `,
+			`sky_relstore_rowdir_runs{table="objects"} `,
 			`sky_relstore_index_resident_bytes{table="objects",index="ix_objects_htmid"} `,
 		},
 	},

@@ -188,6 +188,14 @@ func writeDBMetrics(p *metrics.PromWriter, snap relstore.StatsSnapshot) {
 	for _, ts := range snap.Tables {
 		p.SampleInt("sky_relstore_keyindex_bytes", tableLabels(ts.Name), ts.KeyIndexBytes)
 	}
+	p.Metric("sky_relstore_rowdir_bytes", "The row directory's id runs (part of the resident bytes), by table.", "gauge")
+	for _, ts := range snap.Tables {
+		p.SampleInt("sky_relstore_rowdir_bytes", tableLabels(ts.Name), ts.RowDirBytes)
+	}
+	p.Metric("sky_relstore_rowdir_runs", "Id runs in the row directory (one per page unless replay stored ids out of order), by table.", "gauge")
+	for _, ts := range snap.Tables {
+		p.SampleInt("sky_relstore_rowdir_runs", tableLabels(ts.Name), int64(ts.RowDirRuns))
+	}
 
 	// --- relstore: per-index memory footprint ---
 	p.Metric("sky_relstore_index_resident_bytes", "Memory held by a secondary index's B-tree (node headers, slots, children, reserved key bytes, duplicate-id lists), by index.", "gauge")

@@ -86,7 +86,7 @@ func bruteForceCone(t testing.TB, db *relstore.DB, ra, dec, radius float64) []Ob
 	var out []Object
 	err := db.ScanRef(catalog.TObjects, func(r relstore.RowView) bool {
 		obj := cols.decode(r)
-		if angularDistanceDeg(ra, dec, obj.RA, obj.Dec) <= radius {
+		if angularDistanceDeg(htm.FromRaDec(ra, dec), obj.RA, obj.Dec) <= radius {
 			out = append(out, obj)
 		}
 		return true

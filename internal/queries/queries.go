@@ -12,10 +12,11 @@
 package queries
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"skyloader/internal/catalog"
 	"skyloader/internal/htm"
@@ -75,9 +76,10 @@ func (c objectCols) decode(r relstore.RowView) Object {
 	}
 }
 
-// angularDistanceDeg returns the angular separation of two positions.
-func angularDistanceDeg(ra1, dec1, ra2, dec2 float64) float64 {
-	a := htm.FromRaDec(ra1, dec1)
+// angularDistanceDeg returns the angular separation of a — a query's centre,
+// converted to a unit vector once per query, not once per candidate — and a
+// position.
+func angularDistanceDeg(a htm.Vector, ra2, dec2 float64) float64 {
 	b := htm.FromRaDec(ra2, dec2)
 	dot := a.X*b.X + a.Y*b.Y + a.Z*b.Z
 	if dot > 1 {
@@ -117,13 +119,14 @@ func ConeSearch(db *relstore.DB, raDeg, decDeg, radiusDeg float64) ([]Object, St
 	// or when it exists under the deferred policy mid-load (suspended until
 	// Seal) and is missing the rows loaded so far.
 	cols := newObjectCols(ts)
+	centre := htm.FromRaDec(raDeg, decDeg)
 	fullScan := func() ([]Object, Stats, error) {
 		var stats Stats
 		var out []Object
 		err := db.ScanRef(catalog.TObjects, func(r relstore.RowView) bool {
 			stats.RowsExamined++
 			obj := cols.decode(r)
-			if angularDistanceDeg(raDeg, decDeg, obj.RA, obj.Dec) <= radiusDeg {
+			if angularDistanceDeg(centre, obj.RA, obj.Dec) <= radiusDeg {
 				out = append(out, obj)
 			}
 			return true
@@ -159,7 +162,7 @@ func ConeSearch(db *relstore.DB, raDeg, decDeg, radiusDeg float64) ([]Object, St
 			func(r relstore.RowView) bool {
 				obj := cols.decode(r)
 				stats.RowsExamined++
-				if angularDistanceDeg(raDeg, decDeg, obj.RA, obj.Dec) <= radiusDeg {
+				if angularDistanceDeg(centre, obj.RA, obj.Dec) <= radiusDeg {
 					out = append(out, obj)
 				}
 				return true
@@ -183,7 +186,7 @@ func ConeSearch(db *relstore.DB, raDeg, decDeg, radiusDeg float64) ([]Object, St
 // sortObjects orders a result by object id so every execution path (index
 // probe order, heap order, cached copy) yields the same byte sequence.
 func sortObjects(objs []Object) {
-	sort.Slice(objs, func(i, j int) bool { return objs[i].ObjectID < objs[j].ObjectID })
+	slices.SortFunc(objs, func(a, b Object) int { return cmp.Compare(a.ObjectID, b.ObjectID) })
 }
 
 // ObjectByID returns the object with the given primary key, or nil.

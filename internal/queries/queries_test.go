@@ -6,6 +6,7 @@ import (
 	"skyloader/internal/catalog"
 	"skyloader/internal/core"
 	"skyloader/internal/des"
+	"skyloader/internal/htm"
 	"skyloader/internal/relstore"
 	"skyloader/internal/sqlbatch"
 	"skyloader/internal/tuning"
@@ -83,7 +84,7 @@ func TestConeSearchWithIndex(t *testing.T) {
 		if o.ObjectID == target.ObjectID {
 			foundTarget = true
 		}
-		if d := angularDistanceDeg(target.RA, target.Dec, o.RA, o.Dec); d > 0.1+1e-9 {
+		if d := angularDistanceDeg(htm.FromRaDec(target.RA, target.Dec), o.RA, o.Dec); d > 0.1+1e-9 {
 			t.Fatalf("object %d at distance %v exceeds the radius", o.ObjectID, d)
 		}
 	}

@@ -312,7 +312,7 @@ func (t *Table) applyBatchChunk(db *DB, txn *Txn, built []Row, rep *OpReport) (i
 		id := t.nextRow
 		t.nextRow++
 		loc, newPage, rb := t.heap.append(row)
-		t.rows.append(loc)
+		t.rows.put(id, loc)
 		t.putKeys(row, id)
 
 		rep.RowsInserted++

@@ -61,3 +61,59 @@ func BenchmarkAppendKey(b *testing.B) {
 		}
 	}
 }
+
+// benchRowPathDB loads rows fingers (about 200 to a page, so a thousand id
+// runs in the row directory) for the read-path benchmarks below.
+func benchRowPathDB(b *testing.B, rows int) *DB {
+	b.Helper()
+	db, tbl := benchInsertDB(b)
+	var sc scratch
+	for i := 0; i < rows; i++ {
+		row := Row{Int(int64(i)), Int(int64(i)), Float(float64(i % 4096))}
+		if _, _, _, err := tbl.insertPrepared(&sc, row); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return db
+}
+
+// BenchmarkLookupByPKRef is one primary-key probe end to end: hash, tag
+// match, row directory, page, key compare, visitor.  With RangeIndexedRef it
+// is where a slower rowDir.get shows (PERFORMANCE.md: 6 ns for an array, 5
+// for the run guess, 75 for a binary search over the runs).
+func BenchmarkLookupByPKRef(b *testing.B) {
+	const rows = 200_000
+	db := benchRowPathDB(b, rows)
+	key := []Value{Int(0)}
+	var sum int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		key[0].I = int64(i*7919) % rows
+		found, err := db.LookupByPKRef("fingers", key, func(v RowView) { sum += v.Int(1) })
+		if err != nil || !found {
+			b.Fatalf("lookup %d: found %v, %v", key[0].I, found, err)
+		}
+	}
+}
+
+// BenchmarkRangeIndexedRef walks a secondary-index range whose candidates are
+// scattered over the whole heap (every 4096th row), so each one is a row
+// directory probe far from the last.
+func BenchmarkRangeIndexedRef(b *testing.B) {
+	const rows = 200_000
+	db := benchRowPathDB(b, rows)
+	from, to := []Value{Float(0)}, []Value{Float(0)}
+	visited := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		from[0].F = float64(i % 4096)
+		to[0].F = from[0].F
+		err := db.RangeIndexedRef("fingers", "ix_flux", from, to, func(v RowView) bool { visited++; return true })
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(visited)/float64(b.N), "rows/op")
+}

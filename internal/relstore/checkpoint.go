@@ -227,7 +227,7 @@ func encodeCheckpoint(seq, boundary, maxTxn int64, tables []*Table) [][]byte {
 		e.buf = append(e.buf, ckptRecTable)
 		e.buf = binary.LittleEndian.AppendUint32(e.buf, uint32(tid))
 		e.buf = binary.LittleEndian.AppendUint64(e.buf, uint64(t.nextRow))
-		e.buf = binary.LittleEndian.AppendUint64(e.buf, uint64(t.rows.live))
+		e.buf = binary.LittleEndian.AppendUint64(e.buf, uint64(t.heap.rowCount))
 		e.finish()
 
 		// A rows record is open from its first row to its ckptRowsPerRecord-th

@@ -31,7 +31,7 @@ func encodeCheckpointSingleBuffer(seq, boundary, maxTxn int64, tables []*Table) 
 		payload = append(payload[:0], ckptRecTable)
 		payload = binary.LittleEndian.AppendUint32(payload, uint32(tid))
 		payload = binary.LittleEndian.AppendUint64(payload, uint64(t.nextRow))
-		payload = binary.LittleEndian.AppendUint64(payload, uint64(t.rows.live))
+		payload = binary.LittleEndian.AppendUint64(payload, uint64(t.heap.rowCount))
 		buf = frame.Append(buf, payload)
 
 		count := 0

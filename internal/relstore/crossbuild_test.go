@@ -16,11 +16,9 @@ func stateDigest(db *DB) string {
 		t := db.Table(name)
 		t.mu.RLock()
 		fmt.Fprintf(h, "%s next=%d\n", name, t.nextRow)
-		for id := range t.rows.locs {
-			if r, ok := t.viewLocked(int64(id)); ok {
-				fmt.Fprintf(h, "%d %s\n", id, EncodeKey(r.Row()))
-			}
-		}
+		t.scanRowsByID(func(id int64, r RowView) {
+			fmt.Fprintf(h, "%d %s\n", id, EncodeKey(r.Row()))
+		})
 		t.mu.RUnlock()
 	}
 	return fmt.Sprintf("%x", h.Sum(nil))

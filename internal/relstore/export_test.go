@@ -23,10 +23,9 @@ func (t *Table) KeyIndexGeometry() KeyIndexGeometry {
 	for _, k := range append([]*keyIndex{t.pk}, t.uniques...) {
 		g.Keys += k.len()
 		g.Slots += len(k.slots)
-		mask := len(k.slots) - 1
 		for i, s := range k.slots {
 			if s.ref != 0 {
-				d := (i - int(s.tag)) & mask
+				d := k.past(k.home(s.tag), i)
 				g.DisplacementSum += d
 				g.DisplacementMax = max(g.DisplacementMax, d)
 			}
@@ -48,13 +47,38 @@ func (t *Table) AbsentKeyRowCompares(key []Value) int {
 	if len(k.slots) == 0 {
 		return 0
 	}
-	tag, mask, n := k.hash(key, k.seq), len(k.slots)-1, 0
-	for i := int(tag) & mask; k.slots[i].ref != 0; i = (i + 1) & mask {
+	tag, n := k.hash(key, k.seq), 0
+	for i := k.home(tag); k.slots[i].ref != 0; i = k.next(i) {
 		if k.slots[i].tag == tag {
 			n++
 		}
 	}
 	return n
+}
+
+// RowDirGeometry describes a table's row directory: its runs and the runs it
+// has room for, the rows whose slots are live, and how many runs find reads
+// to place those rows' ids — the guessed run plus one per step to the right
+// one, counted here rather than on the hot path.
+type RowDirGeometry struct {
+	Runs, RunCap, LiveRows, Probes int
+}
+
+// RowDirGeometry walks every live row id of the table.
+func (t *Table) RowDirGeometry() RowDirGeometry {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	g := RowDirGeometry{Runs: len(t.rows.runs), RunCap: cap(t.rows.runs)}
+	t.scanRowsByID(func(id int64, _ RowView) {
+		i, ok := t.rows.find(id)
+		if !ok {
+			panic("relstore: scanRowsByID visited an id no run covers")
+		}
+		g.LiveRows++
+		off := i - t.rows.guess(id)
+		g.Probes += 1 + max(off, -off)
+	})
+	return g
 }
 
 // Keys returns a copy of all encoded keys in order.

@@ -31,16 +31,39 @@ type keyIndex struct {
 	// cols are the key columns' positions in a row; seq, 0..len(cols)-1, is
 	// where the same values sit in a probe key.
 	cols, seq []int
-	// slots has power-of-two length (or none) and is at most 3/4 full, so a
-	// probe always ends at an empty slot.
+	// slots is at most 3/4 full, so a probe always ends at an empty slot.  It
+	// has any length and grows by a quarter, not a doubling: the load stays in
+	// [0.60, 0.75], 10.7 to 13.4 bytes a key.
 	slots []keySlot
 	n     int
 }
 
-// keySlot is one table entry; home slot tag & mask.  ref is the row id plus
-// one, zero marking the slot empty.
+// keySlot is one table entry.  ref is the row id plus one, zero marking the
+// slot empty.
 type keySlot struct {
 	tag, ref uint32
+}
+
+// home is the slot a tag's probe starts at: the tag scaled onto the table
+// (monotone, so re-placing a table in slot order fills the next front to back).
+func (k *keyIndex) home(tag uint32) int {
+	return int(uint64(tag) * uint64(len(k.slots)) >> 32)
+}
+
+// past is how many probe steps slot j lies after slot i.
+func (k *keyIndex) past(i, j int) int {
+	if j < i {
+		return j - i + len(k.slots)
+	}
+	return j - i
+}
+
+// next is the slot a probe visits after i.
+func (k *keyIndex) next(i int) int {
+	if i++; i == len(k.slots) {
+		return 0
+	}
+	return i
 }
 
 // maxKeyRowID is the largest row id a slot can hold.
@@ -115,9 +138,8 @@ func (k *keyIndex) find(vals []Value, at []int) int {
 		return -1
 	}
 	tag := k.hash(vals, at)
-	mask := len(k.slots) - 1
 probe:
-	for i := int(tag) & mask; ; i = (i + 1) & mask {
+	for i := k.home(tag); ; i = k.next(i) {
 		s := k.slots[i]
 		if s.ref == 0 {
 			return -1
@@ -162,25 +184,23 @@ func (k *keyIndex) put(row Row, id int64) {
 
 // place puts s in the first empty slot from its home.
 func (k *keyIndex) place(s keySlot) {
-	mask := len(k.slots) - 1
-	i := int(s.tag) & mask
+	i := k.home(s.tag)
 	for k.slots[i].ref != 0 {
-		i = (i + 1) & mask
+		i = k.next(i)
 	}
 	k.slots[i] = s
 }
 
 // reserve grows the table to hold n keys, re-placing the slots from their
-// tags alone; a loader that knows its row count calls it once up front.
+// tags alone: by a quarter when a put fills it, to exactly the 3/4 load when
+// a loader that knows its row count (the checkpoint load) calls it up front.
 func (k *keyIndex) reserve(n int) {
 	size := len(k.slots)
 	if n*4 <= size*3 {
 		return
 	}
-	for size = max(size, 8); n*4 > size*3; size *= 2 {
-	}
 	old := k.slots
-	k.slots = make([]keySlot, size)
+	k.slots = make([]keySlot, max(8, (size*5+3)/4, (n*4+2)/3))
 	for _, s := range old {
 		if s.ref != 0 {
 			k.place(s)
@@ -195,18 +215,17 @@ func (k *keyIndex) remove(key []Value, id int64) {
 	if k.n == 0 {
 		return
 	}
-	mask := len(k.slots) - 1
-	i := int(k.hash(key, k.seq)) & mask
+	i := k.home(k.hash(key, k.seq))
 	for k.slots[i].ref != uint32(id+1) {
 		if k.slots[i].ref == 0 {
 			return
 		}
-		i = (i + 1) & mask
+		i = k.next(i)
 	}
-	for j := (i + 1) & mask; k.slots[j].ref != 0; j = (j + 1) & mask {
+	for j := k.next(i); k.slots[j].ref != 0; j = k.next(j) {
 		// The entry at j may move back to the gap unless its home lies
-		// after the gap.
-		if (j-int(k.slots[j].tag))&mask >= (j-i)&mask {
+		// after the gap: compare how far j is past each, around the end.
+		if k.past(k.home(k.slots[j].tag), j) >= k.past(i, j) {
 			k.slots[i] = k.slots[j]
 			i = j
 		}

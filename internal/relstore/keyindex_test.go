@@ -1,9 +1,11 @@
 package relstore
 
 import (
+	"cmp"
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -95,8 +97,9 @@ func (o *opStream) row() Row {
 // runKeyIndexOps drives one key index over cols and its oracle with the
 // operations data spells: check-then-insert, lookup (of present, absent,
 // wrong-arity and wrong-kind keys), and removal of a stored row the way
-// rollback does it.  It fails the test on the first disagreement.
-func runKeyIndexOps(t testing.TB, cols []int, data []byte) {
+// rollback does it.  It fails the test on the first disagreement and returns
+// the index as the stream left it.
+func runKeyIndexOps(t testing.TB, cols []int, data []byte) *keyIndex {
 	tbl := keyOracleTable(t)
 	k := newKeyIndex(tbl, "k", cols)
 	oracle := map[string]int64{}
@@ -118,7 +121,7 @@ func runKeyIndexOps(t testing.TB, cols []int, data []byte) {
 			id := tbl.nextRow
 			tbl.nextRow++
 			loc, _, _ := tbl.heap.append(row)
-			tbl.rows.append(loc)
+			tbl.rows.put(id, loc)
 			k.put(row, id)
 			oracle[enc] = id
 			live = append(live, id)
@@ -150,7 +153,6 @@ func runKeyIndexOps(t testing.TB, cols []int, data []byte) {
 			delete(oracle, EncodeKey(key))
 			k.remove(key, id)
 			tbl.heap.markDeleted(loc)
-			tbl.rows.remove(id)
 		}
 		if k.len() != len(oracle) {
 			t.Fatalf("index holds %d keys, oracle %d", k.len(), len(oracle))
@@ -168,20 +170,101 @@ func runKeyIndexOps(t testing.TB, cols []int, data []byte) {
 		}
 	}
 	occupied := 0
-	mask := len(k.slots) - 1
 	for i, s := range k.slots {
 		if s.ref == 0 {
 			continue
 		}
 		occupied++
-		for j := int(s.tag) & mask; j != i; j = (j + 1) & mask {
+		for j := k.home(s.tag); j != i; j = k.next(j) {
 			if k.slots[j].ref == 0 {
-				t.Fatalf("slot %d (home %d) is cut off by the empty slot %d", i, int(s.tag)&mask, j)
+				t.Fatalf("slot %d (home %d) is cut off by the empty slot %d", i, k.home(s.tag), j)
 			}
 		}
 	}
 	if occupied != k.len() || k.len()*4 > len(k.slots)*3 {
 		t.Fatalf("%d occupied slots of %d for %d keys", occupied, len(k.slots), k.len())
+	}
+	return k
+}
+
+// keyIndexWrapOps spells an operation stream for the single-int shape that
+// stores the n keys of the stream's domain whose tags are highest — their
+// homes are the last slots of a table of any size, so their probe run crosses
+// the table's end at every size the growth takes it through — and then
+// removes half of them, the backward shift working across the end.
+func keyIndexWrapOps(t testing.TB, n int) []byte {
+	k := newKeyIndex(keyOracleTable(t), "k", []int{0})
+	keys := make([]int, 3000)
+	for i := range keys {
+		keys[i] = i
+	}
+	tag := func(a int) uint32 { return k.hash([]Value{Int(int64(a))}, k.seq) }
+	slices.SortFunc(keys, func(a, b int) int { return cmp.Compare(tag(b), tag(a)) })
+	var data []byte
+	put := func(vs ...int) {
+		for _, v := range vs {
+			data = append(data, byte(v), byte(v>>8))
+		}
+	}
+	for _, a := range keys[:n] {
+		put(0, a, 0, 0, 0, 0, 0) // has-then-put of row (a, 0, "a", NULL, NULL)
+	}
+	for live := n; live > n/2; live-- {
+		put(7, 0) // remove the first live row; the last takes its place
+	}
+	return data
+}
+
+// TestKeyIndexWrapsAcrossEnd: at sizes that are no power of two, a probe run
+// that crosses the table's end still finds, places and shifts back every key.
+func TestKeyIndexWrapsAcrossEnd(t *testing.T) {
+	for _, n := range []int{7, 20, 52, 300} {
+		k := runKeyIndexOps(t, []int{0}, keyIndexWrapOps(t, n))
+		size := len(k.slots)
+		if k.len() != n-(n+1)/2 || size&(size-1) == 0 {
+			t.Fatalf("%d keys stored: %d left in %d slots", n, k.len(), size)
+		}
+		wrapped := 0
+		for i, s := range k.slots {
+			if s.ref != 0 && i < k.home(s.tag) {
+				wrapped++
+			}
+		}
+		if wrapped == 0 {
+			t.Fatalf("%d keys in %d slots: no probe run crosses the end", k.len(), size)
+		}
+	}
+}
+
+// TestKeyIndexCapacity: grown one key at a time the table holds between 10.6
+// and 13.4 bytes a key at every count from 64 up, never the 21 a doubling
+// table holds just after it doubles; a reserve lands inside the same band and
+// the keys it was told of then fit without another growth.
+func TestKeyIndexCapacity(t *testing.T) {
+	const lo, hi = 10.6, 13.4
+	band := func(n, slots int) bool {
+		per := float64(slots) * 8 / float64(n)
+		return per >= lo && per <= hi
+	}
+	k := newKeyIndex(keyOracleTable(t), "k", []int{0})
+	for n := 1; n <= 100_000; n++ {
+		k.put(Row{Int(int64(n))}, int64(n))
+		if n >= 64 && !band(n, len(k.slots)) {
+			t.Fatalf("%d keys in %d slots: outside [%.1f, %.1f] bytes a key", n, len(k.slots), lo, hi)
+		}
+	}
+	for n := 64; n <= 100_000; n += 1 + n/64 {
+		r := newKeyIndex(keyOracleTable(t), "k", []int{0})
+		r.reserve(n)
+		size := len(r.slots)
+		if !band(n, size) || size != (4*n+2)/3 {
+			t.Fatalf("reserve(%d) made %d slots", n, size)
+		}
+		r.n = n - 1 // the table as the n-th put finds it
+		r.put(Row{Int(0)}, 0)
+		if len(r.slots) != size {
+			t.Fatalf("reserve(%d) made %d slots and the %d-th key grew them to %d", n, size, n, len(r.slots))
+		}
 	}
 }
 
@@ -207,10 +290,10 @@ func TestKeyIndexReserve(t *testing.T) {
 	for i := int64(0); i < 1000; i++ {
 		row := Row{Int(i), Int(0), Str(""), Null, Null}
 		loc, _, _ := tbl.heap.append(row)
-		tbl.rows.append(loc)
+		tbl.rows.put(i, loc)
 		k.put(row, i)
 	}
-	if &k.slots[0] != first || len(k.slots) != size || size != 2048 {
+	if &k.slots[0] != first || len(k.slots) != size || size != 1334 {
 		t.Fatalf("1000 keys after reserve(1000): %d slots (was %d), moved %v", len(k.slots), size, &k.slots[0] != first)
 	}
 	if id, ok := k.lookup([]Value{Int(999)}); !ok || id != 999 {
@@ -219,7 +302,9 @@ func TestKeyIndexReserve(t *testing.T) {
 }
 
 // FuzzKeyIndexOps is the same harness over fuzzer-chosen operation streams;
-// the first byte picks the key shape.
+// the first byte picks the key shape.  The checked-in corpus
+// (testdata/fuzz/FuzzKeyIndexOps) adds keyIndexWrapOps streams: clusters
+// across the table's end at sizes that are no power of two.
 func FuzzKeyIndexOps(f *testing.F) {
 	seed := make([]byte, 512)
 	for i := range keyOracleShapes {

@@ -230,9 +230,6 @@ type rowLoc struct {
 	slot uint32
 }
 
-// noLoc is the row directory's tombstone.
-var noLoc = rowLoc{page: math.MaxUint32}
-
 func newHeapStore(lay *rowLayout) *heapStore {
 	return &heapStore{lay: lay}
 }

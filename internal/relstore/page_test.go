@@ -205,8 +205,8 @@ func TestHeapStoreViews(t *testing.T) {
 		next++
 		return true
 	})
-	if _, ok := h.view(noLoc); ok {
-		t.Fatal("the directory tombstone resolves to a row")
+	if _, ok := h.view(rowLoc{page: uint32(len(h.pages))}); ok {
+		t.Fatal("a location past the last page resolves to a row")
 	}
 	if got := h.residentBytes(); got < h.bytes/2 || got > 2*h.bytes {
 		t.Fatalf("resident bytes %d for %d nominal bytes", got, h.bytes)

@@ -415,12 +415,14 @@ func (t *Table) replayContiguous(sc *scratch, firstID int64, rows []Row) error {
 
 // replayOneLocked stores one recovered row at its original id, maintaining
 // the heap, row directory, primary-key and unique hash indexes and any live
-// secondary indexes.  Gaps below id are tombstoned (rollbacks punched holes
-// in the original id sequence); an id may also land in an existing tombstone,
-// because concurrent writers can append their records to the log out of id
-// order.  The log is outside input: a row the insert path could not have
-// stored (wrong width, a value of another kind than its column, NULL in the
-// primary key) is corruption, not a panic.  t.mu must be write-held.
+// secondary indexes.  Ids arrive with gaps (rollbacks punched holes in the
+// original id sequence) and out of order (concurrent writers append their
+// records to the log out of id order); the row directory opens a run wherever
+// the id belongs, and a gap costs nothing.  An id a run already covers is a
+// duplicate even when its slot is dead: the engine never reuses a row id.
+// The log is outside input: a row the insert path could not have stored
+// (wrong width, a value of another kind than its column, NULL in the primary
+// key) is corruption, not a panic.  t.mu must be write-held.
 func (t *Table) replayOneLocked(sc *scratch, id int64, row Row) error {
 	if len(row) != len(t.schema.Columns) {
 		return fmt.Errorf("%w: row width %d for table %q", ErrWALCorrupt, len(row), t.schema.Name)
@@ -435,7 +437,7 @@ func (t *Table) replayOneLocked(sc *scratch, id int64, row Row) error {
 			return fmt.Errorf("%w: NULL primary key in table %q during replay", ErrWALCorrupt, t.schema.Name)
 		}
 	}
-	if id < int64(len(t.rows.locs)) && t.rows.locs[id] != noLoc {
+	if _, taken := t.rows.get(id); taken {
 		return fmt.Errorf("%w: duplicate row id %d in table %q", ErrWALCorrupt, id, t.schema.Name)
 	}
 	if id < 0 || id > maxKeyRowID {
@@ -451,16 +453,8 @@ func (t *Table) replayOneLocked(sc *scratch, id int64, row Row) error {
 		}
 	}
 
-	for int64(len(t.rows.locs)) < id {
-		t.rows.locs = append(t.rows.locs, noLoc)
-	}
 	loc, _, _ := t.heap.append(row)
-	if id < int64(len(t.rows.locs)) {
-		t.rows.locs[id] = loc
-		t.rows.live++
-	} else {
-		t.rows.append(loc)
-	}
+	t.rows.put(id, loc)
 	if id >= t.nextRow {
 		t.nextRow = id + 1
 	}
@@ -471,17 +465,11 @@ func (t *Table) replayOneLocked(sc *scratch, id int64, row Row) error {
 	return nil
 }
 
-// setNextRowFloor raises the table's next row id to at least n, tombstoning
-// the directory up to it — recovering id gaps punched by pre-checkpoint
-// rollbacks, so resumed inserts allocate the same ids the dead process would
-// have.
+// setNextRowFloor raises the table's next row id to at least n — recovering
+// id gaps punched by pre-checkpoint rollbacks, so resumed inserts allocate the
+// same ids the dead process would have.
 func (t *Table) setNextRowFloor(n int64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if n > t.nextRow {
-		t.nextRow = n
-	}
-	for int64(len(t.rows.locs)) < t.nextRow {
-		t.rows.locs = append(t.rows.locs, noLoc)
-	}
+	t.nextRow = max(t.nextRow, n)
 }

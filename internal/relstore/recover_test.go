@@ -72,11 +72,9 @@ func assertSameState(t *testing.T, want, got *DB) {
 			enc string
 		}
 		var wrows []idrow
-		for id := range wt.rows.locs {
-			if r, ok := wt.viewLocked(int64(id)); ok {
-				wrows = append(wrows, idrow{int64(id), EncodeKey(r.Row())})
-			}
-		}
+		wt.scanRowsByID(func(id int64, r RowView) {
+			wrows = append(wrows, idrow{id, EncodeKey(r.Row())})
+		})
 		var mismatch string
 		for _, wr := range wrows {
 			gr, ok := gt.viewLocked(wr.id)

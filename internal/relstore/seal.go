@@ -146,18 +146,6 @@ func (t *Table) sealIndexes(rep *SealReport) {
 	t.rebuildIndexList()
 }
 
-// scanRowsByID visits every live row in row-id order; t.mu must be held.
-// The row directory is indexed by id, so index builds and the checkpoint read
-// (id, row) pairs with two array lookups per row — ids stay right across the
-// gaps rollbacks leave, which heap scan positions do not.
-func (t *Table) scanRowsByID(visit func(id int64, r RowView)) {
-	for id, loc := range t.rows.locs {
-		if r, ok := t.heap.view(loc); ok {
-			visit(int64(id), r)
-		}
-	}
-}
-
 // rebuildIndexLocked replaces the index's tree with one bulk-built from the
 // table's live (key, row id) pairs, sorted by (encoded key, id); the pairs and
 // the flat arena their keys point into are garbage once the nodes hold their

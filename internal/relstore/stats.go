@@ -35,6 +35,10 @@ type TableStat struct {
 	ResidentBytes int64
 	// KeyIndexBytes is the hash indexes' share of ResidentBytes.
 	KeyIndexBytes int64
+	// RowDirBytes is the row directory's share of ResidentBytes and RowDirRuns
+	// the id runs it holds (one per page unless replay stored ids out of order).
+	RowDirBytes int64
+	RowDirRuns  int
 }
 
 // StatsSnapshot is the one-call statistics surface of a database: engine
