@@ -80,7 +80,7 @@ func benchRowPathDB(b *testing.B, rows int) *DB {
 // BenchmarkLookupByPKRef is one primary-key probe end to end: hash, tag
 // match, row directory, page, key compare, visitor.  With RangeIndexedRef it
 // is where a slower rowDir.get shows (PERFORMANCE.md: 6 ns for an array, 5
-// for the run guess, 75 for a binary search over the runs).
+// for the scaled try, 75 for a binary search over the runs).
 func BenchmarkLookupByPKRef(b *testing.B) {
 	const rows = 200_000
 	db := benchRowPathDB(b, rows)

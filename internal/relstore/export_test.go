@@ -25,13 +25,18 @@ func (t *Table) KeyIndexGeometry() KeyIndexGeometry {
 		g.Slots += len(k.slots)
 		for i, s := range k.slots {
 			if s.ref != 0 {
-				d := k.past(k.home(s.tag), i)
+				d := k.fromHome(i)
 				g.DisplacementSum += d
 				g.DisplacementMax = max(g.DisplacementMax, d)
 			}
 		}
 	}
 	return g
+}
+
+// fromHome is how many probe steps slot i's entry sits past its home.
+func (k *keyIndex) fromHome(i int) int {
+	return (i - k.home(k.slots[i].tag) + len(k.slots)) % len(k.slots)
 }
 
 // AbsentKeyRowCompares probes the primary-key index with a key it does not
@@ -57,9 +62,8 @@ func (t *Table) AbsentKeyRowCompares(key []Value) int {
 }
 
 // RowDirGeometry describes a table's row directory: its runs and the runs it
-// has room for, the rows whose slots are live, and how many runs find reads
-// to place those rows' ids — the guessed run plus one per step to the right
-// one, counted here rather than on the hot path.
+// has room for, the rows whose slots are live, and how many runs find tries
+// to place those rows' ids.
 type RowDirGeometry struct {
 	Runs, RunCap, LiveRows, Probes int
 }
@@ -70,13 +74,12 @@ func (t *Table) RowDirGeometry() RowDirGeometry {
 	defer t.mu.RUnlock()
 	g := RowDirGeometry{Runs: len(t.rows.runs), RunCap: cap(t.rows.runs)}
 	t.scanRowsByID(func(id int64, _ RowView) {
-		i, ok := t.rows.find(id)
+		_, ok, tries := t.rows.find(id)
 		if !ok {
 			panic("relstore: scanRowsByID visited an id no run covers")
 		}
 		g.LiveRows++
-		off := i - t.rows.guess(id)
-		g.Probes += 1 + max(off, -off)
+		g.Probes += tries
 	})
 	return g
 }

@@ -12,7 +12,9 @@ import (
 // hashes the key columns with a fixed integer mix, walks the occupied run
 // from the tag's home slot, and on a tag match settles equality by reading
 // the stored row's key columns in place (rowDir -> heapStore.view ->
-// RowView).  A tag match alone never answers a probe.
+// RowView).  A tag match alone never answers a probe.  Runs are kept in tag
+// order: an absent key's probe ends at the first higher tag, no key sits far
+// from its home, and growth copies in slot order.
 //
 // Equality is exact and typed, column by column: NULL equals NULL (a key like
 // any other for unique constraints over nullable columns; primary keys reject
@@ -31,9 +33,8 @@ type keyIndex struct {
 	// cols are the key columns' positions in a row; seq, 0..len(cols)-1, is
 	// where the same values sit in a probe key.
 	cols, seq []int
-	// slots is at most 3/4 full, so a probe always ends at an empty slot.  It
-	// has any length and grows by a quarter, not a doubling: the load stays in
-	// [0.60, 0.75], 10.7 to 13.4 bytes a key.
+	// slots is at most 3/4 full, so a run always ends at an empty slot.  It
+	// grows by a quarter: load in [0.60, 0.75], 10.7 to 13.4 bytes a key.
 	slots []keySlot
 	n     int
 }
@@ -44,18 +45,19 @@ type keySlot struct {
 	tag, ref uint32
 }
 
-// home is the slot a tag's probe starts at: the tag scaled onto the table
-// (monotone, so re-placing a table in slot order fills the next front to back).
-func (k *keyIndex) home(tag uint32) int {
-	return int(uint64(tag) * uint64(len(k.slots)) >> 32)
-}
+// home is the slot a tag's probe starts at: the tag scaled onto the table, so
+// it never falls as the tag rises.
+func (k *keyIndex) home(tag uint32) int { return int(uint64(tag) * uint64(len(k.slots)) >> 32) }
 
-// past is how many probe steps slot j lies after slot i.
-func (k *keyIndex) past(i, j int) int {
-	if j < i {
-		return j - i + len(k.slots)
+// after reports whether the entry of tag e in slot i sorts after a key of tag
+// whose home is h.  An entry below its home was carried round the table's end
+// and sorts before every entry that was not; otherwise the tags decide, and
+// only when they cannot is e's home computed.
+func (k *keyIndex) after(e uint32, i int, tag uint32, h int) bool {
+	if higher := e > tag; higher == (i < h) {
+		return higher
 	}
-	return j - i
+	return k.home(e) <= i
 }
 
 // next is the slot a probe visits after i.
@@ -139,9 +141,9 @@ func (k *keyIndex) find(vals []Value, at []int) int {
 	}
 	tag := k.hash(vals, at)
 probe:
-	for i := k.home(tag); ; i = k.next(i) {
+	for h, i := k.home(tag), k.home(tag); ; i = k.next(i) {
 		s := k.slots[i]
-		if s.ref == 0 {
+		if s.ref == 0 || k.after(s.tag, i, tag, h) {
 			return -1
 		}
 		if s.tag != tag {
@@ -182,35 +184,51 @@ func (k *keyIndex) put(row Row, id int64) {
 	k.n++
 }
 
-// place puts s in the first empty slot from its home.
+// place puts s where its tag sorts on the run from its home and moves the
+// rest of the run up one slot.
 func (k *keyIndex) place(s keySlot) {
-	i := k.home(s.tag)
-	for k.slots[i].ref != 0 {
+	h, i := k.home(s.tag), k.home(s.tag)
+	for k.slots[i].ref != 0 && !k.after(k.slots[i].tag, i, s.tag, h) {
 		i = k.next(i)
 	}
-	k.slots[i] = s
+	for ; s.ref != 0; i = k.next(i) {
+		k.slots[i], s = s, k.slots[i]
+	}
 }
 
-// reserve grows the table to hold n keys, re-placing the slots from their
-// tags alone: by a quarter when a put fills it, to exactly the 3/4 load when
-// a loader that knows its row count (the checkpoint load) calls it up front.
+// reserve grows the table to hold n keys from the slots' tags alone: by a
+// quarter when a put fills it, to exactly the 3/4 load when a loader that
+// knows its row count (the checkpoint load) calls it up front.  From the first
+// entry not carried round the old end they are in tag order, so each goes to
+// its new home or right behind the last; what the new end carries round probes.
 func (k *keyIndex) reserve(n int) {
 	size := len(k.slots)
 	if n*4 <= size*3 {
 		return
 	}
-	old := k.slots
+	old, w, at := k.slots, 0, 0
+	for w < size && old[w].ref != 0 && k.home(old[w].tag) > w {
+		w++
+	}
 	k.slots = make([]keySlot, max(8, (size*5+3)/4, (n*4+2)/3))
-	for _, s := range old {
-		if s.ref != 0 {
-			k.place(s)
+	for _, part := range [2][]keySlot{old[w:], old[:w]} {
+		for _, s := range part {
+			if s.ref == 0 {
+				continue
+			}
+			if at = max(at, k.home(s.tag)); at == len(k.slots) {
+				k.place(s)
+			} else {
+				k.slots[at] = s
+				at++
+			}
 		}
 	}
 }
 
 // remove deletes the entry of stored row id, whose key values are key.  The
-// slot is found by id and the gap closed by shifting the run behind it back
-// (homes come from the tags), so the table never holds tombstones.
+// slot is found by id and the gap closed by moving the run behind it back one
+// slot, up to the first entry at its home, so the table never holds tombstones.
 func (k *keyIndex) remove(key []Value, id int64) {
 	if k.n == 0 {
 		return
@@ -222,13 +240,8 @@ func (k *keyIndex) remove(key []Value, id int64) {
 		}
 		i = k.next(i)
 	}
-	for j := k.next(i); k.slots[j].ref != 0; j = k.next(j) {
-		// The entry at j may move back to the gap unless its home lies
-		// after the gap: compare how far j is past each, around the end.
-		if k.past(k.home(k.slots[j].tag), j) >= k.past(i, j) {
-			k.slots[i] = k.slots[j]
-			i = j
-		}
+	for j := k.next(i); k.slots[j].ref != 0 && k.home(k.slots[j].tag) != j; i, j = j, k.next(j) {
+		k.slots[i] = k.slots[j]
 	}
 	k.slots[i] = keySlot{}
 	k.n--

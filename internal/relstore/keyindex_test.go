@@ -160,8 +160,10 @@ func runKeyIndexOps(t testing.TB, cols []int, data []byte) *keyIndex {
 	}
 
 	// Every stored row's key finds its own id, and the table is well formed:
-	// at most 3/4 full, as many occupied slots as keys, and no empty slot
-	// between an entry and its home.
+	// at most 3/4 full, as many occupied slots as keys, no empty slot between
+	// an entry and its home, and every run in tag order — an entry sits no
+	// further from home than one past the entry before it, and exactly that
+	// far (the same home) only behind a tag no higher than its own.
 	for _, id := range live {
 		loc, _ := tbl.rows.get(id)
 		v, _ := tbl.heap.view(loc)
@@ -178,6 +180,12 @@ func runKeyIndexOps(t testing.TB, cols []int, data []byte) *keyIndex {
 		for j := k.home(s.tag); j != i; j = k.next(j) {
 			if k.slots[j].ref == 0 {
 				t.Fatalf("slot %d (home %d) is cut off by the empty slot %d", i, k.home(s.tag), j)
+			}
+		}
+		if p := (i + len(k.slots) - 1) % len(k.slots); k.slots[p].ref != 0 {
+			d, dp := k.fromHome(i), k.fromHome(p)
+			if d > dp+1 || (d == dp+1 && k.slots[p].tag > s.tag) {
+				t.Fatalf("slot %d (tag %#x, %d from home) is out of order behind tag %#x, %d from home", i, s.tag, d, k.slots[p].tag, dp)
 			}
 		}
 	}

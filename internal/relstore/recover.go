@@ -416,13 +416,14 @@ func (t *Table) replayContiguous(sc *scratch, firstID int64, rows []Row) error {
 // replayOneLocked stores one recovered row at its original id, maintaining
 // the heap, row directory, primary-key and unique hash indexes and any live
 // secondary indexes.  Ids arrive with gaps (rollbacks punched holes in the
-// original id sequence) and out of order (concurrent writers append their
-// records to the log out of id order); the row directory opens a run wherever
-// the id belongs, and a gap costs nothing.  An id a run already covers is a
-// duplicate even when its slot is dead: the engine never reuses a row id.
-// The log is outside input: a row the insert path could not have stored
-// (wrong width, a value of another kind than its column, NULL in the primary
-// key) is corruption, not a panic.  t.mu must be write-held.
+// original id sequence) and out of order (concurrent per-row writers append
+// their records out of id order): a gap costs the row directory nothing, an
+// id below its last run's moves every run above it — O(runs) a record, so a
+// log of r records all stored behind their elders replays in O(r²).  An id a
+// run already covers is a duplicate even when its slot is dead: ids are never
+// reused.  The log is outside input: a row the insert path could not have
+// stored (wrong width, a value of another kind than its column, NULL in the
+// primary key) is corruption, not a panic.  t.mu must be write-held.
 func (t *Table) replayOneLocked(sc *scratch, id int64, row Row) error {
 	if len(row) != len(t.schema.Columns) {
 		return fmt.Errorf("%w: row width %d for table %q", ErrWALCorrupt, len(row), t.schema.Name)
@@ -455,9 +456,7 @@ func (t *Table) replayOneLocked(sc *scratch, id int64, row Row) error {
 
 	loc, _, _ := t.heap.append(row)
 	t.rows.put(id, loc)
-	if id >= t.nextRow {
-		t.nextRow = id + 1
-	}
+	t.nextRow = max(t.nextRow, id+1)
 	t.putKeys(row, id)
 	for _, ix := range t.liveList {
 		ix.tree.Insert(sc.ordKey(sc.keyOf(row, ix.colIdxs)), id)

@@ -148,15 +148,76 @@ func FuzzRowDirOps(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) { runRowDirOps(t, data) })
 }
 
+// dirTries puts runs of the given lengths, id after id and one page each,
+// into a directory and returns it with the mean and the largest number of
+// runs find tries over every id.
+func dirTries(t *testing.T, lengths ...int) (d *rowDir, mean float64, most int) {
+	d = &rowDir{}
+	id, sum := int64(0), 0
+	for page, n := range lengths {
+		for slot := 0; slot < n; slot, id = slot+1, id+1 {
+			d.put(id, rowLoc{page: uint32(page), slot: uint32(slot)})
+		}
+	}
+	if len(d.runs) != len(lengths) {
+		t.Fatalf("%d runs for %d pages", len(d.runs), len(lengths))
+	}
+	for q := int64(0); q < id; q++ {
+		i, ok, tries := d.find(q)
+		if r := d.runs[max(i, 0)]; !ok || q < int64(r.first) || q >= int64(r.first+r.n) {
+			t.Fatalf("find(%d) = run %d, %v", q, i, ok)
+		}
+		sum, most = sum+tries, max(most, tries)
+	}
+	return d, float64(sum) / float64(id), most
+}
+
+// TestRowDirUnlikeRuns pins what find costs when the runs are not equally
+// long — counted in runs tried, each a division and two compares.  Full pages
+// beside the short runs that concurrent per-row writers' records replay into
+// is the worst a recovered database gets (a batch's records are logged in id
+// order and replay a run a page); past that the halving bounds the tries.
+func TestRowDirUnlikeRuns(t *testing.T) {
+	repeat := func(times int, lengths ...int) (out []int) {
+		for ; times > 0; times-- {
+			out = append(out, lengths...)
+		}
+		return out
+	}
+	for _, c := range []struct {
+		name    string
+		lengths []int
+		mean    float64
+		most    int
+	}{
+		{"a load: a page a run", repeat(1600, 170), 1.05, 1},
+		{"pages of a few widths", repeat(400, 150, 170, 200, 160), 1.2, 2},
+		{"checkpoint pages, then a log of short runs", append(repeat(1000, 170), repeat(2000, 20)...), 2.6, 3},
+		{"short runs, then pages", append(repeat(3000, 3), repeat(500, 170)...), 2.9, 3},
+		{"lengths doubling", []int{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096, 8192, 16384, 32768}, 3.2, 7},
+	} {
+		_, mean, most := dirTries(t, c.lengths...)
+		t.Logf("%s: %.2f runs tried per find, at most %d", c.name, mean, most)
+		if mean > c.mean || most > c.most {
+			t.Errorf("%s: %.2f runs tried per find and at most %d, ceilings %.1f and %d", c.name, mean, most, c.mean, c.most)
+		}
+	}
+}
+
 // TestRowDirBunchedIDs: a directory whose ids are bunched — a thousand runs
-// at the bottom of the id space and one far above — defeats the guess, and
-// find falls back to its binary search; every id still resolves.
+// at the bottom of the id space and one far above — defeats the scaled try,
+// and find halves its way in; every id still resolves.
 func TestRowDirBunchedIDs(t *testing.T) {
 	var d rowDir
 	for i := int64(0); i < 1000; i++ {
 		d.put(i*3, rowLoc{page: uint32(i), slot: 0})
 	}
 	d.put(4_000_000_000, rowLoc{page: 1000})
+	for i := int64(0); i < 1000; i++ {
+		if _, _, tries := d.find(i * 3); tries > 3+2*10 {
+			t.Fatalf("find(%d) tried %d runs of 1001", i*3, tries)
+		}
+	}
 	for i := int64(0); i < 1000; i++ {
 		if loc, ok := d.get(i * 3); !ok || loc.page != uint32(i) {
 			t.Fatalf("get(%d) = %+v, %v", i*3, loc, ok)
@@ -171,6 +232,28 @@ func TestRowDirBunchedIDs(t *testing.T) {
 	for _, id := range []int64{-1, 2999, 3_999_999_999, 4_000_000_001, 1 << 40} {
 		if _, ok := d.get(id); ok {
 			t.Fatalf("get(%d) found an uncovered id", id)
+		}
+	}
+}
+
+// TestRowDirDescendingReplay: records stored each behind the one before — the
+// order that makes every put move every run — still leave a directory that
+// resolves every id; the cost is what replayOneLocked's comment says it is.
+func TestRowDirDescendingReplay(t *testing.T) {
+	const n = 20_000
+	var d rowDir
+	for id := int64(n - 1); id >= 0; id-- {
+		d.put(id*2, rowLoc{page: uint32(id / 100), slot: uint32(n - 1 - id)})
+	}
+	if len(d.runs) != n {
+		t.Fatalf("%d runs for %d ids stored in descending order", len(d.runs), n)
+	}
+	for id := int64(0); id < n; id++ {
+		if loc, ok := d.get(id * 2); !ok || loc.slot != uint32(n-1-id) {
+			t.Fatalf("get(%d) = %+v, %v", id*2, loc, ok)
+		}
+		if _, ok := d.get(id*2 + 1); ok {
+			t.Fatalf("get(%d) found an id in a gap", id*2+1)
 		}
 	}
 }

@@ -58,15 +58,12 @@ func (ix *Index) Policy() IndexPolicy { return ix.policy }
 func (ix *Index) Ready() bool { return !ix.suspended.Load() }
 
 // rowDir maps row ids to heap locations.  Row ids and heap slots both advance
-// by exactly one per append, whoever appends, so the directory is runs of
-// consecutive ids in consecutive slots of one page, sorted by first id: a load
-// opens one run per page, and only replay — which stores the records of
-// concurrent writers in log order, not id order — opens one mid-slice.  A run
-// keeps the ids of rolled-back rows: the page's deadSlot bit is the only
-// tombstone, and a row id is spent for good once a run covers it.
-type rowDir struct {
-	runs []idRun
-}
+// by one per append, whoever appends, so the directory is runs of consecutive
+// ids in consecutive slots of one page, sorted by first id: a load opens one
+// run per page, and only replay — which stores concurrent writers' records in
+// log order, not id order — opens one mid-slice.  A run keeps rolled-back ids:
+// the page's deadSlot bit is the only tombstone, and a covered id is spent.
+type rowDir struct{ runs []idRun }
 
 // idRun says row id first+k is stored at (page, slot+k) for every k < n.
 type idRun struct {
@@ -75,72 +72,62 @@ type idRun struct {
 
 // put records that row id, which no run covers, is stored at loc.
 func (d *rowDir) put(id int64, loc rowLoc) {
-	i := len(d.runs)
-	if i > 0 && id < int64(d.runs[i-1].first) {
-		i, _ = d.find(id)
-		i++
-	}
-	if i > 0 {
-		if r := &d.runs[i-1]; int64(r.first)+int64(r.n) == id && r.page == loc.page && r.slot+r.n == loc.slot {
+	i, _, _ := d.find(id)
+	if i >= 0 {
+		if r := &d.runs[i]; int64(r.first)+int64(r.n) == id && r.page == loc.page && r.slot+r.n == loc.slot {
 			r.n++
 			return
 		}
 	}
-	d.runs = slices.Insert(d.runs, i, idRun{first: uint32(id), n: 1, page: loc.page, slot: loc.slot})
-}
-
-// guess is where find starts looking for id (at or above the first run's):
-// where id sits in the id span, scaled onto the runs.
-func (d *rowDir) guess(id int64) int {
-	n := len(d.runs)
-	lo := uint64(d.runs[0].first)
-	span := uint64(d.runs[n-1].first) + uint64(d.runs[n-1].n) - lo
-	if at := uint64(id) - lo; at < span {
-		return int(at * uint64(n) / span)
-	}
-	return n - 1
+	d.runs = slices.Insert(d.runs, i+1, idRun{first: uint32(id), n: 1, page: loc.page, slot: loc.slot})
 }
 
 // find returns the position of the last run starting at or below id (-1 when
-// there is none) and whether that run covers id.  Runs are close to equally
-// long, so the guess is corrected by a short walk; the binary search is the
-// fallback for bunched ids (a log with a far-ahead id).  This sits under every
-// index candidate and every key-index tag match, and a binary search alone
-// reads 75 ns where the guess reads 5 (PERFORMANCE.md).
-func (d *rowDir) find(id int64) (int, bool) {
-	n := len(d.runs)
-	if n == 0 || id < int64(d.runs[0].first) {
-		return -1, false
+// there is none), whether that run covers id, and how many runs it tried.  The
+// first try scales id's place in the directory's id span onto its runs —
+// right at once when they are equally long, as a load's nearly are — and each
+// next one steps from the run just tried by that run's own length; past three
+// tries every other one halves what is left, whatever the lengths.  It sits
+// under every index candidate and key-index tag match: a binary search alone
+// reads 75 ns where the scaled try reads 5 (PERFORMANCE.md).
+func (d *rowDir) find(id int64) (at int, covered bool, tries int) {
+	lo, hi := 0, len(d.runs)-1
+	if hi < 0 || id < int64(d.runs[0].first) {
+		return -1, false, 0
 	}
-	i := d.guess(id)
-	for steps := 0; id < int64(d.runs[i].first) || (i+1 < n && id >= int64(d.runs[i+1].first)); steps++ {
-		if steps == 4 {
-			i = sort.Search(n, func(j int) bool { return int64(d.runs[j].first) > id }) - 1
-			break
+	try, first := hi, uint64(d.runs[0].first)
+	if off, span := uint64(id)-first, uint64(d.runs[hi].first)+uint64(d.runs[hi].n)-first; off < span {
+		try = int(off * uint64(hi+1) / span)
+	}
+	for lo < hi {
+		i := min(max(try, lo), hi)
+		if tries++; tries > 3 && tries%2 == 0 {
+			i = lo + (hi-lo+1)/2
 		}
-		if id < int64(d.runs[i].first) {
-			i--
-		} else {
-			i++
+		switch r := &d.runs[i]; {
+		case id < int64(r.first):
+			hi, try = i-1, i-1-int((r.first-1-uint32(id))/r.n)
+		case i < hi && id >= int64(d.runs[i+1].first):
+			lo, try = i+1, i+int((uint32(id)-r.first)/r.n)
+		default:
+			lo, hi = i, i
 		}
 	}
-	return i, id-int64(d.runs[i].first) < int64(d.runs[i].n)
+	return lo, id-int64(d.runs[lo].first) < int64(d.runs[lo].n), tries
 }
 
 // get returns the location row id was stored at; the slot may since be dead.
 func (d *rowDir) get(id int64) (rowLoc, bool) {
-	i, ok := d.find(id)
+	i, ok, _ := d.find(id)
 	if !ok {
 		return rowLoc{}, false
 	}
-	r := &d.runs[i]
-	return rowLoc{page: r.page, slot: r.slot + uint32(id) - r.first}, true
+	return rowLoc{page: d.runs[i].page, slot: d.runs[i].slot + uint32(id) - d.runs[i].first}, true
 }
 
 // scanRowsByID visits every live row in row-id order; t.mu must be held.
-// Index builds and the checkpoint read (id, row) pairs off the directory's
-// runs — ids stay right across the gaps rollbacks leave, which heap scan
-// positions do not.
+// Index builds and the checkpoint read (id, row) pairs off the runs: ids stay
+// right across the gaps rollbacks leave, which heap scan positions do not.
 func (t *Table) scanRowsByID(visit func(id int64, r RowView)) {
 	for _, run := range t.rows.runs {
 		for k := uint32(0); k < run.n; k++ {
