@@ -64,8 +64,10 @@ oracles:
 # would show), the immediate-vs-deferred load policy comparison,
 # the one HTTP front door (query path and /metrics render, over a database),
 # the fleet's scatter-gather path under it and the whole ingest path on the
-# wall clock (ReadRecords + parallel.Run, the region every skyperf workload
-# times), so none of those can silently regress or break.  -benchtime=100x (1x for the whole-run bench) keeps it a
+# wall clock, on one node (ReadRecords + parallel.Run, the region every skyperf
+# workload times) and through a fleet (ReadRecords + Coordinator.LoadFiles into
+# three agents on loopback TCP, shard-scatter's), so none of those can silently
+# regress or break.  -benchtime=100x (1x for the whole-run bench) keeps it a
 # smoke test (counts, not timings); measurements come from `make perf`
 # (bench/README.md).
 bench:
@@ -73,7 +75,7 @@ bench:
 	$(GO) test -run '^$$' -bench 'IndexLoadPolicy' -benchtime=1x ./internal/relstore/
 	$(GO) test -run '^$$' -bench 'ServeHTTPQuery|MetricsScrape' -benchtime=100x ./internal/httpserve/
 	$(GO) test -run '^$$' -bench 'ScatterGather|SingleNode|WireQueryResult' -benchtime=50x ./internal/shard/
-	$(GO) test -run '^$$' -bench 'IngestNight' -benchtime=1x .
+	$(GO) test -run '^$$' -bench 'IngestNight|FleetNight' -benchtime=1x .
 	$(GO) test -run '^$$' -bench 'DurableCommit' -benchtime=200x .
 
 # bench/ is a module of its own (it requires this one through a replace

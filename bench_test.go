@@ -25,6 +25,7 @@ import (
 	"skyloader/internal/metrics"
 	"skyloader/internal/parallel"
 	"skyloader/internal/relstore"
+	"skyloader/internal/shard"
 	"skyloader/internal/sqlbatch"
 	"skyloader/internal/tuning"
 )
@@ -360,6 +361,19 @@ func BenchmarkLoaderEndToEnd(b *testing.B) {
 	}
 }
 
+// nightTexts renders each file of a night as the catalog text it is on disk.
+func nightTexts(b *testing.B, night []*catalog.File) []string {
+	texts := make([]string, len(night))
+	for i, f := range night {
+		var buf bytes.Buffer
+		if _, err := f.WriteTo(&buf); err != nil {
+			b.Fatal(err)
+		}
+		texts[i] = buf.String()
+	}
+	return texts
+}
+
 // BenchmarkIngestNight is the timed region of every skyperf workload on the
 // wall clock: a 100k-row night as catalog text, catalog.ReadRecords on every
 // file, then parallel.Run with two loaders on the realtime scheduler into a
@@ -371,14 +385,7 @@ func BenchmarkIngestNight(b *testing.B) {
 	night := catalog.GenerateNight(catalog.NightSpec{
 		TotalMB: 1000, RowsPerMB: 100, Seed: 7, ErrorRate: 0.002, RunID: 1, Files: 8,
 	})
-	texts := make([]string, len(night))
-	for i, f := range night {
-		var buf bytes.Buffer
-		if _, err := f.WriteTo(&buf); err != nil {
-			b.Fatal(err)
-		}
-		texts[i] = buf.String()
-	}
+	texts := nightTexts(b, night)
 	prof := tuning.ProductionLoading()
 	rows := 0
 	b.ReportAllocs()
@@ -402,6 +409,77 @@ func BenchmarkIngestNight(b *testing.B) {
 			b.Fatal(err)
 		}
 		rows += res.Total.RowsRead
+	}
+	b.ReportMetric(float64(rows)/b.Elapsed().Seconds(), "rows/s")
+}
+
+// BenchmarkFleetNight is the timed region of skyperf's shard-scatter load on
+// the wall clock: the same 100k-row night as catalog text (clean, as that
+// workload's is), catalog.ReadRecords on every file, then
+// Coordinator.LoadFiles into three fresh agents on loopback TCP.  allocs/op
+// counts the whole process: coordinator, transport and agents.
+//
+//	go test -run '^$' -bench FleetNight -benchtime 5x -memprofile mem.prof .
+func BenchmarkFleetNight(b *testing.B) {
+	night := catalog.GenerateNight(catalog.NightSpec{
+		TotalMB: 1000, RowsPerMB: 100, Seed: 7, RunID: 1, Files: 8,
+	})
+	texts := nightTexts(b, night)
+	pm, err := shard.PartitionFromFiles(night, 3)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := shard.DefaultAgentConfig()
+	cfg.Profile.Indexes = tuning.HTMIDPlusComposite
+	var rows int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		sched := exec.NewRealtime(exec.RealtimeConfig{Seed: 7})
+		servers := make([]*shard.AgentServer, pm.Shards())
+		clients := make([]shard.Client, pm.Shards())
+		for s := range servers {
+			agent, err := shard.NewAgent(sched, cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if servers[s], err = shard.ServeAgent(agent, sched, "127.0.0.1:0"); err != nil {
+				b.Fatal(err)
+			}
+			if clients[s], err = shard.DialShard(servers[s].Addr().String()); err != nil {
+				b.Fatal(err)
+			}
+		}
+		co, err := shard.New(sched, pm, clients, shard.Config{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		sched.RunInline("hello", func(w exec.Worker) { err = co.Hello(w) })
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+
+		files := make([]*catalog.File, len(texts))
+		for j, text := range texts {
+			recs, _ := catalog.ReadRecords(strings.NewReader(text))
+			files[j] = &catalog.File{Name: night[j].Name, Records: recs, RABase: night[j].RABase, DecBase: night[j].DecBase,
+				NominalBytes: night[j].NominalBytes, DataRows: len(recs)}
+		}
+		var rep shard.LoadReport
+		sched.RunInline("load", func(w exec.Worker) { rep, err = co.LoadFiles(w, files) })
+		if err != nil || rep.RowsSkipped != 0 {
+			b.Fatalf("fleet load: %v, %d rows skipped", err, rep.RowsSkipped)
+		}
+		rows += rep.RowsLoaded
+
+		b.StopTimer()
+		co.Close()
+		for _, srv := range servers {
+			srv.Close()
+		}
+		b.StartTimer()
 	}
 	b.ReportMetric(float64(rows)/b.Elapsed().Seconds(), "rows/s")
 }

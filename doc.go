@@ -37,7 +37,8 @@
 //   - internal/trace      — per-request stage tracing published into a fixed ring
 //   - internal/shard      — the distributed layer: HTM-partitioned coordinator and agents
 //     with scatter-gather serving; the coordinator routes each record once and keeps an
-//     object directory, not the night; internal/shard/wire is its message protocol, on internal/frame
+//     object directory, not the night; internal/shard/wire is its message protocol, on
+//     internal/frame (a load task is one block of catalog text, built and parsed in its frame)
 //
 // The benchmarks in bench_test.go regenerate the paper's evaluation; the
 // binaries under cmd/ (skygen, skyload, skybench, skyserve, skystorm,

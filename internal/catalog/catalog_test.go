@@ -153,7 +153,7 @@ func TestRecordFormatParseRoundTrip(t *testing.T) {
 		}, s)
 		rec := Record{Tag: TagPRM, Fields: []string{i2s(int64(a)), i2s(int64(b)), "name", s}}
 		parsed, err := ParseLine(rec.Format(), 1)
-		if err != nil || rec.Bytes() != len(rec.Format())+1 {
+		if err != nil || rec.Bytes() != len(rec.Format())+1 || string(rec.AppendLine([]byte("x"))) != "x"+rec.Format()+"\n" {
 			return false
 		}
 		if parsed.Tag != rec.Tag || len(parsed.Fields) != len(rec.Fields) {
@@ -173,6 +173,9 @@ func TestRecordFormatParseRoundTrip(t *testing.T) {
 	for _, rec := range []Record{{Tag: TagOBS}, {Tag: TagOBS, Fields: []string{""}}, {Tag: TagOBS, Fields: []string{"", "x", ""}}} {
 		if rec.Bytes() != len(rec.Format())+1 {
 			t.Errorf("%q: Bytes() = %d, want %d", rec.Format(), rec.Bytes(), len(rec.Format())+1)
+		}
+		if got := string(rec.AppendLine(nil)); got != rec.Format()+"\n" {
+			t.Errorf("AppendLine gives %q, Format %q", got, rec.Format())
 		}
 	}
 }
@@ -638,30 +641,40 @@ func FuzzReadRecords(f *testing.F) {
 	})
 }
 
-// TestParseLinesMatchesParseLine: the fleet's entry point gives each listed
-// line the record, line number and error ParseLine gives it alone.
-func TestParseLinesMatchesParseLine(t *testing.T) {
-	var lines []string
+// TestParseTextMatchesReadRecords: the fleet's entry point gives a block of
+// text the records, line numbers and errors ReadRecords gives the same bytes
+// read from a file, and counts every line of it — blank, comment, malformed,
+// CRLF-ended or cut off before its newline.
+func TestParseTextMatchesReadRecords(t *testing.T) {
+	var all strings.Builder
 	for _, text := range parserCases {
-		lines = append(lines, strings.Split(text, "\n")...)
-	}
-	lines = append(lines, "PRM|1|2|two\nlines|v") // a listed line is one line whatever it holds
-	var wantRecs []Record
-	var wantErrs []error
-	for i, line := range lines {
-		rec, err := ParseLine(line, i+1)
-		if err == nil {
-			wantRecs = append(wantRecs, rec)
-		} else if err != ErrSkipLine {
-			wantErrs = append(wantErrs, err)
+		all.WriteString(text)
+		if text != "" && !strings.HasSuffix(text, "\n") {
+			all.WriteString("\n")
 		}
 	}
-	gotRecs, gotErrs := ParseLines(lines)
-	if err := sameParse(gotRecs, gotErrs, wantRecs, wantErrs); err != nil {
-		t.Fatal(err)
+	all.WriteString("PRM|9|9|cut|off") // the block's last line has no newline
+	cases := map[string]string{"every case in one block": all.String()}
+	for name, text := range parserCases {
+		cases[name] = text
 	}
-	if len(wantRecs) == 0 || len(wantErrs) == 0 {
-		t.Fatalf("%d records and %d errors: the input exercises nothing", len(wantRecs), len(wantErrs))
+	for name, text := range cases {
+		gotRecs, lines, gotErrs := ParseText(text)
+		wantRecs, wantErrs := scannerReadRecords(strings.NewReader(text))
+		if err := sameParse(gotRecs, gotErrs, wantRecs, wantErrs); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+		wantLines := 0
+		for sc := bufio.NewScanner(strings.NewReader(text)); sc.Scan(); {
+			wantLines++
+		}
+		if lines != wantLines {
+			t.Errorf("%s: counted %d lines, a Scanner reads %d", name, lines, wantLines)
+		}
+	}
+	recs, lines, errs := ParseText(all.String())
+	if len(recs) == 0 || len(errs) == 0 || lines <= len(recs)+len(errs) {
+		t.Fatalf("%d records, %d errors, %d lines: the block exercises nothing", len(recs), len(errs), lines)
 	}
 }
 

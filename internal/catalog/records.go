@@ -95,6 +95,19 @@ func (r Record) Format() string {
 	return string(r.Tag) + FieldSep + strings.Join(r.Fields, FieldSep)
 }
 
+// AppendLine appends the record to dst as Format renders it plus the newline:
+// Bytes() bytes, with no string built on the way.
+func (r Record) AppendLine(dst []byte) []byte {
+	dst = append(append(dst, r.Tag...), FieldSep...)
+	for i, f := range r.Fields {
+		if i > 0 {
+			dst = append(dst, FieldSep...)
+		}
+		dst = append(dst, f...)
+	}
+	return append(dst, '\n')
+}
+
 // Bytes returns the serialized length of the record including the newline
 // (len(r.Format())+1, without rendering the line), which is what the
 // generator uses to account catalog-file volume.
@@ -135,35 +148,31 @@ const maxLineBytes = 4 << 20
 // their length); nothing may write through them.
 func ReadRecords(r io.Reader) ([]Record, []error) {
 	text, readErr := readText(r)
+	recs, _, errs := ParseText(text)
+	if readErr != nil {
+		errs = append(errs, readErr)
+	}
+	return recs, errs
+}
+
+// ParseText is ReadRecords over text already in memory (a fleet load task
+// carries its share of a file that way): the records alias text and one arena
+// per call, as ReadRecords' do.  lines is how many lines text holds, blank and
+// comment lines and a last line without its newline included, so that
+// lines - len(recs) of them gave no record.
+func ParseText(text string) (recs []Record, lines int, errs []error) {
 	s := newSplitter(strings.Count(text, "\n")+1, strings.Count(text, FieldSep))
-	for lineNo := 1; text != ""; lineNo++ {
+	for text != "" {
 		line := text
 		if i := strings.IndexByte(text, '\n'); i >= 0 {
 			line, text = text[:i], text[i+1:]
 		} else {
 			text = ""
 		}
-		s.add(line, lineNo)
+		lines++
+		s.add(line, lines)
 	}
-	if readErr != nil {
-		s.errs = append(s.errs, readErr)
-	}
-	return s.recs, s.errs
-}
-
-// ParseLines is ReadRecords over lines already cut (the fleet's load tasks
-// carry them that way): lines[i] is line i+1 whatever bytes it holds, and the
-// records alias the lines and one arena per call.
-func ParseLines(lines []string) ([]Record, []error) {
-	seps := 0
-	for _, line := range lines {
-		seps += strings.Count(line, FieldSep)
-	}
-	s := newSplitter(len(lines), seps)
-	for i, line := range lines {
-		s.add(line, i+1)
-	}
-	return s.recs, s.errs
+	return s.recs, lines, s.errs
 }
 
 // splitter collects the records of one file or one load task.

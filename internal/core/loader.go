@@ -181,22 +181,33 @@ func NewLoader(conn *sqlbatch.Conn, cfg Config) (*Loader, error) {
 		return nil, err
 	}
 	l := &Loader{
-		conn:   conn,
 		schema: schema,
 		cfg:    cfg,
 		cost:   conn.Server().Cost(),
 		xform:  catalog.NewTransformer(schema),
 		set:    set,
 	}
-	l.connCommits = conn.Stats().Commits
 	l.rowScratch = make([]relstore.Value, 0, l.xform.MaxRowValues())
-	l.stats.RowsLoadedByTable = make(map[string]int)
-	l.stats.SkippedByTable = make(map[string]int)
 	// Provenance ids are derived from the loader node to stay unique across
 	// parallel loaders.
 	l.nextLoadRunID = int64(cfg.LoaderNode+1) * 1_000_000
 	l.nextLoadErrID = int64(cfg.LoaderNode+1) * 10_000_000
+	l.Rebind(conn)
 	return l, nil
+}
+
+// Rebind moves the loader to conn, another connection to the same server,
+// and starts its statistics over: for an owner that loads file after file
+// but gets a new worker, and so a new connection, for each (a shard agent
+// and its load tasks).  What a loader allocates to do its work — the
+// array-set's buffers, the transformer, the row scratch — and its provenance
+// ids carry over.  The loader must be between files, on a connection with no
+// transaction open.
+func (l *Loader) Rebind(conn *sqlbatch.Conn) {
+	l.conn = conn
+	l.connCommits = conn.Stats().Commits
+	l.batchesSinceCommit = 0
+	l.stats = Stats{RowsLoadedByTable: make(map[string]int), SkippedByTable: make(map[string]int)}
 }
 
 // Stats returns the loader's accumulated statistics.
@@ -269,6 +280,10 @@ func (l *Loader) LoadFile(f *catalog.File) error {
 			return err
 		}
 	}
+	// The scratch still holds the last row, and a string of it is a window of
+	// the file's text: a loader kept between files must not pin a file it is
+	// done with (the array-set clears what it recycles for the same reason).
+	clear(l.rowScratch[:cap(l.rowScratch)])
 	// Final partial flush for the file (line 13-14 of Figure 3 reaching the
 	// end of input with partially filled arrays).
 	if err := l.flushArraySet(); err != nil {

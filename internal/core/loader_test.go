@@ -366,3 +366,61 @@ func testEnvQuiet() (*des.Kernel, *sqlbatch.Server) {
 	_, _ = txn.Commit()
 	return k, sqlbatch.NewServer(k, db, sqlbatch.DefaultServerConfig(), sqlbatch.DefaultCostModel())
 }
+
+// TestRebindServesTheNextConnection: a loader moved to a second connection
+// loads the next file through it with statistics that start over and
+// provenance ids that do not; and between files its row scratch holds no
+// value of the file it finished, so keeping a loader does not pin a file's
+// text (the array-set clears what it recycles: arrayset.TestRecycleReusesBuffers).
+func TestRebindServesTheNextConnection(t *testing.T) {
+	_, srv := testEnv(t)
+	first := catalog.Generate(catalog.GenSpec{Name: "first.cat", SizeMB: 3, Seed: 5, ErrorRate: 0.02, RunID: 1, IDBase: 1000})
+	second := catalog.Generate(catalog.GenSpec{Name: "second.cat", SizeMB: 2, Seed: 6, RunID: 1, IDBase: 500_000})
+	cfg := DefaultConfig()
+	cfg.RecordProvenance = true
+	var loader *Loader
+	var firstStats Stats
+	load := func(f *catalog.File) {
+		srv.Kernel().Spawn("loader-"+f.Name, func(p *des.Proc) {
+			conn := srv.Connect(p)
+			defer conn.Close()
+			if loader == nil {
+				var err error
+				if loader, err = NewLoader(conn, cfg); err != nil {
+					t.Error(err)
+					return
+				}
+			} else {
+				loader.Rebind(conn)
+			}
+			if err := loader.LoadFile(f); err != nil {
+				t.Error(err)
+			}
+		})
+		srv.Kernel().Run()
+		if t.Failed() {
+			t.FailNow()
+		}
+		for _, v := range loader.rowScratch[:cap(loader.rowScratch)] {
+			if v != (relstore.Value{}) {
+				t.Fatalf("after %s the row scratch still holds %v", f.Name, v)
+			}
+		}
+	}
+	load(first)
+	firstStats = loader.Stats()
+	runID := loader.nextLoadRunID
+	load(second)
+
+	stats := loader.Stats()
+	if stats.Files != 1 || stats.RowsRead != second.DataRows || stats.RowsLoaded != second.DataRows || stats.Commits != 1 || len(stats.Skipped) != 0 {
+		t.Errorf("after Rebind the statistics are not the second file's alone: %+v (the first file's: %d read, %d skipped)",
+			stats, firstStats.RowsRead, firstStats.RowsSkipped)
+	}
+	if firstStats.RowsSkipped == 0 || loader.nextLoadRunID != runID+1 {
+		t.Errorf("first file skipped %d rows; load run id went %d -> %d, want one more", firstStats.RowsSkipped, runID, loader.nextLoadRunID)
+	}
+	if n, _ := srv.DB().Count(catalog.TLoadRuns); n != 2 {
+		t.Errorf("%d load_runs rows, want one per file", n)
+	}
+}

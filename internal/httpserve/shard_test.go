@@ -206,13 +206,13 @@ type gatedClient struct {
 	release chan struct{} // closed to let queries answer
 }
 
-func (c *gatedClient) Call(_ exec.Worker, m wire.Msg) (wire.Msg, error) {
-	switch m.(type) {
-	case wire.Query:
+func (c *gatedClient) Call(_ exec.Worker, req []byte) (wire.Msg, error) {
+	switch wire.TypeOf(req) {
+	case wire.TypeQuery:
 		c.entered <- struct{}{}
 		<-c.release
 		return wire.QueryResult{}, nil
-	case wire.Stats:
+	case wire.TypeStats:
 		return wire.Stats{Ready: true}, nil
 	}
 	return wire.Ready{Ready: true}, nil

@@ -20,11 +20,11 @@ package relstore
 // record, with no device lock held.  FPWALSync fires on whichever goroutine
 // runs the flush, holding the device's flush lock and not its append lock:
 // the committer's own inside Commit (and inside a CommitStart that finds a
-// checkpoint due), an appender's for a rotation or
-// auto-sync flush, and a flush goroutine's after CommitStart — whose panic is
-// carried to PendingCommit.Wait and raised there, where the owner can recover
-// it.  An error returned at FPWALSync fails the device for good, as a real
-// fsync error does.
+// checkpoint due), an appender's for a rotation's flush, and a flush
+// goroutine's after CommitStart — whose panic is carried to
+// PendingCommit.Wait and raised there, where the owner can recover it.  An
+// error returned at FPWALSync fails the device for good, as a real fsync
+// error does.
 
 // FaultPoint identifies one instrumented point on the durability paths.
 type FaultPoint int

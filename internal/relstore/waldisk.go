@@ -44,11 +44,11 @@ import (
 //   - The device owns every "wal-*.seg" and "checkpoint-*.ckpt" file in its
 //     directory.  Exactly one DB may have the directory open at a time;
 //     nothing else may write there.
-//   - Appends buffer in memory; only flush — reached from commits, the
-//     auto-sync threshold, segment rotation and checkpoints — writes buffered
-//     bytes to the OS, and every write is fsynced before the flush lock is
-//     released.  A process kill therefore loses at most the records appended
-//     since the last flush, which is exactly the durability contract commit
+//   - Appends buffer in memory; only flush — reached from commits and from
+//     segment rotation, a checkpoint's included — writes buffered bytes to
+//     the OS, and every write is fsynced before the flush lock is released.
+//     A process kill therefore loses at most the records appended since the
+//     last flush, which is exactly the durability contract commit
 //     acknowledgement makes.
 //   - Durability is an LSN prefix: durableLSN only grows, and a flush writes
 //     the bytes it took in append order.

@@ -53,15 +53,17 @@ type Agent struct {
 	srv   *sqlbatch.Server
 
 	// loadMu serializes load tasks (queries run concurrently against the
-	// DB's own synchronization).
+	// DB's own synchronization).  A task takes its *core.Loader from loaders
+	// and puts it back, so one array-set's buffers serve every task of a
+	// load; a pool, so that an agent done loading gives them up to the second
+	// collection and what stays resident after a load is the database.
 	loadMu   sync.Mutex
 	loadOpen bool
+	loaders  sync.Pool
 
 	// identity, assigned by Hello.
-	idMu     sync.Mutex
-	shardID  uint32
-	deferred bool
-	hello    bool
+	shardID atomic.Uint32
+	hello   atomic.Bool // set after shardID: who sees it sees the id
 
 	rowsLoaded    atomic.Int64
 	queriesServed atomic.Int64
@@ -87,23 +89,16 @@ func NewAgent(sched exec.Scheduler, cfg AgentConfig) (*Agent, error) {
 func (a *Agent) DB() *relstore.DB { return a.db }
 
 // ShardID returns the identity assigned by Hello.
-func (a *Agent) ShardID() uint32 {
-	a.idMu.Lock()
-	defer a.idMu.Unlock()
-	return a.shardID
-}
+func (a *Agent) ShardID() uint32 { return a.shardID.Load() }
 
 // Ready reports whether this shard can serve: identity assigned, no load
 // window open, and the DB's indexes ready (false while loading under the
 // deferred policy, replaying a WAL, or mid-Seal).
 func (a *Agent) Ready() bool {
-	a.idMu.Lock()
-	hello := a.hello
-	a.idMu.Unlock()
 	a.loadMu.Lock()
 	open := a.loadOpen
 	a.loadMu.Unlock()
-	return hello && !open && a.db.Ready()
+	return a.hello.Load() && !open && a.db.Ready()
 }
 
 // Handle processes one coordinator message on the given worker and returns
@@ -125,11 +120,8 @@ func (a *Agent) Handle(w exec.Worker, m wire.Msg) wire.Msg {
 }
 
 func (a *Agent) handleHello(h wire.Hello) wire.Msg {
-	a.idMu.Lock()
-	a.shardID = h.ShardID
-	a.deferred = h.Deferred
-	a.hello = true
-	a.idMu.Unlock()
+	a.shardID.Store(h.ShardID)
+	a.hello.Store(true)
 	if h.Deferred {
 		a.loadMu.Lock()
 		if !a.loadOpen {
@@ -158,17 +150,15 @@ func (a *Agent) handleLoad(w exec.Worker, t wire.LoadTask) wire.Msg {
 		}
 		return res
 	}
-	a.idMu.Lock()
-	hello := a.hello
-	a.idMu.Unlock()
-	if !hello {
+	if !a.hello.Load() {
 		res.Err = "shard: load task before Hello"
 		return res
 	}
-	// The lines are this shard's share of the file, already routed: parse and
-	// load them all.  A line that is not a record is skipped, like a row the
-	// transformer or the database rejects, as on a single node.
-	recs, _ := catalog.ParseLines(t.Lines)
+	// The text is this shard's share of the file, already routed: parse and
+	// load every line.  A line that is not a record is skipped, like a row the
+	// transformer or the database rejects, as on a single node.  The records
+	// alias the text and the text its frame; stored rows refer to neither.
+	recs, lines, _ := catalog.ParseText(t.Text)
 	f := &catalog.File{
 		Name:         t.Name,
 		Records:      recs,
@@ -178,20 +168,26 @@ func (a *Agent) handleLoad(w exec.Worker, t wire.LoadTask) wire.Msg {
 	}
 	before := a.db.TotalRows()
 	conn := a.srv.ConnectWorker(w)
-	loader, err := core.NewLoader(conn, a.cfg.Loader)
-	if err != nil {
-		res.Err = err.Error()
-		return res
+	loader, _ := a.loaders.Get().(*core.Loader)
+	if loader != nil {
+		loader.Rebind(conn)
+	} else {
+		var err error
+		if loader, err = core.NewLoader(conn, a.cfg.Loader); err != nil {
+			res.Err = err.Error()
+			return res
+		}
 	}
 	if err := loader.LoadFile(f); err != nil {
-		res.Err = err.Error()
+		res.Err = err.Error() // the loader stopped mid-file: it is not put back
 		return res
 	}
+	a.loaders.Put(loader)
 	loaded := a.db.TotalRows() - before
 	a.rowsLoaded.Add(loaded)
 	res.RowsLoaded = loaded
 	stats := loader.Stats()
-	res.RowsSkipped = int64(len(t.Lines) - len(f.Records) + stats.ParseErrors + stats.RowsSkipped)
+	res.RowsSkipped = int64(lines - len(recs) + stats.ParseErrors + stats.RowsSkipped)
 	return res
 }
 

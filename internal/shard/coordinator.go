@@ -97,9 +97,9 @@ func (c *Coordinator) client(s int) Client {
 	return c.clients[s]
 }
 
-// call sends m to shard s and requires a reply of type T.
-func call[T wire.Msg](c *Coordinator, w exec.Worker, s int, what string, m wire.Msg) (T, error) {
-	reply, err := c.client(s).Call(w, m)
+// call sends req, one frame, to shard s and requires a reply of type T.
+func call[T wire.Msg](c *Coordinator, w exec.Worker, s int, what string, req []byte) (T, error) {
+	reply, err := c.client(s).Call(w, req)
 	if err != nil {
 		var none T
 		return none, fmt.Errorf("shard %d: %s: %w", s, what, err)
@@ -121,13 +121,13 @@ func (c *Coordinator) Hello(w exec.Worker) error {
 
 func (c *Coordinator) hello(w exec.Worker, s int) error {
 	rng := c.pm.Range(s)
-	_, err := call[wire.Ready](c, w, s, "hello", wire.Hello{
+	_, err := call[wire.Ready](c, w, s, "hello", wire.Append(nil, wire.Hello{
 		ShardID:  uint32(s),
 		Shards:   uint32(c.pm.Shards()),
 		RangeLo:  rng.Lo,
 		RangeHi:  rng.Hi,
 		Deferred: c.cfg.Deferred,
-	})
+	}))
 	return err
 }
 
@@ -142,7 +142,7 @@ type LoadReport struct {
 
 // LoadFiles distributes catalog files across the fleet.  One pass routes
 // every record (routeFile) and extends the object directory; each shard is
-// then sent, file by file, only the lines it loads and — under Deferred — a
+// then sent, file by file, only the text it loads and — under Deferred — a
 // final Seal task.  Shards load their queues in parallel, files within one
 // shard's queue in order.  Nothing of files is retained once it returns.
 func (c *Coordinator) LoadFiles(w exec.Worker, files []*catalog.File) (LoadReport, error) {
@@ -180,35 +180,51 @@ func (c *Coordinator) load(w exec.Worker, files []*catalog.File, shards []int) (
 	return rep, err
 }
 
-// loadQueue sends shard s, in order, the lines routed to it of each queued
-// file (and the closing Seal), adding the results to rep.
+// loadQueue sends shard s, in order, its share of each queued file (and the
+// closing Seal), adding the results to rep.  A share crosses as one block of
+// catalog text, written record by record into the task's frame; one buffer,
+// grown to each share's size, serves the queue and is garbage after it.
 func (c *Coordinator) loadQueue(w exec.Worker, s int, files []*catalog.File, routes [][]uint16, queue []int, rep *LoadReport) error {
+	var buf []byte
 	for _, i := range queue {
-		f := files[i]
+		f, route := files[i], routes[i]
+		text := 0
+		for j, r := range route {
+			if r == uint16(s) || r == routeAll {
+				text += f.Records[j].Bytes()
+			}
+		}
 		task := wire.LoadTask{
+			TaskID:       c.taskID.Add(1),
 			Name:         f.Name,
 			RABase:       f.RABase,
 			DecBase:      f.DecBase,
 			NominalBytes: f.NominalBytes,
-			Lines:        make([]string, 0, len(routes[i])),
 		}
-		for j, r := range routes[i] {
-			if r == uint16(s) || r == routeAll {
-				task.Lines = append(task.Lines, f.Records[j].Format())
+		var err error
+		buf, err = wire.AppendLoadTask(buf[:0], task, text, func(dst []byte) []byte {
+			for j, r := range route {
+				if r == uint16(s) || r == routeAll {
+					dst = f.Records[j].AppendLine(dst)
+				}
 			}
+			return dst
+		})
+		if err != nil {
+			return fmt.Errorf("shard %d: %w", s, err)
 		}
-		if err := c.loadTask(w, s, "load "+f.Name, task, rep); err != nil {
+		if err := c.loadTask(w, s, "load "+f.Name, buf, rep); err != nil {
 			return err
 		}
 	}
 	if c.cfg.Deferred {
-		return c.loadTask(w, s, "seal", wire.LoadTask{Seal: true}, rep)
+		seal := wire.LoadTask{TaskID: c.taskID.Add(1), Seal: true}
+		return c.loadTask(w, s, "seal", wire.Append(buf[:0], seal), rep)
 	}
 	return nil
 }
 
-func (c *Coordinator) loadTask(w exec.Worker, s int, what string, task wire.LoadTask, rep *LoadReport) error {
-	task.TaskID = c.taskID.Add(1)
+func (c *Coordinator) loadTask(w exec.Worker, s int, what string, task []byte, rep *LoadReport) error {
 	res, err := call[wire.LoadResult](c, w, s, what, task)
 	if err != nil {
 		return err
@@ -254,17 +270,17 @@ func (c *Coordinator) Execute(w exec.Worker, q queries.Query, tr *trace.Req) (qu
 	c.queriesTotal.Add(1)
 	c.classFanout(q.Class()).Add(int64(len(targets)))
 
-	id := c.queryID.Add(1)
-	wq, err := wire.FromQuery(id, q)
+	wq, err := wire.FromQuery(c.queryID.Add(1), q)
 	if err != nil {
 		return queries.Result{}, err
 	}
+	req := wire.Append(nil, wq) // read by every branch, written by none
 
 	replies := make([]wire.QueryResult, len(targets))
 	scatterStart := w.Now()
 	err = c.fanout(w, targets, func(fw exec.Worker, i, s int) error {
 		c.shardRequests[s].Add(1)
-		res, err := call[wire.QueryResult](c, fw, s, "query", wq)
+		res, err := call[wire.QueryResult](c, fw, s, "query", req)
 		if err != nil {
 			return err
 		}
@@ -405,8 +421,9 @@ func (c *Coordinator) Ready(w exec.Worker) bool {
 // ShardStats probes every shard for its current stats.
 func (c *Coordinator) ShardStats(w exec.Worker) ([]wire.Stats, error) {
 	out := make([]wire.Stats, c.pm.Shards())
+	probe := wire.Append(nil, wire.Stats{})
 	err := c.fanout(w, c.all, func(fw exec.Worker, _, s int) error {
-		st, err := call[wire.Stats](c, fw, s, "stats", wire.Stats{})
+		st, err := call[wire.Stats](c, fw, s, "stats", probe)
 		out[s] = st
 		return err
 	})

@@ -65,6 +65,92 @@ func TestCoordinatorHoldsNoRecords(t *testing.T) {
 	}
 }
 
+// TestFleetLoadGuards pins what a fleet load costs in counters that repeat:
+// on the fixed night over the in-memory transport (which hands the agent its
+// own copy of every frame, as a socket does), Coordinator.LoadFiles makes
+// under a quarter of an allocation per row loaded — a record is written into
+// its task's frame and cut out of it again without a string of its own (3.2
+// per row when a task was a string per line) — a load task's frame is within
+// 1 % of the catalog text it carries (1.08 with a length prefix per line),
+// every file is one task per shard it reaches, an agent done loading holds
+// no loader, and the fleet stores the rows and answers the queries of one
+// node.
+func TestFleetLoadGuards(t *testing.T) {
+	const (
+		allocCeiling = 0.25 // mallocs per row loaded, whole process
+		wireCeiling  = 1.01 // load-task frame bytes per routed text byte
+	)
+	// Files of the benchmark night's length: the loader's own allocations are
+	// per batch and per flush cycle, and short files end more of both early.
+	files := catalog.GenerateNight(catalog.NightSpec{TotalMB: 400, RowsPerMB: 100, Seed: 22, RunID: 1, Files: 4})
+	oracle := buildOracle(t, files, tuning.ProductionLoading())
+	co, agents, inline := startFleet(t, files, 3, false)
+	defer co.Close()
+
+	var text, tasks int64
+	dir := new(directory).clone()
+	for _, f := range files {
+		route, targets := routeFile(co.pm, dir, f)
+		tasks += int64(len(targets))
+		for i, rec := range f.Records {
+			if route[i] == routeAll {
+				text += int64(rec.Bytes() * len(targets))
+			} else {
+				text += int64(rec.Bytes())
+			}
+		}
+	}
+
+	sent := co.Snapshot().BytesSent
+	var rep LoadReport
+	var err error
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	inline.RunInline("fleet-load", func(w exec.Worker) { rep, err = co.LoadFiles(w, files) })
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sent = co.Snapshot().BytesSent - sent
+	if rep.RowsLoaded < 30_000 || rep.RowsSkipped != 0 {
+		t.Fatalf("the night loaded %d rows and skipped %d, want at least 30000 and none", rep.RowsLoaded, rep.RowsSkipped)
+	}
+	perRow := float64(after.Mallocs-before.Mallocs) / float64(rep.RowsLoaded)
+	perByte := float64(sent) / float64(text)
+	t.Logf("%d rows in %d tasks: %.3f mallocs and %.0f bytes allocated per row loaded; %d frame bytes for %d text bytes, %.4f",
+		rep.RowsLoaded, rep.Tasks, perRow, float64(after.TotalAlloc-before.TotalAlloc)/float64(rep.RowsLoaded), sent, text, perByte)
+	if perRow > allocCeiling {
+		t.Errorf("%.3f mallocs per row loaded, ceiling %.2f", perRow, allocCeiling)
+	}
+	if perByte > wireCeiling {
+		t.Errorf("%.4f frame bytes per text byte, ceiling %.2f", perByte, wireCeiling)
+	}
+	if int64(rep.Tasks) != tasks || rep.Files != len(files) {
+		t.Errorf("%d tasks for %d files, want one per file and shard it reaches: %d for %d", rep.Tasks, rep.Files, tasks, len(files))
+	}
+
+	runtime.GC()
+	runtime.GC()
+	for s, a := range agents {
+		if a.loaders.Get() != nil {
+			t.Errorf("agent %d still holds a loader two collections after its last task", s)
+		}
+	}
+	for _, table := range objectTreeTables {
+		want, _ := oracle.Count(table)
+		var got int64
+		for _, a := range agents {
+			n, _ := a.DB().Count(table)
+			got += n
+		}
+		if got != want {
+			t.Errorf("%s: fleet holds %d rows, single node %d", table, got, want)
+		}
+	}
+	assertOracleIdentical(t, co, inline, oracle, testQueries(files, 40))
+}
+
 // TestLookupFansOutToOneShard: every lookup of a loaded object costs one
 // shard call, examines one row as a single node does, and answers
 // byte-identically to the oracle and to a broadcast; a lookup the directory

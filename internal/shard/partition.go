@@ -12,6 +12,7 @@ package shard
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"skyloader/internal/catalog"
@@ -40,7 +41,7 @@ func NewUniformPartition(n int) (*PartitionMap, error) {
 	width := full.Trixels()
 	bounds := make([]int64, n+1)
 	for i := 0; i < n; i++ {
-		bounds[i] = full.Lo + int64(i)*(width/int64(n)) + min64(int64(i), width%int64(n))
+		bounds[i] = full.Lo + int64(i)*(width/int64(n)) + min(int64(i), width%int64(n))
 	}
 	bounds[n] = full.Hi + 1
 	return &PartitionMap{bounds: bounds}, nil
@@ -60,8 +61,8 @@ func PartitionFromFiles(files []*catalog.File, n int) (*PartitionMap, error) {
 	for _, f := range files {
 		centers = append(centers, fileCenterTrixel(f))
 	}
-	sort.Slice(centers, func(i, j int) bool { return centers[i] < centers[j] })
-	centers = dedupeInt64(centers)
+	slices.Sort(centers)
+	centers = slices.Compact(centers)
 	if len(centers) < n {
 		// Too few distinct footprints to guide every boundary; fall back
 		// to the uniform tiling.
@@ -184,21 +185,4 @@ func clampDec(dec float64) float64 {
 		return -90
 	}
 	return dec
-}
-
-func dedupeInt64(xs []int64) []int64 {
-	out := xs[:0]
-	for i, x := range xs {
-		if i == 0 || x != out[len(out)-1] {
-			out = append(out, x)
-		}
-	}
-	return out
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -23,30 +23,24 @@ type objField struct {
 	childIdx        int // object_id position in child records (FNG/OAP/SHP/FLG)
 }
 
-var objFieldOnce sync.Once
-var objFields objField
-
-func objLayout() objField {
-	objFieldOnce.Do(func() {
-		layout, _ := catalog.LayoutFor(catalog.TagOBJ)
-		f := objField{raIdx: -1, decIdx: -1, idIdx: -1, childIdx: 1}
-		for i, name := range layout.Fields {
-			switch name {
-			case "ra":
-				f.raIdx = i
-			case "dec":
-				f.decIdx = i
-			case "object_id":
-				f.idIdx = i
-			}
+var objLayout = sync.OnceValue(func() objField {
+	layout, _ := catalog.LayoutFor(catalog.TagOBJ)
+	f := objField{raIdx: -1, decIdx: -1, idIdx: -1, childIdx: 1}
+	for i, name := range layout.Fields {
+		switch name {
+		case "ra":
+			f.raIdx = i
+		case "dec":
+			f.decIdx = i
+		case "object_id":
+			f.idIdx = i
 		}
-		ts := catalog.NewSchema().Table(catalog.TObjects)
-		f.raPrec = ts.Columns[ts.ColumnIndex("ra")].Precision
-		f.decPrec = ts.Columns[ts.ColumnIndex("dec")].Precision
-		objFields = f
-	})
-	return objFields
-}
+	}
+	ts := catalog.NewSchema().Table(catalog.TObjects)
+	f.raPrec = ts.Columns[ts.ColumnIndex("ra")].Precision
+	f.decPrec = ts.Columns[ts.ColumnIndex("dec")].Precision
+	return f
+})
 
 // objectTrixel resolves an OBJ record to its depth-DefaultDepth trixel id,
 // replicating the transformer's pipeline exactly: trim, parse, round to the

@@ -1,6 +1,12 @@
 package shard
 
 import (
+	"bytes"
+	"errors"
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"sync"
@@ -126,16 +132,20 @@ type countingClient struct {
 	objectTree             int64
 }
 
-func (c *countingClient) Call(w exec.Worker, m wire.Msg) (wire.Msg, error) {
-	reply, err := c.Client.Call(w, m)
+func (c *countingClient) Call(w exec.Worker, req []byte) (wire.Msg, error) {
+	reply, err := c.Client.Call(w, req)
+	m, _, decErr := wire.Decode(req)
 	task, ok := m.(wire.LoadTask)
-	if !ok || err != nil {
-		return reply, err
+	if !ok || err != nil || decErr != nil {
+		return reply, errors.Join(err, decErr)
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.lines += int64(len(task.Lines))
-	for _, line := range task.Lines {
+	for _, line := range strings.SplitAfter(task.Text, "\n") {
+		if line == "" {
+			continue
+		}
+		c.lines++
 		tag := catalog.Tag(line[:strings.Index(line, catalog.FieldSep)])
 		if tag == catalog.TagOBJ || childTag(tag) {
 			c.objectTree++
@@ -209,6 +219,107 @@ func TestEachRecordCrossesOnce(t *testing.T) {
 	}
 	if skipped == 0 {
 		t.Error("no row was skipped on a night with a 2% error rate; the skip accounting was not exercised")
+	}
+}
+
+// TestLoadTaskAccountsForEveryLine: a block is catalog text, and an agent
+// reads it as one node reads a file.  A corrupted file with blank lines,
+// comments, lines a field short, lines of no known tag, CRLF endings and no
+// final newline goes to a one-agent fleet as one task, through the codec: the
+// agent loads the rows and skips the lines that catalog.ReadRecords plus one
+// loader do on the same bytes, table by table, and rows loaded plus rows
+// skipped is every line of the block.
+func TestLoadTaskAccountsForEveryLine(t *testing.T) {
+	file := catalog.Generate(catalog.GenSpec{Name: "damaged.cat", SizeMB: 20, Seed: 17, ErrorRate: 0.02, RunID: 1, IDBase: 1000})
+	var buf bytes.Buffer
+	if _, err := file.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.SplitAfter(buf.String(), "\n")
+	noRecord := 1 // the header comment
+	for j := 3; j < len(lines)-1; j += 29 {
+		switch j % 5 {
+		case 0:
+			lines[j] = "\n"
+		case 1:
+			lines[j] = "# " + lines[j]
+		case 2:
+			lines[j] = strings.Replace(lines[j], catalog.FieldSep, "", 1)
+		case 3:
+			lines[j] = strings.TrimSuffix(lines[j], "\n") + "\r\n"
+			continue
+		case 4:
+			lines[j] = "ZZZ|" + lines[j]
+		}
+		noRecord++
+	}
+	text := strings.TrimSuffix(strings.Join(lines, ""), "\n")
+	total := strings.Count(text, "\n") + 1
+
+	recs, errs := catalog.ReadRecords(strings.NewReader(text))
+	if total-len(recs) != noRecord || len(errs) == 0 || len(errs) >= noRecord {
+		t.Fatalf("%d lines, %d records, %d parse errors; %d lines were made no record", total, len(recs), len(errs), noRecord)
+	}
+	one := *file
+	one.Records = recs
+	oracle, want := loadOracle(t, []*catalog.File{&one}, tuning.ProductionLoading())
+	if want.ParseErrors == 0 || want.RowsSkipped == 0 {
+		t.Fatalf("the single node had %d transform errors and %d rejected rows; the file exercises nothing", want.ParseErrors, want.RowsSkipped)
+	}
+
+	co, agents, inline := startFleet(t, []*catalog.File{&one}, 1, false)
+	defer co.Close()
+	task := wire.LoadTask{TaskID: 1, Name: one.Name, RABase: one.RABase, DecBase: one.DecBase, NominalBytes: one.NominalBytes, Text: text}
+	var reply wire.Msg
+	var err error
+	inline.RunInline("task", func(w exec.Worker) { reply, err = co.clients[0].Call(w, wire.Append(nil, task)) })
+	res, ok := reply.(wire.LoadResult)
+	if err != nil || !ok || res.Err != "" {
+		t.Fatalf("load task: %v, reply %#v", err, reply)
+	}
+	if res.RowsLoaded != int64(want.RowsLoaded) || res.RowsSkipped != int64(noRecord+want.ParseErrors+want.RowsSkipped) {
+		t.Errorf("agent loaded %d and skipped %d; one node loaded %d and skipped %d lines that are no record, %d it could not transform and %d the database rejected",
+			res.RowsLoaded, res.RowsSkipped, want.RowsLoaded, noRecord, want.ParseErrors, want.RowsSkipped)
+	}
+	if res.RowsLoaded+res.RowsSkipped != int64(total) {
+		t.Errorf("%d loaded + %d skipped, the block has %d lines", res.RowsLoaded, res.RowsSkipped, total)
+	}
+	for _, table := range catalog.CatalogTables() {
+		got, _ := agents[0].DB().Count(table)
+		if n, _ := oracle.Count(table); got != n {
+			t.Errorf("%s: agent holds %d rows, single node %d", table, got, n)
+		}
+	}
+}
+
+// TestOversizedShareFailsAtTheCoordinator: a share is one frame, and a frame
+// holds frame.MaxPayload bytes.  A file whose share is larger fails LoadFiles
+// with an error that names the shard, the file and the limit, before a byte
+// of it is built or sent — not as a corrupt frame on the agent's side of the
+// socket.  (The 68 MiB here are seventeen records sharing one 4 MiB field.)
+func TestOversizedShareFailsAtTheCoordinator(t *testing.T) {
+	files := catalog.GenerateNight(catalog.NightSpec{TotalMB: 1, Files: 1, RowsPerMB: 100, Seed: 3})
+	f := *files[0]
+	f.Records = append([]catalog.Record(nil), f.Records...)
+	big := strings.Repeat("x", 4<<20)
+	for i := 0; i < 17; i++ {
+		f.Records = append(f.Records, catalog.Record{Tag: catalog.TagPRM, Fields: []string{"1", "2", "name", big}})
+	}
+	co, agents, inline := startFleet(t, []*catalog.File{&f}, 2, false)
+	defer co.Close()
+	sent := co.Snapshot().BytesSent
+	var err error
+	inline.RunInline("fleet-load", func(w exec.Worker) { _, err = co.LoadFiles(w, []*catalog.File{&f}) })
+	if err == nil || !strings.Contains(err.Error(), f.Name) || !strings.Contains(err.Error(), "frame limit") {
+		t.Fatalf("LoadFiles of a 68 MiB share: %v; want an error naming %s and the frame limit", err, f.Name)
+	}
+	if n := co.Snapshot().BytesSent - sent; n != 0 {
+		t.Errorf("%d bytes were sent before the load failed", n)
+	}
+	for s, a := range agents {
+		if n, _ := a.DB().Count(catalog.TObservations); n != 0 {
+			t.Errorf("agent %d loaded %d observations of a file that could not be sent", s, n)
+		}
 	}
 }
 
@@ -306,6 +417,93 @@ func TestChildFollowsObjectOfEarlierFile(t *testing.T) {
 	for s, a := range agents {
 		if orphans, err := a.DB().VerifyIntegrity(); err != nil || orphans != 0 {
 			t.Errorf("agent %d: %d orphan rows (%v)", s, orphans, err)
+		}
+	}
+}
+
+var captureWireSeeds = flag.Bool("capture-wire-seeds", false, "rewrite wire's FuzzWireDecode seed corpus from a real fleet's frames")
+
+// capturingClient keeps every frame that crosses it, requests as sent and
+// replies re-encoded.
+type capturingClient struct {
+	Client
+	mu     sync.Mutex
+	frames *[][]byte
+}
+
+func (c *capturingClient) Call(w exec.Worker, req []byte) (wire.Msg, error) {
+	reply, err := c.Client.Call(w, req)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	*c.frames = append(*c.frames, append([]byte(nil), req...))
+	if err == nil {
+		*c.frames = append(*c.frames, wire.Append(nil, reply))
+	}
+	return reply, err
+}
+
+// TestCaptureWireSeeds regenerates internal/shard/wire/testdata/fuzz/
+// FuzzWireDecode from what a small deferred-index fleet really sends: run it
+// with -capture-wire-seeds after changing a message's layout.  The first
+// frame of each message type (each kind, for queries and their results) is
+// kept, and load tasks from two shards.
+func TestCaptureWireSeeds(t *testing.T) {
+	if !*captureWireSeeds {
+		t.Skip("run with -capture-wire-seeds to rewrite the corpus")
+	}
+	files := catalog.GenerateNight(catalog.NightSpec{TotalMB: 0.6, Files: 2, RowsPerMB: 60, Seed: 13})
+	co, _, inline := startFleet(t, files, 2, true)
+	defer co.Close()
+	var frames [][]byte
+	for s := range co.clients {
+		co.clients[s] = &capturingClient{Client: co.clients[s], frames: &frames}
+	}
+	inline.RunInline("capture", func(w exec.Worker) {
+		if err := co.Hello(w); err != nil {
+			t.Error(err)
+		}
+		if _, err := co.LoadFiles(w, files); err != nil {
+			t.Error(err)
+		}
+		for _, q := range testQueries(files, 4) {
+			if _, err := co.Execute(w, q, nil); err != nil {
+				t.Error(err)
+			}
+		}
+		co.Ready(w)
+	})
+	dir := filepath.Join("wire", "testdata", "fuzz", "FuzzWireDecode")
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	kept := map[string]int{}
+	for _, frame := range frames {
+		m, _, err := wire.Decode(frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		name, most := "real-"+strings.ToLower(strings.TrimPrefix(fmt.Sprintf("%T", m), "wire.")), 1
+		switch m := m.(type) {
+		case wire.LoadTask:
+			if m.Seal {
+				name += "-seal"
+			} else {
+				most = 2
+			}
+		case wire.Query:
+			name += fmt.Sprintf("-kind%d", m.Kind)
+		case wire.QueryResult:
+			name += fmt.Sprintf("-%dobjects-%dbins", min(len(m.Objects), 1), min(len(m.Bins), 1))
+		}
+		if kept[name]++; kept[name] > most {
+			continue
+		}
+		body := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", frame)
+		if err := os.WriteFile(filepath.Join(dir, fmt.Sprintf("%s-%d", name, kept[name])), []byte(body), 0o644); err != nil {
+			t.Fatal(err)
 		}
 	}
 }

@@ -133,6 +133,13 @@ func TestRoutingOracleProperty(t *testing.T) {
 // byte-identity reference for every scatter-gather result.
 func buildOracle(t testing.TB, files []*catalog.File, prof tuning.Profile) *relstore.DB {
 	t.Helper()
+	db, _ := loadOracle(t, files, prof)
+	return db
+}
+
+// loadOracle is buildOracle that also returns the single loader's totals.
+func loadOracle(t testing.TB, files []*catalog.File, prof tuning.Profile) (*relstore.DB, core.Stats) {
+	t.Helper()
 	sched := exec.NewRealtime(exec.RealtimeConfig{Seed: 1})
 	db, err := relstore.Open(catalog.NewSchema(), prof.Options()...)
 	if err != nil {
@@ -152,7 +159,7 @@ func buildOracle(t testing.TB, files []*catalog.File, prof tuning.Profile) *rels
 		t.Fatal(err)
 	}
 	srv := sqlbatch.NewServerOn(sched, db, prof.ServerConfig(), sqlbatch.DefaultCostModel())
-	_, err = parallel.Run(srv, files, parallel.Config{
+	res, err := parallel.Run(srv, files, parallel.Config{
 		Loaders:       1,
 		Loader:        core.Config{BatchSize: 40, ArraySize: 1000, ChargeStaging: true},
 		SealAfterLoad: prof.DeferredIndexBuild,
@@ -160,7 +167,7 @@ func buildOracle(t testing.TB, files []*catalog.File, prof tuning.Profile) *rels
 	if err != nil {
 		t.Fatal(err)
 	}
-	return db
+	return db, res.Total
 }
 
 // startFleet assembles n in-process agents behind mem clients on a realtime

@@ -40,10 +40,7 @@ func (c SimConfig) withDefaults() SimConfig {
 		c.SizeMB = 4
 	}
 	if c.Files <= 0 {
-		c.Files = c.Shards
-		if c.Files < 4 {
-			c.Files = 4
-		}
+		c.Files = max(c.Shards, 4)
 	}
 	if c.RowsPerMB <= 0 {
 		c.RowsPerMB = 200

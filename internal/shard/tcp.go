@@ -81,7 +81,6 @@ func (s *AgentServer) handleConn(conn net.Conn) {
 		conn.Close()
 	}()
 	br := bufio.NewReader(conn)
-	bw := bufio.NewWriter(conn)
 	for {
 		msg, _, err := wire.ReadMsg(br)
 		if err != nil {
@@ -91,10 +90,7 @@ func (s *AgentServer) handleConn(conn net.Conn) {
 		s.inline.RunInline("shard-agent-conn", func(w exec.Worker) {
 			reply = s.agent.Handle(w, msg)
 		})
-		if _, err := wire.WriteMsg(bw, reply); err != nil {
-			return
-		}
-		if err := bw.Flush(); err != nil {
+		if _, err := conn.Write(wire.Append(nil, reply)); err != nil {
 			return
 		}
 	}
@@ -178,7 +174,7 @@ func (c *tcpClient) dropConn() {
 
 // Call implements Client.  The worker is unused for pacing — TCP transport
 // runs under the realtime engine where network time is real time.
-func (c *tcpClient) Call(_ exec.Worker, m wire.Msg) (wire.Msg, error) {
+func (c *tcpClient) Call(_ exec.Worker, req []byte) (wire.Msg, error) {
 	if c.shut.Load() {
 		return nil, errors.New("shard: client closed")
 	}
@@ -188,14 +184,14 @@ func (c *tcpClient) Call(_ exec.Worker, m wire.Msg) (wire.Msg, error) {
 		return nil, err
 	}
 	var deadline time.Time // zero clears the previous call's
-	if _, load := m.(wire.LoadTask); !load {
+	if wire.TypeOf(req) != wire.TypeLoadTask {
 		deadline = time.Now().Add(c.timeout)
 	}
 	if err := c.conn.SetDeadline(deadline); err != nil {
 		c.dropConn()
 		return nil, fmt.Errorf("shard: set deadline on %s: %w", c.addr, err)
 	}
-	n, err := wire.WriteMsg(c.conn, m)
+	n, err := c.conn.Write(req)
 	c.sent.Add(int64(n))
 	if err != nil {
 		c.dropConn()

@@ -1,8 +1,8 @@
 package shard
 
 import (
+	"bytes"
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -11,13 +11,13 @@ import (
 )
 
 // Client is one coordinator-side connection to a shard agent.  Call sends
-// one message and blocks the worker until the reply arrives; a client
-// carries one outstanding request at a time (the coordinator scatters by
-// running one worker per shard).  Bytes reports the framed traffic so the
-// coordinator can export bytes-on-the-wire without transports sharing
-// counters.
+// one message (req, its frame as wire.Append built it: read, not kept) and
+// blocks the worker until the reply arrives; a client carries one
+// outstanding request at a time (the coordinator scatters by running one
+// worker per shard).  Bytes reports the framed traffic so the coordinator can
+// export bytes-on-the-wire without transports sharing counters.
 type Client interface {
-	Call(w exec.Worker, m wire.Msg) (wire.Msg, error)
+	Call(w exec.Worker, req []byte) (wire.Msg, error)
 	Bytes() (sent, received int64)
 	Close() error
 }
@@ -39,19 +39,19 @@ func (m NetModel) Cost(n int) time.Duration {
 	return d
 }
 
-// memClient is the in-process transport: messages are encoded through the
-// real wire codec (so the DES simulation and the TCP path exercise the same
-// bytes, and no memory is shared between coordinator and agent), the
-// network is charged via worker sleeps, and a capacity-1 resource
-// serializes the agent like a single-core remote node.
+// memClient is the in-process transport: messages cross as the real wire
+// codec's bytes, which the agent decodes from its own copy as off a socket
+// (so the DES simulation and the TCP path exercise the same bytes, and no
+// memory is shared between coordinator and agent), the network is charged
+// via worker sleeps, and a capacity-1 resource serializes the agent like a
+// single-core remote node.
 type memClient struct {
 	agent  *Agent
 	net    NetModel
 	cpu    exec.Resource
 	sent   atomic.Int64
 	recv   atomic.Int64
-	mu     sync.Mutex
-	closed bool
+	closed atomic.Bool
 }
 
 // NewMemClient connects a coordinator to an in-process agent on the shared
@@ -67,17 +67,13 @@ func NewMemClient(sched exec.Scheduler, agent *Agent, net NetModel) Client {
 }
 
 // Call implements Client.
-func (c *memClient) Call(w exec.Worker, m wire.Msg) (wire.Msg, error) {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
+func (c *memClient) Call(w exec.Worker, req []byte) (wire.Msg, error) {
+	if c.closed.Load() {
 		return nil, fmt.Errorf("shard: client closed")
 	}
-	c.mu.Unlock()
-	req := wire.Append(nil, m)
 	c.sent.Add(int64(len(req)))
 	w.Sleep(c.net.Cost(len(req)))
-	decoded, _, err := wire.Decode(req)
+	decoded, _, err := wire.ReadMsg(bytes.NewReader(req))
 	if err != nil {
 		return nil, err
 	}
@@ -88,10 +84,7 @@ func (c *memClient) Call(w exec.Worker, m wire.Msg) (wire.Msg, error) {
 	c.recv.Add(int64(len(resp)))
 	w.Sleep(c.net.Cost(len(resp)))
 	out, _, err := wire.Decode(resp)
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
+	return out, err
 }
 
 // Bytes implements Client.
@@ -99,8 +92,6 @@ func (c *memClient) Bytes() (int64, int64) { return c.sent.Load(), c.recv.Load()
 
 // Close implements Client.
 func (c *memClient) Close() error {
-	c.mu.Lock()
-	c.closed = true
-	c.mu.Unlock()
+	c.closed.Store(true)
 	return nil
 }

@@ -18,6 +18,8 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
+	"unsafe"
 
 	"skyloader/internal/frame"
 	"skyloader/internal/queries"
@@ -89,8 +91,11 @@ type Ready struct {
 
 // LoadTask carries one shard's share of a catalog file to its agent, or —
 // when Seal is set — asks the agent to close its load window and rebuild
-// deferred indexes.  Lines are raw catalog lines the coordinator has already
-// routed: the agent parses and loads every one of them.
+// deferred indexes.  Text is that share as catalog text, one block of
+// newline-terminated lines the coordinator has already routed: the agent
+// parses and loads every one of them.  A decoded task's Text is a window of
+// the payload it was decoded from, not a copy: those bytes must not change
+// while the task or anything cut from its text is in use.
 type LoadTask struct {
 	TaskID       uint64
 	Seal         bool
@@ -98,7 +103,7 @@ type LoadTask struct {
 	RABase       float64
 	DecBase      float64
 	NominalBytes int64
-	Lines        []string
+	Text         string
 }
 
 // LoadResult acknowledges one LoadTask.
@@ -189,19 +194,37 @@ func (m Ready) appendPayload(dst []byte) []byte {
 	return appendI64(dst, m.Rows)
 }
 
-func (m LoadTask) appendPayload(dst []byte) []byte {
+// appendHead appends every field of the payload before Text.
+func (m LoadTask) appendHead(dst []byte) []byte {
 	dst = appendU8(dst, TypeLoadTask)
 	dst = appendU64(dst, m.TaskID)
 	dst = appendBool(dst, m.Seal)
 	dst = appendString(dst, m.Name)
 	dst = appendF64(dst, m.RABase)
 	dst = appendF64(dst, m.DecBase)
-	dst = appendI64(dst, m.NominalBytes)
-	dst = appendU32(dst, uint32(len(m.Lines)))
-	for _, ln := range m.Lines {
-		dst = appendString(dst, ln)
+	return appendI64(dst, m.NominalBytes)
+}
+
+func (m LoadTask) appendPayload(dst []byte) []byte {
+	return appendString(m.appendHead(dst), m.Text)
+}
+
+// AppendLoadTask is Append for a task whose text is written in place: m.Text
+// is ignored and the text is the textBytes bytes fill appends to the slice it
+// is given, which has room for them.  A block assembled from many records is
+// so never built anywhere but in its frame; one too large for a frame is an
+// error before any of it is built.
+func AppendLoadTask(dst []byte, m LoadTask, textBytes int, fill func(dst []byte) []byte) ([]byte, error) {
+	out, mark := frame.Begin(dst)
+	out = appendU32(m.appendHead(out), uint32(textBytes))
+	end := len(out) + textBytes
+	if end-mark-FrameHeader > MaxMessageBytes {
+		return dst, fmt.Errorf("wire: load task %s: %d bytes of text exceed the %d-byte frame limit", m.Name, textBytes, MaxMessageBytes)
 	}
-	return dst
+	if out = fill(slices.Grow(out, textBytes)); len(out) != end {
+		panic(fmt.Sprintf("wire: load task %s: fill wrote %d bytes of text, not %d", m.Name, len(out)-end+textBytes, textBytes))
+	}
+	return frame.Finish(out, mark), nil
 }
 
 func (m LoadResult) appendPayload(dst []byte) []byte {
@@ -273,10 +296,19 @@ func Append(dst []byte, m Msg) []byte {
 	return frame.Finish(m.appendPayload(dst), mark)
 }
 
+// TypeOf returns the message type byte of a frame Append built, 0 if frame
+// is too short to hold one.
+func TypeOf(frame []byte) byte {
+	if len(frame) <= FrameHeader {
+		return 0
+	}
+	return frame[FrameHeader]
+}
+
 // Decode decodes one framed message from the head of buf.  It returns the
 // message and the number of bytes consumed.  ErrShort means buf ends before
 // the frame does (read more and retry); ErrCorrupt means the frame or its
-// payload is damaged.
+// payload is damaged.  A LoadTask's Text aliases buf.
 func Decode(buf []byte) (Msg, int, error) {
 	payload, _, st := frame.Next(buf)
 	switch st {
@@ -322,13 +354,8 @@ func DecodePayload(payload []byte) (Msg, error) {
 			DecBase:      r.F64(),
 			NominalBytes: r.I64(),
 		}
-		// Each line carries at least its length prefix.
-		if n := r.Count(4); n > 0 {
-			t.Lines = make([]string, 0, n)
-			for i := 0; i < n; i++ {
-				t.Lines = append(t.Lines, str(r))
-			}
-		}
+		text := r.Bytes(int(r.U32()))
+		t.Text = unsafe.String(unsafe.SliceData(text), len(text))
 		m = t
 	case TypeLoadResult:
 		m = LoadResult{
@@ -397,11 +424,6 @@ func DecodePayload(payload []byte) (Msg, error) {
 		return nil, err
 	}
 	return m, nil
-}
-
-// WriteMsg frames and writes one message to w, returning the bytes written.
-func WriteMsg(w io.Writer, m Msg) (int, error) {
-	return w.Write(Append(nil, m))
 }
 
 // ReadMsg reads one framed message from r, returning the bytes consumed.

@@ -6,6 +6,7 @@ import (
 	"io"
 	"math"
 	"math/rand"
+	"os"
 	"reflect"
 	"testing"
 
@@ -23,7 +24,7 @@ func sampleMessages() []Msg {
 		Ready{},
 		LoadTask{TaskID: 42, Name: "mega_0001.cat", RABase: 187.25, DecBase: -12.5,
 			NominalBytes: 1 << 20,
-			Lines:        []string{"OBJ|1|2|3.5|4.5|18.2|0.01|1.1|0.2|0", "", "# comment"}},
+			Text:         "OBJ|1|2|3.5|4.5|18.2|0.01|1.1|0.2|0\n\n# comment\r\nFNG|7|1|2|3|4|5"},
 		LoadTask{TaskID: 43, Seal: true},
 		LoadResult{TaskID: 42, ShardID: 2, RowsLoaded: 99, RowsSkipped: 7, Err: "boom"},
 		Query{QueryID: 1, Kind: KindCone, RA: 123.456, Dec: -45.5, Radius: 0.25},
@@ -75,6 +76,73 @@ func TestRoundTripConcatenated(t *testing.T) {
 	}
 }
 
+// TestAppendLoadTaskInPlace: a task whose text is written into the frame
+// piece by piece is byte for byte the task Append encodes from a Text built
+// first, and rebuilding it in the same buffer allocates nothing; one past the
+// frame limit is refused before fill is called; and the text that decodes from a frame is
+// a window of it, not a copy.
+func TestAppendLoadTaskInPlace(t *testing.T) {
+	lines := []string{"FRM|1|2|3|4.5|60|1.4|820.5|24.1\n", "\n", "OBJ|1|2|3.5|4.5|18.2|0.01|1.1|0.2|0\r\n", "# no newline after this"}
+	task := LoadTask{TaskID: 7, Name: "mega_0002.cat", RABase: 12.5, DecBase: -3.25, NominalBytes: 99}
+	whole := task
+	for _, ln := range lines {
+		whole.Text += ln
+	}
+	prefix := []byte("earlier frames")
+	fill := func(dst []byte) []byte {
+		for _, ln := range lines {
+			dst = append(dst, ln...)
+		}
+		return dst
+	}
+	got, err := AppendLoadTask(append([]byte(nil), prefix...), task, len(whole.Text), fill)
+	if want := Append(prefix, whole); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("in-place frame differs from Append's (%v):\n got %x\nwant %x", err, got, want)
+	}
+	if n := testing.AllocsPerRun(20, func() { got, _ = AppendLoadTask(got[:0], task, len(whole.Text), fill) }); n != 0 {
+		t.Errorf("building the frame again in its buffer took %.0f allocations", n)
+	}
+	frame := got
+	if _, err := AppendLoadTask(nil, task, MaxMessageBytes, fill); err == nil {
+		t.Fatal("a task one name and 42 bytes over the frame limit was accepted")
+	}
+	m, _, err := Decode(frame)
+	if err != nil || !reflect.DeepEqual(m, whole) {
+		t.Fatalf("decode: %v, %#v", err, m)
+	}
+	at := bytes.Index(frame, []byte("FRM|"))
+	frame[at] = 'X'
+	if text := m.(LoadTask).Text; text[0] != 'X' {
+		t.Fatalf("decoded text %q does not alias the frame", text[:8])
+	}
+	if TypeOf(frame) != TypeLoadTask || TypeOf(frame[:FrameHeader]) != 0 {
+		t.Fatalf("TypeOf: %#x for the frame, %#x for its bare header", TypeOf(frame), TypeOf(frame[:FrameHeader]))
+	}
+}
+
+// TestOldLoadTaskLayoutIsCorrupt: a LoadTask frame captured from the build
+// before this layout (a count, then a length prefix per line; testdata/
+// loadtask_lines_layout.frame carries three lines) passes the CRC and must
+// not decode to a task with the wrong text.  Its line count reads as a text
+// length, and the bytes after that many are trailing garbage: every line
+// carries at least its four-byte prefix, so n lines never leave exactly n
+// bytes.
+func TestOldLoadTaskLayoutIsCorrupt(t *testing.T) {
+	old, err := os.ReadFile("testdata/loadtask_lines_layout.frame")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, st := frame.Next(old); st != frame.OK || TypeOf(old) != TypeLoadTask {
+		t.Fatalf("the captured frame is not a whole LoadTask frame (status %d, type %#x)", st, TypeOf(old))
+	}
+	if m, _, err := Decode(old); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("old-layout frame decoded to %#v, %v; want ErrCorrupt", m, err)
+	}
+	if m, _, err := ReadMsg(bytes.NewReader(old)); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("old-layout frame read as %#v, %v; want ErrCorrupt", m, err)
+	}
+}
+
 // TestBitFlipNeverPasses flips every bit of every sample frame in turn;
 // no flipped frame may decode back to the original message, and payload
 // flips must be caught by the CRC.
@@ -121,9 +189,7 @@ func TestStreamReadWrite(t *testing.T) {
 	msgs := sampleMessages()
 	var buf bytes.Buffer
 	for _, m := range msgs {
-		if _, err := WriteMsg(&buf, m); err != nil {
-			t.Fatal(err)
-		}
+		buf.Write(Append(nil, m))
 	}
 	for i := range msgs {
 		m, _, err := ReadMsg(&buf)
