@@ -80,7 +80,6 @@ func main() {
 	// Resolve the campaign settings: either a JSON configuration file or the
 	// individual flags plus a named tuning profile.
 	var (
-		dbCfg       relstore.Config
 		srvCfg      sqlbatch.ServerConfig
 		indexPolicy tuning.IndexPolicy
 		buildPolicy relstore.IndexPolicy
@@ -92,7 +91,6 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		dbCfg = campaign.DBConfig()
 		srvCfg = campaign.ServerConfig()
 		indexPolicy = campaign.IndexPolicyValue()
 		buildPolicy = campaign.BuildPolicyValue()
@@ -115,7 +113,6 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		dbCfg = prof.DBConfig()
 		srvCfg = prof.ServerConfig()
 		indexPolicy = prof.Indexes
 		loaderCfg = core.Config{
@@ -171,7 +168,7 @@ func main() {
 	// Build a fresh environment (database + server) on the given scheduler.
 	buildEnv := func(sched exec.Scheduler) (*sqlbatch.Server, *relstore.DB) {
 		db, err := tuning.OpenRepository(indexPolicy,
-			relstore.WithConfig(dbCfg), relstore.WithIndexPolicy(buildPolicy))
+			relstore.WithConfig(relstore.DefaultConfig()), relstore.WithIndexPolicy(buildPolicy))
 		if err != nil {
 			fatal(err)
 		}

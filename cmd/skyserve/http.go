@@ -50,7 +50,7 @@ func runHTTP(addr string, seed int64, prof tuning.Profile, files []*catalog.File
 
 	if smoke {
 		err := httpserve.Smoke("http://"+bound.String(),
-			"sky_db_rows_inserted_total", "sky_wal_syncs_total", "sky_buffer_cache_hits_total",
+			"sky_db_rows_inserted_total", "sky_wal_syncs_total", "sky_relstore_resident_bytes",
 			"sky_serve_requests_total", "sky_serve_latency_seconds", "sky_http_requests_total")
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "skyserve: http smoke failed:", err)

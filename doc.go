@@ -105,10 +105,11 @@
 // # Load policies and the Open options API
 //
 // The storage engine is constructed with relstore.Open(schema, ...Option).
-// Seven options set one Config field each (WithCache, WithMaxConcurrentTxns,
-// WithBTreeDegree, WithDirtyFlushPages, WithWALDir, WithCheckpointEvery,
-// WithWALSegmentBytes), WithConfig adopts a whole Config, and WithIndexPolicy
-// and the test-only WithFaultHook carry what Config does not hold.
+// Five options set one Config field each (WithMaxConcurrentTxns,
+// WithBTreeDegree, WithWALDir, WithCheckpointEvery, WithWALSegmentBytes),
+// WithConfig adopts a whole Config, and WithIndexPolicy and the test-only
+// WithFaultHook carry what Config does not hold.  The §4.5.5 data cache is
+// the simulated server's, not the engine's: sqlbatch.ServerConfig.CachePages.
 // PERFORMANCE.md ("Knob audit") lists who sets each one and what it measured;
 // relstore's TestConfigSurface pins the field set so a new knob is a visible
 // decision.

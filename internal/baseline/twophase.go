@@ -73,7 +73,7 @@ func NewTwoPhaseLoader(conn *sqlbatch.Conn, cfg TwoPhaseConfig) (*TwoPhaseLoader
 	if err != nil {
 		return nil, err
 	}
-	task, err := relstore.Open(taskSchema, relstore.WithCache(512))
+	task, err := relstore.Open(taskSchema)
 	if err != nil {
 		return nil, err
 	}
@@ -239,7 +239,7 @@ func (l *TwoPhaseLoader) validateAndPublish() error {
 	l.stats.Commits++
 
 	// Re-create an empty task database for the next chunk.
-	task, err := relstore.Open(l.taskSchema, relstore.WithCache(512))
+	task, err := relstore.Open(l.taskSchema)
 	if err != nil {
 		return err
 	}

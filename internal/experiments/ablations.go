@@ -9,7 +9,6 @@ import (
 	"skyloader/internal/des"
 	"skyloader/internal/metrics"
 	"skyloader/internal/parallel"
-	"skyloader/internal/relstore"
 	"skyloader/internal/sqlbatch"
 	"skyloader/internal/tuning"
 )
@@ -115,9 +114,9 @@ func AblationCacheSize(cfg Config) (*metrics.Table, error) {
 		sweeps = []int{512, 32768}
 	}
 	for _, pages := range sweeps {
-		dbCfg := relstore.DefaultConfig()
-		dbCfg.CachePages = pages
-		env, err := NewEnv(EnvOptions{Seed: cfg.Seed, Cost: cfg.Cost, IndexPolicy: tuning.NoIndexes, DBConfig: dbCfg})
+		srvCfg := sqlbatch.DefaultServerConfig()
+		srvCfg.CachePages = pages
+		env, err := NewEnv(EnvOptions{Seed: cfg.Seed, Cost: cfg.Cost, IndexPolicy: tuning.NoIndexes, ServerConfig: srvCfg})
 		if err != nil {
 			return nil, err
 		}

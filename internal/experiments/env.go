@@ -74,7 +74,6 @@ type EnvOptions struct {
 	Seed          int64
 	Cost          sqlbatch.CostModel
 	ServerConfig  sqlbatch.ServerConfig
-	DBConfig      relstore.Config
 	IndexPolicy   tuning.IndexPolicy
 	PrePopulateGB float64
 }
@@ -87,11 +86,8 @@ func NewEnv(opt EnvOptions) (*Env, error) {
 	if opt.ServerConfig == (sqlbatch.ServerConfig{}) {
 		opt.ServerConfig = sqlbatch.DefaultServerConfig()
 	}
-	if opt.DBConfig == (relstore.Config{}) {
-		opt.DBConfig = relstore.DefaultConfig()
-	}
 	kernel := des.NewKernel(opt.Seed)
-	db, err := tuning.OpenRepository(opt.IndexPolicy, relstore.WithConfig(opt.DBConfig))
+	db, err := tuning.OpenRepository(opt.IndexPolicy, relstore.WithConfig(relstore.DefaultConfig()))
 	if err != nil {
 		return nil, err
 	}

@@ -33,11 +33,17 @@ var backends = []struct {
 			"sky_db_rows_inserted_total", "sky_db_commits_total", "sky_db_total_rows", "sky_db_batch_yields_total",
 			"sky_wal_records_total", "sky_wal_syncs_total",
 			"sky_wal_durable_syncs_total", "sky_wal_commit_wait_seconds_total", "sky_wal_shared_flushes_total",
-			"sky_buffer_cache_hits_total", "sky_index_key_bytes", "sky_index_ready",
+			"sky_index_key_bytes", "sky_index_ready",
 			"sky_relstore_resident_bytes", "sky_relstore_keyindex_bytes", "sky_relstore_index_resident_bytes",
 			"sky_relstore_rowdir_bytes", "sky_relstore_rowdir_runs", "sky_result_cache_hits_total",
 		},
-		absent: []string{"sky_shard_count"},
+		// The data cache and lock waits are the simulated server's, priced
+		// by sqlbatch; the served database has neither.
+		absent: []string{"sky_shard_count",
+			"sky_buffer_cache_capacity_pages", "sky_buffer_cache_resident_pages",
+			"sky_buffer_cache_hits_total", "sky_buffer_cache_misses_total", "sky_buffer_cache_evicts_total",
+			"sky_buffer_cache_flushes_total", "sky_buffer_cache_scan_work_total", "sky_db_lock_conflicts_total",
+		},
 		series: []string{
 			`sky_relstore_resident_bytes{table="objects"} `,
 			`sky_relstore_keyindex_bytes{table="objects"} `,

@@ -23,8 +23,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request, path stri
 // WriteMetrics writes the exposition payload for one scrape.  It is exported
 // so the -smoke path and tests can validate a scrape without a socket.
 //
-// Catalog layout: the backend's own families first (a database's rows, WAL,
-// buffer cache and per-index memory, or a fleet's sky_shard_*), then the
+// Catalog layout: the backend's own families first (a database's rows, WAL
+// and per-table and per-index memory, or a fleet's sky_shard_*), then the
 // serving layer (admission counters, result cache, per-class latency
 // histograms, queue wait, worker pool), then the transport (per-endpoint
 // counters, request latency) and the trace ring.  Every counter that exists
@@ -136,7 +136,6 @@ func writeDBMetrics(p *metrics.PromWriter, snap relstore.StatsSnapshot) {
 	p.Counter("sky_db_pages_allocated_total", "Heap pages allocated.", snap.DB.PagesAllocated)
 	p.Counter("sky_db_log_bytes_total", "Redo-log bytes written (cost model).", snap.DB.LogBytes)
 	p.Counter("sky_db_index_splits_total", "B-tree node splits.", snap.DB.IndexSplits)
-	p.Counter("sky_db_lock_conflicts_total", "Row-lock conflicts.", snap.DB.LockConflicts)
 	p.Counter("sky_db_batch_yields_total", "Batch runs closed early to let a waiting reader in.", snap.DB.BatchYields)
 	p.Counter("sky_db_indexes_created_total", "Successful CREATE INDEX operations.", snap.DB.IndexesCreated)
 	p.Counter("sky_db_indexes_dropped_total", "Successful DROP INDEX operations.", snap.DB.IndexesDropped)
@@ -169,15 +168,6 @@ func writeDBMetrics(p *metrics.PromWriter, snap relstore.StatsSnapshot) {
 	p.Counter("sky_wal_replay_rows_total", "Rows restored from the log by crash recovery.", snap.WAL.ReplayRows)
 	p.Counter("sky_wal_replay_bytes_total", "Log bytes scanned by crash recovery.", snap.WAL.ReplayBytes)
 	p.Counter("sky_wal_replay_torn_tail_total", "Torn trailing records discarded by crash recovery.", snap.WAL.ReplayTornTail)
-
-	// --- relstore: buffer cache ---
-	p.Gauge("sky_buffer_cache_capacity_pages", "Buffer cache capacity.", int64(snap.Cache.Capacity))
-	p.Gauge("sky_buffer_cache_resident_pages", "Pages currently resident.", int64(snap.Cache.Resident))
-	p.Counter("sky_buffer_cache_hits_total", "Buffer cache hits.", snap.Cache.Hits)
-	p.Counter("sky_buffer_cache_misses_total", "Buffer cache misses.", snap.Cache.Misses)
-	p.Counter("sky_buffer_cache_evicts_total", "Buffer cache evictions.", snap.Cache.Evicts)
-	p.Counter("sky_buffer_cache_flushes_total", "Dirty-page flushes.", snap.Cache.Flushes)
-	p.Counter("sky_buffer_cache_scan_work_total", "LRU scan steps.", snap.Cache.ScanWork)
 
 	// --- relstore: per-table memory footprint ---
 	p.Metric("sky_relstore_resident_bytes", "Memory held for stored rows (page data, slot and row directories, key-index slots), by table.", "gauge")

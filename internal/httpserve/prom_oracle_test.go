@@ -152,8 +152,6 @@ func oracleDBMetrics(p *metrics.PromWriter, snap relstore.StatsSnapshot) {
 	p.SampleInt("sky_db_log_bytes_total", nil, snap.DB.LogBytes)
 	p.Metric("sky_db_index_splits_total", "B-tree node splits.", "counter")
 	p.SampleInt("sky_db_index_splits_total", nil, snap.DB.IndexSplits)
-	p.Metric("sky_db_lock_conflicts_total", "Row-lock conflicts.", "counter")
-	p.SampleInt("sky_db_lock_conflicts_total", nil, snap.DB.LockConflicts)
 	p.Metric("sky_db_batch_yields_total", "Batch runs closed early to let a waiting reader in.", "counter")
 	p.SampleInt("sky_db_batch_yields_total", nil, snap.DB.BatchYields)
 	p.Metric("sky_db_indexes_created_total", "Successful CREATE INDEX operations.", "counter")
@@ -219,22 +217,6 @@ func oracleDBMetrics(p *metrics.PromWriter, snap relstore.StatsSnapshot) {
 	p.SampleInt("sky_wal_replay_bytes_total", nil, snap.WAL.ReplayBytes)
 	p.Metric("sky_wal_replay_torn_tail_total", "Torn trailing records discarded by crash recovery.", "counter")
 	p.SampleInt("sky_wal_replay_torn_tail_total", nil, snap.WAL.ReplayTornTail)
-
-	// --- relstore: buffer cache ---
-	p.Metric("sky_buffer_cache_capacity_pages", "Buffer cache capacity.", "gauge")
-	p.SampleInt("sky_buffer_cache_capacity_pages", nil, int64(snap.Cache.Capacity))
-	p.Metric("sky_buffer_cache_resident_pages", "Pages currently resident.", "gauge")
-	p.SampleInt("sky_buffer_cache_resident_pages", nil, int64(snap.Cache.Resident))
-	p.Metric("sky_buffer_cache_hits_total", "Buffer cache hits.", "counter")
-	p.SampleInt("sky_buffer_cache_hits_total", nil, snap.Cache.Hits)
-	p.Metric("sky_buffer_cache_misses_total", "Buffer cache misses.", "counter")
-	p.SampleInt("sky_buffer_cache_misses_total", nil, snap.Cache.Misses)
-	p.Metric("sky_buffer_cache_evicts_total", "Buffer cache evictions.", "counter")
-	p.SampleInt("sky_buffer_cache_evicts_total", nil, snap.Cache.Evicts)
-	p.Metric("sky_buffer_cache_flushes_total", "Dirty-page flushes.", "counter")
-	p.SampleInt("sky_buffer_cache_flushes_total", nil, snap.Cache.Flushes)
-	p.Metric("sky_buffer_cache_scan_work_total", "LRU scan steps.", "counter")
-	p.SampleInt("sky_buffer_cache_scan_work_total", nil, snap.Cache.ScanWork)
 
 	// --- relstore: per-table memory footprint ---
 	p.Metric("sky_relstore_resident_bytes", "Memory held for stored rows (page data, slot and row directories, key-index slots), by table.", "gauge")

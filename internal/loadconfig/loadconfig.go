@@ -228,21 +228,15 @@ func (c FileConfig) BuildPolicyValue() relstore.IndexPolicy {
 	return p
 }
 
-// DBConfig converts the campaign configuration into the engine configuration.
-func (c FileConfig) DBConfig() relstore.Config {
-	cfg := relstore.DefaultConfig()
-	if c.CachePages > 0 {
-		cfg.CachePages = c.CachePages
-	}
-	return cfg
-}
-
 // ServerConfig converts the campaign configuration into the simulated server
 // configuration.
 func (c FileConfig) ServerConfig() sqlbatch.ServerConfig {
 	cfg := sqlbatch.DefaultServerConfig()
 	if c.SeparateRAID != nil {
 		cfg.SeparateRAID = *c.SeparateRAID
+	}
+	if c.CachePages > 0 {
+		cfg.CachePages = c.CachePages
 	}
 	return cfg
 }

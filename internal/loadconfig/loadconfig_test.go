@@ -59,8 +59,8 @@ func TestParseOverridesAndDefaults(t *testing.T) {
 	if cfg.IndexPolicyValue() != tuning.HTMIDPlusComposite {
 		t.Fatalf("index policy = %v", cfg.IndexPolicyValue())
 	}
-	if cfg.DBConfig().CachePages != 4096 {
-		t.Fatalf("db config cache = %d", cfg.DBConfig().CachePages)
+	if cfg.ServerConfig().CachePages != 4096 {
+		t.Fatalf("server config cache = %d", cfg.ServerConfig().CachePages)
 	}
 	if !cfg.ServerConfig().SeparateRAID {
 		t.Fatal("default RAID separation lost")

@@ -64,6 +64,44 @@ func TestInsertPreparedAllocBudget(t *testing.T) {
 	}
 }
 
+// TestTxnAllocBudget pins what a transaction costs beyond its rows.  On a warm
+// counters-only database, Begin + a one-row InsertBatch + Commit allocate the
+// Txn, its undo record and a few per-call slices: 6.  Admission is a set
+// insert; a per-transaction map of row locks by table, with its bucket, made
+// it 9.
+func TestTxnAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("Begin leases pooled scratch, which -race drops at random")
+	}
+	db, err := Open(testSchema(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cols := []string{"frame_id", "exposure"}
+	rows := [][]Value{{Int(0), Float(1.5)}}
+	var id int64
+	cycle := func() {
+		txn, err := db.Begin()
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows[0][0] = Int(id)
+		id++
+		if _, err := txn.InsertBatch("frames", cols, rows); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := txn.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 256; i++ {
+		cycle()
+	}
+	if allocs := testing.AllocsPerRun(1000, cycle); allocs > 6 {
+		t.Errorf("Begin + one-row InsertBatch + Commit allocates %.0f times, budget 6", allocs)
+	}
+}
+
 // TestInsertRollbackArenaStable pins the rollback cost of encoded-key
 // indexes.  Rolling back a transaction tombstones its index entries in
 // place; re-inserting the same keys afterwards must re-use the tombstoned

@@ -11,16 +11,15 @@ import (
 // applies a whole loader batch through the storage engine with per-batch
 // instead of per-row synchronization.  The paper's core claim is that bulk
 // loading wins by amortizing per-row costs across batches (§4.2); the per-row
-// path (DB.insert) pays a table-lock round trip, a WAL mutex+append, lock
-// manager bookkeeping, and a top-down B-tree descent for every row, and this
-// path pays each of those once per batch instead:
+// path (DB.insert) pays a table-lock round trip, a WAL mutex+append and a
+// top-down B-tree descent for every row, and this path pays each of those
+// once per batch instead:
 //
 //   - every row is coerced up front, before any lock is taken;
 //   - the table's write lock is taken once for the whole batch, unless a
 //     reader queues on it meanwhile: then the batch yields the table at the
 //     next 16-row boundary and relocks (see insertBatchLocked);
 //   - one group WAL record (WAL.AppendInsertGroup) replaces n mutexed appends;
-//   - lock-manager row locks are registered in one LockRows call;
 //   - secondary indexes are maintained by a sorted bulk merge: the batch's
 //     keys are collected into pooled scratch slices, sorted, and inserted via
 //     the leaf-aware BTree.InsertSorted sequential pass;
@@ -92,7 +91,7 @@ func (db *DB) insertBatch(txn *Txn, tableName string, columns []string, rows [][
 	// the uncommitted-visibility window is safe (see DB.insert), while
 	// under-approximating it would let snapshot readers cache dirty reads.
 	t.pendingRows.Add(int64(len(rows)))
-	inserted, firstPage, lastPage, applyErr := t.insertBatchLocked(db, txn, built, rep)
+	inserted, applyErr := t.insertBatchLocked(db, txn, built, rep)
 	t.pendingRows.Add(-int64(len(rows) - inserted))
 
 	// applyErr, when set, failed at row `inserted`; otherwise a phase-1
@@ -112,26 +111,8 @@ func (db *DB) insertBatch(txn *Txn, tableName string, columns []string, rows [][
 		return res, err
 	}
 
-	// Per-batch lock, log and cache accounting — once, not once per row.
-	other, lockErr := db.locks.LockRows(txn.id, tableName, inserted)
-	if lockErr != nil {
-		// Rows are stored; a lock accounting failure indicates misuse of the
-		// transaction, which we surface loudly (as DB.insert does).
-		panic(lockErr)
-	}
-	if other > 0 {
-		db.counters.lockConflicts.Add(1)
-	}
+	// Per-batch log accounting — once, not once per row.
 	rep.LogBytes += db.wal.AppendInsertGroup(inserted, rep.RowBytes+rep.IndexEntryBytes)
-	for p := firstPage; p <= lastPage; p++ {
-		miss, _ := db.cache.Touch(tableName, p, true)
-		if miss {
-			rep.CacheMisses++
-		}
-	}
-	if _, scanned, flushed := db.cache.MaybeFlushDirty(db.cfg.DirtyFlushPages); flushed {
-		rep.CacheScanPages += scanned
-	}
 	db.counters.rowsInserted.Add(int64(inserted))
 	db.counters.indexSplits.Add(int64(rep.IndexSplits))
 	return res, err
@@ -227,19 +208,12 @@ const batchYieldRows = 16
 // unchanged.  Each run records its own undo range: ids are only guaranteed
 // contiguous within a run, because another writer may interleave between lock
 // holds.
-func (t *Table) insertBatchLocked(db *DB, txn *Txn, built []Row, rep *OpReport) (inserted, firstPage, lastPage int, err error) {
-	firstPage, lastPage = -1, -1
+func (t *Table) insertBatchLocked(db *DB, txn *Txn, built []Row, rep *OpReport) (inserted int, err error) {
 	for {
-		n, fp, lp, runErr := t.applyBatchChunk(db, txn, built[inserted:], rep)
+		n, runErr := t.applyBatchChunk(db, txn, built[inserted:], rep)
 		inserted += n
-		if firstPage < 0 {
-			firstPage = fp
-		}
-		if lp >= 0 {
-			lastPage = lp
-		}
 		if runErr != nil || inserted == len(built) {
-			return inserted, firstPage, lastPage, runErr
+			return inserted, runErr
 		}
 		// The run stopped for a waiting reader.  The table lock is free here:
 		// hand the processor to whoever is queued behind this batch before
@@ -262,7 +236,7 @@ func (t *Table) insertBatchLocked(db *DB, txn *Txn, built []Row, rep *OpReport) 
 // releases parent locks together with the table lock — keeping a parent read
 // lock across a re-acquisition of the child lock would invert the nesting
 // order against a concurrent batch and could deadlock.
-func (t *Table) applyBatchChunk(db *DB, txn *Txn, built []Row, rep *OpReport) (inserted, firstPage, lastPage int, err error) {
+func (t *Table) applyBatchChunk(db *DB, txn *Txn, built []Row, rep *OpReport) (inserted int, err error) {
 	sc := txn.sc
 
 	t.mu.Lock()
@@ -272,7 +246,6 @@ func (t *Table) applyBatchChunk(db *DB, txn *Txn, built []Row, rep *OpReport) (i
 
 	ids := sc.batchIDs(len(built))
 	var firstErr error
-	firstPage, lastPage = -1, -1
 	for i, row := range built {
 		if i > 0 && i%batchYieldRows == 0 && t.waitingReaders.Load() != 0 {
 			break
@@ -315,16 +288,16 @@ func (t *Table) applyBatchChunk(db *DB, txn *Txn, built []Row, rep *OpReport) (i
 		t.rows.put(id, loc)
 		t.putKeys(row, id)
 
+		if rep.RowsInserted == 0 {
+			rep.FirstPage = int(loc.page)
+		}
+		rep.LastPage = int(loc.page)
 		rep.RowsInserted++
 		rep.RowBytes += rb
 		rep.PagesDirtied++
 		if newPage {
-			rep.CacheMisses++ // a fresh block is always a cache miss
+			rep.FreshPages++
 		}
-		if len(ids) == 0 {
-			firstPage = int(loc.page)
-		}
-		lastPage = int(loc.page)
 		ids = append(ids, id)
 	}
 
@@ -355,7 +328,7 @@ func (t *Table) applyBatchChunk(db *DB, txn *Txn, built []Row, rep *OpReport) (i
 	for _, ix := range t.liveList {
 		t.bulkIndexInsert(sc, ix, built[:len(ids)], ids, rep)
 	}
-	return len(ids), firstPage, lastPage, firstErr
+	return len(ids), firstErr
 }
 
 // bulkIndexInsert maintains one secondary index for a batch: it encodes the

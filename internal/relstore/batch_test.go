@@ -133,7 +133,7 @@ func keyShapeSchema(t testing.TB, shape string) *Schema {
 
 func batchPropertyDBOn(t *testing.T, schema *Schema, extra ...Option) *DB {
 	t.Helper()
-	opts := append([]Option{WithBTreeDegree(3), WithCache(64), WithDirtyFlushPages(8)}, extra...)
+	opts := append([]Option{WithBTreeDegree(3)}, extra...)
 	db := MustOpen(schema, opts...)
 	// ix_mag exercises the float comparator, ix_frame the raw-int64 sort
 	// path (both duplicate-heavy), and the composite index the generic one.

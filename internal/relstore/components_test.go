@@ -4,69 +4,6 @@ import (
 	"testing"
 )
 
-func TestBufferCacheLRU(t *testing.T) {
-	c := NewBufferCache(3)
-	if c.Capacity() != 3 {
-		t.Fatalf("capacity = %d", c.Capacity())
-	}
-	miss, _ := c.Touch("t", 1, false)
-	if !miss {
-		t.Fatal("first touch should miss")
-	}
-	c.Touch("t", 2, false)
-	c.Touch("t", 3, false)
-	if miss, _ := c.Touch("t", 1, false); miss {
-		t.Fatal("page 1 should still be resident")
-	}
-	// Insert a fourth page; page 2 (least recently used) should be evicted.
-	_, evicted := c.Touch("t", 4, true)
-	if evicted != 1 {
-		t.Fatalf("evicted = %d, want 1", evicted)
-	}
-	if miss, _ := c.Touch("t", 2, false); !miss {
-		t.Fatal("page 2 should have been evicted")
-	}
-	if c.Len() != 3 {
-		t.Fatalf("Len = %d, want 3", c.Len())
-	}
-}
-
-func TestBufferCacheDirtyTrackingAndFlush(t *testing.T) {
-	c := NewBufferCache(10)
-	c.Touch("t", 1, true)
-	c.Touch("t", 1, true) // same page stays one dirty unit
-	c.Touch("t", 2, true)
-	c.Touch("t", 3, false)
-	if c.DirtySinceFlush() != 2 {
-		t.Fatalf("DirtySinceFlush = %d, want 2", c.DirtySinceFlush())
-	}
-	written, scanned := c.FlushDirty()
-	if written != 2 {
-		t.Fatalf("written = %d, want 2", written)
-	}
-	if scanned != c.Capacity() {
-		t.Fatalf("scanned = %d, want capacity %d", scanned, c.Capacity())
-	}
-	if c.DirtySinceFlush() != 0 {
-		t.Fatal("dirty counter not reset")
-	}
-	written, _ = c.FlushDirty()
-	if written != 0 {
-		t.Fatalf("second flush wrote %d", written)
-	}
-	st := c.Stats()
-	if st.Flushes != 2 || st.ScanWork != int64(2*c.Capacity()) {
-		t.Fatalf("stats: %+v", st)
-	}
-}
-
-func TestBufferCacheMinimumCapacity(t *testing.T) {
-	c := NewBufferCache(0)
-	if c.Capacity() != 1 {
-		t.Fatalf("capacity = %d, want 1", c.Capacity())
-	}
-}
-
 func TestWAL(t *testing.T) {
 	w := NewWAL()
 	n := w.AppendInsert(100)
@@ -114,39 +51,6 @@ func TestLockManagerAdmission(t *testing.T) {
 	if st.AdmissionFull != 1 || st.MaxConcurrency != 2 {
 		t.Fatalf("stats: %+v", st)
 	}
-}
-
-func TestLockManagerTableWriters(t *testing.T) {
-	m := NewLockManager(0)
-	_ = m.Admit(1)
-	_ = m.Admit(2)
-	other, err := m.LockRows(1, "objects", 10)
-	if err != nil || other != 0 {
-		t.Fatalf("first writer: other=%d err=%v", other, err)
-	}
-	other, err = m.LockRows(2, "objects", 5)
-	if err != nil || other != 1 {
-		t.Fatalf("second writer: other=%d err=%v", other, err)
-	}
-	if m.TableWriters("objects") != 2 {
-		t.Fatalf("TableWriters = %d", m.TableWriters("objects"))
-	}
-	if _, err := m.LockRows(99, "objects", 1); err == nil {
-		t.Fatal("lock by unadmitted txn should fail")
-	}
-	m.ReleaseAll(1)
-	if m.TableWriters("objects") != 1 {
-		t.Fatalf("after release TableWriters = %d", m.TableWriters("objects"))
-	}
-	m.ReleaseAll(2)
-	if m.TableWriters("objects") != 0 {
-		t.Fatal("writers not cleared")
-	}
-	if m.Stats().Conflicts != 1 {
-		t.Fatalf("conflicts = %d", m.Stats().Conflicts)
-	}
-	// Releasing an unknown transaction is a no-op.
-	m.ReleaseAll(12345)
 }
 
 func TestHeapStorePaging(t *testing.T) {

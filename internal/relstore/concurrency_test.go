@@ -10,9 +10,9 @@ import (
 // write path: many goroutines run their own transactions against the same
 // tables (including parent/child foreign-key probes), with interleaved
 // commits and rollbacks.  Run under -race this exercises the per-table locks,
-// the pooled per-goroutine scratch buffers, the lock manager, the WAL and the
-// buffer cache; the assertions pin row counts, primary-key consistency and
-// referential integrity afterwards.
+// the pooled per-goroutine scratch buffers, the lock manager and the WAL; the
+// assertions pin row counts, primary-key consistency and referential
+// integrity afterwards.
 func TestConcurrentInsertSharedTables(t *testing.T) {
 	const (
 		writers      = 8
@@ -20,7 +20,7 @@ func TestConcurrentInsertSharedTables(t *testing.T) {
 		rowsPerTxn   = 50
 		rollbackEach = 3 // every 3rd transaction rolls back
 	)
-	db, err := Open(testSchema(t), WithMaxConcurrentTxns(writers), WithDirtyFlushPages(8), WithCache(64))
+	db, err := Open(testSchema(t), WithMaxConcurrentTxns(writers))
 	if err != nil {
 		t.Fatal(err)
 	}

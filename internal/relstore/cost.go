@@ -12,12 +12,13 @@ type OpReport struct {
 	RowBytes int
 	// PagesDirtied counts heap pages newly written or modified.
 	PagesDirtied int
-	// CacheMisses counts buffer-cache misses incurred.
-	CacheMisses int
-	// CacheScanPages is the number of cached pages examined by the database
-	// writer while flushing (grows with the configured data-cache size; see
-	// §4.5.5 of the paper).
-	CacheScanPages int
+	// FreshPages counts heap pages the inserts opened.
+	FreshPages int
+	// FirstPage and LastPage are the heap pages of the first and the last
+	// row inserted, in the one table an insert call writes; they are valid
+	// when RowsInserted > 0.  The sqlbatch server touches the pages between
+	// them in its model of the data cache.
+	FirstPage, LastPage int
 	// IndexNodesVisited counts B-tree nodes touched across all maintained
 	// secondary indexes.
 	IndexNodesVisited int
@@ -45,13 +46,19 @@ type OpReport struct {
 	UndoRecords int
 }
 
-// Add accumulates another report into r.
+// Add accumulates another report, of work done after r's, into r: the
+// counts are summed and the page range extends to o's last page.
 func (r *OpReport) Add(o OpReport) {
+	if o.RowsInserted > 0 {
+		if r.RowsInserted == 0 {
+			r.FirstPage = o.FirstPage
+		}
+		r.LastPage = o.LastPage
+	}
 	r.RowsInserted += o.RowsInserted
 	r.RowBytes += o.RowBytes
 	r.PagesDirtied += o.PagesDirtied
-	r.CacheMisses += o.CacheMisses
-	r.CacheScanPages += o.CacheScanPages
+	r.FreshPages += o.FreshPages
 	r.IndexNodesVisited += o.IndexNodesVisited
 	r.IndexIntColNodeVisits += o.IndexIntColNodeVisits
 	r.IndexFloatColNodeVisits += o.IndexFloatColNodeVisits
@@ -74,7 +81,6 @@ type DBStats struct {
 	PagesAllocated       int64
 	LogBytes             int64
 	IndexSplits          int64
-	LockConflicts        int64
 	// BatchYields counts the times an InsertBatch closed its run early and
 	// released the table because a reader was waiting on it; 0 means every
 	// batch was one lock hold.

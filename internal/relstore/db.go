@@ -9,20 +9,12 @@ import (
 
 // Config controls engine-level knobs that the paper tunes in §4.5.
 type Config struct {
-	// CachePages is the size of the block buffer cache in pages.  The paper
-	// found that a smaller cache loads faster because the database writer
-	// scans the whole cache on each flush (§4.5.5).
-	CachePages int
 	// MaxConcurrentTxns is the concurrent-transaction limit (the Oracle
 	// interested-transaction-list analogue); 0 means unlimited.  Exceeding it
 	// is what produces lock waits at high parallelism (§5.4).
 	MaxConcurrentTxns int
 	// BTreeDegree is the minimum degree of secondary-index B-trees.
 	BTreeDegree int
-	// DirtyFlushPages is the number of newly dirtied pages after which the
-	// database writer runs, searching the whole allocated cache (the §4.5.5
-	// effect); 0 uses the default of 32.
-	DirtyFlushPages int
 	// WALDir, when non-empty, makes the WAL durable: records are persisted to
 	// segmented log files under this directory and syncs are real fsyncs.
 	// Empty (the default) keeps the WAL counters-only.  See WithWALDir.
@@ -38,10 +30,8 @@ type Config struct {
 // DefaultConfig mirrors the production repository's loading configuration.
 func DefaultConfig() Config {
 	return Config{
-		CachePages:        2048,
 		MaxConcurrentTxns: 24,
 		BTreeDegree:       32,
-		DirtyFlushPages:   32,
 	}
 }
 
@@ -49,10 +39,10 @@ func DefaultConfig() Config {
 //
 // Concurrency: the engine is safe for concurrent transactions on separate
 // goroutines.  The table set is immutable after Open; each Table carries its
-// own lock, the lock manager, WAL and buffer cache carry theirs, and the
-// engine-wide counters are atomics, so writers to different tables proceed in
-// parallel and writers to the same table serialize only for the in-memory
-// critical section of the row store.
+// own lock, the lock manager and WAL carry theirs, and the engine-wide
+// counters are atomics, so writers to different tables proceed in parallel
+// and writers to the same table serialize only for the in-memory critical
+// section of the row store.
 type DB struct {
 	schema *Schema
 	cfg    Config
@@ -63,7 +53,6 @@ type DB struct {
 	tables map[string]*Table
 	locks  *LockManager
 	wal    *WAL
-	cache  *BufferCache
 
 	// loading marks the window between BeginLoad and Seal, during which
 	// deferred-policy indexes are suspended.  Tables read it when an index is
@@ -100,14 +89,13 @@ type DB struct {
 // dbCounters is the engine-wide statistics, kept as atomics (plus one small
 // mutex-guarded map) so concurrent writers never contend on a stats lock.
 type dbCounters struct {
-	rowsInserted  atomic.Int64
-	rowsRejected  atomic.Int64
-	transactions  atomic.Int64
-	commits       atomic.Int64
-	rollbacks     atomic.Int64
-	indexSplits   atomic.Int64
-	lockConflicts atomic.Int64
-	batchYields   atomic.Int64
+	rowsInserted atomic.Int64
+	rowsRejected atomic.Int64
+	transactions atomic.Int64
+	commits      atomic.Int64
+	rollbacks    atomic.Int64
+	indexSplits  atomic.Int64
+	batchYields  atomic.Int64
 
 	indexesCreated atomic.Int64
 	indexesDropped atomic.Int64
@@ -123,14 +111,8 @@ func open(schema *Schema, oc openConfig) (*DB, error) {
 		return nil, fmt.Errorf("relstore: nil schema")
 	}
 	cfg := oc.cfg
-	if cfg.CachePages <= 0 {
-		cfg.CachePages = DefaultConfig().CachePages
-	}
 	if cfg.BTreeDegree <= 0 {
 		cfg.BTreeDegree = DefaultConfig().BTreeDegree
-	}
-	if cfg.DirtyFlushPages <= 0 {
-		cfg.DirtyFlushPages = DefaultConfig().DirtyFlushPages
 	}
 	db := &DB{
 		schema:      schema,
@@ -139,7 +121,6 @@ func open(schema *Schema, oc openConfig) (*DB, error) {
 		tables:      make(map[string]*Table, schema.NumTables()),
 		locks:       NewLockManager(cfg.MaxConcurrentTxns),
 		wal:         NewWAL(),
-		cache:       NewBufferCache(cfg.CachePages),
 	}
 	db.counters.violations = make(map[ConstraintKind]int64)
 	db.scratchPool.New = func() any { return new(scratch) }
@@ -189,9 +170,6 @@ func (db *DB) Table(name string) *Table { return db.tables[name] }
 // WAL returns the redo log.
 func (db *DB) WAL() *WAL { return db.wal }
 
-// Cache returns the buffer cache.
-func (db *DB) Cache() *BufferCache { return db.cache }
-
 // Stats returns a snapshot of the engine-wide counters.  Derived quantities
 // (pages allocated, log bytes) are computed at snapshot time from their
 // owning components rather than being re-derived on every insert.
@@ -204,7 +182,6 @@ func (db *DB) Stats() DBStats {
 		Commits:          db.counters.commits.Load(),
 		Rollbacks:        db.counters.rollbacks.Load(),
 		IndexSplits:      db.counters.indexSplits.Load(),
-		LockConflicts:    db.counters.lockConflicts.Load(),
 		BatchYields:      db.counters.batchYields.Load(),
 		IndexesCreated:   db.counters.indexesCreated.Load(),
 		IndexesDropped:   db.counters.indexesDropped.Load(),
@@ -324,7 +301,7 @@ func (db *DB) insert(txn *Txn, tableName string, columns []string, values []Valu
 	// safe; under-approximating it would let snapshot readers cache dirty
 	// reads).
 	t.pendingRows.Add(1)
-	id, loc, insRep, err := t.insertPrepared(sc, row)
+	id, _, insRep, err := t.insertPrepared(sc, row)
 	rep.Add(insRep)
 	if err != nil {
 		t.pendingRows.Add(-1)
@@ -332,31 +309,10 @@ func (db *DB) insert(txn *Txn, tableName string, columns []string, values []Valu
 		return rep, err
 	}
 
-	// Lock, log and cache accounting.
-	other, lockErr := db.locks.LockRows(txn.id, tableName, 1)
-	if lockErr != nil {
-		// The row is stored; a lock accounting failure indicates misuse of
-		// the transaction, which we surface loudly.
-		panic(lockErr)
-	}
-	if other > 0 {
-		db.counters.lockConflicts.Add(1)
-	}
 	rep.LogBytes += db.wal.AppendInsert(rep.RowBytes + rep.IndexEntryBytes)
 	var logErr error
 	if dev := db.wal.dev.Load(); dev != nil {
 		logErr = dev.logInsert(sc, t.tid, txn.id, id, []Row{row})
-	}
-	miss, _ := db.cache.Touch(tableName, int(loc.page), true)
-	if miss {
-		rep.CacheMisses++
-	}
-	// Database-writer activation: once enough dirty buffers accumulate, the
-	// writer searches the whole allocated cache for them.  The inserting
-	// session pays for that search, which is why a smaller data cache loads
-	// faster (§4.5.5).
-	if _, scanned, flushed := db.cache.MaybeFlushDirty(db.cfg.DirtyFlushPages); flushed {
-		rep.CacheScanPages += scanned
 	}
 
 	txn.recordInsert(tableName, id)

@@ -369,21 +369,43 @@ func TestWALAccounting(t *testing.T) {
 	}
 }
 
+// TestCacheAccounting pins the engine's half of the data-cache model, which
+// lives in sqlbatch: every insert call reports the heap pages it wrote and
+// the pages it opened, a rejected row reports none, and OpReport.Add carries
+// both across calls — a count Add dropped would move every DES figure.
 func TestCacheAccounting(t *testing.T) {
 	db := newTestDB(t)
 	txn, _ := db.Begin()
+	cols := []string{"frame_id", "exposure"}
+	var sum OpReport
 	for i := int64(1); i <= 2000; i++ {
-		insertFrame(t, txn, i)
+		rep, err := txn.Insert("frames", cols, []Value{Int(i), Float(145.0)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.FirstPage != rep.LastPage || rep.LastPage < sum.LastPage {
+			t.Fatalf("row %d wrote pages %d..%d after page %d", i, rep.FirstPage, rep.LastPage, sum.LastPage)
+		}
+		sum.Add(rep)
 	}
-	if _, err := txn.Commit(); err != nil {
+	pages := db.Table("frames").PageCount()
+	if pages < 2 || sum.FreshPages != pages || sum.FirstPage != 0 || sum.LastPage != pages-1 {
+		t.Fatalf("2000 rows: fresh %d, pages %d..%d; the table has %d pages", sum.FreshPages, sum.FirstPage, sum.LastPage, pages)
+	}
+	if rep, err := txn.Insert("frames", cols, []Value{Int(1), Float(145.0)}); err == nil || rep.RowsInserted != 0 || rep.FreshPages != 0 {
+		t.Fatalf("duplicate row: %+v, %v", rep, err)
+	}
+	rows := make([][]Value, 2000)
+	for i := range rows {
+		rows[i] = []Value{Int(int64(3000 + i)), Float(145.0)}
+	}
+	br, err := txn.InsertBatch("frames", cols, rows)
+	if err != nil {
 		t.Fatal(err)
 	}
-	st := db.Cache().Stats()
-	if st.Misses == 0 || st.Flushes == 0 {
-		t.Fatalf("cache stats: %+v", st)
-	}
-	if st.Hits == 0 {
-		t.Fatal("expected some cache hits")
+	after := db.Table("frames").PageCount()
+	if rep := br.Report; rep.FirstPage != pages-1 || rep.LastPage != after-1 || rep.FreshPages != after-pages {
+		t.Fatalf("batch wrote pages %d..%d, %d fresh; want %d..%d, %d", rep.FirstPage, rep.LastPage, rep.FreshPages, pages-1, after-1, after-pages)
 	}
 }
 
@@ -438,7 +460,7 @@ func TestTotalsAndRowCounts(t *testing.T) {
 // (or a removed one) is a visible decision rather than a quiet diff.
 func TestConfigSurface(t *testing.T) {
 	want := []string{
-		"CachePages", "MaxConcurrentTxns", "BTreeDegree", "DirtyFlushPages",
+		"MaxConcurrentTxns", "BTreeDegree",
 		"WALDir", "CheckpointEveryBytes", "WALSegmentBytes",
 	}
 	var got []string

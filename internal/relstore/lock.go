@@ -5,11 +5,10 @@ import (
 	"sync"
 )
 
-// LockManager tracks transaction admission and per-table insert interest.
-// Its job is to enforce the concurrent-transaction limit and to expose the
-// information (how many other transactions are inserting into the same
-// tables) that the sqlbatch contention model uses to reproduce the lock waits
-// and stalls the paper observed at 6-8 parallel loaders (§5.4).
+// LockManager admits transactions: it enforces the concurrent-transaction
+// limit (the Oracle interested-transaction-list analogue).  The lock waits
+// and stalls the paper observed at 6-8 parallel loaders (§5.4) are modelled
+// by the sqlbatch server from its own transaction slots, not here.
 //
 // The manager is safe for concurrent callers: all state is guarded by one
 // mutex, and AdmitWait provides real blocking admission for the wall-clock
@@ -21,15 +20,9 @@ type LockManager struct {
 	slotFree *sync.Cond
 
 	maxConcurrentTxns int
-	active            map[int64]*txnLocks
-	tableWriters      map[string]int
+	active            map[int64]struct{}
 
-	conflicts     int64
 	admissionFull int64
-}
-
-type txnLocks struct {
-	tables map[string]int // table -> row locks held
 }
 
 // NewLockManager creates a lock manager that admits at most maxConcurrentTxns
@@ -37,8 +30,7 @@ type txnLocks struct {
 func NewLockManager(maxConcurrentTxns int) *LockManager {
 	m := &LockManager{
 		maxConcurrentTxns: maxConcurrentTxns,
-		active:            make(map[int64]*txnLocks),
-		tableWriters:      make(map[string]int),
+		active:            make(map[int64]struct{}),
 	}
 	m.slotFree = sync.NewCond(&m.mu)
 	return m
@@ -64,7 +56,7 @@ func (m *LockManager) admitLocked(txnID int64) error {
 	if _, ok := m.active[txnID]; ok {
 		return fmt.Errorf("relstore: transaction %d already admitted", txnID)
 	}
-	m.active[txnID] = &txnLocks{tables: make(map[string]int)}
+	m.active[txnID] = struct{}{}
 	return nil
 }
 
@@ -97,49 +89,13 @@ func (m *LockManager) AdmitWait(txnID int64) error {
 	return m.admitLocked(txnID)
 }
 
-// LockRows records that txnID holds n row locks on table and returns the
-// number of *other* active transactions currently writing the same table —
-// the contention signal used by the simulation's lock-wait model.
-func (m *LockManager) LockRows(txnID int64, table string, n int) (otherWriters int, err error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	tl, ok := m.active[txnID]
-	if !ok {
-		return 0, fmt.Errorf("relstore: transaction %d not admitted", txnID)
-	}
-	if tl.tables[table] == 0 {
-		m.tableWriters[table]++
-	}
-	tl.tables[table] += n
-	other := m.tableWriters[table] - 1
-	if other > 0 {
-		m.conflicts++
-	}
-	return other, nil
-}
-
-// TableWriters returns how many active transactions hold locks on table.
-func (m *LockManager) TableWriters(table string) int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.tableWriters[table]
-}
-
-// ReleaseAll releases every lock held by txnID, removes it from the active
-// set and wakes goroutines blocked in AdmitWait.  Releasing an unknown
-// transaction is a no-op.
+// ReleaseAll removes txnID from the active set and wakes goroutines blocked
+// in AdmitWait.  Releasing an unknown transaction is a no-op.
 func (m *LockManager) ReleaseAll(txnID int64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	tl, ok := m.active[txnID]
-	if !ok {
+	if _, ok := m.active[txnID]; !ok {
 		return
-	}
-	for table := range tl.tables {
-		m.tableWriters[table]--
-		if m.tableWriters[table] <= 0 {
-			delete(m.tableWriters, table)
-		}
 	}
 	delete(m.active, txnID)
 	m.slotFree.Broadcast()
@@ -148,7 +104,6 @@ func (m *LockManager) ReleaseAll(txnID int64) {
 // LockStats is a snapshot of lock-manager counters.
 type LockStats struct {
 	ActiveTxns     int
-	Conflicts      int64
 	AdmissionFull  int64
 	MaxConcurrency int
 }
@@ -159,7 +114,6 @@ func (m *LockManager) Stats() LockStats {
 	defer m.mu.Unlock()
 	return LockStats{
 		ActiveTxns:     len(m.active),
-		Conflicts:      m.conflicts,
 		AdmissionFull:  m.admissionFull,
 		MaxConcurrency: m.maxConcurrentTxns,
 	}

@@ -47,12 +47,6 @@ func TestLockManagerEdgeCases(t *testing.T) {
 				t.Fatalf("Admit after stray release: %v", err)
 			}
 		}},
-		{"lock rows without admit", func(t *testing.T) {
-			m := NewLockManager(0)
-			if _, err := m.LockRows(7, "objects", 1); err == nil {
-				t.Fatal("LockRows for unadmitted txn should fail")
-			}
-		}},
 		{"admission-full counter", func(t *testing.T) {
 			m := NewLockManager(2)
 			_ = m.Admit(1)
@@ -71,28 +65,6 @@ func TestLockManagerEdgeCases(t *testing.T) {
 			}
 			if got := m.Stats().AdmissionFull; got != 3 {
 				t.Fatalf("AdmissionFull after successful admit = %d, want 3", got)
-			}
-		}},
-		{"conflict counter", func(t *testing.T) {
-			m := NewLockManager(0)
-			_ = m.Admit(1)
-			_ = m.Admit(2)
-			if other, _ := m.LockRows(1, "objects", 5); other != 0 {
-				t.Fatalf("first writer sees %d others, want 0", other)
-			}
-			if other, _ := m.LockRows(2, "objects", 1); other != 1 {
-				t.Fatalf("second writer sees %d others, want 1", other)
-			}
-			// More locks by an existing writer do not re-count the writer.
-			if other, _ := m.LockRows(2, "objects", 1); other != 1 {
-				t.Fatalf("repeat lock sees %d others, want 1", other)
-			}
-			if got := m.Stats().Conflicts; got != 2 {
-				t.Fatalf("Conflicts = %d, want 2", got)
-			}
-			m.ReleaseAll(1)
-			if got := m.TableWriters("objects"); got != 1 {
-				t.Fatalf("TableWriters after release = %d, want 1", got)
 			}
 		}},
 		{"unlimited manager never fills", func(t *testing.T) {
@@ -139,9 +111,6 @@ func TestLockManagerAdmitWaitBlocks(t *testing.T) {
 				if n <= v || max.CompareAndSwap(v, n) {
 					break
 				}
-			}
-			if _, err := m.LockRows(id, "objects", 1); err != nil {
-				t.Errorf("LockRows(%d): %v", id, err)
 			}
 			cur.Add(-1)
 			m.ReleaseAll(id)

@@ -70,13 +70,6 @@ func WithConfig(cfg Config) Option {
 	return func(o *openConfig) { o.cfg = cfg }
 }
 
-// WithCache sets the block buffer cache size in pages (§4.5.5: a smaller
-// cache loads faster because the database writer scans the whole cache on
-// each flush).
-func WithCache(pages int) Option {
-	return func(o *openConfig) { o.cfg.CachePages = pages }
-}
-
 // WithMaxConcurrentTxns sets the concurrent-transaction limit; 0 means
 // unlimited.  Exceeding it produces lock waits at high parallelism (§5.4).
 func WithMaxConcurrentTxns(n int) Option {
@@ -86,12 +79,6 @@ func WithMaxConcurrentTxns(n int) Option {
 // WithBTreeDegree sets the minimum degree of secondary-index B-trees.
 func WithBTreeDegree(degree int) Option {
 	return func(o *openConfig) { o.cfg.BTreeDegree = degree }
-}
-
-// WithDirtyFlushPages sets the number of newly dirtied pages after which the
-// database writer runs (§4.5.5); 0 uses the default of 32.
-func WithDirtyFlushPages(n int) Option {
-	return func(o *openConfig) { o.cfg.DirtyFlushPages = n }
 }
 
 // WithIndexPolicy sets the default maintenance policy for indexes created by

@@ -42,18 +42,17 @@ type TableStat struct {
 }
 
 // StatsSnapshot is the one-call statistics surface of a database: engine
-// counters, redo-log counters, buffer-cache counters and per-index memory in
-// a single struct, taken as close together as the component locks allow.
-// Exporters and reports consume this instead of reaching into
-// DB.Stats() + WAL().Stats() + Cache().Stats() separately — one accessor,
-// one point in time, no partially-updated triples when the caller formats
-// them side by side.  (Cross-component consistency is still best-effort:
-// each component snapshots under its own lock, the same contract the
-// individual accessors offered.)
+// counters, redo-log counters and per-table and per-index memory in a single
+// struct, taken as close together as the component locks allow.  Exporters
+// and reports consume this instead of reaching into DB.Stats() and
+// WAL().Stats() separately — one accessor, one point in time, no
+// partially-updated pairs when the caller formats them side by side.
+// (Cross-component consistency is still best-effort: each component
+// snapshots under its own lock, the same contract the individual accessors
+// offered.)
 type StatsSnapshot struct {
 	DB      DBStats
 	WAL     WALStats
-	Cache   CacheStats
 	Indexes []IndexStat
 	// Tables reports every table in schema declaration order.
 	Tables []TableStat
@@ -71,7 +70,6 @@ func (db *DB) StatsSnapshot() StatsSnapshot {
 	out := StatsSnapshot{
 		DB:        db.Stats(),
 		WAL:       db.wal.Stats(),
-		Cache:     db.cache.Stats(),
 		TotalRows: db.TotalRows(),
 		Loading:   db.loading.Load(),
 	}

@@ -53,9 +53,6 @@ func TestStatsSnapshotUnifiesAccessors(t *testing.T) {
 	if snap.WAL != db.WAL().Stats() {
 		t.Errorf("snapshot WAL stats %+v != WAL().Stats() %+v", snap.WAL, db.WAL().Stats())
 	}
-	if snap.Cache != db.Cache().Stats() {
-		t.Errorf("snapshot cache stats diverge")
-	}
 	if snap.TotalRows != 50 {
 		t.Errorf("TotalRows = %d, want 50", snap.TotalRows)
 	}

@@ -527,8 +527,9 @@ func (t *Table) insertPrepared(sc *scratch, row Row) (int64, rowLoc, OpReport, e
 	rep.RowsInserted = 1
 	rep.RowBytes = rb
 	rep.PagesDirtied = 1
+	rep.FirstPage, rep.LastPage = int(loc.page), int(loc.page)
 	if newPage {
-		rep.CacheMisses++ // a fresh block is always a cache miss
+		rep.FreshPages++
 	}
 
 	for _, ix := range t.liveList {

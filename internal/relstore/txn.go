@@ -124,11 +124,6 @@ func (t *Txn) Insert(table string, columns []string, values []Value) (OpReport, 
 type CommitReport struct {
 	// LogBytesForced is the redo volume the commit had to sync.
 	LogBytesForced int64
-	// DirtyPagesWritten is the number of dirty cache pages flushed.
-	DirtyPagesWritten int
-	// CacheScanPages is the number of cached pages the database writer
-	// scanned while flushing (proportional to cache size, §4.5.5).
-	CacheScanPages int
 	// UndoRecordsDiscarded is the length of the undo log released.
 	UndoRecordsDiscarded int
 }
@@ -152,7 +147,7 @@ func (t *Txn) Commit() (CommitReport, error) {
 // until Wait returns nil.  Until then the transaction accepts no more work
 // but is otherwise exactly a transaction inside Commit: its rows stay pending
 // (readers, SnapshotRead and Checkpoint treat them as uncommitted) and it
-// keeps its locks and its admission slot — a caller working under
+// keeps its admission slot — a caller working under
 // WithMaxConcurrentTxns must be ready to Wait before a Begin that would
 // block.
 //
@@ -257,8 +252,8 @@ func (pc *PendingCommit) flushAsync() {
 func (pc *PendingCommit) Settled() bool { return pc.settled }
 
 // Wait is the second half of a commit: it returns once the commit marker is
-// durable and the commit is settled — dirty pages accounted, the rows
-// committed for readers, locks and the admission slot released, an automatic
+// durable and the commit is settled — the rows
+// committed for readers, the admission slot released, an automatic
 // checkpoint taken if one is due.  A nil error is the acknowledgement.  If
 // the log could not be made durable the transaction is rolled back and the
 // device's error returned; the device stays failed.  Wait may be called
@@ -289,15 +284,12 @@ func (pc *PendingCommit) Wait() (CommitReport, error) {
 	return pc.rep, nil
 }
 
-// finishCommit performs the engine-side half of a commit — dirty-page flush,
-// epoch settling, lock release, counters — once the commit marker is appended
-// and, with a durable log, on disk.  It ends the transaction.
+// finishCommit performs the engine-side half of a commit — epoch settling,
+// admission release, counters — once the commit marker is appended and, with
+// a durable log, on disk.  It ends the transaction.
 func (t *Txn) finishCommit(forced int64) CommitReport {
-	written, scanned := t.db.cache.FlushDirty()
 	rep := CommitReport{
 		LogBytesForced:       forced,
-		DirtyPagesWritten:    written,
-		CacheScanPages:       scanned,
 		UndoRecordsDiscarded: len(t.undo),
 	}
 	t.settleEpochs()

@@ -26,6 +26,9 @@ type ServerConfig struct {
 	// DiskChannelsPerDevice is the number of concurrent I/O streams each
 	// RAID device sustains.
 	DiskChannelsPerDevice int
+	// CachePages is the size of the data cache in pages.  A smaller cache
+	// loads faster: the database writer scans all of it on each flush (§4.5.5).
+	CachePages int
 }
 
 // DefaultServerConfig mirrors the production environment of §5.
@@ -35,12 +38,13 @@ func DefaultServerConfig() ServerConfig {
 		TxnSlots:              7,
 		SeparateRAID:          true,
 		DiskChannelsPerDevice: 2,
+		CachePages:            2048,
 	}
 }
 
 // Server is the database server: it owns the relstore engine, the execution
-// resources representing its hardware, and the cost model that converts
-// engine work reports into service time.
+// resources representing its hardware, its modelled data cache, and the cost
+// model that converts engine work reports into service time.
 //
 // The server runs on whichever exec.Scheduler it was built with.  On the DES
 // scheduler every cost below is charged in virtual time and runs are
@@ -59,6 +63,7 @@ type Server struct {
 	idxDisk  exec.Resource
 	logDisk  exec.Resource
 
+	cache *dataCache
 	stats serverCounters
 }
 
@@ -149,7 +154,10 @@ func NewServerOn(sched exec.Scheduler, db *relstore.DB, cfg ServerConfig, cost C
 	if cfg.DiskChannelsPerDevice <= 0 {
 		cfg.DiskChannelsPerDevice = DefaultServerConfig().DiskChannelsPerDevice
 	}
-	s := &Server{db: db, sched: sched, cost: cost, cfg: cfg}
+	if cfg.CachePages <= 0 {
+		cfg.CachePages = DefaultServerConfig().CachePages
+	}
+	s := &Server{db: db, sched: sched, cost: cost, cfg: cfg, cache: newDataCache(cfg.CachePages)}
 	s.cpus = sched.NewResource("server-cpus", cfg.CPUs)
 	s.txnSlots = sched.NewResource("txn-slots", cfg.TxnSlots)
 	s.dataDisk = sched.NewResource("data-raid", cfg.DiskChannelsPerDevice)
@@ -261,13 +269,15 @@ func (s *Server) retire(w exec.Worker, pc *relstore.PendingCommit, freeSlot bool
 	return nil
 }
 
-// chargeCommit counts a commit and charges its processing: fixed CPU cost
-// plus the database-writer cache scan, then a forced log write.
+// chargeCommit counts a commit and charges its processing: the database
+// writer flushes the whole data cache, so fixed CPU cost plus the cache scan,
+// then a forced log write plus the dirty pages.
 func (s *Server) chargeCommit(w exec.Worker, rep relstore.CommitReport) {
+	written, scanned := s.cache.flush()
 	s.stats.commits.Add(1)
-	cpu := s.cost.CommitCost + time.Duration(rep.CacheScanPages)*s.cost.CacheScanCostPerPage
+	cpu := s.cost.CommitCost + time.Duration(scanned)*s.cost.CacheScanCostPerPage
 	s.useCPU(w, cpu)
-	logT := s.cost.LogTime(int(rep.LogBytesForced)) + time.Duration(rep.DirtyPagesWritten)*s.cost.PageWriteCost
+	logT := s.cost.LogTime(int(rep.LogBytesForced)) + time.Duration(written)*s.cost.PageWriteCost
 	s.useDisk(w, s.logDisk, logT, &s.stats.logIONs)
 }
 
@@ -358,10 +368,12 @@ func (s *Server) execBatch(w exec.Worker, txn *relstore.Txn, table string, colum
 	// descents), while wall-clock mode routes through the batch-apply path,
 	// which amortizes that synchronization across the batch and is where the
 	// real hardware speedup comes from.  Both stop at the first failing row
-	// and leave the rows before it applied.
+	// and leave the rows before it applied.  The data cache sees each engine
+	// call's pages as soon as it returns: per row on the DES path.
 	var rep relstore.OpReport
 	inserted := 0
 	var failErr error
+	var misses, scanned int
 	if s.sched.Deterministic() || len(rows) == 1 {
 		// Single-row calls take the per-row path in every mode: there is
 		// nothing to amortize, and the non-bulk baseline (ExecuteSingle)
@@ -370,6 +382,8 @@ func (s *Server) execBatch(w exec.Worker, txn *relstore.Txn, table string, colum
 		for i, r := range rows {
 			one, err := txn.Insert(table, columns, r)
 			rep.Add(one)
+			m, sc := s.cache.write(table, one)
+			misses, scanned = misses+m, scanned+sc
 			if err != nil {
 				res.FailedIndex = i
 				failErr = err
@@ -380,6 +394,7 @@ func (s *Server) execBatch(w exec.Worker, txn *relstore.Txn, table string, colum
 	} else {
 		br, err := txn.InsertBatch(table, columns, rows)
 		rep = br.Report
+		misses, scanned = s.cache.write(table, rep)
 		inserted = br.RowsInserted
 		res.FailedIndex = br.FailedIndex
 		failErr = err
@@ -395,14 +410,15 @@ func (s *Server) execBatch(w exec.Worker, txn *relstore.Txn, table string, colum
 	cpu += time.Duration(inserted) * time.Duration(len(rows)) * s.cost.BatchRowScalingCost
 	cpu += time.Duration(rep.ConstraintChecks) * s.cost.ConstraintCheckCost
 	cpu += time.Duration(rep.FKLookups) * s.cost.FKLookupCost
-	cpu += time.Duration(rep.CacheScanPages) * s.cost.CacheScanCostPerPage
+	cpu += time.Duration(scanned) * s.cost.CacheScanCostPerPage
 	if failErr != nil {
 		cpu += s.cost.ErrorHandlingCost
 	}
 	s.useCPU(w, cpu)
 
-	// 3. Disk I/O on the data, index and log devices.
-	dataT := time.Duration(rep.PagesDirtied)*s.cost.PageWriteCost + time.Duration(rep.CacheMisses)*s.cost.PageWriteCost/2
+	// 3. Disk I/O on the data, index and log devices.  A fresh page is a
+	// miss in any cache.
+	dataT := time.Duration(rep.PagesDirtied)*s.cost.PageWriteCost + time.Duration(rep.FreshPages+misses)*s.cost.PageWriteCost/2
 	s.useDisk(w, s.dataDisk, dataT, &s.stats.dataIONs)
 	idxT := time.Duration(rep.IndexNodesVisited)*s.cost.IndexNodeCost +
 		time.Duration(rep.IndexIntColNodeVisits)*s.cost.IndexIntColCost +

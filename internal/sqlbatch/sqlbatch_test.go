@@ -10,10 +10,16 @@ import (
 	"skyloader/internal/relstore"
 )
 
-// newTestServer builds a server over a freshly seeded catalog database.
+// newTestServer builds a DES server over a freshly seeded catalog database.
 func newTestServer(t *testing.T, cfg ServerConfig) (*des.Kernel, *Server) {
 	t.Helper()
 	k := des.NewKernel(1)
+	return k, NewServer(k, seededDB(t), cfg, DefaultCostModel())
+}
+
+// seededDB opens a catalog database with its reference tables seeded.
+func seededDB(t *testing.T) *relstore.DB {
+	t.Helper()
 	db := relstore.MustOpen(catalog.NewSchema())
 	txn, err := db.Begin()
 	if err != nil {
@@ -25,7 +31,7 @@ func newTestServer(t *testing.T, cfg ServerConfig) (*des.Kernel, *Server) {
 	if _, err := txn.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	return k, NewServer(k, db, cfg, DefaultCostModel())
+	return db
 }
 
 func obsValues(id int64) []relstore.Value {

@@ -190,11 +190,11 @@ func QueryServing() Profile {
 	}
 }
 
-// DBConfig returns the relstore configuration implied by the profile.
+// DBConfig returns the relstore configuration implied by the profile: the
+// engine defaults, since the profile's data cache belongs to the simulated
+// server (ServerConfig).
 func (p Profile) DBConfig() relstore.Config {
-	cfg := relstore.DefaultConfig()
-	cfg.CachePages = p.CachePages
-	return cfg
+	return relstore.DefaultConfig()
 }
 
 // BuildPolicy returns the engine index maintenance policy the profile
@@ -227,6 +227,7 @@ func (p Profile) Open(extra ...relstore.Option) (*relstore.DB, error) {
 func (p Profile) ServerConfig() sqlbatch.ServerConfig {
 	cfg := sqlbatch.DefaultServerConfig()
 	cfg.SeparateRAID = p.SeparateRAID
+	cfg.CachePages = p.CachePages
 	return cfg
 }
 

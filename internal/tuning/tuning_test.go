@@ -82,8 +82,8 @@ func TestProfiles(t *testing.T) {
 	if qs.CachePages <= prod.CachePages {
 		t.Fatalf("query-serving cache should be larger: %+v", qs)
 	}
-	if prod.DBConfig().CachePages != prod.CachePages {
-		t.Fatal("DBConfig does not carry cache size")
+	if prod.ServerConfig().CachePages != prod.CachePages {
+		t.Fatal("ServerConfig does not carry cache size")
 	}
 	if unt.ServerConfig().SeparateRAID {
 		t.Fatal("ServerConfig does not carry RAID layout")
@@ -177,7 +177,7 @@ func TestOpenRepository(t *testing.T) {
 	if got := indexNames(pdb); len(got) != 1 || got[0] != HTMIDIndexName {
 		t.Fatalf("production profile indices = %v", got)
 	}
-	if cfg := pdb.Config(); cfg.CachePages != prof.CachePages || cfg.BTreeDegree != 16 {
-		t.Fatalf("config = %+v: want the profile's cache and the extra option's B-tree degree", cfg)
+	if cfg := pdb.Config(); cfg.MaxConcurrentTxns != prof.DBConfig().MaxConcurrentTxns || cfg.BTreeDegree != 16 {
+		t.Fatalf("config = %+v: want the profile's transaction limit and the extra option's B-tree degree", cfg)
 	}
 }
