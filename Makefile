@@ -29,11 +29,12 @@ race:
 # Time-boxed fuzzing of the five total decoders (the shared frame, wire
 # payloads, WAL record payloads, order-preserving keys, packed row views), of
 # the key index against its key-storing oracle, of the row directory against
-# its location-per-id oracle, of the B-tree against its sorted-slice oracle
-# (seed corpora in testdata/fuzz/<target>; the last two take long op streams,
-# so minimizing each new one is capped at ten runs or the ten seconds go to
-# the minimizer) and of the catalog splitter against its Scanner oracle: 10 s
-# each, one target and one package per invocation as `go test -fuzz` requires.
+# its location-per-id oracle, of the heap pages against the rows appended to
+# them, of the B-tree against its sorted-slice oracle (seed corpora in
+# testdata/fuzz/<target>; the last three take long op streams, so minimizing
+# each new one is capped at ten runs or the ten seconds go to the minimizer)
+# and of the catalog splitter against its Scanner oracle: 10 s each, one
+# target and one package per invocation as `go test -fuzz` requires.
 # An input that fails is written to the package's testdata/fuzz/<target>/;
 # check it in, it is then a regression seed every plain `go test` replays.
 fuzz:
@@ -44,6 +45,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzRowViewDecode$$' -fuzztime 10s ./internal/relstore/
 	$(GO) test -run '^$$' -fuzz '^FuzzKeyIndexOps$$' -fuzztime 10s ./internal/relstore/
 	$(GO) test -run '^$$' -fuzz '^FuzzRowDirOps$$' -fuzztime 10s -fuzzminimizetime 10x ./internal/relstore/
+	$(GO) test -run '^$$' -fuzz '^FuzzHeapPages$$' -fuzztime 10s -fuzzminimizetime 10x ./internal/relstore/
 	$(GO) test -run '^$$' -fuzz '^FuzzBTreeOps$$' -fuzztime 10s -fuzzminimizetime 10x ./internal/relstore/
 	$(GO) test -run '^$$' -fuzz '^FuzzReadRecords$$' -fuzztime 10s ./internal/catalog/
 

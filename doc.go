@@ -54,9 +54,13 @@
 // (kind tag + int64 + float64 + string fields) rather than a boxed interface,
 // so building and buffering a row performs no per-value heap allocation.
 // Value is the transport type only.  A table stores each row as a packed
-// record in a slotted byte page: a NULL bitmap, an 8-byte slot per column and
-// the row's string bytes, derived from the column kinds alone, so the resident
-// repository holds no pointers for the collector to follow.  Readers that do
+// record in a byte page: a NULL bitmap, a slot per column and the row's string
+// bytes, derived from the column kinds alone, so the resident repository holds
+// no pointers for the collector to follow.  A closed page of a table without a
+// string column is re-encoded once into a layout of its own — each number the
+// page minimum plus a delta of 0 to 8 bytes, floats with a declared precision
+// as scaled integers when that is exact — and needs no slot directory, since
+// its records are all one length.  Readers that do
 // not need a copy (DB.ScanRef, RangeIndexedRef, LookupByPKRef) receive a
 // relstore.RowView with typed getters over the page bytes, valid only inside
 // the visitor call; Scan, LookupByPK, RangeIndexed and friends materialise a

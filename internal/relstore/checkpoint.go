@@ -248,7 +248,7 @@ func encodeCheckpoint(seq, boundary, maxTxn int64, tables []*Table) [][]byte {
 				e.buf = binary.LittleEndian.AppendUint32(e.buf, uint32(tid))
 				e.buf = append(e.buf, 0, 0, 0, 0)
 			}
-			e.reserve(8 + 4 + maxWALRowBytes(row))
+			e.reserve(8 + 4 + maxWALRowBytes(t.heap.lay, row))
 			e.buf = binary.LittleEndian.AppendUint64(e.buf, uint64(id))
 			lenAt := len(e.buf)
 			e.buf = append(e.buf, 0, 0, 0, 0)
@@ -270,10 +270,13 @@ func encodeCheckpoint(seq, boundary, maxTxn int64, tables []*Table) [][]byte {
 }
 
 // maxWALRowBytes bounds the appendWALValue encoding of a stored row from the
-// size of its packed record: a fixed-width value takes a tag byte and at most
-// its 8-byte slot, a string a tag, a two-byte terminator and at most two
-// bytes per byte of text.
-func maxWALRowBytes(row RowView) int { return 3*row.Len() + 2*len(row.rec) }
+// size of its record in the table's wide layout: a fixed-width value takes a
+// tag byte and at most its 8-byte slot, a string a tag, a two-byte terminator
+// and at most two bytes per byte of text.  A closed page's narrow record is
+// shorter, so its own length would under-reserve.
+func maxWALRowBytes(wide *rowLayout, row RowView) int {
+	return 3*row.Len() + 2*(wide.fixed+len(row.rec)-row.lay.fixed)
+}
 
 // removeStaleCkptTemps deletes checkpoint temp files left behind by a crash
 // between create and rename.  Recovery never reads them (a checkpoint exists

@@ -54,7 +54,7 @@ func TestLockManagerAdmission(t *testing.T) {
 }
 
 func TestHeapStorePaging(t *testing.T) {
-	h := newHeapStore(newRowLayout([]Column{{Name: "blob", Type: TypeString}}))
+	h := newHeapStore([]Column{{Name: "blob", Type: TypeString}})
 	// Rows of ~1 KB should produce multiple 8 KB pages.
 	big := make(Row, 1)
 	big[0] = Str(string(make([]byte, 1000)))

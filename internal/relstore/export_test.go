@@ -1,6 +1,9 @@
 package relstore
 
-import "bytes"
+import (
+	"bytes"
+	"unsafe"
+)
 
 // Test-only views of the key indexes for the external guard test
 // (keyindex_guard_test.go), which needs internal/catalog and so cannot live
@@ -92,4 +95,47 @@ func (t *BTree) Keys() [][]byte {
 		return true
 	})
 	return out
+}
+
+// PageGeometry describes a table's heap pages, walked one by one.
+type PageGeometry struct {
+	Pages, ClosedPages, ClosedRows int
+	// ClosedBytes is what the closed pages hold: data and slot directories at
+	// their capacity, and the layouts of those that carry their own.
+	ClosedBytes int64
+	// WithOffs counts the pages, open or closed, that keep a slot directory;
+	// OwnLayouts the closed pages that carry a layout of their own, and
+	// LayoutBytes what those layouts hold.
+	WithOffs, OwnLayouts int
+	LayoutBytes          int64
+	// HeapBytes is the heap's share of TableStat.ResidentBytes: the closed
+	// pages, the open page's write buffers and the page headers.
+	HeapBytes int64
+}
+
+// PageGeometry walks the table's heap pages.
+func (t *Table) PageGeometry() PageGeometry {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	h := t.heap
+	g := PageGeometry{Pages: len(h.pages)}
+	for i := range h.pages {
+		p := &h.pages[i]
+		if p.offs != nil {
+			g.WithOffs++
+		}
+		if i == len(h.pages)-1 {
+			break
+		}
+		g.ClosedPages++
+		g.ClosedRows += p.rows()
+		g.ClosedBytes += int64(cap(p.data)) + 4*int64(cap(p.offs))
+		if p.lay != h.lay {
+			g.OwnLayouts++
+			g.LayoutBytes += int64(unsafe.Sizeof(rowLayout{})) + int64(cap(p.lay.cols))*int64(unsafe.Sizeof(colSlot{}))
+		}
+	}
+	g.ClosedBytes += g.LayoutBytes
+	g.HeapBytes = g.ClosedBytes + int64(cap(h.wdata)) + 4*int64(cap(h.woffs)) + int64(cap(h.pages))*int64(unsafe.Sizeof(page{}))
+	return g
 }

@@ -125,7 +125,7 @@ func TestRowDirGuards(t *testing.T) {
 	}
 
 	// A batch stored and rolled back: its ids stay inside the runs the insert
-	// extended (the dead slots are the only trace), and none resolves.
+	// extended (the heap's rollback marks are the only trace), and none resolves.
 	filters := db.Table(catalog.TFilters)
 	cols := []string{"filter_id", "name", "wavelength_nm", "bandwidth_nm"}
 	batch := make([][]relstore.Value, 40)

@@ -35,7 +35,7 @@ func runRowDirOps(t testing.TB, data []byte) {
 	}
 	lastLoc := func() rowLoc {
 		p := len(tbl.heap.pages) - 1
-		return rowLoc{page: uint32(p), slot: uint32(len(tbl.heap.pages[p].offs) - 1)}
+		return rowLoc{page: uint32(p), slot: uint32(tbl.heap.pages[p].rows() - 1)}
 	}
 	check := func(id int64) {
 		loc, ok := tbl.rows.get(id)
@@ -118,8 +118,8 @@ func runRowDirOps(t testing.TB, data []byte) {
 		if r.n == 0 || int64(r.first) < end {
 			t.Fatalf("run %d %+v is empty or starts below %d", i, r, end)
 		}
-		if int(r.slot+r.n) > len(tbl.heap.pages[r.page].offs) {
-			t.Fatalf("run %d %+v runs off its page's %d slots", i, r, len(tbl.heap.pages[r.page].offs))
+		if n := tbl.heap.pages[r.page].rows(); int(r.slot+r.n) > n {
+			t.Fatalf("run %d %+v runs off its page's %d slots", i, r, n)
 		}
 		end = int64(r.first) + int64(r.n)
 		ids += int(r.n)

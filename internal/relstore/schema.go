@@ -10,9 +10,12 @@ type Column struct {
 	Name     string
 	Type     ColType
 	Nullable bool
-	// Precision, when >= 0 and the type is TypeFloat, is the number of
-	// decimal places the value is rounded to by the catalog transformer.
-	// It is informational to the engine itself.
+	// Precision, when > 0 and the type is TypeFloat, is the number of
+	// decimal places the catalog transformer rounds the value to.  The engine
+	// takes it as a storage hint: a closed heap page holds the column as
+	// integers scaled by 10^Precision when every value on the page decodes
+	// back to its exact bits, and as raw float bits otherwise, so a value off
+	// the declared precision is stored unchanged, never rounded.
 	Precision int
 }
 

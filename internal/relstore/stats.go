@@ -28,10 +28,10 @@ type TableStat struct {
 	// model use).
 	Rows, NominalBytes int64
 	// ResidentBytes is the memory the table holds for its rows, counted where
-	// it is held: heap page data and slot directories at their allocated
-	// capacity, the row directory, and the slots of the primary-key and
-	// unique hash indexes.  Secondary B-tree indexes report their own memory
-	// in IndexStat.
+	// it is held: heap page data, slot directories and the layouts of closed
+	// pages that carry their own, at their allocated capacity; the row
+	// directory; and the slots of the primary-key and unique hash indexes.
+	// Secondary B-tree indexes report their own memory in IndexStat.
 	ResidentBytes int64
 	// KeyIndexBytes is the hash indexes' share of ResidentBytes.
 	KeyIndexBytes int64

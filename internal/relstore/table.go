@@ -62,7 +62,7 @@ func (ix *Index) Ready() bool { return !ix.suspended.Load() }
 // ids in consecutive slots of one page, sorted by first id: a load opens one
 // run per page, and only replay — which stores concurrent writers' records in
 // log order, not id order — opens one mid-slice.  A run keeps rolled-back ids:
-// the page's deadSlot bit is the only tombstone, and a covered id is spent.
+// the heap's rollback mark is the only tombstone, and a covered id is spent.
 type rowDir struct{ runs []idRun }
 
 // idRun says row id first+k is stored at (page, slot+k) for every k < n.
@@ -217,7 +217,7 @@ type Table struct {
 func newTable(schema *TableSchema, btreeDegree int, loading *atomic.Bool) (*Table, error) {
 	t := &Table{
 		schema:      schema,
-		heap:        newHeapStore(newRowLayout(schema.Columns)),
+		heap:        newHeapStore(schema.Columns),
 		indexes:     make(map[string]*Index),
 		indexList:   []*Index{},
 		btreeDegree: btreeDegree,
