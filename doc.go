@@ -17,7 +17,8 @@
 //     safe for concurrent writer transactions, with a durable WAL, checkpoints and recovery
 //   - internal/frame      — the one byte layer: the length+CRC32 frame and the field cursor
 //     under WAL segments, checkpoint files and the shard wire
-//   - internal/sqlbatch   — the JDBC-like batch client/server with the calibrated cost model
+//   - internal/sqlbatch   — the JDBC-like batch client/server with the calibrated cost model,
+//     which prices the paper's data cache (§4.5.5) and redo log (§4.5.2)
 //   - internal/catalog    — the Palomar-Quest data model, file format, parser and generator
 //   - internal/htm        — Hierarchical Triangular Mesh ids for object positions
 //   - internal/des        — the deterministic discrete-event simulation kernel
@@ -112,8 +113,10 @@
 // Five options set one Config field each (WithMaxConcurrentTxns,
 // WithBTreeDegree, WithWALDir, WithCheckpointEvery, WithWALSegmentBytes),
 // WithConfig adopts a whole Config, and WithIndexPolicy and the test-only
-// WithFaultHook carry what Config does not hold.  The §4.5.5 data cache is
-// the simulated server's, not the engine's: sqlbatch.ServerConfig.CachePages.
+// WithFaultHook carry what Config does not hold.  The §4.5.5 data cache and
+// the §4.5.2 redo volume are the simulated server's, not the engine's:
+// sqlbatch.ServerConfig.CachePages sizes the one, and the other is derived
+// from the work each engine call reports.
 // PERFORMANCE.md ("Knob audit") lists who sets each one and what it measured;
 // relstore's TestConfigSurface pins the field set so a new knob is a visible
 // decision.

@@ -627,7 +627,9 @@ func TestReadRecordsMatchesScanner(t *testing.T) {
 }
 
 // FuzzReadRecords: on any bytes whose lines stay under the length limit the
-// arena splitter and the Scanner oracle agree.
+// arena splitter and the Scanner oracle agree.  The seed corpus
+// (testdata/fuzz/FuzzReadRecords) holds two skygen files, one with injected
+// errors.
 func FuzzReadRecords(f *testing.F) {
 	for _, text := range parserCases {
 		f.Add([]byte(text))

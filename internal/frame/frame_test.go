@@ -191,7 +191,10 @@ func TestCursorLatches(t *testing.T) {
 
 // FuzzFrame is the framing half of what FuzzWireDecode and FuzzWALRecordDecode
 // used to do twice: on arbitrary bytes Next never panics, never returns OK
-// for a frame Append would not have written, and agrees with Read.
+// for a frame Append would not have written, and agrees with Read.  The seed
+// corpus (testdata/fuzz/FuzzFrame) holds real streams: relstore's
+// parent-written log segment and checkpoint (relstore/testdata/parent_wal),
+// a segment cut mid-frame, and two frames a fleet sent.
 func FuzzFrame(f *testing.F) {
 	for _, p := range samplePayloads() {
 		f.Add(Append(nil, p))

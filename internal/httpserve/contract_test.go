@@ -31,7 +31,7 @@ var backends = []struct {
 		name: "database", start: newHTTPEnv, repeat: "cache_hit",
 		families: []string{
 			"sky_db_rows_inserted_total", "sky_db_commits_total", "sky_db_total_rows", "sky_db_batch_yields_total",
-			"sky_wal_records_total", "sky_wal_syncs_total",
+			"sky_wal_commits_total", "sky_wal_syncs_total",
 			"sky_wal_durable_syncs_total", "sky_wal_commit_wait_seconds_total", "sky_wal_shared_flushes_total",
 			"sky_index_key_bytes", "sky_index_ready",
 			"sky_relstore_resident_bytes", "sky_relstore_keyindex_bytes", "sky_relstore_index_resident_bytes",

@@ -134,7 +134,6 @@ func writeDBMetrics(p *metrics.PromWriter, snap relstore.StatsSnapshot) {
 		p.SampleInt("sky_db_constraint_violations_total", []metrics.Label{{Name: "kind", Value: kind}}, byKind[kind])
 	}
 	p.Counter("sky_db_pages_allocated_total", "Heap pages allocated.", snap.DB.PagesAllocated)
-	p.Counter("sky_db_log_bytes_total", "Redo-log bytes written (cost model).", snap.DB.LogBytes)
 	p.Counter("sky_db_index_splits_total", "B-tree node splits.", snap.DB.IndexSplits)
 	p.Counter("sky_db_batch_yields_total", "Batch runs closed early to let a waiting reader in.", snap.DB.BatchYields)
 	p.Counter("sky_db_indexes_created_total", "Successful CREATE INDEX operations.", snap.DB.IndexesCreated)
@@ -143,16 +142,9 @@ func writeDBMetrics(p *metrics.PromWriter, snap relstore.StatsSnapshot) {
 	p.Gauge("sky_db_total_rows", "Rows currently resident across all tables.", snap.TotalRows)
 	p.Gauge("sky_db_loading", "1 while a BeginLoad/Seal window is open.", boolInt(snap.Loading))
 
-	// --- relstore: WAL ---
-	p.Counter("sky_wal_records_total", "WAL records appended.", snap.WAL.Records)
-	p.Counter("sky_wal_group_records_total", "Batched multi-row WAL records.", snap.WAL.GroupRecords)
-	p.Counter("sky_wal_grouped_rows_total", "Rows covered by batched WAL records.", snap.WAL.GroupedRows)
-	p.Counter("sky_wal_bytes_total", "WAL bytes appended.", snap.WAL.Bytes)
-	p.Counter("sky_wal_commits_total", "Commit records appended.", snap.WAL.Commits)
-	p.Counter("sky_wal_syncs_total", "Log syncs counted by the cost model, one per commit.", snap.WAL.Syncs)
-	p.Gauge("sky_wal_max_unsynced_bytes", "High-water mark of unsynced WAL bytes.", snap.WAL.MaxUnsyncedBytes)
-
-	// --- relstore: durable WAL, checkpoints, crash recovery ---
+	// --- relstore: WAL, checkpoints, crash recovery ---
+	p.Counter("sky_wal_commits_total", "Commits started, one commit marker each.", snap.WAL.Commits)
+	p.Counter("sky_wal_syncs_total", "Log forces at commit, one per commit; sky_wal_durable_syncs_total counts the fsyncs.", snap.WAL.Syncs)
 	p.Gauge("sky_wal_durable", "1 when records are persisted to a WAL directory.", boolInt(snap.WAL.Durable))
 	p.Counter("sky_wal_durable_bytes_total", "Bytes appended to on-disk WAL segments.", snap.WAL.DurableBytes)
 	p.Counter("sky_wal_durable_syncs_total", "fsync batches issued against the WAL.", snap.WAL.DurableSyncs)

@@ -148,8 +148,6 @@ func oracleDBMetrics(p *metrics.PromWriter, snap relstore.StatsSnapshot) {
 	}
 	p.Metric("sky_db_pages_allocated_total", "Heap pages allocated.", "counter")
 	p.SampleInt("sky_db_pages_allocated_total", nil, snap.DB.PagesAllocated)
-	p.Metric("sky_db_log_bytes_total", "Redo-log bytes written (cost model).", "counter")
-	p.SampleInt("sky_db_log_bytes_total", nil, snap.DB.LogBytes)
 	p.Metric("sky_db_index_splits_total", "B-tree node splits.", "counter")
 	p.SampleInt("sky_db_index_splits_total", nil, snap.DB.IndexSplits)
 	p.Metric("sky_db_batch_yields_total", "Batch runs closed early to let a waiting reader in.", "counter")
@@ -169,23 +167,11 @@ func oracleDBMetrics(p *metrics.PromWriter, snap relstore.StatsSnapshot) {
 	}
 	p.SampleInt("sky_db_loading", nil, loading)
 
-	// --- relstore: WAL ---
-	p.Metric("sky_wal_records_total", "WAL records appended.", "counter")
-	p.SampleInt("sky_wal_records_total", nil, snap.WAL.Records)
-	p.Metric("sky_wal_group_records_total", "Batched multi-row WAL records.", "counter")
-	p.SampleInt("sky_wal_group_records_total", nil, snap.WAL.GroupRecords)
-	p.Metric("sky_wal_grouped_rows_total", "Rows covered by batched WAL records.", "counter")
-	p.SampleInt("sky_wal_grouped_rows_total", nil, snap.WAL.GroupedRows)
-	p.Metric("sky_wal_bytes_total", "WAL bytes appended.", "counter")
-	p.SampleInt("sky_wal_bytes_total", nil, snap.WAL.Bytes)
-	p.Metric("sky_wal_commits_total", "Commit records appended.", "counter")
+	// --- relstore: WAL, checkpoints, crash recovery ---
+	p.Metric("sky_wal_commits_total", "Commits started, one commit marker each.", "counter")
 	p.SampleInt("sky_wal_commits_total", nil, snap.WAL.Commits)
-	p.Metric("sky_wal_syncs_total", "Log syncs counted by the cost model, one per commit.", "counter")
+	p.Metric("sky_wal_syncs_total", "Log forces at commit, one per commit; sky_wal_durable_syncs_total counts the fsyncs.", "counter")
 	p.SampleInt("sky_wal_syncs_total", nil, snap.WAL.Syncs)
-	p.Metric("sky_wal_max_unsynced_bytes", "High-water mark of unsynced WAL bytes.", "gauge")
-	p.SampleInt("sky_wal_max_unsynced_bytes", nil, snap.WAL.MaxUnsyncedBytes)
-
-	// --- relstore: durable WAL, checkpoints, crash recovery ---
 	p.Metric("sky_wal_durable", "1 when records are persisted to a WAL directory.", "gauge")
 	durable := int64(0)
 	if snap.WAL.Durable {

@@ -65,7 +65,7 @@ func TestInsertPreparedAllocBudget(t *testing.T) {
 }
 
 // TestTxnAllocBudget pins what a transaction costs beyond its rows.  On a warm
-// counters-only database, Begin + a one-row InsertBatch + Commit allocate the
+// database with no WAL directory, Begin + a one-row InsertBatch + Commit allocate the
 // Txn, its undo record and a few per-call slices: 6.  Admission is a set
 // insert; a per-transaction map of row locks by table, with its bucket, made
 // it 9.

@@ -11,7 +11,7 @@ import (
 // applies a whole loader batch through the storage engine with per-batch
 // instead of per-row synchronization.  The paper's core claim is that bulk
 // loading wins by amortizing per-row costs across batches (§4.2); the per-row
-// path (DB.insert) pays a table-lock round trip, a WAL mutex+append and a
+// path (DB.insert) pays a table-lock round trip, a durable log append and a
 // top-down B-tree descent for every row, and this path pays each of those
 // once per batch instead:
 //
@@ -19,7 +19,7 @@ import (
 //   - the table's write lock is taken once for the whole batch, unless a
 //     reader queues on it meanwhile: then the batch yields the table at the
 //     next 16-row boundary and relocks (see insertBatchLocked);
-//   - one group WAL record (WAL.AppendInsertGroup) replaces n mutexed appends;
+//   - with a durable log, one insert record per run replaces n appends;
 //   - secondary indexes are maintained by a sorted bulk merge: the batch's
 //     keys are collected into pooled scratch slices, sorted, and inserted via
 //     the leaf-aware BTree.InsertSorted sequential pass;
@@ -111,8 +111,6 @@ func (db *DB) insertBatch(txn *Txn, tableName string, columns []string, rows [][
 		return res, err
 	}
 
-	// Per-batch log accounting — once, not once per row.
-	rep.LogBytes += db.wal.AppendInsertGroup(inserted, rep.RowBytes+rep.IndexEntryBytes)
 	db.counters.rowsInserted.Add(int64(inserted))
 	db.counters.indexSplits.Add(int64(rep.IndexSplits))
 	return res, err

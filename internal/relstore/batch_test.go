@@ -61,9 +61,8 @@ func engineState(t *testing.T, db *DB) string {
 }
 
 // statsFingerprint renders the engine counters that must match between the
-// per-row and batch paths.  Physical counters that legitimately differ are
-// excluded: LogBytes (group records are smaller by construction) and
-// IndexSplits (B-tree shape depends on insertion order).
+// per-row and batch paths.  IndexSplits legitimately differs and is
+// excluded: B-tree shape depends on insertion order.
 func statsFingerprint(db *DB) string {
 	st := db.Stats()
 	var b strings.Builder
@@ -534,37 +533,33 @@ func TestSortInt64Pairs(t *testing.T) {
 }
 
 // TestInsertBatchGroupWAL checks that a successful batch writes exactly one
-// group redo record covering all of its rows.
+// durable insert record covering all of its rows: the log of a transaction of
+// one frame row and a 25-row batch holds three records.
 func TestInsertBatchGroupWAL(t *testing.T) {
-	db := batchPropertyDB(t)
-	before := db.WAL().Stats()
+	db, dir := durableDB(t)
 	txn, err := db.Begin()
 	if err != nil {
 		t.Fatal(err)
 	}
-	cols := []string{"object_id", "frame_id", "mag"}
+	insertFrame(t, txn, 1)
 	rows := make([][]Value, 25)
 	for i := range rows {
-		rows[i] = []Value{Int(int64(1000 + i)), Int(0), Float(float64(i % 7))}
+		rows[i] = []Value{Int(int64(1000 + i)), Int(1), Float(float64(i % 7))}
 	}
-	br, err := txn.InsertBatch("objects", cols, rows)
-	if err != nil || br.RowsInserted != len(rows) {
+	if br, err := txn.InsertBatch("objects", []string{"object_id", "frame_id", "mag"}, rows); err != nil || br.RowsInserted != len(rows) {
 		t.Fatalf("batch failed: %+v err=%v", br, err)
-	}
-	after := db.WAL().Stats()
-	if got := after.GroupRecords - before.GroupRecords; got != 1 {
-		t.Fatalf("group records written = %d, want 1", got)
-	}
-	if got := after.GroupedRows - before.GroupedRows; got != int64(len(rows)) {
-		t.Fatalf("grouped rows = %d, want %d", got, len(rows))
-	}
-	if got := after.Records - before.Records; got != 1 {
-		t.Fatalf("total records written = %d, want 1 (one group record, no per-row records)", got)
-	}
-	if br.Report.LogBytes != int(after.Bytes-before.Bytes) {
-		t.Fatalf("report LogBytes %d != WAL growth %d", br.Report.LogBytes, after.Bytes-before.Bytes)
 	}
 	if _, err := txn.Commit(); err != nil {
 		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, rep, err := Recover(testSchema(t), dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.ReplayedRecords != 3 || rep.ReplayedRows != 1+int64(len(rows)) {
+		t.Fatalf("replayed %d records, %d rows; want 3 (frame, batch, commit) and %d", rep.ReplayedRecords, rep.ReplayedRows, 1+len(rows))
 	}
 }

@@ -4,25 +4,34 @@ import (
 	"testing"
 )
 
+// TestWAL pins what the log counts with no WAL directory: a commit and a
+// sync for every commit started, through Commit or CommitStart, nothing for a
+// rollback, and nothing durable.
 func TestWAL(t *testing.T) {
-	w := NewWAL()
-	n := w.AppendInsert(100)
-	if n != 128 {
-		t.Fatalf("AppendInsert returned %d, want 128", n)
+	db := newTestDB(t)
+	for id, start := range []bool{false, true} {
+		txn, _ := db.Begin()
+		insertFrame(t, txn, int64(id+1))
+		var err error
+		if start {
+			var pc *PendingCommit
+			if pc, err = txn.CommitStart(); err == nil {
+				_, err = pc.Wait()
+			}
+		} else {
+			_, err = txn.Commit()
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
-	w.AppendInsert(100)
-	forced := w.AppendCommit()
-	if forced != 256+48 {
-		t.Fatalf("forced = %d, want 304", forced)
+	txn, _ := db.Begin()
+	insertFrame(t, txn, 3)
+	if err := txn.Rollback(); err != nil {
+		t.Fatal(err)
 	}
-	st := w.Stats()
-	if st.Commits != 1 || st.Records != 3 || st.MaxUnsyncedBytes != 256 {
+	if st := db.WAL().Stats(); st != (WALStats{Commits: 2, Syncs: 2}) {
 		t.Fatalf("stats: %+v", st)
-	}
-	// After a commit the unsynced counter restarts.
-	w.AppendInsert(10)
-	if got := w.AppendCommit(); got != 38+48 {
-		t.Fatalf("second commit forced %d", got)
 	}
 }
 

@@ -3,8 +3,9 @@ package relstore
 // OpReport describes the physical work performed by a storage-engine
 // operation.  The engine itself is time-free; the sqlbatch server converts
 // these counts into virtual service time on the simulated server's CPU, data
-// disk, index disk and redo-log disk, which is how the paper's runtime curves
-// are regenerated without the original Oracle/Altix/SAN hardware.
+// disk, index disk and redo-log disk (the redo volume it derives from
+// RowBytes and IndexEntryBytes), which is how the paper's runtime curves are
+// regenerated without the original Oracle/Altix/SAN hardware.
 type OpReport struct {
 	// RowsInserted is the number of rows durably added.
 	RowsInserted int
@@ -35,8 +36,6 @@ type OpReport struct {
 	IndexSplits int
 	// IndexEntryBytes is the volume of index entries written.
 	IndexEntryBytes int
-	// LogBytes is the redo-log volume generated.
-	LogBytes int
 	// ConstraintChecks counts individual constraint evaluations (PK, FK,
 	// unique, check, not-null).
 	ConstraintChecks int
@@ -64,13 +63,14 @@ func (r *OpReport) Add(o OpReport) {
 	r.IndexFloatColNodeVisits += o.IndexFloatColNodeVisits
 	r.IndexSplits += o.IndexSplits
 	r.IndexEntryBytes += o.IndexEntryBytes
-	r.LogBytes += o.LogBytes
 	r.ConstraintChecks += o.ConstraintChecks
 	r.FKLookups += o.FKLookups
 	r.UndoRecords += o.UndoRecords
 }
 
-// DBStats aggregates engine-wide counters since database creation.
+// DBStats aggregates engine-wide counters since database creation.  It has
+// no log volume: the redo bytes §4.5.2 prices are the sqlbatch server's
+// model, and the durable log's bytes are in WALStats.
 type DBStats struct {
 	RowsInserted         int64
 	RowsRejected         int64
@@ -79,7 +79,6 @@ type DBStats struct {
 	Rollbacks            int64
 	ConstraintViolations map[ConstraintKind]int64
 	PagesAllocated       int64
-	LogBytes             int64
 	IndexSplits          int64
 	// BatchYields counts the times an InsertBatch closed its run early and
 	// released the table because a reader was waiting on it; 0 means every
@@ -92,8 +91,6 @@ type DBStats struct {
 	IndexesCreated   int64
 	IndexesDropped   int64
 	IndexDDLFailures int64
-	// WALSyncs is the number of redo-log syncs (see WALStats.Syncs).
-	WALSyncs int64
 	// IndexKeyBytes is the summed length of the encoded keys stored across
 	// every secondary-index B-tree; IndexArenaBytes is the bytes their nodes
 	// reserve for keys.  The difference is the room nodes below capacity keep

@@ -17,7 +17,7 @@ type Config struct {
 	BTreeDegree int
 	// WALDir, when non-empty, makes the WAL durable: records are persisted to
 	// segmented log files under this directory and syncs are real fsyncs.
-	// Empty (the default) keeps the WAL counters-only.  See WithWALDir.
+	// Empty (the default) means no log at all.  See WithWALDir.
 	WALDir string
 	// CheckpointEveryBytes triggers an automatic checkpoint after roughly this
 	// many durable log bytes; 0 disables.  See WithCheckpointEvery.
@@ -39,10 +39,10 @@ func DefaultConfig() Config {
 //
 // Concurrency: the engine is safe for concurrent transactions on separate
 // goroutines.  The table set is immutable after Open; each Table carries its
-// own lock, the lock manager and WAL carry theirs, and the engine-wide
-// counters are atomics, so writers to different tables proceed in parallel
-// and writers to the same table serialize only for the in-memory critical
-// section of the row store.
+// own lock, the lock manager and the durable log carry theirs, and the
+// engine-wide counters are atomics, so writers to different tables proceed in
+// parallel and writers to the same table serialize only for the in-memory
+// critical section of the row store.
 type DB struct {
 	schema *Schema
 	cfg    Config
@@ -120,7 +120,7 @@ func open(schema *Schema, oc openConfig) (*DB, error) {
 		indexPolicy: oc.indexPolicy,
 		tables:      make(map[string]*Table, schema.NumTables()),
 		locks:       NewLockManager(cfg.MaxConcurrentTxns),
-		wal:         NewWAL(),
+		wal:         new(WAL),
 	}
 	db.counters.violations = make(map[ConstraintKind]int64)
 	db.scratchPool.New = func() any { return new(scratch) }
@@ -148,8 +148,8 @@ func open(schema *Schema, oc openConfig) (*DB, error) {
 
 // Close flushes and closes the durable log device, if any.  It does not wait
 // for open transactions; in-memory state remains usable but no further
-// durable appends may happen.  A nil error is returned for a counters-only
-// database, and a device that failed earlier returns that failure.
+// durable appends may happen.  A nil error is returned for a database with no
+// durable log, and a device that failed earlier returns that failure.
 func (db *DB) Close() error {
 	dev := db.wal.dev.Load()
 	if dev == nil {
@@ -171,10 +171,9 @@ func (db *DB) Table(name string) *Table { return db.tables[name] }
 func (db *DB) WAL() *WAL { return db.wal }
 
 // Stats returns a snapshot of the engine-wide counters.  Derived quantities
-// (pages allocated, log bytes) are computed at snapshot time from their
+// (pages allocated, index bytes) are computed at snapshot time from their
 // owning components rather than being re-derived on every insert.
 func (db *DB) Stats() DBStats {
-	ws := db.wal.Stats()
 	out := DBStats{
 		RowsInserted:     db.counters.rowsInserted.Load(),
 		RowsRejected:     db.counters.rowsRejected.Load(),
@@ -187,8 +186,6 @@ func (db *DB) Stats() DBStats {
 		IndexesDropped:   db.counters.indexesDropped.Load(),
 		IndexDDLFailures: db.counters.indexDDLFailed.Load(),
 		PagesAllocated:   db.pagesAllocated(),
-		LogBytes:         ws.Bytes,
-		WALSyncs:         ws.Syncs,
 	}
 	db.counters.violMu.Lock()
 	out.ConstraintViolations = make(map[ConstraintKind]int64, len(db.counters.violations))
@@ -309,7 +306,6 @@ func (db *DB) insert(txn *Txn, tableName string, columns []string, values []Valu
 		return rep, err
 	}
 
-	rep.LogBytes += db.wal.AppendInsert(rep.RowBytes + rep.IndexEntryBytes)
 	var logErr error
 	if dev := db.wal.dev.Load(); dev != nil {
 		logErr = dev.logInsert(sc, t.tid, txn.id, id, []Row{row})

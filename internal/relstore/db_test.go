@@ -318,7 +318,7 @@ func TestIndexCostReporting(t *testing.T) {
 	if rep.IndexFloatColNodeVisits == 0 || rep.IndexIntColNodeVisits == 0 {
 		t.Fatalf("per-type visits missing: %+v", rep)
 	}
-	if rep.LogBytes == 0 || rep.RowsInserted != 1 || rep.ConstraintChecks == 0 {
+	if rep.RowBytes == 0 || rep.IndexEntryBytes == 0 || rep.RowsInserted != 1 || rep.ConstraintChecks == 0 {
 		t.Fatalf("report incomplete: %+v", rep)
 	}
 }
@@ -355,16 +355,18 @@ func TestQueryErrors(t *testing.T) {
 	}
 }
 
+// TestWALAccounting: with a WAL directory a commit counts once, as a commit
+// and as a sync, and reaches the segment files — its bytes appended and an
+// fsync issued.
 func TestWALAccounting(t *testing.T) {
-	db := newTestDB(t)
+	db, _ := durableDB(t)
 	txn, _ := db.Begin()
 	insertFrame(t, txn, 1)
-	rep, _ := txn.Commit()
-	if rep.LogBytesForced == 0 {
-		t.Fatal("commit forced no log bytes")
+	if rep, err := txn.Commit(); err != nil || rep.UndoRecordsDiscarded != 1 {
+		t.Fatalf("commit: %+v %v", rep, err)
 	}
 	st := db.WAL().Stats()
-	if st.Commits != 1 || st.Records < 2 || st.Bytes == 0 {
+	if !st.Durable || st.Commits != 1 || st.Syncs != 1 || st.DurableBytes == 0 || st.DurableSyncs == 0 {
 		t.Fatalf("WAL stats: %+v", st)
 	}
 }

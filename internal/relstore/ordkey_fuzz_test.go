@@ -11,7 +11,9 @@ import (
 // CompareKeys for every comparable key pair) and decode-safety (the decoder
 // never panics on arbitrary bytes, and anything it accepts re-encodes
 // byte-identically — including a valid encoding followed by an arbitrary
-// suffix, which must either extend canonically or be rejected).
+// suffix, which must either extend canonically or be rejected).  The seed
+// corpus (testdata/fuzz/FuzzOrderedKeyOrder) holds the encoded rows, first and
+// last per table, that testdata/parent_wal recovers to.
 func FuzzOrderedKeyOrder(f *testing.F) {
 	f.Add(int64(0), int64(1), false, []byte{})
 	f.Add(int64(-1), int64(math.MaxInt64), true, []byte{ordTagNull})

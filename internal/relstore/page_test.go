@@ -459,34 +459,57 @@ func FuzzHeapPages(f *testing.F) {
 
 // FuzzRowViewDecode: the validating decoder is total — arbitrary bytes either
 // fail to validate or yield a view whose every getter stays in bounds and
-// whose materialised row packs and reads back to the same values.
+// whose materialised row packs and reads back to the same values.  Every
+// input is decoded under each of rowViewLayouts; the seed corpus
+// (testdata/fuzz/FuzzRowViewDecode) holds records cut from their pages.
 func FuzzRowViewDecode(f *testing.F) {
-	cols := allKindColumns()
-	lay := newRowLayout(cols)
+	layouts := rowViewLayouts()
+	all := layouts[0].wide
 	rng := rand.New(rand.NewSource(5))
 	for i := 0; i < 8; i++ {
-		f.Add(lay.pack(nil, randomRow(rng, cols)))
+		f.Add(all.pack(nil, randomRow(rng, allKindColumns())))
 	}
 	f.Add([]byte{})
-	f.Add(make([]byte, lay.fixed))
+	f.Add(make([]byte, all.fixed))
 	f.Fuzz(func(t *testing.T, rec []byte) {
-		v, err := lay.view(rec)
-		if err != nil {
-			return
-		}
-		row := v.Row()
-		for c := range cols {
-			_, _, _ = v.Int(c), v.Float(c), v.IsNull(c)
-			if !sameValue(v.Value(c), row[c]) {
-				t.Fatalf("column %d: Value %+v, Row %+v", c, v.Value(c), row[c])
+		for _, l := range layouts {
+			v, err := l.lay.view(rec)
+			if err != nil {
+				continue
 			}
+			row := v.Row()
+			for c := range row {
+				_, _, _ = v.Int(c), v.Float(c), v.IsNull(c)
+				if !sameValue(v.Value(c), row[c]) {
+					t.Fatalf("column %d: Value %+v, Row %+v", c, v.Value(c), row[c])
+				}
+			}
+			again, err := l.wide.view(l.wide.pack(nil, row))
+			if err != nil {
+				t.Fatalf("repacked row does not validate: %v", err)
+			}
+			checkView(t, again, row)
 		}
-		again, err := lay.view(lay.pack(nil, row))
-		if err != nil {
-			t.Fatalf("repacked row does not validate: %v", err)
-		}
-		checkView(t, again, row)
 	})
+}
+
+// rowViewLayouts are the layouts FuzzRowViewDecode decodes under, each beside
+// its table's wide layout: the wide layout of a table of every kind, and the
+// narrow layouts of the first closed page of each string-free heap case
+// (heapCases) filled from seed 5 — deltas of every width, and scaled floats.
+func rowViewLayouts() []struct{ lay, wide *rowLayout } {
+	cases := heapCases()
+	all := newRowLayout(cases[0].cols)
+	out := []struct{ lay, wide *rowLayout }{{all, all}}
+	for _, c := range cases[1:] {
+		h := newHeapStore(c.cols)
+		rng := rand.New(rand.NewSource(5))
+		for i := 0; h.pageCount() < 2; i++ {
+			h.append(c.row(rng, i))
+		}
+		out = append(out, struct{ lay, wide *rowLayout }{h.pages[0].lay, h.lay})
+	}
+	return out
 }
 
 // TestScanRefViewEqualsLookupByPK: the view a scan hands out and the row

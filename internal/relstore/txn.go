@@ -122,8 +122,6 @@ func (t *Txn) Insert(table string, columns []string, values []Value) (OpReport, 
 
 // CommitReport describes the physical work performed by a commit.
 type CommitReport struct {
-	// LogBytesForced is the redo volume the commit had to sync.
-	LogBytesForced int64
 	// UndoRecordsDiscarded is the length of the undo log released.
 	UndoRecordsDiscarded int
 }
@@ -181,9 +179,8 @@ func (t *Txn) CommitStart() (*PendingCommit, error) {
 type PendingCommit struct {
 	t *Txn
 	// dev is nil without a durable log: the commit settled in CommitStart.
-	dev    *walDevice
-	lsn    int64 // the commit marker's LSN
-	forced int64
+	dev *walDevice
+	lsn int64 // the commit marker's LSN
 
 	// done is closed when the flush goroutine has ended; nil when the flush
 	// ran on the owner's goroutine.  The flush's results below are the
@@ -216,9 +213,9 @@ func (t *Txn) startCommit(pc *PendingCommit) error {
 		pc.dev, pc.lsn = dev, lsn
 		t.active = false
 	}
-	pc.forced = t.db.wal.AppendCommit()
+	t.db.wal.commits.Add(1)
 	if pc.dev == nil {
-		pc.rep = t.finishCommit(pc.forced)
+		pc.rep = t.finishCommit()
 		pc.settled = true
 	}
 	return nil
@@ -279,7 +276,7 @@ func (pc *PendingCommit) Wait() (CommitReport, error) {
 		pc.t.rollback()
 		return CommitReport{}, pc.err
 	}
-	pc.rep = pc.t.finishCommit(pc.forced)
+	pc.rep = pc.t.finishCommit()
 	pc.t.db.maybeAutoCheckpoint()
 	return pc.rep, nil
 }
@@ -287,11 +284,8 @@ func (pc *PendingCommit) Wait() (CommitReport, error) {
 // finishCommit performs the engine-side half of a commit — epoch settling,
 // admission release, counters — once the commit marker is appended and, with
 // a durable log, on disk.  It ends the transaction.
-func (t *Txn) finishCommit(forced int64) CommitReport {
-	rep := CommitReport{
-		LogBytesForced:       forced,
-		UndoRecordsDiscarded: len(t.undo),
-	}
+func (t *Txn) finishCommit() CommitReport {
+	rep := CommitReport{UndoRecordsDiscarded: len(t.undo)}
 	t.settleEpochs()
 	t.db.locks.ReleaseAll(t.id)
 	t.db.counters.commits.Add(1)

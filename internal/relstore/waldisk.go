@@ -16,10 +16,9 @@ import (
 	"skyloader/internal/frame"
 )
 
-// walDevice is the durable half of the WAL: an append-only sequence of
-// segmented log files under one directory, attached to a DB by WithWALDir.
-// The counter WAL (wal.go) stays the engine's cost model; the device is the
-// real byte stream that Recover replays.
+// walDevice is the durable WAL: an append-only sequence of segmented log
+// files under one directory, attached to a DB by WithWALDir — the byte
+// stream Recover replays.
 //
 // The device is a three-stage pipeline, so that nobody who only wants to
 // append a record ever waits for an fsync:

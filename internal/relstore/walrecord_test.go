@@ -146,7 +146,9 @@ func TestWALRecordRoundTrip(t *testing.T) {
 // without materializing rows.  The framing half — lengths, CRCs, truncation —
 // is internal/frame's FuzzFrame; here a seed's frames are peeled off and every
 // other input is decoded as one bare payload, so mutations reach the field
-// decoders instead of dying at the CRC.
+// decoders instead of dying at the CRC.  The seed corpus
+// (testdata/fuzz/FuzzWALRecordDecode) holds testdata/parent_wal's segments
+// whole and one frame of each record type cut from them.
 func FuzzWALRecordDecode(f *testing.F) {
 	insert, _ := appendWALInsertBounded(nil, 3, 0, 7, 100,
 		[]Row{{Int(1), Float(math.NaN()), Str("x"), Value{}}})

@@ -47,8 +47,10 @@ type Conn struct {
 	worker exec.Worker
 	txn    *relstore.Txn
 	// pending is the one commit this connection has started and not yet
-	// retired (CommitStart); nil otherwise.
+	// retired (CommitStart); nil otherwise.  forced is the redo it forces,
+	// taken when it started and charged when it retires.
 	pending *relstore.PendingCommit
+	forced  int64
 	closed  bool
 
 	stats ConnStats
@@ -125,7 +127,7 @@ func (c *Conn) Commit() error {
 	if err := c.Retire(); err != nil {
 		return err
 	}
-	_, err := c.server.finish(c.worker, c.txn, true)
+	err := c.server.finish(c.worker, c.txn, true)
 	c.txn = nil
 	if err == nil {
 		c.stats.Commits++
@@ -149,12 +151,12 @@ func (c *Conn) CommitStart() error {
 	if err := c.Retire(); err != nil {
 		return err
 	}
-	pc, err := c.server.commitStart(c.worker, c.txn)
+	pc, forced, err := c.server.commitStart(c.worker, c.txn)
 	c.txn = nil
 	if err != nil {
 		return err
 	}
-	c.pending = pc
+	c.pending, c.forced = pc, forced
 	if pc.Settled() {
 		return c.Retire()
 	}
@@ -168,7 +170,7 @@ func (c *Conn) Retire() error {
 		return nil
 	}
 	c.pending = nil
-	err := c.server.retire(c.worker, pc, c.txn == nil)
+	err := c.server.retire(c.worker, pc, c.forced, c.txn == nil)
 	if err == nil {
 		c.stats.Commits++
 	}
@@ -183,7 +185,7 @@ func (c *Conn) Rollback() error {
 	if err := c.Retire(); err != nil {
 		return err
 	}
-	_, err := c.server.finish(c.worker, c.txn, false)
+	err := c.server.finish(c.worker, c.txn, false)
 	c.txn = nil
 	return err
 }

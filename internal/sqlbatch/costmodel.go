@@ -11,6 +11,8 @@ package sqlbatch
 
 import (
 	"time"
+
+	"skyloader/internal/relstore"
 )
 
 // CostModel holds the virtual-time prices of the physical work reported by
@@ -197,6 +199,28 @@ func (m CostModel) LogTime(n int) time.Duration {
 		return 0
 	}
 	return time.Duration(float64(n) / m.LogBytesPerSecond * float64(time.Second))
+}
+
+// The redo log the paper's database wrote, as the server models it for
+// §4.5.2's commit-frequency trade-off: a per-row insert is one record, its row
+// and index-entry bytes behind a header; a batch is one group record, the
+// header once plus a slot per row; a commit appends a marker and forces
+// everything appended since the previous commit.
+const (
+	redoRecordHeader = 28
+	redoGroupSlot    = 4
+	redoCommitMarker = 48
+)
+
+// redoRecord is the size of the redo record for one insert call that reported
+// rep, with slots group slots: 0 on the per-row path, one per row for a batch.
+// A call that stored no row writes none — but one that stored its row and then
+// failed on the durable log did write it.
+func redoRecord(rep relstore.OpReport, slots int) int {
+	if rep.RowsInserted == 0 {
+		return 0
+	}
+	return rep.RowBytes + rep.IndexEntryBytes + redoRecordHeader + slots*redoGroupSlot
 }
 
 // StagingTime returns the time to stage n bytes from mass storage.

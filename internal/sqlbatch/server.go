@@ -64,6 +64,9 @@ type Server struct {
 	logDisk  exec.Resource
 
 	cache *dataCache
+	// redo is the tail of the modelled redo log: the bytes appended since a
+	// commit last forced it (see redoRecord).
+	redo  atomic.Int64
 	stats serverCounters
 }
 
@@ -225,59 +228,69 @@ func (s *Server) begin(w exec.Worker) (*relstore.Txn, error) {
 }
 
 // finish ends a transaction (commit or rollback) on the caller's goroutine
-// and frees its slot.
-func (s *Server) finish(w exec.Worker, txn *relstore.Txn, commit bool) (relstore.CommitReport, error) {
+// and frees its slot.  A commit that fails forces nothing: the engine rolled
+// the transaction back, and its redo bytes stay in the tail as a rollback's
+// do.
+func (s *Server) finish(w exec.Worker, txn *relstore.Txn, commit bool) error {
 	defer s.txnSlots.Release(w, 1)
 	if commit {
-		rep, err := txn.Commit()
-		if err != nil {
-			return rep, err
+		if _, err := txn.Commit(); err != nil {
+			return err
 		}
-		s.chargeCommit(w, rep)
-		return rep, nil
+		s.chargeCommit(w, s.forceRedo())
+		return nil
 	}
 	s.stats.rollbacks.Add(1)
 	err := txn.Rollback()
 	s.useCPU(w, s.cost.CommitCost)
-	return relstore.CommitReport{}, err
+	return err
 }
 
-// commitStart starts txn's commit (relstore.Txn.CommitStart).  The slot stays
-// with the connection: it goes on to the transaction the connection begins
-// next, or is freed by retire when none was begun.  If the engine could not
-// start the commit it has rolled the transaction back, and the slot is freed
-// here.
-func (s *Server) commitStart(w exec.Worker, txn *relstore.Txn) (*relstore.PendingCommit, error) {
+// commitStart starts txn's commit (relstore.Txn.CommitStart) and returns the
+// redo bytes it forces, taken from the tail now that its marker is appended:
+// what the connection writes before the commit retires is the next commit's.
+// The slot stays with the connection: it goes on to the transaction the
+// connection begins next, or is freed by retire when none was begun.  If the
+// engine could not start the commit it has rolled the transaction back, the
+// tail is left alone and the slot is freed here.
+func (s *Server) commitStart(w exec.Worker, txn *relstore.Txn) (*relstore.PendingCommit, int64, error) {
 	pc, err := txn.CommitStart()
 	if err != nil {
 		s.txnSlots.Release(w, 1)
+		return nil, 0, err
 	}
-	return pc, err
+	return pc, s.forceRedo(), nil
 }
 
-// retire waits until a started commit is durable and settled and charges it;
-// freeSlot says the connection began nothing after it, so its slot goes back.
-func (s *Server) retire(w exec.Worker, pc *relstore.PendingCommit, freeSlot bool) error {
+// retire waits until a started commit is durable and settled and charges it
+// the forced bytes commitStart took; freeSlot says the connection began
+// nothing after it, so its slot goes back.  A commit that fails here was
+// rolled back, so its bytes return to the tail, as in finish.
+func (s *Server) retire(w exec.Worker, pc *relstore.PendingCommit, forced int64, freeSlot bool) error {
 	if freeSlot {
 		defer s.txnSlots.Release(w, 1)
 	}
-	rep, err := pc.Wait()
-	if err != nil {
+	if _, err := pc.Wait(); err != nil {
+		s.redo.Add(forced - redoCommitMarker)
 		return err
 	}
-	s.chargeCommit(w, rep)
+	s.chargeCommit(w, forced)
 	return nil
 }
+
+// forceRedo empties the redo tail for a commit whose marker was just
+// appended and returns what the commit forces: the tail plus the marker.
+func (s *Server) forceRedo() int64 { return s.redo.Swap(0) + redoCommitMarker }
 
 // chargeCommit counts a commit and charges its processing: the database
 // writer flushes the whole data cache, so fixed CPU cost plus the cache scan,
 // then a forced log write plus the dirty pages.
-func (s *Server) chargeCommit(w exec.Worker, rep relstore.CommitReport) {
+func (s *Server) chargeCommit(w exec.Worker, forced int64) {
 	written, scanned := s.cache.flush()
 	s.stats.commits.Add(1)
 	cpu := s.cost.CommitCost + time.Duration(scanned)*s.cost.CacheScanCostPerPage
 	s.useCPU(w, cpu)
-	logT := s.cost.LogTime(int(rep.LogBytesForced)) + time.Duration(written)*s.cost.PageWriteCost
+	logT := s.cost.LogTime(int(forced)) + time.Duration(written)*s.cost.PageWriteCost
 	s.useDisk(w, s.logDisk, logT, &s.stats.logIONs)
 }
 
@@ -369,9 +382,10 @@ func (s *Server) execBatch(w exec.Worker, txn *relstore.Txn, table string, colum
 	// which amortizes that synchronization across the batch and is where the
 	// real hardware speedup comes from.  Both stop at the first failing row
 	// and leave the rows before it applied.  The data cache sees each engine
-	// call's pages as soon as it returns: per row on the DES path.
+	// call's pages as soon as it returns, per row on the DES path, and the
+	// redo tail grows by each call's record before anything here yields.
 	var rep relstore.OpReport
-	inserted := 0
+	inserted, logBytes := 0, 0
 	var failErr error
 	var misses, scanned int
 	if s.sched.Deterministic() || len(rows) == 1 {
@@ -382,6 +396,7 @@ func (s *Server) execBatch(w exec.Worker, txn *relstore.Txn, table string, colum
 		for i, r := range rows {
 			one, err := txn.Insert(table, columns, r)
 			rep.Add(one)
+			logBytes += redoRecord(one, 0)
 			m, sc := s.cache.write(table, one)
 			misses, scanned = misses+m, scanned+sc
 			if err != nil {
@@ -394,11 +409,13 @@ func (s *Server) execBatch(w exec.Worker, txn *relstore.Txn, table string, colum
 	} else {
 		br, err := txn.InsertBatch(table, columns, rows)
 		rep = br.Report
+		logBytes = redoRecord(rep, br.RowsInserted)
 		misses, scanned = s.cache.write(table, rep)
 		inserted = br.RowsInserted
 		res.FailedIndex = br.FailedIndex
 		failErr = err
 	}
+	s.redo.Add(int64(logBytes))
 	res.RowsInserted = inserted
 	res.Err = failErr
 	s.stats.rowsInserted.Add(int64(inserted))
@@ -425,7 +442,7 @@ func (s *Server) execBatch(w exec.Worker, txn *relstore.Txn, table string, colum
 		time.Duration(rep.IndexFloatColNodeVisits)*s.cost.IndexFloatColCost +
 		time.Duration(rep.IndexSplits)*s.cost.IndexSplitCost
 	s.useDisk(w, s.idxDisk, idxT, &s.stats.indexIONs)
-	logT := s.cost.LogTime(rep.LogBytes)
+	logT := s.cost.LogTime(logBytes)
 	s.useDisk(w, s.logDisk, logT, &s.stats.logIONs)
 
 	// 4. Lock contention: each other transaction concurrently loading makes
