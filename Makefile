@@ -59,8 +59,8 @@ fuzz:
 oracles:
 	bash scripts/oracles.sh $(REF) $(ALLOW)
 
-# Batch-apply + index-build benchmark smoke: exercises the per-row loop,
-# Txn.InsertBatch, the sorted bulk B-tree pass, the Seal bulk leaf build, the
+# Batch-apply + index-build benchmark smoke: exercises one-row Txn.Insert
+# calls, whole Txn.InsertBatch calls, the sorted bulk B-tree pass, the Seal bulk leaf build, the
 # encoded-key comparator, the two row paths under every query (a primary-key
 # probe and an index range: where a row directory that went back to searching
 # would show), the immediate-vs-deferred load policy comparison,
@@ -73,7 +73,7 @@ oracles:
 # smoke test (counts, not timings); measurements come from `make perf`
 # (bench/README.md).
 bench:
-	$(GO) test -run '^$$' -bench 'InsertBatch|InsertPrepared|BTreeInsertSorted|SealBulkBuild|BTreeEncodedCompare|LookupByPKRef|RangeIndexedRef' -benchtime=100x ./internal/relstore/
+	$(GO) test -run '^$$' -bench 'InsertBatch|InsertRow|BTreeInsertSorted|SealBulkBuild|BTreeEncodedCompare|LookupByPKRef|RangeIndexedRef' -benchtime=100x ./internal/relstore/
 	$(GO) test -run '^$$' -bench 'IndexLoadPolicy' -benchtime=1x ./internal/relstore/
 	$(GO) test -run '^$$' -bench 'ServeHTTPQuery|MetricsScrape' -benchtime=100x ./internal/httpserve/
 	$(GO) test -run '^$$' -bench 'ScatterGather|SingleNode|WireQueryResult' -benchtime=50x ./internal/shard/

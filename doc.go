@@ -103,6 +103,12 @@
 //     `skyload -wallclock` and examples/wallclock_load report real elapsed
 //     time next to the virtual-time prediction.
 //
+// Both modes store rows through the engine's one insert path,
+// relstore.Txn.InsertBatch, of which Txn.Insert is the one-row call: the
+// sqlbatch server makes one call per row under DES, where its cost model
+// prices each row's redo record and data-cache touch, and one per batch on
+// the wall clock.
+//
 // PERFORMANCE.md documents when to use which mode and the scratch-buffer
 // ownership rules that keep the insert path allocation-lean under
 // concurrency; `make perf` (bench/README.md) measures both.

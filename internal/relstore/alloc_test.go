@@ -21,54 +21,55 @@ func TestAppendKeyZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestInsertPreparedAllocBudget pins the allocation budget of the insert hot
-// path so the zero-allocation work cannot silently rot.  A stored row pays
-// only amortized container growth: the row itself is packed into the page's
-// bytes and its keys (an integer primary key and a composite unique
-// constraint here) are row-id slots, not stored strings.  Key indexes that
-// kept an encoded string per composite key paid 1 per insert on the same
-// table, the []Value pages before them 3, the boxed-interface rows ~14.
-func TestInsertPreparedAllocBudget(t *testing.T) {
-	db, err := Open(testSchema(t))
+// TestInsertAllocBudget pins the allocation budget of the row path so the
+// zero-allocation work cannot silently rot: in steady state a Txn.Insert — a
+// one-row batch through coercion, the foreign-key probe, the checks, the heap,
+// the key indexes and a secondary index — allocates nothing per row.  The
+// row is packed into the page's bytes and its keys (an integer primary key
+// and a composite unique constraint here) are row-id slots, not stored
+// strings.  Key indexes that kept an encoded string per composite key paid 1
+// per insert on the same table, the []Value pages before them 3, the
+// boxed-interface rows ~14.
+func TestInsertAllocBudget(t *testing.T) {
+	const warm, runs = 4096, 4096
+	db := fingersDB(t, (warm+1+runs)/64+1)
+	txn, err := db.Begin()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.CreateIndex("fingers", "ix_flux", []string{"flux"}, false); err != nil {
-		t.Fatal(err)
-	}
-	tbl := db.Table("fingers")
-	var sc scratch
+	// The values are the caller's and are reused: Insert keeps no reference
+	// to them.
+	row := make([]Value, len(fingerCols))
 	var id int64
-	// The row buffer is the caller's and is reused, as the transaction
-	// scratch's is: insertPrepared keeps no reference to it.
-	row := make(Row, 3)
 	insert := func() {
-		row[0], row[1], row[2] = Int(id), Int(id), Float(float64(id%64))
-		if _, _, _, err := tbl.insertPrepared(&sc, row); err != nil {
+		fingerRow(row, id, 64)
+		if _, err := txn.Insert("fingers", fingerCols, row); err != nil {
 			t.Fatal(err)
 		}
 		id++
 	}
-	// Warm the table (and the per-goroutine scratch) so steady-state growth
-	// is amortized.
-	for id < 4096 {
+	// Warm the table and the transaction's scratch so steady-state growth is
+	// amortized.
+	for id < warm {
 		insert()
 	}
-	allocs := testing.AllocsPerRun(4096, insert)
+	allocs := testing.AllocsPerRun(runs, insert)
 	// AllocsPerRun reports the integral average, so the amortized growth (a
-	// page's exact-size copy when it closes, slot-table and directory
-	// doubling: tens of allocations over the 4096 rows) rounds to zero and
+	// page's exact-size copy when it closes, slot-table, directory and undo
+	// log doubling: tens of allocations over the 4096 rows) rounds to zero and
 	// anything per-row does not.
 	if allocs != 0 {
-		t.Errorf("insertPrepared allocates %.0f times per row, want 0", allocs)
+		t.Errorf("Txn.Insert allocates %.0f times per row, want 0", allocs)
 	}
 }
 
 // TestTxnAllocBudget pins what a transaction costs beyond its rows.  On a warm
-// database with no WAL directory, Begin + a one-row InsertBatch + Commit allocate the
-// Txn, its undo record and a few per-call slices: 6.  Admission is a set
-// insert; a per-transaction map of row locks by table, with its bucket, made
-// it 9.
+// database with no WAL directory, Begin + a one-row InsertBatch + Commit
+// allocate 3: the Txn, its undo log's first record and the table list
+// settleEpochs builds at commit.  Admission is a set insert.  A
+// per-transaction map of row locks by table, with its bucket, made it 9; the
+// batch's column buffers taken from the heap and an errors.As on every
+// success made it 6.
 func TestTxnAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("Begin leases pooled scratch, which -race drops at random")
@@ -97,8 +98,8 @@ func TestTxnAllocBudget(t *testing.T) {
 	for i := 0; i < 256; i++ {
 		cycle()
 	}
-	if allocs := testing.AllocsPerRun(1000, cycle); allocs > 6 {
-		t.Errorf("Begin + one-row InsertBatch + Commit allocates %.0f times, budget 6", allocs)
+	if allocs := testing.AllocsPerRun(1000, cycle); allocs > 3 {
+		t.Errorf("Begin + one-row InsertBatch + Commit allocates %.0f times, budget 3", allocs)
 	}
 }
 

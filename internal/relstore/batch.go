@@ -7,13 +7,12 @@ import (
 	"slices"
 )
 
-// This file implements the batch-apply insert path: one Txn.InsertBatch call
+// This file implements the engine's one insert path: a Txn.InsertBatch call
 // applies a whole loader batch through the storage engine with per-batch
-// instead of per-row synchronization.  The paper's core claim is that bulk
-// loading wins by amortizing per-row costs across batches (§4.2); the per-row
-// path (DB.insert) pays a table-lock round trip, a durable log append and a
-// top-down B-tree descent for every row, and this path pays each of those
-// once per batch instead:
+// instead of per-row synchronization, and Txn.Insert is the same call with a
+// one-row batch.  The paper's core claim is that bulk loading wins by
+// amortizing per-row costs across batches (§4.2): a table-lock round trip, a
+// durable log append and a B-tree pass are paid once per batch:
 //
 //   - every row is coerced up front, before any lock is taken;
 //   - the table's write lock is taken once for the whole batch, unless a
@@ -32,10 +31,10 @@ import (
 // constraint is reported for the same failing row, including intra-batch
 // duplicate keys and foreign keys satisfied by earlier rows of the same batch.
 //
-// The discrete-event cost model deliberately does NOT use this path: the §5
-// virtual-time figures are calibrated against per-row physical work, so the
-// sqlbatch server keeps the per-row loop under the DES scheduler and routes
-// only wall-clock execution through InsertBatch (see sqlbatch.Server.execBatch).
+// The discrete-event cost model prices work per row — a redo record and a
+// data-cache touch for each — so the sqlbatch server calls Txn.Insert once
+// per row under the DES scheduler and hands wall-clock batches over whole
+// (see sqlbatch.Server.execBatch).  Both reach the engine here.
 
 // BatchReport describes the outcome of one InsertBatch call.
 type BatchReport struct {
@@ -87,8 +86,9 @@ func (db *DB) insertBatch(txn *Txn, tableName string, columns []string, rows [][
 
 	// Phase 2: apply the coerced prefix under one table-lock hold.  The
 	// pending count rises for the whole batch before any row becomes visible
-	// and the unapplied remainder is returned afterwards — over-approximating
-	// the uncommitted-visibility window is safe (see DB.insert), while
+	// and the unapplied remainder is returned afterwards, so ReadStamp's
+	// pendingRows == 0 always implies "no uncommitted rows visible":
+	// over-approximating the uncommitted-visibility window is safe, while
 	// under-approximating it would let snapshot readers cache dirty reads.
 	t.pendingRows.Add(int64(len(rows)))
 	inserted, applyErr := t.insertBatchLocked(db, txn, built, rep)
@@ -124,13 +124,12 @@ func (db *DB) insertBatch(txn *Txn, tableName string, columns []string, rows [][
 // built before the failure (its length is the failing index).
 func (t *Table) buildRowsBatch(sc *scratch, columns []string, rows [][]Value) ([]Row, error) {
 	ncols := len(t.schema.Columns)
-	colIdxs := make([]int, len(columns))
-	kinds := make([]ValueKind, len(columns))
+	colIdxs, kinds := sc.columnBufs(len(columns))
 	for i, col := range columns {
 		idx := t.schema.ColumnIndex(col)
 		if idx < 0 {
-			// The per-row path fails every row on an unknown column, so the
-			// batch fails at row 0 with nothing applied.
+			// An unknown column fails every row, so the batch fails at row 0
+			// with nothing applied.
 			return nil, &ConstraintError{Kind: KindArity, Table: t.schema.Name, Column: col,
 				Detail: "unknown column"}
 		}
@@ -223,14 +222,18 @@ func (t *Table) insertBatchLocked(db *DB, txn *Txn, built []Row, rep *OpReport) 
 
 // applyBatchChunk applies a contiguous run of built rows under a single
 // write-lock hold: all of them, or — when a reader is waiting on the table —
-// a whole multiple of batchYieldRows, leaving the rest to the caller.
+// a whole multiple of batchYieldRows, leaving the rest to the caller.  It is
+// the only code that stores a transaction's rows (replay stores recovered ones
+// through replayOneLocked), so the order a row's constraints are checked in —
+// foreign keys, NOT NULL and CHECK, a NULL primary key, then the keys — is
+// decided here alone.
 //
 // Locking: the table's own write lock and a read lock on every distinct
 // foreign-key parent are taken once for the whole run (a self-referential
 // parent reuses the held write lock, and thereby sees parent rows stored
-// earlier in this same batch, exactly as the per-row loop would).  Parent
-// locks nest inside child locks along foreign-key edges only, and the FK
-// graph is acyclic, so the nested acquisition cannot deadlock.  A yield
+// earlier in this same batch, exactly as a loop of one-row inserts would).
+// Parent locks nest inside child locks along foreign-key edges only, and the
+// FK graph is acyclic, so the nested acquisition cannot deadlock.  A yield
 // releases parent locks together with the table lock — keeping a parent read
 // lock across a re-acquisition of the child lock would invert the nesting
 // order against a concurrent batch and could deadlock.
@@ -248,7 +251,7 @@ func (t *Table) applyBatchChunk(db *DB, txn *Txn, built []Row, rep *OpReport) (i
 		if i > 0 && i%batchYieldRows == 0 && t.waitingReaders.Load() != 0 {
 			break
 		}
-		if err := db.checkForeignKeys(sc, t, row, rep, nil, true); err != nil {
+		if err := db.checkForeignKeys(sc, t, row, rep); err != nil {
 			firstErr = err
 			break
 		}

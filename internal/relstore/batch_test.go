@@ -9,8 +9,11 @@ import (
 )
 
 // perRowApply mirrors the sqlbatch server's per-row batch loop: rows are
-// applied in order until the first failure, which is reported with its index.
-// It is the semantic reference InsertBatch is tested against.
+// applied in order, each as a one-row batch (Txn.Insert), until the first
+// failure, which is reported with its index.  It is the semantic reference a
+// multi-row InsertBatch is tested against: the rows that batch shares a lock
+// hold, an undo record, a log record and a sorted index pass with must behave
+// as if each had its own.
 func perRowApply(txn *Txn, table string, cols []string, rows [][]Value) (inserted, failedIdx int, err error) {
 	for i, r := range rows {
 		if _, e := txn.Insert(table, cols, r); e != nil {
@@ -204,8 +207,8 @@ func randomObjectBatchRate(rng *rand.Rand, base int64, nextID *int64, size, oneI
 // random batches containing duplicate-PK, FK-violating, check-violating,
 // NULL-PK and type-error rows, InsertBatch must produce exactly the table
 // state, FailedIndex, violation kind and epoch/pending counters of the
-// per-row reference loop — across mid-transaction checks, commits and
-// rollbacks.  The same batches also run through a database whose batches
+// reference run of one-row batches — across mid-transaction checks, commits
+// and rollbacks.  The same batches also run through a database whose batches
 // yield at every boundary (forceBatchYields), which must be indistinguishable
 // from the one-hold path at every observation point.  It runs once per primary-key shape, so
 // integer, composite and string keys answer the same duplicate, NULL-key and

@@ -4,33 +4,22 @@ import (
 	"testing"
 )
 
-// benchInsertDB builds a database whose "fingers" table exercises every key
-// path of insertPrepared: primary key, a composite unique constraint, and one
-// secondary B-tree index.
-func benchInsertDB(b *testing.B) (*DB, *Table) {
-	b.Helper()
-	db, err := Open(testSchema(b))
+// BenchmarkInsertRow measures one row through Txn.Insert — a one-row batch:
+// coercion, foreign-key probe, constraint checks, heap append, PK/unique hash
+// maintenance and the secondary index pass, with no WAL.  This is the per-row
+// cost the paper's array-set batching exists to amortize.
+func BenchmarkInsertRow(b *testing.B) {
+	db := fingersDB(b, int64(b.N)/64+1)
+	txn, err := db.Begin()
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, err := db.CreateIndex("fingers", "ix_flux", []string{"flux"}, false); err != nil {
-		b.Fatal(err)
-	}
-	return db, db.Table("fingers")
-}
-
-// BenchmarkInsertPrepared measures the engine-internal insert path (constraint
-// checks, key encoding, heap append, PK/unique hash maintenance, secondary
-// index insert) without transaction, WAL or cache overhead.  This is the
-// per-row cost the paper's array-set batching exists to amortize.
-func BenchmarkInsertPrepared(b *testing.B) {
-	_, tbl := benchInsertDB(b)
-	var sc scratch
+	row := make([]Value, len(fingerCols))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		row := Row{Int(int64(i)), Int(int64(i)), Float(float64(i % 4096))}
-		if _, _, _, err := tbl.insertPrepared(&sc, row); err != nil {
+		fingerRow(row, int64(i), 64)
+		if _, err := txn.Insert("fingers", fingerCols, row); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -62,17 +51,24 @@ func BenchmarkAppendKey(b *testing.B) {
 	}
 }
 
-// benchRowPathDB loads rows fingers (about 200 to a page, so a thousand id
+// benchRowPathDB commits rows fingers (about 200 to a page, so a thousand id
 // runs in the row directory) for the read-path benchmarks below.
 func benchRowPathDB(b *testing.B, rows int) *DB {
 	b.Helper()
-	db, tbl := benchInsertDB(b)
-	var sc scratch
+	db := fingersDB(b, int64(rows)/4096+1)
+	txn, err := db.Begin()
+	if err != nil {
+		b.Fatal(err)
+	}
+	row := make([]Value, len(fingerCols))
 	for i := 0; i < rows; i++ {
-		row := Row{Int(int64(i)), Int(int64(i)), Float(float64(i % 4096))}
-		if _, _, _, err := tbl.insertPrepared(&sc, row); err != nil {
+		fingerRow(row, int64(i), 4096)
+		if _, err := txn.Insert("fingers", fingerCols, row); err != nil {
 			b.Fatal(err)
 		}
+	}
+	if _, err := txn.Commit(); err != nil {
+		b.Fatal(err)
 	}
 	return db
 }

@@ -9,7 +9,7 @@ import (
 // same presorted key stream, construct the tree by packing leaves left to
 // right (BuildFromSorted, what Seal does), by the leaf-aware sequential
 // insert pass (InsertSorted, what per-batch maintenance does at best), and by
-// one descent per key (Insert, the per-row path).  ns/key here is a smoke
+// one descent per key (Insert, what replay does).  ns/key here is a smoke
 // figure; relstore.seal_ns_per_key in a traced `make perf` run is measured.
 func BenchmarkSealBulkBuild(b *testing.B) {
 	const n = 100_000

@@ -223,17 +223,13 @@ func (db *DB) RowCounts() map[string]int64 {
 }
 
 // checkForeignKeys verifies every foreign key of the row; NULL components are
-// treated as satisfied (SQL MATCH SIMPLE semantics).  Each parent probe takes
-// the parent table's read lock for just the hash lookup, with two exceptions:
-// a parent equal to heldLock, whose mutex the caller already holds
-// (VerifyIntegrity scanning a self-referential table; re-acquiring it could
-// deadlock behind a queued writer), and allLocked callers (the batch-apply
-// path, which read-locked every distinct parent once via lockParentsForBatch
-// and holds the child's own write lock), whose probes are pure hash lookups.
-// Like the production system's deferred constraint checking, a parent row
-// rolled back between the probe and the child's commit is caught by
-// VerifyIntegrity, not here.
-func (db *DB) checkForeignKeys(sc *scratch, t *Table, row Row, rep *OpReport, heldLock *Table, allLocked bool) error {
+// treated as satisfied (SQL MATCH SIMPLE semantics).  The caller holds every
+// parent: a read lock on each distinct parent table, taken once with
+// lockParentsForBatch, and its own lock for a self-referential one.  Like the
+// production system's deferred constraint checking, a parent row rolled back
+// between the probe and the child's commit is caught by VerifyIntegrity, not
+// here.
+func (db *DB) checkForeignKeys(sc *scratch, t *Table, row Row, rep *OpReport) error {
 	ts := t.schema
 	for fi := range ts.ForeignKeys {
 		fk := &ts.ForeignKeys[fi]
@@ -253,71 +249,12 @@ func (db *DB) checkForeignKeys(sc *scratch, t *Table, row Row, rep *OpReport, he
 		}
 		parent := db.tables[fk.RefTable]
 		rep.FKLookups++
-		found := false
-		if parent != nil {
-			lock := !allLocked && parent != heldLock
-			if lock {
-				parent.mu.RLock()
-			}
-			found = parent.lookupPK(key)
-			if lock {
-				parent.mu.RUnlock()
-			}
-		}
-		if !found {
+		if parent == nil || !parent.lookupPK(key) {
 			return &ConstraintError{Kind: KindForeignKey, Table: ts.Name, Constraint: fk.Name,
 				Detail: fmt.Sprintf("no parent row in %q for key %s", fk.RefTable, EncodeKey(key))}
 		}
 	}
 	return nil
-}
-
-// insert validates and stores one row on behalf of txn.  It returns the
-// physical-work report; on constraint violation nothing is stored.
-func (db *DB) insert(txn *Txn, tableName string, columns []string, values []Value) (OpReport, error) {
-	var rep OpReport
-	t, ok := db.tables[tableName]
-	if !ok {
-		db.counters.rowsRejected.Add(1)
-		db.recordViolationKind(KindUnknownTable)
-		return rep, &ConstraintError{Kind: KindUnknownTable, Table: tableName}
-	}
-	sc := txn.sc
-	row, err := t.buildRow(sc, columns, values)
-	if err != nil {
-		db.recordViolation(err)
-		return rep, err
-	}
-	if err := db.checkForeignKeys(sc, t, row, &rep, nil, false); err != nil {
-		db.recordViolation(err)
-		return rep, err
-	}
-	// The pending count rises before the row becomes visible and falls after
-	// a failed store, so ReadStamp's pendingRows == 0 always implies "no
-	// uncommitted rows visible" (over-approximating the visibility window is
-	// safe; under-approximating it would let snapshot readers cache dirty
-	// reads).
-	t.pendingRows.Add(1)
-	id, _, insRep, err := t.insertPrepared(sc, row)
-	rep.Add(insRep)
-	if err != nil {
-		t.pendingRows.Add(-1)
-		db.recordViolation(err)
-		return rep, err
-	}
-
-	var logErr error
-	if dev := db.wal.dev.Load(); dev != nil {
-		logErr = dev.logInsert(sc, t.tid, txn.id, id, []Row{row})
-	}
-
-	txn.recordInsert(tableName, id)
-	rep.UndoRecords++
-	db.counters.rowsInserted.Add(1)
-	db.counters.indexSplits.Add(int64(insRep.IndexSplits))
-	// A failed log device: the row is stored and in the undo log, and the
-	// caller must roll back.
-	return rep, logErr
 }
 
 func (db *DB) recordViolation(err error) {

@@ -30,6 +30,47 @@ func insertObject(t *testing.T, txn *Txn, id, frame int64, mag float64) error {
 	return err
 }
 
+// fingerCols is the column list of fingerRow.
+var fingerCols = []string{"finger_id", "object_id", "flux"}
+
+// fingersDB builds a database whose "fingers" table exercises every check and
+// key path of a stored row — a foreign key, the primary key, a composite
+// unique constraint and one secondary B-tree index — with one frame and
+// objects 0..objects-1 committed for fingers to point at.
+func fingersDB(tb testing.TB, objects int64) *DB {
+	tb.Helper()
+	db, err := Open(testSchema(tb))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if _, err := db.CreateIndex("fingers", "ix_flux", []string{"flux"}, false); err != nil {
+		tb.Fatal(err)
+	}
+	txn, err := db.Begin()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if _, err := txn.Insert("frames", []string{"frame_id"}, []Value{Int(0)}); err != nil {
+		tb.Fatal(err)
+	}
+	for o := int64(0); o < objects; o++ {
+		if _, err := txn.Insert("objects", []string{"object_id", "frame_id", "mag"}, []Value{Int(o), Int(0), Float(20)}); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	if _, err := txn.Commit(); err != nil {
+		tb.Fatal(err)
+	}
+	return db
+}
+
+// fingerRow fills vals with finger i: object i/spread and flux i%spread, so
+// (object_id, flux) stays unique and each flux value holds every spread-th
+// row.
+func fingerRow(vals []Value, i, spread int64) {
+	vals[0], vals[1], vals[2] = Int(i), Int(i/spread), Float(float64(i%spread))
+}
+
 func TestInsertAndQuery(t *testing.T) {
 	db := newTestDB(t)
 	txn, err := db.Begin()

@@ -79,7 +79,12 @@ func (e *ConstraintError) Error() string {
 }
 
 // IsConstraintViolation reports whether err is (or wraps) a ConstraintError.
+// A nil error returns before errors.As, whose escaping target would otherwise
+// cost every successful insert an allocation.
 func IsConstraintViolation(err error) bool {
+	if err == nil {
+		return false
+	}
 	var ce *ConstraintError
 	return errors.As(err, &ce)
 }
@@ -87,6 +92,9 @@ func IsConstraintViolation(err error) bool {
 // ViolationKind extracts the constraint kind from err; ok is false when err is
 // not a constraint violation.
 func ViolationKind(err error) (kind ConstraintKind, ok bool) {
+	if err == nil {
+		return 0, false
+	}
 	var ce *ConstraintError
 	if errors.As(err, &ce) {
 		return ce.Kind, true

@@ -32,6 +32,17 @@ var keyOracleShapes = []struct {
 
 func keyOracleTable(t testing.TB) *Table {
 	t.Helper()
+	tbl, err := newTable(keyOracleSchema(t).Table("t"), 32, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tbl
+}
+
+// keyOracleSchema is one table "t" of integer, string and nullable columns
+// with an integer primary key.
+func keyOracleSchema(t testing.TB) *Schema {
+	t.Helper()
 	s, err := NewSchema(&TableSchema{
 		Name: "t",
 		Columns: []Column{
@@ -46,11 +57,7 @@ func keyOracleTable(t testing.TB) *Table {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tbl, err := newTable(s.Table("t"), 32, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return tbl
+	return s
 }
 
 // keyOracleFloats are the float keys the stream draws from besides a grid:
@@ -329,8 +336,8 @@ func FuzzKeyIndexOps(f *testing.F) {
 }
 
 // TestKeyShapesRollbackAndLookup runs the rollback, lookup and duplicate
-// cases of the insert paths once per primary-key shape: the per-row and the
-// batch path agree, a rolled-back key can be inserted again, and the
+// cases of the insert path once per primary-key shape: one-row inserts and
+// multi-row batches agree, a rolled-back key can be inserted again, and the
 // re-derived primary-key index matches the heap throughout.
 func TestKeyShapesRollbackAndLookup(t *testing.T) {
 	cols := []string{"object_id", "frame_id", "mag"}
@@ -373,8 +380,8 @@ func TestKeyShapesRollbackAndLookup(t *testing.T) {
 			}
 			verify(3)
 
-			// Duplicates: against a committed row on the per-row path, and
-			// inside one batch on the batch path — with the same violation.
+			// Duplicates: against a committed row through Insert, and inside
+			// one multi-row batch — with the same violation.
 			txn, _ = db.Begin()
 			_, rowErr := txn.Insert("objects", cols, obj(2, 2))
 			br, batchErr := txn.InsertBatch("objects", cols, [][]Value{obj(10, 1), obj(11, 1), obj(10, 1), obj(12, 1)})
@@ -483,7 +490,7 @@ func TestUniqueOverNullableColumn(t *testing.T) {
 		// The batch path rejects the same row the same way.
 		_, batchErr := txn.InsertBatch("t", cols, [][]Value{c.row})
 		if batchErr == nil || batchErr.Error() != rowErr.Error() {
-			t.Fatalf("InsertBatch %v: %v, per-row path said %v", c.row, batchErr, rowErr)
+			t.Fatalf("InsertBatch %v: %v, Insert said %v", c.row, batchErr, rowErr)
 		}
 	}
 	if err := txn.Rollback(); err != nil {
@@ -499,7 +506,7 @@ func TestUniqueOverNullableColumn(t *testing.T) {
 // are distinct keys.  The stored AppendKey encodings, which join columns with
 // an unescaped 0x1f, made them one key and rejected the second row; the row
 // comparison keeps them apart, in the primary key and in a unique
-// constraint, on the per-row and the batch path.
+// constraint, row by row and in one batch.
 func TestCompositeStringKeysDoNotCollide(t *testing.T) {
 	schema, err := NewSchema(&TableSchema{
 		Name: "t",
@@ -571,19 +578,22 @@ func TestCompositeStringKeysDoNotCollide(t *testing.T) {
 // — and expects VerifyPrimaryKeys to name the index each time.
 func TestVerifyPrimaryKeysCoversUniques(t *testing.T) {
 	load := func() (*DB, *keyIndex) {
-		db, err := Open(testSchema(t))
+		db := fingersDB(t, 25)
+		txn, err := db.Begin()
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Straight into the table: the foreign key to objects is not the
-		// subject here.
-		tbl := db.Table("fingers")
-		var sc scratch
+		row := make([]Value, len(fingerCols))
 		for i := int64(0); i < 100; i++ {
-			if _, _, _, err := tbl.insertPrepared(&sc, Row{Int(i), Int(i / 4), Float(float64(i % 4))}); err != nil {
+			fingerRow(row, i, 4)
+			if _, err := txn.Insert("fingers", fingerCols, row); err != nil {
 				t.Fatal(err)
 			}
 		}
+		if _, err := txn.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		tbl := db.Table("fingers")
 		if err := db.VerifyPrimaryKeys(); err != nil {
 			t.Fatal(err)
 		}

@@ -259,10 +259,11 @@ func (db *DB) Aggregate(table, column string) (AggregateResult, error) {
 // consistent).  The integration tests run this after every load.
 //
 // It is a post-load verification: run it after writers have finished.  It
-// holds each scanned table's read lock while probing parents, which is safe
-// for the acyclic (parent-before-child) catalog schema but could deadlock
-// against concurrent verifiers and writers if a schema contained a
-// foreign-key cycle across tables.
+// holds each scanned table's read lock and, taken once for the scan as the
+// insert path takes them for a run (lockParentsForBatch), its parents' read
+// locks.  That is safe for the acyclic (parent-before-child) catalog schema
+// but could deadlock against concurrent verifiers and writers if a schema
+// contained a foreign-key cycle across tables.
 func (db *DB) VerifyIntegrity() (orphans int64, err error) {
 	var sc scratch
 	for _, name := range db.schema.TableNames() {
@@ -275,6 +276,7 @@ func (db *DB) VerifyIntegrity() (orphans int64, err error) {
 		// one reused row; the others stay NULL and are never looked at.
 		row := make(Row, len(ts.Columns))
 		t.rlock()
+		parents := t.lockParentsForBatch(db, &sc)
 		t.heap.scan(func(v RowView) bool {
 			for _, cols := range t.fkColIdxs {
 				for _, c := range cols {
@@ -282,11 +284,12 @@ func (db *DB) VerifyIntegrity() (orphans int64, err error) {
 				}
 			}
 			var rep OpReport
-			if e := db.checkForeignKeys(&sc, t, row, &rep, t, false); e != nil {
+			if e := db.checkForeignKeys(&sc, t, row, &rep); e != nil {
 				orphans++
 			}
 			return true
 		})
+		runlockAll(parents)
 		t.mu.RUnlock()
 	}
 	return orphans, nil

@@ -416,12 +416,14 @@ func (t *Table) replayContiguous(sc *scratch, firstID int64, rows []Row) error {
 // replayOneLocked stores one recovered row at its original id, maintaining
 // the heap, row directory, primary-key and unique hash indexes and any live
 // secondary indexes.  Ids arrive with gaps (rollbacks punched holes in the
-// original id sequence) and out of order (concurrent per-row writers append
-// their records out of id order): a gap costs the row directory nothing, an
-// id below its last run's moves every run above it — O(runs) a record, so a
-// log of r records all stored behind their elders replays in O(r²).  An id a
-// run already covers is a duplicate even when its slot is dead: ids are never
-// reused.  The log is outside input: a row the insert path could not have
+// original id sequence) and, from logs written before every insert was logged
+// under its table's lock, out of order (concurrent one-row writers appended
+// their records after releasing it): a gap costs the row directory nothing,
+// an id below its last run's moves every run above it — O(runs) a record, so
+// a log of r records all stored behind their elders replays in O(r²).  The
+// engine appends a table's records in id order (TestInsertLogInIDOrder).  An
+// id a run already covers is a duplicate even when its slot is dead: ids are
+// never reused.  The log is outside input: a row the insert path could not have
 // stored (wrong width, a value of another kind than its column, NULL in the
 // primary key) is corruption, not a panic.  t.mu must be write-held.
 func (t *Table) replayOneLocked(sc *scratch, id int64, row Row) error {

@@ -10,6 +10,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"skyloader/internal/frame"
 )
 
 // durableDB opens a fresh durable database over a temp WAL dir.
@@ -553,6 +555,78 @@ func TestRecoverConcurrentCommitters(t *testing.T) {
 	}
 	if n := got.Table("frames").RowCount(); n != 40 {
 		t.Fatalf("frames = %d, want 40", n)
+	}
+}
+
+// TestInsertLogInIDOrder: concurrent writers' one-row inserts into one table
+// land in the log in row-id order, because each run's record is appended
+// under the table lock that handed out its ids.  A log written so replays
+// without replayOneLocked's out-of-order case.
+func TestInsertLogInIDOrder(t *testing.T) {
+	const writers, rows = 4, 3000
+	db, dir := durableDB(t)
+	var wg sync.WaitGroup
+	for w := int64(0); w < writers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			txn, err := db.BeginBlocking()
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			for i := int64(0); i < rows; i++ {
+				if _, err := txn.Insert("frames", []string{"frame_id", "exposure"}, []Value{Int(w*rows + i), Float(145)}); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+			if _, err := txn.Commit(); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	segs, err := listWALSegments(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := map[uint32]int64{}
+	records, inversions := 0, 0
+	for _, name := range segs {
+		buf, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for len(buf) > 0 {
+			payload, rest, st := frame.Next(buf)
+			if st != frame.OK {
+				t.Fatalf("segment %s: frame status %v with %d bytes left", name, st, len(buf))
+			}
+			buf = rest
+			rec, err := decodeWALRecord(payload, false, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rec.typ != walRecInsert {
+				continue
+			}
+			records++
+			if prev, ok := last[rec.tableID]; ok && rec.firstID < prev {
+				inversions++
+			}
+			last[rec.tableID] = rec.firstID
+		}
+	}
+	if records != writers*rows {
+		t.Fatalf("%d insert records, want one per row: %d", records, writers*rows)
+	}
+	if inversions != 0 {
+		t.Fatalf("%d of %d insert records start below the record before them in their table", inversions, records)
 	}
 }
 

@@ -15,14 +15,20 @@ import (
 // The row directory is tested against an oracle that stores one location per
 // id: a map[int64]rowLoc of every id a run should cover, and the set of those
 // whose rows a rollback removed.  A stream of operations drives one table
-// (heap, directory, primary key) through the calls the engine makes — the
-// insert path, rollback's deleteRow, replay at explicit ids — and every
-// answer must agree.
+// (heap, directory, primary key) through the calls the engine makes — a
+// transaction's Insert, rollback's deleteRow, replay at explicit ids — and
+// every answer must agree.
 
 // runRowDirOps runs the operations data spells and fails the test on the
 // first disagreement.
 func runRowDirOps(t testing.TB, data []byte) {
-	tbl := keyOracleTable(t)
+	db := MustOpen(keyOracleSchema(t))
+	tbl := db.Table("t")
+	txn, err := db.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cols := []string{"a", "b", "s", "n", "f"}
 	covered := map[int64]rowLoc{}
 	dead := map[int64]bool{}
 	pk := map[int64]int64{} // row id -> the primary key stored under it
@@ -56,12 +62,11 @@ func runRowDirOps(t testing.TB, data []byte) {
 		switch op := o.next(10); {
 		case op < 3: // the insert path: the next ids in sequence
 			for n := 1 + o.next(12); n > 0; n-- {
-				r := row()
-				id, loc, _, err := tbl.insertPrepared(&sc, r)
-				if err != nil {
+				r, id := row(), tbl.nextRow
+				if _, err := txn.Insert("t", cols, r); err != nil {
 					t.Fatal(err)
 				}
-				covered[id], pk[id] = loc, r[0].I
+				covered[id], pk[id] = lastLoc(), r[0].I
 			}
 		case op < 5: // replay at explicit ids: ahead across a gap, or behind
 			id := tbl.nextRow + int64(o.next(40))
@@ -174,9 +179,9 @@ func dirTries(t *testing.T, lengths ...int) (d *rowDir, mean float64, most int) 
 
 // TestRowDirUnlikeRuns pins what find costs when the runs are not equally
 // long — counted in runs tried, each a division and two compares.  Full pages
-// beside the short runs that concurrent per-row writers' records replay into
-// is the worst a recovered database gets (a batch's records are logged in id
-// order and replay a run a page); past that the halving bounds the tries.
+// beside the short runs a log with records out of id order replays into (see
+// replayOneLocked) is the worst a recovered database gets (records logged in
+// id order replay a run a page); past that the halving bounds the tries.
 func TestRowDirUnlikeRuns(t *testing.T) {
 	repeat := func(times int, lengths ...int) (out []int) {
 		for ; times > 0; times-- {

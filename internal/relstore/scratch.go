@@ -2,14 +2,13 @@ package relstore
 
 import "bytes"
 
-// scratch holds the reusable buffers of the insert hot path: composite-key
-// extraction, B-tree key encoding and foreign-key probes.  PR 1 kept these
-// buffers on the Table, which was safe under the
-// discrete-event simulation's single-runner discipline; with real concurrent
-// writers (the exec.Realtime scheduler) a shared per-table buffer would be a
-// data race, so each transaction now owns a scratch for the goroutine driving
-// it.  Scratches are pooled on the DB so the zero-allocation property of the
-// row path survives across transactions.
+// scratch holds the reusable buffers of the insert hot path: column
+// resolution, row staging, composite-key extraction, B-tree key encoding and
+// foreign-key probes.  With real concurrent writers (the exec.Realtime
+// scheduler) a buffer shared per table would be a data race, so each
+// transaction owns a scratch for the goroutine driving it.  Scratches are
+// pooled on the DB so the zero-allocation property of the row path survives
+// across transactions.
 //
 // Ownership rule: a scratch is used only by the goroutine that owns the
 // transaction holding it.  Buffers returned by its methods are valid until
@@ -17,30 +16,30 @@ import "bytes"
 // (BTree.Insert clones stored keys).
 type scratch struct {
 	key []Value
-	// row is the built row of a per-row insert: coerced here, checked, packed
-	// into the heap and logged before the insert returns, never retained.
-	row []Value
 	ord []byte
 	fk  []Value
 
-	// Batch-apply buffers (Txn.InsertBatch).  rows stages the built rows of a
-	// batch, carved out of arena, and ids the row ids assigned to the applied
-	// prefix; kvs collects one secondary index's (key, row id) pairs for the
-	// sorted bulk merge, with karena as the flat encoded-key arena the kv key
-	// slices point into, so a batch costs O(1) scratch allocations per index
-	// rather than O(rows).  All are reset per batch (per index for the sort
-	// buffers); nothing stored in the engine aliases them — the heap packs
-	// rows into its own pages and the B-tree copies stored keys into its own
-	// nodes.
-	rows   []Row
-	arena  []Value
-	ids    []int64
-	kvs    []idxKV
-	karena []byte
-	sortK  []int64
-	sortID []int64
+	// Insert buffers (Txn.InsertBatch, and Txn.Insert as a one-row batch).
+	// colIdxs and kinds hold the call's column list resolved against the
+	// schema; rows stages the built rows, carved out of arena, and ids the row
+	// ids assigned to the applied prefix; kvs collects one secondary index's
+	// (key, row id) pairs for the sorted bulk merge, with karena as the flat
+	// encoded-key arena the kv key slices point into, so a batch costs O(1)
+	// scratch allocations per index rather than O(rows).  All are reset per
+	// call (per index for the sort buffers); nothing stored in the engine
+	// aliases them — the heap packs rows into its own pages and the B-tree
+	// copies stored keys into its own nodes.
+	colIdxs []int
+	kinds   []ValueKind
+	rows    []Row
+	arena   []Value
+	ids     []int64
+	kvs     []idxKV
+	karena  []byte
+	sortK   []int64
+	sortID  []int64
 
-	// parents is the per-batch foreign-key parent lock set
+	// parents is the foreign-key parent lock set of one run
 	// (Table.lockParentsForBatch).
 	parents []*Table
 
@@ -55,9 +54,9 @@ type scratch struct {
 
 // idxKV pairs one encoded secondary-index key with the row id it points at
 // for the per-batch sort.  Keys sort ascending, tie-broken by row id: ids are
-// assigned in row order, so the tie-break reproduces the row-id order the
-// per-row insert path produces under duplicate keys without needing a stable
-// sort.
+// assigned in row order, so the tie-break reproduces the row-id order
+// one-key-at-a-time insertion produces under duplicate keys without needing a
+// stable sort.
 type idxKV struct {
 	key []byte
 	id  int64
@@ -80,6 +79,15 @@ func cmpKV(a, b idxKV) int {
 	return 0
 }
 
+// columnBufs returns the n-entry column-position and value-kind buffers.
+func (sc *scratch) columnBufs(n int) ([]int, []ValueKind) {
+	if cap(sc.colIdxs) < n {
+		sc.colIdxs = make([]int, n)
+		sc.kinds = make([]ValueKind, n)
+	}
+	return sc.colIdxs[:n], sc.kinds[:n]
+}
+
 // batchRows returns an empty row-staging buffer with capacity for n rows.
 func (sc *scratch) batchRows(n int) []Row {
 	if cap(sc.rows) < n {
@@ -96,20 +104,13 @@ func (sc *scratch) batchIDs(n int) []int64 {
 	return sc.ids[:0]
 }
 
-// rowBuf returns the n-column built-row buffer, all NULL.
-func (sc *scratch) rowBuf(n int) Row { return nullValues(&sc.row, n) }
-
 // batchArena returns an n-value arena for the built rows of a batch, all
 // NULL.
-func (sc *scratch) batchArena(n int) []Value { return nullValues(&sc.arena, n) }
-
-// nullValues resizes *buf to n values, growing it when too small, and clears
-// them.
-func nullValues(buf *[]Value, n int) []Value {
-	if cap(*buf) < n {
-		*buf = make([]Value, n)
+func (sc *scratch) batchArena(n int) []Value {
+	if cap(sc.arena) < n {
+		sc.arena = make([]Value, n)
 	}
-	vals := (*buf)[:n]
+	vals := sc.arena[:n]
 	clear(vals)
 	return vals
 }

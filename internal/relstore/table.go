@@ -19,9 +19,9 @@ type Index struct {
 	tree    *BTree
 	colIdxs []int
 	// floatCols and otherCols count the float-typed and non-float-typed
-	// indexed columns.  They are classified once at creation so the per-row
-	// cost attribution in insertPrepared does not re-inspect the schema for
-	// every inserted row.
+	// indexed columns.  They are classified once at creation so the cost
+	// attribution in chargeInserts does not re-inspect the schema for every
+	// batch.
 	floatCols int
 	otherCols int
 	// int64Keyed marks a single-column index whose non-NULL comparisons
@@ -60,9 +60,10 @@ func (ix *Index) Ready() bool { return !ix.suspended.Load() }
 // rowDir maps row ids to heap locations.  Row ids and heap slots both advance
 // by one per append, whoever appends, so the directory is runs of consecutive
 // ids in consecutive slots of one page, sorted by first id: a load opens one
-// run per page, and only replay — which stores concurrent writers' records in
-// log order, not id order — opens one mid-slice.  A run keeps rolled-back ids:
-// the heap's rollback mark is the only tombstone, and a covered id is spent.
+// run per page, and only replay of a log whose records for a table are out
+// of id order (see replayOneLocked) opens one mid-slice.  A run keeps
+// rolled-back ids: the heap's rollback mark is the only tombstone, and a
+// covered id is spent.
 type rowDir struct{ runs []idRun }
 
 // idRun says row id first+k is stored at (page, slot+k) for every k < n.
@@ -144,7 +145,7 @@ func (t *Table) scanRowsByID(visit func(id int64, r RowView)) {
 // collector's work does not grow with the rows loaded.
 //
 // Concurrency: mu guards all mutable state (heap, row map, hash indexes,
-// B-trees, index list, pre-population counters).  Writers (insertPrepared,
+// B-trees, index list, pre-population counters).  Writers (applyBatchChunk,
 // deleteRow, createIndex, dropIndex, prePopulate) take the write lock; the
 // exported read accessors take the read lock through rlock, which lets a
 // batch see that a reader is queued behind it.  Key/encoding scratch buffers
@@ -385,31 +386,6 @@ func (t *Table) Index(name string) *Index {
 	return t.indexes[name]
 }
 
-// buildRow maps (columns, values) onto a full row in schema order, coercing
-// values to their declared types.  Missing columns become NULL.  It touches
-// only the immutable schema, so it runs without the table lock.  The row lives
-// in the transaction scratch: it is valid until the scratch builds the next.
-func (t *Table) buildRow(sc *scratch, columns []string, values []Value) (Row, error) {
-	if len(columns) != len(values) {
-		return nil, &ConstraintError{Kind: KindArity, Table: t.schema.Name,
-			Detail: fmt.Sprintf("%d columns but %d values", len(columns), len(values))}
-	}
-	row := sc.rowBuf(len(t.schema.Columns))
-	for i, col := range columns {
-		idx := t.schema.ColumnIndex(col)
-		if idx < 0 {
-			return nil, &ConstraintError{Kind: KindArity, Table: t.schema.Name, Column: col,
-				Detail: "unknown column"}
-		}
-		v, err := Coerce(values[i], t.schema.Columns[idx].Type)
-		if err != nil {
-			return nil, &ConstraintError{Kind: KindType, Table: t.schema.Name, Column: col, Detail: err.Error()}
-		}
-		row[idx] = v
-	}
-	return row, nil
-}
-
 // checkRow validates NOT NULL and CHECK constraints, returning the number of
 // constraint evaluations performed.
 func (t *Table) checkRow(row Row) (int, error) {
@@ -486,65 +462,6 @@ func (t *Table) putKeys(row Row, id int64) {
 	for _, u := range t.uniques {
 		u.put(row, id)
 	}
-}
-
-// insertPrepared validates uniqueness constraints and stores the row under
-// the table's write lock.  The caller (DB.insert) has already coerced values
-// and checked foreign keys.  It returns the new row id, the heap location of
-// the stored row and the physical-work report.  sc is the caller's
-// per-goroutine scratch.  The row is packed into the heap, not retained.
-func (t *Table) insertPrepared(sc *scratch, row Row) (int64, rowLoc, OpReport, error) {
-	var rep OpReport
-
-	checks, err := t.checkRow(row)
-	rep.ConstraintChecks += checks
-	if err != nil {
-		return 0, rowLoc{}, rep, err
-	}
-
-	rep.ConstraintChecks++
-	for _, c := range t.pkCols {
-		if row[c].IsNull() {
-			return 0, rowLoc{}, rep, &ConstraintError{Kind: KindNotNull, Table: t.schema.Name,
-				Column: t.schema.PrimaryKey[0], Detail: "NULL in primary key"}
-		}
-	}
-
-	t.mu.Lock()
-	defer t.mu.Unlock()
-
-	if err := t.checkKeys(sc, row, &rep); err != nil {
-		return 0, rowLoc{}, rep, err
-	}
-
-	// All constraints satisfied: store the row.
-	id := t.nextRow
-	t.nextRow++
-	loc, newPage, rb := t.heap.append(row)
-	t.rows.put(id, loc)
-	t.putKeys(row, id)
-
-	rep.RowsInserted = 1
-	rep.RowBytes = rb
-	rep.PagesDirtied = 1
-	rep.FirstPage, rep.LastPage = int(loc.page), int(loc.page)
-	if newPage {
-		rep.FreshPages++
-	}
-
-	for _, ix := range t.liveList {
-		// Encode once into the transaction scratch; the tree copies stored
-		// keys into its nodes, so the shared buffer is safe to reuse.  Entry
-		// volume stays priced from the column values (the cost model charges
-		// logical entry bytes, not the encoding's framing).
-		key := sc.keyOf(row, ix.colIdxs)
-		ix.chargeInserts(&rep, ix.tree.Insert(sc.ordKey(key), id))
-		for _, v := range key {
-			rep.IndexEntryBytes += ValueSize(v)
-		}
-		rep.IndexEntryBytes += 8 // row id pointer
-	}
-	return id, loc, rep, nil
 }
 
 // deleteRow removes a previously inserted row (transaction rollback only).

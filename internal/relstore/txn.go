@@ -26,10 +26,9 @@ type Txn struct {
 	batches      int
 }
 
-// undoRecord covers a contiguous run of n row ids inserted into one table.
-// The per-row path appends n == 1 records; the batch path appends one record
-// for the whole batch (ids are allocated contiguously under the table lock),
-// so the undo log grows per batch, not per row.
+// undoRecord covers a contiguous run of n row ids inserted into one table:
+// one record per run of a batch (ids are allocated contiguously under the
+// table lock), so the undo log grows per batch, not per row.
 type undoRecord struct {
 	table string
 	rowID int64 // first id of the run
@@ -96,11 +95,6 @@ func (t *Txn) Active() bool { return t.active }
 // Begin.  Commit ends the transaction, so the count never spans a commit.
 func (t *Txn) RowsInserted() int { return t.rowsInserted }
 
-func (t *Txn) recordInsert(table string, rowID int64) {
-	t.undo = append(t.undo, undoRecord{table: table, rowID: rowID, n: 1})
-	t.rowsInserted++
-}
-
 // recordInsertRange records n contiguous inserts starting at firstID.
 func (t *Txn) recordInsertRange(table string, firstID, n int64) {
 	if n <= 0 {
@@ -113,11 +107,16 @@ func (t *Txn) recordInsertRange(table string, firstID, n int64) {
 // Insert validates and stores one row in the named table.  columns selects
 // which attributes the values correspond to; unspecified columns are NULL.
 // On a constraint violation nothing is stored and the violation is returned.
+// It is a one-row InsertBatch.
 func (t *Txn) Insert(table string, columns []string, values []Value) (OpReport, error) {
 	if !t.active {
 		return OpReport{}, ErrTxnNotActive
 	}
-	return t.db.insert(t, table, columns, values)
+	// The one-row batch lives on this frame: kept on the scratch, it would
+	// make every caller's values escape.
+	rows := [1][]Value{values}
+	br, err := t.db.insertBatch(t, table, columns, rows[:])
+	return br.Report, err
 }
 
 // CommitReport describes the physical work performed by a commit.

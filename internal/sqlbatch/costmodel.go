@@ -213,7 +213,8 @@ const (
 )
 
 // redoRecord is the size of the redo record for one insert call that reported
-// rep, with slots group slots: 0 on the per-row path, one per row for a batch.
+// rep, with slots group slots: 0 in execBatch's per-row loop, one per row for
+// a batch.
 // A call that stored no row writes none — but one that stored its row and then
 // failed on the durable log did write it.
 func redoRecord(rep relstore.OpReport, slots int) int {

@@ -374,25 +374,25 @@ func (s *Server) execBatch(w exec.Worker, txn *relstore.Txn, table string, colum
 
 	// 2. Server-side execution under one CPU.
 	//
-	// The two schedulers take different engine paths with identical
-	// semantics: the DES scheduler keeps the row-at-a-time loop because the
-	// §5 virtual-time figures are calibrated against per-row physical work
-	// (per-row WAL records, per-row lock round trips, per-row index
-	// descents), while wall-clock mode routes through the batch-apply path,
-	// which amortizes that synchronization across the batch and is where the
-	// real hardware speedup comes from.  Both stop at the first failing row
-	// and leave the rows before it applied.  The data cache sees each engine
-	// call's pages as soon as it returns, per row on the DES path, and the
-	// redo tail grows by each call's record before anything here yields.
+	// The engine has one insert path; the two schedulers differ only in how
+	// finely they call it.  The DES scheduler calls Txn.Insert (a one-row
+	// batch) once per row, because the §5 virtual-time figures are priced per
+	// row: a redo record and a data-cache touch for each row's report.  That
+	// loop is the cost model's pricing granularity, not a second engine path.
+	// Wall-clock mode hands the engine the whole batch, which amortizes the
+	// lock, log and index work across it and is where the real hardware
+	// speedup comes from.  Both stop at the first failing row and leave the
+	// rows before it applied.  The data cache sees each engine call's pages as
+	// soon as it returns, and the redo tail grows by each call's record before
+	// anything here yields.
 	var rep relstore.OpReport
 	inserted, logBytes := 0, 0
 	var failErr error
 	var misses, scanned int
 	if s.sched.Deterministic() || len(rows) == 1 {
-		// Single-row calls take the per-row path in every mode: there is
-		// nothing to amortize, and the non-bulk baseline (ExecuteSingle)
-		// must never ride the batch-apply machinery it exists to measure
-		// loading without.
+		// Single-row calls are priced like the DES loop in every mode: the
+		// non-bulk baseline (ExecuteSingle) is charged a redo record with
+		// no group slots, as a one-row call of the loop is.
 		for i, r := range rows {
 			one, err := txn.Insert(table, columns, r)
 			rep.Add(one)
