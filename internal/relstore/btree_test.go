@@ -2,7 +2,10 @@ package relstore
 
 import (
 	"bytes"
+	"fmt"
+	"hash/fnv"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -203,5 +206,96 @@ func TestBTreeMinimumDegreeRaised(t *testing.T) {
 	}
 	if err := bt.CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestBTreeDigestStream drives the packed tree with one fixed-seed op stream
+// per degree — single inserts, sorted batches, deletes, searches, bounded
+// ranges and bulk rebuilds over integer, composite and string keys with many
+// duplicates — and folds every observable into one digest: each call's
+// InsertStats, BuildStats, Delete and Search result (with nodes visited), each
+// range dump, Len/Height/NodeCount/Splits/KeyBytes after every op and the full
+// iteration every 50 ops.  The digests were recorded while the same stream
+// checked the tree call by call against the pointer-graph B-tree it replaced
+// (commit 5dcf283), so they hold the packed tree to that algorithm.
+func TestBTreeDigestStream(t *testing.T) {
+	want := map[int]uint64{2: 0x91b754ece8136c1c, 3: 0x9ce2e6538e13f8a3, 32: 0x2f2b68cec47e0d59}
+	for _, degree := range []int{2, 3, 32} {
+		rng := rand.New(rand.NewSource(int64(degree)))
+		randKey := func() []byte {
+			switch rng.Intn(4) {
+			case 0:
+				return EncodeOrderedKey([]Value{Float(float64(rng.Intn(40))), Float(rng.Float64()), Float(float64(rng.Intn(3)))})
+			case 1:
+				return EncodeOrderedKey([]Value{Str(strings.Repeat("k", rng.Intn(40))), Null})
+			}
+			return intKey(rng.Int63n(300))
+		}
+		tr, h := NewBTree(degree), fnv.New64a()
+		type pair struct {
+			key []byte
+			id  int64
+		}
+		var live []pair
+		var nextID int64
+		const ops = 2000
+		for op := 0; op < ops; op++ {
+			fmt.Fprintf(h, "%d ", op)
+			switch c := rng.Intn(100); {
+			case c < 50:
+				p := pair{randKey(), nextID}
+				nextID++
+				live = append(live, p)
+				fmt.Fprintf(h, "insert %+v", tr.Insert(p.key, p.id))
+			case c < 70:
+				n := 1 + rng.Intn(60)
+				keys, ids := make([][]byte, n), make([]int64, n)
+				for i := range keys {
+					keys[i], ids[i] = randKey(), nextID
+					nextID++
+				}
+				sortKVs(keys, ids)
+				for i := range keys {
+					live = append(live, pair{keys[i], ids[i]})
+				}
+				fmt.Fprintf(h, "sorted %+v", tr.InsertSorted(keys, ids))
+			case c < 85 && len(live) > 0:
+				i := rng.Intn(len(live))
+				p := live[i]
+				if rng.Intn(4) > 0 {
+					live = append(live[:i], live[i+1:]...)
+				} else {
+					p.id += 1 << 20 // never stored
+				}
+				fmt.Fprintf(h, "delete %v", tr.Delete(p.key, p.id))
+			case c < 90:
+				ids, visited := tr.Search(randKey())
+				fmt.Fprintf(h, "search %v nil=%v visited=%d", ids, ids == nil, visited)
+			case c < 98:
+				from, to := randKey(), randKey()
+				if bytes.Compare(from, to) > 0 {
+					from, to = to, from
+				}
+				fmt.Fprintf(h, "range\n%s", dumpRange(tr, from, to))
+			default:
+				keys, ids := make([][]byte, len(live)), make([]int64, len(live))
+				for i, p := range live {
+					keys[i], ids[i] = p.key, p.id
+				}
+				sortKVs(keys, ids)
+				fmt.Fprintf(h, "build %+v", tr.BuildFromSorted(keys, ids))
+			}
+			fmt.Fprintf(h, " len=%d height=%d nodes=%d splits=%d keyBytes=%d\n",
+				tr.Len(), tr.Height(), tr.NodeCount(), tr.Splits(), tr.KeyBytes())
+			if op%50 == 0 || op == ops-1 {
+				if err := tr.CheckInvariants(); err != nil {
+					t.Fatalf("degree %d op %d: %v", degree, op, err)
+				}
+				fmt.Fprintf(h, "iteration\n%s", dumpRange(tr, nil, nil))
+			}
+		}
+		if got := h.Sum64(); got != want[degree] {
+			t.Errorf("degree %d: op-stream digest %#x, want %#x", degree, got, want[degree])
+		}
 	}
 }
