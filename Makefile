@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt-check test race fuzz oracles bench bench-test perf perf-quick smoke smoke-http smoke-crash smoke-shard
+.PHONY: all build vet fmt-check loc test race fuzz oracles bench bench-test perf perf-quick smoke smoke-http smoke-crash smoke-shard
 
 all: build vet test
 
@@ -19,6 +19,15 @@ vet:
 fmt-check:
 	@out="$$(gofmt -l . | grep -v '^\.bench_build/' || true)"; \
 	if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
+
+# Non-test Go lines (wc -l) per package under internal/ and cmd/, then their
+# sum: the one count ROADMAP's line budgets and CHANGES entries quote.  Only
+# those two trees are searched, so the benchmark's build directory, which
+# holds an exported copy of the repository, never counts.
+loc:
+	@find internal cmd -name '*.go' ! -name '*_test.go' -exec wc -l {} + | \
+	awk '$$2 != "total" { d = $$2; sub(/\/[^/]*$$/, "", d); n[d] += $$1; all += $$1 } \
+	END { for (d in n) printf "%7d %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d total\n", all }'
 
 test:
 	$(GO) test ./...

@@ -1,10 +1,8 @@
 package relstore
 
 import (
-	"bytes"
 	"fmt"
 	"runtime"
-	"slices"
 )
 
 // This file implements the engine's one insert path: a Txn.InsertBatch call
@@ -20,8 +18,9 @@ import (
 //     next 16-row boundary and relocks (see insertBatchLocked);
 //   - with a durable log, one insert record per run replaces n appends;
 //   - secondary indexes are maintained by a sorted bulk merge: the batch's
-//     keys are collected into pooled scratch slices, sorted, and inserted via
-//     the leaf-aware BTree.InsertSorted sequential pass;
+//     keys are encoded into a pooled scratch arena, sorted as bytes — the
+//     one order every index shape shares — and inserted via the leaf-aware
+//     BTree.InsertSorted sequential pass;
 //   - the commit-epoch pending counter moves once per batch.
 //
 // Semantics are identical to calling Txn.Insert once per row (the property
@@ -336,100 +335,22 @@ func (t *Table) applyBatchChunk(db *DB, txn *Txn, built []Row, rep *OpReport) (i
 // batch's keys into the pooled scratch arena, sorts the encoded bytes
 // (tie-broken by row id, reproducing per-row insertion order under
 // duplicates), and feeds them to the leaf-aware sequential B-tree pass.
-// Catalog batches frequently arrive already ordered on the indexed attribute
-// (htmid and id columns grow with arrival order), so a linear sortedness
-// check pays for itself before the n·log n sort.
 func (t *Table) bulkIndexInsert(sc *scratch, ix *Index, rows []Row, ids []int64, rep *OpReport) {
 	if len(rows) == 0 {
 		return
 	}
-	if ix.int64Keyed && t.bulkIndexInsertInt64(sc, ix, rows, ids, rep) {
-		return
-	}
-	// Keys are encoded once here and never re-inspected: the sortedness
-	// check, the sort and every tree comparison below are single memcmps.
-	// Growing the arena may reallocate it, leaving earlier kv keys pointing
-	// into the retired backing array — which stays intact and is only read
-	// until the tree copies stored keys into its nodes.
-	sc.karena = sc.karena[:0]
-	sc.kvs = sc.kvs[:0]
-	sorted := true
-	for ri := range rows {
-		row := rows[ri]
-		start := len(sc.karena)
-		for _, c := range ix.colIdxs {
-			sc.karena = appendOrderedValue(sc.karena, row[c])
-			rep.IndexEntryBytes += ValueSize(row[c])
-		}
-		rep.IndexEntryBytes += 8 // row id pointer
-		key := sc.karena[start:len(sc.karena):len(sc.karena)]
-		if sorted && ri > 0 && bytes.Compare(sc.kvs[ri-1].key, key) > 0 {
-			sorted = false
-		}
-		sc.kvs = append(sc.kvs, idxKV{key: key, id: ids[ri]})
-	}
-	if !sorted {
-		// Equal keys need no reordering: ids ascend with row order already.
-		slices.SortFunc(sc.kvs, cmpKV)
+	sc.kv.reset()
+	for ri, row := range rows {
+		rep.IndexEntryBytes += sc.kv.add(sc.keyOf(row, ix.colIdxs), ids[ri])
 	}
 	si := sortedInserter{t: ix.tree}
-	for i := range sc.kvs {
-		si.insert(sc.kvs[i].key, sc.kvs[i].id)
+	for _, kv := range sc.kv.sorted() {
+		si.insert(kv.key, kv.id)
 	}
-	ix.chargeInserts(rep, si.st)
-}
-
-// chargeInserts adds one index's share of a batch to the report.
-func (ix *Index) chargeInserts(rep *OpReport, st InsertStats) {
-	rep.IndexNodesVisited += st.NodesVisited
-	rep.IndexSplits += st.Splits
-	rep.IndexFloatColNodeVisits += st.NodesVisited * ix.floatCols
-	rep.IndexIntColNodeVisits += st.NodesVisited * ix.otherCols
-}
-
-// bulkIndexInsertInt64 is bulkIndexInsert for single-column integer-kinded
-// indexes with no NULL keys in the batch: the keys are extracted as raw
-// int64s, sorted with the specialized pair sort (no comparator calls), and
-// re-encoded into a small stack buffer as they stream into the tree.  It
-// reports false — having done nothing — when a NULL key means the generic
-// path must handle the batch.
-func (t *Table) bulkIndexInsertInt64(sc *scratch, ix *Index, rows []Row, ids []int64, rep *OpReport) bool {
-	c := ix.colIdxs[0]
-	if cap(sc.sortK) < len(rows) {
-		sc.sortK = make([]int64, 0, len(rows))
-		sc.sortID = make([]int64, 0, len(rows))
-	}
-	ks := sc.sortK[:0]
-	vs := sc.sortID[:0]
-	sorted := true
-	for ri := range rows {
-		v := rows[ri][c]
-		if v.Kind == KindNull {
-			return false
-		}
-		if sorted && ri > 0 && ks[ri-1] > v.I {
-			sorted = false
-		}
-		ks = append(ks, v.I)
-		vs = append(vs, ids[ri])
-	}
-	sc.sortK, sc.sortID = ks, vs
-	if !sorted {
-		// Equal keys need no reordering: ids ascend with row order already.
-		sortInt64Pairs(ks, vs)
-	}
-	// Entry volume is uniform for a payload-in-I kind.
-	rep.IndexEntryBytes += len(rows) * (ValueSize(Value{Kind: ix.keyKind}) + 8)
-
-	// Stream the sorted keys into the tree, re-encoding each into a reused
-	// stack buffer; the inserter copies stored keys into the tree's nodes.
-	var kb [10]byte
-	si := sortedInserter{t: ix.tree}
-	for i := range ks {
-		si.insert(appendOrderedValue(kb[:0], Value{Kind: ix.keyKind, I: ks[i]}), vs[i])
-	}
-	ix.chargeInserts(rep, si.st)
-	return true
+	rep.IndexNodesVisited += si.st.NodesVisited
+	rep.IndexSplits += si.st.Splits
+	rep.IndexFloatColNodeVisits += si.st.NodesVisited * ix.floatCols
+	rep.IndexIntColNodeVisits += si.st.NodesVisited * ix.otherCols
 }
 
 // lockParentsForBatch read-locks every distinct foreign-key parent of the

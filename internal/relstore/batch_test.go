@@ -3,7 +3,6 @@ package relstore
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 	"strings"
 	"testing"
 )
@@ -137,8 +136,8 @@ func batchPropertyDBOn(t *testing.T, schema *Schema, extra ...Option) *DB {
 	t.Helper()
 	opts := append([]Option{WithBTreeDegree(3)}, extra...)
 	db := MustOpen(schema, opts...)
-	// ix_mag exercises the float comparator, ix_frame the raw-int64 sort
-	// path (both duplicate-heavy), and the composite index the generic one.
+	// ix_mag has a float key, ix_frame an integer one (both duplicate-heavy)
+	// and ix_frame_mag is a composite: one encoded-key sort serves all three.
 	if _, err := db.CreateIndex("objects", "ix_mag", []string{"mag"}, false); err != nil {
 		t.Fatal(err)
 	}
@@ -433,10 +432,9 @@ func TestInsertBatchEdgeCases(t *testing.T) {
 	}
 }
 
-// TestInsertBatchNullIndexKeys covers the raw-int64 index sort fallback: a
-// nullable integer column index whose batch contains NULL keys must take the
-// generic path and store NULLs sorting before every non-NULL key, identically
-// to per-row insertion.
+// TestInsertBatchNullIndexKeys covers NULL keys in a batch: a nullable
+// integer column index must store NULLs sorting before every non-NULL key,
+// identically to per-row insertion.
 func TestInsertBatchNullIndexKeys(t *testing.T) {
 	schema, err := NewSchema(&TableSchema{
 		Name: "pts",
@@ -481,57 +479,6 @@ func TestInsertBatchNullIndexKeys(t *testing.T) {
 	}
 	if rs, gs := engineState(t, ref), engineState(t, got); rs != gs {
 		t.Fatalf("state diverges with NULL index keys:\n--- per-row ---\n%s--- batch ---\n%s", rs, gs)
-	}
-}
-
-// TestSortInt64Pairs pins the specialized pair sort against the library sort
-// on random, sorted, reversed and duplicate-heavy inputs, including sizes
-// around the insertion-sort cutoff.
-func TestSortInt64Pairs(t *testing.T) {
-	rng := rand.New(rand.NewSource(99))
-	for trial := 0; trial < 200; trial++ {
-		n := rng.Intn(3000)
-		k := make([]int64, n)
-		id := make([]int64, n)
-		switch trial % 4 {
-		case 0:
-			for i := range k {
-				k[i] = rng.Int63n(10) // heavy duplicates exercise the id tie-break
-				id[i] = int64(rng.Intn(50))
-			}
-		case 1:
-			for i := range k {
-				k[i] = int64(i)
-				id[i] = int64(i)
-			}
-		case 2:
-			for i := range k {
-				k[i] = int64(n - i)
-				id[i] = int64(i)
-			}
-		default:
-			for i := range k {
-				k[i] = rng.Int63()
-				id[i] = rng.Int63()
-			}
-		}
-		type pair struct{ k, id int64 }
-		want := make([]pair, n)
-		for i := range want {
-			want[i] = pair{k[i], id[i]}
-		}
-		sort.Slice(want, func(i, j int) bool {
-			if want[i].k != want[j].k {
-				return want[i].k < want[j].k
-			}
-			return want[i].id < want[j].id
-		})
-		sortInt64Pairs(k, id)
-		for i := range want {
-			if k[i] != want[i].k || id[i] != want[i].id {
-				t.Fatalf("trial %d: position %d = (%d,%d), want (%d,%d)", trial, i, k[i], id[i], want[i].k, want[i].id)
-			}
-		}
 	}
 }
 

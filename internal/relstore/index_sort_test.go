@@ -75,9 +75,8 @@ func indexSortBatches() [][][]Value {
 	return batches
 }
 
-// indexSortDB opens the table with its four indexes under policy and loads
-// the batches into it, one transaction each, returning every batch's report.
-func indexSortDB(t *testing.T, policy IndexPolicy, batches [][][]Value) (*DB, []OpReport) {
+// openIndexSortDB opens the table with its four indexes under policy.
+func openIndexSortDB(t *testing.T, policy IndexPolicy) *DB {
 	t.Helper()
 	db := MustOpen(indexSortSchema(t), WithBTreeDegree(4))
 	for _, ix := range indexSortIndexes {
@@ -85,9 +84,11 @@ func indexSortDB(t *testing.T, policy IndexPolicy, batches [][][]Value) (*DB, []
 			t.Fatal(err)
 		}
 	}
-	return db, loadIndexSortBatches(t, db, batches)
+	return db
 }
 
+// loadIndexSortBatches inserts the batches, one transaction each, and
+// returns every batch's report.
 func loadIndexSortBatches(t *testing.T, db *DB, batches [][][]Value) []OpReport {
 	t.Helper()
 	cols := []string{"id", "k", "ts", "flag", "ra", "dec"}
@@ -133,7 +134,8 @@ func indexDigest(tr *BTree) uint64 {
 func TestIndexSortCounters(t *testing.T) {
 	batches := indexSortBatches()
 
-	imm, reps := indexSortDB(t, IndexImmediate, batches)
+	imm := openIndexSortDB(t, IndexImmediate)
+	reps := loadIndexSortBatches(t, imm, batches)
 	wantBatch := []string{
 		"visited=4 splits=0 entryBytes=69 intVisits=3 floatVisits=2",
 		"visited=191 splits=29 entryBytes=2760 intVisits=140 floatVisits=102",
@@ -148,12 +150,7 @@ func TestIndexSortCounters(t *testing.T) {
 		}
 	}
 
-	sealed := MustOpen(indexSortSchema(t), WithBTreeDegree(4))
-	for _, ix := range indexSortIndexes {
-		if _, err := sealed.CreateIndexWith("ev", ix.name, ix.cols, false, IndexDeferred); err != nil {
-			t.Fatal(err)
-		}
-	}
+	sealed := openIndexSortDB(t, IndexDeferred)
 	if err := sealed.BeginLoad(); err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,9 @@
 package relstore
 
-import "bytes"
+import (
+	"bytes"
+	"slices"
+)
 
 // scratch holds the reusable buffers of the insert hot path: column
 // resolution, row staging, composite-key extraction, B-tree key encoding and
@@ -22,22 +25,18 @@ type scratch struct {
 	// Insert buffers (Txn.InsertBatch, and Txn.Insert as a one-row batch).
 	// colIdxs and kinds hold the call's column list resolved against the
 	// schema; rows stages the built rows, carved out of arena, and ids the row
-	// ids assigned to the applied prefix; kvs collects one secondary index's
-	// (key, row id) pairs for the sorted bulk merge, with karena as the flat
-	// encoded-key arena the kv key slices point into, so a batch costs O(1)
+	// ids assigned to the applied prefix; kv collects one secondary index's
+	// (key, row id) pairs for the sorted bulk merge, so a batch costs O(1)
 	// scratch allocations per index rather than O(rows).  All are reset per
-	// call (per index for the sort buffers); nothing stored in the engine
-	// aliases them — the heap packs rows into its own pages and the B-tree
-	// copies stored keys into its own nodes.
+	// call (per index for kv); nothing stored in the engine aliases them — the
+	// heap packs rows into its own pages and the B-tree copies stored keys
+	// into its own nodes.
 	colIdxs []int
 	kinds   []ValueKind
 	rows    []Row
 	arena   []Value
 	ids     []int64
-	kvs     []idxKV
-	karena  []byte
-	sortK   []int64
-	sortID  []int64
+	kv      kvBuf
 
 	// parents is the foreign-key parent lock set of one run
 	// (Table.lockParentsForBatch).
@@ -62,10 +61,9 @@ type idxKV struct {
 	id  int64
 }
 
-// cmpKV is the idxKV comparator.  The key is an AppendOrderedKey encoding, so
-// one bytes.Compare resolves the whole composite ordering; the float- and
-// int-leading comparator specializations the []Value layout needed are gone
-// because a memcmp is already the fast path.
+// cmpKV is the idxKV comparator, and the only order secondary-index pairs are
+// ever sorted in.  The key is an AppendOrderedKey encoding, so one
+// bytes.Compare resolves the whole composite ordering for every column kind.
 func cmpKV(a, b idxKV) int {
 	if c := bytes.Compare(a.key, b.key); c != 0 {
 		return c
@@ -77,6 +75,53 @@ func cmpKV(a, b idxKV) int {
 		return 1
 	}
 	return 0
+}
+
+// kvBuf collects one index's (key, row id) pairs in row-id order for a
+// sorted pass into its tree: the batch merge and the Seal/backfill build.
+// Keys are encoded once into one flat arena and never re-inspected: the
+// sortedness check, the sort and every tree comparison are single memcmps.
+// Growing the arena may reallocate it, leaving earlier keys pointing into
+// the retired backing array — which stays intact and is only read until the
+// tree copies stored keys into its nodes.
+type kvBuf struct {
+	arena    []byte
+	kvs      []idxKV
+	unsorted bool
+}
+
+// reset empties the buffer, keeping its memory.
+func (b *kvBuf) reset() {
+	b.arena, b.kvs, b.unsorted = b.arena[:0], b.kvs[:0], false
+}
+
+// add encodes key and appends its pair, returning the entry's volume (the
+// OpReport.IndexEntryBytes accounting: the key's values plus an 8-byte row
+// id pointer).  ids must ascend across calls.
+func (b *kvBuf) add(key []Value, id int64) int {
+	start := len(b.arena)
+	b.arena = AppendOrderedKey(b.arena, key)
+	k := b.arena[start:len(b.arena):len(b.arena)]
+	if n := len(b.kvs); n > 0 && !b.unsorted && bytes.Compare(b.kvs[n-1].key, k) > 0 {
+		b.unsorted = true
+	}
+	b.kvs = append(b.kvs, idxKV{key: k, id: id})
+	size := 8
+	for i := range key {
+		size += valueSizeRef(&key[i])
+	}
+	return size
+}
+
+// sorted returns the pairs in cmpKV order.  Catalog rows frequently arrive
+// already ordered on the indexed attribute (htmid and id columns grow with
+// arrival order), so add's running check skips the n·log n sort for them;
+// equal keys never need reordering, since ids ascend with insertion order.
+func (b *kvBuf) sorted() []idxKV {
+	if b.unsorted {
+		slices.SortFunc(b.kvs, cmpKV)
+	}
+	return b.kvs
 }
 
 // columnBufs returns the n-entry column-position and value-kind buffers.

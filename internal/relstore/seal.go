@@ -1,10 +1,5 @@
 package relstore
 
-import (
-	"bytes"
-	"slices"
-)
-
 // This file implements the load lifecycle around deferred index maintenance,
 // the engine-level form of the paper's Figure 8 tuning: drop secondary
 // indexes while loading, rebuild them in bulk afterwards.
@@ -155,13 +150,7 @@ func (t *Table) rebuildIndexLocked(ix *Index) IndexBuildReport {
 		Table: t.schema.Name, Index: ix.Name,
 		IntCols: ix.otherCols, FloatCols: ix.floatCols,
 	}
-	kvs, ok := []idxKV(nil), false
-	if ix.int64Keyed {
-		kvs, ok = t.sortedInt64KVs(ix, &rep)
-	}
-	if !ok {
-		kvs = t.sortedKVs(ix, &rep)
-	}
+	kvs := t.sortedKVs(ix, &rep)
 	ix.tree = NewBTree(t.btreeDegree)
 	st := ix.tree.buildFromKVs(kvs)
 	rep.Rows, rep.DistinctKeys, rep.NodesBuilt, rep.Height = st.Rows, st.Entries, st.NodesBuilt, st.Height
@@ -169,73 +158,18 @@ func (t *Table) rebuildIndexLocked(ix *Index) IndexBuildReport {
 }
 
 // sortedKVs encodes every live row's index key into one flat arena and sorts
-// the pairs — a memcmp-driven sort, which is why the float-surrogate sort the
-// []Value layout needed is gone.
+// the pairs, exactly as the batch merge does.  Heap order is insertion order,
+// so ids ascend within equal keys and the id tie-break reproduces per-row
+// insertion order.
 func (t *Table) sortedKVs(ix *Index, rep *IndexBuildReport) []idxKV {
 	n := int(t.heap.rowCount)
-	karena := make([]byte, 0, n*len(ix.colIdxs)*9) // exact for numeric kinds; strings grow it
-	kvs := make([]idxKV, 0, n)
-	sorted := true
+	kv := kvBuf{
+		arena: make([]byte, 0, n*len(ix.colIdxs)*9), // exact for numeric kinds; strings grow it
+		kvs:   make([]idxKV, 0, n),
+	}
+	var sc scratch // for its key buffer
 	t.scanRowsByID(func(id int64, r RowView) {
-		start := len(karena)
-		for _, c := range ix.colIdxs {
-			v := r.val(c)
-			karena = appendOrderedValue(karena, v)
-			rep.EntryBytes += valueSizeRef(&v)
-		}
-		rep.EntryBytes += 8 // row id pointer
-		key := karena[start:len(karena):len(karena)]
-		if sorted && len(kvs) > 0 && bytes.Compare(kvs[len(kvs)-1].key, key) > 0 {
-			sorted = false
-		}
-		kvs = append(kvs, idxKV{key: key, id: id})
+		rep.EntryBytes += kv.add(sc.keyOfView(r, ix.colIdxs), id)
 	})
-	if !sorted {
-		// Heap order is insertion order, so ids ascend within equal keys and
-		// the id tie-break reproduces per-row insertion order.
-		slices.SortFunc(kvs, cmpKV)
-	}
-	return kvs
-}
-
-// sortedInt64KVs is sortedKVs for single-column integer-kinded indexes (the
-// htmid shape) with no NULL keys, mirroring the batch path's
-// bulkIndexInsertInt64: raw int64 extraction, the specialized pair sort with
-// no comparator, and the keys encoded once they are in order.  It reports
-// false when a NULL key means the generic path must handle the rebuild.
-func (t *Table) sortedInt64KVs(ix *Index, rep *IndexBuildReport) ([]idxKV, bool) {
-	c := ix.colIdxs[0]
-	n := int(t.heap.rowCount)
-	ks := make([]int64, 0, n)
-	vs := make([]int64, 0, n)
-	sorted := true
-	null := false
-	t.scanRowsByID(func(id int64, r RowView) {
-		if null || r.IsNull(c) {
-			null = true
-			return
-		}
-		k := r.Int(c)
-		if sorted && len(ks) > 0 && ks[len(ks)-1] > k {
-			sorted = false
-		}
-		ks = append(ks, k)
-		vs = append(vs, id)
-	})
-	if null {
-		return nil, false
-	}
-	if !sorted {
-		// Row-id order is insertion order, so ids ascend within equal keys.
-		sortInt64Pairs(ks, vs)
-	}
-	rep.EntryBytes += len(ks) * (ValueSize(Value{Kind: ix.keyKind}) + 8)
-	karena := make([]byte, 0, len(ks)*9)
-	kvs := make([]idxKV, len(ks))
-	for i := range ks {
-		start := len(karena)
-		karena = appendOrderedValue(karena, Value{Kind: ix.keyKind, I: ks[i]})
-		kvs[i] = idxKV{key: karena[start:], id: vs[i]}
-	}
-	return kvs, true
+	return kv.sorted()
 }

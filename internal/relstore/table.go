@@ -20,19 +20,10 @@ type Index struct {
 	colIdxs []int
 	// floatCols and otherCols count the float-typed and non-float-typed
 	// indexed columns.  They are classified once at creation so the cost
-	// attribution in chargeInserts does not re-inspect the schema for every
+	// attribution in bulkIndexInsert does not re-inspect the schema for every
 	// batch.
 	floatCols int
 	otherCols int
-	// int64Keyed marks a single-column index whose non-NULL comparisons
-	// reduce to the Value.I payload (integer, timestamp or boolean column) —
-	// the htmid index shape — so the bulk paths can sort raw int64 pairs
-	// instead of calling a comparator; keyKind is the column's value kind for
-	// re-encoding the keys after that sort.  Float-leading indexes need no
-	// special comparator anymore: encoded keys compare with one bytes.Compare
-	// regardless of column kinds.
-	int64Keyed bool
-	keyKind    ValueKind
 
 	// policy is the index's maintenance policy (see IndexPolicy).  suspended
 	// marks a deferred-policy index whose maintenance is currently paused by
@@ -532,14 +523,6 @@ func (t *Table) createIndex(name string, columns []string, unique bool, policy I
 		} else {
 			ix.otherCols++
 		}
-	}
-	switch t.schema.Columns[ix.colIdxs[0]].Type {
-	case TypeInt:
-		ix.int64Keyed, ix.keyKind = len(ix.colIdxs) == 1, KindInt
-	case TypeTime:
-		ix.int64Keyed, ix.keyKind = len(ix.colIdxs) == 1, KindTime
-	case TypeBool:
-		ix.int64Keyed, ix.keyKind = len(ix.colIdxs) == 1, KindBool
 	}
 	if policy == IndexDeferred && t.loading != nil && t.loading.Load() {
 		// Mid-load creation of a deferred index: no backfill, Seal builds it.

@@ -23,7 +23,6 @@ type Txn struct {
 	undo []undoRecord
 
 	rowsInserted int
-	batches      int
 }
 
 // undoRecord covers a contiguous run of n row ids inserted into one table:
