@@ -41,8 +41,9 @@ race:
 # its location-per-id oracle, of the heap pages against the rows appended to
 # them, of the B-tree against its sorted-slice oracle (seed corpora in
 # testdata/fuzz/<target>; the last three take long op streams, so minimizing
-# each new one is capped at ten runs or the ten seconds go to the minimizer)
-# and of the catalog splitter against its Scanner oracle: 10 s each, one
+# each new one is capped at ten runs or the ten seconds go to the minimizer),
+# of the catalog splitter against its Scanner oracle and of the query
+# handler's response bodies against json.Encoder's: 10 s each, one
 # target and one package per invocation as `go test -fuzz` requires.
 # An input that fails is written to the package's testdata/fuzz/<target>/;
 # check it in, it is then a regression seed every plain `go test` replays.
@@ -57,6 +58,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzHeapPages$$' -fuzztime 10s -fuzzminimizetime 10x ./internal/relstore/
 	$(GO) test -run '^$$' -fuzz '^FuzzBTreeOps$$' -fuzztime 10s -fuzzminimizetime 10x ./internal/relstore/
 	$(GO) test -run '^$$' -fuzz '^FuzzReadRecords$$' -fuzztime 10s ./internal/catalog/
+	$(GO) test -run '^$$' -fuzz '^FuzzResponseEncode$$' -fuzztime 10s ./internal/httpserve/
 
 # The byte-identity oracles a behaviour-preserving change must leave alone:
 # the twelve skybench CSVs, skyload (DES and both -crash seeds), the three

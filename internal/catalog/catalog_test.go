@@ -422,6 +422,10 @@ func TestTransformErrors(t *testing.T) {
 			`catalog: line 4 (FNG) field "": expected 6 fields, got 2`},
 		{Record{Tag: TagFNG, Fields: []string{"1", "2", "1", "N/A", "0.1", "3.0"}, Line: 5}, // malformed float
 			`catalog: line 5 (FNG) field "flux": not a float: "N/A"`},
+		{Record{Tag: TagFNG, Fields: []string{"1", "2", "1", "NaN", "0.1", "3.0"}, Line: 5}, // ParseFloat accepts it
+			`catalog: line 5 (FNG) field "flux": not a finite float: "NaN"`},
+		{Record{Tag: TagOBJ, Fields: []string{"1", "2", "10", "10", "-Inf", "", "", "", ""}, Line: 6},
+			`catalog: line 6 (OBJ) field "mag": not a finite float: "-Inf"`},
 		{Record{Tag: TagOBJ, Fields: []string{"x", "2", "10", "10", "18", "", "", "", ""}, Line: 6}, // malformed int
 			`catalog: line 6 (OBJ) field "object_id": not an integer: "x"`},
 		{Record{Tag: TagOBJ, Fields: []string{"1", "2", "", "2.05", "18", "", "", "", ""}, Line: 7}, // missing ra

@@ -2,6 +2,7 @@ package catalog
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -180,6 +181,11 @@ func convertField(f *fieldPlan, table, colName, raw string) (relstore.Value, err
 		x, err := strconv.ParseFloat(raw, 64)
 		if err != nil {
 			return relstore.Null, fmt.Errorf("not a float: %q", raw)
+		}
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			// ParseFloat accepts "NaN" and "Inf"; no catalog measurement
+			// is either, and a NaN has no place in an ordered index key.
+			return relstore.Null, fmt.Errorf("not a finite float: %q", raw)
 		}
 		if f.precision > 0 {
 			x = relstore.RoundTo(x, f.precision)

@@ -10,6 +10,7 @@ import (
 	"skyloader/internal/des"
 	"skyloader/internal/relstore"
 	"skyloader/internal/sqlbatch"
+	"skyloader/internal/tuning"
 )
 
 // testEnv builds a kernel, a seeded repository database and a server.
@@ -203,6 +204,59 @@ func TestBatchRowErrorRecovery(t *testing.T) {
 }
 
 func i2s(v int64) string { return strconv.FormatInt(v, 10) }
+
+// TestNonFiniteFieldIsARejectedRow loads objects whose magnitude or position
+// is NaN or infinite into a repository that keeps the (ra, dec, mag)
+// composite index, maintained per batch and suspended until Seal.  Each such
+// row is a transform error, skipped and counted like any malformed field;
+// none reaches the index, whose key encoder panics on a NaN (the range
+// checks let one through until they were written to fail on it).
+func TestNonFiniteFieldIsARejectedRow(t *testing.T) {
+	bad := map[int]struct{ field int }{5: {4}, 9: {2}, 13: {4}, 17: {3}} // OBJ fields: 2 ra, 3 dec, 4 mag
+	values := []string{"NaN", "NaN", "-Inf", "+Inf"}
+	recs := []catalog.Record{
+		{Tag: catalog.TagOBS, Fields: []string{"1", "1", "1", "53600.1", "120.0", "10.0", "1.2", "R", "140"}},
+		{Tag: catalog.TagCCD, Fields: []string{"10", "1", "5", "5", "R", "120.1", "10.1", "2.1", "4.5"}},
+		{Tag: catalog.TagFRM, Fields: []string{"100", "10", "0", "53600.2", "145.0", "1.4", "900", "23.1"}},
+	}
+	for i, v := 1, 0; i <= 20; i++ {
+		ra := strconv.FormatFloat(120.2+float64(i)/1000, 'f', 3, 64) // a key of its own in each index
+		fields := []string{i2s(int64(1000 + i)), "100", ra, "10.2", "18.5", "0.02", "1.4", "0.1", "0"}
+		if b, ok := bad[i]; ok {
+			fields[b.field] = values[v]
+			v++
+		}
+		recs = append(recs, catalog.Record{Tag: catalog.TagOBJ, Fields: fields, Line: 3 + i})
+	}
+	for _, policy := range []relstore.IndexPolicy{relstore.IndexImmediate, relstore.IndexDeferred} {
+		db, err := tuning.OpenRepository(tuning.HTMIDPlusComposite, relstore.WithIndexPolicy(policy))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := DefaultConfig()
+		if policy == relstore.IndexDeferred {
+			if err := db.BeginLoad(); err != nil {
+				t.Fatal(err)
+			}
+			cfg.SealAfterLoad = true
+		}
+		srv := sqlbatch.NewServer(des.NewKernel(7), db, sqlbatch.DefaultServerConfig(), sqlbatch.DefaultCostModel())
+		file := &catalog.File{Name: "nonfinite.cat", Records: recs, NominalBytes: 1 << 20, DataRows: len(recs), RowsByTable: map[string]int{}}
+		stats := loadWith(t, srv, file, cfg)
+		if stats.ParseErrors != len(bad) || stats.RowsSkipped != 0 || stats.RowsLoaded != len(recs)-len(bad) {
+			t.Fatalf("%v: %d rejected, %d skipped, %d loaded; want %d, 0, %d",
+				policy, stats.ParseErrors, stats.RowsSkipped, stats.RowsLoaded, len(bad), len(recs)-len(bad))
+		}
+		if n, _ := db.Count(catalog.TObjects); n != 20-int64(len(bad)) {
+			t.Fatalf("%v: %d objects stored, want %d", policy, n, 20-len(bad))
+		}
+		for _, ix := range db.AllIndexes() {
+			if !ix.Ready() || ix.Tree().Len() != 20-len(bad) {
+				t.Fatalf("%v: index %s after the load: ready %v, %d keys", policy, ix.Name, ix.Ready(), ix.Tree().Len())
+			}
+		}
+	}
+}
 
 func TestCommitEveryBatches(t *testing.T) {
 	_, srv := testEnv(t)

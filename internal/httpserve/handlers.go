@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"strconv"
+	"sync"
 	"time"
 
 	"skyloader/internal/exec"
@@ -29,9 +30,19 @@ type QueryResponse struct {
 	Error string `json:"error,omitempty"`
 }
 
+// bodyPool recycles the buffers query responses are built in; a buffer that
+// grew past maxPooledBody (a very large answer) is left to the collector.
+var bodyPool = sync.Pool{New: func() any { b := make([]byte, 0, 4096); return &b }}
+
+const maxPooledBody = 256 << 10
+
 // handleQuery serves the four science-query endpoints: parse, execute
 // through the serve layer's admission/cache/engine path on this goroutine
-// (inline worker), encode.  Tracing: one request in cfg.TraceEvery carries a
+// (inline worker), answer.  An answered query's body is the answer's bytes
+// from serve.Server.ExecuteBody — copied from the result cache on a hit,
+// appended by encodeAnswer on a miss — framed with this request's members and
+// sent in one Write with Content-Length set; every other outcome gets a
+// json.Encoder error body.  Tracing: one request in cfg.TraceEvery carries a
 // stack-allocated trace.Req through the stages; the encode span closes after
 // the response bytes are handed to the socket.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, path string) {
@@ -46,47 +57,50 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, path string
 		tr = new(trace.Req) // escapes into the publish below; one alloc per SAMPLED request
 	}
 
-	var (
-		res     queries.Result
-		outcome serve.Outcome
-		execErr error
-		status  int
-	)
+	pooled := bodyPool.Get().(*[]byte)
+	buf := (*pooled)[:headRoom]
 	s.inline.RunInline("http-"+q.Class(), func(wk exec.Worker) {
 		began := wk.Now()
 		tr.Begin(id, q.Class(), began)
-		res, outcome, execErr = s.qs.Execute(wk, q, tr)
+		var (
+			outcome serve.Outcome
+			execErr error
+		)
+		_, buf, outcome, execErr = s.qs.ExecuteBody(wk, q, tr, buf, encodeAnswer)
+		elapsed := int64(wk.Now() - began)
 
-		resp := QueryResponse{
-			RequestID: id,
-			Outcome:   outcome.String(),
-			Objects:   res.Objects,
-			Bins:      res.Bins,
-			Stats:     res.Stats,
-		}
+		h := w.Header()
+		h.Set("Content-Type", "application/json")
+		h.Set("X-Request-ID", strconv.FormatUint(id, 10))
+		status := http.StatusInternalServerError
 		switch outcome {
 		case serve.OutcomeServed, serve.OutcomeCacheHit:
 			status = http.StatusOK
+			body := frame(buf, id, outcome.String(), elapsed)
+			h.Set("Content-Length", strconv.Itoa(len(body)))
+			w.WriteHeader(status)
+			_, _ = w.Write(body)
 		case serve.OutcomeShed:
 			status = http.StatusServiceUnavailable
-			w.Header().Set("Retry-After", "1")
+			h.Set("Retry-After", "1")
 		case serve.OutcomeExpired:
 			status = http.StatusGatewayTimeout
-		default:
-			status = http.StatusInternalServerError
 		}
-		if execErr != nil {
-			resp.Error = execErr.Error()
+		if status != http.StatusOK {
+			resp := QueryResponse{RequestID: id, Outcome: outcome.String(), ElapsedNS: elapsed}
+			if execErr != nil {
+				resp.Error = execErr.Error()
+			}
+			w.WriteHeader(status)
+			_ = json.NewEncoder(w).Encode(resp)
 		}
-		resp.ElapsedNS = int64(wk.Now() - began)
-		w.Header().Set("Content-Type", "application/json")
-		w.Header().Set("X-Request-ID", strconv.FormatUint(id, 10))
-		w.WriteHeader(status)
-		enc := json.NewEncoder(w)
-		_ = enc.Encode(resp)
 		tr.Finish(outcome.String(), trace.StageEncode, wk.Now())
 		s.observe(path, status, wk.Now()-began)
 	})
+	if cap(buf) <= maxPooledBody {
+		*pooled = buf[:0]
+		bodyPool.Put(pooled)
+	}
 	if tr != nil {
 		s.tracer.Publish(tr)
 	}

@@ -55,6 +55,7 @@ func (s *Server) WriteMetrics(out io.Writer) error {
 		p.Counter("sky_result_cache_evictions_total", "Capacity evictions.", cs.Evictions)
 		p.Counter("sky_result_cache_stores_total", "Results stored.", cs.Stores)
 		p.Gauge("sky_result_cache_entries", "Entries currently cached.", int64(cs.Entries))
+		p.Gauge("sky_serve_cache_body_bytes", "Response-body bytes the cached results carry.", cs.BodyBytes)
 	}
 
 	// --- serve: per-class counters and latency histograms ---

@@ -21,7 +21,8 @@ import (
 // form is compared against byte for byte.  The database catalog carries the
 // only intended differences, written here in the old form: sky_wal_syncs_total
 // has its corrected help text, the auto-sync family is gone with the threshold
-// it counted, and sky_db_batch_yields_total is new.
+// it counted, and sky_db_batch_yields_total is new; so, in the serving
+// catalog, is sky_serve_cache_body_bytes.
 
 func oracleServeMetrics(s *Server, p *metrics.PromWriter) {
 	// --- serve: admission counters ---
@@ -60,6 +61,8 @@ func oracleServeMetrics(s *Server, p *metrics.PromWriter) {
 		p.SampleInt("sky_result_cache_stores_total", nil, cs.Stores)
 		p.Metric("sky_result_cache_entries", "Entries currently cached.", "gauge")
 		p.SampleInt("sky_result_cache_entries", nil, int64(cs.Entries))
+		p.Metric("sky_serve_cache_body_bytes", "Response-body bytes the cached results carry.", "gauge")
+		p.SampleInt("sky_serve_cache_body_bytes", nil, cs.BodyBytes)
 	}
 
 	// --- serve: per-class counters and latency histograms ---

@@ -2,6 +2,7 @@ package relstore
 
 import (
 	"errors"
+	"math"
 	"reflect"
 	"slices"
 	"testing"
@@ -134,6 +135,7 @@ func TestConstraintViolations(t *testing.T) {
 		{"duplicate pk", func() error { return insertObject(t, txn, 1, 1, 21) }, KindPrimaryKey},
 		{"missing parent", func() error { return insertObject(t, txn, 2, 99, 21) }, KindForeignKey},
 		{"check violation", func() error { return insertObject(t, txn, 3, 1, 99) }, KindCheck},
+		{"NaN against a range check", func() error { return insertObject(t, txn, 3, 1, math.NaN()) }, KindCheck},
 		{"not null", func() error {
 			_, err := txn.Insert("objects", []string{"object_id", "frame_id"}, []Value{Int(4), Int(1)})
 			return err

@@ -53,8 +53,10 @@ const (
 //
 // NaN values are rejected with a panic: CompareKeys orders a NaN equal to
 // everything (the < operator is false both ways), which no total byte order
-// can reproduce, and NaN never reaches an index anyway (the catalog
-// transformer filters non-finite photometry during validation).
+// can reproduce.  Nothing in the engine stops a NaN before it reaches an index
+// key: a range check rejects one, but a column without a check accepts it.
+// The catalog transformer rejects non-finite floats, so a load never stores
+// one; other callers must not index a NaN.
 func AppendOrderedKey(dst []byte, vals []Value) []byte {
 	for _, v := range vals {
 		dst = appendOrderedValue(dst, v)

@@ -405,12 +405,14 @@ func (t *Table) checkRow(row Row) (int, error) {
 					return checks, &ConstraintError{Kind: KindCheck, Table: t.schema.Name,
 						Constraint: ck.Name, Column: ck.Column, Detail: "non-numeric value for range check"}
 				}
-				if ck.Min != nil && f < *ck.Min {
+				// Negated comparisons, so that a NaN, which compares false
+				// with everything, fails the check instead of passing it.
+				if ck.Min != nil && !(f >= *ck.Min) {
 					return checks, &ConstraintError{Kind: KindCheck, Table: t.schema.Name,
 						Constraint: ck.Name, Column: ck.Column,
 						Detail: fmt.Sprintf("value %v below minimum %v", f, *ck.Min)}
 				}
-				if ck.Max != nil && f > *ck.Max {
+				if ck.Max != nil && !(f <= *ck.Max) {
 					return checks, &ConstraintError{Kind: KindCheck, Table: t.schema.Name,
 						Constraint: ck.Name, Column: ck.Column,
 						Detail: fmt.Sprintf("value %v above maximum %v", f, *ck.Max)}

@@ -92,11 +92,11 @@ func BenchmarkCacheGetHit(b *testing.B) {
 	db := catalogDBForBench(b)
 	c := NewCache(8, 128)
 	epoch, _ := db.ReadStamp(catalog.TObjects)
-	c.Put(db, "bench-key", catalog.TObjects, epoch, lookupResult(1))
+	c.Put(db, "bench-key", catalog.TObjects, epoch, lookupResult(1), nil)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, ok := c.Get(db, "bench-key"); !ok {
+		if _, _, ok := c.Get(db, "bench-key"); !ok {
 			b.Fatal("miss")
 		}
 	}

@@ -24,6 +24,10 @@ import (
 //     the moment it settles, with no invalidation fan-out on the write path.
 //   - Cached results are shared snapshots: callers must treat
 //     queries.Result slices as immutable.
+//   - An entry may carry its result's response body (the bytes a transport
+//     sends for it), stored by the same Put under the same epoch check and
+//     evicted with the result, so a body is never older than its result and
+//     never outlives it.  It is as immutable as the result.
 //
 // Sharding keeps the lock a query worker takes for a lookup independent of
 // most other workers; each shard has its own mutex, map and LRU list.
@@ -36,6 +40,7 @@ type Cache struct {
 	evictions  atomic.Int64
 	stores     atomic.Int64
 	overwrites atomic.Int64
+	bodyBytes  atomic.Int64
 }
 
 // Epochs reports a table's current commit epoch: a relstore.DB, or any Engine.
@@ -55,6 +60,7 @@ type cacheEntry struct {
 	table string
 	epoch int64
 	res   queries.Result
+	body  []byte
 }
 
 // CacheStats is a point-in-time snapshot of cache effectiveness counters.
@@ -65,6 +71,7 @@ type CacheStats struct {
 	Evictions int64 // capacity evictions (stale evictions count under StaleHits)
 	Stores    int64
 	Entries   int
+	BodyBytes int64 // response-body bytes held by the entries
 }
 
 // HitRate returns hits / lookups (0 when no lookups happened).  Stale hits
@@ -115,41 +122,41 @@ func (c *Cache) shardFor(key string) *cacheShard {
 	return &c.shards[h&uint64(len(c.shards)-1)]
 }
 
-// Get returns the cached result for the key if present and still valid for
-// the current commit epoch of its table.  A stale entry is evicted and
-// reported as a miss.
-func (c *Cache) Get(db Epochs, key string) (queries.Result, bool) {
+// Get returns the cached result for the key, and the body stored with it
+// (nil if none was), if present and still valid for the current commit epoch
+// of its table.  A stale entry is evicted and reported as a miss.
+func (c *Cache) Get(db Epochs, key string) (queries.Result, []byte, bool) {
 	s := c.shardFor(key)
 	s.mu.Lock()
 	el, ok := s.entries[key]
 	if !ok {
 		s.mu.Unlock()
 		c.misses.Add(1)
-		return queries.Result{}, false
+		return queries.Result{}, nil, false
 	}
 	ent := el.Value.(*cacheEntry)
 	if db.TableEpoch(ent.table) != ent.epoch {
 		// Superseded by a commit or rollback: evict so a later Put can
 		// install the fresh epoch's result.
-		delete(s.entries, key)
-		s.lru.Remove(el)
+		s.remove(c, el)
 		s.mu.Unlock()
 		c.staleHits.Add(1)
-		return queries.Result{}, false
+		return queries.Result{}, nil, false
 	}
 	s.lru.MoveToFront(el)
-	res := ent.res
+	res, body := ent.res, ent.body
 	s.mu.Unlock()
 	c.hits.Add(1)
-	return res, true
+	return res, body, true
 }
 
-// Put stores a result computed at the given stable epoch of the table.  The
-// caller must have obtained (epoch, cacheable=true) from Engine.Read; Put
-// double-checks that the epoch is still current and refuses the store
-// otherwise, so a result that went stale between computation and store never
-// enters the cache.
-func (c *Cache) Put(db Epochs, key, table string, epoch int64, res queries.Result) bool {
+// Put stores a result computed at the given stable epoch of the table, with
+// its response body (nil for none).  The caller must have obtained (epoch,
+// cacheable=true) from Engine.Read; Put double-checks that the epoch is still
+// current and refuses the store otherwise, so a result that went stale
+// between computation and store never enters the cache, and neither does its
+// body.  The cache owns body from then on.
+func (c *Cache) Put(db Epochs, key, table string, epoch int64, res queries.Result, body []byte) bool {
 	if db.TableEpoch(table) != epoch {
 		return false
 	}
@@ -158,8 +165,8 @@ func (c *Cache) Put(db Epochs, key, table string, epoch int64, res queries.Resul
 	defer s.mu.Unlock()
 	if el, ok := s.entries[key]; ok {
 		ent := el.Value.(*cacheEntry)
-		ent.epoch = epoch
-		ent.res = res
+		c.bodyBytes.Add(int64(len(body) - len(ent.body)))
+		ent.epoch, ent.res, ent.body = epoch, res, body
 		s.lru.MoveToFront(el)
 		c.overwrites.Add(1)
 		return true
@@ -169,13 +176,21 @@ func (c *Cache) Put(db Epochs, key, table string, epoch int64, res queries.Resul
 		if oldest == nil {
 			break
 		}
-		delete(s.entries, oldest.Value.(*cacheEntry).key)
-		s.lru.Remove(oldest)
+		s.remove(c, oldest)
 		c.evictions.Add(1)
 	}
-	s.entries[key] = s.lru.PushFront(&cacheEntry{key: key, table: table, epoch: epoch, res: res})
+	s.entries[key] = s.lru.PushFront(&cacheEntry{key: key, table: table, epoch: epoch, res: res, body: body})
+	c.bodyBytes.Add(int64(len(body)))
 	c.stores.Add(1)
 	return true
+}
+
+// remove drops an entry, its body bytes with it; the shard lock is held.
+func (s *cacheShard) remove(c *Cache, el *list.Element) {
+	ent := el.Value.(*cacheEntry)
+	delete(s.entries, ent.key)
+	s.lru.Remove(el)
+	c.bodyBytes.Add(-int64(len(ent.body)))
 }
 
 // Stats snapshots the cache counters.
@@ -186,6 +201,7 @@ func (c *Cache) Stats() CacheStats {
 		StaleHits: c.staleHits.Load(),
 		Evictions: c.evictions.Load(),
 		Stores:    c.stores.Load(),
+		BodyBytes: c.bodyBytes.Load(),
 	}
 	for i := range c.shards {
 		s := &c.shards[i]

@@ -74,11 +74,14 @@ func TestCacheHitAndEpochInvalidation(t *testing.T) {
 	if !clean {
 		t.Fatal("settled database reported dirty")
 	}
-	if !c.Put(db, "k1", table, epoch, lookupResult(1)) {
+	if !c.Put(db, "k1", table, epoch, lookupResult(1), []byte("body-1")) {
 		t.Fatal("Put refused a current epoch")
 	}
-	if res, ok := c.Get(db, "k1"); !ok || res.Objects[0].ObjectID != 1 {
-		t.Fatalf("Get after Put = (%+v, %v)", res, ok)
+	if res, body, ok := c.Get(db, "k1"); !ok || res.Objects[0].ObjectID != 1 || string(body) != "body-1" {
+		t.Fatalf("Get after Put = (%+v, %q, %v)", res, body, ok)
+	}
+	if n := c.Stats().BodyBytes; n != 6 {
+		t.Fatalf("BodyBytes = %d, want 6", n)
 	}
 
 	// A commit to the table supersedes the entry.
@@ -87,25 +90,28 @@ func TestCacheHitAndEpochInvalidation(t *testing.T) {
 	if _, err := txn.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := c.Get(db, "k1"); ok {
+	if _, _, ok := c.Get(db, "k1"); ok {
 		t.Fatal("cache served a result from a superseded epoch")
 	}
 	st := c.Stats()
 	if st.StaleHits != 1 {
 		t.Fatalf("stale hits = %d, want 1", st.StaleHits)
 	}
-	if st.Entries != 0 {
-		t.Fatalf("stale entry not evicted: %d entries", st.Entries)
+	if st.Entries != 0 || st.BodyBytes != 0 {
+		t.Fatalf("stale entry not evicted: %d entries, %d body bytes", st.Entries, st.BodyBytes)
 	}
 
-	// Put with the outdated epoch must refuse.
-	if c.Put(db, "k1", table, epoch, lookupResult(1)) {
+	// Put with the outdated epoch must refuse, body and all.
+	if c.Put(db, "k1", table, epoch, lookupResult(1), []byte("body-1")) {
 		t.Fatal("Put accepted an outdated epoch")
+	}
+	if _, _, ok := c.Get(db, "k1"); ok || c.Stats().BodyBytes != 0 {
+		t.Fatal("a refused Put left its entry or its body behind")
 	}
 
 	// A rollback also supersedes: rows were transiently visible.
 	epoch2, _ := db.ReadStamp(table)
-	if !c.Put(db, "k2", table, epoch2, lookupResult(2)) {
+	if !c.Put(db, "k2", table, epoch2, lookupResult(2), nil) {
 		t.Fatal("Put refused the fresh epoch")
 	}
 	txn2, _ := db.Begin()
@@ -113,7 +119,7 @@ func TestCacheHitAndEpochInvalidation(t *testing.T) {
 	if err := txn2.Rollback(); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := c.Get(db, "k2"); ok {
+	if _, _, ok := c.Get(db, "k2"); ok {
 		t.Fatal("cache served a result across a rollback")
 	}
 }
@@ -124,22 +130,27 @@ func TestCacheLRUEviction(t *testing.T) {
 	table := catalog.TObjects
 	epoch, _ := db.ReadStamp(table)
 
-	c.Put(db, "a", table, epoch, lookupResult(1))
-	c.Put(db, "b", table, epoch, lookupResult(2))
+	c.Put(db, "a", table, epoch, lookupResult(1), []byte("a"))
+	c.Put(db, "b", table, epoch, lookupResult(2), []byte("bb"))
 	c.Get(db, "a") // refresh a: b is now the LRU victim
-	c.Put(db, "c", table, epoch, lookupResult(3))
+	c.Put(db, "c", table, epoch, lookupResult(3), []byte("cccc"))
 
-	if _, ok := c.Get(db, "a"); !ok {
+	if _, _, ok := c.Get(db, "a"); !ok {
 		t.Fatal("recently used entry evicted")
 	}
-	if _, ok := c.Get(db, "b"); ok {
+	if _, _, ok := c.Get(db, "b"); ok {
 		t.Fatal("LRU victim survived")
 	}
-	if _, ok := c.Get(db, "c"); !ok {
+	if _, _, ok := c.Get(db, "c"); !ok {
 		t.Fatal("new entry missing")
 	}
 	if ev := c.Stats().Evictions; ev != 1 {
 		t.Fatalf("evictions = %d, want 1", ev)
+	}
+	// The victim's body left with it; an overwrite replaces a body's bytes.
+	c.Put(db, "a", table, epoch, lookupResult(1), []byte("aaaaaaaa"))
+	if n := c.Stats().BodyBytes; n != 12 {
+		t.Fatalf("BodyBytes = %d, want 12 (a's 8 and c's 4)", n)
 	}
 }
 

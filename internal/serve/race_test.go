@@ -1,8 +1,14 @@
 package serve
 
 import (
+	"bytes"
+	"runtime"
+	"strconv"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"skyloader/internal/catalog"
 	"skyloader/internal/core"
@@ -19,6 +25,13 @@ import (
 // go test -race: a cache hit never returns a row of a rolled-back
 // transaction, and never a row of a transaction that had not committed when
 // the entry was stored.
+//
+// Every entry also carries a body, and hits race the commits: the body of a
+// hit must be its own result's (the same ids), computed at an epoch no older
+// than the table's epoch when the lookup began — so a body stored by a Put
+// whose epoch had already gone stale is never served.  Half the readers go
+// through Server.ExecuteBody instead, whose answers must carry their own
+// result's body whether they hit or miss.
 //
 // Rolled-back rows are the detector for both halves: every writer transaction
 // is equally likely to roll back, so if results computed over in-flight rows
@@ -75,14 +88,17 @@ func TestRaceCacheNeverServesUncommittedRows(t *testing.T) {
 
 	cache := NewCache(4, 64)
 	cone := queries.Cone{RA: 120.01, Dec: -30.01, RadiusDeg: 5} // covers every inserted object
-	var wg sync.WaitGroup
+	var wg, writing sync.WaitGroup
 
 	for wr := 0; wr < writers; wr++ {
 		wr := wr
-		wg.Add(1)
+		writing.Add(1)
 		go func() {
-			defer wg.Done()
+			defer writing.Done()
 			for i := 0; i < txnsEach; i++ {
+				// A pause between transactions leaves windows with none in
+				// flight, where reads are stable and the cache fills.
+				time.Sleep(time.Duration(wr+1) * 300 * time.Microsecond)
 				txn, err := db.BeginBlocking()
 				if err != nil {
 					t.Error(err)
@@ -117,21 +133,38 @@ func TestRaceCacheNeverServesUncommittedRows(t *testing.T) {
 		}()
 	}
 
+	// noRolledBack flags any object of res from a rolled-back transaction.
+	noRolledBack := func(what string, res queries.Result) {
+		mu.Lock()
+		defer mu.Unlock()
+		for _, obj := range res.Objects {
+			if rolledBack[obj.ObjectID] {
+				t.Errorf("%s served object %d from a rolled-back transaction", what, obj.ObjectID)
+			}
+		}
+	}
+
 	const readers = 4
+	var hits, stalePuts atomic.Int64
 	for rd := 0; rd < readers; rd++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			sig := cone.Signature()
 			for i := 0; i < 400; i++ {
-				if res, ok := cache.Get(db, sig); ok {
-					mu.Lock()
-					for _, obj := range res.Objects {
-						if rolledBack[obj.ObjectID] {
-							t.Errorf("cache hit served object %d from a rolled-back transaction", obj.ObjectID)
-						}
+				time.Sleep(200 * time.Microsecond) // leave the writers CPU
+				before := db.TableEpoch(cone.Table())
+				if res, body, ok := cache.Get(db, sig); ok {
+					after := db.TableEpoch(cone.Table())
+					epoch, _, _ := strings.Cut(string(body), " ")
+					e, err := strconv.ParseInt(epoch, 10, 64)
+					if err != nil || e < before || e > after {
+						t.Errorf("hit in epochs [%d, %d] served a body from epoch %q", before, after, epoch)
+					} else if want := bodyOf(e, res); !bytes.Equal(body, want) {
+						t.Errorf("hit served body %q with a result whose body is %q", body, want)
 					}
-					mu.Unlock()
+					noRolledBack("cache hit", res)
+					hits.Add(1)
 					continue
 				}
 				var res queries.Result
@@ -147,20 +180,50 @@ func TestRaceCacheNeverServesUncommittedRows(t *testing.T) {
 				if stable {
 					// Every row of a stable snapshot must already be settled
 					// as committed — never rolled back, never still pending.
-					mu.Lock()
-					for _, obj := range res.Objects {
-						if rolledBack[obj.ObjectID] {
-							t.Errorf("stable snapshot contains rolled-back object %d", obj.ObjectID)
+					noRolledBack("stable snapshot", res)
+					if i%4 == 0 {
+						// Give a commit the chance to make this Put stale.
+						for spin := 0; spin < 1000 && db.TableEpoch(cone.Table()) == epoch; spin++ {
+							runtime.Gosched()
 						}
 					}
-					mu.Unlock()
-					cache.Put(db, sig, cone.Table(), epoch, res)
+					if !cache.Put(db, sig, cone.Table(), epoch, res, bodyOf(epoch, res)) {
+						stalePuts.Add(1)
+					}
 				}
 			}
 		}()
 	}
 
+	server := NewServer(exec.NewRealtime(exec.RealtimeConfig{Seed: 3}), db, Config{Workers: 2, QueueDepth: 1000})
+	idsBody := func(dst []byte, res queries.Result) ([]byte, error) { return append(dst, bodyOf(0, res)...), nil }
+	for rd := 0; rd < readers; rd++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			inline := server.Scheduler().(exec.InlineRunner)
+			for i := 0; i < 200; i++ {
+				time.Sleep(200 * time.Microsecond)
+				inline.RunInline("race-reader", func(w exec.Worker) {
+					res, body, outcome, err := server.ExecuteBody(w, cone, nil, []byte("prefix"), idsBody)
+					if err != nil || (outcome != OutcomeServed && outcome != OutcomeCacheHit) {
+						t.Errorf("ExecuteBody: %v, %v", outcome, err)
+						return
+					}
+					if want := append([]byte("prefix"), bodyOf(0, res)...); !bytes.Equal(body, want) {
+						t.Errorf("%v answer carries body %q, its result's is %q", outcome, body, want)
+					}
+					if outcome == OutcomeCacheHit {
+						noRolledBack("server cache hit", res)
+					}
+				})
+			}
+		}()
+	}
+
+	writing.Wait()
 	wg.Wait()
+	t.Logf("%d hits; %d Puts refused as stale", hits.Load(), stalePuts.Load())
 
 	// Quiesced: a fresh stable read must now see exactly the committed ids.
 	var final queries.Result
@@ -189,12 +252,22 @@ func TestRaceCacheNeverServesUncommittedRows(t *testing.T) {
 	}
 	// And the cache, if it still holds the entry, must agree with the final
 	// state or refuse to serve.
-	if res, ok := cache.Get(db, cone.Signature()); ok {
+	if res, _, ok := cache.Get(db, cone.Signature()); ok {
 		if len(res.Objects) != len(final.Objects) {
 			t.Fatalf("surviving cache entry has %d objects, current committed state has %d",
 				len(res.Objects), len(final.Objects))
 		}
 	}
+}
+
+// bodyOf is the race test's response body for a result computed at epoch:
+// the epoch, then the object ids.
+func bodyOf(epoch int64, res queries.Result) []byte {
+	b := strconv.AppendInt(nil, epoch, 10)
+	for _, obj := range res.Objects {
+		b = strconv.AppendInt(append(b, ' '), obj.ObjectID, 10)
+	}
+	return b
 }
 
 // TestRaceMixedRunRealtime runs the full mixed scenario (parallel bulk load +

@@ -23,6 +23,7 @@
 package serve
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"sync/atomic"
@@ -328,13 +329,17 @@ func (s *Server) handle(w exec.Worker, q queries.Query) {
 	s.Execute(w, q, nil)
 }
 
+// AppendBody appends the response body of an answer to dst, the way a
+// transport sends it.  An error means the answer has no such body; the
+// request then fails with that error.
+type AppendBody func(dst []byte, res queries.Result) ([]byte, error)
+
 // Execute runs one query through the full serving path — admission control,
 // queue-wait deadline, result cache, engine execution, accounting — and
-// returns the result and outcome.  It is the entry point shared by trace
-// replay (handle, which discards the result) and the HTTP front door (which
-// returns it to a socket client).  w must be a worker of the server's
-// scheduler; transports on the realtime engine obtain one per request via
-// exec.InlineRunner.
+// returns the result and outcome.  It is ExecuteBody for a caller that wants
+// no body: trace replay (handle, which discards the result) and in-process
+// callers.  w must be a worker of the server's scheduler; transports on the
+// realtime engine obtain one per request via exec.InlineRunner.
 //
 // tr, when non-nil, receives stage boundary marks (admission, cache probe,
 // execute); the caller owns Begin/Finish/Publish, so the transport can add
@@ -342,12 +347,29 @@ func (s *Server) handle(w exec.Worker, q queries.Query) {
 // test per boundary — the in-process replay path stays allocation- and
 // clock-call-free.
 func (s *Server) Execute(w exec.Worker, q queries.Query, tr *trace.Req) (queries.Result, Outcome, error) {
+	res, _, outcome, err := s.ExecuteBody(w, q, tr, nil, nil)
+	return res, outcome, err
+}
+
+// ExecuteBody is the one serving path.  With enc nil it is Execute and dst
+// comes back as it went in.  With enc non-nil, an answered request (served or
+// cache hit) also appends its answer's body to dst and returns the extended
+// buffer, so each answer is encoded once however often it is served:
+//
+//   - a miss appends enc's encoding of the result, and a result that goes into
+//     the cache takes a copy of those bytes with it (Cache.Put);
+//   - a hit appends the bytes stored with its result, or — for an entry a
+//     caller without enc stored — encodes them for this request only.
+//
+// An answer enc cannot encode is an error outcome (counted as one), is not
+// cached, and dst comes back as it went in.
+func (s *Server) ExecuteBody(w exec.Worker, q queries.Query, tr *trace.Req, dst []byte, enc AppendBody) (queries.Result, []byte, Outcome, error) {
 	cls := s.classes[q.Class()]
 	if cls == nil {
 		// Unknown class: accounting it under a lazily shared bucket is not
 		// worth a lock; treat as an error.
 		s.errors.Add(1)
-		return queries.Result{}, OutcomeError, fmt.Errorf("serve: unknown query class %q", q.Class())
+		return queries.Result{}, dst, OutcomeError, fmt.Errorf("serve: unknown query class %q", q.Class())
 	}
 	s.requests.Add(1)
 	cls.requests.Add(1)
@@ -361,7 +383,7 @@ func (s *Server) Execute(w exec.Worker, q queries.Query, tr *trace.Req) (queries
 		if s.ingestProbe != nil && s.ingestProbe() {
 			s.ingestShed.Add(1)
 		}
-		return queries.Result{}, OutcomeShed, nil
+		return queries.Result{}, dst, OutcomeShed, nil
 	}
 	arrived := w.Now()
 	s.workers.Acquire(w, 1)
@@ -379,13 +401,22 @@ func (s *Server) Execute(w exec.Worker, q queries.Query, tr *trace.Req) (queries
 		if s.ingestProbe != nil && s.ingestProbe() {
 			s.ingestExpired.Add(1)
 		}
-		return queries.Result{}, OutcomeExpired, nil
+		return queries.Result{}, dst, OutcomeExpired, nil
 	}
 
 	var sig string
 	if s.cache != nil {
 		sig = q.Signature()
-		if res, ok := s.cache.Get(s.engine, sig); ok {
+		if res, body, ok := s.cache.Get(s.engine, sig); ok {
+			if enc != nil {
+				start := len(dst)
+				var err error
+				if body != nil {
+					dst = append(dst, body...)
+				} else if dst, err = enc(dst, res); err != nil {
+					return s.failed(w, tr, dst[:start], err)
+				}
+			}
 			w.Sleep(s.cfg.Cost.CacheHit)
 			cls.hits.Add(1)
 			cls.served.Add(1)
@@ -394,7 +425,7 @@ func (s *Server) Execute(w exec.Worker, q queries.Query, tr *trace.Req) (queries
 			if tr != nil {
 				tr.Mark(trace.StageCache, w.Now())
 			}
-			return res, OutcomeCacheHit, nil
+			return res, dst, OutcomeCacheHit, nil
 		}
 	}
 	if tr != nil {
@@ -402,17 +433,21 @@ func (s *Server) Execute(w exec.Worker, q queries.Query, tr *trace.Req) (queries
 	}
 
 	res, epoch, stable, err := s.engine.Read(w, q, tr)
+	start := len(dst)
+	if err == nil && enc != nil {
+		dst, err = enc(dst, res)
+	}
 	if err != nil {
-		s.errors.Add(1)
-		if tr != nil {
-			tr.Mark(trace.StageExecute, w.Now())
-		}
-		return queries.Result{}, OutcomeError, err
+		return s.failed(w, tr, dst[:start], err)
 	}
 	w.Sleep(s.cfg.Cost.QueryCost(res.Stats))
 	if s.cache != nil {
 		if stable {
-			s.cache.Put(s.engine, sig, q.Table(), epoch, res)
+			var body []byte
+			if enc != nil {
+				body = bytes.Clone(dst[start:]) // dst is the caller's to reuse
+			}
+			s.cache.Put(s.engine, sig, q.Table(), epoch, res, body)
 		} else {
 			// The read overlapped in-flight loader transactions: the answer
 			// is returned to this client but never memoized.
@@ -425,7 +460,16 @@ func (s *Server) Execute(w exec.Worker, q queries.Query, tr *trace.Req) (queries
 	if tr != nil {
 		tr.Mark(trace.StageExecute, w.Now())
 	}
-	return res, OutcomeServed, nil
+	return res, dst, OutcomeServed, nil
+}
+
+// failed accounts a request whose answer could not be computed or encoded.
+func (s *Server) failed(w exec.Worker, tr *trace.Req, dst []byte, err error) (queries.Result, []byte, Outcome, error) {
+	s.errors.Add(1)
+	if tr != nil {
+		tr.Mark(trace.StageExecute, w.Now())
+	}
+	return queries.Result{}, dst, OutcomeError, err
 }
 
 // ClassReport is the per-query-class slice of a Report.
