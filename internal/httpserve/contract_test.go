@@ -34,7 +34,8 @@ var backends = []struct {
 			"sky_wal_commits_total", "sky_wal_syncs_total",
 			"sky_wal_durable_syncs_total", "sky_wal_commit_wait_seconds_total", "sky_wal_shared_flushes_total",
 			"sky_index_key_bytes", "sky_index_ready",
-			"sky_relstore_resident_bytes", "sky_relstore_keyindex_bytes", "sky_relstore_index_resident_bytes",
+			"sky_relstore_resident_bytes", "sky_relstore_keyindex_bytes", "sky_relstore_keyindex_runs",
+			"sky_relstore_index_resident_bytes",
 			"sky_relstore_rowdir_bytes", "sky_relstore_rowdir_runs", "sky_result_cache_hits_total",
 		},
 		// The data cache and lock waits are the simulated server's, priced
@@ -47,6 +48,7 @@ var backends = []struct {
 		series: []string{
 			`sky_relstore_resident_bytes{table="objects"} `,
 			`sky_relstore_keyindex_bytes{table="objects"} `,
+			`sky_relstore_keyindex_runs{table="objects"} `,
 			`sky_relstore_rowdir_bytes{table="objects"} `,
 			`sky_relstore_rowdir_runs{table="objects"} `,
 			`sky_relstore_index_resident_bytes{table="objects",index="ix_objects_htmid"} `,
@@ -57,6 +59,7 @@ var backends = []struct {
 		families: []string{
 			"sky_shard_count", "sky_shard_queries_total", "sky_shard_query_errors_total",
 			"sky_shard_fanout_total", "sky_shard_requests_total", "sky_shard_load_tasks_total",
+			"sky_shard_partial_failures_total",
 			"sky_shard_gather_seconds", "sky_shard_wire_bytes_total",
 			"sky_shard_directory_runs",
 			"sky_shard_directory_bytes",

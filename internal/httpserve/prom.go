@@ -163,13 +163,17 @@ func writeDBMetrics(p *metrics.PromWriter, snap relstore.StatsSnapshot) {
 	p.Counter("sky_wal_replay_torn_tail_total", "Torn trailing records discarded by crash recovery.", snap.WAL.ReplayTornTail)
 
 	// --- relstore: per-table memory footprint ---
-	p.Metric("sky_relstore_resident_bytes", "Memory held for stored rows (page data, slot and row directories, key-index slots), by table.", "gauge")
+	p.Metric("sky_relstore_resident_bytes", "Memory held for stored rows (page data, slot and row directories, key-index runs and slots), by table.", "gauge")
 	for _, ts := range snap.Tables {
 		p.SampleInt("sky_relstore_resident_bytes", tableLabels(ts.Name), ts.ResidentBytes)
 	}
-	p.Metric("sky_relstore_keyindex_bytes", "Slots of the primary-key and unique hash indexes (part of the resident bytes), by table.", "gauge")
+	p.Metric("sky_relstore_keyindex_bytes", "Key runs and tag slots of the primary-key and unique indexes (part of the resident bytes), by table.", "gauge")
 	for _, ts := range snap.Tables {
 		p.SampleInt("sky_relstore_keyindex_bytes", tableLabels(ts.Name), ts.KeyIndexBytes)
+	}
+	p.Metric("sky_relstore_keyindex_runs", "Runs of integer keys loaded in step with their row ids held by the primary-key and unique indexes, by table.", "gauge")
+	for _, ts := range snap.Tables {
+		p.SampleInt("sky_relstore_keyindex_runs", tableLabels(ts.Name), int64(ts.KeyRuns))
 	}
 	p.Metric("sky_relstore_rowdir_bytes", "The row directory's id runs (part of the resident bytes), by table.", "gauge")
 	for _, ts := range snap.Tables {

@@ -208,13 +208,17 @@ func oracleDBMetrics(p *metrics.PromWriter, snap relstore.StatsSnapshot) {
 	p.SampleInt("sky_wal_replay_torn_tail_total", nil, snap.WAL.ReplayTornTail)
 
 	// --- relstore: per-table memory footprint ---
-	p.Metric("sky_relstore_resident_bytes", "Memory held for stored rows (page data, slot and row directories, key-index slots), by table.", "gauge")
+	p.Metric("sky_relstore_resident_bytes", "Memory held for stored rows (page data, slot and row directories, key-index runs and slots), by table.", "gauge")
 	for _, ts := range snap.Tables {
 		p.SampleInt("sky_relstore_resident_bytes", tableLabels(ts.Name), ts.ResidentBytes)
 	}
-	p.Metric("sky_relstore_keyindex_bytes", "Slots of the primary-key and unique hash indexes (part of the resident bytes), by table.", "gauge")
+	p.Metric("sky_relstore_keyindex_bytes", "Key runs and tag slots of the primary-key and unique indexes (part of the resident bytes), by table.", "gauge")
 	for _, ts := range snap.Tables {
 		p.SampleInt("sky_relstore_keyindex_bytes", tableLabels(ts.Name), ts.KeyIndexBytes)
+	}
+	p.Metric("sky_relstore_keyindex_runs", "Runs of integer keys loaded in step with their row ids held by the primary-key and unique indexes, by table.", "gauge")
+	for _, ts := range snap.Tables {
+		p.SampleInt("sky_relstore_keyindex_runs", tableLabels(ts.Name), int64(ts.KeyRuns))
 	}
 	p.Metric("sky_relstore_rowdir_bytes", "The row directory's id runs (part of the resident bytes), by table.", "gauge")
 	for _, ts := range snap.Tables {
@@ -267,6 +271,10 @@ func oracleFleetMetrics(p *metrics.PromWriter, snap shard.Snapshot, stats []wire
 	p.Metric("sky_shard_load_tasks_total", "Load tasks dispatched to each shard.", "counter")
 	for i, n := range snap.ShardLoads {
 		p.SampleInt("sky_shard_load_tasks_total", shardLabels(i), n)
+	}
+	p.Metric("sky_shard_partial_failures_total", "Query branches that failed on each shard; each failed its whole query.", "counter")
+	for i, n := range snap.PartialFailures {
+		p.SampleInt("sky_shard_partial_failures_total", shardLabels(i), n)
 	}
 	p.Metric("sky_shard_gather_seconds", "Scatter-to-merge latency of sharded queries.", "histogram")
 	p.Histogram("sky_shard_gather_seconds", nil, snap.GatherHist)

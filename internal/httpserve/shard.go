@@ -32,7 +32,7 @@ func NewShard(co *shard.Coordinator, cfg Config) (*Server, error) {
 // -smoke and skystorm -shard both check a live scrape against this list.
 var FleetFamilies = []string{
 	"sky_shard_count", "sky_shard_queries_total", "sky_shard_fanout_total",
-	"sky_shard_requests_total", "sky_shard_gather_seconds",
+	"sky_shard_requests_total", "sky_shard_partial_failures_total", "sky_shard_gather_seconds",
 	"sky_shard_wire_bytes_total", "sky_shard_ready",
 	"sky_shard_directory_runs", "sky_shard_directory_bytes", "sky_shard_directory_misses_total",
 	"sky_serve_requests_total", "sky_serve_shed_total", "sky_serve_latency_seconds",
@@ -133,6 +133,10 @@ func writeFleetMetrics(p *metrics.PromWriter, snap shard.Snapshot, stats []wire.
 	p.Metric("sky_shard_load_tasks_total", "Load tasks dispatched to each shard.", "counter")
 	for i, n := range snap.ShardLoads {
 		p.SampleInt("sky_shard_load_tasks_total", shardLabels(i), n)
+	}
+	p.Metric("sky_shard_partial_failures_total", "Query branches that failed on each shard; each failed its whole query.", "counter")
+	for i, n := range snap.PartialFailures {
+		p.SampleInt("sky_shard_partial_failures_total", shardLabels(i), n)
 	}
 	p.Metric("sky_shard_gather_seconds", "Scatter-to-merge latency of sharded queries.", "histogram")
 	p.Histogram("sky_shard_gather_seconds", nil, snap.GatherHist)

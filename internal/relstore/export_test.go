@@ -9,12 +9,15 @@ import (
 // (keyindex_guard_test.go), which needs internal/catalog and so cannot live
 // in this package.
 
-// KeyIndexGeometry describes the probe runs of a table's primary-key and
-// unique indexes, computed from the slot tags.
+// KeyIndexGeometry describes the runs and tag tables of a table's primary-key
+// and unique indexes.
 type KeyIndexGeometry struct {
-	Keys, Slots int
-	// DisplacementSum and DisplacementMax are over every stored key: how many
-	// slots past its home a key sits, i.e. the slots a probe for it skips.
+	// Keys are held in all, Tagged of them in Slots tag slots, the rest in
+	// Runs runs with room for RunCap.
+	Keys, Tagged, Slots, Runs, RunCap int
+	// DisplacementSum and DisplacementMax are over every key in a tag slot:
+	// how many slots past its home a key sits, i.e. the slots a probe for it
+	// skips.
 	DisplacementSum, DisplacementMax int
 }
 
@@ -25,7 +28,10 @@ func (t *Table) KeyIndexGeometry() KeyIndexGeometry {
 	var g KeyIndexGeometry
 	for _, k := range append([]*keyIndex{t.pk}, t.uniques...) {
 		g.Keys += k.len()
+		g.Tagged += k.n
 		g.Slots += len(k.slots)
+		g.Runs += len(k.runs)
+		g.RunCap += cap(k.runs)
 		for i, s := range k.slots {
 			if s.ref != 0 {
 				d := k.fromHome(i)
@@ -44,7 +50,7 @@ func (k *keyIndex) fromHome(i int) int {
 
 // AbsentKeyRowCompares probes the primary-key index with a key it does not
 // hold and returns how many stored rows the probe would have to read: the
-// occupied slots on its run whose tag equals the key's.
+// occupied slots on its tag-table run whose tag equals the key's.
 func (t *Table) AbsentKeyRowCompares(key []Value) int {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
@@ -52,7 +58,7 @@ func (t *Table) AbsentKeyRowCompares(key []Value) int {
 	if _, ok := k.lookup(key); ok {
 		panic("relstore: AbsentKeyRowCompares given a present key")
 	}
-	if len(k.slots) == 0 {
+	if k.n == 0 {
 		return 0
 	}
 	tag, n := k.hash(key, k.seq), 0
@@ -62,6 +68,23 @@ func (t *Table) AbsentKeyRowCompares(key []Value) int {
 		}
 	}
 	return n
+}
+
+// PresentKeyReadsNoRow reports whether the primary-key index finds a key it
+// holds, at the right row id, with the row directory taken away: a probe that
+// reads a stored row cannot, since no row can be reached.
+func (t *Table) PresentKeyReadsNoRow(key []Value) bool {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	want, ok := t.pk.lookup(key)
+	if !ok {
+		panic("relstore: PresentKeyReadsNoRow given an absent key")
+	}
+	rows := t.rows
+	t.rows = rowDir{}
+	got, ok := t.pk.lookup(key)
+	t.rows = rows
+	return ok && got == want
 }
 
 // RowDirGeometry describes a table's row directory: its runs and the runs it

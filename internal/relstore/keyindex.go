@@ -3,18 +3,27 @@ package relstore
 import (
 	"fmt"
 	"math"
+	"slices"
+	"unsafe"
 )
 
-// keyIndex is the hash index behind a primary key or a unique constraint:
-// key -> row id.  It stores no keys: every key is already in the packed row
-// its id points at, so the index is one open-addressing, linear-probing table
-// of pointer-free 8-byte slots — a 32-bit hash tag and the row id.  A probe
-// hashes the key columns with a fixed integer mix, walks the occupied run
-// from the tag's home slot, and on a tag match settles equality by reading
-// the stored row's key columns in place (rowDir -> heapStore.view ->
-// RowView).  A tag match alone never answers a probe.  Runs are kept in tag
-// order: an absent key's probe ends at the first higher tag, no key sits far
-// from its home, and growth copies in slot order.
+// keyIndex is the index behind a primary key or a unique constraint: key ->
+// row id.  It stores no key a row already holds, in two representations.
+//
+// Runs, for a key of one integer column: keys arriving in step with their row
+// ids — key+1 at row id+1, as a file's ascending ids load — extend a run
+// {key, id, n} saying keys key..key+n-1 are rows id..id+n-1, 16 bytes for the
+// whole run.  Runs are sorted by key and disjoint, every key they cover is
+// live, and a probe they answer, present or absent, reads no stored row.
+//
+// The tag table, for every other key: one open-addressing, linear-probing
+// table of pointer-free 8-byte slots — a 32-bit hash tag and the row id.  A
+// probe hashes the key columns with a fixed integer mix, walks the occupied
+// run from the tag's home slot, and on a tag match settles equality by
+// reading the stored row's key columns in place (rowDir -> heapStore.view ->
+// RowView).  A tag match alone never answers a probe.  Probe runs are kept in
+// tag order: an absent key's probe ends at the first higher tag, no key sits
+// far from its home, and growth copies in slot order.
 //
 // Equality is exact and typed, column by column: NULL equals NULL (a key like
 // any other for unique constraints over nullable columns; primary keys reject
@@ -22,10 +31,10 @@ import (
 // bits with all NaNs equal, strings by bytes.  A probe key of the wrong arity
 // or kind matches nothing.
 //
-// All methods require the owning table's lock: readers only read the slots
-// under RLock, growth and shifts happen under the write lock.  A row must be
-// in the heap and the row directory before put enters it and still there when
-// remove takes it out.
+// All methods require the owning table's lock: readers only read runs and
+// slots under RLock, growth and shifts happen under the write lock.  A row
+// must be in the heap and the row directory before put enters it and still
+// there when remove takes it out.
 type keyIndex struct {
 	t *Table
 	// name is the constraint's name, for violation and verification errors.
@@ -33,11 +42,27 @@ type keyIndex struct {
 	// cols are the key columns' positions in a row; seq, 0..len(cols)-1, is
 	// where the same values sit in a probe key.
 	cols, seq []int
+	// ints is set when the key is one integer column; its integer keys may
+	// then be held in runs, inRuns of them.
+	ints   bool
+	runs   []keyRun
+	inRuns int
 	// slots is at most 3/4 full, so a run always ends at an empty slot.  It
-	// grows by a quarter: load in [0.60, 0.75], 10.7 to 13.4 bytes a key.
+	// grows by a quarter: load in [0.60, 0.75], 10.7 to 13.4 bytes a key.  n
+	// counts the keys it holds.
 	slots []keySlot
 	n     int
 }
+
+// keyRun says key+k is the key of row id+k for every k < n.
+type keyRun struct {
+	key   int64
+	id, n uint32
+}
+
+// maxRunsMoved is the most runs opening one may move: a key whose run would
+// open below more goes to the tag table, so no insert order costs more.
+const maxRunsMoved = 256
 
 // keySlot is one table entry.  ref is the row id plus one, zero marking the
 // slot empty.
@@ -80,7 +105,8 @@ func (t *Table) checkRowID(id int64) error {
 }
 
 func newKeyIndex(t *Table, name string, cols []int) *keyIndex {
-	k := &keyIndex{t: t, name: name, cols: cols, seq: make([]int, len(cols))}
+	k := &keyIndex{t: t, name: name, cols: cols, seq: make([]int, len(cols)),
+		ints: len(cols) == 1 && t.schema.Columns[cols[0]].Type == TypeInt}
 	for i := range k.seq {
 		k.seq[i] = i
 	}
@@ -133,9 +159,30 @@ func sameKeyValue(a, b *Value) bool {
 	}
 }
 
-// find returns the position of the slot whose row holds the key (values as
+// intKey returns the key whose only column value is vals[at[0]] (at as for
+// hash) and whether runs may hold it.
+func (k *keyIndex) intKey(vals []Value, at []int) (int64, bool) {
+	v := &vals[at[0]]
+	return v.I, k.ints && v.Kind == KindInt
+}
+
+// find returns the row id stored under the key (values as for hash): from a
+// run when one covers it, else from the tag table.
+func (k *keyIndex) find(vals []Value, at []int) (int64, bool) {
+	if x, ok := k.intKey(vals, at); ok {
+		if i, covered, _ := findRun(k.runs, x); covered {
+			return int64(k.runs[i].id) + (x - k.runs[i].key), true
+		}
+	}
+	if i := k.slot(vals, at); i >= 0 {
+		return int64(k.slots[i].ref) - 1, true
+	}
+	return 0, false
+}
+
+// slot returns the position of the slot whose row holds the key (values as
 // for hash), or -1.
-func (k *keyIndex) find(vals []Value, at []int) int {
+func (k *keyIndex) slot(vals []Value, at []int) int {
 	if k.n == 0 {
 		return -1
 	}
@@ -163,25 +210,56 @@ probe:
 }
 
 // has reports whether the built row's key is present.
-func (k *keyIndex) has(row Row) bool { return k.find(row, k.cols) >= 0 }
+func (k *keyIndex) has(row Row) bool {
+	_, ok := k.find(row, k.cols)
+	return ok
+}
 
 // lookup returns the row id stored under the key values.
 func (k *keyIndex) lookup(key []Value) (int64, bool) {
 	if len(key) != len(k.cols) {
 		return 0, false
 	}
-	i := k.find(key, k.seq)
-	if i < 0 {
-		return 0, false
-	}
-	return int64(k.slots[i].ref) - 1, true
+	return k.find(key, k.seq)
 }
 
 // put stores id under the built row's key, which must be absent.
 func (k *keyIndex) put(row Row, id int64) {
+	if x, ok := k.intKey(row, k.cols); ok && k.putRun(x, id) {
+		return
+	}
 	k.reserve(k.n + 1)
 	k.place(keySlot{tag: k.hash(row, k.cols), ref: uint32(id + 1)})
 	k.n++
+}
+
+// putRun enters the absent key x of row id into the runs and reports whether
+// it did.  The run ending just below x takes it when id is that run's next
+// row id.  Failing that, a run opens with x-1 and x when row id-1 holds x-1 —
+// which is then in the tag table and leaves it — so a run never opens for one
+// key alone, and only where at most maxRunsMoved runs sit above it.
+func (k *keyIndex) putRun(x, id int64) bool {
+	at, _, _ := findRun(k.runs, x)
+	if at >= 0 {
+		if r := &k.runs[at]; x-r.key == int64(r.n) && int64(r.id)+int64(r.n) == id {
+			r.n++
+			k.inRuns++
+			return true
+		}
+	}
+	if k.n == 0 || x == math.MinInt64 || id == 0 || len(k.runs)-at-1 > maxRunsMoved {
+		return false
+	}
+	if prev, ok := k.t.viewLocked(id - 1); !ok {
+		return false
+	} else if v := prev.val(k.cols[0]); v.Kind != KindInt || v.I != x-1 {
+		return false
+	}
+	below := [1]Value{Int(x - 1)}
+	k.unslot(below[:], id-1)
+	k.runs = slices.Insert(k.runs, at+1, keyRun{key: x - 1, id: uint32(id - 1), n: 2})
+	k.inRuns += 2
+	return true
 }
 
 // place puts s where its tag sorts on the run from its home and moves the
@@ -226,10 +304,35 @@ func (k *keyIndex) reserve(n int) {
 	}
 }
 
-// remove deletes the entry of stored row id, whose key values are key.  The
-// slot is found by id and the gap closed by moving the run behind it back one
-// slot, up to the first entry at its home, so the table never holds tombstones.
+// remove deletes the entry of stored row id, whose key values are key.  A run
+// loses the key from its end or its start, or splits round it.  A tag slot is
+// found by id and the gap closed by moving the run behind it back one slot,
+// up to the first entry at its home, so the table never holds tombstones.
 func (k *keyIndex) remove(key []Value, id int64) {
+	if x, ok := k.intKey(key, k.seq); ok {
+		if i, covered, _ := findRun(k.runs, x); covered && int64(k.runs[i].id)+(x-k.runs[i].key) == id {
+			r := &k.runs[i]
+			switch off := uint32(x - r.key); {
+			case r.n == 1:
+				k.runs = slices.Delete(k.runs, i, i+1)
+			case off == r.n-1:
+				r.n--
+			case off == 0:
+				r.key, r.id, r.n = r.key+1, r.id+1, r.n-1
+			default:
+				tail := keyRun{key: x + 1, id: r.id + off + 1, n: r.n - off - 1}
+				r.n = off
+				k.runs = slices.Insert(k.runs, i+1, tail)
+			}
+			k.inRuns--
+			return
+		}
+	}
+	k.unslot(key, id)
+}
+
+// unslot deletes the tag-table entry of row id, whose key values are key.
+func (k *keyIndex) unslot(key []Value, id int64) {
 	if k.n == 0 {
 		return
 	}
@@ -248,7 +351,9 @@ func (k *keyIndex) remove(key []Value, id int64) {
 }
 
 // len returns the number of keys held.
-func (k *keyIndex) len() int { return k.n }
+func (k *keyIndex) len() int { return k.n + k.inRuns }
 
-// residentBytes is the memory the index holds: its slots.
-func (k *keyIndex) residentBytes() int64 { return int64(cap(k.slots)) * 8 }
+// residentBytes is the memory the index holds: its runs and its slots.
+func (k *keyIndex) residentBytes() int64 {
+	return int64(cap(k.runs))*int64(unsafe.Sizeof(keyRun{})) + int64(cap(k.slots))*8
+}

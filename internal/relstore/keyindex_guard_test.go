@@ -14,17 +14,24 @@ import (
 )
 
 // TestKeyIndexGuards pins, on the fixed-seed 20k-row night the root package's
-// TestResidentBytesCeiling loads, what the row-id key index claims in
-// numbers that repeat exactly: its bytes per key, how far keys sit from their
-// home slots, and that a probe for an absent key — every insert of a clean
-// load makes one per key index — reads no stored row.  Nothing here is counted
-// on the hot path; the geometry is computed from the slot tags.
+// TestResidentBytesCeiling loads, what the key indexes claim in numbers that
+// repeat exactly: their bytes per key (integer keys loaded in step with their
+// row ids in runs, the composite uniques in tag slots), how far tag-slot keys
+// sit from their home slots, that a probe the runs answer reads no stored row
+// — every primary key the night stored in a run is found, at its row id, with
+// the row directory taken away — and that neither does a probe for an absent key,
+// which every insert of a clean load makes once per key index.  Nothing here
+// is counted on the hot path; the geometry is computed from the runs and tags.
 func TestKeyIndexGuards(t *testing.T) {
 	const (
-		bytesPerKeyCeiling   = 13.4 // slot bytes per stored key, all tables
+		bytesPerKeyCeiling   = 4.5 // run and slot bytes per stored key, all tables
 		meanDisplacementCeil = 1.5
-		maxDisplacementCeil  = 64 // 9 here: runs are kept in tag order, so no key waits behind a whole run
+		maxDisplacementCeil  = 64 // 9 here: probe runs are kept in tag order, so no key waits behind a whole run
 		absentProbesPerTable = 1000
+		// loneKeys are the primary keys no key arrives in step with, so no run
+		// holds: the one telescope and instrument, and each of the four
+		// files' observation and sky region.
+		loneKeys = 10
 	)
 	db := loadGuardNight(t, tuning.NoIndexes, relstore.IndexImmediate)
 	if err := db.VerifyPrimaryKeys(); err != nil {
@@ -33,17 +40,19 @@ func TestKeyIndexGuards(t *testing.T) {
 
 	var all relstore.KeyIndexGeometry
 	var keyBytes int64
-	probes, compares := 0, 0
+	probes, compares, present, rowFree := 0, 0, 0, 0
 	for _, ts := range db.StatsSnapshot().Tables {
 		tbl := db.Table(ts.Name)
 		g := tbl.KeyIndexGeometry()
-		if int64(g.Slots)*8 != ts.KeyIndexBytes {
-			t.Errorf("%s: %d slots but KeyIndexBytes %d", ts.Name, g.Slots, ts.KeyIndexBytes)
+		if int64(g.Slots)*8+int64(g.RunCap)*16 != ts.KeyIndexBytes || g.Runs != ts.KeyRuns {
+			t.Errorf("%s: %d slots and %d runs (room for %d), but KeyIndexBytes %d and KeyRuns %d", ts.Name, g.Slots, g.Runs, g.RunCap, ts.KeyIndexBytes, ts.KeyRuns)
 		}
 		if want := int(ts.Rows) * (1 + len(tbl.Schema().Uniques)); g.Keys != want {
 			t.Errorf("%s: %d keys held, want %d", ts.Name, g.Keys, want)
 		}
 		all.Keys += g.Keys
+		all.Tagged += g.Tagged
+		all.Runs += g.Runs
 		all.DisplacementSum += g.DisplacementSum
 		all.DisplacementMax = max(all.DisplacementMax, g.DisplacementMax)
 		keyBytes += ts.KeyIndexBytes
@@ -53,19 +62,37 @@ func TestKeyIndexGuards(t *testing.T) {
 			compares += tbl.AbsentKeyRowCompares([]relstore.Value{relstore.Int(1<<40 + int64(i)*7919)})
 			probes++
 		}
+		var keys []relstore.Value
+		pk := tbl.Schema().ColumnIndex(tbl.Schema().PrimaryKey[0])
+		if err := db.Scan(ts.Name, func(r relstore.Row) bool {
+			keys = append(keys, r[pk])
+			return true
+		}); err != nil {
+			t.Fatal(err)
+		}
+		for _, key := range keys {
+			present++
+			if tbl.PresentKeyReadsNoRow([]relstore.Value{key}) {
+				rowFree++
+			}
+		}
 	}
 	if all.Keys < 20_000 {
 		t.Fatalf("night stored %d keys, want at least 20000", all.Keys)
 	}
 	perKey := float64(keyBytes) / float64(all.Keys)
-	mean := float64(all.DisplacementSum) / float64(all.Keys)
-	t.Logf("%d keys: %.2f slot bytes per key, displacement mean %.3f max %d, %d row compares in %d absent probes",
-		all.Keys, perKey, mean, all.DisplacementMax, compares, probes)
+	mean := float64(all.DisplacementSum) / float64(max(all.Tagged, 1))
+	t.Logf("%d keys, %d of them in %d runs: %.2f bytes per key; tag-slot displacement mean %.3f max %d; "+
+		"%d of %d present primary keys found with no row, %d row compares in %d absent probes",
+		all.Keys, all.Keys-all.Tagged, all.Runs, perKey, mean, all.DisplacementMax, rowFree, present, compares, probes)
 	if perKey > bytesPerKeyCeiling {
 		t.Errorf("key indexes hold %.2f bytes per key, ceiling %.1f", perKey, bytesPerKeyCeiling)
 	}
 	if mean > meanDisplacementCeil || all.DisplacementMax > maxDisplacementCeil {
 		t.Errorf("displacement mean %.3f max %d, ceilings %.1f and %d", mean, all.DisplacementMax, meanDisplacementCeil, maxDisplacementCeil)
+	}
+	if present < 20_000 || present-rowFree > loneKeys {
+		t.Errorf("%d of %d present primary keys found with the row directory taken away, want all but %d", rowFree, present, loneKeys)
 	}
 	if compares*1000 > probes {
 		t.Errorf("%d row compares in %d absent-key probes, ceiling 1 per 1000", compares, probes)
@@ -101,13 +128,23 @@ func rowDirTotals(t *testing.T, db *relstore.DB, runPerPage bool) (all relstore.
 	return all, bytes
 }
 
+// keyIndexTotals sums the key indexes' bytes and runs over the database.
+func keyIndexTotals(db *relstore.DB) (bytes int64, runs int) {
+	for _, ts := range db.StatsSnapshot().Tables {
+		bytes += ts.KeyIndexBytes
+		runs += ts.KeyRuns
+	}
+	return bytes, runs
+}
+
 // TestRowDirGuards pins what the run-encoded row directory claims, on the
 // same night: a quarter of a byte per row where one location per id held
 // eight, one run per page, and a get that tries two runs at most on average
 // (find counts its tries; the helper sums them over every live id); that a
 // rolled-back batch leaves the runs as they were and its ids unfindable; and
 // that replaying the interleaved log of two loaders, alone or behind a
-// checkpoint, ends with runs a twentieth of the rows and gets as cheap.
+// checkpoint, ends with runs a twentieth of the rows, gets as cheap and key
+// indexes within a tenth of the loaded ones' bytes and runs.
 func TestRowDirGuards(t *testing.T) {
 	const (
 		bytesPerRowCeiling = 0.25
@@ -189,6 +226,14 @@ func TestRowDirGuards(t *testing.T) {
 		perGet := float64(rg.Probes) / float64(rg.LiveRows)
 		t.Logf("recovered %d rows (%d from a checkpoint, %d replayed) of a two-loader log: %d runs, %.2f runs tried per get",
 			rg.LiveRows, rep.CheckpointRows, rep.ReplayedRows, rg.Runs, perGet)
+		// The key indexes come back as small as the load left them: the same
+		// keys in runs, no tag table sized for every recovered key.
+		loadedBytes, loadedRuns := keyIndexTotals(durable)
+		keyBytes, keyRuns := keyIndexTotals(recovered)
+		t.Logf("key indexes: loaded %d bytes in %d runs, recovered %d bytes in %d runs", loadedBytes, loadedRuns, keyBytes, keyRuns)
+		if within := func(got, want int64) bool { return 10*got <= 11*want && 10*got >= 9*want }; !within(keyBytes, loadedBytes) || !within(int64(keyRuns), int64(loadedRuns)) {
+			t.Errorf("recovered key indexes hold %d bytes in %d runs, loaded %d in %d: more than 10 %% apart", keyBytes, keyRuns, loadedBytes, loadedRuns)
+		}
 		if rg.LiveRows < loaded || rg.Runs > rg.LiveRows/20 || perGet > probesPerGetCeil {
 			t.Errorf("recovered %d of %d loaded rows in %d runs (ceiling rows/20), %.2f runs tried per get (ceiling %.1f)",
 				rg.LiveRows, loaded, rg.Runs, perGet, probesPerGetCeil)

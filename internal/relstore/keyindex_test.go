@@ -3,8 +3,12 @@ package relstore
 import (
 	"cmp"
 	"errors"
+	"flag"
+	"fmt"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
@@ -166,11 +170,7 @@ func runKeyIndexOps(t testing.TB, cols []int, data []byte) *keyIndex {
 		}
 	}
 
-	// Every stored row's key finds its own id, and the table is well formed:
-	// at most 3/4 full, as many occupied slots as keys, no empty slot between
-	// an entry and its home, and every run in tag order — an entry sits no
-	// further from home than one past the entry before it, and exactly that
-	// far (the same home) only behind a tag no higher than its own.
+	// Every stored row's key finds its own id.
 	for _, id := range live {
 		loc, _ := tbl.rows.get(id)
 		v, _ := tbl.heap.view(loc)
@@ -178,6 +178,13 @@ func runKeyIndexOps(t testing.TB, cols []int, data []byte) *keyIndex {
 			t.Fatalf("row %d's key looks up to %d, %v", id, got, ok)
 		}
 	}
+	checkKeyRuns(t, k, oracle)
+
+	// The tag table is well formed: at most 3/4 full, as many occupied slots
+	// as keys outside the runs, no empty slot between an entry and its home,
+	// and every probe run in tag order — an entry sits no further from home
+	// than one past the entry before it, and exactly that far (the same home)
+	// only behind a tag no higher than its own.
 	occupied := 0
 	for i, s := range k.slots {
 		if s.ref == 0 {
@@ -196,45 +203,225 @@ func runKeyIndexOps(t testing.TB, cols []int, data []byte) *keyIndex {
 			}
 		}
 	}
-	if occupied != k.len() || k.len()*4 > len(k.slots)*3 {
-		t.Fatalf("%d occupied slots of %d for %d keys", occupied, len(k.slots), k.len())
+	if occupied != k.n || k.n*4 > len(k.slots)*3 {
+		t.Fatalf("%d occupied slots of %d for %d keys", occupied, len(k.slots), k.n)
 	}
 	return k
 }
 
-// keyIndexWrapOps spells an operation stream for the single-int shape that
-// stores the n keys of the stream's domain whose tags are highest — their
-// homes are the last slots of a table of any size, so their probe run crosses
-// the table's end at every size the growth takes it through — and then
+// checkKeyRuns checks the runs of k against the oracle of every key k holds:
+// only an integer key index has runs, none is empty, they are sorted by key
+// and disjoint, they cover as many keys as the index says, and every key they
+// cover is the key of the live row the run maps it to, which the oracle holds
+// at that id.
+func checkKeyRuns(t testing.TB, k *keyIndex, oracle map[string]int64) {
+	t.Helper()
+	if !k.ints && len(k.runs) > 0 {
+		t.Fatalf("a %d-column key index holds %d runs", len(k.cols), len(k.runs))
+	}
+	covered := 0
+	for i, r := range k.runs {
+		if r.n == 0 {
+			t.Fatalf("run %d is empty", i)
+		}
+		if i > 0 {
+			if p := k.runs[i-1]; p.key >= r.key || uint64(r.key-p.key) < uint64(p.n) {
+				t.Fatalf("run %d %+v does not sort after run %d %+v", i, r, i-1, p)
+			}
+		}
+		for j := uint32(0); j < r.n; j++ {
+			key, id := []Value{Int(r.key + int64(j))}, int64(r.id+j)
+			v, ok := k.t.viewLocked(id)
+			if stored := v.val(k.cols[0]); !ok || stored != key[0] {
+				t.Fatalf("run %+v maps key %d to row %d, which is live %v with key %v", r, key[0].I, id, ok, stored)
+			}
+			if got, ok := oracle[EncodeKey(key)]; !ok || got != id {
+				t.Fatalf("run %+v maps key %d to row %d; oracle says %d, %v", r, key[0].I, id, got, ok)
+			}
+		}
+		covered += int(r.n)
+	}
+	if covered != k.inRuns {
+		t.Fatalf("runs cover %d keys, index counts %d", covered, k.inRuns)
+	}
+}
+
+// tagShape is a key shape held in the tag table alone: two integer columns.
+var tagShape = []int{0, 1}
+
+// keyIndexWrapOps spells an operation stream for the two-int shape that
+// stores the n keys (a, 0) of the stream's domain whose tags are highest —
+// their homes are the last slots of a table of any size, so their probe run
+// crosses the table's end at every size the growth takes it through — and then
 // removes half of them, the backward shift working across the end.
 func keyIndexWrapOps(t testing.TB, n int) []byte {
-	k := newKeyIndex(keyOracleTable(t), "k", []int{0})
+	k := newKeyIndex(keyOracleTable(t), "k", tagShape)
 	keys := make([]int, 3000)
 	for i := range keys {
 		keys[i] = i
 	}
-	tag := func(a int) uint32 { return k.hash([]Value{Int(int64(a))}, k.seq) }
+	tag := func(a int) uint32 { return k.hash([]Value{Int(int64(a)), Int(0)}, k.seq) }
 	slices.SortFunc(keys, func(a, b int) int { return cmp.Compare(tag(b), tag(a)) })
-	var data []byte
-	put := func(vs ...int) {
-		for _, v := range vs {
-			data = append(data, byte(v), byte(v>>8))
-		}
-	}
+	var w opSpeller
 	for _, a := range keys[:n] {
-		put(0, a, 0, 0, 0, 0, 0) // has-then-put of row (a, 0, "a", NULL, NULL)
+		w.put(a)
 	}
 	for live := n; live > n/2; live-- {
-		put(7, 0) // remove the first live row; the last takes its place
+		w.removeAt(0) // remove the first live row; the last takes its place
 	}
-	return data
+	return w.data
+}
+
+// opSpeller writes operation streams for runKeyIndexOps and keeps the
+// harness's list of live keys, so that a removal can name a key.
+type opSpeller struct {
+	data []byte
+	live []int
+}
+
+func (w *opSpeller) emit(vs ...int) {
+	for _, v := range vs {
+		w.data = append(w.data, byte(v), byte(v>>8))
+	}
+}
+
+// put is a has-then-put of row (a, 0, "a", NULL, NULL), a key not yet held.
+func (w *opSpeller) put(keys ...int) {
+	for _, a := range keys {
+		w.emit(0, a, 0, 0, 0, 0, 0)
+		w.live = append(w.live, a)
+	}
+}
+
+// lookup looks key a up, unaltered.
+func (w *opSpeller) lookup(a int) { w.emit(4, a, 0, 0, 0, 0, 0, 7) }
+
+// removeAt removes the i-th live row as the harness does: the last live row
+// takes its place.
+func (w *opSpeller) removeAt(i int) {
+	w.emit(7, i)
+	w.live[i] = w.live[len(w.live)-1]
+	w.live = w.live[:len(w.live)-1]
+}
+
+// remove removes the row of key a.
+func (w *opSpeller) remove(a int) { w.removeAt(slices.Index(w.live, a)) }
+
+// keyRunSeeds are the checked-in FuzzKeyIndexOps streams over the single-int
+// shape that take runs through their cases.
+func keyRunSeeds() map[string][]byte {
+	seeds := map[string][]byte{}
+	add := func(name string, spell func(w *opSpeller)) {
+		var w opSpeller
+		spell(&w)
+		seeds[name] = append([]byte{0}, w.data...) // shape 0: single-int
+	}
+	ascending := func(from, n int) []int {
+		out := make([]int, n)
+		for i := range out {
+			out[i] = from + i
+		}
+		return out
+	}
+	add("runs-two-streams", func(w *opSpeller) {
+		for i := 0; i < 12; i++ { // two writers' batches of 5, interleaved
+			w.put(ascending(100+5*i, 5)...)
+			w.put(ascending(2000+5*i, 5)...)
+		}
+		for i := 0; i < 10; i++ { // and of one key each
+			w.put(500+i, 2500+i)
+		}
+		w.lookup(104)
+		w.lookup(2059)
+		w.lookup(160)
+	})
+	add("runs-rollback-end-middle", func(w *opSpeller) {
+		w.put(ascending(10, 20)...)
+		w.put(ascending(40, 20)...)
+		w.remove(29) // a run's end
+		w.remove(28)
+		w.remove(45) // a run's middle
+		w.remove(40) // the start of what is left
+		w.lookup(44)
+		w.lookup(46)
+		w.put(29, 28, 45, 40) // back, out of step
+		w.put(ascending(60, 5)...)
+		w.remove(62)
+		w.put(62, 65, 66)
+	})
+	add("runs-reinsert-after-rollback", func(w *opSpeller) {
+		w.put(ascending(300, 30)...)
+		for a := 329; a >= 315; a-- { // rollback removes newest first
+			w.remove(a)
+		}
+		w.put(ascending(315, 15)...)
+		w.put(ascending(330, 10)...)
+	})
+	add("runs-descending", func(w *opSpeller) {
+		for a := 2999; a >= 2600; a-- {
+			w.put(a)
+		}
+		for a := 1998; a >= 1000; a -= 2 { // pairs in step, each below the last
+			w.put(a, a+1)
+		}
+	})
+	add("runs-random", func(w *opSpeller) {
+		rng := rand.New(rand.NewSource(36))
+		for _, a := range rng.Perm(3000)[:600] {
+			w.put(a)
+		}
+		for i := 0; i < 100; i++ {
+			w.removeAt(rng.Intn(len(w.live)))
+		}
+	})
+	return seeds
+}
+
+var writeKeyIndexSeeds = flag.Bool("write-keyindex-seeds", false, "rewrite FuzzKeyIndexOps's seed corpus")
+
+// TestWriteKeyIndexSeeds rewrites testdata/fuzz/FuzzKeyIndexOps from
+// keyIndexWrapOps and keyRunSeeds; run it with -write-keyindex-seeds after
+// changing either or the harness's stream layout.
+func TestWriteKeyIndexSeeds(t *testing.T) {
+	if !*writeKeyIndexSeeds {
+		t.Skip("run with -write-keyindex-seeds to rewrite the corpus")
+	}
+	dir := filepath.Join("testdata", "fuzz", "FuzzKeyIndexOps")
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	seeds := keyRunSeeds()
+	for _, n := range []int{7, 20, 52, 300} {
+		seeds[fmt.Sprintf("wrap-end-%d-keys", n)] = append([]byte{1}, keyIndexWrapOps(t, n)...) // shape 1: two-int
+	}
+	for name, data := range seeds {
+		body := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", data)
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestKeyRunSeeds: every run seed but the random order leaves runs behind, so
+// the corpus keeps exercising them; the random order leaves none.
+func TestKeyRunSeeds(t *testing.T) {
+	for name, data := range keyRunSeeds() {
+		k := runKeyIndexOps(t, keyOracleShapes[data[0]].cols, data[1:])
+		t.Logf("%s: %d keys, %d in %d runs, %d in tag slots", name, k.len(), k.inRuns, len(k.runs), k.n)
+		if (len(k.runs) == 0) != (name == "runs-random") {
+			t.Errorf("%s: %d runs, %d keys in tag slots", name, len(k.runs), k.n)
+		}
+	}
 }
 
 // TestKeyIndexWrapsAcrossEnd: at sizes that are no power of two, a probe run
 // that crosses the table's end still finds, places and shifts back every key.
 func TestKeyIndexWrapsAcrossEnd(t *testing.T) {
 	for _, n := range []int{7, 20, 52, 300} {
-		k := runKeyIndexOps(t, []int{0}, keyIndexWrapOps(t, n))
+		k := runKeyIndexOps(t, tagShape, keyIndexWrapOps(t, n))
 		size := len(k.slots)
 		if k.len() != n-(n+1)/2 || size&(size-1) == 0 {
 			t.Fatalf("%d keys stored: %d left in %d slots", n, k.len(), size)
@@ -261,22 +448,22 @@ func TestKeyIndexCapacity(t *testing.T) {
 		per := float64(slots) * 8 / float64(n)
 		return per >= lo && per <= hi
 	}
-	k := newKeyIndex(keyOracleTable(t), "k", []int{0})
+	k := newKeyIndex(keyOracleTable(t), "k", tagShape)
 	for n := 1; n <= 100_000; n++ {
-		k.put(Row{Int(int64(n))}, int64(n))
+		k.put(Row{Int(int64(n)), Int(0)}, int64(n))
 		if n >= 64 && !band(n, len(k.slots)) {
 			t.Fatalf("%d keys in %d slots: outside [%.1f, %.1f] bytes a key", n, len(k.slots), lo, hi)
 		}
 	}
 	for n := 64; n <= 100_000; n += 1 + n/64 {
-		r := newKeyIndex(keyOracleTable(t), "k", []int{0})
+		r := newKeyIndex(keyOracleTable(t), "k", tagShape)
 		r.reserve(n)
 		size := len(r.slots)
 		if !band(n, size) || size != (4*n+2)/3 {
 			t.Fatalf("reserve(%d) made %d slots", n, size)
 		}
 		r.n = n - 1 // the table as the n-th put finds it
-		r.put(Row{Int(0)}, 0)
+		r.put(Row{Int(0), Int(0)}, 0)
 		if len(r.slots) != size {
 			t.Fatalf("reserve(%d) made %d slots and the %d-th key grew them to %d", n, size, n, len(r.slots))
 		}
@@ -299,7 +486,7 @@ func TestKeyIndexMatchesOracle(t *testing.T) {
 // checkpoint load does) never rehashes.
 func TestKeyIndexReserve(t *testing.T) {
 	tbl := keyOracleTable(t)
-	k := newKeyIndex(tbl, "k", []int{0})
+	k := newKeyIndex(tbl, "k", tagShape)
 	k.reserve(1000)
 	first, size := &k.slots[0], len(k.slots)
 	for i := int64(0); i < 1000; i++ {
@@ -311,15 +498,83 @@ func TestKeyIndexReserve(t *testing.T) {
 	if &k.slots[0] != first || len(k.slots) != size || size != 1334 {
 		t.Fatalf("1000 keys after reserve(1000): %d slots (was %d), moved %v", len(k.slots), size, &k.slots[0] != first)
 	}
-	if id, ok := k.lookup([]Value{Int(999)}); !ok || id != 999 {
-		t.Fatalf("lookup(999) = %d, %v", id, ok)
+	if id, ok := k.lookup([]Value{Int(999), Int(0)}); !ok || id != 999 {
+		t.Fatalf("lookup(999, 0) = %d, %v", id, ok)
+	}
+}
+
+// TestKeyRunOrders feeds 200k single-int keys in orders that are not in step
+// with their row ids — random, descending, stride 2 — and in step pairs each
+// opened below every run before it.  Whatever the order, the index holds at
+// most 16 bytes a key, no insert moves more than maxRunsMoved runs, and every
+// stored key and a sample of absent ones answer as a map does.
+func TestKeyRunOrders(t *testing.T) {
+	const n = 200_000
+	orders := map[string]func(i int) int64{
+		"random":           func(i int) int64 { return int64(n - 1 - i) }, // permuted below
+		"descending":       func(i int) int64 { return int64(n - 1 - i) },
+		"stride-2":         func(i int) int64 { return int64(2 * i) },
+		"descending-pairs": func(i int) int64 { return int64(n - 2 - i&^1 + i&1) },
+	}
+	for name, keyAt := range orders {
+		t.Run(name, func(t *testing.T) {
+			keys := make([]int64, n)
+			for i := range keys {
+				keys[i] = keyAt(i)
+			}
+			if name == "random" {
+				rand.New(rand.NewSource(36)).Shuffle(n, func(i, j int) { keys[i], keys[j] = keys[j], keys[i] })
+			}
+			tbl := keyOracleTable(t)
+			k := newKeyIndex(tbl, "k", []int{0})
+			oracle := make(map[int64]int64, n)
+			mostMoved := 0
+			for id, x := range keys {
+				row := Row{Int(x), Int(0), Str(""), Null, Null}
+				if k.has(row) {
+					t.Fatalf("key %d present before it was put", x)
+				}
+				loc, _, _ := tbl.heap.append(row)
+				tbl.rows.put(int64(id), loc)
+				runs := len(k.runs)
+				k.put(row, int64(id))
+				if len(k.runs) > runs {
+					at, _, _ := findRun(k.runs, x)
+					mostMoved = max(mostMoved, len(k.runs)-1-at)
+				}
+				oracle[x] = int64(id)
+			}
+			perKey := float64(k.residentBytes()) / n
+			t.Logf("%d keys: %d in %d runs, %d in %d tag slots; %.2f bytes a key, at most %d runs moved by an insert",
+				n, k.inRuns, len(k.runs), k.n, len(k.slots), perKey, mostMoved)
+			if perKey > 16 || mostMoved > maxRunsMoved {
+				t.Errorf("%.2f bytes a key (ceiling 16), %d runs moved by one insert (ceiling %d)", perKey, mostMoved, maxRunsMoved)
+			}
+			if k.len() != n {
+				t.Fatalf("index holds %d keys, want %d", k.len(), n)
+			}
+			for x, want := range oracle {
+				if id, ok := k.lookup([]Value{Int(x)}); !ok || id != want {
+					t.Fatalf("lookup(%d) = %d, %v; want %d", x, id, ok, want)
+				}
+			}
+			for _, x := range []int64{-1, 2*n + 1, 2*n - 1, 1 << 40, math.MinInt64, math.MaxInt64} {
+				if _, present := oracle[x]; present {
+					continue
+				}
+				if id, ok := k.lookup([]Value{Int(x)}); ok {
+					t.Fatalf("absent key %d looks up to %d", x, id)
+				}
+			}
+		})
 	}
 }
 
 // FuzzKeyIndexOps is the same harness over fuzzer-chosen operation streams;
 // the first byte picks the key shape.  The checked-in corpus
-// (testdata/fuzz/FuzzKeyIndexOps) adds keyIndexWrapOps streams: clusters
-// across the table's end at sizes that are no power of two.
+// (testdata/fuzz/FuzzKeyIndexOps, TestWriteKeyIndexSeeds) adds
+// keyIndexWrapOps streams — clusters across the table's end at sizes that are
+// no power of two — and keyRunSeeds' streams through the runs' cases.
 func FuzzKeyIndexOps(f *testing.F) {
 	seed := make([]byte, 512)
 	for i := range keyOracleShapes {

@@ -383,14 +383,16 @@ func (db *DB) recoverReplay(dir string) (RecoveryReport, error) {
 }
 
 // replayRowsAt stores rows at explicit (possibly non-contiguous) ids — the
-// checkpoint-snapshot load path.  The snapshot knows its row count, so the
-// key indexes are sized once and never rehash.
+// checkpoint-snapshot load path.  The snapshot knows its row count, so a tag
+// table that will hold every key is sized once and never rehashes; an integer
+// key index reserves nothing, its keys going to runs as they did when loaded.
 func (t *Table) replayRowsAt(sc *scratch, ids []int64, rows []Row) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.pk.reserve(t.pk.len() + len(rows))
-	for _, u := range t.uniques {
-		u.reserve(u.len() + len(rows))
+	for _, k := range append([]*keyIndex{t.pk}, t.uniques...) {
+		if !k.ints {
+			k.reserve(k.len() + len(rows))
+		}
 	}
 	for i := range rows {
 		if err := t.replayOneLocked(sc, ids[i], rows[i]); err != nil {

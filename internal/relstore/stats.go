@@ -30,11 +30,14 @@ type TableStat struct {
 	// ResidentBytes is the memory the table holds for its rows, counted where
 	// it is held: heap page data, slot directories and the layouts of closed
 	// pages that carry their own, at their allocated capacity; the row
-	// directory; and the slots of the primary-key and unique hash indexes.
-	// Secondary B-tree indexes report their own memory in IndexStat.
+	// directory; and the runs and tag slots of the primary-key and unique
+	// indexes.  Secondary B-tree indexes report their own memory in IndexStat.
 	ResidentBytes int64
-	// KeyIndexBytes is the hash indexes' share of ResidentBytes.
+	// KeyIndexBytes is the key indexes' share of ResidentBytes and KeyRuns the
+	// key runs they hold (about one per batch of keys loaded in step with
+	// their row ids).
 	KeyIndexBytes int64
+	KeyRuns       int
 	// RowDirBytes is the row directory's share of ResidentBytes and RowDirRuns
 	// the id runs it holds (one per page unless replay stored ids out of order).
 	RowDirBytes int64

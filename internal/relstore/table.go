@@ -2,6 +2,7 @@ package relstore
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 	"sort"
 	"sync"
@@ -75,37 +76,67 @@ func (d *rowDir) put(id int64, loc rowLoc) {
 }
 
 // find returns the position of the last run starting at or below id (-1 when
-// there is none), whether that run covers id, and how many runs it tried.  The
-// first try scales id's place in the directory's id span onto its runs —
-// right at once when they are equally long, as a load's nearly are — and each
-// next one steps from the run just tried by that run's own length; past three
-// tries every other one halves what is left, whatever the lengths.  It sits
-// under every index candidate and key-index tag match: a binary search alone
-// reads 75 ns where the scaled try reads 5 (PERFORMANCE.md).
-func (d *rowDir) find(id int64) (at int, covered bool, tries int) {
-	lo, hi := 0, len(d.runs)-1
-	if hi < 0 || id < int64(d.runs[0].first) {
+// there is none), whether that run covers id, and how many runs it tried.
+func (d *rowDir) find(id int64) (at int, covered bool, tries int) { return findRun(d.runs, id) }
+
+// span returns where a run starts and how many values it covers: ids for the
+// row directory, keys for a key index.
+func span[R idRun | keyRun](r *R) (start int64, n uint64) {
+	switch r := any(r).(type) {
+	case *idRun:
+		return int64(r.first), uint64(r.n)
+	case *keyRun:
+		return r.key, uint64(r.n)
+	}
+	panic("relstore: span of an unknown run")
+}
+
+// findRun returns the position of the last of runs — sorted by start,
+// disjoint — starting at or below x (-1 when there is none), whether that run
+// covers x, and how many runs it tried.  The first try scales x's place in the
+// runs' span onto them — right at once when they are equally long, as a
+// load's nearly are — and each next one steps from the run just tried by that
+// run's own length; past three tries every other one halves what is left,
+// whatever the lengths.  It sits under every index candidate and every key a
+// key index holds in runs: a binary search alone reads 75 ns where the scaled
+// try reads 5 (PERFORMANCE.md).  Differences are taken in uint64, so keys
+// anywhere in int64 neither overflow nor divide by zero.
+func findRun[R idRun | keyRun](runs []R, x int64) (at int, covered bool, tries int) {
+	lo, hi := 0, len(runs)-1
+	if hi < 0 {
 		return -1, false, 0
 	}
-	try, first := hi, uint64(d.runs[0].first)
-	if off, span := uint64(id)-first, uint64(d.runs[hi].first)+uint64(d.runs[hi].n)-first; off < span {
-		try = int(off * uint64(hi+1) / span)
+	first, _ := span(&runs[0])
+	if x < first {
+		return -1, false, 0
+	}
+	try := hi
+	last, n := span(&runs[hi])
+	if off, total := uint64(x-first), uint64(last-first)+n; off < total {
+		if p1, p0 := bits.Mul64(off, uint64(hi+1)); p1 == 0 {
+			try = int(p0 / total)
+		}
 	}
 	for lo < hi {
 		i := min(max(try, lo), hi)
 		if tries++; tries > 3 && tries%2 == 0 {
 			i = lo + (hi-lo+1)/2
 		}
-		switch r := &d.runs[i]; {
-		case id < int64(r.first):
-			hi, try = i-1, i-1-int((r.first-1-uint32(id))/r.n)
-		case i < hi && id >= int64(d.runs[i+1].first):
-			lo, try = i+1, i+int((uint32(id)-r.first)/r.n)
-		default:
-			lo, hi = i, i
+		s, n := span(&runs[i])
+		if x < s {
+			hi, try = i-1, i-1-int(min(uint64(s-1-x)/n, uint64(i)))
+			continue
 		}
+		if i < hi {
+			if next, _ := span(&runs[i+1]); x >= next {
+				lo, try = i+1, i+int(min(uint64(x-s)/n, uint64(hi)))
+				continue
+			}
+		}
+		lo, hi = i, i
 	}
-	return lo, id-int64(d.runs[lo].first) < int64(d.runs[lo].n), tries
+	s, n := span(&runs[lo])
+	return lo, uint64(x-s) < n, tries
 }
 
 // get returns the location row id was stored at; the slot may since be dead.
@@ -131,11 +162,11 @@ func (t *Table) scanRowsByID(visit func(id int64, r RowView)) {
 }
 
 // Table is the runtime state of one table: schema, heap storage, primary-key
-// hash index, unique-constraint hash indexes and secondary B-tree indexes.
-// Rows, the row directory and the hash indexes hold no pointers, so the
-// collector's work does not grow with the rows loaded.
+// index, unique-constraint indexes and secondary B-tree indexes.  Rows, the
+// row directory and the key indexes hold no pointers, so the collector's work
+// does not grow with the rows loaded.
 //
-// Concurrency: mu guards all mutable state (heap, row map, hash indexes,
+// Concurrency: mu guards all mutable state (heap, row map, key indexes,
 // B-trees, index list, pre-population counters).  Writers (applyBatchChunk,
 // deleteRow, createIndex, dropIndex, prePopulate) take the write lock; the
 // exported read accessors take the read lock through rlock, which lets a
@@ -302,13 +333,14 @@ func (t *Table) LogicalByteSize() int64 {
 func (t *Table) stat() TableStat {
 	t.rlock()
 	defer t.mu.RUnlock()
-	keys := t.pk.residentBytes()
+	keys, keyRuns := t.pk.residentBytes(), len(t.pk.runs)
 	for _, u := range t.uniques {
 		keys += u.residentBytes()
+		keyRuns += len(u.runs)
 	}
 	dir := int64(cap(t.rows.runs)) * int64(unsafe.Sizeof(idRun{}))
 	return TableStat{Name: t.schema.Name, Rows: t.heap.rowCount, NominalBytes: t.heap.bytes,
-		ResidentBytes: t.heap.residentBytes() + dir + keys, KeyIndexBytes: keys,
+		ResidentBytes: t.heap.residentBytes() + dir + keys, KeyIndexBytes: keys, KeyRuns: keyRuns,
 		RowDirBytes: dir, RowDirRuns: len(t.rows.runs)}
 }
 

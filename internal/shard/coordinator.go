@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -56,7 +57,9 @@ type Coordinator struct {
 	fanoutByClass sync.Map // class string -> *atomic.Int64
 	shardRequests []atomic.Int64
 	shardLoads    []atomic.Int64
-	gather        *metrics.Histogram
+	// partialFailures counts, per shard, the query branches that failed there.
+	partialFailures []atomic.Int64
+	gather          *metrics.Histogram
 }
 
 // New creates a coordinator over one client per shard.  len(clients) must
@@ -78,6 +81,8 @@ func New(sched exec.Scheduler, pm *PartitionMap, clients []Client, cfg Config) (
 		shardRequests: make([]atomic.Int64, pm.Shards()),
 		shardLoads:    make([]atomic.Int64, pm.Shards()),
 		gather:        metrics.NewHistogram(),
+
+		partialFailures: make([]atomic.Int64, pm.Shards()),
 	}
 	for s := range c.all {
 		c.all[s] = s
@@ -97,16 +102,30 @@ func (c *Coordinator) client(s int) Client {
 	return c.clients[s]
 }
 
+// ShardError is a call to one shard that failed: Shard names the shard, Op
+// what it was asked, and Err the cause — the transport's error, or the one the
+// agent answered with.  Every error a coordinator call returns for a shard is
+// one, so errors.As finds the shard behind a failed fleet query.
+type ShardError struct {
+	Shard int
+	Op    string
+	Err   error
+}
+
+func (e *ShardError) Error() string { return fmt.Sprintf("shard %d: %s: %v", e.Shard, e.Op, e.Err) }
+
+func (e *ShardError) Unwrap() error { return e.Err }
+
 // call sends req, one frame, to shard s and requires a reply of type T.
 func call[T wire.Msg](c *Coordinator, w exec.Worker, s int, what string, req []byte) (T, error) {
 	reply, err := c.client(s).Call(w, req)
 	if err != nil {
 		var none T
-		return none, fmt.Errorf("shard %d: %s: %w", s, what, err)
+		return none, &ShardError{Shard: s, Op: what, Err: err}
 	}
 	t, ok := reply.(T)
 	if !ok {
-		return t, fmt.Errorf("shard %d: %s: reply type 0x%02x", s, what, reply.Type())
+		return t, &ShardError{Shard: s, Op: what, Err: fmt.Errorf("reply type 0x%02x", reply.Type())}
 	}
 	return t, nil
 }
@@ -211,7 +230,7 @@ func (c *Coordinator) loadQueue(w exec.Worker, s int, files []*catalog.File, rou
 			return dst
 		})
 		if err != nil {
-			return fmt.Errorf("shard %d: %w", s, err)
+			return &ShardError{Shard: s, Op: "load " + f.Name, Err: err}
 		}
 		if err := c.loadTask(w, s, "load "+f.Name, buf, rep); err != nil {
 			return err
@@ -230,7 +249,7 @@ func (c *Coordinator) loadTask(w exec.Worker, s int, what string, task []byte, r
 		return err
 	}
 	if res.Err != "" {
-		return fmt.Errorf("shard %d: %s: %s", s, what, res.Err)
+		return &ShardError{Shard: s, Op: what, Err: errors.New(res.Err)}
 	}
 	c.shardLoads[s].Add(1)
 	rep.Tasks++
@@ -261,7 +280,10 @@ func (c *Coordinator) Targets(q queries.Query) ([]int, error) {
 // Execute scatters one query to its owning shards, gathers and merges the
 // sorted partial results, and returns an answer byte-identical to the
 // single-node oracle.  tr (nil-safe) gets cross-node StageScatter and
-// StageGather spans.
+// StageGather spans.  A query is answered whole or not at all: when a branch
+// fails, Execute returns the first failed target's *ShardError, which names
+// that shard and wraps the cause, and counts every failed branch against its
+// shard.
 func (c *Coordinator) Execute(w exec.Worker, q queries.Query, tr *trace.Req) (queries.Result, error) {
 	targets, err := c.Targets(q)
 	if err != nil {
@@ -281,11 +303,12 @@ func (c *Coordinator) Execute(w exec.Worker, q queries.Query, tr *trace.Req) (qu
 	err = c.fanout(w, targets, func(fw exec.Worker, i, s int) error {
 		c.shardRequests[s].Add(1)
 		res, err := call[wire.QueryResult](c, fw, s, "query", req)
-		if err != nil {
-			return err
+		if err == nil && res.Err != "" {
+			err = &ShardError{Shard: s, Op: "query", Err: errors.New(res.Err)}
 		}
-		if res.Err != "" {
-			return fmt.Errorf("shard %d: %s", s, res.Err)
+		if err != nil {
+			c.partialFailures[s].Add(1)
+			return err
 		}
 		replies[i] = res
 		return nil
@@ -496,10 +519,13 @@ type Snapshot struct {
 	FanoutByClass map[string]int64
 	ShardRequests []int64
 	ShardLoads    []int64
-	Gather        metrics.HistogramSummary
-	GatherHist    *metrics.Histogram
-	BytesSent     int64
-	BytesReceived int64
+	// PartialFailures counts, per shard, the query branches that failed there
+	// (each failed the whole query).
+	PartialFailures []int64
+	Gather          metrics.HistogramSummary
+	GatherHist      *metrics.Histogram
+	BytesSent       int64
+	BytesReceived   int64
 	// The object directory's size (bytes estimated for ids held outside
 	// runs) and the lookups it could not place on one shard, which broadcast.
 	DirectoryRuns   int
@@ -516,6 +542,8 @@ func (c *Coordinator) Snapshot() Snapshot {
 		FanoutByClass: make(map[string]int64),
 		ShardRequests: make([]int64, c.pm.Shards()),
 		ShardLoads:    make([]int64, c.pm.Shards()),
+
+		PartialFailures: make([]int64, c.pm.Shards()),
 	}
 	c.fanoutByClass.Range(func(k, v any) bool {
 		snap.FanoutByClass[k.(string)] = v.(*atomic.Int64).Load()
@@ -524,6 +552,7 @@ func (c *Coordinator) Snapshot() Snapshot {
 	for s := 0; s < c.pm.Shards(); s++ {
 		snap.ShardRequests[s] = c.shardRequests[s].Load()
 		snap.ShardLoads[s] = c.shardLoads[s].Load()
+		snap.PartialFailures[s] = c.partialFailures[s].Load()
 	}
 	dir := c.dir.Load()
 	snap.DirectoryRuns = len(dir.runs)

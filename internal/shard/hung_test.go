@@ -2,9 +2,12 @@ package shard_test
 
 import (
 	"encoding/json"
+	"errors"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -59,8 +62,9 @@ func (s *silentListener) close() {
 // TestHungAgentFailsClosed: one agent of three accepts and never answers.
 // Every call that touches it must fail within the per-call deadline instead
 // of holding the client mutex forever — the query comes back as an error
-// envelope, /healthz as 503 — and once a live agent is back on the address
-// the same client re-dials and the fleet serves again.
+// envelope that names the shard, counted as that shard's partial failure, and
+// /healthz as 503 — and once a live agent is back on the address the same
+// client re-dials and the fleet serves again.
 func TestHungAgentFailsClosed(t *testing.T) {
 	const (
 		n       = 3
@@ -124,11 +128,21 @@ func TestHungAgentFailsClosed(t *testing.T) {
 	if err := json.Unmarshal(body, &resp); err != nil {
 		t.Fatalf("query body %q: %v", body, err)
 	}
-	if status != http.StatusInternalServerError || resp.Outcome != "error" || resp.Error == "" {
-		t.Fatalf("query through a hung shard: status %d, envelope %+v", status, resp)
+	if status != http.StatusInternalServerError || resp.Outcome != "error" || !strings.HasPrefix(resp.Error, "shard 1: query: ") {
+		t.Fatalf("query through a hung shard: status %d, envelope %+v, want an error naming shard 1", status, resp)
 	}
 	if took < timeout || took > bound {
 		t.Fatalf("query through a hung shard took %s, want the %s deadline", took, timeout)
+	}
+	if got := co.Snapshot().PartialFailures; !slices.Equal(got, []int64{0, 1, 0}) {
+		t.Fatalf("partial failures by shard %v after one query through hung shard 1", got)
+	}
+	// The coordinator's own error names the shard and wraps the transport's.
+	var execErr error
+	sched.RunInline("query", func(w exec.Worker) { _, execErr = co.Execute(w, queries.ObjectLookup{ObjectID: 7}, nil) })
+	var se *shard.ShardError
+	if !errors.As(execErr, &se) || se.Shard != hung || se.Op != "query" || se.Err == nil || errors.Unwrap(execErr) != se.Err {
+		t.Fatalf("Execute through a hung shard: %v, want a *shard.ShardError for shard %d wrapping its cause", execErr, hung)
 	}
 	if status, _, took := get(httpserve.PathHealthz); status != http.StatusServiceUnavailable || took > bound {
 		t.Fatalf("healthz with a hung shard: status %d after %s, want 503 within %s", status, took, bound)
