@@ -5,9 +5,11 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"hash/fnv"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -71,8 +73,37 @@ func routed(f *catalog.File, route []uint16, s int) []catalog.Record {
 // records the per-agent filter used to keep, in order, and a file goes to a
 // shard only if that shard keeps an object of it or is its home.  (Object ids
 // stay unique and every child's object is in its file: those are the cases
-// where the old filter was wrong.)
+// where the old filter was wrong.)  Each shard's share of each file — its
+// records, and whether the file goes to it — is folded into one fnv digest
+// per (shard count, file, shard), recorded while filterRecords still
+// asserted the same shares.
 func TestRouteMatchesFilterOracle(t *testing.T) {
+	want := map[int][]uint64{
+		1: {
+			0xad494a5b8019891d, 0xf6dea8c35e6a94c, 0x33a921419030b1cc, 0x23d90f2ffd490309,
+			0xfcbfb12c2d6ec0b9, 0x448e1ed85cbb1063,
+		},
+		3: {
+			0xad494a5b8019891d, 0xc1f0d12d785c19cd, 0xc1f0d12d785c19cd, 0x86f3d3934219789e,
+			0x9f33bc11a2cf948, 0x9e56fa32f5699dbd, 0x33a921419030b1cc, 0x787351bfcb6438cf,
+			0x787351bfcb6438cf, 0x1b2dc3ea7e3941d0, 0x8ef8d655a45c432c, 0x3ef70b7515c8d0c6,
+			0x8817e8dddbf9558c, 0x8817e8dddbf9558c, 0xfcbfb12c2d6ec0b9, 0xa34dc26e711ff3d1,
+			0x448e1ed85cbb1063, 0xa34dc26e711ff3d1,
+		},
+		7: {
+			0xad494a5b8019891d, 0xc1f0d12d785c19cd, 0xc1f0d12d785c19cd, 0xc1f0d12d785c19cd,
+			0xc1f0d12d785c19cd, 0xc1f0d12d785c19cd, 0xc1f0d12d785c19cd, 0x86f3d3934219789e,
+			0x86f3d3934219789e, 0x86f3d3934219789e, 0x86f3d3934219789e, 0x86f3d3934219789e,
+			0xf6dea8c35e6a94c, 0x86f3d3934219789e, 0x33a921419030b1cc, 0x787351bfcb6438cf,
+			0x787351bfcb6438cf, 0x787351bfcb6438cf, 0x787351bfcb6438cf, 0x787351bfcb6438cf,
+			0x787351bfcb6438cf, 0x3ef70b7515c8d0c6, 0x3ef70b7515c8d0c6, 0x23d90f2ffd490309,
+			0x3ef70b7515c8d0c6, 0x3ef70b7515c8d0c6, 0x3ef70b7515c8d0c6, 0x3ef70b7515c8d0c6,
+			0x8817e8dddbf9558c, 0x8817e8dddbf9558c, 0x8817e8dddbf9558c, 0x8817e8dddbf9558c,
+			0x8817e8dddbf9558c, 0xfcbfb12c2d6ec0b9, 0x8817e8dddbf9558c, 0xa34dc26e711ff3d1,
+			0xa34dc26e711ff3d1, 0x448e1ed85cbb1063, 0xa34dc26e711ff3d1, 0xa34dc26e711ff3d1,
+			0xa34dc26e711ff3d1, 0xa34dc26e711ff3d1,
+		},
+	}
 	files := catalog.GenerateNight(catalog.NightSpec{TotalMB: 3, Files: 6, RowsPerMB: 2000, Seed: 13})
 	l := objLayout()
 	objects := 0
@@ -97,8 +128,17 @@ func TestRouteMatchesFilterOracle(t *testing.T) {
 			t.Fatal(err)
 		}
 		dir := new(directory).clone()
+		var digests []uint64
 		for _, f := range files {
 			route, targets := routeFile(pm, dir, f)
+			for s := 0; s < n; s++ {
+				h := fnv.New64a()
+				fmt.Fprintf(h, "target %v\n", slices.Contains(targets, s))
+				for _, rec := range routed(f, route, s) {
+					fmt.Fprintf(h, "%d %q %q\n", rec.Line, rec.Tag, rec.Fields)
+				}
+				digests = append(digests, h.Sum64())
+			}
 			home := pm.Owner(fileCenterTrixel(f))
 			var wantTargets []int
 			for s := 0; s < n; s++ {
@@ -119,6 +159,9 @@ func TestRouteMatchesFilterOracle(t *testing.T) {
 			if !reflect.DeepEqual(targets, wantTargets) {
 				t.Fatalf("n=%d %s: targets %v, oracle %v", n, f.Name, targets, wantTargets)
 			}
+		}
+		if !slices.Equal(digests, want[n]) {
+			t.Errorf("n=%d: share digests by file and shard %#x, want %#x", n, digests, want[n])
 		}
 	}
 }
