@@ -74,7 +74,8 @@ oracles:
 # calls, whole Txn.InsertBatch calls, the sorted bulk B-tree pass, the Seal bulk leaf build, the
 # encoded-key comparator, the two row paths under every query (a primary-key
 # probe and an index range: where a row directory that went back to searching
-# would show), the immediate-vs-deferred load policy comparison,
+# would show), foreign-key probes into parents whose keys sit in runs and in
+# the tag table, the immediate-vs-deferred load policy comparison,
 # the one HTTP front door (query path and /metrics render, over a database),
 # the fleet's scatter-gather path under it and the whole ingest path on the
 # wall clock, on one node (ReadRecords + parallel.Run, the region every skyperf
@@ -84,7 +85,7 @@ oracles:
 # smoke test (counts, not timings); measurements come from `make perf`
 # (bench/README.md).
 bench:
-	$(GO) test -run '^$$' -bench 'InsertBatch|InsertRow|BTreeInsertSorted|SealBulkBuild|BTreeEncodedCompare|LookupByPKRef|RangeIndexedRef' -benchtime=100x ./internal/relstore/
+	$(GO) test -run '^$$' -bench 'InsertBatch|InsertRow|BTreeInsertSorted|SealBulkBuild|BTreeEncodedCompare|LookupByPKRef|RangeIndexedRef|FKProbe' -benchtime=100x ./internal/relstore/
 	$(GO) test -run '^$$' -bench 'IndexLoadPolicy' -benchtime=1x ./internal/relstore/
 	$(GO) test -run '^$$' -bench 'ServeHTTPQuery|MetricsScrape' -benchtime=100x ./internal/httpserve/
 	$(GO) test -run '^$$' -bench 'ScatterGather|SingleNode|WireQueryResult' -benchtime=50x ./internal/shard/

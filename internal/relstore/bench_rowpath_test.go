@@ -1,6 +1,7 @@
 package relstore
 
 import (
+	"math/rand"
 	"testing"
 )
 
@@ -112,4 +113,58 @@ func BenchmarkRangeIndexedRef(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(visited)/float64(b.N), "rows/op")
+}
+
+// BenchmarkFKProbe inserts batches of 256 fingers, each probing its parent
+// object through the foreign key, over 65,536 objects whose primary keys the
+// index holds in runs (loaded in step with their row ids) or in its tag table
+// (loaded in a shuffled order).  A probe a run answers reads no parent row;
+// one the tag table answers reads the row its tag matches.
+func BenchmarkFKProbe(b *testing.B) {
+	const objects, batch = 1 << 16, 256
+	for _, shape := range []string{"runs", "tags"} {
+		b.Run(shape, func(b *testing.B) {
+			ids := make([]int, objects)
+			for i := range ids {
+				ids[i] = i
+			}
+			if shape == "tags" {
+				rand.New(rand.NewSource(7)).Shuffle(objects, func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
+			}
+			db := MustOpen(testSchema(b))
+			txn, _ := db.Begin()
+			if _, err := txn.Insert("frames", []string{"frame_id"}, []Value{Int(0)}); err != nil {
+				b.Fatal(err)
+			}
+			for _, o := range ids {
+				if _, err := txn.Insert("objects", []string{"object_id", "frame_id", "mag"}, []Value{Int(int64(o)), Int(0), Float(20)}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if _, err := txn.Commit(); err != nil {
+				b.Fatal(err)
+			}
+			if pk := db.Table("objects").pk; (pk.inRuns == objects) != (shape == "runs") {
+				b.Fatalf("%s: %d of %d object keys in runs", shape, pk.inRuns, objects)
+			}
+			rows := make([][]Value, batch)
+			for j := range rows {
+				rows[j] = make([]Value, len(fingerCols))
+			}
+			txn, _ = db.Begin()
+			next := int64(0)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, row := range rows {
+					row[0], row[1], row[2] = Int(next), Int(next*7919%objects), Float(float64(next))
+					next++
+				}
+				if _, err := txn.InsertBatch("fingers", fingerCols, rows); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/row")
+		})
+	}
 }

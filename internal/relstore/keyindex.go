@@ -14,7 +14,8 @@ import (
 // ids — key+1 at row id+1, as a file's ascending ids load — extend a run
 // {key, id, n} saying keys key..key+n-1 are rows id..id+n-1, 16 bytes for the
 // whole run.  Runs are sorted by key and disjoint, every key they cover is
-// live, and a probe they answer, present or absent, reads no stored row.
+// live, and a probe they answer reads no stored row; an absent key reads none
+// either while the tag table is empty.
 //
 // The tag table, for every other key: one open-addressing, linear-probing
 // table of pointer-free 8-byte slots — a 32-bit hash tag and the row id.  A
@@ -60,8 +61,9 @@ type keyRun struct {
 	id, n uint32
 }
 
-// maxRunsMoved is the most runs opening one may move: a key whose run would
-// open below more goes to the tag table, so no insert order costs more.
+// maxRunsMoved is the most runs an insert may move to open a run: a key whose
+// run would open below more goes to the tag table, so no order of inserts
+// costs more than that per key.
 const maxRunsMoved = 256
 
 // keySlot is one table entry.  ref is the row id plus one, zero marking the
@@ -247,7 +249,7 @@ func (k *keyIndex) putRun(x, id int64) bool {
 			return true
 		}
 	}
-	if k.n == 0 || x == math.MinInt64 || id == 0 || len(k.runs)-at-1 > maxRunsMoved {
+	if k.n == 0 || x == math.MinInt64 || len(k.runs)-at-1 > maxRunsMoved {
 		return false
 	}
 	if prev, ok := k.t.viewLocked(id - 1); !ok {
@@ -310,7 +312,7 @@ func (k *keyIndex) reserve(n int) {
 // up to the first entry at its home, so the table never holds tombstones.
 func (k *keyIndex) remove(key []Value, id int64) {
 	if x, ok := k.intKey(key, k.seq); ok {
-		if i, covered, _ := findRun(k.runs, x); covered && int64(k.runs[i].id)+(x-k.runs[i].key) == id {
+		if i, covered, _ := findRun(k.runs, x); covered {
 			r := &k.runs[i]
 			switch off := uint32(x - r.key); {
 			case r.n == 1:

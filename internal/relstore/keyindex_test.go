@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -908,5 +909,66 @@ func TestRowIDBeyondKeySlot(t *testing.T) {
 	tbl.nextRow = rows
 	if err := txn.Rollback(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestKeyRunsTwoWriters: two writers load ascending key streams into one
+// table at once, a batch per transaction, and one of them rolls back every
+// third transaction and loads its keys again.  Their batches interleave in
+// the row ids, so each batch is a run of its own — the shape a catalog night
+// loads in — and the runs, cut by the rollbacks, agree with the heap.  CI
+// runs it under -race three times.
+func TestKeyRunsTwoWriters(t *testing.T) {
+	const batches, batch = 60, 40
+	db := MustOpen(keyOracleSchema(t))
+	cols := []string{"a", "b", "s", "n", "f"}
+	var wg sync.WaitGroup
+	errs := make([]error, 2)
+	for w := range errs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			next := int64(w) * 1_000_000
+			for i := 0; i < batches && errs[w] == nil; i++ {
+				rows := make([][]Value, batch)
+				for j := range rows {
+					rows[j] = []Value{Int(next), Int(int64(w)), Str("x"), Null, Null}
+					next++
+				}
+				txn, err := db.Begin()
+				if err == nil {
+					_, err = txn.InsertBatch("t", cols, rows)
+				}
+				switch {
+				case err != nil:
+				case w == 1 && i%3 == 2:
+					err = txn.Rollback()
+					next -= batch
+				default:
+					_, err = txn.Commit()
+				}
+				errs[w] = err
+			}
+		}()
+	}
+	wg.Wait()
+	if err := errors.Join(errs...); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.VerifyPrimaryKeys(); err != nil {
+		t.Fatal(err)
+	}
+	tbl := db.Table("t")
+	tbl.mu.RLock()
+	defer tbl.mu.RUnlock()
+	var sc scratch
+	oracle := map[string]int64{}
+	tbl.scanRowsByID(func(id int64, v RowView) { oracle[EncodeKey(sc.keyOfView(v, tbl.pkCols))] = id })
+	checkKeyRuns(t, tbl.pk, oracle)
+	if want := (2*batches - batches/3) * batch; len(oracle) != want || tbl.pk.inRuns != want {
+		t.Fatalf("%d rows, %d of them in runs, want %d", len(oracle), tbl.pk.inRuns, want)
+	}
+	if runs := len(tbl.pk.runs); runs > 2*batches {
+		t.Fatalf("%d batches of %d keys left %d runs", 2*batches, batch, runs)
 	}
 }
