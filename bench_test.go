@@ -515,7 +515,7 @@ func BenchmarkDurableCommit(b *testing.B) {
 		next := int64(w+1) << 40
 		var pending *relstore.PendingCommit
 		for j := 0; j < txns; j++ {
-			txn, err := db.BeginBlocking()
+			txn, err := db.Begin()
 			if err != nil {
 				return err
 			}

@@ -167,8 +167,7 @@ func main() {
 
 	// Build a fresh environment (database + server) on the given scheduler.
 	buildEnv := func(sched exec.Scheduler) (*sqlbatch.Server, *relstore.DB) {
-		db, err := tuning.OpenRepository(indexPolicy,
-			relstore.WithConfig(relstore.DefaultConfig()), relstore.WithIndexPolicy(buildPolicy))
+		db, err := tuning.OpenRepository(indexPolicy, relstore.WithIndexPolicy(buildPolicy))
 		if err != nil {
 			fatal(err)
 		}

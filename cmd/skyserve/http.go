@@ -7,7 +7,6 @@ import (
 	"syscall"
 
 	"skyloader/internal/catalog"
-	"skyloader/internal/core"
 	"skyloader/internal/exec"
 	"skyloader/internal/httpserve"
 	"skyloader/internal/parallel"
@@ -22,11 +21,7 @@ func runHTTP(addr string, seed int64, prof tuning.Profile, files []*catalog.File
 	sched := exec.NewRealtime(exec.RealtimeConfig{Seed: seed})
 	load, qs, db := buildEnv(sched, prof, serveCfg)
 
-	loadRes, err := parallel.Run(load, files, parallel.Config{
-		Loaders:       loaders,
-		Loader:        core.Config{BatchSize: 40, ArraySize: 1000, ChargeStaging: true},
-		SealAfterLoad: prof.DeferredIndexBuild,
-	})
+	loadRes, err := parallel.Run(load, files, loadConfig(prof, loaders))
 	if err != nil {
 		fatal(err)
 	}

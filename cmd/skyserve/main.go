@@ -216,6 +216,15 @@ func buildEnv(sched exec.Scheduler, prof tuning.Profile, serveCfg serve.Config) 
 	return load, serve.NewServer(sched, db, serveCfg), db
 }
 
+// loadConfig is the cluster load both engines and the HTTP mode run.
+func loadConfig(prof tuning.Profile, loaders int) parallel.Config {
+	return parallel.Config{
+		Loaders:       loaders,
+		Loader:        core.DefaultConfig(),
+		SealAfterLoad: prof.DeferredIndexBuild,
+	}
+}
+
 // runOne executes one engine's run and returns the serve report and, in
 // mixed mode, the load result and ingest throughput (rows/s over the load
 // window).
@@ -228,11 +237,7 @@ func runOne(engine string, seed int64, prof tuning.Profile, files []*catalog.Fil
 		sched = exec.NewRealtime(exec.RealtimeConfig{Seed: seed})
 	}
 	load, qs, db := buildEnv(sched, prof, serveCfg)
-	loadCfg := parallel.Config{
-		Loaders:       loaders,
-		Loader:        core.Config{BatchSize: 40, ArraySize: 1000, ChargeStaging: true},
-		SealAfterLoad: prof.DeferredIndexBuild,
-	}
+	loadCfg := loadConfig(prof, loaders)
 
 	if mixed {
 		res, err := serve.RunMixed(load, files, loadCfg, qs, trace)

@@ -341,7 +341,7 @@ func buildOracle(files []*catalog.File) (*relstore.DB, error) {
 	srv := sqlbatch.NewServerOn(sched, db, prof.ServerConfig(), sqlbatch.DefaultCostModel())
 	_, err = parallel.Run(srv, files, parallel.Config{
 		Loaders:       1,
-		Loader:        core.Config{BatchSize: 40, ArraySize: 1000, ChargeStaging: true},
+		Loader:        core.DefaultConfig(),
 		SealAfterLoad: prof.DeferredIndexBuild,
 	})
 	if err != nil {

@@ -97,9 +97,10 @@
 //     fully determines the trace.  All §5 figures regenerate in this mode.
 //
 //   - Wall-clock mode (exec.NewRealtime): every loader is a real goroutine,
-//     resources block on FIFO condition queues, and the concurrent relstore
-//     engine (per-table locks, atomic counters, per-transaction scratch
-//     buffers, blocking admission) absorbs genuinely parallel writers.
+//     resources (the server's transaction slots among them) block on FIFO
+//     condition queues, and the concurrent relstore engine (per-table locks,
+//     atomic counters, per-transaction scratch buffers) absorbs genuinely
+//     parallel writers.
 //     `skyload -wallclock` and examples/wallclock_load report real elapsed
 //     time next to the virtual-time prediction.
 //
@@ -116,13 +117,13 @@
 // # Load policies and the Open options API
 //
 // The storage engine is constructed with relstore.Open(schema, ...Option).
-// Five options set one Config field each (WithMaxConcurrentTxns,
-// WithBTreeDegree, WithWALDir, WithCheckpointEvery, WithWALSegmentBytes),
-// WithConfig adopts a whole Config, and WithIndexPolicy and the test-only
-// WithFaultHook carry what Config does not hold.  The §4.5.5 data cache and
-// the §4.5.2 redo volume are the simulated server's, not the engine's:
-// sqlbatch.ServerConfig.CachePages sizes the one, and the other is derived
-// from the work each engine call reports.
+// Three options set one Config field each (WithWALDir, WithCheckpointEvery,
+// WithWALSegmentBytes), WithConfig adopts a whole Config, and WithIndexPolicy
+// and the test-only WithFaultHook carry what Config does not hold.  The §4.5.5
+// data cache, the §4.5.2 redo volume and the §5.4 transaction limit are the
+// simulated server's, not the engine's: sqlbatch.ServerConfig.CachePages and
+// TxnSlots size the first and the last, and the redo volume is derived from
+// the work each engine call reports.
 // PERFORMANCE.md ("Knob audit") lists who sets each one and what it measured;
 // relstore's TestConfigSurface pins the field set so a new knob is a visible
 // decision.

@@ -61,7 +61,7 @@ func main() {
 	// 3. Run the mixed scenario: 3 loader nodes race 800 queries.
 	res, err := serve.RunMixed(loadServer, files, parallel.Config{
 		Loaders: 3,
-		Loader:  core.Config{BatchSize: 40, ArraySize: 1000, ChargeStaging: true},
+		Loader:  core.DefaultConfig(),
 	}, queryServer, trace)
 	if err != nil {
 		log.Fatal(err)

@@ -27,7 +27,7 @@ import (
 func newRepo(t *testing.T, seed int64, policy tuning.IndexPolicy) *sqlbatch.Server {
 	t.Helper()
 	kernel := des.NewKernel(seed)
-	db, err := relstore.Open(catalog.NewSchema(), relstore.WithConfig(relstore.DefaultConfig()))
+	db, err := relstore.Open(catalog.NewSchema())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,9 +10,9 @@
 //
 // The package provides the building blocks used throughout this repository to
 // model the Palomar-Quest loading environment: loader processes on cluster
-// nodes, the database server's CPUs, its disks, its transaction-slot limit and
-// its lock manager are all expressed as processes and resources on a single
-// kernel, which makes every timed experiment deterministic and repeatable.
+// nodes, the database server's CPUs, its disks and its transaction-slot limit
+// are all expressed as processes and resources on a single kernel, which
+// makes every timed experiment deterministic and repeatable.
 package des
 
 import (

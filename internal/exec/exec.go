@@ -19,7 +19,7 @@
 //   - NewRealtime runs every worker as a plain goroutine with wall-clock
 //     timing and sync.Mutex/sync.Cond-backed resources.  Loaders really run
 //     in parallel, so a multi-core host shows genuine scaling, bounded by
-//     the same transaction-slot and lock-manager limits the paper ran into.
+//     the same transaction-slot limit the paper ran into.
 //
 // The contract shared by both: a worker must only be used by the goroutine
 // the scheduler started for it, Resource.Acquire blocks the calling worker

@@ -87,7 +87,7 @@ func NewEnv(opt EnvOptions) (*Env, error) {
 		opt.ServerConfig = sqlbatch.DefaultServerConfig()
 	}
 	kernel := des.NewKernel(opt.Seed)
-	db, err := tuning.OpenRepository(opt.IndexPolicy, relstore.WithConfig(relstore.DefaultConfig()))
+	db, err := tuning.OpenRepository(opt.IndexPolicy)
 	if err != nil {
 		return nil, err
 	}

@@ -132,11 +132,20 @@ func TestContractBadRequests(t *testing.T) {
 				PathCone + "?ra=1&dec=2",            // missing radius
 				PathCone + "?ra=1&dec=2&radius=200", // out of range
 				PathCone + "?ra=x&dec=2&radius=1",
+				PathCone + "?ra=1&dec=2&radius=NaN", // NaN passes a <= / > range test
+				PathCone + "?ra=NaN&dec=2&radius=1",
+				PathCone + "?ra=Inf&dec=2&radius=1",
+				PathCone + "?ra=1&dec=NaN&radius=1",
+				PathCone + "?ra=1&dec=91&radius=1",
+				PathCone + "?ra=1&dec=-Inf&radius=1",
 				PathObject,
 				PathObject + "?id=abc",
 				PathFrame + "?id=1.5",
 				PathMagHist + "?bin=-1",
 				PathMagHist + "?bin=wide",
+				PathMagHist + "?bin=NaN",
+				PathMagHist + "?bin=1e-300", // every mag/bin overflows the bin index
+				PathMagHist + "?bin=0.0009",
 				PathTraces + "?n=0",
 				PathTraces + "?n=many",
 			} {

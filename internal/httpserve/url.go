@@ -2,6 +2,7 @@ package httpserve
 
 import (
 	"fmt"
+	"math"
 	"net/url"
 	"strconv"
 
@@ -56,6 +57,9 @@ func parseQuery(path string, v url.Values) (queries.Query, error) {
 		if radius <= 0 || radius > 90 {
 			return nil, fmt.Errorf("radius %g out of range (0, 90]", radius)
 		}
+		if dec < -90 || dec > 90 {
+			return nil, fmt.Errorf("dec %g out of range [-90, 90]", dec)
+		}
 		return queries.Cone{RA: ra, Dec: dec, RadiusDeg: radius}, nil
 	case PathObject:
 		id, err := parseInt(v, "id")
@@ -74,8 +78,11 @@ func parseQuery(path string, v url.Values) (queries.Query, error) {
 		if err != nil {
 			return nil, err
 		}
-		if bin <= 0 || bin > 10 {
-			return nil, fmt.Errorf("bin %g out of range (0, 10]", bin)
+		// The schema checks keep |mag| <= 40, so a bin of at least 0.001 (the
+		// stored magnitude precision) numbers its bins within ±40,000, far
+		// inside int64; a tinier bin would overflow the bin index.
+		if bin < 0.001 || bin > 10 {
+			return nil, fmt.Errorf("bin %g out of range [0.001, 10]", bin)
 		}
 		return queries.MagHistogram{BinWidth: bin}, nil
 	}
@@ -87,8 +94,10 @@ func parseFloat(v url.Values, key string) (float64, error) {
 	if raw == "" {
 		return 0, fmt.Errorf("missing parameter %q", key)
 	}
+	// A non-finite value passes every range check after it (NaN compares
+	// false), so none is accepted.
 	x, err := strconv.ParseFloat(raw, 64)
-	if err != nil {
+	if err != nil || math.IsNaN(x) || math.IsInf(x, 0) {
 		return 0, fmt.Errorf("bad parameter %s=%q", key, raw)
 	}
 	return x, nil

@@ -155,16 +155,14 @@ func BenchmarkParallelLoadWallclock(b *testing.B) {
 // TestWallclockPipelinedCommitsAtAdmissionLimits: N loaders, each pipelining
 // its CommitEveryBatches commits (a started commit plus the transaction being
 // filled: two engine transactions per loader), against exactly N server
-// transaction slots and an engine limit of N concurrent transactions.  A
-// pending commit holds no slot of its own and a Begin the engine limit would
-// block retires it first, so the load completes — if either rule broke, every
-// loader would end up waiting for a slot only another waiting loader can
-// free.  Under -race this is also the concurrency test of the log pipeline
+// transaction slots.  A pending commit holds no slot of its own, so the load
+// completes — if it held one, every loader would end up waiting for a slot
+// only another waiting loader can free.  Under -race this is also the concurrency test of the log pipeline
 // beneath real loaders.
 func TestWallclockPipelinedCommitsAtAdmissionLimits(t *testing.T) {
 	for _, n := range []int{2, 4} {
 		t.Run(fmt.Sprintf("loaders=%d", n), func(t *testing.T) {
-			db, err := relstore.Open(catalog.NewSchema(), relstore.WithWALDir(t.TempDir()), relstore.WithMaxConcurrentTxns(n))
+			db, err := relstore.Open(catalog.NewSchema(), relstore.WithWALDir(t.TempDir()))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -108,7 +108,7 @@ func coneCoverDepth(radiusDeg float64) int { return htm.CoverDepth(radiusDeg) }
 // secondary-index builds.  Both paths apply the same exact-distance filter,
 // so for identical table contents they return byte-identical results.
 func ConeSearch(db *relstore.DB, raDeg, decDeg, radiusDeg float64) ([]Object, Stats, error) {
-	if radiusDeg <= 0 {
+	if !(radiusDeg > 0) {
 		return nil, Stats{}, fmt.Errorf("queries: radius must be positive, got %v", radiusDeg)
 	}
 	ts := db.Schema().Table(catalog.TObjects)
@@ -227,7 +227,7 @@ type MagnitudeBin struct {
 // MagnitudeHistogram bins the objects table by magnitude.  binWidth must be
 // positive; bins with no objects are omitted.
 func MagnitudeHistogram(db *relstore.DB, binWidth float64) ([]MagnitudeBin, error) {
-	if binWidth <= 0 {
+	if !(binWidth > 0) {
 		return nil, fmt.Errorf("queries: bin width must be positive, got %v", binWidth)
 	}
 	ts := db.Schema().Table(catalog.TObjects)

@@ -1,6 +1,7 @@
 package queries
 
 import (
+	"math"
 	"testing"
 
 	"skyloader/internal/catalog"
@@ -152,6 +153,9 @@ func TestConeSearchValidation(t *testing.T) {
 	if _, _, err := ConeSearch(db, 10, 10, -1); err == nil {
 		t.Fatal("negative radius should be rejected")
 	}
+	if _, _, err := ConeSearch(db, 10, 10, math.NaN()); err == nil {
+		t.Fatal("NaN radius should be rejected")
+	}
 }
 
 func TestObjectByID(t *testing.T) {
@@ -220,6 +224,9 @@ func TestMagnitudeHistogram(t *testing.T) {
 	}
 	if _, err := MagnitudeHistogram(db, 0); err == nil {
 		t.Fatal("zero bin width should be rejected")
+	}
+	if _, err := MagnitudeHistogram(db, math.NaN()); err == nil {
+		t.Fatal("NaN bin width should be rejected")
 	}
 }
 

@@ -66,8 +66,7 @@ func TestInsertAllocBudget(t *testing.T) {
 // TestTxnAllocBudget pins what a transaction costs beyond its rows.  On a warm
 // database with no WAL directory, Begin + a one-row InsertBatch + Commit
 // allocate 3: the Txn, its undo log's first record and the table list
-// settleEpochs builds at commit.  Admission is a set insert.  A
-// per-transaction map of row locks by table, with its bucket, made it 9; the
+// settleEpochs builds at commit.  A per-transaction map of row locks by table, with its bucket, made it 9; the
 // batch's column buffers taken from the heap and an errors.As on every
 // success made it 6.
 func TestTxnAllocBudget(t *testing.T) {

@@ -134,7 +134,7 @@ func keyShapeSchema(t testing.TB, shape string) *Schema {
 
 func batchPropertyDBOn(t *testing.T, schema *Schema, extra ...Option) *DB {
 	t.Helper()
-	opts := append([]Option{WithBTreeDegree(3)}, extra...)
+	opts := append([]Option{withBTreeDegree(3)}, extra...)
 	db := MustOpen(schema, opts...)
 	// ix_mag has a float key, ix_frame an integer one (both duplicate-heavy)
 	// and ix_frame_mag is a composite: one encoded-key sort serves all three.
@@ -447,8 +447,8 @@ func TestInsertBatchNullIndexKeys(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := MustOpen(schema, WithBTreeDegree(2))
-	got := MustOpen(schema, WithBTreeDegree(2))
+	ref := MustOpen(schema, withBTreeDegree(2))
+	got := MustOpen(schema, withBTreeDegree(2))
 	for _, db := range []*DB{ref, got} {
 		if _, err := db.CreateIndex("pts", "ix_grade", []string{"grade"}, false); err != nil {
 			t.Fatal(err)

@@ -87,8 +87,8 @@ func objRows(buf [][]Value, rng *rand.Rand, start int64) {
 }
 
 // BenchmarkInsertBatch compares the wall-clock cost per row of the per-row
-// transaction loop (one table-lock round trip, WAL append, lock-manager call
-// and index descent per row — what the DES cost model charges for) against
+// transaction loop (one table-lock round trip, WAL append and index descent
+// per row — what the DES cost model charges for) against
 // Txn.InsertBatch at batch size 1000 (each of those paid once per batch).
 // ns/row is a smoke figure; relstore.apply_ns_per_row in a traced `make perf`
 // run is the measured one.

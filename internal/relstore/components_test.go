@@ -35,33 +35,6 @@ func TestWAL(t *testing.T) {
 	}
 }
 
-func TestLockManagerAdmission(t *testing.T) {
-	m := NewLockManager(2)
-	if err := m.Admit(1); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Admit(1); err == nil {
-		t.Fatal("double admit should fail")
-	}
-	if err := m.Admit(2); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Admit(3); err != ErrTooManyTransactions {
-		t.Fatalf("expected ErrTooManyTransactions, got %v", err)
-	}
-	m.ReleaseAll(1)
-	if err := m.Admit(3); err != nil {
-		t.Fatalf("after release: %v", err)
-	}
-	if m.ActiveTxns() != 2 {
-		t.Fatalf("ActiveTxns = %d", m.ActiveTxns())
-	}
-	st := m.Stats()
-	if st.AdmissionFull != 1 || st.MaxConcurrency != 2 {
-		t.Fatalf("stats: %+v", st)
-	}
-}
-
 func TestHeapStorePaging(t *testing.T) {
 	h := newHeapStore([]Column{{Name: "blob", Type: TypeString}})
 	// Rows of ~1 KB should produce multiple 8 KB pages.

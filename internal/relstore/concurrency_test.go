@@ -10,9 +10,8 @@ import (
 // write path: many goroutines run their own transactions against the same
 // tables (including parent/child foreign-key probes), with interleaved
 // commits and rollbacks.  Run under -race this exercises the per-table locks,
-// the pooled per-goroutine scratch buffers, the lock manager and the WAL; the
-// assertions pin row counts, primary-key consistency and referential
-// integrity afterwards.
+// the pooled per-goroutine scratch buffers and the WAL; the assertions pin
+// row counts, primary-key consistency and referential integrity afterwards.
 func TestConcurrentInsertSharedTables(t *testing.T) {
 	const (
 		writers      = 8
@@ -20,7 +19,7 @@ func TestConcurrentInsertSharedTables(t *testing.T) {
 		rowsPerTxn   = 50
 		rollbackEach = 3 // every 3rd transaction rolls back
 	)
-	db, err := Open(testSchema(t), WithMaxConcurrentTxns(writers))
+	db, err := Open(testSchema(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +46,7 @@ func TestConcurrentInsertSharedTables(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for tx := 0; tx < txnsPerGor; tx++ {
-				txn, err := db.BeginBlocking()
+				txn, err := db.Begin()
 				if err != nil {
 					t.Errorf("writer %d: begin: %v", g, err)
 					return
@@ -193,6 +192,42 @@ func TestConcurrentReadersAndWriters(t *testing.T) {
 	}
 }
 
+// TestTxnIDsUniqueConcurrent begins transactions from many goroutines and
+// checks that no id is handed out twice.
+func TestTxnIDsUniqueConcurrent(t *testing.T) {
+	db, err := Open(testSchema(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	seen := make(map[int64]string)
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				txn, err := db.Begin()
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				mu.Lock()
+				who := fmt.Sprintf("g%d/%d", g, i)
+				if prev, dup := seen[txn.ID()]; dup {
+					t.Errorf("txn id %d handed to both %s and %s", txn.ID(), prev, who)
+				}
+				seen[txn.ID()] = who
+				mu.Unlock()
+				if err := txn.Rollback(); err != nil {
+					t.Errorf("rollback: %v", err)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
 // TestScratchPoolReuse sanity-checks that scratches cycle through the pool
 // without cross-transaction contamination of encoded keys.
 func TestScratchPoolReuse(t *testing.T) {
@@ -227,7 +262,7 @@ func TestScratchPoolReuse(t *testing.T) {
 func BenchmarkConcurrentInsert(b *testing.B) {
 	for _, writers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("writers=%d", writers), func(b *testing.B) {
-			db, err := Open(testSchema(b), WithMaxConcurrentTxns(writers))
+			db, err := Open(testSchema(b))
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -240,7 +275,7 @@ func BenchmarkConcurrentInsert(b *testing.B) {
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
-					txn, err := db.BeginBlocking()
+					txn, err := db.Begin()
 					if err != nil {
 						b.Error(err)
 						return

@@ -7,14 +7,11 @@ import (
 	"sync/atomic"
 )
 
-// Config controls engine-level knobs that the paper tunes in §4.5.
+// Config holds the engine's deployment settings: where and how the durable
+// log is kept.  The zero Config is an in-memory database with no log.  The
+// paper's §5.4 transaction limit is the sqlbatch server's
+// (ServerConfig.TxnSlots), not the engine's.
 type Config struct {
-	// MaxConcurrentTxns is the concurrent-transaction limit (the Oracle
-	// interested-transaction-list analogue); 0 means unlimited.  Exceeding it
-	// is what produces lock waits at high parallelism (§5.4).
-	MaxConcurrentTxns int
-	// BTreeDegree is the minimum degree of secondary-index B-trees.
-	BTreeDegree int
 	// WALDir, when non-empty, makes the WAL durable: records are persisted to
 	// segmented log files under this directory and syncs are real fsyncs.
 	// Empty (the default) means no log at all.  See WithWALDir.
@@ -27,22 +24,17 @@ type Config struct {
 	WALSegmentBytes int64
 }
 
-// DefaultConfig mirrors the production repository's loading configuration.
-func DefaultConfig() Config {
-	return Config{
-		MaxConcurrentTxns: 24,
-		BTreeDegree:       32,
-	}
-}
+// btreeDegree is the minimum degree of every secondary-index B-tree.
+const btreeDegree = 32
 
 // DB is an embedded relational database instance.
 //
 // Concurrency: the engine is safe for concurrent transactions on separate
-// goroutines.  The table set is immutable after Open; each Table carries its
-// own lock, the lock manager and the durable log carry theirs, and the
-// engine-wide counters are atomics, so writers to different tables proceed in
-// parallel and writers to the same table serialize only for the in-memory
-// critical section of the row store.
+// goroutines.  The table set is immutable after Open; each Table and the
+// durable log carry their own locks, and the engine-wide counters are
+// atomics, so writers to different tables proceed in parallel and writers to
+// the same table serialize only for the in-memory critical section of the
+// row store.
 type DB struct {
 	schema *Schema
 	cfg    Config
@@ -51,7 +43,6 @@ type DB struct {
 	indexPolicy IndexPolicy
 
 	tables map[string]*Table
-	locks  *LockManager
 	wal    *WAL
 
 	// loading marks the window between BeginLoad and Seal, during which
@@ -111,22 +102,22 @@ func open(schema *Schema, oc openConfig) (*DB, error) {
 		return nil, fmt.Errorf("relstore: nil schema")
 	}
 	cfg := oc.cfg
-	if cfg.BTreeDegree <= 0 {
-		cfg.BTreeDegree = DefaultConfig().BTreeDegree
+	degree := oc.btreeDegree
+	if degree <= 0 {
+		degree = btreeDegree
 	}
 	db := &DB{
 		schema:      schema,
 		cfg:         cfg,
 		indexPolicy: oc.indexPolicy,
 		tables:      make(map[string]*Table, schema.NumTables()),
-		locks:       NewLockManager(cfg.MaxConcurrentTxns),
 		wal:         new(WAL),
 	}
 	db.counters.violations = make(map[ConstraintKind]int64)
 	db.scratchPool.New = func() any { return new(scratch) }
 	db.faultHook = oc.faultHook
 	for i, ts := range schema.Tables() {
-		t, err := newTable(ts, cfg.BTreeDegree, &db.loading)
+		t, err := newTable(ts, degree, &db.loading)
 		if err != nil {
 			return nil, err
 		}

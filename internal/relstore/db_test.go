@@ -269,29 +269,6 @@ func TestTxnLifecycleErrors(t *testing.T) {
 	}
 }
 
-func TestConcurrentTxnLimit(t *testing.T) {
-	db, err := Open(testSchema(t), WithMaxConcurrentTxns(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	t1, err := db.Begin()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := db.Begin(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := db.Begin(); !errors.Is(err, ErrTooManyTransactions) {
-		t.Fatalf("third txn: %v", err)
-	}
-	if _, err := t1.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := db.Begin(); err != nil {
-		t.Fatalf("after release: %v", err)
-	}
-}
-
 func TestSecondaryIndexes(t *testing.T) {
 	db := newTestDB(t)
 	txn, _ := db.Begin()
@@ -505,7 +482,6 @@ func TestTotalsAndRowCounts(t *testing.T) {
 // (or a removed one) is a visible decision rather than a quiet diff.
 func TestConfigSurface(t *testing.T) {
 	want := []string{
-		"MaxConcurrentTxns", "BTreeDegree",
 		"WALDir", "CheckpointEveryBytes", "WALSegmentBytes",
 	}
 	var got []string

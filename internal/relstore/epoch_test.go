@@ -170,7 +170,7 @@ func TestSnapshotReadStability(t *testing.T) {
 // whenever a read reports stable, the row count it saw must equal a committed
 // transaction boundary (a multiple of the per-transaction batch).
 func TestSnapshotReadConcurrent(t *testing.T) {
-	db := MustOpen(epochSchema(t), WithMaxConcurrentTxns(16))
+	db := MustOpen(epochSchema(t))
 	const (
 		writers  = 4
 		txnsEach = 50
@@ -185,7 +185,7 @@ func TestSnapshotReadConcurrent(t *testing.T) {
 		go func() {
 			defer writerWG.Done()
 			for i := 0; i < txnsEach; i++ {
-				txn, err := db.BeginBlocking()
+				txn, err := db.Begin()
 				if err != nil {
 					t.Error(err)
 					return

@@ -106,12 +106,6 @@ func ViolationKind(err error) (kind ConstraintKind, ok bool) {
 // that has already committed or rolled back.
 var ErrTxnNotActive = errors.New("relstore: transaction is not active")
 
-// ErrTooManyTransactions is returned by Begin when the configured concurrent
-// transaction limit is exhausted; the sqlbatch server translates it into a
-// queued wait, mirroring the lock waits the paper observed at high degrees of
-// parallelism (§5.4).
-var ErrTooManyTransactions = errors.New("relstore: concurrent transaction limit reached")
-
 // ErrNoSuchTable is returned for operations on tables absent from the schema.
 var ErrNoSuchTable = errors.New("relstore: no such table")
 

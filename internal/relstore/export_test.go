@@ -5,6 +5,12 @@ import (
 	"unsafe"
 )
 
+// withBTreeDegree opens the database with B-trees of the given minimum degree
+// instead of the btreeDegree constant, so a few keys build a deep tree.
+func withBTreeDegree(degree int) Option {
+	return func(o *openConfig) { o.btreeDegree = degree }
+}
+
 // Test-only views of the key indexes for the external guard test
 // (keyindex_guard_test.go), which needs internal/catalog and so cannot live
 // in this package.

@@ -78,7 +78,7 @@ func indexSortBatches() [][][]Value {
 // openIndexSortDB opens the table with its four indexes under policy.
 func openIndexSortDB(t *testing.T, policy IndexPolicy) *DB {
 	t.Helper()
-	db := MustOpen(indexSortSchema(t), WithBTreeDegree(4))
+	db := MustOpen(indexSortSchema(t), withBTreeDegree(4))
 	for _, ix := range indexSortIndexes {
 		if _, err := db.CreateIndexWith("ev", ix.name, ix.cols, false, policy); err != nil {
 			t.Fatal(err)
@@ -176,7 +176,7 @@ func TestIndexSortCounters(t *testing.T) {
 
 	// A backfill runs the same rebuild; its report is read by rebuilding the
 	// backfilled index again over the unchanged table.
-	backfilled := MustOpen(indexSortSchema(t), WithBTreeDegree(4))
+	backfilled := MustOpen(indexSortSchema(t), withBTreeDegree(4))
 	loadIndexSortBatches(t, backfilled, batches)
 	bt := backfilled.Table("ev")
 	wantBackfill := []string{

@@ -55,6 +55,9 @@ type Option func(*openConfig)
 type openConfig struct {
 	cfg         Config
 	indexPolicy IndexPolicy
+	// btreeDegree overrides the B-tree degree for tests that want deep trees
+	// from few keys; 0 means the btreeDegree constant.
+	btreeDegree int
 	// faultHook is the test-only fault-injection hook (see WithFaultHook).
 	faultHook FaultHook
 	// recovering marks an open performed by Recover: the durable device is not
@@ -68,17 +71,6 @@ type openConfig struct {
 // options.
 func WithConfig(cfg Config) Option {
 	return func(o *openConfig) { o.cfg = cfg }
-}
-
-// WithMaxConcurrentTxns sets the concurrent-transaction limit; 0 means
-// unlimited.  Exceeding it produces lock waits at high parallelism (§5.4).
-func WithMaxConcurrentTxns(n int) Option {
-	return func(o *openConfig) { o.cfg.MaxConcurrentTxns = n }
-}
-
-// WithBTreeDegree sets the minimum degree of secondary-index B-trees.
-func WithBTreeDegree(degree int) Option {
-	return func(o *openConfig) { o.cfg.BTreeDegree = degree }
 }
 
 // WithIndexPolicy sets the default maintenance policy for indexes created by
@@ -118,7 +110,7 @@ func WithWALSegmentBytes(n int64) Option {
 }
 
 // Open creates a database for the given schema, configured by functional
-// options.  Zero-valued knobs fall back to DefaultConfig values.  Open is the
+// options; with none it is an in-memory database with no log.  Open is the
 // engine's constructor.
 func Open(schema *Schema, opts ...Option) (*DB, error) {
 	oc := openConfig{indexPolicy: IndexImmediate}

@@ -46,7 +46,7 @@ func (l *miniLoader) run() error {
 		return err
 	}
 	for j := 0; j < l.txns; j++ {
-		txn, err := l.db.BeginBlocking()
+		txn, err := l.db.Begin()
 		if err != nil {
 			return err
 		}

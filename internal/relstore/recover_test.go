@@ -530,7 +530,7 @@ func TestRecoverConcurrentCommitters(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for f := int64(0); f < 10; f++ {
-				txn, err := db.BeginBlocking()
+				txn, err := db.Begin()
 				if err != nil {
 					t.Error(err)
 					return
@@ -570,7 +570,7 @@ func TestInsertLogInIDOrder(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			txn, err := db.BeginBlocking()
+			txn, err := db.Begin()
 			if err != nil {
 				t.Error(err)
 				return
@@ -721,7 +721,7 @@ func TestCrashRecoverStress(t *testing.T) {
 				}()
 				for f := int64(0); f < 200; f++ {
 					id := int64(w)*10000 + f + 1
-					txn, err := db.BeginBlocking()
+					txn, err := db.Begin()
 					if err != nil {
 						return
 					}

@@ -159,11 +159,11 @@ func runSealWorkload(t *testing.T, db *DB, seed int64) {
 // workloads with mid-load rollbacks.
 func TestSealMatchesImmediate(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
-		imm := MustOpen(testSchema(t), WithBTreeDegree(3))
+		imm := MustOpen(testSchema(t), withBTreeDegree(3))
 		sealTestIndexes(t, imm, IndexImmediate)
 		runSealWorkload(t, imm, seed)
 
-		def := MustOpen(testSchema(t), WithBTreeDegree(3), WithIndexPolicy(IndexDeferred))
+		def := MustOpen(testSchema(t), withBTreeDegree(3), WithIndexPolicy(IndexDeferred))
 		sealTestIndexes(t, def, IndexDeferred)
 		if err := def.BeginLoad(); err != nil {
 			t.Fatal(err)
@@ -274,11 +274,11 @@ func TestSealAfterRollback(t *testing.T) {
 		}
 	}
 
-	imm := MustOpen(testSchema(t), WithBTreeDegree(2))
+	imm := MustOpen(testSchema(t), withBTreeDegree(2))
 	sealTestIndexes(t, imm, IndexImmediate)
 	runWorkload(imm)
 
-	def := MustOpen(testSchema(t), WithBTreeDegree(2))
+	def := MustOpen(testSchema(t), withBTreeDegree(2))
 	sealTestIndexes(t, def, IndexDeferred)
 	if err := def.BeginLoad(); err != nil {
 		t.Fatal(err)
@@ -305,11 +305,11 @@ func TestSealAfterRollback(t *testing.T) {
 // — iterates (key, row ids) exactly like one maintained from the first row,
 // and keeps doing so when inserts continue on the bulk-built tree.
 func TestCreateIndexBackfillMatchesMaintained(t *testing.T) {
-	maintained := MustOpen(testSchema(t), WithBTreeDegree(2))
+	maintained := MustOpen(testSchema(t), withBTreeDegree(2))
 	sealTestIndexes(t, maintained, IndexImmediate)
 	runSealWorkload(t, maintained, 5)
 
-	backfilled := MustOpen(testSchema(t), WithBTreeDegree(2))
+	backfilled := MustOpen(testSchema(t), withBTreeDegree(2))
 	runSealWorkload(t, backfilled, 5)
 	if objs := backfilled.Table("objects"); objs.nextRow == objs.RowCount() {
 		t.Fatal("workload left no id gaps; the test no longer covers them")

@@ -237,13 +237,13 @@ type Table struct {
 	pendingRows atomic.Int64
 }
 
-func newTable(schema *TableSchema, btreeDegree int, loading *atomic.Bool) (*Table, error) {
+func newTable(schema *TableSchema, degree int, loading *atomic.Bool) (*Table, error) {
 	t := &Table{
 		schema:      schema,
 		heap:        newHeapStore(schema.Columns),
 		indexes:     make(map[string]*Index),
 		indexList:   []*Index{},
-		btreeDegree: btreeDegree,
+		btreeDegree: degree,
 		loading:     loading,
 	}
 	for _, c := range schema.PrimaryKey {

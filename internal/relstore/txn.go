@@ -34,44 +34,18 @@ type undoRecord struct {
 	n     int64
 }
 
-// Begin starts a new transaction.  It returns ErrTooManyTransactions when the
-// engine's concurrent-transaction limit is reached; the caller is expected to
-// wait and retry (the sqlbatch server queues on a transaction-slot resource).
+// Begin starts a new transaction.  The engine admits any number of them; the
+// sqlbatch server's transaction slots are the one concurrency limit.
 //
 // Transaction ids are allocated monotonically from an atomic counter and are
-// never reused: an id consumed by a failed admission is simply skipped, so
-// two transactions can never share an id even across admission failures or
+// never reused, so two transactions can never share an id even across
 // concurrent Begin calls.
 func (db *DB) Begin() (*Txn, error) {
 	if db.recovering.Load() {
 		return nil, ErrRecovering
 	}
-	id := db.nextTxn.Add(1)
-	if err := db.locks.Admit(id); err != nil {
-		return nil, err
-	}
-	return db.newTxn(id), nil
-}
-
-// BeginBlocking is Begin for real-concurrency callers: when the engine's
-// concurrent-transaction limit is reached it blocks the calling goroutine
-// until a slot frees up instead of returning ErrTooManyTransactions.  It must
-// not be used from discrete-event simulation processes (blocking a DES
-// process goroutine outside the kernel would stall the virtual clock).
-func (db *DB) BeginBlocking() (*Txn, error) {
-	if db.recovering.Load() {
-		return nil, ErrRecovering
-	}
-	id := db.nextTxn.Add(1)
-	if err := db.locks.AdmitWait(id); err != nil {
-		return nil, err
-	}
-	return db.newTxn(id), nil
-}
-
-func (db *DB) newTxn(id int64) *Txn {
 	db.counters.transactions.Add(1)
-	return &Txn{db: db, id: id, active: true, sc: db.scratchPool.Get().(*scratch)}
+	return &Txn{db: db, id: db.nextTxn.Add(1), active: true, sc: db.scratchPool.Get().(*scratch)}, nil
 }
 
 // end releases the transaction's scratch and marks it inactive.
@@ -142,10 +116,7 @@ func (t *Txn) Commit() (CommitReport, error) {
 // begin and fill its next transaction meanwhile.  Nothing is acknowledged
 // until Wait returns nil.  Until then the transaction accepts no more work
 // but is otherwise exactly a transaction inside Commit: its rows stay pending
-// (readers, SnapshotRead and Checkpoint treat them as uncommitted) and it
-// keeps its admission slot — a caller working under
-// WithMaxConcurrentTxns must be ready to Wait before a Begin that would
-// block.
+// (readers, SnapshotRead and Checkpoint treat them as uncommitted).
 //
 // The returned commit is already settled — Settled reports it, Wait returns
 // at once — when there is nothing to overlap or overlapping would cost a
@@ -247,12 +218,11 @@ func (pc *PendingCommit) flushAsync() {
 func (pc *PendingCommit) Settled() bool { return pc.settled }
 
 // Wait is the second half of a commit: it returns once the commit marker is
-// durable and the commit is settled — the rows
-// committed for readers, the admission slot released, an automatic
-// checkpoint taken if one is due.  A nil error is the acknowledgement.  If
-// the log could not be made durable the transaction is rolled back and the
-// device's error returned; the device stays failed.  Wait may be called
-// again and returns the same result.
+// durable and the commit is settled — the rows committed for readers, an
+// automatic checkpoint taken if one is due.  A nil error is the
+// acknowledgement.  If the log could not be made durable the transaction is
+// rolled back and the device's error returned; the device stays failed.  Wait
+// may be called again and returns the same result.
 func (pc *PendingCommit) Wait() (CommitReport, error) {
 	if pc.settled {
 		return pc.rep, pc.err
@@ -279,13 +249,12 @@ func (pc *PendingCommit) Wait() (CommitReport, error) {
 	return pc.rep, nil
 }
 
-// finishCommit performs the engine-side half of a commit — epoch settling,
-// admission release, counters — once the commit marker is appended and, with
-// a durable log, on disk.  It ends the transaction.
+// finishCommit performs the engine-side half of a commit — epoch settling and
+// counters — once the commit marker is appended and, with a durable log, on
+// disk.  It ends the transaction.
 func (t *Txn) finishCommit() CommitReport {
 	rep := CommitReport{UndoRecordsDiscarded: len(t.undo)}
 	t.settleEpochs()
-	t.db.locks.ReleaseAll(t.id)
 	t.db.counters.commits.Add(1)
 	t.end()
 	return rep
@@ -365,7 +334,6 @@ func (t *Txn) rollback() {
 		}
 	}
 	t.settleEpochs()
-	t.db.locks.ReleaseAll(t.id)
 	t.db.counters.rollbacks.Add(1)
 	t.end()
 }

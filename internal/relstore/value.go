@@ -5,11 +5,11 @@
 // The original system loaded the Palomar-Quest catalog into an Oracle 10g
 // server.  relstore stands in for that server: it provides typed tables with
 // primary-key, foreign-key, unique, not-null and check constraints, page-based
-// heap storage, B-tree secondary indexes, a concurrent-transaction limit and
-// undo/redo logging.  Every operation reports the physical work it performed
-// (pages written, index nodes visited, log bytes written, ...) so that the
-// sqlbatch layer, which models the server's data cache and lock waits, can
-// charge realistic virtual time for it in the discrete-event simulation.
+// heap storage, B-tree secondary indexes and undo/redo logging.  Every
+// operation reports the physical work it performed (pages written, index
+// nodes visited, log bytes written, ...) so that the sqlbatch layer, which
+// models the server's data cache, transaction slots and lock waits, can charge
+// realistic virtual time for it in the discrete-event simulation.
 package relstore
 
 import (

@@ -41,7 +41,7 @@ import (
 // engine's documented dirty-read behaviour and exactly why only
 // SnapshotRead-stable results are cacheable.)
 func TestRaceCacheNeverServesUncommittedRows(t *testing.T) {
-	db := relstore.MustOpen(catalog.NewSchema(), relstore.WithMaxConcurrentTxns(32))
+	db := relstore.MustOpen(catalog.NewSchema())
 	setup, err := db.Begin()
 	if err != nil {
 		t.Fatal(err)
@@ -99,7 +99,7 @@ func TestRaceCacheNeverServesUncommittedRows(t *testing.T) {
 				// A pause between transactions leaves windows with none in
 				// flight, where reads are stable and the cache fills.
 				time.Sleep(time.Duration(wr+1) * 300 * time.Microsecond)
-				txn, err := db.BeginBlocking()
+				txn, err := db.Begin()
 				if err != nil {
 					t.Error(err)
 					return

@@ -35,7 +35,7 @@ type AgentConfig struct {
 func DefaultAgentConfig() AgentConfig {
 	return AgentConfig{
 		Profile: tuning.ProductionLoading(),
-		Loader:  core.Config{BatchSize: 40, ArraySize: 1000, ChargeStaging: true},
+		Loader:  core.DefaultConfig(),
 		Cost:    serve.DefaultCostModel(),
 	}
 }

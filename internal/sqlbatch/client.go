@@ -85,10 +85,7 @@ func (c *Conn) InTransaction() bool { return c.txn != nil && c.txn.Active() }
 // A connection whose last commit is still pending (CommitStart) takes no
 // second slot: a pending commit holds none of its own, the connection's slot
 // passes to the transaction begun here, so N pipelining connections need N
-// slots, not 2N, and cannot deadlock on them.  The engine's own limit
-// (relstore.WithMaxConcurrentTxns) does count the pending transaction until
-// it retires; a Begin that limit would block retires the pending commit
-// first.
+// slots, not 2N, and cannot deadlock on them.
 func (c *Conn) Begin() error {
 	if c.closed {
 		return fmt.Errorf("sqlbatch: connection closed")
@@ -96,20 +93,13 @@ func (c *Conn) Begin() error {
 	if c.InTransaction() {
 		return fmt.Errorf("sqlbatch: transaction already active")
 	}
+	var txn *relstore.Txn
+	var err error
 	if c.pending != nil {
-		txn, err := c.server.db.Begin()
-		if err == nil {
-			c.txn = txn
-			return nil
-		}
-		if !errors.Is(err, relstore.ErrTooManyTransactions) {
-			return err
-		}
-		if err := c.Retire(); err != nil {
-			return err
-		}
+		txn, err = c.server.db.Begin()
+	} else {
+		txn, err = c.server.begin(c.worker)
 	}
-	txn, err := c.server.begin(c.worker)
 	if err != nil {
 		return err
 	}

@@ -158,35 +158,6 @@ func TestPipelinedConnHoldsOneSlotAndOnePending(t *testing.T) {
 	}
 }
 
-// TestBeginRetiresAtTheEngineLimit: the engine's own limit counts a pending
-// transaction until it retires, so with WithMaxConcurrentTxns(1) the Begin
-// after CommitStart cannot be admitted beside it — it retires the pending
-// commit first rather than wait for a slot only it can free.
-func TestBeginRetiresAtTheEngineLimit(t *testing.T) {
-	srv := durableServer(t, ServerConfig{}, relstore.WithMaxConcurrentTxns(1))
-	onWorker(srv, func(conn *Conn) {
-		for id := int64(1); id <= 3; id++ {
-			if err := conn.Begin(); err != nil {
-				t.Error(err)
-				return
-			}
-			if conn.pending != nil {
-				t.Error("Begin at the engine limit left the pending commit unretired")
-			}
-			insertObs(t, conn, id)
-			if err := conn.CommitStart(); err != nil {
-				t.Error(err)
-			}
-		}
-		if err := conn.Close(); err != nil {
-			t.Error(err)
-		}
-		if conn.Stats().Commits != 3 {
-			t.Errorf("commits = %d, want 3", conn.Stats().Commits)
-		}
-	})
-}
-
 // TestFailedLogIsNotASkippedRow: a log device that has failed makes the call
 // itself fail — a loader must not take it for a constraint violation and
 // skip its way through the rest of the night.

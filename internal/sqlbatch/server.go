@@ -208,18 +208,11 @@ func (s *Server) ConnectWorker(w exec.Worker) *Conn {
 }
 
 // begin admits a new transaction, queueing on the transaction-slot resource
-// when the server is at its concurrency limit.  In wall-clock mode a further
-// engine-level admission limit (MaxConcurrentTxns below TxnSlots) blocks the
-// goroutine for real instead of failing.
+// when the server is at its concurrency limit (§5.4) — the one limit on
+// concurrent transactions: the engine admits any number.
 func (s *Server) begin(w exec.Worker) (*relstore.Txn, error) {
 	s.txnSlots.Acquire(w, 1)
-	var txn *relstore.Txn
-	var err error
-	if s.sched.Deterministic() {
-		txn, err = s.db.Begin()
-	} else {
-		txn, err = s.db.BeginBlocking()
-	}
+	txn, err := s.db.Begin()
 	if err != nil {
 		s.txnSlots.Release(w, 1)
 		return nil, err

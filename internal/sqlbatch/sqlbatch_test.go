@@ -2,11 +2,13 @@ package sqlbatch
 
 import (
 	"errors"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"skyloader/internal/catalog"
 	"skyloader/internal/des"
+	"skyloader/internal/exec"
 	"skyloader/internal/relstore"
 )
 
@@ -226,26 +228,56 @@ func TestExecuteSingle(t *testing.T) {
 	}
 }
 
+// TestTxnSlotQueueing: with one transaction slot, a second connection's Begin
+// waits until the first connection commits — in virtual time under DES, as a
+// real goroutine blocked in Begin under realtime.  The slots are the one limit
+// on concurrent transactions; the engine admits any number.
 func TestTxnSlotQueueing(t *testing.T) {
-	k, srv := newTestServer(t, ServerConfig{CPUs: 8, TxnSlots: 1})
-	var secondBegan time.Duration
-	k.Spawn("first", func(p *des.Proc) {
-		conn := srv.Connect(p)
+	for _, tc := range []struct {
+		name  string
+		sched func() exec.Scheduler
+	}{
+		{"des", func() exec.Scheduler { return exec.NewDES(des.NewKernel(1)) }},
+		// A thousandth of the cost model's time: the first connection holds
+		// its slot for 10 ms of wall clock.
+		{"realtime", func() exec.Scheduler { return exec.NewRealtime(exec.RealtimeConfig{Seed: 1, TimeScale: 1e-3}) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) { testTxnSlotQueueing(t, tc.sched()) })
+	}
+}
+
+func testTxnSlotQueueing(t *testing.T, sched exec.Scheduler) {
+	srv := NewServerOn(sched, seededDB(t), ServerConfig{CPUs: 8, TxnSlots: 1}, DefaultCostModel())
+	var firstCommits, secondBegan atomic.Int64
+	sched.Spawn("first", func(w exec.Worker) {
+		conn := srv.ConnectWorker(w)
 		defer conn.Close()
-		_ = conn.Begin()
-		p.Hold(10 * time.Second)
+		if err := conn.Begin(); err != nil {
+			t.Error(err)
+			return
+		}
+		// The second connection starts only once this one holds the slot.
+		sched.Spawn("second", func(w exec.Worker) {
+			conn := srv.ConnectWorker(w)
+			defer conn.Close()
+			if err := conn.Begin(); err != nil {
+				t.Error(err)
+				return
+			}
+			secondBegan.Store(int64(w.Now()))
+			_ = conn.Commit()
+		})
+		w.Sleep(10 * time.Second)
+		firstCommits.Store(int64(w.Now()))
 		_ = conn.Commit()
 	})
-	k.Spawn("second", func(p *des.Proc) {
-		conn := srv.Connect(p)
-		defer conn.Close()
-		_ = conn.Begin()
-		secondBegan = p.Now()
-		_ = conn.Commit()
-	})
-	k.Run()
-	if secondBegan < 10*time.Second {
-		t.Fatalf("second transaction admitted at %v, want after the first commits", secondBegan)
+	sched.Run()
+	if secondBegan.Load() < firstCommits.Load() {
+		t.Fatalf("second transaction admitted at %v, before the first commits at %v",
+			time.Duration(secondBegan.Load()), time.Duration(firstCommits.Load()))
+	}
+	if st := srv.DB().Stats(); st.Commits != 3 {
+		t.Fatalf("engine commits = %d, want 3 (seed + both connections)", st.Commits)
 	}
 }
 

@@ -191,10 +191,10 @@ func QueryServing() Profile {
 }
 
 // DBConfig returns the relstore configuration implied by the profile: the
-// engine defaults, since the profile's data cache belongs to the simulated
-// server (ServerConfig).
+// zero Config (in memory, no log), since the profile's data cache and
+// transaction slots belong to the simulated server (ServerConfig).
 func (p Profile) DBConfig() relstore.Config {
-	return relstore.DefaultConfig()
+	return relstore.Config{}
 }
 
 // BuildPolicy returns the engine index maintenance policy the profile

@@ -170,14 +170,14 @@ func TestOpenRepository(t *testing.T) {
 	if _, err := ProfileByName("nope"); err == nil {
 		t.Fatal("unknown profile name accepted")
 	}
-	pdb, err := prof.Open(relstore.WithBTreeDegree(16))
+	pdb, err := prof.Open(relstore.WithWALSegmentBytes(1 << 20))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := indexNames(pdb); len(got) != 1 || got[0] != HTMIDIndexName {
 		t.Fatalf("production profile indices = %v", got)
 	}
-	if cfg := pdb.Config(); cfg.MaxConcurrentTxns != prof.DBConfig().MaxConcurrentTxns || cfg.BTreeDegree != 16 {
-		t.Fatalf("config = %+v: want the profile's transaction limit and the extra option's B-tree degree", cfg)
+	if cfg := pdb.Config(); cfg != (relstore.Config{WALSegmentBytes: 1 << 20}) {
+		t.Fatalf("config = %+v: want the profile's zero Config with the extra option's segment size", cfg)
 	}
 }
