@@ -66,7 +66,6 @@ func main() {
 		provenance = flag.Bool("provenance", false, "record load_runs/load_errors provenance rows")
 		verbose    = flag.Bool("v", false, "print per-table row counts and skipped-row details")
 		wallclock  = flag.Bool("wallclock", false, "run loaders as real goroutines and report real elapsed time")
-		timescale  = flag.Float64("timescale", 0, "with -wallclock: multiply simulated service costs into real sleeps (0 = skip them)")
 
 		crash = flag.Bool("crash", false, "run the kill/recover durability scenario: WAL-backed load killed at a random append (derived from -seed), recovered, resumed, and verified byte-identical to an uninterrupted run")
 	)
@@ -120,7 +119,6 @@ func main() {
 			ArraySize:          *array,
 			CommitEveryBatches: *commit,
 			RecordProvenance:   *provenance,
-			ChargeStaging:      true,
 		}
 		if loaderCfg.CommitEveryBatches == 0 {
 			loaderCfg.CommitEveryBatches = prof.CommitEveryBatches
@@ -187,7 +185,7 @@ func main() {
 	}
 
 	// The real run: loader goroutines against the concurrent engine.
-	rtServer, rtDB := buildEnv(exec.NewRealtime(exec.RealtimeConfig{Seed: *seed, TimeScale: *timescale}))
+	rtServer, rtDB := buildEnv(exec.NewRealtime(exec.RealtimeConfig{Seed: *seed}))
 	rtRes, err := parallel.Run(rtServer, files, clusterCfg)
 	if err != nil {
 		fatal(err)

@@ -34,7 +34,7 @@ func TestNonBulkLoadsEverything(t *testing.T) {
 	srv.Kernel().Spawn("nonbulk", func(p *des.Proc) {
 		conn := srv.Connect(p)
 		defer conn.Close()
-		l := NewNonBulkLoader(conn, NonBulkConfig{ChargeStaging: true})
+		l := NewNonBulkLoader(conn, NonBulkConfig{})
 		var err error
 		stats, err = l.LoadFiles([]*catalog.File{file})
 		if err != nil {

@@ -15,8 +15,6 @@ import (
 type NonBulkConfig struct {
 	// CommitEveryRows commits after every N rows; 0 commits at end of file.
 	CommitEveryRows int
-	// ChargeStaging charges mass-storage staging time per file.
-	ChargeStaging bool
 	// LoaderNode identifies the loader for statistics.
 	LoaderNode int
 }
@@ -78,9 +76,7 @@ func (l *NonBulkLoader) LoadFile(f *catalog.File) error {
 	l.currentFile = f.Name
 	l.stats.Files++
 	l.stats.NominalBytes += f.NominalBytes
-	if l.cfg.ChargeStaging {
-		l.conn.ChargeClientCPU(l.cost.StagingTime(f.NominalBytes))
-	}
+	l.conn.ChargeClientCPU(l.cost.StagingTime(f.NominalBytes))
 	if !l.conn.InTransaction() {
 		if err := l.conn.Begin(); err != nil {
 			return fmt.Errorf("baseline: begin transaction: %w", err)

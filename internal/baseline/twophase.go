@@ -21,8 +21,6 @@ type TwoPhaseConfig struct {
 	// TaskDBMaxMB caps the nominal volume loaded into one task database
 	// before it is published (SDSS used 20-30 GB task DBs; scaled here).
 	TaskDBMaxMB float64
-	// ChargeStaging charges mass-storage staging time per file.
-	ChargeStaging bool
 	// ValidationRowCost is the per-row cost of the separate validation pass
 	// over the task database.
 	ValidationRowCost time.Duration
@@ -36,7 +34,6 @@ func DefaultTwoPhaseConfig() TwoPhaseConfig {
 	return TwoPhaseConfig{
 		BatchSize:         40,
 		TaskDBMaxMB:       400,
-		ChargeStaging:     true,
 		ValidationRowCost: 500 * time.Microsecond,
 		ConvertRowCost:    250 * time.Microsecond,
 	}
@@ -147,9 +144,7 @@ func (l *TwoPhaseLoader) LoadFiles(files []*catalog.File) (core.Stats, error) {
 func (l *TwoPhaseLoader) loadIntoTask(f *catalog.File) error {
 	l.stats.Files++
 	l.stats.NominalBytes += f.NominalBytes
-	if l.cfg.ChargeStaging {
-		l.conn.ChargeClientCPU(l.cost.StagingTime(f.NominalBytes))
-	}
+	l.conn.ChargeClientCPU(l.cost.StagingTime(f.NominalBytes))
 	txn, err := l.task.Begin()
 	if err != nil {
 		return fmt.Errorf("baseline: task db begin: %w", err)

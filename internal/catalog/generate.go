@@ -34,11 +34,6 @@ type GenSpec struct {
 	// RunID is the observing run the observation belongs to (a foreign key
 	// into the seeded observing_runs table); 0 leaves it NULL.
 	RunID int64
-	// CCDsPerFile is the number of CCD columns in the file (the real
-	// pipeline wrote 4 CCDs per catalog file); default 4.
-	CCDsPerFile int
-	// ObjectsPerFrame is the mean number of objects per frame; default 12.
-	ObjectsPerFrame int
 	// Unsorted, when true, emits child rows before their parents within
 	// each frame group (violating the presorting of §4.5.4); used by the
 	// ablation studies.
@@ -49,17 +44,19 @@ func (s GenSpec) withDefaults() GenSpec {
 	if s.RowsPerMB <= 0 {
 		s.RowsPerMB = 100
 	}
-	if s.CCDsPerFile <= 0 {
-		s.CCDsPerFile = 4
-	}
-	if s.ObjectsPerFrame <= 0 {
-		s.ObjectsPerFrame = 12
-	}
 	if s.Name == "" {
 		s.Name = fmt.Sprintf("catalog_%d_%04.0fMB.cat", s.Seed, s.SizeMB)
 	}
 	return s
 }
+
+const (
+	// ccdsPerFile is the number of CCD columns in a file (the real pipeline
+	// wrote 4 CCDs per catalog file).
+	ccdsPerFile = 4
+	// objectsPerFrame is the mean number of objects per frame.
+	objectsPerFrame = 12
+)
 
 // ErrorKind labels the kinds of corruption the generator injects.
 type ErrorKind string
@@ -198,9 +195,9 @@ func (g *generator) run() {
 		f2s(g.raBase, 6), f2s(g.raBase+2.3, 6), f2s(g.decBase, 6), f2s(g.decBase+0.7, 6))
 
 	// CCD columns for this file.
-	ccdIDs := make([]int64, spec.CCDsPerFile)
-	ccdNums := make([]int64, spec.CCDsPerFile)
-	for i := 0; i < spec.CCDsPerFile; i++ {
+	ccdIDs := make([]int64, ccdsPerFile)
+	ccdNums := make([]int64, ccdsPerFile)
+	for i := 0; i < ccdsPerFile; i++ {
 		ccdIDs[i] = g.id(TagCCD)
 		ccdNums[i] = int64(1 + g.rng.Intn(NumCCDsPerInstrument))
 		g.emit(TagCCD, i2s(ccdIDs[i]), i2s(g.obsID), i2s(ccdNums[i]), i2s(ccdNums[i]),
@@ -214,7 +211,7 @@ func (g *generator) run() {
 	frameNumber := int64(0)
 	for g.file.DataRows < targetRows {
 		g.generateFrame(ccdIDs[ccd], frameNumber)
-		ccd = (ccd + 1) % spec.CCDsPerFile
+		ccd = (ccd + 1) % ccdsPerFile
 		frameNumber++
 	}
 }
@@ -278,8 +275,7 @@ type pendingRec struct {
 
 // objectBlocks builds the object rows (and their children) for one frame.
 func (g *generator) objectBlocks(frameID int64, frameRA, frameDec float64) [][]pendingRec {
-	spec := g.spec
-	n := spec.ObjectsPerFrame/2 + g.rng.Intn(spec.ObjectsPerFrame)
+	n := objectsPerFrame/2 + g.rng.Intn(objectsPerFrame)
 	blocks := make([][]pendingRec, 0, n)
 	for i := 0; i < n; i++ {
 		objID := g.id(TagOBJ)

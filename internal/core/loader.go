@@ -38,9 +38,6 @@ type Config struct {
 	// LoaderNode identifies the cluster node running this loader in
 	// provenance records and statistics.
 	LoaderNode int
-	// ChargeStaging, when true, charges the time to stage each catalog file
-	// from mass storage before parsing it.
-	ChargeStaging bool
 	// SealAfterLoad, when true, closes the engine's load phase at the end of
 	// LoadFiles: deferred-policy indexes are bulk-rebuilt (DB.Seal) through
 	// this loader's connection and the build time lands in Stats.SealTime
@@ -54,9 +51,8 @@ type Config struct {
 // array 1000, commit at end of file).
 func DefaultConfig() Config {
 	return Config{
-		BatchSize:     40,
-		ArraySize:     1000,
-		ChargeStaging: true,
+		BatchSize: 40,
+		ArraySize: 1000,
 	}
 }
 
@@ -260,9 +256,8 @@ func (l *Loader) LoadFile(f *catalog.File) error {
 	l.stats.Files++
 	l.stats.NominalBytes += f.NominalBytes
 
-	if l.cfg.ChargeStaging {
-		l.conn.ChargeClientCPU(l.cost.StagingTime(f.NominalBytes))
-	}
+	// Stage the file from mass storage before parsing it.
+	l.conn.ChargeClientCPU(l.cost.StagingTime(f.NominalBytes))
 
 	if !l.conn.InTransaction() {
 		if err := l.conn.Begin(); err != nil {

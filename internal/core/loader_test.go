@@ -354,7 +354,7 @@ func TestConfigDefaults(t *testing.T) {
 		t.Fatalf("defaults: %+v", cfg)
 	}
 	d := DefaultConfig()
-	if d.BatchSize != 40 || d.ArraySize != 1000 || !d.ChargeStaging {
+	if d.BatchSize != 40 || d.ArraySize != 1000 {
 		t.Fatalf("DefaultConfig: %+v", d)
 	}
 }

@@ -43,9 +43,8 @@ type Worker interface {
 	// Name returns the name given at spawn time.
 	Name() string
 	// Sleep advances the worker's clock by d: in DES mode the worker parks
-	// while virtual time passes; in realtime mode it sleeps for d scaled by
-	// the runtime's time-scale factor (zero by default, so simulated service
-	// costs do not slow a real load down).
+	// while virtual time passes; in realtime mode it returns at once, so
+	// simulated service costs do not slow a real load down.
 	Sleep(d time.Duration)
 }
 
@@ -98,7 +97,8 @@ type Scheduler interface {
 	// the kernel's single-runner discipline; in realtime mode it runs on its
 	// own goroutine immediately.
 	Spawn(name string, fn func(Worker))
-	// SpawnAt starts a new worker after delay d.
+	// SpawnAt starts a new worker after delay d: virtual time in DES mode,
+	// a real delay from the call in realtime mode.
 	SpawnAt(d time.Duration, name string, fn func(Worker))
 	// NewResource creates a resource with the given capacity.
 	NewResource(name string, capacity int) Resource

@@ -188,22 +188,27 @@ func TestRealtimeRandConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
-// TestRealtimeTimeScale verifies Sleep is a no-op at scale 0 and real at 1.
-func TestRealtimeTimeScale(t *testing.T) {
+// TestRealtimeSpawnAt: a realtime SpawnAt(d) worker starts no earlier than d
+// of wall clock after the call, the meaning DES gives d in virtual time, and
+// Worker.Sleep returns at once (simulated service costs are skipped).
+func TestRealtimeSpawnAt(t *testing.T) {
+	const delay = 30 * time.Millisecond
 	rt := NewRealtime(RealtimeConfig{})
+	time.Sleep(delay) // the delay counts from SpawnAt, not from NewRealtime
+	var startedAfter, slept time.Duration
 	start := time.Now()
-	rt.Spawn("w", func(w Worker) { w.Sleep(10 * time.Second) })
+	rt.SpawnAt(delay, "late", func(w Worker) {
+		startedAfter = time.Since(start)
+		s := time.Now()
+		w.Sleep(10 * time.Second)
+		slept = time.Since(s)
+	})
 	rt.Run()
-	if el := time.Since(start); el > time.Second {
-		t.Fatalf("Sleep with TimeScale 0 actually slept (%s)", el)
+	if startedAfter < delay {
+		t.Fatalf("SpawnAt(%s) worker started after %s", delay, startedAfter)
 	}
-
-	rt2 := NewRealtime(RealtimeConfig{TimeScale: 1})
-	start = time.Now()
-	rt2.Spawn("w", func(w Worker) { w.Sleep(20 * time.Millisecond) })
-	rt2.Run()
-	if el := time.Since(start); el < 20*time.Millisecond {
-		t.Fatalf("Sleep with TimeScale 1 returned too early (%s)", el)
+	if slept > time.Second {
+		t.Fatalf("Sleep(10s) on the realtime engine took %s", slept)
 	}
 }
 

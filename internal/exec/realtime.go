@@ -13,20 +13,14 @@ type RealtimeConfig struct {
 	// is mutex-guarded; with goroutines racing for it the draw *sequence* is
 	// not reproducible, only the distribution.
 	Seed int64
-	// TimeScale multiplies Worker.Sleep durations into real sleeps.  The
-	// default of 0 makes Sleep a no-op: simulated service costs (the DES cost
-	// model) are skipped entirely and a load runs as fast as the hardware
-	// allows, which is what -wallclock mode measures.  Set it to 1.0 to pace
-	// a real run at the cost model's predicted speed, or to e.g. 0.001 to
-	// compress predicted time a thousandfold.
-	TimeScale float64
 }
 
 // Realtime is the goroutine-backed Scheduler: every spawned worker is a real
 // goroutine, the clock is the wall clock, and resources block on
-// sync.Cond-style FIFO queues.  It implements Scheduler.
+// sync.Cond-style FIFO queues.  Worker.Sleep is a no-op: simulated service
+// costs (the DES cost model) are skipped, so a load runs as fast as the
+// hardware allows.  It implements Scheduler.
 type Realtime struct {
-	cfg   RealtimeConfig
 	start time.Time
 	wg    sync.WaitGroup
 
@@ -41,7 +35,6 @@ func NewRealtime(cfg RealtimeConfig) *Realtime {
 		seed = 1
 	}
 	return &Realtime{
-		cfg:   cfg,
 		start: time.Now(),
 		rng:   rand.New(rand.NewSource(seed)),
 	}
@@ -53,15 +46,14 @@ func (rt *Realtime) Now() time.Duration { return time.Since(rt.start) }
 // Spawn starts fn on its own goroutine immediately.
 func (rt *Realtime) Spawn(name string, fn func(Worker)) { rt.SpawnAt(0, name, fn) }
 
-// SpawnAt starts fn on its own goroutine after a real delay of d scaled by
-// TimeScale (with TimeScale 0 the worker starts immediately: start staggers
-// belong to the simulated Condor dispatch, not to a real load).
+// SpawnAt starts fn on its own goroutine after a real delay d, counted from
+// this call: the wall-clock reading of the virtual-time delay DES gives it.
 func (rt *Realtime) SpawnAt(d time.Duration, name string, fn func(Worker)) {
 	rt.wg.Add(1)
 	go func() {
 		defer rt.wg.Done()
 		if d > 0 {
-			rt.sleepScaled(d)
+			time.Sleep(d)
 		}
 		fn(&rtWorker{rt: rt, name: name})
 	}()
@@ -115,21 +107,14 @@ func (rt *Realtime) forkJoin(w Worker, names []string, fn func(Worker, int)) {
 	wg.Wait()
 }
 
-func (rt *Realtime) sleepScaled(d time.Duration) {
-	if rt.cfg.TimeScale <= 0 || d <= 0 {
-		return
-	}
-	time.Sleep(time.Duration(float64(d) * rt.cfg.TimeScale))
-}
-
 type rtWorker struct {
 	rt   *Realtime
 	name string
 }
 
-func (w *rtWorker) Name() string          { return w.name }
-func (w *rtWorker) Now() time.Duration    { return w.rt.Now() }
-func (w *rtWorker) Sleep(d time.Duration) { w.rt.sleepScaled(d) }
+func (w *rtWorker) Name() string        { return w.name }
+func (w *rtWorker) Now() time.Duration  { return w.rt.Now() }
+func (w *rtWorker) Sleep(time.Duration) {}
 
 // rtWaiter is one queued Acquire request; grant is closed by the releaser
 // once the units have been assigned to the waiter.

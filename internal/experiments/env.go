@@ -71,11 +71,10 @@ type Env struct {
 
 // EnvOptions configures environment construction.
 type EnvOptions struct {
-	Seed          int64
-	Cost          sqlbatch.CostModel
-	ServerConfig  sqlbatch.ServerConfig
-	IndexPolicy   tuning.IndexPolicy
-	PrePopulateGB float64
+	Seed         int64
+	Cost         sqlbatch.CostModel
+	ServerConfig sqlbatch.ServerConfig
+	IndexPolicy  tuning.IndexPolicy
 }
 
 // NewEnv builds a fresh environment.
@@ -90,9 +89,6 @@ func NewEnv(opt EnvOptions) (*Env, error) {
 	db, err := tuning.OpenRepository(opt.IndexPolicy)
 	if err != nil {
 		return nil, err
-	}
-	if opt.PrePopulateGB > 0 {
-		db.PrePopulateEvenly(int64(opt.PrePopulateGB * 1e9))
 	}
 	sched := exec.NewDES(kernel)
 	server := sqlbatch.NewServerOn(sched, db, opt.ServerConfig, opt.Cost)
@@ -132,7 +128,6 @@ func (e *Env) RunSingleLoad(spec SingleLoadSpec) (core.Stats, error) {
 		if spec.NonBulk {
 			nb := baseline.NewNonBulkLoader(conn, baseline.NonBulkConfig{
 				CommitEveryRows: spec.CommitEveryRows,
-				ChargeStaging:   spec.Loader.ChargeStaging,
 			})
 			stats, runErr = nb.LoadFiles([]*catalog.File{file})
 			return

@@ -144,6 +144,10 @@ func TestFigure8IndexOverheads(t *testing.T) {
 	}
 }
 
+// TestFigure9FlatRuntime: the curve is flat by construction, since the DES
+// model has no database-size term and every point loads the same night into
+// an empty repository; the test pins that the sweep stays a sweep of
+// identical loads.
 func TestFigure9FlatRuntime(t *testing.T) {
 	tbl, err := Figure9(quickCfg())
 	if err != nil {

@@ -36,7 +36,8 @@
 //   - /debug/traces: the structured per-request trace ring (internal/trace);
 //     /debug/pprof: the runtime profiler mux.
 //
-// Connection limiting happens at the listener (MaxConns) before HTTP parsing
+// Connection limiting happens at the listener (4 × the serve admission queue
+// depth) before HTTP parsing
 // — the same backstop the paper's production system gets from its listener
 // backlog — and request-level admission happens in serve.Server, so overload
 // sheds cheap and early at both layers.
@@ -58,21 +59,19 @@ import (
 
 // Config controls the front door.
 type Config struct {
-	// MaxConns bounds concurrently accepted TCP connections; further
-	// connections queue in the kernel backlog until one closes.  0 means
-	// 4 × the serve worker-pool queue depth (sheds should happen at the
-	// admission layer, where they are counted, not silently at the
-	// listener).
-	MaxConns int
 	// TraceEvery samples one request in N into the trace ring (1 traces
 	// everything, 0 means 16).  Sampling keeps the ring's mutex off the
 	// common path.
 	TraceEvery int
-	// TraceRing is the trace ring capacity (0 means 512).
-	TraceRing int
-	// ReadTimeout/WriteTimeout bound slow clients (0: 10s / 30s).
-	ReadTimeout, WriteTimeout time.Duration
 }
+
+const (
+	// traceRing is the trace ring's capacity.
+	traceRing = 512
+	// readTimeout and writeTimeout bound slow clients.
+	readTimeout  = 10 * time.Second
+	writeTimeout = 30 * time.Second
+)
 
 // backend is the part of the front door that differs between a database and
 // a shard fleet; everything else in this package is shared.
@@ -128,20 +127,11 @@ func newServer(qs *serve.Server, b backend, cfg Config) (*Server, error) {
 	if cfg.TraceEvery == 0 {
 		cfg.TraceEvery = 16
 	}
-	if cfg.TraceRing == 0 {
-		cfg.TraceRing = 512
-	}
-	if cfg.ReadTimeout == 0 {
-		cfg.ReadTimeout = 10 * time.Second
-	}
-	if cfg.WriteTimeout == 0 {
-		cfg.WriteTimeout = 30 * time.Second
-	}
 	s := &Server{
 		qs:      qs,
 		backend: b,
 		inline:  inline,
-		tracer:  trace.NewTracer(cfg.TraceRing, cfg.TraceEvery),
+		tracer:  trace.NewTracer(traceRing, cfg.TraceEvery),
 		cfg:     cfg,
 		mux:     http.NewServeMux(),
 		start:   time.Now(),
@@ -188,15 +178,14 @@ func (s *Server) Start(addr string) (net.Addr, error) {
 	if err != nil {
 		return nil, err
 	}
-	maxConns := s.cfg.MaxConns
-	if maxConns <= 0 {
-		maxConns = 4 * s.qs.ServeConfig().QueueDepth
-	}
-	s.listener = limitListener(ln, maxConns)
+	// The cap leaves sheds to the admission layer, where they are counted,
+	// not to the listener; further connections queue in the kernel backlog
+	// until one closes.
+	s.listener = limitListener(ln, 4*s.qs.ServeConfig().QueueDepth)
 	s.httpSrv = &http.Server{
 		Handler:      s.mux,
-		ReadTimeout:  s.cfg.ReadTimeout,
-		WriteTimeout: s.cfg.WriteTimeout,
+		ReadTimeout:  readTimeout,
+		WriteTimeout: writeTimeout,
 	}
 	go func() {
 		// ErrServerClosed after Close is the clean shutdown path; anything

@@ -191,7 +191,6 @@ func (c FileConfig) LoaderConfig() core.Config {
 		MemoryHighWaterBytes: c.MemoryHighWaterBytes,
 		CommitEveryBatches:   c.CommitEveryBatches,
 		RecordProvenance:     c.RecordProvenance,
-		ChargeStaging:        true,
 	}
 }
 

@@ -53,7 +53,7 @@ func TestParseOverridesAndDefaults(t *testing.T) {
 		t.Fatalf("cluster config: %+v", cc)
 	}
 	lc := cfg.LoaderConfig()
-	if lc.BatchSize != 50 || lc.PerTableArraySize[catalog.TObjectFingers] != 4000 || !lc.ChargeStaging {
+	if lc.BatchSize != 50 || lc.PerTableArraySize[catalog.TObjectFingers] != 4000 {
 		t.Fatalf("loader config: %+v", lc)
 	}
 	if cfg.IndexPolicyValue() != tuning.HTMIDPlusComposite {

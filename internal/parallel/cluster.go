@@ -59,8 +59,6 @@ type Config struct {
 	// NonBulk switches every node to the singleton-insert baseline loader
 	// (used by the headline experiment's "original pipeline" configuration).
 	NonBulk bool
-	// StartStagger spaces out node start times (Condor dispatch latency).
-	StartStagger time.Duration
 	// SealAfterLoad runs an end-of-load Seal phase once every node has
 	// finished: deferred-policy indexes are bulk-rebuilt by a single
 	// coordinator worker and the build time is folded into Result.WallTime
@@ -235,8 +233,7 @@ func Spawn(server *sqlbatch.Server, files []*catalog.File, cfg Config) (*Cluster
 	results := cl.results
 	for n := 0; n < cfg.Loaders; n++ {
 		n := n
-		start := time.Duration(n) * cfg.StartStagger
-		sched.SpawnAt(start, fmt.Sprintf("loader-%02d", n+1), func(w exec.Worker) {
+		sched.Spawn(fmt.Sprintf("loader-%02d", n+1), func(w exec.Worker) {
 			res := &results[n]
 			res.Node = n + 1
 			res.StartedAt = w.Now()
@@ -268,7 +265,6 @@ func Spawn(server *sqlbatch.Server, files []*catalog.File, cfg Config) (*Cluster
 						// the "original pipeline" commits frequently when the
 						// bulk config would have committed per batch.
 						CommitEveryRows: cfg.Loader.CommitEveryBatches * maxInt(cfg.Loader.BatchSize, 1),
-						ChargeStaging:   cfg.Loader.ChargeStaging,
 						LoaderNode:      loaderCfg.LoaderNode,
 					})
 					if err := nb.LoadFile(f); err != nil {

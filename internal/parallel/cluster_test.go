@@ -185,21 +185,6 @@ func TestRunValidation(t *testing.T) {
 	}
 }
 
-func TestStartStagger(t *testing.T) {
-	srv := testServer(t)
-	files := testNight(6, 4)
-	res, err := Run(srv, files, Config{
-		Loaders: 2, Assignment: Dynamic, Loader: core.DefaultConfig(),
-		StartStagger: 30 * 1e9, // 30 virtual seconds
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Nodes[1].StartedAt-res.Nodes[0].StartedAt < 30*1e9 {
-		t.Fatalf("stagger not applied: %v vs %v", res.Nodes[0].StartedAt, res.Nodes[1].StartedAt)
-	}
-}
-
 func TestAssignmentString(t *testing.T) {
 	if Dynamic.String() != "dynamic" || Static.String() != "static" {
 		t.Fatal("Assignment.String broken")

@@ -64,7 +64,7 @@ func dumpIndex(db *relstore.DB, table, index string) string {
 // a deferred virtual load time no worse than the immediate one.
 func TestClusterSealAfterLoad(t *testing.T) {
 	files := testNight(20, 6)
-	loaderCfg := core.Config{BatchSize: 40, ArraySize: 500, ChargeStaging: true}
+	loaderCfg := core.Config{BatchSize: 40, ArraySize: 500}
 
 	immSrv := testServerWithIndexes(t, 5, relstore.IndexImmediate)
 	immRes, err := Run(immSrv, files, Config{Loaders: 3, Loader: loaderCfg})

@@ -242,16 +242,11 @@ func MagnitudeHistogram(db *relstore.DB, binWidth float64) ([]MagnitudeBin, erro
 	if err != nil {
 		return nil, err
 	}
-	var keys []int64
+	keys := make([]int64, 0, len(counts))
 	for k := range counts {
 		keys = append(keys, k)
 	}
-	// Insertion sort keeps this dependency-free and the key count is small.
-	for i := 1; i < len(keys); i++ {
-		for j := i; j > 0 && keys[j] < keys[j-1]; j-- {
-			keys[j], keys[j-1] = keys[j-1], keys[j]
-		}
-	}
+	slices.Sort(keys)
 	out := make([]MagnitudeBin, 0, len(keys))
 	for _, k := range keys {
 		out = append(out, MagnitudeBin{

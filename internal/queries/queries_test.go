@@ -194,33 +194,44 @@ func TestObjectsOnFrame(t *testing.T) {
 	}
 }
 
+// TestMagnitudeHistogram: at a coarse and at the finest width a request may
+// ask for (bin=0.001 spreads the sky's 14-22 magnitudes over thousands of
+// bins) the bins come back ascending, none is empty, and their counts sum to
+// the objects whose magnitude is not NULL.
 func TestMagnitudeHistogram(t *testing.T) {
 	db := loadedRepo(t, tuning.HTMIDOnly)
-	bins, err := MagnitudeHistogram(db, 1.0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(bins) == 0 {
-		t.Fatal("no bins")
-	}
-	var total int64
-	last := bins[0].Low - 1
-	for _, b := range bins {
-		if b.Low <= last {
-			t.Fatal("bins not sorted")
+	magIdx := db.Schema().Table(catalog.TObjects).ColumnIndex("mag")
+	var withMag int64
+	_ = db.ScanRef(catalog.TObjects, func(r relstore.RowView) bool {
+		if !r.IsNull(magIdx) {
+			withMag++
 		}
-		if b.High-b.Low != 1.0 {
-			t.Fatalf("bin width wrong: %+v", b)
+		return true
+	})
+	for _, width := range []float64{1.0, 0.001} {
+		bins, err := MagnitudeHistogram(db, width)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if b.Count <= 0 {
-			t.Fatalf("empty bin reported: %+v", b)
+		if len(bins) == 0 {
+			t.Fatalf("bin=%v: no bins", width)
 		}
-		total += b.Count
-		last = b.Low
-	}
-	objects, _ := db.Count(catalog.TObjects)
-	if total != objects {
-		t.Fatalf("histogram counts %d objects, table has %d", total, objects)
+		var total int64
+		for i, b := range bins {
+			if i > 0 && b.Low <= bins[i-1].Low {
+				t.Fatalf("bin=%v: bins not ascending at %d: %+v after %+v", width, i, b, bins[i-1])
+			}
+			if math.Abs(b.High-b.Low-width) > width*1e-6 {
+				t.Fatalf("bin=%v: bin width wrong: %+v", width, b)
+			}
+			if b.Count <= 0 {
+				t.Fatalf("bin=%v: empty bin reported: %+v", width, b)
+			}
+			total += b.Count
+		}
+		if total != withMag {
+			t.Fatalf("bin=%v: histogram counts %d objects, %d have a magnitude", width, total, withMag)
+		}
 	}
 	if _, err := MagnitudeHistogram(db, 0); err == nil {
 		t.Fatal("zero bin width should be rejected")

@@ -335,31 +335,3 @@ func (db *DB) AllIndexes() []*Index {
 	})
 	return out
 }
-
-// PrePopulate marks the named table as already holding rows/bytes from
-// earlier loading sessions.  It is used by the Figure 9 experiment (effect of
-// database size) to set up 50-300 GB databases without materializing them;
-// the insert path with secondary indices disabled does not depend on resident
-// volume, which is exactly the behaviour the paper reports.
-func (db *DB) PrePopulate(table string, rows, bytes int64) error {
-	t, ok := db.tables[table]
-	if !ok {
-		return ErrNoSuchTable
-	}
-	t.prePopulate(rows, bytes)
-	return nil
-}
-
-// PrePopulateEvenly spreads the given volume across all tables proportionally
-// to a fixed catalog-like distribution (objects dominate).
-func (db *DB) PrePopulateEvenly(totalBytes int64) {
-	names := db.schema.TableNames()
-	if len(names) == 0 {
-		return
-	}
-	per := totalBytes / int64(len(names))
-	for _, n := range names {
-		// Assume ~200 bytes per historical row.
-		_ = db.PrePopulate(n, per/200, per)
-	}
-}

@@ -343,25 +343,6 @@ func TestIndexCostReporting(t *testing.T) {
 	}
 }
 
-func TestPrePopulate(t *testing.T) {
-	db := newTestDB(t)
-	if err := db.PrePopulate("objects", 1000, 200000); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.PrePopulate("missing", 1, 1); !errors.Is(err, ErrNoSuchTable) {
-		t.Fatalf("PrePopulate missing table: %v", err)
-	}
-	tbl := db.Table("objects")
-	if tbl.LogicalRowCount() != 1000 || tbl.RowCount() != 0 {
-		t.Fatalf("logical=%d physical=%d", tbl.LogicalRowCount(), tbl.RowCount())
-	}
-	before := tbl.LogicalByteSize()
-	db.PrePopulateEvenly(3_000_000)
-	if tbl.LogicalByteSize() <= before {
-		t.Fatal("PrePopulateEvenly did not add bytes")
-	}
-}
-
 func TestQueryErrors(t *testing.T) {
 	db := newTestDB(t)
 	if _, err := db.Count("missing"); !errors.Is(err, ErrNoSuchTable) {

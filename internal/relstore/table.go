@@ -167,8 +167,8 @@ func (t *Table) scanRowsByID(visit func(id int64, r RowView)) {
 // does not grow with the rows loaded.
 //
 // Concurrency: mu guards all mutable state (heap, row map, key indexes,
-// B-trees, index list, pre-population counters).  Writers (applyBatchChunk,
-// deleteRow, createIndex, dropIndex, prePopulate) take the write lock; the
+// B-trees, index list).  Writers (applyBatchChunk, deleteRow, createIndex,
+// dropIndex) take the write lock; the
 // exported read accessors take the read lock through rlock, which lets a
 // batch see that a reader is queued behind it.  Key/encoding scratch buffers
 // are NOT table state — they travel with the transaction (see scratch.go) so
@@ -215,12 +215,6 @@ type Table struct {
 	// loading points at the owning DB's load-phase flag, read when an index
 	// is created mid-load (a deferred index created then starts suspended).
 	loading *atomic.Bool
-
-	// prePopulatedBytes models rows that "already exist" in the table from
-	// earlier loading sessions without materializing them (Figure 9 sweeps
-	// the database size from 50 to 300 GB).
-	prePopulatedBytes int64
-	prePopulatedRows  int64
 
 	// epoch counts committed (and rolled-back) transactions that touched this
 	// table.  Result caches key their entries to the epoch observed while
@@ -313,20 +307,6 @@ func (t *Table) RowCount() int64 {
 	t.rlock()
 	defer t.mu.RUnlock()
 	return t.heap.rowCount
-}
-
-// LogicalRowCount returns stored plus pre-populated rows.
-func (t *Table) LogicalRowCount() int64 {
-	t.rlock()
-	defer t.mu.RUnlock()
-	return t.heap.rowCount + t.prePopulatedRows
-}
-
-// LogicalByteSize returns stored plus pre-populated bytes.
-func (t *Table) LogicalByteSize() int64 {
-	t.rlock()
-	defer t.mu.RUnlock()
-	return t.heap.bytes + t.prePopulatedBytes
 }
 
 // stat returns the table's TableStat.
@@ -581,13 +561,4 @@ func (t *Table) dropIndex(name string) error {
 	delete(t.indexes, name)
 	t.rebuildIndexList()
 	return nil
-}
-
-// prePopulate marks the table as already containing rows/bytes loaded in
-// earlier sessions without materializing them.
-func (t *Table) prePopulate(rows, bytes int64) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.prePopulatedRows += rows
-	t.prePopulatedBytes += bytes
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -125,6 +126,50 @@ func TestServeRealtime(t *testing.T) {
 	}
 	if rep.Cache.Hits == 0 {
 		t.Fatal("no cache hits on realtime engine")
+	}
+}
+
+// TestRealtimeServePacesFromServe: on the realtime engine a trace's arrival
+// offsets count from the Serve call, as they count from the current virtual
+// time under DES, so the requests due while a load ran before Serve do not go
+// out in one burst when it ends.
+func TestRealtimeServePacesFromServe(t *testing.T) {
+	const arrival = 40 * time.Millisecond
+	env := newServeEnv(t, exec.NewRealtime(exec.RealtimeConfig{Seed: 5}), tuning.HTMIDOnly, Config{
+		Workers:    1,
+		QueueDepth: 16,
+	})
+	env.loadFiles(t, testFiles(2, 2, 5), 1)
+	// The load must outlast the offset, or pacing from the scheduler's
+	// creation would pass too.
+	if d := arrival - env.sched.Now(); d > 0 {
+		time.Sleep(d)
+	}
+	trace := testTrace(3, 7)
+	for i := range trace {
+		trace[i].Arrival = arrival + time.Duration(i)*time.Millisecond
+	}
+	// The ingest probe runs as each served request is recorded.
+	var (
+		mu          sync.Mutex
+		began       time.Time
+		firstServed time.Duration
+	)
+	env.server.ObserveIngest(func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		if firstServed == 0 {
+			firstServed = time.Since(began)
+		}
+		return false
+	})
+	began = time.Now()
+	rep := env.server.Serve(trace)
+	if rep.Served != rep.Requests {
+		t.Fatalf("served %d of %d requests", rep.Served, rep.Requests)
+	}
+	if firstServed < arrival {
+		t.Fatalf("first request served %s after Serve, before its %s arrival offset", firstServed, arrival)
 	}
 }
 

@@ -73,8 +73,8 @@ func DefaultConfig() Config {
 
 // CostModel converts a query's physical-work report into simulated service
 // time, the same way sqlbatch's cost model prices inserts.  It only shapes
-// virtual time on the DES engine; on the realtime engine Sleep is a no-op at
-// the default time scale and measured latency is real execution time.
+// virtual time on the DES engine; on the realtime engine Sleep is a no-op and
+// measured latency is real execution time.
 type CostModel struct {
 	// PerQuery is the fixed per-request overhead (parse, plan, round trip).
 	PerQuery time.Duration
@@ -254,31 +254,13 @@ func (s *Server) observeLatency(cls *classState, d time.Duration) {
 }
 
 // SpawnTrace registers one worker per request on the scheduler, starting at
-// each request's arrival offset.  The workers do not run until the scheduler
-// is driven; co-schedule other workloads first, then call the scheduler's
-// Run (or use Serve for a serve-only run).
-//
-// On the DES engine arrivals are scheduled directly in virtual time.  On the
-// realtime engine the worker goroutine sleeps until its wall-clock arrival
-// itself: the runtime's SpawnAt delay is scaled by TimeScale (0 by default —
-// start staggers belong to simulated dispatch), but a workload trace's
-// arrival process IS the experiment, so it is paced in real time regardless
-// of how simulated service costs are scaled.
+// each request's arrival offset from this call: in virtual time under DES,
+// on the wall clock under realtime.  The workers do not run until the
+// scheduler is driven; co-schedule other workloads first, then call the
+// scheduler's Run (or use Serve for a serve-only run).
 func (s *Server) SpawnTrace(reqs []Request) {
-	deterministic := s.sched.Deterministic()
 	for i, r := range reqs {
-		r := r
-		name := fmt.Sprintf("query-%05d", i+1)
-		if deterministic {
-			s.sched.SpawnAt(r.Arrival, name, func(w exec.Worker) {
-				s.handle(w, r.Query)
-			})
-			continue
-		}
-		s.sched.Spawn(name, func(w exec.Worker) {
-			if d := r.Arrival - w.Now(); d > 0 {
-				time.Sleep(d)
-			}
+		s.sched.SpawnAt(r.Arrival, fmt.Sprintf("query-%05d", i+1), func(w exec.Worker) {
 			s.handle(w, r.Query)
 		})
 	}

@@ -9,7 +9,6 @@ import (
 	"skyloader/internal/catalog"
 	"skyloader/internal/core"
 	"skyloader/internal/exec"
-	"skyloader/internal/queries"
 	"skyloader/internal/relstore"
 	"skyloader/internal/serve"
 	"skyloader/internal/shard/wire"
@@ -23,11 +22,6 @@ type AgentConfig struct {
 	Profile tuning.Profile
 	// Loader is the bulk-load configuration used for LoadTasks.
 	Loader core.Config
-	// Cost models the per-query CPU charged against the agent's worker
-	// (virtual time under DES; a no-op under plain realtime).
-	Cost serve.CostModel
-	// DBOptions are extra relstore options applied after the profile's.
-	DBOptions []relstore.Option
 }
 
 // DefaultAgentConfig mirrors the single-node loading setup: the paper's
@@ -36,7 +30,6 @@ func DefaultAgentConfig() AgentConfig {
 	return AgentConfig{
 		Profile: tuning.ProductionLoading(),
 		Loader:  core.DefaultConfig(),
-		Cost:    serve.DefaultCostModel(),
 	}
 }
 
@@ -72,7 +65,7 @@ type Agent struct {
 // NewAgent opens a fresh shard database (schema + reference rows + profile)
 // on the scheduler.  The agent has no identity until it receives Hello.
 func NewAgent(sched exec.Scheduler, cfg AgentConfig) (*Agent, error) {
-	db, err := cfg.Profile.Open(cfg.DBOptions...)
+	db, err := cfg.Profile.Open()
 	if err != nil {
 		return nil, fmt.Errorf("shard: open agent db: %w", err)
 	}
@@ -198,18 +191,16 @@ func (a *Agent) handleQuery(w exec.Worker, q wire.Query) wire.Msg {
 		res.Err = err.Error()
 		return res
 	}
-	var qres queries.Result
-	var runErr error
-	_, _, snapErr := a.db.SnapshotRead(query.Table(), func() error {
-		qres, runErr = query.Run(a.db)
-		return runErr
-	})
-	if snapErr != nil {
-		res.Err = snapErr.Error()
+	qres, err := query.Run(a.db)
+	if err != nil {
+		res.Err = err.Error()
 		return res
 	}
 	a.queriesServed.Add(1)
-	w.Sleep(a.cfg.Cost.QueryCost(qres.Stats))
+	// The per-query CPU charged against the agent's worker, priced by the
+	// single-node server's model: virtual time under DES, a no-op under
+	// realtime.
+	w.Sleep(serve.DefaultCostModel().QueryCost(qres.Stats))
 	res.Stats = qres.Stats
 	res.Objects = qres.Objects
 	res.Bins = qres.Bins

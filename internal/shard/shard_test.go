@@ -161,7 +161,7 @@ func loadOracle(t testing.TB, files []*catalog.File, prof tuning.Profile) (*rels
 	srv := sqlbatch.NewServerOn(sched, db, prof.ServerConfig(), sqlbatch.DefaultCostModel())
 	res, err := parallel.Run(srv, files, parallel.Config{
 		Loaders:       1,
-		Loader:        core.Config{BatchSize: 40, ArraySize: 1000, ChargeStaging: true},
+		Loader:        core.Config{BatchSize: 40, ArraySize: 1000},
 		SealAfterLoad: prof.DeferredIndexBuild,
 	})
 	if err != nil {
@@ -227,7 +227,7 @@ func testQueries(files []*catalog.File, n int) []queries.Query {
 		IDBase:   100_000_000,
 		Frames:   24,
 	}.WithFootprint(files))
-	out := make([]queries.Query, 0, len(trace)+6)
+	out := make([]queries.Query, 0, len(trace)+7)
 	for _, r := range trace {
 		out = append(out, r.Query)
 	}
@@ -238,6 +238,7 @@ func testQueries(files []*catalog.File, n int) []queries.Query {
 		queries.ObjectLookup{ObjectID: 42},   // miss
 		queries.FrameObjects{FrameID: 1_000}, // likely miss
 		queries.MagHistogram{BinWidth: 0.5},
+		queries.MagHistogram{BinWidth: 0.001}, // thousands of bins to merge across shards
 	)
 	return out
 }

@@ -13,9 +13,10 @@ import (
 
 // SimConfig describes one deterministic DES shard topology: N in-process
 // agents behind the priced in-memory transport, a generated observation
-// night, and a Zipf query trace.  The same config always produces the same
-// SimReport, so 100-node topologies the test host cannot run for real are
-// still comparable run to run.
+// night, and a Zipf query trace whose Poisson arrivals span roughly the load
+// window.  The same config always produces the same SimReport, so 100-node
+// topologies the test host cannot run for real are still comparable run to
+// run.
 type SimConfig struct {
 	Shards    int
 	Seed      int64
@@ -24,13 +25,15 @@ type SimConfig struct {
 	RowsPerMB int
 	Queries   int
 	ConeFrac  float64
-	// RatePerSec is the Poisson arrival rate of the query phase (0 picks a
-	// rate that spans the trace over roughly the load window).
-	RatePerSec float64
-	Net        NetModel
 	// Deferred drives a fleet-wide BeginLoad/Seal window around the load.
 	Deferred bool
 }
+
+// The sim's network: 200 µs per message plus 1 GiB/s of serialization.
+const (
+	simNetLatency     = 200 * time.Microsecond
+	simNetBytesPerSec = 1 << 30
+)
 
 func (c SimConfig) withDefaults() SimConfig {
 	if c.Shards <= 0 {
@@ -50,9 +53,6 @@ func (c SimConfig) withDefaults() SimConfig {
 	}
 	if c.ConeFrac == 0 {
 		c.ConeFrac = 0.5
-	}
-	if c.Net == (NetModel{}) {
-		c.Net = NetModel{Latency: 200 * time.Microsecond, BytesPerSec: 1 << 30}
 	}
 	return c
 }
@@ -104,7 +104,7 @@ func RunSim(cfg SimConfig) (SimReport, error) {
 			return SimReport{}, err
 		}
 		agents[i] = a
-		clients[i] = NewMemClient(sched, a, cfg.Net)
+		clients[i] = NewMemClient(sched, a, NetModel{Latency: simNetLatency, BytesPerSec: simNetBytesPerSec})
 	}
 	pm, err := PartitionFromFiles(files, cfg.Shards)
 	if err != nil {
@@ -119,13 +119,9 @@ func RunSim(cfg SimConfig) (SimReport, error) {
 	if objects < 64 {
 		objects = 64
 	}
-	rate := cfg.RatePerSec
-	if rate <= 0 {
-		window := cfg.SizeMB / 2
-		if window < 1 {
-			window = 1
-		}
-		rate = float64(cfg.Queries) / window
+	window := cfg.SizeMB / 2
+	if window < 1 {
+		window = 1
 	}
 	trace := serve.GenTrace(serve.TraceSpec{
 		Queries:    cfg.Queries,
@@ -134,7 +130,7 @@ func RunSim(cfg SimConfig) (SimReport, error) {
 		Objects:    objects,
 		IDBase:     100_000_000,
 		Frames:     objects / 12,
-		RatePerSec: rate,
+		RatePerSec: float64(cfg.Queries) / window,
 	}.WithFootprint(files))
 
 	rep := SimReport{Config: cfg, Queries: len(trace), PerShard: make([]ShardSimStats, cfg.Shards)}

@@ -56,8 +56,8 @@ type memClient struct {
 
 // NewMemClient connects a coordinator to an in-process agent on the shared
 // scheduler.  Under DES the net model's sleeps advance virtual time, making
-// 100-node topologies simulable; under realtime with TimeScale 0 they are
-// no-ops and the transport is just a serialized function call.
+// 100-node topologies simulable; under realtime they are no-ops and the
+// transport is just a serialized function call.
 func NewMemClient(sched exec.Scheduler, agent *Agent, net NetModel) Client {
 	return &memClient{
 		agent: agent,

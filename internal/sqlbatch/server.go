@@ -14,8 +14,6 @@ import (
 // an 8-processor SGI Altix with the database files, indexes and redo logs
 // spread over three RAID devices reached through two FibreChannel channels.
 type ServerConfig struct {
-	// CPUs is the number of database server processors.
-	CPUs int
 	// TxnSlots is the number of loader transactions the server admits
 	// concurrently; requests beyond it queue (the RDBMS concurrent
 	// transaction limit the paper ran into, §5.4).
@@ -23,22 +21,24 @@ type ServerConfig struct {
 	// SeparateRAID controls whether data, index and log I/O go to three
 	// separate devices (the §4.5.3 tuning) or contend on a single device.
 	SeparateRAID bool
-	// DiskChannelsPerDevice is the number of concurrent I/O streams each
-	// RAID device sustains.
-	DiskChannelsPerDevice int
 	// CachePages is the size of the data cache in pages.  A smaller cache
 	// loads faster: the database writer scans all of it on each flush (§4.5.5).
 	CachePages int
 }
 
+// The simulated host's fixed hardware: the paper's eight processors, and the
+// concurrent I/O streams each RAID device sustains.
+const (
+	serverCPUs            = 8
+	diskChannelsPerDevice = 2
+)
+
 // DefaultServerConfig mirrors the production environment of §5.
 func DefaultServerConfig() ServerConfig {
 	return ServerConfig{
-		CPUs:                  8,
-		TxnSlots:              7,
-		SeparateRAID:          true,
-		DiskChannelsPerDevice: 2,
-		CachePages:            2048,
+		TxnSlots:     7,
+		SeparateRAID: true,
+		CachePages:   2048,
 	}
 }
 
@@ -148,25 +148,19 @@ func NewServer(k *des.Kernel, db *relstore.DB, cfg ServerConfig, cost CostModel)
 // pass exec.NewDES for deterministic virtual-time simulation or
 // exec.NewRealtime for a genuinely concurrent wall-clock run.
 func NewServerOn(sched exec.Scheduler, db *relstore.DB, cfg ServerConfig, cost CostModel) *Server {
-	if cfg.CPUs <= 0 {
-		cfg.CPUs = DefaultServerConfig().CPUs
-	}
 	if cfg.TxnSlots <= 0 {
 		cfg.TxnSlots = DefaultServerConfig().TxnSlots
-	}
-	if cfg.DiskChannelsPerDevice <= 0 {
-		cfg.DiskChannelsPerDevice = DefaultServerConfig().DiskChannelsPerDevice
 	}
 	if cfg.CachePages <= 0 {
 		cfg.CachePages = DefaultServerConfig().CachePages
 	}
 	s := &Server{db: db, sched: sched, cost: cost, cfg: cfg, cache: newDataCache(cfg.CachePages)}
-	s.cpus = sched.NewResource("server-cpus", cfg.CPUs)
+	s.cpus = sched.NewResource("server-cpus", serverCPUs)
 	s.txnSlots = sched.NewResource("txn-slots", cfg.TxnSlots)
-	s.dataDisk = sched.NewResource("data-raid", cfg.DiskChannelsPerDevice)
+	s.dataDisk = sched.NewResource("data-raid", diskChannelsPerDevice)
 	if cfg.SeparateRAID {
-		s.idxDisk = sched.NewResource("index-raid", cfg.DiskChannelsPerDevice)
-		s.logDisk = sched.NewResource("log-raid", cfg.DiskChannelsPerDevice)
+		s.idxDisk = sched.NewResource("index-raid", diskChannelsPerDevice)
+		s.logDisk = sched.NewResource("log-raid", diskChannelsPerDevice)
 	} else {
 		s.idxDisk = s.dataDisk
 		s.logDisk = s.dataDisk

@@ -236,18 +236,21 @@ func TestTxnSlotQueueing(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
 		sched func() exec.Scheduler
+		hold  func(exec.Worker)
 	}{
-		{"des", func() exec.Scheduler { return exec.NewDES(des.NewKernel(1)) }},
-		// A thousandth of the cost model's time: the first connection holds
-		// its slot for 10 ms of wall clock.
-		{"realtime", func() exec.Scheduler { return exec.NewRealtime(exec.RealtimeConfig{Seed: 1, TimeScale: 1e-3}) }},
+		{"des", func() exec.Scheduler { return exec.NewDES(des.NewKernel(1)) },
+			func(w exec.Worker) { w.Sleep(10 * time.Second) }},
+		// Worker.Sleep is a no-op on the wall clock, so the first connection
+		// holds its slot with a real pause.
+		{"realtime", func() exec.Scheduler { return exec.NewRealtime(exec.RealtimeConfig{Seed: 1}) },
+			func(exec.Worker) { time.Sleep(10 * time.Millisecond) }},
 	} {
-		t.Run(tc.name, func(t *testing.T) { testTxnSlotQueueing(t, tc.sched()) })
+		t.Run(tc.name, func(t *testing.T) { testTxnSlotQueueing(t, tc.sched(), tc.hold) })
 	}
 }
 
-func testTxnSlotQueueing(t *testing.T, sched exec.Scheduler) {
-	srv := NewServerOn(sched, seededDB(t), ServerConfig{CPUs: 8, TxnSlots: 1}, DefaultCostModel())
+func testTxnSlotQueueing(t *testing.T, sched exec.Scheduler, hold func(exec.Worker)) {
+	srv := NewServerOn(sched, seededDB(t), ServerConfig{TxnSlots: 1}, DefaultCostModel())
 	var firstCommits, secondBegan atomic.Int64
 	sched.Spawn("first", func(w exec.Worker) {
 		conn := srv.ConnectWorker(w)
@@ -267,7 +270,7 @@ func testTxnSlotQueueing(t *testing.T, sched exec.Scheduler) {
 			secondBegan.Store(int64(w.Now()))
 			_ = conn.Commit()
 		})
-		w.Sleep(10 * time.Second)
+		hold(w)
 		firstCommits.Store(int64(w.Now()))
 		_ = conn.Commit()
 	})

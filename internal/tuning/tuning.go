@@ -126,9 +126,6 @@ type Profile struct {
 	CachePages int
 	// SeparateRAID spreads data/index/log over three devices.
 	SeparateRAID bool
-	// Presorted indicates the catalog files are sorted parent-before-child
-	// (the §4.5.4 byproduct of extraction); the generator honours it.
-	Presorted bool
 	// DeferredIndexBuild selects relstore.IndexDeferred maintenance for the
 	// profile's indices: the load runs inside DB.BeginLoad/DB.Seal and the
 	// indices are bulk-built at Seal instead of per batch (Figure 8's
@@ -160,7 +157,6 @@ func ProductionLoading() Profile {
 		CommitEveryBatches: 0,
 		CachePages:         1024,
 		SeparateRAID:       true,
-		Presorted:          true,
 	}
 }
 
@@ -173,7 +169,6 @@ func Untuned() Profile {
 		CommitEveryBatches: 5,
 		CachePages:         16384,
 		SeparateRAID:       false,
-		Presorted:          true,
 	}
 }
 
@@ -186,7 +181,6 @@ func QueryServing() Profile {
 		CommitEveryBatches: 0,
 		CachePages:         16384,
 		SeparateRAID:       true,
-		Presorted:          true,
 	}
 }
 
