@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt-check loc test race fuzz oracles bench bench-test perf perf-quick smoke smoke-http smoke-crash smoke-shard
+.PHONY: all build vet fmt-check loc test race fuzz oracles pairs bench bench-test perf perf-quick smoke smoke-http smoke-crash smoke-shard
 
 all: build vet test
 
@@ -69,6 +69,14 @@ fuzz:
 # match, and any other difference fails as before.
 oracles:
 	bash scripts/oracles.sh $(REF) $(ALLOW)
+
+# Alternating parent/change pairs of the benchmark (scripts/pairs.sh): REF is
+# the parent, CHANGE the change (default: the work tree), W the workloads
+# (comma-separated or "all"; default ingest-bulk), N the pairs (default 10),
+# SEED the first seed, QUICK=1 the 1/20-size runs.  One JSON report per
+# invocation under .bench_build/pairs/, and a table for CHANGES.md.
+pairs:
+	W='$(W)' N='$(N)' SEED='$(SEED)' bash scripts/pairs.sh $(if $(QUICK),-quick) $(REF) $(CHANGE)
 
 # Batch-apply + index-build benchmark smoke: exercises one-row Txn.Insert
 # calls, whole Txn.InsertBatch calls, the sorted bulk B-tree pass, the Seal bulk leaf build, the

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"fmt"
+	"hash/fnv"
 	"io"
 	"runtime"
 	"strings"
@@ -593,6 +594,28 @@ var parserCases = map[string]string{
 	"many empty lines":    "\n\n\n\nPRM|1|2|n|v\n\n\n",
 }
 
+// parseDigest is an FNV-1a digest of a parse: every record's line number,
+// tag and fields, then every error's text.
+func parseDigest(recs []Record, errs []error) string {
+	h := fnv.New64a()
+	for _, r := range recs {
+		fmt.Fprintf(h, "%d %s", r.Line, r.Tag)
+		for _, f := range r.Fields {
+			fmt.Fprintf(h, "|%q", f)
+		}
+		h.Write([]byte{'\n'})
+	}
+	for _, e := range errs {
+		fmt.Fprintf(h, "%q\n", e.Error())
+	}
+	return fmt.Sprintf("%016x", h.Sum64())
+}
+
+// damagedNightDigests are parseDigest of the Scanner parser's parse of each
+// file of TestReadRecordsMatchesScanner's damaged night, recorded while that
+// parser still ran beside ReadRecords.
+var damagedNightDigests = []string{"475245ebe5345758", "39b8a33333082fee", "0f2eb30939d8ce30", "f6861385c6b6a56d"}
+
 // TestReadRecordsMatchesScanner holds the arena splitter to the parser it
 // replaced: identical records, line numbers and error strings on a generated
 // night with corrupted rows and on every edge of the line format.
@@ -626,6 +649,9 @@ func TestReadRecordsMatchesScanner(t *testing.T) {
 		}
 		if err := sameParse(gotRecs, gotErrs, wantRecs, wantErrs); err != nil {
 			t.Errorf("file %d: %v", i, err)
+		}
+		if got, want := parseDigest(gotRecs, gotErrs), damagedNightDigests[i]; got != want || parseDigest(wantRecs, wantErrs) != want {
+			t.Errorf("file %d: parse digest %s, the Scanner parser's %s, recorded %s", i, got, parseDigest(wantRecs, wantErrs), want)
 		}
 	}
 }

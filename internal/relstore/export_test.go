@@ -15,6 +15,9 @@ func withBTreeDegree(degree int) Option {
 // (keyindex_guard_test.go), which needs internal/catalog and so cannot live
 // in this package.
 
+// KeyRunBytes is what one key run holds.
+const KeyRunBytes = int64(unsafe.Sizeof(keyRun{}))
+
 // KeyIndexGeometry describes the runs and tag tables of a table's primary-key
 // and unique indexes.
 type KeyIndexGeometry struct {
@@ -76,19 +79,43 @@ func (t *Table) AbsentKeyRowCompares(key []Value) int {
 	return n
 }
 
-// PresentKeyReadsNoRow reports whether the primary-key index finds a key it
-// holds, at the right row id, with the row directory taken away: a probe that
-// reads a stored row cannot, since no row can be reached.
-func (t *Table) PresentKeyReadsNoRow(key []Value) bool {
+// keyIndexNamed returns the table's primary-key or unique index of that name.
+func (t *Table) keyIndexNamed(name string) *keyIndex {
+	for _, k := range append([]*keyIndex{t.pk}, t.uniques...) {
+		if k.name == name {
+			return k
+		}
+	}
+	panic("relstore: no key index " + name)
+}
+
+// KeyIndexInRuns returns how many keys the named key index holds and how many
+// of them its runs hold.
+func (t *Table) KeyIndexInRuns(name string) (keys, inRuns int) {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	k := t.keyIndexNamed(name)
+	return k.len(), k.inRuns
+}
+
+// PresentKeyReadsNoRow reports whether the named key index ("" for the
+// primary key) finds a key it holds, at the right row id, with the row
+// directory taken away: a probe that reads a stored row cannot, since no row
+// can be reached.
+func (t *Table) PresentKeyReadsNoRow(index string, key []Value) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	want, ok := t.pk.lookup(key)
+	k := t.pk
+	if index != "" {
+		k = t.keyIndexNamed(index)
+	}
+	want, ok := k.lookup(key)
 	if !ok {
 		panic("relstore: PresentKeyReadsNoRow given an absent key")
 	}
 	rows := t.rows
 	t.rows = rowDir{}
-	got, ok := t.pk.lookup(key)
+	got, ok := k.lookup(key)
 	t.rows = rows
 	return ok && got == want
 }

@@ -10,12 +10,17 @@ import (
 // keyIndex is the index behind a primary key or a unique constraint: key ->
 // row id.  It stores no key a row already holds, in two representations.
 //
-// Runs, for a key of one integer column: keys arriving in step with their row
-// ids — key+1 at row id+1, as a file's ascending ids load — extend a run
-// {key, id, n} saying keys key..key+n-1 are rows id..id+n-1, 16 bytes for the
-// whole run.  Runs are sorted by key and disjoint, every key they cover is
-// live, and a probe they answer reads no stored row; an absent key reads none
-// either while the tag table is empty.
+// Runs, for a key of one or two integer columns: keys arriving in step with
+// their row ids extend a run {lead, key, id, n, m} saying row id+k holds the
+// key (lead + k/m, key + k%m) for k < n, 32 bytes for the whole run.  With
+// m = 0 the lead stays fixed: key+1 at row id+1, as a file's ascending ids
+// load; a one-column key has no lead (0) and always m = 0.  A two-column run
+// learns m the first time its key wraps to (lead+1, key) at the next row id,
+// so four fingers to each object in turn are one run.  Runs are sorted in pair
+// order (lead, then key) and disjoint there: no run starts inside another's
+// span, from its first key to its last, holes of a stride included.  Every
+// key they cover is live, and a probe they answer reads no stored row; an
+// absent key reads none either while the tag table is empty.
 //
 // The tag table, for every other key: one open-addressing, linear-probing
 // table of pointer-free 8-byte slots — a 32-bit hash tag and the row id.  A
@@ -43,8 +48,8 @@ type keyIndex struct {
 	// cols are the key columns' positions in a row; seq, 0..len(cols)-1, is
 	// where the same values sit in a probe key.
 	cols, seq []int
-	// ints is set when the key is one integer column; its integer keys may
-	// then be held in runs, inRuns of them.
+	// ints is set when the key is one or two integer columns; its integer
+	// keys may then be held in runs, inRuns of them.
 	ints   bool
 	runs   []keyRun
 	inRuns int
@@ -55,11 +60,40 @@ type keyIndex struct {
 	n     int
 }
 
-// keyRun says key+k is the key of row id+k for every k < n.
+// keyRun says row id+k holds the key (lead + k/m, key + k%m) for every k < n;
+// m = 0 keeps the lead fixed, so the key is (lead, key+k).
 type keyRun struct {
-	key   int64
-	id, n uint32
+	lead, key int64
+	id, n, m  uint32
 }
+
+// at returns the key of row id+k.
+func (r *keyRun) at(k uint32) (lead, key int64) {
+	if r.m == 0 {
+		return r.lead, r.key + int64(k)
+	}
+	return r.lead + int64(k/r.m), r.key + int64(k%r.m)
+}
+
+// offset returns k such that row id+k holds the key (lead, x) and whether the
+// run covers that key.
+func (r *keyRun) offset(lead, x int64) (uint32, bool) {
+	if lead < r.lead || x < r.key {
+		return 0, false
+	}
+	dl, dk := uint64(lead)-uint64(r.lead), uint64(x)-uint64(r.key)
+	if r.m == 0 {
+		return uint32(dk), dl == 0 && dk < uint64(r.n)
+	}
+	if dk >= uint64(r.m) || dl > uint64(r.n/r.m) {
+		return 0, false
+	}
+	k := dl*uint64(r.m) + dk
+	return uint32(k), k < uint64(r.n)
+}
+
+// pairLess is pair order: lead, then key.
+func pairLess(al, ak, bl, bk int64) bool { return al < bl || al == bl && ak < bk }
 
 // maxRunsMoved is the most runs an insert may move to open a run: a key whose
 // run would open below more goes to the tag table, so no order of inserts
@@ -107,10 +141,10 @@ func (t *Table) checkRowID(id int64) error {
 }
 
 func newKeyIndex(t *Table, name string, cols []int) *keyIndex {
-	k := &keyIndex{t: t, name: name, cols: cols, seq: make([]int, len(cols)),
-		ints: len(cols) == 1 && t.schema.Columns[cols[0]].Type == TypeInt}
+	k := &keyIndex{t: t, name: name, cols: cols, seq: make([]int, len(cols)), ints: len(cols) <= 2}
 	for i := range k.seq {
 		k.seq[i] = i
+		k.ints = k.ints && t.schema.Columns[cols[i]].Type == TypeInt
 	}
 	return k
 }
@@ -161,19 +195,28 @@ func sameKeyValue(a, b *Value) bool {
 	}
 }
 
-// intKey returns the key whose only column value is vals[at[0]] (at as for
-// hash) and whether runs may hold it.
-func (k *keyIndex) intKey(vals []Value, at []int) (int64, bool) {
-	v := &vals[at[0]]
-	return v.I, k.ints && v.Kind == KindInt
+// runKey returns the key whose column values are vals[at[i]] (at as for hash)
+// in pair order — a one-column key has lead 0 — and whether runs may hold it.
+func (k *keyIndex) runKey(vals []Value, at []int) (lead, x int64, ok bool) {
+	if !k.ints {
+		return 0, 0, false
+	}
+	for _, i := range at {
+		if vals[i].Kind != KindInt {
+			return 0, 0, false
+		}
+		lead, x = x, vals[i].I
+	}
+	return lead, x, true
 }
 
 // find returns the row id stored under the key (values as for hash): from a
 // run when one covers it, else from the tag table.
 func (k *keyIndex) find(vals []Value, at []int) (int64, bool) {
-	if x, ok := k.intKey(vals, at); ok {
-		if i, covered, _ := findRun(k.runs, x); covered {
-			return int64(k.runs[i].id) + (x - k.runs[i].key), true
+	if lead, x, ok := k.runKey(vals, at); ok {
+		if i, covered, _ := findRun(k.runs, lead, x); covered {
+			off, _ := k.runs[i].offset(lead, x)
+			return int64(k.runs[i].id) + int64(off), true
 		}
 	}
 	if i := k.slot(vals, at); i >= 0 {
@@ -227,7 +270,7 @@ func (k *keyIndex) lookup(key []Value) (int64, bool) {
 
 // put stores id under the built row's key, which must be absent.
 func (k *keyIndex) put(row Row, id int64) {
-	if x, ok := k.intKey(row, k.cols); ok && k.putRun(x, id) {
+	if lead, x, ok := k.runKey(row, k.cols); ok && k.putRun(lead, x, id) {
 		return
 	}
 	k.reserve(k.n + 1)
@@ -235,31 +278,49 @@ func (k *keyIndex) put(row Row, id int64) {
 	k.n++
 }
 
-// putRun enters the absent key x of row id into the runs and reports whether
-// it did.  The run ending just below x takes it when id is that run's next
-// row id.  Failing that, a run opens with x-1 and x when row id-1 holds x-1 —
+// putRun enters the absent key (lead, x) of row id into the runs and reports
+// whether it did.  The last run starting below the key takes it when id is
+// that run's next row id and the key its next key — or, for a run with its
+// lead still fixed, the wrap (lead+1, first key), which sets m.  Failing that,
+// a run opens with (lead, x-1) and (lead, x) when row id-1 holds the first —
 // which is then in the tag table and leaves it — so a run never opens for one
-// key alone, and only where at most maxRunsMoved runs sit above it.
-func (k *keyIndex) putRun(x, id int64) bool {
-	at, _, _ := findRun(k.runs, x)
+// key alone, and only where no run's span holds x-1 and at most maxRunsMoved
+// runs sit above it.
+func (k *keyIndex) putRun(lead, x, id int64) bool {
+	at, _, _ := findRun(k.runs, lead, x)
 	if at >= 0 {
-		if r := &k.runs[at]; x-r.key == int64(r.n) && int64(r.id)+int64(r.n) == id {
-			r.n++
-			k.inRuns++
-			return true
+		if r := &k.runs[at]; int64(r.id)+int64(r.n) == id {
+			if r.m == 0 && lead > r.lead && lead-1 == r.lead && x == r.key {
+				r.m = r.n
+			}
+			if l, y := r.at(r.n); l == lead && y == x {
+				r.n++
+				k.inRuns++
+				return true
+			}
 		}
 	}
 	if k.n == 0 || x == math.MinInt64 || len(k.runs)-at-1 > maxRunsMoved {
 		return false
 	}
-	if prev, ok := k.t.viewLocked(id - 1); !ok {
-		return false
-	} else if v := prev.val(k.cols[0]); v.Kind != KindInt || v.I != x-1 {
+	if at >= 0 {
+		if l, y := k.runs[at].at(k.runs[at].n - 1); !pairLess(l, y, lead, x-1) {
+			return false
+		}
+	}
+	below := [2]Value{Int(lead), Int(x - 1)}
+	key := below[2-len(k.cols):]
+	prev, ok := k.t.viewLocked(id - 1)
+	if !ok {
 		return false
 	}
-	below := [1]Value{Int(x - 1)}
-	k.unslot(below[:], id-1)
-	k.runs = slices.Insert(k.runs, at+1, keyRun{key: x - 1, id: uint32(id - 1), n: 2})
+	for j, c := range k.cols {
+		if v := prev.val(c); v.Kind != KindInt || v.I != key[j].I {
+			return false
+		}
+	}
+	k.unslot(key, id-1)
+	k.runs = slices.Insert(k.runs, at+1, keyRun{lead: lead, key: x - 1, id: uint32(id - 1), n: 2})
 	k.inRuns += 2
 	return true
 }
@@ -307,25 +368,32 @@ func (k *keyIndex) reserve(n int) {
 }
 
 // remove deletes the entry of stored row id, whose key values are key.  A run
-// loses the key from its end or its start, or splits round it.  A tag slot is
-// found by id and the gap closed by moving the run behind it back one slot,
-// up to the first entry at its home, so the table never holds tombstones.
+// keeps what lies before the key and gives what lies after it back as one run
+// when that starts a stride, else as the rest of the key's stride with its
+// lead fixed and the strides after it.  A tag slot is found by id and the gap
+// closed by moving the run behind it back one slot, up to the first entry at
+// its home, so the table never holds tombstones.
 func (k *keyIndex) remove(key []Value, id int64) {
-	if x, ok := k.intKey(key, k.seq); ok {
-		if i, covered, _ := findRun(k.runs, x); covered {
-			r := &k.runs[i]
-			switch off := uint32(x - r.key); {
-			case r.n == 1:
-				k.runs = slices.Delete(k.runs, i, i+1)
-			case off == r.n-1:
-				r.n--
-			case off == 0:
-				r.key, r.id, r.n = r.key+1, r.id+1, r.n-1
-			default:
-				tail := keyRun{key: x + 1, id: r.id + off + 1, n: r.n - off - 1}
-				r.n = off
-				k.runs = slices.Insert(k.runs, i+1, tail)
+	if lead, x, ok := k.runKey(key, k.seq); ok {
+		if i, covered, _ := findRun(k.runs, lead, x); covered {
+			r := k.runs[i]
+			j, _ := r.offset(lead, x)
+			var buf [3]keyRun
+			parts := buf[:0]
+			if head := r; j > 0 {
+				head.n = j
+				parts = append(parts, head)
 			}
+			for s := j + 1; s < r.n; {
+				e, m := r.n, r.m
+				if m > 0 && s%m != 0 {
+					e, m = min(r.n, s-s%m+m), 0
+				}
+				l, y := r.at(s)
+				parts = append(parts, keyRun{lead: l, key: y, id: r.id + s, n: e - s, m: m})
+				s = e
+			}
+			k.runs = slices.Replace(k.runs, i, i+1, parts...)
 			k.inRuns--
 			return
 		}

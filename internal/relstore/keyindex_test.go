@@ -211,33 +211,38 @@ func runKeyIndexOps(t testing.TB, cols []int, data []byte) *keyIndex {
 }
 
 // checkKeyRuns checks the runs of k against the oracle of every key k holds:
-// only an integer key index has runs, none is empty, they are sorted by key
-// and disjoint, they cover as many keys as the index says, and every key they
-// cover is the key of the live row the run maps it to, which the oracle holds
-// at that id.
+// only a key index of one or two integer columns has runs, a one-column
+// key's with lead 0 and m 0; none is empty; they are sorted in pair order and
+// disjoint there, each ending before the next starts; they cover as many keys
+// as the index says; and every key they cover is the key of the live row the
+// run maps it to, which the oracle holds at that id.
 func checkKeyRuns(t testing.TB, k *keyIndex, oracle map[string]int64) {
 	t.Helper()
 	if !k.ints && len(k.runs) > 0 {
-		t.Fatalf("a %d-column key index holds %d runs", len(k.cols), len(k.runs))
+		t.Fatalf("a %d-column key index that is not all integers holds %d runs", len(k.cols), len(k.runs))
 	}
 	covered := 0
 	for i, r := range k.runs {
-		if r.n == 0 {
-			t.Fatalf("run %d is empty", i)
+		if r.n == 0 || len(k.cols) == 1 && (r.lead != 0 || r.m != 0) {
+			t.Fatalf("run %d %+v is empty or has a lead in a one-column key", i, r)
 		}
 		if i > 0 {
-			if p := k.runs[i-1]; p.key >= r.key || uint64(r.key-p.key) < uint64(p.n) {
-				t.Fatalf("run %d %+v does not sort after run %d %+v", i, r, i-1, p)
+			p := &k.runs[i-1]
+			if el, ek := p.at(p.n - 1); !pairLess(el, ek, r.lead, r.key) {
+				t.Fatalf("run %d %+v does not start after run %d %+v ends", i, r, i-1, *p)
 			}
 		}
 		for j := uint32(0); j < r.n; j++ {
-			key, id := []Value{Int(r.key + int64(j))}, int64(r.id+j)
+			lead, x := r.at(j)
+			key, id := []Value{Int(lead), Int(x)}[2-len(k.cols):], int64(r.id+j)
 			v, ok := k.t.viewLocked(id)
-			if stored := v.val(k.cols[0]); !ok || stored != key[0] {
-				t.Fatalf("run %+v maps key %d to row %d, which is live %v with key %v", r, key[0].I, id, ok, stored)
+			for c, col := range k.cols {
+				if stored := v.val(col); !ok || stored != key[c] {
+					t.Fatalf("run %+v maps key %v to row %d, which is live %v with %v in column %d", r, key, id, ok, stored, col)
+				}
 			}
 			if got, ok := oracle[EncodeKey(key)]; !ok || got != id {
-				t.Fatalf("run %+v maps key %d to row %d; oracle says %d, %v", r, key[0].I, id, got, ok)
+				t.Fatalf("run %+v maps key %v to row %d; oracle says %d, %v", r, key, id, got, ok)
 			}
 		}
 		covered += int(r.n)
@@ -247,7 +252,8 @@ func checkKeyRuns(t testing.TB, k *keyIndex, oracle map[string]int64) {
 	}
 }
 
-// tagShape is a key shape held in the tag table alone: two integer columns.
+// tagShape is the two-int shape as the tag-table tests use it: keys (a, 0),
+// of which no run ever holds one, since a run opens with (a, b-1) and (a, b).
 var tagShape = []int{0, 1}
 
 // keyIndexWrapOps spells an operation stream for the two-int shape that
@@ -308,14 +314,45 @@ func (w *opSpeller) removeAt(i int) {
 // remove removes the row of key a.
 func (w *opSpeller) remove(a int) { w.removeAt(slices.Index(w.live, a)) }
 
+// pair is a has-then-put of row (a, b, "a", NULL, NULL), a key of the two-int
+// shape not yet held; the harness's live list names it a<<3 | b.
+func (w *opSpeller) pair(a, b int) {
+	w.emit(0, a, b, 0, 0, 0, 0)
+	w.live = append(w.live, a<<3|b)
+}
+
+// pairs puts (a, from..to) for every a in [first, last].
+func (w *opSpeller) pairs(first, last, from, to int) {
+	for a := first; a <= last; a++ {
+		for b := from; b <= to; b++ {
+			w.pair(a, b)
+		}
+	}
+}
+
+// rejectPair puts (a, b), which is held: the harness finds it present and
+// stores nothing, as a load rejects a duplicate row without spending an id.
+func (w *opSpeller) rejectPair(a, b int) { w.emit(0, a, b, 0, 0, 0, 0) }
+
+// lookupPair looks (a, b) up, unaltered.
+func (w *opSpeller) lookupPair(a, b int) { w.emit(4, a, b, 0, 0, 0, 0, 7) }
+
+// removePair removes the row of key (a, b).
+func (w *opSpeller) removePair(a, b int) { w.remove(a<<3 | b) }
+
 // keyRunSeeds are the checked-in FuzzKeyIndexOps streams over the single-int
-// shape that take runs through their cases.
+// shape (runs-*) and the two-int shape (pairs-*) that take runs through their
+// cases.
 func keyRunSeeds() map[string][]byte {
 	seeds := map[string][]byte{}
 	add := func(name string, spell func(w *opSpeller)) {
 		var w opSpeller
 		spell(&w)
-		seeds[name] = append([]byte{0}, w.data...) // shape 0: single-int
+		shape := byte(0) // single-int
+		if strings.HasPrefix(name, "pairs-") {
+			shape = 1 // two-int
+		}
+		seeds[name] = append([]byte{shape}, w.data...)
 	}
 	ascending := func(from, n int) []int {
 		out := make([]int, n)
@@ -373,6 +410,70 @@ func keyRunSeeds() map[string][]byte {
 		}
 		for i := 0; i < 100; i++ {
 			w.removeAt(rng.Intn(len(w.live)))
+		}
+	})
+	add("pairs-strides", func(w *opSpeller) { // a different m in each run
+		w.pairs(10, 30, 1, 4)
+		w.pairs(100, 110, 0, 6)
+		w.pairs(200, 210, 2, 3)
+		for _, k := range [][2]int{{12, 5}, {12, 0}, {31, 1}, {105, 6}, {110, 0}, {111, 0}, {205, 1}, {210, 3}} {
+			w.lookupPair(k[0], k[1])
+		}
+	})
+	add("pairs-mid-stride", func(w *opSpeller) { // runs that start inside a stride
+		w.pairs(10, 10, 3, 4)
+		w.pairs(11, 20, 1, 4)
+		w.pairs(40, 40, 2, 6)
+		w.pairs(41, 45, 0, 6)
+		w.lookupPair(10, 2)
+		w.lookupPair(10, 1)
+		w.lookupPair(40, 1)
+	})
+	add("pairs-rejected-gaps", func(w *opSpeller) { // keys that never arrive, or arrive twice
+		w.pairs(40, 44, 1, 4)
+		w.pair(45, 1) // (45, 2) rejected before it had an id
+		w.pairs(45, 45, 3, 4)
+		w.pairs(46, 49, 1, 4)
+		w.pairs(50, 50, 1, 2)
+		w.rejectPair(49, 3) // a duplicate between two keys in step
+		w.pairs(50, 50, 3, 4)
+		w.pairs(51, 52, 1, 4)
+		w.pair(53, 1) // stored and rolled back: its id is spent
+		w.removePair(53, 1)
+		w.pairs(53, 55, 1, 4)
+		w.lookupPair(45, 2)
+		w.lookupPair(53, 1)
+	})
+	add("pairs-interleave", func(w *opSpeller) { // spans that would take in a neighbour
+		w.pairs(20, 20, 5, 6) // opened first, above where the next run goes
+		w.pairs(10, 14, 1, 4)
+		w.pair(11, 5) // in the span's holes
+		w.pair(11, 6)
+		w.pair(10, 0) // below its start
+		w.pair(14, 5) // just past its end, behind a key a run holds
+		w.pair(14, 6)
+		w.pairs(18, 20, 1, 4) // runs up to (20, 5) and stops
+		w.pairs(21, 22, 1, 4)
+		for _, k := range [][2]int{{11, 5}, {14, 6}, {20, 4}, {20, 5}, {21, 1}, {19, 5}} {
+			w.lookupPair(k[0], k[1])
+		}
+	})
+	add("pairs-rollback", func(w *opSpeller) { // a prefix, a middle and a suffix
+		w.pairs(30, 39, 1, 4)
+		w.removePair(39, 4) // suffix
+		w.removePair(39, 3)
+		w.removePair(30, 1) // prefix: the rest of its stride is a run of its own
+		w.removePair(34, 2) // middle, inside a stride
+		w.removePair(36, 1) // middle, at a stride's start
+		w.removePair(30, 2) // the start of a piece
+		for _, k := range [][2]int{{30, 1}, {30, 3}, {34, 1}, {34, 2}, {34, 3}, {36, 1}, {36, 2}, {39, 2}, {39, 3}} {
+			w.lookupPair(k[0], k[1])
+		}
+		w.pair(34, 2) // back, out of step
+		w.pairs(39, 39, 3, 4)
+		w.pairs(40, 41, 1, 4)
+		for _, k := range [][2]int{{33, 4}, {34, 4}, {35, 1}} { // a whole piece and the run after it
+			w.removePair(k[0], k[1])
 		}
 	})
 	return seeds
@@ -504,43 +605,67 @@ func TestKeyIndexReserve(t *testing.T) {
 	}
 }
 
-// TestKeyRunOrders feeds 200k single-int keys in orders that are not in step
-// with their row ids — random, descending, stride 2 — and in step pairs each
-// opened below every run before it.  Whatever the order, the index holds at
-// most 16 bytes a key, no insert moves more than maxRunsMoved runs, and every
-// stored key and a sample of absent ones answer as a map does.
+// TestKeyRunOrders feeds 200k keys in orders that are not in step with their
+// row ids — single-int keys random, descending, stride 2; pairs random, and
+// each lead's stride descending — and in step pairs each opened below every
+// run before it, single-int and as a stride of two-int keys whose leads
+// descend; and two-int keys in step whose stride changes every 1000 leads.
+// Whatever the order, the index holds at most 16 bytes a key, no insert moves
+// more than maxRunsMoved runs, and every stored key and a sample of absent
+// ones — in the holes of a stride too — answer as a map does.
 func TestKeyRunOrders(t *testing.T) {
 	const n = 200_000
-	orders := map[string]func(i int) int64{
-		"random":           func(i int) int64 { return int64(n - 1 - i) }, // permuted below
-		"descending":       func(i int) int64 { return int64(n - 1 - i) },
-		"stride-2":         func(i int) int64 { return int64(2 * i) },
-		"descending-pairs": func(i int) int64 { return int64(n - 2 - i&^1 + i&1) },
+	type key struct{ a, b int64 }
+	orders := map[string]func(i int) key{
+		"random":                func(i int) key { return key{int64(n - 1 - i), 0} }, // permuted below
+		"descending":            func(i int) key { return key{int64(n - 1 - i), 0} },
+		"stride-2":              func(i int) key { return key{int64(2 * i), 0} },
+		"descending-pairs":      func(i int) key { return key{int64(n - 2 - i&^1 + i&1), 0} },
+		"pairs-random":          func(i int) key { return key{int64(i / 4), int64(i%4 + 1)} }, // permuted below
+		"pairs-key-descending":  func(i int) key { return key{int64(i / 4), int64(4 - i%4)} },
+		"pairs-lead-descending": func(i int) key { return key{int64(n/4 - i/4), int64(i%4 + 1)} },
+		"pairs-changing-stride": func(i int) key {
+			// Leads 0..999 have keys 0..1, leads 1000..1999 keys 0..2, and so on
+			// up to 0..6, then round again.
+			for lead, block := int64(0), 0; ; block++ {
+				m := 2 + block%6
+				if i < 1000*m {
+					return key{lead + int64(i/m), int64(i % m)}
+				}
+				i, lead = i-1000*m, lead+1000
+			}
+		},
 	}
 	for name, keyAt := range orders {
 		t.Run(name, func(t *testing.T) {
-			keys := make([]int64, n)
+			keys := make([]key, n)
 			for i := range keys {
 				keys[i] = keyAt(i)
 			}
-			if name == "random" {
+			if strings.HasSuffix(name, "random") {
 				rand.New(rand.NewSource(36)).Shuffle(n, func(i, j int) { keys[i], keys[j] = keys[j], keys[i] })
 			}
+			cols, pairs := []int{0}, strings.HasPrefix(name, "pairs-")
+			if pairs {
+				cols = []int{0, 1}
+			}
+			probe := func(x key) []Value { return []Value{Int(x.a), Int(x.b)}[:len(cols)] }
 			tbl := keyOracleTable(t)
-			k := newKeyIndex(tbl, "k", []int{0})
-			oracle := make(map[int64]int64, n)
+			k := newKeyIndex(tbl, "k", cols)
+			oracle := make(map[key]int64, n)
 			mostMoved := 0
 			for id, x := range keys {
-				row := Row{Int(x), Int(0), Str(""), Null, Null}
+				row := Row{Int(x.a), Int(x.b), Str(""), Null, Null}
 				if k.has(row) {
-					t.Fatalf("key %d present before it was put", x)
+					t.Fatalf("key %v present before it was put", x)
 				}
 				loc, _, _ := tbl.heap.append(row)
 				tbl.rows.put(int64(id), loc)
 				runs := len(k.runs)
 				k.put(row, int64(id))
 				if len(k.runs) > runs {
-					at, _, _ := findRun(k.runs, x)
+					lead, y, _ := k.runKey(row, k.cols)
+					at, _, _ := findRun(k.runs, lead, y)
 					mostMoved = max(mostMoved, len(k.runs)-1-at)
 				}
 				oracle[x] = int64(id)
@@ -555,16 +680,20 @@ func TestKeyRunOrders(t *testing.T) {
 				t.Fatalf("index holds %d keys, want %d", k.len(), n)
 			}
 			for x, want := range oracle {
-				if id, ok := k.lookup([]Value{Int(x)}); !ok || id != want {
-					t.Fatalf("lookup(%d) = %d, %v; want %d", x, id, ok, want)
+				if id, ok := k.lookup(probe(x)); !ok || id != want {
+					t.Fatalf("lookup(%v) = %d, %v; want %d", x, id, ok, want)
 				}
 			}
-			for _, x := range []int64{-1, 2*n + 1, 2*n - 1, 1 << 40, math.MinInt64, math.MaxInt64} {
+			absent := []key{{-1, 0}, {2*n + 1, 0}, {2*n - 1, 0}, {1 << 40, 0}, {math.MinInt64, 0}, {math.MaxInt64, 0}}
+			if pairs {
+				absent = []key{{0, -1}, {7, 0}, {7, 5}, {1500, 3}, {n, 7}, {-1, 1}, {math.MaxInt64, 1}, {math.MinInt64, math.MaxInt64}, {1, math.MinInt64}}
+			}
+			for _, x := range absent {
 				if _, present := oracle[x]; present {
 					continue
 				}
-				if id, ok := k.lookup([]Value{Int(x)}); ok {
-					t.Fatalf("absent key %d looks up to %d", x, id)
+				if id, ok := k.lookup(probe(x)); ok {
+					t.Fatalf("absent key %v looks up to %d", x, id)
 				}
 			}
 		})
@@ -575,7 +704,8 @@ func TestKeyRunOrders(t *testing.T) {
 // the first byte picks the key shape.  The checked-in corpus
 // (testdata/fuzz/FuzzKeyIndexOps, TestWriteKeyIndexSeeds) adds
 // keyIndexWrapOps streams — clusters across the table's end at sizes that are
-// no power of two — and keyRunSeeds' streams through the runs' cases.
+// no power of two — and keyRunSeeds' streams through the runs' cases, over
+// keys of one integer column and of two.
 func FuzzKeyIndexOps(f *testing.F) {
 	seed := make([]byte, 512)
 	for i := range keyOracleShapes {
@@ -912,16 +1042,28 @@ func TestRowIDBeyondKeySlot(t *testing.T) {
 	}
 }
 
-// TestKeyRunsTwoWriters: two writers load ascending key streams into one
-// table at once, a batch per transaction, and one of them rolls back every
-// third transaction and loads its keys again.  Their batches interleave in
-// the row ids, so each batch is a run of its own — the shape a catalog night
-// loads in — and the runs, cut by the rollbacks, agree with the heap.  CI
-// runs it under -race three times.
+// TestKeyRunsTwoWriters: two writers load ascending key streams into two
+// tables at once, a batch per table per transaction, and one of them rolls
+// back every third transaction and loads its keys again.  Table t's primary
+// key is one integer column; table c's unique key is two, (lead, key) with
+// four keys to a lead, as fingers to an object.  The writers' batches
+// interleave in the row ids, so each batch is a run of its own — the shape a
+// catalog night loads in — and the runs, cut by the rollbacks, agree with the
+// heap.  CI runs it under -race three times.
 func TestKeyRunsTwoWriters(t *testing.T) {
 	const batches, batch = 60, 40
-	db := MustOpen(keyOracleSchema(t))
-	cols := []string{"a", "b", "s", "n", "f"}
+	composite := &TableSchema{
+		Name:       "c",
+		Columns:    []Column{{Name: "id", Type: TypeInt}, {Name: "lead", Type: TypeInt}, {Name: "key", Type: TypeInt}},
+		PrimaryKey: []string{"id"},
+		Uniques:    []UniqueConstraint{{Name: "uq_c", Columns: []string{"lead", "key"}}},
+	}
+	schema, err := NewSchema(keyOracleSchema(t).Table("t"), composite)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := MustOpen(schema)
+	cols, ccols := []string{"a", "b", "s", "n", "f"}, []string{"id", "lead", "key"}
 	var wg sync.WaitGroup
 	errs := make([]error, 2)
 	for w := range errs {
@@ -930,14 +1072,18 @@ func TestKeyRunsTwoWriters(t *testing.T) {
 			defer wg.Done()
 			next := int64(w) * 1_000_000
 			for i := 0; i < batches && errs[w] == nil; i++ {
-				rows := make([][]Value, batch)
+				rows, crows := make([][]Value, batch), make([][]Value, batch)
 				for j := range rows {
 					rows[j] = []Value{Int(next), Int(int64(w)), Str("x"), Null, Null}
+					crows[j] = []Value{Int(next), Int(next / 4), Int(next % 4)}
 					next++
 				}
 				txn, err := db.Begin()
 				if err == nil {
 					_, err = txn.InsertBatch("t", cols, rows)
+				}
+				if err == nil {
+					_, err = txn.InsertBatch("c", ccols, crows)
 				}
 				switch {
 				case err != nil:
@@ -958,17 +1104,22 @@ func TestKeyRunsTwoWriters(t *testing.T) {
 	if err := db.VerifyPrimaryKeys(); err != nil {
 		t.Fatal(err)
 	}
-	tbl := db.Table("t")
-	tbl.mu.RLock()
-	defer tbl.mu.RUnlock()
-	var sc scratch
-	oracle := map[string]int64{}
-	tbl.scanRowsByID(func(id int64, v RowView) { oracle[EncodeKey(sc.keyOfView(v, tbl.pkCols))] = id })
-	checkKeyRuns(t, tbl.pk, oracle)
-	if want := (2*batches - batches/3) * batch; len(oracle) != want || tbl.pk.inRuns != want {
-		t.Fatalf("%d rows, %d of them in runs, want %d", len(oracle), tbl.pk.inRuns, want)
-	}
-	if runs := len(tbl.pk.runs); runs > 2*batches {
-		t.Fatalf("%d batches of %d keys left %d runs", 2*batches, batch, runs)
+	want := (2*batches - batches/3) * batch
+	for _, name := range []string{"t", "c"} {
+		tbl := db.Table(name)
+		tbl.mu.RLock()
+		k := append([]*keyIndex{tbl.pk}, tbl.uniques...)[len(tbl.uniques)]
+		var sc scratch
+		oracle := map[string]int64{}
+		tbl.scanRowsByID(func(id int64, v RowView) { oracle[EncodeKey(sc.keyOfView(v, k.cols))] = id })
+		checkKeyRuns(t, k, oracle)
+		inRuns, runs := k.inRuns, len(k.runs)
+		tbl.mu.RUnlock()
+		if len(oracle) != want || inRuns != want {
+			t.Fatalf("%s: %d rows, %d of them in runs, want %d", name, len(oracle), inRuns, want)
+		}
+		if runs > 2*batches {
+			t.Fatalf("%s: %d batches of %d keys left %d runs", name, 2*batches, batch, runs)
+		}
 	}
 }

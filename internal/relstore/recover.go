@@ -384,8 +384,9 @@ func (db *DB) recoverReplay(dir string) (RecoveryReport, error) {
 
 // replayRowsAt stores rows at explicit (possibly non-contiguous) ids — the
 // checkpoint-snapshot load path.  The snapshot knows its row count, so a tag
-// table that will hold every key is sized once and never rehashes; an integer
-// key index reserves nothing, its keys going to runs as they did when loaded.
+// table that will hold every key is sized once and never rehashes; a key
+// index of one or two integer columns reserves nothing, its keys going to
+// runs as they did when loaded.
 func (t *Table) replayRowsAt(sc *scratch, ids []int64, rows []Row) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()

@@ -77,42 +77,71 @@ func (d *rowDir) put(id int64, loc rowLoc) {
 
 // find returns the position of the last run starting at or below id (-1 when
 // there is none), whether that run covers id, and how many runs it tried.
-func (d *rowDir) find(id int64) (at int, covered bool, tries int) { return findRun(d.runs, id) }
+func (d *rowDir) find(id int64) (at int, covered bool, tries int) { return findRun(d.runs, 0, id) }
 
-// span returns where a run starts and how many values it covers: ids for the
-// row directory, keys for a key index.
-func span[R idRun | keyRun](r *R) (start int64, n uint64) {
+// span returns where a run starts in pair order — the row directory's ids and
+// a one-column key's runs have lead 0 — and, as c and n, its start and length
+// along the coordinate findRun scales on: keys, or leads when byLead.
+func span[R idRun | keyRun](r *R, byLead bool) (lead, key, c int64, n uint64) {
 	switch r := any(r).(type) {
 	case *idRun:
-		return int64(r.first), uint64(r.n)
+		return 0, int64(r.first), int64(r.first), uint64(r.n)
 	case *keyRun:
-		return r.key, uint64(r.n)
+		if !byLead {
+			return r.lead, r.key, r.key, uint64(r.n)
+		}
+		leads := uint64(1)
+		if r.m > 0 {
+			leads += uint64((r.n - 1) / r.m)
+		}
+		return r.lead, r.key, r.lead, leads
 	}
 	panic("relstore: span of an unknown run")
 }
 
-// findRun returns the position of the last of runs — sorted by start,
-// disjoint — starting at or below x (-1 when there is none), whether that run
-// covers x, and how many runs it tried.  The first try scales x's place in the
-// runs' span onto them — right at once when they are equally long, as a
-// load's nearly are — and each next one steps from the run just tried by that
-// run's own length; past three tries every other one halves what is left,
-// whatever the lengths.  It sits under every index candidate and every key a
-// key index holds in runs: a binary search alone reads 75 ns where the scaled
-// try reads 5 (PERFORMANCE.md).  Differences are taken in uint64, so keys
-// anywhere in int64 neither overflow nor divide by zero.
-func findRun[R idRun | keyRun](runs []R, x int64) (at int, covered bool, tries int) {
+// covers reports whether the run holds (lead, x), which sorts at or after its
+// start.
+func covers[R idRun | keyRun](r *R, lead, x int64) bool {
+	switch r := any(r).(type) {
+	case *idRun:
+		return uint64(x-int64(r.first)) < uint64(r.n)
+	case *keyRun:
+		_, ok := r.offset(lead, x)
+		return ok
+	}
+	panic("relstore: covers of an unknown run")
+}
+
+// findRun returns the position of the last of runs — sorted in pair order by
+// start, disjoint — starting at or below (lead, x) (-1 when there is none),
+// whether that run covers it, and how many runs it tried.  The first try
+// scales the probe's place in the runs' span onto them, along their keys when
+// every run has one lead and along their leads when they differ — right at
+// once when the runs are equally long, as a load's nearly are — and each next
+// one steps from the run just tried by that run's own length; past three
+// tries every other one halves what is left, whatever the lengths.  It sits
+// under every index candidate and every key a key index holds in runs: a
+// binary search alone reads 75 ns where the scaled try reads 5
+// (PERFORMANCE.md).  Differences are taken in uint64, so keys anywhere in
+// int64 neither overflow nor divide by zero.
+func findRun[R idRun | keyRun](runs []R, lead, x int64) (at int, covered bool, tries int) {
 	lo, hi := 0, len(runs)-1
 	if hi < 0 {
 		return -1, false, 0
 	}
-	first, _ := span(&runs[0])
-	if x < first {
+	fl, fk, _, _ := span(&runs[0], false)
+	if pairLess(lead, x, fl, fk) {
 		return -1, false, 0
 	}
+	ll, _, _, _ := span(&runs[hi], false)
+	byLead, px := fl != ll, x
+	if byLead {
+		px = lead
+	}
+	_, _, first, _ := span(&runs[0], byLead)
+	_, _, last, n := span(&runs[hi], byLead)
 	try := hi
-	last, n := span(&runs[hi])
-	if off, total := uint64(x-first), uint64(last-first)+n; off < total {
+	if off, total := uint64(px-first), uint64(last-first)+n; off < total && (byLead || lead == fl) {
 		if p1, p0 := bits.Mul64(off, uint64(hi+1)); p1 == 0 {
 			try = int(p0 / total)
 		}
@@ -122,21 +151,21 @@ func findRun[R idRun | keyRun](runs []R, x int64) (at int, covered bool, tries i
 		if tries++; tries > 3 && tries%2 == 0 {
 			i = lo + (hi-lo+1)/2
 		}
-		s, n := span(&runs[i])
-		if x < s {
-			hi, try = i-1, i-1-int(min(uint64(s-1-x)/n, uint64(i)))
+		sl, sk, s, n := span(&runs[i], byLead)
+		if pairLess(lead, x, sl, sk) {
+			d := uint64(s - px)
+			hi, try = i-1, i-1-int(min((d-min(d, 1))/n, uint64(i)))
 			continue
 		}
 		if i < hi {
-			if next, _ := span(&runs[i+1]); x >= next {
-				lo, try = i+1, i+int(min(uint64(x-s)/n, uint64(hi)))
+			if nl, nk, _, _ := span(&runs[i+1], byLead); !pairLess(lead, x, nl, nk) {
+				lo, try = i+1, i+int(min(uint64(px-s)/n, uint64(hi)))
 				continue
 			}
 		}
 		lo, hi = i, i
 	}
-	s, n := span(&runs[lo])
-	return lo, uint64(x-s) < n, tries
+	return lo, covers(&runs[lo], lead, x), tries
 }
 
 // get returns the location row id was stored at; the slot may since be dead.
