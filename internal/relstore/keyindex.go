@@ -100,6 +100,11 @@ func pairLess(al, ak, bl, bk int64) bool { return al < bl || al == bl && ak < bk
 // costs more than that per key.
 const maxRunsMoved = 256
 
+// runOpen is how many keys in step a run opens with.  A run costs 32 bytes
+// and a tag slot 10.7 to 13.4, so a run of three costs a key no more than a
+// slot does, whatever the order of inserts.
+const runOpen = 3
+
 // keySlot is one table entry.  ref is the row id plus one, zero marking the
 // slot empty.
 type keySlot struct {
@@ -281,11 +286,11 @@ func (k *keyIndex) put(row Row, id int64) {
 // putRun enters the absent key (lead, x) of row id into the runs and reports
 // whether it did.  The last run starting below the key takes it when id is
 // that run's next row id and the key its next key — or, for a run with its
-// lead still fixed, the wrap (lead+1, first key), which sets m.  Failing that,
-// a run opens with (lead, x-1) and (lead, x) when row id-1 holds the first —
-// which is then in the tag table and leaves it — so a run never opens for one
-// key alone, and only where no run's span holds x-1 and at most maxRunsMoved
-// runs sit above it.
+// lead still fixed, the wrap (lead+1, first key), which sets m.  Failing
+// that, a run opens with the runOpen keys (lead, x-runOpen+1) … (lead, x) when
+// the rows before id hold the others — which are then in the tag table and
+// leave it — and only where no run's span reaches them and at most
+// maxRunsMoved runs sit above it.
 func (k *keyIndex) putRun(lead, x, id int64) bool {
 	at, _, _ := findRun(k.runs, lead, x)
 	if at >= 0 {
@@ -300,28 +305,35 @@ func (k *keyIndex) putRun(lead, x, id int64) bool {
 			}
 		}
 	}
-	if k.n == 0 || x == math.MinInt64 || len(k.runs)-at-1 > maxRunsMoved {
+	const back = runOpen - 1
+	if k.n < back || x < math.MinInt64+back || len(k.runs)-at-1 > maxRunsMoved {
 		return false
 	}
 	if at >= 0 {
-		if l, y := k.runs[at].at(k.runs[at].n - 1); !pairLess(l, y, lead, x-1) {
+		if l, y := k.runs[at].at(k.runs[at].n - 1); !pairLess(l, y, lead, x-back) {
 			return false
 		}
 	}
-	below := [2]Value{Int(lead), Int(x - 1)}
+	below := [2]Value{Int(lead)}
 	key := below[2-len(k.cols):]
-	prev, ok := k.t.viewLocked(id - 1)
-	if !ok {
-		return false
-	}
-	for j, c := range k.cols {
-		if v := prev.val(c); v.Kind != KindInt || v.I != key[j].I {
+	for d := int64(1); d <= back; d++ {
+		prev, ok := k.t.viewLocked(id - d)
+		if !ok {
 			return false
 		}
+		below[1] = Int(x - d)
+		for j, c := range k.cols {
+			if v := prev.val(c); v.Kind != KindInt || v.I != key[j].I {
+				return false
+			}
+		}
 	}
-	k.unslot(key, id-1)
-	k.runs = slices.Insert(k.runs, at+1, keyRun{lead: lead, key: x - 1, id: uint32(id - 1), n: 2})
-	k.inRuns += 2
+	for d := int64(1); d <= back; d++ {
+		below[1] = Int(x - d)
+		k.unslot(key, id-d)
+	}
+	k.runs = slices.Insert(k.runs, at+1, keyRun{lead: lead, key: x - back, id: uint32(id - back), n: runOpen})
+	k.inRuns += runOpen
 	return true
 }
 

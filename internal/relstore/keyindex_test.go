@@ -399,8 +399,8 @@ func keyRunSeeds() map[string][]byte {
 		for a := 2999; a >= 2600; a-- {
 			w.put(a)
 		}
-		for a := 1998; a >= 1000; a -= 2 { // pairs in step, each below the last
-			w.put(a, a+1)
+		for a := 1998; a >= 1000; a -= 3 { // triples in step, each below the last
+			w.put(a, a+1, a+2)
 		}
 	})
 	add("runs-random", func(w *opSpeller) {
@@ -415,7 +415,7 @@ func keyRunSeeds() map[string][]byte {
 	add("pairs-strides", func(w *opSpeller) { // a different m in each run
 		w.pairs(10, 30, 1, 4)
 		w.pairs(100, 110, 0, 6)
-		w.pairs(200, 210, 2, 3)
+		w.pairs(200, 210, 2, 4)
 		for _, k := range [][2]int{{12, 5}, {12, 0}, {31, 1}, {105, 6}, {110, 0}, {111, 0}, {205, 1}, {210, 3}} {
 			w.lookupPair(k[0], k[1])
 		}
@@ -606,13 +606,16 @@ func TestKeyIndexReserve(t *testing.T) {
 }
 
 // TestKeyRunOrders feeds 200k keys in orders that are not in step with their
-// row ids — single-int keys random, descending, stride 2; pairs random, and
-// each lead's stride descending — and in step pairs each opened below every
-// run before it, single-int and as a stride of two-int keys whose leads
-// descend; and two-int keys in step whose stride changes every 1000 leads.
-// Whatever the order, the index holds at most 16 bytes a key, no insert moves
-// more than maxRunsMoved runs, and every stored key and a sample of absent
-// ones — in the holes of a stride too — answer as a map does.
+// row ids — single-int keys random, descending, stride 2, in step only in
+// pairs (ascending and descending), too few for a run to open; two-int keys
+// random, and each lead's stride descending — and keys in step in triples
+// each opened below every run before it, single-int and as strides of two-int
+// keys whose leads descend; single-int triples ascending with gaps between,
+// the most runs an order can open; and two-int keys in step whose stride
+// changes every 1000 leads.  Whatever the order, the index holds at most 16
+// bytes a key, no insert moves more than maxRunsMoved runs, and every stored
+// key and a sample of absent ones — in the holes of a stride too — answer as
+// a map does.
 func TestKeyRunOrders(t *testing.T) {
 	const n = 200_000
 	type key struct{ a, b int64 }
@@ -621,6 +624,9 @@ func TestKeyRunOrders(t *testing.T) {
 		"descending":            func(i int) key { return key{int64(n - 1 - i), 0} },
 		"stride-2":              func(i int) key { return key{int64(2 * i), 0} },
 		"descending-pairs":      func(i int) key { return key{int64(n - 2 - i&^1 + i&1), 0} },
+		"ascending-pairs":       func(i int) key { return key{int64(3*(i/2) + i%2), 0} },
+		"descending-triples":    func(i int) key { return key{int64(n - 3 - 3*(i/3) + i%3), 0} },
+		"ascending-triples":     func(i int) key { return key{int64(4*(i/3) + i%3), 0} },
 		"pairs-random":          func(i int) key { return key{int64(i / 4), int64(i%4 + 1)} }, // permuted below
 		"pairs-key-descending":  func(i int) key { return key{int64(i / 4), int64(4 - i%4)} },
 		"pairs-lead-descending": func(i int) key { return key{int64(n/4 - i/4), int64(i%4 + 1)} },
