@@ -42,7 +42,7 @@ race:
 # them, of the B-tree against its sorted-slice oracle (seed corpora in
 # testdata/fuzz/<target>; the last three take long op streams, so minimizing
 # each new one is capped at ten runs or the ten seconds go to the minimizer),
-# of the catalog splitter against its Scanner oracle and of the query
+# of the catalog splitter against ParseLine line by line and of the query
 # handler's response bodies against json.Encoder's: 10 s each, one
 # target and one package per invocation as `go test -fuzz` requires.
 # An input that fails is written to the package's testdata/fuzz/<target>/;

@@ -92,6 +92,17 @@ func (r *keyRun) offset(lead, x int64) (uint32, bool) {
 	return uint32(k), k < uint64(r.n)
 }
 
+// covering returns the position of the run that holds the key (lead, x) and
+// the key's offset in it, or -1.
+func (k *keyIndex) covering(lead, x int64) (int, uint32) {
+	if i, _ := findRun(k.runs, lead, x); i >= 0 {
+		if off, ok := k.runs[i].offset(lead, x); ok {
+			return i, off
+		}
+	}
+	return -1, 0
+}
+
 // pairLess is pair order: lead, then key.
 func pairLess(al, ak, bl, bk int64) bool { return al < bl || al == bl && ak < bk }
 
@@ -219,8 +230,7 @@ func (k *keyIndex) runKey(vals []Value, at []int) (lead, x int64, ok bool) {
 // run when one covers it, else from the tag table.
 func (k *keyIndex) find(vals []Value, at []int) (int64, bool) {
 	if lead, x, ok := k.runKey(vals, at); ok {
-		if i, covered, _ := findRun(k.runs, lead, x); covered {
-			off, _ := k.runs[i].offset(lead, x)
+		if i, off := k.covering(lead, x); i >= 0 {
 			return int64(k.runs[i].id) + int64(off), true
 		}
 	}
@@ -292,7 +302,7 @@ func (k *keyIndex) put(row Row, id int64) {
 // leave it — and only where no run's span reaches them and at most
 // maxRunsMoved runs sit above it.
 func (k *keyIndex) putRun(lead, x, id int64) bool {
-	at, _, _ := findRun(k.runs, lead, x)
+	at, _ := findRun(k.runs, lead, x)
 	if at >= 0 {
 		if r := &k.runs[at]; int64(r.id)+int64(r.n) == id {
 			if r.m == 0 && lead > r.lead && lead-1 == r.lead && x == r.key {
@@ -387,9 +397,8 @@ func (k *keyIndex) reserve(n int) {
 // its home, so the table never holds tombstones.
 func (k *keyIndex) remove(key []Value, id int64) {
 	if lead, x, ok := k.runKey(key, k.seq); ok {
-		if i, covered, _ := findRun(k.runs, lead, x); covered {
+		if i, j := k.covering(lead, x); i >= 0 {
 			r := k.runs[i]
-			j, _ := r.offset(lead, x)
 			var buf [3]keyRun
 			parts := buf[:0]
 			if head := r; j > 0 {

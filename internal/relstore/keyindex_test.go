@@ -671,7 +671,7 @@ func TestKeyRunOrders(t *testing.T) {
 				k.put(row, int64(id))
 				if len(k.runs) > runs {
 					lead, y, _ := k.runKey(row, k.cols)
-					at, _, _ := findRun(k.runs, lead, y)
+					at, _ := findRun(k.runs, lead, y)
 					mostMoved = max(mostMoved, len(k.runs)-1-at)
 				}
 				oracle[x] = int64(id)

@@ -77,44 +77,31 @@ func (d *rowDir) put(id int64, loc rowLoc) {
 
 // find returns the position of the last run starting at or below id (-1 when
 // there is none), whether that run covers id, and how many runs it tried.
-func (d *rowDir) find(id int64) (at int, covered bool, tries int) { return findRun(d.runs, 0, id) }
+func (d *rowDir) find(id int64) (at int, covered bool, tries int) {
+	at, tries = findRun(d.runs, 0, id)
+	return at, at >= 0 && uint64(id-int64(d.runs[at].first)) < uint64(d.runs[at].n), tries
+}
 
 // span returns where a run starts in pair order — the row directory's ids and
-// a one-column key's runs have lead 0 — and, as c and n, its start and length
-// along the coordinate findRun scales on: keys, or leads when byLead.
-func span[R idRun | keyRun](r *R, byLead bool) (lead, key, c int64, n uint64) {
+// a one-column key's runs have lead 0 — and how many leads and keys it spans.
+func span[R idRun | keyRun](r *R) (lead, key int64, leads, keys uint64) {
 	switch r := any(r).(type) {
 	case *idRun:
-		return 0, int64(r.first), int64(r.first), uint64(r.n)
+		return 0, int64(r.first), 1, uint64(r.n)
 	case *keyRun:
-		if !byLead {
-			return r.lead, r.key, r.key, uint64(r.n)
-		}
-		leads := uint64(1)
+		leads = 1
 		if r.m > 0 {
 			leads += uint64((r.n - 1) / r.m)
 		}
-		return r.lead, r.key, r.lead, leads
+		return r.lead, r.key, leads, uint64(r.n)
 	}
 	panic("relstore: span of an unknown run")
 }
 
-// covers reports whether the run holds (lead, x), which sorts at or after its
-// start.
-func covers[R idRun | keyRun](r *R, lead, x int64) bool {
-	switch r := any(r).(type) {
-	case *idRun:
-		return uint64(x-int64(r.first)) < uint64(r.n)
-	case *keyRun:
-		_, ok := r.offset(lead, x)
-		return ok
-	}
-	panic("relstore: covers of an unknown run")
-}
-
 // findRun returns the position of the last of runs — sorted in pair order by
-// start, disjoint — starting at or below (lead, x) (-1 when there is none),
-// whether that run covers it, and how many runs it tried.  The first try
+// start, disjoint — starting at or below (lead, x) (-1 when there is none)
+// and how many runs it tried; whether that run covers the key is its
+// caller's to say.  The first try
 // scales the probe's place in the runs' span onto them, along their keys when
 // every run has one lead and along their leads when they differ — right at
 // once when the runs are equally long, as a load's nearly are — and each next
@@ -124,22 +111,22 @@ func covers[R idRun | keyRun](r *R, lead, x int64) bool {
 // binary search alone reads 75 ns where the scaled try reads 5
 // (PERFORMANCE.md).  Differences are taken in uint64, so keys anywhere in
 // int64 neither overflow nor divide by zero.
-func findRun[R idRun | keyRun](runs []R, lead, x int64) (at int, covered bool, tries int) {
+func findRun[R idRun | keyRun](runs []R, lead, x int64) (at, tries int) {
 	lo, hi := 0, len(runs)-1
 	if hi < 0 {
-		return -1, false, 0
+		return -1, 0
 	}
-	fl, fk, _, _ := span(&runs[0], false)
+	fl, fk, _, _ := span(&runs[0])
 	if pairLess(lead, x, fl, fk) {
-		return -1, false, 0
+		return -1, 0
 	}
-	ll, _, _, _ := span(&runs[hi], false)
-	byLead, px := fl != ll, x
+	// Scale along the leads when the runs' differ, else along the keys.
+	ll, lk, leads, n := span(&runs[hi])
+	byLead := fl != ll
+	px, first, last := x, fk, lk
 	if byLead {
-		px = lead
+		px, first, last, n = lead, fl, ll, leads
 	}
-	_, _, first, _ := span(&runs[0], byLead)
-	_, _, last, n := span(&runs[hi], byLead)
 	try := hi
 	if off, total := uint64(px-first), uint64(last-first)+n; off < total && (byLead || lead == fl) {
 		if p1, p0 := bits.Mul64(off, uint64(hi+1)); p1 == 0 {
@@ -151,21 +138,25 @@ func findRun[R idRun | keyRun](runs []R, lead, x int64) (at int, covered bool, t
 		if tries++; tries > 3 && tries%2 == 0 {
 			i = lo + (hi-lo+1)/2
 		}
-		sl, sk, s, n := span(&runs[i], byLead)
+		sl, sk, leads, n := span(&runs[i])
+		s := sk
+		if byLead {
+			s, n = sl, leads
+		}
 		if pairLess(lead, x, sl, sk) {
 			d := uint64(s - px)
 			hi, try = i-1, i-1-int(min((d-min(d, 1))/n, uint64(i)))
 			continue
 		}
 		if i < hi {
-			if nl, nk, _, _ := span(&runs[i+1], byLead); !pairLess(lead, x, nl, nk) {
+			if nl, nk, _, _ := span(&runs[i+1]); !pairLess(lead, x, nl, nk) {
 				lo, try = i+1, i+int(min(uint64(px-s)/n, uint64(hi)))
 				continue
 			}
 		}
 		lo, hi = i, i
 	}
-	return lo, covers(&runs[lo], lead, x), tries
+	return lo, tries
 }
 
 // get returns the location row id was stored at; the slot may since be dead.

@@ -1,16 +1,18 @@
 // Command pairstat summarises alternating parent/change benchmark pairs: for
 // every end-to-end metric BENCHMARK.json declares it reports both sides'
-// medians and quartiles, how many pairs the change won (k of n, in the
-// metric's better direction), the exact two-sided sign-test p of that count,
-// and a verdict.  scripts/pairs.sh runs the pairs and calls it.
+// medians and quartiles, how many of the n pairs the change won (k, in the
+// metric's better direction; a tie is no one's win), the exact two-sided
+// sign-test p over the untied pairs, and a verdict.  scripts/pairs.sh runs
+// the pairs and calls it.
 //
 //	pairstat -benchmark BENCHMARK.json -workload W -out pairs.json \
 //		parent1.json change1.json parent2.json change2.json ...
 //
 // Each file holds the one-line JSON result `bench/run.sh --workload W` ends
-// with.  A difference is resolved when p < 0.05 and the medians lie further
-// apart than the parent's quartiles do (q3 - q1); otherwise it is unresolved,
-// which is not the same as unchanged.  The JSON goes to -out and a Markdown
+// with.  A difference is resolved when one side wins at least nine tenths of
+// all pairs and the medians lie further apart than the parent's quartiles do
+// (q3 - q1); otherwise it is unresolved, which is not the same as
+// unchanged.  The JSON goes to -out and a Markdown
 // table to standard output.
 package main
 
@@ -60,6 +62,7 @@ type summary struct {
 	Delta   float64 `json:"median_delta_rel"`
 	K       int     `json:"k"`
 	N       int     `json:"n"`
+	Ties    int     `json:"ties"`
 	P       float64 `json:"p"`
 	Verdict string  `json:"verdict"`
 }
@@ -150,11 +153,11 @@ func summarise(workload string, decls []metricDecl, parents, changes []result) r
 				continue
 			}
 			pv, cv = append(pv, p.Value), append(cv, c.Value)
-			if p.Value != c.Value {
-				s.N++
-				if (c.Value < p.Value) == (d.Better == "lower") {
-					s.K++
-				}
+			switch s.N++; {
+			case p.Value == c.Value:
+				s.Ties++
+			case (c.Value < p.Value) == (d.Better == "lower"):
+				s.K++
 			}
 		}
 		if len(pv) == 0 {
@@ -164,9 +167,10 @@ func summarise(workload string, decls []metricDecl, parents, changes []result) r
 		if s.Parent.Median != 0 {
 			s.Delta = (s.Change.Median - s.Parent.Median) / s.Parent.Median
 		}
-		s.P = signTestP(s.K, s.N)
+		s.P = signTestP(s.K, s.N-s.Ties)
 		s.Verdict = "unresolved"
-		if s.P < 0.05 && math.Abs(s.Change.Median-s.Parent.Median) > s.Parent.Q3-s.Parent.Q1 {
+		oneSided := 10*s.K >= 9*s.N || 10*(s.N-s.Ties-s.K) >= 9*s.N
+		if oneSided && math.Abs(s.Change.Median-s.Parent.Median) > s.Parent.Q3-s.Parent.Q1 {
 			s.Verdict = "resolved"
 		}
 		rep.Metrics = append(rep.Metrics, s)

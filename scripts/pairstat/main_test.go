@@ -38,8 +38,8 @@ func TestSpreadOf(t *testing.T) {
 }
 
 // TestRunResolvesOnlyAClearWin: ten pairs in which the change's memory is
-// lower every time resolve; rates that alternate do not; a tie counts in
-// neither k nor n.
+// lower every time resolve; rates that alternate do not; a tie is a pair but
+// no one's win.
 func TestRunResolvesOnlyAClearWin(t *testing.T) {
 	dir := t.TempDir()
 	manifest := filepath.Join(dir, "BENCHMARK.json")
@@ -81,7 +81,7 @@ func TestRunResolvesOnlyAClearWin(t *testing.T) {
 	if mem.K != 10 || mem.N != 10 || mem.Verdict != "resolved" {
 		t.Errorf("mem: %+v", mem)
 	}
-	if rate.N != 9 || rate.K != 4 || rate.Verdict != "unresolved" {
+	if rate.N != 10 || rate.Ties != 1 || rate.K != 4 || rate.Verdict != "unresolved" {
 		t.Errorf("rate: %+v", rate)
 	}
 	if !strings.Contains(table.String(), "| mem | 0.7645 (0.7622–0.7668) | 0.6545") {
