@@ -9,10 +9,11 @@
 //		parent1.json change1.json parent2.json change2.json ...
 //
 // Each file holds the one-line JSON result `bench/run.sh --workload W` ends
-// with.  A difference is resolved when one side wins at least nine tenths of
-// all pairs and the medians lie further apart than the parent's quartiles do
-// (q3 - q1); otherwise it is unresolved, which is not the same as
-// unchanged.  The JSON goes to -out and a Markdown
+// with.  A difference is resolved when, over at least ten pairs, one side
+// wins nine tenths of them and the medians lie further apart than the
+// parent's quartiles do (q3 - q1), or when every run of one side reads better
+// than every run of the other; otherwise it is unresolved, which is not the
+// same as unchanged.  The JSON goes to -out and a Markdown
 // table to standard output.
 package main
 
@@ -169,8 +170,9 @@ func summarise(workload string, decls []metricDecl, parents, changes []result) r
 		}
 		s.P = signTestP(s.K, s.N-s.Ties)
 		s.Verdict = "unresolved"
-		oneSided := 10*s.K >= 9*s.N || 10*(s.N-s.Ties-s.K) >= 9*s.N
-		if oneSided && math.Abs(s.Change.Median-s.Parent.Median) > s.Parent.Q3-s.Parent.Q1 {
+		oneSided := s.N >= 10 && (10*s.K >= 9*s.N || 10*(s.N-s.Ties-s.K) >= 9*s.N)
+		apart := slices.Max(cv) < slices.Min(pv) || slices.Min(cv) > slices.Max(pv)
+		if oneSided && math.Abs(s.Change.Median-s.Parent.Median) > s.Parent.Q3-s.Parent.Q1 || apart {
 			s.Verdict = "resolved"
 		}
 		rep.Metrics = append(rep.Metrics, s)

@@ -87,4 +87,17 @@ func TestRunResolvesOnlyAClearWin(t *testing.T) {
 	if !strings.Contains(table.String(), "| mem | 0.7645 (0.7622–0.7668) | 0.6545") {
 		t.Errorf("table:\n%s", table.String())
 	}
+
+	// Three pairs resolve only when every run of one side beats every run
+	// of the other.
+	if err := run(manifest, "w", out, files[:6], &table); err != nil {
+		t.Fatal(err)
+	}
+	data, _ = os.ReadFile(out)
+	if err := json.Unmarshal(data, &rep); err != nil {
+		t.Fatal(err)
+	}
+	if mem, rate := rep.Metrics[0], rep.Metrics[1]; mem.Verdict != "resolved" || rate.Verdict != "unresolved" {
+		t.Errorf("three pairs: mem %s, rate %s", mem.Verdict, rate.Verdict)
+	}
 }
