@@ -119,6 +119,8 @@ func findRun[R idRun | keyRun](runs []R, lead, x int64) (at, tries int) {
 	fl, fk, _, _ := span(&runs[0])
 	if pairLess(lead, x, fl, fk) {
 		return -1, 0
+	} else if hi == 0 {
+		return 0, 0
 	}
 	// Scale along the leads when the runs' differ, else along the keys.
 	ll, lk, leads, n := span(&runs[hi])
@@ -161,11 +163,12 @@ func findRun[R idRun | keyRun](runs []R, lead, x int64) (at, tries int) {
 
 // get returns the location row id was stored at; the slot may since be dead.
 func (d *rowDir) get(id int64) (rowLoc, bool) {
-	i, ok, _ := d.find(id)
-	if !ok {
-		return rowLoc{}, false
+	if i, _ := findRun(d.runs, 0, id); i >= 0 {
+		if r := &d.runs[i]; uint64(id-int64(r.first)) < uint64(r.n) {
+			return rowLoc{page: r.page, slot: r.slot + uint32(id) - r.first}, true
+		}
 	}
-	return rowLoc{page: d.runs[i].page, slot: d.runs[i].slot + uint32(id) - d.runs[i].first}, true
+	return rowLoc{}, false
 }
 
 // scanRowsByID visits every live row in row-id order; t.mu must be held.
