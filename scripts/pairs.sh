@@ -9,14 +9,14 @@
 # files too) so that uncommitted work is measured without being touched —
 # and builds each side's skyperf once.  Then, for each of N seeds from SEED
 # up and each workload in W (comma-separated, or "all" for the five of
-# BENCHMARK.json), it runs
-# `bench/run.sh --workload W --seed S` on both sides, the parent first on
-# even pairs and the change first on odd ones, and keeps each run's one-line
-# JSON result.  scripts/pairstat then writes one JSON report for the
-# invocation (per workload and metric: both sides' medians and quartiles, the
-# change's wins k of n untied pairs, the exact two-sided sign-test p and a
-# resolved/unresolved verdict) and prints a Markdown table to paste into
-# CHANGES.md.  Everything stays under .bench_build/pairs/.
+# BENCHMARK.json), it runs `bench/run.sh --workload W --seed S` on both
+# sides, the parent first on even pairs and the change first on odd ones, and
+# keeps each run's one-line JSON result.  scripts/pairstat then writes one
+# JSON report for the invocation (per workload and metric: both sides'
+# medians and quartiles, the change's wins k of the n pairs, the exact
+# two-sided sign-test p and a resolved/unresolved verdict) and prints a
+# Markdown table to paste into CHANGES.md.  Everything stays under
+# .bench_build/pairs/.
 set -euo pipefail
 
 quick=()
@@ -46,7 +46,8 @@ if [ -z "$change" ]; then
 	GIT_INDEX_FILE="$index" git -C "$root" read-tree HEAD
 	GIT_INDEX_FILE="$index" git -C "$root" add -A
 	tree="$(GIT_INDEX_FILE="$index" git -C "$root" write-tree)"
-	change="$(git -C "$root" commit-tree "$tree" -p HEAD -m "pairs: work tree")"
+	change="$(GIT_AUTHOR_NAME=pairs GIT_AUTHOR_EMAIL=pairs@localhost GIT_COMMITTER_NAME=pairs GIT_COMMITTER_EMAIL=pairs@localhost \
+		git -C "$root" commit-tree "$tree" -p HEAD -m "pairs: work tree")"
 fi
 parent="$(git -C "$root" rev-parse --verify "$parent^{commit}")"
 change="$(git -C "$root" rev-parse --verify "$change^{commit}")"

@@ -29,20 +29,18 @@ import (
 
 // result is the part of a run's one-line JSON result pairstat reads.
 type result struct {
-	Correct   bool  `json:"correct"`
-	Attempted int64 `json:"attempted"`
-	Failed    int64 `json:"failed"`
-	Metrics   map[string]struct {
+	Correct bool  `json:"correct"`
+	Failed  int64 `json:"failed"`
+	Metrics map[string]struct {
 		Value float64 `json:"value"`
 	} `json:"metrics"`
 }
 
 // metricDecl is one end-to-end metric of BENCHMARK.json.
 type metricDecl struct {
-	Name   string  `json:"name"`
-	Unit   string  `json:"unit"`
-	Better string  `json:"better"`
-	Bound  float64 `json:"bound"`
+	Name   string `json:"name"`
+	Unit   string `json:"unit"`
+	Better string `json:"better"`
 }
 
 // spread is one side's values of a metric: median and quartiles.
