@@ -3,6 +3,7 @@ package relstore
 import (
 	"bytes"
 	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"os"
 	"path/filepath"
@@ -68,7 +69,9 @@ func encodeCheckpointSingleBuffer(seq, boundary, maxTxn int64, tables []*Table) 
 }
 
 // notesSchema is one table whose rows vary in encoded size: a nullable
-// string (any bytes, NULs included) and a nullable float (NaN included).
+// string (any bytes, NULs included) and a nullable float (NaN included);
+// and one without a string column, whose closed pages take the heap's narrow
+// form.
 func notesSchema(t testing.TB) *Schema {
 	t.Helper()
 	s, err := NewSchema(&TableSchema{
@@ -79,6 +82,16 @@ func notesSchema(t testing.TB) *Schema {
 			{Name: "x", Type: TypeFloat, Nullable: true},
 		},
 		PrimaryKey: []string{"note_id"},
+	}, &TableSchema{
+		Name: "marks",
+		Columns: []Column{
+			{Name: "mark_id", Type: TypeInt},
+			{Name: "n", Type: TypeInt, Nullable: true},
+			{Name: "mag", Type: TypeFloat, Nullable: true, Precision: 3},
+			{Name: "at", Type: TypeTime},
+			{Name: "ok", Type: TypeBool},
+		},
+		PrimaryKey: []string{"mark_id"},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -112,6 +125,59 @@ func loadNotes(t testing.TB, db *DB, n int) {
 	}
 	if _, err := txn.Commit(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// loadMarks commits n rows of marks: n NULL in every third row and spanning
+// the whole int64 range in rows 500 and 501, mag on its three places but for
+// an awkward float every 97th row and NULL every 13th, and constant flags.
+func loadMarks(t testing.TB, db *DB, n int) {
+	t.Helper()
+	txn, err := db.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		nv, mag := Int(int64(i*i%1000)-300), Float(RoundTo(float64(i%4000)/7, 3))
+		switch {
+		case i == 500:
+			nv = Int(math.MinInt64)
+		case i == 501:
+			nv = Int(math.MaxInt64)
+		case i%3 == 0:
+			nv = Null
+		}
+		switch {
+		case i%97 == 0:
+			mag = Float(awkwardFloats[(i/97)%len(awkwardFloats)])
+		case i%13 == 0:
+			mag = Null
+		}
+		row := []Value{Int(int64(i)), nv, mag, {Kind: KindTime, I: 1_100_000_000_000_000_000 + int64(i)*1e6}, Bool(true)}
+		if _, err := txn.Insert("marks", []string{"mark_id", "n", "mag", "at", "ok"}, row); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := txn.Commit(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// checkpointDigest is the fnv-64a sum of a checkpoint's bytes.
+func checkpointDigest(chunks ...[]byte) uint64 {
+	h := fnv.New64a()
+	for _, c := range chunks {
+		h.Write(c)
+	}
+	return h.Sum64()
+}
+
+// checkDigest fails unless the checkpoint of db's tables under a fixed
+// header has the digest want.
+func checkDigest(t *testing.T, db *DB, want uint64) {
+	t.Helper()
+	if got := checkpointDigest(encodeCheckpoint(3, 9, 1, db.tablesByID)...); got != want {
+		t.Errorf("checkpoint digest %#x, want %#x", got, want)
 	}
 }
 
@@ -154,6 +220,7 @@ func TestCheckpointEncodeBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 	loadNotes(t, db, 60_000)
+	loadMarks(t, db, 20_000)
 
 	var before, after runtime.MemStats
 	runtime.GC()
@@ -181,6 +248,9 @@ func TestCheckpointEncodeBounded(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatalf("checkpoint file (%d bytes) differs from the single-buffer encoder's (%d bytes)", len(got), len(want))
 	}
+	if d := checkpointDigest(got); d != 0xf2eca0d92e498f73 {
+		t.Errorf("checkpoint file digest %#x, want 0xf2eca0d92e498f73", d)
+	}
 	ratio := float64(after.TotalAlloc-before.TotalAlloc) / float64(len(got))
 	t.Logf("checkpoint file %d bytes, %d allocated by Checkpoint: %.2f per file byte", len(got), after.TotalAlloc-before.TotalAlloc, ratio)
 	if ratio > ceiling {
@@ -197,7 +267,9 @@ func TestCheckpointEncodeBounded(t *testing.T) {
 func TestCheckpointChunkEdges(t *testing.T) {
 	db := MustOpen(notesSchema(t))
 	checkChunks(t, encodeCheckpoint(3, 9, 1, db.tablesByID), encodeCheckpointSingleBuffer(3, 9, 1, db.tablesByID))
+	checkDigest(t, db, 0xca5633ee4692ddb8)
 	loadNotes(t, db, 3000)
+	loadMarks(t, db, 5000)
 	txn, err := db.Begin()
 	if err != nil {
 		t.Fatal(err)
@@ -227,6 +299,7 @@ func TestCheckpointChunkEdges(t *testing.T) {
 	}
 	loadNotesFrom(200_000, 2000)
 	checkChunks(t, encodeCheckpoint(3, 9, 1, db.tablesByID), encodeCheckpointSingleBuffer(3, 9, 1, db.tablesByID))
+	checkDigest(t, db, 0x6abe7e7e787c73e)
 }
 
 // BenchmarkCheckpointEncode times what a checkpoint does while it holds every
