@@ -2,7 +2,6 @@ package relstore
 
 import (
 	"bytes"
-	"encoding/binary"
 	"hash/fnv"
 	"math"
 	"os"
@@ -13,60 +12,6 @@ import (
 
 	"skyloader/internal/frame"
 )
-
-// encodeCheckpointSingleBuffer is the encoder encodeCheckpoint replaced — the
-// whole snapshot appended to one growing []byte, every rows record built in a
-// side buffer and copied twice — kept as the oracle for the file's bytes.
-func encodeCheckpointSingleBuffer(seq, boundary, maxTxn int64, tables []*Table) []byte {
-	var buf, payload []byte
-	buf = append(buf, ckptMagic...)
-
-	payload = append(payload[:0], ckptRecHeader)
-	payload = binary.LittleEndian.AppendUint64(payload, uint64(seq))
-	payload = binary.LittleEndian.AppendUint64(payload, uint64(boundary))
-	payload = binary.LittleEndian.AppendUint64(payload, uint64(maxTxn))
-	payload = binary.LittleEndian.AppendUint32(payload, uint32(len(tables)))
-	buf = frame.Append(buf, payload)
-
-	for tid, t := range tables {
-		payload = append(payload[:0], ckptRecTable)
-		payload = binary.LittleEndian.AppendUint32(payload, uint32(tid))
-		payload = binary.LittleEndian.AppendUint64(payload, uint64(t.nextRow))
-		payload = binary.LittleEndian.AppendUint64(payload, uint64(t.heap.rowCount))
-		buf = frame.Append(buf, payload)
-
-		count := 0
-		var rowsPayload []byte
-		flush := func() {
-			if count == 0 {
-				return
-			}
-			payload = append(payload[:0], ckptRecRows)
-			payload = binary.LittleEndian.AppendUint32(payload, uint32(tid))
-			payload = binary.LittleEndian.AppendUint32(payload, uint32(count))
-			payload = append(payload, rowsPayload...)
-			buf = frame.Append(buf, payload)
-			count = 0
-			rowsPayload = rowsPayload[:0]
-		}
-		t.scanRowsByID(func(id int64, row RowView) {
-			rowsPayload = binary.LittleEndian.AppendUint64(rowsPayload, uint64(id))
-			lenAt := len(rowsPayload)
-			rowsPayload = append(rowsPayload, 0, 0, 0, 0)
-			for c := 0; c < row.Len(); c++ {
-				rowsPayload = appendWALValue(rowsPayload, row.val(c))
-			}
-			binary.LittleEndian.PutUint32(rowsPayload[lenAt:lenAt+4], uint32(len(rowsPayload)-lenAt-4))
-			count++
-			if count >= ckptRowsPerRecord {
-				flush()
-			}
-		})
-		flush()
-	}
-	buf = frame.Append(buf, []byte{ckptRecEnd})
-	return buf
-}
 
 // notesSchema is one table whose rows vary in encoded size: a nullable
 // string (any bytes, NULs included) and a nullable float (NaN included);
@@ -172,22 +117,15 @@ func checkpointDigest(chunks ...[]byte) uint64 {
 	return h.Sum64()
 }
 
-// checkDigest fails unless the checkpoint of db's tables under a fixed
-// header has the digest want.
-func checkDigest(t *testing.T, db *DB, want uint64) {
+// checkChunks fails unless chunks have the digest want, are cut only
+// between frames, and each was well filled before the next was opened
+// (unless the next was made larger for a row no chunk could hold).  The
+// digests were recorded while the single-buffer encoder the chunked one
+// replaced still produced the same bytes.
+func checkChunks(t *testing.T, chunks [][]byte, want uint64) {
 	t.Helper()
-	if got := checkpointDigest(encodeCheckpoint(3, 9, 1, db.tablesByID)...); got != want {
-		t.Errorf("checkpoint digest %#x, want %#x", got, want)
-	}
-}
-
-// checkChunks fails unless chunks are the oracle's bytes cut only between
-// frames, each chunk well filled before the next was opened (unless the next
-// was made larger for a row no chunk could hold).
-func checkChunks(t *testing.T, chunks [][]byte, want []byte) {
-	t.Helper()
-	if got := bytes.Join(chunks, nil); !bytes.Equal(got, want) {
-		t.Fatalf("chunks join to %d bytes that differ from the single-buffer encoder's %d", len(got), len(want))
+	if got := checkpointDigest(chunks...); got != want {
+		t.Fatalf("checkpoint digest %#x, want %#x", got, want)
 	}
 	for i, chunk := range chunks {
 		rest := chunk
@@ -208,8 +146,9 @@ func checkChunks(t *testing.T, chunks [][]byte, want []byte) {
 	}
 }
 
-// TestCheckpointEncodeBounded: the chunked encoder writes the file the
-// single-buffer encoder wrote, byte for byte, and a checkpoint allocates
+// TestCheckpointEncodeBounded: the checkpoint file is the bytes it was when a
+// single-buffer encoder wrote it, its chunks are the file, and a checkpoint
+// allocates
 // little more than the file's size doing it (the growing buffer allocated
 // 5.24 bytes per file byte, under every table's write lock).
 func TestCheckpointEncodeBounded(t *testing.T) {
@@ -237,37 +176,33 @@ func TestCheckpointEncodeBounded(t *testing.T) {
 	if len(got) < 4*ckptChunkBytes {
 		t.Fatalf("checkpoint file is %d bytes; the test wants several chunks", len(got))
 	}
-	// The oracle encodes the same tables under the header the file carries.
+	// The chunks encode the same tables under the header the file carries.
 	header, _, st := frame.Next(got[len(ckptMagic):])
 	if st != frame.OK {
 		t.Fatalf("checkpoint file's first frame: status %d", st)
 	}
 	c := frame.NewCursor(header[1:], ErrWALCorrupt)
 	seq, lsn, maxTxn := c.I64(), c.I64(), c.I64()
-	want := encodeCheckpointSingleBuffer(seq, lsn, maxTxn, db.tablesByID)
-	if !bytes.Equal(got, want) {
-		t.Fatalf("checkpoint file (%d bytes) differs from the single-buffer encoder's (%d bytes)", len(got), len(want))
+	chunks := encodeCheckpoint(seq, lsn, maxTxn, db.tablesByID)
+	if !bytes.Equal(bytes.Join(chunks, nil), got) {
+		t.Fatalf("checkpoint chunks differ from the %d-byte file", len(got))
 	}
-	if d := checkpointDigest(got); d != 0xf2eca0d92e498f73 {
-		t.Errorf("checkpoint file digest %#x, want 0xf2eca0d92e498f73", d)
-	}
+	checkChunks(t, chunks, 0xf2eca0d92e498f73)
 	ratio := float64(after.TotalAlloc-before.TotalAlloc) / float64(len(got))
 	t.Logf("checkpoint file %d bytes, %d allocated by Checkpoint: %.2f per file byte", len(got), after.TotalAlloc-before.TotalAlloc, ratio)
 	if ratio > ceiling {
 		t.Errorf("Checkpoint allocated %.2f bytes per file byte, ceiling %.1f", ratio, ceiling)
 	}
-	checkChunks(t, encodeCheckpoint(seq, lsn, maxTxn, db.tablesByID), want)
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
 }
 
 // TestCheckpointChunkEdges: rows larger than a chunk, and a snapshot smaller
-// than one, still encode to the single-buffer encoder's bytes.
+// than one, still encode to the bytes the single-buffer encoder wrote.
 func TestCheckpointChunkEdges(t *testing.T) {
 	db := MustOpen(notesSchema(t))
-	checkChunks(t, encodeCheckpoint(3, 9, 1, db.tablesByID), encodeCheckpointSingleBuffer(3, 9, 1, db.tablesByID))
-	checkDigest(t, db, 0xca5633ee4692ddb8)
+	checkChunks(t, encodeCheckpoint(3, 9, 1, db.tablesByID), 0xca5633ee4692ddb8)
 	loadNotes(t, db, 3000)
 	loadMarks(t, db, 5000)
 	txn, err := db.Begin()
@@ -298,26 +233,16 @@ func TestCheckpointChunkEdges(t *testing.T) {
 		}
 	}
 	loadNotesFrom(200_000, 2000)
-	checkChunks(t, encodeCheckpoint(3, 9, 1, db.tablesByID), encodeCheckpointSingleBuffer(3, 9, 1, db.tablesByID))
-	checkDigest(t, db, 0x6abe7e7e787c73e)
+	checkChunks(t, encodeCheckpoint(3, 9, 1, db.tablesByID), 0x6abe7e7e787c73e)
 }
 
 // BenchmarkCheckpointEncode times what a checkpoint does while it holds every
-// table's write lock — the encoding — for the chunked encoder and for the
-// single-buffer one it replaced.
+// table's write lock: the encoding.
 func BenchmarkCheckpointEncode(b *testing.B) {
 	db := MustOpen(notesSchema(b))
 	loadNotes(b, db, 120_000)
-	b.Run("chunked", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			encodeCheckpoint(1, 1, 1, db.tablesByID)
-		}
-	})
-	b.Run("single-buffer", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			encodeCheckpointSingleBuffer(1, 1, 1, db.tablesByID)
-		}
-	})
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		encodeCheckpoint(1, 1, 1, db.tablesByID)
+	}
 }
