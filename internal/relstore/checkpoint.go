@@ -271,11 +271,15 @@ func encodeCheckpoint(seq, boundary, maxTxn int64, tables []*Table) [][]byte {
 
 // maxWALRowBytes bounds the appendWALValue encoding of a stored row from the
 // size of its record in the table's wide layout: a fixed-width value takes a
-// tag byte and at most its 8-byte slot, a string a tag, a two-byte terminator
-// and at most two bytes per byte of text.  A closed page's narrow record is
-// shorter, so its own length would under-reserve.
+// tag byte and at most its 8-byte field, a string a tag, a two-byte
+// terminator and at most two bytes per byte of text.  Only a wide record holds
+// strings; a row of a closed narrow page is bounded by the fields alone.
 func maxWALRowBytes(wide *rowLayout, row RowView) int {
-	return 3*row.Len() + 2*(wide.fixed+len(row.rec)-row.lay.fixed)
+	n := 3*row.Len() + 2*int(wide.fixed)
+	if row.lay == wide {
+		n += 2 * (len(row.rec) - int(wide.fixed))
+	}
+	return n
 }
 
 // removeStaleCkptTemps deletes checkpoint temp files left behind by a crash

@@ -2,6 +2,7 @@ package relstore
 
 import (
 	"bytes"
+	"testing"
 	"unsafe"
 )
 
@@ -169,6 +170,19 @@ type PageGeometry struct {
 	HeapBytes int64
 }
 
+// CheckPageStreams holds every closed narrow page of the table to
+// checkStreams: no stream wider than its page's non-NULL values need, and
+// NULL bits only in a column with a NULL on the page.
+func (t *Table) CheckPageStreams(tb testing.TB) {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	for i := range t.heap.pages {
+		if p := &t.heap.pages[i]; !p.lay.wide() {
+			checkStreams(tb, p)
+		}
+	}
+}
+
 // PageGeometry walks the table's heap pages.
 func (t *Table) PageGeometry() PageGeometry {
 	t.mu.RLock()
@@ -185,7 +199,7 @@ func (t *Table) PageGeometry() PageGeometry {
 		}
 		g.ClosedPages++
 		g.ClosedRows += p.rows()
-		g.ClosedBytes += int64(cap(p.data)) + 4*int64(cap(p.offs))
+		g.ClosedBytes += p.dataBytes() + 4*int64(cap(p.offs))
 		if p.lay != h.lay {
 			g.OwnLayouts++
 			g.LayoutBytes += int64(unsafe.Sizeof(rowLayout{})) + int64(cap(p.lay.cols))*int64(unsafe.Sizeof(colSlot{}))

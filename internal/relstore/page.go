@@ -5,7 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
+	"strings"
 	"unsafe"
 )
 
@@ -13,54 +15,65 @@ import (
 // the production Oracle repository used.
 const pageSizeBytes = 8192
 
-// Packed row format.  A stored row is a byte record laid out by a rowLayout,
-// so a page holds no pointers and the collector never scans it:
+// Packed row format.  A page holds no pointers, so the collector never scans
+// it.  A table's own layout is wide: pack writes its records, the open page
+// holds them, and so does every page of a table with a string column:
 //
-//	[NULL bitmap: 1 bit per column][one slot per column][string bytes]
+//	[NULL bitmap: 1 bit per column][one 8-byte field per column][string bytes]
 //
-// A column's slot is a little-endian delta of 0, 1, 2, 4 or 8 bytes, and the
-// column's 8-byte value is the layout's base for the column plus that delta.
-// The value of an integer, timestamp or boolean column is Value.I; of a float
-// column its IEEE bits (NaN payloads and -0 survive) or, when the layout gives
-// the column a scale of p decimal places, the integer the float is times 10^p;
-// of a string column a u32 offset from the record start plus a u32 length,
-// pointing into the string bytes that follow the slots.  A NULL column sets
-// its bitmap bit and has value zero, so Int and Float read 0 for it.
+// A field holds Value.I of an integer, timestamp or boolean column, the IEEE
+// bits of a float (NaN payloads and -0 survive), or a string's u32 offset from
+// the record start and u32 length; a NULL sets its bitmap bit and holds 0.
 //
-// A table's own layout is wide — 8-byte slots, base 0, no scale — and is what
-// pack writes and the open page holds.  When a page of a table without a
-// string column closes, it is re-encoded once into a narrow layout of its
-// own (heapStore.narrow): each column's base is the page's minimum and its
-// width the fewest bytes that hold the page's range.  Value is the transport
-// type rows arrive and leave in; it is never what a table holds.
+// A closed page of a table without a string column is re-encoded once into a
+// narrow layout of its own (heapStore.narrow): each column is a stream of w
+// bits a row, row k's at bit k × w, read as the column's base plus those bits.
+// base is the least of the page's non-NULL values and w = bits.Len64 of their
+// span, 57–63 rounded up to 64; a float with declared places is held scaled by
+// 10^places when every value decodes back to its exact bits, as raw bits
+// otherwise.  Only a column with a NULL on the page follows its values with a
+// NULL bit a row (its value bits 0).  Streams start on a byte and 7 bytes of
+// padding end the page, so every value of every layout is one read — an
+// unaligned 8-byte load, a shift, a mask, plus base (colSlot.value) — a wide
+// field being that read at a byte offset with w = 64 and base 0.  Value is the
+// transport type rows arrive and leave in; it is never what a table holds.
 
-// rowLayout is the packed-record shape of a table (wide) or of one closed
+// rowLayout is the packed shape of a table's records (wide) or of one closed
 // page (narrow).
 type rowLayout struct {
-	kinds  []ValueKind // canonical kind of every column; a table's layouts share it
-	cols   []colSlot
-	bitmap int // bytes of NULL bitmap
-	fixed  int // bitmap + slots: where string bytes start
+	kinds []ValueKind // canonical kind of every column; a table's layouts share it
+	cols  []colSlot
+	// fixed is where a wide record's string bytes start, after its bitmap
+	// and fields; rows is a narrow page's row count.  A narrow layout has
+	// fixed 0, a wide one rows 0.
+	fixed, rows uint32
 }
 
-// colSlot places one column in a record: width bytes of delta at off, read as
-// base + delta; a nonzero scale marks a float column held as value × 10^scale.
+// colSlot places one column: the field at byte off of a wide record, or the
+// stream at byte off of a narrow page, width bits a row, read as base plus the
+// bits; a nonzero scale marks a float held as value × 10^scale, and nulls a
+// narrow stream followed by a NULL bit a row.
 type colSlot struct {
 	off   uint32
 	width uint8
 	scale uint8
+	nulls bool
 	base  int64
 }
 
 func newRowLayout(cols []Column) *rowLayout {
-	l := &rowLayout{kinds: make([]ValueKind, len(cols)), cols: make([]colSlot, len(cols)), bitmap: (len(cols) + 7) / 8}
+	l := &rowLayout{kinds: make([]ValueKind, len(cols)), cols: make([]colSlot, len(cols))}
+	bitmap := uint32(len(cols)+7) / 8
 	for i, c := range cols {
 		l.kinds[i] = canonicalKind(c.Type)
-		l.cols[i] = colSlot{off: uint32(l.bitmap + 8*i), width: 8}
+		l.cols[i] = colSlot{off: bitmap + 8*uint32(i), width: 64}
 	}
-	l.fixed = l.bitmap + 8*len(cols)
+	l.fixed = bitmap + 8*uint32(len(cols))
 	return l
 }
+
+// wide reports whether l lays out records rather than a narrow page.
+func (l *rowLayout) wide() bool { return l.fixed != 0 }
 
 // pack appends the record of row to dst in the wide layout l.  Every value
 // must be NULL or of its column's canonical kind — Coerce guarantees it on the
@@ -68,7 +81,7 @@ func newRowLayout(cols []Column) *rowLayout {
 // bug upstream.
 func (l *rowLayout) pack(dst []byte, row Row) []byte {
 	base := len(dst)
-	dst = slices.Grow(dst, l.fixed)[:base+l.fixed]
+	dst = slices.Grow(dst, int(l.fixed))[:base+int(l.fixed)]
 	clear(dst[base:])
 	for i := range row {
 		v := &row[i]
@@ -79,7 +92,7 @@ func (l *rowLayout) pack(dst []byte, row Row) []byte {
 		if v.Kind != l.kinds[i] {
 			panic(fmt.Sprintf("relstore: cannot store %s value in %s column %d", v.Kind, l.kinds[i], i))
 		}
-		slot := dst[base+l.bitmap+8*i:]
+		slot := dst[base+int(l.cols[i].off):]
 		switch v.Kind {
 		case KindFloat:
 			binary.LittleEndian.PutUint64(slot, math.Float64bits(v.F))
@@ -94,25 +107,42 @@ func (l *rowLayout) pack(dst []byte, row Row) []byte {
 	return dst
 }
 
-// errBadRecord reports bytes that are not a packed record of the layout.
+// errBadRecord reports bytes that are not a packed record or page of the
+// layout.
 var errBadRecord = errors.New("relstore: malformed packed row")
 
-// view checks rec against the layout — long enough for bitmap and slots,
-// every string inside the record — and returns the view over it.  It is total
-// on arbitrary bytes; every getter of a returned view is then in bounds.
-// Records the heap packed itself skip the check (heapStore.view).
-func (l *rowLayout) view(rec []byte) (RowView, error) {
-	if len(rec) < l.fixed {
-		return RowView{}, fmt.Errorf("%w: %d bytes, layout needs %d", errBadRecord, len(rec), l.fixed)
+// view checks data against the layout and returns the view of row in it.  A
+// wide layout takes one record as data and row 0: long enough for bitmap and
+// fields, every string inside the record.  A narrow layout takes a page's
+// data and a row below its count: long enough for every column's last read.
+// view is total on arbitrary bytes; every getter of a returned view is then
+// in bounds.  Pages the heap encoded itself skip the check (heapStore.view).
+func (l *rowLayout) view(data string, row uint32) (RowView, error) {
+	v := RowView{lay: l, rec: data, row: row}
+	if !l.wide() {
+		need := uint64(8)
+		for _, c := range l.cols {
+			end := uint64(c.off)*8 + uint64(l.rows)*uint64(c.width)
+			if c.nulls {
+				end += uint64(l.rows)
+			}
+			need = max(need, (end+7)/8+7)
+		}
+		if row >= l.rows || uint64(len(data)) < need {
+			return RowView{}, fmt.Errorf("%w: row %d of %d, %d bytes, page needs %d", errBadRecord, row, l.rows, len(data), need)
+		}
+		return v, nil
 	}
-	v := RowView{lay: l, rec: rec}
+	if row != 0 || len(data) < int(l.fixed) {
+		return RowView{}, fmt.Errorf("%w: row %d, %d bytes, layout needs %d", errBadRecord, row, len(data), l.fixed)
+	}
 	for i, k := range l.kinds {
 		if k != KindString || v.IsNull(i) {
 			continue
 		}
 		off, n := v.strSpan(i)
-		if off < uint64(l.fixed) || off+n > uint64(len(rec)) {
-			return RowView{}, fmt.Errorf("%w: string column %d spans [%d,%d) of %d bytes", errBadRecord, i, off, off+n, len(rec))
+		if off < uint64(l.fixed) || off+n > uint64(len(data)) {
+			return RowView{}, fmt.Errorf("%w: string column %d spans [%d,%d) of %d bytes", errBadRecord, i, off, off+n, len(data))
 		}
 	}
 	return v, nil
@@ -125,41 +155,69 @@ func (l *rowLayout) view(rec []byte) (RowView, error) {
 // Lifetime: a view is valid only while the table lock it was taken under is
 // held — inside the visitor call.  It must not be retained; copy out what
 // outlives the call with Value or Row.
+//
+// A view is 32 bytes, which the compiler keeps in registers; one more word
+// would put every view passed to a visitor through memory.
 type RowView struct {
 	lay *rowLayout
-	rec []byte
+	rec string // a wide record, or a narrow page's data: the page bytes, aliased
+	row uint32 // the row on a narrow page; 0 in a wide record
 }
+
+// alias returns b as a string without a copy: a view's page bytes do not
+// change while the table lock it was taken under is held.
+func alias(b []byte) string { return unsafe.String(unsafe.SliceData(b), len(b)) }
 
 // Len returns the number of columns.
 func (v RowView) Len() int { return len(v.lay.kinds) }
 
-// IsNull reports whether the column is SQL NULL.
-func (v RowView) IsNull(col int) bool { return v.rec[col>>3]&(1<<(col&7)) != 0 }
+// bitsAt returns the w bits at bit b of d, w ≤ 56 or 64 with b on a byte:
+// one unaligned little-endian 8-byte load, a shift and a mask.
+func bitsAt(d string, b uint64, w uint8) uint64 {
+	x := binary.LittleEndian.Uint64(unsafe.Slice(unsafe.StringData(d), len(d))[b>>3:])
+	return x >> (b & 7) & (1<<w - 1)
+}
 
-// value returns the column's 8-byte value in rec: base plus the delta.
-func (c *colSlot) value(rec []byte) uint64 {
-	d := rec[c.off:]
-	switch c.width {
-	case 8:
-		return uint64(c.base) + binary.LittleEndian.Uint64(d)
-	case 4:
-		return uint64(c.base) + uint64(binary.LittleEndian.Uint32(d))
-	case 2:
-		return uint64(c.base) + uint64(binary.LittleEndian.Uint16(d))
-	case 1:
-		return uint64(c.base) + uint64(d[0])
+// value returns the column's 8-byte value for row of d: base plus its bits.
+// A NULL reads base: a wide field holds 0 for it, a narrow stream 0 bits.
+func (c *colSlot) value(d string, row uint32) uint64 {
+	return uint64(c.base) + bitsAt(d, uint64(c.off)*8+uint64(row)*uint64(c.width), c.width)
+}
+
+// null reports whether the view's row is NULL in c, a narrow column with
+// NULL bits: its bit after the stream's values.
+func (c *colSlot) null(v RowView) bool {
+	b := uint64(c.off)*8 + uint64(v.lay.rows)*uint64(c.width) + uint64(v.row)
+	return v.rec[b>>3]&(1<<(b&7)) != 0
+}
+
+// IsNull reports whether the column is SQL NULL: its bit in a wide record's
+// bitmap, or in a narrow stream's NULL bits.
+func (v RowView) IsNull(col int) bool {
+	if v.lay.wide() {
+		return v.rec[col>>3]&(1<<(col&7)) != 0
 	}
-	return uint64(c.base)
+	c := &v.lay.cols[col]
+	return c.nulls && c.null(v)
 }
 
 // Int returns the payload of an integer, timestamp (Unix nanoseconds) or
 // boolean (0/1) column; 0 when the column is NULL.
-func (v RowView) Int(col int) int64 { return int64(v.lay.cols[col].value(v.rec)) }
+func (v RowView) Int(col int) int64 {
+	c := &v.lay.cols[col]
+	if c.nulls && c.null(v) {
+		return 0
+	}
+	return int64(c.value(v.rec, v.row))
+}
 
 // Float returns the payload of a float column; 0 when the column is NULL.
 func (v RowView) Float(col int) float64 {
 	c := &v.lay.cols[col]
-	s := c.value(v.rec)
+	if c.nulls && c.null(v) {
+		return 0
+	}
+	s := c.value(v.rec, v.row)
 	if c.scale != 0 {
 		return float64(int64(s)) / pow10[c.scale]
 	}
@@ -167,7 +225,7 @@ func (v RowView) Float(col int) float64 {
 }
 
 func (v RowView) strSpan(col int) (off, n uint64) {
-	s := v.lay.cols[col].value(v.rec)
+	s := v.lay.cols[col].value(v.rec, 0)
 	return s & math.MaxUint32, s >> 32
 }
 
@@ -176,14 +234,9 @@ func (v RowView) strSpan(col int) (off, n uint64) {
 func (v RowView) Value(col int) Value {
 	val := v.val(col)
 	if val.Kind == KindString {
-		val.S = string(v.strBytes(col))
+		val.S = strings.Clone(val.S)
 	}
 	return val
-}
-
-func (v RowView) strBytes(col int) []byte {
-	off, n := v.strSpan(col)
-	return v.rec[off : off+n]
 }
 
 // val is Value without the string copy: a string value aliases the page
@@ -198,8 +251,8 @@ func (v RowView) val(col int) Value {
 	case KindFloat:
 		return Value{Kind: KindFloat, F: v.Float(col)}
 	case KindString:
-		b := v.strBytes(col)
-		return Value{Kind: KindString, S: unsafe.String(unsafe.SliceData(b), len(b))}
+		off, n := v.strSpan(col)
+		return Value{Kind: KindString, S: v.rec[off : off+n]}
 	default:
 		return Value{Kind: k, I: v.Int(col)}
 	}
@@ -213,7 +266,7 @@ func (v RowView) Row() Row {
 		row[i] = v.val(i)
 		if row[i].Kind == KindString {
 			if blob == "" {
-				blob = string(v.rec[v.lay.fixed:])
+				blob = strings.Clone(v.rec[v.lay.fixed:])
 			}
 			off, n := v.strSpan(i)
 			row[i].S = blob[off-uint64(v.lay.fixed):][:n]
@@ -222,12 +275,12 @@ func (v RowView) Row() Row {
 	return row
 }
 
-// page is a heap page: packed records back to back in the layout lay.  In a
-// table with a string column records vary in length and offs gives each
-// one's start; in a table without one record k starts at k × lay.fixed and
-// offs is nil.  bytes is the nominal fill (RowSize of the live rows) that
-// decides page boundaries.  Once closed, a page's data, offs and layout never
-// change: a rollback marks the heap, not the page.
+// page is a heap page: records back to back in the table's wide layout, or a
+// closed page's column streams in a narrow layout of its own.  Records vary
+// in length in a table with a string column, and offs gives each one's start;
+// otherwise offs is nil.  bytes is the nominal fill (RowSize of the live rows)
+// that decides page boundaries.  Once closed, a page's data, offs and layout
+// never change: a rollback marks the heap, not the page.
 type page struct {
 	data  []byte
 	offs  []uint32
@@ -235,37 +288,44 @@ type page struct {
 	bytes int
 }
 
+// constPage is the data of a closed page whose every column is constant: the
+// 8 bytes a read loads, shared, so such a page holds no data bytes.
+var constPage [8]byte
+
 func (p *page) fits(rowBytes int) bool {
 	return p.bytes+rowBytes <= pageSizeBytes || len(p.data) == 0
 }
 
+// dataBytes is the capacity the page's data holds.
+func (p *page) dataBytes() int64 {
+	if unsafe.SliceData(p.data) == &constPage[0] {
+		return 0
+	}
+	return int64(cap(p.data))
+}
+
 // rows returns the number of records on the page.
 func (p *page) rows() int {
-	if p.offs == nil {
-		return len(p.data) / p.lay.fixed
+	switch {
+	case p.offs != nil:
+		return len(p.offs)
+	case !p.lay.wide():
+		return int(p.lay.rows)
 	}
-	return len(p.offs)
+	return len(p.data) / int(p.lay.fixed)
 }
 
-// has reports whether the page holds a record at slot.
-func (p *page) has(slot int) bool {
+// record returns the slot's record on a page in a wide layout.
+func (p *page) record(slot int) string {
 	if p.offs == nil {
-		return (slot+1)*p.lay.fixed <= len(p.data)
-	}
-	return slot < len(p.offs)
-}
-
-// record returns the bytes of the slot's record.
-func (p *page) record(slot int) []byte {
-	if p.offs == nil {
-		f := p.lay.fixed
-		return p.data[slot*f : slot*f+f]
+		f := int(p.lay.fixed)
+		return alias(p.data[slot*f : slot*f+f])
 	}
 	end := len(p.data)
 	if slot+1 < len(p.offs) {
 		end = int(p.offs[slot+1])
 	}
-	return p.data[p.offs[slot]:end]
+	return alias(p.data[p.offs[slot]:end])
 }
 
 // heapStore is the append-only page heap of one table.
@@ -338,7 +398,7 @@ func (h *heapStore) append(r Row) (rowLoc, bool, int) {
 		h.woffs = append(h.woffs, uint32(len(h.wdata)))
 		p.offs = h.woffs
 	} else {
-		slot = len(h.wdata) / h.lay.fixed
+		slot = len(h.wdata) / int(h.lay.fixed)
 	}
 	h.wdata = h.lay.pack(h.wdata, r)
 	p.data = h.wdata
@@ -357,60 +417,90 @@ func (h *heapStore) closePage(p *page) {
 		return
 	}
 	p.data, p.lay = h.narrow(p.data)
-	h.closedBytes += int64(cap(p.data)) + int64(unsafe.Sizeof(rowLayout{})) +
+	h.closedBytes += p.dataBytes() + int64(unsafe.Sizeof(rowLayout{})) +
 		int64(cap(p.lay.cols))*int64(unsafe.Sizeof(colSlot{}))
 }
 
-// narrow re-encodes the wide fixed-length records in src into a layout of
-// their own and returns the new bytes and layout.  An integer, timestamp or
-// boolean column becomes the page minimum plus the fewest bytes of delta that
-// hold the page's range.  A float column with declared places does the same
-// with its values scaled to integers, provided every value on the page
-// decodes back to its exact bits; any other float column keeps its raw 8-byte
-// slot.  src is the open page's write buffer, which the next page reuses, so
-// the scaling is written into it in place and computed once per value.
+// narrow re-encodes the wide fixed-length records in src into column streams
+// (see Packed row format) and returns the new bytes and layout.  src is the
+// open page's write buffer, which the next page reuses, so the float scaling
+// is written into it in place and computed once per value.
 func (h *heapStore) narrow(src []byte) ([]byte, *rowLayout) {
 	w := h.lay
-	lay := &rowLayout{kinds: w.kinds, cols: make([]colSlot, len(w.cols)), bitmap: w.bitmap, fixed: w.bitmap}
+	stride := int(w.fixed)
+	n := len(src) / stride
+	lay := &rowLayout{kinds: w.kinds, cols: make([]colSlot, len(w.cols)), rows: uint32(n)}
+	size := 0
 	for c := range lay.cols {
 		cs, at := &lay.cols[c], int(w.cols[c].off)
-		cs.off = uint32(lay.fixed)
-		if w.kinds[c] != KindFloat || (h.places[c] != 0 && scaleColumn(src, at, w.fixed, h.places[c])) {
-			lo, hi := columnRange(src, at, w.fixed)
-			cs.base, cs.width, cs.scale = lo, deltaWidth(uint64(hi)-uint64(lo)), h.places[c]
-		} else {
-			cs.width = 8
+		scaled := h.places[c] != 0 && scaleColumn(src, at, stride, h.places[c])
+		lo, hi := int64(math.MaxInt64), int64(math.MinInt64)
+		for k := 0; k < n; k++ {
+			if src[k*stride+c>>3]&(1<<(c&7)) != 0 {
+				cs.nulls = true
+				continue
+			}
+			v := int64(binary.LittleEndian.Uint64(src[k*stride+at:]))
+			lo, hi = min(lo, v), max(hi, v)
 		}
-		lay.fixed += int(cs.width)
+		switch {
+		case w.kinds[c] == KindFloat && !scaled:
+			cs.width = 64
+		case lo <= hi:
+			cs.base, cs.width = lo, streamWidth(uint64(hi)-uint64(lo))
+		}
+		if scaled {
+			cs.scale = h.places[c]
+		}
+		nbits := n * int(cs.width)
+		if cs.nulls {
+			nbits += n
+		}
+		if nbits > 0 {
+			cs.off = uint32(size)
+			size += (nbits + 7) / 8
+		}
 	}
-	n := len(src) / w.fixed
-	dst := make([]byte, n*lay.fixed)
-	for k := 0; k < n; k++ {
-		rec, out := src[k*w.fixed:], dst[k*lay.fixed:]
-		copy(out, rec[:w.bitmap])
-		for c := range lay.cols {
-			cs := &lay.cols[c]
-			d, o := binary.LittleEndian.Uint64(rec[w.cols[c].off:])-uint64(cs.base), out[cs.off:]
-			switch cs.width {
-			case 8:
-				binary.LittleEndian.PutUint64(o, d)
-			case 4:
-				binary.LittleEndian.PutUint32(o, uint32(d))
-			case 2:
-				binary.LittleEndian.PutUint16(o, uint16(d))
-			case 1:
-				o[0] = byte(d)
+	if size == 0 {
+		return constPage[:], lay
+	}
+	dst := make([]byte, size+7)
+	for c := range lay.cols {
+		cs, at := &lay.cols[c], int(w.cols[c].off)
+		vals, nulls := uint64(cs.off)*8, uint64(cs.off)*8+uint64(n)*uint64(cs.width)
+		for k := 0; k < n; k++ {
+			switch {
+			case src[k*stride+c>>3]&(1<<(c&7)) != 0:
+				putBits(dst, nulls+uint64(k), 1)
+			case cs.width != 0:
+				putBits(dst, vals+uint64(k)*uint64(cs.width), binary.LittleEndian.Uint64(src[k*stride+at:])-uint64(cs.base))
 			}
 		}
 	}
 	return dst, lay
 }
 
-// scaleColumn replaces the float bits in the 8-byte slot at off of every
+// putBits ORs x into d at bit b, where d holds zeros; x has at most 56 bits,
+// or b is on a byte.
+func putBits(d []byte, b, x uint64) {
+	binary.LittleEndian.PutUint64(d[b>>3:], binary.LittleEndian.Uint64(d[b>>3:])|x<<(b&7))
+}
+
+// streamWidth is the bits a row of a stream of values spanning span takes:
+// bits.Len64, with 57–63 rounded up to 64 so one 8-byte load reads any value.
+func streamWidth(span uint64) uint8 {
+	if w := bits.Len64(span); w <= 56 {
+		return uint8(w)
+	}
+	return 64
+}
+
+// scaleColumn replaces the float bits in the 8-byte field at off of every
 // stride-long record of src by the integer the value is at places decimal
 // places, and reports whether each such integer decodes back to the exact
 // bits it replaced.  -0, NaN, ±Inf, values off the precision and magnitudes
-// of 2^52 and more do not; on false every slot holds its bits again.
+// of 2^52 and more do not; on false every field holds its bits again.  A
+// NULL's field holds 0, which scales to 0.
 func scaleColumn(src []byte, off, stride int, places uint8) bool {
 	p := pow10[places]
 	for at := off; at < len(src); at += stride {
@@ -428,32 +518,6 @@ func scaleColumn(src []byte, off, stride int, places uint8) bool {
 	return true
 }
 
-// columnRange returns the least and greatest signed value in the 8-byte slot
-// at off of every stride-long record of src.
-func columnRange(src []byte, off, stride int) (lo, hi int64) {
-	lo, hi = math.MaxInt64, math.MinInt64
-	for ; off < len(src); off += stride {
-		v := int64(binary.LittleEndian.Uint64(src[off:]))
-		lo, hi = min(lo, v), max(hi, v)
-	}
-	return lo, hi
-}
-
-// deltaWidth is the fewest bytes of 0, 1, 2, 4 or 8 that hold span.
-func deltaWidth(span uint64) uint8 {
-	switch {
-	case span == 0:
-		return 0
-	case span <= math.MaxUint8:
-		return 1
-	case span <= math.MaxUint16:
-		return 2
-	case span <= math.MaxUint32:
-		return 4
-	}
-	return 8
-}
-
 // view returns the row stored at loc; ok is false for a deleted or
 // out-of-range location.
 func (h *heapStore) view(loc rowLoc) (RowView, bool) {
@@ -461,16 +525,19 @@ func (h *heapStore) view(loc rowLoc) (RowView, bool) {
 		return RowView{}, false
 	}
 	p := &h.pages[loc.page]
-	if !p.has(int(loc.slot)) || h.deleted(loc) {
+	if int(loc.slot) >= p.rows() || h.deleted(loc) {
 		return RowView{}, false
 	}
-	rec := p.record(int(loc.slot))
+	v := RowView{lay: p.lay, rec: alias(p.data), row: loc.slot}
+	if p.lay.wide() {
+		v.rec, v.row = p.record(int(loc.slot)), 0
+	}
 	if debugChecks {
-		if _, err := p.lay.view(rec); err != nil {
-			panic(fmt.Sprintf("relstore: heap holds a malformed record at %+v: %v", loc, err))
+		if _, err := v.lay.view(v.rec, v.row); err != nil {
+			panic(fmt.Sprintf("relstore: heap holds a malformed row at %+v: %v", loc, err))
 		}
 	}
-	return RowView{lay: p.lay, rec: rec}, true
+	return v, true
 }
 
 // deleted reports whether a rollback removed the row at loc.
@@ -513,12 +580,18 @@ func rowSizeOfView(v RowView) int {
 func (h *heapStore) scanLoc(visit func(loc rowLoc, v RowView) bool) {
 	for pi := range h.pages {
 		p := &h.pages[pi]
+		v, wide := RowView{lay: p.lay, rec: alias(p.data)}, p.lay.wide()
 		for si, n := 0, p.rows(); si < n; si++ {
 			loc := rowLoc{page: uint32(pi), slot: uint32(si)}
 			if h.deleted(loc) {
 				continue
 			}
-			if !visit(loc, RowView{lay: p.lay, rec: p.record(si)}) {
+			if wide {
+				v.rec = p.record(si)
+			} else {
+				v.row = uint32(si)
+			}
+			if !visit(loc, v) {
 				return
 			}
 		}

@@ -11,18 +11,22 @@ import (
 // TestPageEncodingGuards pins, on the guard night, what closed heap pages
 // hold: bytes per row of the two largest tables, no slot directory on any
 // page of a table without a string column and a layout of its own on each of
-// its closed pages, and TableStat.ResidentBytes counting those layouts where
-// they are held.
+// its closed pages, column streams no wider than their values need
+// (Table.CheckPageStreams), and TableStat.ResidentBytes counting those
+// layouts where they are held.
 func TestPageEncodingGuards(t *testing.T) {
-	// Closed-page bytes per row, measured + 5 %: 42.6 and 15.2 here, where a
-	// wide record and its slot-directory entry were 106 + 4 and 49 + 4 bytes.
+	// Closed-page bytes per row, measured + 5 %: 28.3 and 10.0 here as bit
+	// streams, 42.6 and 15.2 as byte-wide deltas with a NULL bitmap per row,
+	// where a wide record and its slot-directory entry were 106 + 4 and 49 + 4
+	// bytes.
 	ceilings := map[string]float64{
-		catalog.TObjects:       44.7,
-		catalog.TObjectFingers: 16.0,
+		catalog.TObjects:       29.8,
+		catalog.TObjectFingers: 10.5,
 	}
 	db := loadGuardNight(t, tuning.NoIndexes, relstore.IndexImmediate)
 	for _, ts := range db.StatsSnapshot().Tables {
 		tbl := db.Table(ts.Name)
+		tbl.CheckPageStreams(t)
 		g := tbl.PageGeometry()
 		if g.HeapBytes+ts.RowDirBytes+ts.KeyIndexBytes != ts.ResidentBytes {
 			t.Errorf("%s: pages hold %d bytes, directory %d, key indexes %d; stats say %d resident", ts.Name, g.HeapBytes, ts.RowDirBytes, ts.KeyIndexBytes, ts.ResidentBytes)

@@ -1,8 +1,13 @@
 package relstore
 
 import (
+	"encoding/binary"
+	"flag"
+	"fmt"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -134,7 +139,7 @@ func TestPackedRowRoundTrip(t *testing.T) {
 	}
 	starts = append(starts, len(buf))
 	for i, row := range rows {
-		v, err := lay.view(buf[starts[i]:starts[i+1]])
+		v, err := lay.view(string(buf[starts[i]:starts[i+1]]), 0)
 		if err != nil {
 			t.Fatalf("row %d: view rejects a packed record: %v", i, err)
 		}
@@ -175,6 +180,8 @@ func heapCases() []heapCase {
 		{name: "strings", cols: withStrings, row: func(rng *rand.Rand, _ int) Row { return randomRow(rng, withStrings) }},
 		{name: "string-free", cols: stringFree, row: func(rng *rand.Rand, _ int) Row { return randomRow(rng, stringFree) }},
 		{name: "precision floats", cols: precisionCols, row: precisionRow, check: precisionEncodings},
+		{name: "bit widths", cols: widthCols, row: widthRow, check: widthEncodings},
+		{name: "constant", cols: precisionCols[2:6], row: func(*rand.Rand, int) Row { return Row{Float(1.5), Float(-2.25), Float(0), Float(7)} }, check: constEncodings},
 	}
 }
 
@@ -236,7 +243,7 @@ func precisionRow(rng *rand.Rand, i int) Row {
 
 // precisionEncodings checks that the closed pages of the precision case show
 // what it is for: scaled floats, a precision column fallen back to its raw
-// slot, width-0 columns, and the int64 extremes on one page at width 8.
+// field, width-0 columns, and the int64 extremes on one page at width 64.
 func precisionEncodings(t testing.TB, h *heapStore) {
 	var scaled, raw, constant, extremes int
 	for _, p := range h.pages[:len(h.pages)-1] {
@@ -250,7 +257,7 @@ func precisionEncodings(t testing.TB, h *heapStore) {
 			if cs.width == 0 {
 				constant++
 			}
-			if c == 1 && cs.width == 8 && cs.base == math.MinInt64 {
+			if c == 1 && cs.width == 64 && cs.base == math.MinInt64 {
 				extremes++
 			}
 		}
@@ -260,12 +267,127 @@ func precisionEncodings(t testing.TB, h *heapStore) {
 	}
 }
 
+// widthCols is a string-free table whose columns, on every closed page, need
+// streams of 56, 57 (rounded up to 64) and 64 bits, hold negative values,
+// a constant, NULL only, NULL about once a page, and precision floats that
+// fall back now and then.
+var widthCols = []Column{
+	{Name: "id", Type: TypeInt},
+	{Name: "w56", Type: TypeInt},
+	{Name: "w57", Type: TypeInt},
+	{Name: "w64", Type: TypeInt},
+	{Name: "neg", Type: TypeInt},
+	{Name: "konst", Type: TypeInt},
+	{Name: "none", Type: TypeInt, Nullable: true},
+	{Name: "once", Type: TypeTime, Nullable: true},
+	{Name: "mag", Type: TypeFloat, Nullable: true, Precision: 3},
+}
+
+// widthRow draws row i of widthCols.  Every 20 rows carry each wide column's
+// extremes, so every page does: w56 spans 2^56 - 1, w57 2^56 and w64 the
+// whole int64 range; once is NULL on one row in 60 and mag holds a float no
+// scale carries on one in 40.
+func widthRow(rng *rand.Rand, i int) Row {
+	lo56, lo57 := int64(-1)<<55, int64(-3)<<54
+	row := Row{Int(int64(i)), Int(lo56 + rng.Int63n(1<<56)), Int(lo57 + rng.Int63n(1<<56)), Int(rng.Int63() - rng.Int63()),
+		Int(-1000 + rng.Int63n(100)), Int(-7), Null, Value{Kind: KindTime, I: 1_100_000_000_000_000_000 + int64(i)}, Float(RoundTo(rng.NormFloat64()*20, 3))}
+	switch i % 20 {
+	case 0:
+		row[1], row[2], row[3] = Int(lo56), Int(lo57), Int(math.MinInt64)
+	case 1:
+		row[1], row[2], row[3] = Int(lo56+1<<56-1), Int(lo57+1<<56), Int(math.MaxInt64)
+	}
+	if i%60 == 7 {
+		row[7] = Null
+	}
+	if i%40 == 3 {
+		row[8] = Float(awkwardFloats[(i/40)%4]) // -0, NaN, ±Inf
+	}
+	return row
+}
+
+// widthEncodings checks the widths widthRow is drawn to give on every closed
+// page, and that some page holds once with a single NULL and mag fallen back.
+func widthEncodings(t testing.TB, h *heapStore) {
+	one, fallen := 0, 0
+	for _, p := range h.pages[:len(h.pages)-1] {
+		cs := p.lay.cols
+		if cs[1].width != 56 || cs[2].width != 64 || cs[3].width != 64 || cs[3].base != math.MinInt64 || cs[4].base >= 0 ||
+			cs[5].width != 0 || cs[5].nulls || cs[6].width != 0 || !cs[6].nulls {
+			t.Fatalf("closed page of %d rows: columns %+v", p.rows(), cs)
+		}
+		nulls := 0
+		for k := 0; k < p.rows(); k++ {
+			if rowAt(&p, k).IsNull(7) {
+				nulls++
+			}
+		}
+		if nulls == 1 {
+			one++
+		}
+		if cs[8].scale == 0 {
+			fallen++
+		}
+	}
+	if one == 0 || fallen == 0 {
+		t.Fatalf("%d closed pages hold a single NULL, %d a fallen-back float", one, fallen)
+	}
+}
+
+// constEncodings checks that the closed pages of a table whose every column is
+// constant hold no data bytes.
+func constEncodings(t testing.TB, h *heapStore) {
+	for i, p := range h.pages[:len(h.pages)-1] {
+		if p.dataBytes() != 0 {
+			t.Fatalf("closed page %d of constant rows holds %d data bytes", i, p.dataBytes())
+		}
+	}
+}
+
+// rowAt returns the view of row k of page p, as heapStore.view does.
+func rowAt(p *page, k int) RowView {
+	if p.lay.wide() {
+		return RowView{lay: p.lay, rec: p.record(k)}
+	}
+	return RowView{lay: p.lay, rec: alias(p.data), row: uint32(k)}
+}
+
+// checkStreams fails unless every column stream of the closed narrow page p
+// is as narrow as the rule allows: base the least non-NULL value, width
+// streamWidth of their span (64 for a float kept raw), and NULL bits only
+// where a row is NULL.
+func checkStreams(t testing.TB, p *page) {
+	t.Helper()
+	for c, cs := range p.lay.cols {
+		lo, hi, nulls := int64(math.MaxInt64), int64(math.MinInt64), false
+		for k := 0; k < p.rows(); k++ {
+			if v := rowAt(p, k); v.IsNull(c) {
+				nulls = true
+			} else {
+				x := int64(cs.value(v.rec, v.row))
+				lo, hi = min(lo, x), max(hi, x)
+			}
+		}
+		want := colSlot{off: cs.off, scale: cs.scale, nulls: nulls}
+		switch {
+		case p.lay.kinds[c] == KindFloat && cs.scale == 0:
+			want.width = 64
+		case lo <= hi:
+			want.base, want.width = lo, streamWidth(uint64(hi)-uint64(lo))
+		}
+		if cs != want {
+			t.Fatalf("column %d of a %d-row page: %+v, its values need %+v", c, p.rows(), cs, want)
+		}
+	}
+}
+
 // checkHeap holds the heap to the rows appended to it — rows[i] at locs[i],
 // removed by a rollback where dead[i]: every location reads its own row or,
 // removed, none; a scan visits the live ones in order; the counts follow; and
 // the pages keep their rules — a closed page of a table without a string
-// column has no offs and a layout of its own, every other page keeps the
-// table's wide layout — with residentBytes what they hold.
+// column has no offs and a layout of its own whose streams pass checkStreams,
+// every other page keeps the table's wide layout — with residentBytes what
+// they hold.
 func checkHeap(t testing.TB, h *heapStore, rows []Row, locs []rowLoc, dead map[int]bool) {
 	t.Helper()
 	var bytes int64
@@ -294,14 +416,17 @@ func checkHeap(t testing.TB, h *heapStore, rows []Row, locs []rowLoc, dead map[i
 		if own := closed && !h.varlen; own == (p.lay == h.lay) || (p.offs == nil) == h.varlen {
 			t.Fatalf("page %d of %d (strings: %v): own layout %v, %d offs", i, len(h.pages), h.varlen, p.lay != h.lay, len(p.offs))
 		}
-		if p.offs == nil && len(p.data)%p.lay.fixed != 0 {
+		if p.lay.wide() && p.offs == nil && len(p.data)%int(p.lay.fixed) != 0 {
 			t.Fatalf("page %d: %d bytes of %d-byte records", i, len(p.data), p.lay.fixed)
+		}
+		if !p.lay.wide() {
+			checkStreams(t, p)
 		}
 		if _, ok := h.view(rowLoc{page: uint32(i), slot: uint32(p.rows())}); ok {
 			t.Fatalf("page %d: the slot past its %d records resolves to a row", i, p.rows())
 		}
 		if closed {
-			held += int64(cap(p.data)) + 4*int64(cap(p.offs))
+			held += p.dataBytes() + 4*int64(cap(p.offs))
 		}
 		if p.lay != h.lay {
 			held += int64(unsafe.Sizeof(rowLayout{})) + int64(cap(p.lay.cols))*int64(unsafe.Sizeof(colSlot{}))
@@ -378,15 +503,15 @@ func TestHeapStoreViews(t *testing.T) {
 	}
 }
 
-// TestNarrowDeltaWidths closes one page per span at the edges of each delta
-// width and reads both ends of the span back off the closed page.
+// TestNarrowDeltaWidths closes one page per span at the edges of the stream
+// widths and reads both ends of the span back off the closed page.
 func TestNarrowDeltaWidths(t *testing.T) {
 	for _, c := range []struct {
 		span  uint64
 		width uint8
 	}{
-		{0, 0}, {1, 1}, {math.MaxUint8, 1}, {math.MaxUint8 + 1, 2}, {math.MaxUint16, 2}, {math.MaxUint16 + 1, 4},
-		{math.MaxUint32, 4}, {math.MaxUint32 + 1, 8}, {math.MaxUint64, 8},
+		{0, 0}, {1, 1}, {math.MaxUint8, 8}, {math.MaxUint8 + 1, 9}, {1<<55 + 3, 56}, {1<<56 - 1, 56},
+		{1 << 56, 64}, {1<<57 - 1, 64}, {math.MaxUint32 << 31, 64}, {math.MaxUint64, 64},
 	} {
 		h := newHeapStore([]Column{{Name: "n", Type: TypeInt}})
 		lo := -1 - int64(c.span/2)
@@ -460,8 +585,11 @@ func FuzzHeapPages(f *testing.F) {
 // FuzzRowViewDecode: the validating decoder is total — arbitrary bytes either
 // fail to validate or yield a view whose every getter stays in bounds and
 // whose materialised row packs and reads back to the same values.  Every
-// input is decoded under each of rowViewLayouts; the seed corpus
-// (testdata/fuzz/FuzzRowViewDecode) holds records cut from their pages.
+// input is decoded under each of rowViewLayouts: under a wide layout as one
+// record, under a narrow one as a little-endian u16 row followed by the
+// page's data.  The seed corpus (testdata/fuzz/FuzzRowViewDecode,
+// TestWriteHeapSeeds) holds records cut from wide pages and rows of narrow
+// pages.
 func FuzzRowViewDecode(f *testing.F) {
 	layouts := rowViewLayouts()
 	all := layouts[0].wide
@@ -473,7 +601,14 @@ func FuzzRowViewDecode(f *testing.F) {
 	f.Add(make([]byte, all.fixed))
 	f.Fuzz(func(t *testing.T, rec []byte) {
 		for _, l := range layouts {
-			v, err := l.lay.view(rec)
+			data, at := rec, uint32(0)
+			if !l.lay.wide() {
+				if len(rec) < 2 {
+					continue
+				}
+				data, at = rec[2:], uint32(binary.LittleEndian.Uint16(rec))
+			}
+			v, err := l.lay.view(string(data), at)
 			if err != nil {
 				continue
 			}
@@ -484,7 +619,7 @@ func FuzzRowViewDecode(f *testing.F) {
 					t.Fatalf("column %d: Value %+v, Row %+v", c, v.Value(c), row[c])
 				}
 			}
-			again, err := l.wide.view(l.wide.pack(nil, row))
+			again, err := l.wide.view(string(l.wide.pack(nil, row)), 0)
 			if err != nil {
 				t.Fatalf("repacked row does not validate: %v", err)
 			}
@@ -495,21 +630,83 @@ func FuzzRowViewDecode(f *testing.F) {
 
 // rowViewLayouts are the layouts FuzzRowViewDecode decodes under, each beside
 // its table's wide layout: the wide layout of a table of every kind, and the
-// narrow layouts of the first closed page of each string-free heap case
-// (heapCases) filled from seed 5 — deltas of every width, and scaled floats.
+// narrow layout of the first closed page of each string-free heap case
+// (heapCases) filled from seed 5 — streams of every width, NULL bits, scaled
+// floats; firstPages returns those pages.
 func rowViewLayouts() []struct{ lay, wide *rowLayout } {
 	cases := heapCases()
 	all := newRowLayout(cases[0].cols)
 	out := []struct{ lay, wide *rowLayout }{{all, all}}
-	for _, c := range cases[1:] {
+	for _, h := range firstPages()[1:] {
+		out = append(out, struct{ lay, wide *rowLayout }{h.pages[0].lay, h.lay})
+	}
+	return out
+}
+
+// firstPages fills a heap of each heap case from seed 5 until its first page
+// closes.
+func firstPages() []*heapStore {
+	var out []*heapStore
+	for _, c := range heapCases() {
 		h := newHeapStore(c.cols)
 		rng := rand.New(rand.NewSource(5))
 		for i := 0; h.pageCount() < 2; i++ {
 			h.append(c.row(rng, i))
 		}
-		out = append(out, struct{ lay, wide *rowLayout }{h.pages[0].lay, h.lay})
+		out = append(out, h)
 	}
 	return out
+}
+
+var writeHeapSeeds = flag.Bool("write-heap-seeds", false, "rewrite FuzzHeapPages's and FuzzRowViewDecode's seed corpora")
+
+// TestWriteHeapSeeds rewrites testdata/fuzz/FuzzHeapPages — a random stream
+// per heap case — and testdata/fuzz/FuzzRowViewDecode — the first and last
+// records of the first closed page of the strings case, and the first and
+// last rows of the first closed page of every other case, each with that
+// page's data.
+// Run it with -write-heap-seeds after changing the heap cases, the page
+// format or either harness's input layout.
+func TestWriteHeapSeeds(t *testing.T) {
+	if !*writeHeapSeeds {
+		t.Skip("run with -write-heap-seeds to rewrite the corpora")
+	}
+	write := func(target string, seeds map[string][]byte) {
+		dir := filepath.Join("testdata", "fuzz", target)
+		if err := os.RemoveAll(dir); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		for name, data := range seeds {
+			body := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", data)
+			if err := os.WriteFile(filepath.Join(dir, name), []byte(body), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	name := func(c heapCase) string { return strings.ReplaceAll(c.name, " ", "-") }
+	cases, pages := heapCases(), firstPages()
+	streams, views := map[string][]byte{}, map[string][]byte{}
+	rng := rand.New(rand.NewSource(43))
+	for i, c := range cases {
+		data := make([]byte, 2+2*(64+rng.Intn(192)))
+		rng.Read(data)
+		binary.LittleEndian.PutUint16(data, uint16(i))
+		streams["random-"+name(c)] = data
+		p := &pages[i].pages[0]
+		for _, slot := range []int{0, p.rows() - 1} {
+			key := fmt.Sprintf("closed-%s-%s-slot-%d", map[bool]string{true: "wide", false: "narrow"}[p.lay.wide()], name(c), slot)
+			if p.lay.wide() {
+				views[key] = []byte(rowAt(p, slot).rec)
+			} else {
+				views[key] = append(binary.LittleEndian.AppendUint16(nil, uint16(slot)), p.data...)
+			}
+		}
+	}
+	write("FuzzHeapPages", streams)
+	write("FuzzRowViewDecode", views)
 }
 
 // TestScanRefViewEqualsLookupByPK: the view a scan hands out and the row

@@ -11,11 +11,15 @@
 # up and each workload in W (comma-separated, or "all" for the five of
 # BENCHMARK.json), it runs `bench/run.sh --workload W --seed S` on both
 # sides, the parent first on even pairs and the change first on odd ones, and
-# keeps each run's one-line JSON result.  scripts/pairstat then writes one
+# keeps each run's one-line JSON result, its full result file and the user
+# and system CPU seconds bash's `time` measured around it (the whole child:
+# its cached build, input generation, load and queries).  scripts/pairstat
+# then writes one
 # JSON report for the invocation (per workload and metric: both sides'
 # medians and quartiles, the change's wins k of the n pairs, the exact
-# two-sided sign-test p and a resolved/unresolved verdict) and prints a
-# Markdown table to paste into CHANGES.md.  Everything stays under
+# two-sided sign-test p and a resolved/unresolved verdict; beside the
+# wall-clock metrics, CPU seconds per row read and per query sent) and prints
+# a Markdown table to paste into CHANGES.md.  Everything stays under
 # .bench_build/pairs/.
 set -euo pipefail
 
@@ -68,14 +72,20 @@ runs="$out/runs-$stamp"
 mkdir -p "$runs"
 echo "pairs: parent $parent, change $change, workloads $workloads, $pairs pairs from seed $seed${quick[*]:+, quick}"
 
-# one side runs one workload on one seed; its result line goes to a file.
+# one side runs one workload on one seed; its result line, full result and
+# CPU times go to files.
 one() {
-	local side="$1" w="$2" s="$3" log="$runs/$w-$s-$1.log"
-	if ! (cd "$out/$side" && bash bench/run.sh ${quick[@]+"${quick[@]}"} --workload "$w" --seed "$s") >"$log" 2>&1; then
+	local side="$1" w="$2" s="$3" log="$runs/$w-$s-$1.log" run="$runs/$w-$s-$1" status=0
+	local TIMEFORMAT='%U %S'
+	# time reports on the group's standard error, so the run's own output is
+	# redirected inside the subshell.
+	{ time (cd "$out/$side" && bash bench/run.sh ${quick[@]+"${quick[@]}"} --workload "$w" --seed "$s" >"$log" 2>&1) || status=$?; } 2>"$run.cpu"
+	if ((status != 0)); then
 		echo "pairs: $side $w seed $s failed; see $log" >&2
 		exit 1
 	fi
-	tail -n 1 "$log" >"$runs/$w-$s-$side.json"
+	tail -n 1 "$log" >"$run.json"
+	cp "$out/$side/.bench_build/results/skyperf-seed$s.json" "$run.full.json"
 }
 
 for ((i = 0; i < pairs; i++)); do

@@ -9,7 +9,11 @@
 //		parent1.json change1.json parent2.json change2.json ...
 //
 // Each file holds the one-line JSON result `bench/run.sh --workload W` ends
-// with.  A difference is resolved when, over at least ten pairs, one side
+// with.  Beside a file X.json, X.cpu holds the user and system CPU seconds
+// bash's `time` measured around that run and X.full.json the run's full
+// result file; when both are there, the run also reports cpu_s_per_row and
+// cpu_s_per_query: user+sys seconds of the whole run over the rows it read
+// and over the queries it sent.  A difference is resolved when, over at least ten pairs, one side
 // wins nine tenths of them and the medians lie further apart than the
 // parent's quartiles do (q3 - q1), or when every run of one side reads better
 // than every run of the other; otherwise it is unresolved, which is not the
@@ -19,21 +23,32 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"math"
 	"os"
 	"slices"
+	"strings"
 )
 
 // result is the part of a run's one-line JSON result pairstat reads.
 type result struct {
-	Correct bool  `json:"correct"`
-	Failed  int64 `json:"failed"`
-	Metrics map[string]struct {
-		Value float64 `json:"value"`
-	} `json:"metrics"`
+	Correct   bool                   `json:"correct"`
+	Attempted int64                  `json:"attempted"`
+	Failed    int64                  `json:"failed"`
+	Metrics   map[string]metricValue `json:"metrics"`
+}
+
+type metricValue struct {
+	Value float64 `json:"value"`
+}
+
+// cpuMetrics are the metrics pairstat derives from a run's CPU time.
+var cpuMetrics = []metricDecl{
+	{Name: "cpu_s_per_row", Unit: "s", Better: "lower"},
+	{Name: "cpu_s_per_query", Unit: "s", Better: "lower"},
 }
 
 // metricDecl is one end-to-end metric of BENCHMARK.json.
@@ -102,13 +117,16 @@ func run(manifest, workload, out string, files []string, w io.Writer) error {
 		if err := readJSON(f, &r); err != nil {
 			return err
 		}
+		if err := addCPU(&r, strings.TrimSuffix(f, ".json")); err != nil {
+			return err
+		}
 		if i%2 == 0 {
 			parents = append(parents, r)
 		} else {
 			changes = append(changes, r)
 		}
 	}
-	rep := summarise(workload, decl.EndToEnd, parents, changes)
+	rep := summarise(workload, append(decl.EndToEnd, cpuMetrics...), parents, changes)
 	data, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
 		return err
@@ -129,6 +147,49 @@ func readJSON(path string, v any) error {
 	}
 	if err := json.Unmarshal(data, v); err != nil {
 		return fmt.Errorf("%s: %w", path, err)
+	}
+	return nil
+}
+
+// addCPU adds the CPU metrics to r, the run whose files start with base, when
+// base.cpu ("user sys", as bash's `time` prints them with TIMEFORMAT='%U %S')
+// and base.full.json are there.  The run's attempted operations are the rows
+// it read and the queries its loops sent.
+func addCPU(r *result, base string) error {
+	times, err := os.ReadFile(base + ".cpu")
+	if errors.Is(err, os.ErrNotExist) {
+		return nil
+	} else if err != nil {
+		return err
+	}
+	var user, sys float64
+	if _, err := fmt.Sscan(string(times), &user, &sys); err != nil {
+		return fmt.Errorf("%s.cpu: %w", base, err)
+	}
+	var full struct {
+		Results []struct {
+			Loops []struct {
+				Sent int64 `json:"sent"`
+			} `json:"loops"`
+		} `json:"results"`
+	}
+	if err := readJSON(base+".full.json", &full); err != nil {
+		return err
+	}
+	var queries int64
+	for _, res := range full.Results {
+		for _, l := range res.Loops {
+			queries += l.Sent
+		}
+	}
+	if r.Metrics == nil {
+		r.Metrics = map[string]metricValue{}
+	}
+	if rows := r.Attempted - queries; rows > 0 {
+		r.Metrics["cpu_s_per_row"] = metricValue{(user + sys) / float64(rows)}
+	}
+	if queries > 0 {
+		r.Metrics["cpu_s_per_query"] = metricValue{(user + sys) / float64(queries)}
 	}
 	return nil
 }

@@ -101,3 +101,40 @@ func TestRunResolvesOnlyAClearWin(t *testing.T) {
 		t.Errorf("three pairs: mem %s, rate %s", mem.Verdict, rate.Verdict)
 	}
 }
+
+// TestCPUMetrics: a run with its CPU times and full result beside it reports
+// user+sys seconds per row read and per query sent; one without reports
+// neither.
+func TestCPUMetrics(t *testing.T) {
+	dir := t.TempDir()
+	write := func(name, body string) {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write("run.json", `{"correct":true,"attempted":1100,"metrics":{}}`)
+	write("run.cpu", "1.5 0.5\n")
+	write("run.full.json", `{"results":[{"loops":[{"sent":60},{"sent":40}]}]}`)
+	write("bare.json", `{"correct":true,"attempted":1100,"metrics":{}}`)
+	var r, bare result
+	for _, c := range []struct {
+		r    *result
+		base string
+	}{{&r, "run"}, {&bare, "bare"}} {
+		if err := readJSON(filepath.Join(dir, c.base+".json"), c.r); err != nil {
+			t.Fatal(err)
+		}
+		if err := addCPU(c.r, filepath.Join(dir, c.base)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := r.Metrics["cpu_s_per_row"].Value; got != 2.0/1000 {
+		t.Errorf("cpu_s_per_row = %v, want 0.002", got)
+	}
+	if got := r.Metrics["cpu_s_per_query"].Value; got != 2.0/100 {
+		t.Errorf("cpu_s_per_query = %v, want 0.02", got)
+	}
+	if len(bare.Metrics) != 0 {
+		t.Errorf("a run without CPU times reports %v", bare.Metrics)
+	}
+}
