@@ -12,6 +12,7 @@ package skyloader_test
 
 import (
 	"bytes"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -381,17 +382,29 @@ func nightTexts(b *testing.B, night []*catalog.File) []string {
 // where an ingest profile comes from:
 //
 //	go test -run '^$' -bench IngestNight -benchtime 5x -cpuprofile cpu.prof .
+//
+// Outside the timed region it weighs the last loaded database per byte of
+// catalog text: the live heap it pins after two collections (what skyperf's
+// mem_bytes_per_user_byte divides) and, from StatsSnapshot, the heap pages,
+// row directories, key indexes and secondary B-trees that make it up.
 func BenchmarkIngestNight(b *testing.B) {
 	night := catalog.GenerateNight(catalog.NightSpec{
 		TotalMB: 1000, RowsPerMB: 100, Seed: 7, ErrorRate: 0.002, RunID: 1, Files: 8,
 	})
 	texts := nightTexts(b, night)
+	textBytes := 0
+	for _, text := range texts {
+		textBytes += len(text)
+	}
 	prof := tuning.ProductionLoading()
 	rows := 0
+	var held int64
+	var footprint relstore.StatsSnapshot
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
+		before := liveHeap()
 		db, err := tuning.OpenRepository(tuning.HTMIDPlusComposite, relstore.WithConfig(prof.DBConfig()))
 		if err != nil {
 			b.Fatal(err)
@@ -409,8 +422,29 @@ func BenchmarkIngestNight(b *testing.B) {
 			b.Fatal(err)
 		}
 		rows += res.Total.RowsRead
+
+		b.StopTimer()
+		files = nil // the records go; what stays is the database
+		held = liveHeap() - before
+		footprint = db.StatsSnapshot()
+		runtime.KeepAlive(srv)
 	}
 	b.ReportMetric(float64(rows)/b.Elapsed().Seconds(), "rows/s")
+	var pages, rowDirs, keyIndexes, trees int64
+	for _, ts := range footprint.Tables {
+		pages += ts.ResidentBytes - ts.RowDirBytes - ts.KeyIndexBytes
+		rowDirs += ts.RowDirBytes
+		keyIndexes += ts.KeyIndexBytes
+	}
+	for _, is := range footprint.Indexes {
+		trees += is.ResidentBytes
+	}
+	perTextByte := func(n int64) float64 { return float64(n) / float64(textBytes) }
+	b.ReportMetric(perTextByte(held), "heap/textB")
+	b.ReportMetric(perTextByte(pages), "pages/textB")
+	b.ReportMetric(perTextByte(rowDirs), "rowdirs/textB")
+	b.ReportMetric(perTextByte(keyIndexes), "keyidx/textB")
+	b.ReportMetric(perTextByte(trees), "btrees/textB")
 }
 
 // BenchmarkFleetNight is the timed region of skyperf's shard-scatter load on

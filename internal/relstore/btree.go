@@ -24,23 +24,32 @@ import (
 type BTree struct {
 	degree int
 	root   *btreeNode
+	btreeCounts
+
+	// Arrays nodes outgrew or split out of, for the next node that grows
+	// into their capacity.
+	spareSlots spares[btreeSlot]
+	spareKeys  spares[byte]
+	spareMore  spares[[]uint32]
+}
+
+// btreeCounts are the tree's counters; CheckInvariants recomputes them from
+// a walk.
+type btreeCounts struct {
 	size   int
 	nodes  int
 	splits int
 	height int
 
-	// keyLen is the longest key stored so far.  A node's key bytes are
-	// reserved once, at (2*degree-1)*keyLen: exact for numeric columns (9
-	// bytes each), a floor that append-growth tops up for strings.
-	keyLen int
-	// keyBytes sums the lengths of stored keys, arenaBytes the capacities of
-	// the nodes' key slices and dupBytes what the duplicate-id side slots
-	// hold; with nodes and internals (the nodes that carry children) they give
-	// ResidentBytes without a walk.
+	// keyBytes sums the lengths of stored keys.  nodeBytes sums the node
+	// headers and the capacities of their slot and child arrays, arenaBytes
+	// the capacities of their key bytes and dupBytes what the duplicate-id
+	// side slots and lists hold: with the spares they give ResidentBytes
+	// without a walk.
 	keyBytes   int
+	nodeBytes  int
 	arenaBytes int
 	dupBytes   int
-	internals  int
 }
 
 // btreeNode is one node at rest: no pointer per entry.  Entry i's key is
@@ -48,7 +57,9 @@ type BTree struct {
 // by more[i].  An end offset per entry rather than a fixed stride, because a
 // NULL encodes to one byte and a string to any number, and one layout serves
 // every index; the offset costs four bytes and a 16-bit one would cap a node
-// at 64 KiB of keys.
+// at 64 KiB of keys.  Every array is sized to the entries the node holds, not
+// to the 2*degree-1 it may come to hold: grow adds room a few entries at a
+// time and a split gives each half arrays of its own size.
 type btreeNode struct {
 	keys  []byte
 	slots []btreeSlot
@@ -117,21 +128,103 @@ func NewBTree(degree int) *BTree {
 	if degree < 2 {
 		degree = 2
 	}
-	t := &BTree{degree: degree, height: 1}
-	t.root = t.newNode(false)
+	t := &BTree{degree: degree, btreeCounts: btreeCounts{height: 1}}
+	t.root = t.newNode()
 	return t
 }
 
-// newNode allocates a node with its slots (and children) at full capacity;
-// its key bytes are reserved by the first insert into it.
-func (t *BTree) newNode(internal bool) *btreeNode {
-	n := &btreeNode{slots: make([]btreeSlot, 0, 2*t.degree-1)}
-	if internal {
-		n.children = make([]*btreeNode, 0, 2*t.degree)
-		t.internals++
-	}
+// What the accounting multiplies capacities by.
+const (
+	nodeHeaderSize = int(unsafe.Sizeof(btreeNode{}))
+	slotSize       = int(unsafe.Sizeof(btreeSlot{}))
+	childSize      = int(unsafe.Sizeof((*btreeNode)(nil)))
+	sideSlotSize   = int(unsafe.Sizeof([]uint32(nil)))
+)
+
+// newNode allocates an empty node; its arrays are sized by whoever fills it.
+func (t *BTree) newNode() *btreeNode {
 	t.nodes++
-	return n
+	t.nodeBytes += nodeHeaderSize
+	return &btreeNode{}
+}
+
+// count adds (sign 1) or takes back (sign -1) the capacities of n's slot,
+// child, key and side-slot arrays in the tree's totals.
+func (t *BTree) count(n *btreeNode, sign int) {
+	t.nodeBytes += sign * (cap(n.slots)*slotSize + cap(n.children)*childSize)
+	t.arenaBytes += sign * cap(n.keys)
+	t.dupBytes += sign * cap(n.more) * sideSlotSize
+}
+
+// spares keeps arrays that nodes outgrew or split out of.  Random inserts
+// take every node through the same capacities, so a growing tree keeps
+// asking for arrays like the ones it just gave up: holding a few of each
+// kind turns most growth steps into a copy, where each would otherwise
+// allocate and leave the old array to the collector.  Only small arrays are
+// kept (never a long key's), and ResidentBytes counts them (not the list
+// that holds them, a few hundred bytes).
+type spares[E any] struct {
+	free  [][]E
+	bytes int // the capacity held, in bytes
+	next  int // the spare give replaces next once free is full
+}
+
+const (
+	maxSpares     = 32      // arrays kept of each kind,
+	nodesPerSpare = 32      // and no more than one per nodesPerSpare nodes
+	maxSpareBytes = 4 << 10 // the largest array kept
+)
+
+// keep returns how many spares of each kind the tree may hold.
+func (t *BTree) keep() int { return min(maxSpares, t.nodes/nodesPerSpare) }
+
+// take returns an empty array with room for n elements: a spare holding no
+// more than an eighth over n, else a new one.
+func (p *spares[E]) take(n int) []E {
+	for i, s := range p.free {
+		if c := cap(s); c >= n && c <= n+n/8 {
+			last := len(p.free) - 1
+			p.free[i], p.free[last] = p.free[last], nil
+			p.free = p.free[:last]
+			p.bytes -= c * elemSize(s)
+			return s
+		}
+	}
+	return make([]E, 0, n)
+}
+
+// give keeps s, cleared, as a spare if it is small enough; once p holds keep
+// of them, in place of one of them, round robin.
+func (p *spares[E]) give(s []E, keep int) {
+	b := cap(s) * elemSize(s)
+	if b == 0 || b > maxSpareBytes || keep == 0 {
+		return
+	}
+	s = s[:0]
+	clear(s[:cap(s)])
+	if len(p.free) < keep {
+		p.free = append(p.free, s)
+	} else {
+		p.next %= len(p.free)
+		p.bytes -= cap(p.free[p.next]) * elemSize(s)
+		p.free[p.next] = s
+		p.next++
+	}
+	p.bytes += b
+}
+
+// held sums the spares' capacities in bytes; it is p.bytes by a walk.
+func (p *spares[E]) held() int {
+	b := 0
+	for _, s := range p.free {
+		b += cap(s) * elemSize(s)
+	}
+	return b
+}
+
+func elemSize[E any]([]E) int {
+	var e E
+	return int(unsafe.Sizeof(e))
 }
 
 // Len returns the number of distinct keys stored.
@@ -151,16 +244,14 @@ func (t *BTree) Height() int { return t.height }
 func (t *BTree) KeyBytes() int { return t.keyBytes }
 
 // ArenaBytes returns the bytes the nodes reserve for keys.  ArenaBytes -
-// KeyBytes is the room nodes below capacity keep for later inserts.
+// KeyBytes is the room nodes keep for their next few inserts.
 func (t *BTree) ArenaBytes() int { return t.arenaBytes }
 
 // ResidentBytes returns the memory the tree holds, counted where it is held:
-// node headers, slot and child arrays at their allocated capacity, reserved
-// key bytes and the duplicate-id side slots.
+// node headers, slot and child arrays at their capacity, reserved key bytes,
+// the duplicate-id side slots and the spare arrays.
 func (t *BTree) ResidentBytes() int64 {
-	perNode := int(unsafe.Sizeof(btreeNode{})) + (2*t.degree-1)*int(unsafe.Sizeof(btreeSlot{}))
-	perInternal := 2 * t.degree * int(unsafe.Sizeof((*btreeNode)(nil)))
-	return int64(t.nodes*perNode + t.internals*perInternal + t.arenaBytes + t.dupBytes)
+	return int64(t.nodeBytes + t.arenaBytes + t.dupBytes + t.spareSlots.bytes + t.spareKeys.bytes + t.spareMore.bytes)
 }
 
 // InsertStats reports the physical work performed by one Insert call.
@@ -187,22 +278,44 @@ func (t *BTree) Insert(key []byte, rowID int64) InsertStats {
 	return si.st
 }
 
-// reserve makes room for extra more key bytes in n.
-func (t *BTree) reserve(n *btreeNode, extra int) {
-	need := len(n.keys) + extra
-	if need <= cap(n.keys) {
-		return
+// grow gives n room for one more entry of kl key bytes.  A node is sized to
+// the entries it holds: its slots grow by an eighth (doubling while it holds
+// fewer than degree-1, as only the root ever does), or straight to
+// 2*degree-1 when filling says a sorted stream is appending to it, and its
+// key bytes to what its slot capacity holds at its mean key length, so one
+// long key costs the node that stores it and no other.
+func (t *BTree) grow(n *btreeNode, kl int, filling bool) {
+	t.count(n, -1)
+	if e, maxE := len(n.slots), 2*t.degree-1; e == cap(n.slots) {
+		c := e + max(1, e/8)
+		if filling {
+			c = maxE
+		} else if e < t.degree-1 {
+			c = max(1, 2*e)
+		}
+		slots, more := n.slots, n.more
+		n.slots = append(t.spareSlots.take(min(c, maxE)), slots...)
+		t.spareSlots.give(slots, t.keep())
+		if more != nil {
+			n.more = append(t.spareMore.take(cap(n.slots)), more...)
+			t.spareMore.give(more, t.keep())
+		}
 	}
-	grown := make([]byte, len(n.keys), max(need, 2*cap(n.keys), (2*t.degree-1)*t.keyLen))
-	copy(grown, n.keys)
-	t.arenaBytes += cap(grown) - cap(n.keys)
-	n.keys = grown
+	if need := len(n.keys) + kl; need > cap(n.keys) {
+		keys := n.keys
+		n.keys = append(t.spareKeys.take(need*cap(n.slots)/(len(n.slots)+1)), keys...)
+		t.spareKeys.give(keys, t.keep())
+	}
+	t.count(n, 1)
 }
 
 // insertAt opens entry i of n for (key, id): one move of the key bytes behind
-// it and one pass over the slots behind it.  The caller guarantees room.
-func (t *BTree) insertAt(n *btreeNode, i int, key []byte, id uint32) {
-	t.reserve(n, len(key))
+// it and one pass over the slots behind it, after growing the node if it is
+// out of room.  The caller guarantees n holds fewer than 2*degree-1 entries.
+func (t *BTree) insertAt(n *btreeNode, i int, key []byte, id uint32, filling bool) {
+	if len(n.slots) == cap(n.slots) || len(n.keys)+len(key) > cap(n.keys) {
+		t.grow(n, len(key), filling)
+	}
 	at, old, kl := n.start(i), len(n.keys), uint32(len(key))
 	n.keys = n.keys[:old+len(key)]
 	copy(n.keys[at+len(key):], n.keys[at:old])
@@ -221,19 +334,18 @@ func (t *BTree) insertAt(n *btreeNode, i int, key []byte, id uint32) {
 }
 
 // addEntry stores a key the tree does not hold yet as entry i of n.
-func (t *BTree) addEntry(n *btreeNode, i int, key []byte, id uint32) {
-	t.keyLen = max(t.keyLen, len(key))
-	t.insertAt(n, i, key, id)
+func (t *BTree) addEntry(n *btreeNode, i int, key []byte, id uint32, filling bool) {
+	t.insertAt(n, i, key, id, filling)
 	t.keyBytes += len(key)
 	t.size++
 }
 
-// setMore installs entry i's duplicate-id list, creating the node's side slot
-// on first use.
+// setMore installs entry i's duplicate-id list, creating the node's side
+// slots on first use with the capacity of its slots, which they keep.
 func (t *BTree) setMore(n *btreeNode, i int, ids []uint32) {
 	if n.more == nil {
-		n.more = make([][]uint32, len(n.slots), cap(n.slots))
-		t.dupBytes += cap(n.more) * int(unsafe.Sizeof([]uint32(nil)))
+		n.more = t.spareMore.take(cap(n.slots))[:len(n.slots)]
+		t.dupBytes += cap(n.more) * sideSlotSize
 	}
 	n.more[i] = ids
 }
@@ -251,39 +363,87 @@ func (t *BTree) addID(n *btreeNode, i int, id uint32) {
 	t.setMore(n, i, ids)
 }
 
-func (t *BTree) splitChild(parent *btreeNode, i int) {
+// front moves s[from:] to the front of s's array and clears what it vacates.
+func front[E any](s []E, from int) []E {
+	k := copy(s, s[from:])
+	clear(s[k:])
+	return s[:k]
+}
+
+// splitChild splits the full child i of parent around its middle entry,
+// which moves up into parent.  Both halves get arrays sized to the entries
+// they keep and the child's go to the spares, except when appending (the
+// key that caused the split sorts at or after every key of the child: a
+// sorted stream): then the upper half, which the stream fills next, keeps the
+// child's full arrays and the parent takes the separator as a filling
+// insert.
+func (t *BTree) splitChild(parent *btreeNode, i int, appending bool) {
 	t.splits++
 	child := parent.children[i]
 	mid := t.degree - 1
-	right := t.newNode(!child.leaf())
-	cut := child.slots[mid].end
-	t.reserve(right, len(child.keys)-int(cut))
-	right.keys = append(right.keys, child.keys[cut:]...)
-	right.slots = right.slots[:len(child.slots)-mid-1]
-	for j, s := range child.slots[mid+1:] {
-		right.slots[j] = btreeSlot{end: s.end - cut, id: s.id}
-		if ids := child.rest(mid + 1 + j); ids != nil {
-			t.setMore(right, j, ids)
-		}
-	}
-	t.insertAt(parent, i, child.key(mid), child.slots[mid].id)
+	t.insertAt(parent, i, child.key(mid), child.slots[mid].id, appending)
 	if ids := child.rest(mid); ids != nil {
 		t.setMore(parent, i, ids) // an emptied list moves too: dupBytes counts its capacity
 	}
-	if child.more != nil {
-		clear(child.more[mid:])
-		child.more = child.more[:mid]
+	if len(parent.children) == cap(parent.children) {
+		t.count(parent, -1)
+		parent.children = append(make([]*btreeNode, 0, cap(parent.slots)+1), parent.children...)
+		t.count(parent, 1)
 	}
-	child.keys = child.keys[:child.start(mid)]
-	child.slots = child.slots[:mid]
-	if !child.leaf() {
-		right.children = append(right.children, child.children[mid+1:]...)
-		clear(child.children[mid+1:])
-		child.children = child.children[:mid+1]
-	}
-	parent.children = append(parent.children, nil)
+	right := t.newNode()
+	parent.children = parent.children[:len(parent.children)+1]
 	copy(parent.children[i+2:], parent.children[i+1:])
 	parent.children[i+1] = right
+
+	t.count(child, -1)
+	old := *child
+	e, cut, low := len(old.slots), old.slots[mid].end, old.start(mid)
+	*child = btreeNode{
+		slots: append(t.spareSlots.take(mid), old.slots[:mid]...),
+		keys:  append(t.spareKeys.take(low), old.keys[:low]...),
+	}
+	if appending {
+		right.slots, right.keys = front(old.slots, mid+1), front(old.keys, int(cut))
+	} else {
+		right.slots = append(t.spareSlots.take(e-mid-1), old.slots[mid+1:]...)
+		right.keys = append(t.spareKeys.take(len(old.keys)-int(cut)), old.keys[cut:]...)
+		t.spareSlots.give(old.slots, t.keep())
+		t.spareKeys.give(old.keys, t.keep())
+	}
+	for j := range right.slots {
+		right.slots[j].end -= cut
+	}
+	if old.more != nil {
+		hasList := func(ids []uint32) bool { return ids != nil }
+		if slices.ContainsFunc(old.more[:mid], hasList) {
+			child.more = append(t.spareMore.take(cap(child.slots)), old.more[:mid]...)
+		}
+		switch {
+		case !slices.ContainsFunc(old.more[mid+1:], hasList):
+			t.spareMore.give(old.more, t.keep())
+		case appending:
+			right.more = front(old.more, mid+1)
+		default:
+			right.more = append(t.spareMore.take(cap(right.slots)), old.more[mid+1:]...)
+			t.spareMore.give(old.more, t.keep())
+		}
+	}
+	if !old.leaf() {
+		child.children = append(make([]*btreeNode, 0, mid+1), old.children[:mid+1]...)
+		if appending {
+			right.children = front(old.children, mid+1)
+		} else {
+			right.children = append(make([]*btreeNode, 0, e-mid), old.children[mid+1:]...)
+		}
+	}
+	t.count(child, 1)
+	t.count(right, 1)
+}
+
+// sortsAfter reports whether key sorts at or after every key n holds: the
+// mark of a sorted stream reaching n's end.
+func (n *btreeNode) sortsAfter(key []byte) bool {
+	return bytes.Compare(key, n.key(len(n.slots)-1)) >= 0
 }
 
 // find returns the index of the first entry >= key and whether it equals key.
@@ -356,7 +516,7 @@ func (si *sortedInserter) insert(key []byte, rowID int64) {
 	if si.leaf != nil && len(si.leaf.slots) < 2*si.t.degree-1 && (si.upper == nil || bytes.Compare(key, si.upper) < 0) {
 		leaf := si.leaf
 		var i int
-		var found bool
+		var found, filling bool
 		if si.last == leaf && si.lasti+1 < len(leaf.slots) {
 			// Sequential hint: a sorted stream's next key usually lands
 			// right after the previous position (key > entry lasti is
@@ -369,8 +529,9 @@ func (si *sortedInserter) insert(key []byte, rowID int64) {
 				i, found = leaf.find(key)
 			}
 		} else if si.last == leaf {
-			// Previous entry is the leaf's last: the new, larger key appends.
-			i, found = len(leaf.slots), false
+			// Previous entry is the leaf's last: the new, larger key
+			// appends, and the stream is filling the leaf.
+			i, found, filling = len(leaf.slots), false, true
 		} else {
 			i, found = leaf.find(key)
 		}
@@ -378,7 +539,7 @@ func (si *sortedInserter) insert(key []byte, rowID int64) {
 		if found {
 			si.t.addID(leaf, i, id)
 		} else {
-			si.t.addEntry(leaf, i, key, id)
+			si.t.addEntry(leaf, i, key, id, filling)
 		}
 		si.last, si.lasti = leaf, i
 		return
@@ -394,10 +555,11 @@ func (si *sortedInserter) descendInsert(key []byte, id uint32) {
 	t := si.t
 	if len(t.root.slots) == 2*t.degree-1 {
 		old := t.root
-		t.root = t.newNode(true)
-		t.root.children = append(t.root.children, old)
+		t.root = t.newNode()
+		t.root.children = append(make([]*btreeNode, 0, 2), old)
+		t.nodeBytes += cap(t.root.children) * childSize
 		t.height++
-		t.splitChild(t.root, 0)
+		t.splitChild(t.root, 0, old.sortsAfter(key))
 		si.st.Splits++
 	}
 	n := t.root
@@ -416,13 +578,13 @@ func (si *sortedInserter) descendInsert(key []byte, id uint32) {
 			return
 		}
 		if n.leaf() {
-			t.addEntry(n, i, key, id)
+			t.addEntry(n, i, key, id, false)
 			si.leaf, si.upper = n, ub
 			si.last, si.lasti = n, i
 			return
 		}
-		if len(n.children[i].slots) == 2*t.degree-1 {
-			t.splitChild(n, i)
+		if c := n.children[i]; len(c.slots) == 2*t.degree-1 {
+			t.splitChild(n, i, c.sortsAfter(key))
 			si.st.Splits++
 			if c := bytes.Compare(key, n.key(i)); c == 0 {
 				t.addID(n, i, id)
@@ -498,10 +660,12 @@ func (t *BTree) buildFromKVs(kvs []idxKV) BuildStats {
 	}
 	// start opens a level's next node under the current node of the level
 	// above and sizes its share: greedy, shrunk for the second-to-last node so
-	// the final node never drops below minE entries.
+	// the final node never drops below minE entries.  The node's slots (and
+	// children) are allocated once for that share, and its key bytes by its
+	// first entry, for the share at that entry's length.
 	start := func(l int) {
 		lv := &levels[l]
-		lv.node = t.newNode(l > 0)
+		lv.node = t.newNode()
 		if l+1 < len(levels) {
 			parent := levels[l+1].node
 			parent.children = append(parent.children, lv.node)
@@ -510,6 +674,11 @@ func (t *BTree) buildFromKVs(kvs []idxKV) BuildStats {
 		if lv.left > maxE && lv.left-maxE-1 < minE {
 			lv.room = lv.left - 1 - minE
 		}
+		lv.node.slots = make([]btreeSlot, 0, lv.room)
+		if l > 0 {
+			lv.node.children = make([]*btreeNode, 0, lv.room+1)
+		}
+		t.count(lv.node, 1)
 	}
 	for l := len(levels) - 1; l >= 0; l-- {
 		start(l)
@@ -532,7 +701,7 @@ func (t *BTree) buildFromKVs(kvs []idxKV) BuildStats {
 			levels[j].left--
 		}
 		last = levels[l].node
-		t.addEntry(last, len(last.slots), kvs[i].key, id)
+		t.addEntry(last, len(last.slots), kvs[i].key, id, false)
 		levels[l].room--
 		for j := l - 1; j >= 0; j-- {
 			start(j)
@@ -632,27 +801,29 @@ func (n *btreeNode) ascend(from, to []byte, ids *[]int64, visit func([]byte, []i
 }
 
 // CheckInvariants verifies B-tree structural invariants: key ordering within
-// and across nodes, node fill bounds and capacity, uniform leaf depth,
+// and across nodes, node fill bounds, capacities within 2*degree-1 entries
+// (2*degree children) and side slots covering the slot capacity, uniform leaf depth,
 // well-formed stored keys (every key must be a valid AppendOrderedKey
 // encoding), the packed layout (end offsets monotone and covering the key
 // bytes, side slots parallel to the entries, a tombstone holding no ids) and
-// the counters behind KeyBytes, ArenaBytes and ResidentBytes.  It returns a
+// the counters behind KeyBytes, ArenaBytes and ResidentBytes, which must equal
+// the capacities a walk of the nodes sums.  It returns a
 // descriptive error when an invariant is violated.  Used by property tests.
 func (t *BTree) CheckInvariants() error {
 	leafDepth := 0
-	acct := BTree{degree: t.degree, root: t.root, size: t.size, splits: t.splits, height: t.height, keyLen: t.keyLen}
+	acct := btreeCounts{size: t.size, splits: t.splits, height: t.height}
+	maxE := 2*t.degree - 1
 	var walk func(n *btreeNode, depth int, min, max []byte) error
 	walk = func(n *btreeNode, depth int, min, max []byte) error {
 		acct.nodes++
+		acct.nodeBytes += nodeHeaderSize + cap(n.slots)*slotSize + cap(n.children)*childSize
 		acct.arenaBytes += cap(n.keys)
-		if n != t.root && len(n.slots) < t.degree-1 || cap(n.slots) != 2*t.degree-1 {
-			return fmt.Errorf("node at depth %d has %d entries in %d slots, want [%d,%d]", depth, len(n.slots), cap(n.slots), t.degree-1, 2*t.degree-1)
+		acct.dupBytes += cap(n.more) * sideSlotSize
+		if n != t.root && len(n.slots) < t.degree-1 || cap(n.slots) > maxE {
+			return fmt.Errorf("node at depth %d has %d entries in %d slots, want [%d,%d]", depth, len(n.slots), cap(n.slots), t.degree-1, maxE)
 		}
-		if n.more != nil {
-			if len(n.more) != len(n.slots) {
-				return fmt.Errorf("node at depth %d has %d side slots for %d entries", depth, len(n.more), len(n.slots))
-			}
-			acct.dupBytes += cap(n.more) * int(unsafe.Sizeof([]uint32(nil)))
+		if n.more != nil && (len(n.more) != len(n.slots) || cap(n.more) < cap(n.slots) || cap(n.more) > maxE) {
+			return fmt.Errorf("node at depth %d has %d of %d side slots for %d of %d slots", depth, len(n.more), cap(n.more), len(n.slots), cap(n.slots))
 		}
 		for i := range n.slots {
 			acct.dupBytes += cap(n.rest(i)) * 4
@@ -684,8 +855,7 @@ func (t *BTree) CheckInvariants() error {
 			leafDepth = depth
 			return nil
 		}
-		acct.internals++
-		if len(n.children) != len(n.slots)+1 || cap(n.children) != 2*t.degree {
+		if len(n.children) != len(n.slots)+1 || cap(n.children) > maxE+1 {
 			return fmt.Errorf("internal node at depth %d has %d of %d children for %d entries", depth, len(n.children), cap(n.children), len(n.slots))
 		}
 		for i, c := range n.children {
@@ -705,8 +875,12 @@ func (t *BTree) CheckInvariants() error {
 	if err := walk(t.root, 1, nil, nil); err != nil {
 		return err
 	}
-	if acct != *t {
-		return fmt.Errorf("accounting drift: the walk found %+v, the counters say %+v", acct, *t)
+	if acct != t.btreeCounts {
+		return fmt.Errorf("accounting drift: the walk found %+v, the counters say %+v", acct, t.btreeCounts)
+	}
+	if t.spareSlots.bytes != t.spareSlots.held() || t.spareKeys.bytes != t.spareKeys.held() || t.spareMore.bytes != t.spareMore.held() {
+		return fmt.Errorf("spare accounting drift: %d, %d and %d bytes counted, %d, %d and %d held", t.spareSlots.bytes, t.spareKeys.bytes,
+			t.spareMore.bytes, t.spareSlots.held(), t.spareKeys.held(), t.spareMore.held())
 	}
 	return nil
 }

@@ -58,13 +58,16 @@ func (o btreeOracle) dump(from, to []byte) string {
 }
 
 // fuzzKey maps one input byte to a key from a domain small enough to repeat:
-// integers, three-float composites and strings of several lengths.
+// integers, three-float composites, short strings of several lengths and
+// eight strings longer than a degree-32 node's worth of short keys.
 func fuzzKey(b byte) []byte {
 	switch {
 	case b < 128:
 		return intKey(int64(b % 48))
 	case b < 200:
 		return EncodeOrderedKey([]Value{Float(float64(b % 5)), Float(float64(b%7) / 4), Float(float64(b % 3))})
+	case b >= 248:
+		return EncodeOrderedKey([]Value{Str(strings.Repeat("l", 4<<10+int(b%8)))})
 	}
 	return EncodeOrderedKey([]Value{Str(strings.Repeat("s", int(b%7)))})
 }

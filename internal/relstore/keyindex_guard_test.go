@@ -338,13 +338,17 @@ func loadGuardNight(t *testing.T, indexes tuning.IndexPolicy, build relstore.Ind
 
 // TestBTreeGuards pins what the packed B-tree nodes claim, on the same night:
 // the bytes each secondary index holds per entry — grown by per-row inserts
-// (nodes between half and all full) and bulk-built by Seal (nodes full) — and
-// that a sorted batch allocates nodes, never per key.  The counts come from
-// the trees' own accounting, which CheckInvariants ties to a walk.
+// (nodes between half and all full, each sized to the entries it holds) and
+// bulk-built by Seal (nodes full) — and that a sorted batch allocates nodes,
+// never per key.  The counts come from the trees' own accounting, which
+// CheckInvariants ties to a walk.  The ceilings are the measured values plus
+// 5 %: 20.52 and 39.23 bytes grown, 18.70 and 36.70 bulk-built (27.9 and 53.9
+// grown while every node reserved 2*degree-1 entries, under ceilings of 36
+// and 64; 24 and 44 bulk-built).
 func TestBTreeGuards(t *testing.T) {
 	ceilings := map[relstore.IndexPolicy]map[string]float64{
-		relstore.IndexImmediate: {tuning.HTMIDIndexName: 36, tuning.CompositeIndexName: 64},
-		relstore.IndexDeferred:  {tuning.HTMIDIndexName: 24, tuning.CompositeIndexName: 44},
+		relstore.IndexImmediate: {tuning.HTMIDIndexName: 21.5, tuning.CompositeIndexName: 41.2},
+		relstore.IndexDeferred:  {tuning.HTMIDIndexName: 19.6, tuning.CompositeIndexName: 38.5},
 	}
 	for build, ceiling := range ceilings {
 		db := loadGuardNight(t, tuning.HTMIDPlusComposite, build)
@@ -361,10 +365,10 @@ func TestBTreeGuards(t *testing.T) {
 				t.Fatalf("%s: %d entries, snapshot says %d resident bytes and the tree %d", st.Name, tree.Len(), st.ResidentBytes, tree.ResidentBytes())
 			}
 			perEntry := float64(st.ResidentBytes) / float64(tree.Len())
-			t.Logf("%v %s: %d entries in %d nodes, %.1f resident bytes per entry (%d key bytes of %d reserved)",
+			t.Logf("%v %s: %d entries in %d nodes, %.2f resident bytes per entry (%d key bytes of %d reserved)",
 				build, st.Name, tree.Len(), tree.NodeCount(), perEntry, st.KeyBytes, st.ArenaBytes)
 			if perEntry > ceiling[st.Name] {
-				t.Errorf("%v %s holds %.1f bytes per entry, ceiling %.0f", build, st.Name, perEntry, ceiling[st.Name])
+				t.Errorf("%v %s holds %.2f bytes per entry, ceiling %.1f", build, st.Name, perEntry, ceiling[st.Name])
 			}
 		}
 	}
