@@ -265,7 +265,8 @@ func objectIDs(files ...*catalog.File) (ids []int64) {
 }
 
 // assertOracleIdentical runs every query against both the fleet and the
-// single-node oracle and requires byte-identical Objects/Bins.
+// single-node oracle and requires byte-identical Objects/Bins and the same
+// RowsReturned.
 func assertOracleIdentical(t testing.TB, co *Coordinator, inline exec.InlineRunner, oracle *relstore.DB, qs []queries.Query) {
 	t.Helper()
 	nonEmpty := 0
@@ -286,6 +287,10 @@ func assertOracleIdentical(t testing.TB, co *Coordinator, inline exec.InlineRunn
 		if !bytes.Equal(wantJSON, gotJSON) {
 			t.Fatalf("query %d (%s): fleet result differs from oracle\n got %s\nwant %s",
 				i, q.Signature(), gotJSON, wantJSON)
+		}
+		if got.Stats.RowsReturned != want.Stats.RowsReturned {
+			t.Fatalf("query %d (%s): fleet returned %d rows, oracle %d",
+				i, q.Signature(), got.Stats.RowsReturned, want.Stats.RowsReturned)
 		}
 		if len(want.Objects) > 0 || len(want.Bins) > 0 {
 			nonEmpty++

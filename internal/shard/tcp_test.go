@@ -5,6 +5,7 @@ import (
 
 	"skyloader/internal/catalog"
 	"skyloader/internal/exec"
+	"skyloader/internal/queries"
 	"skyloader/internal/tuning"
 )
 
@@ -59,7 +60,14 @@ func TestTCPFleetKillRestart(t *testing.T) {
 	if t.Failed() {
 		t.FailNow()
 	}
-	qs := testQueries(files, 15)
+	// The mixed workload plus four fixed cases: a cone on the first file's
+	// footprint, an empty cone, a miss lookup and a histogram.
+	qs := append(testQueries(files, 15),
+		queries.Cone{RA: files[0].RABase + 1.0, Dec: files[0].DecBase + 0.4, RadiusDeg: 1.5},
+		queries.Cone{RA: 200, Dec: -75, RadiusDeg: 0.2},
+		queries.ObjectLookup{ObjectID: 42},
+		queries.MagHistogram{BinWidth: 0.5},
+	)
 	assertOracleIdentical(t, co, inline, oracle, qs)
 
 	// Kill shard 1 — server down, its rows gone with the process.
