@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt-check loc test race fuzz oracles pairs bench bench-test perf perf-quick smoke smoke-http smoke-crash smoke-shard
+.PHONY: all build vet fmt-check loc test race fuzz oracles pairs bench bench-test perf perf-quick smoke smoke-http smoke-crash
 
 all: build vet test
 
@@ -135,12 +135,3 @@ smoke-http:
 smoke-crash:
 	$(GO) run ./cmd/skyload -crash -seed 7 -size 2
 	$(GO) run ./cmd/skyload -crash -seed 42 -size 2
-
-# Distributed shard smoke: a real 3-agent TCP fleet loaded through the
-# coordinator and verified byte-for-byte against a single-node oracle, one
-# agent killed mid-run and restored from the files the run still holds, the
-# /v1 front door (the same httpserve.Server as smoke-http, over the
-# coordinator) and its sky_shard_* + sky_serve_* scrape validated, and the DES
-# topology sim run twice to prove determinism.
-smoke-shard:
-	$(GO) run ./cmd/skyshard -smoke
