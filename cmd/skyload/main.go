@@ -16,9 +16,13 @@
 //	skyload -wallclock -loaders 4 -size 200    # real goroutines, wall-clock timing
 //	skyload -crash -seed 7 -size 2             # kill/recover durability scenario
 //
-// When -config is given the campaign file (see internal/loadconfig) supplies
-// the loader tunables, parallelism and database tuning, and the individual
-// -loaders/-batch/-array/-commit-every/-profile/-static flags are ignored.
+// The load runs one campaign (internal/loadconfig): the -config file if one
+// is given, otherwise the -profile preset, with every campaign flag given on
+// the command line (-loaders, -batch, -array, -commit-every, -static,
+// -index-policy, -provenance, -rows-per-mb, -seed) set on top of it.  Flags
+// the run would not read are errors, not ignored: -profile next to -config,
+// -files, -rows-per-mb or -error-rate without -size, and anything but -seed,
+// -size, -batch and -v next to -crash.
 //
 // Execution modes: by default the load runs on the deterministic
 // discrete-event kernel and the reported load time is *virtual* — the time
@@ -35,9 +39,9 @@ import (
 	"os"
 	"runtime"
 	"sort"
+	"strings"
 
 	"skyloader/internal/catalog"
-	"skyloader/internal/core"
 	"skyloader/internal/des"
 	"skyloader/internal/exec"
 	"skyloader/internal/loadconfig"
@@ -47,106 +51,118 @@ import (
 	"skyloader/internal/tuning"
 )
 
-func main() {
-	var (
-		loaders    = flag.Int("loaders", 5, "number of concurrent loader processes")
-		batch      = flag.Int("batch", 40, "rows per database call (batch-size)")
-		array      = flag.Int("array", 1000, "rows per buffer array (array-size)")
-		commit     = flag.Int("commit-every", 0, "commit every N batches (0 = end of each file)")
-		nonBulk    = flag.Bool("nonbulk", false, "use the row-at-a-time baseline loader")
-		static     = flag.Bool("static", false, "use static file assignment instead of dynamic")
-		profile    = flag.String("profile", "production", "tuning profile: production|untuned|query")
-		idxBuild   = flag.String("index-policy", "immediate", "secondary-index maintenance: immediate (per batch) or deferred (bulk-build at end-of-load Seal)")
-		configPath = flag.String("config", "", "JSON campaign configuration file (overrides the tuning flags)")
-		size       = flag.Float64("size", 0, "generate a catalog of this nominal MB instead of reading files")
-		nfiles     = flag.Int("files", 1, "number of files to split a generated -size catalog into (parallel loaders need >1)")
-		rowsPerMB  = flag.Int("rows-per-mb", 100, "generated rows per nominal MB (for -size and provenance)")
-		errRate    = flag.Float64("error-rate", 0.002, "error rate for generated input")
-		seed       = flag.Int64("seed", 1, "random seed")
-		provenance = flag.Bool("provenance", false, "record load_runs/load_errors provenance rows")
-		verbose    = flag.Bool("v", false, "print per-table row counts and skipped-row details")
-		wallclock  = flag.Bool("wallclock", false, "run loaders as real goroutines and report real elapsed time")
+// options are skyload's command-line flags.  The campaign flags but -static
+// are bound to the fields of camp that they set.
+type options struct {
+	camp            loadconfig.FileConfig
+	config, profile string
+	static          bool
 
-		crash = flag.Bool("crash", false, "run the kill/recover durability scenario: WAL-backed load killed at a random append (derived from -seed), recovered, resumed, and verified byte-identical to an uninterrupted run")
-	)
-	flag.Parse()
+	nonBulk, verbose, wallclock, crash bool
+	size, errRate                      float64
+	files                              int
+}
 
-	if *crash {
-		runCrash(*seed, *size, *batch, *verbose)
-		return
+// newOptions defines skyload's flags on fs; the campaign flags default to
+// loadconfig.Default(), the production campaign.
+func newOptions(fs *flag.FlagSet) *options {
+	o := &options{camp: loadconfig.Default()}
+	c := &o.camp
+	fs.StringVar(&o.config, "config", "", "JSON campaign configuration file (the base the campaign flags are set on, instead of -profile)")
+	fs.StringVar(&o.profile, "profile", "production", "tuning profile the campaign starts from: production|untuned|query")
+	fs.IntVar(&c.Loaders, "loaders", c.Loaders, "number of concurrent loader processes")
+	fs.IntVar(&c.BatchSize, "batch", c.BatchSize, "rows per database call (batch-size)")
+	fs.IntVar(&c.ArraySize, "array", c.ArraySize, "rows per buffer array (array-size)")
+	fs.IntVar(&c.CommitEveryBatches, "commit-every", c.CommitEveryBatches, "commit every N batches (0 = end of each file; when not given, the profile's)")
+	fs.BoolVar(&o.static, "static", false, "use static file assignment instead of dynamic")
+	fs.StringVar(&c.IndexBuild, "index-policy", c.IndexBuild, "secondary-index maintenance: immediate (per batch) or deferred (bulk-build at end-of-load Seal)")
+	fs.BoolVar(&c.RecordProvenance, "provenance", c.RecordProvenance, "record load_runs/load_errors provenance rows")
+	fs.IntVar(&c.RowsPerMB, "rows-per-mb", c.RowsPerMB, "generated rows per nominal MB (for -size)")
+	fs.Int64Var(&c.Seed, "seed", c.Seed, "random seed")
+
+	fs.BoolVar(&o.nonBulk, "nonbulk", false, "use the row-at-a-time baseline loader")
+	fs.Float64Var(&o.size, "size", 0, "generate a catalog of this nominal MB instead of reading files")
+	fs.IntVar(&o.files, "files", 1, "number of files to split a generated -size catalog into (parallel loaders need >1)")
+	fs.Float64Var(&o.errRate, "error-rate", 0.002, "error rate for generated input")
+	fs.BoolVar(&o.verbose, "v", false, "print per-table row counts and skipped-row details")
+	fs.BoolVar(&o.wallclock, "wallclock", false, "run loaders as real goroutines and report real elapsed time")
+	fs.BoolVar(&o.crash, "crash", false, "run the kill/recover durability scenario: WAL-backed load killed at a random append (derived from -seed), recovered, resumed, and verified byte-identical to an uninterrupted run")
+	return o
+}
+
+// crashFlags are the flags the -crash scenario reads.
+var crashFlags = map[string]bool{"crash": true, "seed": true, "size": true, "batch": true, "v": true}
+
+// campaign checks that every flag given on fs takes effect and returns the
+// campaign the load runs: the -config file, or else the -profile preset, with
+// the campaign flags that were given set on top.
+func (o *options) campaign(fs *flag.FlagSet) (loadconfig.FileConfig, error) {
+	given := map[string]string{}
+	fs.Visit(func(f *flag.Flag) { given[f.Name] = f.Value.String() })
+	var unread []string
+	for name := range given {
+		switch {
+		case o.crash && !crashFlags[name],
+			name == "profile" && o.config != "",
+			(name == "files" || name == "rows-per-mb" || name == "error-rate") && o.size <= 0:
+			unread = append(unread, "-"+name)
+		}
+	}
+	if len(unread) > 0 {
+		sort.Strings(unread)
+		return o.camp, fmt.Errorf("%s would not take effect in this run", strings.Join(unread, ", "))
 	}
 
-	// Resolve the campaign settings: either a JSON configuration file or the
-	// individual flags plus a named tuning profile.
-	var (
-		srvCfg      sqlbatch.ServerConfig
-		indexPolicy tuning.IndexPolicy
-		buildPolicy relstore.IndexPolicy
-		loaderCfg   core.Config
-		clusterCfg  parallel.Config
-	)
-	if *configPath != "" {
-		campaign, err := loadconfig.Load(*configPath)
-		if err != nil {
-			fatal(err)
-		}
-		srvCfg = campaign.ServerConfig()
-		indexPolicy = campaign.IndexPolicyValue()
-		buildPolicy = campaign.BuildPolicyValue()
-		loaderCfg = campaign.LoaderConfig()
-		loaderCfg.RecordProvenance = loaderCfg.RecordProvenance || *provenance
-		clusterCfg = campaign.ClusterConfig()
-		clusterCfg.Loader = loaderCfg
-		if campaign.Seed != 0 {
-			*seed = campaign.Seed
-		}
-		if campaign.RowsPerMB > 0 {
-			*rowsPerMB = campaign.RowsPerMB
+	if o.config != "" {
+		var err error
+		if o.camp, err = loadconfig.Load(o.config); err != nil {
+			return o.camp, err
 		}
 	} else {
-		prof, err := tuning.ProfileByName(*profile)
+		prof, err := tuning.ProfileByName(o.profile)
 		if err != nil {
-			fatal(err)
+			return o.camp, err
 		}
-		buildPolicy, err = relstore.ParseIndexPolicy(*idxBuild)
-		if err != nil {
-			fatal(err)
-		}
-		srvCfg = prof.ServerConfig()
-		indexPolicy = prof.Indexes
-		loaderCfg = core.Config{
-			BatchSize:          *batch,
-			ArraySize:          *array,
-			CommitEveryBatches: *commit,
-			RecordProvenance:   *provenance,
-		}
-		if loaderCfg.CommitEveryBatches == 0 {
-			loaderCfg.CommitEveryBatches = prof.CommitEveryBatches
-		}
-		assignment := parallel.Dynamic
-		if *static {
-			assignment = parallel.Static
-		}
-		clusterCfg = parallel.Config{
-			Loaders:       *loaders,
-			Assignment:    assignment,
-			Loader:        loaderCfg,
-			SealAfterLoad: buildPolicy == relstore.IndexDeferred,
+		o.camp = loadconfig.FromProfile(prof)
+	}
+	// Setting the given flags again writes their values over the base.
+	for name, value := range given {
+		if err := fs.Set(name, value); err != nil {
+			return o.camp, err
 		}
 	}
-	clusterCfg.NonBulk = *nonBulk
+	if _, ok := given["static"]; ok {
+		o.camp.Assignment = map[bool]string{false: "dynamic", true: "static"}[o.static]
+	}
+	return o.camp, o.camp.Validate()
+}
+
+func main() {
+	o := newOptions(flag.CommandLine)
+	flag.Parse()
+	campaign, err := o.campaign(flag.CommandLine)
+	if err != nil {
+		fatal(err)
+	}
+	if o.crash {
+		runCrash(campaign.Seed, o.size, campaign.BatchSize, o.verbose)
+		return
+	}
+	prof := campaign.Profile()
+	clusterCfg := campaign.ClusterConfig()
+	clusterCfg.NonBulk = o.nonBulk
 
 	// Assemble the input files: either read from disk or generate in memory.
 	var files []*catalog.File
-	if *size > 0 {
-		if *nfiles > 1 {
+	if o.size > 0 {
+		if o.files > 1 {
 			files = append(files, catalog.GenerateNight(catalog.NightSpec{
-				TotalMB: *size, Files: *nfiles, RowsPerMB: *rowsPerMB,
-				Seed: *seed, ErrorRate: *errRate, RunID: 1,
+				TotalMB: o.size, Files: o.files, RowsPerMB: campaign.RowsPerMB,
+				Seed: campaign.Seed, ErrorRate: o.errRate, RunID: 1,
 			})...)
 		} else {
 			files = append(files, catalog.Generate(catalog.GenSpec{
-				SizeMB: *size, RowsPerMB: *rowsPerMB, Seed: *seed, ErrorRate: *errRate,
+				SizeMB: o.size, RowsPerMB: campaign.RowsPerMB, Seed: campaign.Seed, ErrorRate: o.errRate,
 				RunID: 1, IDBase: 10_000_000,
 			}))
 		}
@@ -165,32 +181,32 @@ func main() {
 
 	// Build a fresh environment (database + server) on the given scheduler.
 	buildEnv := func(sched exec.Scheduler) (*sqlbatch.Server, *relstore.DB) {
-		db, err := tuning.OpenRepository(indexPolicy, relstore.WithIndexPolicy(buildPolicy))
+		db, err := prof.Open()
 		if err != nil {
 			fatal(err)
 		}
-		return sqlbatch.NewServerOn(sched, db, srvCfg, sqlbatch.DefaultCostModel()), db
+		return sqlbatch.NewServerOn(sched, db, prof.ServerConfig(), sqlbatch.DefaultCostModel()), db
 	}
 
 	// The deterministic run: the virtual-time prediction every mode reports.
-	simServer, simDB := buildEnv(exec.NewDES(des.NewKernel(*seed)))
+	simServer, simDB := buildEnv(exec.NewDES(des.NewKernel(campaign.Seed)))
 	simRes, err := parallel.Run(simServer, files, clusterCfg)
 	if err != nil {
 		fatal(err)
 	}
 
-	if !*wallclock {
-		report(simRes, simDB, *verbose)
+	if !o.wallclock {
+		report(simRes, simDB, o.verbose)
 		return
 	}
 
 	// The real run: loader goroutines against the concurrent engine.
-	rtServer, rtDB := buildEnv(exec.NewRealtime(exec.RealtimeConfig{Seed: *seed}))
+	rtServer, rtDB := buildEnv(exec.NewRealtime(exec.RealtimeConfig{Seed: campaign.Seed}))
 	rtRes, err := parallel.Run(rtServer, files, clusterCfg)
 	if err != nil {
 		fatal(err)
 	}
-	reportWallclock(rtRes, simRes, rtDB, clusterCfg.Loaders, *verbose)
+	reportWallclock(rtRes, simRes, rtDB, clusterCfg.Loaders, o.verbose)
 }
 
 // reportWallclock prints the real measurement next to the virtual-time

@@ -8,7 +8,8 @@
 // campaign: the loader tunables (batch size, default and per-table array
 // sizes, memory high-water mark, commit policy), the degree of parallelism
 // and assignment policy, and the database tuning profile (index policy, cache
-// size, RAID separation).  cmd/skyload accepts it through the -config flag.
+// size, RAID separation).  cmd/skyload runs one: the -config file, or
+// FromProfile of its -profile preset, with the flags given on top.
 package loadconfig
 
 import (
@@ -54,19 +55,27 @@ type FileConfig struct {
 	Seed      int64 `json:"seed,omitempty"`
 }
 
-// Default returns the production SkyLoader campaign configuration: batch 40,
-// array 1000, 5 loaders with dynamic assignment, htmid index only, small
-// cache, separated RAID devices, commits at file boundaries.
+// Default returns the production SkyLoader campaign configuration: the
+// ProductionLoading profile's campaign (see FromProfile).
 func Default() FileConfig {
-	sep := true
+	return FromProfile(tuning.ProductionLoading())
+}
+
+// FromProfile returns the campaign a tuning profile describes: the profile's
+// index set, build policy, commit frequency, cache size and RAID layout, with
+// batch 40, array 1000, 5 loaders with dynamic assignment, 100 rows per MB
+// and seed 1.
+func FromProfile(p tuning.Profile) FileConfig {
+	sep := p.SeparateRAID
 	return FileConfig{
 		BatchSize:          40,
 		ArraySize:          1000,
-		CommitEveryBatches: 0,
+		CommitEveryBatches: p.CommitEveryBatches,
 		Loaders:            5,
 		Assignment:         "dynamic",
-		IndexPolicy:        "htmid",
-		CachePages:         1024,
+		IndexPolicy:        p.Indexes.String(),
+		IndexBuild:         p.BuildPolicy().String(),
+		CachePages:         p.CachePages,
 		SeparateRAID:       &sep,
 		RowsPerMB:          100,
 		Seed:               1,
@@ -227,15 +236,24 @@ func (c FileConfig) BuildPolicyValue() relstore.IndexPolicy {
 	return p
 }
 
-// ServerConfig converts the campaign configuration into the simulated server
-// configuration.
-func (c FileConfig) ServerConfig() sqlbatch.ServerConfig {
-	cfg := sqlbatch.DefaultServerConfig()
-	if c.SeparateRAID != nil {
-		cfg.SeparateRAID = *c.SeparateRAID
-	}
+// Profile returns the tuning profile the campaign describes; its
+// ServerConfig and Open are how the campaign reaches the simulated server and
+// the engine.  A zero cache_pages or a null separate_raid keeps the server's
+// default.
+func (c FileConfig) Profile() tuning.Profile {
+	srv := sqlbatch.DefaultServerConfig()
 	if c.CachePages > 0 {
-		cfg.CachePages = c.CachePages
+		srv.CachePages = c.CachePages
 	}
-	return cfg
+	if c.SeparateRAID != nil {
+		srv.SeparateRAID = *c.SeparateRAID
+	}
+	return tuning.Profile{
+		Name:               "campaign",
+		Indexes:            c.IndexPolicyValue(),
+		CommitEveryBatches: c.CommitEveryBatches,
+		CachePages:         srv.CachePages,
+		SeparateRAID:       srv.SeparateRAID,
+		DeferredIndexBuild: c.BuildPolicyValue() == relstore.IndexDeferred,
+	}
 }

@@ -59,10 +59,10 @@ func TestParseOverridesAndDefaults(t *testing.T) {
 	if cfg.IndexPolicyValue() != tuning.HTMIDPlusComposite {
 		t.Fatalf("index policy = %v", cfg.IndexPolicyValue())
 	}
-	if cfg.ServerConfig().CachePages != 4096 {
-		t.Fatalf("server config cache = %d", cfg.ServerConfig().CachePages)
+	if cfg.Profile().ServerConfig().CachePages != 4096 {
+		t.Fatalf("server config cache = %d", cfg.Profile().ServerConfig().CachePages)
 	}
-	if !cfg.ServerConfig().SeparateRAID {
+	if !cfg.Profile().ServerConfig().SeparateRAID {
 		t.Fatal("default RAID separation lost")
 	}
 }
@@ -130,7 +130,7 @@ func TestLoadFromDisk(t *testing.T) {
 	if cfg.BatchSize != 30 || cfg.Loaders != 3 {
 		t.Fatalf("loaded config: %+v", cfg)
 	}
-	if cfg.ServerConfig().SeparateRAID {
+	if cfg.Profile().ServerConfig().SeparateRAID {
 		t.Fatal("separate_raid=false not honoured")
 	}
 	if _, err := Load(filepath.Join(dir, "missing.json")); err == nil {
