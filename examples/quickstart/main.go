@@ -1,7 +1,7 @@
 // Quickstart: generate a small synthetic catalog file, stand up a simulated
 // repository database, load the file with the SkyLoader bulk-loading engine
 // (batch 40, array 1000 — the paper's production settings) and query the
-// result.
+// result through internal/queries.
 //
 // Run with:
 //
@@ -16,7 +16,7 @@ import (
 	"skyloader/internal/core"
 	"skyloader/internal/des"
 	"skyloader/internal/exec"
-	"skyloader/internal/relstore"
+	"skyloader/internal/queries"
 	"skyloader/internal/sqlbatch"
 	"skyloader/internal/tuning"
 )
@@ -44,8 +44,8 @@ func main() {
 
 	// 3. The simulated database server and one loader worker on the
 	//    deterministic execution scheduler (swap exec.NewDES for
-	//    exec.NewRealtime to run the same code on real goroutines — see
-	//    examples/wallclock_load).
+	//    exec.NewRealtime to run the same code on real goroutines, as
+	//    skyload -wallclock does).
 	sched := exec.NewDES(des.NewKernel(1))
 	server := sqlbatch.NewServerOn(sched, db, sqlbatch.DefaultServerConfig(), sqlbatch.DefaultCostModel())
 
@@ -64,7 +64,7 @@ func main() {
 	})
 	sched.Run()
 
-	// 4. Results: loading statistics and a couple of queries.
+	// 4. Loading statistics.
 	fmt.Printf("\nloaded %d rows (%d skipped, %d rejected client-side) in %s of virtual time\n",
 		stats.RowsLoaded, stats.RowsSkipped, stats.ParseErrors, stats.Elapsed.Round(1e6))
 	fmt.Printf("database calls: %d (batch size %d), commits: %d\n",
@@ -73,31 +73,35 @@ func main() {
 	objects, _ := db.Count(catalog.TObjects)
 	fmt.Printf("\nobjects in the repository: %d\n", objects)
 
-	agg, err := db.Aggregate(catalog.TObjects, "mag")
+	// 5. Queries through internal/queries: the Query values the serving
+	//    layer and the /v1 HTTP API execute.  A histogram scans the table.
+	hist, err := queries.MagHistogram{BinWidth: 1}.Run(db)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("magnitude range: %.2f .. %.2f (mean %.2f)\n", agg.Min, agg.Max, agg.Mean)
+	bins := hist.Bins
+	fmt.Printf("magnitude range: %.0f .. %.0f in %d one-mag bins\n", bins[0].Low, bins[len(bins)-1].High, len(bins))
 
-	// Query by position through the htmid index that was kept during loading.
-	rows, visited, err := db.SelectEqualIndexed(catalog.TObjects, tuning.HTMIDIndexName, firstHTMID(db))
+	// A cone search on the file's sky footprint probes the htmid index that
+	// was kept during loading.
+	cone := queries.Cone{RA: file.RABase + 1, Dec: file.DecBase + 0.3, RadiusDeg: 0.2}
+	res, err := cone.Run(db)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("objects sharing the first htmid: %d (B-tree nodes visited: %d)\n", len(rows), visited)
+	fmt.Printf("cone (%.2f, %.2f) r=%.1f deg: %d objects, %d rows examined (htmid index used: %v)\n",
+		cone.RA, cone.Dec, cone.RadiusDeg, len(res.Objects), res.Stats.RowsExamined, res.Stats.UsedIndex)
+
+	// A lookup by primary key of the first object the cone found.
+	if len(res.Objects) > 0 {
+		hit, err := queries.ObjectLookup{ObjectID: res.Objects[0].ObjectID}.Run(db)
+		if err != nil {
+			log.Fatal(err)
+		}
+		o := hit.Objects[0]
+		fmt.Printf("object %d: frame %d, htmid %d, mag %.2f\n", o.ObjectID, o.FrameID, o.HTMID, o.Mag)
+	}
 
 	orphans, _ := db.VerifyIntegrity()
 	fmt.Printf("orphaned rows after load: %d\n", orphans)
-}
-
-// firstHTMID returns the htmid of the first object in heap order.
-func firstHTMID(db *relstore.DB) []relstore.Value {
-	var key []relstore.Value
-	ts := db.Schema().Table(catalog.TObjects)
-	idx := ts.ColumnIndex("htmid")
-	_ = db.Scan(catalog.TObjects, func(r relstore.Row) bool {
-		key = []relstore.Value{r[idx]}
-		return false
-	})
-	return key
 }

@@ -131,7 +131,8 @@ func TestEndToEndThroughFiles(t *testing.T) {
 	if _, err := htm.Name(someHTMID.Int()); err != nil {
 		t.Fatalf("stored htmid invalid: %v", err)
 	}
-	rows, _, err := db.SelectEqualIndexed(catalog.TObjects, tuning.HTMIDIndexName, []relstore.Value{someHTMID})
+	key := []relstore.Value{someHTMID}
+	rows, err := db.RangeIndexed(catalog.TObjects, tuning.HTMIDIndexName, key, key, 0)
 	if err != nil || len(rows) == 0 {
 		t.Fatalf("indexed lookup failed: %d rows, err=%v", len(rows), err)
 	}

@@ -171,11 +171,7 @@ func TestConcurrentReadersAndWriters(t *testing.T) {
 				}
 				n := int64(0)
 				_ = db.ScanRef("objects", func(RowView) bool { n++; return true })
-				if _, err := db.Aggregate("objects", "mag"); err != nil {
-					t.Errorf("aggregate: %v", err)
-					return
-				}
-				if _, _, err := db.SelectEqualIndexed("objects", "ix_mag", []Value{Float(7)}); err != nil {
+				if _, err := db.RangeIndexed("objects", "ix_mag", []Value{Float(7)}, []Value{Float(7)}, 0); err != nil {
 					t.Errorf("indexed select: %v", err)
 					return
 				}

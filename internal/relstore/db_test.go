@@ -107,9 +107,14 @@ func TestInsertAndQuery(t *testing.T) {
 	if err != nil || bright != 5 {
 		t.Fatalf("Scan found %d rows with mag > 20, want 5 (err=%v)", bright, err)
 	}
-	agg, err := db.Aggregate("objects", "mag")
-	if err != nil || agg.Count != 10 || agg.Min != 16 || agg.Max != 25 {
-		t.Fatalf("Aggregate = %+v (err=%v)", agg, err)
+	n, lo, hi := 0, 100.0, 0.0
+	err = db.ScanRef("objects", func(v RowView) bool {
+		n++
+		lo, hi = min(lo, v.Float(2)), max(hi, v.Float(2))
+		return true
+	})
+	if err != nil || n != 10 || lo != 16 || hi != 25 {
+		t.Fatalf("ScanRef saw %d rows, mag %v..%v (err=%v)", n, lo, hi, err)
 	}
 	if orphans, _ := db.VerifyIntegrity(); orphans != 0 {
 		t.Fatalf("orphans = %d", orphans)
@@ -285,12 +290,13 @@ func TestSecondaryIndexes(t *testing.T) {
 	if _, err := db.CreateIndex("objects", "ix_mag", []string{"mag"}, false); !errors.Is(err, ErrIndexExists) {
 		t.Fatalf("duplicate index: %v", err)
 	}
-	rows, visited, err := db.SelectEqualIndexed("objects", "ix_mag", []Value{Float(15)})
+	mag15 := []Value{Float(15)}
+	rows, err := db.RangeIndexed("objects", "ix_mag", mag15, mag15, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 5 || visited == 0 {
-		t.Fatalf("indexed lookup returned %d rows (visited %d)", len(rows), visited)
+	if len(rows) != 5 {
+		t.Fatalf("indexed lookup returned %d rows", len(rows))
 	}
 	ranged, err := db.RangeIndexed("objects", "ix_mag", []Value{Float(10)}, []Value{Float(12)}, 0)
 	if err != nil || len(ranged) != 15 {
@@ -300,7 +306,7 @@ func TestSecondaryIndexes(t *testing.T) {
 	if err := insertObject(t, txn, 200, 1, 15); err != nil {
 		t.Fatal(err)
 	}
-	rows, _, _ = db.SelectEqualIndexed("objects", "ix_mag", []Value{Float(15)})
+	rows, _ = db.RangeIndexed("objects", "ix_mag", mag15, mag15, 0)
 	if len(rows) != 6 {
 		t.Fatalf("index not maintained: %d rows", len(rows))
 	}
@@ -313,7 +319,7 @@ func TestSecondaryIndexes(t *testing.T) {
 	if err := db.DropIndex("objects", "ix_mag"); !errors.Is(err, ErrNoSuchIndex) {
 		t.Fatalf("double drop: %v", err)
 	}
-	if _, _, err := db.SelectEqualIndexed("objects", "ix_mag", []Value{Float(15)}); !errors.Is(err, ErrNoSuchIndex) {
+	if _, err := db.RangeIndexed("objects", "ix_mag", mag15, mag15, 0); !errors.Is(err, ErrNoSuchIndex) {
 		t.Fatalf("query on dropped index: %v", err)
 	}
 }
@@ -351,8 +357,8 @@ func TestQueryErrors(t *testing.T) {
 	if err := db.Scan("missing", nil); !errors.Is(err, ErrNoSuchTable) {
 		t.Fatalf("Scan missing: %v", err)
 	}
-	if _, err := db.Aggregate("frames", "nope"); err == nil {
-		t.Fatal("Aggregate on missing column should fail")
+	if _, err := db.RangeIndexed("missing", "ix_mag", nil, nil, 0); !errors.Is(err, ErrNoSuchTable) {
+		t.Fatalf("RangeIndexed missing: %v", err)
 	}
 }
 

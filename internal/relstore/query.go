@@ -1,13 +1,10 @@
 package relstore
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // The query layer is intentionally small: the repository exists primarily to
 // be loaded, but the paper's repository also "act[s] as a query engine to
-// support scientific research" (§4.5.1).  These helpers support the examples,
+// support scientific research" (§4.5.1).  These helpers serve internal/queries,
 // post-load validation and the integration tests.
 
 // TableEpoch returns the commit epoch of the named table (0 for an unknown
@@ -116,34 +113,6 @@ func (db *DB) LookupByPKRef(table string, key []Value, visit func(RowView)) (fou
 	return ok, nil
 }
 
-// SelectEqualIndexed returns rows whose indexed columns equal key, using the
-// named secondary index; it also reports how many B-tree nodes were visited.
-func (db *DB) SelectEqualIndexed(table, index string, key []Value) ([]Row, int, error) {
-	t, ok := db.tables[table]
-	if !ok {
-		return nil, 0, ErrNoSuchTable
-	}
-	ix := t.Index(index)
-	if ix == nil {
-		return nil, 0, ErrNoSuchIndex
-	}
-	if !ix.Ready() {
-		return nil, 0, ErrIndexNotReady
-	}
-	sc := db.scratchPool.Get().(*scratch)
-	t.rlock()
-	defer t.mu.RUnlock()
-	ids, visited := ix.tree.Search(sc.ordKey(key))
-	db.scratchPool.Put(sc)
-	out := make([]Row, 0, len(ids))
-	for _, id := range ids {
-		if v, ok := t.viewLocked(id); ok {
-			out = append(out, v.Row())
-		}
-	}
-	return out, visited, nil
-}
-
 // RangeIndexed returns rows whose indexed key lies in [from, to] using the
 // named secondary index, up to limit rows (limit <= 0 means no limit).
 func (db *DB) RangeIndexed(table, index string, from, to []Value, limit int) ([]Row, error) {
@@ -201,57 +170,6 @@ func (db *DB) RangeIndexedRef(table, index string, from, to []Value, visit func(
 		return true
 	})
 	return nil
-}
-
-// AggregateResult summarizes a numeric column.
-type AggregateResult struct {
-	Count int64
-	Sum   float64
-	Min   float64
-	Max   float64
-	Mean  float64
-}
-
-// Aggregate computes count/sum/min/max/mean of a numeric column, skipping
-// NULLs.
-func (db *DB) Aggregate(table, column string) (AggregateResult, error) {
-	t, ok := db.tables[table]
-	if !ok {
-		return AggregateResult{}, ErrNoSuchTable
-	}
-	idx := t.schema.ColumnIndex(column)
-	if idx < 0 {
-		return AggregateResult{}, fmt.Errorf("relstore: table %q has no column %q", table, column)
-	}
-	res := AggregateResult{Min: math.Inf(1), Max: math.Inf(-1)}
-	t.rlock()
-	defer t.mu.RUnlock()
-	t.heap.scan(func(r RowView) bool {
-		var f float64
-		switch v := r.val(idx); v.Kind {
-		case KindInt:
-			f = float64(v.I)
-		case KindFloat:
-			f = v.F
-		default:
-			return true
-		}
-		res.Count++
-		res.Sum += f
-		if f < res.Min {
-			res.Min = f
-		}
-		if f > res.Max {
-			res.Max = f
-		}
-		return true
-	})
-	if res.Count > 0 {
-		res.Mean = res.Sum / float64(res.Count)
-	} else {
-		res.Min, res.Max = 0, 0
-	}
-	return res, nil
 }
 
 // VerifyIntegrity checks every foreign key of every live row and returns the
