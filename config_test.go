@@ -10,6 +10,7 @@ import (
 	"skyloader/internal/catalog"
 	"skyloader/internal/core"
 	"skyloader/internal/exec"
+	"skyloader/internal/experiments"
 	"skyloader/internal/httpserve"
 	"skyloader/internal/loadconfig"
 	"skyloader/internal/parallel"
@@ -22,7 +23,7 @@ import (
 // TestConfigSurfaces pins the settable fields of the configuration structs
 // outside relstore (relstore.TestConfigSurface pins the engine's): the eleven
 // the knob audit went through, 48 fields, then serve.Config, shard.Config,
-// arrayset.Config and the campaign file.  Adding,
+// arrayset.Config, the experiment harness's two and the campaign file.  Adding,
 // removing or renaming a field fails it until PERFORMANCE.md's knob audit has
 // a row for the field: who sets it, and why it is not a constant.
 func TestConfigSurfaces(t *testing.T) {
@@ -45,6 +46,8 @@ func TestConfigSurfaces(t *testing.T) {
 		{serve.Config{}, []string{"Workers", "QueueDepth", "Deadline", "CacheShards", "CacheEntriesPerShard", "Cost"}},
 		{shard.Config{}, []string{"Deferred"}},
 		{arrayset.Config{}, []string{"ArraySize", "PerTableSize", "MemoryHighWaterBytes", "RowOverheadBytes"}},
+		{experiments.Config{}, []string{"Seed", "RowsPerMB", "ErrorRate", "Quick"}},
+		{experiments.EnvOptions{}, []string{"Seed", "ServerConfig", "IndexPolicy"}},
 		{loadconfig.FileConfig{}, []string{"BatchSize", "ArraySize", "PerTableArraySize", "MemoryHighWaterBytes",
 			"CommitEveryBatches", "RecordProvenance", "Loaders", "Assignment", "IndexPolicy", "IndexBuild",
 			"CachePages", "SeparateRAID", "RowsPerMB", "Seed"}},

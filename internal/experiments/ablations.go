@@ -28,7 +28,7 @@ func AblationAssignment(cfg Config) (*metrics.Table, error) {
 		Notes:   []string{"paper §4.4: files vary in size, so unloaded files are assigned on the fly rather than divided evenly"},
 	}
 	for _, policy := range []parallel.Assignment{parallel.Dynamic, parallel.Static} {
-		env, err := NewEnv(EnvOptions{Seed: cfg.Seed, Cost: cfg.Cost, IndexPolicy: tuning.NoIndexes})
+		env, err := NewEnv(EnvOptions{Seed: cfg.Seed, IndexPolicy: tuning.NoIndexes})
 		if err != nil {
 			return nil, err
 		}
@@ -79,7 +79,7 @@ func AblationCommitFrequency(cfg Config) (*metrics.Table, error) {
 		sweeps = []int{1, 0}
 	}
 	for _, every := range sweeps {
-		env, err := NewEnv(EnvOptions{Seed: cfg.Seed, Cost: cfg.Cost, IndexPolicy: tuning.NoIndexes})
+		env, err := NewEnv(EnvOptions{Seed: cfg.Seed, IndexPolicy: tuning.NoIndexes})
 		if err != nil {
 			return nil, err
 		}
@@ -116,7 +116,7 @@ func AblationCacheSize(cfg Config) (*metrics.Table, error) {
 	for _, pages := range sweeps {
 		srvCfg := sqlbatch.DefaultServerConfig()
 		srvCfg.CachePages = pages
-		env, err := NewEnv(EnvOptions{Seed: cfg.Seed, Cost: cfg.Cost, IndexPolicy: tuning.NoIndexes, ServerConfig: srvCfg})
+		env, err := NewEnv(EnvOptions{Seed: cfg.Seed, IndexPolicy: tuning.NoIndexes, ServerConfig: srvCfg})
 		if err != nil {
 			return nil, err
 		}
@@ -148,7 +148,7 @@ func AblationErrorRate(cfg Config) (*metrics.Table, error) {
 		rates = []float64{0, 0.05}
 	}
 	for _, rate := range rates {
-		env, err := NewEnv(EnvOptions{Seed: cfg.Seed, Cost: cfg.Cost, IndexPolicy: tuning.NoIndexes})
+		env, err := NewEnv(EnvOptions{Seed: cfg.Seed, IndexPolicy: tuning.NoIndexes})
 		if err != nil {
 			return nil, err
 		}
@@ -180,7 +180,7 @@ func AblationTwoPhase(cfg Config) (*metrics.Table, error) {
 	for i, size := range sizes {
 		seed := cfg.Seed + int64(i)
 
-		envA, err := NewEnv(EnvOptions{Seed: seed, Cost: cfg.Cost, IndexPolicy: tuning.NoIndexes})
+		envA, err := NewEnv(EnvOptions{Seed: seed, IndexPolicy: tuning.NoIndexes})
 		if err != nil {
 			return nil, err
 		}
@@ -191,7 +191,7 @@ func AblationTwoPhase(cfg Config) (*metrics.Table, error) {
 			return nil, fmt.Errorf("ablation two-phase skyloader %v: %w", size, err)
 		}
 
-		envB, err := NewEnv(EnvOptions{Seed: seed, Cost: cfg.Cost, IndexPolicy: tuning.NoIndexes})
+		envB, err := NewEnv(EnvOptions{Seed: seed, IndexPolicy: tuning.NoIndexes})
 		if err != nil {
 			return nil, err
 		}
@@ -268,7 +268,7 @@ func RunAll(cfg Config) ([]*metrics.Table, error) {
 // is used by `skybench -verify` and the integration tests.
 func Verify(cfg Config) error {
 	cfg = cfg.withDefaults()
-	env, err := NewEnv(EnvOptions{Seed: cfg.Seed, Cost: cfg.Cost, IndexPolicy: tuning.HTMIDOnly})
+	env, err := NewEnv(EnvOptions{Seed: cfg.Seed, IndexPolicy: tuning.HTMIDOnly})
 	if err != nil {
 		return err
 	}

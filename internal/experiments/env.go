@@ -31,8 +31,6 @@ type Config struct {
 	// files (default 0.2%, matching "errors are detected during bulk loads
 	// fairly often" without dominating the workload).
 	ErrorRate float64
-	// Cost is the calibrated cost model; zero value means DefaultCostModel.
-	Cost sqlbatch.CostModel
 	// Quick shrinks the parameter sweeps (used by unit tests).
 	Quick bool
 }
@@ -47,9 +45,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.ErrorRate == 0 {
 		c.ErrorRate = 0.002
-	}
-	if c.Cost == (sqlbatch.CostModel{}) {
-		c.Cost = sqlbatch.DefaultCostModel()
 	}
 	return c
 }
@@ -72,16 +67,12 @@ type Env struct {
 // EnvOptions configures environment construction.
 type EnvOptions struct {
 	Seed         int64
-	Cost         sqlbatch.CostModel
 	ServerConfig sqlbatch.ServerConfig
 	IndexPolicy  tuning.IndexPolicy
 }
 
-// NewEnv builds a fresh environment.
+// NewEnv builds a fresh environment, priced by sqlbatch.DefaultCostModel.
 func NewEnv(opt EnvOptions) (*Env, error) {
-	if opt.Cost == (sqlbatch.CostModel{}) {
-		opt.Cost = sqlbatch.DefaultCostModel()
-	}
 	if opt.ServerConfig == (sqlbatch.ServerConfig{}) {
 		opt.ServerConfig = sqlbatch.DefaultServerConfig()
 	}
@@ -91,7 +82,7 @@ func NewEnv(opt EnvOptions) (*Env, error) {
 		return nil, err
 	}
 	sched := exec.NewDES(kernel)
-	server := sqlbatch.NewServerOn(sched, db, opt.ServerConfig, opt.Cost)
+	server := sqlbatch.NewServerOn(sched, db, opt.ServerConfig, sqlbatch.DefaultCostModel())
 	return &Env{Kernel: kernel, Sched: sched, DB: db, Server: server}, nil
 }
 

@@ -41,7 +41,7 @@ func Figure4(cfg Config) (*metrics.Table, error) {
 	for i, size := range figureSizesMB(cfg.Quick) {
 		seed := cfg.Seed + int64(i)
 
-		envB, err := NewEnv(EnvOptions{Seed: seed, Cost: cfg.Cost, IndexPolicy: tuning.NoIndexes})
+		envB, err := NewEnv(EnvOptions{Seed: seed, IndexPolicy: tuning.NoIndexes})
 		if err != nil {
 			return nil, err
 		}
@@ -53,7 +53,7 @@ func Figure4(cfg Config) (*metrics.Table, error) {
 			return nil, fmt.Errorf("figure4 bulk %v MB: %w", size, err)
 		}
 
-		envN, err := NewEnv(EnvOptions{Seed: seed, Cost: cfg.Cost, IndexPolicy: tuning.NoIndexes})
+		envN, err := NewEnv(EnvOptions{Seed: seed, IndexPolicy: tuning.NoIndexes})
 		if err != nil {
 			return nil, err
 		}
@@ -90,7 +90,7 @@ func Figure5(cfg Config) (*metrics.Table, error) {
 		Notes:   []string{"paper: runtime falls steeply up to ~40 and flattens; optimum in the 40-50 range"},
 	}
 	for _, b := range batchSizes(cfg.Quick) {
-		env, err := NewEnv(EnvOptions{Seed: cfg.Seed, Cost: cfg.Cost, IndexPolicy: tuning.NoIndexes})
+		env, err := NewEnv(EnvOptions{Seed: cfg.Seed, IndexPolicy: tuning.NoIndexes})
 		if err != nil {
 			return nil, err
 		}
@@ -126,7 +126,7 @@ func Figure6(cfg Config) (*metrics.Table, error) {
 		Notes:   []string{"paper: runtime decreases up to array-size ~1000, then rises as client paging sets in"},
 	}
 	for _, a := range arraySizes(cfg.Quick) {
-		env, err := NewEnv(EnvOptions{Seed: cfg.Seed, Cost: cfg.Cost, IndexPolicy: tuning.NoIndexes})
+		env, err := NewEnv(EnvOptions{Seed: cfg.Seed, IndexPolicy: tuning.NoIndexes})
 		if err != nil {
 			return nil, err
 		}
@@ -172,7 +172,7 @@ func Figure7(cfg Config) (*metrics.Table, error) {
 	for _, p := range parallelDegrees(cfg.Quick) {
 		// The same observation (same seed) is loaded at every degree of
 		// parallelism, as in the paper's tests on identical catalog data.
-		env, err := NewEnv(EnvOptions{Seed: cfg.Seed, Cost: cfg.Cost, IndexPolicy: tuning.NoIndexes})
+		env, err := NewEnv(EnvOptions{Seed: cfg.Seed, IndexPolicy: tuning.NoIndexes})
 		if err != nil {
 			return nil, err
 		}
@@ -212,7 +212,7 @@ func Figure8(cfg Config) (*metrics.Table, error) {
 		seed := cfg.Seed + int64(i)
 		runtimes := make([]float64, len(policies))
 		for j, pol := range policies {
-			env, err := NewEnv(EnvOptions{Seed: seed, Cost: cfg.Cost, IndexPolicy: pol})
+			env, err := NewEnv(EnvOptions{Seed: seed, IndexPolicy: pol})
 			if err != nil {
 				return nil, err
 			}
@@ -254,7 +254,7 @@ func Figure9(cfg Config) (*metrics.Table, error) {
 	}
 	for _, gb := range databaseSizesGB(cfg.Quick) {
 		env, err := NewEnv(EnvOptions{
-			Seed: cfg.Seed, Cost: cfg.Cost, IndexPolicy: tuning.NoIndexes,
+			Seed: cfg.Seed, IndexPolicy: tuning.NoIndexes,
 		})
 		if err != nil {
 			return nil, err

@@ -59,7 +59,7 @@ func Headline(cfg Config) (*metrics.Table, error) {
 
 	var runtimes []float64
 	for i, c := range configs {
-		env, err := NewEnv(EnvOptions{Seed: cfg.Seed + int64(i), Cost: cfg.Cost, IndexPolicy: c.indexes})
+		env, err := NewEnv(EnvOptions{Seed: cfg.Seed + int64(i), IndexPolicy: c.indexes})
 		if err != nil {
 			return nil, err
 		}
