@@ -43,8 +43,8 @@
 //
 // The benchmarks in bench_test.go regenerate the paper's evaluation; the
 // binaries under cmd/ (skygen, skyload, skybench, skyserve, skystorm,
-// skyshard) expose the same functionality on the command line, and examples/
-// contains runnable walk-throughs.  bench/ is the repository's benchmark
+// skyshard) expose the same functionality on the command line, and
+// examples/quickstart walks through the library API.  bench/ is the repository's benchmark
 // (BENCHMARK.json, `make perf`), a module of its own.  See README.md,
 // PERFORMANCE.md and bench/README.md.
 //
@@ -101,8 +101,8 @@
 //     condition queues, and the concurrent relstore engine (per-table locks,
 //     atomic counters, per-transaction scratch buffers) absorbs genuinely
 //     parallel writers.
-//     `skyload -wallclock` and examples/wallclock_load report real elapsed
-//     time next to the virtual-time prediction.
+//     `skyload -wallclock` reports real elapsed time next to the
+//     virtual-time prediction.
 //
 // Both modes store rows through the engine's one insert path,
 // relstore.Txn.InsertBatch, of which Txn.Insert is the one-row call: the
