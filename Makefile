@@ -42,8 +42,9 @@ race:
 # them, of the B-tree against its sorted-slice oracle (seed corpora in
 # testdata/fuzz/<target>; the last three take long op streams, so minimizing
 # each new one is capped at ten runs or the ten seconds go to the minimizer),
-# of the catalog splitter against ParseLine line by line and of the query
-# handler's response bodies against json.Encoder's: 10 s each, one
+# of the catalog splitter against ParseLine line by line, of the catalog
+# generator's fixed-precision formatter against strconv.FormatFloat and of
+# the query handler's response bodies against json.Encoder's: 10 s each, one
 # target and one package per invocation as `go test -fuzz` requires.
 # An input that fails is written to the package's testdata/fuzz/<target>/;
 # check it in, it is then a regression seed every plain `go test` replays.
@@ -58,12 +59,14 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzHeapPages$$' -fuzztime 10s -fuzzminimizetime 10x ./internal/relstore/
 	$(GO) test -run '^$$' -fuzz '^FuzzBTreeOps$$' -fuzztime 10s -fuzzminimizetime 10x ./internal/relstore/
 	$(GO) test -run '^$$' -fuzz '^FuzzReadRecords$$' -fuzztime 10s ./internal/catalog/
+	$(GO) test -run '^$$' -fuzz '^FuzzFormatFixed$$' -fuzztime 10s ./internal/catalog/
 	$(GO) test -run '^$$' -fuzz '^FuzzResponseEncode$$' -fuzztime 10s ./internal/httpserve/
 
 # The byte-identity oracles a behaviour-preserving change must leave alone:
 # the twelve skybench CSVs, skyload (DES and both -crash seeds), the three
-# skyserve DES outputs and skyshard -sim 100, run on REF and on this tree and
-# diffed.  `make oracles REF=HEAD` checks uncommitted work against its base.
+# skyserve DES outputs, skyshard -sim 100 and the catalog text of a six-file
+# skygen night with every corruption kind and of one unsorted skygen file, run
+# on REF and on this tree and diffed.  `make oracles REF=HEAD` checks uncommitted work against its base.
 # A change that means to move one output names it (ALLOW=skyshard-sim100.txt):
 # its diff is printed, the sim's loaded rows and per-shard rows must still
 # match, and any other difference fails as before.
@@ -88,8 +91,9 @@ pairs:
 # the fleet's scatter-gather path under it and the whole ingest path on the
 # wall clock, on one node (ReadRecords + parallel.Run, the region every skyperf
 # workload times) and through a fleet (ReadRecords + Coordinator.LoadFiles into
-# three agents on loopback TCP, shard-scatter's), so none of those can silently
-# regress or break.  -benchtime=100x (1x for the whole-run bench) keeps it a
+# three agents on loopback TCP, shard-scatter's), and the catalog generator
+# that writes every workload's input (Generate + WriteTo of a fixed-seed
+# night), so none of those can silently regress or break.  -benchtime=100x (1x for the whole-run bench) keeps it a
 # smoke test (counts, not timings); measurements come from `make perf`
 # (bench/README.md).
 bench:
@@ -99,6 +103,7 @@ bench:
 	$(GO) test -run '^$$' -bench 'ScatterGather|SingleNode|WireQueryResult' -benchtime=50x ./internal/shard/
 	$(GO) test -run '^$$' -bench 'IngestNight|FleetNight' -benchtime=1x .
 	$(GO) test -run '^$$' -bench 'DurableCommit' -benchtime=200x .
+	$(GO) test -run '^$$' -bench 'WriteNight' -benchtime=1x ./internal/catalog/
 
 # bench/ is a module of its own (it requires this one through a replace
 # directive), so `go test ./...` at the root never reaches it.  Its tests run

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -151,7 +152,7 @@ func TestRecordFormatParseRoundTrip(t *testing.T) {
 			}
 			return r
 		}, s)
-		rec := Record{Tag: TagPRM, Fields: []string{i2s(int64(a)), i2s(int64(b)), "name", s}}
+		rec := Record{Tag: TagPRM, Fields: []string{strconv.FormatUint(uint64(a), 10), strconv.FormatUint(uint64(b), 10), "name", s}}
 		parsed, err := ParseLine(rec.Format(), 1)
 		if err != nil || rec.Bytes() != len(rec.Format())+1 || string(rec.AppendLine([]byte("x"))) != "x"+rec.Format()+"\n" {
 			return false

@@ -1,9 +1,9 @@
 package catalog
 
 import (
-	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"strconv"
 )
@@ -105,10 +105,9 @@ func (f *File) TotalInjectedErrors() int {
 // Generate produces one synthetic catalog file according to spec.
 func Generate(spec GenSpec) *File {
 	spec = spec.withDefaults()
-	rng := rand.New(rand.NewSource(spec.Seed))
 	g := &generator{
 		spec: spec,
-		rng:  rng,
+		rng:  rand.New(rand.NewSource(spec.Seed)),
 		file: &File{
 			Name:           spec.Name,
 			Spec:           spec,
@@ -116,21 +115,27 @@ func Generate(spec GenSpec) *File {
 			RowsByTable:    make(map[string]int),
 			ErrorsInjected: make(map[ErrorKind]int),
 		},
-		nextID: make(map[Tag]int64),
-		seen:   make(map[Tag][]string),
+		tags: make([]tagState, len(Layouts)),
 	}
 	g.run()
+	for i, ts := range g.tags {
+		if n := len(ts.recs); n > 0 {
+			g.file.RowsByTable[Layouts[i].Table] += n
+		}
+	}
 	return g.file
 }
 
 type generator struct {
-	spec   GenSpec
-	rng    *rand.Rand
-	file   *File
-	nextID map[Tag]int64
-	// seen keeps previously emitted primary-key field values per tag so that
-	// duplicate-key corruption can reuse one.
-	seen map[Tag][]string
+	spec GenSpec
+	rng  *rand.Rand
+	file *File
+	// tags holds each tag's state, indexed by the tag's position in Layouts.
+	tags []tagState
+	// line formats every record; objs and detail hold one frame's object and
+	// detail records until the frame is emitted.
+	line         line
+	objs, detail []Record
 
 	obsID   int64
 	raBase  float64
@@ -138,23 +143,175 @@ type generator struct {
 	mjd     float64
 }
 
-func (g *generator) id(tag Tag) int64 {
-	g.nextID[tag]++
-	return g.spec.IDBase + g.nextID[tag]
+// tagState is what the generator keeps per tag: the last primary key handed
+// out and the indices in File.Records of the records emitted so far, from
+// which duplicate-key corruption draws a key to reuse.
+type tagState struct {
+	lastID int64
+	recs   []int32
 }
 
-func (g *generator) emit(tag Tag, fields ...string) {
-	rec := Record{Tag: tag, Fields: fields}
-	table, _ := TableForTag(tag)
+// tagSlot returns tag's position in Layouts (a switch, not a search: the
+// generator asks twice a record).
+func tagSlot(tag Tag) int {
+	switch tag {
+	case TagOBS:
+		return 0
+	case TagPRM:
+		return 1
+	case TagREG:
+		return 2
+	case TagCCD:
+		return 3
+	case TagFRM:
+		return 4
+	case TagAPR:
+		return 5
+	case TagZPT:
+		return 6
+	case TagAST:
+		return 7
+	case TagPHO:
+		return 8
+	case TagOBJ:
+		return 9
+	case TagFNG:
+		return 10
+	case TagOAP:
+		return 11
+	case TagSHP:
+		return 12
+	case TagFLG:
+		return 13
+	}
+	panic("catalog: no layout for tag " + string(tag))
+}
+
+func (g *generator) id(tag Tag) int64 {
+	ts := &g.tags[tagSlot(tag)]
+	ts.lastID++
+	return g.spec.IDBase + ts.lastID
+}
+
+func (g *generator) emit(rec Record) {
+	ts := &g.tags[tagSlot(rec.Tag)]
+	ts.recs = append(ts.recs, int32(len(g.file.Records)))
 	g.file.Records = append(g.file.Records, rec)
-	g.file.RowsByTable[table]++
 	g.file.DataRows++
 	g.file.ActualBytes += int64(rec.Bytes())
-	g.seen[tag] = append(g.seen[tag], fields[0])
 }
 
-func f2s(v float64, prec int) string { return strconv.FormatFloat(v, 'f', prec, 64) }
-func i2s(v int64) string             { return strconv.FormatInt(v, 10) }
+// line builds one record at a time: each field is formatted into scratch,
+// and done copies them into one string and carves the record's fields from
+// it as a capacity-clipped window of a shared arena (as ParseText does), so a
+// record costs one string and a share of an arena chunk.
+type line struct {
+	tag     Tag
+	scratch []byte
+	ends    []int // end offset in scratch of every field so far
+	arena   []string
+}
+
+// arenaChunk is how many fields one arena allocation holds.
+const arenaChunk = 4096
+
+func (l *line) start(tag Tag) *line {
+	l.tag, l.scratch, l.ends = tag, l.scratch[:0], l.ends[:0]
+	return l
+}
+
+func (l *line) s(v string) *line {
+	l.scratch = append(l.scratch, v...)
+	l.ends = append(l.ends, len(l.scratch))
+	return l
+}
+
+func (l *line) i(v int64) *line {
+	l.scratch = strconv.AppendInt(l.scratch, v, 10)
+	l.ends = append(l.ends, len(l.scratch))
+	return l
+}
+
+func (l *line) f(v float64, prec int) *line {
+	l.scratch = appendFixed(l.scratch, v, prec)
+	l.ends = append(l.ends, len(l.scratch))
+	return l
+}
+
+func (l *line) done() Record {
+	text := string(l.scratch)
+	if cap(l.arena)-len(l.arena) < len(l.ends) {
+		l.arena = make([]string, 0, max(arenaChunk, len(l.ends)))
+	}
+	start, from := len(l.arena), 0
+	for _, end := range l.ends {
+		l.arena = append(l.arena, text[from:end])
+		from = end
+	}
+	return Record{Tag: l.tag, Fields: l.arena[start:len(l.arena):len(l.arena)]}
+}
+
+// pow10 holds the powers of ten a float64 represents exactly.
+var pow10 = [...]float64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10,
+	1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22}
+
+// appendFixed appends v with prec digits after the point: the bytes
+// strconv.AppendFloat(dst, v, 'f', prec, 64) appends, which for a fixed
+// precision always takes strconv's exact big-decimal path.  appendFixedFast
+// writes nearly every value the generator formats; the rest go to strconv.
+func appendFixed(dst []byte, v float64, prec int) []byte {
+	if out, ok := appendFixedFast(dst, v, prec); ok {
+		return out
+	}
+	return strconv.AppendFloat(dst, v, 'f', prec, 64)
+}
+
+// appendFixedFast rounds s = |v|·10^prec to an integer m and writes m with
+// the point inserted.  The product is computed with one rounding error of at
+// most half an ulp of s, and when s < 2^52 both its fraction and a half are
+// multiples of that ulp: a fraction other than exactly a half lies at least
+// one ulp from it, so the exact product rounds to the same m and the bytes
+// are strconv's.  A fraction of exactly a half (an exact tie, or a product
+// within half an ulp of one), NaN, ±Inf, scaled magnitudes from 2^52 and
+// precisions outside pow10 are left to strconv: it reports false and appends
+// nothing.  The sign is written whenever v's sign bit is set, as strconv does:
+// −0 and negatives that round to zero print as "-0.000".
+func appendFixedFast(dst []byte, v float64, prec int) ([]byte, bool) {
+	if prec < 0 || prec >= len(pow10) {
+		return dst, false
+	}
+	s := math.Abs(v) * pow10[prec]
+	if !(s < 0x1p52) { // NaN fails this too
+		return dst, false
+	}
+	m := uint64(s)
+	switch frac := s - float64(m); { // exact: m is a multiple of s's ulp
+	case frac > 0.5:
+		m++
+	case frac == 0.5:
+		return dst, false
+	}
+	if math.Signbit(v) {
+		dst = append(dst, '-')
+	}
+	if prec == 0 {
+		return strconv.AppendUint(dst, m, 10), true
+	}
+	unit := uint64(pow10[prec])
+	dst = append(strconv.AppendUint(dst, m/unit, 10), '.')
+	n := len(dst)
+	dst = append(dst, "0000000000000000000000"[:prec]...)
+	for i, r := n+prec-1, m%unit; r > 0; i, r = i-1, r/10 {
+		dst[i] = byte('0' + r%10)
+	}
+	return dst, true
+}
+
+// maxFrameRows bounds the records one frame adds: the frame, its seven
+// detail records and at most objectsPerFrame/2+objectsPerFrame-1 objects of
+// eight records each.  A file stops at the first frame that meets its row
+// target, so it holds fewer than target+maxFrameRows records.
+const maxFrameRows = 8 + (objectsPerFrame/2+objectsPerFrame-1)*8
 
 // run generates the record stream: one observation header, its parameters and
 // region, CCD columns, and per CCD a sequence of frames each followed by its
@@ -167,6 +324,8 @@ func (g *generator) run() {
 	if targetRows < 30 {
 		targetRows = 30
 	}
+	g.file.Records = make([]Record, 0, targetRows+maxFrameRows)
+	l := &g.line
 
 	g.raBase = g.rng.Float64() * 330
 	g.decBase = -25 + g.rng.Float64()*50
@@ -177,33 +336,32 @@ func (g *generator) run() {
 	g.obsID = g.id(TagOBS)
 	runField := ""
 	if spec.RunID > 0 {
-		runField = i2s(spec.RunID)
+		runField = strconv.FormatInt(spec.RunID, 10)
 	}
-	g.emit(TagOBS, i2s(g.obsID), runField, "1",
-		f2s(g.mjd, 6), f2s(g.raBase, 6), f2s(g.decBase, 6),
-		f2s(1.0+g.rng.Float64()*1.6, 3), pick(g.rng, FilterNames), f2s(60+g.rng.Float64()*120, 2))
+	g.emit(l.start(TagOBS).i(g.obsID).s(runField).s("1").
+		f(g.mjd, 6).f(g.raBase, 6).f(g.decBase, 6).
+		f(1.0+g.rng.Float64()*1.6, 3).s(pick(g.rng, FilterNames)).f(60+g.rng.Float64()*120, 2).done())
 	// Parameter names must be distinct within one observation because
 	// observation_params carries a unique (obs_id, name) constraint.
 	paramNames := []string{"DRIFT_RATE", "FOCUS", "CAMERA_TEMP", "HUMIDITY"}
 	firstParam := g.rng.Intn(len(paramNames))
 	for i := 0; i < 2; i++ {
-		g.emit(TagPRM, i2s(g.id(TagPRM)), i2s(g.obsID),
-			paramNames[(firstParam+i)%len(paramNames)],
-			f2s(g.rng.Float64()*100, 3))
+		g.emit(l.start(TagPRM).i(g.id(TagPRM)).i(g.obsID).
+			s(paramNames[(firstParam+i)%len(paramNames)]).
+			f(g.rng.Float64()*100, 3).done())
 	}
-	g.emit(TagREG, i2s(g.id(TagREG)), i2s(g.obsID),
-		f2s(g.raBase, 6), f2s(g.raBase+2.3, 6), f2s(g.decBase, 6), f2s(g.decBase+0.7, 6))
+	g.emit(l.start(TagREG).i(g.id(TagREG)).i(g.obsID).
+		f(g.raBase, 6).f(g.raBase+2.3, 6).f(g.decBase, 6).f(g.decBase+0.7, 6).done())
 
 	// CCD columns for this file.
-	ccdIDs := make([]int64, ccdsPerFile)
-	ccdNums := make([]int64, ccdsPerFile)
-	for i := 0; i < ccdsPerFile; i++ {
+	var ccdIDs [ccdsPerFile]int64
+	for i := range ccdIDs {
 		ccdIDs[i] = g.id(TagCCD)
-		ccdNums[i] = int64(1 + g.rng.Intn(NumCCDsPerInstrument))
-		g.emit(TagCCD, i2s(ccdIDs[i]), i2s(g.obsID), i2s(ccdNums[i]), i2s(ccdNums[i]),
-			pick(g.rng, FilterNames),
-			f2s(g.raBase+float64(i)*0.25, 6), f2s(g.decBase+float64(i)*0.1, 6),
-			f2s(2.0+g.rng.Float64(), 3), f2s(4.0+g.rng.Float64()*3, 3))
+		ccdNum := int64(1 + g.rng.Intn(NumCCDsPerInstrument))
+		g.emit(l.start(TagCCD).i(ccdIDs[i]).i(g.obsID).i(ccdNum).i(ccdNum).
+			s(pick(g.rng, FilterNames)).
+			f(g.raBase+float64(i)*0.25, 6).f(g.decBase+float64(i)*0.1, 6).
+			f(2.0+g.rng.Float64(), 3).f(4.0+g.rng.Float64()*3, 3).done())
 	}
 
 	// Frames with their detail rows and objects, until the row budget is met.
@@ -218,65 +376,50 @@ func (g *generator) run() {
 
 // generateFrame emits one frame and all of its children.
 func (g *generator) generateFrame(ccdColID, frameNumber int64) {
-	spec := g.spec
+	l := &g.line
 	frameID := g.id(TagFRM)
 	frameRA := g.raBase + g.rng.Float64()*2.0
 	frameDec := g.decBase + g.rng.Float64()*0.6
 
-	frameFields := []string{i2s(frameID), i2s(ccdColID), i2s(frameNumber),
-		f2s(g.mjd+float64(frameNumber)*0.0017, 6), f2s(140+g.rng.Float64()*20, 2),
-		f2s(0.9+g.rng.Float64()*2.2, 2), f2s(800+g.rng.Float64()*600, 2), f2s(22+g.rng.Float64()*4, 3)}
+	frame := l.start(TagFRM).i(frameID).i(ccdColID).i(frameNumber).
+		f(g.mjd+float64(frameNumber)*0.0017, 6).f(140+g.rng.Float64()*20, 2).
+		f(0.9+g.rng.Float64()*2.2, 2).f(800+g.rng.Float64()*600, 2).f(22+g.rng.Float64()*4, 3).done()
 
-	objBlocks := g.objectBlocks(frameID, frameRA, frameDec)
+	g.objs = g.objectRecords(g.objs[:0], frameID, frameRA, frameDec)
 
-	var detail []pendingRec
+	detail := g.detail[:0]
 	for a := int64(1); a <= 4; a++ {
-		detail = append(detail, pendingRec{TagAPR, []string{i2s(g.id(TagAPR)), i2s(frameID), i2s(a),
-			f2s(1.5*float64(a), 3), f2s(1.0-0.02*float64(a), 4)}})
+		detail = append(detail, l.start(TagAPR).i(g.id(TagAPR)).i(frameID).i(a).
+			f(1.5*float64(a), 3).f(1.0-0.02*float64(a), 4).done())
 	}
-	detail = append(detail, pendingRec{TagZPT, []string{i2s(g.id(TagZPT)), i2s(frameID),
-		f2s(21.5+g.rng.Float64()*2, 4), f2s(0.01+g.rng.Float64()*0.05, 4), f2s(-0.1+g.rng.Float64()*0.2, 4)}})
-	detail = append(detail, pendingRec{TagAST, []string{i2s(g.id(TagAST)), i2s(frameID),
-		f2s(frameRA, 6), f2s(frameDec, 6),
-		f2s(-0.00024, 8), f2s(0.0000012, 8), f2s(0.0000011, 8), f2s(0.00024, 8),
-		f2s(0.05+g.rng.Float64()*0.2, 4)}})
-	detail = append(detail, pendingRec{TagPHO, []string{i2s(g.id(TagPHO)), i2s(frameID),
-		f2s(20.5+g.rng.Float64()*1.5, 3), f2s(0.1+g.rng.Float64()*0.3, 4), f2s(19+g.rng.Float64()*2, 3)}})
+	detail = append(detail, l.start(TagZPT).i(g.id(TagZPT)).i(frameID).
+		f(21.5+g.rng.Float64()*2, 4).f(0.01+g.rng.Float64()*0.05, 4).f(-0.1+g.rng.Float64()*0.2, 4).done())
+	detail = append(detail, l.start(TagAST).i(g.id(TagAST)).i(frameID).
+		f(frameRA, 6).f(frameDec, 6).
+		f(-0.00024, 8).f(0.0000012, 8).f(0.0000011, 8).f(0.00024, 8).
+		f(0.05+g.rng.Float64()*0.2, 4).done())
+	detail = append(detail, l.start(TagPHO).i(g.id(TagPHO)).i(frameID).
+		f(20.5+g.rng.Float64()*1.5, 3).f(0.1+g.rng.Float64()*0.3, 4).f(19+g.rng.Float64()*2, 3).done())
+	g.detail = detail
 
-	if !spec.Unsorted {
-		g.emit(TagFRM, frameFields...)
-		for _, d := range detail {
-			g.emitMaybeCorrupt(d.tag, d.fields)
-		}
-		for _, blk := range objBlocks {
-			for _, d := range blk {
-				g.emitMaybeCorrupt(d.tag, d.fields)
-			}
-		}
+	if !g.spec.Unsorted {
+		g.emit(frame)
+		g.emitMaybeCorrupt(g.detail)
+		g.emitMaybeCorrupt(g.objs)
 		return
 	}
 	// Unsorted variant: children of the frame come first, the frame row last,
 	// which defeats the parent-before-child presorting assumption.
-	for _, blk := range objBlocks {
-		for _, d := range blk {
-			g.emitMaybeCorrupt(d.tag, d.fields)
-		}
-	}
-	for _, d := range detail {
-		g.emitMaybeCorrupt(d.tag, d.fields)
-	}
-	g.emit(TagFRM, frameFields...)
+	g.emitMaybeCorrupt(g.objs)
+	g.emitMaybeCorrupt(g.detail)
+	g.emit(frame)
 }
 
-type pendingRec struct {
-	tag    Tag
-	fields []string
-}
-
-// objectBlocks builds the object rows (and their children) for one frame.
-func (g *generator) objectBlocks(frameID int64, frameRA, frameDec float64) [][]pendingRec {
+// objectRecords appends the object rows (each followed by its children) for
+// one frame to recs.
+func (g *generator) objectRecords(recs []Record, frameID int64, frameRA, frameDec float64) []Record {
+	l := &g.line
 	n := objectsPerFrame/2 + g.rng.Intn(objectsPerFrame)
-	blocks := make([][]pendingRec, 0, n)
 	for i := 0; i < n; i++ {
 		objID := g.id(TagOBJ)
 		ra := frameRA + g.rng.Float64()*0.25
@@ -285,51 +428,52 @@ func (g *generator) objectBlocks(frameID int64, frameRA, frameDec float64) [][]p
 		}
 		dec := frameDec + g.rng.Float64()*0.25
 		mag := 14 + g.rng.Float64()*8
-		blk := []pendingRec{{TagOBJ, []string{i2s(objID), i2s(frameID),
-			f2s(ra, 6), f2s(dec, 6), f2s(mag, 3), f2s(0.005+g.rng.Float64()*0.1, 3),
-			f2s(1.2+g.rng.Float64()*2, 2), f2s(g.rng.Float64()*0.5, 3), i2s(int64(g.rng.Intn(16)))}}}
+		recs = append(recs, l.start(TagOBJ).i(objID).i(frameID).
+			f(ra, 6).f(dec, 6).f(mag, 3).f(0.005+g.rng.Float64()*0.1, 3).
+			f(1.2+g.rng.Float64()*2, 2).f(g.rng.Float64()*0.5, 3).i(int64(g.rng.Intn(16))).done())
 		for fng := int64(1); fng <= 4; fng++ {
-			blk = append(blk, pendingRec{TagFNG, []string{i2s(g.id(TagFNG)), i2s(objID), i2s(fng),
-				f2s(1000*g.rng.Float64(), 4), f2s(10*g.rng.Float64(), 4), f2s(1.5*float64(fng), 3)}})
+			recs = append(recs, l.start(TagFNG).i(g.id(TagFNG)).i(objID).i(fng).
+				f(1000*g.rng.Float64(), 4).f(10*g.rng.Float64(), 4).f(1.5*float64(fng), 3).done())
 		}
-		blk = append(blk, pendingRec{TagOAP, []string{i2s(g.id(TagOAP)), i2s(objID), i2s(int64(1 + g.rng.Intn(4))),
-			f2s(mag+g.rng.Float64()*0.2, 3), f2s(0.01+g.rng.Float64()*0.05, 3)}})
-		blk = append(blk, pendingRec{TagSHP, []string{i2s(g.id(TagSHP)), i2s(objID),
-			f2s(1+g.rng.Float64()*3, 3), f2s(0.5+g.rng.Float64()*2, 3), f2s(-90+g.rng.Float64()*180, 2),
-			f2s(g.rng.Float64(), 3)}})
+		recs = append(recs, l.start(TagOAP).i(g.id(TagOAP)).i(objID).i(int64(1+g.rng.Intn(4))).
+			f(mag+g.rng.Float64()*0.2, 3).f(0.01+g.rng.Float64()*0.05, 3).done())
+		recs = append(recs, l.start(TagSHP).i(g.id(TagSHP)).i(objID).
+			f(1+g.rng.Float64()*3, 3).f(0.5+g.rng.Float64()*2, 3).f(-90+g.rng.Float64()*180, 2).
+			f(g.rng.Float64(), 3).done())
 		if g.rng.Float64() < 0.15 {
-			blk = append(blk, pendingRec{TagFLG, []string{i2s(g.id(TagFLG)), i2s(objID),
-				i2s(int64(1 + g.rng.Intn(len(QualityFlagNames)))), "1"}})
+			recs = append(recs, l.start(TagFLG).i(g.id(TagFLG)).i(objID).
+				i(int64(1+g.rng.Intn(len(QualityFlagNames)))).s("1").done())
 		}
-		blocks = append(blocks, blk)
 	}
-	return blocks
+	return recs
 }
 
-// emitMaybeCorrupt emits a detail record, possibly corrupting it according to
-// the configured error rate.
-func (g *generator) emitMaybeCorrupt(tag Tag, fields []string) {
-	if g.spec.ErrorRate > 0 && g.rng.Float64() < g.spec.ErrorRate {
-		fields = g.corrupt(tag, fields)
+// emitMaybeCorrupt emits detail records, corrupting each with the configured
+// error rate.
+func (g *generator) emitMaybeCorrupt(recs []Record) {
+	for _, rec := range recs {
+		if g.spec.ErrorRate > 0 && g.rng.Float64() < g.spec.ErrorRate {
+			g.corrupt(rec)
+		}
+		g.emit(rec)
 	}
-	g.emit(tag, fields...)
 }
 
-// corrupt applies one randomly chosen corruption to the record's fields.
-func (g *generator) corrupt(tag Tag, fields []string) []string {
-	out := make([]string, len(fields))
-	copy(out, fields)
+// corrupt applies one randomly chosen corruption to the record's fields, in
+// place: the record has not been emitted, and its fields are its own.
+func (g *generator) corrupt(rec Record) {
+	out := rec.Fields
 	kind := []ErrorKind{ErrDuplicateKey, ErrOutOfRange, ErrMissingValue, ErrOrphanRef, ErrMalformed}[g.rng.Intn(5)]
 	switch kind {
 	case ErrDuplicateKey:
-		prev := g.seen[tag]
+		prev := g.tags[tagSlot(rec.Tag)].recs
 		if len(prev) == 0 {
-			return out
+			return
 		}
-		out[0] = prev[g.rng.Intn(len(prev))]
+		out[0] = g.file.Records[prev[g.rng.Intn(len(prev))]].Fields[0]
 	case ErrOutOfRange:
 		// Blow up a numeric field beyond its check-constraint range.
-		switch tag {
+		switch rec.Tag {
 		case TagOBJ:
 			out[4] = "99999.0" // mag far out of range
 		case TagFRM:
@@ -347,7 +491,7 @@ func (g *generator) corrupt(tag Tag, fields []string) []string {
 		}
 	case ErrMissingValue:
 		// Drop a value that feeds a NOT NULL column.
-		switch tag {
+		switch rec.Tag {
 		case TagOBJ:
 			out[2] = "" // ra missing -> htmid cannot be computed
 		case TagFRM:
@@ -362,7 +506,7 @@ func (g *generator) corrupt(tag Tag, fields []string) []string {
 	case ErrOrphanRef:
 		// Point the parent reference at a key that does not exist.
 		if len(out) > 1 {
-			out[1] = i2s(g.spec.IDBase + 900000000 + int64(g.rng.Intn(100000)))
+			out[1] = strconv.FormatInt(g.spec.IDBase+900000000+int64(g.rng.Intn(100000)), 10)
 		}
 	case ErrMalformed:
 		if len(out) > 3 {
@@ -372,30 +516,38 @@ func (g *generator) corrupt(tag Tag, fields []string) []string {
 		}
 	}
 	g.file.ErrorsInjected[kind]++
-	return out
 }
 
 func pick(rng *rand.Rand, options []string) string { return options[rng.Intn(len(options))] }
 
-// WriteTo serializes the file in catalog ASCII form.
+// writeChunk is how many bytes WriteTo gathers before each Write.
+const writeChunk = 64 << 10
+
+// WriteTo serializes the file in catalog ASCII form.  Every record is
+// appended to one buffer, which goes to w whenever it holds writeChunk bytes.
 func (f *File) WriteTo(w io.Writer) (int64, error) {
-	bw := bufio.NewWriter(w)
+	buf := append(make([]byte, 0, writeChunk+4<<10), "# Palomar-Quest synthetic catalog "...)
+	buf = append(append(buf, f.Name...), " (nominal "...)
+	buf = append(strconv.AppendFloat(buf, f.Spec.SizeMB, 'f', 1, 64), " MB, "...)
+	buf = append(strconv.AppendInt(buf, int64(f.DataRows), 10), " rows)\n"...)
 	var n int64
-	header := fmt.Sprintf("# Palomar-Quest synthetic catalog %s (nominal %.1f MB, %d rows)\n",
-		f.Name, f.Spec.SizeMB, f.DataRows)
-	c, err := bw.WriteString(header)
-	n += int64(c)
-	if err != nil {
-		return n, err
+	flush := func() error {
+		c, err := w.Write(buf)
+		n += int64(c)
+		if err == nil && c < len(buf) {
+			err = io.ErrShortWrite
+		}
+		buf = buf[:0]
+		return err
 	}
 	for _, rec := range f.Records {
-		c, err := bw.WriteString(rec.Format() + "\n")
-		n += int64(c)
-		if err != nil {
-			return n, err
+		if buf = rec.AppendLine(buf); len(buf) >= writeChunk {
+			if err := flush(); err != nil {
+				return n, err
+			}
 		}
 	}
-	return n, bw.Flush()
+	return n, flush()
 }
 
 // FilesPerObservation is the number of catalog files the pipeline produces
