@@ -132,9 +132,9 @@ type generator struct {
 	file *File
 	// tags holds each tag's state, indexed by the tag's position in Layouts.
 	tags []tagState
-	// line formats every record; objs and detail hold one frame's object and
+	// rb formats every record; objs and detail hold one frame's object and
 	// detail records until the frame is emitted.
-	line         line
+	rb           recordBuilder
 	objs, detail []Record
 
 	obsID   int64
@@ -201,11 +201,11 @@ func (g *generator) emit(rec Record) {
 	g.file.ActualBytes += int64(rec.Bytes())
 }
 
-// line builds one record at a time: each field is formatted into scratch,
-// and done copies them into one string and carves the record's fields from
-// it as a capacity-clipped window of a shared arena (as ParseText does), so a
-// record costs one string and a share of an arena chunk.
-type line struct {
+// recordBuilder builds one record at a time: each field is formatted into
+// scratch, and done copies them into one string and carves the record's
+// fields from it as a capacity-clipped window of a shared arena (as ParseText
+// does), so a record costs one string and a share of an arena chunk.
+type recordBuilder struct {
 	tag     Tag
 	scratch []byte
 	ends    []int // end offset in scratch of every field so far
@@ -215,40 +215,40 @@ type line struct {
 // arenaChunk is how many fields one arena allocation holds.
 const arenaChunk = 4096
 
-func (l *line) start(tag Tag) *line {
-	l.tag, l.scratch, l.ends = tag, l.scratch[:0], l.ends[:0]
-	return l
+func (b *recordBuilder) start(tag Tag) *recordBuilder {
+	b.tag, b.scratch, b.ends = tag, b.scratch[:0], b.ends[:0]
+	return b
 }
 
-func (l *line) s(v string) *line {
-	l.scratch = append(l.scratch, v...)
-	l.ends = append(l.ends, len(l.scratch))
-	return l
+func (b *recordBuilder) s(v string) *recordBuilder {
+	b.scratch = append(b.scratch, v...)
+	b.ends = append(b.ends, len(b.scratch))
+	return b
 }
 
-func (l *line) i(v int64) *line {
-	l.scratch = strconv.AppendInt(l.scratch, v, 10)
-	l.ends = append(l.ends, len(l.scratch))
-	return l
+func (b *recordBuilder) i(v int64) *recordBuilder {
+	b.scratch = strconv.AppendInt(b.scratch, v, 10)
+	b.ends = append(b.ends, len(b.scratch))
+	return b
 }
 
-func (l *line) f(v float64, prec int) *line {
-	l.scratch = appendFixed(l.scratch, v, prec)
-	l.ends = append(l.ends, len(l.scratch))
-	return l
+func (b *recordBuilder) f(v float64, prec int) *recordBuilder {
+	b.scratch = appendFixed(b.scratch, v, prec)
+	b.ends = append(b.ends, len(b.scratch))
+	return b
 }
 
-func (l *line) done() Record {
-	text := string(l.scratch)
-	if cap(l.arena)-len(l.arena) < len(l.ends) {
-		l.arena = make([]string, 0, max(arenaChunk, len(l.ends)))
+func (b *recordBuilder) done() Record {
+	text := string(b.scratch)
+	if cap(b.arena)-len(b.arena) < len(b.ends) {
+		b.arena = make([]string, 0, max(arenaChunk, len(b.ends)))
 	}
-	start, from := len(l.arena), 0
-	for _, end := range l.ends {
-		l.arena = append(l.arena, text[from:end])
+	start, from := len(b.arena), 0
+	for _, end := range b.ends {
+		b.arena = append(b.arena, text[from:end])
 		from = end
 	}
-	return Record{Tag: l.tag, Fields: l.arena[start:len(l.arena):len(l.arena)]}
+	return Record{Tag: b.tag, Fields: b.arena[start:len(b.arena):len(b.arena)]}
 }
 
 // pow10 holds the powers of ten a float64 represents exactly.
@@ -325,7 +325,7 @@ func (g *generator) run() {
 		targetRows = 30
 	}
 	g.file.Records = make([]Record, 0, targetRows+maxFrameRows)
-	l := &g.line
+	b := &g.rb
 
 	g.raBase = g.rng.Float64() * 330
 	g.decBase = -25 + g.rng.Float64()*50
@@ -338,7 +338,7 @@ func (g *generator) run() {
 	if spec.RunID > 0 {
 		runField = strconv.FormatInt(spec.RunID, 10)
 	}
-	g.emit(l.start(TagOBS).i(g.obsID).s(runField).s("1").
+	g.emit(b.start(TagOBS).i(g.obsID).s(runField).s("1").
 		f(g.mjd, 6).f(g.raBase, 6).f(g.decBase, 6).
 		f(1.0+g.rng.Float64()*1.6, 3).s(pick(g.rng, FilterNames)).f(60+g.rng.Float64()*120, 2).done())
 	// Parameter names must be distinct within one observation because
@@ -346,11 +346,11 @@ func (g *generator) run() {
 	paramNames := []string{"DRIFT_RATE", "FOCUS", "CAMERA_TEMP", "HUMIDITY"}
 	firstParam := g.rng.Intn(len(paramNames))
 	for i := 0; i < 2; i++ {
-		g.emit(l.start(TagPRM).i(g.id(TagPRM)).i(g.obsID).
+		g.emit(b.start(TagPRM).i(g.id(TagPRM)).i(g.obsID).
 			s(paramNames[(firstParam+i)%len(paramNames)]).
 			f(g.rng.Float64()*100, 3).done())
 	}
-	g.emit(l.start(TagREG).i(g.id(TagREG)).i(g.obsID).
+	g.emit(b.start(TagREG).i(g.id(TagREG)).i(g.obsID).
 		f(g.raBase, 6).f(g.raBase+2.3, 6).f(g.decBase, 6).f(g.decBase+0.7, 6).done())
 
 	// CCD columns for this file.
@@ -358,7 +358,7 @@ func (g *generator) run() {
 	for i := range ccdIDs {
 		ccdIDs[i] = g.id(TagCCD)
 		ccdNum := int64(1 + g.rng.Intn(NumCCDsPerInstrument))
-		g.emit(l.start(TagCCD).i(ccdIDs[i]).i(g.obsID).i(ccdNum).i(ccdNum).
+		g.emit(b.start(TagCCD).i(ccdIDs[i]).i(g.obsID).i(ccdNum).i(ccdNum).
 			s(pick(g.rng, FilterNames)).
 			f(g.raBase+float64(i)*0.25, 6).f(g.decBase+float64(i)*0.1, 6).
 			f(2.0+g.rng.Float64(), 3).f(4.0+g.rng.Float64()*3, 3).done())
@@ -376,12 +376,12 @@ func (g *generator) run() {
 
 // generateFrame emits one frame and all of its children.
 func (g *generator) generateFrame(ccdColID, frameNumber int64) {
-	l := &g.line
+	b := &g.rb
 	frameID := g.id(TagFRM)
 	frameRA := g.raBase + g.rng.Float64()*2.0
 	frameDec := g.decBase + g.rng.Float64()*0.6
 
-	frame := l.start(TagFRM).i(frameID).i(ccdColID).i(frameNumber).
+	frame := b.start(TagFRM).i(frameID).i(ccdColID).i(frameNumber).
 		f(g.mjd+float64(frameNumber)*0.0017, 6).f(140+g.rng.Float64()*20, 2).
 		f(0.9+g.rng.Float64()*2.2, 2).f(800+g.rng.Float64()*600, 2).f(22+g.rng.Float64()*4, 3).done()
 
@@ -389,16 +389,16 @@ func (g *generator) generateFrame(ccdColID, frameNumber int64) {
 
 	detail := g.detail[:0]
 	for a := int64(1); a <= 4; a++ {
-		detail = append(detail, l.start(TagAPR).i(g.id(TagAPR)).i(frameID).i(a).
+		detail = append(detail, b.start(TagAPR).i(g.id(TagAPR)).i(frameID).i(a).
 			f(1.5*float64(a), 3).f(1.0-0.02*float64(a), 4).done())
 	}
-	detail = append(detail, l.start(TagZPT).i(g.id(TagZPT)).i(frameID).
+	detail = append(detail, b.start(TagZPT).i(g.id(TagZPT)).i(frameID).
 		f(21.5+g.rng.Float64()*2, 4).f(0.01+g.rng.Float64()*0.05, 4).f(-0.1+g.rng.Float64()*0.2, 4).done())
-	detail = append(detail, l.start(TagAST).i(g.id(TagAST)).i(frameID).
+	detail = append(detail, b.start(TagAST).i(g.id(TagAST)).i(frameID).
 		f(frameRA, 6).f(frameDec, 6).
 		f(-0.00024, 8).f(0.0000012, 8).f(0.0000011, 8).f(0.00024, 8).
 		f(0.05+g.rng.Float64()*0.2, 4).done())
-	detail = append(detail, l.start(TagPHO).i(g.id(TagPHO)).i(frameID).
+	detail = append(detail, b.start(TagPHO).i(g.id(TagPHO)).i(frameID).
 		f(20.5+g.rng.Float64()*1.5, 3).f(0.1+g.rng.Float64()*0.3, 4).f(19+g.rng.Float64()*2, 3).done())
 	g.detail = detail
 
@@ -418,7 +418,7 @@ func (g *generator) generateFrame(ccdColID, frameNumber int64) {
 // objectRecords appends the object rows (each followed by its children) for
 // one frame to recs.
 func (g *generator) objectRecords(recs []Record, frameID int64, frameRA, frameDec float64) []Record {
-	l := &g.line
+	b := &g.rb
 	n := objectsPerFrame/2 + g.rng.Intn(objectsPerFrame)
 	for i := 0; i < n; i++ {
 		objID := g.id(TagOBJ)
@@ -428,20 +428,20 @@ func (g *generator) objectRecords(recs []Record, frameID int64, frameRA, frameDe
 		}
 		dec := frameDec + g.rng.Float64()*0.25
 		mag := 14 + g.rng.Float64()*8
-		recs = append(recs, l.start(TagOBJ).i(objID).i(frameID).
+		recs = append(recs, b.start(TagOBJ).i(objID).i(frameID).
 			f(ra, 6).f(dec, 6).f(mag, 3).f(0.005+g.rng.Float64()*0.1, 3).
 			f(1.2+g.rng.Float64()*2, 2).f(g.rng.Float64()*0.5, 3).i(int64(g.rng.Intn(16))).done())
 		for fng := int64(1); fng <= 4; fng++ {
-			recs = append(recs, l.start(TagFNG).i(g.id(TagFNG)).i(objID).i(fng).
+			recs = append(recs, b.start(TagFNG).i(g.id(TagFNG)).i(objID).i(fng).
 				f(1000*g.rng.Float64(), 4).f(10*g.rng.Float64(), 4).f(1.5*float64(fng), 3).done())
 		}
-		recs = append(recs, l.start(TagOAP).i(g.id(TagOAP)).i(objID).i(int64(1+g.rng.Intn(4))).
+		recs = append(recs, b.start(TagOAP).i(g.id(TagOAP)).i(objID).i(int64(1+g.rng.Intn(4))).
 			f(mag+g.rng.Float64()*0.2, 3).f(0.01+g.rng.Float64()*0.05, 3).done())
-		recs = append(recs, l.start(TagSHP).i(g.id(TagSHP)).i(objID).
+		recs = append(recs, b.start(TagSHP).i(g.id(TagSHP)).i(objID).
 			f(1+g.rng.Float64()*3, 3).f(0.5+g.rng.Float64()*2, 3).f(-90+g.rng.Float64()*180, 2).
 			f(g.rng.Float64(), 3).done())
 		if g.rng.Float64() < 0.15 {
-			recs = append(recs, l.start(TagFLG).i(g.id(TagFLG)).i(objID).
+			recs = append(recs, b.start(TagFLG).i(g.id(TagFLG)).i(objID).
 				i(int64(1+g.rng.Intn(len(QualityFlagNames)))).s("1").done())
 		}
 	}
