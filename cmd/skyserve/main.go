@@ -44,9 +44,9 @@ import (
 	"time"
 
 	"skyloader/internal/catalog"
-	"skyloader/internal/core"
 	"skyloader/internal/des"
 	"skyloader/internal/exec"
+	"skyloader/internal/loadconfig"
 	"skyloader/internal/metrics"
 	"skyloader/internal/parallel"
 	"skyloader/internal/queries"
@@ -112,11 +112,6 @@ func main() {
 		TotalMB: *size, Files: *nfiles, RowsPerMB: *rowsPerMB, Seed: *seed, RunID: 1,
 	})
 
-	trace, err := buildTrace(*tracePth, *nQueries, *seed, *zipfS, *coneFrac, *rate, *size, *rowsPerMB, files)
-	if err != nil {
-		fatal(err)
-	}
-
 	serveCfg := serve.Config{
 		Workers:              *workers,
 		QueueDepth:           *queue,
@@ -131,6 +126,13 @@ func main() {
 	if *httpAddr != "" {
 		runHTTP(*httpAddr, *seed, prof, files, serveCfg, *loaders, *traceEvery, *smoke)
 		return
+	}
+
+	// Only the DES/realtime serving modes replay a trace; -http serves what
+	// its clients send.
+	trace, err := buildTrace(*tracePth, *nQueries, *seed, *zipfS, *coneFrac, *rate, *size, *rowsPerMB, files)
+	if err != nil {
+		fatal(err)
 	}
 
 	if *fig8 {
@@ -216,13 +218,12 @@ func buildEnv(sched exec.Scheduler, prof tuning.Profile, serveCfg serve.Config) 
 	return load, serve.NewServer(sched, db, serveCfg), db
 }
 
-// loadConfig is the cluster load both engines and the HTTP mode run.
+// loadConfig is the cluster load both engines and the HTTP mode run: the
+// profile's campaign, as skyload -profile runs it, on the given loaders.
 func loadConfig(prof tuning.Profile, loaders int) parallel.Config {
-	return parallel.Config{
-		Loaders:       loaders,
-		Loader:        core.DefaultConfig(),
-		SealAfterLoad: prof.DeferredIndexBuild,
-	}
+	cfg := loadconfig.FromProfile(prof).ClusterConfig()
+	cfg.Loaders = loaders
+	return cfg
 }
 
 // runOne executes one engine's run and returns the serve report and, in

@@ -61,13 +61,6 @@ type Config struct {
 	// ArraySize is the row threshold at which a flush of the whole set is
 	// triggered (the paper's array-size tunable).
 	ArraySize int
-	// PerTableSize optionally overrides ArraySize for specific tables (the
-	// configuration-file extension the paper lists as future work in §4.3).
-	PerTableSize map[string]int
-	// MemoryHighWaterBytes, when > 0, triggers a flush whenever the
-	// aggregate buffered memory (including per-row overhead) exceeds it —
-	// the "memory high water mark" extension discussed in §4.3.
-	MemoryHighWaterBytes int64
 	// RowOverheadBytes is the per-row bookkeeping overhead added to the raw
 	// row size when accounting memory.
 	RowOverheadBytes int
@@ -128,20 +121,12 @@ func MustNew(schema *relstore.Schema, cfg Config) *ArraySet {
 // Config returns the configuration of the set.
 func (s *ArraySet) Config() Config { return s.cfg }
 
-// sizeFor returns the flush threshold for the given table.
-func (s *ArraySet) sizeFor(table string) int {
-	if n, ok := s.cfg.PerTableSize[table]; ok && n > 0 {
-		return n
-	}
-	return s.cfg.ArraySize
-}
-
 // Add buffers one row destined for table, creating the table's array on
 // first use.  The values are copied into the array's slab: the caller may
 // reuse or change values as soon as Add returns.  It reports whether the
-// addition filled any array (or crossed the memory high-water mark), i.e.
-// whether the caller should flush now.  created reports whether the table's
-// array joined the cycle with this row (newly allocated or recycled).
+// addition filled the table's array, i.e. whether the caller should flush
+// now.  created reports whether the table's array joined the cycle with
+// this row (newly allocated or recycled).
 func (s *ArraySet) Add(table string, columns []string, values []relstore.Value, sourceLine int) (full, created bool, err error) {
 	arr, ok := s.arrays[table]
 	if !ok {
@@ -159,12 +144,11 @@ func (s *ArraySet) Add(table string, columns []string, values []relstore.Value, 
 			// almost always fills to exactly that size before the set is
 			// drained, so reserving it up front removes the append regrowth
 			// copies from the add path.
-			size := s.sizeFor(table)
 			arr = &Array{
 				Table:       table,
 				Columns:     columns,
-				Rows:        make([][]relstore.Value, 0, size),
-				SourceLines: make([]int, 0, size),
+				Rows:        make([][]relstore.Value, 0, s.cfg.ArraySize),
+				SourceLines: make([]int, 0, s.cfg.ArraySize),
 			}
 		}
 		s.arrays[table] = arr
@@ -183,13 +167,7 @@ func (s *ArraySet) Add(table string, columns []string, values []relstore.Value, 
 	s.totalRows++
 	s.totalBytes += rb
 
-	if len(arr.Rows) >= s.sizeFor(table) {
-		full = true
-	}
-	if s.cfg.MemoryHighWaterBytes > 0 && s.totalBytes >= s.cfg.MemoryHighWaterBytes {
-		full = true
-	}
-	return full, created, nil
+	return len(arr.Rows) >= s.cfg.ArraySize, created, nil
 }
 
 // Len returns the total number of buffered rows across all arrays.

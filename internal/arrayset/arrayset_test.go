@@ -55,7 +55,7 @@ func TestAddUnknownTable(t *testing.T) {
 }
 
 func TestFullThreshold(t *testing.T) {
-	s := newSet(t, Config{ArraySize: 3})
+	s := newSet(t, Config{ArraySize: 3, RowOverheadBytes: 100})
 	cols, vals := objRow(1)
 	for i := 0; i < 2; i++ {
 		full, _, _ := s.Add(catalog.TObjects, cols, vals, i)
@@ -67,42 +67,10 @@ func TestFullThreshold(t *testing.T) {
 	if !full {
 		t.Fatal("full not reported at threshold")
 	}
-}
-
-func TestPerTableSizeOverride(t *testing.T) {
-	s := newSet(t, Config{ArraySize: 100, PerTableSize: map[string]int{catalog.TObjects: 2}})
-	cols, vals := objRow(1)
-	s.Add(catalog.TObjects, cols, vals, 1)
-	full, _, _ := s.Add(catalog.TObjects, cols, vals, 2)
-	if !full {
-		t.Fatal("per-table override not applied")
-	}
-	// Other tables still use the default.
-	fcols := []string{"frame_id", "ccd_col_id", "frame_number", "mjd_start", "exposure_s"}
-	fvals := []relstore.Value{relstore.Int(1), relstore.Int(1), relstore.Int(0), relstore.Float(53000.0), relstore.Float(145.0)}
-	full, _, _ = s.Add(catalog.TCCDFrames, fcols, fvals, 3)
-	if full {
-		t.Fatal("default-size table reported full too early")
-	}
-}
-
-func TestMemoryHighWaterMark(t *testing.T) {
-	s := newSet(t, Config{ArraySize: 1_000_000, MemoryHighWaterBytes: 400, RowOverheadBytes: 100})
-	cols, vals := objRow(1)
-	var full bool
-	n := 0
-	for !full && n < 100 {
-		full, _, _ = s.Add(catalog.TObjects, cols, vals, n)
-		n++
-	}
-	if !full {
-		t.Fatal("memory high-water mark never triggered")
-	}
-	if n > 5 {
-		t.Fatalf("triggered after %d rows, expected a handful", n)
-	}
-	if s.MemoryBytes() < 400 {
-		t.Fatalf("MemoryBytes = %d", s.MemoryBytes())
+	// MemoryBytes (the loader's paging-penalty input) counts every buffered
+	// row's raw size plus the per-row overhead.
+	if want := int64(3 * (relstore.RowSize(vals) + 100)); s.MemoryBytes() != want {
+		t.Fatalf("MemoryBytes = %d, want %d", s.MemoryBytes(), want)
 	}
 }
 

@@ -145,7 +145,7 @@ func TestTwoPhaseLoadsEverything(t *testing.T) {
 	srv.Kernel().Spawn("twophase", func(p *des.Proc) {
 		conn := srv.Connect(p)
 		defer conn.Close()
-		l, err := NewTwoPhaseLoader(conn, DefaultTwoPhaseConfig())
+		l, err := NewTwoPhaseLoader(conn)
 		if err != nil {
 			t.Error(err)
 			return
@@ -191,7 +191,7 @@ func TestTwoPhaseMatchesBulkRowCounts(t *testing.T) {
 	srvTP.Kernel().Spawn("twophase", func(p *des.Proc) {
 		conn := srvTP.Connect(p)
 		defer conn.Close()
-		l, _ := NewTwoPhaseLoader(conn, DefaultTwoPhaseConfig())
+		l, _ := NewTwoPhaseLoader(conn)
 		if _, err := l.LoadFiles([]*catalog.File{file}); err != nil {
 			t.Error(err)
 		}
@@ -214,17 +214,16 @@ func TestTwoPhaseChunking(t *testing.T) {
 		catalog.Generate(catalog.GenSpec{SizeMB: 1, Seed: 21, RunID: 1, IDBase: 2_000_000}),
 		catalog.Generate(catalog.GenSpec{SizeMB: 1, Seed: 22, RunID: 1, IDBase: 3_000_000}),
 	}
-	cfg := DefaultTwoPhaseConfig()
-	cfg.TaskDBMaxMB = 1.5 // force an intermediate publish
 	var stats core.Stats
 	srv.Kernel().Spawn("twophase", func(p *des.Proc) {
 		conn := srv.Connect(p)
 		defer conn.Close()
-		l, err := NewTwoPhaseLoader(conn, cfg)
+		l, err := NewTwoPhaseLoader(conn)
 		if err != nil {
 			t.Error(err)
 			return
 		}
+		l.taskDBMaxMB = 1.5 // force an intermediate publish
 		stats, err = l.LoadFiles(files)
 		if err != nil {
 			t.Error(err)

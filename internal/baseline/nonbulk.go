@@ -15,8 +15,6 @@ import (
 type NonBulkConfig struct {
 	// CommitEveryRows commits after every N rows; 0 commits at end of file.
 	CommitEveryRows int
-	// LoaderNode identifies the loader for statistics.
-	LoaderNode int
 }
 
 // NonBulkLoader loads catalog files with one database call per row — the

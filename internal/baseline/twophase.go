@@ -13,31 +13,22 @@ import (
 	"skyloader/internal/sqlbatch"
 )
 
-// TwoPhaseConfig controls the SDSS-style loader.
-type TwoPhaseConfig struct {
-	// BatchSize used when publishing from the task database to the
-	// repository.
-	BatchSize int
-	// TaskDBMaxMB caps the nominal volume loaded into one task database
+// The SDSS-style loader's model constants, after the SDSS framework
+// description in §6.
+const (
+	// publishBatchSize is the batch size used when publishing from the task
+	// database to the repository.
+	publishBatchSize = 40
+	// taskDBMaxMB caps the nominal volume loaded into one task database
 	// before it is published (SDSS used 20-30 GB task DBs; scaled here).
-	TaskDBMaxMB float64
-	// ValidationRowCost is the per-row cost of the separate validation pass
+	taskDBMaxMB = 400
+	// validationRowCost is the per-row cost of the separate validation pass
 	// over the task database.
-	ValidationRowCost time.Duration
-	// ConvertRowCost is the per-row cost of splitting the catalog file into
+	validationRowCost = 500 * time.Microsecond
+	// convertRowCost is the per-row cost of splitting the catalog file into
 	// per-table CSV files before loading (the SDSS pre-conversion step).
-	ConvertRowCost time.Duration
-}
-
-// DefaultTwoPhaseConfig mirrors the SDSS framework description in §6.
-func DefaultTwoPhaseConfig() TwoPhaseConfig {
-	return TwoPhaseConfig{
-		BatchSize:         40,
-		TaskDBMaxMB:       400,
-		ValidationRowCost: 500 * time.Microsecond,
-		ConvertRowCost:    250 * time.Microsecond,
-	}
-}
+	convertRowCost = 250 * time.Microsecond
+)
 
 // TwoPhaseLoader approximates the SDSS loading framework the paper compares
 // against in §6: catalog data is first converted into per-table row sets,
@@ -48,9 +39,11 @@ func DefaultTwoPhaseConfig() TwoPhaseConfig {
 // the claim can be examined quantitatively (ablation A5).
 type TwoPhaseLoader struct {
 	conn  *sqlbatch.Conn
-	cfg   TwoPhaseConfig
 	cost  sqlbatch.CostModel
 	xform *catalog.Transformer
+	// taskDBMaxMB is the package constant; tests lower it to force an
+	// intermediate publish.
+	taskDBMaxMB float64
 
 	// task is the in-memory task database (one per loader), standing in for
 	// the SQL Server task DBs of the SDSS cluster.
@@ -61,10 +54,7 @@ type TwoPhaseLoader struct {
 }
 
 // NewTwoPhaseLoader creates a two-phase loader over an open connection.
-func NewTwoPhaseLoader(conn *sqlbatch.Conn, cfg TwoPhaseConfig) (*TwoPhaseLoader, error) {
-	if cfg.BatchSize <= 0 {
-		cfg.BatchSize = 40
-	}
+func NewTwoPhaseLoader(conn *sqlbatch.Conn) (*TwoPhaseLoader, error) {
 	schema := conn.Server().DB().Schema()
 	taskSchema, err := taskSchemaFrom(schema)
 	if err != nil {
@@ -75,12 +65,12 @@ func NewTwoPhaseLoader(conn *sqlbatch.Conn, cfg TwoPhaseConfig) (*TwoPhaseLoader
 		return nil, err
 	}
 	l := &TwoPhaseLoader{
-		conn:       conn,
-		cfg:        cfg,
-		cost:       conn.Server().Cost(),
-		xform:      catalog.NewTransformer(schema),
-		taskSchema: taskSchema,
-		task:       task,
+		conn:        conn,
+		cost:        conn.Server().Cost(),
+		xform:       catalog.NewTransformer(schema),
+		taskDBMaxMB: taskDBMaxMB,
+		taskSchema:  taskSchema,
+		task:        task,
 	}
 	l.stats.RowsLoadedByTable = make(map[string]int)
 	l.stats.SkippedByTable = make(map[string]int)
@@ -115,7 +105,7 @@ func (l *TwoPhaseLoader) LoadFiles(files []*catalog.File) (core.Stats, error) {
 			return l.stats, err
 		}
 		pendingMB += f.Spec.SizeMB
-		if l.cfg.TaskDBMaxMB > 0 && pendingMB >= l.cfg.TaskDBMaxMB {
+		if pendingMB >= l.taskDBMaxMB {
 			if err := l.validateAndPublish(); err != nil {
 				return l.stats, err
 			}
@@ -164,7 +154,7 @@ func (l *TwoPhaseLoader) loadIntoTask(f *catalog.File) error {
 	for _, rec := range f.Records {
 		l.stats.RowsRead++
 		// Conversion to per-table CSV plus parse/transform.
-		l.conn.ChargeClientCPU(l.cost.ParseRowCost + l.cost.TransformRowCost + l.cfg.ConvertRowCost)
+		l.conn.ChargeClientCPU(l.cost.ParseRowCost + l.cost.TransformRowCost + convertRowCost)
 		row, xerr := l.xform.Transform(rec)
 		if xerr != nil {
 			l.stats.ParseErrors++
@@ -212,7 +202,7 @@ func (l *TwoPhaseLoader) validateAndPublish() error {
 	}
 	// Validation pass: every task row is checked (costed on the client/task
 	// node, since SDSS validation ran on the task DB server).
-	l.conn.ChargeClientCPU(time.Duration(totalRows) * l.cfg.ValidationRowCost)
+	l.conn.ChargeClientCPU(time.Duration(totalRows) * validationRowCost)
 
 	if !l.conn.InTransaction() {
 		if err := l.conn.Begin(); err != nil {
@@ -267,7 +257,7 @@ func (l *TwoPhaseLoader) publishTable(table string) error {
 	stmt := l.conn.Prepare(table, cols)
 	idx := 0
 	for idx < len(rows) {
-		end := idx + l.cfg.BatchSize
+		end := idx + publishBatchSize
 		if end > len(rows) {
 			end = len(rows)
 		}

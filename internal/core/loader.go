@@ -23,12 +23,6 @@ type Config struct {
 	// ArraySize is the per-table buffer threshold that triggers a flush of
 	// the whole array-set (the paper's array-size constant; 1000 optimal).
 	ArraySize int
-	// PerTableArraySize optionally overrides ArraySize per table (§4.3
-	// future-work extension).
-	PerTableArraySize map[string]int
-	// MemoryHighWaterBytes, when > 0, also triggers a flush when the
-	// aggregate buffered memory exceeds it (§4.3 future-work extension).
-	MemoryHighWaterBytes int64
 	// CommitEveryBatches commits after every N batches; 0 commits only at
 	// the end of each file (the paper's "very infrequent" commits, §4.5.2).
 	CommitEveryBatches int
@@ -38,13 +32,6 @@ type Config struct {
 	// LoaderNode identifies the cluster node running this loader in
 	// provenance records and statistics.
 	LoaderNode int
-	// SealAfterLoad, when true, closes the engine's load phase at the end of
-	// LoadFiles: deferred-policy indexes are bulk-rebuilt (DB.Seal) through
-	// this loader's connection and the build time lands in Stats.SealTime
-	// and Elapsed.  Single-loader callers set it together with a
-	// deferred-index tuning profile; multi-loader clusters seal once through
-	// the coordinator (parallel.Config.SealAfterLoad) instead.
-	SealAfterLoad bool
 }
 
 // DefaultConfig returns the production SkyLoader configuration (batch 40,
@@ -93,12 +80,6 @@ type Stats struct {
 	NominalBytes int64
 	Elapsed      time.Duration
 
-	// SealTime is the service time spent closing the load phase (bulk index
-	// rebuild) when SealAfterLoad is set; IndexesSealed counts the indexes
-	// rebuilt.  Both are zero under the immediate policy.
-	SealTime      time.Duration
-	IndexesSealed int
-
 	RowsLoadedByTable map[string]int
 	SkippedByTable    map[string]int
 	Skipped           []SkippedRow
@@ -119,8 +100,6 @@ func (s *Stats) Merge(other Stats) {
 	s.LockWaits += other.LockWaits
 	s.LongStalls += other.LongStalls
 	s.NominalBytes += other.NominalBytes
-	s.SealTime += other.SealTime
-	s.IndexesSealed += other.IndexesSealed
 	if other.Elapsed > s.Elapsed {
 		s.Elapsed = other.Elapsed
 	}
@@ -168,10 +147,8 @@ func NewLoader(conn *sqlbatch.Conn, cfg Config) (*Loader, error) {
 	cfg = cfg.withDefaults()
 	schema := conn.Server().DB().Schema()
 	set, err := arrayset.New(schema, arrayset.Config{
-		ArraySize:            cfg.ArraySize,
-		PerTableSize:         cfg.PerTableArraySize,
-		MemoryHighWaterBytes: cfg.MemoryHighWaterBytes,
-		RowOverheadBytes:     conn.Server().Cost().BufferedRowOverheadBytes,
+		ArraySize:        cfg.ArraySize,
+		RowOverheadBytes: conn.Server().Cost().BufferedRowOverheadBytes,
 	})
 	if err != nil {
 		return nil, err
@@ -213,8 +190,9 @@ func (l *Loader) Stats() Stats { return l.stats }
 func (l *Loader) Config() Config { return l.cfg }
 
 // LoadFiles loads the given catalog files sequentially and returns the
-// accumulated statistics.  Elapsed time covers the whole call, including the
-// end-of-load Seal when SealAfterLoad is set.
+// accumulated statistics.  Elapsed time covers the whole call.  Closing the
+// engine's load phase is not the loader's job: one coordinator seals once
+// every loader is done (parallel.Config.SealAfterLoad, or DB/Conn.Seal).
 func (l *Loader) LoadFiles(files []*catalog.File) (Stats, error) {
 	start := l.conn.Worker().Now()
 	for _, f := range files {
@@ -222,28 +200,8 @@ func (l *Loader) LoadFiles(files []*catalog.File) (Stats, error) {
 			return l.stats, err
 		}
 	}
-	if l.cfg.SealAfterLoad {
-		if err := l.Seal(); err != nil {
-			return l.stats, err
-		}
-	}
 	l.stats.Elapsed = l.conn.Worker().Now() - start
 	return l.stats, nil
-}
-
-// Seal closes the engine's load phase through this loader's connection,
-// bulk-rebuilding every deferred index, and accounts the build time.  It is
-// called automatically by LoadFiles under Config.SealAfterLoad and may be
-// called directly by coordinators that drive LoadFile themselves.
-func (l *Loader) Seal() error {
-	start := l.conn.Worker().Now()
-	rep, err := l.conn.Seal()
-	if err != nil {
-		return fmt.Errorf("core: seal: %w", err)
-	}
-	l.stats.SealTime += l.conn.Worker().Now() - start
-	l.stats.IndexesSealed += len(rep.Indexes)
-	return nil
 }
 
 // LoadFile loads one catalog file: it implements the bulk_loading procedure

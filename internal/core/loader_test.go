@@ -233,16 +233,19 @@ func TestNonFiniteFieldIsARejectedRow(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg := DefaultConfig()
 		if policy == relstore.IndexDeferred {
 			if err := db.BeginLoad(); err != nil {
 				t.Fatal(err)
 			}
-			cfg.SealAfterLoad = true
 		}
 		srv := sqlbatch.NewServer(des.NewKernel(7), db, sqlbatch.DefaultServerConfig(), sqlbatch.DefaultCostModel())
 		file := &catalog.File{Name: "nonfinite.cat", Records: recs, NominalBytes: 1 << 20, DataRows: len(recs), RowsByTable: map[string]int{}}
-		stats := loadWith(t, srv, file, cfg)
+		stats := loadWith(t, srv, file, DefaultConfig())
+		if policy == relstore.IndexDeferred {
+			if _, err := db.Seal(); err != nil {
+				t.Fatal(err)
+			}
+		}
 		if stats.ParseErrors != len(bad) || stats.RowsSkipped != 0 || stats.RowsLoaded != len(recs)-len(bad) {
 			t.Fatalf("%v: %d rejected, %d skipped, %d loaded; want %d, 0, %d",
 				policy, stats.ParseErrors, stats.RowsSkipped, stats.RowsLoaded, len(bad), len(recs)-len(bad))
@@ -273,40 +276,6 @@ func TestCommitEveryBatches(t *testing.T) {
 	if n, _ := srv.DB().Count(catalog.TObjects); n == 0 {
 		t.Fatal("no objects committed")
 	}
-}
-
-func TestMemoryHighWaterTriggersFlush(t *testing.T) {
-	_, srv := testEnv(t)
-	file := catalog.Generate(catalog.GenSpec{SizeMB: 2, Seed: 10, RunID: 1, IDBase: 1000})
-	cfg := DefaultConfig()
-	cfg.ArraySize = 1_000_000 // effectively disable the row threshold
-	cfg.MemoryHighWaterBytes = 64 << 10
-	stats := loadWith(t, srv, file, cfg)
-	if stats.FlushCycles < 2 {
-		t.Fatalf("FlushCycles = %d, want the high-water mark to trigger flushes", stats.FlushCycles)
-	}
-	if stats.RowsLoaded != file.DataRows {
-		t.Fatalf("RowsLoaded = %d, want %d", stats.RowsLoaded, file.DataRows)
-	}
-}
-
-func TestPerTableArraySize(t *testing.T) {
-	_, srv := testEnv(t)
-	file := catalog.Generate(catalog.GenSpec{SizeMB: 2, Seed: 12, RunID: 1, IDBase: 1000})
-	cfg := DefaultConfig()
-	cfg.PerTableArraySize = map[string]int{catalog.TObjectFingers: 100}
-	stats := loadWith(t, srv, file, cfg)
-	base := loadFresh(t, file, DefaultConfig())
-	if stats.FlushCycles <= base.FlushCycles {
-		t.Fatalf("per-table size should flush more often: %d vs %d", stats.FlushCycles, base.FlushCycles)
-	}
-}
-
-// loadFresh loads the file into a brand-new environment.
-func loadFresh(t *testing.T, file *catalog.File, cfg Config) Stats {
-	t.Helper()
-	_, srv := testEnv(t)
-	return loadWith(t, srv, file, cfg)
 }
 
 func TestProvenanceRecording(t *testing.T) {

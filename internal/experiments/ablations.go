@@ -220,7 +220,7 @@ func runTwoPhase(env *Env, sizeMB float64, cfg Config, seed int64) (core.Stats, 
 	env.Kernel.Spawn("two-phase-loader", func(p *des.Proc) {
 		conn := env.Server.Connect(p)
 		defer conn.Close()
-		tp, err := baseline.NewTwoPhaseLoader(conn, baseline.DefaultTwoPhaseConfig())
+		tp, err := baseline.NewTwoPhaseLoader(conn)
 		if err != nil {
 			runErr = err
 			return

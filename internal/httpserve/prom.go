@@ -21,7 +21,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request, path stri
 }
 
 // WriteMetrics writes the exposition payload for one scrape.  It is exported
-// so the -smoke path and tests can validate a scrape without a socket.
+// so tests and bench/skyperf can render a scrape without a socket.
 //
 // Catalog layout: the backend's own families first (a database's rows, WAL
 // and per-table and per-index memory, or a fleet's sky_shard_*), then the

@@ -28,8 +28,8 @@ func NewShard(co *shard.Coordinator, cfg Config) (*Server, error) {
 }
 
 // FleetFamilies are the metric families every fleet scrape must carry: the
-// coordinator's own and the serving layer's it now runs behind.  skyshard
-// -smoke and skystorm -shard both check a live scrape against this list.
+// coordinator's own and the serving layer's it now runs behind.  skystorm
+// -shard checks every live scrape against this list.
 var FleetFamilies = []string{
 	"sky_shard_count", "sky_shard_queries_total", "sky_shard_fanout_total",
 	"sky_shard_requests_total", "sky_shard_partial_failures_total", "sky_shard_gather_seconds",

@@ -1,13 +1,13 @@
-// Package loadconfig implements the configuration-file support the paper
-// lists as future work (§4.3, §7): "The use of configuration files to control
-// array-set initialization will not only lower client memory requirements,
-// but also make the framework more adaptable for use with data sets other
-// than the Palomar-Quest sky survey."
+// Package loadconfig describes one loading campaign in a JSON configuration
+// file, after the configuration-file support the paper lists as future work
+// (§4.3, §7).  The use the paper names for it, sizing the array-set per
+// table, is not implemented, nor is a memory high-water mark: as in the
+// paper's loader, one array_size sizes every table's array, and a campaign
+// that names per_table_array_size or memory_high_water_bytes fails Parse.
 //
-// A load configuration is a JSON document that fully describes one loading
-// campaign: the loader tunables (batch size, default and per-table array
-// sizes, memory high-water mark, commit policy), the degree of parallelism
-// and assignment policy, and the database tuning profile (index policy, cache
+// A load configuration holds the loader tunables (batch size, array size,
+// commit policy, provenance), the degree of parallelism and assignment
+// policy, and the database tuning profile (index policy and build, cache
 // size, RAID separation).  cmd/skyload runs one: the -config file, or
 // FromProfile of its -profile preset, with the flags given on top.
 package loadconfig
@@ -29,12 +29,10 @@ import (
 // FileConfig is the on-disk (JSON) representation of a loading campaign.
 type FileConfig struct {
 	// Loader tunables (§4.2, §4.3).
-	BatchSize            int            `json:"batch_size"`
-	ArraySize            int            `json:"array_size"`
-	PerTableArraySize    map[string]int `json:"per_table_array_size,omitempty"`
-	MemoryHighWaterBytes int64          `json:"memory_high_water_bytes,omitempty"`
-	CommitEveryBatches   int            `json:"commit_every_batches"`
-	RecordProvenance     bool           `json:"record_provenance"`
+	BatchSize          int  `json:"batch_size"`
+	ArraySize          int  `json:"array_size"`
+	CommitEveryBatches int  `json:"commit_every_batches"`
+	RecordProvenance   bool `json:"record_provenance"`
 
 	// Parallelism (§4.4).
 	Loaders    int    `json:"loaders"`
@@ -131,14 +129,6 @@ func (c FileConfig) Validate() error {
 	if c.BatchSize > c.ArraySize {
 		problems = append(problems, "batch_size is typically much smaller than array_size (paper §4.2)")
 	}
-	for table, n := range c.PerTableArraySize {
-		if n <= 0 {
-			problems = append(problems, fmt.Sprintf("per_table_array_size[%s] must be positive", table))
-		}
-	}
-	if c.MemoryHighWaterBytes < 0 {
-		problems = append(problems, "memory_high_water_bytes must not be negative")
-	}
 	if c.CommitEveryBatches < 0 {
 		problems = append(problems, "commit_every_batches must not be negative")
 	}
@@ -194,12 +184,10 @@ func (c FileConfig) indexPolicy() (tuning.IndexPolicy, error) {
 // configuration.
 func (c FileConfig) LoaderConfig() core.Config {
 	return core.Config{
-		BatchSize:            c.BatchSize,
-		ArraySize:            c.ArraySize,
-		PerTableArraySize:    c.PerTableArraySize,
-		MemoryHighWaterBytes: c.MemoryHighWaterBytes,
-		CommitEveryBatches:   c.CommitEveryBatches,
-		RecordProvenance:     c.RecordProvenance,
+		BatchSize:          c.BatchSize,
+		ArraySize:          c.ArraySize,
+		CommitEveryBatches: c.CommitEveryBatches,
+		RecordProvenance:   c.RecordProvenance,
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"skyloader/internal/catalog"
 	"skyloader/internal/parallel"
 	"skyloader/internal/relstore"
 	"skyloader/internal/tuning"
@@ -29,7 +28,6 @@ func TestDefaultIsValid(t *testing.T) {
 func TestParseOverridesAndDefaults(t *testing.T) {
 	doc := `{
 		"batch_size": 50,
-		"per_table_array_size": {"objects": 2000, "object_fingers": 4000},
 		"loaders": 7,
 		"assignment": "static",
 		"index_policy": "htmid+composite",
@@ -42,9 +40,6 @@ func TestParseOverridesAndDefaults(t *testing.T) {
 	if cfg.BatchSize != 50 || cfg.ArraySize != 1000 {
 		t.Fatalf("override/default mix wrong: %+v", cfg)
 	}
-	if cfg.PerTableArraySize[catalog.TObjects] != 2000 {
-		t.Fatalf("per-table sizes missing: %+v", cfg.PerTableArraySize)
-	}
 	if cfg.Loaders != 7 {
 		t.Fatalf("loaders = %d", cfg.Loaders)
 	}
@@ -53,7 +48,7 @@ func TestParseOverridesAndDefaults(t *testing.T) {
 		t.Fatalf("cluster config: %+v", cc)
 	}
 	lc := cfg.LoaderConfig()
-	if lc.BatchSize != 50 || lc.PerTableArraySize[catalog.TObjectFingers] != 4000 {
+	if lc.BatchSize != 50 || lc.ArraySize != 1000 {
 		t.Fatalf("loader config: %+v", lc)
 	}
 	if cfg.IndexPolicyValue() != tuning.HTMIDPlusComposite {
@@ -78,7 +73,6 @@ func TestParseRejectsUnknownFieldsAndBadValues(t *testing.T) {
 		{doc: `{"loaders": 0}`},
 		{doc: `{"assignment": "round-robin"}`},
 		{doc: `{"index_policy": "everything"}`},
-		{doc: `{"per_table_array_size": {"objects": -1}}`},
 		{doc: `{"commit_every_batches": -1}`},
 		{doc: `{"cache_pages": -5}`},
 		{doc: `not json at all`},
@@ -87,6 +81,8 @@ func TestParseRejectsUnknownFieldsAndBadValues(t *testing.T) {
 		{doc: `{"loaders":2} garbage`, want: "trailing data"},
 		// A campaign that still names a removed knob fails closed.
 		{doc: `{"group_commit_window_ms": 0.2}`, want: `unknown field "group_commit_window_ms"`},
+		{doc: `{"per_table_array_size": {"objects": 2000}}`, want: `unknown field "per_table_array_size"`},
+		{doc: `{"memory_high_water_bytes": 1048576}`, want: `unknown field "memory_high_water_bytes"`},
 	}
 	for i, c := range cases {
 		_, err := Parse(strings.NewReader(c.doc))
@@ -102,7 +98,7 @@ func TestWriteParseRoundTrip(t *testing.T) {
 	orig := Default()
 	orig.BatchSize = 45
 	orig.Loaders = 6
-	orig.PerTableArraySize = map[string]int{catalog.TObjects: 1500}
+	orig.CommitEveryBatches = 3
 	var buf bytes.Buffer
 	if err := orig.Write(&buf); err != nil {
 		t.Fatal(err)
@@ -111,7 +107,7 @@ func TestWriteParseRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.BatchSize != 45 || back.Loaders != 6 || back.PerTableArraySize[catalog.TObjects] != 1500 {
+	if back.BatchSize != 45 || back.Loaders != 6 || back.CommitEveryBatches != 3 {
 		t.Fatalf("round trip lost data: %+v", back)
 	}
 }

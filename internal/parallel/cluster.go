@@ -265,7 +265,6 @@ func Spawn(server *sqlbatch.Server, files []*catalog.File, cfg Config) (*Cluster
 						// the "original pipeline" commits frequently when the
 						// bulk config would have committed per batch.
 						CommitEveryRows: cfg.Loader.CommitEveryBatches * maxInt(cfg.Loader.BatchSize, 1),
-						LoaderNode:      loaderCfg.LoaderNode,
 					})
 					if err := nb.LoadFile(f); err != nil {
 						return err
