@@ -64,9 +64,10 @@ fuzz:
 
 # The byte-identity oracles a behaviour-preserving change must leave alone:
 # the twelve skybench CSVs, skyload (DES and both -crash seeds), the three
-# skyserve DES outputs, skyshard -sim 100 and the catalog text of a six-file
-# skygen night with every corruption kind and of one unsorted skygen file, run
-# on REF and on this tree and diffed.  `make oracles REF=HEAD` checks uncommitted work against its base.
+# skyserve DES outputs, skyshard -sim 100, the catalog text of a six-file
+# skygen night with every corruption kind and of one unsorted skygen file, and
+# examples/quickstart's output: 11 command outputs, run on REF and on this
+# tree and diffed.  `make oracles REF=HEAD` checks uncommitted work against its base.
 # A change that means to move one output names it (ALLOW=skyshard-sim100.txt):
 # its diff is printed, the sim's loaded rows and per-shard rows must still
 # match, and any other difference fails as before.

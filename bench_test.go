@@ -19,7 +19,6 @@ import (
 	"skyloader/internal/arrayset"
 	"skyloader/internal/catalog"
 	"skyloader/internal/core"
-	"skyloader/internal/des"
 	"skyloader/internal/exec"
 	"skyloader/internal/experiments"
 	"skyloader/internal/htm"
@@ -329,7 +328,7 @@ func BenchmarkRelstoreInsert(b *testing.B) {
 // 10 MB catalog file with the full stack: generator, DES, engine, loader.
 func BenchmarkLoaderEndToEnd(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		kernel := des.NewKernel(int64(i))
+		sched := exec.NewDES(int64(i))
 		db := relstore.MustOpen(catalog.NewSchema())
 		txn, _ := db.Begin()
 		if err := catalog.SeedReference(txn, 8); err != nil {
@@ -338,11 +337,11 @@ func BenchmarkLoaderEndToEnd(b *testing.B) {
 		if _, err := txn.Commit(); err != nil {
 			b.Fatal(err)
 		}
-		server := sqlbatch.NewServer(kernel, db, sqlbatch.DefaultServerConfig(), sqlbatch.DefaultCostModel())
+		server := sqlbatch.NewServerOn(sched, db, sqlbatch.DefaultServerConfig(), sqlbatch.DefaultCostModel())
 		file := catalog.Generate(catalog.GenSpec{SizeMB: 10, Seed: int64(i), ErrorRate: 0.01, RunID: 1, IDBase: 1000})
 		var stats core.Stats
-		kernel.Spawn("loader", func(p *des.Proc) {
-			conn := server.Connect(p)
+		sched.Spawn("loader", func(w exec.Worker) {
+			conn := server.ConnectWorker(w)
 			defer conn.Close()
 			loader, err := core.NewLoader(conn, core.DefaultConfig())
 			if err != nil {
@@ -354,7 +353,7 @@ func BenchmarkLoaderEndToEnd(b *testing.B) {
 				b.Error(err)
 			}
 		})
-		kernel.Run()
+		sched.Run()
 		if stats.RowsLoaded == 0 {
 			b.Fatal("nothing loaded")
 		}
@@ -604,12 +603,12 @@ func BenchmarkDurableCommit(b *testing.B) {
 // BenchmarkDESEventThroughput measures raw simulation kernel throughput
 // (events per second of host time).
 func BenchmarkDESEventThroughput(b *testing.B) {
-	kernel := des.NewKernel(1)
-	kernel.Spawn("ticker", func(p *des.Proc) {
+	sched := exec.NewDES(1)
+	sched.Spawn("ticker", func(w exec.Worker) {
 		for i := 0; i < b.N; i++ {
-			p.Hold(1)
+			w.Sleep(1)
 		}
 	})
 	b.ResetTimer()
-	kernel.Run()
+	sched.Run()
 }

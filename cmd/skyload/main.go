@@ -42,7 +42,6 @@ import (
 	"strings"
 
 	"skyloader/internal/catalog"
-	"skyloader/internal/des"
 	"skyloader/internal/exec"
 	"skyloader/internal/loadconfig"
 	"skyloader/internal/parallel"
@@ -189,7 +188,7 @@ func main() {
 	}
 
 	// The deterministic run: the virtual-time prediction every mode reports.
-	simServer, simDB := buildEnv(exec.NewDES(des.NewKernel(campaign.Seed)))
+	simServer, simDB := buildEnv(exec.NewDES(campaign.Seed))
 	simRes, err := parallel.Run(simServer, files, clusterCfg)
 	if err != nil {
 		fatal(err)

@@ -44,7 +44,6 @@ import (
 	"time"
 
 	"skyloader/internal/catalog"
-	"skyloader/internal/des"
 	"skyloader/internal/exec"
 	"skyloader/internal/loadconfig"
 	"skyloader/internal/metrics"
@@ -233,7 +232,7 @@ func runOne(engine string, seed int64, prof tuning.Profile, files []*catalog.Fil
 	serveCfg serve.Config, loaders int, mixed bool) (serve.Report, *parallel.Result, float64, error) {
 	var sched exec.Scheduler
 	if engine == "des" {
-		sched = exec.NewDES(des.NewKernel(seed))
+		sched = exec.NewDES(seed)
 	} else {
 		sched = exec.NewRealtime(exec.RealtimeConfig{Seed: seed})
 	}

@@ -91,10 +91,12 @@
 // Everything above the storage engine runs against internal/exec's Scheduler
 // abstraction, which has two implementations:
 //
-//   - Deterministic DES mode (exec.NewDES): loaders, server CPUs, disks and
-//     transaction slots are processes and resources on the discrete-event
-//     kernel; at most one process runs at a time, time is virtual, and a seed
-//     fully determines the trace.  All §5 figures regenerate in this mode.
+//   - Deterministic DES mode (exec.NewDES(seed)): loaders, server CPUs, disks
+//     and transaction slots are processes and resources on the discrete-event
+//     kernel of internal/des, which only internal/exec imports; at most one
+//     process runs at a time, time is virtual, and a seed fully determines
+//     the trace.  All §5 figures regenerate in this mode, and a loader that
+//     panics fails the run instead of leaving a short figure behind.
 //
 //   - Wall-clock mode (exec.NewRealtime): every loader is a real goroutine,
 //     resources (the server's transaction slots among them) block on FIFO

@@ -14,7 +14,6 @@ import (
 
 	"skyloader/internal/catalog"
 	"skyloader/internal/core"
-	"skyloader/internal/des"
 	"skyloader/internal/exec"
 	"skyloader/internal/queries"
 	"skyloader/internal/sqlbatch"
@@ -46,7 +45,7 @@ func main() {
 	//    deterministic execution scheduler (swap exec.NewDES for
 	//    exec.NewRealtime to run the same code on real goroutines, as
 	//    skyload -wallclock does).
-	sched := exec.NewDES(des.NewKernel(1))
+	sched := exec.NewDES(1)
 	server := sqlbatch.NewServerOn(sched, db, sqlbatch.DefaultServerConfig(), sqlbatch.DefaultCostModel())
 
 	var stats core.Stats

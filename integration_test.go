@@ -12,7 +12,6 @@ import (
 
 	"skyloader/internal/catalog"
 	"skyloader/internal/core"
-	"skyloader/internal/des"
 	"skyloader/internal/exec"
 	"skyloader/internal/experiments"
 	"skyloader/internal/htm"
@@ -26,7 +25,7 @@ import (
 // newRepo builds a seeded repository and its simulated server.
 func newRepo(t *testing.T, seed int64, policy tuning.IndexPolicy) *sqlbatch.Server {
 	t.Helper()
-	kernel := des.NewKernel(seed)
+	sched := exec.NewDES(seed)
 	db, err := relstore.Open(catalog.NewSchema())
 	if err != nil {
 		t.Fatal(err)
@@ -44,7 +43,7 @@ func newRepo(t *testing.T, seed int64, policy tuning.IndexPolicy) *sqlbatch.Serv
 	if err := tuning.ApplyIndexPolicy(db, policy); err != nil {
 		t.Fatal(err)
 	}
-	return sqlbatch.NewServer(kernel, db, sqlbatch.DefaultServerConfig(), sqlbatch.DefaultCostModel())
+	return sqlbatch.NewServerOn(sched, db, sqlbatch.DefaultServerConfig(), sqlbatch.DefaultCostModel())
 }
 
 // TestEndToEndThroughFiles writes generated catalog files to disk, reads them

@@ -5,14 +5,14 @@ import (
 
 	"skyloader/internal/catalog"
 	"skyloader/internal/core"
-	"skyloader/internal/des"
+	"skyloader/internal/exec"
 	"skyloader/internal/relstore"
 	"skyloader/internal/sqlbatch"
 )
 
 func testEnv(t *testing.T) *sqlbatch.Server {
 	t.Helper()
-	k := des.NewKernel(3)
+	sched := exec.NewDES(3)
 	db := relstore.MustOpen(catalog.NewSchema())
 	txn, err := db.Begin()
 	if err != nil {
@@ -24,15 +24,15 @@ func testEnv(t *testing.T) *sqlbatch.Server {
 	if _, err := txn.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	return sqlbatch.NewServer(k, db, sqlbatch.DefaultServerConfig(), sqlbatch.DefaultCostModel())
+	return sqlbatch.NewServerOn(sched, db, sqlbatch.DefaultServerConfig(), sqlbatch.DefaultCostModel())
 }
 
 func TestNonBulkLoadsEverything(t *testing.T) {
 	srv := testEnv(t)
 	file := catalog.Generate(catalog.GenSpec{SizeMB: 2, Seed: 4, RunID: 1, IDBase: 500})
 	var stats core.Stats
-	srv.Kernel().Spawn("nonbulk", func(p *des.Proc) {
-		conn := srv.Connect(p)
+	srv.Scheduler().Spawn("nonbulk", func(w exec.Worker) {
+		conn := srv.ConnectWorker(w)
 		defer conn.Close()
 		l := NewNonBulkLoader(conn, NonBulkConfig{})
 		var err error
@@ -41,7 +41,7 @@ func TestNonBulkLoadsEverything(t *testing.T) {
 			t.Error(err)
 		}
 	})
-	srv.Kernel().Run()
+	srv.Scheduler().Run()
 	if stats.RowsLoaded != file.DataRows || stats.RowsSkipped != 0 {
 		t.Fatalf("stats: %+v (want %d loaded)", stats, file.DataRows)
 	}
@@ -60,8 +60,8 @@ func TestNonBulkSkipsBadRowsAndCommitsPeriodically(t *testing.T) {
 	srv := testEnv(t)
 	file := catalog.Generate(catalog.GenSpec{SizeMB: 2, Seed: 6, RunID: 1, IDBase: 500, ErrorRate: 0.08})
 	var stats core.Stats
-	srv.Kernel().Spawn("nonbulk", func(p *des.Proc) {
-		conn := srv.Connect(p)
+	srv.Scheduler().Spawn("nonbulk", func(w exec.Worker) {
+		conn := srv.ConnectWorker(w)
 		defer conn.Close()
 		l := NewNonBulkLoader(conn, NonBulkConfig{CommitEveryRows: 25})
 		var err error
@@ -70,7 +70,7 @@ func TestNonBulkSkipsBadRowsAndCommitsPeriodically(t *testing.T) {
 			t.Error(err)
 		}
 	})
-	srv.Kernel().Run()
+	srv.Scheduler().Run()
 	if stats.RowsLoaded+stats.RowsSkipped+stats.ParseErrors != stats.RowsRead {
 		t.Fatalf("accounting: %+v", stats)
 	}
@@ -91,8 +91,8 @@ func TestNonBulkMatchesBulkContents(t *testing.T) {
 	// Load with the bulk loader.
 	srvBulk := testEnv(t)
 	var bulkStats core.Stats
-	srvBulk.Kernel().Spawn("bulk", func(p *des.Proc) {
-		conn := srvBulk.Connect(p)
+	srvBulk.Scheduler().Spawn("bulk", func(w exec.Worker) {
+		conn := srvBulk.ConnectWorker(w)
 		defer conn.Close()
 		l, err := core.NewLoader(conn, core.DefaultConfig())
 		if err != nil {
@@ -104,13 +104,13 @@ func TestNonBulkMatchesBulkContents(t *testing.T) {
 			t.Error(err)
 		}
 	})
-	srvBulk.Kernel().Run()
+	srvBulk.Scheduler().Run()
 
 	// Load with the non-bulk loader.
 	srvNB := testEnv(t)
 	var nbStats core.Stats
-	srvNB.Kernel().Spawn("nonbulk", func(p *des.Proc) {
-		conn := srvNB.Connect(p)
+	srvNB.Scheduler().Spawn("nonbulk", func(w exec.Worker) {
+		conn := srvNB.ConnectWorker(w)
 		defer conn.Close()
 		l := NewNonBulkLoader(conn, NonBulkConfig{})
 		var err error
@@ -119,7 +119,7 @@ func TestNonBulkMatchesBulkContents(t *testing.T) {
 			t.Error(err)
 		}
 	})
-	srvNB.Kernel().Run()
+	srvNB.Scheduler().Run()
 
 	// Both must load exactly the same rows into every table.
 	if bulkStats.RowsLoaded != nbStats.RowsLoaded {
@@ -142,8 +142,8 @@ func TestTwoPhaseLoadsEverything(t *testing.T) {
 	srv := testEnv(t)
 	file := catalog.Generate(catalog.GenSpec{SizeMB: 2, Seed: 14, RunID: 1, IDBase: 500, ErrorRate: 0.03})
 	var stats core.Stats
-	srv.Kernel().Spawn("twophase", func(p *des.Proc) {
-		conn := srv.Connect(p)
+	srv.Scheduler().Spawn("twophase", func(w exec.Worker) {
+		conn := srv.ConnectWorker(w)
 		defer conn.Close()
 		l, err := NewTwoPhaseLoader(conn)
 		if err != nil {
@@ -155,7 +155,7 @@ func TestTwoPhaseLoadsEverything(t *testing.T) {
 			t.Error(err)
 		}
 	})
-	srv.Kernel().Run()
+	srv.Scheduler().Run()
 	if stats.RowsLoaded == 0 {
 		t.Fatal("nothing loaded")
 	}
@@ -177,26 +177,26 @@ func TestTwoPhaseMatchesBulkRowCounts(t *testing.T) {
 	file := catalog.Generate(catalog.GenSpec{SizeMB: 2, Seed: 15, RunID: 1, IDBase: 500})
 
 	srvBulk := testEnv(t)
-	srvBulk.Kernel().Spawn("bulk", func(p *des.Proc) {
-		conn := srvBulk.Connect(p)
+	srvBulk.Scheduler().Spawn("bulk", func(w exec.Worker) {
+		conn := srvBulk.ConnectWorker(w)
 		defer conn.Close()
 		l, _ := core.NewLoader(conn, core.DefaultConfig())
 		if _, err := l.LoadFiles([]*catalog.File{file}); err != nil {
 			t.Error(err)
 		}
 	})
-	srvBulk.Kernel().Run()
+	srvBulk.Scheduler().Run()
 
 	srvTP := testEnv(t)
-	srvTP.Kernel().Spawn("twophase", func(p *des.Proc) {
-		conn := srvTP.Connect(p)
+	srvTP.Scheduler().Spawn("twophase", func(w exec.Worker) {
+		conn := srvTP.ConnectWorker(w)
 		defer conn.Close()
 		l, _ := NewTwoPhaseLoader(conn)
 		if _, err := l.LoadFiles([]*catalog.File{file}); err != nil {
 			t.Error(err)
 		}
 	})
-	srvTP.Kernel().Run()
+	srvTP.Scheduler().Run()
 
 	for _, table := range catalog.CatalogTables() {
 		a, _ := srvBulk.DB().Count(table)
@@ -215,8 +215,8 @@ func TestTwoPhaseChunking(t *testing.T) {
 		catalog.Generate(catalog.GenSpec{SizeMB: 1, Seed: 22, RunID: 1, IDBase: 3_000_000}),
 	}
 	var stats core.Stats
-	srv.Kernel().Spawn("twophase", func(p *des.Proc) {
-		conn := srv.Connect(p)
+	srv.Scheduler().Spawn("twophase", func(w exec.Worker) {
+		conn := srv.ConnectWorker(w)
 		defer conn.Close()
 		l, err := NewTwoPhaseLoader(conn)
 		if err != nil {
@@ -229,7 +229,7 @@ func TestTwoPhaseChunking(t *testing.T) {
 			t.Error(err)
 		}
 	})
-	srv.Kernel().Run()
+	srv.Scheduler().Run()
 	want := 0
 	for _, f := range files {
 		want += f.DataRows

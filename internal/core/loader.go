@@ -192,7 +192,7 @@ func (l *Loader) Config() Config { return l.cfg }
 // LoadFiles loads the given catalog files sequentially and returns the
 // accumulated statistics.  Elapsed time covers the whole call.  Closing the
 // engine's load phase is not the loader's job: one coordinator seals once
-// every loader is done (parallel.Config.SealAfterLoad, or DB/Conn.Seal).
+// every loader is done (parallel.Config.SealAfterLoad, or DB/Server.Seal).
 func (l *Loader) LoadFiles(files []*catalog.File) (Stats, error) {
 	start := l.conn.Worker().Now()
 	for _, f := range files {

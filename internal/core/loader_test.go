@@ -7,16 +7,16 @@ import (
 	"testing/quick"
 
 	"skyloader/internal/catalog"
-	"skyloader/internal/des"
+	"skyloader/internal/exec"
 	"skyloader/internal/relstore"
 	"skyloader/internal/sqlbatch"
 	"skyloader/internal/tuning"
 )
 
-// testEnv builds a kernel, a seeded repository database and a server.
-func testEnv(t *testing.T) (*des.Kernel, *sqlbatch.Server) {
+// testEnv builds a seeded repository database and a server for it on a DES
+// scheduler.
+func testEnv(t *testing.T) *sqlbatch.Server {
 	t.Helper()
-	k := des.NewKernel(7)
 	db := relstore.MustOpen(catalog.NewSchema())
 	txn, err := db.Begin()
 	if err != nil {
@@ -28,7 +28,7 @@ func testEnv(t *testing.T) (*des.Kernel, *sqlbatch.Server) {
 	if _, err := txn.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	return k, sqlbatch.NewServer(k, db, sqlbatch.DefaultServerConfig(), sqlbatch.DefaultCostModel())
+	return sqlbatch.NewServerOn(exec.NewDES(7), db, sqlbatch.DefaultServerConfig(), sqlbatch.DefaultCostModel())
 }
 
 // loadWith runs a loader with the given config over the file and returns its
@@ -36,8 +36,8 @@ func testEnv(t *testing.T) (*des.Kernel, *sqlbatch.Server) {
 func loadWith(t *testing.T, srv *sqlbatch.Server, file *catalog.File, cfg Config) Stats {
 	t.Helper()
 	var stats Stats
-	srv.Kernel().Spawn("loader", func(p *des.Proc) {
-		conn := srv.Connect(p)
+	srv.Scheduler().Spawn("loader", func(w exec.Worker) {
+		conn := srv.ConnectWorker(w)
 		defer conn.Close()
 		loader, err := NewLoader(conn, cfg)
 		if err != nil {
@@ -49,13 +49,12 @@ func loadWith(t *testing.T, srv *sqlbatch.Server, file *catalog.File, cfg Config
 			t.Error(err)
 		}
 	})
-	srv.Kernel().Run()
+	srv.Scheduler().Run()
 	return stats
 }
 
 func TestLoadCleanFile(t *testing.T) {
-	k, srv := testEnv(t)
-	_ = k
+	srv := testEnv(t)
 	file := catalog.Generate(catalog.GenSpec{SizeMB: 3, Seed: 5, RunID: 1, IDBase: 1000})
 	stats := loadWith(t, srv, file, DefaultConfig())
 
@@ -103,7 +102,7 @@ func TestLoadCleanFile(t *testing.T) {
 }
 
 func TestLoadFileWithErrorsSkipsOnlyBadRows(t *testing.T) {
-	_, srv := testEnv(t)
+	srv := testEnv(t)
 	file := catalog.Generate(catalog.GenSpec{SizeMB: 4, Seed: 11, RunID: 1, IDBase: 1000, ErrorRate: 0.05})
 	if file.TotalInjectedErrors() == 0 {
 		t.Fatal("generator injected no errors")
@@ -146,7 +145,7 @@ func TestLoadFileWithErrorsSkipsOnlyBadRows(t *testing.T) {
 // way through an array must cause exactly that row to be skipped while every
 // other row is loaded, with the batch repacked after the failure.
 func TestBatchRowErrorRecovery(t *testing.T) {
-	_, srv := testEnv(t)
+	srv := testEnv(t)
 
 	// Build a file by hand: 1 observation, 1 ccd, 1 frame and 100 objects
 	// where object #45 duplicates the primary key of object #3.
@@ -238,7 +237,7 @@ func TestNonFiniteFieldIsARejectedRow(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		srv := sqlbatch.NewServer(des.NewKernel(7), db, sqlbatch.DefaultServerConfig(), sqlbatch.DefaultCostModel())
+		srv := sqlbatch.NewServerOn(exec.NewDES(7), db, sqlbatch.DefaultServerConfig(), sqlbatch.DefaultCostModel())
 		file := &catalog.File{Name: "nonfinite.cat", Records: recs, NominalBytes: 1 << 20, DataRows: len(recs), RowsByTable: map[string]int{}}
 		stats := loadWith(t, srv, file, DefaultConfig())
 		if policy == relstore.IndexDeferred {
@@ -262,7 +261,7 @@ func TestNonFiniteFieldIsARejectedRow(t *testing.T) {
 }
 
 func TestCommitEveryBatches(t *testing.T) {
-	_, srv := testEnv(t)
+	srv := testEnv(t)
 	file := catalog.Generate(catalog.GenSpec{SizeMB: 2, Seed: 9, RunID: 1, IDBase: 1000})
 	cfg := DefaultConfig()
 	cfg.CommitEveryBatches = 2
@@ -279,7 +278,7 @@ func TestCommitEveryBatches(t *testing.T) {
 }
 
 func TestProvenanceRecording(t *testing.T) {
-	_, srv := testEnv(t)
+	srv := testEnv(t)
 	file := catalog.Generate(catalog.GenSpec{SizeMB: 2, Seed: 13, RunID: 1, IDBase: 1000, ErrorRate: 0.05})
 	cfg := DefaultConfig()
 	cfg.RecordProvenance = true
@@ -336,7 +335,7 @@ func TestRowAccountingProperty(t *testing.T) {
 	f := func(seed int64, errPct, batchRaw uint8) bool {
 		errorRate := float64(errPct%20) / 100.0
 		batch := int(batchRaw%60) + 5
-		_, srv := testEnvQuiet()
+		srv := testEnvQuiet()
 		file := catalog.Generate(catalog.GenSpec{
 			SizeMB: 1.5, Seed: seed, RunID: 1, IDBase: 1000, ErrorRate: errorRate,
 		})
@@ -344,8 +343,8 @@ func TestRowAccountingProperty(t *testing.T) {
 		cfg.BatchSize = batch
 		var stats Stats
 		var loadErr error
-		srv.Kernel().Spawn("loader", func(p *des.Proc) {
-			conn := srv.Connect(p)
+		srv.Scheduler().Spawn("loader", func(w exec.Worker) {
+			conn := srv.ConnectWorker(w)
 			defer conn.Close()
 			loader, err := NewLoader(conn, cfg)
 			if err != nil {
@@ -354,7 +353,7 @@ func TestRowAccountingProperty(t *testing.T) {
 			}
 			stats, loadErr = loader.LoadFiles([]*catalog.File{file})
 		})
-		srv.Kernel().Run()
+		srv.Scheduler().Run()
 		if loadErr != nil {
 			return false
 		}
@@ -381,13 +380,13 @@ func TestRowAccountingProperty(t *testing.T) {
 }
 
 // testEnvQuiet is testEnv without the testing.T plumbing, for property tests.
-func testEnvQuiet() (*des.Kernel, *sqlbatch.Server) {
-	k := des.NewKernel(7)
+func testEnvQuiet() *sqlbatch.Server {
+	sched := exec.NewDES(7)
 	db := relstore.MustOpen(catalog.NewSchema())
 	txn, _ := db.Begin()
 	_ = catalog.SeedReference(txn, 8)
 	_, _ = txn.Commit()
-	return k, sqlbatch.NewServer(k, db, sqlbatch.DefaultServerConfig(), sqlbatch.DefaultCostModel())
+	return sqlbatch.NewServerOn(sched, db, sqlbatch.DefaultServerConfig(), sqlbatch.DefaultCostModel())
 }
 
 // TestRebindServesTheNextConnection: a loader moved to a second connection
@@ -396,7 +395,7 @@ func testEnvQuiet() (*des.Kernel, *sqlbatch.Server) {
 // value of the file it finished, so keeping a loader does not pin a file's
 // text (the array-set clears what it recycles: arrayset.TestRecycleReusesBuffers).
 func TestRebindServesTheNextConnection(t *testing.T) {
-	_, srv := testEnv(t)
+	srv := testEnv(t)
 	first := catalog.Generate(catalog.GenSpec{Name: "first.cat", SizeMB: 3, Seed: 5, ErrorRate: 0.02, RunID: 1, IDBase: 1000})
 	second := catalog.Generate(catalog.GenSpec{Name: "second.cat", SizeMB: 2, Seed: 6, RunID: 1, IDBase: 500_000})
 	cfg := DefaultConfig()
@@ -404,8 +403,8 @@ func TestRebindServesTheNextConnection(t *testing.T) {
 	var loader *Loader
 	var firstStats Stats
 	load := func(f *catalog.File) {
-		srv.Kernel().Spawn("loader-"+f.Name, func(p *des.Proc) {
-			conn := srv.Connect(p)
+		srv.Scheduler().Spawn("loader-"+f.Name, func(w exec.Worker) {
+			conn := srv.ConnectWorker(w)
 			defer conn.Close()
 			if loader == nil {
 				var err error
@@ -420,7 +419,7 @@ func TestRebindServesTheNextConnection(t *testing.T) {
 				t.Error(err)
 			}
 		})
-		srv.Kernel().Run()
+		srv.Scheduler().Run()
 		if t.Failed() {
 			t.FailNow()
 		}

@@ -1,6 +1,8 @@
 package des
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -174,13 +176,31 @@ func TestResourceUse(t *testing.T) {
 	}
 }
 
+// runPanics runs k and returns the panic Run re-raised, failing t if it
+// returned normally.
+func runPanics(t *testing.T, k *Kernel) (msg string) {
+	t.Helper()
+	defer func() {
+		r := recover()
+		if r == nil {
+			t.Fatal("Run returned normally; want it to re-raise the process panic")
+		}
+		msg = fmt.Sprint(r)
+	}()
+	k.Run()
+	return ""
+}
+
 func TestAcquireMoreThanCapacityPanics(t *testing.T) {
 	k := NewKernel(1)
 	res := NewResource(k, "r", 1)
 	p := k.Spawn("p", func(p *Proc) { res.Acquire(p, 2) })
-	k.Run()
-	if p.Err() == nil {
-		t.Fatal("expected the process to record a panic error")
+	msg := runPanics(t, k)
+	if !strings.Contains(msg, `des: process "p" panicked: `) || !strings.Contains(msg, "capacity") {
+		t.Fatalf("panic message %q does not name the process and the over-acquire", msg)
+	}
+	if !p.Finished() {
+		t.Fatal("panicked process should be marked finished")
 	}
 }
 
@@ -238,15 +258,23 @@ func TestSpawnAt(t *testing.T) {
 	}
 }
 
+// TestProcPanicIsCaptured: a panic after the process has parked once reaches
+// Run's caller, with the process's name, the value and the panic's stack.
 func TestProcPanicIsCaptured(t *testing.T) {
 	k := NewKernel(1)
 	p := k.Spawn("bad", func(p *Proc) {
 		p.Hold(time.Second)
 		panic("boom")
 	})
-	k.Run()
-	if p.Err() == nil {
-		t.Fatal("panic was not captured")
+	msg := runPanics(t, k)
+	if !strings.HasPrefix(msg, `des: process "bad" panicked: boom`) {
+		t.Fatalf("panic message %q", msg)
+	}
+	if !strings.Contains(msg, "TestProcPanicIsCaptured") {
+		t.Fatalf("panic message carries no stack of the process body:\n%s", msg)
+	}
+	if p.FinishedAt() != time.Second {
+		t.Fatalf("finished at %v, want 1s", p.FinishedAt())
 	}
 	if !p.Finished() {
 		t.Fatal("panicked process should be marked finished")

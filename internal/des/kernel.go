@@ -8,17 +8,19 @@
 // may freely share data structures without additional synchronization as long
 // as they only touch them from inside their process body.
 //
-// The package provides the building blocks used throughout this repository to
-// model the Palomar-Quest loading environment: loader processes on cluster
-// nodes, the database server's CPUs, its disks and its transaction-slot limit
-// are all expressed as processes and resources on a single kernel, which
-// makes every timed experiment deterministic and repeatable.
+// The package is the implementation of internal/exec's deterministic
+// scheduler (exec.NewDES), the only way the rest of the repository reaches
+// it: loader processes on cluster nodes, the database server's CPUs, its
+// disks and its transaction-slot limit are all expressed as processes and
+// resources on a single kernel, which makes every timed experiment
+// deterministic and repeatable.
 package des
 
 import (
 	"container/heap"
 	"fmt"
 	"math/rand"
+	"runtime/debug"
 	"time"
 )
 
@@ -65,6 +67,11 @@ type Kernel struct {
 	// parked receives a signal whenever the currently running process
 	// yields control back to the kernel (by blocking or finishing).
 	parked chan struct{}
+
+	// failure is the message of a process panic, set by the process's
+	// goroutine and re-raised by RunUntil once the event that resumed the
+	// process returns.
+	failure string
 }
 
 // NewKernel returns a kernel whose random source is seeded with seed.
@@ -114,13 +121,15 @@ func (k *Kernel) SpawnAt(d time.Duration, name string, fn func(*Proc)) *Proc {
 	return p
 }
 
-// startProc launches the process goroutine and waits for it to yield.
+// startProc launches the process goroutine and waits for it to yield.  A
+// panic in the body is recorded on the kernel with its stack, and the
+// process finishes as if it had returned; RunUntil re-raises it.
 func (k *Kernel) startProc(p *Proc, fn func(*Proc)) {
 	p.startedAt = k.now
 	go func() {
 		defer func() {
 			if r := recover(); r != nil {
-				p.err = fmt.Errorf("process %q panicked: %v", p.name, r)
+				k.failure = fmt.Sprintf("des: process %q panicked: %v\n\n%s", p.name, r, debug.Stack())
 			}
 			p.finished = true
 			p.finishedAt = k.now
@@ -142,7 +151,7 @@ func (k *Kernel) resumeProc(p *Proc) {
 
 // Run executes events until the event heap is empty.  It returns the final
 // virtual time.  Processes still blocked on resources when the heap drains are
-// left parked; they can be inspected with Stuck.
+// left parked.
 func (k *Kernel) Run() time.Duration {
 	return k.RunUntil(-1)
 }
@@ -150,6 +159,12 @@ func (k *Kernel) Run() time.Duration {
 // RunUntil executes events until the heap is empty or the next event would be
 // scheduled after limit (limit < 0 means no limit).  It returns the final
 // virtual time.
+//
+// A process that panics fails the run: RunUntil panics on its caller's
+// goroutine, naming the process and carrying its stack, as soon as the event
+// that started or resumed the process returns.  Processes resume only from
+// events, so no panic is lost.  A kernel that re-raised a panic is left
+// mid-run (other processes stay parked) and must not be run again.
 func (k *Kernel) RunUntil(limit time.Duration) time.Duration {
 	if k.running {
 		panic("des: Run called reentrantly")
@@ -166,6 +181,9 @@ func (k *Kernel) RunUntil(limit time.Duration) time.Duration {
 			k.now = e.at
 		}
 		e.fn()
+		if k.failure != "" {
+			panic(k.failure)
+		}
 	}
 	return k.now
 }

@@ -20,8 +20,6 @@ type Proc struct {
 	finished   bool
 	startedAt  time.Duration
 	finishedAt time.Duration
-
-	err error
 }
 
 // Name returns the process name given at spawn time.
@@ -35,10 +33,6 @@ func (p *Proc) Kernel() *Kernel { return p.k }
 
 // Now returns the current virtual time.
 func (p *Proc) Now() time.Duration { return p.k.now }
-
-// Err returns the panic error, if any, captured when the process body
-// terminated abnormally.
-func (p *Proc) Err() error { return p.err }
 
 // Finished reports whether the process body has returned.
 func (p *Proc) Finished() bool { return p.finished }

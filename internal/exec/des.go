@@ -7,11 +7,13 @@ import (
 	"skyloader/internal/des"
 )
 
-// NewDES wraps a discrete-event kernel in the Scheduler interface.  The
-// adapter delegates directly: spawn order, event ordering and random draws
-// are exactly those of the underlying kernel, so simulations driven through
-// the abstraction reproduce pre-abstraction traces bit for bit.
-func NewDES(k *des.Kernel) Scheduler { return &desScheduler{k: k} }
+// NewDES returns a Scheduler on a fresh discrete-event kernel whose random
+// source is seeded with seed.  The adapter delegates directly: spawn order,
+// event ordering and random draws are exactly those of the kernel, so the
+// same seed always reproduces the same trace.  Run re-raises a worker's
+// panic on its caller's goroutine; a scheduler whose Run panicked must not
+// be run again.
+func NewDES(seed int64) Scheduler { return &desScheduler{k: des.NewKernel(seed)} }
 
 type desScheduler struct {
 	k *des.Kernel
@@ -52,24 +54,6 @@ func (s *desScheduler) forkJoin(w Worker, names []string, fn func(Worker, int)) 
 	}
 }
 
-// Kernel returns the wrapped kernel (used by callers that drive the kernel
-// directly, e.g. experiments that schedule bare events).
-func (s *desScheduler) Kernel() *des.Kernel { return s.k }
-
-// KernelOf returns the DES kernel behind a scheduler, or nil when the
-// scheduler is not DES-backed.
-func KernelOf(s Scheduler) *des.Kernel {
-	if ds, ok := s.(interface{ Kernel() *des.Kernel }); ok {
-		return ds.Kernel()
-	}
-	return nil
-}
-
-// WorkerForProc wraps an existing simulation process in the Worker interface
-// so code that spawns processes directly on a kernel can still talk to
-// exec-based layers.
-func WorkerForProc(p *des.Proc) Worker { return &desWorker{p: p} }
-
 type desWorker struct {
 	p *des.Proc
 }
@@ -77,16 +61,6 @@ type desWorker struct {
 func (w *desWorker) Name() string          { return w.p.Name() }
 func (w *desWorker) Now() time.Duration    { return w.p.Now() }
 func (w *desWorker) Sleep(d time.Duration) { w.p.Hold(d) }
-func (w *desWorker) Proc() *des.Proc       { return w.p }
-
-// ProcOf returns the simulation process behind a worker, or nil when the
-// worker is not DES-backed.
-func ProcOf(w Worker) *des.Proc {
-	if dw, ok := w.(interface{ Proc() *des.Proc }); ok {
-		return dw.Proc()
-	}
-	return nil
-}
 
 type desResource struct {
 	r *des.Resource
@@ -119,10 +93,12 @@ func (r *desResource) Stats() ResourceStats {
 	}
 }
 
+// mustProc returns the simulation process behind w, which must be a worker
+// of a DES scheduler.
 func mustProc(w Worker, resource string) *des.Proc {
-	p := ProcOf(w)
-	if p == nil {
+	dw, ok := w.(*desWorker)
+	if !ok {
 		panic(fmt.Sprintf("exec: DES resource %q used with non-DES worker %q", resource, w.Name()))
 	}
-	return p
+	return dw.p
 }

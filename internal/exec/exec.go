@@ -11,10 +11,11 @@
 //
 // Two implementations exist:
 //
-//   - NewDES wraps the deterministic discrete-event kernel of internal/des.
-//     At most one worker runs at any instant, time is virtual, and a given
-//     seed always reproduces the same trace — this is the mode every §5
-//     figure of the paper is regenerated in.
+//   - NewDES(seed) runs on the deterministic discrete-event kernel of
+//     internal/des, which is this package's implementation: nothing else
+//     outside tests imports it.  At most one worker runs at any instant,
+//     time is virtual, and a given seed always reproduces the same trace —
+//     this is the mode every §5 figure of the paper is regenerated in.
 //
 //   - NewRealtime runs every worker as a plain goroutine with wall-clock
 //     timing and sync.Mutex/sync.Cond-backed resources.  Loaders really run
@@ -24,7 +25,10 @@
 // The contract shared by both: a worker must only be used by the goroutine
 // the scheduler started for it, Resource.Acquire blocks the calling worker
 // until the units are granted, and Run returns once all spawned workers have
-// finished.
+// finished.  A worker that panics fails the run on both engines: the DES
+// kernel re-raises the panic, naming the worker, from Run on its caller's
+// goroutine; in realtime mode it is an unrecovered goroutine panic and ends
+// the program.
 package exec
 
 import "time"

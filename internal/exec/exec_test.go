@@ -2,20 +2,18 @@ package exec
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"skyloader/internal/des"
 )
 
 // TestDESAdapterDeterminism pins that driving the kernel through the
 // abstraction reproduces the same virtual trace run after run.
 func TestDESAdapterDeterminism(t *testing.T) {
 	trace := func() string {
-		k := des.NewKernel(42)
-		s := NewDES(k)
+		s := NewDES(42)
 		if !s.Deterministic() {
 			t.Fatal("DES scheduler must report Deterministic")
 		}
@@ -42,29 +40,26 @@ func TestDESAdapterDeterminism(t *testing.T) {
 	}
 }
 
-func TestKernelOfAndProcOf(t *testing.T) {
-	k := des.NewKernel(1)
-	s := NewDES(k)
-	if KernelOf(s) != k {
-		t.Fatal("KernelOf should return the wrapped kernel")
-	}
-	s.Spawn("w", func(w Worker) {
-		if ProcOf(w) == nil {
-			t.Error("ProcOf should return the wrapped proc")
-		}
+// TestDESWorkerPanicFailsRun: a worker that parks and then panics makes the
+// DES scheduler's Run panic on the caller's goroutine, naming the worker.
+func TestDESWorkerPanicFailsRun(t *testing.T) {
+	s := NewDES(1)
+	s.Spawn("healthy", func(w Worker) { w.Sleep(time.Second) })
+	s.Spawn("doomed-loader", func(w Worker) {
+		w.Sleep(time.Millisecond)
+		panic("disk on fire")
 	})
+	defer func() {
+		r := recover()
+		if r == nil {
+			t.Fatal("Run returned normally after a worker panicked")
+		}
+		msg := fmt.Sprint(r)
+		if !strings.Contains(msg, `"doomed-loader" panicked: disk on fire`) {
+			t.Fatalf("Run panicked with %q, want the worker's name and value", msg)
+		}
+	}()
 	s.Run()
-
-	rt := NewRealtime(RealtimeConfig{})
-	if KernelOf(rt) != nil {
-		t.Fatal("KernelOf on realtime scheduler should be nil")
-	}
-	rt.Spawn("w", func(w Worker) {
-		if ProcOf(w) != nil {
-			t.Error("ProcOf on realtime worker should be nil")
-		}
-	})
-	rt.Run()
 }
 
 // TestRealtimeResourceCapacity hammers a realtime resource from many
@@ -218,7 +213,7 @@ func TestRealtimeSpawnAt(t *testing.T) {
 // and runs a lone branch on the caller's own worker.
 func TestFanoutBothEngines(t *testing.T) {
 	for name, s := range map[string]Scheduler{
-		"des":      NewDES(des.NewKernel(1)),
+		"des":      NewDES(1),
 		"realtime": NewRealtime(RealtimeConfig{}),
 	} {
 		t.Run(name, func(t *testing.T) {

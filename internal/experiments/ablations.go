@@ -6,7 +6,7 @@ import (
 	"skyloader/internal/baseline"
 	"skyloader/internal/catalog"
 	"skyloader/internal/core"
-	"skyloader/internal/des"
+	"skyloader/internal/exec"
 	"skyloader/internal/metrics"
 	"skyloader/internal/parallel"
 	"skyloader/internal/sqlbatch"
@@ -217,8 +217,8 @@ func runTwoPhase(env *Env, sizeMB float64, cfg Config, seed int64) (core.Stats, 
 	})
 	var stats core.Stats
 	var runErr error
-	env.Kernel.Spawn("two-phase-loader", func(p *des.Proc) {
-		conn := env.Server.Connect(p)
+	env.Sched.Spawn("two-phase-loader", func(w exec.Worker) {
+		conn := env.Server.ConnectWorker(w)
 		defer conn.Close()
 		tp, err := baseline.NewTwoPhaseLoader(conn)
 		if err != nil {
@@ -227,7 +227,7 @@ func runTwoPhase(env *Env, sizeMB float64, cfg Config, seed int64) (core.Stats, 
 		}
 		stats, runErr = tp.LoadFiles([]*catalog.File{file})
 	})
-	env.Kernel.Run()
+	env.Sched.Run()
 	return stats, runErr
 }
 

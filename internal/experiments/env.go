@@ -13,7 +13,6 @@ import (
 	"skyloader/internal/baseline"
 	"skyloader/internal/catalog"
 	"skyloader/internal/core"
-	"skyloader/internal/des"
 	"skyloader/internal/exec"
 	"skyloader/internal/relstore"
 	"skyloader/internal/sqlbatch"
@@ -51,11 +50,10 @@ func (c Config) withDefaults() Config {
 
 // Env is one simulated loading environment: a fresh repository database with
 // reference data seeded, hosted by a simulated server on a dedicated DES
-// kernel.  Each experimental point gets its own Env so measurements are
+// scheduler.  Each experimental point gets its own Env so measurements are
 // independent, as the paper's "tests were performed on an empty database
 // unless otherwise noted".
 type Env struct {
-	Kernel *des.Kernel
 	// Sched is the DES kernel behind the execution abstraction; every
 	// experiment runs deterministically on it (wall-clock mode exists for
 	// real loads, not for figure regeneration).
@@ -76,14 +74,13 @@ func NewEnv(opt EnvOptions) (*Env, error) {
 	if opt.ServerConfig == (sqlbatch.ServerConfig{}) {
 		opt.ServerConfig = sqlbatch.DefaultServerConfig()
 	}
-	kernel := des.NewKernel(opt.Seed)
 	db, err := tuning.OpenRepository(opt.IndexPolicy)
 	if err != nil {
 		return nil, err
 	}
-	sched := exec.NewDES(kernel)
+	sched := exec.NewDES(opt.Seed)
 	server := sqlbatch.NewServerOn(sched, db, opt.ServerConfig, sqlbatch.DefaultCostModel())
-	return &Env{Kernel: kernel, Sched: sched, DB: db, Server: server}, nil
+	return &Env{Sched: sched, DB: db, Server: server}, nil
 }
 
 // SingleLoadSpec describes one single-process load measurement.

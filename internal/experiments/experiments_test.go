@@ -34,7 +34,7 @@ func TestNewEnvSeedsReferenceData(t *testing.T) {
 	if len(env.DB.AllIndexes()) != 1 {
 		t.Fatal("index policy not applied")
 	}
-	if env.Server == nil || env.Kernel == nil {
+	if env.Server == nil || env.Sched == nil {
 		t.Fatal("environment incomplete")
 	}
 }

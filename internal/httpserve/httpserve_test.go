@@ -9,7 +9,6 @@ import (
 
 	"skyloader/internal/catalog"
 	"skyloader/internal/core"
-	"skyloader/internal/des"
 	"skyloader/internal/exec"
 	"skyloader/internal/parallel"
 	"skyloader/internal/queries"
@@ -199,7 +198,7 @@ func TestHealthzGatedOnLoadPhase(t *testing.T) {
 }
 
 func TestDESSchedulerRejected(t *testing.T) {
-	sched := exec.NewDES(des.NewKernel(5))
+	sched := exec.NewDES(5)
 	db := relstore.MustOpen(catalog.NewSchema())
 	if _, err := New(serve.NewServer(sched, db, serve.DefaultConfig()), Config{}); err == nil {
 		t.Error("New accepted a DES scheduler; sockets need wall-clock workers")

@@ -205,8 +205,9 @@ func formatSeconds(d time.Duration) string {
 
 // PromValid is a structural validity check over an exposition payload; the
 // scrape smokes and tests share it so "parseable Prometheus text" means the
-// same thing everywhere.  It verifies for every metric family: a # TYPE
-// line precedes its samples, sample lines parse, histogram buckets are
+// same thing everywhere.  It verifies for every metric family: exactly one
+// # TYPE line, preceding its samples; its lines form one group, not split by
+// another family's; sample lines parse; histogram buckets are
 // cumulative-monotone ending in le="+Inf", and _count equals the +Inf
 // bucket.  It returns the set of metric family names seen.
 func PromValid(payload string) (map[string]bool, error) {
@@ -221,6 +222,14 @@ func PromValid(payload string) (map[string]bool, error) {
 		baseSet bool
 	}
 	hists := make(map[string]*histState) // keyed by family+rendered labels (minus le)
+	current := ""                        // the family whose lines are being read
+	ended := make(map[string]bool)       // families another family's lines followed
+	enter := func(family string) {
+		if family != current {
+			ended[current] = true
+			current = family
+		}
+	}
 	lineNo := 0
 	for _, line := range strings.Split(payload, "\n") {
 		lineNo++
@@ -230,6 +239,10 @@ func PromValid(payload string) (map[string]bool, error) {
 		if strings.HasPrefix(line, "#") {
 			fields := strings.Fields(line)
 			if len(fields) >= 4 && fields[1] == "TYPE" {
+				if _, dup := typed[fields[2]]; dup {
+					return nil, fmt.Errorf("line %d: second # TYPE for %s", lineNo, fields[2])
+				}
+				enter(fields[2])
 				typed[fields[2]] = fields[3]
 				families[fields[2]] = true
 			}
@@ -250,6 +263,10 @@ func PromValid(payload string) (map[string]bool, error) {
 		if _, ok := typed[family]; !ok {
 			return nil, fmt.Errorf("line %d: sample %q has no preceding # TYPE", lineNo, name)
 		}
+		if ended[family] {
+			return nil, fmt.Errorf("line %d: sample %q of %s after another family's lines", lineNo, name, family)
+		}
+		enter(family)
 		families[family] = true
 		if typed[family] != "histogram" {
 			continue

@@ -86,6 +86,8 @@ func TestPromValidRejects(t *testing.T) {
 		"missing +Inf": "# HELP h h\n# TYPE h histogram\n" +
 			"h_bucket{le=\"0.1\"} 5\nh_sum 1\nh_count 5\n",
 		"garbage value": "# HELP c c\n# TYPE c counter\nc zork\n",
+		"second TYPE":   "# TYPE c counter\nc 1\n# TYPE c gauge\nc 2\n",
+		"split family":  "# TYPE c counter\nc{a=\"1\"} 1\n# TYPE g gauge\ng 1\nc{a=\"2\"} 2\n",
 	}
 	for name, payload := range cases {
 		if _, err := PromValid(payload); err == nil {

@@ -5,14 +5,14 @@ import (
 
 	"skyloader/internal/catalog"
 	"skyloader/internal/core"
-	"skyloader/internal/des"
+	"skyloader/internal/exec"
 	"skyloader/internal/relstore"
 	"skyloader/internal/sqlbatch"
 )
 
 func testServer(t *testing.T) *sqlbatch.Server {
 	t.Helper()
-	k := des.NewKernel(5)
+	sched := exec.NewDES(5)
 	db := relstore.MustOpen(catalog.NewSchema())
 	txn, err := db.Begin()
 	if err != nil {
@@ -24,7 +24,7 @@ func testServer(t *testing.T) *sqlbatch.Server {
 	if _, err := txn.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	return sqlbatch.NewServer(k, db, sqlbatch.DefaultServerConfig(), sqlbatch.DefaultCostModel())
+	return sqlbatch.NewServerOn(sched, db, sqlbatch.DefaultServerConfig(), sqlbatch.DefaultCostModel())
 }
 
 func testNight(totalMB float64, files int) []*catalog.File {

@@ -7,7 +7,7 @@ import (
 
 	"skyloader/internal/catalog"
 	"skyloader/internal/core"
-	"skyloader/internal/des"
+	"skyloader/internal/exec"
 	"skyloader/internal/relstore"
 	"skyloader/internal/sqlbatch"
 	"skyloader/internal/tuning"
@@ -17,7 +17,7 @@ import (
 // Figure 8 indices under the given build policy.
 func testServerWithIndexes(t *testing.T, seed int64, build relstore.IndexPolicy) *sqlbatch.Server {
 	t.Helper()
-	k := des.NewKernel(seed)
+	sched := exec.NewDES(seed)
 	db := relstore.MustOpen(catalog.NewSchema(), relstore.WithIndexPolicy(build))
 	txn, err := db.Begin()
 	if err != nil {
@@ -32,7 +32,7 @@ func testServerWithIndexes(t *testing.T, seed int64, build relstore.IndexPolicy)
 	if err := tuning.ApplyIndexPolicyWith(db, tuning.HTMIDPlusComposite, build); err != nil {
 		t.Fatal(err)
 	}
-	return sqlbatch.NewServer(k, db, sqlbatch.DefaultServerConfig(), sqlbatch.DefaultCostModel())
+	return sqlbatch.NewServerOn(sched, db, sqlbatch.DefaultServerConfig(), sqlbatch.DefaultCostModel())
 }
 
 // dumpIndex renders one index's full contents (key order and row-id order).

@@ -6,7 +6,7 @@ import (
 
 	"skyloader/internal/catalog"
 	"skyloader/internal/core"
-	"skyloader/internal/des"
+	"skyloader/internal/exec"
 	"skyloader/internal/htm"
 	"skyloader/internal/relstore"
 	"skyloader/internal/sqlbatch"
@@ -17,7 +17,7 @@ import (
 // the given index policy and returns the database.
 func loadedRepo(t *testing.T, policy tuning.IndexPolicy) *relstore.DB {
 	t.Helper()
-	kernel := des.NewKernel(2)
+	sched := exec.NewDES(2)
 	db := relstore.MustOpen(catalog.NewSchema())
 	txn, err := db.Begin()
 	if err != nil {
@@ -32,10 +32,10 @@ func loadedRepo(t *testing.T, policy tuning.IndexPolicy) *relstore.DB {
 	if err := tuning.ApplyIndexPolicy(db, policy); err != nil {
 		t.Fatal(err)
 	}
-	server := sqlbatch.NewServer(kernel, db, sqlbatch.DefaultServerConfig(), sqlbatch.DefaultCostModel())
+	server := sqlbatch.NewServerOn(sched, db, sqlbatch.DefaultServerConfig(), sqlbatch.DefaultCostModel())
 	file := catalog.Generate(catalog.GenSpec{SizeMB: 6, RowsPerMB: 80, Seed: 33, RunID: 1, IDBase: 1000})
-	kernel.Spawn("loader", func(p *des.Proc) {
-		conn := server.Connect(p)
+	sched.Spawn("loader", func(w exec.Worker) {
+		conn := server.ConnectWorker(w)
 		defer conn.Close()
 		loader, err := core.NewLoader(conn, core.DefaultConfig())
 		if err != nil {
@@ -46,7 +46,7 @@ func loadedRepo(t *testing.T, policy tuning.IndexPolicy) *relstore.DB {
 			t.Error(err)
 		}
 	})
-	kernel.Run()
+	sched.Run()
 	return db
 }
 

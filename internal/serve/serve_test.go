@@ -10,7 +10,6 @@ import (
 
 	"skyloader/internal/catalog"
 	"skyloader/internal/core"
-	"skyloader/internal/des"
 	"skyloader/internal/exec"
 	"skyloader/internal/parallel"
 	"skyloader/internal/queries"
@@ -83,7 +82,7 @@ func testTrace(n int, seed int64) []Request {
 
 func TestServeOnDESIsDeterministic(t *testing.T) {
 	run := func() Report {
-		env := newServeEnv(t, exec.NewDES(des.NewKernel(5)), tuning.HTMIDOnly, DefaultConfig())
+		env := newServeEnv(t, exec.NewDES(5), tuning.HTMIDOnly, DefaultConfig())
 		env.loadFiles(t, testFiles(4, 8, 5), 2)
 		return env.server.Serve(testTrace(300, 7))
 	}
@@ -174,7 +173,7 @@ func TestRealtimeServePacesFromServe(t *testing.T) {
 }
 
 func TestBackpressureSheds(t *testing.T) {
-	env := newServeEnv(t, exec.NewDES(des.NewKernel(3)), tuning.HTMIDOnly, Config{
+	env := newServeEnv(t, exec.NewDES(3), tuning.HTMIDOnly, Config{
 		Workers:    1,
 		QueueDepth: 2,
 		Cost: CostModel{
@@ -196,7 +195,7 @@ func TestBackpressureSheds(t *testing.T) {
 }
 
 func TestDeadlineExpiresQueuedQueries(t *testing.T) {
-	env := newServeEnv(t, exec.NewDES(des.NewKernel(3)), tuning.HTMIDOnly, Config{
+	env := newServeEnv(t, exec.NewDES(3), tuning.HTMIDOnly, Config{
 		Workers:    1,
 		QueueDepth: 1000, // do not shed: force queueing instead
 		Deadline:   20 * time.Millisecond,
@@ -214,7 +213,7 @@ func TestDeadlineExpiresQueuedQueries(t *testing.T) {
 }
 
 func TestMixedLoadServeDES(t *testing.T) {
-	env := newServeEnv(t, exec.NewDES(des.NewKernel(11)), tuning.HTMIDOnly, DefaultConfig())
+	env := newServeEnv(t, exec.NewDES(11), tuning.HTMIDOnly, DefaultConfig())
 	files := testFiles(4, 10, 11)
 	// Spread arrivals across the whole (virtual) load window.
 	trace := testTrace(400, 13)
@@ -249,8 +248,8 @@ func TestMixedLoadServeDES(t *testing.T) {
 }
 
 func TestMixedSchedulerMismatch(t *testing.T) {
-	envA := newServeEnv(t, exec.NewDES(des.NewKernel(1)), tuning.HTMIDOnly, DefaultConfig())
-	envB := newServeEnv(t, exec.NewDES(des.NewKernel(1)), tuning.HTMIDOnly, DefaultConfig())
+	envA := newServeEnv(t, exec.NewDES(1), tuning.HTMIDOnly, DefaultConfig())
+	envB := newServeEnv(t, exec.NewDES(1), tuning.HTMIDOnly, DefaultConfig())
 	_, err := RunMixed(envA.load, testFiles(1, 2, 1), parallel.Config{Loaders: 1}, envB.server, nil)
 	if err == nil {
 		t.Fatal("mismatched schedulers accepted")
@@ -280,7 +279,7 @@ func TestTraceCSVRoundTrip(t *testing.T) {
 // rather than probing empty sky (each generated file sits at a random base
 // position, so an unaimed box almost never overlaps it).
 func TestWithFootprintConesHitLoadedSky(t *testing.T) {
-	env := newServeEnv(t, exec.NewDES(des.NewKernel(23)), tuning.HTMIDOnly, DefaultConfig())
+	env := newServeEnv(t, exec.NewDES(23), tuning.HTMIDOnly, DefaultConfig())
 	files := testFiles(4, 10, 23)
 	env.loadFiles(t, files, 2)
 	trace := GenTrace(TraceSpec{

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"skyloader/internal/catalog"
-	"skyloader/internal/des"
 	"skyloader/internal/exec"
 	"skyloader/internal/serve"
 )
@@ -89,8 +88,7 @@ func RunSim(cfg SimConfig) (SimReport, error) {
 		RowsPerMB: cfg.RowsPerMB,
 		Seed:      cfg.Seed,
 	})
-	kernel := des.NewKernel(cfg.Seed)
-	sched := exec.NewDES(kernel)
+	sched := exec.NewDES(cfg.Seed)
 
 	agents := make([]*Agent, cfg.Shards)
 	clients := make([]Client, cfg.Shards)

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"skyloader/internal/catalog"
-	"skyloader/internal/des"
 	"skyloader/internal/exec"
 	"skyloader/internal/relstore"
 )
@@ -78,7 +77,7 @@ func TestDataCacheMinimumCapacity(t *testing.T) {
 	if c := newDataCache(0); c.capacity != 1 {
 		t.Fatalf("capacity = %d, want 1", c.capacity)
 	}
-	if srv := NewServer(des.NewKernel(1), relstore.MustOpen(catalog.NewSchema()), ServerConfig{}, DefaultCostModel()); srv.cache.capacity != 2048 || srv.Config().CachePages != 2048 {
+	if srv := NewServerOn(exec.NewDES(1), relstore.MustOpen(catalog.NewSchema()), ServerConfig{}, DefaultCostModel()); srv.cache.capacity != 2048 || srv.Config().CachePages != 2048 {
 		t.Fatalf("default cache = %d pages, config %d, want 2048", srv.cache.capacity, srv.Config().CachePages)
 	}
 }
@@ -88,9 +87,9 @@ func TestDataCacheMinimumCapacity(t *testing.T) {
 // and the commit runs the database writer (18 pages stay below the dirty
 // threshold).
 func TestCacheAccounting(t *testing.T) {
-	k, srv := newTestServer(t, ServerConfig{})
-	k.Spawn("loader", func(p *des.Proc) {
-		conn := srv.Connect(p)
+	sched, srv := newTestServer(t, ServerConfig{})
+	sched.Spawn("loader", func(w exec.Worker) {
+		conn := srv.ConnectWorker(w)
 		defer conn.Close()
 		if err := conn.Begin(); err != nil {
 			t.Error(err)
@@ -109,7 +108,7 @@ func TestCacheAccounting(t *testing.T) {
 			t.Error(err)
 		}
 	})
-	k.Run()
+	sched.Run()
 	pages := srv.DB().Table(catalog.TObservations).PageCount()
 	hits, misses, flushes, _ := cacheCounts(srv.cache)
 	if misses != int64(pages) || hits != 2000-int64(pages) {

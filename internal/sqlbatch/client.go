@@ -198,35 +198,6 @@ func (c *Conn) Close() error {
 	return nil
 }
 
-// BeginLoad opens the engine's load phase through this connection (see
-// Server.BeginLoad).  The load policy travels with the server and its
-// connections — callers configure it once via relstore options or a tuning
-// profile instead of passing per-call knobs.
-func (c *Conn) BeginLoad() error {
-	if c.closed {
-		return fmt.Errorf("sqlbatch: connection closed")
-	}
-	return c.server.BeginLoad()
-}
-
-// Seal closes the load phase: deferred indexes are bulk-rebuilt and their
-// build cost is charged to this connection's worker in virtual (or scaled
-// real) time.  The connection must not hold an open transaction — Seal runs
-// after every loader transaction has finished; a pending commit is retired
-// first.
-func (c *Conn) Seal() (relstore.SealReport, error) {
-	if c.closed {
-		return relstore.SealReport{}, fmt.Errorf("sqlbatch: connection closed")
-	}
-	if c.InTransaction() {
-		return relstore.SealReport{}, fmt.Errorf("sqlbatch: seal with a transaction still active")
-	}
-	if err := c.Retire(); err != nil {
-		return relstore.SealReport{}, err
-	}
-	return c.server.Seal(c.worker)
-}
-
 // Prepare creates an insert statement for the given table and column list.
 func (c *Conn) Prepare(table string, columns []string) *Stmt {
 	cols := make([]string, len(columns))

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"skyloader/internal/catalog"
-	"skyloader/internal/des"
 	"skyloader/internal/exec"
 	"skyloader/internal/relstore"
 )
@@ -53,9 +52,9 @@ func insertObs(t *testing.T, conn *Conn, id int64) {
 func TestCommitStartWithoutLogIsCommit(t *testing.T) {
 	var elapsed [2]int64
 	for i, start := range []bool{false, true} {
-		k, srv := newTestServer(t, ServerConfig{})
-		k.Spawn("loader", func(p *des.Proc) {
-			conn := srv.Connect(p)
+		sched, srv := newTestServer(t, ServerConfig{})
+		sched.Spawn("loader", func(w exec.Worker) {
+			conn := srv.ConnectWorker(w)
 			if err := conn.Begin(); err != nil {
 				t.Error(err)
 				return
@@ -71,9 +70,9 @@ func TestCommitStartWithoutLogIsCommit(t *testing.T) {
 			if conn.pending != nil || conn.InTransaction() || conn.Stats().Commits != 1 || srv.txnSlots.InUse() != 0 {
 				t.Errorf("after commit (start=%v): pending=%v commits=%d slots=%d", start, conn.pending != nil, conn.Stats().Commits, srv.txnSlots.InUse())
 			}
-			elapsed[i] = int64(p.Now())
+			elapsed[i] = int64(w.Now())
 		})
-		k.Run()
+		sched.Run()
 		if srv.Stats().Commits != 1 {
 			t.Fatalf("server commits = %d", srv.Stats().Commits)
 		}
@@ -86,7 +85,8 @@ func TestCommitStartWithoutLogIsCommit(t *testing.T) {
 // TestPipelinedConnHoldsOneSlotAndOnePending walks a connection through
 // commit k started, k+1 begun, k+1 started: the connection never holds more
 // than one slot or one pending commit, commits are counted when they retire,
-// and Rollback, Seal and Close retire first.
+// Rollback and Close retire first, and a retired connection leaves the
+// server free to seal.
 func TestPipelinedConnHoldsOneSlotAndOnePending(t *testing.T) {
 	srv := durableServer(t, ServerConfig{TxnSlots: 1})
 	onWorker(srv, func(conn *Conn) {
@@ -117,7 +117,10 @@ func TestPipelinedConnHoldsOneSlotAndOnePending(t *testing.T) {
 			t.Error(err)
 		}
 		check("commit 2 started", true, 1, 1)
-		if _, err := conn.Seal(); err != nil {
+		if err := conn.Retire(); err != nil {
+			t.Error(err)
+		}
+		if _, err := srv.Seal(conn.Worker()); err != nil {
 			t.Error(err)
 		}
 		check("sealed", false, 2, 0)

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"skyloader/internal/catalog"
-	"skyloader/internal/des"
 	"skyloader/internal/exec"
 	"skyloader/internal/relstore"
 )
@@ -60,10 +59,10 @@ func payload(res BatchResult) int64 {
 // row, a commit forces the tail plus a 48-byte marker and empties it, and a
 // rollback leaves its bytes in the tail for the next commit to force.
 func TestRedoPerRowAndCommit(t *testing.T) {
-	k, srv := newTestServer(t, ServerConfig{})
+	sched, srv := newTestServer(t, ServerConfig{})
 	l := newRedoLedger(t, srv)
-	k.Spawn("loader", func(p *des.Proc) {
-		conn := srv.Connect(p)
+	sched.Spawn("loader", func(w exec.Worker) {
+		conn := srv.ConnectWorker(w)
 		defer conn.Close()
 		stmt := conn.Prepare(catalog.TObservations, obsColumns)
 		if err := conn.Begin(); err != nil {
@@ -110,7 +109,7 @@ func TestRedoPerRowAndCommit(t *testing.T) {
 		l.commit()
 		l.check("empty commit after a rollback")
 	})
-	k.Run()
+	sched.Run()
 }
 
 // TestRedoBatchRecords pins the batch-apply path's group record on the wall

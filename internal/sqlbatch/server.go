@@ -5,7 +5,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"skyloader/internal/des"
 	"skyloader/internal/exec"
 	"skyloader/internal/relstore"
 )
@@ -136,14 +135,6 @@ func (c *serverCounters) snapshot() ServerStats {
 	}
 }
 
-// NewServer creates a simulated database server on the DES kernel k, hosting
-// db and charging costs according to cost.  It is shorthand for NewServerOn
-// with the deterministic scheduler and exists because every §5 experiment and
-// most tests run in that mode.
-func NewServer(k *des.Kernel, db *relstore.DB, cfg ServerConfig, cost CostModel) *Server {
-	return NewServerOn(exec.NewDES(k), db, cfg, cost)
-}
-
 // NewServerOn creates a database server on an arbitrary execution scheduler:
 // pass exec.NewDES for deterministic virtual-time simulation or
 // exec.NewRealtime for a genuinely concurrent wall-clock run.
@@ -174,10 +165,6 @@ func (s *Server) DB() *relstore.DB { return s.db }
 // Scheduler returns the execution scheduler the server runs on.
 func (s *Server) Scheduler() exec.Scheduler { return s.sched }
 
-// Kernel returns the simulation kernel when the server runs on the DES
-// scheduler, or nil in wall-clock mode.
-func (s *Server) Kernel() *des.Kernel { return exec.KernelOf(s.sched) }
-
 // Cost returns the cost model in use.
 func (s *Server) Cost() CostModel { return s.cost }
 
@@ -186,13 +173,6 @@ func (s *Server) Config() ServerConfig { return s.cfg }
 
 // Stats returns a snapshot of the server counters.
 func (s *Server) Stats() ServerStats { return s.stats.snapshot() }
-
-// Connect opens a connection for the simulation process p.  It exists for
-// DES-mode callers that spawn kernel processes directly; scheduler-spawned
-// workers use ConnectWorker.
-func (s *Server) Connect(p *des.Proc) *Conn {
-	return s.ConnectWorker(exec.WorkerForProc(p))
-}
 
 // ConnectWorker opens a connection for the worker w.  Connection setup costs
 // one round trip.

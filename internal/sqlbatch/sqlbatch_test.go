@@ -7,16 +7,15 @@ import (
 	"time"
 
 	"skyloader/internal/catalog"
-	"skyloader/internal/des"
 	"skyloader/internal/exec"
 	"skyloader/internal/relstore"
 )
 
 // newTestServer builds a DES server over a freshly seeded catalog database.
-func newTestServer(t *testing.T, cfg ServerConfig) (*des.Kernel, *Server) {
+func newTestServer(t *testing.T, cfg ServerConfig) (exec.Scheduler, *Server) {
 	t.Helper()
-	k := des.NewKernel(1)
-	return k, NewServer(k, seededDB(t), cfg, DefaultCostModel())
+	sched := exec.NewDES(1)
+	return sched, NewServerOn(sched, seededDB(t), cfg, DefaultCostModel())
 }
 
 // seededDB opens a catalog database with its reference tables seeded.
@@ -43,11 +42,11 @@ func obsValues(id int64) []relstore.Value {
 var obsColumns = []string{"obs_id", "run_id", "telescope_id", "mjd_start", "ra_center", "dec_center", "airmass", "filter_set", "exposure_s"}
 
 func TestBatchInsertHappyPath(t *testing.T) {
-	k, srv := newTestServer(t, ServerConfig{})
+	sched, srv := newTestServer(t, ServerConfig{})
 	var res BatchResult
 	var elapsed time.Duration
-	k.Spawn("loader", func(p *des.Proc) {
-		conn := srv.Connect(p)
+	sched.Spawn("loader", func(w exec.Worker) {
+		conn := srv.ConnectWorker(w)
 		defer conn.Close()
 		if err := conn.Begin(); err != nil {
 			t.Error(err)
@@ -65,9 +64,9 @@ func TestBatchInsertHappyPath(t *testing.T) {
 		if err := conn.Commit(); err != nil {
 			t.Error(err)
 		}
-		elapsed = p.Now()
+		elapsed = w.Now()
 	})
-	k.Run()
+	sched.Run()
 	if res.Err != nil || res.RowsInserted != 5 || res.FailedIndex != -1 {
 		t.Fatalf("batch result: %+v", res)
 	}
@@ -84,10 +83,10 @@ func TestBatchInsertHappyPath(t *testing.T) {
 }
 
 func TestBatchStopsAtFirstError(t *testing.T) {
-	k, srv := newTestServer(t, ServerConfig{})
+	sched, srv := newTestServer(t, ServerConfig{})
 	var res BatchResult
-	k.Spawn("loader", func(p *des.Proc) {
-		conn := srv.Connect(p)
+	sched.Spawn("loader", func(w exec.Worker) {
+		conn := srv.ConnectWorker(w)
 		defer conn.Close()
 		_ = conn.Begin()
 		stmt := conn.Prepare(catalog.TObservations, obsColumns)
@@ -98,7 +97,7 @@ func TestBatchStopsAtFirstError(t *testing.T) {
 		res, _ = stmt.ExecuteBatch()
 		_ = conn.Commit()
 	})
-	k.Run()
+	sched.Run()
 	if res.Err == nil || res.FailedIndex != 2 || res.RowsInserted != 2 {
 		t.Fatalf("batch result: %+v", res)
 	}
@@ -114,9 +113,9 @@ func TestBatchStopsAtFirstError(t *testing.T) {
 }
 
 func TestBatchRequiresTransactionAndRows(t *testing.T) {
-	k, srv := newTestServer(t, ServerConfig{})
-	k.Spawn("loader", func(p *des.Proc) {
-		conn := srv.Connect(p)
+	sched, srv := newTestServer(t, ServerConfig{})
+	sched.Spawn("loader", func(w exec.Worker) {
+		conn := srv.ConnectWorker(w)
 		defer conn.Close()
 		stmt := conn.Prepare(catalog.TObservations, obsColumns)
 		if _, err := stmt.ExecuteBatch(); !errors.Is(err, ErrBatchEmpty) {
@@ -137,13 +136,13 @@ func TestBatchRequiresTransactionAndRows(t *testing.T) {
 		}
 		_ = conn.Rollback()
 	})
-	k.Run()
+	sched.Run()
 }
 
 func TestRollbackDiscardsRows(t *testing.T) {
-	k, srv := newTestServer(t, ServerConfig{})
-	k.Spawn("loader", func(p *des.Proc) {
-		conn := srv.Connect(p)
+	sched, srv := newTestServer(t, ServerConfig{})
+	sched.Spawn("loader", func(w exec.Worker) {
+		conn := srv.ConnectWorker(w)
 		_ = conn.Begin()
 		stmt := conn.Prepare(catalog.TObservations, obsColumns)
 		stmt.AddBatch(obsValues(1))
@@ -158,7 +157,7 @@ func TestRollbackDiscardsRows(t *testing.T) {
 			t.Error(err)
 		}
 	})
-	k.Run()
+	sched.Run()
 	if n, _ := srv.DB().Count(catalog.TObservations); n != 0 {
 		t.Fatalf("rollback left %d rows", n)
 	}
@@ -168,9 +167,9 @@ func TestRollbackDiscardsRows(t *testing.T) {
 }
 
 func TestCloseRollsBackActiveTransaction(t *testing.T) {
-	k, srv := newTestServer(t, ServerConfig{})
-	k.Spawn("loader", func(p *des.Proc) {
-		conn := srv.Connect(p)
+	sched, srv := newTestServer(t, ServerConfig{})
+	sched.Spawn("loader", func(w exec.Worker) {
+		conn := srv.ConnectWorker(w)
 		_ = conn.Begin()
 		stmt := conn.Prepare(catalog.TObservations, obsColumns)
 		if _, err := stmt.ExecuteSingle(obsValues(9)); err != nil {
@@ -180,48 +179,48 @@ func TestCloseRollsBackActiveTransaction(t *testing.T) {
 			t.Error(err)
 		}
 	})
-	k.Run()
+	sched.Run()
 	if n, _ := srv.DB().Count(catalog.TObservations); n != 0 {
 		t.Fatalf("close did not roll back: %d rows", n)
 	}
 }
 
 func TestExecuteSingle(t *testing.T) {
-	k, srv := newTestServer(t, ServerConfig{})
+	sched, srv := newTestServer(t, ServerConfig{})
 	var singleTime, batchTime time.Duration
-	k.Spawn("single", func(p *des.Proc) {
-		conn := srv.Connect(p)
+	sched.Spawn("single", func(w exec.Worker) {
+		conn := srv.ConnectWorker(w)
 		defer conn.Close()
 		_ = conn.Begin()
 		stmt := conn.Prepare(catalog.TObservations, obsColumns)
-		start := p.Now()
+		start := w.Now()
 		for i := int64(1); i <= 40; i++ {
 			if _, err := stmt.ExecuteSingle(obsValues(i)); err != nil {
 				t.Error(err)
 			}
 		}
-		singleTime = p.Now() - start
+		singleTime = w.Now() - start
 		_ = conn.Commit()
 	})
-	k.Run()
+	sched.Run()
 
-	k2, srv2 := newTestServer(t, ServerConfig{})
-	k2.Spawn("batch", func(p *des.Proc) {
-		conn := srv2.Connect(p)
+	sched2, srv2 := newTestServer(t, ServerConfig{})
+	sched2.Spawn("batch", func(w exec.Worker) {
+		conn := srv2.ConnectWorker(w)
 		defer conn.Close()
 		_ = conn.Begin()
 		stmt := conn.Prepare(catalog.TObservations, obsColumns)
-		start := p.Now()
+		start := w.Now()
 		for i := int64(1); i <= 40; i++ {
 			stmt.AddBatch(obsValues(i))
 		}
 		if _, err := stmt.ExecuteBatch(); err != nil {
 			t.Error(err)
 		}
-		batchTime = p.Now() - start
+		batchTime = w.Now() - start
 		_ = conn.Commit()
 	})
-	k2.Run()
+	sched2.Run()
 
 	if singleTime <= batchTime*4 {
 		t.Fatalf("singleton inserts (%v) should be much slower than one batch (%v)", singleTime, batchTime)
@@ -238,7 +237,7 @@ func TestTxnSlotQueueing(t *testing.T) {
 		sched func() exec.Scheduler
 		hold  func(exec.Worker)
 	}{
-		{"des", func() exec.Scheduler { return exec.NewDES(des.NewKernel(1)) },
+		{"des", func() exec.Scheduler { return exec.NewDES(1) },
 			func(w exec.Worker) { w.Sleep(10 * time.Second) }},
 		// Worker.Sleep is a no-op on the wall clock, so the first connection
 		// holds its slot with a real pause.
@@ -285,12 +284,12 @@ func testTxnSlotQueueing(t *testing.T, sched exec.Scheduler, hold func(exec.Work
 }
 
 func TestIndexCostsChargedToIndexDisk(t *testing.T) {
-	k, srv := newTestServer(t, ServerConfig{})
+	sched, srv := newTestServer(t, ServerConfig{})
 	if _, err := srv.DB().CreateIndex(catalog.TObservations, "ix_obs_ra", []string{"ra_center"}, false); err != nil {
 		t.Fatal(err)
 	}
-	k.Spawn("loader", func(p *des.Proc) {
-		conn := srv.Connect(p)
+	sched.Spawn("loader", func(w exec.Worker) {
+		conn := srv.ConnectWorker(w)
 		defer conn.Close()
 		_ = conn.Begin()
 		stmt := conn.Prepare(catalog.TObservations, obsColumns)
@@ -302,17 +301,17 @@ func TestIndexCostsChargedToIndexDisk(t *testing.T) {
 		}
 		_ = conn.Commit()
 	})
-	k.Run()
+	sched.Run()
 	if srv.Stats().IndexIOTime <= 0 {
 		t.Fatal("index maintenance charged no index I/O time")
 	}
 }
 
 func TestConnStats(t *testing.T) {
-	k, srv := newTestServer(t, ServerConfig{})
+	sched, srv := newTestServer(t, ServerConfig{})
 	var cs ConnStats
-	k.Spawn("loader", func(p *des.Proc) {
-		conn := srv.Connect(p)
+	sched.Spawn("loader", func(w exec.Worker) {
+		conn := srv.ConnectWorker(w)
 		defer conn.Close()
 		_ = conn.Begin()
 		stmt := conn.Prepare(catalog.TObservations, obsColumns)
@@ -322,7 +321,7 @@ func TestConnStats(t *testing.T) {
 		_ = conn.Commit()
 		cs = conn.Stats()
 	})
-	k.Run()
+	sched.Run()
 	if cs.Calls != 1 || cs.Batches != 1 || cs.RowsInserted != 1 || cs.RowsFailed != 1 || cs.Commits != 1 {
 		t.Fatalf("conn stats: %+v", cs)
 	}
@@ -346,9 +345,9 @@ func TestCostModelHelpers(t *testing.T) {
 }
 
 func TestSharedRAIDConfiguration(t *testing.T) {
-	k := des.NewKernel(1)
+	sched := exec.NewDES(1)
 	db := relstore.MustOpen(catalog.NewSchema())
-	srv := NewServer(k, db, ServerConfig{SeparateRAID: false}, DefaultCostModel())
+	srv := NewServerOn(sched, db, ServerConfig{SeparateRAID: false}, DefaultCostModel())
 	if srv.Config().SeparateRAID {
 		t.Fatal("config not preserved")
 	}
@@ -357,8 +356,8 @@ func TestSharedRAIDConfiguration(t *testing.T) {
 	txn, _ := db.Begin()
 	_ = catalog.SeedReference(txn, 4)
 	_, _ = txn.Commit()
-	k.Spawn("loader", func(p *des.Proc) {
-		conn := srv.Connect(p)
+	sched.Spawn("loader", func(w exec.Worker) {
+		conn := srv.ConnectWorker(w)
 		defer conn.Close()
 		_ = conn.Begin()
 		stmt := conn.Prepare(catalog.TObservations, obsColumns)
@@ -368,7 +367,7 @@ func TestSharedRAIDConfiguration(t *testing.T) {
 		}
 		_ = conn.Commit()
 	})
-	k.Run()
+	sched.Run()
 	if n, _ := db.Count(catalog.TObservations); n != 1 {
 		t.Fatalf("rows = %d", n)
 	}
@@ -381,12 +380,12 @@ func TestServerStatsString(t *testing.T) {
 	}
 }
 
-// TestConnSealLifecycle exercises the connection-level load lifecycle: the
-// policy travels with the server (relstore options), BeginLoad suspends the
-// deferred index, Seal refuses to run inside a transaction, and a clean Seal
+// TestConnSealLifecycle exercises the load lifecycle around a connection: the
+// policy travels with the server (relstore options), Server.BeginLoad
+// suspends the deferred index, and Server.Seal after the connection's commit
 // rebuilds the index and charges virtual time to the worker.
 func TestConnSealLifecycle(t *testing.T) {
-	k := des.NewKernel(3)
+	sched := exec.NewDES(3)
 	db := relstore.MustOpen(catalog.NewSchema(), relstore.WithIndexPolicy(relstore.IndexDeferred))
 	txn, err := db.Begin()
 	if err != nil {
@@ -401,18 +400,18 @@ func TestConnSealLifecycle(t *testing.T) {
 	if _, err := db.CreateIndex(catalog.TObservations, "ix_obs_run", []string{"run_id"}, false); err != nil {
 		t.Fatal(err)
 	}
-	srv := NewServer(k, db, ServerConfig{}, DefaultCostModel())
+	srv := NewServerOn(sched, db, ServerConfig{}, DefaultCostModel())
 
-	k.Spawn("loader", func(p *des.Proc) {
-		conn := srv.Connect(p)
+	sched.Spawn("loader", func(w exec.Worker) {
+		conn := srv.ConnectWorker(w)
 		defer conn.Close()
-		if err := conn.BeginLoad(); err != nil {
+		if err := srv.BeginLoad(); err != nil {
 			t.Error(err)
 			return
 		}
 		ix := db.Table(catalog.TObservations).Index("ix_obs_run")
 		if ix.Ready() {
-			t.Error("deferred index still ready after Conn.BeginLoad")
+			t.Error("deferred index still ready after BeginLoad")
 		}
 		if err := conn.Begin(); err != nil {
 			t.Error(err)
@@ -425,14 +424,11 @@ func TestConnSealLifecycle(t *testing.T) {
 		if _, err := stmt.ExecuteBatch(); err != nil {
 			t.Error(err)
 		}
-		if _, err := conn.Seal(); err == nil {
-			t.Error("Seal inside an open transaction must fail")
-		}
 		if err := conn.Commit(); err != nil {
 			t.Error(err)
 		}
-		before := p.Now()
-		rep, err := conn.Seal()
+		before := w.Now()
+		rep, err := srv.Seal(w)
 		if err != nil {
 			t.Error(err)
 			return
@@ -440,14 +436,14 @@ func TestConnSealLifecycle(t *testing.T) {
 		if len(rep.Indexes) != 1 || rep.RowsStreamed != 10 {
 			t.Errorf("SealReport = %+v, want 1 index over 10 rows", rep)
 		}
-		if p.Now() <= before {
+		if w.Now() <= before {
 			t.Error("Seal charged no virtual time")
 		}
 		if !ix.Ready() || ix.Tree().Len() == 0 {
-			t.Error("index not rebuilt by Conn.Seal")
+			t.Error("index not rebuilt by Seal")
 		}
 	})
-	k.Run()
+	sched.Run()
 	st := srv.Stats()
 	if st.Seals != 1 || st.SealTime <= 0 {
 		t.Fatalf("server stats Seals=%d SealTime=%s, want one charged seal", st.Seals, st.SealTime)

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # The byte-identity oracles that fence every behaviour-preserving change:
-# builds the CLIs of a reference revision and of the working tree, runs the
-# deterministic (virtual-time, fixed-seed) commands on both and diffs every
-# byte they print or write, the catalog text skygen writes included.  Exits non-zero on any difference — except in the
+# builds the CLIs and examples/quickstart of a reference revision and of the
+# working tree, runs the deterministic (virtual-time, fixed-seed) commands on
+# both and diffs every byte they print or write, the catalog text skygen
+# writes included.  Exits non-zero on any difference — except in the
 # output files a change names as the ones it means to move, whose diff is
 # printed instead.  An allowed skyshard-sim100.txt must still load the same
 # rows onto the same shards.
@@ -23,8 +24,8 @@ export GOTOOLCHAIN=local GOWORK=off GOPROXY=off GOFLAGS=
 rm -rf "$out/oracle-ref" "$out/oracle-bin" "$out/oracle-out"
 mkdir -p "$out/oracle-ref" "$out/oracle-bin/ref" "$out/oracle-bin/head"
 git -C "$root" archive "$ref" | tar -x -C "$out/oracle-ref"
-(cd "$out/oracle-ref" && go build -o "$out/oracle-bin/ref/" ./cmd/skybench ./cmd/skygen ./cmd/skyload ./cmd/skyserve ./cmd/skyshard)
-(cd "$root" && go build -o "$out/oracle-bin/head/" ./cmd/skybench ./cmd/skygen ./cmd/skyload ./cmd/skyserve ./cmd/skyshard)
+(cd "$out/oracle-ref" && go build -o "$out/oracle-bin/ref/" ./cmd/skybench ./cmd/skygen ./cmd/skyload ./cmd/skyserve ./cmd/skyshard ./examples/quickstart)
+(cd "$root" && go build -o "$out/oracle-bin/head/" ./cmd/skybench ./cmd/skygen ./cmd/skyload ./cmd/skyserve ./cmd/skyshard ./examples/quickstart)
 
 for side in ref head; do
 	bin="$out/oracle-bin/$side"
@@ -42,6 +43,7 @@ for side in ref head; do
 		"$bin/skyshard" -sim 100 >skyshard-sim100.txt
 		"$bin/skygen" -night 60 -files 6 -seed 7 -error-rate 0.05 -outdir skygen-night 2>skygen-night.txt
 		"$bin/skygen" -size 5 -seed 3 -unsorted -out skygen-unsorted.cat 2>skygen-unsorted.txt
+		"$bin/quickstart" >quickstart.txt
 	)
 done
 
@@ -64,7 +66,7 @@ for f in "$@"; do
 done
 
 if diff -r ${excludes[@]+"${excludes[@]}"} "$out/oracle-out/ref" "$out/oracle-out/head"; then
-	echo "oracles: no difference against $ref ($(ls "$out/oracle-out/head/csv" | wc -l) CSVs, $(ls "$out/oracle-out/head/skygen-night" | wc -l) + 1 skygen catalog files and $((10 - $#)) command outputs; $# allowed to differ)"
+	echo "oracles: no difference against $ref ($(ls "$out/oracle-out/head/csv" | wc -l) CSVs, $(ls "$out/oracle-out/head/skygen-night" | wc -l) + 1 skygen catalog files and $((11 - $#)) command outputs; $# allowed to differ)"
 else
 	echo "oracles: outputs differ from $ref" >&2
 	exit 1
