@@ -84,7 +84,9 @@ pairs:
 
 # Batch-apply + index-build benchmark smoke: exercises one-row Txn.Insert
 # calls, whole Txn.InsertBatch calls, the sorted bulk B-tree pass, the Seal bulk leaf build, the
-# encoded-key comparator, the two row paths under every query (a primary-key
+# encoded-key comparator, the full objects scan that reads a float off every
+# row, almost all of them on closed narrow pages, through RowView's getters
+# (where a slower stream decode would show), the two row paths under every query (a primary-key
 # probe and an index range: where a row directory that went back to searching
 # would show), foreign-key probes into parents whose keys sit in runs and in
 # the tag table, the immediate-vs-deferred load policy comparison,
@@ -98,7 +100,7 @@ pairs:
 # smoke test (counts, not timings); measurements come from `make perf`
 # (bench/README.md).
 bench:
-	$(GO) test -run '^$$' -bench 'InsertBatch|InsertRow|BTreeInsertSorted|SealBulkBuild|BTreeEncodedCompare|LookupByPKRef|RangeIndexedRef|FKProbe' -benchtime=100x ./internal/relstore/
+	$(GO) test -run '^$$' -bench 'InsertBatch|InsertRow|BTreeInsertSorted|SealBulkBuild|BTreeEncodedCompare|ScanRef|LookupByPKRef|RangeIndexedRef|FKProbe' -benchtime=100x ./internal/relstore/
 	$(GO) test -run '^$$' -bench 'IndexLoadPolicy' -benchtime=1x ./internal/relstore/
 	$(GO) test -run '^$$' -bench 'ServeHTTPQuery|MetricsScrape' -benchtime=100x ./internal/httpserve/
 	$(GO) test -run '^$$' -bench 'ScatterGather|SingleNode|WireQueryResult' -benchtime=50x ./internal/shard/

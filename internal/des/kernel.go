@@ -60,7 +60,6 @@ type Kernel struct {
 	now     time.Duration
 	seq     int64
 	events  eventHeap
-	procSeq int
 	rng     *rand.Rand
 	running bool
 
@@ -110,10 +109,8 @@ func (k *Kernel) Spawn(name string, fn func(*Proc)) *Proc {
 
 // SpawnAt creates a new process that starts after delay d of virtual time.
 func (k *Kernel) SpawnAt(d time.Duration, name string, fn func(*Proc)) *Proc {
-	k.procSeq++
 	p := &Proc{
 		k:      k,
-		id:     k.procSeq,
 		name:   name,
 		resume: make(chan struct{}),
 	}
@@ -125,7 +122,6 @@ func (k *Kernel) SpawnAt(d time.Duration, name string, fn func(*Proc)) *Proc {
 // panic in the body is recorded on the kernel with its stack, and the
 // process finishes as if it had returned; RunUntil re-raises it.
 func (k *Kernel) startProc(p *Proc, fn func(*Proc)) {
-	p.startedAt = k.now
 	go func() {
 		defer func() {
 			if r := recover(); r != nil {

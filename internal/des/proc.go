@@ -12,33 +12,22 @@ import (
 // All Proc methods must be called from within the process body itself.
 type Proc struct {
 	k    *Kernel
-	id   int
 	name string
 
 	resume chan struct{}
 
 	finished   bool
-	startedAt  time.Duration
 	finishedAt time.Duration
 }
 
 // Name returns the process name given at spawn time.
 func (p *Proc) Name() string { return p.name }
 
-// ID returns the process's unique id (1-based, in spawn order).
-func (p *Proc) ID() int { return p.id }
-
-// Kernel returns the kernel this process belongs to.
-func (p *Proc) Kernel() *Kernel { return p.k }
-
 // Now returns the current virtual time.
 func (p *Proc) Now() time.Duration { return p.k.now }
 
 // Finished reports whether the process body has returned.
 func (p *Proc) Finished() bool { return p.finished }
-
-// StartedAt returns the virtual time at which the process body began running.
-func (p *Proc) StartedAt() time.Duration { return p.startedAt }
 
 // FinishedAt returns the virtual time at which the process body returned.
 // It is meaningful only once Finished reports true.

@@ -31,12 +31,22 @@ const pageSizeBytes = 8192
 // base is the least of the page's non-NULL values and w = bits.Len64 of their
 // span, 57–63 rounded up to 64; a float with declared places is held scaled by
 // 10^places when every value decodes back to its exact bits, as raw bits
-// otherwise.  Only a column with a NULL on the page follows its values with a
-// NULL bit a row (its value bits 0).  Streams start on a byte and 7 bytes of
-// padding end the page, so every value of every layout is one read — an
-// unaligned 8-byte load, a shift, a mask, plus base (colSlot.value) — a wide
-// field being that read at a byte offset with w = 64 and base 0.  Value is the
-// transport type rows arrive and leave in; it is never what a table holds.
+// otherwise.  An integer or scaled stream whose values part in two is split
+// at the midpoint of their span: a row holds its offset from its cluster's
+// least value in ow bits and, above them, a bit set for the upper cluster;
+// an 8-byte word in front of the stream's bits holds jump − 2^ow, where jump
+// is the upper cluster's least value minus base, so a row reads base plus its
+// bits plus that bit times the word.  It is split only when 1 + ow is
+// narrower than w (and at most 56), and ow is then the least that holds both
+// clusters' offsets: two loaders interleaving 40-row batches of two files put
+// two id ranges on every page, and the split keeps each range's width.  Only
+// a column with a NULL on the page follows its values with a NULL bit a row
+// (its value bits 0).  Streams start on a byte and 7 bytes of padding end the
+// page, so every value of every layout is one read — an unaligned 8-byte
+// load, a shift, a mask, plus base (colSlot.value), and in a split stream the
+// word in front — a wide field being that read at a byte offset with w = 64
+// and base 0.  Value is the transport type rows arrive and leave in; it is
+// never what a table holds.
 
 // rowLayout is the packed shape of a table's records (wide) or of one closed
 // page (narrow).
@@ -52,21 +62,27 @@ type rowLayout struct {
 // colSlot places one column: the field at byte off of a wide record, or the
 // stream at byte off of a narrow page, width bits a row, read as base plus the
 // bits; a nonzero scale marks a float held as value × 10^scale, and nulls a
-// narrow stream followed by a NULL bit a row.
+// narrow stream followed by a NULL bit a row.  ow is the offset width: width
+// itself, or width - 1 in a stream split in two clusters, whose top bit
+// marks the upper one (colSlot.value).
 type colSlot struct {
 	off   uint32
 	width uint8
+	ow    uint8
 	scale uint8
 	nulls bool
 	base  int64
 }
+
+// split reports whether the stream is coded against two bases.
+func (c *colSlot) split() bool { return c.ow != c.width }
 
 func newRowLayout(cols []Column) *rowLayout {
 	l := &rowLayout{kinds: make([]ValueKind, len(cols)), cols: make([]colSlot, len(cols))}
 	bitmap := uint32(len(cols)+7) / 8
 	for i, c := range cols {
 		l.kinds[i] = canonicalKind(c.Type)
-		l.cols[i] = colSlot{off: bitmap + 8*uint32(i), width: 64}
+		l.cols[i] = colSlot{off: bitmap + 8*uint32(i), width: 64, ow: 64}
 	}
 	l.fixed = bitmap + 8*uint32(len(cols))
 	return l
@@ -114,14 +130,17 @@ var errBadRecord = errors.New("relstore: malformed packed row")
 // view checks data against the layout and returns the view of row in it.  A
 // wide layout takes one record as data and row 0: long enough for bitmap and
 // fields, every string inside the record.  A narrow layout takes a page's
-// data and a row below its count: long enough for every column's last read.
-// view is total on arbitrary bytes; every getter of a returned view is then
-// in bounds.  Pages the heap encoded itself skip the check (heapStore.view).
+// data and a row below its count: long enough for every column's last read,
+// with a split stream's jump word inside it.  view is total on arbitrary
+// bytes; every getter of a returned view is then in bounds.  Pages the heap encoded itself skip the check (heapStore.view).
 func (l *rowLayout) view(data string, row uint32) (RowView, error) {
 	v := RowView{lay: l, rec: data, row: row}
 	if !l.wide() {
 		need := uint64(8)
 		for _, c := range l.cols {
+			if c.split() && c.off < 8 {
+				return RowView{}, fmt.Errorf("%w: split stream at byte %d has no jump word in front", errBadRecord, c.off)
+			}
 			end := uint64(c.off)*8 + uint64(l.rows)*uint64(c.width)
 			if c.nulls {
 				end += uint64(l.rows)
@@ -178,10 +197,17 @@ func bitsAt(d string, b uint64, w uint8) uint64 {
 	return x >> (b & 7) & (1<<w - 1)
 }
 
-// value returns the column's 8-byte value for row of d: base plus its bits.
-// A NULL reads base: a wide field holds 0 for it, a narrow stream 0 bits.
+// value returns the column's 8-byte value for row of d: base plus its bits,
+// and in a split stream, whose upper cluster sets bit ow, plus that bit times
+// the word in front of the stream, jump − 2^ow (the bit itself adds 2^ow, so
+// no mask is needed and value stays inlinable in every getter).  A NULL
+// reads base: a wide field holds 0 for it, a narrow stream 0 bits.
 func (c *colSlot) value(d string, row uint32) uint64 {
-	return uint64(c.base) + bitsAt(d, uint64(c.off)*8+uint64(row)*uint64(c.width), c.width)
+	x := bitsAt(d, uint64(c.off)*8+uint64(row)*uint64(c.width), c.width)
+	if c.ow != c.width {
+		x += x >> c.ow * binary.LittleEndian.Uint64(unsafe.Slice(unsafe.StringData(d), len(d))[c.off-8:])
+	}
+	return uint64(c.base) + x
 }
 
 // null reports whether the view's row is NULL in c, a narrow column with
@@ -225,7 +251,7 @@ func (v RowView) Float(col int) float64 {
 }
 
 func (v RowView) strSpan(col int) (off, n uint64) {
-	s := v.lay.cols[col].value(v.rec, 0)
+	s := bitsAt(v.rec, uint64(v.lay.cols[col].off)*8, 64)
 	return s & math.MaxUint32, s >> 32
 }
 
@@ -342,6 +368,9 @@ type heapStore struct {
 	// the buffers start the next page, so a closed page holds no growth slack.
 	wdata []byte
 	woffs []uint32
+	// jumps holds, while narrow encodes a page, each split column's upper
+	// cluster base less its lower one.
+	jumps []uint64
 	// dead holds the rows a rollback removed; nil until the first, which a
 	// load never makes.
 	dead map[rowLoc]struct{}
@@ -430,6 +459,7 @@ func (h *heapStore) narrow(src []byte) ([]byte, *rowLayout) {
 	stride := int(w.fixed)
 	n := len(src) / stride
 	lay := &rowLayout{kinds: w.kinds, cols: make([]colSlot, len(w.cols)), rows: uint32(n)}
+	h.jumps = slices.Grow(h.jumps[:0], len(w.cols))[:len(w.cols)]
 	size := 0
 	for c := range lay.cols {
 		cs, at := &lay.cols[c], int(w.cols[c].off)
@@ -443,11 +473,19 @@ func (h *heapStore) narrow(src []byte) ([]byte, *rowLayout) {
 			v := int64(binary.LittleEndian.Uint64(src[k*stride+at:]))
 			lo, hi = min(lo, v), max(hi, v)
 		}
+		raw := w.kinds[c] == KindFloat && !scaled
 		switch {
-		case w.kinds[c] == KindFloat && !scaled:
+		case raw:
 			cs.width = 64
 		case lo <= hi:
 			cs.base, cs.width = lo, streamWidth(uint64(hi)-uint64(lo))
+		}
+		cs.ow, h.jumps[c] = cs.width, 0
+		if !raw && cs.width > 1 {
+			if upper, ow, ok := clusters(src, c, at, stride, lo, hi, cs.width); ok {
+				cs.width, cs.ow, h.jumps[c] = ow+1, ow, uint64(upper)-uint64(lo)
+				size += 8
+			}
 		}
 		if scaled {
 			cs.scale = h.places[c]
@@ -468,16 +506,67 @@ func (h *heapStore) narrow(src []byte) ([]byte, *rowLayout) {
 	for c := range lay.cols {
 		cs, at := &lay.cols[c], int(w.cols[c].off)
 		vals, nulls := uint64(cs.off)*8, uint64(cs.off)*8+uint64(n)*uint64(cs.width)
+		// An offset at or past jump is the upper cluster's: lift takes it
+		// to its offset from the upper base plus the cluster bit.  In a
+		// stream that is not split jump and lift are 0.
+		jump, lift := h.jumps[c], uint64(0)
+		if cs.split() {
+			lift = 1<<cs.ow - jump
+			binary.LittleEndian.PutUint64(dst[cs.off-8:], -lift)
+		}
 		for k := 0; k < n; k++ {
 			switch {
 			case src[k*stride+c>>3]&(1<<(c&7)) != 0:
 				putBits(dst, nulls+uint64(k), 1)
 			case cs.width != 0:
-				putBits(dst, vals+uint64(k)*uint64(cs.width), binary.LittleEndian.Uint64(src[k*stride+at:])-uint64(cs.base))
+				x := binary.LittleEndian.Uint64(src[k*stride+at:]) - uint64(cs.base)
+				if y := x + lift; x >= jump {
+					x = y
+				}
+				putBits(dst, vals+uint64(k)*uint64(cs.width), x)
 			}
 		}
 	}
 	return dst, lay
+}
+
+// clusters splits the non-NULL values of column c in src, which span
+// [lo, hi] in w bits a row, at the midpoint of that span.  It reports whether
+// the split is narrower — 1 + ow < w and at most 56, ow the bits.Len64 of the
+// wider cluster's span — and then returns the least value above the midpoint
+// and ow.  A value at least far = 2^(w−2) (2^55 for w = 64) from both ends
+// leaves its cluster no narrower, so a stream that does not part stops at its
+// first such value; the scan starts at the page's middle row, where an
+// ascending stream has one.
+func clusters(src []byte, c, at, stride int, lo, hi int64, w uint8) (upper int64, ow uint8, ok bool) {
+	far := uint64(1) << (min(w, 57) - 2)
+	mid := lo + int64((uint64(hi)-uint64(lo))/2)
+	lower, upper := lo, hi
+	n := len(src) / stride
+	for j := 0; j < n; j++ {
+		k := j + n/2
+		if k >= n {
+			k -= n
+		}
+		if src[k*stride+c>>3]&(1<<(c&7)) != 0 {
+			continue
+		}
+		v := int64(binary.LittleEndian.Uint64(src[k*stride+at:]))
+		if uint64(v)-uint64(lo) >= far && uint64(hi)-uint64(v) >= far {
+			return 0, 0, false
+		}
+		// Conditional moves, not a branch: on interleaved batches the side
+		// changes every few dozen rows.
+		below, above := v, v
+		if v > mid {
+			below = lo
+		}
+		if v <= mid {
+			above = hi
+		}
+		lower, upper = max(lower, below), min(upper, above)
+	}
+	return upper, uint8(bits.Len64(max(uint64(lower)-uint64(lo), uint64(hi)-uint64(upper)))), true
 }
 
 // putBits ORs x into d at bit b, where d holds zeros; x has at most 56 bits,

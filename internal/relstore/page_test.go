@@ -5,9 +5,11 @@ import (
 	"flag"
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -182,6 +184,68 @@ func heapCases() []heapCase {
 		{name: "precision floats", cols: precisionCols, row: precisionRow, check: precisionEncodings},
 		{name: "bit widths", cols: widthCols, row: widthRow, check: widthEncodings},
 		{name: "constant", cols: precisionCols[2:6], row: func(*rand.Rand, int) Row { return Row{Float(1.5), Float(-2.25), Float(0), Float(7)} }, check: constEncodings},
+		{name: "two clusters", cols: clusterCols, row: clusterRow, check: clusterEncodings},
+	}
+}
+
+// clusterCols is a string-free table whose columns part in two clusters on
+// every closed page, as two loaders interleaving 40-row batches of two files
+// leave them: ids, the same with NULLs, a scaled float, clusters 2^57 apart,
+// the int64 extremes, now and then a one-row upper cluster, and, beside
+// them, a column spread evenly, which a split would not narrow.
+var clusterCols = []Column{
+	{Name: "id", Type: TypeInt},
+	{Name: "ref", Type: TypeInt},
+	{Name: "opt", Type: TypeInt, Nullable: true},
+	{Name: "mag", Type: TypeFloat, Precision: 3},
+	{Name: "far", Type: TypeInt},
+	{Name: "ends", Type: TypeInt},
+	{Name: "lone", Type: TypeInt},
+	{Name: "even", Type: TypeInt},
+}
+
+// clusterRow draws row i of clusterCols from file i/40 % 2.
+func clusterRow(rng *rand.Rand, i int) Row {
+	file := int64(i / 40 % 2)
+	ref := file*1_000_000_000 + int64(i)
+	row := Row{Int(int64(i)), Int(ref), Int(ref + rng.Int63n(1000)), Float(RoundTo(float64(file)*5000+rng.NormFloat64(), 3)),
+		Int(file<<57 + rng.Int63n(1<<20)), Int(math.MinInt64), Int(rng.Int63n(1000)), Int(rng.Int63n(1 << 30))}
+	if rng.Intn(9) == 0 {
+		row[2] = Null
+	}
+	if file == 1 {
+		row[5] = Int(math.MaxInt64)
+	}
+	if rng.Intn(150) == 0 {
+		row[6] = Int(1 << 40)
+	}
+	return row
+}
+
+// clusterEncodings checks that every closed page of the two-clusters case
+// splits the columns drawn to split — ref to 8 bits, opt with NULLs, mag scaled,
+// far across 2^57, the extremes to one bit — and keeps even whole, and that
+// some page splits lone with one row above its midpoint.
+func clusterEncodings(t testing.TB, h *heapStore) {
+	lone := 0
+	for _, p := range h.pages[:len(h.pages)-1] {
+		cs := p.lay.cols
+		if !cs[1].split() || cs[1].width > 8 || !cs[2].split() || !cs[2].nulls || !cs[3].split() || cs[3].scale == 0 ||
+			!cs[4].split() || cs[4].width > 21 || !cs[5].split() || cs[5].width != 1 || cs[7].split() {
+			t.Fatalf("closed page of %d rows: columns %+v", p.rows(), cs)
+		}
+		above := 0
+		for k := 0; k < p.rows(); k++ {
+			if rowAt(&p, k).Int(6) == 1<<40 {
+				above++
+			}
+		}
+		if above == 1 && cs[6].split() {
+			lone++
+		}
+	}
+	if lone == 0 {
+		t.Fatal("no closed page splits lone with a one-row upper cluster")
 	}
 }
 
@@ -268,7 +332,8 @@ func precisionEncodings(t testing.TB, h *heapStore) {
 }
 
 // widthCols is a string-free table whose columns, on every closed page, need
-// streams of 56, 57 (rounded up to 64) and 64 bits, hold negative values,
+// streams of 56, 57 (rounded up to 64, which a split at the midpoint brings
+// down to 56) and 64 bits, hold negative values,
 // a constant, NULL only, NULL about once a page, and precision floats that
 // fall back now and then.
 var widthCols = []Column{
@@ -312,7 +377,7 @@ func widthEncodings(t testing.TB, h *heapStore) {
 	one, fallen := 0, 0
 	for _, p := range h.pages[:len(h.pages)-1] {
 		cs := p.lay.cols
-		if cs[1].width != 56 || cs[2].width != 64 || cs[3].width != 64 || cs[3].base != math.MinInt64 || cs[4].base >= 0 ||
+		if cs[1].width != 56 || cs[2].width != 56 || !cs[2].split() || cs[3].width != 64 || cs[3].split() || cs[3].base != math.MinInt64 || cs[4].base >= 0 ||
 			cs[5].width != 0 || cs[5].nulls || cs[6].width != 0 || !cs[6].nulls {
 			t.Fatalf("closed page of %d rows: columns %+v", p.rows(), cs)
 		}
@@ -354,31 +419,58 @@ func rowAt(p *page, k int) RowView {
 
 // checkStreams fails unless every column stream of the closed narrow page p
 // is as narrow as the rule allows: base the least non-NULL value, width
-// streamWidth of their span (64 for a float kept raw), and NULL bits only
-// where a row is NULL.
+// streamWidth of their span (64 for a float kept raw), NULL bits only where a
+// row is NULL, and a split at the midpoint of the span if and only if one bit
+// more than the wider cluster's span needs is narrower, with the offset width
+// the least that holds both clusters.
 func checkStreams(t testing.TB, p *page) {
 	t.Helper()
 	for c, cs := range p.lay.cols {
-		lo, hi, nulls := int64(math.MaxInt64), int64(math.MinInt64), false
+		var vals []int64
+		nulls := false
 		for k := 0; k < p.rows(); k++ {
 			if v := rowAt(p, k); v.IsNull(c) {
 				nulls = true
 			} else {
-				x := int64(cs.value(v.rec, v.row))
-				lo, hi = min(lo, x), max(hi, x)
+				vals = append(vals, int64(cs.value(v.rec, v.row)))
 			}
 		}
 		want := colSlot{off: cs.off, scale: cs.scale, nulls: nulls}
+		raw := p.lay.kinds[c] == KindFloat && cs.scale == 0
 		switch {
-		case p.lay.kinds[c] == KindFloat && cs.scale == 0:
+		case raw:
 			want.width = 64
-		case lo <= hi:
-			want.base, want.width = lo, streamWidth(uint64(hi)-uint64(lo))
+		case len(vals) > 0:
+			want.base, want.width = slices.Min(vals), streamWidth(uint64(slices.Max(vals))-uint64(slices.Min(vals)))
+		}
+		want.ow = want.width
+		if !raw && want.width > 1 {
+			if ow := splitWidth(vals); ow+1 < want.width && ow+1 <= 56 {
+				want.width, want.ow = ow+1, ow
+			}
 		}
 		if cs != want {
 			t.Fatalf("column %d of a %d-row page: %+v, its values need %+v", c, p.rows(), cs, want)
 		}
 	}
+}
+
+// splitWidth is the bits the wider of two clusters of vals needs, split at
+// the midpoint of their span, each cluster's span taken from its own least
+// value.
+func splitWidth(vals []int64) uint8 {
+	lo, hi := slices.Min(vals), slices.Max(vals)
+	mid := lo + int64((uint64(hi)-uint64(lo))/2)
+	var lower, upper []int64
+	for _, v := range vals {
+		if v <= mid {
+			lower = append(lower, v)
+		} else {
+			upper = append(upper, v)
+		}
+	}
+	span := func(c []int64) uint64 { return uint64(slices.Max(c)) - uint64(slices.Min(c)) }
+	return uint8(bits.Len64(max(span(lower), span(upper))))
 }
 
 // checkHeap holds the heap to the rows appended to it — rows[i] at locs[i],
@@ -504,7 +596,8 @@ func TestHeapStoreViews(t *testing.T) {
 }
 
 // TestNarrowDeltaWidths closes one page per span at the edges of the stream
-// widths and reads both ends of the span back off the closed page.
+// widths and reads both ends of the span back off the closed page.  The page
+// holds the span's midpoint too, so no split is narrower than one base.
 func TestNarrowDeltaWidths(t *testing.T) {
 	for _, c := range []struct {
 		span  uint64
@@ -515,13 +608,13 @@ func TestNarrowDeltaWidths(t *testing.T) {
 	} {
 		h := newHeapStore([]Column{{Name: "n", Type: TypeInt}})
 		lo := -1 - int64(c.span/2)
-		ends := []int64{lo, int64(uint64(lo) + c.span)}
+		ends := []int64{lo, int64(uint64(lo) + c.span/2), int64(uint64(lo) + c.span)}
 		var locs []rowLoc
 		for i := 0; h.pageCount() < 2; i++ {
-			loc, _, _ := h.append(Row{Int(ends[min(i, 1)])})
+			loc, _, _ := h.append(Row{Int(ends[min(i, 2)])})
 			locs = append(locs, loc)
 		}
-		if got := h.pages[0].lay.cols[0]; got.width != c.width || got.base != lo {
+		if got := h.pages[0].lay.cols[0]; got.width != c.width || got.split() || got.base != lo {
 			t.Errorf("span %d: width %d base %d, want %d and %d", c.span, got.width, got.base, c.width, lo)
 		}
 		for i, want := range ends {
@@ -529,6 +622,85 @@ func TestNarrowDeltaWidths(t *testing.T) {
 				t.Errorf("span %d: row %d reads %d, stored %d", c.span, i, v.Int(0), want)
 			}
 		}
+	}
+}
+
+// TestNarrowSplitWidths closes one page per pair of clusters — the offsets
+// offs from lo, taken in turn, and in one case a single row at lone — and
+// checks the stream's widths against the split rule's edges: split when one
+// cluster bit and the wider cluster's offsets fit fewer bits than the whole
+// span, 56 at most (ow == width where it is not); every value reads back off
+// the closed page.
+func TestNarrowSplitWidths(t *testing.T) {
+	for _, c := range []struct {
+		name      string
+		lo        int64
+		offs      []uint64
+		lone      uint64
+		width, ow uint8
+	}{
+		{name: "two values", lo: 5, offs: []uint64{0, 2}, width: 1, ow: 0},
+		{name: "two loaders' ids", lo: 100_000_001, offs: []uint64{0, 1e9, 39, 1e9 + 39}, width: 7, ow: 6},
+		{name: "jump past 2^56", lo: -3, offs: []uint64{0, 1 << 57, 1000, 1<<57 + 7}, width: 11, ow: 10},
+		{name: "one-row cluster", lo: 0, offs: []uint64{0, 1 << 20}, lone: 1 << 40, width: 22, ow: 21},
+		{name: "int64 extremes", lo: math.MinInt64, offs: []uint64{0, math.MaxUint64}, width: 1, ow: 0},
+		{name: "widest split", lo: 0, offs: []uint64{0, 1<<55 - 1, 1 << 62}, width: 56, ow: 55},
+		{name: "57-bit clusters", lo: 0, offs: []uint64{0, 1<<56 - 1, 1 << 62}, width: 64, ow: 64},
+		{name: "no gap", lo: 0, offs: []uint64{0, 1<<20 - 1, 1 << 20, 1<<21 - 1}, width: 21, ow: 21},
+	} {
+		h := newHeapStore([]Column{{Name: "n", Type: TypeInt}})
+		var locs []rowLoc
+		var stored []int64
+		for i := 0; h.pageCount() < 2; i++ {
+			off := c.offs[i%len(c.offs)]
+			if c.lone != 0 && i == 7 {
+				off = c.lone
+			}
+			v := int64(uint64(c.lo) + off)
+			loc, _, _ := h.append(Row{Int(v)})
+			locs, stored = append(locs, loc), append(stored, v)
+		}
+		if got := h.pages[0].lay.cols[0]; got.width != c.width || got.ow != c.ow || got.base != c.lo {
+			t.Errorf("%s: width %d ow %d base %d, want %d, %d and %d", c.name, got.width, got.ow, got.base, c.width, c.ow, c.lo)
+		}
+		for i, want := range stored {
+			if v, ok := h.view(locs[i]); !ok || v.Int(0) != want {
+				t.Fatalf("%s: row %d reads %d, stored %d", c.name, i, v.Int(0), want)
+			}
+		}
+		checkStreams(t, &h.pages[0])
+	}
+}
+
+// TestSplitStreamNeedsItsJumpWord: the validating decoder refuses a narrow
+// layout whose split stream starts in the page's first 8 bytes, where no jump
+// word fits in front of it, and accepts the same page with the word there.
+func TestSplitStreamNeedsItsJumpWord(t *testing.T) {
+	h := newHeapStore([]Column{{Name: "n", Type: TypeInt}})
+	for i := 0; h.pageCount() < 2; i++ {
+		h.append(Row{Int(int64(i%2) << 40)})
+	}
+	p := &h.pages[0]
+	if cs := p.lay.cols[0]; !cs.split() || cs.off != 8 {
+		t.Fatalf("column %+v, want a split stream behind its jump word", cs)
+	}
+	if _, err := p.lay.view(alias(p.data), 1); err != nil {
+		t.Fatalf("the heap's own page does not validate: %v", err)
+	}
+	bad := *p.lay
+	bad.cols = slices.Clone(p.lay.cols)
+	bad.cols[0].off = 7
+	if _, err := bad.view(alias(p.data), 1); err == nil {
+		t.Fatal("a split stream at byte 7 validates, its jump word before the page data")
+	}
+}
+
+// TestPackedSizes pins the sizes the read paths depend on: a column slot is
+// 16 bytes, the split's offset width riding in its padding, and a view 32,
+// which the compiler keeps in registers.
+func TestPackedSizes(t *testing.T) {
+	if a, b := unsafe.Sizeof(colSlot{}), unsafe.Sizeof(RowView{}); a != 16 || b != 32 {
+		t.Fatalf("colSlot is %d bytes and RowView %d, want 16 and 32", a, b)
 	}
 }
 
