@@ -94,7 +94,9 @@ pairs:
 # the fleet's scatter-gather path under it and the whole ingest path on the
 # wall clock, on one node (ReadRecords + parallel.Run, the region every skyperf
 # workload times) and through a fleet (ReadRecords + Coordinator.LoadFiles into
-# three agents on loopback TCP, shard-scatter's), and the catalog generator
+# three agents on loopback TCP, shard-scatter's), the batch apply alone from
+# one and two writers (ApplyWriters: two loaders into one database against
+# two databases), and the catalog generator
 # that writes every workload's input (Generate + WriteTo of a fixed-seed
 # night), so none of those can silently regress or break.  -benchtime=100x (1x for the whole-run bench) keeps it a
 # smoke test (counts, not timings); measurements come from `make perf`
@@ -104,7 +106,7 @@ bench:
 	$(GO) test -run '^$$' -bench 'IndexLoadPolicy' -benchtime=1x ./internal/relstore/
 	$(GO) test -run '^$$' -bench 'ServeHTTPQuery|MetricsScrape' -benchtime=100x ./internal/httpserve/
 	$(GO) test -run '^$$' -bench 'ScatterGather|SingleNode|WireQueryResult' -benchtime=50x ./internal/shard/
-	$(GO) test -run '^$$' -bench 'IngestNight|FleetNight' -benchtime=1x .
+	$(GO) test -run '^$$' -bench 'IngestNight|FleetNight|ApplyWriters' -benchtime=1x .
 	$(GO) test -run '^$$' -bench 'DurableCommit' -benchtime=200x .
 	$(GO) test -run '^$$' -bench 'WriteNight' -benchtime=1x ./internal/catalog/
 

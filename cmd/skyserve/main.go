@@ -41,6 +41,8 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"sort"
+	"strings"
 	"time"
 
 	"skyloader/internal/catalog"
@@ -55,102 +57,148 @@ import (
 	"skyloader/internal/tuning"
 )
 
-func main() {
-	var (
-		size      = flag.Float64("size", 10, "nominal catalog MB to generate and load")
-		nfiles    = flag.Int("files", 4, "number of catalog files")
-		rowsPerMB = flag.Int("rows-per-mb", 100, "generated rows per nominal MB")
-		seed      = flag.Int64("seed", 1, "random seed (catalog, workload and DES engine)")
-		profile   = flag.String("profile", "production", "tuning profile: production|untuned|query")
-		loaders   = flag.Int("loaders", 4, "loader nodes (mixed mode)")
+// options holds skyserve's flags.
+type options struct {
+	size, zipfS, coneFrac, rate float64
+	nfiles, rowsPerMB, loaders  int
+	nQueries, workers, queue    int
+	cacheSz, shards, traceEvery int
+	seed                        int64
+	profile, tracePth           string
+	httpAddr, engine            string
+	deadline                    time.Duration
+	mixed, fig8, smoke          bool
+}
 
-		nQueries = flag.Int("queries", 1000, "number of queries to generate (ignored with -trace)")
-		zipfS    = flag.Float64("zipf", 1.2, "Zipf skew of the generated workload")
-		coneFrac = flag.Float64("cone-frac", 0.4, "cone-search fraction of the generated workload")
-		rate     = flag.Float64("rate", 0, "arrival rate in qps (0 = auto: spread over the load window)")
-		tracePth = flag.String("trace", "", "replay a CSV query trace written by skygen -queries")
+// newOptions defines skyserve's flags on fs.
+func newOptions(fs *flag.FlagSet) *options {
+	o := &options{}
+	fs.Float64Var(&o.size, "size", 10, "nominal catalog MB to generate and load")
+	fs.IntVar(&o.nfiles, "files", 4, "number of catalog files")
+	fs.IntVar(&o.rowsPerMB, "rows-per-mb", 100, "generated rows per nominal MB")
+	fs.Int64Var(&o.seed, "seed", 1, "random seed (catalog, workload and DES engine)")
+	fs.StringVar(&o.profile, "profile", "production", "tuning profile: production|untuned|query")
+	fs.IntVar(&o.loaders, "loaders", 4, "loader nodes (mixed mode)")
+	fs.IntVar(&o.nQueries, "queries", 1000, "number of queries to generate")
+	fs.Float64Var(&o.zipfS, "zipf", 1.2, "Zipf skew of the generated workload")
+	fs.Float64Var(&o.coneFrac, "cone-frac", 0.4, "cone-search fraction of the generated workload")
+	fs.Float64Var(&o.rate, "rate", 0, "arrival rate in qps (0 = auto: spread over the load window)")
+	fs.StringVar(&o.tracePth, "trace", "", "replay a CSV query trace written by skygen -queries")
+	fs.IntVar(&o.workers, "workers", 4, "query worker pool size")
+	fs.IntVar(&o.queue, "queue", 0, "admission queue depth (0 = 4x workers)")
+	fs.DurationVar(&o.deadline, "deadline", 2*time.Second, "per-query queue-wait deadline (0 disables)")
+	fs.IntVar(&o.cacheSz, "cache", 128, "result-cache entries per shard (negative disables the cache)")
+	fs.IntVar(&o.shards, "cache-shards", 8, "result-cache shard count")
+	fs.StringVar(&o.httpAddr, "http", "", "serve the query API over HTTP on this address (realtime engine)")
+	fs.IntVar(&o.traceEvery, "trace-every", 16, "HTTP mode: sample one request in N into the trace ring")
+	fs.BoolVar(&o.mixed, "mixed", false, "serve queries WHILE bulk loading runs (default: load first)")
+	fs.StringVar(&o.engine, "engine", "", "des|realtime|both (default: des, or both with -mixed/-smoke)")
+	fs.BoolVar(&o.fig8, "fig8", false, "sweep index policies over the mixed workload (DES)")
+	fs.BoolVar(&o.smoke, "smoke", false, "tiny end-to-end run for CI; nonzero exit on failure")
+	return o
+}
 
-		workers  = flag.Int("workers", 4, "query worker pool size")
-		queue    = flag.Int("queue", 0, "admission queue depth (0 = 4x workers)")
-		deadline = flag.Duration("deadline", 2*time.Second, "per-query queue-wait deadline (0 disables)")
-		cacheSz  = flag.Int("cache", 128, "result-cache entries per shard (negative disables the cache)")
-		shards   = flag.Int("cache-shards", 8, "result-cache shard count")
+// unreadWith names, for each mode flag, the flags that mode overwrites or
+// never reads.
+var unreadWith = map[string][]string{
+	"smoke": {"size", "files", "queries", "loaders", "workers"}, // the smoke run sets its own
+	"trace": {"queries", "zipf", "cone-frac", "rate"},           // a replayed trace is not generated
+	"fig8":  {"engine", "mixed", "profile"},                     // the sweep is DES, mixed, over its own policies
+}
 
-		httpAddr   = flag.String("http", "", "serve the query API over HTTP on this address (realtime engine)")
-		traceEvery = flag.Int("trace-every", 16, "HTTP mode: sample one request in N into the trace ring")
-
-		mixed  = flag.Bool("mixed", false, "serve queries WHILE bulk loading runs (default: load first)")
-		engine = flag.String("engine", "", "des|realtime|both (default: des, or both with -mixed/-smoke)")
-		fig8   = flag.Bool("fig8", false, "sweep index policies over the mixed workload (DES)")
-		smoke  = flag.Bool("smoke", false, "tiny end-to-end run for CI; nonzero exit on failure")
-	)
-	flag.Parse()
-
-	if *smoke {
-		*size, *nfiles, *nQueries, *loaders, *workers = 4, 2, 400, 2, 2
-		if *httpAddr == "" {
-			*mixed = true
-			if *engine == "" {
-				*engine = "both"
+// check fails when a flag given on fs would not take effect: its mode
+// overwrites it or never reads it.
+func (o *options) check(fs *flag.FlagSet) error {
+	given := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { given[f.Name] = true })
+	active := map[string]bool{"smoke": o.smoke, "trace": o.tracePth != "", "fig8": o.fig8}
+	var unread []string
+	for mode, names := range unreadWith {
+		for _, name := range names {
+			if active[mode] && given[name] {
+				unread = append(unread, "-"+name+" with -"+mode)
 			}
 		}
 	}
-	if *engine == "" {
-		if *mixed {
-			*engine = "both"
+	if len(unread) > 0 {
+		sort.Strings(unread)
+		return fmt.Errorf("%s would not take effect", strings.Join(unread, ", "))
+	}
+	return nil
+}
+
+func main() {
+	o := newOptions(flag.CommandLine)
+	flag.Parse()
+	if err := o.check(flag.CommandLine); err != nil {
+		fatal(err)
+	}
+
+	if o.smoke {
+		o.size, o.nfiles, o.nQueries, o.loaders, o.workers = 4, 2, 400, 2, 2
+		if o.httpAddr == "" {
+			o.mixed = true
+			if o.engine == "" {
+				o.engine = "both"
+			}
+		}
+	}
+	if o.engine == "" {
+		if o.mixed {
+			o.engine = "both"
 		} else {
-			*engine = "des"
+			o.engine = "des"
 		}
 	}
 
-	prof, err := tuning.ProfileByName(*profile)
+	prof, err := tuning.ProfileByName(o.profile)
 	if err != nil {
 		fatal(err)
 	}
 	files := catalog.GenerateNight(catalog.NightSpec{
-		TotalMB: *size, Files: *nfiles, RowsPerMB: *rowsPerMB, Seed: *seed, RunID: 1,
+		TotalMB: o.size, Files: o.nfiles, RowsPerMB: o.rowsPerMB, Seed: o.seed, RunID: 1,
 	})
 
 	serveCfg := serve.Config{
-		Workers:              *workers,
-		QueueDepth:           *queue,
-		Deadline:             *deadline,
-		CacheShards:          *shards,
-		CacheEntriesPerShard: *cacheSz,
+		Workers:              o.workers,
+		QueueDepth:           o.queue,
+		Deadline:             o.deadline,
+		CacheShards:          o.shards,
+		CacheEntriesPerShard: o.cacheSz,
 	}
-	if *cacheSz < 0 {
+	if o.cacheSz < 0 {
 		serveCfg.CacheShards = -1
 	}
 
-	if *httpAddr != "" {
-		runHTTP(*httpAddr, *seed, prof, files, serveCfg, *loaders, *traceEvery, *smoke)
+	if o.httpAddr != "" {
+		runHTTP(o.httpAddr, o.seed, prof, files, serveCfg, o.loaders, o.traceEvery, o.smoke)
 		return
 	}
 
 	// Only the DES/realtime serving modes replay a trace; -http serves what
 	// its clients send.
-	trace, err := buildTrace(*tracePth, *nQueries, *seed, *zipfS, *coneFrac, *rate, *size, *rowsPerMB, files)
+	trace, err := buildTrace(o.tracePth, o.nQueries, o.seed, o.zipfS, o.coneFrac, o.rate, o.size, o.rowsPerMB, files)
 	if err != nil {
 		fatal(err)
 	}
 
-	if *fig8 {
-		runFig8(files, trace, serveCfg, *loaders, *seed)
+	if o.fig8 {
+		runFig8(files, trace, serveCfg, o.loaders, o.seed)
 		return
 	}
 
-	engines, err := enginesFor(*engine)
+	engines, err := enginesFor(o.engine)
 	if err != nil {
 		fatal(err)
 	}
 	failed := false
 	for _, eng := range engines {
-		rep, loadRes, ingestRPS, err := runOne(eng, *seed, prof, files, trace, serveCfg, *loaders, *mixed)
+		rep, loadRes, ingestRPS, err := runOne(eng, o.seed, prof, files, trace, serveCfg, o.loaders, o.mixed)
 		if err != nil {
 			fatal(err)
 		}
 		fmt.Printf("=== engine: %s ===\n", eng)
-		printLoad(loadRes, *mixed, ingestRPS)
+		printLoad(loadRes, o.mixed, ingestRPS)
 		if err := rep.Render(os.Stdout); err != nil {
 			fatal(err)
 		}
@@ -159,7 +207,7 @@ func main() {
 			failed = true
 		}
 	}
-	if *smoke {
+	if o.smoke {
 		if failed {
 			fmt.Fprintln(os.Stderr, "skyserve: smoke run failed (nothing served or errors reported)")
 			os.Exit(1)

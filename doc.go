@@ -143,7 +143,7 @@
 // default) maintains the index on every insert.  IndexDeferred participates
 // in the load lifecycle — DB.BeginLoad suspends it, inserts skip it, and
 // DB.Seal bulk-rebuilds it from a presorted key stream by packing B-tree
-// leaves left to right (BTree.BuildFromSorted) — which is the paper's
+// leaves left to right (BTree.buildFromKVs) — which is the paper's
 // Figure 8 drop-indexes-while-loading lever as a supported engine mode.
 // README.md ("Load policies") shows the workflow end to end, PERFORMANCE.md
 // states the Seal ownership rules, and bench/README.md's ingest-bulk and

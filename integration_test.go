@@ -40,7 +40,7 @@ func newRepo(t *testing.T, seed int64, policy tuning.IndexPolicy) *sqlbatch.Serv
 	if _, err := txn.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if err := tuning.ApplyIndexPolicy(db, policy); err != nil {
+	if err := tuning.ApplyIndexPolicyWith(db, policy, relstore.IndexImmediate); err != nil {
 		t.Fatal(err)
 	}
 	return sqlbatch.NewServerOn(sched, db, sqlbatch.DefaultServerConfig(), sqlbatch.DefaultCostModel())
@@ -118,17 +118,17 @@ func TestEndToEndThroughFiles(t *testing.T) {
 
 	// The htmid index kept during loading answers a positional query.
 	ts := db.Schema().Table(catalog.TObjects)
-	idx := ts.ColumnIndex("htmid")
-	var someHTMID relstore.Value
+	idx, raIdx, decIdx := ts.ColumnIndex("htmid"), ts.ColumnIndex("ra"), ts.ColumnIndex("dec")
+	var someHTMID, ra, dec relstore.Value
 	_ = db.Scan(catalog.TObjects, func(r relstore.Row) bool {
-		someHTMID = r[idx]
+		someHTMID, ra, dec = r[idx], r[raIdx], r[decIdx]
 		return false
 	})
 	if someHTMID.IsNull() {
 		t.Fatal("no object carries an htmid")
 	}
-	if _, err := htm.Name(someHTMID.Int()); err != nil {
-		t.Fatalf("stored htmid invalid: %v", err)
+	if want, err := htm.Lookup(ra.Float(), dec.Float(), htm.DefaultDepth); err != nil || someHTMID.Int() != want {
+		t.Fatalf("stored htmid %d, want %d for (%v, %v): %v", someHTMID.Int(), want, ra, dec, err)
 	}
 	key := []relstore.Value{someHTMID}
 	rows, err := db.RangeIndexed(catalog.TObjects, tuning.HTMIDIndexName, key, key, 0)
@@ -282,7 +282,7 @@ func TestResidentBytesCeiling(t *testing.T) {
 	if _, err := txn.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if err := tuning.ApplyIndexPolicy(db, tuning.HTMIDOnly); err != nil {
+	if err := tuning.ApplyIndexPolicyWith(db, tuning.HTMIDOnly, relstore.IndexImmediate); err != nil {
 		t.Fatal(err)
 	}
 	held := liveHeap() - before
@@ -342,7 +342,7 @@ func TestResidentBytesCeiling(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv = nil
-	if err := tuning.ApplyIndexPolicy(two, tuning.HTMIDOnly); err != nil {
+	if err := tuning.ApplyIndexPolicyWith(two, tuning.HTMIDOnly, relstore.IndexImmediate); err != nil {
 		t.Fatal(err)
 	}
 	held = liveHeap() - before

@@ -66,12 +66,6 @@ type Config struct {
 	RowOverheadBytes int
 }
 
-// DefaultConfig returns the production configuration used by the paper's
-// performance studies (array-size 1000).
-func DefaultConfig() Config {
-	return Config{ArraySize: 1000, RowOverheadBytes: 64}
-}
-
 // ArraySet is the set of per-table buffer arrays.
 type ArraySet struct {
 	cfg    Config
@@ -81,9 +75,6 @@ type ArraySet struct {
 
 	totalRows  int
 	totalBytes int64
-
-	cyclesFlushed int
-	arraysCreated int
 }
 
 // New creates an ArraySet for the given schema.  The schema provides the
@@ -107,15 +98,6 @@ func New(schema *relstore.Schema, cfg Config) (*ArraySet, error) {
 		arrays: make(map[string]*Array),
 		free:   make(map[string]*Array),
 	}, nil
-}
-
-// MustNew is New that panics on error.
-func MustNew(schema *relstore.Schema, cfg Config) *ArraySet {
-	s, err := New(schema, cfg)
-	if err != nil {
-		panic(err)
-	}
-	return s
 }
 
 // Config returns the configuration of the set.
@@ -152,7 +134,6 @@ func (s *ArraySet) Add(table string, columns []string, values []relstore.Value, 
 			}
 		}
 		s.arrays[table] = arr
-		s.arraysCreated++
 		created = true
 	}
 	if len(arr.slab)+len(values) > cap(arr.slab) {
@@ -176,20 +157,6 @@ func (s *ArraySet) Len() int { return s.totalRows }
 // MemoryBytes returns the estimated memory held by the buffered rows
 // (raw data plus per-row overhead).
 func (s *ArraySet) MemoryBytes() int64 { return s.totalBytes }
-
-// NumArrays returns the number of arrays currently maintained.
-func (s *ArraySet) NumArrays() int { return len(s.arrays) }
-
-// ArraysCreated returns the cumulative number of arrays that joined a flush
-// cycle over the lifetime of the set, newly allocated or recycled.
-func (s *ArraySet) ArraysCreated() int { return s.arraysCreated }
-
-// CyclesFlushed returns how many flush cycles have completed.
-func (s *ArraySet) CyclesFlushed() int { return s.cyclesFlushed }
-
-// Array returns the buffer for the given table, or nil if none exists in the
-// current cycle.
-func (s *ArraySet) Array(table string) *Array { return s.arrays[table] }
 
 // FlushOrder returns the tables that currently have buffered rows, ordered
 // parents before children (Figure 2 of the paper).  Ties (tables unrelated by
@@ -224,7 +191,6 @@ func (s *ArraySet) Drain() []*Array {
 		out = append(out, s.arrays[t])
 	}
 	s.Reset()
-	s.cyclesFlushed++
 	return out
 }
 

@@ -35,10 +35,10 @@ func TestAddCreatesArraysOnDemand(t *testing.T) {
 	if created {
 		t.Fatal("second add should reuse the array")
 	}
-	if s.NumArrays() != 1 || s.Len() != 2 || s.ArraysCreated() != 1 {
-		t.Fatalf("NumArrays=%d Len=%d Created=%d", s.NumArrays(), s.Len(), s.ArraysCreated())
+	if len(s.arrays) != 1 || s.Len() != 2 {
+		t.Fatalf("%d arrays, Len=%d", len(s.arrays), s.Len())
 	}
-	arr := s.Array(catalog.TObjects)
+	arr := s.arrays[catalog.TObjects]
 	if arr == nil || arr.Len() != 2 || arr.Bytes() == 0 {
 		t.Fatalf("array state: %+v", arr)
 	}
@@ -106,37 +106,20 @@ func TestDrainResetsAndCounts(t *testing.T) {
 	if len(arrays) != 1 || arrays[0].Len() != 2 {
 		t.Fatalf("drained %d arrays", len(arrays))
 	}
-	if s.Len() != 0 || s.NumArrays() != 0 || s.MemoryBytes() != 0 {
+	if s.Len() != 0 || len(s.arrays) != 0 || s.MemoryBytes() != 0 {
 		t.Fatal("set not reset after drain")
-	}
-	if s.CyclesFlushed() != 1 {
-		t.Fatalf("CyclesFlushed = %d", s.CyclesFlushed())
 	}
 	// Empty arrays are not returned.
 	if got := s.Drain(); len(got) != 0 {
 		t.Fatalf("drain of empty set returned %d arrays", len(got))
 	}
-	if s.ArraysCreated() != 1 {
-		t.Fatalf("ArraysCreated = %d (should persist across cycles)", s.ArraysCreated())
-	}
 }
 
 func TestConfigValidation(t *testing.T) {
-	if _, err := New(catalog.NewSchema(), Config{ArraySize: 0}); err == nil {
-		t.Fatal("zero array size should be rejected")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("MustNew should panic on bad config")
+	for _, size := range []int{0, -1} {
+		if _, err := New(catalog.NewSchema(), Config{ArraySize: size}); err == nil {
+			t.Fatalf("array size %d should be rejected", size)
 		}
-	}()
-	MustNew(catalog.NewSchema(), Config{ArraySize: -1})
-}
-
-func TestDefaultConfig(t *testing.T) {
-	cfg := DefaultConfig()
-	if cfg.ArraySize != 1000 {
-		t.Fatalf("default array size = %d, want the paper's 1000", cfg.ArraySize)
 	}
 }
 
@@ -153,7 +136,10 @@ func TestFlushOrderIsTopologicalProperty(t *testing.T) {
 			picks = picks[:60]
 		}
 		rng := rand.New(rand.NewSource(seed))
-		s := MustNew(schema, Config{ArraySize: 1_000_000})
+		s, err := New(schema, Config{ArraySize: 1_000_000})
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, p := range picks {
 			table := tables[int(p)%len(tables)]
 			ts := schema.Table(table)
@@ -172,8 +158,8 @@ func TestFlushOrderIsTopologicalProperty(t *testing.T) {
 			pos[name] = i
 		}
 		for _, name := range order {
-			for _, parent := range schema.Parents(name) {
-				if pp, ok := pos[parent]; ok && pp >= pos[name] {
+			for _, fk := range schema.Table(name).ForeignKeys {
+				if pp, ok := pos[fk.RefTable]; ok && fk.RefTable != name && pp >= pos[name] {
 					return false
 				}
 			}
@@ -290,15 +276,12 @@ func TestRecycleReusesBuffers(t *testing.T) {
 			}
 		}
 	}
-	if s.Len() != 0 || s.NumArrays() != 0 {
-		t.Fatalf("set holds %d rows in %d arrays after Recycle", s.Len(), s.NumArrays())
+	if s.Len() != 0 || len(s.arrays) != 0 {
+		t.Fatalf("set holds %d rows in %d arrays after Recycle", s.Len(), len(s.arrays))
 	}
 
 	// A cycle no larger than the one before fits the buffers as they are.
 	want := fillCycle(t, s, 5000, 300)
-	if got := s.ArraysCreated(); got != 2*len(first) {
-		t.Fatalf("ArraysCreated = %d, want %d: a recycled array joining a cycle counts as one", got, 2*len(first))
-	}
 	second := s.Drain()
 	checkArrays(t, "second cycle", second, want, 5000)
 	for i, arr := range second {
@@ -317,7 +300,7 @@ func TestSlabGrowthLeavesRows(t *testing.T) {
 	if _, _, err := s.Add(catalog.TObjects, cols, vals, 1); err != nil {
 		t.Fatal(err)
 	}
-	arr := s.Array(catalog.TObjects)
+	arr := s.arrays[catalog.TObjects]
 	firstRow, firstSlab := &arr.Rows[0][0], cap(arr.slab)
 	want := fillCycle(t, s, 100, 20*minSlabValues)
 	if cap(arr.slab) < 4*firstSlab {

@@ -13,7 +13,10 @@ import (
 // hands the arrays' buffers to the next.
 func BenchmarkArraySetAddFlush(b *testing.B) {
 	schema := catalog.NewSchema()
-	set := MustNew(schema, Config{ArraySize: 1000})
+	set, err := New(schema, Config{ArraySize: 1000})
+	if err != nil {
+		b.Fatal(err)
+	}
 	cols := []string{"object_id", "frame_id", "ra", "dec", "mag"}
 	vals := []relstore.Value{relstore.Int(0), relstore.Int(1), relstore.Float(10.0), relstore.Float(10.0), relstore.Float(18.0)}
 	b.ReportAllocs()

@@ -125,7 +125,8 @@ func TestNonBulkMatchesBulkContents(t *testing.T) {
 	if bulkStats.RowsLoaded != nbStats.RowsLoaded {
 		t.Fatalf("bulk loaded %d rows, non-bulk %d", bulkStats.RowsLoaded, nbStats.RowsLoaded)
 	}
-	for _, table := range catalog.CatalogTables() {
+	for _, l := range catalog.Layouts {
+		table := l.Table
 		a, _ := srvBulk.DB().Count(table)
 		b, _ := srvNB.DB().Count(table)
 		if a != b {
@@ -198,7 +199,8 @@ func TestTwoPhaseMatchesBulkRowCounts(t *testing.T) {
 	})
 	srvTP.Scheduler().Run()
 
-	for _, table := range catalog.CatalogTables() {
+	for _, l := range catalog.Layouts {
+		table := l.Table
 		a, _ := srvBulk.DB().Count(table)
 		b, _ := srvTP.DB().Count(table)
 		if a != b {

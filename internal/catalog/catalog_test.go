@@ -19,12 +19,9 @@ func TestSchemaHas23Tables(t *testing.T) {
 	if s.NumTables() != 23 {
 		t.Fatalf("schema has %d tables, want 23 (as in Figure 1)", s.NumTables())
 	}
-	if len(CatalogTables())+len(ReferenceTables()) != 23 {
-		t.Fatalf("catalog (%d) + reference (%d) tables != 23", len(CatalogTables()), len(ReferenceTables()))
-	}
-	for _, name := range append(CatalogTables(), ReferenceTables()...) {
-		if s.Table(name) == nil {
-			t.Errorf("table %q missing from schema", name)
+	for _, l := range Layouts {
+		if s.Table(l.Table) == nil {
+			t.Errorf("table %q missing from schema", l.Table)
 		}
 	}
 }
@@ -112,8 +109,8 @@ func TestTagLayoutsMatchSchema(t *testing.T) {
 	if _, ok := LayoutFor(Tag("XXX")); ok {
 		t.Error("unknown tag should not resolve")
 	}
-	if table, ok := TableForTag(TagOBJ); !ok || table != TObjects {
-		t.Errorf("TableForTag(OBJ) = %q", table)
+	if l, ok := LayoutFor(TagOBJ); !ok || l.Table != TObjects {
+		t.Errorf("LayoutFor(OBJ).Table = %q", l.Table)
 	}
 }
 

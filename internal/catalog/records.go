@@ -72,12 +72,6 @@ func LayoutFor(tag Tag) (TagLayout, bool) {
 	return l, ok
 }
 
-// TableForTag returns the destination table of rows with the given tag.
-func TableForTag(tag Tag) (string, bool) {
-	l, ok := layoutByTag[tag]
-	return l.Table, ok
-}
-
 // FieldSep separates fields within a catalog line.
 const FieldSep = "|"
 
@@ -90,13 +84,9 @@ type Record struct {
 	Line int
 }
 
-// Format renders the record as a catalog file line (without newline).
-func (r Record) Format() string {
-	return string(r.Tag) + FieldSep + strings.Join(r.Fields, FieldSep)
-}
-
-// AppendLine appends the record to dst as Format renders it plus the newline:
-// Bytes() bytes, with no string built on the way.
+// AppendLine appends the record to dst as a catalog file line: the tag and
+// the fields joined by FieldSep, then a newline; Bytes() bytes, with no
+// string built on the way.
 func (r Record) AppendLine(dst []byte) []byte {
 	dst = append(append(dst, r.Tag...), FieldSep...)
 	for i, f := range r.Fields {
@@ -109,7 +99,7 @@ func (r Record) AppendLine(dst []byte) []byte {
 }
 
 // Bytes returns the serialized length of the record including the newline
-// (len(r.Format())+1, without rendering the line), which is what the
+// (what AppendLine appends, without rendering the line), which is what the
 // generator uses to account catalog-file volume.
 func (r Record) Bytes() int {
 	n := len(r.Tag) + len(FieldSep) + 1

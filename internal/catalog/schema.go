@@ -348,25 +348,6 @@ func NewSchema() *relstore.Schema {
 	return relstore.MustSchema(tables...)
 }
 
-// CatalogTables lists the tables populated from catalog files, in the
-// parent-before-child order the generator emits them.
-func CatalogTables() []string {
-	return []string{
-		TObservations, TObservationParams, TSkyRegions, TCCDColumns,
-		TCCDFrames, TFrameApertures, TFrameZeroPoints, TFrameAstrometry, TFramePhotometry,
-		TObjects, TObjectFingers, TObjectApertures, TObjectShapes, TObjectFlags,
-	}
-}
-
-// ReferenceTables lists the static reference tables populated by
-// SeedReference rather than by the catalog files.
-func ReferenceTables() []string {
-	return []string{
-		TTelescopes, TInstruments, TCCDs, TFilters, TObservingRuns,
-		TPipelineVersions, TQualityFlags, TLoadRuns, TLoadErrors,
-	}
-}
-
 // NumCCDsPerInstrument matches the 112-CCD QUEST camera.
 const NumCCDsPerInstrument = 112
 

@@ -252,7 +252,7 @@ func TestNonFiniteFieldIsARejectedRow(t *testing.T) {
 		if n, _ := db.Count(catalog.TObjects); n != 20-int64(len(bad)) {
 			t.Fatalf("%v: %d objects stored, want %d", policy, n, 20-len(bad))
 		}
-		for _, ix := range db.AllIndexes() {
+		for _, ix := range db.Table(catalog.TObjects).Indexes() {
 			if !ix.Ready() || ix.Tree().Len() != 20-len(bad) {
 				t.Fatalf("%v: index %s after the load: ready %v, %d keys", policy, ix.Name, ix.Ready(), ix.Tree().Len())
 			}
@@ -364,7 +364,8 @@ func TestRowAccountingProperty(t *testing.T) {
 			return false
 		}
 		loaded := int64(0)
-		for _, table := range catalog.CatalogTables() {
+		for _, l := range catalog.Layouts {
+			table := l.Table
 			n, _ := srv.DB().Count(table)
 			loaded += n
 		}

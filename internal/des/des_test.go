@@ -53,7 +53,7 @@ func TestProcHoldAdvancesTime(t *testing.T) {
 		observed = append(observed, p.Now())
 	})
 	k.Run()
-	if !p.Finished() {
+	if !p.finished {
 		t.Fatal("process did not finish")
 	}
 	want := []time.Duration{0, 5 * time.Second, 7 * time.Second}
@@ -199,7 +199,7 @@ func TestAcquireMoreThanCapacityPanics(t *testing.T) {
 	if !strings.Contains(msg, `des: process "p" panicked: `) || !strings.Contains(msg, "capacity") {
 		t.Fatalf("panic message %q does not name the process and the over-acquire", msg)
 	}
-	if !p.Finished() {
+	if !p.finished {
 		t.Fatal("panicked process should be marked finished")
 	}
 }
@@ -276,7 +276,7 @@ func TestProcPanicIsCaptured(t *testing.T) {
 	if p.FinishedAt() != time.Second {
 		t.Fatalf("finished at %v, want 1s", p.FinishedAt())
 	}
-	if !p.Finished() {
+	if !p.finished {
 		t.Fatal("panicked process should be marked finished")
 	}
 }

@@ -26,11 +26,8 @@ func (p *Proc) Name() string { return p.name }
 // Now returns the current virtual time.
 func (p *Proc) Now() time.Duration { return p.k.now }
 
-// Finished reports whether the process body has returned.
-func (p *Proc) Finished() bool { return p.finished }
-
 // FinishedAt returns the virtual time at which the process body returned.
-// It is meaningful only once Finished reports true.
+// It is meaningful only once the body has returned.
 func (p *Proc) FinishedAt() time.Duration { return p.finishedAt }
 
 // park yields control to the kernel and blocks until the kernel resumes this

@@ -1,8 +1,10 @@
 package experiments
 
 import (
+	"slices"
 	"testing"
 
+	"skyloader/internal/catalog"
 	"skyloader/internal/core"
 	"skyloader/internal/metrics"
 	"skyloader/internal/tuning"
@@ -31,7 +33,7 @@ func TestNewEnvSeedsReferenceData(t *testing.T) {
 	if n, _ := env.DB.Count("ccds"); n == 0 {
 		t.Fatal("reference data not seeded")
 	}
-	if len(env.DB.AllIndexes()) != 1 {
+	if len(env.DB.Table(catalog.TObjects).Indexes()) != 1 {
 		t.Fatal("index policy not applied")
 	}
 	if env.Server == nil || env.Sched == nil {
@@ -85,7 +87,7 @@ func TestFigure5BatchSweep(t *testing.T) {
 	runtimes := colAt(t, tbl, "runtime_s")
 	batches := colAt(t, tbl, "batch_size")
 	// The smallest batch size must be the slowest point of the sweep.
-	if metrics.ArgMax(runtimes) != 0 {
+	if slices.Max(runtimes) != runtimes[0] {
 		t.Fatalf("batch %v should be the slowest, got runtimes %v", batches[0], runtimes)
 	}
 }
@@ -99,7 +101,7 @@ func TestFigure6ArraySweep(t *testing.T) {
 	arrays := colAt(t, tbl, "array_size")
 	// The optimum must be an interior value (neither the smallest nor the
 	// largest array size), which is the paper's core finding.
-	best := metrics.ArgMin(runtimes)
+	best := slices.Index(runtimes, slices.Min(runtimes))
 	if best == 0 || best == len(runtimes)-1 {
 		t.Fatalf("optimum at array size %v (runtimes %v); expected an interior optimum", arrays[best], runtimes)
 	}
@@ -154,8 +156,11 @@ func TestFigure9FlatRuntime(t *testing.T) {
 		t.Fatal(err)
 	}
 	runtimes := colAt(t, tbl, "runtime_s")
-	s := metrics.Summarize(runtimes)
-	if s.Max-s.Min > s.Mean*0.05 {
+	var sum float64
+	for _, r := range runtimes {
+		sum += r
+	}
+	if slices.Max(runtimes)-slices.Min(runtimes) > sum/float64(len(runtimes))*0.05 {
 		t.Fatalf("runtime varies by more than 5%% across database sizes: %v", runtimes)
 	}
 }

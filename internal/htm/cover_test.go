@@ -32,7 +32,7 @@ func TestConeCoverFullSphere(t *testing.T) {
 	}
 }
 
-// TestConeCoverRangesSortedDisjoint pins the contract queries.ConeSearch
+// TestConeCoverRangesSortedDisjoint pins the contract queries.Cone
 // leans on to visit no object twice without remembering which it has seen:
 // over random cones, radii and depths (and the poles, the RA wrap and a
 // hemisphere), the ranges are well-formed, ascending, non-overlapping and

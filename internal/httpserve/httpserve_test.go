@@ -69,7 +69,7 @@ func loadDB(t testing.TB, sched exec.Scheduler, files []*catalog.File) *relstore
 	if _, err := txn.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if err := tuning.ApplyIndexPolicy(db, tuning.HTMIDOnly); err != nil {
+	if err := tuning.ApplyIndexPolicyWith(db, tuning.HTMIDOnly, relstore.IndexImmediate); err != nil {
 		t.Fatal(err)
 	}
 	load := sqlbatch.NewServerOn(sched, db, sqlbatch.DefaultServerConfig(), sqlbatch.DefaultCostModel())

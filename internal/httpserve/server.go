@@ -165,9 +165,6 @@ func (s *Server) route(path string, h func(http.ResponseWriter, *http.Request, s
 	})
 }
 
-// Tracer exposes the trace ring (tests and in-process reports).
-func (s *Server) Tracer() *trace.Tracer { return s.tracer }
-
 // Handler returns the root handler (tests drive it without a socket).
 func (s *Server) Handler() http.Handler { return s.mux }
 

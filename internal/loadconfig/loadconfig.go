@@ -3,7 +3,7 @@
 // (§4.3, §7).  The use the paper names for it, sizing the array-set per
 // table, is not implemented, nor is a memory high-water mark: as in the
 // paper's loader, one array_size sizes every table's array, and a campaign
-// that names per_table_array_size or memory_high_water_bytes fails Parse.
+// that names per_table_array_size or memory_high_water_bytes fails Load.
 //
 // A load configuration holds the loader tunables (batch size, array size,
 // commit policy, provenance), the degree of parallelism and assignment
@@ -80,9 +80,9 @@ func FromProfile(p tuning.Profile) FileConfig {
 	}
 }
 
-// Parse reads a JSON configuration, filling unset fields from Default and
+// parse reads a JSON configuration, filling unset fields from Default and
 // validating the result.
-func Parse(r io.Reader) (FileConfig, error) {
+func parse(r io.Reader) (FileConfig, error) {
 	cfg := Default()
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
@@ -107,14 +107,7 @@ func Load(path string) (FileConfig, error) {
 		return FileConfig{}, fmt.Errorf("loadconfig: %w", err)
 	}
 	defer f.Close()
-	return Parse(f)
-}
-
-// Write serializes the configuration as indented JSON.
-func (c FileConfig) Write(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(c)
+	return parse(f)
 }
 
 // Validate checks ranges and enumerations.

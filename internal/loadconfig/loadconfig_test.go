@@ -2,6 +2,7 @@ package loadconfig
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -33,7 +34,7 @@ func TestParseOverridesAndDefaults(t *testing.T) {
 		"index_policy": "htmid+composite",
 		"cache_pages": 4096
 	}`
-	cfg, err := Parse(strings.NewReader(doc))
+	cfg, err := parse(strings.NewReader(doc))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +86,7 @@ func TestParseRejectsUnknownFieldsAndBadValues(t *testing.T) {
 		{doc: `{"memory_high_water_bytes": 1048576}`, want: `unknown field "memory_high_water_bytes"`},
 	}
 	for i, c := range cases {
-		_, err := Parse(strings.NewReader(c.doc))
+		_, err := parse(strings.NewReader(c.doc))
 		if err == nil {
 			t.Errorf("case %d (%s): expected an error", i, c.doc)
 		} else if !strings.Contains(err.Error(), c.want) {
@@ -100,10 +101,10 @@ func TestWriteParseRoundTrip(t *testing.T) {
 	orig.Loaders = 6
 	orig.CommitEveryBatches = 3
 	var buf bytes.Buffer
-	if err := orig.Write(&buf); err != nil {
+	if err := json.NewEncoder(&buf).Encode(orig); err != nil {
 		t.Fatal(err)
 	}
-	back, err := Parse(&buf)
+	back, err := parse(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +166,7 @@ func TestIndexBuildField(t *testing.T) {
 	if cfg.ClusterConfig().SealAfterLoad {
 		t.Fatal("default campaign must not seal")
 	}
-	parsed, err := Parse(strings.NewReader(`{"index_build": "deferred"}`))
+	parsed, err := parse(strings.NewReader(`{"index_build": "deferred"}`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +176,7 @@ func TestIndexBuildField(t *testing.T) {
 	if !parsed.ClusterConfig().SealAfterLoad {
 		t.Fatal("deferred campaign must enable the seal phase")
 	}
-	if _, err := Parse(strings.NewReader(`{"index_build": "sometimes"}`)); err == nil {
+	if _, err := parse(strings.NewReader(`{"index_build": "sometimes"}`)); err == nil {
 		t.Fatal("bad index_build accepted")
 	}
 }

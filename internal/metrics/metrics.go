@@ -1,13 +1,12 @@
 // Package metrics provides small result-reporting helpers shared by the
 // experiment harness, the benchmarks and the command-line tools: numeric
-// series, result tables with text and CSV rendering, and summary statistics.
+// series, result tables with text and CSV rendering, and latency histograms
+// with their Prometheus text rendering.
 package metrics
 
 import (
 	"fmt"
 	"io"
-	"math"
-	"sort"
 	"strings"
 )
 
@@ -139,52 +138,6 @@ func (t *Table) Column(name string) []float64 {
 	return out
 }
 
-// Summary holds basic descriptive statistics of a sample.
-type Summary struct {
-	N      int
-	Mean   float64
-	Min    float64
-	Max    float64
-	Median float64
-	StdDev float64
-}
-
-// Summarize computes descriptive statistics for xs.
-func Summarize(xs []float64) Summary {
-	if len(xs) == 0 {
-		return Summary{}
-	}
-	s := Summary{N: len(xs), Min: math.Inf(1), Max: math.Inf(-1)}
-	var sum float64
-	for _, x := range xs {
-		sum += x
-		if x < s.Min {
-			s.Min = x
-		}
-		if x > s.Max {
-			s.Max = x
-		}
-	}
-	s.Mean = sum / float64(len(xs))
-	var ss float64
-	for _, x := range xs {
-		d := x - s.Mean
-		ss += d * d
-	}
-	if len(xs) > 1 {
-		s.StdDev = math.Sqrt(ss / float64(len(xs)-1))
-	}
-	sorted := append([]float64{}, xs...)
-	sort.Float64s(sorted)
-	mid := len(sorted) / 2
-	if len(sorted)%2 == 1 {
-		s.Median = sorted[mid]
-	} else {
-		s.Median = (sorted[mid-1] + sorted[mid]) / 2
-	}
-	return s
-}
-
 // Ratio returns a/b, or 0 when b is 0 — a convenience for speedup columns.
 func Ratio(a, b float64) float64 {
 	if b == 0 {
@@ -199,32 +152,4 @@ func PercentChange(x, base float64) float64 {
 		return 0
 	}
 	return (x - base) / base * 100
-}
-
-// ArgMin returns the index of the smallest value (or -1 for empty input).
-func ArgMin(xs []float64) int {
-	if len(xs) == 0 {
-		return -1
-	}
-	best := 0
-	for i, x := range xs {
-		if x < xs[best] {
-			best = i
-		}
-	}
-	return best
-}
-
-// ArgMax returns the index of the largest value (or -1 for empty input).
-func ArgMax(xs []float64) int {
-	if len(xs) == 0 {
-		return -1
-	}
-	best := 0
-	for i, x := range xs {
-		if x > xs[best] {
-			best = i
-		}
-	}
-	return best
 }

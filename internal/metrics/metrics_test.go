@@ -63,39 +63,11 @@ func TestTableColumn(t *testing.T) {
 	}
 }
 
-func TestSummarize(t *testing.T) {
-	s := Summarize([]float64{2, 4, 6, 8})
-	if s.N != 4 || s.Mean != 5 || s.Min != 2 || s.Max != 8 || s.Median != 5 {
-		t.Fatalf("summary: %+v", s)
-	}
-	if math.Abs(s.StdDev-2.581988897) > 1e-6 {
-		t.Fatalf("stddev: %v", s.StdDev)
-	}
-	odd := Summarize([]float64{1, 9, 5})
-	if odd.Median != 5 {
-		t.Fatalf("odd median: %v", odd.Median)
-	}
-	empty := Summarize(nil)
-	if empty.N != 0 || empty.Mean != 0 {
-		t.Fatalf("empty summary: %+v", empty)
-	}
-}
-
 func TestRatioAndPercent(t *testing.T) {
 	if Ratio(10, 2) != 5 || Ratio(1, 0) != 0 {
 		t.Fatal("Ratio broken")
 	}
 	if PercentChange(110, 100) != 10 || PercentChange(5, 0) != 0 {
 		t.Fatal("PercentChange broken")
-	}
-}
-
-func TestArgMinMax(t *testing.T) {
-	xs := []float64{5, 2, 9, 2.5}
-	if ArgMin(xs) != 1 || ArgMax(xs) != 2 {
-		t.Fatalf("ArgMin/ArgMax: %d %d", ArgMin(xs), ArgMax(xs))
-	}
-	if ArgMin(nil) != -1 || ArgMax(nil) != -1 {
-		t.Fatal("empty input should return -1")
 	}
 }

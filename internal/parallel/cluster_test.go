@@ -95,7 +95,8 @@ func TestParallelMatchesSequentialContents(t *testing.T) {
 	if seqRes.Total.RowsLoaded != parRes.Total.RowsLoaded {
 		t.Fatalf("sequential loaded %d rows, parallel %d", seqRes.Total.RowsLoaded, parRes.Total.RowsLoaded)
 	}
-	for _, table := range catalog.CatalogTables() {
+	for _, l := range catalog.Layouts {
+		table := l.Table
 		a, _ := seq.DB().Count(table)
 		b, _ := par.DB().Count(table)
 		if a != b {

@@ -35,7 +35,8 @@ func testServerWithIndexes(t *testing.T, seed int64, build relstore.IndexPolicy)
 	return sqlbatch.NewServerOn(sched, db, sqlbatch.DefaultServerConfig(), sqlbatch.DefaultCostModel())
 }
 
-// dumpIndex renders one index's full contents (key order and row-id order).
+// dumpIndex renders one index's full contents (key order and row-id order);
+// the encoded keys are canonical, so equal bytes are equal values.
 func dumpIndex(db *relstore.DB, table, index string) string {
 	var b strings.Builder
 	ix := db.Table(table).Index(index)
@@ -43,12 +44,7 @@ func dumpIndex(db *relstore.DB, table, index string) string {
 		return "<missing>"
 	}
 	ix.Tree().AscendRange(nil, nil, func(key []byte, ids []int64) bool {
-		vals, err := relstore.DecodeOrderedKey(key)
-		if err != nil {
-			fmt.Fprintf(&b, "<bad key %x: %v>", key, err)
-			return false
-		}
-		b.WriteString(relstore.EncodeKey(vals))
+		fmt.Fprintf(&b, "%x", key)
 		for _, id := range ids {
 			fmt.Fprintf(&b, " %d", id)
 		}

@@ -96,7 +96,8 @@ func TestWallclockMatchesDESContents(t *testing.T) {
 	if simRes.Total.RowsLoaded != rtRes.Total.RowsLoaded {
 		t.Fatalf("DES loaded %d rows, wallclock %d", simRes.Total.RowsLoaded, rtRes.Total.RowsLoaded)
 	}
-	for _, table := range catalog.CatalogTables() {
+	for _, l := range catalog.Layouts {
+		table := l.Table
 		a, _ := sim.DB().Count(table)
 		b, _ := rt.DB().Count(table)
 		if a != b {

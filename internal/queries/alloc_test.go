@@ -18,7 +18,7 @@ func TestConeSearchCandidatesDoNotAllocate(t *testing.T) {
 	var stats Stats
 	allocs := testing.AllocsPerRun(20, func() {
 		var err error
-		if _, stats, err = ConeSearch(db, 180, 10, spread/3); err != nil {
+		if _, stats, err = coneSearch(db, 180, 10, spread/3); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -72,7 +72,7 @@ func randomCatalog(t testing.TB, rng *rand.Rand, n int, raBase, decBase, spread 
 	if _, err := txn.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if err := tuning.ApplyIndexPolicy(db, tuning.HTMIDOnly); err != nil {
+	if err := tuning.ApplyIndexPolicyWith(db, tuning.HTMIDOnly, relstore.IndexImmediate); err != nil {
 		t.Fatal(err)
 	}
 	return db
@@ -120,7 +120,7 @@ func TestConeSearchMatchesBruteForce(t *testing.T) {
 				ra -= 360
 			}
 			radius := 0.02 + rng.Float64()*spread
-			indexed, stats, err := ConeSearch(db, ra, dec, radius)
+			indexed, stats, err := coneSearch(db, ra, dec, radius)
 			if err != nil {
 				t.Errorf("seed %d: cone search failed: %v", seed, err)
 				return false

@@ -96,7 +96,7 @@ func angularDistanceDeg(a htm.Vector, ra2, dec2 float64) float64 {
 // path and result-cache signatures always agree on the cover.
 func coneCoverDepth(radiusDeg float64) int { return htm.CoverDepth(radiusDeg) }
 
-// ConeSearch returns the objects within radiusDeg of (raDeg, decDeg), sorted
+// coneSearch returns the objects within radiusDeg of (raDeg, decDeg), sorted
 // by object id so the answer is deterministic and directly comparable across
 // execution paths.
 //
@@ -107,7 +107,7 @@ func coneCoverDepth(radiusDeg float64) int { return htm.CoverDepth(radiusDeg) }
 // query-performance cost the paper accepts temporarily by delaying
 // secondary-index builds.  Both paths apply the same exact-distance filter,
 // so for identical table contents they return byte-identical results.
-func ConeSearch(db *relstore.DB, raDeg, decDeg, radiusDeg float64) ([]Object, Stats, error) {
+func coneSearch(db *relstore.DB, raDeg, decDeg, radiusDeg float64) ([]Object, Stats, error) {
 	if !(radiusDeg > 0) {
 		return nil, Stats{}, fmt.Errorf("queries: radius must be positive, got %v", radiusDeg)
 	}
@@ -189,8 +189,8 @@ func sortObjects(objs []Object) {
 	slices.SortFunc(objs, func(a, b Object) int { return cmp.Compare(a.ObjectID, b.ObjectID) })
 }
 
-// ObjectByID returns the object with the given primary key, or nil.
-func ObjectByID(db *relstore.DB, objectID int64) (*Object, error) {
+// objectByID returns the object with the given primary key, or nil.
+func objectByID(db *relstore.DB, objectID int64) (*Object, error) {
 	cols := newObjectCols(db.Schema().Table(catalog.TObjects))
 	var obj Object
 	found, err := db.LookupByPKRef(catalog.TObjects, []relstore.Value{relstore.Int(objectID)},
@@ -201,8 +201,8 @@ func ObjectByID(db *relstore.DB, objectID int64) (*Object, error) {
 	return &obj, nil
 }
 
-// ObjectsOnFrame returns every object detected on the given frame.
-func ObjectsOnFrame(db *relstore.DB, frameID int64) ([]Object, Stats, error) {
+// objectsOnFrame returns every object detected on the given frame.
+func objectsOnFrame(db *relstore.DB, frameID int64) ([]Object, Stats, error) {
 	cols := newObjectCols(db.Schema().Table(catalog.TObjects))
 	var out []Object
 	var stats Stats
@@ -224,9 +224,9 @@ type MagnitudeBin struct {
 	Count int64
 }
 
-// MagnitudeHistogram bins the objects table by magnitude.  binWidth must be
+// magnitudeHistogram bins the objects table by magnitude.  binWidth must be
 // positive; bins with no objects are omitted.
-func MagnitudeHistogram(db *relstore.DB, binWidth float64) ([]MagnitudeBin, error) {
+func magnitudeHistogram(db *relstore.DB, binWidth float64) ([]MagnitudeBin, error) {
 	if !(binWidth > 0) {
 		return nil, fmt.Errorf("queries: bin width must be positive, got %v", binWidth)
 	}

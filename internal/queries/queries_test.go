@@ -29,7 +29,7 @@ func loadedRepo(t *testing.T, policy tuning.IndexPolicy) *relstore.DB {
 	if _, err := txn.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if err := tuning.ApplyIndexPolicy(db, policy); err != nil {
+	if err := tuning.ApplyIndexPolicyWith(db, policy, relstore.IndexImmediate); err != nil {
 		t.Fatal(err)
 	}
 	server := sqlbatch.NewServerOn(sched, db, sqlbatch.DefaultServerConfig(), sqlbatch.DefaultCostModel())
@@ -70,7 +70,7 @@ func anyObject(t *testing.T, db *relstore.DB) Object {
 func TestConeSearchWithIndex(t *testing.T) {
 	db := loadedRepo(t, tuning.HTMIDOnly)
 	target := anyObject(t, db)
-	results, stats, err := ConeSearch(db, target.RA, target.Dec, 0.1)
+	results, stats, err := coneSearch(db, target.RA, target.Dec, 0.1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestConeSearchWithIndex(t *testing.T) {
 func TestConeSearchFullScanFallback(t *testing.T) {
 	db := loadedRepo(t, tuning.NoIndexes)
 	target := anyObject(t, db)
-	results, stats, err := ConeSearch(db, target.RA, target.Dec, 0.1)
+	results, stats, err := coneSearch(db, target.RA, target.Dec, 0.1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,11 +121,11 @@ func TestConeSearchIndexAndScanAgree(t *testing.T) {
 	plain := loadedRepo(t, tuning.NoIndexes)
 	target := anyObject(t, indexed)
 
-	withIndex, _, err := ConeSearch(indexed, target.RA, target.Dec, 0.15)
+	withIndex, _, err := coneSearch(indexed, target.RA, target.Dec, 0.15)
 	if err != nil {
 		t.Fatal(err)
 	}
-	withScan, _, err := ConeSearch(plain, target.RA, target.Dec, 0.15)
+	withScan, _, err := coneSearch(plain, target.RA, target.Dec, 0.15)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,13 +147,13 @@ func TestConeSearchIndexAndScanAgree(t *testing.T) {
 
 func TestConeSearchValidation(t *testing.T) {
 	db := loadedRepo(t, tuning.HTMIDOnly)
-	if _, _, err := ConeSearch(db, 10, 10, 0); err == nil {
+	if _, _, err := coneSearch(db, 10, 10, 0); err == nil {
 		t.Fatal("zero radius should be rejected")
 	}
-	if _, _, err := ConeSearch(db, 10, 10, -1); err == nil {
+	if _, _, err := coneSearch(db, 10, 10, -1); err == nil {
 		t.Fatal("negative radius should be rejected")
 	}
-	if _, _, err := ConeSearch(db, 10, 10, math.NaN()); err == nil {
+	if _, _, err := coneSearch(db, 10, 10, math.NaN()); err == nil {
 		t.Fatal("NaN radius should be rejected")
 	}
 }
@@ -161,14 +161,14 @@ func TestConeSearchValidation(t *testing.T) {
 func TestObjectByID(t *testing.T) {
 	db := loadedRepo(t, tuning.HTMIDOnly)
 	target := anyObject(t, db)
-	obj, err := ObjectByID(db, target.ObjectID)
+	obj, err := objectByID(db, target.ObjectID)
 	if err != nil || obj == nil {
 		t.Fatalf("lookup failed: %v %v", obj, err)
 	}
 	if obj.RA != target.RA || obj.Mag != target.Mag {
 		t.Fatalf("lookup returned a different object: %+v vs %+v", obj, target)
 	}
-	missing, err := ObjectByID(db, 999_999_999)
+	missing, err := objectByID(db, 999_999_999)
 	if err != nil || missing != nil {
 		t.Fatalf("missing id should return nil, got %+v (%v)", missing, err)
 	}
@@ -177,7 +177,7 @@ func TestObjectByID(t *testing.T) {
 func TestObjectsOnFrame(t *testing.T) {
 	db := loadedRepo(t, tuning.HTMIDOnly)
 	target := anyObject(t, db)
-	objs, stats, err := ObjectsOnFrame(db, target.FrameID)
+	objs, stats, err := objectsOnFrame(db, target.FrameID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +209,7 @@ func TestMagnitudeHistogram(t *testing.T) {
 		return true
 	})
 	for _, width := range []float64{1.0, 0.001} {
-		bins, err := MagnitudeHistogram(db, width)
+		bins, err := magnitudeHistogram(db, width)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -233,10 +233,10 @@ func TestMagnitudeHistogram(t *testing.T) {
 			t.Fatalf("bin=%v: histogram counts %d objects, %d have a magnitude", width, total, withMag)
 		}
 	}
-	if _, err := MagnitudeHistogram(db, 0); err == nil {
+	if _, err := magnitudeHistogram(db, 0); err == nil {
 		t.Fatal("zero bin width should be rejected")
 	}
-	if _, err := MagnitudeHistogram(db, math.NaN()); err == nil {
+	if _, err := magnitudeHistogram(db, math.NaN()); err == nil {
 		t.Fatal("NaN bin width should be rejected")
 	}
 }

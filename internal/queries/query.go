@@ -73,7 +73,7 @@ func (q Cone) Signature() string {
 
 // Run implements Query.
 func (q Cone) Run(db *relstore.DB) (Result, error) {
-	objs, stats, err := ConeSearch(db, q.RA, q.Dec, q.RadiusDeg)
+	objs, stats, err := coneSearch(db, q.RA, q.Dec, q.RadiusDeg)
 	return Result{Objects: objs, Stats: stats}, err
 }
 
@@ -93,7 +93,7 @@ func (q ObjectLookup) Signature() string { return "lookup:" + strconv.FormatInt(
 
 // Run implements Query.
 func (q ObjectLookup) Run(db *relstore.DB) (Result, error) {
-	obj, err := ObjectByID(db, q.ObjectID)
+	obj, err := objectByID(db, q.ObjectID)
 	res := Result{}
 	res.Stats.RowsExamined = 1
 	if obj != nil {
@@ -120,7 +120,7 @@ func (q FrameObjects) Signature() string { return "frame:" + strconv.FormatInt(q
 
 // Run implements Query.
 func (q FrameObjects) Run(db *relstore.DB) (Result, error) {
-	objs, stats, err := ObjectsOnFrame(db, q.FrameID)
+	objs, stats, err := objectsOnFrame(db, q.FrameID)
 	sortObjects(objs)
 	return Result{Objects: objs, Stats: stats}, err
 }
@@ -143,7 +143,7 @@ func (q MagHistogram) Signature() string {
 
 // Run implements Query.
 func (q MagHistogram) Run(db *relstore.DB) (Result, error) {
-	bins, err := MagnitudeHistogram(db, q.BinWidth)
+	bins, err := magnitudeHistogram(db, q.BinWidth)
 	res := Result{Bins: bins}
 	for _, b := range bins {
 		res.Stats.RowsExamined += int(b.Count)

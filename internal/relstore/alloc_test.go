@@ -115,7 +115,7 @@ func TestInsertRollbackArenaStable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.CreateIndex("frames", "ix_exposure", []string{"exposure"}, false); err != nil {
+	if _, err := db.CreateIndexWith("frames", "ix_exposure", []string{"exposure"}, false, IndexImmediate); err != nil {
 		t.Fatal(err)
 	}
 	const rows = 64

@@ -19,8 +19,8 @@ import (
 //   - with a durable log, one insert record per run replaces n appends;
 //   - secondary indexes are maintained by a sorted bulk merge: the batch's
 //     keys are encoded into a pooled scratch arena, sorted as bytes — the
-//     one order every index shape shares — and inserted via the leaf-aware
-//     BTree.InsertSorted sequential pass;
+//     one order every index shape shares — and inserted in one leaf-aware
+//     sortedInserter pass;
 //   - the commit-epoch pending counter moves once per batch.
 //
 // Semantics are identical to calling Txn.Insert once per row (the property
@@ -147,12 +147,12 @@ func (t *Table) buildRowsBatch(sc *scratch, columns []string, rows [][]Value) ([
 		for i, idx := range colIdxs {
 			// Column kinds are resolved once per batch, so the common case —
 			// the transformer emits exact types — is a tag compare instead of
-			// a Coerce call per value.
+			// a coerce call per value.
 			if v := vals[i]; v.Kind == kinds[i] {
 				row[idx] = v
 				continue
 			}
-			v, err := Coerce(vals[i], t.schema.Columns[idx].Type)
+			v, err := coerce(vals[i], t.schema.Columns[idx].Type)
 			if err != nil {
 				return built, &ConstraintError{Kind: KindType, Table: t.schema.Name,
 					Column: columns[i], Detail: err.Error()}
@@ -164,7 +164,7 @@ func (t *Table) buildRowsBatch(sc *scratch, columns []string, rows [][]Value) ([
 	return built, nil
 }
 
-// canonicalKind returns the value kind Coerce normalizes column type t to.
+// canonicalKind returns the value kind coerce normalizes column type t to.
 func canonicalKind(t ColType) ValueKind {
 	switch t {
 	case TypeInt:

@@ -37,7 +37,7 @@ func engineState(t *testing.T, db *DB) string {
 			name, tbl.RowCount(), tbl.CommitEpoch(), tbl.UncommittedRows())
 		if err := db.ScanRef(name, func(r RowView) bool {
 			for c := 0; c < r.Len(); c++ {
-				b.WriteString(FormatValue(r.Value(c)))
+				b.WriteString(formatValue(r.Value(c)))
 				b.WriteByte('|')
 			}
 			b.WriteByte('\n')
@@ -138,13 +138,13 @@ func batchPropertyDBOn(t *testing.T, schema *Schema, extra ...Option) *DB {
 	db := MustOpen(schema, opts...)
 	// ix_mag has a float key, ix_frame an integer one (both duplicate-heavy)
 	// and ix_frame_mag is a composite: one encoded-key sort serves all three.
-	if _, err := db.CreateIndex("objects", "ix_mag", []string{"mag"}, false); err != nil {
+	if _, err := db.CreateIndexWith("objects", "ix_mag", []string{"mag"}, false, IndexImmediate); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.CreateIndex("objects", "ix_frame", []string{"frame_id"}, false); err != nil {
+	if _, err := db.CreateIndexWith("objects", "ix_frame", []string{"frame_id"}, false, IndexImmediate); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.CreateIndex("objects", "ix_frame_mag", []string{"frame_id", "mag"}, false); err != nil {
+	if _, err := db.CreateIndexWith("objects", "ix_frame_mag", []string{"frame_id", "mag"}, false, IndexImmediate); err != nil {
 		t.Fatal(err)
 	}
 	txn, err := db.Begin()
@@ -450,7 +450,7 @@ func TestInsertBatchNullIndexKeys(t *testing.T) {
 	ref := MustOpen(schema, withBTreeDegree(2))
 	got := MustOpen(schema, withBTreeDegree(2))
 	for _, db := range []*DB{ref, got} {
-		if _, err := db.CreateIndex("pts", "ix_grade", []string{"grade"}, false); err != nil {
+		if _, err := db.CreateIndexWith("pts", "ix_grade", []string{"grade"}, false, IndexImmediate); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -46,10 +46,10 @@ func batchBenchSchema(b *testing.B) *Schema {
 func batchBenchDB(b *testing.B) *DB {
 	b.Helper()
 	db := MustOpen(batchBenchSchema(b))
-	if _, err := db.CreateIndex("objs", "ix_htmid", []string{"htmid"}, false); err != nil {
+	if _, err := db.CreateIndexWith("objs", "ix_htmid", []string{"htmid"}, false, IndexImmediate); err != nil {
 		b.Fatal(err)
 	}
-	if _, err := db.CreateIndex("objs", "ix_radecmag", []string{"ra", "dec", "mag"}, false); err != nil {
+	if _, err := db.CreateIndexWith("objs", "ix_radecmag", []string{"ra", "dec", "mag"}, false, IndexImmediate); err != nil {
 		b.Fatal(err)
 	}
 	txn, err := db.Begin()

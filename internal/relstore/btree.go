@@ -19,8 +19,9 @@ import (
 // every comparison on the descent path is a single bytes.Compare instead of
 // the per-element kind switch of CompareKeys.  The tree owns the bytes it
 // stores — every node keeps its keys packed in its own byte slice — so callers
-// may pass reusable encode buffers.  Callers that need column values back
-// decode with DecodeOrderedKey; the hot paths never do.
+// may pass reusable encode buffers.  Nothing outside the tests decodes a
+// stored key back into values (decodeOrderedValue reads one value of a WAL
+// row); the hot paths never do.
 type BTree struct {
 	degree int
 	root   *btreeNode
@@ -33,8 +34,8 @@ type BTree struct {
 	spareMore  spares[[]uint32]
 }
 
-// btreeCounts are the tree's counters; CheckInvariants recomputes them from
-// a walk.
+// btreeCounts are the tree's counters; the tests' CheckInvariants
+// recomputes them from a walk.
 type btreeCounts struct {
 	size   int
 	nodes  int
@@ -230,15 +231,6 @@ func elemSize[E any]([]E) int {
 // Len returns the number of distinct keys stored.
 func (t *BTree) Len() int { return t.size }
 
-// NodeCount returns the number of allocated nodes.
-func (t *BTree) NodeCount() int { return t.nodes }
-
-// Splits returns the cumulative number of node splits performed.
-func (t *BTree) Splits() int { return t.splits }
-
-// Height returns the current tree height (1 for a lone root leaf).
-func (t *BTree) Height() int { return t.height }
-
 // KeyBytes returns the total length of the stored encoded keys, including
 // tombstoned entries (rollback leaves keys in place).
 func (t *BTree) KeyBytes() int { return t.keyBytes }
@@ -268,8 +260,8 @@ type InsertStats struct {
 // The tree copies the key into the leaf when it stores a new entry, so callers
 // may pass a reusable scratch buffer; inserts under an existing key never copy.
 //
-// It is a one-key sorted pass: the same proactive-split descent InsertSorted
-// falls back to, so the two cannot drift.
+// It is a one-key sorted pass: the same proactive-split descent a
+// sortedInserter falls back to, so the two cannot drift.
 func (t *BTree) Insert(key []byte, rowID int64) InsertStats {
 	before := t.size
 	si := sortedInserter{t: t}
@@ -463,10 +455,9 @@ func (n *btreeNode) find(key []byte) (int, bool) {
 	return lo, false
 }
 
-// InsertSorted adds the (keys[i], rowIDs[i]) pairs, which the caller
-// guarantees to be sorted ascending by (key, rowID), and returns the
-// aggregated insert statistics (NewKey is meaningless for a group insert and
-// left false).
+// sortedInserter carries the state of one sorted insert pass over (key, row
+// id) pairs ascending by (key, rowID): the cached leaf window and the
+// previously inserted entry for equal-key runs.
 //
 // The pass is leaf-aware: each root-to-leaf descent remembers the leaf it
 // landed in and the tightest ancestor separator bounding that leaf from
@@ -477,17 +468,7 @@ func (n *btreeNode) find(key []byte) (int, bool) {
 // comparisons per row to amortized O(1) node visits per row.  A run of equal
 // keys appends to the entry the previous iteration stored without a leaf
 // search, and a key outside the cached window takes the normal proactive-split
-// descent, so the result is what one Insert per pair would leave.
-func (t *BTree) InsertSorted(keys [][]byte, rowIDs []int64) InsertStats {
-	si := sortedInserter{t: t}
-	for pos := range keys {
-		si.insert(keys[pos], rowIDs[pos])
-	}
-	return si.st
-}
-
-// sortedInserter carries the state of one InsertSorted pass: the cached leaf
-// window and the previously inserted entry for equal-key runs.  upper aliases
+// descent, so the result is what one Insert per pair would leave.  upper aliases
 // an ancestor's key bytes, which stay put while the window is valid: in-window
 // inserts touch only the leaf, and every descent refreshes the window.
 type sortedInserter struct {
@@ -610,29 +591,20 @@ type BuildStats struct {
 	Height     int // height of the finished tree
 }
 
-// BuildFromSorted replaces the tree's contents with the (keys[i], rowIDs[i])
-// pairs, which the caller guarantees to be sorted ascending by (key, rowID).
-// Duplicate keys must be adjacent; their row ids accumulate into one entry in
-// input order, exactly as repeated Insert calls would leave them.
-func (t *BTree) BuildFromSorted(keys [][]byte, rowIDs []int64) BuildStats {
-	kvs := make([]idxKV, len(keys))
-	for i := range keys {
-		kvs[i] = idxKV{key: keys[i], id: rowIDs[i]}
-	}
-	return t.buildFromKVs(kvs)
-}
-
-// buildFromKVs is BuildFromSorted over kv pairs, packed straight into the
-// nodes of a fresh tree.  The construction is the cheapest possible for a
+// buildFromKVs replaces the tree's contents with the kv pairs, which the
+// caller guarantees to be sorted ascending by (key, id), packed straight into
+// the nodes of a fresh tree.  Duplicate keys must be adjacent; their row ids
+// accumulate into one entry in input order, exactly as repeated Insert calls
+// would leave them.  The construction is the cheapest possible for a
 // B-tree: leaves fill left to right, the entry that arrives when a node is
 // full is promoted as the separator into the level above, which fills the same
 // way, and no key comparison happens beyond the adjacent-duplicate check —
 // there is no per-row root-to-leaf descent at all, which is what makes an
 // end-of-load bulk rebuild (DB.Seal) cheaper than even the leaf-aware
-// InsertSorted path.  Nodes are packed full (2*degree-1 entries) except the
+// sortedInserter.  Nodes are packed full (2*degree-1 entries) except the
 // rightmost node of each level, which keeps at least degree-1 entries by
 // borrowing from its left neighbour's share; the result always satisfies
-// CheckInvariants.
+// the tests' CheckInvariants.
 func (t *BTree) buildFromKVs(kvs []idxKV) BuildStats {
 	*t = BTree{degree: t.degree}
 	maxE, minE := 2*t.degree-1, t.degree-1
@@ -720,16 +692,6 @@ func (t *BTree) locate(key []byte) (n *btreeNode, i, visited int, found bool) {
 	}
 }
 
-// Search returns a copy of the row ids stored under key (nil if absent) and
-// the number of nodes visited.
-func (t *BTree) Search(key []byte) ([]int64, int) {
-	n, i, visited, found := t.locate(key)
-	if !found {
-		return nil, visited
-	}
-	return n.appendIDs([]int64{}, i), visited
-}
-
 // Delete removes rowID from the ids stored under key.  When the last id for a
 // key is removed the key remains as a tombstone (no ids): the loading workload
 // is insert-only and tombstones only arise from transaction rollback undo, so
@@ -766,10 +728,10 @@ func (n *btreeNode) removeID(i int, rowID int64) bool {
 // order; a nil bound is unbounded.  Bounds are AppendOrderedKey encodings;
 // because the encoding is order-preserving and orders a prefix before its
 // extensions exactly as CompareKeys does, range semantics match the former
-// []Value bounds.  The visitor receives the stored encoded key (decode with
-// DecodeOrderedKey if values are needed) and the entry's ids; both are valid
-// only inside the call, like a RowView — the key aliases the node and the ids
-// a buffer the walk reuses.  It returns false to stop early.
+// []Value bounds.  The visitor receives the stored encoded key and the
+// entry's ids; both are valid only inside the call, like a RowView — the key
+// aliases the node and the ids a buffer the walk reuses.  It returns false to
+// stop early.
 func (t *BTree) AscendRange(from, to []byte, visit func(key []byte, rowIDs []int64) bool) {
 	var ids []int64
 	t.root.ascend(from, to, &ids, visit)
@@ -798,89 +760,4 @@ func (n *btreeNode) ascend(from, to []byte, ids *[]int64, visit func([]byte, []i
 		from = nil
 	}
 	return true
-}
-
-// CheckInvariants verifies B-tree structural invariants: key ordering within
-// and across nodes, node fill bounds, capacities within 2*degree-1 entries
-// (2*degree children) and side slots covering the slot capacity, uniform leaf depth,
-// well-formed stored keys (every key must be a valid AppendOrderedKey
-// encoding), the packed layout (end offsets monotone and covering the key
-// bytes, side slots parallel to the entries, a tombstone holding no ids) and
-// the counters behind KeyBytes, ArenaBytes and ResidentBytes, which must equal
-// the capacities a walk of the nodes sums.  It returns a
-// descriptive error when an invariant is violated.  Used by property tests.
-func (t *BTree) CheckInvariants() error {
-	leafDepth := 0
-	acct := btreeCounts{size: t.size, splits: t.splits, height: t.height}
-	maxE := 2*t.degree - 1
-	var walk func(n *btreeNode, depth int, min, max []byte) error
-	walk = func(n *btreeNode, depth int, min, max []byte) error {
-		acct.nodes++
-		acct.nodeBytes += nodeHeaderSize + cap(n.slots)*slotSize + cap(n.children)*childSize
-		acct.arenaBytes += cap(n.keys)
-		acct.dupBytes += cap(n.more) * sideSlotSize
-		if n != t.root && len(n.slots) < t.degree-1 || cap(n.slots) > maxE {
-			return fmt.Errorf("node at depth %d has %d entries in %d slots, want [%d,%d]", depth, len(n.slots), cap(n.slots), t.degree-1, maxE)
-		}
-		if n.more != nil && (len(n.more) != len(n.slots) || cap(n.more) < cap(n.slots) || cap(n.more) > maxE) {
-			return fmt.Errorf("node at depth %d has %d of %d side slots for %d of %d slots", depth, len(n.more), cap(n.more), len(n.slots), cap(n.slots))
-		}
-		for i := range n.slots {
-			acct.dupBytes += cap(n.rest(i)) * 4
-			if n.slots[i].id == noRowID && len(n.rest(i)) > 0 {
-				return fmt.Errorf("tombstone at depth %d holds ids %v", depth, n.rest(i))
-			}
-			if n.start(i) > int(n.slots[i].end) || int(n.slots[i].end) > len(n.keys) {
-				return fmt.Errorf("offsets not monotone at depth %d entry %d", depth, i)
-			}
-			k := n.key(i)
-			if _, err := DecodeOrderedKey(k); err != nil {
-				return fmt.Errorf("malformed stored key %x at depth %d: %v", k, depth, err)
-			}
-			acct.keyBytes += len(k)
-			if i > 0 && bytes.Compare(n.key(i-1), k) >= 0 {
-				return fmt.Errorf("entries out of order at depth %d", depth)
-			}
-			if min != nil && bytes.Compare(k, min) <= 0 || max != nil && bytes.Compare(k, max) >= 0 {
-				return fmt.Errorf("entry outside its subtree's bounds at depth %d", depth)
-			}
-		}
-		if n.start(len(n.slots)) != len(n.keys) {
-			return fmt.Errorf("node at depth %d: offsets end at %d of %d key bytes", depth, n.start(len(n.slots)), len(n.keys))
-		}
-		if n.leaf() {
-			if leafDepth != 0 && leafDepth != depth {
-				return fmt.Errorf("leaves at depths %d and %d", leafDepth, depth)
-			}
-			leafDepth = depth
-			return nil
-		}
-		if len(n.children) != len(n.slots)+1 || cap(n.children) > maxE+1 {
-			return fmt.Errorf("internal node at depth %d has %d of %d children for %d entries", depth, len(n.children), cap(n.children), len(n.slots))
-		}
-		for i, c := range n.children {
-			lo, hi := min, max
-			if i > 0 {
-				lo = n.key(i - 1)
-			}
-			if i < len(n.slots) {
-				hi = n.key(i)
-			}
-			if err := walk(c, depth+1, lo, hi); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := walk(t.root, 1, nil, nil); err != nil {
-		return err
-	}
-	if acct != t.btreeCounts {
-		return fmt.Errorf("accounting drift: the walk found %+v, the counters say %+v", acct, t.btreeCounts)
-	}
-	if t.spareSlots.bytes != t.spareSlots.held() || t.spareKeys.bytes != t.spareKeys.held() || t.spareMore.bytes != t.spareMore.held() {
-		return fmt.Errorf("spare accounting drift: %d, %d and %d bytes counted, %d, %d and %d held", t.spareSlots.bytes, t.spareKeys.bytes,
-			t.spareMore.bytes, t.spareSlots.held(), t.spareKeys.held(), t.spareMore.held())
-	}
-	return nil
 }

@@ -125,7 +125,7 @@ func TestConcurrentReadersAndWriters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.CreateIndex("objects", "ix_mag", []string{"mag"}, false); err != nil {
+	if _, err := db.CreateIndexWith("objects", "ix_mag", []string{"mag"}, false, IndexImmediate); err != nil {
 		t.Fatal(err)
 	}
 	seed, _ := db.Begin()

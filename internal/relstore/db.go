@@ -2,7 +2,6 @@ package relstore
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -38,8 +37,8 @@ const btreeDegree = 32
 type DB struct {
 	schema *Schema
 	cfg    Config
-	// indexPolicy is the default maintenance policy applied by CreateIndex
-	// (see WithIndexPolicy); individual indexes may override it.
+	// indexPolicy is the default maintenance policy (see WithIndexPolicy),
+	// which IndexPolicyDefault hands to whoever creates the indexes.
 	indexPolicy IndexPolicy
 
 	tables map[string]*Table
@@ -269,12 +268,6 @@ func (db *DB) pagesAllocated() int64 {
 	return n
 }
 
-// CreateIndex builds a secondary index on the named table under the
-// database's default maintenance policy (see WithIndexPolicy).
-func (db *DB) CreateIndex(table, name string, columns []string, unique bool) (*Index, error) {
-	return db.CreateIndexWith(table, name, columns, unique, db.indexPolicy)
-}
-
 // CreateIndexWith builds a secondary index with an explicit maintenance
 // policy, overriding the database default.  A deferred-policy index created
 // during a load phase (between BeginLoad and Seal) starts suspended and is
@@ -319,19 +312,3 @@ func (db *DB) DropIndex(table, name string) error {
 
 // IndexPolicyDefault returns the database's default index maintenance policy.
 func (db *DB) IndexPolicyDefault() IndexPolicy { return db.indexPolicy }
-
-// AllIndexes lists every secondary index in the database, sorted by table
-// then index name.
-func (db *DB) AllIndexes() []*Index {
-	var out []*Index
-	for _, name := range db.schema.TableNames() {
-		out = append(out, db.tables[name].Indexes()...)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Table != out[j].Table {
-			return out[i].Table < out[j].Table
-		}
-		return out[i].Name < out[j].Name
-	})
-	return out
-}

@@ -44,7 +44,7 @@ func fingersDB(tb testing.TB, objects int64) *DB {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	if _, err := db.CreateIndex("fingers", "ix_flux", []string{"flux"}, false); err != nil {
+	if _, err := db.CreateIndexWith("fingers", "ix_flux", []string{"flux"}, false, IndexImmediate); err != nil {
 		tb.Fatal(err)
 	}
 	txn, err := db.Begin()
@@ -284,10 +284,10 @@ func TestSecondaryIndexes(t *testing.T) {
 		}
 	}
 	// Create an index on a populated table (backfill).
-	if _, err := db.CreateIndex("objects", "ix_mag", []string{"mag"}, false); err != nil {
+	if _, err := db.CreateIndexWith("objects", "ix_mag", []string{"mag"}, false, IndexImmediate); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.CreateIndex("objects", "ix_mag", []string{"mag"}, false); !errors.Is(err, ErrIndexExists) {
+	if _, err := db.CreateIndexWith("objects", "ix_mag", []string{"mag"}, false, IndexImmediate); !errors.Is(err, ErrIndexExists) {
 		t.Fatalf("duplicate index: %v", err)
 	}
 	mag15 := []Value{Float(15)}
@@ -310,8 +310,8 @@ func TestSecondaryIndexes(t *testing.T) {
 	if len(rows) != 6 {
 		t.Fatalf("index not maintained: %d rows", len(rows))
 	}
-	if got := len(db.AllIndexes()); got != 1 {
-		t.Fatalf("AllIndexes = %d", got)
+	if got := len(db.Table("objects").Indexes()); got != 1 {
+		t.Fatalf("Indexes = %d", got)
 	}
 	if err := db.DropIndex("objects", "ix_mag"); err != nil {
 		t.Fatal(err)
@@ -326,10 +326,10 @@ func TestSecondaryIndexes(t *testing.T) {
 
 func TestIndexCostReporting(t *testing.T) {
 	db := newTestDB(t)
-	if _, err := db.CreateIndex("objects", "ix_mag", []string{"mag"}, false); err != nil {
+	if _, err := db.CreateIndexWith("objects", "ix_mag", []string{"mag"}, false, IndexImmediate); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.CreateIndex("objects", "ix_pair", []string{"mag", "frame_id"}, false); err != nil {
+	if _, err := db.CreateIndexWith("objects", "ix_pair", []string{"mag", "frame_id"}, false, IndexImmediate); err != nil {
 		t.Fatal(err)
 	}
 	txn, _ := db.Begin()

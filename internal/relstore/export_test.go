@@ -2,6 +2,7 @@ package relstore
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 	"unsafe"
 )
@@ -208,4 +209,153 @@ func (t *Table) PageGeometry() PageGeometry {
 	g.ClosedBytes += g.LayoutBytes
 	g.HeapBytes = g.ClosedBytes + int64(cap(h.wdata)) + 4*int64(cap(h.woffs)) + int64(cap(h.pages))*int64(unsafe.Sizeof(page{}))
 	return g
+}
+
+// NodeCount returns the number of allocated nodes.
+func (t *BTree) NodeCount() int { return t.nodes }
+
+// InsertSorted adds the (keys[i], rowIDs[i]) pairs, sorted ascending by
+// (key, rowID), in one sortedInserter pass, as a batch maintains an index,
+// and returns the aggregated insert statistics (NewKey is left false).
+func (t *BTree) InsertSorted(keys [][]byte, rowIDs []int64) InsertStats {
+	si := sortedInserter{t: t}
+	for pos := range keys {
+		si.insert(keys[pos], rowIDs[pos])
+	}
+	return si.st
+}
+
+// BuildFromSorted is buildFromKVs, as Seal rebuilds an index, over the
+// (keys[i], rowIDs[i]) pairs sorted ascending by (key, rowID).
+func (t *BTree) BuildFromSorted(keys [][]byte, rowIDs []int64) BuildStats {
+	kvs := make([]idxKV, len(keys))
+	for i := range keys {
+		kvs[i] = idxKV{key: keys[i], id: rowIDs[i]}
+	}
+	return t.buildFromKVs(kvs)
+}
+
+// CheckInvariants verifies B-tree structural invariants: key ordering within
+// and across nodes, node fill bounds, capacities within 2*degree-1 entries
+// (2*degree children) and side slots covering the slot capacity, uniform leaf depth,
+// well-formed stored keys (every key must be a valid AppendOrderedKey
+// encoding), the packed layout (end offsets monotone and covering the key
+// bytes, side slots parallel to the entries, a tombstone holding no ids) and
+// the counters behind KeyBytes, ArenaBytes and ResidentBytes, which must equal
+// the capacities a walk of the nodes sums.  It returns a
+// descriptive error when an invariant is violated.  Used by property tests.
+func (t *BTree) CheckInvariants() error {
+	leafDepth := 0
+	acct := btreeCounts{size: t.size, splits: t.splits, height: t.height}
+	maxE := 2*t.degree - 1
+	var walk func(n *btreeNode, depth int, min, max []byte) error
+	walk = func(n *btreeNode, depth int, min, max []byte) error {
+		acct.nodes++
+		acct.nodeBytes += nodeHeaderSize + cap(n.slots)*slotSize + cap(n.children)*childSize
+		acct.arenaBytes += cap(n.keys)
+		acct.dupBytes += cap(n.more) * sideSlotSize
+		if n != t.root && len(n.slots) < t.degree-1 || cap(n.slots) > maxE {
+			return fmt.Errorf("node at depth %d has %d entries in %d slots, want [%d,%d]", depth, len(n.slots), cap(n.slots), t.degree-1, maxE)
+		}
+		if n.more != nil && (len(n.more) != len(n.slots) || cap(n.more) < cap(n.slots) || cap(n.more) > maxE) {
+			return fmt.Errorf("node at depth %d has %d of %d side slots for %d of %d slots", depth, len(n.more), cap(n.more), len(n.slots), cap(n.slots))
+		}
+		for i := range n.slots {
+			acct.dupBytes += cap(n.rest(i)) * 4
+			if n.slots[i].id == noRowID && len(n.rest(i)) > 0 {
+				return fmt.Errorf("tombstone at depth %d holds ids %v", depth, n.rest(i))
+			}
+			if n.start(i) > int(n.slots[i].end) || int(n.slots[i].end) > len(n.keys) {
+				return fmt.Errorf("offsets not monotone at depth %d entry %d", depth, i)
+			}
+			k := n.key(i)
+			if _, err := DecodeOrderedKey(k); err != nil {
+				return fmt.Errorf("malformed stored key %x at depth %d: %v", k, depth, err)
+			}
+			acct.keyBytes += len(k)
+			if i > 0 && bytes.Compare(n.key(i-1), k) >= 0 {
+				return fmt.Errorf("entries out of order at depth %d", depth)
+			}
+			if min != nil && bytes.Compare(k, min) <= 0 || max != nil && bytes.Compare(k, max) >= 0 {
+				return fmt.Errorf("entry outside its subtree's bounds at depth %d", depth)
+			}
+		}
+		if n.start(len(n.slots)) != len(n.keys) {
+			return fmt.Errorf("node at depth %d: offsets end at %d of %d key bytes", depth, n.start(len(n.slots)), len(n.keys))
+		}
+		if n.leaf() {
+			if leafDepth != 0 && leafDepth != depth {
+				return fmt.Errorf("leaves at depths %d and %d", leafDepth, depth)
+			}
+			leafDepth = depth
+			return nil
+		}
+		if len(n.children) != len(n.slots)+1 || cap(n.children) > maxE+1 {
+			return fmt.Errorf("internal node at depth %d has %d of %d children for %d entries", depth, len(n.children), cap(n.children), len(n.slots))
+		}
+		for i, c := range n.children {
+			lo, hi := min, max
+			if i > 0 {
+				lo = n.key(i - 1)
+			}
+			if i < len(n.slots) {
+				hi = n.key(i)
+			}
+			if err := walk(c, depth+1, lo, hi); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	if err := walk(t.root, 1, nil, nil); err != nil {
+		return err
+	}
+	if acct != t.btreeCounts {
+		return fmt.Errorf("accounting drift: the walk found %+v, the counters say %+v", acct, t.btreeCounts)
+	}
+	if t.spareSlots.bytes != t.spareSlots.held() || t.spareKeys.bytes != t.spareKeys.held() || t.spareMore.bytes != t.spareMore.held() {
+		return fmt.Errorf("spare accounting drift: %d, %d and %d bytes counted, %d, %d and %d held", t.spareSlots.bytes, t.spareKeys.bytes,
+			t.spareMore.bytes, t.spareSlots.held(), t.spareKeys.held(), t.spareMore.held())
+	}
+	return nil
+}
+
+// DecodeOrderedKey is the strict inverse of EncodeOrderedKey: it parses enc
+// as a sequence of order-encoded values and returns them.  The decoder is
+// canonical — it accepts exactly the byte strings AppendOrderedKey can
+// produce, so a successful decode re-encodes to the identical bytes.
+// Truncated values, unknown tags, non-canonical string escapes, NaN float bit
+// patterns and a -0.0 encoding (the encoder canonicalizes -0.0 to +0.0) are
+// all rejected with an error wrapping ErrBadOrderedKey.
+//
+// Decoding is off the hot path by design: the B-tree compares and stores
+// encoded keys without ever decoding, and only consumers that need column
+// values back (test dumps, invariant checks, debugging) pay for a decode.
+func DecodeOrderedKey(enc []byte) ([]Value, error) {
+	var out []Value
+	for len(enc) > 0 {
+		v, rest, err := decodeOrderedValue(enc)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, v)
+		enc = rest
+	}
+	return out, nil
+}
+
+// Splits returns the cumulative number of node splits performed.
+func (t *BTree) Splits() int { return t.splits }
+
+// Height returns the current tree height (1 for a lone root leaf).
+func (t *BTree) Height() int { return t.height }
+
+// Search returns a copy of the row ids stored under key (nil if absent) and
+// the number of nodes visited.
+func (t *BTree) Search(key []byte) ([]int64, int) {
+	n, i, visited, found := t.locate(key)
+	if !found {
+		return nil, visited
+	}
+	return n.appendIDs([]int64{}, i), visited
 }

@@ -186,7 +186,7 @@ func TestIndexSortCounters(t *testing.T) {
 		"len=1081 height=4 nodes=157 keyBytes=19458 {Table:ev Index:ix_radec Rows:1081 DistinctKeys:1081 NodesBuilt:157 Height:4 EntryBytes:25944 IntCols:0 FloatCols:2}",
 	}
 	for i, ix := range indexSortIndexes {
-		idx, err := backfilled.CreateIndex("ev", ix.name, ix.cols, false)
+		idx, err := backfilled.CreateIndexWith("ev", ix.name, ix.cols, false, IndexImmediate)
 		if err != nil {
 			t.Fatal(err)
 		}

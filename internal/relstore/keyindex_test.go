@@ -744,7 +744,7 @@ func TestKeyShapesRollbackAndLookup(t *testing.T) {
 				case "composite":
 					return []Value{Int(id), Int(frame)}
 				case "string":
-					v, _ := Coerce(Int(id), TypeString)
+					v, _ := coerce(Int(id), TypeString)
 					return []Value{v}
 				}
 				return []Value{Int(id)}

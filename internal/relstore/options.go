@@ -17,7 +17,7 @@ const (
 	// IndexDeferred suspends maintenance of the index between DB.BeginLoad
 	// and DB.Seal: inserts during the load phase skip it entirely, and Seal
 	// rebuilds it from the surviving heap rows in one presorted bulk pass
-	// (BTree.BuildFromSorted).  Outside a load phase a deferred-policy index
+	// (BTree.buildFromKVs).  Outside a load phase a deferred-policy index
 	// behaves exactly like an immediate one.
 	IndexDeferred
 )
@@ -73,8 +73,9 @@ func WithConfig(cfg Config) Option {
 	return func(o *openConfig) { o.cfg = cfg }
 }
 
-// WithIndexPolicy sets the default maintenance policy for indexes created by
-// CreateIndex.  Individual indexes can override it via CreateIndexWith.
+// WithIndexPolicy sets the database's default index maintenance policy,
+// which DB.IndexPolicyDefault returns (tuning.OpenRepository creates its
+// indexes under it).  CreateIndexWith takes each index's policy explicitly.
 func WithIndexPolicy(p IndexPolicy) Option {
 	return func(o *openConfig) { o.indexPolicy = p }
 }

@@ -10,8 +10,8 @@ import (
 // a byte string whose bytes.Compare order equals CompareKeys order.  This is
 // the storage format of secondary-index B-tree keys: the tree compares stored
 // keys with a single bytes.Compare instead of the per-element kind switch of
-// CompareKeys, and DecodeOrderedKey recovers the column values for the few
-// consumers (test dumps, invariant checks) that genuinely need them.
+// CompareKeys.  decodeOrderedValue reads one value back, for WAL rows (which
+// share the value encoding) and for the tests' DecodeOrderedKey.
 //
 // The existing AppendKey encoding is hash-only — "i-5" sorts after "i-40"
 // bytewise — so ordered access needs this second encoding:
@@ -131,30 +131,6 @@ func appendOrderedUint64(dst []byte, u uint64) []byte {
 // ErrBadOrderedKey reports a byte string that is not a canonical
 // AppendOrderedKey encoding.
 var ErrBadOrderedKey = errors.New("relstore: malformed ordered key")
-
-// DecodeOrderedKey is the strict inverse of EncodeOrderedKey: it parses enc
-// as a sequence of order-encoded values and returns them.  The decoder is
-// canonical — it accepts exactly the byte strings AppendOrderedKey can
-// produce, so a successful decode re-encodes to the identical bytes.
-// Truncated values, unknown tags, non-canonical string escapes, NaN float bit
-// patterns and a -0.0 encoding (the encoder canonicalizes -0.0 to +0.0) are
-// all rejected with an error wrapping ErrBadOrderedKey.
-//
-// Decoding is off the hot path by design: the B-tree compares and stores
-// encoded keys without ever decoding, and only consumers that need column
-// values back (test dumps, invariant checks, debugging) pay for a decode.
-func DecodeOrderedKey(enc []byte) ([]Value, error) {
-	var out []Value
-	for len(enc) > 0 {
-		v, rest, err := decodeOrderedValue(enc)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, v)
-		enc = rest
-	}
-	return out, nil
-}
 
 // decodeOrderedValue decodes one value off the front of enc, which must be
 // non-empty, and returns it with the remaining bytes.

@@ -92,7 +92,7 @@ func newRowLayout(cols []Column) *rowLayout {
 func (l *rowLayout) wide() bool { return l.fixed != 0 }
 
 // pack appends the record of row to dst in the wide layout l.  Every value
-// must be NULL or of its column's canonical kind — Coerce guarantees it on the
+// must be NULL or of its column's canonical kind — coerce guarantees it on the
 // insert paths and replay checks it before storing — so a mismatch here is a
 // bug upstream.
 func (l *rowLayout) pack(dst []byte, row Row) []byte {

@@ -135,7 +135,10 @@ func loadTwoWriterNight(t *testing.T) *relstore.DB {
 func loaderChunks(t *testing.T, schema *relstore.Schema, f *catalog.File) []*arrayset.Array {
 	t.Helper()
 	tr := catalog.NewTransformer(schema)
-	set := arrayset.MustNew(schema, arrayset.DefaultConfig())
+	set, err := arrayset.New(schema, arrayset.Config{ArraySize: 1000})
+	if err != nil {
+		t.Fatal(err)
+	}
 	var out []*arrayset.Array
 	flush := func() {
 		for _, arr := range set.Drain() {

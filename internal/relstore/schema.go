@@ -197,27 +197,6 @@ func (s *Schema) Table(name string) *TableSchema { return s.byName[name] }
 // NumTables returns the number of tables in the schema.
 func (s *Schema) NumTables() int { return len(s.tables) }
 
-// Parents returns the names of tables that name directly references through
-// foreign keys (deduplicated, sorted).
-func (s *Schema) Parents(name string) []string {
-	t := s.byName[name]
-	if t == nil {
-		return nil
-	}
-	set := map[string]bool{}
-	for _, fk := range t.ForeignKeys {
-		if fk.RefTable != name {
-			set[fk.RefTable] = true
-		}
-	}
-	out := make([]string, 0, len(set))
-	for p := range set {
-		out = append(out, p)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Children returns the names of tables that directly reference name through
 // foreign keys (deduplicated, sorted).
 func (s *Schema) Children(name string) []string {
@@ -277,24 +256,4 @@ func (s *Schema) TopologicalOrder() ([]string, error) {
 		}
 	}
 	return order, nil
-}
-
-// Depth returns the parent-chain depth of each table: tables with no foreign
-// keys have depth 0, their children depth 1, and so on.  Used by reports.
-func (s *Schema) Depth() map[string]int {
-	order, err := s.TopologicalOrder()
-	if err != nil {
-		return nil
-	}
-	depth := make(map[string]int, len(order))
-	for _, name := range order {
-		d := 0
-		for _, p := range s.Parents(name) {
-			if depth[p]+1 > d {
-				d = depth[p] + 1
-			}
-		}
-		depth[name] = d
-	}
-	return depth
 }

@@ -88,16 +88,12 @@ func TestSchemaTopologicalOrder(t *testing.T) {
 	if !(pos["frames"] < pos["objects"] && pos["objects"] < pos["fingers"]) {
 		t.Fatalf("order %v does not respect parent-before-child", order)
 	}
-	depth := s.Depth()
-	if depth["frames"] != 0 || depth["objects"] != 1 || depth["fingers"] != 2 {
-		t.Fatalf("Depth = %v", depth)
-	}
 }
 
 func TestSchemaParentsChildren(t *testing.T) {
 	s := testSchema(t)
-	if p := s.Parents("objects"); len(p) != 1 || p[0] != "frames" {
-		t.Fatalf("Parents(objects) = %v", p)
+	if fks := s.Table("objects").ForeignKeys; len(fks) != 1 || fks[0].RefTable != "frames" {
+		t.Fatalf("objects' foreign keys = %+v", fks)
 	}
 	if c := s.Children("objects"); len(c) != 1 || c[0] != "fingers" {
 		t.Fatalf("Children(objects) = %v", c)

@@ -88,10 +88,6 @@ func (db *DB) BeginLoad() error {
 	return nil
 }
 
-// InLoadPhase reports whether a load phase is open (BeginLoad called, Seal
-// not yet).
-func (db *DB) InLoadPhase() bool { return db.loading.Load() }
-
 // Seal closes the load phase: every suspended index is rebuilt from the live
 // heap rows in one presorted bulk pass (BTree.buildFromKVs) and normal
 // maintenance resumes.  Tables are processed in schema name order, each under

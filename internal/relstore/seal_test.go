@@ -338,11 +338,11 @@ func TestCreateIndexBackfillMatchesMaintained(t *testing.T) {
 }
 
 // TestLoadLifecycle covers the state machine: double BeginLoad fails, Seal is
-// idempotent, InLoadPhase tracks the window, and a deferred index created
+// idempotent, the loading flag tracks the window, and a deferred index created
 // mid-load starts suspended and is populated by Seal.
 func TestLoadLifecycle(t *testing.T) {
 	db := MustOpen(testSchema(t))
-	if db.InLoadPhase() {
+	if db.loading.Load() {
 		t.Fatal("load phase open at creation")
 	}
 	if err := db.BeginLoad(); err != nil {
@@ -351,8 +351,8 @@ func TestLoadLifecycle(t *testing.T) {
 	if err := db.BeginLoad(); !errors.Is(err, ErrLoadPhaseActive) {
 		t.Fatalf("second BeginLoad = %v, want ErrLoadPhaseActive", err)
 	}
-	if !db.InLoadPhase() {
-		t.Fatal("InLoadPhase false after BeginLoad")
+	if !db.loading.Load() {
+		t.Fatal("loading false after BeginLoad")
 	}
 
 	// A deferred index created mid-load starts suspended even though rows
@@ -384,7 +384,7 @@ func TestLoadLifecycle(t *testing.T) {
 	if rep.RowsStreamed != 10 || len(rep.Indexes) != 1 {
 		t.Fatalf("SealReport = %+v, want 10 rows over 1 index", rep)
 	}
-	if db.InLoadPhase() {
+	if db.loading.Load() {
 		t.Fatal("load phase still open after Seal")
 	}
 	if !ix.Ready() || ix.Tree().Len() != 10 {
@@ -413,21 +413,21 @@ func TestLoadLifecycle(t *testing.T) {
 	}
 }
 
-// TestIndexDDLStatsSymmetry pins the satellite fix: CreateIndex and DropIndex
+// TestIndexDDLStatsSymmetry pins that CreateIndexWith and DropIndex
 // update DBStats symmetrically on success and on every error path, and both
 // return typed errors.
 func TestIndexDDLStatsSymmetry(t *testing.T) {
 	db := MustOpen(testSchema(t))
-	if _, err := db.CreateIndex("objects", "ix_mag", []string{"mag"}, false); err != nil {
+	if _, err := db.CreateIndexWith("objects", "ix_mag", []string{"mag"}, false, IndexImmediate); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.CreateIndex("objects", "ix_mag", []string{"mag"}, false); !errors.Is(err, ErrIndexExists) {
+	if _, err := db.CreateIndexWith("objects", "ix_mag", []string{"mag"}, false, IndexImmediate); !errors.Is(err, ErrIndexExists) {
 		t.Fatalf("duplicate create = %v, want ErrIndexExists", err)
 	}
-	if _, err := db.CreateIndex("nope", "ix", []string{"mag"}, false); !errors.Is(err, ErrNoSuchTable) {
+	if _, err := db.CreateIndexWith("nope", "ix", []string{"mag"}, false, IndexImmediate); !errors.Is(err, ErrNoSuchTable) {
 		t.Fatalf("unknown table create = %v, want ErrNoSuchTable", err)
 	}
-	if _, err := db.CreateIndex("objects", "ix_bad", []string{"missing"}, false); !errors.Is(err, ErrNoSuchColumn) {
+	if _, err := db.CreateIndexWith("objects", "ix_bad", []string{"missing"}, false, IndexImmediate); !errors.Is(err, ErrNoSuchColumn) {
 		t.Fatalf("unknown column create = %v, want ErrNoSuchColumn", err)
 	}
 	if err := db.DropIndex("nope", "ix_mag"); !errors.Is(err, ErrNoSuchTable) {

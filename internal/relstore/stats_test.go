@@ -27,7 +27,7 @@ func TestStatsSnapshotUnifiesAccessors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.CreateIndex("objects", "ix_htmid", []string{"htmid"}, false); err != nil {
+	if _, err := db.CreateIndexWith("objects", "ix_htmid", []string{"htmid"}, false, IndexImmediate); err != nil {
 		t.Fatal(err)
 	}
 	txn, err := db.Begin()

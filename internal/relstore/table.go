@@ -40,9 +40,6 @@ type Index struct {
 // beside either read StatsSnapshot instead.
 func (ix *Index) Tree() *BTree { return ix.tree }
 
-// Policy returns the index's maintenance policy.
-func (ix *Index) Policy() IndexPolicy { return ix.policy }
-
 // Ready reports whether the index is complete and safe to answer queries
 // from.  It is false for a deferred-policy index between BeginLoad and Seal,
 // when the index is missing the rows loaded so far; query planners should

@@ -144,9 +144,6 @@ func (v Value) Int() int64 { return v.I }
 // Float returns the float payload (valid for KindFloat).
 func (v Value) Float() float64 { return v.F }
 
-// Str returns the string payload (valid for KindString).
-func (v Value) Str() string { return v.S }
-
 // Bool returns the boolean payload (valid for KindBool).
 func (v Value) Bool() bool { return v.I != 0 }
 
@@ -164,14 +161,14 @@ func (r Row) Clone() Row {
 	return out
 }
 
-// Coerce converts v to the canonical representation for column type t,
+// coerce converts v to the canonical representation for column type t,
 // mirroring the light type conversion a database driver performs: numeric
 // widening, numeric/boolean/timestamp parsing of strings, and int/float
 // interconversion when lossless.  NULL passes through unchanged.  When v
 // already has the canonical kind for t — the common case on the loading hot
-// path, where the transformer emits exact types — Coerce is a branch and no
+// path, where the transformer emits exact types — coerce is a branch and no
 // allocation.
-func Coerce(v Value, t ColType) (Value, error) {
+func coerce(v Value, t ColType) (Value, error) {
 	if v.Kind == KindNull {
 		return v, nil
 	}
@@ -241,13 +238,13 @@ func Coerce(v Value, t ColType) (Value, error) {
 			return Bool(b), nil
 		}
 	}
-	return Null, fmt.Errorf("relstore: cannot coerce %s value %s to %s", v.Kind, FormatValue(v), t)
+	return Null, fmt.Errorf("relstore: cannot coerce %s value %s to %s", v.Kind, formatValue(v), t)
 }
 
 // CompareValues orders two non-NULL values of the same kind.  NULLs sort
 // before every non-NULL value and equal to each other, matching index order
 // semantics.  Values of mismatched kinds panic, because they indicate a bug
-// upstream of the index layer (Coerce is applied before storage).
+// upstream of the index layer (coerce is applied before storage).
 func CompareValues(a, b Value) int {
 	if a.Kind == KindNull && b.Kind == KindNull {
 		return 0
@@ -351,12 +348,9 @@ func EncodeKey(vals []Value) string {
 	return string(AppendKey(nil, vals))
 }
 
-// ValueSize estimates the storage footprint of a value in bytes, used for
-// page-fill and log-volume accounting.
-func ValueSize(v Value) int { return valueSizeRef(&v) }
-
-// valueSizeRef is ValueSize through a pointer, for hot paths that must not
-// copy the 40-byte Value per call; both size accountings share this one
+// valueSizeRef estimates the storage footprint of a value in bytes, used for
+// page-fill and log-volume accounting.  It takes a pointer because hot paths
+// must not copy the 40-byte Value per call; both size accountings share this one
 // table so heap/network and index/log volumes cannot drift apart.
 func valueSizeRef(v *Value) int {
 	switch v.Kind {
@@ -391,9 +385,8 @@ func RowSize(r Row) int {
 	return n
 }
 
-// FormatValue renders a value the way the skyload CLI and error messages
-// display it.
-func FormatValue(v Value) string {
+// formatValue renders a value the way error messages display it.
+func formatValue(v Value) string {
 	switch v.Kind {
 	case KindNull:
 		return "NULL"

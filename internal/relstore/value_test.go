@@ -38,7 +38,7 @@ func TestCoerce(t *testing.T) {
 		{Null, TypeInt, Null, false},
 	}
 	for i, c := range cases {
-		got, err := Coerce(c.in, c.typ)
+		got, err := coerce(c.in, c.typ)
 		if c.wantErr {
 			if err == nil {
 				t.Errorf("case %d: expected error for %v -> %v", i, c.in, c.typ)
@@ -59,7 +59,7 @@ func TestValueConstructorsAndAccessors(t *testing.T) {
 	if !Null.IsNull() || Int(1).IsNull() {
 		t.Error("IsNull broken")
 	}
-	if Int(7).Int() != 7 || Float(2.5).Float() != 2.5 || Str("x").Str() != "x" {
+	if Int(7).Int() != 7 || Float(2.5).Float() != 2.5 || Str("x").S != "x" {
 		t.Error("accessors broken")
 	}
 	if !Bool(true).Bool() || Bool(false).Bool() {
@@ -184,7 +184,7 @@ func TestRowSizeAndValueSize(t *testing.T) {
 	if got := RowSize(row); got != 4+8+8+(2+3)+1+1 {
 		t.Errorf("RowSize = %d", got)
 	}
-	if ValueSize(Time(time.Now())) != 12 {
+	if v := Time(time.Now()); valueSizeRef(&v) != 12 {
 		t.Error("time size should be 12")
 	}
 }
@@ -225,7 +225,7 @@ func TestFormatValue(t *testing.T) {
 		"true": Bool(true),
 	}
 	for want, v := range cases {
-		if got := FormatValue(v); got != want {
+		if got := formatValue(v); got != want {
 			t.Errorf("FormatValue(%v) = %q, want %q", v, got, want)
 		}
 	}

@@ -90,7 +90,7 @@ func BenchmarkMixedLoadServe(b *testing.B) {
 // BenchmarkCacheGetHit prices one cache hit including the epoch check.
 func BenchmarkCacheGetHit(b *testing.B) {
 	db := catalogDBForBench(b)
-	c := NewCache(8, 128)
+	c := newCache(8, 128)
 	epoch, _ := db.ReadStamp(catalog.TObjects)
 	c.Put(db, "bench-key", catalog.TObjects, epoch, lookupResult(1), nil)
 	b.ReportAllocs()

@@ -84,9 +84,9 @@ func (s CacheStats) HitRate() float64 {
 	return float64(s.Hits) / float64(total)
 }
 
-// NewCache creates a cache with the given shard count (rounded up to a power
+// newCache creates a cache with the given shard count (rounded up to a power
 // of two, minimum 1) and per-shard entry capacity.
-func NewCache(shards, entriesPerShard int) *Cache {
+func newCache(shards, entriesPerShard int) *Cache {
 	if shards < 1 {
 		shards = 1
 	}

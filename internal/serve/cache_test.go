@@ -67,7 +67,7 @@ func lookupResult(n int64) queries.Result {
 
 func TestCacheHitAndEpochInvalidation(t *testing.T) {
 	db := testDB(t)
-	c := NewCache(2, 8)
+	c := newCache(2, 8)
 	table := catalog.TObjects
 
 	epoch, clean := db.ReadStamp(table)
@@ -126,7 +126,7 @@ func TestCacheHitAndEpochInvalidation(t *testing.T) {
 
 func TestCacheLRUEviction(t *testing.T) {
 	db := testDB(t)
-	c := NewCache(1, 2)
+	c := newCache(1, 2)
 	table := catalog.TObjects
 	epoch, _ := db.ReadStamp(table)
 

@@ -68,7 +68,7 @@ func TestRaceCacheNeverServesUncommittedRows(t *testing.T) {
 	if _, err := setup.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if err := tuning.ApplyIndexPolicy(db, tuning.HTMIDOnly); err != nil {
+	if err := tuning.ApplyIndexPolicyWith(db, tuning.HTMIDOnly, relstore.IndexImmediate); err != nil {
 		t.Fatal(err)
 	}
 
@@ -86,7 +86,7 @@ func TestRaceCacheNeverServesUncommittedRows(t *testing.T) {
 	rolledBack := make(map[int64]bool)
 	committed := make(map[int64]bool)
 
-	cache := NewCache(4, 64)
+	cache := newCache(4, 64)
 	cone := queries.Cone{RA: 120.01, Dec: -30.01, RadiusDeg: 5} // covers every inserted object
 	var wg, writing sync.WaitGroup
 

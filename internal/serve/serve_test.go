@@ -41,7 +41,7 @@ func newServeEnv(t testing.TB, sched exec.Scheduler, policy tuning.IndexPolicy, 
 	if _, err := txn.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if err := tuning.ApplyIndexPolicy(db, policy); err != nil {
+	if err := tuning.ApplyIndexPolicyWith(db, policy, relstore.IndexImmediate); err != nil {
 		t.Fatal(err)
 	}
 	load := sqlbatch.NewServerOn(sched, db, sqlbatch.DefaultServerConfig(), sqlbatch.DefaultCostModel())

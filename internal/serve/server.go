@@ -222,7 +222,7 @@ func NewEngineServer(sched exec.Scheduler, engine Engine, cfg Config) *Server {
 		ingest:  metrics.NewHistogram(),
 	}
 	if cfg.CacheShards > 0 {
-		s.cache = NewCache(cfg.CacheShards, cfg.CacheEntriesPerShard)
+		s.cache = newCache(cfg.CacheShards, cfg.CacheEntriesPerShard)
 	}
 	for _, cls := range []string{queries.ClassCone, queries.ClassLookup, queries.ClassFrame, queries.ClassHistogram} {
 		s.classes[cls] = &classState{latency: metrics.NewHistogram()}
@@ -502,6 +502,8 @@ type Report struct {
 
 // Report snapshots the serving counters after a run of the scheduler.
 func (s *Server) Report(elapsed time.Duration) Report {
+	// Deterministic() only names the engine in the report's first line,
+	// which every skyserve output begins with; nothing runs differently.
 	engine := "realtime"
 	if s.sched.Deterministic() {
 		engine = "des"

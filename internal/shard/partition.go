@@ -26,9 +26,9 @@ type PartitionMap struct {
 	bounds []int64
 }
 
-// FullRange returns the depth-DefaultDepth id range of the whole sphere
+// fullRange returns the depth-DefaultDepth id range of the whole sphere
 // (descendants of the eight root faces 8..15).
-func FullRange() htm.Range {
+func fullRange() htm.Range {
 	return htm.Range{Lo: 8, Hi: 15}.DescendantRange(htm.DefaultDepth)
 }
 
@@ -37,7 +37,7 @@ func NewUniformPartition(n int) (*PartitionMap, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("shard: partition needs at least one shard, got %d", n)
 	}
-	full := FullRange()
+	full := fullRange()
 	width := full.Trixels()
 	bounds := make([]int64, n+1)
 	for i := 0; i < n; i++ {
@@ -68,7 +68,7 @@ func PartitionFromFiles(files []*catalog.File, n int) (*PartitionMap, error) {
 		// to the uniform tiling.
 		return NewUniformPartition(n)
 	}
-	full := FullRange()
+	full := fullRange()
 	bounds := make([]int64, n+1)
 	bounds[0] = full.Lo
 	bounds[n] = full.Hi + 1

@@ -270,7 +270,8 @@ func TestLoadTaskAccountsForEveryLine(t *testing.T) {
 	if res.RowsLoaded+res.RowsSkipped != int64(total) {
 		t.Errorf("%d loaded + %d skipped, the block has %d lines", res.RowsLoaded, res.RowsSkipped, total)
 	}
-	for _, table := range catalog.CatalogTables() {
+	for _, l := range catalog.Layouts {
+		table := l.Table
 		got, _ := agents[0].DB().Count(table)
 		if n, _ := oracle.Count(table); got != n {
 			t.Errorf("%s: agent holds %d rows, single node %d", table, got, n)

@@ -21,7 +21,7 @@ import (
 )
 
 func TestPartitionTiling(t *testing.T) {
-	full := FullRange()
+	full := fullRange()
 	for _, n := range []int{1, 2, 3, 7, 64, 100} {
 		pm, err := NewUniformPartition(n)
 		if err != nil {
@@ -50,7 +50,7 @@ func TestPartitionTiling(t *testing.T) {
 
 func TestPartitionFromFilesTiling(t *testing.T) {
 	files := catalog.GenerateNight(catalog.NightSpec{TotalMB: 2, Files: 8, RowsPerMB: 100, Seed: 5})
-	full := FullRange()
+	full := fullRange()
 	for _, n := range []int{2, 3, 5} {
 		pm, err := PartitionFromFiles(files, n)
 		if err != nil {
@@ -141,21 +141,8 @@ func buildOracle(t testing.TB, files []*catalog.File, prof tuning.Profile) *rels
 func loadOracle(t testing.TB, files []*catalog.File, prof tuning.Profile) (*relstore.DB, core.Stats) {
 	t.Helper()
 	sched := exec.NewRealtime(exec.RealtimeConfig{Seed: 1})
-	db, err := relstore.Open(catalog.NewSchema(), prof.Options()...)
+	db, err := prof.Open()
 	if err != nil {
-		t.Fatal(err)
-	}
-	txn, err := db.Begin()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := catalog.SeedReference(txn, 32); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := txn.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	if err := prof.Apply(db); err != nil {
 		t.Fatal(err)
 	}
 	srv := sqlbatch.NewServerOn(sched, db, prof.ServerConfig(), sqlbatch.DefaultCostModel())

@@ -317,7 +317,7 @@ func Decode(buf []byte) (Msg, int, error) {
 	case frame.Corrupt:
 		return nil, 0, fmt.Errorf("%w: bad payload length or CRC mismatch", ErrCorrupt)
 	}
-	m, err := DecodePayload(payload)
+	m, err := decodePayload(payload)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -327,10 +327,10 @@ func Decode(buf []byte) (Msg, int, error) {
 // str reads a u32-length-prefixed string.
 func str(c *frame.Cursor) string { return string(c.Bytes(int(c.U32()))) }
 
-// DecodePayload decodes one CRC-verified payload (type byte + fields).
+// decodePayload decodes one CRC-verified payload (type byte + fields).
 // Trailing bytes after the last field are corruption: the encoding is
 // canonical, so a valid payload is consumed exactly.
-func DecodePayload(payload []byte) (Msg, error) {
+func decodePayload(payload []byte) (Msg, error) {
 	r := frame.NewCursor(payload, ErrCorrupt)
 	typ := r.U8()
 	var m Msg
@@ -437,7 +437,7 @@ func ReadMsg(r io.Reader) (Msg, int, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	m, err := DecodePayload(payload)
+	m, err := decodePayload(payload)
 	if err != nil {
 		return nil, 0, err
 	}

@@ -248,7 +248,7 @@ func FuzzWireDecode(f *testing.F) {
 		if p, _, st := frame.Next(data); st == frame.OK {
 			payload = p
 		}
-		m, err := DecodePayload(payload)
+		m, err := decodePayload(payload)
 		if err != nil {
 			return
 		}

@@ -351,7 +351,9 @@ func (s *Server) execBatch(w exec.Worker, txn *relstore.Txn, table string, colum
 	// speedup comes from.  Both stop at the first failing row and leave the
 	// rows before it applied.  The data cache sees each engine call's pages as
 	// soon as it returns, and the redo tail grows by each call's record before
-	// anything here yields.
+	// anything here yields.  The Deterministic() fork stays because the §5
+	// outputs are priced per row: a batch call under the DES would change
+	// every skybench CSV and skyload figure that make oracles compares.
 	var rep relstore.OpReport
 	inserted, logBytes := 0, 0
 	var failErr error

@@ -285,7 +285,7 @@ func testTxnSlotQueueing(t *testing.T, sched exec.Scheduler, hold func(exec.Work
 
 func TestIndexCostsChargedToIndexDisk(t *testing.T) {
 	sched, srv := newTestServer(t, ServerConfig{})
-	if _, err := srv.DB().CreateIndex(catalog.TObservations, "ix_obs_ra", []string{"ra_center"}, false); err != nil {
+	if _, err := srv.DB().CreateIndexWith(catalog.TObservations, "ix_obs_ra", []string{"ra_center"}, false, relstore.IndexImmediate); err != nil {
 		t.Fatal(err)
 	}
 	sched.Spawn("loader", func(w exec.Worker) {
@@ -397,7 +397,7 @@ func TestConnSealLifecycle(t *testing.T) {
 	if _, err := txn.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.CreateIndex(catalog.TObservations, "ix_obs_run", []string{"run_id"}, false); err != nil {
+	if _, err := db.CreateIndexWith(catalog.TObservations, "ix_obs_run", []string{"run_id"}, false, relstore.IndexDeferred); err != nil {
 		t.Fatal(err)
 	}
 	srv := NewServerOn(sched, db, ServerConfig{}, DefaultCostModel())

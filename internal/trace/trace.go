@@ -143,21 +143,6 @@ func (r *Req) Total() time.Duration {
 	return r.End - r.Start
 }
 
-// Attributed returns the wall time accounted to stages.  By construction
-// Attributed == Total for any Begin/Mark*/Finish sequence on one clock; the
-// acceptance check "spans attribute >= 99% of wall time" guards the
-// construction against future edits that break contiguity.
-func (r *Req) Attributed() time.Duration {
-	if r == nil {
-		return 0
-	}
-	var sum time.Duration
-	for _, d := range r.Stages {
-		sum += d
-	}
-	return sum
-}
-
 // Tracer owns the ring buffer and the sampling decision.
 type Tracer struct {
 	every uint64

@@ -41,18 +41,11 @@ func (p IndexPolicy) String() string {
 	}
 }
 
-// Names of the indices created by ApplyIndexPolicy.
+// Names of the indices created by ApplyIndexPolicyWith.
 const (
 	HTMIDIndexName     = "ix_objects_htmid"
 	CompositeIndexName = "ix_objects_radecmag"
 )
-
-// ApplyIndexPolicy creates (or drops) the secondary indices on the objects
-// table according to the policy, with immediate (per-row) maintenance — the
-// engine's historical behaviour.
-func ApplyIndexPolicy(db *relstore.DB, policy IndexPolicy) error {
-	return ApplyIndexPolicyWith(db, policy, relstore.IndexImmediate)
-}
 
 // ApplyIndexPolicyWith creates the secondary indices the policy requires
 // under the given engine maintenance policy.  With relstore.IndexDeferred the
@@ -223,10 +216,4 @@ func (p Profile) ServerConfig() sqlbatch.ServerConfig {
 	cfg.SeparateRAID = p.SeparateRAID
 	cfg.CachePages = p.CachePages
 	return cfg
-}
-
-// Apply applies the profile's index policy (which indices exist, and under
-// which maintenance policy) to an existing database.
-func (p Profile) Apply(db *relstore.DB) error {
-	return ApplyIndexPolicyWith(db, p.Indexes, p.BuildPolicy())
 }

@@ -14,7 +14,7 @@ func newDB(t *testing.T) *relstore.DB {
 
 func indexNames(db *relstore.DB) []string {
 	var names []string
-	for _, ix := range db.AllIndexes() {
+	for _, ix := range db.Table(catalog.TObjects).Indexes() {
 		names = append(names, ix.Name)
 	}
 	return names
@@ -22,40 +22,40 @@ func indexNames(db *relstore.DB) []string {
 
 func TestApplyIndexPolicies(t *testing.T) {
 	db := newDB(t)
-	if err := ApplyIndexPolicy(db, NoIndexes); err != nil {
+	if err := ApplyIndexPolicyWith(db, NoIndexes, relstore.IndexImmediate); err != nil {
 		t.Fatal(err)
 	}
 	if n := len(indexNames(db)); n != 0 {
 		t.Fatalf("NoIndexes left %d indexes", n)
 	}
-	if err := ApplyIndexPolicy(db, HTMIDOnly); err != nil {
+	if err := ApplyIndexPolicyWith(db, HTMIDOnly, relstore.IndexImmediate); err != nil {
 		t.Fatal(err)
 	}
 	names := indexNames(db)
 	if len(names) != 1 || names[0] != HTMIDIndexName {
 		t.Fatalf("HTMIDOnly indexes = %v", names)
 	}
-	if err := ApplyIndexPolicy(db, HTMIDPlusComposite); err != nil {
+	if err := ApplyIndexPolicyWith(db, HTMIDPlusComposite, relstore.IndexImmediate); err != nil {
 		t.Fatal(err)
 	}
 	if n := len(indexNames(db)); n != 2 {
 		t.Fatalf("HTMIDPlusComposite indexes = %v", indexNames(db))
 	}
 	// Applying a policy twice is idempotent.
-	if err := ApplyIndexPolicy(db, HTMIDPlusComposite); err != nil {
+	if err := ApplyIndexPolicyWith(db, HTMIDPlusComposite, relstore.IndexImmediate); err != nil {
 		t.Fatal(err)
 	}
 	if n := len(indexNames(db)); n != 2 {
 		t.Fatalf("idempotent apply broke indexes: %v", indexNames(db))
 	}
 	// Going back down drops the composite.
-	if err := ApplyIndexPolicy(db, HTMIDOnly); err != nil {
+	if err := ApplyIndexPolicyWith(db, HTMIDOnly, relstore.IndexImmediate); err != nil {
 		t.Fatal(err)
 	}
 	if n := len(indexNames(db)); n != 1 {
 		t.Fatalf("downgrade left %v", indexNames(db))
 	}
-	if err := ApplyIndexPolicy(db, IndexPolicy(42)); err == nil {
+	if err := ApplyIndexPolicyWith(db, IndexPolicy(42), relstore.IndexImmediate); err == nil {
 		t.Fatal("unknown policy should error")
 	}
 }
@@ -89,48 +89,58 @@ func TestProfiles(t *testing.T) {
 		t.Fatal("ServerConfig does not carry RAID layout")
 	}
 	db := newDB(t)
-	if err := prod.Apply(db); err != nil {
+	if err := ApplyIndexPolicyWith(db, prod.Indexes, prod.BuildPolicy()); err != nil {
 		t.Fatal(err)
 	}
 	if n := len(indexNames(db)); n != 1 {
-		t.Fatalf("Apply(production) indexes = %v", indexNames(db))
+		t.Fatalf("production indexes = %v", indexNames(db))
 	}
 }
 
 func TestDeferredProfileAppliesEnginePolicy(t *testing.T) {
-	db := newDB(t)
 	prof := ProductionLoading()
 	prof.Indexes = HTMIDPlusComposite
 	prof.DeferredIndexBuild = true
 	if prof.BuildPolicy() != relstore.IndexDeferred {
 		t.Fatalf("BuildPolicy = %v, want deferred", prof.BuildPolicy())
 	}
-	if err := prof.Apply(db); err != nil {
+	db, err := prof.Open()
+	if err != nil {
 		t.Fatal(err)
 	}
-	for _, ix := range db.AllIndexes() {
-		if ix.Policy() != relstore.IndexDeferred {
-			t.Fatalf("index %s policy = %v, want deferred", ix.Name, ix.Policy())
-		}
+	if db.IndexPolicyDefault() != relstore.IndexDeferred {
+		t.Fatalf("IndexPolicyDefault = %v, want deferred", db.IndexPolicyDefault())
+	}
+	checkDeferred(t, db, 2)
+}
+
+// checkDeferred asserts that db holds want indices, each ready outside a
+// load phase and suspended inside one: maintained under IndexDeferred.
+func checkDeferred(t *testing.T, db *relstore.DB, want int) {
+	t.Helper()
+	indexes := db.Table(catalog.TObjects).Indexes()
+	if len(indexes) != want {
+		t.Fatalf("indices = %v, want %d", indexNames(db), want)
+	}
+	for _, ix := range indexes {
 		if !ix.Ready() {
 			t.Fatalf("index %s not ready outside a load phase", ix.Name)
 		}
 	}
-	// Options() carries the same policy into Open: indexes created through
-	// the default CreateIndex inherit it.
-	db2 := relstore.MustOpen(catalog.NewSchema(), prof.Options()...)
-	if _, err := db2.CreateIndex(catalog.TObjects, "ix_probe", []string{"htmid"}, false); err != nil {
+	if err := db.BeginLoad(); err != nil {
 		t.Fatal(err)
 	}
-	if got := db2.Table(catalog.TObjects).Index("ix_probe").Policy(); got != relstore.IndexDeferred {
-		t.Fatalf("default-created index policy = %v, want deferred", got)
+	for _, ix := range indexes {
+		if ix.Ready() {
+			t.Fatalf("index %s still maintained in a load phase, want deferred", ix.Name)
+		}
 	}
 }
 
 func TestApplyIndexPolicyKeepsDDLStatsClean(t *testing.T) {
 	db := newDB(t)
 	for _, p := range []IndexPolicy{NoIndexes, HTMIDOnly, HTMIDPlusComposite, HTMIDOnly} {
-		if err := ApplyIndexPolicy(db, p); err != nil {
+		if err := ApplyIndexPolicyWith(db, p, relstore.IndexImmediate); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -154,14 +164,7 @@ func TestOpenRepository(t *testing.T) {
 	if n := db.Table(catalog.TCCDs).RowCount(); n != catalog.NumCCDsPerInstrument {
 		t.Fatalf("ccds = %d, want %d", n, catalog.NumCCDsPerInstrument)
 	}
-	if got := indexNames(db); len(got) != 2 {
-		t.Fatalf("indices = %v, want htmid + composite", got)
-	}
-	for _, ix := range db.AllIndexes() {
-		if ix.Policy() != relstore.IndexDeferred {
-			t.Fatalf("index %s policy = %v, want the database default (deferred)", ix.Name, ix.Policy())
-		}
-	}
+	checkDeferred(t, db, 2) // htmid + composite, under the database default
 
 	prof, err := ProfileByName("prod")
 	if err != nil || prof.Name != ProductionLoading().Name {
