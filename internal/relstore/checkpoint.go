@@ -4,9 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"os"
 	"path/filepath"
-	"strings"
 
 	"skyloader/internal/frame"
 )
@@ -71,45 +69,22 @@ func (db *DB) Checkpoint() error {
 	}
 	db.ckptMu.Lock()
 	defer db.ckptMu.Unlock()
+	dir := db.cfg.WALDir
+	l, err := listLogDir(db.fs, dir)
+	if err != nil {
+		return fmt.Errorf("relstore: checkpoint: %w", err)
+	}
 	// A crash between creating and renaming a previous checkpoint's temp file
 	// leaves an orphan recovery never reads; reclaim it here.
-	removeStaleCkptTemps(db.cfg.WALDir)
+	removeAll(db.fs, dir, l.temps)
 
-	// Lock children before parents — the same nesting order the batch-apply
-	// path uses (child write lock, then parent read locks) — so a concurrent
-	// batch and a checkpoint cannot deadlock.
-	tables := db.tablesLockOrder()
-	for _, t := range tables {
-		t.mu.Lock()
-	}
-	unlock := func() {
-		for i := len(tables) - 1; i >= 0; i-- {
-			tables[i].mu.Unlock()
-		}
-	}
-	for _, t := range tables {
-		if t.pendingRows.Load() > 0 {
-			unlock()
-			return ErrCheckpointBusy
-		}
-	}
-
-	// With no rows pending, every row in the heaps is committed and its commit
-	// marker is already appended (markers precede epoch settling), so rotating
-	// here puts the whole snapshot's history at or below the boundary.
-	boundary, covered, err := dev.rotateForCheckpoint()
-	if err != nil {
-		unlock()
-		return fmt.Errorf("relstore: checkpoint rotate: %w", err)
-	}
 	seq := db.ckptSeq + 1
-	chunks := encodeCheckpoint(seq, boundary, db.nextTxn.Load(), db.tablesByID)
-	unlock()
-
-	if err := dev.callFault(FPCheckpointSave); err != nil {
-		return fmt.Errorf("relstore: checkpoint save: %w", err)
+	boundary, covered, chunks, err := db.snapshot(dev, seq)
+	if err != nil {
+		return err
 	}
-	if err := writeCheckpointFile(db.cfg.WALDir, seq, chunks); err != nil {
+
+	if err := writeCheckpointFile(db.fs, dir, seq, chunks); err != nil {
 		return err
 	}
 	db.ckptSeq = seq
@@ -118,24 +93,49 @@ func (db *DB) Checkpoint() error {
 	// threshold armed so the next trigger retries promptly.
 	dev.noteCheckpointDurable(covered)
 
-	if err := dev.callFault(FPCheckpointTruncate); err != nil {
-		// The checkpoint itself is durable; only segment cleanup failed, and
-		// the next checkpoint (or Recover) tolerates the stale segments.
-		return fmt.Errorf("relstore: checkpoint truncate: %w", err)
-	}
-	if _, err := dev.deleteSegmentsBelow(boundary); err != nil {
+	// The checkpoint itself is durable; a failed segment cleanup is reported,
+	// and the next checkpoint (or Recover) tolerates the stale segments.
+	if err := dev.deleteSegmentsBelow(boundary, l.segs); err != nil {
 		return fmt.Errorf("relstore: checkpoint truncate: %w", err)
 	}
 	// Older checkpoint files are dead too: the new one supersedes them.
-	seqs, err := listCheckpoints(db.cfg.WALDir)
-	if err == nil {
-		for _, s := range seqs {
-			if s < seq {
-				_ = os.Remove(filepath.Join(db.cfg.WALDir, ckptName(s)))
-			}
+	for _, s := range l.ckpts {
+		if s < seq {
+			_ = db.fs.Remove(filepath.Join(dir, ckptName(s)))
 		}
 	}
 	return nil
+}
+
+// snapshot rotates the log and encodes the committed state as checkpoint seq,
+// under every table's write lock: it returns the rotation's boundary and the
+// bytes it covers, and the file's chunks.  Tables are locked children before
+// parents — the same nesting order the batch-apply path uses (child write
+// lock, then parent read locks) — so a concurrent batch and a checkpoint
+// cannot deadlock; the locks are released however the rotation ends, a fault
+// hook's panic included.
+func (db *DB) snapshot(dev *walDevice, seq int64) (boundary, covered int64, chunks [][]byte, err error) {
+	tables := db.tablesLockOrder()
+	for _, t := range tables {
+		t.mu.Lock()
+	}
+	defer func() {
+		for i := len(tables) - 1; i >= 0; i-- {
+			tables[i].mu.Unlock()
+		}
+	}()
+	for _, t := range tables {
+		if t.pendingRows.Load() > 0 {
+			return 0, 0, nil, ErrCheckpointBusy
+		}
+	}
+	// With no rows pending, every row in the heaps is committed and its commit
+	// marker is already appended (markers precede epoch settling), so rotating
+	// here puts the whole snapshot's history at or below the boundary.
+	if boundary, covered, err = dev.rotateForCheckpoint(); err != nil {
+		return 0, 0, nil, fmt.Errorf("relstore: checkpoint rotate: %w", err)
+	}
+	return boundary, covered, encodeCheckpoint(seq, boundary, db.nextTxn.Load(), db.tablesByID), nil
 }
 
 // maybeAutoCheckpoint runs a best-effort checkpoint when the
@@ -282,28 +282,19 @@ func maxWALRowBytes(wide *rowLayout, row RowView) int {
 	return n
 }
 
-// removeStaleCkptTemps deletes checkpoint temp files left behind by a crash
-// between create and rename.  Recovery never reads them (a checkpoint exists
-// only once renamed into place), so without this sweep they accumulate
-// forever.  Best-effort: a failure here only delays reclamation.
-func removeStaleCkptTemps(dir string) {
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		return
-	}
-	for _, e := range ents {
-		name := e.Name()
-		if strings.HasPrefix(name, ckptPrefix) && strings.HasSuffix(name, ".tmp") {
-			_ = os.Remove(filepath.Join(dir, name))
-		}
+// removeAll removes the named files of dir, best-effort: a checkpoint temp
+// file or a superseded checkpoint that stays only waits for the next sweep.
+func removeAll(fs logFS, dir string, names []string) {
+	for _, name := range names {
+		_ = fs.Remove(filepath.Join(dir, name))
 	}
 }
 
 // writeCheckpointFile persists the encoded snapshot (the chunks, end to end)
 // atomically: temp file, fsync, rename, directory fsync.
-func writeCheckpointFile(dir string, seq int64, chunks [][]byte) error {
+func writeCheckpointFile(fs logFS, dir string, seq int64, chunks [][]byte) error {
 	tmp := filepath.Join(dir, ckptName(seq)+".tmp")
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
+	f, err := fs.Create(tmp)
 	if err != nil {
 		return fmt.Errorf("relstore: checkpoint: %w", err)
 	}
@@ -320,10 +311,10 @@ func writeCheckpointFile(dir string, seq int64, chunks [][]byte) error {
 	if err := f.Close(); err != nil {
 		return fmt.Errorf("relstore: checkpoint: %w", err)
 	}
-	if err := os.Rename(tmp, filepath.Join(dir, ckptName(seq))); err != nil {
+	if err := fs.Rename(tmp, filepath.Join(dir, ckptName(seq))); err != nil {
 		return fmt.Errorf("relstore: checkpoint: %w", err)
 	}
-	if err := syncWALDir(dir); err != nil {
+	if err := fs.Sync(dir); err != nil {
 		return fmt.Errorf("relstore: checkpoint: %w", err)
 	}
 	return nil
@@ -343,8 +334,8 @@ type checkpointState struct {
 // readCheckpointFile parses and validates a checkpoint file.  Any framing or
 // semantic error is a hard failure: rename-into-place means a present file
 // must be complete.
-func readCheckpointFile(path string, widthOf walRowWidth) (*checkpointState, error) {
-	buf, err := os.ReadFile(path)
+func readCheckpointFile(fs logFS, path string, widthOf walRowWidth) (*checkpointState, error) {
+	buf, err := fs.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}

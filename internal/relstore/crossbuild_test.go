@@ -41,8 +41,8 @@ func TestRecoverParentWrittenDirectory(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, e := range ents {
-		_, seg := parseSegName(e.Name())
-		_, ckpt := parseCkptName(e.Name())
+		_, seg := parseLogName(e.Name(), walSegPrefix, walSegSuffix)
+		_, ckpt := parseLogName(e.Name(), ckptPrefix, ckptSuffix)
 		if !seg && !ckpt {
 			continue // README, DIGEST
 		}

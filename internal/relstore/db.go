@@ -66,6 +66,8 @@ type DB struct {
 	// faultHook is the test-only fault-injection hook (WithFaultHook), shared
 	// with the durable device and invoked on the replay path.
 	faultHook FaultHook
+	// fs is the file system under the log directory.
+	fs logFS
 
 	nextTxn  atomic.Int64
 	counters dbCounters
@@ -115,6 +117,9 @@ func open(schema *Schema, oc openConfig) (*DB, error) {
 	db.counters.violations = make(map[ConstraintKind]int64)
 	db.scratchPool.New = func() any { return new(scratch) }
 	db.faultHook = oc.faultHook
+	if db.fs = oc.fs; db.fs == nil {
+		db.fs = osFS{}
+	}
 	for i, ts := range schema.Tables() {
 		t, err := newTable(ts, degree, &db.loading)
 		if err != nil {
@@ -127,7 +132,7 @@ func open(schema *Schema, oc openConfig) (*DB, error) {
 		db.tablesByID = append(db.tablesByID, t)
 	}
 	if cfg.WALDir != "" && !oc.recovering {
-		dev, err := openWALDevice(cfg.WALDir, cfg.WALSegmentBytes, oc.faultHook)
+		dev, err := openWALDevice(db.fs, cfg.WALDir, cfg.WALSegmentBytes, oc.faultHook)
 		if err != nil {
 			return nil, err
 		}

@@ -13,6 +13,12 @@ func withBTreeDegree(degree int) Option {
 	return func(o *openConfig) { o.btreeDegree = degree }
 }
 
+// withFS puts fs under the log directory instead of the running system's
+// file system.
+func withFS(fs logFS) Option {
+	return func(o *openConfig) { o.fs = fs }
+}
+
 // Test-only views of the key indexes for the external guard test
 // (keyindex_guard_test.go), which needs internal/catalog and so cannot live
 // in this package.

@@ -1,20 +1,20 @@
 package relstore
 
 // Fault injection for the durable WAL.  A FaultHook installed with
-// WithFaultHook is invoked at each FaultPoint on the durable write, sync,
-// checkpoint and replay paths.  It exists for tests and crash harnesses only:
-// a hook that panics simulates a process kill at exactly that point (the
-// skyload -crash scenario), and a hook that returns an error makes the
-// operation fail as a real device error would.  Production opens never install
-// a hook, and with no hook every fault point is a nil-check.
+// WithFaultHook is invoked at each FaultPoint on the durable write, sync and
+// replay paths.  It exists for tests and crash harnesses only: a hook that
+// panics simulates a process kill at exactly that point (the skyload -crash
+// scenario), one that blocks parks the path there, and one that returns an
+// error makes the operation fail.  A disk fault or a power loss is the file
+// system's business, not a fault point's: tests model it with the in-memory
+// disk under the log (memfs_test.go).  Production opens never install a hook,
+// and with no hook every fault point is a nil-check.
 //
 // Placement discipline (also documented in PERFORMANCE.md): append-path hooks
-// fire BEFORE the record enters the device buffer, the sync hook fires BEFORE
-// buffered bytes reach the OS, and the checkpoint hooks fire before the
-// snapshot file is written and before dead segments are deleted respectively.
-// "Before" placement means a panic at the point proves the preceding records
-// are recoverable and the current one is not — the property the kill/recover
-// tests assert.
+// fire BEFORE the record enters the device buffer and the sync hook fires
+// BEFORE buffered bytes reach the OS.  "Before" placement means a panic at
+// the point proves the preceding records are recoverable and the current one
+// is not — the property the kill/recover tests assert.
 //
 // Which goroutine: FPWALAppend always fires on the goroutine appending the
 // record, with no device lock held.  FPWALSync fires on whichever goroutine
@@ -37,11 +37,6 @@ const (
 	// FPWALSync fires before every fsync of the log, before the buffered
 	// records it covers are written to the OS.
 	FPWALSync
-	// FPCheckpointSave fires before the checkpoint snapshot file is written.
-	FPCheckpointSave
-	// FPCheckpointTruncate fires after the checkpoint file is durable but
-	// before dead segments are deleted.
-	FPCheckpointTruncate
 	// FPReplay fires once per record applied during Recover's replay pass.
 	FPReplay
 )
@@ -53,10 +48,6 @@ func (p FaultPoint) String() string {
 		return "wal-append"
 	case FPWALSync:
 		return "wal-sync"
-	case FPCheckpointSave:
-		return "checkpoint-save"
-	case FPCheckpointTruncate:
-		return "checkpoint-truncate"
 	case FPReplay:
 		return "replay"
 	default:

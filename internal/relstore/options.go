@@ -60,6 +60,9 @@ type openConfig struct {
 	btreeDegree int
 	// faultHook is the test-only fault-injection hook (see WithFaultHook).
 	faultHook FaultHook
+	// fs replaces the running system's file system under the log directory
+	// (tests: a disk that keeps only what was synced).
+	fs logFS
 	// recovering marks an open performed by Recover: the durable device is not
 	// created up front — Recover replays existing state first and resumes the
 	// device itself.

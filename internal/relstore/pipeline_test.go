@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"os"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
@@ -20,20 +19,65 @@ import (
 // does at its CommitEveryBatches points.  Transaction j of loader w inserts
 // frame w*1000+j+1 and batches*batchRows objects of it, then commits:
 // synchronously, or pipelined — retire commit j-1, start commit j, fill j+1.
+// A plan makes some transactions roll back instead, and some carry a row the
+// mag check rejects in their first batch, which the loader skips the way
+// core.Loader skips a bad row.
 type miniLoader struct {
 	db                       *DB
 	w, txns, batches, rowsPB int
 	pipelined                bool
+	plan                     []txnKind // per transaction; nil: every one commits
 
 	// retired counts the commits acknowledged so far (Commit or Wait returned
 	// nil); the transactions are acknowledged in order, so it names a prefix.
 	retired atomic.Int64
+	// With disk set, acks[j] is disk's operation count when transaction j's
+	// commit was acknowledged (0: it was not).
+	disk *memFS
+	acks []int64
 }
+
+// txnKind is what a transaction of a miniLoader's plan does.
+type txnKind int
+
+const (
+	txnCommit   txnKind = iota
+	txnRollback         // its rows are inserted, then rolled back
+	txnRejected         // one row of its first batch is rejected; the rest commit
+)
 
 func (l *miniLoader) frameID(j int) int64 { return int64(l.w*1000 + j + 1) }
 
+func (l *miniLoader) kind(j int) txnKind {
+	if l.plan == nil {
+		return txnCommit
+	}
+	return l.plan[j]
+}
+
+// objectID is object i of transaction j; rejectedAt is the rejected one's i.
+func (l *miniLoader) objectID(j, i int) int64 { return l.frameID(j)*10000 + int64(i) }
+func (l *miniLoader) rejectedAt() int         { return l.rowsPB / 2 }
+
+// objects is how many objects transaction j stores if it commits.
+func (l *miniLoader) objects(j int) int {
+	if l.kind(j) == txnRejected {
+		return l.batches*l.rowsPB - 1
+	}
+	return l.batches * l.rowsPB
+}
+
+func (l *miniLoader) ack(j int) {
+	l.retired.Add(1)
+	if l.disk != nil {
+		l.acks[j] = l.disk.opCount()
+	}
+}
+
 func (l *miniLoader) run() error {
+	l.acks = make([]int64, l.txns)
 	var pending *PendingCommit
+	pendingTxn := 0
 	retire := func() error {
 		if pending == nil {
 			return nil
@@ -41,7 +85,7 @@ func (l *miniLoader) run() error {
 		_, err := pending.Wait()
 		pending = nil
 		if err == nil {
-			l.retired.Add(1)
+			l.ack(pendingTxn)
 		}
 		return err
 	}
@@ -57,17 +101,31 @@ func (l *miniLoader) run() error {
 		for b := 0; b < l.batches; b++ {
 			rows := make([][]Value, l.rowsPB)
 			for i := range rows {
-				rows[i] = []Value{Int(f*10000 + int64(b*l.rowsPB+i)), Int(f), Float(float64(10 + i%20))}
+				rows[i] = []Value{Int(l.objectID(j, b*l.rowsPB+i)), Int(f), Float(float64(10 + i%20))}
+			}
+			if b == 0 && l.kind(j) == txnRejected {
+				bad := l.rejectedAt()
+				rows[bad][2] = Float(99)
+				if rep, err := txn.InsertBatch("objects", []string{"object_id", "frame_id", "mag"}, rows); rep.FailedIndex != bad {
+					return fmt.Errorf("loader %d: the rejected batch stopped at row %d: %v", l.w, rep.FailedIndex, err)
+				}
+				rows = rows[bad+1:]
 			}
 			if _, err := txn.InsertBatch("objects", []string{"object_id", "frame_id", "mag"}, rows); err != nil {
 				return err
 			}
 		}
+		if l.kind(j) == txnRollback {
+			if err := txn.Rollback(); err != nil {
+				return err
+			}
+			continue
+		}
 		if !l.pipelined {
 			if _, err := txn.Commit(); err != nil {
 				return err
 			}
-			l.retired.Add(1)
+			l.ack(j)
 			continue
 		}
 		if err := retire(); err != nil {
@@ -76,32 +134,47 @@ func (l *miniLoader) run() error {
 		if pending, err = txn.CommitStart(); err != nil {
 			return err
 		}
+		pendingTxn = j
 	}
 	return retire()
 }
 
-// recoveredPrefix reports how many of the loader's transactions db holds and
-// fails unless they are a prefix of its commit order, each one whole.
+// recoveredPrefix reports how many of the loader's committing transactions
+// db holds and fails unless they are a prefix of its commit order, each one
+// whole, with no rejected row and no row of a rolled-back transaction.
 func (l *miniLoader) recoveredPrefix(t *testing.T, db *DB) int {
 	t.Helper()
-	n := 0
-	for j := 0; j < l.txns; j++ {
-		f := l.frameID(j)
-		row, err := db.LookupByPK("frames", []Value{Int(f)})
+	has := func(table string, id int64) bool {
+		row, err := db.LookupByPK(table, []Value{Int(id)})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if row == nil {
+		return row != nil
+	}
+	n, missing := 0, -1
+	for j := 0; j < l.txns; j++ {
+		first, last := l.objectID(j, 0), l.objectID(j, l.batches*l.rowsPB-1)
+		present := has("frames", l.frameID(j))
+		switch {
+		case l.kind(j) == txnRollback:
+			if present || has("objects", first) {
+				t.Fatalf("loader %d: rolled-back transaction %d recovered", l.w, j)
+			}
 			continue
-		}
-		if n != j {
-			t.Fatalf("loader %d: transaction %d recovered without transaction %d", l.w, j, n)
+		case !present:
+			if missing < 0 {
+				missing = j
+			}
+			continue
+		case missing >= 0:
+			t.Fatalf("loader %d: transaction %d recovered without transaction %d", l.w, j, missing)
 		}
 		n++
-		for _, id := range []int64{f * 10000, f*10000 + int64(l.batches*l.rowsPB) - 1} {
-			if obj, err := db.LookupByPK("objects", []Value{Int(id)}); err != nil || obj == nil {
-				t.Fatalf("loader %d: transaction %d recovered without object %d (err=%v)", l.w, j, id, err)
-			}
+		if !has("objects", first) || !has("objects", last) {
+			t.Fatalf("loader %d: transaction %d recovered without all of its objects", l.w, j)
+		}
+		if l.kind(j) == txnRejected && has("objects", l.objectID(j, l.rejectedAt())) {
+			t.Fatalf("loader %d: transaction %d recovered its rejected row", l.w, j)
 		}
 	}
 	return n
@@ -261,16 +334,23 @@ func TestPendingCommitRefusesWork(t *testing.T) {
 	}
 }
 
-// walFiles reads every segment file of dir.
-func walFiles(t *testing.T, dir string) map[string][]byte {
+// logFiles reads every segment and checkpoint file of dir on fs.
+func logFiles(t *testing.T, fs logFS, dir string) map[string][]byte {
 	t.Helper()
-	segs, err := listWALSegments(dir)
+	l, err := listLogDir(fs, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := make(map[string][]byte, len(segs))
-	for _, name := range segs {
-		buf, err := os.ReadFile(filepath.Join(dir, name))
+	var names []string
+	for _, first := range l.segs {
+		names = append(names, walSegName(first))
+	}
+	for _, seq := range l.ckpts {
+		names = append(names, ckptName(seq))
+	}
+	out := make(map[string][]byte, len(names))
+	for _, name := range names {
+		buf, err := fs.ReadFile(filepath.Join(dir, name))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -282,7 +362,8 @@ func walFiles(t *testing.T, dir string) map[string][]byte {
 // TestPipelinedLogByteIdentical: one loader is one append order, so the
 // segment files a pipelined loader leaves are the files the same input leaves
 // through synchronous commits — same names, same bytes — with flushes coming
-// from commits and from rotation.
+// from commits and from rotation, on the running system's file system and on
+// the memory disk alike.
 func TestPipelinedLogByteIdentical(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -291,27 +372,39 @@ func TestPipelinedLogByteIdentical(t *testing.T) {
 		{"rotation", []Option{WithWALSegmentBytes(8 << 10)}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			var files [2]map[string][]byte
-			for i, pipelined := range []bool{false, true} {
-				db, dir := durableDB(t, tc.opts...)
-				l := &miniLoader{db: db, txns: 12, batches: 3, rowsPB: 40, pipelined: pipelined}
-				if err := l.run(); err != nil {
-					t.Fatal(err)
+			var files []map[string][]byte
+			for _, onDisk := range []bool{true, false} {
+				for _, pipelined := range []bool{false, true} {
+					var fs logFS = osFS{}
+					dir := t.TempDir()
+					if !onDisk {
+						fs, dir = newMemFS(), memWALDir
+					}
+					db, err := Open(testSchema(t), append([]Option{WithWALDir(dir), withFS(fs)}, tc.opts...)...)
+					if err != nil {
+						t.Fatal(err)
+					}
+					l := &miniLoader{db: db, txns: 12, batches: 3, rowsPB: 40, pipelined: pipelined}
+					if err := l.run(); err != nil {
+						t.Fatal(err)
+					}
+					if err := db.Close(); err != nil {
+						t.Fatal(err)
+					}
+					files = append(files, logFiles(t, fs, dir))
 				}
-				if err := db.Close(); err != nil {
-					t.Fatal(err)
-				}
-				files[i] = walFiles(t, dir)
 			}
 			if len(files[0]) < 4 {
 				t.Fatalf("only %d segments: rotation not exercised", len(files[0]))
 			}
-			if len(files[1]) != len(files[0]) {
-				t.Fatalf("pipelined load left %d segments, synchronous %d", len(files[1]), len(files[0]))
-			}
-			for name, want := range files[0] {
-				if got, ok := files[1][name]; !ok || !bytes.Equal(got, want) {
-					t.Fatalf("segment %s differs between the synchronous and the pipelined load (present=%v)", name, ok)
+			for i, fl := range files[1:] {
+				if len(fl) != len(files[0]) {
+					t.Fatalf("load %d left %d segments, the synchronous load on disk %d", i+1, len(fl), len(files[0]))
+				}
+				for name, want := range files[0] {
+					if got, ok := fl[name]; !ok || !bytes.Equal(got, want) {
+						t.Fatalf("segment %s differs between the synchronous load on disk and load %d (present=%v)", name, i+1, ok)
+					}
 				}
 			}
 		})
@@ -409,14 +502,20 @@ func TestFailedSyncPoisonsDevice(t *testing.T) {
 	}
 }
 
+// errKilled is the sentinel the kill-simulating fault hooks panic with.
+type errKilled struct{}
+
 // killSwitch is a fault hook that simulates kill -9 at the at-th firing of
 // one fault point: it panics there, and at every fault point reached
-// afterwards on any goroutine — a dead process does nothing more.
+// afterwards on any goroutine — a dead process does nothing more.  With disk
+// set, image is the disk the kill left.
 type killSwitch struct {
 	point FaultPoint
 	at    int64
 	n     atomic.Int64
 	dead  atomic.Bool
+	disk  *memFS
+	image *memFS
 }
 
 func (k *killSwitch) hook(p FaultPoint) error {
@@ -424,19 +523,23 @@ func (k *killSwitch) hook(p FaultPoint) error {
 		panic(errKilled{})
 	}
 	if p == k.point && k.n.Add(1) == k.at {
+		if k.disk != nil {
+			k.image = k.disk.killed()
+		}
 		k.dead.Store(true)
 		panic(errKilled{})
 	}
 	return nil
 }
 
-// runKilled runs the loaders concurrently until the kill switch stops them
-// (or they finish) and returns once every loader goroutine has unwound.
-func runKilled(t *testing.T, loaders []*miniLoader) {
-	t.Helper()
+// runLoaders runs the loaders concurrently until they finish or a kill
+// switch stops them, and returns once every loader goroutine has unwound,
+// with each loader's error.
+func runLoaders(loaders []*miniLoader) []error {
+	errs := make([]error, len(loaders))
 	var wg sync.WaitGroup
-	for _, l := range loaders {
-		l := l
+	for i, l := range loaders {
+		i, l := i, l
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -445,80 +548,16 @@ func runKilled(t *testing.T, loaders []*miniLoader) {
 					if _, ok := r.(errKilled); !ok {
 						panic(r)
 					}
+					errs[i] = errors.New("killed")
 				}
 			}()
-			// After the kill other loaders may see the device fail instead of
+			// After a kill other loaders may see the device fail instead of
 			// the hook panic; either way they stop.
-			_ = l.run()
+			errs[i] = l.run()
 		}()
 	}
 	wg.Wait()
-}
-
-// TestCrashMatrixPipelined kills one and two pipelined loaders at every n-th
-// log append and every n-th fsync — most of the fsyncs run on a flush
-// goroutine while their loader fills its next transaction — abandons the
-// handle, recovers, and requires: every commit retired before the kill is
-// there; each loader's recovered transactions are a prefix of its commit
-// order (k+1 never without k), each one whole; the recovered database is
-// consistent; and a second recovery finds a clean log and the same rows.
-func TestCrashMatrixPipelined(t *testing.T) {
-	for _, nLoaders := range []int{1, 2} {
-		for _, point := range []FaultPoint{FPWALAppend, FPWALSync} {
-			t.Run(fmt.Sprintf("loaders=%d/%s", nLoaders, point), func(t *testing.T) {
-				for at := int64(1); ; at++ {
-					if !crashAndRecover(t, nLoaders, point, at) {
-						if at < 5 {
-							t.Fatalf("the load finished before kill point %d", at)
-						}
-						return
-					}
-				}
-			})
-		}
-	}
-}
-
-// crashAndRecover runs one cell of the matrix and reports whether the kill
-// fired (false: the load completed first, the sweep is past its end).
-func crashAndRecover(t *testing.T, nLoaders int, point FaultPoint, at int64) bool {
-	t.Helper()
-	kill := &killSwitch{point: point, at: at}
-	db, dir := durableDB(t, WithWALSegmentBytes(8<<10), WithFaultHook(kill.hook))
-	loaders := make([]*miniLoader, nLoaders)
-	for w := range loaders {
-		loaders[w] = &miniLoader{db: db, w: w, txns: 6, batches: 3, rowsPB: 40, pipelined: true}
-	}
-	runKilled(t, loaders)
-	fired := kill.dead.Load()
-
-	rec, _, err := Recover(testSchema(t), dir)
-	if err != nil {
-		t.Fatalf("%s #%d: recover: %v", point, at, err)
-	}
-	for _, l := range loaders {
-		got, retired := l.recoveredPrefix(t, rec), int(l.retired.Load())
-		if got < retired {
-			t.Fatalf("%s #%d: loader %d had %d commits acknowledged, %d recovered", point, at, l.w, retired, got)
-		}
-		if !fired && got != l.txns {
-			t.Fatalf("loader %d finished but %d of %d transactions recovered", l.w, got, l.txns)
-		}
-	}
-	if err := rec.VerifyPrimaryKeys(); err != nil {
-		t.Fatalf("%s #%d: %v", point, at, err)
-	}
-	if orphans, err := rec.VerifyIntegrity(); err != nil || orphans != 0 {
-		t.Fatalf("%s #%d: orphans=%d err=%v", point, at, orphans, err)
-	}
-	rec2, rep2, err := Recover(testSchema(t), dir)
-	if err != nil {
-		t.Fatalf("%s #%d: second recover: %v", point, at, err)
-	}
-	if rep2.TornTailRecords != 0 || rec2.TotalRows() != rec.TotalRows() {
-		t.Fatalf("%s #%d: second recovery: torn=%d rows %d vs %d", point, at, rep2.TornTailRecords, rec2.TotalRows(), rec.TotalRows())
-	}
-	return fired
+	return errs
 }
 
 // TestKilledFlushReachesWaiter: a kill simulated on a flush goroutine is

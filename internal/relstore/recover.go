@@ -3,7 +3,6 @@ package relstore
 import (
 	"errors"
 	"fmt"
-	"os"
 	"path/filepath"
 
 	"skyloader/internal/frame"
@@ -126,7 +125,12 @@ func StartRecover(schema *Schema, dir string, opts ...Option) (*RecoverHandle, e
 // segments, truncates any torn tail and resumes the durable device.
 func (db *DB) recoverReplay(dir string) (RecoveryReport, error) {
 	rep := RecoveryReport{CheckpointLSN: -1}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	fs := db.fs
+	if err := fs.MkdirAll(dir); err != nil {
+		return rep, fmt.Errorf("relstore: recover: %w", err)
+	}
+	l, err := listLogDir(fs, dir)
+	if err != nil {
 		return rep, fmt.Errorf("relstore: recover: %w", err)
 	}
 	widthOf := func(tid uint32) (int, bool) {
@@ -138,16 +142,12 @@ func (db *DB) recoverReplay(dir string) (RecoveryReport, error) {
 
 	// Phase 0: newest checkpoint snapshot, if any.  A temp file orphaned by a
 	// crash mid-checkpoint is dead weight — reclaim it before reading.
-	removeStaleCkptTemps(dir)
+	removeAll(fs, dir, l.temps)
 	ckptLSN := int64(-1)
 	var maxTxn int64
-	seqs, err := listCheckpoints(dir)
-	if err != nil {
-		return rep, fmt.Errorf("relstore: recover: %w", err)
-	}
-	if len(seqs) > 0 {
-		seq := seqs[len(seqs)-1]
-		st, err := readCheckpointFile(filepath.Join(dir, ckptName(seq)), widthOf)
+	if len(l.ckpts) > 0 {
+		seq := l.ckpts[len(l.ckpts)-1]
+		st, err := readCheckpointFile(fs, filepath.Join(dir, ckptName(seq)), widthOf)
 		if err != nil {
 			return rep, fmt.Errorf("relstore: recover checkpoint %d: %w", seq, err)
 		}
@@ -176,21 +176,12 @@ func (db *DB) recoverReplay(dir string) (RecoveryReport, error) {
 	// below the checkpoint LSN (its successor starts at or below ckptLSN+1)
 	// is fully superseded and is never opened — the property the bounded-
 	// replay test asserts.  The newest segment is always scanned.
-	segNames, err := listWALSegments(dir)
-	if err != nil {
-		return rep, fmt.Errorf("relstore: recover: %w", err)
-	}
-	firsts := make([]int64, len(segNames))
-	for i, name := range segNames {
-		first, ok := parseSegName(name)
-		if !ok {
-			return rep, fmt.Errorf("%w: segment name %q", ErrWALCorrupt, name)
-		}
-		firsts[i] = first
-	}
+	firsts := l.segs
+	segNames := make([]string, len(firsts))
 	var scan []int
-	for i := range segNames {
-		if i+1 < len(segNames) && firsts[i+1]-1 <= ckptLSN {
+	for i, first := range firsts {
+		segNames[i] = walSegName(first)
+		if i+1 < len(firsts) && firsts[i+1]-1 <= ckptLSN {
 			rep.SegmentsSkipped++
 			continue
 		}
@@ -205,8 +196,7 @@ func (db *DB) recoverReplay(dir string) (RecoveryReport, error) {
 	wantLSN := int64(-1)
 	tornSeg, tornOffset := -1, 0
 	for si, i := range scan {
-		path := filepath.Join(dir, segNames[i])
-		buf, err := os.ReadFile(path)
+		buf, err := fs.ReadFile(filepath.Join(dir, segNames[i]))
 		if err != nil {
 			return rep, fmt.Errorf("relstore: recover: %w", err)
 		}
@@ -290,7 +280,7 @@ func (db *DB) recoverReplay(dir string) (RecoveryReport, error) {
 		if tornSeg >= 0 && i > tornSeg {
 			break
 		}
-		buf, err := os.ReadFile(filepath.Join(dir, segNames[i]))
+		buf, err := fs.ReadFile(filepath.Join(dir, segNames[i]))
 		if err != nil {
 			return rep, fmt.Errorf("relstore: recover: %w", err)
 		}
@@ -334,23 +324,21 @@ func (db *DB) recoverReplay(dir string) (RecoveryReport, error) {
 	}
 
 	// Truncate the torn tail so the next recovery (and segment arithmetic)
-	// sees only whole records.
+	// sees only whole records, and make that durable before a fresh segment
+	// follows it: a torn tail that came back would sit mid-log.
 	if tornSeg >= 0 {
+		// A removal is its directory's to make durable, a truncation its file's.
 		path := filepath.Join(dir, segNames[tornSeg])
 		if tornOffset == 0 {
-			if err := os.Remove(path); err != nil {
-				return rep, fmt.Errorf("relstore: recover truncate: %w", err)
+			if err = fs.Remove(path); err == nil {
+				err = fs.Sync(dir)
 			}
-		} else {
-			if err := os.Truncate(path, int64(tornOffset)); err != nil {
-				return rep, fmt.Errorf("relstore: recover truncate: %w", err)
-			}
-			if f, err := os.OpenFile(path, os.O_WRONLY, 0); err == nil {
-				_ = f.Sync()
-				_ = f.Close()
-			}
+		} else if err = fs.Truncate(path, int64(tornOffset)); err == nil {
+			err = fs.Sync(path)
 		}
-		_ = syncWALDir(dir)
+		if err != nil {
+			return rep, fmt.Errorf("relstore: recover truncate: %w", err)
+		}
 	}
 
 	nextLSN := ckptLSN + 1
@@ -364,7 +352,7 @@ func (db *DB) recoverReplay(dir string) (RecoveryReport, error) {
 	// would otherwise be resurrected by a recycled id's commit marker.
 	db.nextTxn.Store(maxTxn)
 
-	dev, err := startWALDevice(dir, db.cfg.WALSegmentBytes, db.faultHook, nextLSN)
+	dev, err := startWALDevice(fs, dir, db.cfg.WALSegmentBytes, db.faultHook, nextLSN)
 	if err != nil {
 		return rep, err
 	}

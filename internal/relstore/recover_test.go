@@ -4,15 +4,29 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"testing"
 
 	"skyloader/internal/frame"
 )
+
+// memWALDir is the log directory of a database on a memFS.
+const memWALDir = "/wal"
+
+// memDB opens a fresh durable database over a memFS.
+func memDB(t *testing.T, disk *memFS, opts ...Option) *DB {
+	t.Helper()
+	db, err := Open(testSchema(t), append([]Option{WithWALDir(memWALDir), withFS(disk)}, opts...)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return db
+}
 
 // durableDB opens a fresh durable database over a temp WAL dir.
 func durableDB(t *testing.T, opts ...Option) (*DB, string) {
@@ -176,101 +190,6 @@ func TestRecoverDiscardsUncommittedTail(t *testing.T) {
 	}
 }
 
-func TestRecoverToleratesTornTail(t *testing.T) {
-	db, dir := durableDB(t)
-	loadFramesObjects(t, db, 0, 3, 5)
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Tear the newest segment mid-record, as a crash during a buffered write
-	// would.  The last record on disk is the third transaction's commit
-	// marker, so tearing it discards that whole transaction.
-	segs, err := listWALSegments(dir)
-	if err != nil || len(segs) == 0 {
-		t.Fatalf("segments: %v %v", segs, err)
-	}
-	last := filepath.Join(dir, segs[len(segs)-1])
-	fi, err := os.Stat(last)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Truncate(last, fi.Size()-3); err != nil {
-		t.Fatal(err)
-	}
-
-	got, rep, err := Recover(testSchema(t), dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.TornTailRecords != 1 || rep.TornTailBytes == 0 {
-		t.Fatalf("torn tail not detected: %+v", rep)
-	}
-	if ws := got.WAL().Stats(); ws.ReplayTornTail != 1 {
-		t.Fatalf("ReplayTornTail = %d, want 1", ws.ReplayTornTail)
-	}
-	if n := got.Table("frames").RowCount(); n != 2 {
-		t.Fatalf("frames = %d, want 2 after torn-tail discard", n)
-	}
-
-	// A second recovery sees a clean (truncated) log and the same state.
-	got2, rep2, err := Recover(testSchema(t), dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep2.TornTailRecords != 0 {
-		t.Fatalf("tail still torn after truncation: %+v", rep2)
-	}
-	if got2.TotalRows() != got.TotalRows() {
-		t.Fatalf("second recovery diverged: %d vs %d", got2.TotalRows(), got.TotalRows())
-	}
-}
-
-// TestRecoverZeroFilledTail: a crash between write and fsync leaves, on common
-// filesystems, a file extended with zeros.  CRC32 of an empty payload is zero,
-// so eight zero bytes are a frame that "checks out" unless the empty payload
-// itself is refused — no writer emits one.  The zeros after the last
-// acknowledged commit are a torn tail: truncated, and nothing acknowledged is
-// lost.
-func TestRecoverZeroFilledTail(t *testing.T) {
-	db, dir := durableDB(t)
-	loadFramesObjects(t, db, 0, 3, 5)
-	// Crash here: every commit above was acknowledged (fsynced); no Close.
-
-	segs, err := listWALSegments(dir)
-	if err != nil || len(segs) == 0 {
-		t.Fatalf("segments: %v %v", segs, err)
-	}
-	f, err := os.OpenFile(filepath.Join(dir, segs[len(segs)-1]), os.O_WRONLY|os.O_APPEND, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Write(make([]byte, 4096)); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	got, rep, err := Recover(testSchema(t), dir)
-	if err != nil {
-		t.Fatalf("zero-filled tail not treated as torn: %v", err)
-	}
-	if rep.TornTailRecords != 1 || rep.TornTailBytes != 4096 {
-		t.Fatalf("torn tail = %d records / %d bytes, want 1 / 4096", rep.TornTailRecords, rep.TornTailBytes)
-	}
-	assertSameState(t, db, got)
-
-	got2, rep2, err := Recover(testSchema(t), dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep2.TornTailRecords != 0 {
-		t.Fatalf("tail still torn after truncation: %+v", rep2)
-	}
-	assertSameState(t, db, got2)
-}
-
 // TestRecoverCorruptMidLogFails: damage that is not the tail of the newest
 // segment must fail recovery loudly, not be silently skipped — rotation seals
 // every earlier segment with a flush+fsync, so nothing there can be torn.
@@ -293,11 +212,11 @@ func TestRecoverCorruptMidLogFails(t *testing.T) {
 			if err := db.Close(); err != nil {
 				t.Fatal(err)
 			}
-			segs, _ := listWALSegments(dir)
-			if len(segs) < 2 {
-				t.Fatalf("expected >=2 segments, got %d", len(segs))
+			l, _ := listLogDir(osFS{}, dir)
+			if len(l.segs) < 2 {
+				t.Fatalf("expected >=2 segments, got %d", len(l.segs))
 			}
-			first := filepath.Join(dir, segs[0])
+			first := filepath.Join(dir, walSegName(l.segs[0]))
 			buf, err := os.ReadFile(first)
 			if err != nil {
 				t.Fatal(err)
@@ -313,29 +232,30 @@ func TestRecoverCorruptMidLogFails(t *testing.T) {
 }
 
 func TestCheckpointBoundsReplay(t *testing.T) {
-	// Injected truncate failure leaves the pre-checkpoint segments on disk, so
-	// the test can prove replay skips them rather than merely observing that a
-	// healthy checkpoint already deleted them.
-	var failTruncate atomic.Bool
-	hook := func(p FaultPoint) error {
-		if p == FPCheckpointTruncate && failTruncate.Load() {
-			return errors.New("injected truncate failure")
+	// A segment Remove that fails leaves the pre-checkpoint segments on disk,
+	// so the test can prove replay skips them rather than merely observing
+	// that a healthy checkpoint already deleted them.
+	disk := newMemFS()
+	var failRemove atomic.Bool
+	disk.fail = func(op memOp) error {
+		if op.kind == "remove" && strings.HasSuffix(op.path, walSegSuffix) && failRemove.Load() {
+			return syscall.EIO
 		}
 		return nil
 	}
-	db, dir := durableDB(t, WithWALSegmentBytes(8<<10), WithFaultHook(hook))
+	db := memDB(t, disk, WithWALSegmentBytes(8<<10))
 	loadFramesObjects(t, db, 0, 4, 30)
-	failTruncate.Store(true)
-	if err := db.Checkpoint(); err == nil {
-		t.Fatal("Checkpoint ignored injected truncate failure")
+	failRemove.Store(true)
+	if err := db.Checkpoint(); !errors.Is(err, syscall.EIO) {
+		t.Fatalf("Checkpoint over a failing segment Remove: %v", err)
 	}
-	failTruncate.Store(false)
+	failRemove.Store(false)
 	loadFramesObjects(t, db, 10, 2, 10)
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	got, rep, err := Recover(testSchema(t), dir)
+	got, rep, err := Recover(testSchema(t), memWALDir, withFS(disk))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -356,16 +276,16 @@ func TestCheckpointBoundsReplay(t *testing.T) {
 func TestCheckpointDeletesDeadSegments(t *testing.T) {
 	db, dir := durableDB(t, WithWALSegmentBytes(4<<10))
 	loadFramesObjects(t, db, 0, 6, 40)
-	before, _ := listWALSegments(dir)
-	if len(before) < 3 {
-		t.Fatalf("want >=3 segments before checkpoint, got %d", len(before))
+	before, _ := listLogDir(osFS{}, dir)
+	if len(before.segs) < 3 {
+		t.Fatalf("want >=3 segments before checkpoint, got %d", len(before.segs))
 	}
 	if err := db.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	after, _ := listWALSegments(dir)
-	if len(after) != 1 {
-		t.Fatalf("segments after checkpoint = %d, want 1 (the fresh one)", len(after))
+	after, _ := listLogDir(osFS{}, dir)
+	if len(after.segs) != 1 {
+		t.Fatalf("segments after checkpoint = %d, want 1 (the fresh one)", len(after.segs))
 	}
 	ws := db.WAL().Stats()
 	if ws.Checkpoints != 1 || ws.SegmentsDeleted == 0 {
@@ -591,13 +511,14 @@ func TestInsertLogInIDOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	segs, err := listWALSegments(dir)
+	l, err := listLogDir(osFS{}, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	last := map[uint32]int64{}
 	records, inversions := 0, 0
-	for _, name := range segs {
+	for _, first := range l.segs {
+		name := walSegName(first)
 		buf, err := os.ReadFile(filepath.Join(dir, name))
 		if err != nil {
 			t.Fatal(err)
@@ -680,89 +601,6 @@ func TestOpenRefusesExistingWALDir(t *testing.T) {
 	}
 }
 
-// errKilled is the sentinel the kill-simulating fault hooks panic with.
-type errKilled struct{}
-
-// TestCrashRecoverStress kills a concurrent durable load at a random append
-// via a fault-point panic, recovers, and verifies every acknowledged commit
-// survived.  Run with -race in CI.
-func TestCrashRecoverStress(t *testing.T) {
-	const workers = 4
-	rng := rand.New(rand.NewSource(7))
-	for round := 0; round < 3; round++ {
-		dir := t.TempDir()
-		killAfter := int64(20 + rng.Intn(300))
-		var appends atomic.Int64
-		db, err := Open(testSchema(t), WithWALDir(dir), WithWALSegmentBytes(8<<10),
-			WithFaultHook(func(p FaultPoint) error {
-				if p == FPWALAppend && appends.Add(1) >= killAfter {
-					panic(errKilled{})
-				}
-				return nil
-			}))
-		if err != nil {
-			t.Fatal(err)
-		}
-
-		// acked[w] records the frame ids whose Commit returned before the kill.
-		acked := make([][]int64, workers)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			w := w
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				defer func() {
-					if r := recover(); r != nil {
-						if _, ok := r.(errKilled); !ok {
-							panic(r)
-						}
-					}
-				}()
-				for f := int64(0); f < 200; f++ {
-					id := int64(w)*10000 + f + 1
-					txn, err := db.Begin()
-					if err != nil {
-						return
-					}
-					if _, err := txn.Insert("frames", []string{"frame_id", "exposure"},
-						[]Value{Int(id), Float(1.5)}); err != nil {
-						_ = txn.Rollback()
-						continue
-					}
-					if _, err := txn.Commit(); err != nil {
-						return
-					}
-					acked[w] = append(acked[w], id)
-				}
-			}()
-		}
-		wg.Wait()
-		if appends.Load() < killAfter {
-			t.Fatalf("round %d: kill never fired (%d appends)", round, appends.Load())
-		}
-
-		got, _, err := Recover(testSchema(t), dir)
-		if err != nil {
-			t.Fatalf("round %d: recover: %v", round, err)
-		}
-		for w := range acked {
-			for _, id := range acked[w] {
-				row, err := got.LookupByPK("frames", []Value{Int(id)})
-				if err != nil || row == nil {
-					t.Fatalf("round %d: acknowledged frame %d lost (err=%v)", round, id, err)
-				}
-			}
-		}
-		if err := got.VerifyPrimaryKeys(); err != nil {
-			t.Fatalf("round %d: %v", round, err)
-		}
-		if orphans, err := got.VerifyIntegrity(); err != nil || orphans != 0 {
-			t.Fatalf("round %d: orphans=%d err=%v", round, orphans, err)
-		}
-	}
-}
-
 // TestRecoverLargeBatchSplitsRecords proves the append path enforces the
 // record payload limit: with the limit shrunk to a few hundred bytes, one
 // InsertBatch must split into many insert records — each under the limit the
@@ -808,4 +646,47 @@ func TestRecoverLargeBatchSplitsRecords(t *testing.T) {
 		t.Fatalf("ReplayedRows = %d, want %d", rep.ReplayedRows, 1+200)
 	}
 	assertSameState(t, db, got)
+}
+
+// TestRecoverTruncateSyncFails: recovery makes its truncation of a torn tail
+// durable before it goes on, or fails.  With the Sync after the truncate
+// returning EIO, Recover returns the error; a later Recover on the healthy
+// disk, and one after a power loss there, reach the state a recovery that met
+// no fault reaches.
+func TestRecoverTruncateSyncFails(t *testing.T) {
+	disk := newMemFS()
+	loadFramesObjects(t, memDB(t, disk), 0, 3, 5)
+	torn := disk.killed()
+	seg := filepath.Join(memWALDir, walSegName(0))
+	f := torn.names[seg]
+	f.data = f.data[:len(f.data)-3] // the third transaction's commit marker, torn
+	f.synced = len(f.data)
+	want, rep, err := Recover(testSchema(t), memWALDir, withFS(torn.killed()))
+	if err != nil || rep.TornTailRecords != 1 {
+		t.Fatalf("recovery with no fault: torn tails %d, %v", rep.TornTailRecords, err)
+	}
+
+	torn.fail = func(op memOp) error {
+		if op.kind == "sync" && op.path == seg {
+			return syscall.EIO
+		}
+		return nil
+	}
+	if _, _, err := Recover(testSchema(t), memWALDir, withFS(torn)); !errors.Is(err, syscall.EIO) {
+		t.Fatalf("Recover over a failing truncate sync: %v, want EIO", err)
+	}
+	torn.fail = nil
+	disks := []*memFS{torn.killed()}
+	for seed := int64(0); seed < 4; seed++ {
+		disks = append(disks, torn.crash(seed, tailNone))
+	}
+	for i, d := range disks {
+		got, _, err := Recover(testSchema(t), memWALDir, withFS(d))
+		if err != nil {
+			t.Fatalf("disk %d: %v", i, err)
+		}
+		if stateDigest(got) != stateDigest(want) {
+			t.Fatalf("disk %d: recovered state differs from the recovery with no fault", i)
+		}
+	}
 }

@@ -154,13 +154,6 @@ func (v Value) Time() time.Time { return time.Unix(0, v.I).UTC() }
 // Row is a tuple of column values in table column order.
 type Row []Value
 
-// Clone returns a copy of the row (values themselves are immutable).
-func (r Row) Clone() Row {
-	out := make(Row, len(r))
-	copy(out, r)
-	return out
-}
-
 // coerce converts v to the canonical representation for column type t,
 // mirroring the light type conversion a database driver performs: numeric
 // widening, numeric/boolean/timestamp parsing of strings, and int/float

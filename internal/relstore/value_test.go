@@ -230,12 +230,3 @@ func TestFormatValue(t *testing.T) {
 		}
 	}
 }
-
-func TestRowClone(t *testing.T) {
-	r := Row{Int(1), Str("x")}
-	c := r.Clone()
-	c[0] = Int(2)
-	if r[0] != Int(1) {
-		t.Error("Clone did not copy")
-	}
-}

@@ -5,11 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"os"
 	"path/filepath"
-	"sort"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -59,6 +55,7 @@ import (
 //     truncate (a torn tail off the newest segment) and only a completed
 //     checkpoint may delete (whole segments older than the checkpoint LSN).
 type walDevice struct {
+	fs           logFS
 	dir          string
 	segmentBytes int64
 	fault        FaultHook
@@ -86,7 +83,7 @@ type walDevice struct {
 
 	// The flush lock and what it guards.
 	flushMu   sync.Mutex
-	f         *os.File
+	f         logFile
 	segStart  int64 // LSN of the open segment's first record
 	spare     []byte
 	spareCuts []segCut
@@ -117,109 +114,32 @@ type segCut struct {
 // interrupted.
 var errWALFlushAborted = errors.New("relstore: wal flush aborted")
 
-const (
-	walSegPrefix  = "wal-"
-	walSegSuffix  = ".seg"
-	ckptPrefix    = "checkpoint-"
-	ckptSuffix    = ".ckpt"
-	defaultWALSeg = 4 << 20
-)
-
-func walSegName(firstLSN int64) string {
-	return fmt.Sprintf("%s%016x%s", walSegPrefix, firstLSN, walSegSuffix)
-}
-
-// parseSegName returns the first LSN encoded in a segment file name.
-func parseSegName(name string) (int64, bool) {
-	if !strings.HasPrefix(name, walSegPrefix) || !strings.HasSuffix(name, walSegSuffix) {
-		return 0, false
-	}
-	hex := strings.TrimSuffix(strings.TrimPrefix(name, walSegPrefix), walSegSuffix)
-	n, err := strconv.ParseInt(hex, 16, 64)
-	if err != nil || n < 0 {
-		return 0, false
-	}
-	return n, true
-}
-
-func ckptName(seq int64) string {
-	return fmt.Sprintf("%s%016x%s", ckptPrefix, seq, ckptSuffix)
-}
-
-func parseCkptName(name string) (int64, bool) {
-	if !strings.HasPrefix(name, ckptPrefix) || !strings.HasSuffix(name, ckptSuffix) {
-		return 0, false
-	}
-	hex := strings.TrimSuffix(strings.TrimPrefix(name, ckptPrefix), ckptSuffix)
-	n, err := strconv.ParseInt(hex, 16, 64)
-	if err != nil || n < 0 {
-		return 0, false
-	}
-	return n, true
-}
-
-// listWALSegments returns the segment file names under dir sorted by first
-// LSN (the hex zero-padded names sort identically either way).
-func listWALSegments(dir string) ([]string, error) {
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	var segs []string
-	for _, e := range ents {
-		if _, ok := parseSegName(e.Name()); ok {
-			segs = append(segs, e.Name())
-		}
-	}
-	sort.Strings(segs)
-	return segs, nil
-}
-
-// listCheckpoints returns checkpoint sequence numbers under dir, ascending.
-func listCheckpoints(dir string) ([]int64, error) {
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	var seqs []int64
-	for _, e := range ents {
-		if seq, ok := parseCkptName(e.Name()); ok {
-			seqs = append(seqs, seq)
-		}
-	}
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
-	return seqs, nil
-}
-
 // openWALDevice creates the durable log in dir for a FRESH database.  A
 // directory already holding segments or checkpoints is refused: existing state
 // must go through Recover, which resumes the device itself.
-func openWALDevice(dir string, segmentBytes int64, hook FaultHook) (*walDevice, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+func openWALDevice(fs logFS, dir string, segmentBytes int64, hook FaultHook) (*walDevice, error) {
+	if err := fs.MkdirAll(dir); err != nil {
 		return nil, fmt.Errorf("relstore: wal dir: %w", err)
 	}
-	segs, err := listWALSegments(dir)
+	l, err := listLogDir(fs, dir)
 	if err != nil {
 		return nil, fmt.Errorf("relstore: wal dir: %w", err)
 	}
-	ckpts, err := listCheckpoints(dir)
-	if err != nil {
-		return nil, fmt.Errorf("relstore: wal dir: %w", err)
+	if len(l.segs) > 0 || len(l.ckpts) > 0 {
+		return nil, fmt.Errorf("relstore: wal dir %q already holds log state (%d segments, %d checkpoints); use Recover", dir, len(l.segs), len(l.ckpts))
 	}
-	if len(segs) > 0 || len(ckpts) > 0 {
-		return nil, fmt.Errorf("relstore: wal dir %q already holds log state (%d segments, %d checkpoints); use Recover", dir, len(segs), len(ckpts))
-	}
-	return startWALDevice(dir, segmentBytes, hook, 0)
+	return startWALDevice(fs, dir, segmentBytes, hook, 0)
 }
 
 // startWALDevice opens a device whose next record will carry firstLSN, in a
 // fresh segment.  Shared by openWALDevice (LSN 0) and Recover (last replayed
 // LSN + 1).
-func startWALDevice(dir string, segmentBytes int64, hook FaultHook, firstLSN int64) (*walDevice, error) {
+func startWALDevice(fs logFS, dir string, segmentBytes int64, hook FaultHook, firstLSN int64) (*walDevice, error) {
 	if segmentBytes <= 0 {
 		segmentBytes = defaultWALSeg
 	}
 	d := &walDevice{
+		fs:           fs,
 		dir:          dir,
 		segmentBytes: segmentBytes,
 		fault:        hook,
@@ -242,12 +162,11 @@ func (d *walDevice) openSegment(firstLSN int64) error {
 	if debugChecks && firstLSN != d.writtenLSN {
 		panic(fmt.Sprintf("relstore: wal segment named %d opened with record %d next to write", firstLSN, d.writtenLSN))
 	}
-	path := filepath.Join(d.dir, walSegName(firstLSN))
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
+	f, err := d.fs.Create(filepath.Join(d.dir, walSegName(firstLSN)))
 	if err != nil {
 		return fmt.Errorf("relstore: wal segment: %w", err)
 	}
-	if err := syncWALDir(d.dir); err != nil {
+	if err := d.fs.Sync(d.dir); err != nil {
 		f.Close()
 		return fmt.Errorf("relstore: wal segment: %w", err)
 	}
@@ -255,20 +174,6 @@ func (d *walDevice) openSegment(firstLSN int64) error {
 	d.segStart = firstLSN
 	d.segmentsCreated.Add(1)
 	return nil
-}
-
-// syncWALDir fsyncs a log directory so newly created or renamed entries are
-// durable.
-func syncWALDir(dir string) error {
-	f, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	err = f.Sync()
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	return err
 }
 
 // callFault invokes the fault hook, if any, at point p.
@@ -564,46 +469,33 @@ func (d *walDevice) noteCheckpointDurable(covered int64) {
 	}
 }
 
-// deleteSegmentsBelow removes every segment whose records all have LSN <=
-// boundary — those whose successor segment starts at or below boundary+1.
-// The current segment is never deleted.  Returns the number removed.
-func (d *walDevice) deleteSegmentsBelow(boundary int64) (int, error) {
+// deleteSegmentsBelow removes, of the segments segs lists, every one whose
+// records all have LSN <= boundary — those whose successor segment starts at
+// or below boundary+1.  The current segment is never deleted.
+func (d *walDevice) deleteSegmentsBelow(boundary int64, segs []int64) error {
 	d.flushMu.Lock()
 	cur := d.segStart
 	d.flushMu.Unlock()
-	segs, err := listWALSegments(d.dir)
-	if err != nil {
-		return 0, err
-	}
-	removed := 0
-	for i, name := range segs {
-		first, _ := parseSegName(name)
-		// Skip the segment that was open when cur was read AND anything
-		// newer: a concurrent flush can rotate between the cur read and the
-		// directory listing, and the rotated-in segment (first > cur) is live.
-		// Only segments strictly below cur are known sealed and immutable.
-		if first >= cur {
+	for i, first := range segs {
+		// Only segments strictly below cur are known sealed and immutable: a
+		// concurrent flush can rotate after the listing, and a rotated-in
+		// segment is live.  A sealed segment's records end where its successor
+		// begins; cur bounds the successor of the last one listed.
+		next := cur
+		if i+1 < len(segs) {
+			next = segs[i+1]
+		}
+		if first >= cur || next-1 > boundary {
 			continue
 		}
-		// A sealed segment's records end where its successor begins.  The
-		// successor is always in the listing — the segment named cur existed
-		// before the listing and sorts after every sealed one — but never
-		// delete without that bound in hand.
-		if i+1 >= len(segs) {
-			continue
+		if err := d.fs.Remove(filepath.Join(d.dir, walSegName(first))); err != nil {
+			return err
 		}
-		next, _ := parseSegName(segs[i+1])
-		if next-1 <= boundary {
-			if err := os.Remove(filepath.Join(d.dir, name)); err != nil {
-				return removed, err
-			}
-			removed++
-		}
+		d.mu.Lock()
+		d.segmentsDeleted++
+		d.mu.Unlock()
 	}
-	d.mu.Lock()
-	d.segmentsDeleted += int64(removed)
-	d.mu.Unlock()
-	return removed, nil
+	return nil
 }
 
 // shouldCheckpoint reports whether the auto-checkpoint byte threshold has been

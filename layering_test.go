@@ -7,8 +7,10 @@ import (
 	"go/token"
 	"io/fs"
 	"maps"
+	"os"
 	pathpkg "path"
 	"path/filepath"
+	"regexp"
 	"slices"
 	"sort"
 	"strconv"
@@ -104,6 +106,62 @@ func TestExportsHaveCallers(t *testing.T) {
 	}
 	for _, err := range checkExports(dead, exportsWithoutCallers, maxExportsWithoutCallers) {
 		t.Error(err)
+	}
+}
+
+// TestCIRunPatternsNameTests: a -run pattern that matches nothing passes
+// without running anything, so a test renamed or deleted out from under a CI
+// step would leave the step green and empty.  Every alternative of every -run
+// pattern in the workflow and the Makefile must match the name of some Test,
+// Benchmark or Fuzz function in the tree; only '^$', which runs no test on
+// purpose, is exempt.
+func TestCIRunPatternsNameTests(t *testing.T) {
+	var names []string
+	decl := regexp.MustCompile(`(?m)^func ((?:Test|Benchmark|Fuzz)\w*)\(`)
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && path != "." && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")) {
+			return filepath.SkipDir
+		}
+		if !strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		for _, m := range decl.FindAllSubmatch(src, -1) {
+			names = append(names, string(m[1]))
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := regexp.MustCompile(`-run[ =]'([^']*)'`)
+	patterns := 0
+	for _, file := range []string{".github/workflows/ci.yml", "Makefile"} {
+		src, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range run.FindAllStringSubmatch(strings.ReplaceAll(string(src), "$$", "$"), -1) {
+			patterns++
+			for _, alt := range strings.Split(m[1], "|") {
+				alt, _, _ = strings.Cut(alt, "/") // a subtest pattern: its test
+				if alt == "^$" {
+					continue
+				}
+				re, err := regexp.Compile(alt)
+				if err != nil {
+					t.Errorf("%s: -run '%s': %v", file, m[1], err)
+				} else if !slices.ContainsFunc(names, re.MatchString) {
+					t.Errorf("%s: -run '%s': %q names no test, benchmark or fuzz target", file, m[1], alt)
+				}
+			}
+		}
+	}
+	if patterns == 0 || len(names) == 0 {
+		t.Fatalf("found %d -run patterns and %d test functions: the scan looked in the wrong place", patterns, len(names))
 	}
 }
 
