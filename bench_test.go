@@ -263,18 +263,6 @@ func BenchmarkAblationTwoPhase(b *testing.B) {
 
 // --- Micro-benchmarks of the building blocks -------------------------------
 
-// BenchmarkBTreeInsert measures secondary-index maintenance cost per insert.
-// The key is encoded into a reused buffer, as the table layer's scratch does.
-func BenchmarkBTreeInsert(b *testing.B) {
-	bt := relstore.NewBTree(32)
-	key := make([]byte, 0, 16)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		key = relstore.AppendOrderedKey(key[:0], []relstore.Value{relstore.Int(int64(i * 2654435761 % 1000003))})
-		bt.Insert(key, int64(i))
-	}
-}
-
 // BenchmarkHTMLookup measures the per-object htmid computation performed
 // during the transform step.
 func BenchmarkHTMLookup(b *testing.B) {

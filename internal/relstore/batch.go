@@ -223,7 +223,8 @@ func (t *Table) insertBatchLocked(db *DB, txn *Txn, built []Row, rep *OpReport) 
 // write-lock hold: all of them, or — when a reader is waiting on the table —
 // a whole multiple of batchYieldRows, leaving the rest to the caller.  It is
 // the only code that stores a transaction's rows (replay stores recovered ones
-// through replayOneLocked), so the order a row's constraints are checked in —
+// through storeRun, which checks only what corruption could break), so the
+// order a row's constraints are checked in —
 // foreign keys, NOT NULL and CHECK, a NULL primary key, then the keys — is
 // decided here alone.
 //

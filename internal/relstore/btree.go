@@ -246,28 +246,11 @@ func (t *BTree) ResidentBytes() int64 {
 	return int64(t.nodeBytes + t.arenaBytes + t.dupBytes + t.spareSlots.bytes + t.spareKeys.bytes + t.spareMore.bytes)
 }
 
-// InsertStats reports the physical work performed by one Insert call.
+// InsertStats reports the physical work performed by one sorted insert pass.
 type InsertStats struct {
 	NodesVisited int
 	Splits       int
 	NewKey       bool
-}
-
-// Insert adds rowID under key (an AppendOrderedKey encoding).  Duplicate keys
-// accumulate row ids (non-unique index semantics); unique enforcement is done
-// by the table layer before the index is touched.
-//
-// The tree copies the key into the leaf when it stores a new entry, so callers
-// may pass a reusable scratch buffer; inserts under an existing key never copy.
-//
-// It is a one-key sorted pass: the same proactive-split descent a
-// sortedInserter falls back to, so the two cannot drift.
-func (t *BTree) Insert(key []byte, rowID int64) InsertStats {
-	before := t.size
-	si := sortedInserter{t: t}
-	si.descendInsert(key, rowID32(rowID))
-	si.st.NewKey = t.size > before
-	return si.st
 }
 
 // grow gives n room for one more entry of kl key bytes.  A node is sized to

@@ -320,71 +320,75 @@ func writeCheckpointFile(fs logFS, dir string, seq int64, chunks [][]byte) error
 	return nil
 }
 
-// checkpointState is a decoded checkpoint file.
-type checkpointState struct {
-	seq     int64
-	lsn     int64
-	maxTxn  int64
-	nextRow []int64   // per tableID
-	rows    []int64   // expected live rows per tableID
-	ids     [][]int64 // row ids per tableID
-	data    [][]Row   // rows per tableID
-}
+// checkpointState is what a checkpoint file says beside its rows, which
+// loadCheckpoint stores as it reads them, and how many it stored.
+type checkpointState struct{ seq, lsn, maxTxn, rows int64 }
 
-// readCheckpointFile parses and validates a checkpoint file.  Any framing or
+// loadCheckpoint reads the checkpoint file at path into the database's empty
+// tables.  Each rows frame is decoded into one reused buffer and stored, its
+// ids split at gaps into runs, before the next frame is read.  Any framing or
 // semantic error is a hard failure: rename-into-place means a present file
 // must be complete.
-func readCheckpointFile(fs logFS, path string, widthOf walRowWidth) (*checkpointState, error) {
-	buf, err := fs.ReadFile(path)
+func (db *DB) loadCheckpoint(path string) (checkpointState, error) {
+	var st checkpointState
+	buf, err := db.fs.ReadFile(path)
 	if err != nil {
-		return nil, err
+		return st, err
 	}
 	if len(buf) < len(ckptMagic) || string(buf[:len(ckptMagic)]) != ckptMagic {
-		return nil, fmt.Errorf("%w: checkpoint magic", ErrWALCorrupt)
+		return st, fmt.Errorf("%w: checkpoint magic", ErrWALCorrupt)
 	}
 	buf = buf[len(ckptMagic):]
 
-	st := &checkpointState{}
+	// live is each table's row count as its table record says, stored what
+	// its rows frames held.
+	live := make([]int64, len(db.tablesByID))
+	stored := make([]int64, len(db.tablesByID))
+	table := func(c *frame.Cursor) *Table {
+		tid := c.U32()
+		if int64(tid) >= int64(len(db.tablesByID)) {
+			c.Fail(fmt.Errorf("%w: checkpoint table id %d", ErrWALCorrupt, tid))
+			return nil
+		}
+		return db.tablesByID[tid]
+	}
+	var rb rowBuf
 	sawHeader, sawEnd := false, false
 	for len(buf) > 0 && !sawEnd {
 		payload, rest, fst := frame.Next(buf)
 		if fst != frame.OK {
-			return nil, fmt.Errorf("%w: torn checkpoint record", ErrWALCorrupt)
+			return st, fmt.Errorf("%w: torn checkpoint record", ErrWALCorrupt)
 		}
 		buf = rest
 		c := frame.NewCursor(payload, ErrWALCorrupt)
 		typ := c.U8()
 		if (typ == ckptRecHeader) == sawHeader {
-			return nil, fmt.Errorf("%w: checkpoint record type 0x%02x out of place", ErrWALCorrupt, typ)
+			return st, fmt.Errorf("%w: checkpoint record type 0x%02x out of place", ErrWALCorrupt, typ)
 		}
 		switch typ {
 		case ckptRecHeader:
 			sawHeader = true
 			st.seq, st.lsn, st.maxTxn = c.I64(), c.I64(), c.I64()
-			n := c.U32()
-			if n > 1<<16 {
-				return nil, fmt.Errorf("%w: checkpoint table count %d", ErrWALCorrupt, n)
+			if n := c.U32(); int64(n) != int64(len(db.tablesByID)) {
+				c.Fail(fmt.Errorf("%w: checkpoint covers %d tables, schema has %d", ErrWALCorrupt, n, len(db.tablesByID)))
 			}
-			st.nextRow = make([]int64, n)
-			st.rows = make([]int64, n)
-			st.ids = make([][]int64, n)
-			st.data = make([][]Row, n)
 		case ckptRecTable:
-			tid, nextRow, rows := c.U32(), c.I64(), c.I64()
-			if int(tid) >= len(st.nextRow) {
-				return nil, fmt.Errorf("%w: checkpoint table id %d", ErrWALCorrupt, tid)
+			t, nextRow, rows := table(c), c.I64(), c.I64()
+			// Every row takes at least its id and length prefix in the file.
+			if rows < 0 || rows > int64(len(buf)/12) {
+				c.Fail(fmt.Errorf("%w: checkpoint table record of %d rows", ErrWALCorrupt, rows))
 			}
-			st.nextRow[tid], st.rows[tid] = nextRow, rows
+			if c.Done() == nil {
+				live[t.tid] = rows
+				t.startCheckpoint(nextRow, int(rows))
+			}
 		case ckptRecRows:
-			tid := c.U32()
-			if int(tid) >= len(st.ids) {
-				return nil, fmt.Errorf("%w: checkpoint rows table id %d", ErrWALCorrupt, tid)
-			}
+			t := table(c)
 			count := c.Count(12) // each row carries at least its id and length prefix
-			want := widthOf.widthFor(c, tid)
+			rb.reset()
 			for i := 0; i < count; i++ {
 				id := c.I64()
-				row, err := decodeWALRow(c.Bytes(int(c.U32())), want)
+				err := rb.add(id, c.Bytes(int(c.U32())))
 				if id < 0 {
 					err = fmt.Errorf("%w: negative checkpoint row id", ErrWALCorrupt)
 				}
@@ -392,26 +396,29 @@ func readCheckpointFile(fs logFS, path string, widthOf walRowWidth) (*checkpoint
 					c.Fail(err)
 					break
 				}
-				st.ids[tid] = append(st.ids[tid], id)
-				st.data[tid] = append(st.data[tid], row)
+			}
+			if c.Done() == nil {
+				c.Fail(rb.store(t))
+				stored[t.tid] += int64(count)
 			}
 		case ckptRecEnd:
 			sawEnd = true
 		default:
-			return nil, fmt.Errorf("%w: checkpoint record type 0x%02x", ErrWALCorrupt, typ)
+			return st, fmt.Errorf("%w: checkpoint record type 0x%02x", ErrWALCorrupt, typ)
 		}
 		if err := c.Done(); err != nil {
-			return nil, err
+			return st, err
 		}
 	}
 	if !sawHeader || !sawEnd {
-		return nil, fmt.Errorf("%w: incomplete checkpoint file", ErrWALCorrupt)
+		return st, fmt.Errorf("%w: incomplete checkpoint file", ErrWALCorrupt)
 	}
-	for tid := range st.ids {
-		if int64(len(st.ids[tid])) != st.rows[tid] {
-			return nil, fmt.Errorf("%w: checkpoint table %d holds %d rows, header says %d",
-				ErrWALCorrupt, tid, len(st.ids[tid]), st.rows[tid])
+	for tid, n := range stored {
+		if n != live[tid] {
+			return st, fmt.Errorf("%w: checkpoint table %d holds %d rows, header says %d",
+				ErrWALCorrupt, tid, n, live[tid])
 		}
+		st.rows += n
 	}
 	return st, nil
 }

@@ -50,8 +50,8 @@ type DB struct {
 	loading atomic.Bool
 
 	// recovering marks a database still replaying its durable log (between
-	// StartRecover and the replay's completion).  Ready() is false and Begin
-	// refuses transactions while it is set.
+	// StartRecover and the replay's completion).  Ready() is false, and Begin
+	// and index DDL are refused, while it is set.
 	recovering atomic.Bool
 
 	// tablesByID indexes tables by their stable numeric id (schema declaration
@@ -280,14 +280,12 @@ func (db *DB) pagesAllocated() int64 {
 //
 // Both CreateIndexWith and DropIndex update DBStats symmetrically: successes
 // bump IndexesCreated/IndexesDropped, every error path bumps
-// IndexDDLFailures, and both return typed errors (ErrNoSuchTable,
-// ErrIndexExists, ErrNoSuchIndex, ErrNoSuchColumn).
+// IndexDDLFailures, and both return typed errors (ErrRecovering,
+// ErrNoSuchTable, ErrIndexExists, ErrNoSuchIndex, ErrNoSuchColumn).
 func (db *DB) CreateIndexWith(table, name string, columns []string, unique bool, policy IndexPolicy) (*Index, error) {
-	t, ok := db.tables[table]
-	if !ok {
-		db.counters.indexDDLFailed.Add(1)
-		db.recordViolationKind(KindUnknownTable)
-		return nil, ErrNoSuchTable
+	t, err := db.ddlTable(table)
+	if err != nil {
+		return nil, err
 	}
 	ix, err := t.createIndex(name, columns, unique, policy)
 	if err != nil {
@@ -301,11 +299,9 @@ func (db *DB) CreateIndexWith(table, name string, columns []string, unique bool,
 // DropIndex removes a secondary index from the named table.  Its error paths
 // record the same statistics as CreateIndexWith's (see there).
 func (db *DB) DropIndex(table, name string) error {
-	t, ok := db.tables[table]
-	if !ok {
-		db.counters.indexDDLFailed.Add(1)
-		db.recordViolationKind(KindUnknownTable)
-		return ErrNoSuchTable
+	t, err := db.ddlTable(table)
+	if err != nil {
+		return err
 	}
 	if err := t.dropIndex(name); err != nil {
 		db.counters.indexDDLFailed.Add(1)
@@ -313,6 +309,23 @@ func (db *DB) DropIndex(table, name string) error {
 	}
 	db.counters.indexesDropped.Add(1)
 	return nil
+}
+
+// ddlTable resolves the table an index DDL call names, counting a refusal as
+// a failed DDL.  Index DDL waits for replay to end (ErrRecovering), as Begin
+// does: replay stores rows in no secondary index.
+func (db *DB) ddlTable(name string) (*Table, error) {
+	if db.recovering.Load() {
+		db.counters.indexDDLFailed.Add(1)
+		return nil, ErrRecovering
+	}
+	t, ok := db.tables[name]
+	if !ok {
+		db.counters.indexDDLFailed.Add(1)
+		db.recordViolationKind(KindUnknownTable)
+		return nil, ErrNoSuchTable
+	}
+	return t, nil
 }
 
 // IndexPolicyDefault returns the database's default index maintenance policy.

@@ -19,6 +19,25 @@ func withFS(fs logFS) Option {
 	return func(o *openConfig) { o.fs = fs }
 }
 
+// Insert adds rowID under key (an AppendOrderedKey encoding).  Duplicate keys
+// accumulate row ids (non-unique index semantics); unique enforcement is done
+// by the table layer before the index is touched.
+//
+// The tree copies the key into the leaf when it stores a new entry, so callers
+// may pass a reusable scratch buffer; inserts under an existing key never copy.
+//
+// It is a one-key sorted pass: the same proactive-split descent a
+// sortedInserter falls back to, so the two cannot drift.  The engine inserts
+// only sorted batches (bulkIndexInsert, Seal); tests drive the tree one key
+// at a time through it.
+func (t *BTree) Insert(key []byte, rowID int64) InsertStats {
+	before := t.size
+	si := sortedInserter{t: t}
+	si.descendInsert(key, rowID32(rowID))
+	si.st.NewKey = t.size > before
+	return si.st
+}
+
 // Test-only views of the key indexes for the external guard test
 // (keyindex_guard_test.go), which needs internal/catalog and so cannot live
 // in this package.

@@ -1035,8 +1035,7 @@ func TestRowIDBeyondKeySlot(t *testing.T) {
 			t.Fatalf("insert at row id %d: %v, want a table-full error", tbl.nextRow, err)
 		}
 	}
-	var sc scratch
-	if err := tbl.replayContiguous(&sc, maxKeyRowID+1, []Row{row}); !errors.Is(err, ErrWALCorrupt) {
+	if err := tbl.storeRun(maxKeyRowID+1, []Row{row}); !errors.Is(err, ErrWALCorrupt) {
 		t.Fatalf("replay at row id %d: %v, want ErrWALCorrupt", int64(maxKeyRowID+1), err)
 	}
 	if br.RowsInserted != 0 || tbl.RowCount() != rows || tbl.pk.len() != int(rows) {

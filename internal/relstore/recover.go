@@ -17,10 +17,15 @@ import (
 // device at the next LSN, so load clients can continue appending where the
 // dead process stopped.
 //
-// Replay runs in two passes over the post-checkpoint segments so memory stays
-// bounded by one record, not the log: pass one decodes only record headers to
-// collect transaction outcomes (and the torn-tail boundary), pass two decodes
-// and applies the row payloads of committed transactions.
+// Replay runs in two passes over the post-checkpoint segments: pass one
+// decodes only record headers to collect transaction outcomes (and the
+// torn-tail boundary), pass two decodes each committed insert record once and
+// stores its rows.  Rows from the checkpoint and from the log reach the
+// tables the same way: decoded into one reused buffer, one checkpoint frame
+// or log record at a time, and stored as runs of consecutive ids
+// (Table.storeRun).  Each file is read whole, one at a time — the checkpoint
+// once, then each segment once per pass — so replay holds the largest of the
+// checkpoint file and one segment (4 MiB by default) plus one record's rows.
 
 // ErrRecovering reports an operation attempted while the database is still
 // replaying its log (between StartRecover and completion).
@@ -83,8 +88,9 @@ type RecoverHandle struct {
 }
 
 // DB returns the recovering database immediately.  Until Wait returns, the
-// database reports Ready() == false and Begin fails with ErrRecovering — the
-// state the HTTP front door's /healthz surfaces as 503 during replay.
+// database reports Ready() == false and Begin, CreateIndexWith and DropIndex
+// fail with ErrRecovering — the state the HTTP front door's /healthz surfaces
+// as 503 during replay.
 func (h *RecoverHandle) DB() *DB { return h.db }
 
 // Wait blocks until replay completes and returns its report.  On error the
@@ -133,44 +139,22 @@ func (db *DB) recoverReplay(dir string) (RecoveryReport, error) {
 	if err != nil {
 		return rep, fmt.Errorf("relstore: recover: %w", err)
 	}
-	widthOf := func(tid uint32) (int, bool) {
-		if int(tid) >= len(db.tablesByID) {
-			return 0, false
-		}
-		return len(db.tablesByID[tid].schema.Columns), true
-	}
 
 	// Phase 0: newest checkpoint snapshot, if any.  A temp file orphaned by a
 	// crash mid-checkpoint is dead weight — reclaim it before reading.
 	removeAll(fs, dir, l.temps)
-	ckptLSN := int64(-1)
 	var maxTxn int64
 	if len(l.ckpts) > 0 {
 		seq := l.ckpts[len(l.ckpts)-1]
-		st, err := readCheckpointFile(fs, filepath.Join(dir, ckptName(seq)), widthOf)
+		st, err := db.loadCheckpoint(filepath.Join(dir, ckptName(seq)))
 		if err != nil {
 			return rep, fmt.Errorf("relstore: recover checkpoint %d: %w", seq, err)
 		}
-		if len(st.nextRow) != len(db.tablesByID) {
-			return rep, fmt.Errorf("%w: checkpoint covers %d tables, schema has %d",
-				ErrWALCorrupt, len(st.nextRow), len(db.tablesByID))
-		}
-		var sc scratch
-		for tid := range st.ids {
-			t := db.tablesByID[tid]
-			if err := t.replayRowsAt(&sc, st.ids[tid], st.data[tid]); err != nil {
-				return rep, err
-			}
-			t.setNextRowFloor(st.nextRow[tid])
-			rep.CheckpointRows += int64(len(st.ids[tid]))
-		}
-		db.counters.rowsInserted.Add(rep.CheckpointRows)
-		ckptLSN = st.lsn
-		maxTxn = st.maxTxn
-		rep.CheckpointSeq = seq
-		rep.CheckpointLSN = st.lsn
-		db.ckptSeq = seq
+		rep.CheckpointSeq, rep.CheckpointLSN, rep.CheckpointRows = seq, st.lsn, st.rows
+		db.counters.rowsInserted.Add(st.rows)
+		maxTxn, db.ckptSeq = st.maxTxn, seq
 	}
+	ckptLSN := rep.CheckpointLSN
 
 	// Which segments need scanning: a segment whose records all sit at or
 	// below the checkpoint LSN (its successor starts at or below ckptLSN+1)
@@ -232,7 +216,7 @@ func (db *DB) recoverReplay(dir string) (RecoveryReport, error) {
 				rep.TornTailBytes = int64(len(buf))
 				break
 			}
-			rec, err := decodeWALRecord(payload, false, widthOf)
+			rec, err := decodeWALRecord(payload, len(db.tablesByID))
 			if err != nil {
 				// CRC-valid but semantically undecodable is corruption, not a
 				// torn tail: the bytes were written whole and are wrong.
@@ -274,8 +258,8 @@ func (db *DB) recoverReplay(dir string) (RecoveryReport, error) {
 		}
 	}
 
-	// Pass 2: apply committed inserts in log order.
-	var sc scratch
+	// Pass 2: store committed inserts in log order.
+	var rb rowBuf
 	for _, i := range scan {
 		if tornSeg >= 0 && i > tornSeg {
 			break
@@ -292,7 +276,7 @@ func (db *DB) recoverReplay(dir string) (RecoveryReport, error) {
 			if fst != frame.OK {
 				return rep, fmt.Errorf("%w: frame changed under replay in %q", ErrWALCorrupt, segNames[i])
 			}
-			rec, err := decodeWALRecord(payload, false, widthOf)
+			rec, err := decodeWALRecord(payload, len(db.tablesByID))
 			if err != nil {
 				return rep, err
 			}
@@ -310,16 +294,14 @@ func (db *DB) recoverReplay(dir string) (RecoveryReport, error) {
 					return rep, fmt.Errorf("relstore: recover replay fault: %w", err)
 				}
 			}
-			rec, err = decodeWALRecord(payload, true, widthOf)
-			if err != nil {
+			if err := rb.addRecord(&rec); err != nil {
 				return rep, err
 			}
-			t := db.tablesByID[rec.tableID]
-			if err := t.replayContiguous(&sc, rec.firstID, rec.rows); err != nil {
+			if err := rb.store(db.tablesByID[rec.tableID]); err != nil {
 				return rep, err
 			}
-			rep.ReplayedRows += int64(len(rec.rows))
-			db.counters.rowsInserted.Add(int64(len(rec.rows)))
+			rep.ReplayedRows += int64(rec.rowCount)
+			db.counters.rowsInserted.Add(int64(rec.rowCount))
 		}
 	}
 
@@ -370,98 +352,126 @@ func (db *DB) recoverReplay(dir string) (RecoveryReport, error) {
 	return rep, nil
 }
 
-// replayRowsAt stores rows at explicit (possibly non-contiguous) ids — the
-// checkpoint-snapshot load path.  The snapshot knows its row count, so a tag
-// table that will hold every key is sized once and never rehashes; a key
-// index of one or two integer columns reserves nothing, its keys going to
-// runs as they did when loaded.
-func (t *Table) replayRowsAt(sc *scratch, ids []int64, rows []Row) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for _, k := range append([]*keyIndex{t.pk}, t.uniques...) {
-		if !k.ints {
-			k.reserve(k.len() + len(rows))
-		}
-	}
-	for i := range rows {
-		if err := t.replayOneLocked(sc, ids[i], rows[i]); err != nil {
+// rowBuf holds the rows of one log record or one checkpoint rows frame,
+// decoded into one value arena that replay reuses from record to record: no
+// recovered row is a []Value of its own.  A row slices the arena as it was
+// when the row was decoded; growth moves later rows to a new array and leaves
+// earlier ones in the old, which nothing writes again.
+type rowBuf struct {
+	ids  []int64
+	vals []Value
+	rows []Row
+}
+
+func (b *rowBuf) reset() { b.ids, b.vals, b.rows = b.ids[:0], b.vals[:0], b.rows[:0] }
+
+// add decodes the row payload enc as row id.
+func (b *rowBuf) add(id int64, enc []byte) error {
+	start := len(b.vals)
+	vals, err := decodeWALRow(b.vals, enc)
+	b.ids, b.vals, b.rows = append(b.ids, id), vals, append(b.rows, vals[start:len(vals):len(vals)])
+	return err
+}
+
+// addRecord resets the buffer to the rows of an insert record decodeWALRecord
+// accepted, at ids from its first.
+func (b *rowBuf) addRecord(rec *walRecord) error {
+	b.reset()
+	c := frame.NewCursor(rec.rows, ErrWALCorrupt)
+	for i := 0; i < rec.rowCount; i++ {
+		if err := b.add(rec.firstID+int64(i), c.Bytes(int(c.U32()))); err != nil {
 			return err
 		}
+	}
+	return c.Done()
+}
+
+// store stores the buffered rows in t, one run per stretch of consecutive ids.
+func (b *rowBuf) store(t *Table) error {
+	for i := 0; i < len(b.ids); {
+		j := i + 1
+		for j < len(b.ids) && b.ids[j] == b.ids[j-1]+1 {
+			j++
+		}
+		if err := t.storeRun(b.ids[i], b.rows[i:j]); err != nil {
+			return err
+		}
+		i = j
 	}
 	return nil
 }
 
-// replayContiguous stores rows at contiguous ids starting at firstID — the
-// WAL insert-record path.
-func (t *Table) replayContiguous(sc *scratch, firstID int64, rows []Row) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for i := range rows {
-		if err := t.replayOneLocked(sc, firstID+int64(i), rows[i]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// replayOneLocked stores one recovered row at its original id, maintaining
-// the heap, row directory, primary-key and unique hash indexes and any live
-// secondary indexes.  Ids arrive with gaps (rollbacks punched holes in the
+// storeRun stores recovered rows at ids first, first+1, … through the heap,
+// row directory and key indexes a load stores through.  Recovery maintains no
+// secondary index: a recovering database has none (index DDL waits for
+// replay).  Runs arrive with gaps between them (rollbacks punched holes in the
 // original id sequence) and, from logs written before every insert was logged
 // under its table's lock, out of order (concurrent one-row writers appended
-// their records after releasing it): a gap costs the row directory nothing,
-// an id below its last run's moves every run above it — O(runs) a record, so
-// a log of r records all stored behind their elders replays in O(r²).  The
-// engine appends a table's records in id order (TestInsertLogInIDOrder).  An
-// id a run already covers is a duplicate even when its slot is dead: ids are
-// never reused.  The log is outside input: a row the insert path could not have
+// their records after releasing it): a gap costs the row directory nothing, a
+// run below its last run moves every run above it — O(runs) a run, so a log of
+// r records all stored behind their elders replays in O(r²).  The engine
+// appends a table's records in id order (TestInsertLogInIDOrder).  An id a
+// run already covers is a duplicate even when its slot is dead: ids are never
+// reused.  The log is outside input: a row the insert path could not have
 // stored (wrong width, a value of another kind than its column, NULL in the
-// primary key) is corruption, not a panic.  t.mu must be write-held.
-func (t *Table) replayOneLocked(sc *scratch, id int64, row Row) error {
-	if len(row) != len(t.schema.Columns) {
-		return fmt.Errorf("%w: row width %d for table %q", ErrWALCorrupt, len(row), t.schema.Name)
+// primary key, a key already held) is corruption, not a panic.
+func (t *Table) storeRun(first int64, rows []Row) error {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	last := first + int64(len(rows)) - 1
+	if first < 0 || last > maxKeyRowID {
+		return fmt.Errorf("%w: row ids %d..%d in table %q", ErrWALCorrupt, first, last, t.schema.Name)
 	}
-	for i := range row {
-		if k := row[i].Kind; k != KindNull && k != t.heap.lay.kinds[i] {
-			return fmt.Errorf("%w: %s value in column %q of table %q", ErrWALCorrupt, k, t.schema.Columns[i].Name, t.schema.Name)
+	if at, _, _ := t.rows.find(last); at >= 0 {
+		if r := t.rows.runs[at]; int64(r.first)+int64(r.n) > first {
+			return fmt.Errorf("%w: row ids %d..%d in table %q already spent", ErrWALCorrupt, first, last, t.schema.Name)
 		}
 	}
-	for _, c := range t.pkCols {
-		if row[c].IsNull() {
-			return fmt.Errorf("%w: NULL primary key in table %q during replay", ErrWALCorrupt, t.schema.Name)
+	for i, row := range rows {
+		if len(row) != len(t.schema.Columns) {
+			return fmt.Errorf("%w: row width %d for table %q", ErrWALCorrupt, len(row), t.schema.Name)
 		}
-	}
-	if _, taken := t.rows.get(id); taken {
-		return fmt.Errorf("%w: duplicate row id %d in table %q", ErrWALCorrupt, id, t.schema.Name)
-	}
-	if id < 0 || id > maxKeyRowID {
-		return fmt.Errorf("%w: row id %d in table %q", ErrWALCorrupt, id, t.schema.Name)
-	}
-	if t.pk.has(row) {
-		return fmt.Errorf("%w: duplicate primary key in table %q during replay", ErrWALCorrupt, t.schema.Name)
-	}
-	for _, u := range t.uniques {
-		if u.has(row) {
-			return fmt.Errorf("%w: duplicate unique key %q in table %q during replay",
-				ErrWALCorrupt, u.name, t.schema.Name)
+		for c := range row {
+			if k := row[c].Kind; k != KindNull && k != t.heap.lay.kinds[c] {
+				return fmt.Errorf("%w: %s value in column %q of table %q", ErrWALCorrupt, k, t.schema.Columns[c].Name, t.schema.Name)
+			}
 		}
+		for _, c := range t.pkCols {
+			if row[c].IsNull() {
+				return fmt.Errorf("%w: NULL primary key in table %q during replay", ErrWALCorrupt, t.schema.Name)
+			}
+		}
+		if t.pk.has(row) {
+			return fmt.Errorf("%w: duplicate primary key in table %q during replay", ErrWALCorrupt, t.schema.Name)
+		}
+		for _, u := range t.uniques {
+			if u.has(row) {
+				return fmt.Errorf("%w: duplicate unique key %q in table %q during replay",
+					ErrWALCorrupt, u.name, t.schema.Name)
+			}
+		}
+		id := first + int64(i)
+		loc, _, _ := t.heap.append(row)
+		t.rows.put(id, loc)
+		t.putKeys(row, id)
 	}
-
-	loc, _, _ := t.heap.append(row)
-	t.rows.put(id, loc)
-	t.nextRow = max(t.nextRow, id+1)
-	t.putKeys(row, id)
-	for _, ix := range t.liveList {
-		ix.tree.Insert(sc.ordKey(sc.keyOf(row, ix.colIdxs)), id)
-	}
+	t.nextRow = max(t.nextRow, last+1)
 	return nil
 }
 
-// setNextRowFloor raises the table's next row id to at least n — recovering
-// id gaps punched by pre-checkpoint rollbacks, so resumed inserts allocate the
-// same ids the dead process would have.
-func (t *Table) setNextRowFloor(n int64) {
+// startCheckpoint applies a checkpoint's table record ahead of its rows: the
+// next row id, which keeps the id gaps pre-checkpoint rollbacks punched so
+// resumed inserts allocate the ids the dead process would have, and the row
+// count, which sizes a tag table that will hold every key once so it never
+// rehashes; a key index of one or two integer columns reserves nothing, its
+// keys going to runs as they did when loaded.
+func (t *Table) startCheckpoint(nextRow int64, rows int) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.nextRow = max(t.nextRow, n)
+	t.nextRow = max(t.nextRow, nextRow)
+	for _, k := range append([]*keyIndex{t.pk}, t.uniques...) {
+		if !k.ints {
+			k.reserve(k.len() + rows)
+		}
+	}
 }

@@ -76,7 +76,7 @@ func runRowDirOps(t testing.TB, data []byte) {
 			for n := 1 + o.next(3); n > 0; n, id = n-1, id+1 {
 				r := row()
 				_, taken := covered[id]
-				err := tbl.replayContiguous(&sc, id, []Row{r})
+				err := tbl.storeRun(id, []Row{r})
 				if taken != errors.Is(err, ErrWALCorrupt) || (!taken && err != nil) {
 					t.Fatalf("replay at %d (covered %v): %v", id, taken, err)
 				}
@@ -180,7 +180,7 @@ func dirTries(t *testing.T, lengths ...int) (d *rowDir, mean float64, most int) 
 // TestRowDirUnlikeRuns pins what find costs when the runs are not equally
 // long — counted in runs tried, each a division and two compares.  Full pages
 // beside the short runs a log with records out of id order replays into (see
-// replayOneLocked) is the worst a recovered database gets (records logged in
+// storeRun) is the worst a recovered database gets (records logged in
 // id order replay a run a page); past that the halving bounds the tries.
 func TestRowDirUnlikeRuns(t *testing.T) {
 	repeat := func(times int, lengths ...int) (out []int) {
@@ -243,7 +243,7 @@ func TestRowDirBunchedIDs(t *testing.T) {
 
 // TestRowDirDescendingReplay: records stored each behind the one before — the
 // order that makes every put move every run — still leave a directory that
-// resolves every id; the cost is what replayOneLocked's comment says it is.
+// resolves every id; the cost is what storeRun's comment says it is.
 func TestRowDirDescendingReplay(t *testing.T) {
 	const n = 20_000
 	var d rowDir
@@ -344,11 +344,10 @@ func TestReplayRefusesSpentRowID(t *testing.T) {
 		t.Fatal(err)
 	}
 	frames := db.Table("frames")
-	var sc scratch
-	if err := frames.replayContiguous(&sc, 1, []Row{{Int(9), Float(1)}}); !errors.Is(err, ErrWALCorrupt) {
+	if err := frames.storeRun(1, []Row{{Int(9), Float(1)}}); !errors.Is(err, ErrWALCorrupt) {
 		t.Fatalf("replay at a rolled-back row's id: %v, want ErrWALCorrupt", err)
 	}
-	if err := frames.replayContiguous(&sc, 3, []Row{{Int(9), Float(1)}}); err != nil {
+	if err := frames.storeRun(3, []Row{{Int(9), Float(1)}}); err != nil {
 		t.Fatalf("replay at the next free id: %v", err)
 	}
 	if n := frames.RowCount(); n != 1 {

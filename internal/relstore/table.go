@@ -50,7 +50,7 @@ func (ix *Index) Ready() bool { return !ix.suspended.Load() }
 // by one per append, whoever appends, so the directory is runs of consecutive
 // ids in consecutive slots of one page, sorted by first id: a load opens one
 // run per page, and only replay of a log whose records for a table are out
-// of id order (see replayOneLocked) opens one mid-slice.  A run keeps
+// of id order (see storeRun) opens one mid-slice.  A run keeps
 // rolled-back ids: the heap's rollback mark is the only tombstone, and a
 // covered id is spent.
 type rowDir struct{ runs []idRun }

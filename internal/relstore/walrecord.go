@@ -27,12 +27,12 @@ import (
 // log; segment files are named by the LSN of their first record, and replay
 // verifies the continuity.
 //
-// The decoder is total: decodeWALRecord returns an error (never panics) for
-// any byte string that is not a canonical encoding, which FuzzWALRecordDecode
-// exercises.  Framing damage — anything frame.Next does not report OK: short
-// header, zero or oversized length, truncated payload, CRC mismatch — is how
-// a torn tail presents; the segment reader in recover.go distinguishes it
-// from post-CRC semantic corruption.
+// The decoders are total: decodeWALRecord and decodeWALRow return an error
+// (never panic) for any byte string that is not a canonical encoding, which
+// FuzzWALRecordDecode exercises.  Framing damage — anything frame.Next does
+// not report OK: short header, zero or oversized length, truncated payload,
+// CRC mismatch — is how a torn tail presents; the segment reader in
+// recover.go distinguishes it from post-CRC semantic corruption.
 
 const (
 	walRecInsert   = 0x01
@@ -43,6 +43,10 @@ const (
 	// not collide with the ordkey tag space (0x00-0x05) and never appears in
 	// index keys.
 	walTagNaN = 0x06
+
+	// walInsertHeaderBytes is where an insert record's rows start: behind its
+	// type, LSN, table id, transaction id, first row id and row count.
+	walInsertHeaderBytes = 1 + 8 + 4 + 8 + 8 + 4
 )
 
 // walInsertRecordLimit is the payload budget the append path chunks insert
@@ -62,12 +66,11 @@ type walRecord struct {
 	tableID uint32
 	txnID   int64
 	firstID int64
-	// rows holds the decoded row payloads of an insert record; nil when the
-	// decode was asked to skip them (the commit-collection pass).
-	rows []Row
-	// rowCount is the row count of an insert record, valid even when rows
-	// were skipped.
+	// rowCount is an insert record's row count and rows its row payloads, each
+	// behind its u32 length, framed as decodeWALRecord checked them; recovery
+	// decodes the values of a committed record's rows only (rowBuf.addRecord).
 	rowCount int
+	rows     []byte
 }
 
 // appendWALInsertBounded encodes an insert record payload covering as many
@@ -132,59 +135,37 @@ func appendWALValue(dst []byte, v Value) []byte {
 	return appendOrderedValue(dst, v)
 }
 
-// decodeWALRow decodes a row payload; wantCols is the owning table's column
-// count (decoded rows must match it exactly), or negative to accept any width.
-func decodeWALRow(enc []byte, wantCols int) (Row, error) {
-	row := make(Row, 0, max(wantCols, 0))
+// decodeWALRow decodes a row payload, appending its values to dst.  The width
+// is the table's to check (Table.storeRun).
+func decodeWALRow(dst []Value, enc []byte) ([]Value, error) {
 	for len(enc) > 0 {
 		if enc[0] == walTagNaN {
 			if len(enc) < 9 {
-				return nil, fmt.Errorf("%w: truncated NaN payload", ErrWALCorrupt)
+				return dst, fmt.Errorf("%w: truncated NaN payload", ErrWALCorrupt)
 			}
 			f := math.Float64frombits(decodeOrderedUint64(enc[1:9]))
 			if !math.IsNaN(f) {
-				return nil, fmt.Errorf("%w: non-NaN bits under NaN tag", ErrWALCorrupt)
+				return dst, fmt.Errorf("%w: non-NaN bits under NaN tag", ErrWALCorrupt)
 			}
-			row = append(row, Value{Kind: KindFloat, F: f})
+			dst = append(dst, Value{Kind: KindFloat, F: f})
 			enc = enc[9:]
 			continue
 		}
 		v, rest, err := decodeOrderedValue(enc)
 		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrWALCorrupt, err)
+			return dst, fmt.Errorf("%w: %v", ErrWALCorrupt, err)
 		}
-		row = append(row, v)
+		dst = append(dst, v)
 		enc = rest
 	}
-	if wantCols >= 0 && len(row) != wantCols {
-		return nil, fmt.Errorf("%w: row has %d values, table has %d columns", ErrWALCorrupt, len(row), wantCols)
-	}
-	return row, nil
+	return dst, nil
 }
 
-// walRowWidth reports the column count decodeWALRecord should enforce for a
-// table id; Recover passes the schema's widths, the fuzz target passes nil
-// (any width accepted).
-type walRowWidth func(tableID uint32) (int, bool)
-
-// widthFor resolves the row width to enforce for a table id: -1 (any) without
-// a schema, and a latched cursor error for an id the schema does not know.
-func (widthOf walRowWidth) widthFor(c *frame.Cursor, tableID uint32) int {
-	if widthOf == nil {
-		return -1
-	}
-	w, ok := widthOf(tableID)
-	if !ok {
-		c.Fail(fmt.Errorf("%w: unknown table id %d", ErrWALCorrupt, tableID))
-	}
-	return w
-}
-
-// decodeWALRecord decodes one framed-and-verified payload.  With decodeRows
-// false the row payloads of insert records are counted but not materialized —
-// the cheap first pass that only collects txn outcomes.  widthOf, when
-// non-nil, validates table ids and row widths against the schema.
-func decodeWALRecord(payload []byte, decodeRows bool, widthOf walRowWidth) (walRecord, error) {
+// decodeWALRecord decodes one framed-and-verified payload: the header, and an
+// insert record's row framing, whose values it leaves encoded.  tables is the
+// schema's table count; an insert record naming a table id at or past it is
+// corrupt.
+func decodeWALRecord(payload []byte, tables int) (walRecord, error) {
 	c := frame.NewCursor(payload, ErrWALCorrupt)
 	rec := walRecord{typ: c.U8(), lsn: c.I64()}
 	if rec.lsn < 0 {
@@ -200,22 +181,13 @@ func decodeWALRecord(payload []byte, decodeRows bool, widthOf walRowWidth) (walR
 		if rec.firstID < 0 {
 			c.Fail(fmt.Errorf("%w: negative first row id", ErrWALCorrupt))
 		}
-		rec.rowCount = c.Count(4) // each row carries at least its length prefix
-		wantCols := widthOf.widthFor(c, rec.tableID)
-		if decodeRows {
-			rec.rows = make([]Row, 0, rec.rowCount)
+		if int64(rec.tableID) >= int64(tables) {
+			c.Fail(fmt.Errorf("%w: unknown table id %d", ErrWALCorrupt, rec.tableID))
 		}
+		rec.rowCount = c.Count(4) // each row carries at least its length prefix
+		rec.rows = payload[min(len(payload), walInsertHeaderBytes):]
 		for i := 0; i < rec.rowCount; i++ {
-			enc := c.Bytes(int(c.U32()))
-			if !decodeRows {
-				continue
-			}
-			row, err := decodeWALRow(enc, wantCols)
-			if err != nil {
-				c.Fail(err)
-				break
-			}
-			rec.rows = append(rec.rows, row)
+			c.Bytes(int(c.U32()))
 		}
 	default:
 		c.Fail(fmt.Errorf("%w: unknown record type 0x%02x", ErrWALCorrupt, rec.typ))

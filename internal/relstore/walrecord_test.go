@@ -97,7 +97,7 @@ func TestWALRecordRoundTrip(t *testing.T) {
 		if st != frame.OK || len(rest) != 0 {
 			t.Fatalf("iter %d: framing round-trip failed (status=%v rest=%d)", iter, st, len(rest))
 		}
-		rec, err := decodeWALRecord(got, true, nil)
+		rec, err := decodeWALRecord(got, math.MaxInt)
 		if err != nil {
 			t.Fatalf("iter %d: decode: %v", iter, err)
 		}
@@ -105,16 +105,24 @@ func TestWALRecordRoundTrip(t *testing.T) {
 			t.Fatalf("iter %d: header mismatch: %+v", iter, rec)
 		}
 		if typ == walRecInsert {
-			if len(rec.rows) != len(wantRows) || rec.rowCount != len(wantRows) {
-				t.Fatalf("iter %d: %d rows decoded, want %d", iter, len(rec.rows), len(wantRows))
+			var rb rowBuf
+			if err := rb.addRecord(&rec); err != nil {
+				t.Fatalf("iter %d: decode rows: %v", iter, err)
+			}
+			rows := rb.rows
+			if len(rows) != len(wantRows) || rec.rowCount != len(wantRows) {
+				t.Fatalf("iter %d: %d rows decoded, want %d", iter, len(rows), len(wantRows))
 			}
 			for i, want := range wantRows {
-				if len(rec.rows[i]) != len(want) {
-					t.Fatalf("iter %d row %d: width %d, want %d", iter, i, len(rec.rows[i]), len(want))
+				if len(rows[i]) != len(want) {
+					t.Fatalf("iter %d row %d: width %d, want %d", iter, i, len(rows[i]), len(want))
+				}
+				if rb.ids[i] != rec.firstID+int64(i) {
+					t.Fatalf("iter %d row %d: id %d, want %d", iter, i, rb.ids[i], rec.firstID+int64(i))
 				}
 				for j := range want {
-					if !walValueEqual(rec.rows[i][j], want[j]) {
-						t.Fatalf("iter %d row %d col %d: %+v != %+v", iter, i, j, rec.rows[i][j], want[j])
+					if !walValueEqual(rows[i][j], want[j]) {
+						t.Fatalf("iter %d row %d col %d: %+v != %+v", iter, i, j, rows[i][j], want[j])
 					}
 				}
 			}
@@ -142,8 +150,8 @@ func TestWALRecordRoundTrip(t *testing.T) {
 }
 
 // FuzzWALRecordDecode asserts the record decoder is total: arbitrary payload
-// bytes never panic it, with or without a schema to enforce and with or
-// without materializing rows.  The framing half — lengths, CRCs, truncation —
+// bytes never panic it, with or without a table count to enforce, nor the
+// decode of an accepted insert record's rows.  The framing half — lengths, CRCs, truncation —
 // is internal/frame's FuzzFrame; here a seed's frames are peeled off and every
 // other input is decoded as one bare payload, so mutations reach the field
 // decoders instead of dying at the CRC.  The seed corpus
@@ -159,12 +167,15 @@ func FuzzWALRecordDecode(f *testing.F) {
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		decode := func(payload []byte) {
-			if rec, err := decodeWALRecord(payload, true, nil); err == nil && rec.typ == walRecInsert && len(rec.rows) != rec.rowCount {
-				t.Fatalf("insert record decoded %d rows, header says %d", len(rec.rows), rec.rowCount)
+			rec, err := decodeWALRecord(payload, math.MaxInt)
+			if err == nil && rec.typ == walRecInsert {
+				var rb rowBuf
+				if rb.addRecord(&rec) == nil && len(rb.rows) != rec.rowCount {
+					t.Fatalf("insert record decoded %d rows, header says %d", len(rb.rows), rec.rowCount)
+				}
 			}
-			// Width enforcement must be just as total.
-			_, _ = decodeWALRecord(payload, true, func(uint32) (int, bool) { return 3, true })
-			_, _ = decodeWALRecord(payload, false, nil)
+			// Table id enforcement must be just as total.
+			_, _ = decodeWALRecord(payload, 3)
 		}
 		decode(data)
 		for buf := data; ; {
